@@ -167,15 +167,57 @@ impl BoundingBox {
         out
     }
 
+    /// The first cell of every row — a run of cells along the last
+    /// dimension — in row-major order. Bulk readers take one contiguous
+    /// slice of a variable's data per row instead of looking cells up
+    /// one at a time.
+    pub fn row_starts(&self) -> Odometer<'_> {
+        self.odometer(self.ndims().saturating_sub(1))
+    }
+
     /// Iterate the cells of the box in row-major order.
-    pub fn cells(&self) -> impl Iterator<Item = Coord> + '_ {
-        let total = self.num_cells();
-        (0..total).map(move |i| {
-            let local = self.shape.delinearize(i).expect("index in range");
-            local
-                .checked_add(&self.corner)
-                .expect("dimension agreement")
-        })
+    pub fn cells(&self) -> Odometer<'_> {
+        self.odometer(self.ndims())
+    }
+
+    fn odometer(&self, dims: usize) -> Odometer<'_> {
+        Odometer {
+            bounds: self,
+            dims,
+            next: (!self.shape.is_empty()).then(|| self.corner.clone()),
+        }
+    }
+}
+
+/// Row-major walk over the first `dims` dimensions of a box, the
+/// remaining ones held at the corner: [`BoundingBox::cells`] walks all of
+/// them, [`BoundingBox::row_starts`] all but the last.
+#[derive(Debug, Clone)]
+pub struct Odometer<'a> {
+    bounds: &'a BoundingBox,
+    dims: usize,
+    next: Option<Coord>,
+}
+
+impl Iterator for Odometer<'_> {
+    type Item = Coord;
+
+    fn next(&mut self) -> Option<Coord> {
+        let current = self.next.take()?;
+        let corner = self.bounds.corner.components();
+        let extents = self.bounds.shape.extents();
+        // Step the fastest walked dimension; carry leftwards. Falling off
+        // the front leaves `next` empty: the walk is over.
+        let mut following = current.clone();
+        for d in (0..self.dims).rev() {
+            if following[d] as i64 - corner[d] as i64 + 1 < extents[d] as i64 {
+                following[d] += 1;
+                self.next = Some(following);
+                break;
+            }
+            following[d] = corner[d];
+        }
+        Some(current)
     }
 }
 

@@ -5,36 +5,100 @@
 //! identifier), which is why they dominate intermediate-data volume.
 
 use crate::error::GridError;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, Index, IndexMut, Sub};
+
+/// Dimensions a [`Coord`] holds without touching the allocator. The
+/// paper's grids are 2-D to 4-D; anything wider spills to the heap.
+const INLINE_DIMS: usize = 4;
+
+/// Component storage. Coordinates of up to [`INLINE_DIMS`] dimensions
+/// are always `Inline`, so building, cloning, adding and dropping one
+/// costs no allocation. `Box<[i32]>` rather than `Vec<i32>` keeps the
+/// whole coordinate at 24 bytes, the size of the `Vec` it replaced.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [i32; INLINE_DIMS] },
+    Heap(Box<[i32]>),
+}
 
 /// A point in an n-dimensional integer grid.
 ///
 /// Coordinates are signed because windowed queries (e.g. the paper's
 /// sliding 3×3 median, §IV-C) legitimately produce out-of-range keys such
 /// as `(-1, -1)` at grid edges.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Coord(pub Vec<i32>);
+///
+/// Equality, ordering and hashing are those of the component slice:
+/// lexicographic, a strict prefix sorting first.
+#[derive(Clone)]
+pub struct Coord(Repr);
 
 impl Coord {
     /// Create a coordinate from its components.
     pub fn new(components: Vec<i32>) -> Self {
-        Coord(components)
+        if components.len() <= INLINE_DIMS {
+            Coord::from(components.as_slice())
+        } else {
+            Coord(Repr::Heap(components.into_boxed_slice()))
+        }
     }
 
     /// The origin (all zeros) in `ndims` dimensions.
     pub fn origin(ndims: usize) -> Self {
-        Coord(vec![0; ndims])
+        if ndims <= INLINE_DIMS {
+            Coord(Repr::Inline {
+                len: ndims as u8,
+                buf: [0; INLINE_DIMS],
+            })
+        } else {
+            Coord(Repr::Heap(vec![0; ndims].into_boxed_slice()))
+        }
     }
 
     /// Number of dimensions.
     pub fn ndims(&self) -> usize {
-        self.0.len()
+        match &self.0 {
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Heap(b) => b.len(),
+        }
     }
 
     /// Component slice.
     pub fn components(&self) -> &[i32] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(b) => b,
+        }
+    }
+
+    /// Mutable component slice.
+    pub(crate) fn components_mut(&mut self) -> &mut [i32] {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => &mut buf[..*len as usize],
+            Repr::Heap(b) => b,
+        }
+    }
+
+    /// A coordinate of the same dimensionality with `f` applied to every
+    /// component.
+    fn map(&self, f: impl Fn(i32) -> i32) -> Coord {
+        let mut out = self.clone();
+        for c in out.components_mut() {
+            *c = f(*c);
+        }
+        out
+    }
+
+    /// A coordinate with `f` applied to every pair of components. The
+    /// caller has checked that the dimensions agree.
+    fn zip_with(&self, other: &Coord, f: impl Fn(i32, i32) -> i32) -> Coord {
+        let mut out = self.clone();
+        for (a, b) in out.components_mut().iter_mut().zip(other.components()) {
+            *a = f(*a, *b);
+        }
+        out
     }
 
     /// Checked element-wise addition; errors on dimension mismatch.
@@ -45,57 +109,39 @@ impl Coord {
                 actual: other.ndims(),
             });
         }
-        Ok(Coord(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(a, b)| a.wrapping_add(*b))
-                .collect(),
-        ))
+        Ok(self.zip_with(other, i32::wrapping_add))
     }
 
     /// Offset by a delta applied to every component.
     pub fn offset_all(&self, delta: i32) -> Coord {
-        Coord(self.0.iter().map(|c| c.wrapping_add(delta)).collect())
+        self.map(|c| c.wrapping_add(delta))
     }
 
     /// Element-wise minimum of two coordinates.
     pub fn elementwise_min(&self, other: &Coord) -> Coord {
         debug_assert_eq!(self.ndims(), other.ndims());
-        Coord(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(a, b)| (*a).min(*b))
-                .collect(),
-        )
+        self.zip_with(other, i32::min)
     }
 
     /// Element-wise maximum of two coordinates.
     pub fn elementwise_max(&self, other: &Coord) -> Coord {
         debug_assert_eq!(self.ndims(), other.ndims());
-        Coord(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(a, b)| (*a).max(*b))
-                .collect(),
-        )
+        self.zip_with(other, i32::max)
     }
 
     /// True if every component is non-negative (i.e. the coordinate can be
     /// cast to unsigned curve space without bias).
     pub fn is_non_negative(&self) -> bool {
-        self.0.iter().all(|&c| c >= 0)
+        self.components().iter().all(|&c| c >= 0)
     }
 
     /// Convert to unsigned components, failing if any is negative.
     pub fn to_unsigned(&self) -> Result<Vec<u32>, GridError> {
-        self.0
+        self.components()
             .iter()
             .map(|&c| {
                 u32::try_from(c).map_err(|_| GridError::OutOfBounds {
-                    coord: self.0.clone(),
+                    coord: self.components().to_vec(),
                     context: "to_unsigned".into(),
                 })
             })
@@ -103,16 +149,48 @@ impl Coord {
     }
 }
 
+impl PartialEq for Coord {
+    fn eq(&self, other: &Coord) -> bool {
+        self.components() == other.components()
+    }
+}
+
+impl Eq for Coord {}
+
+impl PartialOrd for Coord {
+    fn partial_cmp(&self, other: &Coord) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Coord {
+    fn cmp(&self, other: &Coord) -> Ordering {
+        self.components().cmp(other.components())
+    }
+}
+
+impl Hash for Coord {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.components().hash(state);
+    }
+}
+
+impl fmt::Debug for Coord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Coord").field(&self.components()).finish()
+    }
+}
+
 impl Index<usize> for Coord {
     type Output = i32;
     fn index(&self, i: usize) -> &i32 {
-        &self.0[i]
+        &self.components()[i]
     }
 }
 
 impl IndexMut<usize> for Coord {
     fn index_mut(&mut self, i: usize) -> &mut i32 {
-        &mut self.0[i]
+        &mut self.components_mut()[i]
     }
 }
 
@@ -127,20 +205,14 @@ impl Sub for &Coord {
     type Output = Coord;
     fn sub(self, other: &Coord) -> Coord {
         assert_eq!(self.ndims(), other.ndims(), "dimension mismatch in -");
-        Coord(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(a, b)| a.wrapping_sub(*b))
-                .collect(),
-        )
+        self.zip_with(other, i32::wrapping_sub)
     }
 }
 
 impl fmt::Display for Coord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, c) in self.0.iter().enumerate() {
+        for (i, c) in self.components().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -152,13 +224,22 @@ impl fmt::Display for Coord {
 
 impl From<Vec<i32>> for Coord {
     fn from(v: Vec<i32>) -> Self {
-        Coord(v)
+        Coord::new(v)
     }
 }
 
 impl From<&[i32]> for Coord {
     fn from(v: &[i32]) -> Self {
-        Coord(v.to_vec())
+        if v.len() <= INLINE_DIMS {
+            let mut buf = [0; INLINE_DIMS];
+            buf[..v.len()].copy_from_slice(v);
+            Coord(Repr::Inline {
+                len: v.len() as u8,
+                buf,
+            })
+        } else {
+            Coord(Repr::Heap(v.into()))
+        }
     }
 }
 
@@ -204,6 +285,18 @@ mod tests {
     #[test]
     fn display_is_tuple_like() {
         assert_eq!(Coord::new(vec![3, -1, 2]).to_string(), "(3, -1, 2)");
+    }
+
+    #[test]
+    fn wide_coordinates_spill_to_the_heap_and_small_ones_stay_small() {
+        let wide: Vec<i32> = (0..INLINE_DIMS as i32 + 3).collect();
+        let c = Coord::new(wide.clone());
+        assert_eq!(c.components(), wide.as_slice());
+        assert_eq!(c.offset_all(1)[INLINE_DIMS + 2], wide[INLINE_DIMS + 2] + 1);
+        assert_eq!(Coord::origin(wide.len()).ndims(), wide.len());
+        // No bigger than the `Vec<i32>` it replaced: result maps keyed by
+        // coordinate keep their footprint and lose the heap block.
+        assert!(std::mem::size_of::<Coord>() <= std::mem::size_of::<Vec<i32>>());
     }
 
     #[test]

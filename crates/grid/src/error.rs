@@ -15,6 +15,8 @@ pub enum GridError {
     UnknownVariable(String),
     /// A shape with zero extent in some dimension where that is not allowed.
     EmptyShape,
+    /// A variable was to be carved into zero input splits.
+    NoSplits,
 }
 
 impl fmt::Display for GridError {
@@ -29,6 +31,7 @@ impl fmt::Display for GridError {
             GridError::Deserialize(msg) => write!(f, "deserialization error: {msg}"),
             GridError::UnknownVariable(name) => write!(f, "unknown variable: {name}"),
             GridError::EmptyShape => write!(f, "shape has zero extent"),
+            GridError::NoSplits => write!(f, "cannot carve a variable into zero splits"),
         }
     }
 }
@@ -54,6 +57,7 @@ mod tests {
         };
         assert!(e.to_string().contains("[1, 2]"));
         assert!(GridError::EmptyShape.to_string().contains("zero extent"));
+        assert!(GridError::NoSplits.to_string().contains("zero splits"));
         assert!(GridError::Deserialize("short read".into())
             .to_string()
             .contains("short read"));

@@ -35,7 +35,7 @@ impl VariableId {
     pub fn serialized_len(&self) -> usize {
         match self {
             VariableId::Index(_) => 4,
-            VariableId::Name(s) => vint_len(s.len() as i64) + s.len(),
+            VariableId::Name(s) => text_len(s),
         }
     }
 }
@@ -66,10 +66,7 @@ impl GridKey {
     pub fn write(&self, out: &mut Vec<u8>) {
         match &self.variable {
             VariableId::Index(i) => out.extend_from_slice(&i.to_be_bytes()),
-            VariableId::Name(s) => {
-                write_vint(out, s.len() as i64);
-                out.extend_from_slice(s.as_bytes());
-            }
+            VariableId::Name(s) => write_text(out, s),
         }
         for &c in self.coord.components() {
             out.extend_from_slice(&c.to_be_bytes());
@@ -85,18 +82,12 @@ impl GridKey {
 
     /// Deserialize a key with a *named* variable and `ndims` coordinates.
     pub fn read_named(buf: &[u8], ndims: usize) -> Result<(GridKey, usize), GridError> {
-        let (len, mut pos) = read_vint(buf)?;
-        let len = usize::try_from(len)
-            .map_err(|_| GridError::Deserialize("negative name length".into()))?;
-        if buf.len() < pos + len {
-            return Err(GridError::Deserialize("short read in variable name".into()));
-        }
-        let name = std::str::from_utf8(&buf[pos..pos + len])
-            .map_err(|_| GridError::Deserialize("variable name not UTF-8".into()))?
-            .to_string();
-        pos += len;
+        let (name, pos) = read_text(buf)?;
         let (coord, used) = read_coord(&buf[pos..], ndims)?;
-        Ok((GridKey::new(VariableId::Name(name), coord), pos + used))
+        Ok((
+            GridKey::new(VariableId::Name(name.to_string()), coord),
+            pos + used,
+        ))
     }
 
     /// Deserialize a key with an *indexed* variable and `ndims` coordinates.
@@ -112,21 +103,49 @@ impl GridKey {
     }
 }
 
-fn read_coord(buf: &[u8], ndims: usize) -> Result<(Coord, usize), GridError> {
-    if buf.len() < 4 * ndims {
-        return Err(GridError::Deserialize(format!(
-            "need {} bytes for {ndims}-d coordinate, have {}",
-            4 * ndims,
-            buf.len()
-        )));
+/// Serialized size of a Hadoop `Text`: vint byte count + UTF-8 bytes.
+pub fn text_len(text: &str) -> usize {
+    vint_len(text.len() as i64) + text.len()
+}
+
+/// Append a Hadoop `Text`.
+pub fn write_text(out: &mut Vec<u8>, text: &str) {
+    write_vint(out, text.len() as i64);
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Read a Hadoop `Text` (vint byte count + UTF-8 bytes) from the front of
+/// `buf`; returns the string, borrowed, and the bytes consumed.
+pub fn read_text(buf: &[u8]) -> Result<(&str, usize), GridError> {
+    let (len, pos) = read_vint(buf)?;
+    let len =
+        usize::try_from(len).map_err(|_| GridError::Deserialize("negative name length".into()))?;
+    let bytes = pos
+        .checked_add(len)
+        .and_then(|end| buf.get(pos..end))
+        .ok_or_else(|| GridError::Deserialize("short read in variable name".into()))?;
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| GridError::Deserialize("variable name not UTF-8".into()))?;
+    Ok((text, pos + len))
+}
+
+/// Read `ndims` big-endian 32-bit components from the front of `buf`;
+/// returns the coordinate and the bytes consumed.
+pub fn read_coord(buf: &[u8], ndims: usize) -> Result<(Coord, usize), GridError> {
+    let bytes = ndims
+        .checked_mul(4)
+        .and_then(|n| buf.get(..n))
+        .ok_or_else(|| {
+            GridError::Deserialize(format!(
+                "need 4 bytes per dimension for a {ndims}-d coordinate, have {}",
+                buf.len()
+            ))
+        })?;
+    let mut coord = Coord::origin(ndims);
+    for (c, be) in coord.components_mut().iter_mut().zip(bytes.chunks_exact(4)) {
+        *c = i32::from_be_bytes([be[0], be[1], be[2], be[3]]);
     }
-    let comps = (0..ndims)
-        .map(|d| {
-            let o = 4 * d;
-            i32::from_be_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]])
-        })
-        .collect();
-    Ok((Coord::new(comps), 4 * ndims))
+    Ok((coord, bytes.len()))
 }
 
 /// Number of bytes Hadoop's vint encoding uses for `v`.

@@ -60,6 +60,11 @@ impl<F: FnMut(&[u8], &[u8])> Emit for F {
 
 /// The user map function.
 pub trait Mapper: Send + Sync {
+    /// Called once per map task attempt before its first record, on the
+    /// thread that runs the attempt. An attempt that fails never reaches
+    /// `finish`, so task-local state left by it is dropped here.
+    fn start(&self) {}
+
     /// Called once per input record.
     fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit);
 

@@ -8,7 +8,7 @@ use crate::ifile::{IFileVersion, IFileWriter, RawSegment, ScratchRecord, Segment
 use crate::job::{JobConfig, JobResult};
 use crate::obs::{self, Metric, Phase};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
-use crate::sort::{for_each_group, sort_pairs, BlockMergeStream, MergeItem, MergeStream};
+use crate::sort::{sort_pairs, BlockMergeStream, MergeItem, MergeStream};
 use crate::stats::JobStats;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -586,28 +586,33 @@ pub(crate) fn run_map_task(
         Ok(())
     };
 
+    // Per-record tallies stay in task-local integers and reach the
+    // (atomic) counter bank once, after the last record.
+    let mut output_records = 0u64;
+    let mut route_split_records = 0u64;
+    let mut emit_into = |arena: &mut SpillArena, key: &[u8], value: &[u8]| {
+        let pieces = stage(ks.as_ref(), parts, arena, key, value);
+        output_records += pieces;
+        route_split_records += pieces.saturating_sub(1);
+    };
     let fn_t0 = clock::thread_cpu_nanos();
     {
         let _emit_span = crate::span!(Phase::MapEmit, task);
+        mapper.start();
         for record in &split.records {
-            counters.add(Counter::MapInputRecords, 1);
-            {
-                let arena = &mut arena;
-                let mut emit =
-                    |k: &[u8], v: &[u8]| stage(ks.as_ref(), parts, counters, arena, k, v);
-                mapper.map(&record.key, &record.value, &mut emit);
-            }
+            mapper.map(&record.key, &record.value, &mut |k: &[u8], v: &[u8]| {
+                emit_into(&mut arena, k, v)
+            });
             if arena.payload_bytes() >= config.spill_buffer_bytes {
                 spill(&mut arena, &mut segments)?;
             }
         }
-        {
-            let arena = &mut arena;
-            let mut emit = |k: &[u8], v: &[u8]| stage(ks.as_ref(), parts, counters, arena, k, v);
-            mapper.finish(&mut emit);
-        }
+        mapper.finish(&mut |k: &[u8], v: &[u8]| emit_into(&mut arena, k, v));
     }
     counters.add(Counter::MapFnNanos, clock::since(fn_t0));
+    counters.add(Counter::MapInputRecords, split.records.len() as u64);
+    counters.add(Counter::MapOutputRecords, output_records);
+    counters.add(Counter::RouteSplitRecords, route_split_records);
     spill(&mut arena, &mut segments)?;
 
     // Final merge: if a partition spilled several times, merge its runs
@@ -645,15 +650,15 @@ pub(crate) fn run_map_task(
 }
 
 /// Route one emitted pair into the arena through the slice-based routing
-/// hook, accounting output records and route splits.
+/// hook; returns how many records it became (more than one when the
+/// routing path split the key).
 fn stage(
     ks: &dyn crate::keysem::KeySemantics,
     parts: usize,
-    counters: &Counters,
     arena: &mut SpillArena,
     key: &[u8],
     value: &[u8],
-) {
+) -> u64 {
     obs::hist_many(&[
         (Metric::MapEmitRecordBytes, (key.len() + value.len()) as u64),
         (Metric::MapEmitKeyBytes, key.len() as u64),
@@ -663,12 +668,9 @@ fn stage(
     ks.route_slices(key, value, parts, &mut |partition, k, v| {
         debug_assert!(partition < parts, "partition out of range");
         pieces += 1;
-        counters.add(Counter::MapOutputRecords, 1);
         arena.append(partition, k, v);
     });
-    if pieces > 1 {
-        counters.add(Counter::RouteSplitRecords, pieces - 1);
-    }
+    pieces
 }
 
 /// Merge multi-spill partitions into one sorted segment each. Single-spill
@@ -835,48 +837,24 @@ pub(crate) fn run_reduce_task(
     let merge_t0 = clock::thread_cpu_nanos();
     let merge_span = crate::span!(Phase::Merge, task);
     let mut stream = ReduceStream::open(&raws, ks.as_ref())?;
-
-    let mut out = Vec::new();
-    let mut reduce_nanos = 0u64;
-    // Per-group reduce invocation, shared by both consumption paths.
-    let mut run_group = |key: &[u8], values: &[&[u8]]| {
-        let _group_span = crate::span!(Phase::ReduceGroup, task);
-        obs::hist(Metric::ReduceGroupValues, values.len() as u64);
-        counters.add(Counter::ReduceInputGroups, 1);
-        counters.add(Counter::ReduceInputRecords, values.len() as u64);
-        let fn_t0 = clock::thread_cpu_nanos();
-        reducer.reduce(key, values, &mut |k: &[u8], v: &[u8]| {
-            counters.add(Counter::ReduceOutputRecords, 1);
-            counters.add(Counter::ReduceOutputBytes, (k.len() + v.len()) as u64);
-            out.push(KvPair::new(k.to_vec(), v.to_vec()));
-        });
-        reduce_nanos += clock::since(fn_t0);
-    };
+    let mut groups = GroupRunner::new(task, reducer);
 
     if !ks.sort_splits() {
         // Fast path: keys never rewrite, so groups form directly on the
-        // merged stream. The group key is held in one reused owned
-        // buffer (a v3 key borrow dies at the next `next()` call).
-        let mut group_key: Vec<u8> = Vec::new();
-        let mut in_group = false;
-        let mut group_values: Vec<&[u8]> = Vec::new();
+        // merged stream. Group keys are copied into the batch's buffer (a
+        // v3 key borrow dies at the next `next()` call); values stay
+        // borrowed from the segments.
+        let mut batch = GroupBatch::default();
         while let Some((key, value)) = stream.next()? {
-            if in_group && ks.group_eq(&group_key, key) {
-                group_values.push(value);
-            } else {
-                if in_group {
-                    run_group(&group_key, &group_values);
-                    group_values.clear();
+            if !batch.continues_group(ks.as_ref(), key) {
+                if batch.len() == REDUCE_BATCH_GROUPS {
+                    groups.run(&mut batch);
                 }
-                group_key.clear();
-                group_key.extend_from_slice(key);
-                in_group = true;
-                group_values.push(value);
+                batch.start_group(key);
             }
+            batch.push_value(value);
         }
-        if in_group {
-            run_group(&group_key, &group_values);
-        }
+        groups.run(&mut batch);
     } else {
         // Windowed path: records accumulate only while they can still
         // interact under `sort_split`; each window is split, re-sorted if
@@ -898,7 +876,15 @@ pub(crate) fn run_reduce_task(
             if records.len() != before || !sorted {
                 sort_pairs(&mut records, ks.as_ref());
             }
-            for_each_group(&records, ks.as_ref(), &mut run_group);
+            // One batch per window: its values borrow the window's records.
+            let mut batch = GroupBatch::default();
+            for record in &records {
+                if !batch.continues_group(ks.as_ref(), &record.key) {
+                    batch.start_group(&record.key);
+                }
+                batch.push_value(&record.value);
+            }
+            groups.run(&mut batch);
         };
         // Window members that can still interact with future records; a
         // member failing against one record can never interact again (the
@@ -919,13 +905,129 @@ pub(crate) fn run_reduce_task(
         }
     }
     drop(merge_span);
+    // The reduce function's share is what the batch runs measured; the
+    // rest of the loop's thread CPU is merging, splitting and grouping.
     let total_nanos = clock::since(merge_t0);
     counters.add(
         Counter::MergeNanos,
-        total_nanos.saturating_sub(reduce_nanos),
+        total_nanos.saturating_sub(groups.reduce_nanos),
     );
-    counters.add(Counter::ReduceFnNanos, reduce_nanos);
-    Ok(out)
+    counters.add(Counter::ReduceFnNanos, groups.reduce_nanos);
+    counters.add(Counter::ReduceInputGroups, groups.input_groups);
+    counters.add(Counter::ReduceInputRecords, groups.input_records);
+    counters.add(Counter::ReduceOutputRecords, groups.out.len() as u64);
+    counters.add(Counter::ReduceOutputBytes, groups.output_bytes);
+    Ok(groups.out)
+}
+
+/// Key groups a reduce task runs its reduce function over in one go, so
+/// the thread-CPU clock is read per batch instead of around every group.
+const REDUCE_BATCH_GROUPS: usize = 64;
+
+/// Key groups formed on the merged stream and not yet reduced. Keys are
+/// copied into one reused buffer; values are borrowed (`'v`) from
+/// wherever the records live.
+#[derive(Default)]
+struct GroupBatch<'v> {
+    keys: Vec<u8>,
+    values: Vec<&'v [u8]>,
+    /// Per group, where its key starts in `keys` and its values start in
+    /// `values`; it ends where the next group starts.
+    starts: Vec<(usize, usize)>,
+}
+
+impl<'v> GroupBatch<'v> {
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether `key` belongs to the group started last.
+    fn continues_group(&self, ks: &dyn crate::keysem::KeySemantics, key: &[u8]) -> bool {
+        self.starts
+            .last()
+            .is_some_and(|&(key_start, _)| ks.group_eq(&self.keys[key_start..], key))
+    }
+
+    fn start_group(&mut self, key: &[u8]) {
+        self.starts.push((self.keys.len(), self.values.len()));
+        self.keys.extend_from_slice(key);
+    }
+
+    /// Add a value to the group started last.
+    fn push_value(&mut self, value: &'v [u8]) {
+        self.values.push(value);
+    }
+
+    /// The groups in order: `(key, values)`.
+    fn groups(&self) -> impl Iterator<Item = (&[u8], &[&'v [u8]])> {
+        let ends = self
+            .starts
+            .iter()
+            .skip(1)
+            .copied()
+            .chain([(self.keys.len(), self.values.len())]);
+        self.starts
+            .iter()
+            .zip(ends)
+            .map(|(&(k0, v0), (k1, v1))| (&self.keys[k0..k1], &self.values[v0..v1]))
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.values.clear();
+        self.starts.clear();
+    }
+}
+
+/// Runs the reduce function over batches of groups for one reduce task,
+/// collecting its output and the task-local tallies that reach the
+/// counter bank once, when the task succeeds.
+struct GroupRunner<'r> {
+    task: usize,
+    reducer: &'r dyn Reducer,
+    out: Vec<KvPair>,
+    input_groups: u64,
+    input_records: u64,
+    output_bytes: u64,
+    /// Thread CPU spent inside [`GroupRunner::run`]: the reduce function
+    /// and the collection of what it emits.
+    reduce_nanos: u64,
+}
+
+impl<'r> GroupRunner<'r> {
+    fn new(task: usize, reducer: &'r dyn Reducer) -> Self {
+        GroupRunner {
+            task,
+            reducer,
+            out: Vec::new(),
+            input_groups: 0,
+            input_records: 0,
+            output_bytes: 0,
+            reduce_nanos: 0,
+        }
+    }
+
+    /// Reduce every group of `batch`, in order, and empty it.
+    fn run(&mut self, batch: &mut GroupBatch<'_>) {
+        if batch.len() == 0 {
+            return;
+        }
+        let _batch_span = crate::span!(Phase::ReduceGroup, self.task);
+        let fn_t0 = clock::thread_cpu_nanos();
+        let (out, output_bytes) = (&mut self.out, &mut self.output_bytes);
+        let mut emit = |k: &[u8], v: &[u8]| {
+            *output_bytes += (k.len() + v.len()) as u64;
+            out.push(KvPair::new(k.to_vec(), v.to_vec()));
+        };
+        for (key, values) in batch.groups() {
+            obs::hist(Metric::ReduceGroupValues, values.len() as u64);
+            self.reducer.reduce(key, values, &mut emit);
+        }
+        self.reduce_nanos += clock::since(fn_t0);
+        self.input_groups += batch.len() as u64;
+        self.input_records += batch.values.len() as u64;
+        batch.clear();
+    }
 }
 
 #[cfg(test)]

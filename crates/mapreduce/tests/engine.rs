@@ -197,6 +197,53 @@ fn mapper_finish_emissions_are_processed() {
 }
 
 #[test]
+fn mapper_start_precedes_every_attempt() {
+    // A buffering mapper whose third record fails its first attempt. The
+    // retry runs on the same (only) map slot: without `start` dropping
+    // the two records the failed attempt buffered, they are emitted twice.
+    use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+    struct BufferingMapper {
+        buffered: parking_lot::Mutex<Vec<KvPair>>,
+        starts: AtomicU32,
+        maps: AtomicU32,
+    }
+    impl scihadoop_mapreduce::Mapper for BufferingMapper {
+        fn start(&self) {
+            self.starts.fetch_add(1, Relaxed);
+            self.buffered.lock().clear();
+        }
+        fn map(&self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
+            if self.maps.fetch_add(1, Relaxed) == 2 {
+                panic!("injected mapper panic");
+            }
+            self.buffered
+                .lock()
+                .push(KvPair::new(key.to_vec(), value.to_vec()));
+        }
+        fn finish(&self, out: &mut dyn Emit) {
+            for p in self.buffered.lock().drain(..) {
+                out.emit(&p.key, &p.value);
+            }
+        }
+    }
+    let mapper = Arc::new(BufferingMapper {
+        buffered: parking_lot::Mutex::new(Vec::new()),
+        starts: AtomicU32::new(0),
+        maps: AtomicU32::new(0),
+    });
+    let config = JobConfig::default()
+        .with_slots(1, 1)
+        .with_retries(1)
+        .with_retry_backoff(std::time::Duration::from_micros(1));
+    let result = Job::new(config)
+        .run(word_splits(60, 20), mapper.clone(), count_reducer())
+        .unwrap();
+    // Three splits, one of them attempted twice.
+    assert_eq!(mapper.starts.load(Relaxed), 4);
+    assert_eq!(result.counters.get(Counter::MapOutputRecords), 60);
+}
+
+#[test]
 fn zero_record_splits_are_harmless() {
     let splits = vec![InputSplit::new(vec![]), InputSplit::new(vec![])];
     let result = Job::new(JobConfig::default().with_codec(Arc::new(IdentityCodec)))
@@ -350,4 +397,131 @@ fn multi_spill_maps_deliver_one_segment_per_reducer() {
             .get(Counter::MapOutputMaterializedBytes),
         one_spill.counters.get(Counter::MapOutputMaterializedBytes)
     );
+}
+
+/// Distinct 4-byte keys, one value each: `n` reduce groups.
+fn distinct_splits(n: u32) -> Vec<InputSplit> {
+    let pairs: Vec<KvPair> = (0..n)
+        .map(|i| KvPair::new(i.to_be_bytes().to_vec(), vec![1u8]))
+        .collect();
+    pairs
+        .chunks(100)
+        .map(|c| InputSplit::new(c.to_vec()))
+        .collect()
+}
+
+#[test]
+fn reducer_cpu_lands_in_reduce_fn_nanos() {
+    use scihadoop_mapreduce::clock::{clock_kind, thread_cpu_nanos, ClockKind};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    if clock_kind() != ClockKind::ThreadCpu {
+        return; // on the wall-clock fallback a descheduled thread is charged too
+    }
+    // 300 groups — several clock-read batches — each spinning 100 µs of
+    // thread CPU inside the reduce function. One reducer on one slot, so
+    // the reduce thread's clock at the last call's end is (within the few
+    // instructions that follow it) the whole CPU of the reduce task.
+    const GROUPS: u32 = 300;
+    const SPIN_NANOS: u64 = 100_000;
+    let spun = Arc::new(AtomicU64::new(0));
+    let thread_cpu_at_last_call = Arc::new(AtomicU64::new(0));
+    let (spun_in, last_in) = (spun.clone(), thread_cpu_at_last_call.clone());
+    let reducer = Arc::new(FnReducer(
+        move |k: &[u8], _: &[&[u8]], out: &mut dyn Emit| {
+            let t0 = thread_cpu_nanos();
+            let mut now = t0;
+            while now - t0 < SPIN_NANOS {
+                std::hint::spin_loop();
+                now = thread_cpu_nanos();
+            }
+            spun_in.fetch_add(now - t0, Relaxed);
+            last_in.store(now, Relaxed);
+            out.emit(k, b"");
+        },
+    ));
+    let result = Job::new(JobConfig::default().with_reducers(1).with_slots(2, 1))
+        .run(distinct_splits(GROUPS), identity_mapper(), reducer)
+        .unwrap();
+    assert_eq!(
+        result.counters.get(Counter::ReduceInputGroups),
+        GROUPS as u64
+    );
+
+    let spun = spun.load(Relaxed);
+    let reduce_fn = result.counters.get(Counter::ReduceFnNanos);
+    let merge = result.counters.get(Counter::MergeNanos);
+    assert!(spun >= GROUPS as u64 * SPIN_NANOS);
+    assert!(
+        reduce_fn >= spun,
+        "the reducer burned {spun} ns but ReduceFnNanos is {reduce_fn}"
+    );
+    assert!(
+        merge < spun / 4,
+        "reducer CPU leaked into MergeNanos: merge {merge} ns, reducer {spun} ns"
+    );
+    // No nanosecond is charged twice: the two phases together fit inside
+    // what the thread had burned when the last group finished, give or
+    // take the loop's tail.
+    let task_cpu = thread_cpu_at_last_call.load(Relaxed);
+    assert!(
+        reduce_fn + merge <= task_cpu + 2_000_000,
+        "ReduceFnNanos {reduce_fn} + MergeNanos {merge} exceed the task's thread CPU {task_cpu}"
+    );
+}
+
+#[test]
+fn panicking_attempts_charge_nothing() {
+    // Per-record tallies reach the counter bank when a task succeeds. A
+    // map attempt that dies at its 50th record and a reduce attempt that
+    // dies at its 100th group — after a full batch of groups already ran
+    // — must leave every record counter as a clean run leaves it.
+    use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+    let run = |panic_at: Option<(u32, u32)>| {
+        let (map_calls, reduce_calls) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+        let mapper = Arc::new(FnMapper(move |k: &[u8], v: &[u8], out: &mut dyn Emit| {
+            let call = map_calls.fetch_add(1, Relaxed) + 1;
+            if panic_at.is_some_and(|(at, _)| call == at) {
+                panic!("injected mapper panic");
+            }
+            out.emit(k, v);
+        }));
+        let reducer = Arc::new(FnReducer(
+            move |k: &[u8], values: &[&[u8]], out: &mut dyn Emit| {
+                let call = reduce_calls.fetch_add(1, Relaxed) + 1;
+                if panic_at.is_some_and(|(_, at)| call == at) {
+                    panic!("injected reducer panic");
+                }
+                out.emit(k, &(values.len() as u64).to_be_bytes());
+            },
+        ));
+        Job::new(
+            JobConfig::default()
+                .with_reducers(1)
+                .with_slots(1, 1)
+                .with_retries(1)
+                .with_retry_backoff(std::time::Duration::from_micros(1)),
+        )
+        .run(distinct_splits(300), mapper, reducer)
+        .unwrap()
+    };
+    let clean = run(None);
+    let retried = run(Some((50, 100)));
+    assert_eq!(retried.counters.get(Counter::TaskRetries), 2);
+    assert_eq!(clean.outputs, retried.outputs);
+    for counter in [
+        Counter::MapInputRecords,
+        Counter::MapOutputRecords,
+        Counter::RouteSplitRecords,
+        Counter::ReduceInputGroups,
+        Counter::ReduceInputRecords,
+        Counter::ReduceOutputRecords,
+        Counter::ReduceOutputBytes,
+    ] {
+        assert_eq!(
+            clean.counters.get(counter),
+            retried.counters.get(counter),
+            "{counter:?} was charged by a failed attempt"
+        );
+    }
+    assert_eq!(clean.counters.get(Counter::ReduceInputGroups), 300);
 }

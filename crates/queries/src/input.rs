@@ -4,30 +4,62 @@ use crate::layout::KeyLayout;
 use scihadoop_grid::{GridError, Variable};
 use scihadoop_mapreduce::{InputSplit, KvPair};
 
-/// Carve a variable into `num_splits` input splits along its longest
-/// dimension — the engine's analogue of SciHadoop handing each mapper a
-/// contiguous block of the array. Each record is `(encoded coordinate,
-/// big-endian value bytes)`.
+/// Carve a variable into input splits along its longest dimension — the
+/// engine's analogue of SciHadoop handing each mapper a contiguous block
+/// of the array. Each record is `(encoded coordinate, big-endian value
+/// bytes)`, in row-major order within its split.
+///
+/// `num_splits` is an upper bound: a split is at least one cell thick, so
+/// asking for more splits than the longest dimension has cells yields one
+/// split per cell of that dimension. Zero splits is an error.
+///
+/// Splits are built a row at a time: the part of the key that is the same
+/// along a row (variable identifier and leading coordinates) is encoded
+/// once per row, and the row's values are one slice of the variable's
+/// data, whatever the element width.
 pub fn dataset_splits(
     var: &Variable,
     layout: &KeyLayout,
     num_splits: usize,
 ) -> Result<Vec<InputSplit>, GridError> {
-    if layout.ndims() != var.shape().ndims() {
+    let ndims = var.shape().ndims();
+    if layout.ndims() != ndims {
         return Err(GridError::DimensionMismatch {
-            expected: var.shape().ndims(),
+            expected: ndims,
             actual: layout.ndims(),
         });
     }
+    if num_splits == 0 {
+        return Err(GridError::NoSplits);
+    }
+    let Some(last) = ndims.checked_sub(1) else {
+        // A 0-d variable has no rows to carve.
+        return Err(GridError::EmptyShape);
+    };
+    let width = var.dtype().size_bytes();
+    let data = var.raw_data();
+    let mut row_key = Vec::with_capacity(layout.key_len());
+    layout.write_header(&mut row_key);
+    let header_len = row_key.len();
+
     let boxes = var.bounds().split_longest(num_splits);
     let mut splits = Vec::with_capacity(boxes.len());
     for b in boxes {
+        let row_cells = b.shape().extents()[last] as usize;
         let mut records = Vec::with_capacity(b.num_cells() as usize);
-        for cell in b.cells() {
-            let value = var.get(&cell)?;
-            let mut vbytes = Vec::with_capacity(4);
-            value.write_be(&mut vbytes);
-            records.push(KvPair::new(layout.encode(&cell), vbytes));
+        for start in b.row_starts() {
+            row_key.truncate(header_len);
+            for c in &start.components()[..last] {
+                row_key.extend_from_slice(&c.to_be_bytes());
+            }
+            let first = var.shape().linearize(&start)? as usize;
+            let values = data[first * width..(first + row_cells) * width].chunks_exact(width);
+            for (x, value) in (start[last]..).zip(values) {
+                let mut key = Vec::with_capacity(row_key.len() + 4);
+                key.extend_from_slice(&row_key);
+                key.extend_from_slice(&x.to_be_bytes());
+                records.push(KvPair::new(key, value));
+            }
         }
         splits.push(InputSplit::new(records));
     }

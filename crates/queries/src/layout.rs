@@ -1,6 +1,7 @@
 //! Key layouts and curve spaces shared by the queries.
 
-use scihadoop_grid::{Coord, GridError, GridKey, VariableId};
+use scihadoop_grid::writable::{read_coord, read_text, text_len, write_text};
+use scihadoop_grid::{Coord, GridError};
 use scihadoop_sfc::{Curve, CurveIndex};
 use std::sync::Arc;
 
@@ -34,33 +35,49 @@ impl KeyLayout {
         }
     }
 
+    /// Bytes every key of this layout starts with: the variable
+    /// identifier, before the coordinates.
+    pub(crate) fn header_len(&self) -> usize {
+        match self {
+            KeyLayout::Indexed { .. } => 4,
+            KeyLayout::Named { name, .. } => text_len(name),
+        }
+    }
+
+    /// Append the variable identifier every key of this layout starts
+    /// with.
+    pub(crate) fn write_header(&self, out: &mut Vec<u8>) {
+        match self {
+            KeyLayout::Indexed { index, .. } => out.extend_from_slice(&index.to_be_bytes()),
+            KeyLayout::Named { name, .. } => write_text(out, name),
+        }
+    }
+
     /// Serialize a coordinate under this layout.
     pub fn encode(&self, coord: &Coord) -> Vec<u8> {
-        let variable = match self {
-            KeyLayout::Indexed { index, .. } => VariableId::Index(*index),
-            KeyLayout::Named { name, .. } => VariableId::Name(name.clone()),
-        };
-        GridKey::new(variable, coord.clone()).to_bytes()
+        let mut out = Vec::with_capacity(self.header_len() + 4 * coord.ndims());
+        self.write_header(&mut out);
+        for c in coord.components() {
+            out.extend_from_slice(&c.to_be_bytes());
+        }
+        out
     }
 
     /// Parse a coordinate back out of a serialized key.
     pub fn decode(&self, bytes: &[u8]) -> Result<Coord, GridError> {
-        let (key, _) = match self {
-            KeyLayout::Indexed { ndims, .. } => GridKey::read_indexed(bytes, *ndims)?,
-            KeyLayout::Named { ndims, .. } => GridKey::read_named(bytes, *ndims)?,
+        let header = match self {
+            KeyLayout::Indexed { .. } => 4,
+            KeyLayout::Named { .. } => read_text(bytes)?.1,
         };
-        Ok(key.coord)
+        let coords = bytes
+            .get(header..)
+            .ok_or_else(|| GridError::Deserialize("short read in variable index".into()))?;
+        Ok(read_coord(coords, self.ndims())?.0)
     }
 
     /// Serialized key size for this layout.
     pub fn key_len(&self) -> usize {
-        match self {
-            KeyLayout::Indexed { ndims, .. } => 4 + 4 * ndims,
-            KeyLayout::Named { name, ndims } => {
-                // vint(len) is 1 byte for names up to 127 chars.
-                1 + name.len() + 4 * ndims
-            }
-        }
+        self.header_len() + 4 * self.ndims()
     }
 }
 
@@ -131,6 +148,43 @@ mod tests {
             assert_eq!(bytes.len(), layout.key_len());
             assert_eq!(layout.decode(&bytes).unwrap(), coord);
         }
+    }
+
+    #[test]
+    fn long_names_take_a_multi_byte_length() {
+        // Names over 127 bytes need a 2- or 3-byte vint for their length.
+        let layout = KeyLayout::Named {
+            name: "v".repeat(200),
+            ndims: 2,
+        };
+        let coord = Coord::new(vec![-4, 9]);
+        let bytes = layout.encode(&coord);
+        assert_eq!(bytes.len(), layout.key_len());
+        assert_eq!(layout.key_len(), 2 + 200 + 8);
+        assert_eq!(layout.decode(&bytes).unwrap(), coord);
+    }
+
+    #[test]
+    fn layouts_write_what_grid_keys_write() {
+        use scihadoop_grid::{GridKey, VariableId};
+        let coord = Coord::new(vec![3, -1, 7]);
+        let indexed = KeyLayout::Indexed { index: 2, ndims: 3 };
+        assert_eq!(
+            indexed.encode(&coord),
+            GridKey::new(VariableId::Index(2), coord.clone()).to_bytes()
+        );
+        let named = KeyLayout::Named {
+            name: "windspeed1".into(),
+            ndims: 3,
+        };
+        assert_eq!(
+            named.encode(&coord),
+            GridKey::new(VariableId::Name("windspeed1".into()), coord.clone()).to_bytes()
+        );
+        // Malformed keys error as `GridKey` reads do.
+        assert!(indexed.decode(&[0, 0, 0]).is_err());
+        assert!(indexed.decode(&[0; 15]).is_err());
+        assert!(named.decode(&[2, 0xff, 0xfe, 0, 0, 0, 0]).is_err());
     }
 
     #[test]

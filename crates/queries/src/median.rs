@@ -8,14 +8,13 @@
 //! and forces the §IV-B sort-phase splitting.
 
 use crate::layout::{BiasedCurve, KeyLayout};
-use parking_lot::Mutex;
 use scihadoop_core::aggregate::{AggregateKey, AggregateKeyOps, Aggregator, RangePartitioner};
 use scihadoop_grid::{Coord, Variable};
 use scihadoop_mapreduce::{Emit, InputSplit, Job, JobConfig, JobResult, Mapper, MrError, Reducer};
 use scihadoop_sfc::{Curve, HilbertCurve, RowMajorCurve, ZOrderCurve};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::ThreadId;
 
 /// Which pipeline configuration to run (the three columns of the paper's
 /// evaluation).
@@ -164,7 +163,8 @@ impl SlidingMedian {
     }
 
     fn parse_outputs(&self, result: &JobResult) -> Result<HashMap<Coord, i32>, MrError> {
-        let mut medians = HashMap::new();
+        let records = result.outputs.iter().map(Vec::len).sum();
+        let mut medians = HashMap::with_capacity(records);
         for pair in result.outputs.iter().flatten() {
             let coord = self
                 .layout
@@ -194,12 +194,12 @@ impl SlidingMedian {
         Ok(MedianRun { medians, result })
     }
 
-    fn run_aggregated(
+    /// The aggregated variant's engine configuration and user functions.
+    fn aggregated_job(
         &self,
         var: &Variable,
-        splits: Vec<InputSplit>,
         buffer_bytes: usize,
-    ) -> Result<MedianRun, MrError> {
+    ) -> (JobConfig, AggMedianMapper, AggMedianReducer) {
         let h = self.half();
         let ndims = self.layout.ndims();
         // Curve resolution: cover the dilated grid.
@@ -226,13 +226,22 @@ impl SlidingMedian {
             curve: curve.clone(),
             slots: self.slots(),
             buffer_bytes,
-            state: Mutex::new(HashMap::new()),
         };
         let reducer = AggMedianReducer {
             layout: self.layout.clone(),
             curve,
             slots: self.slots(),
         };
+        (config, mapper, reducer)
+    }
+
+    fn run_aggregated(
+        &self,
+        var: &Variable,
+        splits: Vec<InputSplit>,
+        buffer_bytes: usize,
+    ) -> Result<MedianRun, MrError> {
+        let (config, mapper, reducer) = self.aggregated_job(var, buffer_bytes);
         let result = Job::new(config).run(splits, Arc::new(mapper), Arc::new(reducer))?;
         let medians = self.parse_outputs(&result)?;
         Ok(MedianRun { medians, result })
@@ -258,9 +267,16 @@ struct PlainMedianMapper {
 impl Mapper for PlainMedianMapper {
     fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
         let coord = self.layout.decode(key).expect("input key");
+        // A window centre's key is the input key with other coordinates:
+        // copy the key once and overwrite its tail per offset.
+        let mut centre_key = key.to_vec();
+        let tail = key.len() - 4 * coord.ndims();
         for off in &self.offsets {
-            let centre = &coord + off;
-            out.emit(&self.layout.encode(&centre), value);
+            let slots = centre_key[tail..].chunks_exact_mut(4);
+            for ((slot, &c), &d) in slots.zip(coord.components()).zip(off.components()) {
+                slot.copy_from_slice(&c.wrapping_add(d).to_be_bytes());
+            }
+            out.emit(&centre_key, value);
         }
     }
 }
@@ -334,12 +350,18 @@ impl std::hash::Hasher for FnvHasher {
 
 type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
 
-/// Per-map-task state. The engine runs each map task to completion on one
-/// thread, so thread-id keying gives task-local state without engine
-/// changes (Hadoop gets the same effect by constructing one Mapper object
-/// per task).
-struct AggTaskState {
-    windows: HashMap<Coord, Vec<i32>, FnvBuildHasher>,
+/// Window centre → the values that fell into its window so far.
+type Windows = HashMap<Coord, Vec<i32>, FnvBuildHasher>;
+
+thread_local! {
+    /// Windows of the map task running on this thread. The engine runs
+    /// each map task to completion on one thread, so a thread-local gives
+    /// task-local state without engine changes and without the map slots
+    /// meeting on a lock once per record (Hadoop gets the same effect by
+    /// constructing one Mapper object per task). `start` clears it, so
+    /// what a failed attempt left behind never reaches the next task on
+    /// this thread; `finish` takes it.
+    static TASK_WINDOWS: RefCell<Windows> = RefCell::new(Windows::default());
 }
 
 struct AggMedianMapper {
@@ -348,11 +370,27 @@ struct AggMedianMapper {
     curve: BiasedCurve,
     slots: usize,
     buffer_bytes: usize,
-    state: Mutex<HashMap<ThreadId, AggTaskState>>,
 }
 
-impl AggMedianMapper {
-    fn flush_state(&self, state: AggTaskState, out: &mut dyn Emit) {
+impl Mapper for AggMedianMapper {
+    fn start(&self) {
+        TASK_WINDOWS.with_borrow_mut(Windows::clear);
+    }
+
+    fn map(&self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
+        let coord = self.layout.decode(key).expect("input key");
+        let v = i32::from_be_bytes(value.try_into().expect("4-byte value"));
+        TASK_WINDOWS.with_borrow_mut(|windows| {
+            for off in &self.offsets {
+                windows
+                    .entry(&coord + off)
+                    .or_insert_with(|| Vec::with_capacity(self.slots))
+                    .push(v);
+            }
+        });
+    }
+
+    fn finish(&self, out: &mut dyn Emit) {
         // Push the accumulated windows through the §IV aggregation
         // library and emit the aggregate records it produces.
         let mut agg = Aggregator::with_curve(self.curve.curve().clone(), self.buffer_bytes);
@@ -362,53 +400,14 @@ impl AggMedianMapper {
                 out.emit(&rec.key.to_bytes(), &rec.values);
             }
         };
-        for (mut coord, values) in state.windows {
+        for (coord, values) in TASK_WINDOWS.take() {
             let packed = pack_cell(&values, self.slots);
-            for c in &mut coord.0 {
-                *c = c.wrapping_add(self.curve.bias());
-            }
-            if let Some(records) = agg.push(&coord, &packed).expect("aggregation push") {
+            let biased = coord.offset_all(self.curve.bias());
+            if let Some(records) = agg.push(&biased, &packed).expect("aggregation push") {
                 emit_records(records, out);
             }
         }
         emit_records(agg.flush(), out);
-    }
-}
-
-impl Mapper for AggMedianMapper {
-    fn map(&self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
-        let coord = self.layout.decode(key).expect("input key");
-        let v = i32::from_be_bytes(value.try_into().expect("4-byte value"));
-        let mut state = self.state.lock();
-        let task = state
-            .entry(std::thread::current().id())
-            .or_insert_with(|| AggTaskState {
-                windows: HashMap::default(),
-            });
-        // One scratch centre reused across offsets: a window centre is hit
-        // by up to `slots` records, so the occupied-entry path (no key
-        // allocation) is the common one.
-        let mut centre = coord.clone();
-        for off in &self.offsets {
-            for ((c, &base), &d) in centre.0.iter_mut().zip(&coord.0).zip(&off.0) {
-                *c = base + d;
-            }
-            match task.windows.get_mut(&centre) {
-                Some(vals) => vals.push(v),
-                None => {
-                    let mut vals = Vec::with_capacity(self.slots);
-                    vals.push(v);
-                    task.windows.insert(centre.clone(), vals);
-                }
-            }
-        }
-    }
-
-    fn finish(&self, out: &mut dyn Emit) {
-        let task = self.state.lock().remove(&std::thread::current().id());
-        if let Some(task) = task {
-            self.flush_state(task, out);
-        }
     }
 }
 
@@ -440,6 +439,8 @@ mod tests {
     use super::*;
     use crate::oracle;
     use scihadoop_grid::Shape;
+    use scihadoop_mapreduce::Counter;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn variable() -> Variable {
         Variable::random_i32("t", Shape::new(vec![12, 10]), 1000, 42).unwrap()
@@ -511,6 +512,53 @@ mod tests {
         let run = q.run(&var).unwrap();
         let expected = oracle::sliding_median(&var, 3).unwrap();
         assert_eq!(run.medians, expected);
+    }
+
+    #[test]
+    fn failed_aggregated_attempt_leaves_no_windows_behind() {
+        // Panics once, part-way through a split, after the inner mapper
+        // has accumulated windows for the records before it.
+        struct PanicsOnce {
+            inner: AggMedianMapper,
+            records: AtomicUsize,
+        }
+        impl Mapper for PanicsOnce {
+            fn start(&self) {
+                self.inner.start();
+            }
+            fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
+                self.inner.map(key, value, out);
+                if self.records.fetch_add(1, Ordering::Relaxed) == 7 {
+                    panic!("injected map failure");
+                }
+            }
+            fn finish(&self, out: &mut dyn Emit) {
+                self.inner.finish(out);
+            }
+        }
+
+        let var = variable();
+        let mut q = SlidingMedian::new(
+            layout(),
+            SlidingMedianVariant::Aggregated {
+                buffer_bytes: 1 << 20,
+            },
+        );
+        // One map slot: the retry runs on the thread the failed attempt
+        // ran on.
+        q.base_config = q.base_config.with_slots(1, 1).with_retries(1);
+        let splits = crate::input::dataset_splits(&var, &q.layout, q.num_splits).unwrap();
+        let (config, inner, reducer) = q.aggregated_job(&var, 1 << 20);
+        let mapper = PanicsOnce {
+            inner,
+            records: AtomicUsize::new(0),
+        };
+        let result = Job::new(config)
+            .run(splits, Arc::new(mapper), Arc::new(reducer))
+            .unwrap();
+        assert_eq!(result.counters.get(Counter::TaskRetries), 1);
+        let medians = q.parse_outputs(&result).unwrap();
+        assert_eq!(medians, oracle::sliding_median(&var, 3).unwrap());
     }
 
     #[test]
