@@ -9,10 +9,11 @@
 //! this machine.
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::workloads::merge_group_pass;
 use scihadoop_compress::IdentityCodec;
 use scihadoop_mapreduce::{
     BlockMergeStream, DefaultKeySemantics, Framing, IFileWriter, KeySemantics, KvPair, MergeItem,
-    MergeStream, RawSegment,
+    RawSegment,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -105,10 +106,10 @@ fn interleaved_runs() -> Vec<Vec<KvPair>> {
 /// The PR 5 baseline's merge workload, byte for byte: 8 runs of 50x50
 /// grid keys with the leading byte remixed per run (shuffled emission),
 /// re-sorted — the `merge_reduce/streaming_loser_tree` rows of
-/// `bench_shuffle_hotpath` / `BENCH_shuffle.json`. Merging these v2 runs
-/// with `MergeStream` *is* the PR 5 baseline path, so the paired v3/v2
-/// ratio on this workload is the "no slower than PR 5 on shuffled
-/// emission" acceptance measurement.
+/// `bench_shuffle_hotpath` / `BENCH_shuffle.json`. Merging these runs
+/// sealed as v2 is the PR 5 baseline workload, so the paired v3/v2 ratio
+/// on it is the "no slower than PR 5 on shuffled emission" acceptance
+/// measurement.
 fn pr5_runs() -> Vec<Vec<KvPair>> {
     let ks = DefaultKeySemantics;
     (0..RUNS as u32)
@@ -167,19 +168,9 @@ fn open_all(sealed: &[Vec<u8>]) -> Vec<RawSegment> {
         .collect()
 }
 
-/// Flat v2 merge: stream every record, count records.
-fn v2_merge(sealed: &[Vec<u8>]) -> u64 {
-    let raws = open_all(sealed);
-    let mut stream = MergeStream::new(&raws, &DefaultKeySemantics).unwrap();
-    let mut n = 0u64;
-    while stream.next().unwrap().is_some() {
-        n += 1;
-    }
-    n
-}
-
-/// v3 record-at-a-time merge (the reduce-side consumption shape).
-fn v3_merge_records(sealed: &[Vec<u8>]) -> u64 {
+/// Record-at-a-time merge (the reduce-side consumption shape) over
+/// runs of either format: stream every record, count records.
+fn merge_records(sealed: &[Vec<u8>]) -> u64 {
     let raws = open_all(sealed);
     let mut stream = BlockMergeStream::new(&raws, &DefaultKeySemantics).unwrap();
     let mut n = 0u64;
@@ -187,49 +178,6 @@ fn v3_merge_records(sealed: &[Vec<u8>]) -> u64 {
         n += 1;
     }
     n
-}
-
-/// The PR 5 baseline's measured loop verbatim: loser-tree merge plus
-/// borrowed-slice grouping (`bench_shuffle_hotpath::streaming_merge_iter`).
-fn v2_merge_group(sealed: &[Vec<u8>], ks: &DefaultKeySemantics) -> u64 {
-    let raws = open_all(sealed);
-    let mut stream = MergeStream::new(&raws, ks).unwrap();
-    let mut acc = 0u64;
-    let mut group_key: Option<&[u8]> = None;
-    let mut group_len = 0u64;
-    while let Some((key, _value)) = stream.next().unwrap() {
-        match group_key {
-            Some(gk) if ks.group_eq(gk, key) => group_len += 1,
-            _ => {
-                acc += group_len;
-                group_key = Some(key);
-                group_len = 1;
-            }
-        }
-    }
-    acc + group_len
-}
-
-/// The same merge+group loop over v3 runs. Keys borrow the winning
-/// cursor's scratch (invalidated by the next advance), so the group key
-/// lives in an owned buffer refreshed at each group boundary.
-fn v3_merge_group(sealed: &[Vec<u8>], ks: &DefaultKeySemantics) -> u64 {
-    let raws = open_all(sealed);
-    let mut stream = BlockMergeStream::new(&raws, ks).unwrap();
-    let mut acc = 0u64;
-    let mut group_key: Vec<u8> = Vec::new();
-    let mut group_len = 0u64;
-    while let Some((key, _value)) = stream.next().unwrap() {
-        if group_len > 0 && ks.group_eq(&group_key, key) {
-            group_len += 1;
-        } else {
-            acc += group_len;
-            group_key.clear();
-            group_key.extend_from_slice(key);
-            group_len = 1;
-        }
-    }
-    acc + group_len
 }
 
 /// v3 block-splicing merge (the map-side re-merge shape): uncontended
@@ -289,16 +237,16 @@ fn main() {
         group.throughput(Throughput::Elements(total));
         group.sample_size(20);
         group.bench_function("v2_interleaved", |b| {
-            b.iter(|| assert_eq!(v2_merge(&interleaved_v2), total))
+            b.iter(|| assert_eq!(merge_records(&interleaved_v2), total))
         });
         group.bench_function("v3_interleaved", |b| {
-            b.iter(|| assert_eq!(v3_merge_records(&interleaved_v3), total))
+            b.iter(|| assert_eq!(merge_records(&interleaved_v3), total))
         });
         group.bench_function("v2_disjoint", |b| {
-            b.iter(|| assert_eq!(v2_merge(&disjoint_v2), total))
+            b.iter(|| assert_eq!(merge_records(&disjoint_v2), total))
         });
         group.bench_function("v3_disjoint", |b| {
-            b.iter(|| assert_eq!(v3_merge_records(&disjoint_v3), total))
+            b.iter(|| assert_eq!(merge_records(&disjoint_v3), total))
         });
         group.bench_function("v3_disjoint_splice", |b| {
             b.iter(|| assert_eq!(v3_merge_items(&disjoint_v3).0, total))
@@ -312,17 +260,17 @@ fn main() {
     let pr5_total: u64 = pr5.iter().map(|r| r.len() as u64).sum();
     let pr5_v2: Vec<Vec<u8>> = pr5.iter().map(|r| write_v2(r)).collect();
     let pr5_v3: Vec<Vec<u8>> = pr5.iter().map(|r| write_v3(r)).collect();
-    let pr5_groups = v2_merge_group(&pr5_v2, &ks);
-    assert_eq!(pr5_groups, v3_merge_group(&pr5_v3, &ks));
+    let pr5_groups = merge_group_pass(&pr5_v2, &ks);
+    assert_eq!(pr5_groups, merge_group_pass(&pr5_v3, &ks));
     {
         let mut group = criterion.benchmark_group("ifile_merge_pr5");
         group.throughput(Throughput::Elements(pr5_total));
         group.sample_size(20);
         group.bench_function("v2_shuffled_grouped", |b| {
-            b.iter(|| assert_eq!(v2_merge_group(&pr5_v2, &ks), pr5_groups))
+            b.iter(|| assert_eq!(merge_group_pass(&pr5_v2, &ks), pr5_groups))
         });
         group.bench_function("v3_shuffled_grouped", |b| {
-            b.iter(|| assert_eq!(v3_merge_group(&pr5_v3, &ks), pr5_groups))
+            b.iter(|| assert_eq!(merge_group_pass(&pr5_v3, &ks), pr5_groups))
         });
         group.finish();
     }
@@ -330,25 +278,25 @@ fn main() {
     // ---- paired merge ratios (drift-immune) ------------------------------
     let merge_interleaved_ratio = paired_throughput_ratio(
         || {
-            assert_eq!(v2_merge(&interleaved_v2), total);
+            assert_eq!(merge_records(&interleaved_v2), total);
         },
         || {
-            assert_eq!(v3_merge_records(&interleaved_v3), total);
+            assert_eq!(merge_records(&interleaved_v3), total);
         },
         40,
     );
     let merge_disjoint_ratio = paired_throughput_ratio(
         || {
-            assert_eq!(v2_merge(&disjoint_v2), total);
+            assert_eq!(merge_records(&disjoint_v2), total);
         },
         || {
-            assert_eq!(v3_merge_records(&disjoint_v3), total);
+            assert_eq!(merge_records(&disjoint_v3), total);
         },
         40,
     );
     let merge_splice_speedup = paired_throughput_ratio(
         || {
-            assert_eq!(v2_merge(&disjoint_v2), total);
+            assert_eq!(merge_records(&disjoint_v2), total);
         },
         || {
             assert_eq!(v3_merge_items(&disjoint_v3).0, total);
@@ -357,10 +305,10 @@ fn main() {
     );
     let merge_pr5_shuffled_ratio = paired_throughput_ratio(
         || {
-            assert_eq!(v2_merge_group(&pr5_v2, &ks), pr5_groups);
+            assert_eq!(merge_group_pass(&pr5_v2, &ks), pr5_groups);
         },
         || {
-            assert_eq!(v3_merge_group(&pr5_v3, &ks), pr5_groups);
+            assert_eq!(merge_group_pass(&pr5_v3, &ks), pr5_groups);
         },
         40,
     );
@@ -392,7 +340,7 @@ fn main() {
         let skip_rate = spliced as f64 / blocks as f64;
         let splice_speedup = paired_throughput_ratio(
             || {
-                assert_eq!(v2_merge(&disjoint_v2), total);
+                assert_eq!(merge_records(&disjoint_v2), total);
             },
             || {
                 assert_eq!(v3_merge_items(&runs).0, total);

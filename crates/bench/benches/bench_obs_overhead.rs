@@ -13,11 +13,12 @@
 //! committed baseline from this machine.
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::workloads::merge_group_pass;
 use scihadoop_compress::IdentityCodec;
 use scihadoop_mapreduce::obs::{clock_name, host_cpus, LedgerRecord, Recorder};
 use scihadoop_mapreduce::{
     span, Counter, Counters, DefaultKeySemantics, Framing, IFileWriter, JobConfig, JobResult,
-    JobStats, KeySemantics, KvPair, MergeStream, Phase, RawSegment, SpillArena,
+    JobStats, KeySemantics, KvPair, Phase, SpillArena,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,26 +51,7 @@ fn spill_once(pairs: &[KvPair], codec: &Arc<dyn scihadoop_compress::Codec>) -> u
 
 /// One streaming k-way merge + grouping pass over sealed segments.
 fn merge_once(segments: &[Vec<u8>]) -> u64 {
-    let ks = DefaultKeySemantics;
-    let raws: Vec<RawSegment> = segments
-        .iter()
-        .map(|s| RawSegment::open(s, &IdentityCodec).unwrap())
-        .collect();
-    let mut stream = MergeStream::new(&raws, &ks).unwrap();
-    let mut acc = 0u64;
-    let mut group_key: Option<&[u8]> = None;
-    let mut group_len = 0u64;
-    while let Some((key, _value)) = stream.next().unwrap() {
-        match group_key {
-            Some(gk) if ks.group_eq(gk, key) => group_len += 1,
-            _ => {
-                acc += group_len;
-                group_key = Some(key);
-                group_len = 1;
-            }
-        }
-    }
-    acc + group_len
+    merge_group_pass(segments, &DefaultKeySemantics)
 }
 
 fn bench_spill(c: &mut Criterion) {

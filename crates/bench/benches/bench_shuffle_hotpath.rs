@@ -1,17 +1,15 @@
-//! Shuffle hot-path benchmark: the arena-backed spill and streaming
-//! k-way merge against the materializing reference paths they replaced
-//! (`SortBuffer` + owned-pair sorting; eager segment reads +
-//! `merge_sorted_runs` + whole-run re-sort), plus the comparison-free
-//! sort rows — the prefix radix spill sort (`arena_radix` vs the
-//! comparator `arena` row) and the prefix-keyed loser-tree merge
-//! (`streaming_loser_tree` vs the sift-down-heap `streaming` row).
+//! Shuffle hot-path benchmark: the arena-backed radix spill sort
+//! against the comparator reference sort on shuffled emission, and the
+//! streaming loser-tree merge against the materializing reference
+//! (eager segment reads + `merge_sorted_runs` + whole-run re-sort).
 //!
 //! Run with `cargo bench --bench bench_shuffle_hotpath`. Set
 //! `BENCH_SHUFFLE_JSON=<path>` to also write the measurements (and the
-//! classic→arena speedups) as JSON — `BENCH_shuffle.json` at the repo
+//! reference→engine speedups) as JSON — `BENCH_shuffle.json` at the repo
 //! root is a committed baseline from this machine.
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::workloads::merge_group_pass;
 use scihadoop_bench::DistJobSpec;
 use scihadoop_compress::checksum::Crc32c;
 use scihadoop_compress::IdentityCodec;
@@ -19,9 +17,8 @@ use scihadoop_mapreduce::dist::{
     run_distributed_with_threads, DistConfig, SegmentRepr, ShuffleStore, Transport, WireCodec,
 };
 use scihadoop_mapreduce::{
-    for_each_group, merge_sorted_runs, Counter, DefaultKeySemantics, Framing, HeapMergeStream,
-    IFileReader, IFileWriter, KeySemantics, KvPair, MergeStream, RawSegment, SortBuffer,
-    SpillArena,
+    for_each_group, merge_sorted_runs, Counter, DefaultKeySemantics, Framing, IFileReader,
+    IFileWriter, KeySemantics, KvPair, SpillArena,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,45 +65,10 @@ fn bench_map_sort_spill(c: &mut Criterion) {
     group.throughput(Throughput::Elements(pairs.len() as u64));
     group.sample_size(20);
 
-    // Reference: owned pairs into a SortBuffer, sort, write.
-    group.bench_function("classic_sortbuffer", |b| {
-        b.iter(|| {
-            let mut buf = SortBuffer::new(usize::MAX >> 1);
-            for p in &pairs {
-                // The old emit path allocated an owned pair per record.
-                buf.push(KvPair::new(p.key.clone(), p.value.clone()));
-            }
-            let run = buf.drain_sorted(&ks);
-            let mut w = IFileWriter::new(Framing::IFile, codec.clone());
-            for pair in &run {
-                w.append_pair(pair);
-            }
-            black_box(w.close().raw_bytes)
-        })
-    });
-
-    // Arena: bytes into one buffer, sort the index with the full
-    // comparator (the pre-radix engine path, kept as a reference),
-    // write borrowed slices.
-    group.bench_function("arena", |b| {
-        b.iter(|| {
-            let mut arena = SpillArena::new(1);
-            for p in &pairs {
-                arena.append(0, &p.key, &p.value);
-            }
-            arena.sort_partition_by_compare(0, &ks);
-            let mut w = IFileWriter::new(Framing::IFile, codec.clone());
-            for (k, v) in arena.pairs(0) {
-                w.append(k, v);
-            }
-            black_box(w.close().raw_bytes)
-        })
-    });
-
-    // Arena + prefix radix sort: the engine's current spill sort — LSD
-    // radix over (sort_prefix, index) pairs, comparator only on ties.
-    // On this presorted emission the strictly-increasing-prefix scan
-    // short-circuits the whole sort.
+    // The engine's spill sort: bytes into one arena buffer, LSD radix
+    // over (sort_prefix, index) pairs, comparator only on ties, borrowed
+    // slices into the writer. On this presorted emission the
+    // strictly-increasing-prefix scan short-circuits the whole sort.
     group.bench_function("arena_radix", |b| {
         b.iter(|| {
             let mut arena = SpillArena::new(1);
@@ -122,8 +84,8 @@ fn bench_map_sort_spill(c: &mut Criterion) {
         })
     });
 
-    // The same pair of rows over shuffled emission, where the sort has
-    // to do real work: comparator reference vs radix scatter passes.
+    // Shuffled emission, where the sort has to do real work: the
+    // comparator reference sort vs the radix scatter passes.
     let pairs_shuffled = shuffled(&pairs);
     group.bench_function("arena_shuffled", |b| {
         b.iter(|| {
@@ -164,9 +126,7 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
     // 8 sorted runs of 2,500 records each, sealed as segments — once
     // with the CRC-32C trailer (the engine's default) and once plain,
     // so the trailer-verification overhead on the merge path is its own
-    // measurement. Budget: <= 6% of the loser-tree merge — the absolute
-    // verification cost is unchanged from the <= 3% heap-merge era, but
-    // the ~2x faster merge halved the denominator.
+    // measurement. Budget: <= 6% of the loser-tree merge.
     let mut segments = Vec::new();
     let mut segments_plain = Vec::new();
     let mut total = 0u64;
@@ -211,19 +171,13 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
         })
     });
 
-    // Streaming: lazy cursors under the retained sift-down merge heap
-    // (the pre-loser-tree engine path), grouping on borrowed slices as
-    // records surface. Segments carry the CRC-32C trailer the engine
-    // writes by default; `open` verifies it per segment.
-    group.bench_function("streaming", |b| {
-        b.iter(|| black_box(heap_merge_iter(&segments, &ks)))
-    });
-
-    // Streaming + loser tree: the engine's current merge — cached
+    // The engine's merge: lazy cursors under a loser tree — cached
     // sort-prefix matches, comparator only on prefix ties, one
-    // leaf-to-root replay per record.
+    // leaf-to-root replay per record — grouping as records surface.
+    // Segments carry the CRC-32C trailer the engine writes by default;
+    // `open` verifies it per segment.
     group.bench_function("streaming_loser_tree", |b| {
-        b.iter(|| black_box(streaming_merge_iter(&segments, &ks)))
+        b.iter(|| black_box(merge_group_pass(&segments, &ks)))
     });
     group.finish();
 
@@ -239,10 +193,10 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
             (&segments_plain, &segments)
         };
         let t0 = Instant::now();
-        black_box(streaming_merge_iter(first, &ks));
+        black_box(merge_group_pass(first, &ks));
         let a = t0.elapsed().as_nanos().max(1);
         let t0 = Instant::now();
-        black_box(streaming_merge_iter(second, &ks));
+        black_box(merge_group_pass(second, &ks));
         let b = t0.elapsed().as_nanos().max(1);
         let (trailed, plain) = if round % 2 == 0 { (a, b) } else { (b, a) };
         ratios.push(trailed as f64 / plain as f64);
@@ -403,52 +357,6 @@ fn bench_shuffle_serve(c: &mut Criterion) -> (f64, f64) {
     (spill_overhead, wire_overhead)
 }
 
-/// One loser-tree streaming merge+group pass over sealed segments.
-fn streaming_merge_iter(segments: &[Vec<u8>], ks: &DefaultKeySemantics) -> u64 {
-    let raws: Vec<RawSegment> = segments
-        .iter()
-        .map(|s| RawSegment::open(s, &IdentityCodec).unwrap())
-        .collect();
-    let mut stream = MergeStream::new(&raws, ks).unwrap();
-    let mut acc = 0u64;
-    let mut group_key: Option<&[u8]> = None;
-    let mut group_len = 0u64;
-    while let Some((key, _value)) = stream.next().unwrap() {
-        match group_key {
-            Some(gk) if ks.group_eq(gk, key) => group_len += 1,
-            _ => {
-                acc += group_len;
-                group_key = Some(key);
-                group_len = 1;
-            }
-        }
-    }
-    acc + group_len
-}
-
-/// Same pass through the retained sift-down-heap merge.
-fn heap_merge_iter(segments: &[Vec<u8>], ks: &DefaultKeySemantics) -> u64 {
-    let raws: Vec<RawSegment> = segments
-        .iter()
-        .map(|s| RawSegment::open(s, &IdentityCodec).unwrap())
-        .collect();
-    let mut stream = HeapMergeStream::new(&raws, ks).unwrap();
-    let mut acc = 0u64;
-    let mut group_key: Option<&[u8]> = None;
-    let mut group_len = 0u64;
-    while let Some((key, _value)) = stream.next().unwrap() {
-        match group_key {
-            Some(gk) if ks.group_eq(gk, key) => group_len += 1,
-            _ => {
-                acc += group_len;
-                group_key = Some(key);
-                group_len = 1;
-            }
-        }
-    }
-    acc + group_len
-}
-
 fn main() {
     let mut criterion = Criterion::default();
     bench_map_sort_spill(&mut criterion);
@@ -464,19 +372,12 @@ fn main() {
             .and_then(|m| m.per_second())
             .unwrap_or(0.0)
     };
-    let spill_speedup = rate("map_sort_spill/arena") / rate("classic_sortbuffer");
-    let merge_speedup = rate("merge_reduce/streaming") / rate("classic_materialize");
-    let radix_speedup = rate("map_sort_spill/arena_radix") / rate("map_sort_spill/arena");
+    let merge_speedup = rate("merge_reduce/streaming_loser_tree") / rate("classic_materialize");
     let radix_speedup_shuffled =
         rate("map_sort_spill/arena_radix_shuffled") / rate("map_sort_spill/arena_shuffled");
-    let loser_tree_speedup =
-        rate("merge_reduce/streaming_loser_tree") / rate("merge_reduce/streaming");
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!("\nmap-sort-spill speedup (arena vs classic):   {spill_speedup:.2}x");
-    println!("merge-reduce speedup (streaming vs classic): {merge_speedup:.2}x");
-    println!("radix spill sort speedup (presorted emission): {radix_speedup:.2}x");
-    println!("radix spill sort speedup (shuffled emission):  {radix_speedup_shuffled:.2}x");
-    println!("loser-tree merge speedup (vs sift-down heap merge):  {loser_tree_speedup:.2}x");
+    println!("\nmerge-reduce speedup (streaming vs materializing): {merge_speedup:.2}x");
+    println!("radix spill sort speedup (shuffled emission):      {radix_speedup_shuffled:.2}x");
     println!("CRC-32C trailer overhead on streaming merge: {crc_overhead:+.2}% (budget <= 6%)");
     println!("shuffle spill serving overhead (vs resident): {spill_overhead:+.2}% (budget <= 10%)");
     println!(
@@ -500,7 +401,7 @@ fn main() {
             ));
         }
         json.push_str(&format!(
-            "  ],\n  \"map_sort_spill_speedup\": {spill_speedup:.2},\n  \"merge_reduce_speedup\": {merge_speedup:.2},\n  \"radix_sort_speedup\": {radix_speedup:.2},\n  \"radix_sort_speedup_shuffled\": {radix_speedup_shuffled:.2},\n  \"loser_tree_speedup\": {loser_tree_speedup:.2},\n  \"crc_trailer_overhead_pct\": {crc_overhead:.2},\n  \"shuffle_spill_overhead_pct\": {spill_overhead:.2},\n  \"wire_lz_overhead_pct\": {wire_lz_overhead:.2},\n  \"host_cpus\": {host_cpus}\n}}\n"
+            "  ],\n  \"merge_reduce_speedup\": {merge_speedup:.2},\n  \"radix_sort_speedup_shuffled\": {radix_speedup_shuffled:.2},\n  \"crc_trailer_overhead_pct\": {crc_overhead:.2},\n  \"shuffle_spill_overhead_pct\": {spill_overhead:.2},\n  \"wire_lz_overhead_pct\": {wire_lz_overhead:.2},\n  \"host_cpus\": {host_cpus}\n}}\n"
         ));
         std::fs::write(&path, json).expect("write bench json");
         println!("wrote {path}");

@@ -1575,7 +1575,7 @@ mod tests {
 
     #[test]
     fn cluster_experiment_reproduces_the_contrast() {
-        let (table, rows) = cluster_experiment(48, 8);
+        let (table, rows) = cluster_experiment(96, 8);
         assert_eq!(rows.len(), 3);
         let baseline = &rows[0];
         let transform = &rows[1];

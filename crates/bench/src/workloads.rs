@@ -1,6 +1,8 @@
 //! Deterministic workload generators shared by the experiments.
 
+use scihadoop_compress::IdentityCodec;
 use scihadoop_grid::{GridWalker, RowMajorWalker, Shape, Variable};
+use scihadoop_mapreduce::{BlockMergeStream, KeySemantics, RawSegment};
 
 /// The Fig. 3 byte stream: "a raw stream of triples of 32-bit integers,
 /// taken by walking a grid" — n³ cells × 12 bytes.
@@ -23,6 +25,33 @@ pub fn int_square(n: u32, seed: u64) -> Variable {
 /// A float field named `windspeed1`, as in the paper's §I example.
 pub fn windspeed_cube(n: u32, seed: u64) -> Variable {
     Variable::smooth_f32("windspeed1", Shape::cube(n, 3), seed).expect("valid shape")
+}
+
+/// The merge benches' measured loop: open identity-coded segments (any
+/// IFile version), stream them through the engine's merge and count key
+/// groups' records. A yielded key is only valid until the next `next()`
+/// call, so the group key lives in an owned buffer refreshed at each
+/// group boundary — what the engine's reduce loop does too.
+pub fn merge_group_pass<K: KeySemantics>(segments: &[Vec<u8>], ks: &K) -> u64 {
+    let raws: Vec<RawSegment> = segments
+        .iter()
+        .map(|s| RawSegment::open(s, &IdentityCodec).expect("bench segment opens"))
+        .collect();
+    let mut stream = BlockMergeStream::new(&raws, ks).expect("bench merge opens");
+    let mut acc = 0u64;
+    let mut group_key: Vec<u8> = Vec::new();
+    let mut group_len = 0u64;
+    while let Some((key, _value)) = stream.next().expect("bench merge streams") {
+        if group_len > 0 && ks.group_eq(&group_key, key) {
+            group_len += 1;
+        } else {
+            acc += group_len;
+            group_key.clear();
+            group_key.extend_from_slice(key);
+            group_len = 1;
+        }
+    }
+    acc + group_len
 }
 
 #[cfg(test)]

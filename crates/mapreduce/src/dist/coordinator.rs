@@ -14,10 +14,8 @@ use super::DistConfig;
 use crate::counters::{Counter, Counters};
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
-use crate::obs::{self, Metric, Phase};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::runner::WorkQueue;
-use crate::stats::JobStats;
 use parking_lot::Mutex;
 use scihadoop_compress::checksum::Crc32c;
 use std::io::Write;
@@ -352,31 +350,15 @@ fn run_coordinator(
     shared
         .counters
         .add(Counter::LzCompressNanos, shared.store.compress_nanos());
-    let outputs: Vec<Vec<KvPair>> = shared.outputs.iter().map(|m| m.lock().clone()).collect();
-    let snapshot = shared.counters.snapshot();
-    #[cfg(debug_assertions)]
-    if let Err(violations) = snapshot.check_invariants(config.framing.file_overhead() as u64) {
-        panic!("counter invariants violated on distributed job completion: {violations:#?}");
-    }
-    let stats = JobStats::from_counters(
-        &snapshot,
+    crate::runner::finish_job(
+        config,
+        &shared.counters,
+        shared.outputs.iter().map(|m| m.lock().clone()).collect(),
         num_maps,
-        config.num_reducers,
         input_bytes,
         map_wall_nanos,
         reduce_wall_nanos,
-    );
-    let result = JobResult {
-        outputs,
-        counters: snapshot,
-        stats,
-    };
-    if let Some(sink) = &config.ledger {
-        let record = obs::LedgerRecord::from_run(&config.ledger_label, config, &result, None);
-        sink.append(record)
-            .map_err(|e| MrError::Config(format!("ledger append failed: {e}")))?;
-    }
-    Ok(result)
+    )
 }
 
 enum Assignment {
@@ -529,34 +511,25 @@ fn rebuild_error(checksum: bool, error: String) -> MrError {
     }
 }
 
-/// Mirror of the local runner's failure handling: count detected
-/// corruption, then either backoff-and-requeue within the retry budget
-/// or collect the error and abort the job.
+/// Route a failed attempt through the job's retry policy: requeue it
+/// within the budget, otherwise abort the job.
 fn fail_task(shared: &Shared, reduce: bool, task: usize, attempt: u32, err: MrError) {
     let queue = if reduce {
         &shared.reduce_queue
     } else {
         &shared.map_queue
     };
-    if err.is_checksum() {
-        shared.counters.add(Counter::ChecksumFailures, 1);
-    }
-    if attempt < shared.config.task_retries {
-        shared.counters.add(Counter::TaskRetries, 1);
-        let backoff = shared
-            .config
-            .retry_backoff
-            .saturating_mul(1u32 << attempt.min(20));
-        {
-            let _retry_span = crate::span!(Phase::Retry, task);
-            obs::hist(Metric::RetryBackoffNanos, backoff.as_nanos() as u64);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-        }
+    let retry = crate::runner::retry_after_failure(
+        shared.config,
+        &shared.counters,
+        &shared.errors,
+        task,
+        attempt,
+        err,
+    );
+    if retry {
         queue.requeue(task, attempt + 1);
     } else {
-        shared.errors.lock().push(err);
         shared.abort_all();
         queue.finish();
     }

@@ -4,11 +4,11 @@ use crate::arena::SpillArena;
 use crate::clock;
 use crate::counters::{Counter, Counters};
 use crate::error::MrError;
-use crate::ifile::{IFileVersion, IFileWriter, RawSegment, ScratchRecord, Segment};
+use crate::ifile::{IFileVersion, IFileWriter, RawSegment, Segment};
 use crate::job::{JobConfig, JobResult};
 use crate::obs::{self, Metric, Phase};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
-use crate::sort::{sort_pairs, BlockMergeStream, MergeItem, MergeStream};
+use crate::sort::{sort_pairs, BlockMergeStream, MergeItem};
 use crate::stats::JobStats;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -187,10 +187,8 @@ impl<T> Drop for InFlightGuard<'_, T> {
 /// retry. `run` executes one attempt of task `id` and must leave shared
 /// state untouched on `Err` (the map path commits only on success; the
 /// reduce path restores its segments before returning an error). Failed
-/// attempts back off deterministically (`retry_backoff * 2^attempt`,
-/// metered as a [`Phase::Retry`] span) and re-queue until the budget is
-/// exhausted, at which point the error is collected and the queue
-/// aborted.
+/// attempts re-queue or abort the queue as [`retry_after_failure`]
+/// decides.
 fn drive_slots<I, F>(
     config: &JobConfig,
     label: &str,
@@ -218,23 +216,9 @@ fn drive_slots<I, F>(
                     match run_attempt(&run, id, &item, attempt) {
                         Ok(()) => guard.complete(),
                         Err(e) => {
-                            if e.is_checksum() {
-                                counters.add(Counter::ChecksumFailures, 1);
-                            }
-                            if attempt < config.task_retries {
-                                counters.add(Counter::TaskRetries, 1);
-                                let backoff =
-                                    config.retry_backoff.saturating_mul(1u32 << attempt.min(20));
-                                {
-                                    let _retry_span = crate::span!(Phase::Retry, id);
-                                    obs::hist(Metric::RetryBackoffNanos, backoff.as_nanos() as u64);
-                                    if !backoff.is_zero() {
-                                        std::thread::sleep(backoff);
-                                    }
-                                }
+                            if retry_after_failure(config, counters, errors, id, attempt, e) {
                                 guard.requeue((id, item), attempt + 1);
                             } else {
-                                errors.lock().push(e);
                                 guard.fail();
                             }
                         }
@@ -243,6 +227,37 @@ fn drive_slots<I, F>(
             });
         }
     });
+}
+
+/// The job's retry policy, shared by the local slots and the distributed
+/// coordinator: count detected corruption, then either charge a retry and
+/// back off deterministically (`retry_backoff * 2^attempt`, metered as a
+/// [`Phase::Retry`] span) or, with the budget exhausted, collect the
+/// error. Returns whether the caller should re-queue the task; on `false`
+/// it must abort its queues.
+pub(crate) fn retry_after_failure(
+    config: &JobConfig,
+    counters: &Counters,
+    errors: &Mutex<Vec<MrError>>,
+    task: usize,
+    attempt: u32,
+    err: MrError,
+) -> bool {
+    if err.is_checksum() {
+        counters.add(Counter::ChecksumFailures, 1);
+    }
+    if attempt >= config.task_retries {
+        errors.lock().push(err);
+        return false;
+    }
+    counters.add(Counter::TaskRetries, 1);
+    let backoff = config.retry_backoff.saturating_mul(1u32 << attempt.min(20));
+    let _retry_span = crate::span!(Phase::Retry, task);
+    obs::hist(Metric::RetryBackoffNanos, backoff.as_nanos() as u64);
+    if !backoff.is_zero() {
+        std::thread::sleep(backoff);
+    }
+    true
 }
 
 /// Run one task attempt, converting a panic in the task body into a
@@ -446,7 +461,29 @@ pub fn run_job(
     }
     let reduce_wall_nanos = reduce_t0.elapsed().as_nanos() as u64;
 
-    let outputs: Vec<Vec<KvPair>> = outputs.into_iter().map(|m| m.into_inner()).collect();
+    finish_job(
+        config,
+        &counters,
+        outputs.into_iter().map(|m| m.into_inner()).collect(),
+        num_maps,
+        input_bytes,
+        map_wall_nanos,
+        reduce_wall_nanos,
+    )
+}
+
+/// The tail of every completed job, local or distributed: snapshot the
+/// counters, check their invariants, derive the stats and append the
+/// run-ledger record.
+pub(crate) fn finish_job(
+    config: &JobConfig,
+    counters: &Counters,
+    outputs: Vec<Vec<KvPair>>,
+    num_maps: usize,
+    input_bytes: u64,
+    map_wall_nanos: u64,
+    reduce_wall_nanos: u64,
+) -> Result<JobResult, MrError> {
     let snapshot = counters.snapshot();
     // Cross-counter accounting must balance on every completed job; a
     // violation means an instrumentation site drifted (satellite check,
@@ -724,24 +761,17 @@ fn merge_spills(
                     raws.push(r);
                 }
                 let mut writer = make_writer(config);
-                if raws.iter().any(|r| r.is_block_format()) {
-                    // v3 runs: still-compressed blocks whose key range is
-                    // uncontended splice straight into the output segment.
-                    let mut stream = BlockMergeStream::new(&raws, config.key_semantics.as_ref())?;
-                    loop {
-                        match stream.next_item()? {
-                            None => break,
-                            Some(MergeItem::Record(key, value)) => writer.append(key, value),
-                            Some(MergeItem::Block(blk)) => {
-                                counters.add(Counter::BlocksSkipped, 1);
-                                writer.append_encoded_block(&blk)?;
-                            }
+                // Still-encoded v3 blocks whose key range is uncontended
+                // splice straight into the output segment.
+                let mut stream = BlockMergeStream::new(&raws, config.key_semantics.as_ref())?;
+                loop {
+                    match stream.next_item()? {
+                        None => break,
+                        Some(MergeItem::Record(key, value)) => writer.append(key, value),
+                        Some(MergeItem::Block(blk)) => {
+                            counters.add(Counter::BlocksSkipped, 1);
+                            writer.append_encoded_block(&blk)?;
                         }
-                    }
-                } else {
-                    let mut stream = MergeStream::new(&raws, config.key_semantics.as_ref())?;
-                    while let Some((key, value)) = stream.next()? {
-                        writer.append(key, value);
                     }
                 }
                 let seg = writer.close();
@@ -754,37 +784,6 @@ fn merge_spills(
     let merge_nanos = clock::since(merge_t0);
     counters.add(Counter::SpillNanos, merge_nanos.saturating_sub(codec_nanos));
     Ok(out)
-}
-
-/// Unifies the reduce-side record source across segment formats. Flat
-/// (v1/v2) segments yield keys borrowed from the decompressed buffer;
-/// block (v3) segments yield keys borrowed from the merge's reused
-/// reconstruction scratch, valid only until the next call — so the
-/// common signature ties the key to the `&mut self` borrow and the
-/// consumer copies the key when it must outlive one step.
-enum ReduceStream<'a> {
-    Flat(MergeStream<'a>),
-    Blocks(BlockMergeStream<'a>),
-}
-
-impl<'a> ReduceStream<'a> {
-    fn open(
-        raws: &'a [RawSegment],
-        ks: &'a dyn crate::keysem::KeySemantics,
-    ) -> Result<Self, MrError> {
-        if raws.iter().any(|r| r.is_block_format()) {
-            Ok(ReduceStream::Blocks(BlockMergeStream::new(raws, ks)?))
-        } else {
-            Ok(ReduceStream::Flat(MergeStream::new(raws, ks)?))
-        }
-    }
-
-    fn next(&mut self) -> Result<Option<ScratchRecord<'_, 'a>>, MrError> {
-        match self {
-            ReduceStream::Flat(s) => s.next(),
-            ReduceStream::Blocks(s) => s.next(),
-        }
-    }
 }
 
 /// One reduce task: stream this reducer's segments through a k-way
@@ -836,13 +835,13 @@ pub(crate) fn run_reduce_task(
     }
     let merge_t0 = clock::thread_cpu_nanos();
     let merge_span = crate::span!(Phase::Merge, task);
-    let mut stream = ReduceStream::open(&raws, ks.as_ref())?;
+    let mut stream = BlockMergeStream::new(&raws, ks.as_ref())?;
     let mut groups = GroupRunner::new(task, reducer);
 
     if !ks.sort_splits() {
         // Fast path: keys never rewrite, so groups form directly on the
         // merged stream. Group keys are copied into the batch's buffer (a
-        // v3 key borrow dies at the next `next()` call); values stay
+        // key borrow dies at the next `next()` call); values stay
         // borrowed from the segments.
         let mut batch = GroupBatch::default();
         while let Some((key, value)) = stream.next()? {

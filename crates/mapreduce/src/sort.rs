@@ -1,92 +1,26 @@
-//! Map-side sort buffer with spills, and the reducer's k-way merge
-//! (Fig. 1 steps 3 and 5).
+//! The spill sort's prefix radix kernel and the k-way merge that both
+//! the map-side spill merge and the reducer run (Fig. 1 steps 3 and 5).
 //!
-//! Both sort stages run *comparison-free* on their fast path: keys are
+//! Both stages run *comparison-free* on their fast path: keys are
 //! reduced to order-preserving fixed-width prefixes
 //! ([`KeySemantics::sort_prefix`]), the map-side spill sort is an LSD
 //! radix sort over `(prefix, index)` pairs ([`prefix_sort_with`],
-//! [`sort_pairs`]), and the reducer's streaming merge is a
-//! cache-resident loser tree over segment cursors keyed by cached
-//! prefixes ([`MergeStream`]). The full virtual comparator runs only
-//! inside prefix tie runs, so both stages stay byte-identical to the
-//! comparator paths they replaced.
+//! [`sort_pairs`]), and the merge is a cache-resident loser tree over
+//! segment cursors keyed by cached prefixes ([`BlockMergeStream`]). The
+//! full virtual comparator runs only inside prefix tie runs, so both
+//! stages stay byte-identical to a stable whole-comparator sort.
 //!
-//! The pre-prefix implementations are retained as reference paths for
-//! equivalence tests and benchmarks: [`SortBuffer`] +
-//! [`merge_sorted_runs`] (the original materializing pipeline) and
-//! [`HeapMergeStream`] (the streaming merge's former sift-down heap).
+//! [`merge_sorted_runs`] is the materializing reference the merge is
+//! tested against; the engine never calls it.
 
 use crate::error::MrError;
 use crate::ifile::{
-    BlockCursor, EncodedBlock, Framing, PrefixedCursor, RawSegment, RecordCursor, RecordSlices,
-    ScratchRecord,
+    BlockCursor, EncodedBlock, RawSegment, RecordCursor, RecordSlices, ScratchRecord,
 };
 use crate::keysem::KeySemantics;
 use crate::record::KvPair;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Accumulates map output for one partition, sorting and draining in
-/// spill-sized runs (Hadoop's `io.sort.mb` analogue). Byte accounting
-/// includes the per-record framing overhead the configured
-/// [`Framing`] will add, so the spill threshold tracks what
-/// [`IFileWriter`](crate::ifile::IFileWriter) actually writes rather
-/// than the bare payload.
-pub struct SortBuffer {
-    pairs: Vec<KvPair>,
-    bytes: usize,
-    spill_threshold: usize,
-    framing: Framing,
-}
-
-impl SortBuffer {
-    /// A buffer that reports "please spill" past `spill_threshold`
-    /// bytes, sized for [`Framing::IFile`] records.
-    pub fn new(spill_threshold: usize) -> Self {
-        Self::with_framing(spill_threshold, Framing::IFile)
-    }
-
-    /// A buffer whose byte accounting matches the given record framing.
-    pub fn with_framing(spill_threshold: usize, framing: Framing) -> Self {
-        assert!(spill_threshold > 0);
-        SortBuffer {
-            pairs: Vec::new(),
-            bytes: 0,
-            spill_threshold,
-            framing,
-        }
-    }
-
-    /// Add a pair; returns true if the buffer should now be spilled.
-    pub fn push(&mut self, pair: KvPair) -> bool {
-        self.bytes += pair.payload_len() + self.framing.overhead(pair.key.len(), pair.value.len());
-        self.pairs.push(pair);
-        self.bytes >= self.spill_threshold
-    }
-
-    /// Buffered bytes (payload plus per-record framing overhead).
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Sort and drain the buffered run.
-    pub fn drain_sorted(&mut self, ks: &dyn KeySemantics) -> Vec<KvPair> {
-        let mut run = std::mem::take(&mut self.pairs);
-        self.bytes = 0;
-        run.sort_by(|a, b| ks.compare(&a.key, &b.key));
-        run
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Prefix radix sort
@@ -258,7 +192,7 @@ impl Ord for HeapEntry<'_> {
 /// Merge already-sorted runs into one sorted stream (the reducer's
 /// "possibly requiring multiple on-disk sort phases", done in one k-way
 /// pass here). Reference implementation; the engine streams through
-/// [`MergeStream`].
+/// [`BlockMergeStream`].
 pub fn merge_sorted_runs(runs: Vec<Vec<KvPair>>, ks: &dyn KeySemantics) -> Vec<KvPair> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut iters: Vec<std::vec::IntoIter<KvPair>> =
@@ -284,366 +218,61 @@ pub fn merge_sorted_runs(runs: Vec<Vec<KvPair>>, ks: &dyn KeySemantics) -> Vec<K
 }
 
 // ---------------------------------------------------------------------------
-// Streaming merges
+// Streaming merge
 // ---------------------------------------------------------------------------
 
-/// The streaming merge's former implementation: a manual sift-down
-/// min-heap of run ids calling the virtual comparator at every heap
-/// operation. Retained as the reference the loser-tree [`MergeStream`]
-/// is pinned byte-identical against (equivalence tests,
-/// `bench_shuffle_hotpath`).
-pub struct HeapMergeStream<'a> {
-    cursors: Vec<RecordCursor<'a>>,
-    heads: Vec<Option<RecordSlices<'a>>>,
-    heap: Vec<usize>,
-    ks: &'a dyn KeySemantics,
-}
-
-impl<'a> HeapMergeStream<'a> {
-    /// Open a merge over the given segments' records.
-    pub fn new(segments: &'a [RawSegment], ks: &'a dyn KeySemantics) -> Result<Self, MrError> {
-        reject_block_segments(segments)?;
-        let mut cursors: Vec<RecordCursor<'a>> = segments.iter().map(|s| s.cursor()).collect();
-        let mut heads = Vec::with_capacity(cursors.len());
-        for c in &mut cursors {
-            heads.push(c.next()?);
-        }
-        let heap: Vec<usize> = (0..heads.len()).filter(|&r| heads[r].is_some()).collect();
-        let mut stream = HeapMergeStream {
-            cursors,
-            heads,
-            heap,
-            ks,
-        };
-        for i in (0..stream.heap.len() / 2).rev() {
-            stream.sift_down(i);
-        }
-        Ok(stream)
-    }
-
-    fn run_less(&self, a: usize, b: usize) -> bool {
-        let ka = self.heads[a].expect("live run").0;
-        let kb = self.heads[b].expect("live run").0;
-        match self.ks.compare(ka, kb) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => a < b,
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.run_less(self.heap[l], self.heap[smallest]) {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.run_less(self.heap[r], self.heap[smallest]) {
-                smallest = r;
-            }
-            if smallest == i {
-                return;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
-    }
-
-    /// The next record in merged order, or `None` when every run is
-    /// exhausted.
-    #[allow(clippy::should_implement_trait)] // fallible, unlike Iterator
-    pub fn next(&mut self) -> Result<Option<RecordSlices<'a>>, MrError> {
-        let Some(&run) = self.heap.first() else {
-            return Ok(None);
-        };
-        let record = self.heads[run].take().expect("live run");
-        self.heads[run] = self.cursors[run].next()?;
-        if self.heads[run].is_none() {
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            self.heap.pop();
-        }
-        self.sift_down(0);
-        Ok(Some(record))
-    }
-}
-
-/// Streaming k-way merge over segment cursors: a cache-resident *loser
-/// tree* of run ids yields `(key, value)` slices borrowed from the
-/// decompressed segment buffers, one record at a time.
-///
-/// Every run caches its head record's [`KeySemantics::sort_prefix`]
-/// (computed once per record by a [`PrefixedCursor`]); tree matches
-/// compare two cached `u64`s and fall back to the virtual comparator
-/// only on prefix ties. Advancing the winner replays exactly one
-/// leaf-to-root path (⌈log₂ k⌉ matches) against the stored losers —
-/// unlike a sift-down heap there is no second comparison per level.
-/// Ties break toward the lower run id, matching [`merge_sorted_runs`]
-/// and [`HeapMergeStream`] exactly, so all three merges produce
-/// identical sequences.
-pub struct MergeStream<'a> {
-    cursors: Vec<PrefixedCursor<'a>>,
-    heads: Vec<Option<RecordSlices<'a>>>,
-    /// Cached sort prefix of each live head (stale once a run exhausts;
-    /// exhausted runs are recognized by `heads[run].is_none()`).
-    prefixes: Vec<u64>,
-    /// Loser tree over `k` runs: `tree[0]` is the overall winner,
-    /// `tree[1..k]` hold the losers of internal matches, and run `i`'s
-    /// leaf sits implicitly at index `k + i`.
-    tree: Vec<usize>,
-    ks: &'a dyn KeySemantics,
-    /// Comparator fallbacks on prefix ties, exported as
-    /// `merge_compare_calls` when the stream drops.
-    compare_calls: u64,
-    #[cfg(debug_assertions)]
-    last_key: Option<Vec<u8>>,
-}
-
-impl<'a> MergeStream<'a> {
-    /// Open a merge over the given segments' records.
-    pub fn new(segments: &'a [RawSegment], ks: &'a dyn KeySemantics) -> Result<Self, MrError> {
-        reject_block_segments(segments)?;
-        crate::obs::hist(crate::obs::Metric::MergeFanIn, segments.len() as u64);
-        let mut cursors: Vec<PrefixedCursor<'a>> =
-            segments.iter().map(|s| s.prefixed_cursor(ks)).collect();
-        let mut heads = Vec::with_capacity(cursors.len());
-        let mut prefixes = Vec::with_capacity(cursors.len());
-        for c in &mut cursors {
-            match c.next()? {
-                Some((prefix, record)) => {
-                    heads.push(Some(record));
-                    prefixes.push(prefix);
-                }
-                None => {
-                    heads.push(None);
-                    prefixes.push(0);
-                }
-            }
-        }
-        let k = cursors.len();
-        let mut stream = MergeStream {
-            cursors,
-            heads,
-            prefixes,
-            tree: vec![0; k],
-            ks,
-            compare_calls: 0,
-            #[cfg(debug_assertions)]
-            last_key: None,
-        };
-        stream.build();
-        Ok(stream)
-    }
-
-    /// Whether run `a`'s head sorts strictly before run `b`'s. Exhausted
-    /// runs lose every match; among themselves they order by id, which
-    /// keeps the relation total.
-    fn run_less(&mut self, a: usize, b: usize) -> bool {
-        match (self.heads[a], self.heads[b]) {
-            (Some(ha), Some(hb)) => match self.prefixes[a].cmp(&self.prefixes[b]) {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => {
-                    self.compare_calls += 1;
-                    match self.ks.compare(ha.0, hb.0) {
-                        Ordering::Less => true,
-                        Ordering::Greater => false,
-                        Ordering::Equal => a < b,
-                    }
-                }
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
-    }
-
-    /// Build the tree bottom-up: compute each internal match's winner,
-    /// store its loser, crown `tree[0]`.
-    fn build(&mut self) {
-        let k = self.cursors.len();
-        if k == 0 {
-            return;
-        }
-        let mut winner = vec![0usize; 2 * k];
-        for (i, w) in winner[k..].iter_mut().enumerate() {
-            *w = i;
-        }
-        for node in (1..k).rev() {
-            let (a, b) = (winner[2 * node], winner[2 * node + 1]);
-            let (win, lose) = if self.run_less(b, a) { (b, a) } else { (a, b) };
-            winner[node] = win;
-            self.tree[node] = lose;
-        }
-        self.tree[0] = winner[1];
-    }
-
-    /// Replay the matches on `run`'s leaf-to-root path after its head
-    /// changed: the contender plays each stored loser, the winner climbs.
-    fn replay(&mut self, mut contender: usize) {
-        let k = self.cursors.len();
-        let mut node = (contender + k) / 2;
-        while node > 0 {
-            let resident = self.tree[node];
-            if self.run_less(resident, contender) {
-                self.tree[node] = contender;
-                contender = resident;
-            }
-            node /= 2;
-        }
-        self.tree[0] = contender;
-    }
-
-    /// The next record in merged order, or `None` when every run is
-    /// exhausted.
-    #[allow(clippy::should_implement_trait)] // fallible, unlike Iterator
-    pub fn next(&mut self) -> Result<Option<RecordSlices<'a>>, MrError> {
-        let Some(&winner) = self.tree.first() else {
-            return Ok(None);
-        };
-        let Some(record) = self.heads[winner].take() else {
-            return Ok(None);
-        };
-        if let Some((prefix, next)) = self.cursors[winner].next()? {
-            self.prefixes[winner] = prefix;
-            self.heads[winner] = Some(next);
-        }
-        self.replay(winner);
-        // Debug builds cross-check the merged order with the full
-        // comparator per record — which means only release builds
-        // exercise the comparison-free path alone (see the CI
-        // sort-smoke job, which runs the equivalence suite --release).
-        #[cfg(debug_assertions)]
-        {
-            if let Some(prev) = &self.last_key {
-                debug_assert!(
-                    self.ks.compare(prev, record.0) != Ordering::Greater,
-                    "loser-tree merge yielded out-of-order records"
-                );
-            }
-            self.last_key = Some(record.0.to_vec());
-        }
-        Ok(Some(record))
-    }
-
-    /// Comparator fallbacks taken on prefix ties so far.
-    pub fn compare_calls(&self) -> u64 {
-        self.compare_calls
-    }
-}
-
-impl Drop for MergeStream<'_> {
-    fn drop(&mut self) {
-        crate::obs::hist(crate::obs::Metric::MergeCompareCalls, self.compare_calls);
-    }
-}
-
-/// Flat merges cannot parse v3 block segments; dispatchers choose
-/// [`BlockMergeStream`] via [`RawSegment::is_block_format`].
-fn reject_block_segments(segments: &[RawSegment]) -> Result<(), MrError> {
-    if segments.iter().any(|s| s.is_block_format()) {
-        return Err(MrError::Intermediate(
-            "flat merge over block-format (v3) segments — use BlockMergeStream".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// One run of a [`BlockMergeStream`]: either a flat (v1/v2) prefixed
-/// cursor with its buffered head, or a v3 [`BlockCursor`] whose head
-/// lives in the cursor's incremental key buffer.
+/// One run of a [`BlockMergeStream`]: a flat (v1/v2) record cursor with
+/// its parsed head, or a v3 [`BlockCursor`] whose head lives in the
+/// cursor's incremental key buffer. Whether the run is live and what its
+/// head's sort prefix is are kept in the stream's flat arrays, which is
+/// all the loser tree reads on its fast path.
 enum RunCursor<'a> {
     Flat {
-        cursor: PrefixedCursor<'a>,
-        head: Option<(u64, RecordSlices<'a>)>,
+        cursor: RecordCursor<'a>,
+        /// The current record; stale once the run is exhausted.
+        head: RecordSlices<'a>,
     },
-    Blocks {
-        cursor: BlockCursor<'a>,
-        /// Cached sort prefix of the cursor's current key.
-        prefix: u64,
-        live: bool,
-    },
+    Blocks(BlockCursor<'a>),
 }
 
+// The per-record helpers here and on `BlockMergeStream` are
+// `inline(always)`: left to the inliner they land out of line in some
+// builds, and each call then moves a `Result` through memory once per
+// record or pays a call per tree level — measured at 5 % and 20 % of a
+// flat merge's time respectively.
 impl<'a> RunCursor<'a> {
-    fn open(seg: &'a RawSegment, ks: &'a dyn KeySemantics) -> Result<Self, MrError> {
+    fn open(seg: &'a RawSegment) -> Self {
         if seg.is_block_format() {
-            let mut cursor = seg.block_cursor();
-            let live = cursor.advance()?;
-            let prefix = if live {
-                ks.sort_prefix(cursor.key())
-            } else {
-                0
-            };
-            Ok(RunCursor::Blocks {
-                cursor,
-                prefix,
-                live,
-            })
+            RunCursor::Blocks(seg.block_cursor())
         } else {
-            let mut cursor = seg.prefixed_cursor(ks);
-            let head = cursor.next()?;
-            Ok(RunCursor::Flat { cursor, head })
-        }
-    }
-
-    #[inline]
-    fn live(&self) -> bool {
-        match self {
-            RunCursor::Flat { head, .. } => head.is_some(),
-            RunCursor::Blocks { live, .. } => *live,
-        }
-    }
-
-    #[inline]
-    fn prefix(&self) -> u64 {
-        match self {
-            RunCursor::Flat { head, .. } => head.expect("live run").0,
-            RunCursor::Blocks { prefix, .. } => *prefix,
-        }
-    }
-
-    #[inline]
-    fn key(&self) -> &[u8] {
-        match self {
-            RunCursor::Flat { head, .. } => head.as_ref().expect("live run").1 .0,
-            RunCursor::Blocks { cursor, .. } => cursor.key(),
-        }
-    }
-
-    /// Advance to the next record and report the new `(live, prefix)`
-    /// state in one pass, so the merge loop updates its mirrored arrays
-    /// without re-matching on the enum.
-    #[inline]
-    fn advance(&mut self, ks: &dyn KeySemantics) -> Result<(bool, u64), MrError> {
-        match self {
-            RunCursor::Flat { cursor, head } => {
-                *head = cursor.next()?;
-                Ok(match head {
-                    Some((prefix, _)) => (true, *prefix),
-                    None => (false, 0),
-                })
+            RunCursor::Flat {
+                cursor: seg.cursor(),
+                head: (&[], &[]),
             }
-            RunCursor::Blocks {
-                cursor,
-                prefix,
-                live,
-            } => {
-                *live = cursor.advance()?;
-                if *live {
-                    *prefix = ks.sort_prefix(cursor.key());
+        }
+    }
+
+    /// Step to the next record; `false` at the end of the run.
+    #[inline(always)]
+    fn advance(&mut self) -> Result<bool, MrError> {
+        match self {
+            RunCursor::Flat { cursor, head } => Ok(match cursor.next()? {
+                Some(record) => {
+                    *head = record;
+                    true
                 }
-                Ok((*live, *prefix))
-            }
+                None => false,
+            }),
+            RunCursor::Blocks(cursor) => cursor.advance(),
         }
     }
 
-    /// The current record's `(key, value)` slices in one enum match.
-    #[inline]
-    fn emit(&self) -> (&[u8], &'a [u8]) {
+    /// The current record's `(key, value)` slices.
+    #[inline(always)]
+    fn record(&self) -> ScratchRecord<'_, 'a> {
         match self {
-            RunCursor::Flat { head, .. } => head.as_ref().expect("live run").1,
-            RunCursor::Blocks { cursor, .. } => (cursor.key(), cursor.value()),
+            RunCursor::Flat { head, .. } => *head,
+            RunCursor::Blocks(cursor) => (cursor.key(), cursor.value()),
         }
     }
 }
@@ -662,8 +291,19 @@ pub enum MergeItem<'s, 'a> {
     Block(EncodedBlock<'a>),
 }
 
-/// Loser-tree merge over mixed flat (v1/v2) and block-format (v3)
-/// segments. Two v3-specific fast paths ride on the fence-key index:
+/// Streaming k-way merge over segment cursors, flat (v1/v2) and
+/// block-format (v3) alike: a cache-resident *loser tree* of run ids
+/// yields one record at a time, borrowed from the decompressed segment
+/// buffers.
+///
+/// Every live run's head [`KeySemantics::sort_prefix`] is cached
+/// (computed once per record); tree matches compare two cached `u64`s
+/// and fall back to the virtual comparator only on prefix ties.
+/// Advancing the winner replays exactly one leaf-to-root path (⌈log₂ k⌉
+/// matches) against the stored losers. Ties break toward the lower run
+/// id, matching [`merge_sorted_runs`] exactly.
+///
+/// Two v3-specific fast paths ride on the fence-key index:
 ///
 /// * **Block skipping** ([`BlockMergeStream::next_item`]): when the
 ///   winning run's head is the first record of a fully undecoded block
@@ -682,22 +322,28 @@ pub enum MergeItem<'s, 'a> {
 ///   replaces one per record.
 ///
 /// Inside contended blocks each key is reconstructed incrementally in
-/// the [`BlockCursor`]'s single reused buffer. Ties break toward the
-/// lower run id exactly like [`MergeStream`].
+/// the [`BlockCursor`]'s single reused buffer, which is why an emitted
+/// key is only valid until the next call.
 pub struct BlockMergeStream<'a> {
     runs: Vec<RunCursor<'a>>,
-    /// Loser tree over `k` runs (same shape as [`MergeStream`]).
+    /// Loser tree over `k` runs: `tree[0]` is the overall winner,
+    /// `tree[1..k]` hold the losers of internal matches, and run `i`'s
+    /// leaf sits implicitly at index `k + i`.
     tree: Vec<usize>,
-    /// Cached head prefixes, mirrored out of the [`RunCursor`]s so the
-    /// replay inner loop reads flat arrays instead of matching on the
-    /// run enum (same layout as [`MergeStream::prefixes`]).
+    /// Sort prefix of each live run's head (stale once a run exhausts).
     prefixes: Vec<u64>,
-    /// Run liveness, mirrored for the same reason.
+    /// Whether each run still has a head.
     lives: Vec<bool>,
     ks: &'a dyn KeySemantics,
+    /// Comparator fallbacks on prefix ties, exported as
+    /// `merge_compare_calls` when the stream drops.
     compare_calls: u64,
     /// Blocks emitted still-encoded (skip hits).
     blocks_copied: u64,
+    /// Whether any run is block-format. An all-flat merge never tests
+    /// the skip precondition and records no `merge_blocks_skipped`
+    /// sample.
+    any_blocks: bool,
     /// The previous item's winner still needs its advance + replay.
     pending_advance: bool,
     /// Records left to emit from an uncontended block without replays.
@@ -710,35 +356,48 @@ impl<'a> BlockMergeStream<'a> {
     /// Open a merge over the given segments' records.
     pub fn new(segments: &'a [RawSegment], ks: &'a dyn KeySemantics) -> Result<Self, MrError> {
         crate::obs::hist(crate::obs::Metric::MergeFanIn, segments.len() as u64);
-        let mut runs = Vec::with_capacity(segments.len());
-        for seg in segments {
-            runs.push(RunCursor::open(seg, ks)?);
-        }
-        let k = runs.len();
-        let lives: Vec<bool> = runs.iter().map(|r| r.live()).collect();
-        let prefixes: Vec<u64> = runs
-            .iter()
-            .map(|r| if r.live() { r.prefix() } else { 0 })
-            .collect();
+        let k = segments.len();
         let mut stream = BlockMergeStream {
-            runs,
+            runs: segments.iter().map(RunCursor::open).collect(),
             tree: vec![0; k],
-            prefixes,
-            lives,
+            prefixes: vec![0; k],
+            lives: vec![false; k],
             ks,
             compare_calls: 0,
             blocks_copied: 0,
+            any_blocks: segments.iter().any(|s| s.is_block_format()),
             pending_advance: false,
             burst: 0,
             #[cfg(debug_assertions)]
             last_key: None,
         };
+        for run in 0..k {
+            stream.advance_run(run)?;
+        }
         stream.build();
         Ok(stream)
     }
 
-    /// Whether run `a`'s head sorts strictly before run `b`'s (same
-    /// relation as [`MergeStream::run_less`], via the mirrored arrays).
+    /// Step run `w` to its next record and refresh its cached state.
+    #[inline(always)]
+    fn advance_run(&mut self, w: usize) -> Result<(), MrError> {
+        let live = self.runs[w].advance()?;
+        self.set_head(w, live);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn set_head(&mut self, w: usize, live: bool) {
+        self.lives[w] = live;
+        if live {
+            self.prefixes[w] = self.ks.sort_prefix(self.runs[w].record().0);
+        }
+    }
+
+    /// Whether run `a`'s head sorts strictly before run `b`'s. Exhausted
+    /// runs lose every match; among themselves they order by id, which
+    /// keeps the relation total.
+    #[inline(always)]
     fn run_less(&mut self, a: usize, b: usize) -> bool {
         match (self.lives[a], self.lives[b]) {
             (true, true) => match self.prefixes[a].cmp(&self.prefixes[b]) {
@@ -746,7 +405,8 @@ impl<'a> BlockMergeStream<'a> {
                 Ordering::Greater => false,
                 Ordering::Equal => {
                     self.compare_calls += 1;
-                    match self.ks.compare(self.runs[a].key(), self.runs[b].key()) {
+                    let (ka, kb) = (self.runs[a].record().0, self.runs[b].record().0);
+                    match self.ks.compare(ka, kb) {
                         Ordering::Less => true,
                         Ordering::Greater => false,
                         Ordering::Equal => a < b,
@@ -759,6 +419,8 @@ impl<'a> BlockMergeStream<'a> {
         }
     }
 
+    /// Build the tree bottom-up: compute each internal match's winner,
+    /// store its loser, crown `tree[0]`.
     fn build(&mut self) {
         let k = self.runs.len();
         if k == 0 {
@@ -777,6 +439,9 @@ impl<'a> BlockMergeStream<'a> {
         self.tree[0] = winner[1];
     }
 
+    /// Replay the matches on `run`'s leaf-to-root path after its head
+    /// changed: the contender plays each stored loser, the winner climbs.
+    #[inline(always)]
     fn replay(&mut self, mut contender: usize) {
         let k = self.runs.len();
         let mut node = (contender + k) / 2;
@@ -791,57 +456,53 @@ impl<'a> BlockMergeStream<'a> {
         self.tree[0] = contender;
     }
 
-    /// Perform the deferred advance of the previous winner. Deferring
-    /// is what lets the emitted key borrow the cursor's reused buffer:
-    /// the buffer is only overwritten once the caller asks for the
-    /// next item.
-    #[inline]
-    fn settle(&mut self) -> Result<(), MrError> {
-        if !self.pending_advance {
-            return Ok(());
+    /// The run whose head is next in merged order, after performing the
+    /// previous winner's deferred advance. Deferring is what lets an
+    /// emitted key borrow a block cursor's reused buffer: the buffer is
+    /// only overwritten once the caller asks for the next item.
+    #[inline(always)]
+    fn winner(&mut self) -> Result<Option<usize>, MrError> {
+        if self.tree.is_empty() {
+            return Ok(None);
         }
-        self.pending_advance = false;
-        let Some(&w) = self.tree.first() else {
-            return Ok(());
-        };
-        let ks = self.ks;
-        let (live, prefix) = self.runs[w].advance(ks)?;
-        self.lives[w] = live;
-        if live {
-            self.prefixes[w] = prefix;
-        }
-        if self.burst > 1 {
-            // Still inside an uncontended block: the winner cannot
-            // change, so skip the replay.
-            self.burst -= 1;
-        } else {
-            self.burst = 0;
-            self.replay(w);
-        }
-        Ok(())
-    }
-
-    /// True when every key of `w`'s current block sorts strictly before
-    /// every other live run's head: the next fence's cached prefix
-    /// upper-bounds the block, and strict `u64` inequality implies
-    /// strict key order. A last block (no next fence) qualifies only
-    /// when no other run is live.
-    fn uncontended(&self, w: usize) -> bool {
-        let RunCursor::Blocks { cursor, .. } = &self.runs[w] else {
-            return false;
-        };
-        match cursor.next_fence_prefix() {
-            Some(ub) => {
-                (0..self.runs.len()).all(|r| r == w || !self.lives[r] || ub < self.prefixes[r])
+        if self.pending_advance {
+            self.pending_advance = false;
+            let w = self.tree[0];
+            self.advance_run(w)?;
+            if self.burst > 1 {
+                // Still inside an uncontended block: the winner cannot
+                // change, so skip the replay.
+                self.burst -= 1;
+            } else {
+                self.burst = 0;
+                self.replay(w);
             }
-            None => (0..self.runs.len()).all(|r| r == w || !self.lives[r]),
         }
+        let w = self.tree[0];
+        Ok(self.lives[w].then_some(w))
     }
 
-    /// Whether `w`'s head opens a fully undecoded block (the skip/burst
-    /// precondition).
-    fn at_fresh_block(&self, w: usize) -> bool {
-        matches!(&self.runs[w], RunCursor::Blocks { cursor, .. } if cursor.at_block_start())
+    /// If `w`'s head opens a fully undecoded block whose every key sorts
+    /// strictly before every other live run's head, that block's cursor:
+    /// the next fence's cached prefix upper-bounds the block, and strict
+    /// `u64` inequality implies strict key order. A last block (no next
+    /// fence) qualifies only when no other run is live.
+    #[inline(always)]
+    fn uncontended_block(&mut self, w: usize) -> Option<&mut BlockCursor<'a>> {
+        if !self.any_blocks || self.burst != 0 {
+            return None;
+        }
+        let (lives, prefixes) = (&self.lives, &self.prefixes);
+        let RunCursor::Blocks(cursor) = &mut self.runs[w] else {
+            return None;
+        };
+        if !cursor.at_block_start() {
+            return None;
+        }
+        let bound = cursor.next_fence_prefix();
+        let clear = (0..lives.len())
+            .all(|r| r == w || !lives[r] || bound.is_some_and(|ub| ub < prefixes[r]));
+        clear.then_some(cursor)
     }
 
     /// The next record in merged order, or `None` when every run is
@@ -849,23 +510,17 @@ impl<'a> BlockMergeStream<'a> {
     /// next call); the value borrows the segment.
     #[allow(clippy::should_implement_trait)] // fallible, unlike Iterator
     pub fn next<'s>(&'s mut self) -> Result<Option<ScratchRecord<'s, 'a>>, MrError> {
-        self.settle()?;
-        let Some(&w) = self.tree.first() else {
+        let Some(w) = self.winner()? else {
             return Ok(None);
         };
-        if !self.lives[w] {
-            return Ok(None);
-        }
-        if self.burst == 0 && self.at_fresh_block(w) && self.uncontended(w) {
-            if let RunCursor::Blocks { cursor, .. } = &self.runs[w] {
-                self.burst = cursor.block_remaining();
-                self.blocks_copied += 1;
-            }
+        if let Some(cursor) = self.uncontended_block(w) {
+            self.burst = cursor.block_remaining();
+            self.blocks_copied += 1;
         }
         #[cfg(debug_assertions)]
         self.debug_check_record(w);
         self.pending_advance = true;
-        Ok(Some(self.runs[w].emit()))
+        Ok(Some(self.runs[w].record()))
     }
 
     /// The next item in merged order: a record, or — when the winning
@@ -873,34 +528,13 @@ impl<'a> BlockMergeStream<'a> {
     /// whole still-encoded block. Spill merges splice block items
     /// through verbatim.
     pub fn next_item<'s>(&'s mut self) -> Result<Option<MergeItem<'s, 'a>>, MrError> {
-        self.settle()?;
-        let Some(&w) = self.tree.first() else {
+        let Some(w) = self.winner()? else {
             return Ok(None);
         };
-        if !self.lives[w] {
-            return Ok(None);
-        }
-        if self.burst == 0 && self.at_fresh_block(w) && self.uncontended(w) {
-            let ks = self.ks;
-            let blk = match &mut self.runs[w] {
-                RunCursor::Blocks {
-                    cursor,
-                    prefix,
-                    live,
-                } => {
-                    let blk = cursor.take_block()?;
-                    *live = cursor.is_live();
-                    if *live {
-                        *prefix = ks.sort_prefix(cursor.key());
-                    }
-                    blk
-                }
-                RunCursor::Flat { .. } => unreachable!("at_fresh_block implies a block run"),
-            };
-            self.lives[w] = self.runs[w].live();
-            if self.lives[w] {
-                self.prefixes[w] = self.runs[w].prefix();
-            }
+        if let Some(cursor) = self.uncontended_block(w) {
+            let blk = cursor.take_block()?;
+            let live = cursor.is_live();
+            self.set_head(w, live);
             self.blocks_copied += 1;
             self.replay(w);
             #[cfg(debug_assertions)]
@@ -910,7 +544,7 @@ impl<'a> BlockMergeStream<'a> {
         #[cfg(debug_assertions)]
         self.debug_check_record(w);
         self.pending_advance = true;
-        let (key, value) = self.runs[w].emit();
+        let (key, value) = self.runs[w].record();
         Ok(Some(MergeItem::Record(key, value)))
     }
 
@@ -926,17 +560,19 @@ impl<'a> BlockMergeStream<'a> {
     }
 
     /// Debug builds cross-check merged order with the full comparator
-    /// per record — only release builds exercise the comparison-free
-    /// path alone (mirrors [`MergeStream`]).
+    /// per record — which means only release builds exercise the
+    /// comparison-free path alone (see the CI sort-smoke job, which
+    /// runs the equivalence suite --release).
     #[cfg(debug_assertions)]
     fn debug_check_record(&mut self, w: usize) {
+        let key = self.runs[w].record().0;
         if let Some(prev) = &self.last_key {
             debug_assert!(
-                self.ks.compare(prev, self.runs[w].key()) != Ordering::Greater,
-                "block merge yielded out-of-order records"
+                self.ks.compare(prev, key) != Ordering::Greater,
+                "merge yielded out-of-order records"
             );
         }
-        self.last_key = Some(self.runs[w].key().to_vec());
+        self.last_key = Some(key.to_vec());
     }
 
     /// Debug builds decode every skipped block and verify (a) its
@@ -960,7 +596,7 @@ impl<'a> BlockMergeStream<'a> {
         if let Some(last) = &prev {
             for (r, run) in self.runs.iter().enumerate() {
                 debug_assert!(
-                    r == w || !run.live() || ks.compare(last, run.key()) == Ordering::Less,
+                    r == w || !self.lives[r] || ks.compare(last, run.record().0) == Ordering::Less,
                     "skipped block not strictly below run {r}'s head"
                 );
             }
@@ -971,10 +607,11 @@ impl<'a> BlockMergeStream<'a> {
 
 impl Drop for BlockMergeStream<'_> {
     fn drop(&mut self) {
-        crate::obs::hist_many(&[
+        let samples = [
             (crate::obs::Metric::MergeCompareCalls, self.compare_calls),
             (crate::obs::Metric::MergeBlocksSkipped, self.blocks_copied),
-        ]);
+        ];
+        crate::obs::hist_many(&samples[..1 + usize::from(self.any_blocks)]);
     }
 }
 
@@ -1001,56 +638,13 @@ pub fn for_each_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ifile::{Framing, IFileWriter};
     use crate::keysem::DefaultKeySemantics;
+    use scihadoop_compress::IdentityCodec;
     use std::sync::Arc;
 
     fn pair(k: &str, v: &str) -> KvPair {
         KvPair::new(k.as_bytes().to_vec(), v.as_bytes().to_vec())
-    }
-
-    #[test]
-    fn sort_buffer_reports_spill_threshold() {
-        let mut b = SortBuffer::new(16);
-        assert!(!b.push(pair("aaa", "x"))); // 4 payload + 2 framing = 6
-        assert!(!b.push(pair("bbb", "y"))); // 12
-        assert!(b.push(pair("c", "z"))); // 16 → spill
-        assert_eq!(b.len(), 3);
-        let run = b.drain_sorted(&DefaultKeySemantics);
-        assert_eq!(run[0].key, b"aaa");
-        assert!(b.is_empty());
-        assert_eq!(b.bytes(), 0);
-    }
-
-    #[test]
-    fn sort_buffer_accounting_matches_ifile_writer() {
-        use crate::ifile::IFileWriter;
-        // Byte accounting must equal what the writer will materialize
-        // (minus the constant file header), for both framings and for
-        // records whose lengths need multi-byte vints.
-        for framing in [Framing::SequenceFile, Framing::IFile] {
-            let mut b = SortBuffer::with_framing(usize::MAX >> 1, framing);
-            let mut w = IFileWriter::new(framing, Arc::new(scihadoop_compress::IdentityCodec));
-            for (klen, vlen) in [(0usize, 0usize), (3, 5), (16, 4), (200, 1), (1000, 4)] {
-                b.push(KvPair::new(vec![7u8; klen], vec![9u8; vlen]));
-                w.append(&vec![7u8; klen], &vec![9u8; vlen]);
-            }
-            assert_eq!(
-                b.bytes(),
-                w.raw_len() - framing.file_overhead(),
-                "framing {framing:?}: spill sizing must match the writer"
-            );
-        }
-    }
-
-    #[test]
-    fn drain_sorts_by_comparator() {
-        let mut b = SortBuffer::new(1 << 20);
-        for k in ["m", "a", "z", "k"] {
-            b.push(pair(k, "v"));
-        }
-        let run = b.drain_sorted(&DefaultKeySemantics);
-        let keys: Vec<&[u8]> = run.iter().map(|p| p.key.as_slice()).collect();
-        assert_eq!(keys, vec![b"a".as_slice(), b"k", b"m", b"z"]);
     }
 
     #[test]
@@ -1217,254 +811,133 @@ mod tests {
         assert_eq!(order, vec![1, 0]);
     }
 
-    fn seal_run(pairs: &[KvPair]) -> Vec<u8> {
-        use crate::ifile::IFileWriter;
-        let mut w = IFileWriter::new(Framing::IFile, Arc::new(scihadoop_compress::IdentityCodec));
+    // The merged *sequence* (flat, block and mixed fan-ins, cross-run
+    // ties, uneven and empty runs, `next` and `next_item`) is pinned
+    // against `merge_sorted_runs` by the proptest
+    // `merge_stream_matches_materializing_merge` in
+    // tests/shuffle_equivalence.rs. What stays here is what a sequence
+    // comparison cannot see: comparator-call counts, skip hits, and
+    // failures surfacing as errors.
+
+    /// Seal a sorted run as a flat segment (`budget: None`; v1 when
+    /// `trailer` is off) or a v3 segment with the given block budget.
+    fn seal(pairs: &[KvPair], budget: Option<usize>, trailer: bool) -> Vec<u8> {
+        let codec = Arc::new(IdentityCodec);
+        let mut w = match budget {
+            Some(b) => {
+                IFileWriter::v3_with_budget(Framing::IFile, codec, Arc::new(DefaultKeySemantics), b)
+            }
+            None if trailer => IFileWriter::new(Framing::IFile, codec),
+            None => IFileWriter::without_trailer(Framing::IFile, codec),
+        };
         for p in pairs {
             w.append_pair(p);
         }
         w.close().data
     }
 
-    fn stream_merge(runs: &[Vec<KvPair>], ks: &dyn KeySemantics) -> Vec<KvPair> {
-        let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal_run(r)).collect();
-        let segments: Vec<RawSegment> = sealed
+    fn open_all(sealed: &[Vec<u8>]) -> Vec<RawSegment> {
+        sealed
             .iter()
-            .map(|s| RawSegment::open(s, &scihadoop_compress::IdentityCodec).unwrap())
-            .collect();
-        let mut stream = MergeStream::new(&segments, ks).unwrap();
+            .map(|s| RawSegment::open(s, &IdentityCodec).unwrap())
+            .collect()
+    }
+
+    fn drain(stream: &mut BlockMergeStream<'_>) -> Result<Vec<KvPair>, MrError> {
         let mut out = Vec::new();
-        while let Some((k, v)) = stream.next().unwrap() {
+        while let Some((k, v)) = stream.next()? {
             out.push(KvPair::new(k.to_vec(), v.to_vec()));
         }
-        out
+        Ok(out)
     }
 
-    fn heap_stream_merge(runs: &[Vec<KvPair>], ks: &dyn KeySemantics) -> Vec<KvPair> {
-        let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal_run(r)).collect();
-        let segments: Vec<RawSegment> = sealed
-            .iter()
-            .map(|s| RawSegment::open(s, &scihadoop_compress::IdentityCodec).unwrap())
-            .collect();
-        let mut stream = HeapMergeStream::new(&segments, ks).unwrap();
-        let mut out = Vec::new();
-        while let Some((k, v)) = stream.next().unwrap() {
-            out.push(KvPair::new(k.to_vec(), v.to_vec()));
-        }
-        out
-    }
-
-    #[test]
-    fn merge_stream_agrees_with_materializing_merge() {
-        let runs = vec![
-            vec![pair("a", "1"), pair("c", "3"), pair("e", "5")],
-            vec![pair("b", "2"), pair("d", "4")],
-            vec![],
-            vec![pair("a", "6"), pair("z", "7")],
-        ];
-        let streamed = stream_merge(&runs, &DefaultKeySemantics);
-        let heap_streamed = heap_stream_merge(&runs, &DefaultKeySemantics);
-        let materialized = merge_sorted_runs(runs, &DefaultKeySemantics);
-        assert_eq!(streamed, materialized);
-        assert_eq!(heap_streamed, materialized);
+    /// Runs with disjoint key ranges: after the first heads resolve,
+    /// whole blocks of the low run sit below every other head.
+    fn disjoint_runs(runs: usize, per_run: usize) -> Vec<Vec<KvPair>> {
+        (0..runs)
+            .map(|r| {
+                (0..per_run)
+                    .map(|i| pair(&format!("{r}-{i:05}"), &format!("{r}.{i}")))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
-    fn merge_stream_breaks_ties_by_run_order() {
-        // Duplicated keys across runs must pop in run order, exactly as
-        // the BinaryHeap merge's source tie-break does.
-        let runs = vec![
-            vec![pair("x", "run0-a"), pair("x", "run0-b")],
-            vec![pair("x", "run1")],
-            vec![pair("x", "run2")],
-        ];
-        let streamed = stream_merge(&runs, &DefaultKeySemantics);
-        let materialized = merge_sorted_runs(runs, &DefaultKeySemantics);
-        assert_eq!(streamed, materialized);
-        let values: Vec<&[u8]> = streamed.iter().map(|p| p.value.as_slice()).collect();
-        assert_eq!(
-            values,
-            vec![b"run0-a".as_slice(), b"run0-b", b"run1", b"run2",]
-        );
-    }
-
-    #[test]
-    fn merge_stream_many_random_runs() {
-        let mut runs = Vec::new();
-        for r in 0..9 {
-            let mut run: Vec<KvPair> = (0..60)
-                .map(|i| {
-                    pair(
-                        &format!("{:04}", (i * 17 + r * 5) % 499),
-                        &format!("{r}-{i}"),
-                    )
-                })
-                .collect();
-            run.sort();
-            runs.push(run);
-        }
-        let streamed = stream_merge(&runs, &DefaultKeySemantics);
-        let heap_streamed = heap_stream_merge(&runs, &DefaultKeySemantics);
-        let materialized = merge_sorted_runs(runs, &DefaultKeySemantics);
-        assert_eq!(streamed.len(), 540);
-        assert_eq!(streamed, materialized);
-        assert_eq!(heap_streamed, materialized);
-    }
-
-    #[test]
-    fn merge_stream_uneven_fan_in_and_exhaustion_order() {
-        // Non-power-of-two fan-in with runs exhausting at different
-        // times exercises the loser tree's replay on dead runs.
-        let runs = vec![
-            vec![pair("a", "0")],
-            (0..40).map(|i| pair(&format!("k{i:02}"), "1")).collect(),
-            vec![pair("z", "2")],
-            (0..7).map(|i| pair(&format!("k{i:02}x"), "3")).collect(),
-            vec![],
-        ];
-        let streamed = stream_merge(&runs, &DefaultKeySemantics);
-        let materialized = merge_sorted_runs(runs, &DefaultKeySemantics);
-        assert_eq!(streamed, materialized);
-    }
-
-    #[test]
-    fn merge_stream_falls_back_to_comparator_only_on_prefix_ties() {
+    fn merge_falls_back_to_comparator_only_on_prefix_ties() {
         // Short distinct keys: prefixes decide everything, so the
         // comparator must never run. Long shared-prefix keys: it must.
         let ks = DefaultKeySemantics;
         let distinct = [
-            vec![pair("a", "1"), pair("c", "2")],
-            vec![pair("b", "3"), pair("d", "4")],
+            seal(&[pair("a", "1"), pair("c", "2")], None, true),
+            seal(&[pair("b", "3"), pair("d", "4")], None, true),
         ];
-        let sealed: Vec<Vec<u8>> = distinct.iter().map(|r| seal_run(r)).collect();
-        let segments: Vec<RawSegment> = sealed
-            .iter()
-            .map(|s| RawSegment::open(s, &scihadoop_compress::IdentityCodec).unwrap())
-            .collect();
-        let mut stream = MergeStream::new(&segments, &ks).unwrap();
-        while stream.next().unwrap().is_some() {}
+        let segments = open_all(&distinct);
+        let mut stream = BlockMergeStream::new(&segments, &ks).unwrap();
+        assert_eq!(drain(&mut stream).unwrap().len(), 4);
         assert_eq!(stream.compare_calls(), 0, "distinct prefixes: no fallback");
 
-        let tied = [vec![pair("aaaaaaaa-x", "1")], vec![pair("aaaaaaaa-y", "2")]];
-        let sealed: Vec<Vec<u8>> = tied.iter().map(|r| seal_run(r)).collect();
-        let segments: Vec<RawSegment> = sealed
-            .iter()
-            .map(|s| RawSegment::open(s, &scihadoop_compress::IdentityCodec).unwrap())
-            .collect();
-        let mut stream = MergeStream::new(&segments, &ks).unwrap();
-        while stream.next().unwrap().is_some() {}
+        let tied = [
+            seal(&[pair("aaaaaaaa-x", "1")], None, true),
+            seal(&[pair("aaaaaaaa-y", "2")], None, true),
+        ];
+        let segments = open_all(&tied);
+        let mut stream = BlockMergeStream::new(&segments, &ks).unwrap();
+        assert_eq!(drain(&mut stream).unwrap().len(), 2);
         assert!(
             stream.compare_calls() > 0,
             "prefix tie needs the comparator"
         );
     }
 
-    fn seal_run_v3(pairs: &[KvPair], budget: usize) -> Vec<u8> {
-        use crate::ifile::IFileWriter;
-        let mut w = IFileWriter::v3_with_budget(
-            Framing::IFile,
-            Arc::new(scihadoop_compress::IdentityCodec),
-            Arc::new(DefaultKeySemantics),
-            budget,
-        );
-        for p in pairs {
-            w.append_pair(p);
-        }
-        w.close().data
-    }
-
-    fn block_stream_merge(runs: &[Vec<KvPair>], budget: usize) -> (Vec<KvPair>, u64) {
-        let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal_run_v3(r, budget)).collect();
-        let segments: Vec<RawSegment> = sealed
-            .iter()
-            .map(|s| RawSegment::open(s, &scihadoop_compress::IdentityCodec).unwrap())
-            .collect();
-        let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
-        let mut out = Vec::new();
-        while let Some((k, v)) = stream.next().unwrap() {
-            out.push(KvPair::new(k.to_vec(), v.to_vec()));
-        }
-        let copied = stream.blocks_copied();
-        (out, copied)
-    }
-
+    #[cfg(feature = "obs")]
     #[test]
-    fn block_merge_agrees_with_flat_merge() {
-        // Interleaved runs (every block contended) across several block
-        // budgets, including budgets that force one record per block.
-        let mut runs = Vec::new();
-        for r in 0..5 {
-            let mut run: Vec<KvPair> = (0..80)
-                .map(|i| {
-                    pair(
-                        &format!("key-{:04}", (i * 13 + r * 7) % 331),
-                        &format!("{r}-{i}"),
-                    )
-                })
-                .collect();
-            run.sort();
-            runs.push(run);
+    fn only_merges_with_a_block_run_sample_blocks_skipped() {
+        use crate::obs::{Metric, Recorder};
+        // A flat job's trace must not grow an all-zero histogram just
+        // because its merge could have skipped blocks.
+        let run = [pair("a", "1"), pair("b", "2")];
+        for (budget, samples) in [(None, 0), (Some(64), 1)] {
+            let recorder = Recorder::new();
+            let attached = recorder.attach("merge");
+            let sealed = [seal(&run, None, true), seal(&run, budget, true)];
+            let segments = open_all(&sealed);
+            let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
+            assert_eq!(drain(&mut stream).unwrap().len(), 4);
+            drop(stream);
+            drop(attached);
+            let hists = recorder.finish().hists;
+            assert_eq!(hists.get(Metric::MergeCompareCalls).count(), 1);
+            assert_eq!(hists.get(Metric::MergeBlocksSkipped).count(), samples);
         }
-        runs.push(Vec::new());
-        let materialized = merge_sorted_runs(runs.clone(), &DefaultKeySemantics);
-        for budget in [1, 64, 512, 1 << 20] {
-            let (streamed, _) = block_stream_merge(&runs, budget);
-            assert_eq!(streamed, materialized, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn block_merge_breaks_ties_by_run_order() {
-        let runs = vec![
-            vec![pair("x", "run0-a"), pair("x", "run0-b")],
-            vec![pair("x", "run1")],
-            vec![pair("x", "run2")],
-        ];
-        let materialized = merge_sorted_runs(runs.clone(), &DefaultKeySemantics);
-        let (streamed, _) = block_stream_merge(&runs, 64);
-        assert_eq!(streamed, materialized);
     }
 
     #[test]
     fn block_merge_skips_blocks_on_disjoint_ranges() {
-        // Runs with disjoint key ranges: after the first heads resolve,
-        // whole blocks of the low run sit below every other head and
-        // burst out without replays.
-        let runs: Vec<Vec<KvPair>> = (0..4)
-            .map(|r| {
-                (0..200)
-                    .map(|i| pair(&format!("{r}-{:05}", i), "v"))
-                    .collect()
-            })
-            .collect();
-        let materialized = merge_sorted_runs(runs.clone(), &DefaultKeySemantics);
-        let (streamed, copied) = block_stream_merge(&runs, 256);
-        assert_eq!(streamed, materialized);
-        assert!(copied > 0, "disjoint ranges must hit the block-skip path");
+        let runs = disjoint_runs(4, 200);
+        let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal(r, Some(256), true)).collect();
+        let segments = open_all(&sealed);
+        let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
+        let streamed = drain(&mut stream).unwrap();
+        assert_eq!(streamed, merge_sorted_runs(runs, &DefaultKeySemantics));
+        assert!(
+            stream.blocks_copied() > 0,
+            "disjoint ranges must burst whole blocks out without replays"
+        );
     }
 
     #[test]
     fn block_merge_next_item_splices_still_encoded_blocks() {
-        use crate::ifile::IFileWriter;
-        // Disjoint ranges again, but consumed through next_item: blocks
-        // splice still-encoded into a new v3 writer, and the re-read
-        // output must byte-match the record-at-a-time merge.
-        let runs: Vec<Vec<KvPair>> = (0..3)
-            .map(|r| {
-                (0..150)
-                    .map(|i| pair(&format!("{r}-{:05}", i), &format!("{r}.{i}")))
-                    .collect()
-            })
-            .collect();
-        let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal_run_v3(r, 256)).collect();
-        let segments: Vec<RawSegment> = sealed
-            .iter()
-            .map(|s| RawSegment::open(s, &scihadoop_compress::IdentityCodec).unwrap())
-            .collect();
+        // Disjoint ranges consumed through next_item: blocks splice
+        // still-encoded into a new v3 writer, and the re-read output
+        // must byte-match the record-at-a-time merge.
+        let runs = disjoint_runs(3, 150);
+        let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal(r, Some(256), true)).collect();
+        let segments = open_all(&sealed);
         let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
         let mut w = IFileWriter::v3_with_budget(
             Framing::IFile,
-            Arc::new(scihadoop_compress::IdentityCodec),
+            Arc::new(IdentityCodec),
             Arc::new(DefaultKeySemantics),
             256,
         );
@@ -1480,8 +953,9 @@ mod tests {
             }
         }
         assert!(spliced > 0, "disjoint ranges must splice whole blocks");
+        assert_eq!(spliced, stream.blocks_copied());
         let merged = w.close();
-        let raw = RawSegment::open(&merged.data, &scihadoop_compress::IdentityCodec).unwrap();
+        let raw = RawSegment::open(&merged.data, &IdentityCodec).unwrap();
         let mut out = Vec::new();
         raw.for_each_record(|k, v| out.push(KvPair::new(k.to_vec(), v.to_vec())))
             .unwrap();
@@ -1489,33 +963,52 @@ mod tests {
     }
 
     #[test]
-    fn flat_merges_reject_block_segments() {
-        let sealed = seal_run_v3(&[pair("a", "1")], 64);
-        let segments = vec![RawSegment::open(&sealed, &scihadoop_compress::IdentityCodec).unwrap()];
-        assert!(MergeStream::new(&segments, &DefaultKeySemantics).is_err());
-        assert!(HeapMergeStream::new(&segments, &DefaultKeySemantics).is_err());
-    }
-
-    #[test]
-    fn block_merge_accepts_flat_segments_too() {
-        // Mixed fan-in: a reducer may see v3 spills merged with flat ones
-        // mid-migration; BlockMergeStream treats flat runs as ordinary
-        // record cursors.
-        let v3_run = vec![pair("a", "1"), pair("c", "3")];
-        let flat_run = vec![pair("b", "2"), pair("d", "4")];
-        let sealed_v3 = seal_run_v3(&v3_run, 64);
-        let sealed_flat = seal_run(&flat_run);
-        let segments = vec![
-            RawSegment::open(&sealed_v3, &scihadoop_compress::IdentityCodec).unwrap(),
-            RawSegment::open(&sealed_flat, &scihadoop_compress::IdentityCodec).unwrap(),
-        ];
-        let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
-        let mut out = Vec::new();
-        while let Some((k, v)) = stream.next().unwrap() {
-            out.push(KvPair::new(k.to_vec(), v.to_vec()));
+    fn flat_run_cut_short_fails_the_merge_without_panicking() {
+        // A v1 segment carries no trailer, so a truncated copy opens
+        // and the damage only shows when the merge parses into it —
+        // while opening the stream (cut inside the first record) or
+        // mid-merge. Every cut either falls on a record boundary (the
+        // merge yields the surviving records) or must come back as Err.
+        let ks = DefaultKeySemantics;
+        let victim: Vec<KvPair> = (0..6)
+            .map(|i| pair(&format!("k{i}"), &format!("victim-{i}")))
+            .collect();
+        let healthy = seal(
+            &[pair("k0", "h"), pair("k3x", "h"), pair("k9", "h")],
+            None,
+            true,
+        );
+        let full = seal(&victim, None, false);
+        let record_len = (full.len() - Framing::IFile.file_overhead()) / victim.len();
+        let (mut clean, mut failed) = (0, 0);
+        for cut in Framing::IFile.file_overhead()..full.len() {
+            let sealed = [healthy.clone(), full[..cut].to_vec()];
+            let segments = open_all(&sealed);
+            let merged =
+                BlockMergeStream::new(&segments, &ks).and_then(|mut stream| drain(&mut stream));
+            let body = cut - Framing::IFile.file_overhead();
+            match merged {
+                Ok(records) => {
+                    assert_eq!(body % record_len, 0, "cut {cut} is mid-record yet merged");
+                    assert_eq!(records.len(), 3 + body / record_len);
+                    clean += 1;
+                }
+                Err(e) => {
+                    assert_ne!(body % record_len, 0, "cut {cut} is a boundary: {e}");
+                    failed += 1;
+                }
+            }
         }
-        let expected = merge_sorted_runs(vec![v3_run, flat_run], &DefaultKeySemantics);
-        assert_eq!(out, expected);
+        assert_eq!(clean, victim.len());
+        assert!(failed > clean);
+
+        // A length vint rewritten to overrun the buffer fails the same way.
+        let mut corrupt = full.clone();
+        corrupt[Framing::IFile.file_overhead() + record_len] = 0x7f;
+        let sealed = [healthy, corrupt];
+        let segments = open_all(&sealed);
+        let mut stream = BlockMergeStream::new(&segments, &ks).unwrap();
+        assert!(drain(&mut stream).is_err());
     }
 
     #[test]

@@ -1,24 +1,24 @@
 //! Equivalence properties for the shuffle hot path.
 //!
 //! The engine's arena-backed spill and streaming k-way merge replaced a
-//! materialize-everything reference pipeline (`SortBuffer`,
+//! materialize-everything reference pipeline (owned-pair `sort_by`,
 //! `merge_sorted_runs`, whole-run `sort_split`). These properties pin the
-//! refactor to the reference semantics: byte-identical spill segments,
+//! engine to the reference semantics: byte-identical spill segments,
 //! identical job outputs, and identical record/byte/split counters across
 //! random workloads, spill thresholds, and key semantics (stock keys and
 //! Z-order aggregate keys). The comparison-free sort paths (prefix radix
 //! spill sort, loser-tree merge) are additionally pinned byte-identical
-//! to their retained comparator references (`sort_partition_by_compare`,
-//! `HeapMergeStream`, `merge_sorted_runs`).
+//! to their comparator references (`sort_partition_by_compare`,
+//! `merge_sorted_runs`).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scihadoop::compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
 use scihadoop::mapreduce::{
-    for_each_group, merge_sorted_runs, Counter, Emit, FnMapper, FnReducer, Framing,
-    HeapMergeStream, IFileReader, IFileWriter, InputSplit, Job, JobConfig, KeySemantics, KvPair,
-    MergeStream, RawSegment, SpillArena,
+    for_each_group, merge_sorted_runs, BlockMergeStream, Counter, Emit, FnMapper, FnReducer,
+    Framing, IFileReader, IFileWriter, InputSplit, Job, JobConfig, KeySemantics, KvPair, MergeItem,
+    RawSegment, SpillArena,
 };
 use scihadoop::sfc::CurveRun;
 use std::sync::Arc;
@@ -426,15 +426,18 @@ proptest! {
         prop_assert_eq!(fast_pairs, ref_pairs);
     }
 
-    /// Reduce-side loser-tree merge vs both references: the prefix-keyed
-    /// loser tree must yield exactly the sequence of the retained heap
-    /// stream and of the materializing merge, including tie-break order
-    /// across runs with duplicated keys.
+    /// The engine's one merge vs the materializing reference, over
+    /// flat-only, block-only and mixed fan-ins: `BlockMergeStream` must
+    /// yield exactly `merge_sorted_runs`' sequence — including the
+    /// tie-break toward the lower run id on keys duplicated across runs,
+    /// uneven and empty runs, and v3 block budgets from one record per
+    /// block up — through both `next()` and `next_item()`.
     #[test]
-    fn loser_tree_merge_is_identical_to_heap_and_materializing_merges(
+    fn merge_stream_matches_materializing_merge(
         keys in vec((any::<u8>(), any::<u8>()), 1..200),
         runs in vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..60),
-        num_runs in 1usize..7,
+        deal in vec(0usize..6, 1..40),
+        formats in vec(0usize..4, 6),
         aggregate in any::<bool>(),
     ) {
         let ks: Arc<dyn KeySemantics> = if aggregate {
@@ -447,21 +450,29 @@ proptest! {
         } else {
             plain_splits(&keys, &[vec![9u8]], 1).remove(0)
         };
-        // Deal records round-robin into sorted runs, tagging values so
-        // any cross-run tie-break difference shows up.
+        // Deal records into six runs by a random pattern (so some runs
+        // stay short or empty), tagging values so any cross-run
+        // tie-break difference shows up.
         let codec: Arc<dyn Codec> = Arc::new(IdentityCodec);
-        let mut sorted_runs: Vec<Vec<KvPair>> = (0..num_runs).map(|_| Vec::new()).collect();
+        let mut sorted_runs: Vec<Vec<KvPair>> = (0..6).map(|_| Vec::new()).collect();
         for (i, r) in records.iter().enumerate() {
-            sorted_runs[i % num_runs]
+            sorted_runs[deal[i % deal.len()]]
                 .push(KvPair::new(r.key.clone(), (i as u32).to_be_bytes().to_vec()));
         }
         for run in &mut sorted_runs {
             run.sort_by(|a, b| ks.compare(&a.key, &b.key));
         }
+        // Per run: 0 = flat v2, 1 = flat v1, 2/3 = v3 at a small budget.
         let sealed: Vec<Vec<u8>> = sorted_runs
             .iter()
-            .map(|run| {
-                let mut w = IFileWriter::new(Framing::IFile, codec.clone());
+            .zip(&formats)
+            .map(|(run, &format)| {
+                let mut w = match format {
+                    0 => IFileWriter::new(Framing::IFile, codec.clone()),
+                    1 => IFileWriter::without_trailer(Framing::IFile, codec.clone()),
+                    2 => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 1),
+                    _ => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 96),
+                };
                 for p in run {
                     w.append_pair(p);
                 }
@@ -472,19 +483,24 @@ proptest! {
             .iter()
             .map(|s| RawSegment::open(s, codec.as_ref()).expect("segment reads back"))
             .collect();
-        let mut tree = MergeStream::new(&segments, ks.as_ref()).expect("merge opens");
-        let mut tree_out = Vec::new();
-        while let Some((k, v)) = tree.next().expect("merge streams") {
-            tree_out.push(KvPair::new(k.to_vec(), v.to_vec()));
+        let mut by_record = Vec::new();
+        let mut stream = BlockMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
+        while let Some((k, v)) = stream.next().expect("merge streams") {
+            by_record.push(KvPair::new(k.to_vec(), v.to_vec()));
         }
-        let mut heap = HeapMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
-        let mut heap_out = Vec::new();
-        while let Some((k, v)) = heap.next().expect("merge streams") {
-            heap_out.push(KvPair::new(k.to_vec(), v.to_vec()));
+        let mut by_item = Vec::new();
+        let mut stream = BlockMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
+        while let Some(item) = stream.next_item().expect("merge streams") {
+            match item {
+                MergeItem::Record(k, v) => by_item.push(KvPair::new(k.to_vec(), v.to_vec())),
+                MergeItem::Block(blk) => blk
+                    .for_each_record(|k, v| by_item.push(KvPair::new(k.to_vec(), v.to_vec())))
+                    .expect("spliced block decodes"),
+            }
         }
         let materialized = merge_sorted_runs(sorted_runs, ks.as_ref());
-        prop_assert_eq!(&tree_out, &materialized, "loser tree vs materializing merge");
-        prop_assert_eq!(&heap_out, &materialized, "heap stream vs materializing merge");
+        prop_assert_eq!(&by_record, &materialized, "next() vs materializing merge");
+        prop_assert_eq!(&by_item, &materialized, "next_item() vs materializing merge");
     }
 
     /// Whole pipeline, Z-order aggregate keys: route splits, overlap
