@@ -10,6 +10,27 @@ pub fn grid_key_stream(n: u32) -> Vec<u8> {
     RowMajorWalker::cube(n, 3).key_stream_be()
 }
 
+/// The shape of a sliding-median map-output segment: 18-byte records —
+/// two length bytes, a 12-byte key (variable index and two coordinates
+/// that change slowly) and a 4-byte value below 1,000,000 that does not
+/// repeat. No stride predicts the value bytes, so the stride detector
+/// spends the stream with no stride or one stride active.
+pub fn median_record_stream(records: usize) -> Vec<u8> {
+    let mut data = Vec::with_capacity(records * 18);
+    let mut state = 7u64;
+    for r in 0..records as u32 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let value = (state >> 33) as u32 % 1_000_000;
+        data.extend_from_slice(&[12, 4, 0, 0, 0, 0]);
+        data.extend_from_slice(&(r / 1536).to_be_bytes());
+        data.extend_from_slice(&(r / 3 % 512).to_be_bytes());
+        data.extend_from_slice(&value.to_be_bytes());
+    }
+    data
+}
+
 /// The §I / Fig. 8 dataset: an n³ grid of integers.
 pub fn int_cube(n: u32, seed: u64) -> Variable {
     Variable::random_i32("grid", Shape::cube(n, 3), 1_000_000, seed).expect("valid shape")
@@ -61,6 +82,7 @@ mod tests {
     #[test]
     fn key_stream_size_matches_fig3() {
         assert_eq!(grid_key_stream(10).len(), 12_000);
+        assert_eq!(median_record_stream(100).len(), 1_800);
         // The paper's full size: 100³ × 12 = 12,000,000 (too big for a
         // unit test to build twice, checked arithmetically).
         assert_eq!(100u64 * 100 * 100 * 12, 12_000_000);

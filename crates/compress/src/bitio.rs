@@ -6,6 +6,7 @@ use crate::error::CompressError;
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
+    /// Pending bits; fewer than 8 between calls.
     acc: u64,
     nbits: u32,
 }
@@ -16,24 +17,28 @@ impl BitWriter {
         BitWriter::default()
     }
 
-    /// Append the low `n` bits of `bits` (LSB emitted first). `n <= 57`.
-    pub fn write_bits(&mut self, bits: u64, n: u32) {
-        debug_assert!(n <= 57, "write_bits limited to 57 bits per call");
-        debug_assert!(n == 64 || bits >> n == 0, "value wider than bit count");
-        self.acc |= bits << self.nbits;
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+    /// An empty writer with room for `bytes` output bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            out: Vec::with_capacity(bytes),
+            ..BitWriter::default()
         }
     }
 
-    /// Append a Huffman code given MSB-first (codes are conventionally
-    /// built MSB-first; DEFLATE streams them bit-reversed).
-    pub fn write_code_msb(&mut self, code: u32, len: u32) {
-        let rev = (code.reverse_bits()) >> (32 - len);
-        self.write_bits(rev as u64, len);
+    /// Append the low `n` bits of `bits` (LSB emitted first). `n <= 56`.
+    #[inline]
+    pub fn write_bits(&mut self, bits: u64, n: u32) {
+        debug_assert!(n <= 56, "write_bits limited to 56 bits per call");
+        debug_assert!(bits >> n == 0, "value wider than bit count");
+        self.acc |= bits << self.nbits;
+        self.nbits += n;
+        // Store the whole accumulator as one word and keep only the
+        // complete bytes: no per-byte loop, one capacity check.
+        let whole = self.nbits / 8;
+        self.out.extend_from_slice(&self.acc.to_le_bytes());
+        self.out.truncate(self.out.len() - 8 + whole as usize);
+        self.acc >>= 8 * whole;
+        self.nbits %= 8;
     }
 
     /// Pad to a byte boundary with zero bits.
@@ -62,6 +67,8 @@ impl BitWriter {
 pub struct BitReader<'a> {
     data: &'a [u8],
     pos: usize,
+    /// The low `nbits` bits are unread input. Bits above them are zero
+    /// or a preview of the input after `pos`; no caller may rely on them.
     acc: u64,
     nbits: u32,
 }
@@ -77,34 +84,56 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top the accumulator up to at least 56 bits (fewer only when the
+    /// input ends): one unaligned 8-byte load while 8 bytes remain.
+    #[inline]
     fn refill(&mut self) {
-        while self.nbits <= 56 && self.pos < self.data.len() {
-            self.acc |= (self.data[self.pos] as u64) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word << self.nbits;
+            let bytes = (63 - self.nbits) / 8;
+            self.pos += bytes as usize;
+            self.nbits += 8 * bytes;
+        } else {
+            while self.nbits <= 56 && self.pos < self.data.len() {
+                self.acc |= (self.data[self.pos] as u64) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
         }
     }
 
-    /// Read `n` bits (`n <= 57`), LSB-first.
-    pub fn read_bits(&mut self, n: u32) -> Result<u64, CompressError> {
-        debug_assert!(n <= 57);
+    /// Refill and return the accumulator without consuming anything:
+    /// the next bits of the stream, LSB-first. At least 56 of them are
+    /// input unless the input ends sooner; [`consume`](Self::consume)
+    /// is what checks that the bits a caller used really existed.
+    #[inline]
+    pub fn peek(&mut self) -> u64 {
         self.refill();
+        self.acc
+    }
+
+    /// Drop `n` bits of the last [`peek`](Self::peek).
+    #[inline]
+    pub fn consume(&mut self, n: u32) -> Result<(), CompressError> {
         if self.nbits < n {
             return Err(CompressError::Truncated(format!(
                 "wanted {n} bits, {} left",
                 self.nbits
             )));
         }
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let v = self.acc & mask;
         self.acc >>= n;
         self.nbits -= n;
-        Ok(v)
+        Ok(())
     }
 
-    /// Read one bit.
-    pub fn read_bit(&mut self) -> Result<u32, CompressError> {
-        Ok(self.read_bits(1)? as u32)
+    /// Read `n` bits (`n <= 56`), LSB-first.
+    #[inline]
+    pub fn read_bits(&mut self, n: u32) -> Result<u64, CompressError> {
+        debug_assert!(n <= 56);
+        let v = self.peek() & ((1u64 << n) - 1);
+        self.consume(n)?;
+        Ok(v)
     }
 
     /// Discard bits up to the next byte boundary.
@@ -148,15 +177,6 @@ mod tests {
         w.write_bits(0b11, 2); // bits 1-2
         let bytes = w.finish();
         assert_eq!(bytes, vec![0b0000_0111]);
-    }
-
-    #[test]
-    fn code_msb_is_bit_reversed() {
-        let mut w = BitWriter::new();
-        // Code 0b110 (MSB-first) must appear as 0b011 LSB-first.
-        w.write_code_msb(0b110, 3);
-        let bytes = w.finish();
-        assert_eq!(bytes, vec![0b0000_0011]);
     }
 
     #[test]

@@ -10,13 +10,16 @@
 use crate::bitio::{BitReader, BitWriter};
 use crate::bwt::{bwt_decode, bwt_encode};
 use crate::checksum::crc32;
-use crate::codec::Codec;
+use crate::codec::{Codec, PREALLOC_CAP};
 use crate::error::CompressError;
 use crate::huffman::{build_lengths, read_lengths, write_lengths, Decoder, Encoder, MAX_CODE_LEN};
 use crate::mtf::{mtf_decode, mtf_encode};
 use crate::rle::{rle1_decode, rle1_encode, zrle_decode, zrle_encode, SYM_EOB, ZRLE_ALPHABET};
 
 const MAGIC: &[u8; 4] = b"SBZ1";
+/// The largest block any level writes (level 9), hence the largest a
+/// decoder has to believe.
+const MAX_BLOCK_SIZE: usize = 900_000;
 
 /// Bzip-style codec.
 #[derive(Debug, Clone)]
@@ -101,14 +104,14 @@ impl Codec for BzipCodec {
                 "{nblocks} blocks for {rled_len} rle bytes"
             )));
         }
-        let mut rled = Vec::with_capacity(rled_len);
+        let mut rled = Vec::with_capacity(rled_len.min(PREALLOC_CAP));
         for _ in 0..nblocks {
             let block_len = r.read_bits(32)? as usize;
             let primary = r.read_bits(32)? as u32;
             if block_len == 0 {
                 continue;
             }
-            if block_len > rled_len {
+            if block_len > rled_len.min(MAX_BLOCK_SIZE) {
                 return Err(CompressError::Corrupt("block longer than stream".into()));
             }
             let lengths = read_lengths(&mut r)?;
@@ -116,7 +119,7 @@ impl Codec for BzipCodec {
                 return Err(CompressError::Corrupt("bad zrle alphabet size".into()));
             }
             let dec = Decoder::from_lengths(&lengths)?;
-            let mut symbols = Vec::with_capacity(block_len);
+            let mut symbols = Vec::with_capacity(block_len.min(PREALLOC_CAP));
             loop {
                 let s = dec.decode(&mut r)? as u16;
                 let done = s == SYM_EOB;
@@ -128,7 +131,7 @@ impl Codec for BzipCodec {
                     return Err(CompressError::Corrupt("runaway block".into()));
                 }
             }
-            let mtfed = zrle_decode(&symbols)?;
+            let mtfed = zrle_decode(&symbols, block_len)?;
             if mtfed.len() != block_len {
                 return Err(CompressError::Corrupt(format!(
                     "block decoded to {} of {block_len} bytes",

@@ -29,6 +29,11 @@ pub trait Codec: Send + Sync {
 /// A shared, dynamically-typed codec handle.
 pub type CodecHandle = Arc<dyn Codec>;
 
+/// Cap on the output a decoder preallocates on a header's say-so: a
+/// forged length must not size an allocation, so anything larger grows
+/// as decoded bytes demand.
+pub(crate) const PREALLOC_CAP: usize = 1 << 20;
+
 /// The identity codec: no compression (Hadoop with compression disabled —
 /// the paper's baseline configuration).
 #[derive(Debug, Clone, Default)]
@@ -96,7 +101,6 @@ impl Codec for RleCodec {
                 body.len() / 2
             )));
         }
-        const PREALLOC_CAP: usize = 1 << 20;
         let mut out = Vec::with_capacity(orig_len.min(PREALLOC_CAP));
         for pair in body.chunks_exact(2) {
             let (run, b) = (pair[0] as usize, pair[1]);

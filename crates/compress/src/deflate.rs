@@ -7,7 +7,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::checksum::crc32;
-use crate::codec::Codec;
+use crate::codec::{Codec, PREALLOC_CAP};
 use crate::error::CompressError;
 use crate::huffman::{build_lengths, read_lengths, write_lengths, Decoder, Encoder, MAX_CODE_LEN};
 use crate::lz77::{tokenize, Token, MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
@@ -24,6 +24,8 @@ const EOB: usize = 256;
 const NUM_LITLEN: usize = 286;
 /// Size of the distance alphabet (DEFLATE's 30).
 const NUM_DIST: usize = 30;
+/// Marks a packed token as a match (see `compress`).
+const MATCH: u32 = 1 << 31;
 
 /// (base length, extra bits) for length codes 257..=285.
 const LENGTH_TABLE: [(u16, u8); 29] = [
@@ -203,22 +205,32 @@ impl Codec for DeflateCodec {
     }
 
     fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let tokens = tokenize(input, self.max_chain);
-
-        // Gather symbol frequencies.
-        let mut lit_freq = vec![0u64; NUM_LITLEN];
-        let mut dist_freq = vec![0u64; NUM_DIST];
-        for t in &tokens {
-            match *t {
-                Token::Literal(b) => lit_freq[b as usize] += 1,
-                Token::Match { len, dist } => {
-                    let (lc, _, _) = length_code(len as usize);
-                    let (dc, _, _) = dist_code(dist as usize);
-                    lit_freq[lc] += 1;
-                    dist_freq[dc] += 1;
-                }
+        // One pass finds the tokens, packs each into a word — a literal
+        // is its byte; a match is `MATCH | dist extra << 15 | dist code
+        // << 10 | length extra << 5 | length code` — and counts the
+        // symbol frequencies the Huffman tables need.
+        let mut tokens: Vec<u32> = Vec::with_capacity(input.len() / 2 + 16);
+        let mut lit_freq = [0u64; NUM_LITLEN];
+        let mut dist_freq = [0u64; NUM_DIST];
+        tokenize(input, self.max_chain, |t| match t {
+            Token::Literal(b) => {
+                lit_freq[b as usize] += 1;
+                tokens.push(b as u32);
             }
-        }
+            Token::Match { len, dist } => {
+                let (lc, lextra, _) = length_code(len as usize);
+                let (dc, dextra, _) = dist_code(dist as usize);
+                lit_freq[lc] += 1;
+                dist_freq[dc] += 1;
+                tokens.push(
+                    MATCH
+                        | (dextra as u32) << 15
+                        | (dc as u32) << 10
+                        | (lextra as u32) << 5
+                        | (lc - 257) as u32,
+                );
+            }
+        });
         lit_freq[EOB] += 1;
 
         let lit_lengths = build_lengths(&lit_freq, MAX_CODE_LEN);
@@ -231,25 +243,26 @@ impl Codec for DeflateCodec {
         out.extend_from_slice(&(input.len() as u64).to_le_bytes());
         out.extend_from_slice(&crc32(input).to_le_bytes());
 
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(input.len() / 3 + 64);
         write_lengths(&mut w, &lit_lengths);
         write_lengths(&mut w, &dist_lengths);
-        for t in &tokens {
-            match *t {
-                Token::Literal(b) => lit_enc.encode(&mut w, b as usize),
-                Token::Match { len, dist } => {
-                    let (lc, lextra, lbits) = length_code(len as usize);
-                    lit_enc.encode(&mut w, lc);
-                    if lbits > 0 {
-                        w.write_bits(lextra as u64, lbits as u32);
-                    }
-                    let (dc, dextra, dbits) = dist_code(dist as usize);
-                    dist_enc.encode(&mut w, dc);
-                    if dbits > 0 {
-                        w.write_bits(dextra as u64, dbits as u32);
-                    }
-                }
+        for &t in &tokens {
+            if t & MATCH == 0 {
+                lit_enc.encode(&mut w, t as usize);
+                continue;
             }
+            // Length code, its extra bits, distance code, its extra bits:
+            // at most 15 + 5 + 15 + 13 bits, one write.
+            let (lc, dc) = ((t & 31) as usize, (t >> 10 & 31) as usize);
+            let (mut bits, mut n) = lit_enc.code(257 + lc);
+            bits |= (t as u64 >> 5 & 31) << n;
+            n += LENGTH_TABLE[lc].1 as u32;
+            let (dbits, dn) = dist_enc.code(dc);
+            bits |= dbits << n;
+            n += dn;
+            bits |= (t as u64 >> 15 & 0x1FFF) << n;
+            n += DIST_TABLE[dc].1 as u32;
+            w.write_bits(bits, n);
         }
         lit_enc.encode(&mut w, EOB);
         let body = w.finish();
@@ -269,89 +282,36 @@ impl Codec for DeflateCodec {
         if input.len() < 16 || &input[..4] != MAGIC {
             return Err(CompressError::BadMagic { expected: "SDZ1" });
         }
-        let orig_len = u64::from_le_bytes(input[4..12].try_into().unwrap()) as usize;
+        let declared = u64::from_le_bytes(input[4..12].try_into().unwrap());
         let stored_crc = u32::from_le_bytes(input[12..16].try_into().unwrap());
         let mode = *input
             .get(16)
             .ok_or_else(|| CompressError::Truncated("mode byte".into()))?;
-        if mode == MODE_STORED {
-            let body = &input[17..];
-            if body.len() != orig_len {
+        let body = &input[17..];
+        // A match symbol and its distance symbol take at least one bit
+        // each and yield at most MAX_MATCH bytes: a header that declares
+        // more than that is corrupt, and is caught before it sizes any
+        // allocation.
+        let orig_len = usize::try_from(declared)
+            .ok()
+            .filter(|&n| n <= body.len().saturating_mul(4 * MAX_MATCH))
+            .ok_or_else(|| {
+                CompressError::Corrupt(format!(
+                    "declared size {declared} exceeds what {} body bytes can hold",
+                    body.len()
+                ))
+            })?;
+        let out = match mode {
+            MODE_STORED if body.len() == orig_len => body.to_vec(),
+            MODE_STORED => {
                 return Err(CompressError::Corrupt(format!(
                     "stored block is {} of declared {orig_len} bytes",
                     body.len()
-                )));
+                )))
             }
-            let computed = crc32(body);
-            if computed != stored_crc {
-                return Err(CompressError::ChecksumMismatch {
-                    stored: stored_crc,
-                    computed,
-                });
-            }
-            return Ok(body.to_vec());
-        }
-        if mode != MODE_HUFFMAN {
-            return Err(CompressError::Corrupt(format!("unknown block mode {mode}")));
-        }
-
-        let mut r = BitReader::new(&input[17..]);
-        let lit_lengths = read_lengths(&mut r)?;
-        let dist_lengths = read_lengths(&mut r)?;
-        if lit_lengths.len() != NUM_LITLEN || dist_lengths.len() != NUM_DIST {
-            return Err(CompressError::Corrupt("bad alphabet sizes".into()));
-        }
-        let lit_dec = Decoder::from_lengths(&lit_lengths)?;
-        let dist_dec = if dist_lengths.iter().any(|&l| l > 0) {
-            Some(Decoder::from_lengths(&dist_lengths)?)
-        } else {
-            None
+            MODE_HUFFMAN => inflate(body, orig_len)?,
+            _ => return Err(CompressError::Corrupt(format!("unknown block mode {mode}"))),
         };
-
-        let mut out = Vec::with_capacity(orig_len);
-        loop {
-            let sym = lit_dec.decode(&mut r)?;
-            match sym {
-                0..=255 => out.push(sym as u8),
-                256 => break,
-                257..=285 => {
-                    let (base, extra) = LENGTH_TABLE[sym - 257];
-                    let len = base as usize + r.read_bits(extra as u32)? as usize;
-                    let dd = dist_dec
-                        .as_ref()
-                        .ok_or_else(|| CompressError::Corrupt("match without distances".into()))?;
-                    let dc = dd.decode(&mut r)?;
-                    if dc >= NUM_DIST {
-                        return Err(CompressError::Corrupt("bad distance code".into()));
-                    }
-                    let (dbase, dextra) = DIST_TABLE[dc];
-                    let dist = dbase as usize + r.read_bits(dextra as u32)? as usize;
-                    if dist == 0 || dist > out.len() {
-                        return Err(CompressError::Corrupt(format!(
-                            "distance {dist} exceeds output {}",
-                            out.len()
-                        )));
-                    }
-                    let start = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
-                    }
-                }
-                _ => return Err(CompressError::Corrupt(format!("bad symbol {sym}"))),
-            }
-            if out.len() > orig_len {
-                return Err(CompressError::Corrupt(
-                    "output exceeds declared size".into(),
-                ));
-            }
-        }
-        if out.len() != orig_len {
-            return Err(CompressError::Corrupt(format!(
-                "size mismatch: declared {orig_len}, produced {}",
-                out.len()
-            )));
-        }
         let computed = crc32(&out);
         if computed != stored_crc {
             return Err(CompressError::ChecksumMismatch {
@@ -361,6 +321,124 @@ impl Codec for DeflateCodec {
         }
         Ok(out)
     }
+}
+
+/// Bytes a match copy may write past the match's end (it moves whole
+/// 8-byte words); the output buffer keeps that much room behind
+/// `orig_len`.
+const COPY_SLACK: usize = 8;
+
+/// Copy `len` bytes from `dist` bytes behind `pos` to `pos`, LZ77-style:
+/// the source may overlap the destination (`dist < len`), in which case
+/// the bytes just written are read again.
+#[inline]
+fn copy_match(out: &mut [u8], pos: usize, dist: usize, len: usize) {
+    let start = pos - dist;
+    if dist >= 8 {
+        // Word by word; a word never overlaps its own destination, and
+        // what it writes past `len` is overwritten or cut off later.
+        let (mut from, mut to) = (start, pos);
+        while to < pos + len {
+            let word: [u8; 8] = out[from..from + 8].try_into().expect("8-byte slice");
+            out[to..to + 8].copy_from_slice(&word);
+            from += 8;
+            to += 8;
+        }
+    } else if dist == 1 {
+        let b = out[start];
+        out[pos..pos + len].fill(b);
+    } else {
+        for k in 0..len {
+            out[pos + k] = out[start + k];
+        }
+    }
+}
+
+/// Decode a Huffman-mode body that must produce exactly `orig_len` bytes.
+fn inflate(body: &[u8], orig_len: usize) -> Result<Vec<u8>, CompressError> {
+    let mut r = BitReader::new(body);
+    let lit_lengths = read_lengths(&mut r)?;
+    let dist_lengths = read_lengths(&mut r)?;
+    if lit_lengths.len() != NUM_LITLEN || dist_lengths.len() != NUM_DIST {
+        return Err(CompressError::Corrupt("bad alphabet sizes".into()));
+    }
+    let lit_dec = Decoder::from_lengths(&lit_lengths)?;
+    let dist_dec = if dist_lengths.iter().any(|&l| l > 0) {
+        Some(Decoder::from_lengths(&dist_lengths)?)
+    } else {
+        None
+    };
+    let invalid = || CompressError::Corrupt("invalid huffman code".into());
+    let overrun = || CompressError::Corrupt("output exceeds declared size".into());
+
+    // Sized once for every honest stream; one that declares more than
+    // PREALLOC_CAP grows as decoded bytes — not the header — demand.
+    let room = MAX_MATCH + COPY_SLACK;
+    let mut out = vec![0u8; orig_len.min(PREALLOC_CAP) + room];
+    let mut pos = 0usize;
+    loop {
+        if out.len() - pos < room {
+            let grown = (2 * out.len()).min(orig_len + room);
+            out.resize(grown, 0);
+        }
+        // One refill serves a whole literal/length symbol, its extra
+        // bits, the distance symbol and its extra bits (≤ 48 bits);
+        // `consume` then checks that many bits really were input.
+        let mut bits = r.peek();
+        let (sym, n) = lit_dec.lookup(bits);
+        if n == 0 {
+            return Err(invalid());
+        }
+        if sym < EOB {
+            r.consume(n)?;
+            if pos == orig_len {
+                return Err(overrun());
+            }
+            out[pos] = sym as u8;
+            pos += 1;
+            continue;
+        }
+        if sym == EOB {
+            r.consume(n)?;
+            break;
+        }
+        let &(base, extra) = LENGTH_TABLE
+            .get(sym - 257)
+            .ok_or_else(|| CompressError::Corrupt(format!("bad symbol {sym}")))?;
+        bits >>= n;
+        let len = base as usize + (bits & ((1 << extra) - 1)) as usize;
+        bits >>= extra;
+        let dd = dist_dec
+            .as_ref()
+            .ok_or_else(|| CompressError::Corrupt("match without distances".into()))?;
+        let (dc, dn) = dd.lookup(bits);
+        if dn == 0 {
+            return Err(invalid());
+        }
+        let &(dbase, dextra) = DIST_TABLE
+            .get(dc)
+            .ok_or_else(|| CompressError::Corrupt("bad distance code".into()))?;
+        bits >>= dn;
+        let dist = dbase as usize + (bits & ((1 << dextra) - 1)) as usize;
+        r.consume(n + extra as u32 + dn + dextra as u32)?;
+        if dist > pos {
+            return Err(CompressError::Corrupt(format!(
+                "distance {dist} exceeds output {pos}"
+            )));
+        }
+        if len > orig_len - pos {
+            return Err(overrun());
+        }
+        copy_match(&mut out, pos, dist, len);
+        pos += len;
+    }
+    if pos != orig_len {
+        return Err(CompressError::Corrupt(format!(
+            "size mismatch: declared {orig_len}, produced {pos}"
+        )));
+    }
+    out.truncate(pos);
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -124,42 +124,62 @@ pub fn canonical_codes(lengths: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// An encoder: symbol → (code, length).
+/// An encoder: symbol → code, stored the way the stream wants it.
 #[derive(Debug, Clone)]
 pub struct Encoder {
+    /// Per symbol, the code bit-reversed (codes are built MSB-first;
+    /// DEFLATE streams them LSB-first) in the low 16 bits and its length
+    /// above them.
     codes: Vec<u32>,
-    lengths: Vec<u32>,
 }
 
 impl Encoder {
     /// Build an encoder from code lengths.
     pub fn from_lengths(lengths: &[u32]) -> Self {
-        Encoder {
-            codes: canonical_codes(lengths),
-            lengths: lengths.to_vec(),
-        }
+        let codes = canonical_codes(lengths)
+            .iter()
+            .zip(lengths)
+            .map(|(&code, &len)| match len {
+                0 => 0,
+                _ => (code.reverse_bits() >> (32 - len)) | (len << 16),
+            })
+            .collect();
+        Encoder { codes }
+    }
+
+    /// The bits to stream for `symbol` and how many they are.
+    #[inline]
+    pub fn code(&self, symbol: usize) -> (u64, u32) {
+        let packed = self.codes[symbol];
+        debug_assert!(packed != 0, "symbol {symbol} has no code");
+        ((packed & 0xFFFF) as u64, packed >> 16)
     }
 
     /// Emit the code for `symbol`.
+    #[inline]
     pub fn encode(&self, w: &mut BitWriter, symbol: usize) {
-        let len = self.lengths[symbol];
-        debug_assert!(len > 0, "symbol {symbol} has no code");
-        w.write_code_msb(self.codes[symbol], len);
-    }
-
-    /// Code length of `symbol` (0 = absent).
-    pub fn length(&self, symbol: usize) -> u32 {
-        self.lengths[symbol]
+        let (bits, len) = self.code(symbol);
+        w.write_bits(bits, len);
     }
 }
 
-/// A table-driven decoder for canonical codes.
+/// Width of the decoder's first-level table: codes this short (all of
+/// them, for most tables) resolve in one probe.
+const PRIMARY_BITS: u32 = 10;
+/// Marks a first-level entry that points at a second-level table.
+const LINK: u32 = 1 << 31;
+
+/// A two-level table decoder for canonical codes.
 #[derive(Debug, Clone)]
 pub struct Decoder {
-    /// Flat lookup indexed by the next `table_bits` LSB-first bits:
-    /// (symbol, code length).
-    table: Vec<(u16, u8)>,
-    table_bits: u32,
+    /// Entries are `symbol << 4 | code length`; 0 means no code has this
+    /// prefix. The first `1 << primary_bits` entries are indexed by the
+    /// next bits of the stream; where longer codes share that prefix the
+    /// entry is `LINK | offset` of a `1 << sub_bits` table indexed by the
+    /// bits after it.
+    table: Vec<u32>,
+    primary_bits: u32,
+    sub_bits: u32,
 }
 
 impl Decoder {
@@ -187,43 +207,69 @@ impl Decoder {
         if kraft > 1u64 << max {
             return Err(CompressError::BadHuffmanTable("over-subscribed".into()));
         }
-        let codes = canonical_codes(lengths);
-        let mut table = vec![(u16::MAX, 0u8); 1usize << max];
-        for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
+        let primary_bits = max.min(PRIMARY_BITS);
+        let sub_bits = max - primary_bits;
+        let mut table = vec![0u32; 1 << primary_bits];
+        for (sym, (&len, &code)) in lengths.iter().zip(&canonical_codes(lengths)).enumerate() {
             if len == 0 {
                 continue;
             }
-            // The writer streams codes MSB-first via bit reversal, so the
-            // reader sees the reversed code in its low bits.
-            let rev = (code.reverse_bits()) >> (32 - len);
-            let step = 1usize << len;
-            let mut idx = rev as usize;
-            while idx < table.len() {
-                table[idx] = (sym as u16, len as u8);
-                idx += step;
+            // The writer streams codes bit-reversed, so the reader sees
+            // the reversed code in its low bits.
+            let rev = (code.reverse_bits() >> (32 - len)) as usize;
+            let entry = (sym as u32) << 4 | len;
+            // A code owns every index whose low `len` bits equal it.
+            let (base, end, step) = if len <= primary_bits {
+                (rev, 1 << primary_bits, 1 << len)
+            } else {
+                let prefix = rev & ((1 << primary_bits) - 1);
+                if table[prefix] == 0 {
+                    table[prefix] = LINK | table.len() as u32;
+                    table.resize(table.len() + (1 << sub_bits), 0);
+                }
+                // Codes are prefix-free (canonical, Kraft ≤ 1), so a
+                // long code's prefix is never a short code's entry.
+                debug_assert!(table[prefix] & LINK != 0);
+                let sub = (table[prefix] & !LINK) as usize;
+                (
+                    sub + (rev >> primary_bits),
+                    sub + (1 << sub_bits),
+                    1 << (len - primary_bits),
+                )
+            };
+            for slot in table[..end][base..].iter_mut().step_by(step) {
+                *slot = entry;
             }
         }
         Ok(Decoder {
             table,
-            table_bits: max,
+            primary_bits,
+            sub_bits,
         })
     }
 
-    /// Decode one symbol, consuming exactly its code length in bits.
-    ///
-    /// Codes are prefix-free, so at any full-width table index exactly one
-    /// code matches; accumulating bits LSB-first and checking the table
-    /// entry's length after each bit finds it without over-reading.
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize, CompressError> {
-        let mut acc: usize = 0;
-        for bit_no in 0..self.table_bits {
-            acc |= (r.read_bit()? as usize) << bit_no;
-            let (sym, len) = self.table[acc];
-            if sym != u16::MAX && len as u32 == bit_no + 1 {
-                return Ok(sym as usize);
-            }
+    /// The symbol whose code starts `bits` (LSB-first, as
+    /// [`BitReader::peek`] returns them) and that code's length; length 0
+    /// when no code does.
+    #[inline]
+    pub fn lookup(&self, bits: u64) -> (usize, u32) {
+        let mut entry = self.table[(bits & ((1 << self.primary_bits) - 1)) as usize];
+        if entry & LINK != 0 {
+            let sub = (bits >> self.primary_bits) & ((1 << self.sub_bits) - 1);
+            entry = self.table[(entry & !LINK) as usize + sub as usize];
         }
-        Err(CompressError::Corrupt("invalid huffman code".into()))
+        ((entry >> 4) as usize, entry & 0xF)
+    }
+
+    /// Decode one symbol, consuming exactly its code length in bits.
+    #[inline]
+    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize, CompressError> {
+        let (sym, len) = self.lookup(r.peek());
+        if len == 0 {
+            return Err(CompressError::Corrupt("invalid huffman code".into()));
+        }
+        r.consume(len)?;
+        Ok(sym)
     }
 }
 
@@ -264,6 +310,28 @@ mod tests {
         for &s in stream {
             assert_eq!(dec.decode(&mut r).unwrap(), s);
         }
+    }
+
+    #[test]
+    fn codes_are_streamed_bit_reversed() {
+        // Lengths [2, 2, 2, 3, 3] give symbol 3 the canonical code 0b110,
+        // which must appear as 0b011 LSB-first.
+        let enc = Encoder::from_lengths(&[2, 2, 2, 3, 3]);
+        assert_eq!(enc.code(3), (0b011, 3));
+        let mut w = BitWriter::new();
+        enc.encode(&mut w, 3);
+        assert_eq!(w.finish(), vec![0b0000_0011]);
+    }
+
+    #[test]
+    fn long_codes_resolve_through_the_second_level() {
+        // Fibonacci-like frequencies force a 15-bit-deep tree, so the
+        // rare symbols' codes are longer than the first-level table.
+        let freqs: Vec<u64> = (0..24).map(|i| 1u64 << i).collect();
+        let lengths = build_lengths(&freqs, MAX_CODE_LEN);
+        assert_eq!(lengths.iter().copied().max(), Some(MAX_CODE_LEN));
+        let stream: Vec<usize> = (0..24).chain((0..24).rev()).collect();
+        roundtrip_symbols(&freqs, &stream);
     }
 
     #[test]

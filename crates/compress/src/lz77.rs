@@ -26,183 +26,211 @@ const HASH_SIZE: usize = 1 << HASH_BITS;
 
 #[inline]
 fn hash3(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], 0]);
+    // One unaligned load; only the last position of the input falls back
+    // to three.
+    let v = match data.get(i..i + 4) {
+        Some(w) => u32::from_le_bytes(w.try_into().expect("4-byte slice")) & 0x00FF_FFFF,
+        None => u32::from_le_bytes([data[i], data[i + 1], data[i + 2], 0]),
+    };
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
 }
 
-/// Length of the common prefix of `data[cand..]` and `data[i..]`, capped
-/// at `max_len`. Compares eight bytes per step (the first differing byte
-/// falls out of the XOR's trailing zeros), then finishes byte-wise — the
-/// result is exactly what the scalar loop would produce, so the token
-/// stream (and therefore compressed size) is unchanged.
+/// Length of the common prefix of two equally long slices. Compares
+/// eight bytes per step (the first differing byte falls out of the XOR's
+/// trailing zeros), then finishes byte-wise — exactly what the scalar
+/// loop would produce.
 #[inline]
-fn match_len(data: &[u8], cand: usize, i: usize, max_len: usize) -> usize {
-    debug_assert!(cand < i);
+fn match_len(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
     let mut l = 0usize;
-    // `cand + l + 8 <= cand + max_len <= cand + (data.len() - i) <=
-    // data.len()` because `cand < i`, so both slices stay in bounds.
-    while l + 8 <= max_len {
-        let a = u64::from_le_bytes(data[cand + l..cand + l + 8].try_into().unwrap());
-        let b = u64::from_le_bytes(data[i + l..i + l + 8].try_into().unwrap());
-        let x = a ^ b;
-        if x != 0 {
-            return l + (x.trailing_zeros() / 8) as usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if x != y {
+            return l + ((x ^ y).trailing_zeros() / 8) as usize;
         }
         l += 8;
     }
-    while l < max_len && data[cand + l] == data[i + l] {
+    while l < a.len() && a[l] == b[l] {
         l += 1;
     }
     l
 }
 
-/// Tokenize `data` greedily with lazy matching (one-step lookahead, like
-/// zlib's default strategy).
-pub fn tokenize(data: &[u8], max_chain: usize) -> Vec<Token> {
-    let n = data.len();
-    let mut tokens = Vec::with_capacity(n / 2 + 16);
-    if n < MIN_MATCH {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+/// zlib's hash chains over the whole input. `head[h]` is the most recent
+/// position with hash `h`, stored as `position + FAR` modulo 2³²: the
+/// zero a table starts with then reads as "further back than the
+/// window", and `FAR` being a multiple of the window, the sum still ends
+/// in the position's slot. (The modulus only matters past 4 GiB, where a
+/// chain may end early or start at a stale position, but every candidate
+/// is still compared byte for byte.) `prev[i % WINDOW_SIZE]` is the slot
+/// of the previous position with `i`'s hash, or `END` when there is none
+/// within the window: following a chain is one dependent load per step,
+/// and the distance is summed beside it.
+struct HashChains<'a> {
+    data: &'a [u8],
+    head: Vec<u32>,
+    prev: Vec<u16>,
+    max_chain: usize,
+}
+
+const FAR: u32 = 2 * WINDOW_SIZE as u32;
+const END: u16 = u16::MAX;
+
+impl HashChains<'_> {
+    /// Link positions `from..to` into their chains, as far as they have
+    /// three bytes to hash.
+    #[inline]
+    fn insert(&mut self, from: usize, to: usize) {
+        let to = to.min(self.data.len().saturating_sub(MIN_MATCH - 1));
+        for i in from..to {
+            let here = (i as u32).wrapping_add(FAR);
+            let head = &mut self.head[hash3(self.data, i)];
+            self.prev[i % WINDOW_SIZE] = match here.wrapping_sub(*head) as usize {
+                1..=WINDOW_SIZE => (*head as usize % WINDOW_SIZE) as u16,
+                _ => END,
+            };
+            *head = here;
+        }
     }
 
-    // head[h] = most recent position with hash h; prev[i & mask] = previous
-    // position in the chain.
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW_SIZE];
-    let insert = |head: &mut [usize], prev: &mut [usize], data: &[u8], i: usize| {
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
-            prev[i % WINDOW_SIZE] = head[h];
-            head[h] = i;
-        }
-    };
-    let find = |head: &[usize], prev: &[usize], data: &[u8], i: usize| -> Option<(usize, usize)> {
+    /// The longest match for position `i` as `(len, dist)`: the nearest
+    /// candidate wins among equally long ones.
+    #[inline]
+    fn find(&self, i: usize) -> Option<(usize, usize)> {
+        let data = self.data;
         if i + MIN_MATCH > data.len() {
             return None;
         }
         let max_len = MAX_MATCH.min(data.len() - i);
-        let h = hash3(data, i);
-        let mut cand = head[h];
+        let here = &data[i..i + max_len];
+        let head = self.head[hash3(data, i)];
+        let mut dist = (i as u32).wrapping_add(FAR).wrapping_sub(head) as usize;
+        let mut slot = head as usize % WINDOW_SIZE;
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
-        let mut chains = max_chain;
-        while cand != usize::MAX && chains > 0 {
-            let dist = i - cand;
-            if dist > WINDOW_SIZE {
+        let mut next_byte = here[best_len];
+        for _ in 0..self.max_chain {
+            if !(1..=WINDOW_SIZE).contains(&dist) {
                 break;
             }
-            // Quick reject on the byte past the current best.
-            if cand + best_len < data.len()
-                && i + best_len < data.len()
-                && data[cand + best_len] == data[i + best_len]
-            {
-                let l = match_len(data, cand, i, max_len);
+            // Quick reject on the byte past the current best
+            // (`best_len < max_len`, so it is inside the data).
+            if data[i - dist + best_len] == next_byte {
+                // `dist >= 1`: the candidate's window ends inside the data.
+                let l = match_len(&data[i - dist..i - dist + max_len], here);
                 if l > best_len {
                     best_len = l;
                     best_dist = dist;
                     if l >= max_len {
                         break;
                     }
+                    next_byte = here[best_len];
                 }
             }
-            cand = prev[cand % WINDOW_SIZE];
-            chains -= 1;
+            let next = self.prev[slot];
+            if next == END {
+                break;
+            }
+            // Slots a whole window apart coincide; a link never points
+            // at its own position, so equal slots mean exactly that.
+            dist += match slot.wrapping_sub(next as usize) % WINDOW_SIZE {
+                0 => WINDOW_SIZE,
+                step => step,
+            };
+            slot = next as usize;
         }
-        if best_len >= MIN_MATCH {
-            Some((best_len, best_dist))
-        } else {
-            None
-        }
+        (best_len >= MIN_MATCH).then_some((best_len, best_dist))
+    }
+}
+
+/// Tokenize `data` greedily with lazy matching (one-step lookahead, like
+/// zlib's default strategy), handing each token to `emit` in order.
+pub fn tokenize(data: &[u8], max_chain: usize, mut emit: impl FnMut(Token)) {
+    let n = data.len();
+    if n < MIN_MATCH {
+        data.iter().for_each(|&b| emit(Token::Literal(b)));
+        return;
+    }
+    let mut chains = HashChains {
+        data,
+        head: vec![0; HASH_SIZE],
+        prev: vec![END; WINDOW_SIZE],
+        max_chain,
+    };
+    let matched = |len: usize, dist: usize| Token::Match {
+        len: len as u16,
+        dist: dist as u16,
     };
 
     let mut i = 0usize;
     let mut pending: Option<(usize, usize)> = None; // match found at i-1
     while i < n {
-        let here = find(&head, &prev, data, i);
+        let here = chains.find(i);
+        // Where the next search starts: one position on, or past a match.
+        let mut next = i + 1;
         match (pending.take(), here) {
             (Some((plen, _pdist)), Some((len, _))) if len > plen => {
                 // Lazy: the match starting here is better; emit the
                 // previous position as a literal and reconsider.
-                tokens.push(Token::Literal(data[i - 1]));
+                emit(Token::Literal(data[i - 1]));
                 pending = here;
-                insert(&mut head, &mut prev, data, i);
-                i += 1;
             }
             (Some((plen, pdist)), _) => {
                 // Previous match wins; it started at i-1.
-                tokens.push(Token::Match {
-                    len: plen as u16,
-                    dist: pdist as u16,
-                });
-                // Insert hash entries for the matched region (from i,
-                // position i-1 was already inserted).
-                let end = (i - 1 + plen).min(n);
-                while i < end {
-                    insert(&mut head, &mut prev, data, i);
-                    i += 1;
-                }
+                emit(matched(plen, pdist));
+                next = (i - 1 + plen).min(n);
             }
             (None, Some((len, dist))) => {
                 if len <= 4 && i + 1 < n {
                     // Defer: maybe a longer match starts at i+1.
                     pending = Some((len, dist));
-                    insert(&mut head, &mut prev, data, i);
-                    i += 1;
                 } else {
-                    tokens.push(Token::Match {
-                        len: len as u16,
-                        dist: dist as u16,
-                    });
-                    let end = (i + len).min(n);
-                    while i < end {
-                        insert(&mut head, &mut prev, data, i);
-                        i += 1;
-                    }
+                    emit(matched(len, dist));
+                    next = (i + len).min(n);
                 }
             }
-            (None, None) => {
-                tokens.push(Token::Literal(data[i]));
-                insert(&mut head, &mut prev, data, i);
-                i += 1;
-            }
+            (None, None) => emit(Token::Literal(data[i])),
         }
+        // Every position enters the chains, matched over or not.
+        chains.insert(i, next);
+        i = next;
     }
     if let Some((plen, pdist)) = pending {
-        tokens.push(Token::Match {
-            len: plen as u16,
-            dist: pdist as u16,
-        });
+        emit(matched(plen, pdist));
     }
-    tokens
-}
-
-/// Expand tokens back into bytes. Used by tests and the decompressor's
-/// reference implementation.
-pub fn detokenize(tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => {
-                let start = out.len() - dist as usize;
-                for k in 0..len as usize {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tokens_of(data: &[u8], max_chain: usize) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        tokenize(data, max_chain, |t| tokens.push(t));
+        tokens
+    }
+
+    /// Expand tokens back into bytes.
+    fn detokenize(tokens: &[Token]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => out.push(b),
+                Token::Match { len, dist } => {
+                    let start = out.len() - dist as usize;
+                    for k in 0..len as usize {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     fn roundtrip(data: &[u8]) {
-        let tokens = tokenize(data, 64);
-        assert_eq!(detokenize(&tokens), data);
+        assert_eq!(detokenize(&tokens_of(data, 64)), data);
     }
 
     #[test]
@@ -216,7 +244,7 @@ mod tests {
     #[test]
     fn repeated_data_produces_matches() {
         let data = b"abcabcabcabcabcabc";
-        let tokens = tokenize(data, 64);
+        let tokens = tokens_of(data, 64);
         assert!(
             tokens.iter().any(|t| matches!(t, Token::Match { .. })),
             "expected at least one match in {tokens:?}"
@@ -228,7 +256,7 @@ mod tests {
     fn overlapping_match_is_handled() {
         // "aaaa..." compresses as literal 'a' + overlapping match dist=1.
         let data = vec![b'a'; 300];
-        let tokens = tokenize(&data, 64);
+        let tokens = tokens_of(&data, 64);
         assert_eq!(detokenize(&tokens), data);
         assert!(tokens.len() < 10, "run should compress: {}", tokens.len());
     }
@@ -259,7 +287,7 @@ mod tests {
                 }
             }
         }
-        let tokens = tokenize(&data, 64);
+        let tokens = tokens_of(&data, 64);
         assert_eq!(detokenize(&tokens), data);
         assert!(
             tokens.len() < data.len() / 4,
@@ -293,7 +321,8 @@ mod tests {
             while scalar < max_len && data[cand + scalar] == data[i + scalar] {
                 scalar += 1;
             }
-            assert_eq!(match_len(&data, cand, i, max_len), scalar);
+            let wide = match_len(&data[cand..cand + max_len], &data[i..i + max_len]);
+            assert_eq!(wide, scalar);
             assert_eq!(scalar, planted.min(max_len));
         }
     }
@@ -304,7 +333,7 @@ mod tests {
         for i in 0..50_000u32 {
             data.extend_from_slice(&(i % 977).to_be_bytes());
         }
-        for t in tokenize(&data, 32) {
+        for t in tokens_of(&data, 32) {
             if let Token::Match { len, dist } = t {
                 assert!((MIN_MATCH..=MAX_MATCH).contains(&(len as usize)));
                 assert!(dist as usize >= 1 && dist as usize <= WINDOW_SIZE);

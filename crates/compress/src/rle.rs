@@ -103,43 +103,45 @@ pub fn zrle_encode(data: &[u8]) -> Vec<u16> {
     out
 }
 
-/// Inverse of [`zrle_encode`]; stops at EOB.
-pub fn zrle_decode(symbols: &[u16]) -> Result<Vec<u8>, CompressError> {
-    let mut out = Vec::with_capacity(symbols.len() * 2);
-    let mut run = 0u64;
-    let mut digit = 1u64;
+/// Inverse of [`zrle_encode`]; stops at EOB. A zero run's length grows
+/// exponentially with the symbols that spell it, so the caller states
+/// how many bytes the symbols may expand to and anything longer is
+/// corrupt — before it is allocated.
+pub fn zrle_decode(symbols: &[u16], max_len: usize) -> Result<Vec<u8>, CompressError> {
+    let too_long = || CompressError::Corrupt(format!("zrle block exceeds {max_len} bytes"));
+    let mut out = Vec::with_capacity((symbols.len() * 2).min(max_len));
+    let mut run = 0usize;
+    let mut digit = 1usize;
     let mut saw_eob = false;
     for &s in symbols {
         match s {
-            SYM_RUNA => {
-                run += digit;
+            SYM_RUNA | SYM_RUNB => {
+                run += if s == SYM_RUNA { digit } else { 2 * digit };
                 digit <<= 1;
-            }
-            SYM_RUNB => {
-                run += 2 * digit;
-                digit <<= 1;
+                if run > max_len - out.len() {
+                    return Err(too_long());
+                }
             }
             SYM_EOB => {
                 saw_eob = true;
                 break;
             }
             _ => {
-                if run > 0 {
-                    out.resize(out.len() + run as usize, 0);
-                    run = 0;
-                    digit = 1;
-                }
+                out.resize(out.len() + run, 0);
+                run = 0;
+                digit = 1;
                 let b = s - SYM_BYTE_OFFSET;
                 if b > 255 {
                     return Err(CompressError::Corrupt(format!("bad zrle symbol {s}")));
+                }
+                if out.len() == max_len {
+                    return Err(too_long());
                 }
                 out.push(b as u8);
             }
         }
     }
-    if run > 0 {
-        out.resize(out.len() + run as usize, 0);
-    }
+    out.resize(out.len() + run, 0);
     if !saw_eob {
         return Err(CompressError::Truncated("missing EOB".into()));
     }
@@ -193,7 +195,11 @@ mod tests {
             (0u8..=255).collect(),
         ] {
             let sym = zrle_encode(&data);
-            assert_eq!(zrle_decode(&sym).unwrap(), data, "data {data:?}");
+            assert_eq!(
+                zrle_decode(&sym, data.len()).unwrap(),
+                data,
+                "data {data:?}"
+            );
         }
     }
 
@@ -208,13 +214,27 @@ mod tests {
     fn zrle_missing_eob_detected() {
         let mut sym = zrle_encode(b"xyz");
         sym.pop();
-        assert!(zrle_decode(&sym).is_err());
+        assert!(zrle_decode(&sym, 100).is_err());
+    }
+
+    #[test]
+    fn zrle_run_longer_than_the_block_is_corrupt_not_allocated() {
+        // 70 RUNB digits spell a run of ~2^71 zeros.
+        let mut sym = vec![SYM_RUNB; 70];
+        sym.push(SYM_EOB);
+        assert!(matches!(
+            zrle_decode(&sym, 900_000),
+            Err(CompressError::Corrupt(_))
+        ));
+        // One byte over the limit, by run and by literal.
+        assert!(zrle_decode(&zrle_encode(&[0; 8]), 7).is_err());
+        assert!(zrle_decode(&zrle_encode(b"abc"), 2).is_err());
     }
 
     #[test]
     fn zrle_ignores_symbols_after_eob() {
         let mut sym = zrle_encode(b"q");
         sym.push(SYM_RUNA);
-        assert_eq!(zrle_decode(&sym).unwrap(), b"q");
+        assert_eq!(zrle_decode(&sym, 1).unwrap(), b"q");
     }
 }

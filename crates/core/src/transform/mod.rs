@@ -20,12 +20,10 @@
 mod analyze;
 mod codec;
 mod predictor;
-mod reference;
 
 pub use analyze::{detect_sequences, SequenceReport};
 pub use codec::TransformCodec;
 pub use predictor::{StridePredictor, StrideReport, TransformConfig};
-pub use reference::ReferencePredictor;
 
 /// Forward-transform a whole buffer with a fresh predictor.
 pub fn forward(config: &TransformConfig, data: &[u8]) -> Vec<u8> {

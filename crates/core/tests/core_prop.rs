@@ -7,11 +7,105 @@ use scihadoop_core::aggregate::{
     Aggregator,
 };
 use scihadoop_core::transform::{
-    forward, inverse, ReferencePredictor, StridePredictor, TransformCodec, TransformConfig,
+    forward, inverse, StridePredictor, TransformCodec, TransformConfig,
 };
 use scihadoop_grid::Coord;
 use scihadoop_sfc::{CurveRun, HilbertCurve, ZOrderCurve};
 use std::sync::Arc;
+
+mod reference;
+use reference::ReferencePredictor;
+
+/// Streams that reach every run mode of the predictor: each segment has
+/// a record period, a linear counter at the head of every record and
+/// some noise — none (the period's stride and its multiples stay live),
+/// a sprinkle (strides hover at the eviction threshold, one active at a
+/// time), or nothing but noise (everything is evicted).
+fn record_streams() -> impl Strategy<Value = Vec<u8>> {
+    let segment = (1usize..40, 0usize..1200, any::<u64>(), 0u64..4);
+    proptest::collection::vec(segment, 0..4).prop_map(|segments| {
+        let mut data = Vec::new();
+        for (period, len, seed, noise) in segments {
+            let mut state = seed;
+            for k in 0..len {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let noisy = noise == 3 || (state >> 40) % 8 < noise;
+                data.push(match (noisy, k % period) {
+                    (true, _) => (state >> 33) as u8,
+                    (false, 0) => (k / period) as u8,
+                    (false, phase) => (phase as u8).wrapping_mul(seed as u8 | 1),
+                });
+            }
+        }
+        data
+    })
+}
+
+/// Forward in chunks of `chunk` against the oracle (comparing the active
+/// set at every chunk boundary), then inverse against the oracle.
+fn assert_equals_reference(config: &TransformConfig, data: &[u8], chunk: usize) {
+    let mut fast = StridePredictor::new(config.clone());
+    let mut slow = ReferencePredictor::new(config.clone());
+    let mut fast_out = Vec::new();
+    let mut slow_out = Vec::new();
+    for chunk in data.chunks(chunk) {
+        fast_out.extend_from_slice(&fast.forward(chunk));
+        slow_out.extend_from_slice(&slow.forward(chunk));
+        assert_eq!(
+            fast.active_strides(),
+            slow.active_strides(),
+            "active set diverged for {config:?}"
+        );
+    }
+    assert_eq!(fast_out, slow_out, "forward diverged for {config:?}");
+    let mut fast_inv = StridePredictor::new(config.clone());
+    let mut slow_inv = ReferencePredictor::new(config.clone());
+    assert_eq!(
+        fast_inv.inverse(&fast_out),
+        slow_inv.inverse(&slow_out),
+        "inverse diverged for {config:?}"
+    );
+}
+
+/// The configs that exercise eviction, selection, warm-up and the
+/// fixed/brute-force modes, over a grid walk, a noise burst and a
+/// counter stream.
+#[test]
+fn fast_predictor_equals_reference_on_fixed_cases() {
+    let mut mixed = Vec::new();
+    for x in 0..14i32 {
+        for y in 0..14i32 {
+            for z in 0..14i32 {
+                mixed.extend_from_slice(&x.to_be_bytes());
+                mixed.extend_from_slice(&y.to_be_bytes());
+                mixed.extend_from_slice(&z.to_be_bytes());
+            }
+        }
+    }
+    let mut state = 99u64;
+    for _ in 0..10_000 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        mixed.push((state >> 33) as u8);
+    }
+    mixed.extend((0..3000u32).flat_map(|i| i.to_be_bytes()));
+    for config in [
+        TransformConfig::default(),
+        TransformConfig::adaptive(17),
+        TransformConfig::adaptive(1),
+        TransformConfig::brute_force(33),
+        TransformConfig::fixed(vec![12]),
+        TransformConfig::fixed(vec![3, 7, 12, 100]),
+        TransformConfig {
+            selection_cycle: 64,
+            hit_rate_num: 1,
+            hit_rate_den: 2,
+            run_threshold: 0,
+            ..TransformConfig::adaptive(25)
+        },
+    ] {
+        assert_equals_reference(&config, &mixed, mixed.len());
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -153,12 +247,16 @@ proptest! {
         }
     }
 
-    /// The optimized predictor hot path is byte-identical to the
-    /// original full-set scan ([`ReferencePredictor`]) on arbitrary data
-    /// and detector configurations, including the surviving active set.
+    /// The run-mode predictor is byte-identical to the definition's
+    /// full-set scan ([`ReferencePredictor`]) across detector
+    /// configurations, including the surviving active set, fed in uneven
+    /// chunks so mid-stream state is compared too.
     #[test]
     fn fast_predictor_equals_reference(
-        data in proptest::collection::vec(any::<u8>(), 0..3000),
+        data in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..3000),
+            record_streams(),
+        ],
         max_stride in 1usize..40,
         cycle in prop_oneof![Just(32usize), Just(64), Just(256)],
         run_threshold in 0u32..4,
@@ -171,19 +269,30 @@ proptest! {
             run_threshold,
             ..TransformConfig::default()
         };
-        let mut fast = StridePredictor::new(config.clone());
-        let mut slow = ReferencePredictor::new(config.clone());
-        // Feed in uneven chunks so mid-stream state is also compared.
-        let mut fast_out = Vec::new();
-        let mut slow_out = Vec::new();
-        for chunk in data.chunks(277) {
-            fast_out.extend_from_slice(&fast.forward(chunk));
-            slow_out.extend_from_slice(&slow.forward(chunk));
-            prop_assert_eq!(fast.active_strides(), slow.active_strides());
+        assert_equals_reference(&config, &data, 277);
+    }
+
+    /// Runs end at selection boundaries, evictions and chunk ends: a
+    /// chunk size below, at and above the selection cycle, and one with
+    /// no relation to it, must not move a byte in either direction.
+    #[test]
+    fn chunked_transform_equals_one_shot(
+        data in record_streams(),
+        max_stride in prop_oneof![1usize..40, Just(100usize)],
+    ) {
+        let config = TransformConfig::adaptive(max_stride);
+        let one_shot = forward(&config, &data);
+        prop_assert_eq!(&inverse(&config, &one_shot), &data);
+        for chunk in [1usize, 255, 256, 257, 997] {
+            let mut f = StridePredictor::new(config.clone());
+            let mut i = StridePredictor::new(config.clone());
+            let (mut t, mut back) = (Vec::new(), Vec::new());
+            for (x, y) in data.chunks(chunk).zip(one_shot.chunks(chunk)) {
+                t.extend_from_slice(&f.forward(x));
+                back.extend_from_slice(&i.inverse(y));
+            }
+            prop_assert_eq!(&t, &one_shot, "forward, chunks of {}", chunk);
+            prop_assert_eq!(&back, &data, "inverse, chunks of {}", chunk);
         }
-        prop_assert_eq!(&fast_out, &slow_out);
-        let mut fast_inv = StridePredictor::new(config.clone());
-        let mut slow_inv = ReferencePredictor::new(config);
-        prop_assert_eq!(fast_inv.inverse(&fast_out), slow_inv.inverse(&slow_out));
     }
 }

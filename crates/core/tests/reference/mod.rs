@@ -1,14 +1,11 @@
 //! The original per-byte, per-stride predictor, retained verbatim as an
-//! executable specification.
-//!
-//! [`StridePredictor`](super::StridePredictor) now runs a batch loop
-//! over a compact active-stride list; this module keeps the
-//! straightforward implementation it replaced so that (a) property tests
-//! can assert the optimized path is byte-identical on arbitrary inputs
-//! and configs, and (b) `bench_codec` can measure the kernel speedup
-//! against the real before-state rather than a synthetic strawman.
+//! executable specification: every byte scans the full stride set — once
+//! to predict, once to update, once to check eviction — and divides for
+//! each phase. `core_prop.rs` holds
+//! [`StridePredictor`](scihadoop_core::transform::StridePredictor)
+//! byte-identical to it on arbitrary inputs and configs.
 
-use super::predictor::TransformConfig;
+use scihadoop_core::transform::TransformConfig;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Sequence {
@@ -43,7 +40,10 @@ pub struct ReferencePredictor {
 impl ReferencePredictor {
     /// Fresh predictor state.
     pub fn new(config: TransformConfig) -> Self {
-        let stride_list = config.stride_list();
+        let stride_list: Vec<usize> = match &config.explicit_strides {
+            Some(v) => v.clone(),
+            None => (1..=config.max_stride).collect(),
+        };
         let mut table_len = 0usize;
         let strides = stride_list
             .iter()
