@@ -209,8 +209,8 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
 /// an all-resident store vs one forced to spill every segment (budget
 /// 0), both drained in canonical order through the same 64 KiB chunk
 /// loop the wire path uses — spilled chunks `pread` into the chunk
-/// buffer and re-verify the spill-time CRC, exactly as `serve_reduce`
-/// does. Those two rows are the raw serving throughputs; the returned
+/// buffer and re-verify the spill-time CRC, exactly as a remote slot's
+/// reduce does. Those two rows are the raw serving throughputs; the returned
 /// overhead figure (budget <= 10%) is measured *end to end* instead:
 /// full thread-mode distributed jobs over real sockets at budget 0 vs
 /// unbounded, because in a real job the spill read is one slice of

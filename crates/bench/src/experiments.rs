@@ -1575,26 +1575,33 @@ mod tests {
 
     #[test]
     fn cluster_experiment_reproduces_the_contrast() {
-        let (table, rows) = cluster_experiment(96, 8);
-        assert_eq!(rows.len(), 3);
-        let baseline = &rows[0];
-        let transform = &rows[1];
-        let agg = &rows[2];
+        // On a busy host a single run's engine CPU now and then reads
+        // 1.3–2× its usual value (thread CPU inflated by VM steal), and
+        // that one row then breaks an inequality by a few percent. The
+        // contrast is asserted on each row's median over five runs.
+        let runs: Vec<_> = (0..5).map(|_| cluster_experiment(96, 8)).collect();
+        let report: String = runs.iter().map(|(table, _)| table.render()).collect();
+        let median = |row: usize, field: fn(&ClusterRow) -> f64| {
+            let mut values: Vec<f64> = runs
+                .iter()
+                .map(|(_, rows)| {
+                    assert_eq!(rows.len(), 3);
+                    field(&rows[row])
+                })
+                .collect();
+            values.sort_by(f64::total_cmp);
+            values[values.len() / 2]
+        };
+        let intermediate = |row| median(row, |r| r.intermediate as f64);
+        let minutes = |row| median(row, |r| r.minutes);
+        let (baseline, transform, agg) = (0, 1, 2);
         // Both optimizations shrink intermediate data.
-        assert!(
-            transform.intermediate < baseline.intermediate,
-            "{}",
-            table.render()
-        );
-        assert!(
-            agg.intermediate < baseline.intermediate,
-            "{}",
-            table.render()
-        );
+        assert!(intermediate(transform) < intermediate(baseline), "{report}");
+        assert!(intermediate(agg) < intermediate(baseline), "{report}");
         // The paper's headline contrast: transform costs runtime,
         // aggregation saves it.
-        assert!(transform.minutes > baseline.minutes, "{}", table.render());
-        assert!(agg.minutes < baseline.minutes, "{}", table.render());
+        assert!(minutes(transform) > minutes(baseline), "{report}");
+        assert!(minutes(agg) < minutes(baseline), "{report}");
     }
 
     #[test]

@@ -1,25 +1,23 @@
-//! The coordinator: schedules map/reduce tasks onto connected workers,
-//! runs the shuffle service, merges per-attempt counter banks, and
-//! assembles the final [`JobResult`]. One thread per worker connection;
-//! shared state is the same [`WorkQueue`] retry machinery the local
-//! thread pool uses, so task re-execution across processes follows the
-//! job's retry budget and deterministic backoff.
+//! The coordinator side of a distributed job: launch the workers,
+//! accept their connections, and run the job's [`scheduler`](crate::scheduler)
+//! loop with one remote slot per connection. A remote slot is the
+//! conversation with one worker — ship the task, stage or stream the
+//! segments under credit flow control, read back the attempt's
+//! [`Outcome`].
 
 use super::net::{Listener, Stream};
-use super::shuffle::{SegmentRepr, ShuffleStore, SpilledHandle};
 use super::wire::{
     encode_seg_chunk, expect_credit, read_msg_capped, write_msg_capped, Msg, CAP_LZ,
 };
 use super::DistConfig;
-use crate::counters::{Counter, Counters};
+use crate::counters::Counter;
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
-use crate::runner::WorkQueue;
-use parking_lot::Mutex;
+use crate::scheduler::{Fetched, JobState, MapOutput, Outcome, Slot, Takes};
+use crate::shuffle::{SegmentRepr, SpilledHandle};
 use scihadoop_compress::checksum::Crc32c;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,56 +156,14 @@ fn spawn_worker_processes(
     Ok(children)
 }
 
-/// Everything the connection-serving threads share.
-struct Shared<'a> {
-    config: &'a JobConfig,
-    dist: &'a DistConfig,
-    splits: &'a [InputSplit],
-    num_maps: usize,
-    map_queue: WorkQueue<usize>,
-    reduce_queue: WorkQueue<usize>,
-    store: ShuffleStore,
-    counters: Counters,
-    errors: Mutex<Vec<MrError>>,
-    outputs: Vec<Mutex<Vec<KvPair>>>,
-    /// Connections still being served; a death here changes scheduling.
-    live: AtomicUsize,
-    /// Workers currently running a reduce handed out before the map
-    /// phase drained (pipelined fetch-while-map). Bounded to `live - 1`
-    /// so at least one worker always remains available for maps.
-    early_reduces: Mutex<usize>,
-    map_t0: Instant,
-    maps_drained_at: Mutex<Option<Instant>>,
-    reduce_t0: Mutex<Option<Instant>>,
-}
-
-impl Shared<'_> {
-    fn abort_all(&self) {
-        self.map_queue.abort();
-        self.reduce_queue.abort();
-        self.store.abort();
-    }
-
-    fn note_maps_drained(&self) {
-        if self.map_queue.is_drained() {
-            let mut at = self.maps_drained_at.lock();
-            if at.is_none() {
-                *at = Some(Instant::now());
-            }
-        }
-    }
-}
-
 fn run_coordinator(
     config: &JobConfig,
     dist: &DistConfig,
     splits: Vec<InputSplit>,
     launch: Launch,
 ) -> Result<JobResult, MrError> {
-    config.validate()?;
     dist.validate()?;
-    let num_maps = splits.len();
-    let input_bytes: u64 = splits.iter().map(|s| s.bytes()).sum();
+    let job = JobState::new(config, splits, dist.shuffle_mem_budget(), dist.wire_codec)?;
 
     let listener = Listener::bind(dist.transport)?;
     let addr = listener.addr()?;
@@ -238,10 +194,15 @@ fn run_coordinator(
     };
 
     // All workers connect before the job clock starts.
-    let mut conns = Vec::with_capacity(dist.workers);
+    let mut slots = Vec::with_capacity(dist.workers);
     for _ in 0..dist.workers {
         match listener.accept_deadline(dist.spawn_timeout, &mut || !handles.any_dead()) {
-            Ok(stream) => conns.push(stream),
+            Ok(stream) => slots.push(RemoteSlot {
+                stream,
+                dist,
+                worker: 0,
+                lz_ok: false,
+            }),
             Err(e) => {
                 handles.reap(true);
                 return Err(e);
@@ -249,254 +210,23 @@ fn run_coordinator(
         }
     }
 
-    let shared = Shared {
-        config,
-        dist,
-        splits: &splits,
-        num_maps,
-        map_queue: WorkQueue::new((0..num_maps).collect()),
-        reduce_queue: WorkQueue::new((0..config.num_reducers).collect()),
-        store: ShuffleStore::new_with_codec(
-            config.num_reducers,
-            num_maps,
-            dist.shuffle_mem_budget(),
-            dist.wire_codec,
-        ),
-        counters: Counters::new(),
-        errors: Mutex::new(Vec::new()),
-        outputs: (0..config.num_reducers)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect(),
-        live: AtomicUsize::new(dist.workers),
-        early_reduces: Mutex::new(0),
-        map_t0: Instant::now(),
-        maps_drained_at: Mutex::new(None),
-        reduce_t0: Mutex::new(None),
-    };
-
-    std::thread::scope(|scope| {
-        for stream in conns {
-            let shared = &shared;
-            scope.spawn(move || {
-                let result = serve_connection(shared, stream);
-                let live = shared.live.fetch_sub(1, Ordering::AcqRel) - 1;
-                if result.is_err() {
-                    // This worker died. Its in-flight task (if any) was
-                    // already requeued; check the remaining workers can
-                    // still make progress — every live one may be
-                    // parked in an early reduce waiting on map outputs
-                    // that now have no one to produce them.
-                    let early = *shared.early_reduces.lock();
-                    let work_left =
-                        !shared.map_queue.is_drained() || !shared.reduce_queue.is_drained();
-                    let maps_stuck = !shared.map_queue.is_drained() && early >= live;
-                    if work_left && (live == 0 || maps_stuck) {
-                        let mut errors = shared.errors.lock();
-                        if errors.is_empty() {
-                            errors.push(MrError::Net(format!(
-                                "{live} live workers remain, which cannot finish the job"
-                            )));
-                        }
-                        drop(errors);
-                        shared.abort_all();
-                    }
-                }
-            });
-        }
-    });
-
-    let mut collected = std::mem::take(&mut *shared.errors.lock());
-    if collected.is_empty() && (!shared.map_queue.is_drained() || !shared.reduce_queue.is_drained())
-    {
-        collected.push(MrError::Net(
-            "all workers exited before the job completed".into(),
-        ));
-    }
-    handles.reap(!collected.is_empty());
-    if !collected.is_empty() {
-        return Err(MrError::from_task_errors(collected));
-    }
-
-    let map_wall_nanos = shared
-        .maps_drained_at
-        .lock()
-        .unwrap_or(shared.map_t0)
-        .duration_since(shared.map_t0)
-        .as_nanos() as u64;
-    let reduce_wall_nanos = shared
-        .reduce_t0
-        .lock()
-        .map(|t0| t0.elapsed().as_nanos() as u64)
-        .unwrap_or(0);
-
-    shared
-        .counters
-        .add(Counter::ShuffleBytes, shared.store.total_bytes());
-    shared
-        .counters
-        .add(Counter::ShuffleSpilledBytes, shared.store.spilled_bytes());
-    shared
-        .counters
-        .add(Counter::ShuffleSpillReads, shared.store.spill_reads());
-    // Max-semantics charged once at job end, so the additive bank holds
-    // the true high-water mark.
-    shared
-        .counters
-        .add(Counter::ShuffleMemHighWater, shared.store.mem_high_water());
-    shared.counters.add(
-        Counter::ShuffleSpillDeadBytes,
-        shared.store.spill_dead_bytes(),
-    );
-    shared
-        .counters
-        .add(Counter::LzCompressNanos, shared.store.compress_nanos());
-    crate::runner::finish_job(
-        config,
-        &shared.counters,
-        shared.outputs.iter().map(|m| m.lock().clone()).collect(),
-        num_maps,
-        input_bytes,
-        map_wall_nanos,
-        reduce_wall_nanos,
-    )
+    let result = job.run(slots);
+    handles.reap(result.is_err());
+    result
 }
 
-enum Assignment {
-    Map(usize, u32),
-    Reduce {
-        task: usize,
-        attempt: u32,
-        early: bool,
-    },
-    Shutdown,
-}
-
-/// Pick the next task for an idle worker. Maps strictly first; a reduce
-/// is handed out before the map phase drains only while at least one
-/// *other* live worker stays free for maps (the early-reduce reserve),
-/// which is what overlaps reduce-side fetch with the tail of the map
-/// phase without starving it.
-fn next_assignment(shared: &Shared) -> Assignment {
-    loop {
-        if shared.map_queue.is_aborted() || shared.reduce_queue.is_aborted() {
-            return Assignment::Shutdown;
-        }
-        if let Some((task, attempt)) = shared.map_queue.try_claim() {
-            return Assignment::Map(task, attempt);
-        }
-        if shared.map_queue.is_drained() {
-            shared.note_maps_drained();
-            if let Some((task, attempt)) = shared.reduce_queue.try_claim() {
-                return Assignment::Reduce {
-                    task,
-                    attempt,
-                    early: false,
-                };
-            }
-            if shared.reduce_queue.is_drained() {
-                return Assignment::Shutdown;
-            }
-        } else {
-            let live = shared.live.load(Ordering::Acquire);
-            let mut early = shared.early_reduces.lock();
-            if live > *early + 1 {
-                if let Some((task, attempt)) = shared.reduce_queue.try_claim() {
-                    *early += 1;
-                    return Assignment::Reduce {
-                        task,
-                        attempt,
-                        early: true,
-                    };
-                }
-            }
-            drop(early);
-        }
-        // Tasks are in flight on other workers and may yet be requeued;
-        // poll until one comes back or the phase drains.
-        std::thread::sleep(Duration::from_micros(500));
-    }
-}
-
-/// Serve one worker connection until shutdown. An `Err` means the
-/// connection (or the worker behind it) failed; any task it was running
-/// has already been routed through the retry budget.
-fn serve_connection(shared: &Shared, mut stream: Stream) -> Result<(), MrError> {
-    let cap = shared.dist.max_frame_bytes;
-    let (worker, wire_caps) = match read_msg_capped(&mut stream, cap)? {
-        Msg::Hello { worker, wire_caps } => (worker, wire_caps),
-        other => {
-            return Err(MrError::Net(format!(
-                "expected Hello, got {}",
-                other.name()
-            )))
-        }
-    };
-    // A worker that never advertised lz capability is served raw
-    // (logical) bytes even when the store holds compressed frames, so
-    // capability skew degrades throughput, not correctness.
-    let lz_ok = wire_caps & CAP_LZ != 0;
-    let _att = shared
-        .config
-        .recorder
-        .as_ref()
-        .map(|r| r.attach(&format!("dist-conn-{worker}")));
-    loop {
-        match read_msg_capped(&mut stream, cap)? {
-            Msg::TaskRequest => {}
-            other => {
-                return Err(MrError::Net(format!(
-                    "worker {worker}: expected TaskRequest, got {}",
-                    other.name()
-                )))
-            }
-        }
-        match next_assignment(shared) {
-            Assignment::Shutdown => {
-                write_msg_capped(&mut stream, &Msg::Shutdown, cap)?;
-                return Ok(());
-            }
-            Assignment::Map(task, attempt) => {
-                if let Err(e) = serve_map(shared, &mut stream, task, attempt) {
-                    fail_task(
-                        shared,
-                        false,
-                        task,
-                        attempt,
-                        MrError::Net(format!(
-                            "worker {worker} lost during map {task} attempt {attempt}: {e}"
-                        )),
-                    );
-                    return Err(e);
-                }
-            }
-            Assignment::Reduce {
-                task,
-                attempt,
-                early,
-            } => {
-                let served = serve_reduce(shared, &mut stream, task, attempt, lz_ok);
-                if early {
-                    *shared.early_reduces.lock() -= 1;
-                }
-                match served {
-                    Ok(false) => {}
-                    Ok(true) => return Ok(()), // job aborted; worker released
-                    Err(e) => {
-                        fail_task(
-                            shared,
-                            true,
-                            task,
-                            attempt,
-                            MrError::Net(format!(
-                                "worker {worker} lost during reduce {task} attempt {attempt}: {e}"
-                            )),
-                        );
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
+/// One worker connection. The worker drives: it announces itself with
+/// `Hello`, then asks for work with `TaskRequest` before every
+/// assignment.
+struct RemoteSlot<'a> {
+    stream: Stream,
+    dist: &'a DistConfig,
+    /// From the worker's `Hello`.
+    worker: u32,
+    /// Whether the worker advertised lz capability. One that did not is
+    /// served raw (logical) bytes even when the store holds compressed
+    /// frames, so capability skew degrades throughput, not correctness.
+    lz_ok: bool,
 }
 
 /// Rebuild a worker-reported failure as a structured error. Only the
@@ -511,106 +241,299 @@ fn rebuild_error(checksum: bool, error: String) -> MrError {
     }
 }
 
-/// Route a failed attempt through the job's retry policy: requeue it
-/// within the budget, otherwise abort the job.
-fn fail_task(shared: &Shared, reduce: bool, task: usize, attempt: u32, err: MrError) {
-    let queue = if reduce {
-        &shared.reduce_queue
-    } else {
-        &shared.map_queue
-    };
-    let retry = crate::runner::retry_after_failure(
-        shared.config,
-        &shared.counters,
-        &shared.errors,
-        task,
-        attempt,
-        err,
-    );
-    if retry {
-        queue.requeue(task, attempt + 1);
-    } else {
-        shared.abort_all();
-        queue.finish();
+/// The fall-through arm of both conversations: `msg` is either the
+/// worker's `TaskFailed` for the attempt this slot is running —
+/// `expect` is its `(task, attempt, reduce)` — or a protocol violation.
+fn task_failed<T>(msg: Msg, expect: (usize, u32, bool)) -> Result<Outcome<T>, MrError> {
+    let kind = if expect.2 { "reduce" } else { "map" };
+    match msg {
+        Msg::TaskFailed {
+            task,
+            attempt,
+            reduce,
+            checksum,
+            error,
+            harness,
+        } if (task as usize, attempt, reduce) == expect => Ok(Outcome {
+            harness,
+            result: Err(rebuild_error(checksum, error)),
+        }),
+        other => Err(MrError::Net(format!(
+            "{kind} {} attempt {}: unexpected {}",
+            expect.0,
+            expect.1,
+            other.name()
+        ))),
     }
 }
 
-/// Run one map assignment to completion: send the task, credit each
-/// received segment, and commit the attempt's outputs to the shuffle
-/// store on `MapDone` (staged segments from a failed attempt are
-/// dropped, never published).
-fn serve_map(
-    shared: &Shared,
-    stream: &mut Stream,
-    task: usize,
-    attempt: u32,
-) -> Result<(), MrError> {
-    let cap = shared.dist.max_frame_bytes;
-    write_msg_capped(
-        stream,
-        &Msg::MapTask {
+impl RemoteSlot<'_> {
+    fn send(&mut self, msg: &Msg) -> Result<(), MrError> {
+        write_msg_capped(&mut self.stream, msg, self.dist.max_frame_bytes)
+    }
+
+    fn recv(&mut self) -> Result<Msg, MrError> {
+        read_msg_capped(&mut self.stream, self.dist.max_frame_bytes)
+    }
+}
+
+impl Slot for RemoteSlot<'_> {
+    fn takes(&self) -> Takes {
+        Takes::Both
+    }
+
+    fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
+        match self.recv()? {
+            Msg::Hello { worker, wire_caps } => {
+                self.worker = worker;
+                self.lz_ok = wire_caps & CAP_LZ != 0;
+                Ok(format!("dist-conn-{worker}"))
+            }
+            other => Err(MrError::Net(format!(
+                "expected Hello, got {}",
+                other.name()
+            ))),
+        }
+    }
+
+    fn ready(&mut self) -> Result<(), MrError> {
+        match self.recv()? {
+            Msg::TaskRequest => Ok(()),
+            other => Err(MrError::Net(format!(
+                "worker {}: expected TaskRequest, got {}",
+                self.worker,
+                other.name()
+            ))),
+        }
+    }
+
+    fn close(&mut self) -> Result<(), MrError> {
+        self.send(&Msg::Shutdown)
+    }
+
+    /// Send the task, credit each received segment, and hand the staged
+    /// segments over with `MapDone` (those of a failed attempt are
+    /// dropped, never published).
+    fn map(
+        &mut self,
+        job: &JobState,
+        task: usize,
+        attempt: u32,
+        split: &InputSplit,
+    ) -> Result<Outcome<MapOutput>, MrError> {
+        self.send(&Msg::MapTask {
             task: task as u32,
             attempt,
-            credits: shared.dist.push_credits,
-            split: shared.splits[task].clone(),
-        },
-        cap,
-    )?;
-    let mut staged: Vec<(usize, Vec<u8>)> = Vec::new();
-    loop {
-        match read_msg_capped(stream, cap)? {
-            Msg::MapSegment { partition, data } => {
-                let partition = partition as usize;
-                if partition >= shared.config.num_reducers {
-                    return Err(MrError::Net(format!(
-                        "map {task}: segment for partition {partition} out of range"
-                    )));
+            credits: self.dist.push_credits,
+            split: split.clone(),
+        })?;
+        let mut staged: MapOutput = Vec::new();
+        loop {
+            match self.recv()? {
+                Msg::MapSegment { partition, data } => {
+                    let partition = partition as usize;
+                    if partition >= job.config.num_reducers {
+                        return Err(MrError::Net(format!(
+                            "map {task}: segment for partition {partition} out of range"
+                        )));
+                    }
+                    staged.push((partition, data));
+                    self.send(&Msg::Credit)?;
                 }
-                staged.push((partition, data));
-                write_msg_capped(stream, &Msg::Credit, cap)?;
+                Msg::MapDone {
+                    task: t,
+                    attempt: a,
+                    local,
+                    harness,
+                } if (t as usize, a) == (task, attempt) => {
+                    return Ok(Outcome {
+                        harness,
+                        result: Ok((staged, local)),
+                    })
+                }
+                other => return task_failed(other, (task, attempt, false)),
             }
-            Msg::MapDone {
+        }
+    }
+
+    /// Stream the partition's segments (in canonical map-task order,
+    /// blocking per segment until its producer commits — the
+    /// fetch-while-map overlap) under the worker's credit window, then
+    /// collect the result.
+    ///
+    /// Compressed segments stream their stored lz frames (`comp` set,
+    /// spilled ones still `pread` zero-copy into the wire frame) to
+    /// workers that advertised [`CAP_LZ`]; the difference between logical
+    /// and transmitted length is charged to `ShuffleWireBytesSaved` at
+    /// serve time, so re-fetches by retried attempts count again — true
+    /// wire semantics. Copies the fault plan corrupted are logical bytes
+    /// and ship raw, which is what keeps a compressed run byte-identical
+    /// to identity under a fault storm.
+    fn reduce(
+        &mut self,
+        job: &JobState,
+        task: usize,
+        attempt: u32,
+    ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
+        let expect = (task, attempt, true);
+        self.send(&Msg::ReduceTask {
+            task: task as u32,
+            attempt,
+        })?;
+        // The worker's fault gate runs before any fetch: an attempt it
+        // fails costs no shuffle traffic and meets no corruption.
+        let window = match self.recv()? {
+            Msg::FetchStart { credits: 0 } => {
+                return Err(MrError::Net(format!(
+                    "reduce {task}: zero-credit fetch window"
+                )))
+            }
+            Msg::FetchStart { credits } => credits,
+            other => return task_failed(other, expect).map(Some),
+        };
+
+        let cap = self.dist.max_frame_bytes;
+        let chunk_bytes = self.dist.chunk_bytes;
+        let mut credits = window;
+        let mut index: u64 = 0;
+        let mut wait_nanos = 0u64;
+        let mut transfer_nanos = 0u64;
+        let mut wire_saved = 0u64;
+        {
+            // Mark this partition actively fetched for the duration of the
+            // segment stream: the store's eviction policy keeps its
+            // resident segments in memory while we are about to need them.
+            let _fetch = job.store.fetch_guard(task);
+            // Double-buffered frames: the next chunk is assembled — for
+            // spilled segments, `pread` straight into the frame's payload
+            // region — right after the previous one is written, so the disk
+            // read overlaps the in-flight chunk's socket round trip instead
+            // of serializing behind the credit wait.
+            let mut frames: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
+            let mut cur = 0usize;
+            for map_task in 0..job.num_maps {
+                let wait_t0 = Instant::now();
+                let fetched = match job.fetch(task, map_task, attempt, index) {
+                    Ok(fetched) => fetched,
+                    Err(_) if job.is_aborted() => {
+                        // Release the worker cleanly; the abort's cause
+                        // is already collected elsewhere.
+                        self.send(&Msg::Shutdown)?;
+                        return Ok(None);
+                    }
+                    Err(e) => return Err(e),
+                };
+                wait_nanos += wait_t0.elapsed().as_nanos() as u64;
+                let fetched = match fetched {
+                    None => continue,
+                    Some(Fetched::Stored(h)) if h.is_comp() && !self.lz_ok => {
+                        Fetched::Copy(h.logical_vec()?)
+                    }
+                    Some(fetched) => fetched,
+                };
+                let (src, comp, orig_len) = match &fetched {
+                    Fetched::Copy(data) => (ChunkSource::Slice(data), false, 0),
+                    Fetched::Stored(h) => {
+                        let src = match &h.repr {
+                            SegmentRepr::Mem(data) => ChunkSource::Slice(data),
+                            SegmentRepr::Spilled(s) => ChunkSource::Spilled(s),
+                        };
+                        let orig_len = if h.is_comp() { h.logical_len() } else { 0 };
+                        (src, h.is_comp(), orig_len)
+                    }
+                };
+                let total = src.len();
+                if comp {
+                    wire_saved += (orig_len - total) as u64;
+                }
+                let mut crc = Crc32c::new();
+                let mut off = 0usize;
+                let mut sent_any = false;
+                while off < total || !sent_any {
+                    let end = (off + chunk_bytes).min(total);
+                    let last = end == total;
+                    let frame = &mut frames[cur];
+                    match &src {
+                        ChunkSource::Slice(data) => encode_seg_chunk(
+                            frame,
+                            index as u32,
+                            last,
+                            comp,
+                            orig_len as u32,
+                            end - off,
+                            cap,
+                            |buf| {
+                                buf.copy_from_slice(&data[off..end]);
+                                Ok(())
+                            },
+                        )?,
+                        ChunkSource::Spilled(h) => {
+                            encode_seg_chunk(
+                                frame,
+                                index as u32,
+                                last,
+                                comp,
+                                orig_len as u32,
+                                end - off,
+                                cap,
+                                |buf| h.read_range(off, buf),
+                            )?;
+                            // Re-verify the spill-time CRC incrementally;
+                            // the final chunk is checked *before* it is
+                            // sent, so disk corruption never reaches a
+                            // worker.
+                            crc.update(&frame[frame.len() - (end - off)..]);
+                            if last {
+                                let got = crc.finish();
+                                if got != h.crc() {
+                                    return Err(h.crc_error(got));
+                                }
+                            }
+                        }
+                    }
+                    if credits == 0 {
+                        expect_credit(&mut self.stream)?;
+                        credits += 1;
+                    }
+                    let send_t0 = Instant::now();
+                    self.stream
+                        .write_all(&frames[cur])
+                        .map_err(|e| MrError::Net(format!("write SegChunk: {e}")))?;
+                    transfer_nanos += send_t0.elapsed().as_nanos() as u64;
+                    credits -= 1;
+                    sent_any = true;
+                    off = end;
+                    cur ^= 1;
+                }
+                index += 1;
+            }
+        }
+        // Drain the credit window before closing the stream so no Credit
+        // frame is left in flight to be misread as the next conversation.
+        while credits < window {
+            expect_credit(&mut self.stream)?;
+            credits += 1;
+        }
+        self.send(&Msg::SegmentsDone {
+            count: index as u32,
+        })?;
+        job.counters.add(Counter::ShuffleFetchWaitNanos, wait_nanos);
+        job.counters
+            .add(Counter::ShuffleTransferNanos, transfer_nanos);
+        job.counters.add(Counter::ShuffleWireBytesSaved, wire_saved);
+
+        match self.recv()? {
+            Msg::ReduceDone {
                 task: t,
                 attempt: a,
                 local,
                 harness,
-            } => {
-                if (t as usize, a) != (task, attempt) {
-                    return Err(MrError::Net(format!(
-                        "MapDone for task {t} attempt {a}, expected {task}/{attempt}"
-                    )));
-                }
-                shared.counters.absorb(&harness);
-                shared.counters.absorb(&local);
-                shared.store.publish(task, staged)?;
-                shared.map_queue.finish();
-                shared.note_maps_drained();
-                return Ok(());
-            }
-            Msg::TaskFailed {
-                task: t,
-                attempt: a,
-                reduce,
-                checksum,
-                error,
+                outputs,
+            } if (t as usize, a) == (task, attempt) => Ok(Some(Outcome {
                 harness,
-            } => {
-                if (t as usize, a, reduce) != (task, attempt, false) {
-                    return Err(MrError::Net(format!(
-                        "TaskFailed for {}-task {t} attempt {a}, expected map {task}/{attempt}",
-                        if reduce { "reduce" } else { "map" }
-                    )));
-                }
-                shared.counters.absorb(&harness);
-                fail_task(shared, false, task, attempt, rebuild_error(checksum, error));
-                return Ok(());
-            }
-            other => {
-                return Err(MrError::Net(format!(
-                    "map {task}: unexpected {}",
-                    other.name()
-                )))
-            }
+                result: Ok((outputs, local)),
+            })),
+            other => task_failed(other, expect).map(Some),
         }
     }
 }
@@ -629,282 +552,6 @@ impl ChunkSource<'_> {
             ChunkSource::Slice(data) => data.len(),
             ChunkSource::Spilled(h) => h.len(),
         }
-    }
-}
-
-/// Run one reduce assignment: stream the partition's segments (in
-/// canonical map-task order, blocking per segment until its producer
-/// finishes — the fetch-while-map overlap) under the worker's credit
-/// window, then collect the result. Wire corruption from the fault plan
-/// is applied here, to the transmitted copy, at the same
-/// `(task, attempt, index)` coordinates the local path uses.
-///
-/// Compressed segments stream their stored lz frames (`comp` set,
-/// spilled ones still `pread` zero-copy into the wire frame) to workers
-/// that advertised [`CAP_LZ`]; the difference between logical and
-/// transmitted length is charged to `ShuffleWireBytesSaved` at serve
-/// time, so re-fetches by retried attempts count again — true wire
-/// semantics. Corrupted segments are always materialized to *logical*
-/// bytes first and sent raw: the fault plan's coordinates address
-/// logical segment bytes, which is what keeps a compressed run
-/// byte-identical to identity under a fault storm.
-///
-/// Returns `Ok(true)` if the job aborted mid-stream and the worker was
-/// released with `Shutdown`.
-fn serve_reduce(
-    shared: &Shared,
-    stream: &mut Stream,
-    task: usize,
-    attempt: u32,
-    lz_ok: bool,
-) -> Result<bool, MrError> {
-    {
-        let mut t0 = shared.reduce_t0.lock();
-        if t0.is_none() {
-            *t0 = Some(Instant::now());
-        }
-    }
-    let cap = shared.dist.max_frame_bytes;
-    write_msg_capped(
-        stream,
-        &Msg::ReduceTask {
-            task: task as u32,
-            attempt,
-        },
-        cap,
-    )?;
-    let window = match read_msg_capped(stream, cap)? {
-        Msg::FetchStart { credits } => {
-            if credits == 0 {
-                return Err(MrError::Net(format!(
-                    "reduce {task}: zero-credit fetch window"
-                )));
-            }
-            credits
-        }
-        Msg::TaskFailed {
-            task: t,
-            attempt: a,
-            reduce,
-            checksum,
-            error,
-            harness,
-        } => {
-            // The worker's fault gate fired before any fetch — exactly
-            // like the local path, where `fault_gate` precedes the
-            // segment take, so no shuffle traffic and no corruption
-            // charges for this attempt.
-            if (t as usize, a, reduce) != (task, attempt, true) {
-                return Err(MrError::Net(format!(
-                    "TaskFailed for task {t} attempt {a}, expected reduce {task}/{attempt}"
-                )));
-            }
-            shared.counters.absorb(&harness);
-            fail_task(shared, true, task, attempt, rebuild_error(checksum, error));
-            return Ok(false);
-        }
-        other => {
-            return Err(MrError::Net(format!(
-                "reduce {task}: expected FetchStart, got {}",
-                other.name()
-            )))
-        }
-    };
-
-    let mut credits = window;
-    let mut index: u64 = 0;
-    let mut wait_nanos = 0u64;
-    let mut transfer_nanos = 0u64;
-    let mut wire_saved = 0u64;
-    let chunk_bytes = shared.dist.chunk_bytes;
-    {
-        // Mark this partition actively fetched for the duration of the
-        // segment stream: the store's eviction policy keeps its
-        // resident segments in memory while we are about to need them.
-        let _fetch = shared.store.fetch_guard(task);
-        // Double-buffered frames: the next chunk is assembled — for
-        // spilled segments, `pread` straight into the frame's payload
-        // region — right after the previous one is written, so the disk
-        // read overlaps the in-flight chunk's socket round trip instead
-        // of serializing behind the credit wait.
-        let mut frames: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
-        let mut cur = 0usize;
-        for map_task in 0..shared.num_maps {
-            let wait_t0 = Instant::now();
-            let handle = match shared.store.segment_when_ready(task, map_task) {
-                Ok(handle) => handle,
-                Err(_) => {
-                    // Job aborted while waiting on a map output: release
-                    // the worker cleanly; the abort's cause is already
-                    // collected elsewhere.
-                    write_msg_capped(stream, &Msg::Shutdown, cap)?;
-                    shared.reduce_queue.finish();
-                    return Ok(true);
-                }
-            };
-            wait_nanos += wait_t0.elapsed().as_nanos() as u64;
-            let Some(handle) = handle else { continue };
-            // Two cases rebuffer through a materialized Vec; the clean
-            // capable path never does:
-            //  - Wire corruption needs the whole *logical* segment (the
-            //    fault plan's coordinates address uncompressed bytes —
-            //    the same bytes the local engine corrupts — and a flip
-            //    inside an lz frame would desync decompression instead
-            //    of reaching the segment CRC check). Corrupted copies
-            //    ship raw.
-            //  - A worker without lz capability gets logical bytes even
-            //    when the store holds a compressed frame.
-            let materialized: Option<Vec<u8>> = match shared
-                .config
-                .faults
-                .as_ref()
-                .and_then(|p| p.corruption(task as u64, attempt, index))
-            {
-                Some(c) => {
-                    shared.counters.add(Counter::FaultsInjected, 1);
-                    let mut data = handle.logical_vec()?;
-                    c.apply(&mut data);
-                    Some(data)
-                }
-                None if handle.is_comp() && !lz_ok => Some(handle.logical_vec()?),
-                None => None,
-            };
-            let comp = materialized.is_none() && handle.is_comp();
-            let orig_len = if comp { handle.logical_len() as u32 } else { 0 };
-            let src: ChunkSource = match (&materialized, &handle.repr) {
-                (Some(data), _) => ChunkSource::Slice(data),
-                (None, SegmentRepr::Mem(data)) => ChunkSource::Slice(data),
-                (None, SegmentRepr::Spilled(h)) => ChunkSource::Spilled(h),
-            };
-            let total = src.len();
-            if comp {
-                wire_saved += (handle.logical_len() - total) as u64;
-            }
-            let mut crc = Crc32c::new();
-            let mut off = 0usize;
-            let mut sent_any = false;
-            while off < total || !sent_any {
-                let end = (off + chunk_bytes).min(total);
-                let last = end == total;
-                let frame = &mut frames[cur];
-                match &src {
-                    ChunkSource::Slice(data) => encode_seg_chunk(
-                        frame,
-                        index as u32,
-                        last,
-                        comp,
-                        orig_len,
-                        end - off,
-                        cap,
-                        |buf| {
-                            buf.copy_from_slice(&data[off..end]);
-                            Ok(())
-                        },
-                    )?,
-                    ChunkSource::Spilled(h) => {
-                        encode_seg_chunk(
-                            frame,
-                            index as u32,
-                            last,
-                            comp,
-                            orig_len,
-                            end - off,
-                            cap,
-                            |buf| h.read_range(off, buf),
-                        )?;
-                        // Re-verify the spill-time CRC incrementally;
-                        // the final chunk is checked *before* it is
-                        // sent, so disk corruption never reaches a
-                        // worker.
-                        crc.update(&frame[frame.len() - (end - off)..]);
-                        if last {
-                            let got = crc.finish();
-                            if got != h.crc() {
-                                return Err(h.crc_error(got));
-                            }
-                        }
-                    }
-                }
-                if credits == 0 {
-                    expect_credit(stream)?;
-                    credits += 1;
-                }
-                let send_t0 = Instant::now();
-                stream
-                    .write_all(&frames[cur])
-                    .map_err(|e| MrError::Net(format!("write SegChunk: {e}")))?;
-                transfer_nanos += send_t0.elapsed().as_nanos() as u64;
-                credits -= 1;
-                sent_any = true;
-                off = end;
-                cur ^= 1;
-            }
-            index += 1;
-        }
-    }
-    // Drain the credit window before closing the stream so no Credit
-    // frame is left in flight to be misread as the next conversation.
-    while credits < window {
-        expect_credit(stream)?;
-        credits += 1;
-    }
-    write_msg_capped(
-        stream,
-        &Msg::SegmentsDone {
-            count: index as u32,
-        },
-        cap,
-    )?;
-    shared
-        .counters
-        .add(Counter::ShuffleFetchWaitNanos, wait_nanos);
-    shared
-        .counters
-        .add(Counter::ShuffleTransferNanos, transfer_nanos);
-    shared
-        .counters
-        .add(Counter::ShuffleWireBytesSaved, wire_saved);
-
-    match read_msg_capped(stream, cap)? {
-        Msg::ReduceDone {
-            task: t,
-            attempt: a,
-            local,
-            harness,
-            outputs,
-        } => {
-            if (t as usize, a) != (task, attempt) {
-                return Err(MrError::Net(format!(
-                    "ReduceDone for task {t} attempt {a}, expected {task}/{attempt}"
-                )));
-            }
-            shared.counters.absorb(&harness);
-            shared.counters.absorb(&local);
-            *shared.outputs[task].lock() = outputs;
-            shared.reduce_queue.finish();
-            Ok(false)
-        }
-        Msg::TaskFailed {
-            task: t,
-            attempt: a,
-            reduce,
-            checksum,
-            error,
-            harness,
-        } => {
-            if (t as usize, a, reduce) != (task, attempt, true) {
-                return Err(MrError::Net(format!(
-                    "TaskFailed for task {t} attempt {a}, expected reduce {task}/{attempt}"
-                )));
-            }
-            shared.counters.absorb(&harness);
-            fail_task(shared, true, task, attempt, rebuild_error(checksum, error));
-            Ok(false)
-        }
-        other => Err(MrError::Net(format!(
-            "reduce {task}: expected ReduceDone or TaskFailed, got {}",
-            other.name()
-        ))),
     }
 }
 
@@ -1146,29 +793,5 @@ mod tests {
         }
         assert_eq!(identity.counters.get(Counter::ShuffleWireBytesSaved), 0);
         assert_eq!(identity.counters.get(Counter::LzCompressNanos), 0);
-    }
-
-    #[test]
-    fn exhausted_retries_fail_the_distributed_job() {
-        // reduce=1.0 fails attempt 0 of every reduce; with no retry
-        // budget the first injected failure must fail the whole job.
-        let faults = FaultConfig::parse("seed=7,reduce=1.0").unwrap();
-        let config = JobConfig::default()
-            .with_reducers(2)
-            .with_retry_backoff(Duration::from_micros(1))
-            .with_faults(FaultPlan::new(faults));
-        let err = match run_distributed_with_threads(
-            &config,
-            &DistConfig::default()
-                .with_workers(2)
-                .with_transport(Transport::Tcp),
-            word_splits(3, 16),
-            count_mapper(),
-            sum_reducer(),
-        ) {
-            Ok(_) => panic!("job must fail once the retry budget is exhausted"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("injected reduce fault"), "{err}");
     }
 }

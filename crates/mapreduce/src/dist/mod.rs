@@ -1,7 +1,11 @@
-//! Multi-process distributed runtime: a coordinator process runs the
-//! shuffle service and task scheduler; worker processes (or threads,
-//! for hermetic tests) connect over TCP or Unix-domain sockets, pull
-//! map/reduce assignments, and stream IFile segments back and forth.
+//! Multi-process distributed runtime: the job's scheduler (`scheduler.rs`)
+//! runs in a coordinator process with one *remote slot* per worker;
+//! worker processes (or threads, for hermetic tests) connect over TCP or
+//! Unix-domain sockets, pull map/reduce assignments, and stream IFile
+//! segments back and forth. Task choice, retries, backoff, abort, the
+//! two counter banks of an attempt and fault-plan corruption of fetched
+//! segments are the scheduler's and identical to a local job's; this
+//! module adds only the transport.
 //!
 //! # Protocol
 //!
@@ -19,19 +23,15 @@
 //!   gate runs *before* any fetch, then `FetchStart` opens a
 //!   credit-window fetch and the coordinator streams the partition's
 //!   segments as `SegChunk` frames **in canonical map-task order**,
-//!   blocking per-segment until that map task has completed — this is
-//!   the pipelined fetch-while-map overlap, and the ordering is what
-//!   keeps distributed runs byte-identical to the local thread pool
-//!   (per-index fault-plan corruption lands on the same segment).
-//!   `SegmentsDone` closes the stream; the worker replies `ReduceDone`
-//!   with its outputs, or `TaskFailed`.
+//!   blocking per-segment until that map task has completed — the
+//!   pipelined fetch-while-map overlap. `SegmentsDone` closes the
+//!   stream; the worker replies `ReduceDone` with its outputs, or
+//!   `TaskFailed`.
 //!
-//! Counter semantics mirror the local runner exactly: each attempt
-//! carries an attempt-local bank (absorbed by the coordinator only on
-//! success) and a harness bank for fault-injection charges (absorbed
-//! always). Retries, backoff, and abort run through the same
-//! [`WorkQueue`](crate::runner) machinery — a worker that dies mid-task
-//! surfaces as a retryable network failure, not a hung job.
+//! `MapDone`, `ReduceDone` and `TaskFailed` carry the attempt's counter
+//! banks. A worker that dies mid-task surfaces as a lost slot: its task
+//! goes back through the retry budget as a network failure, not a hung
+//! job.
 //!
 //! # Entry points
 //!
@@ -44,15 +44,14 @@
 
 mod coordinator;
 mod net;
-mod shuffle;
 mod wire;
 mod worker;
 
-pub use coordinator::{run_distributed, run_distributed_with_threads};
-pub use net::Transport;
-pub use shuffle::{
+pub use crate::shuffle::{
     auto_shuffle_mem_bytes, SegmentHandle, SegmentRepr, ShuffleStore, SpilledHandle,
 };
+pub use coordinator::{run_distributed, run_distributed_with_threads};
+pub use net::Transport;
 pub use wire::DEFAULT_MAX_FRAME_BYTES;
 pub use worker::run_worker;
 
@@ -134,7 +133,7 @@ pub struct DistConfig {
     pub chunk_bytes: usize,
     /// How long to wait for all workers to connect before giving up.
     pub spawn_timeout: Duration,
-    /// In-memory budget for the coordinator's shuffle store, in bytes.
+    /// In-memory budget for the job's shuffle store, in bytes.
     /// Segments beyond it spill to per-partition disk files and are
     /// served back by positioned reads. `None` sizes the budget from
     /// available machine memory

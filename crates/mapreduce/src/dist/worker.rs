@@ -1,14 +1,14 @@
 //! Worker-process main loop: connect to the coordinator, pull task
-//! assignments, run map/reduce attempts with the same fault gate and
-//! attempt-local counter discipline as the in-process runner, and
-//! stream results back under credit-based flow control.
+//! assignments, run each as an [`Attempt`] — the discipline in-process
+//! slots use — and stream results back under credit-based flow control.
 
 use super::net::{Stream, Transport};
 use super::wire::{expect_credit, read_msg, write_msg, Msg, CAP_LZ};
-use crate::counters::{Counter, Counters};
+use crate::counters::{Counter, CounterSnapshot};
 use crate::error::MrError;
-use crate::record::{InputSplit, Mapper, Reducer};
+use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::runner;
+use crate::scheduler::{Attempt, Outcome};
 use crate::JobConfig;
 use scihadoop_compress::lz;
 use std::time::{Duration, Instant};
@@ -18,36 +18,13 @@ use std::time::{Duration, Instant};
 /// transient refusals under load.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Convert a panicking task body into a retryable error, exactly like
-/// the local runner's `run_attempt`: the worker process must survive a
-/// panicking user function so its other queued tasks (and the socket)
-/// are not lost with it.
-fn catch<T>(
-    task: usize,
-    attempt: u32,
-    f: impl FnOnce() -> Result<T, MrError>,
-) -> Result<T, MrError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(MrError::TaskFailed(format!(
-                "task {task} attempt {attempt} panicked: {msg}"
-            )))
-        }
-    }
-}
-
+/// The message that closes a failed attempt.
 fn task_failed_msg(
     task: usize,
     attempt: u32,
     reduce: bool,
     err: &MrError,
-    harness: &Counters,
+    harness: CounterSnapshot,
 ) -> Msg {
     Msg::TaskFailed {
         task: task as u32,
@@ -55,7 +32,7 @@ fn task_failed_msg(
         reduce,
         checksum: err.is_checksum(),
         error: err.to_string(),
-        harness: harness.snapshot(),
+        harness,
     }
 }
 
@@ -112,11 +89,11 @@ pub fn run_worker(
     }
 }
 
-/// One map attempt: fault gate, user map function, then push each
-/// partition's segment to the shuffle service. Pushes spend credits
-/// granted in the assignment; the coordinator returns one credit per
-/// received segment, and the worker drains its window back to full
-/// before `MapDone` so no credit frame is left in flight between tasks.
+/// One map attempt, then push each partition's segment to the
+/// coordinator. Pushes spend credits granted in the assignment; the
+/// coordinator returns one credit per received segment, and the worker
+/// drains its window back to full before `MapDone` so no credit frame is
+/// left in flight between tasks.
 fn run_map_attempt(
     stream: &mut Stream,
     config: &JobConfig,
@@ -126,19 +103,15 @@ fn run_map_attempt(
     split: &InputSplit,
     mapper: &dyn Mapper,
 ) -> Result<(), MrError> {
-    let harness = Counters::new();
-    let local = Counters::new();
-    let outcome =
-        runner::fault_gate(config, &harness, task as u64, attempt, false).and_then(|()| {
-            catch(task, attempt, || {
-                runner::run_map_task(config, task, split, mapper, &local)
-            })
-        });
-    let segments = match outcome {
-        Ok(segments) => segments,
+    let outcome = match Attempt::begin(config, task, attempt, false) {
+        Err(failed) => failed,
+        Ok(att) => att.run(|local| runner::run_map_task(config, task, split, mapper, local)),
+    };
+    let (segments, local) = match outcome.result {
+        Ok(done) => done,
         Err(e) => {
-            write_msg(stream, &task_failed_msg(task, attempt, false, &e, &harness))?;
-            return Ok(());
+            let msg = task_failed_msg(task, attempt, false, &e, outcome.harness);
+            return write_msg(stream, &msg);
         }
     };
     let mut credits = window;
@@ -165,23 +138,20 @@ fn run_map_attempt(
         &Msg::MapDone {
             task: task as u32,
             attempt,
-            local: local.snapshot(),
-            harness: harness.snapshot(),
+            local,
+            harness: outcome.harness,
         },
-    )?;
-    Ok(())
+    )
 }
 
-/// One reduce attempt: fault gate (before any fetch, so an injected
-/// reduce error costs no shuffle traffic — matching the local path,
-/// where `fault_gate` runs before segments are taken), then fetch all
+/// One reduce attempt: the fault gate runs before any fetch, so an
+/// injected reduce error costs no shuffle traffic; then fetch all
 /// segments for the partition, then merge/group/reduce. Returns `true`
 /// if the coordinator shut the job down mid-fetch.
 ///
-/// Wire corruption is the coordinator's job: `run_reduce_task` is
-/// called with `apply_corruption = false` because the bytes in `segs`
-/// were already corrupted in transit at the same (task, attempt, index)
-/// coordinates the local path uses.
+/// The fetched bytes are taken as they come: where the fault plan
+/// corrupts a segment, the coordinator already did so on its way out of
+/// the store.
 fn run_reduce_attempt(
     stream: &mut Stream,
     config: &JobConfig,
@@ -189,11 +159,10 @@ fn run_reduce_attempt(
     attempt: u32,
     reducer: &dyn Reducer,
 ) -> Result<bool, MrError> {
-    let harness = Counters::new();
-    if let Err(e) = runner::fault_gate(config, &harness, task as u64, attempt, true) {
-        write_msg(stream, &task_failed_msg(task, attempt, true, &e, &harness))?;
-        return Ok(false);
-    }
+    let att = match Attempt::begin(config, task, attempt, true) {
+        Ok(att) => att,
+        Err(failed) => return report_reduce(stream, task, attempt, failed),
+    };
     write_msg(
         stream,
         &Msg::FetchStart {
@@ -276,28 +245,32 @@ fn run_reduce_attempt(
         }
     }
     if let Some(e) = fetch_err {
-        write_msg(stream, &task_failed_msg(task, attempt, true, &e, &harness))?;
-        return Ok(false);
+        return report_reduce(stream, task, attempt, att.fail(e));
     }
-    let local = Counters::new();
-    if decompress_nanos > 0 {
+    let outcome = att.run(|local| {
         local.add(Counter::LzDecompressNanos, decompress_nanos);
-    }
-    let outcome = catch(task, attempt, || {
-        runner::run_reduce_task(config, task, &segs, reducer, &local, attempt, false)
+        runner::run_reduce_task(config, task, &segs, reducer, local)
     });
-    match outcome {
-        Ok(outputs) => write_msg(
-            stream,
-            &Msg::ReduceDone {
-                task: task as u32,
-                attempt,
-                local: local.snapshot(),
-                harness: harness.snapshot(),
-                outputs,
-            },
-        )?,
-        Err(e) => write_msg(stream, &task_failed_msg(task, attempt, true, &e, &harness))?,
-    }
+    report_reduce(stream, task, attempt, outcome)
+}
+
+/// Close a reduce attempt on the wire.
+fn report_reduce(
+    stream: &mut Stream,
+    task: usize,
+    attempt: u32,
+    outcome: Outcome<Vec<KvPair>>,
+) -> Result<bool, MrError> {
+    let msg = match outcome.result {
+        Ok((outputs, local)) => Msg::ReduceDone {
+            task: task as u32,
+            attempt,
+            local,
+            harness: outcome.harness,
+            outputs,
+        },
+        Err(e) => task_failed_msg(task, attempt, true, &e, outcome.harness),
+    };
+    write_msg(stream, &msg)?;
     Ok(false)
 }

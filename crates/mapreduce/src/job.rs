@@ -246,7 +246,6 @@ impl Job {
         mapper: Arc<dyn Mapper>,
         reducer: Arc<dyn Reducer>,
     ) -> Result<JobResult, MrError> {
-        self.config.validate()?;
         runner::run_job(&self.config, splits, mapper, reducer)
     }
 }

@@ -32,6 +32,8 @@ pub mod keysem;
 pub mod obs;
 pub mod record;
 pub mod runner;
+mod scheduler;
+mod shuffle;
 pub mod sort;
 pub mod stats;
 

@@ -1,521 +1,120 @@
-//! Job execution: map slots, spills, shuffle, and reduce slots.
+//! The task bodies — one map task, one reduce task — and the in-process
+//! slot that runs them for a local job. Scheduling lives in
+//! `scheduler.rs`.
 
 use crate::arena::SpillArena;
 use crate::clock;
 use crate::counters::{Counter, Counters};
+use crate::dist::WireCodec;
 use crate::error::MrError;
 use crate::ifile::{IFileVersion, IFileWriter, RawSegment, Segment};
 use crate::job::{JobConfig, JobResult};
 use crate::obs::{self, Metric, Phase};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
+use crate::scheduler::{Attempt, Fetched, JobState, MapOutput, Outcome, Slot, Takes};
 use crate::sort::{sort_pairs, BlockMergeStream, MergeItem};
-use crate::stats::JobStats;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// A retry-capable work queue shared by one phase's slots.
-///
-/// Tasks carry an attempt number; a failed attempt can be re-queued
-/// (bounded by the job's retry budget) instead of aborting the job.
-/// `in_flight` tracks claimed-but-unfinished tasks so idle slots block
-/// on the condvar — a task they are waiting on may yet fail and come
-/// back. The abort flag uses `Release`/`Acquire` so a raised abort (and
-/// the error write that preceded it) is visible to every slot before it
-/// claims another task.
-///
-/// Built on `std::sync` (not the project's `parking_lot` shim) because
-/// the retry path needs a condvar.
-pub(crate) struct WorkQueue<T> {
-    state: std::sync::Mutex<QueueState<T>>,
-    ready: std::sync::Condvar,
-    abort: AtomicBool,
+/// A slot that runs attempts on its own thread: the task bodies below,
+/// called directly, with map segments handed to the job's store as
+/// plain `Vec`s and reduce input borrowed from the store's resident
+/// bytes — no copy, no frame, no credit.
+struct InProcessSlot<'a> {
+    takes: Takes,
+    index: usize,
+    mapper: &'a dyn Mapper,
+    reducer: &'a dyn Reducer,
 }
 
-struct QueueState<T> {
-    /// `(task, attempt)` pairs awaiting a slot, FIFO.
-    pending: VecDeque<(T, u32)>,
-    /// Tasks claimed but neither finished nor re-queued.
-    in_flight: usize,
-}
+impl Slot for InProcessSlot<'_> {
+    fn takes(&self) -> Takes {
+        self.takes
+    }
 
-impl<T> WorkQueue<T> {
-    pub(crate) fn new(items: Vec<T>) -> Self {
-        WorkQueue {
-            state: std::sync::Mutex::new(QueueState {
-                pending: items.into_iter().map(|t| (t, 0)).collect(),
-                in_flight: 0,
+    fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
+        let phase = if self.takes == Takes::Maps {
+            "map"
+        } else {
+            "reduce"
+        };
+        Ok(format!("{phase}-slot-{}", self.index))
+    }
+
+    fn map(
+        &mut self,
+        job: &JobState,
+        task: usize,
+        attempt: u32,
+        split: &InputSplit,
+    ) -> Result<Outcome<MapOutput>, MrError> {
+        Ok(match Attempt::begin(job.config, task, attempt, false) {
+            Err(failed) => failed,
+            Ok(att) => att.run(|local| {
+                let segments = run_map_task(job.config, task, split, self.mapper, local)?;
+                Ok(segments.into_iter().map(|(p, seg)| (p, seg.data)).collect())
             }),
-            ready: std::sync::Condvar::new(),
-            abort: AtomicBool::new(false),
-        }
+        })
     }
 
-    /// Lock the queue state, recovering a poisoned guard. The queue's
-    /// invariants hold across every `await`-free critical section (each
-    /// lock holder only pushes/pops/counts), so a panic elsewhere in a
-    /// worker thread never leaves the state half-updated — propagating
-    /// the poison would turn one task's panic into a cascade through
-    /// every sibling slot instead of the retry/abort path.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Claim the next `(task, attempt)`, blocking while other slots hold
-    /// tasks that might still be re-queued. `None` once the queue is
-    /// drained (empty with nothing in flight) or aborted.
-    pub(crate) fn claim(&self) -> Option<(T, u32)> {
-        let mut state = self.lock_state();
-        loop {
-            if self.abort.load(Ordering::Acquire) {
-                return None;
+    fn reduce(
+        &mut self,
+        job: &JobState,
+        task: usize,
+        attempt: u32,
+    ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
+        let att = match Attempt::begin(job.config, task, attempt, true) {
+            Ok(att) => att,
+            Err(failed) => return Ok(Some(failed)),
+        };
+        // Every segment is fetched before the first is opened, so an
+        // attempt meets all of the fault plan's corruption for it, as an
+        // attempt streamed to a worker does.
+        let mut fetched = Vec::with_capacity(job.num_maps);
+        for map_task in 0..job.num_maps {
+            match job.fetch(task, map_task, attempt, fetched.len() as u64) {
+                Ok(Some(segment)) => fetched.push(segment),
+                Ok(None) => {}
+                Err(_) if job.is_aborted() => return Ok(None),
+                Err(e) => return Ok(Some(att.fail(e))),
             }
-            if let Some(claimed) = state.pending.pop_front() {
-                state.in_flight += 1;
-                return Some(claimed);
-            }
-            if state.in_flight == 0 {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-    }
-
-    /// Claim without blocking: `Some` if a task is pending right now.
-    pub(crate) fn try_claim(&self) -> Option<(T, u32)> {
-        if self.abort.load(Ordering::Acquire) {
-            return None;
-        }
-        let mut state = self.lock_state();
-        let claimed = state.pending.pop_front();
-        if claimed.is_some() {
-            state.in_flight += 1;
-        }
-        claimed
-    }
-
-    /// Whether every task has been retired: nothing pending, nothing in
-    /// flight. Distinct from "temporarily empty" — an in-flight task may
-    /// still fail and come back.
-    pub(crate) fn is_drained(&self) -> bool {
-        let state = self.lock_state();
-        state.pending.is_empty() && state.in_flight == 0
-    }
-
-    /// Whether the abort flag has been raised.
-    pub(crate) fn is_aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
-    }
-
-    /// Retire a claimed task (success, or failure that will not retry).
-    pub(crate) fn finish(&self) {
-        let mut state = self.lock_state();
-        state.in_flight -= 1;
-        if state.in_flight == 0 {
-            drop(state);
-            self.ready.notify_all();
-        }
-    }
-
-    /// Put a failed task back with its next attempt number.
-    pub(crate) fn requeue(&self, task: T, attempt: u32) {
-        let mut state = self.lock_state();
-        state.in_flight -= 1;
-        state.pending.push_back((task, attempt));
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Raise the abort flag and wake every waiting slot. The lock is
-    /// taken before notifying so a slot between its abort check and its
-    /// condvar wait cannot miss the wakeup.
-    pub(crate) fn abort(&self) {
-        self.abort.store(true, Ordering::Release);
-        let _state = self.lock_state();
-        self.ready.notify_all();
+        Ok(Some(att.run(|local| {
+            let segments = fetched
+                .iter()
+                .map(|f| match f {
+                    Fetched::Stored(handle) => handle.logical_bytes(),
+                    Fetched::Copy(data) => Ok(Cow::Borrowed(data.as_slice())),
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            run_reduce_task(job.config, task, &segments, self.reducer, local)
+        })))
     }
 }
 
-/// Keeps the queue's `in_flight` count correct even when a task body
-/// panics: an armed guard dropped during unwind aborts the queue and
-/// retires the claim, so sibling slots blocked on the condvar wake up
-/// and exit instead of deadlocking the scope join.
-struct InFlightGuard<'a, T> {
-    queue: &'a WorkQueue<T>,
-    armed: bool,
-}
-
-impl<'a, T> InFlightGuard<'a, T> {
-    fn new(queue: &'a WorkQueue<T>) -> Self {
-        InFlightGuard { queue, armed: true }
-    }
-
-    fn complete(mut self) {
-        self.armed = false;
-        self.queue.finish();
-    }
-
-    fn requeue(mut self, task: T, attempt: u32) {
-        self.armed = false;
-        self.queue.requeue(task, attempt);
-    }
-
-    fn fail(mut self) {
-        self.armed = false;
-        self.queue.abort();
-        self.queue.finish();
-    }
-}
-
-impl<T> Drop for InFlightGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.queue.abort();
-            self.queue.finish();
-        }
-    }
-}
-
-/// Drive one phase's tasks through `slots` worker threads with per-task
-/// retry. `run` executes one attempt of task `id` and must leave shared
-/// state untouched on `Err` (the map path commits only on success; the
-/// reduce path restores its segments before returning an error). Failed
-/// attempts re-queue or abort the queue as [`retry_after_failure`]
-/// decides.
-fn drive_slots<I, F>(
-    config: &JobConfig,
-    label: &str,
-    items: Vec<(usize, I)>,
-    slots: usize,
-    counters: &Counters,
-    errors: &Mutex<Vec<MrError>>,
-    run: F,
-) where
-    I: Send,
-    F: Fn(usize, &I, u32) -> Result<(), MrError> + Sync,
-{
-    let queue = WorkQueue::new(items);
-    std::thread::scope(|scope| {
-        for slot in 0..slots {
-            let queue = &queue;
-            let run = &run;
-            scope.spawn(move || {
-                let _att = config
-                    .recorder
-                    .as_ref()
-                    .map(|r| r.attach(&format!("{label}-slot-{slot}")));
-                while let Some(((id, item), attempt)) = queue.claim() {
-                    let guard = InFlightGuard::new(queue);
-                    match run_attempt(&run, id, &item, attempt) {
-                        Ok(()) => guard.complete(),
-                        Err(e) => {
-                            if retry_after_failure(config, counters, errors, id, attempt, e) {
-                                guard.requeue((id, item), attempt + 1);
-                            } else {
-                                guard.fail();
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// The job's retry policy, shared by the local slots and the distributed
-/// coordinator: count detected corruption, then either charge a retry and
-/// back off deterministically (`retry_backoff * 2^attempt`, metered as a
-/// [`Phase::Retry`] span) or, with the budget exhausted, collect the
-/// error. Returns whether the caller should re-queue the task; on `false`
-/// it must abort its queues.
-pub(crate) fn retry_after_failure(
-    config: &JobConfig,
-    counters: &Counters,
-    errors: &Mutex<Vec<MrError>>,
-    task: usize,
-    attempt: u32,
-    err: MrError,
-) -> bool {
-    if err.is_checksum() {
-        counters.add(Counter::ChecksumFailures, 1);
-    }
-    if attempt >= config.task_retries {
-        errors.lock().push(err);
-        return false;
-    }
-    counters.add(Counter::TaskRetries, 1);
-    let backoff = config.retry_backoff.saturating_mul(1u32 << attempt.min(20));
-    let _retry_span = crate::span!(Phase::Retry, task);
-    obs::hist(Metric::RetryBackoffNanos, backoff.as_nanos() as u64);
-    if !backoff.is_zero() {
-        std::thread::sleep(backoff);
-    }
-    true
-}
-
-/// Run one task attempt, converting a panic in the task body into a
-/// retryable [`MrError::TaskFailed`]. A panicking user function (or a
-/// bug in a task path) then flows through the same retry/abort machinery
-/// as a returned error instead of unwinding through `thread::scope` and
-/// cascading into every sibling slot.
-fn run_attempt<I, F>(run: &F, id: usize, item: &I, attempt: u32) -> Result<(), MrError>
-where
-    F: Fn(usize, &I, u32) -> Result<(), MrError> + Sync,
-{
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(id, item, attempt))) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(MrError::TaskFailed(format!(
-                "task {id} attempt {attempt} panicked: {msg}"
-            )))
-        }
-    }
-}
-
-/// Consult the job's fault plan (if any) at the start of a task attempt:
-/// apply an artificial slow-down, then possibly fail the attempt with an
-/// injected error. Injection counters are charged to the job-wide bank —
-/// they describe the harness, not the (discarded) attempt.
-pub(crate) fn fault_gate(
-    config: &JobConfig,
-    counters: &Counters,
-    task: u64,
-    attempt: u32,
-    reduce: bool,
-) -> Result<(), MrError> {
-    let Some(plan) = &config.faults else {
-        return Ok(());
-    };
-    if let Some(delay) = plan.slow(task, attempt) {
-        counters.add(Counter::FaultsInjected, 1);
-        std::thread::sleep(delay);
-    }
-    let hit = if reduce {
-        plan.reduce_error(task, attempt)
-    } else {
-        plan.map_error(task, attempt)
-    };
-    if hit {
-        counters.add(Counter::FaultsInjected, 1);
-        return Err(MrError::TaskFailed(format!(
-            "injected {} fault: task {task} attempt {attempt}",
-            if reduce { "reduce" } else { "map" }
-        )));
-    }
-    Ok(())
-}
-
-/// Execute a job. Called by [`crate::job::Job::run`].
+/// Execute a job in this process: `map_slots` map-only and
+/// `reduce_slots` reduce-only slots over an unbounded, uncompressed
+/// shuffle store. Reduce-only slots start once the maps have drained,
+/// so the phases run back to back under their own concurrency limits.
+/// Called by [`crate::job::Job::run`].
 pub fn run_job(
     config: &JobConfig,
     splits: Vec<InputSplit>,
     mapper: Arc<dyn Mapper>,
     reducer: Arc<dyn Reducer>,
 ) -> Result<JobResult, MrError> {
-    let counters = Arc::new(Counters::new());
-    let num_maps = splits.len();
-    let input_bytes: u64 = splits.iter().map(|s| s.bytes()).sum();
-
-    // ---- Map phase -----------------------------------------------------
-    let map_t0 = Instant::now();
-    // map_outputs[r] = (map task, compressed segment) destined for
-    // reducer r, pushed in completion order and canonicalized below.
-    type PartitionSegments = Mutex<Vec<(usize, Vec<u8>)>>;
-    let map_outputs: Vec<PartitionSegments> = (0..config.num_reducers)
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    let errors: Mutex<Vec<MrError>> = Mutex::new(Vec::new());
-
-    drive_slots(
-        config,
-        "map",
-        splits.into_iter().enumerate().collect(),
-        config.map_slots,
-        &counters,
-        &errors,
-        |task, split, attempt| {
-            fault_gate(config, &counters, task as u64, attempt, false)?;
-            // Attempt-local counters, absorbed only on success: a failed
-            // attempt charges nothing, so a retried job reports the same
-            // semantic counters as a clean one.
-            let local = Counters::new();
-            let segments = run_map_task(config, task, split, mapper.as_ref(), &local)?;
-            counters.absorb(&local.snapshot());
-            for (partition, seg) in segments {
-                map_outputs[partition].lock().push((task, seg.data));
-            }
-            Ok(())
-        },
-    );
-    {
-        let collected = std::mem::take(&mut *errors.lock());
-        if !collected.is_empty() {
-            return Err(MrError::from_task_errors(collected));
-        }
-    }
-    let map_wall_nanos = map_t0.elapsed().as_nanos() as u64;
-
-    // ---- Shuffle (in-process: account the transfer) ---------------------
-    // Canonicalize each reducer's segment list to map-task order. Slots
-    // finish maps in a nondeterministic order; the fetch order (and with
-    // it every per-index decision, like injected corruption coordinates)
-    // must not depend on that race — the distributed runtime streams
-    // segments in this same order, which is what makes its runs
-    // byte-identical to local ones.
-    let map_outputs: Vec<Mutex<Vec<Vec<u8>>>> = map_outputs
-        .into_iter()
-        .map(|m| {
-            let mut tagged = m.into_inner();
-            tagged.sort_by_key(|(task, _)| *task);
-            Mutex::new(tagged.into_iter().map(|(_, data)| data).collect())
-        })
-        .collect();
-    for per_reducer in &map_outputs {
-        let bytes: u64 = per_reducer.lock().iter().map(|s| s.len() as u64).sum();
-        counters.add(Counter::ShuffleBytes, bytes);
-    }
-    // The local runner keeps every segment resident, so its shuffle
-    // high-water mark is the full shuffle volume — the same value an
-    // unbounded distributed store reports, which keeps local and
-    // distributed ledgers comparable.
-    counters.add(
-        Counter::ShuffleMemHighWater,
-        counters.get(Counter::ShuffleBytes),
-    );
-
-    // ---- Reduce phase ----------------------------------------------------
-    let reduce_t0 = Instant::now();
-    let outputs: Vec<Mutex<Vec<KvPair>>> = (0..config.num_reducers)
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    drive_slots(
-        config,
-        "reduce",
-        (0..config.num_reducers).map(|r| (r, ())).collect(),
-        config.reduce_slots,
-        &counters,
-        &errors,
-        |task, _item, attempt| {
-            fault_gate(config, &counters, task as u64, attempt, true)?;
-            // Taken segments are restored on every non-success exit —
-            // an `Err`, or a panic unwinding out of the reducer (caught
-            // in `run_attempt`) — so the retry can re-fetch them.
-            struct Restore<'a> {
-                slot: &'a Mutex<Vec<Vec<u8>>>,
-                segments: Option<Vec<Vec<u8>>>,
-            }
-            impl Drop for Restore<'_> {
-                fn drop(&mut self) {
-                    if let Some(segments) = self.segments.take() {
-                        *self.slot.lock() = segments;
-                    }
-                }
-            }
-            let mut fetched = Restore {
-                slot: &map_outputs[task],
-                segments: Some(std::mem::take(&mut *map_outputs[task].lock())),
-            };
-            let segments = fetched.segments.as_deref().expect("segments just taken");
-            // Injected corruption counts against the job-wide bank here
-            // (the attempt-local bank below is discarded on failure, and
-            // a corrupted segment is designed to fail the attempt).
-            if let Some(plan) = &config.faults {
-                let injected = (0..segments.len())
-                    .filter(|&i| plan.corruption(task as u64, attempt, i as u64).is_some())
-                    .count() as u64;
-                counters.add(Counter::FaultsInjected, injected);
-            }
-            let local = Counters::new();
-            let out = run_reduce_task(
-                config,
-                task,
-                segments,
-                reducer.as_ref(),
-                &local,
-                attempt,
-                true,
-            )?;
-            fetched.segments = None; // success: the take sticks
-            counters.absorb(&local.snapshot());
-            *outputs[task].lock() = out;
-            Ok(())
-        },
-    );
-    {
-        let collected = std::mem::take(&mut *errors.lock());
-        if !collected.is_empty() {
-            return Err(MrError::from_task_errors(collected));
-        }
-    }
-    let reduce_wall_nanos = reduce_t0.elapsed().as_nanos() as u64;
-
-    finish_job(
-        config,
-        &counters,
-        outputs.into_iter().map(|m| m.into_inner()).collect(),
-        num_maps,
-        input_bytes,
-        map_wall_nanos,
-        reduce_wall_nanos,
-    )
-}
-
-/// The tail of every completed job, local or distributed: snapshot the
-/// counters, check their invariants, derive the stats and append the
-/// run-ledger record.
-pub(crate) fn finish_job(
-    config: &JobConfig,
-    counters: &Counters,
-    outputs: Vec<Vec<KvPair>>,
-    num_maps: usize,
-    input_bytes: u64,
-    map_wall_nanos: u64,
-    reduce_wall_nanos: u64,
-) -> Result<JobResult, MrError> {
-    let snapshot = counters.snapshot();
-    // Cross-counter accounting must balance on every completed job; a
-    // violation means an instrumentation site drifted (satellite check,
-    // debug builds only — see CounterSnapshot::check_invariants).
-    #[cfg(debug_assertions)]
-    if let Err(violations) = snapshot.check_invariants(config.framing.file_overhead() as u64) {
-        panic!("counter invariants violated on job completion: {violations:#?}");
-    }
-    let stats = JobStats::from_counters(
-        &snapshot,
-        num_maps,
-        config.num_reducers,
-        input_bytes,
-        map_wall_nanos,
-        reduce_wall_nanos,
-    );
-    let result = JobResult {
-        outputs,
-        counters: snapshot,
-        stats,
+    let job = JobState::new(config, splits, usize::MAX, WireCodec::Identity)?;
+    let slot = |takes, index| InProcessSlot {
+        takes,
+        index,
+        mapper: mapper.as_ref(),
+        reducer: reducer.as_ref(),
     };
-    // Run-ledger hook: one record per completed job. The runner has no
-    // drained trace (the recorder, if any, is still live and owned by
-    // the caller), so phase rollups and histograms stay empty here;
-    // callers that own the recorder build richer records themselves via
-    // `LedgerRecord::from_run(.., Some(&trace))`.
-    if let Some(sink) = &config.ledger {
-        let record = obs::LedgerRecord::from_run(&config.ledger_label, config, &result, None);
-        sink.append(record)
-            .map_err(|e| MrError::Config(format!("ledger append failed: {e}")))?;
-    }
-    Ok(result)
+    let slots = (0..config.map_slots)
+        .map(|i| slot(Takes::Maps, i))
+        .chain((0..config.reduce_slots).map(|i| slot(Takes::Reduces, i)))
+        .collect();
+    job.run(slots)
 }
 
 /// Build an intermediate-segment writer for the job's configured IFile
@@ -791,44 +390,21 @@ fn merge_spills(
 /// group, and run the user reduce function. Grouping and reduce consume
 /// records as the merge heap yields them; nothing is materialized as a
 /// whole run.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_reduce_task(
     config: &JobConfig,
     task: usize,
-    segments: &[Vec<u8>],
+    segments: &[impl AsRef<[u8]>],
     reducer: &dyn Reducer,
     counters: &Counters,
-    attempt: u32,
-    apply_corruption: bool,
 ) -> Result<Vec<KvPair>, MrError> {
     let ks = &config.key_semantics;
     let mut raws = Vec::with_capacity(segments.len());
     {
         let _fetch_span = crate::span!(Phase::ShuffleFetch, task);
-        for (index, seg) in segments.iter().enumerate() {
+        for seg in segments {
+            let seg = seg.as_ref();
             obs::hist(Metric::ShuffleSegmentBytes, seg.len() as u64);
-            // A configured fault plan may corrupt the fetched copy of a
-            // segment (the canonical map output stays intact, as it
-            // would on the mapper's disk); the hot path borrows. The
-            // distributed worker passes `apply_corruption = false`: its
-            // segments were already corrupted on the wire by the shuffle
-            // service at the same (task, attempt, index) coordinates.
-            let corruption = if apply_corruption {
-                config
-                    .faults
-                    .as_ref()
-                    .and_then(|p| p.corruption(task as u64, attempt, index as u64))
-            } else {
-                None
-            };
-            let r = match corruption {
-                Some(c) => {
-                    let mut fetched = seg.clone();
-                    c.apply(&mut fetched);
-                    RawSegment::open(&fetched, config.codec.as_ref())?
-                }
-                None => RawSegment::open(seg, config.codec.as_ref())?,
-            };
+            let r = RawSegment::open(seg, config.codec.as_ref())?;
             counters.add(Counter::DecompressNanos, r.decompress_nanos);
             raws.push(r);
         }
@@ -1310,132 +886,6 @@ mod tests {
         );
         let counts = collect_counts(&result);
         assert_eq!(counts.values().sum::<u64>(), 300);
-    }
-
-    #[test]
-    fn work_queue_survives_poisoned_mutex() {
-        // A thread panicking while holding the state lock poisons the
-        // std mutex; queue operations must recover the guard instead of
-        // cascading the panic into every other slot.
-        let q = WorkQueue::new(vec![1usize]);
-        let qref = &q;
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                let _guard = qref.state.lock().unwrap();
-                panic!("poison the queue mutex");
-            });
-            assert!(handle.join().is_err(), "the poisoning thread panicked");
-        });
-        assert!(q.state.is_poisoned(), "mutex must actually be poisoned");
-        let claimed = q.claim();
-        assert_eq!(claimed, Some((1usize, 0)));
-        q.finish();
-        assert!(q.is_drained());
-        assert!(q.claim().is_none());
-    }
-
-    #[test]
-    fn panicking_map_task_retries_instead_of_cascading() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let words: Vec<String> = (0..150).map(|i| format!("w{}", i % 11)).collect();
-        let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-        let splits: Vec<InputSplit> = refs
-            .chunks(50)
-            .map(|chunk| {
-                InputSplit::new(
-                    chunk
-                        .iter()
-                        .map(|w| KvPair::new(w.as_bytes().to_vec(), vec![1u8]))
-                        .collect(),
-                )
-            })
-            .collect();
-        let panics = Arc::new(AtomicU32::new(0));
-        let panics_in_map = panics.clone();
-        let mapper = Arc::new(FnMapper(
-            move |k: &[u8], v: &[u8], out: &mut dyn crate::record::Emit| {
-                if panics_in_map.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("injected mapper panic (first record only)");
-                }
-                out.emit(k, v);
-            },
-        ));
-        let reducer = Arc::new(FnReducer(
-            |k: &[u8], values: &[&[u8]], out: &mut dyn crate::record::Emit| {
-                let total: u64 = values.iter().map(|v| v.len() as u64).sum();
-                out.emit(k, &total.to_be_bytes());
-            },
-        ));
-        let result = Job::new(JobConfig::default().with_reducers(2).with_retries(2))
-            .run(splits, mapper, reducer)
-            .expect("panicking attempt must retry, not cascade");
-        let counts = collect_counts(&result);
-        assert_eq!(counts.values().sum::<u64>(), 150);
-        assert!(result.counters.get(Counter::TaskRetries) >= 1);
-    }
-
-    #[test]
-    fn panicking_reduce_task_restores_segments_for_the_retry() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let words: Vec<String> = (0..120).map(|i| format!("r{}", i % 7)).collect();
-        let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-        let splits: Vec<InputSplit> = refs
-            .chunks(40)
-            .map(|chunk| {
-                InputSplit::new(
-                    chunk
-                        .iter()
-                        .map(|w| KvPair::new(w.as_bytes().to_vec(), vec![1u8]))
-                        .collect(),
-                )
-            })
-            .collect();
-        let mapper = Arc::new(FnMapper(
-            |k: &[u8], v: &[u8], out: &mut dyn crate::record::Emit| out.emit(k, v),
-        ));
-        let panics = Arc::new(AtomicU32::new(0));
-        let panics_in_reduce = panics.clone();
-        let reducer = Arc::new(FnReducer(
-            move |k: &[u8], values: &[&[u8]], out: &mut dyn crate::record::Emit| {
-                if panics_in_reduce.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("injected reducer panic (first group only)");
-                }
-                let total: u64 = values.iter().map(|v| v.len() as u64).sum();
-                out.emit(k, &total.to_be_bytes());
-            },
-        ));
-        // The retry must see the same segments the panicking attempt
-        // took (the restore guard ran during the unwind), so the job
-        // completes with full counts.
-        let result = Job::new(JobConfig::default().with_reducers(2).with_retries(2))
-            .run(splits, mapper, reducer)
-            .expect("reduce panic must restore segments and retry");
-        let counts = collect_counts(&result);
-        assert_eq!(counts.values().sum::<u64>(), 120);
-        assert_eq!(counts.len(), 7);
-        assert!(result.counters.get(Counter::TaskRetries) >= 1);
-    }
-
-    #[test]
-    fn always_panicking_task_fails_the_job_without_cascading() {
-        let mapper = Arc::new(FnMapper(
-            |_: &[u8], _: &[u8], _: &mut dyn crate::record::Emit| {
-                panic!("unconditional mapper panic");
-            },
-        ));
-        let reducer = Arc::new(FnReducer(
-            |k: &[u8], _: &[&[u8]], out: &mut dyn crate::record::Emit| out.emit(k, b"x"),
-        ));
-        let splits = vec![InputSplit::new(vec![KvPair::new(
-            b"k".to_vec(),
-            b"v".to_vec(),
-        )])];
-        let err = match Job::new(JobConfig::default()).run(splits, mapper, reducer) {
-            Ok(_) => panic!("the job must fail with a structured error"),
-            Err(e) => e,
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("panicked"), "{msg}");
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! In-coordinator shuffle store: completed map outputs, indexed by
-//! (partition, map task), handed to reduce-serving threads as each map
-//! task lands — under a configurable in-memory byte budget, with
-//! overflow spilled to per-partition disk files.
+//! The job's shuffle store: completed map outputs, indexed by
+//! (partition, map task), handed to reduce slots as each map task lands
+//! — under a configurable in-memory byte budget, with overflow spilled
+//! to per-partition disk files. Every job runs over one: a local job's
+//! store is unbounded and raw, a distributed job's takes its budget and
+//! codec from [`DistConfig`](crate::dist::DistConfig).
 //!
-//! The store preserves the engine's canonical segment order — for a
-//! partition, segments are always consumed in map-task-id order — so a
-//! reducer fetched over the wire sees byte-for-byte the same segment
-//! sequence as the local thread-pool path builds in memory. That is
-//! what lets per-index wire corruption from a [`crate::fault`] plan hit
-//! the same bytes in both runtimes. Whether a segment is resident or
-//! spilled is invisible on the wire: placement changes *where* bytes
-//! live, never *which* bytes are served.
+//! A partition's segments are always consumed in map-task-id order,
+//! whatever order the maps finished in, so a fault plan's per-index
+//! corruption hits the same bytes on every run and on every kind of
+//! slot. Whether a segment is resident or spilled is invisible to the
+//! reducer: placement changes *where* bytes live, never *which* bytes
+//! are served.
 //!
 //! # Memory budget and spill format
 //!
@@ -37,10 +37,11 @@
 //! time the coordinator touches those bytes, so promoting them would
 //! evict segments that still have a first fetch ahead of them.
 //!
-//! Segments are retained until the job ends (not freed after a first
-//! fetch) so a retried reduce attempt can re-fetch the same bytes; for
-//! spilled segments the handle stays valid across eviction and
-//! republish because spill files are append-only.
+//! A partition's segments are retained until its reduce *commits*
+//! ([`ShuffleStore::release`]), not freed after a first fetch, so a
+//! retried reduce attempt re-fetches the same bytes; for spilled
+//! segments the handle stays valid across eviction and republish
+//! because spill files are append-only.
 //!
 //! # Wire/spill compression
 //!
@@ -56,10 +57,11 @@
 //! `ShuffleBytes == MapOutputMaterializedBytes` ledger invariant
 //! regardless of codec.
 
-use super::WireCodec;
+use crate::dist::WireCodec;
 use crate::error::MrError;
 use scihadoop_compress::checksum::crc32c;
 use scihadoop_compress::lz;
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
@@ -172,7 +174,6 @@ enum Slot {
     /// Resident. `touch` is the LRU clock value of the last access.
     Mem {
         data: Arc<Vec<u8>>,
-        crc: u32,
         touch: u64,
         comp: bool,
         logical_len: usize,
@@ -221,6 +222,8 @@ struct StoreState {
     /// Time spent in publish-side wire-codec compression
     /// (`LzCompressNanos`; 0 under identity).
     compress_nanos: u64,
+    /// Logical bytes of segments already released to committed reduces.
+    released_bytes: u64,
 }
 
 impl StoreState {
@@ -263,12 +266,12 @@ impl StoreState {
     }
 
     /// Append `data` to `partition`'s spill file (created on first
-    /// use) and return the index entry for it.
+    /// use) and return the index entry for it, CRC included — bytes
+    /// that stay resident are never checksummed.
     fn spill_bytes(
         &mut self,
         partition: usize,
         data: &[u8],
-        crc: u32,
         comp: bool,
         logical_len: usize,
     ) -> Result<Slot, MrError> {
@@ -281,7 +284,7 @@ impl StoreState {
         Ok(Slot::Spilled {
             offset,
             len: data.len(),
-            crc,
+            crc: crc32c(data),
             comp,
             logical_len,
         })
@@ -291,7 +294,6 @@ impl StoreState {
     fn spill_slot(&mut self, partition: usize, map_task: usize) -> Result<(), MrError> {
         let Slot::Mem {
             data,
-            crc,
             comp,
             logical_len,
             ..
@@ -299,17 +301,17 @@ impl StoreState {
         else {
             return Ok(());
         };
-        let (data, crc, comp, logical_len) = (Arc::clone(data), *crc, *comp, *logical_len);
-        let slot = self.spill_bytes(partition, &data, crc, comp, logical_len)?;
+        let (data, comp, logical_len) = (Arc::clone(data), *comp, *logical_len);
+        let slot = self.spill_bytes(partition, &data, comp, logical_len)?;
         self.mem_used -= data.len();
         self.slots[partition][map_task] = slot;
         Ok(())
     }
 }
 
-/// Shared shuffle state between the coordinator's connection threads.
-/// Public so the bench harness and spill-equivalence tests can drive
-/// the store directly; the engine constructs it internally.
+/// Shuffle state shared by a job's slots. Public so the bench harness
+/// and spill-equivalence tests can drive the store directly; the engine
+/// constructs it internally.
 pub struct ShuffleStore {
     state: Mutex<StoreState>,
     ready: Condvar,
@@ -351,6 +353,7 @@ impl ShuffleStore {
                 spill_reads: 0,
                 spill_dead_bytes: 0,
                 compress_nanos: 0,
+                released_bytes: 0,
             }),
             ready: Condvar::new(),
             mem_budget,
@@ -406,7 +409,6 @@ impl ShuffleStore {
             state.slots[partition][map_task] = Slot::Empty;
         }
         for (partition, data, comp, logical_len) in prepared {
-            let crc = crc32c(&data);
             if data.len() <= self.mem_budget {
                 state.make_room(data.len(), self.mem_budget)?;
                 state.mem_used += data.len();
@@ -414,14 +416,13 @@ impl ShuffleStore {
                 let touch = state.touch_next();
                 state.slots[partition][map_task] = Slot::Mem {
                     data: Arc::new(data),
-                    crc,
                     touch,
                     comp,
                     logical_len,
                 };
             } else {
                 state.slots[partition][map_task] =
-                    state.spill_bytes(partition, &data, crc, comp, logical_len)?;
+                    state.spill_bytes(partition, &data, comp, logical_len)?;
             }
         }
         state.done[map_task] = true;
@@ -509,6 +510,27 @@ impl ShuffleStore {
         }
     }
 
+    /// Drop `partition`'s segments: its reduce committed, and a committed
+    /// reduce is never re-fetched. Frees the resident bytes and removes
+    /// the partition's spill file (handles already out keep theirs open).
+    pub fn release(&self, partition: usize) {
+        let mut guard = self.lock_state();
+        let state = &mut *guard;
+        let slots = std::mem::take(&mut state.slots[partition]);
+        state.slots[partition] = slots.iter().map(|_| Slot::Empty).collect();
+        for slot in &slots {
+            if let Slot::Mem { data, .. } = slot {
+                state.mem_used -= data.len();
+            }
+            state.released_bytes += slot.logical_len().unwrap_or(0) as u64;
+        }
+        let file = state.spill[partition].take();
+        // Freeing megabytes and unlinking a file is not work to do under
+        // the lock every fetch takes.
+        drop(guard);
+        drop((slots, file));
+    }
+
     /// Unblock all waiters with an error; called when the job fails.
     pub fn abort(&self) {
         self.lock_state().aborted = true;
@@ -516,19 +538,20 @@ impl ShuffleStore {
     }
 
     /// Total *logical* (uncompressed) bytes across all committed
-    /// segments, resident or spilled (the distributed run's
+    /// segments — resident, spilled or already released (the job's
     /// `ShuffleBytes`). Independent of the wire codec, so the
     /// `ShuffleBytes == MapOutputMaterializedBytes` invariant holds
     /// compressed or not.
     pub fn total_bytes(&self) -> u64 {
         let state = self.lock_state();
-        state
+        let live: u64 = state
             .slots
             .iter()
             .flat_map(|row| row.iter())
             .filter_map(|slot| slot.logical_len())
             .map(|len| len as u64)
-            .sum()
+            .sum();
+        live + state.released_bytes
     }
 
     /// Bytes ever written to spill files (`ShuffleSpilledBytes`).
@@ -627,10 +650,20 @@ impl SegmentHandle {
         }
     }
 
+    /// The *logical* segment bytes: borrowed when they are resident and
+    /// raw (an in-process reduce merges straight over them), otherwise
+    /// materialized by [`SegmentHandle::logical_vec`].
+    pub(crate) fn logical_bytes(&self) -> Result<Cow<'_, [u8]>, MrError> {
+        match &self.repr {
+            SegmentRepr::Mem(data) if !self.comp => Ok(Cow::Borrowed(data.as_slice())),
+            _ => self.logical_vec().map(Cow::Owned),
+        }
+    }
+
     /// Materialize the *logical* segment bytes, inflating a compressed
-    /// store representation — the corruption-injection path needs the
-    /// same bytes the local engine would corrupt, and tests compare
-    /// against published inputs.
+    /// store representation — fault-plan corruption addresses logical
+    /// bytes whatever the store holds, and tests compare against
+    /// published inputs.
     pub fn logical_vec(&self) -> Result<Vec<u8>, MrError> {
         let stored = self.to_vec()?;
         if !self.comp {
@@ -742,6 +775,34 @@ mod tests {
         let seg = store.segment_when_ready(0, 0).unwrap().unwrap();
         assert_eq!(seg.to_vec().unwrap(), b"good");
         assert_eq!(store.total_bytes(), 4);
+    }
+
+    #[test]
+    fn segments_outlive_failed_fetches_and_are_released_on_commit() {
+        // Part resident, part spilled: a 12-byte budget holds one of the
+        // two 10-byte segments per partition pair.
+        let store = ShuffleStore::new(2, 2, 12);
+        for task in 0..2 {
+            let outputs = (0..2).map(|p| (p, vec![(task * 2 + p) as u8; 10]));
+            store.publish(task, outputs.collect()).unwrap();
+        }
+        // A reduce attempt that fails after fetching leaves the store
+        // as it was: the retry is served the same bytes.
+        for partition in 0..2 {
+            let first = fetch_all(&store, partition, 2);
+            assert_eq!(first.len(), 2);
+            assert_eq!(fetch_all(&store, partition, 2), first);
+        }
+        assert!(store.lock_state().mem_used > 0);
+        // One that commits takes its partition with it.
+        store.release(0);
+        assert!(fetch_all(&store, 0, 2).is_empty());
+        assert_eq!(fetch_all(&store, 1, 2).len(), 2);
+        store.release(1);
+        assert_eq!(store.lock_state().mem_used, 0, "nothing stays resident");
+        assert!(store.lock_state().spill.iter().all(Option::is_none));
+        // The job's shuffle volume still counts what was released.
+        assert_eq!(store.total_bytes(), 40);
     }
 
     #[test]
