@@ -25,6 +25,8 @@
 //! `BENCH_CODEC_FAST=1` shrinks the stream and sample counts (CI smoke).
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::json::Json;
+use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads;
 use scihadoop_compress::{BlockCodec, Codec, CodecPool, DeflateCodec, IdentityCodec, LzCodec};
 use scihadoop_core::transform::{StridePredictor, TransformCodec, TransformConfig};
@@ -203,7 +205,7 @@ fn main() {
         g.finish();
     }
 
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cpus = scihadoop_mapreduce::obs::host_cpus();
     // A parallel speed-up measured on fewer cores than workers is a
     // non-result; leave the row out rather than print a 0.99.
     let parallel_speedup = (host_cpus >= 4).then(|| {
@@ -239,49 +241,57 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("BENCH_CODEC_JSON") {
-        let parallel_row = parallel_speedup.map_or(String::new(), |x| {
-            format!("\"parallel_compress_speedup_pool4\": {x:.2},\n  ")
-        });
-        let mut json = String::from("{\n  \"benchmarks\": [\n");
-        for (i, m) in criterion.measurements.iter().enumerate() {
-            let sep = if i + 1 < criterion.measurements.len() {
-                ","
-            } else {
-                ""
-            };
-            json.push_str(&format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.0}, \"bytes_per_s\": {:.0}}}{}\n",
-                m.id,
-                m.median_ns,
-                m.per_second().unwrap_or(0.0),
-                sep
-            ));
+        let sweep_rows = sweep
+            .iter()
+            .map(|&(kib, size)| {
+                let ns = median_of(&criterion, &format!("codec_block_sweep/{kib}KiB/compress"));
+                Json::obj([
+                    ("block_kib", (kib as u64).into()),
+                    ("compressed_bytes", (size as u64).into()),
+                    ("median_ns", rounded(ns, 0)),
+                ])
+            })
+            .collect();
+        let mut fields = vec![
+            ("block_size_sweep", Json::Arr(sweep_rows)),
+            ("host_cpus", host_cpus.into()),
+            ("stream_bytes", (stream.len() as u64).into()),
+            ("deflate_whole_bytes", (deflate_whole_size as u64).into()),
+            ("deflate_block_bytes", (deflate_block_size as u64).into()),
+            (
+                "size_regression_percent",
+                rounded(size_regression_percent, 2),
+            ),
+            ("transform_deflate_whole_bytes", (whole_size as u64).into()),
+            (
+                "transform_deflate_block_bytes",
+                (block_default_size as u64).into(),
+            ),
+            (
+                "transform_restart_cost_percent",
+                rounded(transform_restart_cost_percent, 2),
+            ),
+        ];
+        if let Some(x) = parallel_speedup {
+            fields.push(("parallel_compress_speedup_pool4", rounded(x, 2)));
         }
-        json.push_str("  ],\n  \"block_size_sweep\": [\n");
-        for (i, (kib, size)) in sweep.iter().enumerate() {
-            let sep = if i + 1 < sweep.len() { "," } else { "" };
-            let ns = median_of(&criterion, &format!("codec_block_sweep/{kib}KiB/compress"));
-            json.push_str(&format!(
-                "    {{\"block_kib\": {kib}, \"compressed_bytes\": {size}, \"median_ns\": {ns:.0}}}{sep}\n"
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"host_cpus\": {host_cpus},\n  \
-             \"stream_bytes\": {},\n  \
-             \"deflate_whole_bytes\": {deflate_whole_size},\n  \
-             \"deflate_block_bytes\": {deflate_block_size},\n  \
-             \"size_regression_percent\": {size_regression_percent:.2},\n  \
-             \"transform_deflate_whole_bytes\": {whole_size},\n  \
-             \"transform_deflate_block_bytes\": {block_default_size},\n  \
-             \"transform_restart_cost_percent\": {transform_restart_cost_percent:.2},\n  \
-             {parallel_row}\
-             \"lz_bytes\": {lz_size},\n  \
-             \"lz_ratio\": {lz_ratio:.4},\n  \
-             \"deflate_ratio\": {deflate_ratio:.4},\n  \
-             \"lz_vs_deflate_compress_speedup\": {lz_vs_deflate_compress_speedup:.2}\n}}\n",
-            stream.len()
-        ));
-        std::fs::write(&path, json).expect("write bench json");
-        println!("wrote {path}");
+        fields.extend([
+            ("lz_bytes", (lz_size as u64).into()),
+            ("lz_ratio", rounded(lz_ratio, 4)),
+            ("deflate_ratio", rounded(deflate_ratio, 4)),
+            (
+                "lz_vs_deflate_compress_speedup",
+                rounded(lz_vs_deflate_compress_speedup, 2),
+            ),
+        ]);
+        write_bench_json(
+            &path,
+            "bytes_per_s",
+            criterion
+                .measurements
+                .iter()
+                .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
+            fields,
+        );
     }
 }

@@ -9,8 +9,11 @@
 //! this machine.
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::json::Json;
+use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads::merge_group_pass;
 use scihadoop_compress::IdentityCodec;
+use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
     BlockMergeStream, DefaultKeySemantics, Framing, IFileWriter, KeySemantics, KvPair, MergeItem,
     RawSegment,
@@ -361,7 +364,6 @@ fn main() {
         },
         40,
     );
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     println!(
         "\nv2 segment bytes: {v2_bytes}  v3 segment bytes: {v3_bytes}  (v3/v2 = {bytes_ratio:.3})"
@@ -386,33 +388,48 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("BENCH_IFILE_JSON") {
-        let mut json = String::from("{\n  \"benchmarks\": [\n");
-        for (i, m) in criterion.measurements.iter().enumerate() {
-            let sep = if i + 1 < criterion.measurements.len() {
-                ","
-            } else {
-                ""
-            };
-            json.push_str(&format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.0}, \"records_per_s\": {:.0}}}{}\n",
-                m.id,
-                m.median_ns,
-                m.per_second().unwrap_or(0.0),
-                sep
-            ));
-        }
-        json.push_str("  ],\n  \"block_budget_sweep\": [\n");
-        for (i, &(budget, seg_bytes, blocks, skip_rate, splice_speedup)) in sweep.iter().enumerate()
-        {
-            let sep = if i + 1 < sweep.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"budget\": {budget}, \"segment_bytes\": {seg_bytes}, \"blocks\": {blocks}, \"skip_rate\": {skip_rate:.3}, \"splice_speedup\": {splice_speedup:.2}}}{sep}\n"
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"v2_segment_bytes\": {v2_bytes},\n  \"v3_segment_bytes\": {v3_bytes},\n  \"v3_over_v2_bytes\": {bytes_ratio:.3},\n  \"write_throughput_ratio\": {write_ratio:.2},\n  \"merge_interleaved_ratio\": {merge_interleaved_ratio:.2},\n  \"merge_disjoint_ratio\": {merge_disjoint_ratio:.2},\n  \"merge_splice_speedup\": {merge_splice_speedup:.2},\n  \"merge_pr5_shuffled_ratio\": {merge_pr5_shuffled_ratio:.2},\n  \"block_skip_rate_disjoint\": {skip_rate_disjoint:.3},\n  \"block_skip_rate_interleaved\": {skip_rate_interleaved:.3},\n  \"host_cpus\": {host_cpus}\n}}\n"
-        ));
-        std::fs::write(&path, json).expect("write bench json");
-        println!("wrote {path}");
+        let sweep_rows = sweep
+            .iter()
+            .map(|&(budget, seg_bytes, blocks, skip_rate, splice_speedup)| {
+                Json::obj([
+                    ("budget", (budget as u64).into()),
+                    ("segment_bytes", seg_bytes.into()),
+                    ("blocks", blocks.into()),
+                    ("skip_rate", rounded(skip_rate, 3)),
+                    ("splice_speedup", rounded(splice_speedup, 2)),
+                ])
+            })
+            .collect();
+        write_bench_json(
+            &path,
+            "records_per_s",
+            criterion
+                .measurements
+                .iter()
+                .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
+            vec![
+                ("block_budget_sweep", Json::Arr(sweep_rows)),
+                ("v2_segment_bytes", v2_bytes.into()),
+                ("v3_segment_bytes", v3_bytes.into()),
+                ("v3_over_v2_bytes", rounded(bytes_ratio, 3)),
+                ("write_throughput_ratio", rounded(write_ratio, 2)),
+                (
+                    "merge_interleaved_ratio",
+                    rounded(merge_interleaved_ratio, 2),
+                ),
+                ("merge_disjoint_ratio", rounded(merge_disjoint_ratio, 2)),
+                ("merge_splice_speedup", rounded(merge_splice_speedup, 2)),
+                (
+                    "merge_pr5_shuffled_ratio",
+                    rounded(merge_pr5_shuffled_ratio, 2),
+                ),
+                ("block_skip_rate_disjoint", rounded(skip_rate_disjoint, 3)),
+                (
+                    "block_skip_rate_interleaved",
+                    rounded(skip_rate_interleaved, 3),
+                ),
+                ("host_cpus", host_cpus().into()),
+            ],
+        );
     }
 }

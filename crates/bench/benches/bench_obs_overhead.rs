@@ -13,6 +13,7 @@
 //! committed baseline from this machine.
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads::merge_group_pass;
 use scihadoop_compress::IdentityCodec;
 use scihadoop_mapreduce::obs::{clock_name, host_cpus, LedgerRecord, Recorder};
@@ -252,7 +253,7 @@ fn main() {
             }
             let record =
                 LedgerRecord::from_run("bench_obs", &ledger_cfg, &ledger_result, Some(&trace));
-            black_box(record.to_json_line().len());
+            black_box(record.to_json().len());
         },
         15,
     );
@@ -261,27 +262,26 @@ fn main() {
     println!("map-sort-spill tracing+ledger:   {ledger_overhead:+.2}%");
 
     if let Ok(path) = std::env::var("BENCH_OBS_JSON") {
-        let mut json = String::from("{\n  \"benchmarks\": [\n");
-        for (i, m) in criterion.measurements.iter().enumerate() {
-            let sep = if i + 1 < criterion.measurements.len() {
-                ","
-            } else {
-                ""
-            };
-            json.push_str(&format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.0}, \"records_per_s\": {:.0}}}{}\n",
-                m.id,
-                m.median_ns,
-                m.per_second().unwrap_or(0.0),
-                sep
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"map_sort_spill_overhead_percent\": {spill_overhead:.2},\n  \"merge_reduce_overhead_percent\": {merge_overhead:.2},\n  \"map_sort_spill_ledger_overhead_percent\": {ledger_overhead:.2},\n  \"host_cpus\": {},\n  \"clock_kind\": \"{}\"\n}}\n",
-            host_cpus(),
-            clock_name(),
-        ));
-        std::fs::write(&path, json).expect("write bench json");
-        println!("wrote {path}");
+        write_bench_json(
+            &path,
+            "records_per_s",
+            criterion
+                .measurements
+                .iter()
+                .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
+            vec![
+                (
+                    "map_sort_spill_overhead_percent",
+                    rounded(spill_overhead, 2),
+                ),
+                ("merge_reduce_overhead_percent", rounded(merge_overhead, 2)),
+                (
+                    "map_sort_spill_ledger_overhead_percent",
+                    rounded(ledger_overhead, 2),
+                ),
+                ("host_cpus", host_cpus().into()),
+                ("clock_kind", clock_name().into()),
+            ],
+        );
     }
 }

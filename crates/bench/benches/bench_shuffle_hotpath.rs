@@ -9,16 +9,15 @@
 //! root is a committed baseline from this machine.
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads::merge_group_pass;
-use scihadoop_bench::DistJobSpec;
 use scihadoop_compress::checksum::Crc32c;
 use scihadoop_compress::IdentityCodec;
-use scihadoop_mapreduce::dist::{
-    run_distributed_with_threads, DistConfig, SegmentRepr, ShuffleStore, Transport, WireCodec,
-};
+use scihadoop_mapreduce::dist::{SegmentRepr, ShuffleStore};
+use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
-    for_each_group, merge_sorted_runs, Counter, DefaultKeySemantics, Framing, IFileReader,
-    IFileWriter, KeySemantics, KvPair, SpillArena,
+    for_each_group, merge_sorted_runs, DefaultKeySemantics, Framing, IFileReader, IFileWriter,
+    KeySemantics, KvPair, SpillArena,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -210,19 +209,10 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
 /// 0), both drained in canonical order through the same 64 KiB chunk
 /// loop the wire path uses — spilled chunks `pread` into the chunk
 /// buffer and re-verify the spill-time CRC, exactly as a remote slot's
-/// reduce does. Those two rows are the raw serving throughputs; the returned
-/// overhead figure (budget <= 10%) is measured *end to end* instead:
-/// full thread-mode distributed jobs over real sockets at budget 0 vs
-/// unbounded, because in a real job the spill read is one slice of
-/// serving (sockets, credits, reduce compute) rather than the whole of
-/// it, and the wall-clock cost of spilling is what a user pays.
-///
-/// The second returned figure is the wire-compression overhead (budget
-/// <= 5%): the same end-to-end paired-median protocol with
-/// `--wire-codec lz` vs `identity` at an unbounded budget, so the
-/// figure isolates the compress-on-publish + decompress-at-fetch cost
-/// against the socket bytes it removes.
-fn bench_shuffle_serve(c: &mut Criterion) -> (f64, f64) {
+/// reduce does. What spilling and wire compression cost a whole job is
+/// timed at seconds scale by the `benchmark/` package
+/// (`median-plain-proc` vs `median-plain-proc-lzspill`), not here.
+fn bench_shuffle_serve(c: &mut Criterion) {
     const MAPS: usize = 16;
     const SEG_LEN: usize = 96 << 10;
     let segments: Vec<Vec<u8>> = (0..MAPS)
@@ -279,89 +269,13 @@ fn bench_shuffle_serve(c: &mut Criterion) -> (f64, f64) {
     group.bench_function("mem", |b| b.iter(|| black_box(serve(&mem_store))));
     group.bench_function("spill", |b| b.iter(|| black_box(serve(&spill_store))));
     group.finish();
-
-    // Paired-median end-to-end overhead: one full thread-mode
-    // distributed run per side per round, interleaved so machine drift
-    // hits both sides of each round equally. The job is sized so one
-    // run's wall is large against scheduler jitter — at small record
-    // counts the per-round ratio spread swamps single-digit overhead
-    // budgets and the median itself becomes noisy.
-    let spec = DistJobSpec {
-        records: 20_000,
-        ..DistJobSpec::default()
-    };
-    let config = spec.build_config().expect("spec builds");
-    let splits = spec.make_splits();
-    let run = |budget: usize, codec: WireCodec| {
-        let dist_cfg = DistConfig::default()
-            .with_workers(2)
-            .with_transport(Transport::Tcp)
-            .with_shuffle_mem_bytes(Some(budget))
-            .with_wire_codec(codec);
-        let t0 = Instant::now();
-        let result = run_distributed_with_threads(
-            &config,
-            &dist_cfg,
-            splits.clone(),
-            Arc::new(DistJobSpec::mapper()),
-            Arc::new(DistJobSpec::reducer()),
-        )
-        .expect("thread-mode dist run");
-        (t0.elapsed().as_nanos().max(1), result)
-    };
-    // Warm both paths (page cache, allocator, listener setup) and pin
-    // the invariants the ratio depends on: budget 0 spills every byte,
-    // unbounded spills none, outputs agree.
-    let (_, spilled_run) = run(0, WireCodec::Identity);
-    let (_, resident_run) = run(usize::MAX, WireCodec::Identity);
-    assert_eq!(spilled_run.outputs, resident_run.outputs);
-    assert!(spilled_run.counters.get(Counter::ShuffleSpilledBytes) > 0);
-    assert_eq!(resident_run.counters.get(Counter::ShuffleSpilledBytes), 0);
-
-    let mut ratios = Vec::new();
-    for round in 0..15 {
-        let (first, second) = if round % 2 == 0 {
-            (0, usize::MAX)
-        } else {
-            (usize::MAX, 0)
-        };
-        let (a, _) = run(first, WireCodec::Identity);
-        let (b, _) = run(second, WireCodec::Identity);
-        let (spilled, resident) = if round % 2 == 0 { (a, b) } else { (b, a) };
-        ratios.push(spilled as f64 / resident as f64);
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    let spill_overhead = (ratios[ratios.len() / 2] - 1.0) * 100.0;
-
-    // Wire compression: identical outputs, bytes actually saved on the
-    // socket, and an end-to-end wall cost small enough to always leave
-    // compression on for capable workers.
-    let (_, lz_run) = run(usize::MAX, WireCodec::Lz);
-    assert_eq!(lz_run.outputs, resident_run.outputs);
-    assert!(lz_run.counters.get(Counter::ShuffleWireBytesSaved) > 0);
-
-    let mut wire_ratios = Vec::new();
-    for round in 0..15 {
-        let (first, second) = if round % 2 == 0 {
-            (WireCodec::Lz, WireCodec::Identity)
-        } else {
-            (WireCodec::Identity, WireCodec::Lz)
-        };
-        let (a, _) = run(usize::MAX, first);
-        let (b, _) = run(usize::MAX, second);
-        let (lz, identity) = if round % 2 == 0 { (a, b) } else { (b, a) };
-        wire_ratios.push(lz as f64 / identity as f64);
-    }
-    wire_ratios.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    let wire_overhead = (wire_ratios[wire_ratios.len() / 2] - 1.0) * 100.0;
-    (spill_overhead, wire_overhead)
 }
 
 fn main() {
     let mut criterion = Criterion::default();
     bench_map_sort_spill(&mut criterion);
     let crc_overhead = bench_merge_reduce(&mut criterion);
-    let (spill_overhead, wire_lz_overhead) = bench_shuffle_serve(&mut criterion);
+    bench_shuffle_serve(&mut criterion);
 
     // Speedups + optional JSON baseline.
     let rate = |id: &str| {
@@ -375,35 +289,27 @@ fn main() {
     let merge_speedup = rate("merge_reduce/streaming_loser_tree") / rate("classic_materialize");
     let radix_speedup_shuffled =
         rate("map_sort_spill/arena_radix_shuffled") / rate("map_sort_spill/arena_shuffled");
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!("\nmerge-reduce speedup (streaming vs materializing): {merge_speedup:.2}x");
     println!("radix spill sort speedup (shuffled emission):      {radix_speedup_shuffled:.2}x");
     println!("CRC-32C trailer overhead on streaming merge: {crc_overhead:+.2}% (budget <= 6%)");
-    println!("shuffle spill serving overhead (vs resident): {spill_overhead:+.2}% (budget <= 10%)");
-    println!(
-        "wire lz compression overhead (vs identity):   {wire_lz_overhead:+.2}% (budget <= 5%)"
-    );
 
     if let Ok(path) = std::env::var("BENCH_SHUFFLE_JSON") {
-        let mut json = String::from("{\n  \"benchmarks\": [\n");
-        for (i, m) in criterion.measurements.iter().enumerate() {
-            let sep = if i + 1 < criterion.measurements.len() {
-                ","
-            } else {
-                ""
-            };
-            json.push_str(&format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {:.0}, \"records_per_s\": {:.0}}}{}\n",
-                m.id,
-                m.median_ns,
-                m.per_second().unwrap_or(0.0),
-                sep
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"merge_reduce_speedup\": {merge_speedup:.2},\n  \"radix_sort_speedup_shuffled\": {radix_speedup_shuffled:.2},\n  \"crc_trailer_overhead_pct\": {crc_overhead:.2},\n  \"shuffle_spill_overhead_pct\": {spill_overhead:.2},\n  \"wire_lz_overhead_pct\": {wire_lz_overhead:.2},\n  \"host_cpus\": {host_cpus}\n}}\n"
-        ));
-        std::fs::write(&path, json).expect("write bench json");
-        println!("wrote {path}");
+        write_bench_json(
+            &path,
+            "records_per_s",
+            criterion
+                .measurements
+                .iter()
+                .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
+            vec![
+                ("merge_reduce_speedup", rounded(merge_speedup, 2)),
+                (
+                    "radix_sort_speedup_shuffled",
+                    rounded(radix_speedup_shuffled, 2),
+                ),
+                ("crc_trailer_overhead_pct", rounded(crc_overhead, 2)),
+                ("host_cpus", host_cpus().into()),
+            ],
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [EXPERIMENT] [--small] [--trace <path>] [--metrics <path>]
-//!       [--ledger <path>] [--reconcile <path>]
+//! repro [EXPERIMENT] [--small] [--trace <path>] [--ledger <path>]
+//!       [--reconcile <path>]
 //!
 //! EXPERIMENT:
 //!   intro      §I intermediate-file overhead numbers
@@ -50,15 +50,13 @@
 //!   (keys are optional; rates in [0,1]). --retries <n> sets the
 //!   per-task retry budget (default 3; must be >= the plan's cap).
 //! --trace <path> writes the traced pipeline's span timeline as Chrome
-//!   trace_event JSON (open in about:tracing / Perfetto); --metrics
-//!   <path> writes the self-describing JSON metrics report (counters,
-//!   histograms, derived byte breakdowns). Either flag implies the
+//!   trace_event JSON (open in about:tracing / Perfetto). It implies the
 //!   `trace` experiment, as does --ledger.
 //! --ledger <path> appends one self-describing JSON-lines run record per
 //!   job (config, counters, phase rollups, histograms) — rich records
-//!   from the trace/model_drift jobs, engine-hook records from
-//!   fault_storm runs. The file accumulates history for the `regress`
-//!   perf gate.
+//!   from the trace jobs, thin ones (no rollups or histograms) from
+//!   fault_storm and dist runs. The file accumulates history for the
+//!   `regress` perf gate.
 //! --reconcile <path> parses an existing ledger file and prints the
 //!   cost-model drift report (predicted vs measured per run); a
 //!   standalone action that runs no experiment unless one is named.
@@ -152,7 +150,6 @@ fn main() {
             .cloned()
     };
     let trace_path = flag_value("--trace");
-    let metrics_path = flag_value("--metrics");
     let ledger_path = flag_value("--ledger");
     let reconcile_path = flag_value("--reconcile");
     let fault_spec = flag_value("--faults").unwrap_or_else(|| {
@@ -229,7 +226,7 @@ fn main() {
         })
     });
     // Positional experiment name: skip flags and their path values. With
-    // only --trace/--metrics/--ledger given, default to the trace
+    // only --trace/--ledger given, default to the trace
     // experiment rather than the full suite; with only --reconcile, run
     // no experiment at all (reconcile is a standalone action).
     let mut which = if workers.is_some()
@@ -238,7 +235,7 @@ fn main() {
         || wire_codec.is_some()
     {
         "dist".to_string()
-    } else if trace_path.is_some() || metrics_path.is_some() || ledger_path.is_some() {
+    } else if trace_path.is_some() || ledger_path.is_some() {
         "trace".to_string()
     } else if reconcile_path.is_some() {
         "none".to_string()
@@ -252,7 +249,6 @@ fn main() {
             continue;
         }
         if a == "--trace"
-            || a == "--metrics"
             || a == "--ledger"
             || a == "--reconcile"
             || a == "--faults"
@@ -308,8 +304,8 @@ fn main() {
         );
         ran = true;
     }
-    if run("trace") || trace_path.is_some() || metrics_path.is_some() {
-        let (table, trace, counters, records) =
+    if run("trace") || trace_path.is_some() {
+        let (table, trace, records) =
             bench::traced_pipeline(s.trace_n, s.trace_records, ifile_version);
         println!("{}", table.render());
         if let Some(path) = &trace_path {
@@ -317,13 +313,8 @@ fn main() {
             std::fs::write(path, json).expect("write chrome trace");
             println!("wrote chrome trace to {path}");
         }
-        if let Some(path) = &metrics_path {
-            let json = scihadoop_mapreduce::obs::metrics_json(&trace, &counters);
-            std::fs::write(path, json).expect("write metrics report");
-            println!("wrote metrics report to {path}");
-        }
         if let Some(path) = &ledger_path {
-            let sink = scihadoop_mapreduce::obs::LedgerSink::with_path(path);
+            let mut sink = scihadoop_mapreduce::obs::LedgerSink::with_path(path);
             let appended = records.len();
             for record in records {
                 sink.append(record).expect("append ledger record");
@@ -380,7 +371,7 @@ fn main() {
         ran = true;
     }
     if run("fault_storm") {
-        let storm_sink = ledger_path
+        let mut storm_sink = ledger_path
             .as_ref()
             .map(scihadoop_mapreduce::obs::LedgerSink::with_path);
         println!(
@@ -391,14 +382,14 @@ fn main() {
                 retries,
                 codec.clone(),
                 ifile_version,
-                storm_sink.as_ref(),
+                storm_sink.as_mut(),
             )
             .render()
         );
         if let Some(sink) = &storm_sink {
             println!(
                 "appended {} run records to {}",
-                sink.len(),
+                sink.records().len(),
                 ledger_path.as_deref().unwrap_or_default()
             );
         }
@@ -416,7 +407,7 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let sink = ledger_path
+        let mut sink = ledger_path
             .as_ref()
             .map(scihadoop_mapreduce::obs::LedgerSink::with_path);
         let workers = workers.unwrap_or(3);
@@ -444,7 +435,7 @@ fn main() {
                 shuffle_mem,
                 wire_codec,
                 &[],
-                sink.as_ref()
+                sink.as_mut()
             )
             .render()
         );
@@ -457,14 +448,14 @@ fn main() {
                 shuffle_mem,
                 wire_codec,
                 &[],
-                sink.as_ref()
+                sink.as_mut()
             )
             .render()
         );
         if let Some(sink) = &sink {
             println!(
                 "appended {} run records to {}",
-                sink.len(),
+                sink.records().len(),
                 ledger_path.as_deref().unwrap_or_default()
             );
         }
@@ -476,7 +467,7 @@ fn main() {
             eprintln!("cannot read ledger {path}: {e}");
             std::process::exit(2);
         });
-        let records = bench::ledger::parse_ledger(&text).unwrap_or_else(|e| {
+        let records = scihadoop_mapreduce::obs::parse_ledger(&text).unwrap_or_else(|e| {
             eprintln!("bad ledger {path}: {e}");
             std::process::exit(2);
         });

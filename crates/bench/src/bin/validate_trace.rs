@@ -1,30 +1,28 @@
 //! `validate_trace` — sanity-check the files written by
-//! `repro --trace <path> --metrics <path> [--ledger <path>]`.
+//! `repro --trace <path> --ledger <path>`.
 //!
 //! ```text
-//! validate_trace <trace.json> <metrics.json> [<ledger.jsonl>]
+//! validate_trace <trace.json> <ledger.jsonl>
 //! ```
 //!
-//! Verifies, with the in-tree JSON parser (no external deps):
+//! Verifies, with the in-tree JSON module (no external deps):
 //!
-//! * both files are well-formed JSON;
-//! * the Chrome trace contains complete ("X") span events for **all
-//!   nine** pipeline stages, with non-negative timestamps/durations,
-//!   thread-name metadata, and the v3 counter ("C") tracks;
-//! * the metrics report carries the expected schema tag, a clock
-//!   designator, per-phase span rollups, and counters;
-//! * the derived intermediate breakdown in the metrics report equals
-//!   the exported counters **exactly** (the reconciliation the obs
-//!   layer promises);
-//! * when a ledger is given, every line parses strictly, re-encodes to
-//!   the exact input bytes, and the records jointly cover all nine
-//!   phases with live counters.
+//! * the Chrome trace is well-formed JSON with complete ("X") span
+//!   events for **every** stage in `ALL_PHASES`, non-negative
+//!   timestamps/durations, thread-name metadata, and the v3 counter
+//!   ("C") tracks;
+//! * every ledger line parses strictly (the parser only accepts a line
+//!   that re-encodes to the exact input bytes);
+//! * in every rich record (one that carries histograms) the derived
+//!   intermediate breakdown equals the record's counters **exactly**
+//!   (the reconciliation the obs layer promises);
+//! * the records jointly carry span rollups for every stage, and live
+//!   counters.
 //!
 //! Exits 0 when every check passes, 1 otherwise (printing each failure).
 
 use scihadoop_bench::json::{self, Json};
-use scihadoop_bench::ledger::parse_line;
-use scihadoop_mapreduce::obs::{ALL_PHASES, METRICS_SCHEMA, NUM_PHASES};
+use scihadoop_mapreduce::obs::{IntermediateBreakdown, LedgerRecord, ALL_PHASES, NUM_PHASES};
 use scihadoop_mapreduce::Counter;
 
 fn check_trace(doc: &Json, errs: &mut Vec<String>) {
@@ -86,55 +84,9 @@ fn check_trace(doc: &Json, errs: &mut Vec<String>) {
     }
 }
 
-fn check_metrics(doc: &Json, errs: &mut Vec<String>) {
-    if doc.get("schema").and_then(|s| s.as_str()) != Some(METRICS_SCHEMA) {
-        errs.push(format!("metrics: schema tag is not {METRICS_SCHEMA:?}"));
-    }
-    match doc.get("clock").and_then(|c| c.as_str()) {
-        Some("thread_cpu" | "wall") => {}
-        other => errs.push(format!("metrics: bad clock designator {other:?}")),
-    }
-    for phase in ALL_PHASES {
-        let count = doc
-            .get_path(&["spans", phase.name(), "count"])
-            .and_then(|c| c.as_u64());
-        match count {
-            Some(n) if n > 0 => {}
-            _ => errs.push(format!(
-                "metrics: no span rollup for stage {}",
-                phase.name()
-            )),
-        }
-    }
-    let counter = |name: &str| doc.get_path(&["counters", name]).and_then(|v| v.as_u64());
-    let derived = |name: &str| {
-        doc.get_path(&["derived", "intermediate_breakdown", name])
-            .and_then(|v| v.as_u64())
-    };
-    // The reconciliation promise: histogram-derived bytes == counters.
-    for (derived_field, counter_name) in [
-        ("segments", "map_output_segments"),
-        ("key_bytes", "map_output_key_bytes"),
-        ("value_bytes", "map_output_value_bytes"),
-        ("framing_bytes", "map_output_framing_bytes"),
-        ("raw_bytes", "map_output_bytes"),
-        ("materialized_bytes", "map_output_materialized_bytes"),
-    ] {
-        match (derived(derived_field), counter(counter_name)) {
-            (Some(d), Some(c)) if d == c => {}
-            (d, c) => errs.push(format!(
-                "metrics: derived {derived_field} ({d:?}) != counter {counter_name} ({c:?})"
-            )),
-        }
-    }
-    if counter("map_output_bytes") == Some(0) {
-        errs.push("metrics: counters recorded no map output".into());
-    }
-}
-
-/// Every ledger line must parse strictly and re-encode to the exact
-/// input bytes; jointly the records must cover all nine phases and
-/// carry live counters.
+/// Every ledger line must parse strictly, every rich record must
+/// reconcile with its own counters, and jointly the records must cover
+/// every phase and carry live counters.
 fn check_ledger(text: &str, errs: &mut Vec<String>) {
     let mut phase_counts = [0u64; NUM_PHASES];
     let mut records = 0usize;
@@ -143,15 +95,19 @@ fn check_ledger(text: &str, errs: &mut Vec<String>) {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_line(line) {
+        match LedgerRecord::from_json(line) {
             Err(e) => errs.push(format!("ledger: line {}: {e}", i + 1)),
             Ok(record) => {
                 records += 1;
-                if record.to_json_line() != line {
-                    errs.push(format!(
-                        "ledger: line {} does not re-encode byte-identically",
-                        i + 1
-                    ));
+                if !record.histograms.is_empty() {
+                    let derived = IntermediateBreakdown::from_record(&record);
+                    for e in derived
+                        .reconcile(&record.counters)
+                        .err()
+                        .unwrap_or_default()
+                    {
+                        errs.push(format!("ledger: line {} ({}): {e}", i + 1, record.label));
+                    }
                 }
                 for (slot, p) in phase_counts.iter_mut().zip(record.phases.iter()) {
                     *slot += p.count;
@@ -179,48 +135,28 @@ fn check_ledger(text: &str, errs: &mut Vec<String>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (trace_path, metrics_path, ledger_path) = match args.as_slice() {
-        [t, m] => (t, m, None),
-        [t, m, l] => (t, m, Some(l)),
-        _ => {
-            eprintln!("usage: validate_trace <trace.json> <metrics.json> [<ledger.jsonl>]");
-            std::process::exit(2);
-        }
+    let [trace_path, ledger_path] = args.as_slice() else {
+        eprintln!("usage: validate_trace <trace.json> <ledger.jsonl>");
+        std::process::exit(2);
     };
 
     let mut errs: Vec<String> = Vec::new();
-    for (label, path, check) in [
-        (
-            "trace",
-            trace_path,
-            check_trace as fn(&Json, &mut Vec<String>),
-        ),
-        ("metrics", metrics_path, check_metrics),
-    ] {
-        match std::fs::read_to_string(path) {
-            Ok(text) => match json::parse(&text) {
-                Ok(doc) => check(&doc, &mut errs),
-                Err(e) => errs.push(format!("{label}: {e}")),
-            },
-            Err(e) => errs.push(format!("{label}: cannot read {path}: {e}")),
-        }
+    match std::fs::read_to_string(trace_path) {
+        Ok(text) => match json::parse(&text) {
+            Ok(doc) => check_trace(&doc, &mut errs),
+            Err(e) => errs.push(format!("trace: {e}")),
+        },
+        Err(e) => errs.push(format!("trace: cannot read {trace_path}: {e}")),
     }
-    if let Some(path) = ledger_path {
-        match std::fs::read_to_string(path) {
-            Ok(text) => check_ledger(&text, &mut errs),
-            Err(e) => errs.push(format!("ledger: cannot read {path}: {e}")),
-        }
+    match std::fs::read_to_string(ledger_path) {
+        Ok(text) => check_ledger(&text, &mut errs),
+        Err(e) => errs.push(format!("ledger: cannot read {ledger_path}: {e}")),
     }
 
     if errs.is_empty() {
         println!(
-            "ok: trace covers all {} stages and metrics reconcile{}",
-            ALL_PHASES.len(),
-            if ledger_path.is_some() {
-                "; ledger roundtrips byte-identically"
-            } else {
-                ""
-            }
+            "ok: trace covers all {} stages; ledger roundtrips byte-identically and reconciles",
+            ALL_PHASES.len()
         );
     } else {
         for e in &errs {

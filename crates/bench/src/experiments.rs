@@ -10,8 +10,8 @@ use scihadoop_grid::{BoundingBox, Coord, GridError, Shape};
 use scihadoop_mapreduce::obs::{self, IntermediateBreakdown, Recorder, ALL_PHASES};
 use scihadoop_mapreduce::record::{Emit, FnMapper, FnReducer, InputSplit};
 use scihadoop_mapreduce::{
-    run_distributed, Counter, CounterSnapshot, DistConfig, FaultConfig, FaultPlan, Framing,
-    IFileVersion, IFileWriter, Job, JobConfig, JobStats, KvPair, Trace, Transport, WireCodec,
+    run_distributed, Counter, DistConfig, FaultConfig, FaultPlan, Framing, IFileVersion,
+    IFileWriter, Job, JobConfig, JobResult, JobStats, KvPair, Trace, Transport, WireCodec,
 };
 use scihadoop_queries::{
     median::{MedianRun, SlidingMedian, SlidingMedianVariant},
@@ -610,7 +610,7 @@ pub fn traced_pipeline(
     n: u32,
     records: usize,
     ifile_version: IFileVersion,
-) -> (Table, Trace, CounterSnapshot, Vec<obs::LedgerRecord>) {
+) -> (Table, Trace, Vec<obs::LedgerRecord>) {
     let mut ledger = Vec::new();
 
     // Job 1: wordcount with a combiner and a tiny spill buffer (forces
@@ -768,7 +768,7 @@ pub fn traced_pipeline(
     if !trace.warnings.is_empty() {
         table.note(&format!("trace warnings: {:?}", trace.warnings));
     }
-    (table, trace, counters, ledger)
+    (table, trace, ledger)
 }
 
 /// Render model-vs-measured drift for a set of ledger records: each
@@ -810,9 +810,9 @@ pub fn drift_table(title: &str, records: &[obs::LedgerRecord]) -> (Table, Vec<ob
 }
 
 /// Model-vs-measured drift: run the traced pipeline, roundtrip each job's
-/// [`obs::LedgerRecord`] through its JSON-line encoding and the strict
-/// [`crate::ledger`] parser (asserting the re-encode is byte-identical),
-/// rebuild [`JobStats`] from the parsed record, replay
+/// [`obs::LedgerRecord`] through its JSON-line encoding and strict parser
+/// (which only accepts a line that re-encodes byte-identically), rebuild
+/// [`JobStats`] from the parsed record, replay
 /// [`CostModel::simulate`] and report per-phase predicted vs measured
 /// values with signed error — the paper's Table I/II style breakdown, but
 /// predicted-vs-actual instead of before-vs-after.
@@ -821,20 +821,13 @@ pub fn model_drift(
     records: usize,
     ifile_version: IFileVersion,
 ) -> (Table, Vec<(obs::LedgerRecord, obs::DriftReport)>) {
-    let (_, _, _, ledger) = traced_pipeline(n, records, ifile_version);
+    let (_, _, ledger) = traced_pipeline(n, records, ifile_version);
 
     let parsed: Vec<obs::LedgerRecord> = ledger
         .iter()
         .map(|record| {
-            let line = record.to_json_line();
-            let back = crate::ledger::parse_line(&line)
-                .expect("ledger record must parse back through the bench JSON parser");
-            assert_eq!(
-                back.to_json_line(),
-                line,
-                "ledger roundtrip must be byte-identical"
-            );
-            back
+            obs::LedgerRecord::from_json(&record.to_json())
+                .expect("a written ledger record must parse back")
         })
         .collect();
     let (table, reports) = drift_table(
@@ -842,6 +835,20 @@ pub fn model_drift(
         &parsed,
     );
     (table, parsed.into_iter().zip(reports).collect())
+}
+
+/// Append the thin (trace-less) record of a finished run to `ledger`,
+/// when the caller asked for one.
+fn append_record(
+    ledger: Option<&mut obs::LedgerSink>,
+    label: &str,
+    config: &JobConfig,
+    result: &JobResult,
+) {
+    if let Some(sink) = ledger {
+        sink.append(obs::LedgerRecord::from_run(label, config, result, None))
+            .expect("append ledger record");
+    }
 }
 
 /// Fault-tolerance tentpole: run the same combiner wordcount twice —
@@ -874,8 +881,7 @@ pub fn fault_storm(records: usize, fault_config: FaultConfig, retries: u32) -> T
 /// segments shuffle losslessly while per-block corruption is detected
 /// (CRC-32C trailers + block CRCs) and retried.
 ///
-/// When `ledger` is given, both runs append a record through the engine's
-/// own runner hook (`JobConfig::with_ledger`) — the clean run as
+/// When `ledger` is given, both runs append a record — the clean run as
 /// `fault_storm_clean`, the faulted one as `fault_storm_faulted`.
 pub fn fault_storm_with_codec(
     records: usize,
@@ -883,7 +889,7 @@ pub fn fault_storm_with_codec(
     retries: u32,
     codec: Option<Arc<dyn Codec>>,
     ifile_version: IFileVersion,
-    ledger: Option<&obs::LedgerSink>,
+    mut ledger: Option<&mut obs::LedgerSink>,
 ) -> Table {
     assert!(
         fault_config.attempt_cap <= retries,
@@ -906,13 +912,16 @@ pub fn fault_storm_with_codec(
             })
             .collect()
     };
-    let run = |config: JobConfig| {
+    let mut run = |config: JobConfig, label: &str| {
         let mapper = Arc::new(FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| {
             out.emit(k, v)
         }));
-        Job::new(config)
+        let job = Job::new(config);
+        let result = job
             .run(make_splits(), mapper, Arc::new(FnReducer(sum_values)))
-            .expect("faults below the retry budget must not fail the job")
+            .expect("faults below the retry budget must not fail the job");
+        append_record(ledger.as_deref_mut(), label, job.config(), &result);
+        result
     };
     let codec_label = codec
         .as_ref()
@@ -926,19 +935,15 @@ pub fn fault_storm_with_codec(
         base = base.with_codec(c);
     }
     let header = Framing::IFile.file_overhead() as u64;
-    let with_sink = |config: JobConfig, label: &str| match ledger {
-        Some(sink) => config.with_ledger(sink.clone(), label),
-        None => config,
-    };
 
-    let clean = run(with_sink(base.clone(), "fault_storm_clean"));
+    let clean = run(base.clone(), "fault_storm_clean");
     let t0 = Instant::now();
-    let faulted = run(with_sink(
+    let faulted = run(
         base.with_retries(retries)
             .with_retry_backoff(std::time::Duration::from_micros(50))
             .with_faults(FaultPlan::new(fault_config.clone())),
         "fault_storm_faulted",
-    ));
+    );
     let faulted_secs = t0.elapsed().as_secs_f64();
 
     assert_eq!(
@@ -1380,23 +1385,20 @@ pub fn dist_equivalence(
     shuffle_mem: Option<usize>,
     wire_codec: WireCodec,
     worker_args: &[&str],
-    ledger: Option<&obs::LedgerSink>,
+    mut ledger: Option<&mut obs::LedgerSink>,
 ) -> Table {
     use crate::distjobs::DistJobSpec;
 
-    let with_sink = |config: JobConfig, label: &str| match ledger {
-        Some(sink) => config.with_ledger(sink.clone(), label),
-        None => config,
-    };
     let base = spec.build_config().expect("spec builds a config");
 
-    let local = Job::new(with_sink(base.clone(), "dist_local"))
+    let local = Job::new(base.clone())
         .run(
             spec.make_splits(),
             Arc::new(DistJobSpec::mapper()),
             Arc::new(DistJobSpec::reducer()),
         )
         .expect("local run succeeds");
+    append_record(ledger.as_deref_mut(), "dist_local", &base, &local);
 
     let dist = DistConfig::default()
         .with_workers(workers)
@@ -1406,13 +1408,15 @@ pub fn dist_equivalence(
         .with_worker_args(worker_args)
         .with_job_payload(&spec.to_spec_string());
     let t0 = Instant::now();
-    let remote = run_distributed(
-        &with_sink(base, &format!("dist_{}", transport.name())),
-        &dist,
-        spec.make_splits(),
-    )
-    .expect("distributed run succeeds");
+    let remote =
+        run_distributed(&base, &dist, spec.make_splits()).expect("distributed run succeeds");
     let dist_secs = t0.elapsed().as_secs_f64();
+    append_record(
+        ledger,
+        &format!("dist_{}", transport.name()),
+        &base,
+        &remote,
+    );
 
     assert_eq!(
         local.outputs, remote.outputs,
@@ -1644,7 +1648,7 @@ mod tests {
     #[test]
     fn traced_pipeline_covers_all_phases_and_reconciles() {
         // reconcile() already asserts histogram/counter agreement inside.
-        let (table, trace, counters, ledger) = traced_pipeline(24, 400, IFileVersion::default());
+        let (table, trace, ledger) = traced_pipeline(24, 400, IFileVersion::default());
         for phase in ALL_PHASES {
             assert!(
                 trace.span_count(phase) > 0,
@@ -1653,11 +1657,14 @@ mod tests {
                 table.render()
             );
         }
-        assert!(counters.get(Counter::MapOutputBytes) > 0);
         assert_eq!(trace.dropped_events, 0);
         // One rich ledger record per job, with phase rollups and
         // histograms filled from that job's own trace.
         assert_eq!(ledger.len(), 3);
+        for record in &ledger {
+            assert!(record.counters.get(Counter::MapOutputBytes) > 0);
+            assert_eq!(record.dropped_events, 0);
+        }
         let labels: Vec<&str> = ledger.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -1668,7 +1675,7 @@ mod tests {
             ]
         );
         assert!(ledger.iter().all(|r| r.phases.iter().any(|p| p.count > 0)));
-        assert!(ledger.iter().all(|r| !r.hists.is_empty()));
+        assert!(ledger.iter().all(|r| !r.histograms.is_empty()));
         assert_eq!(ledger[2].config.fault_seed, Some(1));
     }
 
@@ -1677,13 +1684,13 @@ mod tests {
         // Same pipeline over v3 block segments: reconcile() inside
         // demands exact histogram/counter agreement with the new
         // key-saved dimension nonzero.
-        let (_, trace, counters, _) = traced_pipeline(24, 400, IFileVersion::V3);
+        let (_, trace, ledger) = traced_pipeline(24, 400, IFileVersion::V3);
         let b = IntermediateBreakdown::from_trace(&trace);
         assert!(
             b.key_saved_bytes > 0,
             "wordcount keys share prefixes; v3 must save key bytes"
         );
-        assert!(counters.get(Counter::BlocksWritten) > 0);
+        assert!(ledger[0].counters.get(Counter::BlocksWritten) > 0);
         assert_eq!(trace.dropped_events, 0);
     }
 
@@ -1723,7 +1730,7 @@ mod tests {
         // A small block size forces multi-block segments at this scale.
         let codec = crate::codecs::codec_by_name_with_block_size("block-transform+deflate", 1024)
             .expect("factory name");
-        let sink = obs::LedgerSink::new();
+        let mut sink = obs::LedgerSink::new();
         let t = fault_storm_with_codec(
             1200,
             FaultConfig {
@@ -1738,11 +1745,11 @@ mod tests {
             3,
             Some(codec),
             IFileVersion::V3,
-            Some(&sink),
+            Some(&mut sink),
         );
         assert!(t.title().contains("block-transform+deflate"));
-        // The engine's runner hook appended one record per run; the clean
-        // run has no fault seed, the faulted one carries it.
+        // One thin record per run; the clean run has no fault seed, the
+        // faulted one carries it.
         let records = sink.records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].label, "fault_storm_clean");
@@ -1750,6 +1757,12 @@ mod tests {
         assert_eq!(records[1].label, "fault_storm_faulted");
         assert_eq!(records[1].config.fault_seed, Some(42));
         assert_eq!(records[1].config.codec, "block-transform+deflate");
+        // No trace was handed over, so the records are thin.
+        for record in records {
+            assert!(record.phases.iter().all(|p| p.count == 0));
+            assert!(record.histograms.is_empty());
+            assert!(record.counters.get(Counter::MapInputRecords) > 0);
+        }
         let row = |name: &str| -> u64 {
             t.rows().iter().find(|r| r[0] == name).expect("row present")[2]
                 .parse()

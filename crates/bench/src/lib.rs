@@ -8,7 +8,6 @@ pub mod codecs;
 pub mod distjobs;
 pub mod experiments;
 pub mod json;
-pub mod ledger;
 pub mod regress;
 pub mod report;
 pub mod workloads;

@@ -1,4 +1,7 @@
-//! Plain-text table rendering for experiment reports.
+//! Experiment reports: plain-text tables, and the one emitter of the
+//! `BENCH_*.json` baselines.
+
+use crate::json::Json;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
@@ -74,6 +77,38 @@ impl Table {
     }
 }
 
+/// `x` rounded to `places` decimals, as a JSON number. BENCH files hold
+/// medians of timings; digits past the second or third are noise that
+/// would only churn the committed baselines.
+pub fn rounded(x: f64, places: usize) -> Json {
+    let decimal = format!("{x:.places$}");
+    Json::Num(decimal.parse().expect("a formatted f64 parses back"))
+}
+
+/// Write one `BENCH_*.json` report to `path`: a `"benchmarks"` array with
+/// a row per measurement — `(id, median_ns, per_second)`, the rate going
+/// under `rate_field` — followed by `fields` in the order given.
+pub fn write_bench_json<'a>(
+    path: &str,
+    rate_field: &str,
+    measurements: impl IntoIterator<Item = (&'a str, f64, f64)>,
+    fields: Vec<(&str, Json)>,
+) {
+    let rows = measurements
+        .into_iter()
+        .map(|(id, median_ns, per_second)| {
+            Json::obj([
+                ("id", id.into()),
+                ("median_ns", rounded(median_ns, 0)),
+                (rate_field, rounded(per_second, 0)),
+            ])
+        })
+        .collect();
+    let report = Json::obj([("benchmarks", Json::Arr(rows))].into_iter().chain(fields));
+    std::fs::write(path, report.to_pretty()).expect("write bench json");
+    println!("wrote {path}");
+}
+
 /// Human-friendly byte counts.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 10_000_000_000 {
@@ -119,6 +154,37 @@ mod tests {
     fn wrong_arity_panics() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["only one".into()]);
+    }
+
+    #[test]
+    fn bench_reports_keep_the_committed_layout() {
+        let path = std::env::temp_dir().join(format!("bench-report-{}.json", std::process::id()));
+        write_bench_json(
+            path.to_str().expect("utf-8 temp path"),
+            "records_per_s",
+            [("group/a \"quoted\"", 495_541.4, 20_179_975.2)],
+            vec![
+                ("overhead_percent", rounded(2.299_6, 2)),
+                ("host_cpus", 2u64.into()),
+            ],
+        );
+        let text = std::fs::read_to_string(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text,
+            r#"{
+  "benchmarks": [
+    {
+      "id": "group/a \"quoted\"",
+      "median_ns": 495541,
+      "records_per_s": 20179975
+    }
+  ],
+  "overhead_percent": 2.3,
+  "host_cpus": 2
+}
+"#
+        );
     }
 
     #[test]

@@ -256,7 +256,7 @@ fn ledger_writer_entry() {
             Arc::new(DistJobSpec::reducer()),
         )
         .expect("job runs");
-    let sink = LedgerSink::with_path(&path);
+    let mut sink = LedgerSink::with_path(&path);
     let label = format!("writer-{}", std::process::id());
     for _ in 0..LEDGER_RECORDS_PER_WRITER {
         sink.append(LedgerRecord::from_run(&label, &config, &result, None))
@@ -294,7 +294,7 @@ fn two_processes_interleave_ledger_appends_without_tearing() {
     assert!(b.wait().expect("wait b").success(), "writer b failed");
 
     let text = std::fs::read_to_string(&path).expect("read shared ledger");
-    let records = scihadoop_bench::ledger::parse_ledger(&text)
+    let records = scihadoop_mapreduce::obs::parse_ledger(&text)
         .expect("every interleaved line parses as a full record");
     assert_eq!(records.len(), 2 * LEDGER_RECORDS_PER_WRITER);
     let mut labels: Vec<&str> = records.iter().map(|r| r.label.as_str()).collect();

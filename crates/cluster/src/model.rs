@@ -496,9 +496,9 @@ mod tests {
             label: "synthetic".into(),
             clock: "thread_cpu".into(),
             host_cpus: 4,
+            dropped_events: 0,
             config: LedgerConfig {
                 codec: "identity".into(),
-                block_kib: 0,
                 num_reducers: 3,
                 map_slots: 2,
                 reduce_slots: 2,
@@ -518,7 +518,7 @@ mod tests {
             },
             counters: counters.snapshot(),
             phases,
-            hists: Vec::new(),
+            histograms: Vec::new(),
         }
     }
 

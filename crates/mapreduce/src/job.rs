@@ -45,16 +45,6 @@ pub struct JobConfig {
     pub retry_backoff: std::time::Duration,
     /// Optional fault-injection plan (testing/experiments only).
     pub faults: Option<Arc<crate::fault::FaultPlan>>,
-    /// Optional run ledger: the runner appends one
-    /// [`LedgerRecord`](crate::obs::LedgerRecord) per completed job.
-    pub ledger: Option<crate::obs::LedgerSink>,
-    /// Label stamped into runner-appended ledger records.
-    pub ledger_label: String,
-    /// Block size in KiB recorded in ledger records for block-framed
-    /// codecs; 0 when not applicable. Purely descriptive — the `Codec`
-    /// trait does not expose its framing, so the caller that built the
-    /// codec supplies this.
-    pub ledger_block_kib: u64,
 }
 
 impl std::fmt::Debug for JobConfig {
@@ -72,9 +62,6 @@ impl std::fmt::Debug for JobConfig {
             .field("task_retries", &self.task_retries)
             .field("retry_backoff", &self.retry_backoff)
             .field("faults", &self.faults.as_ref().map(|p| p.config()))
-            .field("ledger", &self.ledger.is_some())
-            .field("ledger_label", &self.ledger_label)
-            .field("ledger_block_kib", &self.ledger_block_kib)
             .finish()
     }
 }
@@ -95,9 +82,6 @@ impl Default for JobConfig {
             task_retries: 0,
             retry_backoff: std::time::Duration::from_micros(100),
             faults: None,
-            ledger: None,
-            ledger_label: "job".to_string(),
-            ledger_block_kib: 0,
         }
     }
 }
@@ -187,21 +171,6 @@ impl JobConfig {
     /// Builder-style setter for the fault-injection plan.
     pub fn with_faults(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Builder-style setter for the run ledger: the runner appends one
-    /// record per completed job, labelled `label`.
-    pub fn with_ledger(mut self, sink: crate::obs::LedgerSink, label: &str) -> Self {
-        self.ledger = Some(sink);
-        self.ledger_label = label.to_string();
-        self
-    }
-
-    /// Builder-style setter for the descriptive codec block size (KiB)
-    /// recorded in ledger records.
-    pub fn with_ledger_block_kib(mut self, kib: u64) -> Self {
-        self.ledger_block_kib = kib;
         self
     }
 }

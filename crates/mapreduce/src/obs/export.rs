@@ -1,40 +1,16 @@
-//! Trace and metrics exporters.
-//!
-//! Two formats, both dependency-free:
-//!
-//! * [`chrome_trace_json`] — the Chrome `trace_event` format (an object
-//!   with a `traceEvents` array of complete `"ph": "X"` events), loadable
-//!   in `chrome://tracing` and Perfetto. One track per recorded thread,
-//!   timestamps in microseconds since the recorder epoch, thread-CPU
-//!   nanoseconds attached per span in `args`.
-//! * [`metrics_json`] — a compact self-describing report: schema tag,
-//!   clock kind, every counter by name, every non-empty histogram with
-//!   its log2 buckets, the derived intermediate-data breakdown
-//!   (see [`IntermediateBreakdown`]), and any warnings.
-//!
-//! [`IntermediateBreakdown`]: crate::obs::IntermediateBreakdown
+//! Timeline exporter: [`chrome_trace_json`] renders a trace in the
+//! Chrome `trace_event` format (an object with a `traceEvents` array of
+//! complete `"ph": "X"` events), loadable in `chrome://tracing` and
+//! Perfetto. One track per recorded thread, timestamps in microseconds
+//! since the recorder epoch, thread-CPU nanoseconds attached per span in
+//! `args`. It streams one event per line instead of building a
+//! [`Json`](crate::obs::json::Json) tree — a trace holds up to 65,536
+//! events per thread — and borrows that module's string escaper.
+//! Everything else about a run (counters, histograms, rollups) is in its
+//! [`LedgerRecord`](crate::obs::LedgerRecord).
 
-use crate::counters::{CounterSnapshot, ALL_COUNTERS};
-use crate::obs::hist::ALL_METRICS;
-use crate::obs::report::IntermediateBreakdown;
+use crate::obs::json::escape;
 use crate::obs::trace::Trace;
-
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render a trace as Chrome `trace_event` JSON.
 pub fn chrome_trace_json(trace: &Trace) -> String {
@@ -60,7 +36,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 format!(
                     "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                    esc(name)
+                    escape(name)
                 ),
                 &mut first,
             );
@@ -70,7 +46,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 format!(
                     "{{\"name\": \"warning\", \"cat\": \"obs\", \"ph\": \"i\", \"s\": \"g\", \
                  \"pid\": 1, \"tid\": 0, \"ts\": {i}, \"args\": {{\"message\": \"{}\"}}}}",
-                    esc(warning)
+                    escape(warning)
                 ),
                 &mut first,
             );
@@ -150,107 +126,11 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     out
 }
 
-/// Schema tag written into every metrics report.
-pub const METRICS_SCHEMA: &str = "scihadoop.metrics.v1";
-
-/// Render a metrics report: counters, histograms, and the derived
-/// intermediate-data breakdown (which reconciles exactly with the
-/// counters — see [`IntermediateBreakdown::reconcile`]).
-pub fn metrics_json(trace: &Trace, counters: &CounterSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("\"schema\": \"{METRICS_SCHEMA}\",\n"));
-    out.push_str(&format!(
-        "\"clock\": \"{}\",\n",
-        match crate::clock::clock_kind() {
-            crate::clock::ClockKind::ThreadCpu => "thread_cpu",
-            crate::clock::ClockKind::Wall => "wall",
-        }
-    ));
-    out.push_str(&format!("\"dropped_events\": {},\n", trace.dropped_events));
-
-    out.push_str("\"warnings\": [");
-    for (i, w) in trace.warnings.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", esc(w)));
-    }
-    out.push_str("],\n");
-
-    out.push_str("\"spans\": {");
-    let mut first = true;
-    for phase in crate::obs::ALL_PHASES {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{}\": {{\"count\": {}, \"wall_ns\": {}, \"cpu_ns\": {}}}",
-            phase.name(),
-            trace.span_count(phase),
-            trace.phase_wall_nanos(phase),
-            trace.phase_cpu_nanos(phase)
-        ));
-    }
-    out.push_str("},\n");
-
-    out.push_str("\"counters\": {\n");
-    for (i, c) in ALL_COUNTERS.iter().enumerate() {
-        out.push_str(&format!(
-            "  \"{}\": {}{}\n",
-            c.name(),
-            counters.get(*c),
-            if i + 1 < ALL_COUNTERS.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("},\n");
-
-    out.push_str("\"histograms\": {\n");
-    let mut first = true;
-    for metric in ALL_METRICS {
-        let h = trace.hists.get(metric);
-        if h.is_empty() {
-            continue;
-        }
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "  \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-             \"mean\": {:.3}, \"buckets\": [",
-            metric.name(),
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max(),
-            h.mean()
-        ));
-        for (i, (lo, hi, n)) in h.nonzero_buckets().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{lo}, {hi}, {n}]"));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n},\n");
-
-    let breakdown = IntermediateBreakdown::from_trace(trace);
-    out.push_str("\"derived\": {\n");
-    out.push_str(&format!(
-        "  \"intermediate_breakdown\": {}\n",
-        breakdown.to_json()
-    ));
-    out.push_str("}\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::Counters;
+    use crate::obs::json::parse;
+    #[cfg(feature = "obs")]
     use crate::obs::{Phase, Recorder};
 
     #[cfg(feature = "obs")]
@@ -279,32 +159,13 @@ mod tests {
         assert!(json.contains("\"v3_blocks\""));
         assert!(json.contains("\"blocks_skipped\""));
         assert!(json.contains("\"map_output_key_saved_bytes\""));
-    }
-
-    #[test]
-    #[cfg(feature = "obs")]
-    fn metrics_json_is_self_describing() {
-        let counters = Counters::new();
-        counters.add(crate::Counter::MapOutputBytes, 123);
-        let json = metrics_json(&sample_trace(), &counters.snapshot());
-        assert!(json.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")));
-        assert!(json.contains("\"map_output_bytes\": 123"));
-        assert!(json.contains("\"merge_fan_in\""));
-        assert!(json.contains("\"intermediate_breakdown\""));
-        assert!(json.contains("\"spans\""));
+        let doc = parse(&json).expect("the streamed trace is valid JSON");
+        assert!(doc.get("traceEvents").and_then(|e| e.as_arr()).is_some());
     }
 
     #[test]
     fn empty_trace_still_exports() {
-        let trace = Trace::empty();
-        let counters = Counters::new().snapshot();
-        assert!(chrome_trace_json(&trace).contains("traceEvents"));
-        assert!(metrics_json(&trace, &counters).contains("histograms"));
-    }
-
-    #[test]
-    fn escape_covers_control_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        let doc = parse(&chrome_trace_json(&Trace::empty())).expect("valid JSON");
+        assert!(doc.get("traceEvents").and_then(|e| e.as_arr()).is_some());
     }
 }

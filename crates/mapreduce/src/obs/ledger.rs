@@ -1,48 +1,48 @@
-//! Persistent per-run ledger: one self-describing JSON line per job.
+//! The run document: one self-describing JSON line per finished job.
 //!
-//! A [`LedgerRecord`] captures everything the cross-run tooling needs
-//! to replay a finished job without the process that ran it: the full
-//! job configuration, the final counters, every non-empty histogram,
-//! per-phase wall/CPU rollups, the [clock kind](crate::clock) the
-//! profile was taken with and the host's CPU count. Records append to a
-//! JSON-lines file through a [`LedgerSink`] (see
-//! [`JobConfig::with_ledger`](crate::JobConfig::with_ledger)); the
-//! drift reporter and the perf-regression gate consume them.
+//! A [`LedgerRecord`] is the only per-job telemetry file this workspace
+//! writes and everything cross-run tooling reads: the job configuration,
+//! the final counters, every non-empty histogram, per-phase wall/CPU
+//! rollups (and how many span events were dropped while collecting
+//! them), the [clock kind](crate::clock) the profile was taken with and
+//! the host's CPU count. The code that owns a finished job builds the
+//! record with [`LedgerRecord::from_run`] and appends it to a JSON-lines
+//! file through a [`LedgerSink`]; [`LedgerRecord::from_json`] /
+//! [`parse_ledger`] read it back for the drift reporter, the
+//! perf-regression gate and `validate_trace`.
 //!
-//! The encoding is deliberately conservative so that records roundtrip
-//! through float-based JSON parsers (including `bench/src/json.rs`)
-//! **byte-identically**:
+//! The schema — key names, their order and their types — is written
+//! once, in the `json_object!` table below, and both directions walk
+//! it. The encoding is conservative so that a record survives the
+//! float-based [`json`](crate::obs::json) reader **byte-identically**:
 //!
 //! * every integer is clamped to [`LEDGER_MAX_EXACT`] (2^53), the
-//!   largest magnitude where `f64` is still exact on every integer;
-//! * histogram buckets are encoded as `[bucket_index, count]` pairs —
-//!   the index (0..=64), never the bucket bounds, because the top
-//!   bucket's bound is `u64::MAX`;
-//! * key order is fixed and there is no insignificant whitespace, so
-//!   re-encoding a parsed record reproduces the input bytes.
+//!   largest magnitude where `f64` is still exact on every integer, and
+//!   the reader refuses anything larger;
+//! * histogram buckets are `[bucket_index, count]` pairs — the index
+//!   (0..=64), never the bucket bounds, because the top bucket's bound
+//!   is `u64::MAX`;
+//! * key order is fixed and there is no insignificant whitespace; the
+//!   reader demands exactly the table's keys in the table's order, so a
+//!   missing, unknown, duplicated or reordered key is an error rather
+//!   than something a re-encode would silently repair.
 
 use crate::clock::{clock_kind, ClockKind};
-use crate::counters::{CounterSnapshot, ALL_COUNTERS};
+use crate::counters::{CounterSnapshot, Counters, ALL_COUNTERS};
 use crate::ifile::{Framing, IFileVersion};
 use crate::job::{JobConfig, JobResult};
-use crate::obs::export::esc;
-use crate::obs::{Histogram, Metric, Trace, ALL_METRICS, ALL_PHASES, NUM_PHASES};
-use std::fmt::Write as _;
+use crate::obs::json::{self, Json};
+use crate::obs::{Histogram, Metric, Trace, ALL_METRICS, ALL_PHASES, NUM_BUCKETS, NUM_PHASES};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 
 /// Schema tag written into every ledger record.
-pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v1";
+pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v2";
 
-/// Largest integer the ledger writes: 2^53, the bound below which every
+/// Largest integer the ledger holds: 2^53, the bound below which every
 /// integer survives an `f64` roundtrip exactly. Counters past this are
-/// clamped (a job that moved 8 PiB has other problems).
+/// clamped on write (a job that moved 8 PiB has other problems).
 pub const LEDGER_MAX_EXACT: u64 = 1 << 53;
-
-fn clamp(n: u64) -> u64 {
-    n.min(LEDGER_MAX_EXACT)
-}
 
 /// This host's CPU count, as recorded in ledger records and BENCH files.
 pub fn host_cpus() -> u64 {
@@ -62,10 +62,6 @@ pub fn clock_name() -> &'static str {
 pub struct LedgerConfig {
     /// Codec name (`Codec::name()`).
     pub codec: String,
-    /// Block size in KiB for block-framed codecs; 0 when not applicable
-    /// (the `Codec` trait does not expose it, so callers that framed the
-    /// codec set it via [`JobConfig::with_ledger_block_kib`](crate::JobConfig::with_ledger_block_kib)).
-    pub block_kib: u64,
     /// Reduce task count.
     pub num_reducers: u64,
     /// Concurrent map tasks.
@@ -164,6 +160,10 @@ pub struct LedgerRecord {
     pub clock: String,
     /// CPU count of the host that produced the record.
     pub host_cpus: u64,
+    /// Span events the recorder's rings overwrote before the drain. The
+    /// phase rollups are computed from ring events, so a non-zero value
+    /// means they undercount; counters and histograms are unaffected.
+    pub dropped_events: u64,
     /// Full job configuration.
     pub config: LedgerConfig,
     /// Job-shape extras for `JobStats` reconstruction.
@@ -173,7 +173,263 @@ pub struct LedgerRecord {
     /// Per-phase span rollups, in [`ALL_PHASES`] order.
     pub phases: [PhaseRollup; NUM_PHASES],
     /// Every non-empty histogram, in [`ALL_METRICS`] order.
-    pub hists: Vec<LedgerHist>,
+    pub histograms: Vec<LedgerHist>,
+}
+
+/// A value with a place in the ledger schema: how it is written and how
+/// it is checked on the way back in.
+trait Field: Sized {
+    fn enc(&self) -> Json;
+    fn dec(value: &Json) -> Result<Self, String>;
+}
+
+/// The ledger schema: for each object its JSON keys, in order. A key is
+/// the name of the struct field it carries, and the field's type picks
+/// the [`Field`] rule, so writer and reader cannot disagree.
+macro_rules! json_object {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $ty {
+            fn members(&self) -> Vec<(String, Json)> {
+                vec![$((stringify!($field).to_string(), self.$field.enc())),+]
+            }
+
+            fn from_members(members: &[(String, Json)]) -> Result<Self, String> {
+                let mut values = keyed_values(members, [$(stringify!($field)),+])?;
+                Ok($ty {
+                    $($field: dec_next(&mut values)?),+
+                })
+            }
+        }
+
+        impl Field for $ty {
+            fn enc(&self) -> Json {
+                Json::Obj(self.members())
+            }
+
+            fn dec(value: &Json) -> Result<Self, String> {
+                Self::from_members(members_of(value)?)
+            }
+        }
+    };
+}
+
+json_object!(LedgerRecord {
+    label,
+    clock,
+    host_cpus,
+    dropped_events,
+    config,
+    job,
+    counters,
+    phases,
+    histograms,
+});
+json_object!(LedgerConfig {
+    codec,
+    num_reducers,
+    map_slots,
+    reduce_slots,
+    spill_buffer_bytes,
+    framing,
+    ifile_version,
+    combiner,
+    task_retries,
+    fault_seed,
+});
+json_object!(LedgerJob {
+    num_maps,
+    num_reducers,
+    input_bytes,
+    map_wall_nanos,
+    reduce_wall_nanos,
+});
+json_object!(PhaseRollup {
+    count,
+    wall_ns,
+    cpu_ns
+});
+json_object!(LedgerHist {
+    metric,
+    count,
+    sum,
+    min,
+    max,
+    buckets
+});
+
+fn members_of(value: &Json) -> Result<&[(String, Json)], String> {
+    match value {
+        Json::Obj(members) => Ok(members),
+        _ => Err("not an object".to_string()),
+    }
+}
+
+/// The values of an object whose keys must be exactly `keys`, in order,
+/// each paired with its key for error messages.
+fn keyed_values<'a, 'k>(
+    members: &'a [(String, Json)],
+    keys: impl IntoIterator<Item = &'k str>,
+) -> Result<impl Iterator<Item = (&'a str, &'a Json)>, String> {
+    let mut found = members.iter().map(|(key, _)| key.as_str());
+    let mut position = 0;
+    for expected in keys {
+        match found.next() {
+            Some(key) if key == expected => position += 1,
+            other => {
+                return Err(format!(
+                    "expected key {expected:?} at position {position}, found {other:?}"
+                ))
+            }
+        }
+    }
+    match found.next() {
+        None => Ok(members.iter().map(|(key, value)| (key.as_str(), value))),
+        Some(extra) => Err(format!("unexpected key {extra:?} at position {position}")),
+    }
+}
+
+fn dec_next<'a, T: Field>(
+    values: &mut impl Iterator<Item = (&'a str, &'a Json)>,
+) -> Result<T, String> {
+    let (key, value) = values.next().expect("keyed_values checked the arity");
+    T::dec(value).map_err(|e| format!("{key:?}: {e}"))
+}
+
+impl Field for u64 {
+    fn enc(&self) -> Json {
+        Json::from((*self).min(LEDGER_MAX_EXACT))
+    }
+
+    fn dec(value: &Json) -> Result<u64, String> {
+        value
+            .as_u64()
+            .filter(|&n| n <= LEDGER_MAX_EXACT)
+            .ok_or_else(|| "not an exact integer in 0..=2^53".to_string())
+    }
+}
+
+impl Field for String {
+    fn enc(&self) -> Json {
+        Json::from(self.as_str())
+    }
+
+    fn dec(value: &Json) -> Result<String, String> {
+        value
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "not a string".to_string())
+    }
+}
+
+impl Field for bool {
+    fn enc(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn dec(value: &Json) -> Result<bool, String> {
+        match value {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("not a boolean".to_string()),
+        }
+    }
+}
+
+impl Field for Option<u64> {
+    fn enc(&self) -> Json {
+        self.as_ref().map_or(Json::Null, u64::enc)
+    }
+
+    fn dec(value: &Json) -> Result<Option<u64>, String> {
+        match value {
+            Json::Null => Ok(None),
+            other => u64::dec(other).map(Some),
+        }
+    }
+}
+
+impl Field for Metric {
+    fn enc(&self) -> Json {
+        Json::from(self.name())
+    }
+
+    fn dec(value: &Json) -> Result<Metric, String> {
+        ALL_METRICS
+            .into_iter()
+            .find(|m| value.as_str() == Some(m.name()))
+            .ok_or_else(|| format!("unknown metric {value:?}"))
+    }
+}
+
+/// One `[bucket_index, count]` pair.
+impl Field for (u8, u64) {
+    fn enc(&self) -> Json {
+        Json::Arr(vec![u64::from(self.0).enc(), self.1.enc()])
+    }
+
+    fn dec(value: &Json) -> Result<(u8, u64), String> {
+        match value.as_arr() {
+            Some([index, count]) => {
+                let index = u64::dec(index)
+                    .ok()
+                    .filter(|&i| i < NUM_BUCKETS as u64)
+                    .ok_or_else(|| format!("bucket index not in 0..{NUM_BUCKETS}"))?;
+                Ok((index as u8, u64::dec(count)?))
+            }
+            _ => Err("not an [index, count] pair".to_string()),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn enc(&self) -> Json {
+        Json::Arr(self.iter().map(T::enc).collect())
+    }
+
+    fn dec(value: &Json) -> Result<Vec<T>, String> {
+        let items = value.as_arr().ok_or("not an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::dec(item).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+/// Every counter by name, in [`ALL_COUNTERS`] order.
+impl Field for CounterSnapshot {
+    fn enc(&self) -> Json {
+        Json::obj(ALL_COUNTERS.map(|c| (c.name(), self.get(c).enc())))
+    }
+
+    fn dec(value: &Json) -> Result<CounterSnapshot, String> {
+        let mut values = keyed_values(members_of(value)?, ALL_COUNTERS.map(|c| c.name()))?;
+        let counters = Counters::new();
+        for c in ALL_COUNTERS {
+            counters.add(c, dec_next(&mut values)?);
+        }
+        Ok(counters.snapshot())
+    }
+}
+
+/// Every phase's rollup by name, in [`ALL_PHASES`] order.
+impl Field for [PhaseRollup; NUM_PHASES] {
+    fn enc(&self) -> Json {
+        Json::obj(
+            ALL_PHASES
+                .map(|p| p.name())
+                .into_iter()
+                .zip(self.iter().map(PhaseRollup::enc)),
+        )
+    }
+
+    fn dec(value: &Json) -> Result<[PhaseRollup; NUM_PHASES], String> {
+        let mut values = keyed_values(members_of(value)?, ALL_PHASES.map(|p| p.name()))?;
+        let mut phases = [PhaseRollup::default(); NUM_PHASES];
+        for slot in &mut phases {
+            *slot = dec_next(&mut values)?;
+        }
+        Ok(phases)
+    }
 }
 
 impl LedgerRecord {
@@ -189,7 +445,7 @@ impl LedgerRecord {
     ) -> LedgerRecord {
         let stats = &result.stats;
         let mut phases = [PhaseRollup::default(); NUM_PHASES];
-        let mut hists = Vec::new();
+        let mut histograms = Vec::new();
         if let Some(trace) = trace {
             for (slot, phase) in phases.iter_mut().zip(ALL_PHASES) {
                 *slot = PhaseRollup {
@@ -198,19 +454,19 @@ impl LedgerRecord {
                     cpu_ns: trace.phase_cpu_nanos(phase),
                 };
             }
-            for metric in ALL_METRICS {
-                if let Some(h) = LedgerHist::from_histogram(metric, trace.hists.get(metric)) {
-                    hists.push(h);
-                }
-            }
+            histograms.extend(
+                ALL_METRICS
+                    .into_iter()
+                    .filter_map(|m| LedgerHist::from_histogram(m, trace.hists.get(m))),
+            );
         }
         LedgerRecord {
             label: label.to_string(),
             clock: clock_name().to_string(),
             host_cpus: host_cpus(),
+            dropped_events: trace.map_or(0, |t| t.dropped_events),
             config: LedgerConfig {
                 codec: config.codec.name().to_string(),
-                block_kib: config.ledger_block_kib,
                 num_reducers: config.num_reducers as u64,
                 map_slots: config.map_slots as u64,
                 reduce_slots: config.reduce_slots as u64,
@@ -238,7 +494,7 @@ impl LedgerRecord {
             },
             counters: result.counters,
             phases,
-            hists,
+            histograms,
         }
     }
 
@@ -249,117 +505,59 @@ impl LedgerRecord {
 
     /// The encoded histogram for a metric, if the run recorded one.
     pub fn hist(&self, metric: Metric) -> Option<&LedgerHist> {
-        self.hists.iter().find(|h| h.metric == metric)
+        self.histograms.iter().find(|h| h.metric == metric)
     }
 
-    /// Canonical single-line JSON encoding (no trailing newline). Fixed
-    /// key order, no whitespace, every integer clamped to
-    /// [`LEDGER_MAX_EXACT`] — parse + re-encode is byte-identical.
-    pub fn to_json_line(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        let _ = write!(
-            o,
-            "{{\"schema\":\"{LEDGER_SCHEMA}\",\"label\":\"{}\",\"clock\":\"{}\",\"host_cpus\":{}",
-            esc(&self.label),
-            esc(&self.clock),
-            clamp(self.host_cpus)
-        );
+    /// The canonical single-line encoding (no trailing newline): the
+    /// schema tag, then the schema table's keys in order.
+    pub fn to_json(&self) -> String {
+        let mut members = vec![("schema".to_string(), Json::from(LEDGER_SCHEMA))];
+        members.extend(self.members());
+        Json::Obj(members).to_compact()
+    }
 
-        let c = &self.config;
-        let _ = write!(
-            o,
-            ",\"config\":{{\"codec\":\"{}\",\"block_kib\":{},\"num_reducers\":{},\
-             \"map_slots\":{},\"reduce_slots\":{},\"spill_buffer_bytes\":{},\
-             \"framing\":\"{}\",\"ifile_version\":{},\"combiner\":{},\"task_retries\":{}",
-            esc(&c.codec),
-            clamp(c.block_kib),
-            clamp(c.num_reducers),
-            clamp(c.map_slots),
-            clamp(c.reduce_slots),
-            clamp(c.spill_buffer_bytes),
-            esc(&c.framing),
-            clamp(c.ifile_version),
-            c.combiner,
-            clamp(c.task_retries)
-        );
-        match c.fault_seed {
-            Some(seed) => {
-                let _ = write!(o, ",\"fault_seed\":{}}}", clamp(seed));
-            }
-            None => o.push_str(",\"fault_seed\":null}"),
-        }
-
-        let j = &self.job;
-        let _ = write!(
-            o,
-            ",\"job\":{{\"num_maps\":{},\"num_reducers\":{},\"input_bytes\":{},\
-             \"map_wall_nanos\":{},\"reduce_wall_nanos\":{}}}",
-            clamp(j.num_maps),
-            clamp(j.num_reducers),
-            clamp(j.input_bytes),
-            clamp(j.map_wall_nanos),
-            clamp(j.reduce_wall_nanos)
-        );
-
-        o.push_str(",\"counters\":{");
-        for (i, counter) in ALL_COUNTERS.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "\"{}\":{}",
-                counter.name(),
-                clamp(self.counters.get(*counter))
-            );
-        }
-        o.push('}');
-
-        o.push_str(",\"phases\":{");
-        for (i, (phase, roll)) in ALL_PHASES.iter().zip(&self.phases).enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "\"{}\":{{\"count\":{},\"wall_ns\":{},\"cpu_ns\":{}}}",
-                phase.name(),
-                clamp(roll.count),
-                clamp(roll.wall_ns),
-                clamp(roll.cpu_ns)
-            );
-        }
-        o.push('}');
-
-        o.push_str(",\"histograms\":{");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                h.metric.name(),
-                clamp(h.count),
-                clamp(h.sum),
-                clamp(h.min),
-                clamp(h.max)
-            );
-            for (k, (idx, n)) in h.buckets.iter().enumerate() {
-                if k > 0 {
-                    o.push(',');
+    /// Parse one ledger line. Strict: the line must carry this schema's
+    /// tag and exactly its keys and types, and must be in the canonical
+    /// form [`to_json`](Self::to_json) writes — a record that parses
+    /// re-encodes to the bytes it was read from.
+    pub fn from_json(line: &str) -> Result<LedgerRecord, String> {
+        let doc = json::parse(line)?;
+        let record = match members_of(&doc)?.split_first() {
+            Some(((key, tag), body)) if key == "schema" => {
+                if tag.as_str() != Some(LEDGER_SCHEMA) {
+                    return Err(format!(
+                        "unsupported ledger schema {tag:?} (expected {LEDGER_SCHEMA:?})"
+                    ));
                 }
-                let _ = write!(o, "[{},{}]", idx, clamp(*n));
+                LedgerRecord::from_members(body)?
             }
-            o.push_str("]}");
+            _ => return Err("record does not start with a \"schema\" tag".to_string()),
+        };
+        // Whitespace, `1.0` for `1`, `\u0041` for `A`: valid JSON that
+        // no writer of ours produced, so the file is not what it claims.
+        if record.to_json() != line {
+            return Err("line is not in the ledger's canonical encoding".to_string());
         }
-        o.push_str("}}");
-        o
+        Ok(record)
     }
 }
 
+/// Parse a whole ledger file: one record per non-empty line.
+pub fn parse_ledger(text: &str) -> Result<Vec<LedgerRecord>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            LedgerRecord::from_json(line).map_err(|e| format!("ledger line {}: {e}", i + 1))
+        })
+        .collect()
+}
+
+/// Append-only destination for ledger records, owned by the code that
+/// runs the jobs. It keeps every record it was given; with a path
+/// configured each append also writes one JSON line to the file.
 #[derive(Debug, Default)]
-struct SinkInner {
+pub struct LedgerSink {
     path: Option<PathBuf>,
     /// Opened lazily on the first append and kept for the sink's
     /// lifetime: reopening per record costs a syscall and, worse, loses
@@ -368,28 +566,18 @@ struct SinkInner {
     records: Vec<LedgerRecord>,
 }
 
-/// Shared append-only destination for ledger records. Cloning shares
-/// the sink; with a path configured every append also writes one JSON
-/// line to the file (created on first append).
-#[derive(Clone, Default)]
-pub struct LedgerSink {
-    inner: Arc<Mutex<SinkInner>>,
-}
-
 impl LedgerSink {
     /// An in-memory sink (records are only kept in the process).
     pub fn new() -> LedgerSink {
         LedgerSink::default()
     }
 
-    /// A sink that appends each record as a JSON line to `path`.
+    /// A sink that appends each record as a JSON line to `path`
+    /// (created on the first append).
     pub fn with_path(path: impl Into<PathBuf>) -> LedgerSink {
         LedgerSink {
-            inner: Arc::new(Mutex::new(SinkInner {
-                path: Some(path.into()),
-                file: None,
-                records: Vec::new(),
-            })),
+            path: Some(path.into()),
+            ..LedgerSink::default()
         }
     }
 
@@ -398,68 +586,36 @@ impl LedgerSink {
     /// The file is opened once (`O_APPEND`) and each record — line body
     /// plus trailing newline — goes down in a single `write_all` of one
     /// buffer. With `O_APPEND` the kernel makes each `write` atomic with
-    /// respect to the offset, so concurrent appenders (now real: every
-    /// worker process of a distributed run may share the ledger path)
-    /// interleave whole lines, never partial ones.
-    pub fn append(&self, record: LedgerRecord) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.file.is_none() {
-            if let Some(path) = &inner.path {
-                inner.file = Some(
-                    std::fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(path)?,
-                );
-            }
+    /// respect to the offset, so concurrent appenders (processes sharing
+    /// one ledger path) interleave whole lines, never partial ones.
+    pub fn append(&mut self, record: LedgerRecord) -> std::io::Result<()> {
+        if let (None, Some(path)) = (&self.file, &self.path) {
+            self.file = Some(
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)?,
+            );
         }
-        if let Some(file) = &mut inner.file {
-            let mut line = record.to_json_line();
+        if let Some(file) = &mut self.file {
+            let mut line = record.to_json();
             line.push('\n');
             file.write_all(line.as_bytes())?;
         }
-        inner.records.push(record);
+        self.records.push(record);
         Ok(())
     }
 
-    /// All records appended so far (copies).
-    pub fn records(&self) -> Vec<LedgerRecord> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .records
-            .clone()
-    }
-
-    /// Number of records appended so far.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .records
-            .len()
-    }
-
-    /// Whether no record has been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for LedgerSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        f.debug_struct("LedgerSink")
-            .field("path", &inner.path)
-            .field("records", &inner.records.len())
-            .finish()
+    /// All records appended so far.
+    pub fn records(&self) -> &[LedgerRecord] {
+        &self.records
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{Counter, Counters};
+    use crate::counters::Counter;
 
     fn sample_record() -> LedgerRecord {
         let counters = Counters::new();
@@ -469,13 +625,19 @@ mod tests {
         h.record(0);
         h.record(7);
         h.record(1 << 40);
+        let mut phases = [PhaseRollup::default(); NUM_PHASES];
+        phases[0] = PhaseRollup {
+            count: 2,
+            wall_ns: 10,
+            cpu_ns: 9,
+        };
         LedgerRecord {
-            label: "unit \"test\"".into(),
+            label: "unit \"test\"\nline two".into(),
             clock: clock_name().into(),
             host_cpus: host_cpus(),
+            dropped_events: 3,
             config: LedgerConfig {
                 codec: "identity".into(),
-                block_kib: 0,
                 num_reducers: 3,
                 map_slots: 2,
                 reduce_slots: 2,
@@ -494,29 +656,41 @@ mod tests {
                 reduce_wall_nanos: 6_000,
             },
             counters: counters.snapshot(),
-            phases: [PhaseRollup::default(); NUM_PHASES],
-            hists: vec![LedgerHist::from_histogram(Metric::SegRawBytes, &h).expect("non-empty")],
+            phases,
+            histograms: vec![
+                LedgerHist::from_histogram(Metric::SegRawBytes, &h).expect("non-empty")
+            ],
         }
     }
 
     #[test]
     fn encoding_is_single_line_with_schema() {
-        let line = sample_record().to_json_line();
+        let line = sample_record().to_json();
         assert!(!line.contains('\n'), "ledger records are JSON lines");
         assert!(line.starts_with(&format!("{{\"schema\":\"{LEDGER_SCHEMA}\"")));
-        assert!(line.contains("\"label\":\"unit \\\"test\\\"\""));
+        assert!(line.contains("\"label\":\"unit \\\"test\\\"\\nline two\""));
+        assert!(line.contains("\"dropped_events\":3"));
         assert!(line.contains("\"fault_seed\":42"));
-        assert!(line.contains("\"segment_raw_bytes\""));
+        assert!(line.contains("\"metric\":\"segment_raw_bytes\""));
     }
 
     #[test]
-    fn oversized_integers_clamp_to_exact_f64_range() {
-        let line = sample_record().to_json_line();
+    fn oversized_integers_clamp_once_and_then_roundtrip() {
+        let line = sample_record().to_json();
         assert!(
             line.contains(&format!("\"shuffle_bytes\":{LEDGER_MAX_EXACT}")),
             "u64::MAX must clamp to 2^53: {line}"
         );
         assert!((LEDGER_MAX_EXACT as f64) as u64 == LEDGER_MAX_EXACT);
+        let parsed = LedgerRecord::from_json(&line).expect("parse");
+        assert_eq!(parsed.counters.get(Counter::ShuffleBytes), LEDGER_MAX_EXACT);
+        assert_eq!(parsed.to_json(), line);
+        // One past the clamp is exact in f64 too, but no writer emits it.
+        let past = line.replace(
+            &format!("\"shuffle_bytes\":{LEDGER_MAX_EXACT}"),
+            &format!("\"shuffle_bytes\":{}", LEDGER_MAX_EXACT + 2),
+        );
+        assert!(LedgerRecord::from_json(&past).is_err());
     }
 
     #[test]
@@ -526,19 +700,29 @@ mod tests {
     }
 
     #[test]
+    fn whole_ledger_files_parse_line_by_line() {
+        let line = sample_record().to_json();
+        let records = parse_ledger(&format!("{line}\n\n{line}\n")).expect("parse ledger");
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0], records[1]);
+        let err = parse_ledger(&format!("{line}\n{{}}\n")).unwrap_err();
+        assert!(err.starts_with("ledger line 2:"), "{err}");
+    }
+
+    #[test]
     fn sink_collects_and_writes_lines() {
         let dir = std::env::temp_dir().join(format!("scihadoop-ledger-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("ledger.jsonl");
         let _ = std::fs::remove_file(&path);
-        let sink = LedgerSink::with_path(&path);
-        assert!(sink.is_empty());
+        let mut sink = LedgerSink::with_path(&path);
+        assert!(sink.records().is_empty());
         sink.append(sample_record()).expect("append");
         sink.append(sample_record()).expect("append");
-        assert_eq!(sink.len(), 2);
+        assert_eq!(sink.records().len(), 2);
         let text = std::fs::read_to_string(&path).expect("read back");
         assert_eq!(text.lines().count(), 2);
-        assert_eq!(text.lines().next().unwrap(), sample_record().to_json_line());
+        assert_eq!(text.lines().next().unwrap(), sample_record().to_json());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,11 +12,13 @@
 //!   log2-bucketed distributions of record sizes, segment byte splits,
 //!   codec throughput, merge fan-in and friends. No allocation on
 //!   record.
-//! * **Export** ([`chrome_trace_json`], [`metrics_json`],
-//!   [`IntermediateBreakdown`]) — a Chrome `trace_event` file for
-//!   timeline viewers and a self-describing JSON metrics report whose
-//!   derived byte breakdown reconciles *exactly* against the job
-//!   counters.
+//! * **The run document** ([`LedgerRecord`], [`LedgerSink`],
+//!   [`parse_ledger`]) — one JSON line per finished job holding its
+//!   configuration, counters, phase rollups and histograms, written and
+//!   read through [`json`], the workspace's only JSON module. The byte
+//!   breakdown derived from a record ([`IntermediateBreakdown`])
+//!   reconciles *exactly* against the record's own counters.
+//!   [`chrome_trace_json`] renders the span timeline for trace viewers.
 //!
 //! Everything is scoped to a per-job [`Recorder`]; there is no global
 //! collector, so parallel jobs (and parallel tests) cannot contaminate
@@ -27,19 +29,20 @@
 mod drift;
 mod export;
 mod hist;
+pub mod json;
 mod ledger;
 mod report;
 mod span;
 mod trace;
 
 pub use drift::{DriftReport, DriftRow};
-pub use export::{chrome_trace_json, metrics_json, METRICS_SCHEMA};
+pub use export::chrome_trace_json;
 pub use hist::{
     bucket_index, Histogram, Metric, MetricsBank, ALL_METRICS, NUM_BUCKETS, NUM_METRICS,
 };
 pub use ledger::{
-    clock_name, host_cpus, LedgerConfig, LedgerHist, LedgerJob, LedgerRecord, LedgerSink,
-    PhaseRollup, LEDGER_MAX_EXACT, LEDGER_SCHEMA,
+    clock_name, host_cpus, parse_ledger, LedgerConfig, LedgerHist, LedgerJob, LedgerRecord,
+    LedgerSink, PhaseRollup, LEDGER_MAX_EXACT, LEDGER_SCHEMA,
 };
 pub use report::{observe_segment, IntermediateBreakdown};
 pub use span::{Phase, SpanGuard, TraceEvent, ALL_PHASES, NUM_PHASES};

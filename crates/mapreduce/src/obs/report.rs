@@ -11,6 +11,7 @@
 
 use crate::counters::{Counter, CounterSnapshot};
 use crate::obs::hist::Metric;
+use crate::obs::ledger::LedgerRecord;
 use crate::obs::trace::Trace;
 
 /// Record one final materialized segment's byte split into the attached
@@ -63,17 +64,33 @@ pub struct IntermediateBreakdown {
 impl IntermediateBreakdown {
     /// Derive the breakdown from a finished trace's histograms.
     pub fn from_trace(trace: &Trace) -> IntermediateBreakdown {
-        let h = |m: Metric| trace.hists.get(m).sum();
+        Self::derive(|m| {
+            let h = trace.hists.get(m);
+            (h.count(), h.sum())
+        })
+    }
+
+    /// Derive the breakdown from a ledger record's histograms: the same
+    /// derivation, so a rich record reconciles against its own counters
+    /// exactly as the trace that built it did.
+    pub fn from_record(record: &LedgerRecord) -> IntermediateBreakdown {
+        Self::derive(|m| record.hist(m).map_or((0, 0), |h| (h.count, h.sum)))
+    }
+
+    /// The one derivation: every field is a histogram's sample count or
+    /// sample sum.
+    fn derive(count_and_sum: impl Fn(Metric) -> (u64, u64)) -> IntermediateBreakdown {
+        let sum = |m: Metric| count_and_sum(m).1;
+        let segments = count_and_sum(Metric::SegRawBytes).0;
         IntermediateBreakdown {
-            segments: trace.hists.get(Metric::SegRawBytes).count(),
-            key_bytes: h(Metric::SegKeyBytes),
-            value_bytes: h(Metric::SegValueBytes),
-            framing_bytes: h(Metric::SegFramingBytes),
-            key_saved_bytes: h(Metric::SegKeySavedBytes),
-            header_bytes: crate::ifile::Framing::IFile.file_overhead() as u64
-                * trace.hists.get(Metric::SegRawBytes).count(),
-            raw_bytes: h(Metric::SegRawBytes),
-            materialized_bytes: h(Metric::SegMaterializedBytes),
+            segments,
+            key_bytes: sum(Metric::SegKeyBytes),
+            value_bytes: sum(Metric::SegValueBytes),
+            framing_bytes: sum(Metric::SegFramingBytes),
+            key_saved_bytes: sum(Metric::SegKeySavedBytes),
+            header_bytes: crate::ifile::Framing::IFile.file_overhead() as u64 * segments,
+            raw_bytes: sum(Metric::SegRawBytes),
+            materialized_bytes: sum(Metric::SegMaterializedBytes),
         }
     }
 
@@ -148,26 +165,6 @@ impl IntermediateBreakdown {
         } else {
             Err(errs)
         }
-    }
-
-    /// Render as a JSON object (used inside the metrics report).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"segments\": {}, \"key_bytes\": {}, \"value_bytes\": {}, \
-             \"framing_bytes\": {}, \"key_saved_bytes\": {}, \"header_bytes\": {}, \
-             \"raw_bytes\": {}, \"materialized_bytes\": {}, \"key_fraction\": {:.6}, \
-             \"materialized_ratio\": {:.6}}}",
-            self.segments,
-            self.key_bytes,
-            self.value_bytes,
-            self.framing_bytes,
-            self.key_saved_bytes,
-            self.header_bytes,
-            self.raw_bytes,
-            self.materialized_bytes,
-            self.key_fraction(),
-            self.materialized_ratio()
-        )
     }
 }
 

@@ -667,29 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn completed_jobs_append_ledger_records() {
-        let sink = crate::obs::LedgerSink::new();
-        let words = ["a", "b", "a", "c"];
-        let result = count_job(
-            JobConfig::default().with_ledger(sink.clone(), "unit-run"),
-            &words,
-        );
-        let records = sink.records();
-        assert_eq!(records.len(), 1, "one record per completed job");
-        let rec = &records[0];
-        assert_eq!(rec.label, "unit-run");
-        assert_eq!(rec.config.codec, "identity");
-        assert_eq!(rec.job.num_maps as usize, result.stats.num_maps);
-        assert_eq!(
-            rec.counters.get(Counter::MapInputRecords),
-            result.counters.get(Counter::MapInputRecords)
-        );
-        // The runner owns no drained trace, so rollups stay empty.
-        assert!(rec.phases.iter().all(|p| p.count == 0));
-        assert!(rec.hists.is_empty());
-    }
-
-    #[test]
     fn outputs_are_sorted_within_each_reducer() {
         let words = ["q", "m", "z", "a", "f", "b", "x", "c"];
         let result = count_job(JobConfig::default().with_reducers(2), &words);

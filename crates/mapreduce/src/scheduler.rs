@@ -635,9 +635,8 @@ impl<'a> JobState<'a> {
     }
 
     /// The tail of every job, started at `t0`: surface collected errors,
-    /// or snapshot the
-    /// counters, check their invariants, derive the stats and append the
-    /// run-ledger record.
+    /// or snapshot the counters, check their invariants and derive the
+    /// stats.
     fn finish(self, t0: Instant) -> Result<JobResult, MrError> {
         let sched = self
             .sched
@@ -679,22 +678,11 @@ impl<'a> JobState<'a> {
             map_wall_nanos,
             reduce_wall_nanos,
         );
-        let result = JobResult {
+        Ok(JobResult {
             outputs: self.outputs.into_iter().map(Mutex::into_inner).collect(),
             counters: snapshot,
             stats,
-        };
-        // Run-ledger hook: one record per completed job. The scheduler
-        // has no drained trace (the recorder, if any, is still live and
-        // owned by the caller), so phase rollups and histograms stay
-        // empty here; callers that own the recorder build richer records
-        // themselves via `LedgerRecord::from_run(.., Some(&trace))`.
-        if let Some(sink) = &config.ledger {
-            let record = obs::LedgerRecord::from_run(&config.ledger_label, config, &result, None);
-            sink.append(record)
-                .map_err(|e| MrError::Config(format!("ledger append failed: {e}")))?;
-        }
-        Ok(result)
+        })
     }
 }
 

@@ -6,12 +6,10 @@
 
 use scihadoop_compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop_mapreduce::obs::{
-    chrome_trace_json, metrics_json, IntermediateBreakdown, Recorder, ALL_PHASES,
+    chrome_trace_json, IntermediateBreakdown, LedgerRecord, Recorder, ALL_PHASES,
 };
 use scihadoop_mapreduce::record::{Emit, FnMapper, FnReducer, InputSplit, KvPair};
-use scihadoop_mapreduce::{
-    Counter, DefaultKeySemantics, Job, JobConfig, JobResult, KeySemantics, Phase,
-};
+use scihadoop_mapreduce::{DefaultKeySemantics, Job, JobConfig, JobResult, KeySemantics, Phase};
 use std::sync::Arc;
 
 /// Key semantics that keep the engine's conservative sort-split
@@ -208,10 +206,8 @@ fn invariants_hold_across_codecs_and_key_semantics() {
 #[test]
 fn exports_are_valid_and_cover_the_pipeline() {
     let recorder = Recorder::new();
-    let result = sum_job(
-        traced_wordcount_config(&recorder),
-        wordcount_splits(400, 30),
-    );
+    let config = traced_wordcount_config(&recorder);
+    let result = sum_job(config.clone(), wordcount_splits(400, 30));
     let trace = recorder.finish();
 
     let chrome = chrome_trace_json(&trace);
@@ -224,14 +220,23 @@ fn exports_are_valid_and_cover_the_pipeline() {
     }
     assert!(chrome.contains("map-slot-0"));
 
-    let metrics = metrics_json(&trace, &result.counters);
-    assert!(metrics.contains("\"schema\": \"scihadoop.metrics.v1\""));
-    assert!(metrics.contains(&format!(
-        "\"map_output_bytes\": {}",
-        result.counters.get(Counter::MapOutputBytes)
-    )));
-    assert!(metrics.contains("\"segment_key_bytes\""));
-    assert!(metrics.contains("\"intermediate_breakdown\""));
+    // The run document holds everything else: what it says after a trip
+    // through its own encoding is what the trace and the counters said.
+    let written = LedgerRecord::from_run("exports", &config, &result, Some(&trace));
+    let record = LedgerRecord::from_json(&written.to_json()).expect("the record parses back");
+    assert_eq!(record, written);
+    assert_eq!(record.counters, result.counters);
+    assert_eq!(record.dropped_events, trace.dropped_events);
+    for (phase, rollup) in ALL_PHASES.into_iter().zip(&record.phases) {
+        assert_eq!(rollup.count, trace.span_count(phase) as u64);
+        assert_eq!(rollup.cpu_ns, trace.phase_cpu_nanos(phase));
+    }
+    let derived = IntermediateBreakdown::from_record(&record);
+    assert_eq!(derived, IntermediateBreakdown::from_trace(&trace));
+    assert!(derived.key_bytes > 0);
+    derived
+        .reconcile(&record.counters)
+        .expect("a rich record reconciles exactly with its own counters");
 }
 
 #[test]
