@@ -147,9 +147,9 @@ fn tiny_shuffle_budget_storm_is_byte_identical_over_uds() {
     );
 }
 
-// Transparent wire compression: real worker processes advertise CAP_LZ
-// in their Hello, the coordinator ships lz frames, workers inflate
-// before the segment CRC check. dist_equivalence asserts outputs and
+// Transparent wire compression: the coordinator ships the store's lz
+// frames to real worker processes, which inflate them before the
+// segment CRC check. dist_equivalence asserts outputs and
 // semantic counters match the local engine and that wire bytes were
 // actually saved.
 

@@ -2,13 +2,11 @@
 //! accept their connections, and run the job's [`scheduler`](crate::scheduler)
 //! loop with one remote slot per connection. A remote slot is the
 //! conversation with one worker — ship the task, stage or stream the
-//! segments under credit flow control, read back the attempt's
-//! [`Outcome`].
+//! segments, read back the attempt's [`Outcome`] — and the blocking
+//! socket is its only flow control.
 
 use super::net::{Listener, Stream};
-use super::wire::{
-    encode_seg_chunk, expect_credit, read_msg_capped, write_msg_capped, Msg, CAP_LZ,
-};
+use super::wire::{encode_seg_chunk, read_msg, write_msg, Msg, MAX_FRAME_BYTES};
 use super::DistConfig;
 use crate::counters::Counter;
 use crate::error::MrError;
@@ -20,6 +18,17 @@ use scihadoop_compress::checksum::Crc32c;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long to wait for all workers to connect before giving up.
+const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Payload bytes per `SegChunk` frame when streaming segments to
+/// reducers.
+const CHUNK_BYTES: usize = 64 << 10;
+
+// A SegChunk frame is the chunk payload plus a fixed header; 64 bytes of
+// slack covers every header in the protocol.
+const _: () = assert!(MAX_FRAME_BYTES >= CHUNK_BYTES + 64);
 
 /// Run a distributed job on freshly spawned worker *processes*: the
 /// current executable is re-executed with `dist.worker_args` and the
@@ -41,7 +50,7 @@ pub fn run_distributed(
 
 /// Run the same coordinator against in-process worker *threads*
 /// connected over real sockets: the full wire protocol — framing,
-/// credits, streaming, retries — without process spawning. This is the
+/// streaming, retries — without process spawning. This is the
 /// hermetic test path; it shares every line of coordinator and worker
 /// code with the process path except the launcher.
 pub fn run_distributed_with_threads(
@@ -196,13 +205,8 @@ fn run_coordinator(
     // All workers connect before the job clock starts.
     let mut slots = Vec::with_capacity(dist.workers);
     for _ in 0..dist.workers {
-        match listener.accept_deadline(dist.spawn_timeout, &mut || !handles.any_dead()) {
-            Ok(stream) => slots.push(RemoteSlot {
-                stream,
-                dist,
-                worker: 0,
-                lz_ok: false,
-            }),
+        match listener.accept_deadline(ACCEPT_DEADLINE, &mut || !handles.any_dead()) {
+            Ok(stream) => slots.push(RemoteSlot { stream, worker: 0 }),
             Err(e) => {
                 handles.reap(true);
                 return Err(e);
@@ -218,15 +222,10 @@ fn run_coordinator(
 /// One worker connection. The worker drives: it announces itself with
 /// `Hello`, then asks for work with `TaskRequest` before every
 /// assignment.
-struct RemoteSlot<'a> {
+struct RemoteSlot {
     stream: Stream,
-    dist: &'a DistConfig,
     /// From the worker's `Hello`.
     worker: u32,
-    /// Whether the worker advertised lz capability. One that did not is
-    /// served raw (logical) bytes even when the store holds compressed
-    /// frames, so capability skew degrades throughput, not correctness.
-    lz_ok: bool,
 }
 
 /// Rebuild a worker-reported failure as a structured error. Only the
@@ -267,26 +266,25 @@ fn task_failed<T>(msg: Msg, expect: (usize, u32, bool)) -> Result<Outcome<T>, Mr
     }
 }
 
-impl RemoteSlot<'_> {
+impl RemoteSlot {
     fn send(&mut self, msg: &Msg) -> Result<(), MrError> {
-        write_msg_capped(&mut self.stream, msg, self.dist.max_frame_bytes)
+        write_msg(&mut self.stream, msg)
     }
 
     fn recv(&mut self) -> Result<Msg, MrError> {
-        read_msg_capped(&mut self.stream, self.dist.max_frame_bytes)
+        read_msg(&mut self.stream)
     }
 }
 
-impl Slot for RemoteSlot<'_> {
+impl Slot for RemoteSlot {
     fn takes(&self) -> Takes {
         Takes::Both
     }
 
     fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
         match self.recv()? {
-            Msg::Hello { worker, wire_caps } => {
+            Msg::Hello { worker } => {
                 self.worker = worker;
-                self.lz_ok = wire_caps & CAP_LZ != 0;
                 Ok(format!("dist-conn-{worker}"))
             }
             other => Err(MrError::Net(format!(
@@ -311,7 +309,7 @@ impl Slot for RemoteSlot<'_> {
         self.send(&Msg::Shutdown)
     }
 
-    /// Send the task, credit each received segment, and hand the staged
+    /// Send the task, stage each received segment, and hand the staged
     /// segments over with `MapDone` (those of a failed attempt are
     /// dropped, never published).
     fn map(
@@ -324,7 +322,6 @@ impl Slot for RemoteSlot<'_> {
         self.send(&Msg::MapTask {
             task: task as u32,
             attempt,
-            credits: self.dist.push_credits,
             split: split.clone(),
         })?;
         let mut staged: MapOutput = Vec::new();
@@ -338,7 +335,6 @@ impl Slot for RemoteSlot<'_> {
                         )));
                     }
                     staged.push((partition, data));
-                    self.send(&Msg::Credit)?;
                 }
                 Msg::MapDone {
                     task: t,
@@ -358,17 +354,18 @@ impl Slot for RemoteSlot<'_> {
 
     /// Stream the partition's segments (in canonical map-task order,
     /// blocking per segment until its producer commits — the
-    /// fetch-while-map overlap) under the worker's credit window, then
-    /// collect the result.
+    /// fetch-while-map overlap), then collect the result. A worker that
+    /// reads slower than segments are served blocks the `write_all`, so
+    /// `ShuffleTransferNanos` is time in the socket write *including*
+    /// that backpressure.
     ///
     /// Compressed segments stream their stored lz frames (`comp` set,
-    /// spilled ones still `pread` zero-copy into the wire frame) to
-    /// workers that advertised [`CAP_LZ`]; the difference between logical
-    /// and transmitted length is charged to `ShuffleWireBytesSaved` at
-    /// serve time, so re-fetches by retried attempts count again — true
-    /// wire semantics. Copies the fault plan corrupted are logical bytes
-    /// and ship raw, which is what keeps a compressed run byte-identical
-    /// to identity under a fault storm.
+    /// spilled ones still `pread` zero-copy into the wire frame); the
+    /// difference between logical and transmitted length is charged to
+    /// `ShuffleWireBytesSaved` at serve time, so re-fetches by retried
+    /// attempts count again — true wire semantics. Copies the fault plan
+    /// corrupted are logical bytes and ship raw, which is what keeps a
+    /// compressed run byte-identical to identity under a fault storm.
     fn reduce(
         &mut self,
         job: &JobState,
@@ -382,19 +379,11 @@ impl Slot for RemoteSlot<'_> {
         })?;
         // The worker's fault gate runs before any fetch: an attempt it
         // fails costs no shuffle traffic and meets no corruption.
-        let window = match self.recv()? {
-            Msg::FetchStart { credits: 0 } => {
-                return Err(MrError::Net(format!(
-                    "reduce {task}: zero-credit fetch window"
-                )))
-            }
-            Msg::FetchStart { credits } => credits,
+        match self.recv()? {
+            Msg::FetchStart => {}
             other => return task_failed(other, expect).map(Some),
-        };
+        }
 
-        let cap = self.dist.max_frame_bytes;
-        let chunk_bytes = self.dist.chunk_bytes;
-        let mut credits = window;
         let mut index: u64 = 0;
         let mut wait_nanos = 0u64;
         let mut transfer_nanos = 0u64;
@@ -404,13 +393,10 @@ impl Slot for RemoteSlot<'_> {
             // segment stream: the store's eviction policy keeps its
             // resident segments in memory while we are about to need them.
             let _fetch = job.store.fetch_guard(task);
-            // Double-buffered frames: the next chunk is assembled — for
+            // One reusable frame: each chunk is assembled in it — for
             // spilled segments, `pread` straight into the frame's payload
-            // region — right after the previous one is written, so the disk
-            // read overlaps the in-flight chunk's socket round trip instead
-            // of serializing behind the credit wait.
-            let mut frames: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
-            let mut cur = 0usize;
+            // region — and written out whole.
+            let mut frame = Vec::new();
             for map_task in 0..job.num_maps {
                 let wait_t0 = Instant::now();
                 let fetched = match job.fetch(task, map_task, attempt, index) {
@@ -424,13 +410,7 @@ impl Slot for RemoteSlot<'_> {
                     Err(e) => return Err(e),
                 };
                 wait_nanos += wait_t0.elapsed().as_nanos() as u64;
-                let fetched = match fetched {
-                    None => continue,
-                    Some(Fetched::Stored(h)) if h.is_comp() && !self.lz_ok => {
-                        Fetched::Copy(h.logical_vec()?)
-                    }
-                    Some(fetched) => fetched,
-                };
+                let Some(fetched) = fetched else { continue };
                 let (src, comp, orig_len) = match &fetched {
                     Fetched::Copy(data) => (ChunkSource::Slice(data), false, 0),
                     Fetched::Stored(h) => {
@@ -450,69 +430,44 @@ impl Slot for RemoteSlot<'_> {
                 let mut off = 0usize;
                 let mut sent_any = false;
                 while off < total || !sent_any {
-                    let end = (off + chunk_bytes).min(total);
+                    let end = (off + CHUNK_BYTES).min(total);
                     let last = end == total;
-                    let frame = &mut frames[cur];
-                    match &src {
-                        ChunkSource::Slice(data) => encode_seg_chunk(
-                            frame,
-                            index as u32,
-                            last,
-                            comp,
-                            orig_len as u32,
-                            end - off,
-                            cap,
-                            |buf| {
+                    encode_seg_chunk(
+                        &mut frame,
+                        index as u32,
+                        last,
+                        comp,
+                        orig_len as u32,
+                        end - off,
+                        |buf| match &src {
+                            ChunkSource::Slice(data) => {
                                 buf.copy_from_slice(&data[off..end]);
                                 Ok(())
-                            },
-                        )?,
-                        ChunkSource::Spilled(h) => {
-                            encode_seg_chunk(
-                                frame,
-                                index as u32,
-                                last,
-                                comp,
-                                orig_len as u32,
-                                end - off,
-                                cap,
-                                |buf| h.read_range(off, buf),
-                            )?;
+                            }
                             // Re-verify the spill-time CRC incrementally;
                             // the final chunk is checked *before* it is
                             // sent, so disk corruption never reaches a
                             // worker.
-                            crc.update(&frame[frame.len() - (end - off)..]);
-                            if last {
-                                let got = crc.finish();
-                                if got != h.crc() {
-                                    return Err(h.crc_error(got));
+                            ChunkSource::Spilled(h) => {
+                                h.read_range(off, buf)?;
+                                crc.update(buf);
+                                if last && crc.finish() != h.crc() {
+                                    return Err(h.crc_error(crc.finish()));
                                 }
+                                Ok(())
                             }
-                        }
-                    }
-                    if credits == 0 {
-                        expect_credit(&mut self.stream)?;
-                        credits += 1;
-                    }
+                        },
+                    )?;
                     let send_t0 = Instant::now();
                     self.stream
-                        .write_all(&frames[cur])
+                        .write_all(&frame)
                         .map_err(|e| MrError::Net(format!("write SegChunk: {e}")))?;
                     transfer_nanos += send_t0.elapsed().as_nanos() as u64;
-                    credits -= 1;
                     sent_any = true;
                     off = end;
-                    cur ^= 1;
                 }
                 index += 1;
             }
-        }
-        // Drain the credit window before closing the stream so no Credit
-        // frame is left in flight to be misread as the next conversation.
-        while credits < window {
-            expect_credit(&mut self.stream)?;
-            credits += 1;
         }
         self.send(&Msg::SegmentsDone {
             count: index as u32,
@@ -558,6 +513,7 @@ impl ChunkSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counters;
     use crate::dist::Transport;
     use crate::fault::{FaultConfig, FaultPlan};
     use crate::record::{Emit, FnMapper, FnReducer};
@@ -600,6 +556,287 @@ mod tests {
         assert_eq!(local.outputs.len(), dist.outputs.len());
         for (r, (l, d)) in local.outputs.iter().zip(dist.outputs.iter()).enumerate() {
             assert_eq!(l, d, "reducer {r} outputs diverge");
+        }
+    }
+
+    /// What the scripted worker's frames are fed to.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Open,
+        Ready,
+        /// `map(task 0, attempt 1)` of a two-reducer job.
+        Map,
+        /// `reduce(task 1, attempt 1)` of the same job, one segment
+        /// published for the partition.
+        Reduce,
+    }
+
+    /// Run `step` of a remote slot against a scripted worker that says
+    /// `script`, then `tail` raw bytes, then half-closes; the slot must
+    /// come back lost, and the error is returned.
+    fn lost_slot(step: Step, script: Vec<Msg>, tail: &'static [u8]) -> String {
+        crate::dist::tests::within_deadline(move || {
+            let listener = Listener::bind(Transport::Tcp).unwrap();
+            let mut peer = std::net::TcpStream::connect(listener.addr().unwrap()).unwrap();
+            let stream = listener
+                .accept_deadline(Duration::from_secs(5), &mut || true)
+                .unwrap();
+            let mut slot = RemoteSlot { stream, worker: 0 };
+            for msg in &script {
+                write_msg(&mut peer, msg).unwrap();
+            }
+            peer.write_all(tail).unwrap();
+            peer.shutdown(std::net::Shutdown::Write).unwrap();
+
+            let config = JobConfig::default().with_reducers(2);
+            let split = InputSplit::new(vec![KvPair::new(b"k".to_vec(), b"v".to_vec())]);
+            let job = JobState::new(
+                &config,
+                vec![split.clone()],
+                usize::MAX,
+                crate::dist::WireCodec::Identity,
+            )
+            .unwrap();
+            job.store.publish(0, vec![(1, vec![7u8; 100])]).unwrap();
+            let lost = match step {
+                Step::Open => slot.open(&job).err(),
+                Step::Ready => slot.ready().err(),
+                Step::Map => slot.map(&job, 0, 1, &split).err(),
+                Step::Reduce => slot.reduce(&job, 1, 1).err(),
+            };
+            match lost.expect("the slot must be lost, not settle an outcome") {
+                MrError::Net(e) => e,
+                other => panic!("expected a Net error, got {other:?}"),
+            }
+        })
+    }
+
+    #[test]
+    fn the_coordinator_refuses_frames_the_grammar_does_not_allow() {
+        let bank = || Counters::new().snapshot();
+        let map_done = |task, attempt| Msg::MapDone {
+            task,
+            attempt,
+            local: bank(),
+            harness: bank(),
+        };
+        let reduce_done = |task, attempt| Msg::ReduceDone {
+            task,
+            attempt,
+            local: bank(),
+            harness: bank(),
+            outputs: Vec::new(),
+        };
+        let failed = |task, attempt, reduce| Msg::TaskFailed {
+            task,
+            attempt,
+            reduce,
+            checksum: false,
+            error: "scripted".into(),
+            harness: bank(),
+        };
+        let segment = |partition| Msg::MapSegment {
+            partition,
+            data: vec![1, 2, 3],
+        };
+        let hello = Msg::Hello { worker: 5 };
+        use Step::*;
+        let cases: Vec<(Step, Vec<Msg>, &'static [u8], &str)> = vec![
+            (
+                Open,
+                vec![Msg::TaskRequest],
+                b"",
+                "expected Hello, got TaskRequest",
+            ),
+            (
+                Ready,
+                vec![hello.clone()],
+                b"",
+                "expected TaskRequest, got Hello",
+            ),
+            (
+                Ready,
+                vec![map_done(0, 1)],
+                b"",
+                "expected TaskRequest, got MapDone",
+            ),
+            // Stale or foreign (task, attempt) on every closing frame.
+            (
+                Map,
+                vec![segment(1), map_done(0, 0)],
+                b"",
+                "map 0 attempt 1: unexpected MapDone",
+            ),
+            (
+                Map,
+                vec![map_done(1, 1)],
+                b"",
+                "map 0 attempt 1: unexpected MapDone",
+            ),
+            (
+                Map,
+                vec![failed(0, 0, false)],
+                b"",
+                "map 0 attempt 1: unexpected TaskFailed",
+            ),
+            (
+                Map,
+                vec![failed(0, 1, true)],
+                b"",
+                "map 0 attempt 1: unexpected TaskFailed",
+            ),
+            (
+                Reduce,
+                vec![failed(1, 0, true)],
+                b"",
+                "reduce 1 attempt 1: unexpected TaskFailed",
+            ),
+            (
+                Reduce,
+                vec![Msg::FetchStart, reduce_done(1, 0)],
+                b"",
+                "reduce 1 attempt 1: unexpected ReduceDone",
+            ),
+            (
+                Reduce,
+                vec![Msg::FetchStart, failed(1, 1, false)],
+                b"",
+                "reduce 1 attempt 1: unexpected TaskFailed",
+            ),
+            // The right frame in the wrong conversation.
+            (
+                Map,
+                vec![reduce_done(0, 1)],
+                b"",
+                "map 0 attempt 1: unexpected ReduceDone",
+            ),
+            (
+                Map,
+                vec![Msg::FetchStart],
+                b"",
+                "map 0 attempt 1: unexpected FetchStart",
+            ),
+            (Map, vec![hello], b"", "map 0 attempt 1: unexpected Hello"),
+            (
+                Reduce,
+                vec![map_done(1, 1)],
+                b"",
+                "reduce 1 attempt 1: unexpected MapDone",
+            ),
+            (
+                Reduce,
+                vec![segment(1)],
+                b"",
+                "reduce 1 attempt 1: unexpected MapSegment",
+            ),
+            (
+                Reduce,
+                vec![Msg::FetchStart, Msg::FetchStart],
+                b"",
+                "reduce 1 attempt 1: unexpected FetchStart",
+            ),
+            // A segment for a partition the job does not have.
+            (
+                Map,
+                vec![segment(2)],
+                b"",
+                "map 0: segment for partition 2 out of range",
+            ),
+            // A worker lost between frames, and inside one.
+            (Map, vec![segment(0)], b"", "read frame length"),
+            (
+                Map,
+                vec![],
+                &[100, 0, 0, 0, 4, 0, 0],
+                "read frame payload (100 bytes)",
+            ),
+            (Reduce, vec![Msg::FetchStart], &[9, 0], "read frame length"),
+        ];
+        for (i, (step, script, tail, names)) in cases.into_iter().enumerate() {
+            let err = lost_slot(step, script, tail);
+            assert!(
+                err.contains(names),
+                "case {i}: {err:?} does not name {names:?}"
+            );
+        }
+    }
+
+    /// Semi-compressible records (every other 64-byte run repeats the
+    /// one before), `total` bytes of values spread over 64 distinct keys.
+    fn bulky_splits(num_splits: usize, total: usize) -> Vec<InputSplit> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let per_record = 4096;
+        let records_per_split = total / num_splits / per_record;
+        (0..num_splits)
+            .map(|s| {
+                let records = (0..records_per_split).map(|i| {
+                    let mut value = Vec::with_capacity(per_record);
+                    while value.len() < per_record {
+                        let at = value.len();
+                        for _ in 0..8 {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            value.extend_from_slice(&x.to_le_bytes());
+                        }
+                        value.extend_from_within(at..);
+                    }
+                    let key = format!("key-{:02}-{s}", i % 64).into_bytes();
+                    KvPair::new(key, value)
+                });
+                InputSplit::new(records.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn segments_far_larger_than_a_socket_buffer_cross_both_ways_unchanged() {
+        // 2 maps x 2 partitions x ~3 MiB: every MapSegment, every fetch
+        // stream and (the reducer passes values through) every ReduceDone
+        // is megabytes, with nothing but the socket pacing either end.
+        let config = JobConfig::default().with_reducers(2);
+        let splits = bulky_splits(2, 12 << 20);
+        let passthrough = || -> Arc<dyn Reducer> {
+            Arc::new(FnReducer(
+                |key: &[u8], values: &[&[u8]], out: &mut dyn Emit| {
+                    values.iter().for_each(|v| out.emit(key, v));
+                },
+            ))
+        };
+        let local = Job::new(config.clone())
+            .run(splits.clone(), count_mapper(), passthrough())
+            .unwrap();
+        let shuffled = local.counters.get(Counter::ShuffleBytes);
+        assert!(shuffled > 12 << 20, "{shuffled}");
+        for transport in [Transport::Tcp, Transport::Uds] {
+            for (codec, budget) in [
+                (crate::dist::WireCodec::Identity, None),
+                (crate::dist::WireCodec::Lz, Some(0)),
+            ] {
+                let dist_cfg = DistConfig::default()
+                    .with_workers(2)
+                    .with_transport(transport)
+                    .with_wire_codec(codec)
+                    .with_shuffle_mem_bytes(budget);
+                let dist = run_distributed_with_threads(
+                    &config,
+                    &dist_cfg,
+                    splits.clone(),
+                    count_mapper(),
+                    passthrough(),
+                )
+                .unwrap();
+                assert_same_outputs(&local, &dist);
+                assert_eq!(dist.counters.get(Counter::ShuffleBytes), shuffled);
+                let saved = dist.counters.get(Counter::ShuffleWireBytesSaved);
+                match codec {
+                    crate::dist::WireCodec::Identity => assert_eq!(saved, 0),
+                    // Still megabytes on the wire after lz.
+                    crate::dist::WireCodec::Lz => {
+                        assert!(saved > shuffled / 4 && saved < shuffled * 3 / 4, "{saved}")
+                    }
+                }
+            }
         }
     }
 

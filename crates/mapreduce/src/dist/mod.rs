@@ -10,28 +10,41 @@
 //! # Protocol
 //!
 //! One connection per worker, framed by [`wire`] (u32 length prefix +
-//! tag byte). The worker drives: it sends `Hello` once, then loops
-//! `TaskRequest` → assignment → task conversation:
+//! tag byte), carrying one conversation. The worker speaks first, and
+//! the frames a connection carries, both directions interleaved in the
+//! order they are sent, are a sentence of this grammar:
 //!
-//! - **Map**: coordinator sends `MapTask` (with the split and an
-//!   initial push-credit window); the worker runs the attempt and sends
-//!   one `MapSegment` per non-empty partition, spending a credit each —
-//!   the coordinator returns one `Credit` per segment received. The
-//!   worker drains its window back to full, then commits with `MapDone`
-//!   (or `TaskFailed`).
-//! - **Reduce**: coordinator sends `ReduceTask`; the worker's fault
-//!   gate runs *before* any fetch, then `FetchStart` opens a
-//!   credit-window fetch and the coordinator streams the partition's
-//!   segments as `SegChunk` frames **in canonical map-task order**,
-//!   blocking per-segment until that map task has completed — the
-//!   pipelined fetch-while-map overlap. `SegmentsDone` closes the
-//!   stream; the worker replies `ReduceDone` with its outputs, or
-//!   `TaskFailed`.
+//! ```text
+//! Conversation = Hello (TaskRequest Task)* TaskRequest Shutdown
+//! Task         = MapTask MapSegment* (MapDone | TaskFailed)
+//!              | ReduceTask (TaskFailed
+//!                           | FetchStart SegChunk* (SegmentsDone (ReduceDone | TaskFailed)
+//!                                                  | Shutdown))
+//! ```
 //!
-//! `MapDone`, `ReduceDone` and `TaskFailed` carry the attempt's counter
-//! banks. A worker that dies mid-task surfaces as a lost slot: its task
-//! goes back through the retry budget as a network failure, not a hung
-//! job.
+//! The worker sends `Hello`, `TaskRequest`, `MapSegment`, `MapDone`,
+//! `FetchStart`, `ReduceDone` and `TaskFailed`; the coordinator sends
+//! the rest. Either end answers a frame the grammar does not allow at
+//! that point with a [`MrError::Net`] that names it, and gives the
+//! connection up.
+//!
+//! - **Map**: `MapTask` carries the split. The worker runs the attempt
+//!   and sends one `MapSegment` per non-empty partition, which the
+//!   coordinator stages and publishes only on `MapDone`.
+//! - **Reduce**: the worker's fault gate runs *before* any fetch;
+//!   `FetchStart` says it passed. The coordinator then streams the
+//!   partition's segments as `SegChunk` frames **in canonical map-task
+//!   order**, blocking per segment until that map task has completed —
+//!   the pipelined fetch-while-map overlap — and closes the stream with
+//!   `SegmentsDone`. The inner `Shutdown` releases a worker whose fetch
+//!   was cut short because the job aborted, and ends the conversation.
+//!
+//! The blocking socket is the only flow control: a peer that reads
+//! slower than the other writes stalls that `write_all`, nothing else.
+//! `MapDone`, `ReduceDone` and `TaskFailed` name their `(task, attempt)`
+//! and carry the attempt's counter banks. A worker that dies mid-task
+//! surfaces as a lost slot: its task goes back through the retry budget
+//! as a network failure, not a hung job.
 //!
 //! # Entry points
 //!
@@ -52,11 +65,9 @@ pub use crate::shuffle::{
 };
 pub use coordinator::{run_distributed, run_distributed_with_threads};
 pub use net::Transport;
-pub use wire::DEFAULT_MAX_FRAME_BYTES;
 pub use worker::run_worker;
 
 use crate::error::MrError;
-use std::time::Duration;
 
 /// Environment variable carrying the coordinator's socket address.
 pub const ENV_ADDR: &str = "SCIHADOOP_DIST_ADDR";
@@ -67,9 +78,6 @@ pub const ENV_WORKER: &str = "SCIHADOOP_DIST_WORKER";
 /// Environment variable carrying the opaque job payload the worker's
 /// bootstrap turns back into a `(JobConfig, Mapper, Reducer)` triple.
 pub const ENV_JOB: &str = "SCIHADOOP_DIST_JOB";
-
-/// Fetch window a worker grants the coordinator in `FetchStart`.
-pub(crate) const DEFAULT_FETCH_CREDITS: u32 = 8;
 
 /// Transparent compression applied to shuffle bytes in flight and at
 /// rest: segments are compressed once at publish (so spills hit disk
@@ -127,12 +135,6 @@ pub struct DistConfig {
     /// config/mapper/reducer the coordinator uses. Unused in thread
     /// mode. Must be non-empty for [`run_distributed`].
     pub job_payload: String,
-    /// Initial push-credit window granted to each map attempt.
-    pub push_credits: u32,
-    /// Chunk size for streaming segments to reducers.
-    pub chunk_bytes: usize,
-    /// How long to wait for all workers to connect before giving up.
-    pub spawn_timeout: Duration,
     /// In-memory budget for the job's shuffle store, in bytes.
     /// Segments beyond it spill to per-partition disk files and are
     /// served back by positioned reads. `None` sizes the budget from
@@ -141,15 +143,7 @@ pub struct DistConfig {
     /// `Some(0)` spills everything, `Some(usize::MAX)` never spills.
     /// Placement only — the served bytes are identical either way.
     pub shuffle_mem_bytes: Option<usize>,
-    /// Upper bound on one wire frame's payload, a guard against corrupt
-    /// length prefixes causing giant allocations. Defaults to
-    /// [`DEFAULT_MAX_FRAME_BYTES`]; must comfortably exceed
-    /// `chunk_bytes` plus frame overhead.
-    pub max_frame_bytes: usize,
-    /// Shuffle wire/spill compression. Workers advertise lz capability
-    /// in `Hello`; the coordinator only streams compressed frames to
-    /// workers that negotiated them, so mixed fleets degrade to raw
-    /// serving instead of failing.
+    /// Shuffle wire/spill compression.
     pub wire_codec: WireCodec,
 }
 
@@ -160,11 +154,7 @@ impl Default for DistConfig {
             transport: Transport::default(),
             worker_args: Vec::new(),
             job_payload: String::new(),
-            push_credits: 4,
-            chunk_bytes: 64 << 10,
-            spawn_timeout: Duration::from_secs(30),
             shuffle_mem_bytes: None,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             wire_codec: WireCodec::default(),
         }
     }
@@ -175,20 +165,6 @@ impl DistConfig {
     pub fn validate(&self) -> Result<(), MrError> {
         if self.workers == 0 {
             return Err(MrError::Config("dist workers must be > 0".into()));
-        }
-        if self.push_credits == 0 {
-            return Err(MrError::Config("push_credits must be > 0".into()));
-        }
-        if self.chunk_bytes == 0 {
-            return Err(MrError::Config("chunk_bytes must be > 0".into()));
-        }
-        // A SegChunk frame is the chunk payload plus a fixed header;
-        // 64 bytes of slack covers every header in the protocol.
-        if self.max_frame_bytes < self.chunk_bytes + 64 {
-            return Err(MrError::Config(format!(
-                "max_frame_bytes ({}) must exceed chunk_bytes ({}) plus frame overhead",
-                self.max_frame_bytes, self.chunk_bytes
-            )));
         }
         Ok(())
     }
@@ -217,21 +193,9 @@ impl DistConfig {
         self
     }
 
-    /// Builder-style setter for the streaming chunk size.
-    pub fn with_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.chunk_bytes = bytes;
-        self
-    }
-
     /// Builder-style setter for the shuffle store's in-memory budget.
     pub fn with_shuffle_mem_bytes(mut self, bytes: Option<usize>) -> Self {
         self.shuffle_mem_bytes = bytes;
-        self
-    }
-
-    /// Builder-style setter for the wire frame cap.
-    pub fn with_max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
         self
     }
 
@@ -295,31 +259,20 @@ pub fn worker_env() -> Result<Option<WorkerEnv>, MrError> {
 mod tests {
     use super::*;
 
+    /// Run one scripted conversation on a thread of its own and fail the
+    /// test, rather than hang it, if it neither returns nor panics in
+    /// time.
+    pub(super) fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the conversation hung or panicked")
+    }
+
     #[test]
     fn dist_config_validates() {
         assert!(DistConfig::default().validate().is_ok());
         assert!(DistConfig::default().with_workers(0).validate().is_err());
-        assert!(DistConfig::default()
-            .with_chunk_bytes(0)
-            .validate()
-            .is_err());
-        let zero_credits = DistConfig {
-            push_credits: 0,
-            ..DistConfig::default()
-        };
-        assert!(zero_credits.validate().is_err());
-    }
-
-    #[test]
-    fn frame_cap_must_exceed_chunk_size() {
-        // A cap smaller than one chunk's frame could never carry a
-        // SegChunk; validation rejects it.
-        let cfg = DistConfig::default().with_max_frame_bytes(100);
-        assert!(cfg.validate().is_err());
-        let cfg = DistConfig::default()
-            .with_chunk_bytes(1024)
-            .with_max_frame_bytes(1024 + 64);
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

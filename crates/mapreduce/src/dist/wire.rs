@@ -20,40 +20,31 @@ use crate::error::MrError;
 use crate::record::{InputSplit, KvPair};
 use std::io::{Read, Write};
 
-/// Default upper bound on one frame's payload, overridable per
-/// coordinator through [`crate::dist::DistConfig::max_frame_bytes`].
-/// Frames carry at most one segment chunk, one input split, or one
-/// reducer's output; anything larger is a corrupt length prefix, and
-/// failing fast beats a giant allocation.
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 256 << 20;
+/// Upper bound on one frame's payload. Frames carry at most one segment
+/// chunk, one map-output segment, one input split, or one reducer's
+/// output; anything larger is a corrupt length prefix.
+pub(super) const MAX_FRAME_BYTES: usize = 256 << 20;
 
-/// `Hello.wire_caps` bit: this worker can decompress
-/// [`scihadoop_compress::lz`] segment streams. Capability negotiation
-/// is one-directional — workers advertise, the coordinator only sends
-/// compressed `SegChunk` frames to workers that set the bit.
-pub(crate) const CAP_LZ: u32 = 1 << 0;
+/// The payload buffer of an incoming frame starts no larger than this
+/// and then doubles with the bytes that have actually arrived: a forged
+/// length prefix must not size an allocation.
+const PAYLOAD_PREALLOC: usize = 1 << 20;
 
 /// Every message either side can send. See the module docs of
 /// [`crate::dist`] for who sends what when.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Msg {
-    /// Worker → coordinator, once per connection. `wire_caps` is the
-    /// worker's capability bitmap ([`CAP_LZ`]); unknown bits are
-    /// ignored, so capability growth stays backward-compatible.
-    Hello { worker: u32, wire_caps: u32 },
+    /// Worker → coordinator, once per connection.
+    Hello { worker: u32 },
     /// Worker → coordinator: ready for the next task.
     TaskRequest,
     /// Coordinator → worker: run one map attempt over the carried split.
-    /// `credits` is the worker's initial push window (segments it may
-    /// send before blocking on a [`Msg::Credit`]).
     MapTask {
         task: u32,
         attempt: u32,
-        credits: u32,
         split: InputSplit,
     },
-    /// Worker → coordinator: one finished map-output segment. Consumes
-    /// one push credit.
+    /// Worker → coordinator: one finished map-output segment.
     MapSegment { partition: u32, data: Vec<u8> },
     /// Worker → coordinator: the map attempt succeeded. `local` is the
     /// attempt-local counter bank (absorbed only now, preserving the
@@ -67,16 +58,14 @@ pub(crate) enum Msg {
     /// Coordinator → worker: run one reduce attempt.
     ReduceTask { task: u32, attempt: u32 },
     /// Worker → coordinator: the reduce attempt passed its fault gate;
-    /// stream this partition's segments, starting with `credits` chunks
-    /// of window.
-    FetchStart { credits: u32 },
+    /// stream this partition's segments.
+    FetchStart,
     /// Coordinator → worker: one chunk of segment `index` (canonical
-    /// map-task order). Consumes one fetch credit; `last` closes the
-    /// segment. `comp` marks the *segment* (not the chunk) as an lz
-    /// frame the worker must decompress after reassembly; `orig_len` is
-    /// the segment's uncompressed length (0 when `comp` is false), a
-    /// pre-allocation hint and a cross-check against the lz frame's own
-    /// header. The lz frame carries a CRC over the wire bytes, so
+    /// map-task order); `last` closes the segment. `comp` marks the
+    /// *segment* (not the chunk) as an lz frame the worker must
+    /// decompress after reassembly; `orig_len` is the segment's
+    /// uncompressed length (0 when `comp` is false), a pre-allocation
+    /// hint and a cross-check against the lz frame's own header. The lz frame carries a CRC over the wire bytes, so
     /// corruption of a compressed stream is caught before inflation.
     SegChunk {
         index: u32,
@@ -88,8 +77,6 @@ pub(crate) enum Msg {
     /// Coordinator → worker: the fetch stream is complete; `count`
     /// segments were sent.
     SegmentsDone { count: u32 },
-    /// Either direction: replenish one backpressure credit.
-    Credit,
     /// Worker → coordinator: the reduce attempt succeeded.
     ReduceDone {
         task: u32,
@@ -123,13 +110,12 @@ impl Msg {
             Msg::MapSegment { .. } => 4,
             Msg::MapDone { .. } => 5,
             Msg::ReduceTask { .. } => 6,
-            Msg::FetchStart { .. } => 7,
+            Msg::FetchStart => 7,
             Msg::SegChunk { .. } => 8,
             Msg::SegmentsDone { .. } => 9,
-            Msg::Credit => 10,
-            Msg::ReduceDone { .. } => 11,
-            Msg::TaskFailed { .. } => 12,
-            Msg::Shutdown => 13,
+            Msg::ReduceDone { .. } => 10,
+            Msg::TaskFailed { .. } => 11,
+            Msg::Shutdown => 12,
         }
     }
 
@@ -142,10 +128,9 @@ impl Msg {
             Msg::MapSegment { .. } => "MapSegment",
             Msg::MapDone { .. } => "MapDone",
             Msg::ReduceTask { .. } => "ReduceTask",
-            Msg::FetchStart { .. } => "FetchStart",
+            Msg::FetchStart => "FetchStart",
             Msg::SegChunk { .. } => "SegChunk",
             Msg::SegmentsDone { .. } => "SegmentsDone",
-            Msg::Credit => "Credit",
             Msg::ReduceDone { .. } => "ReduceDone",
             Msg::TaskFailed { .. } => "TaskFailed",
             Msg::Shutdown => "Shutdown",
@@ -154,21 +139,16 @@ impl Msg {
 
     fn encode_body(&self, buf: &mut Vec<u8>) {
         match self {
-            Msg::Hello { worker, wire_caps } => {
-                put_u32(buf, *worker);
-                put_u32(buf, *wire_caps);
-            }
-            Msg::TaskRequest | Msg::Credit | Msg::Shutdown => {}
+            Msg::Hello { worker } => put_u32(buf, *worker),
+            Msg::TaskRequest | Msg::FetchStart | Msg::Shutdown => {}
             Msg::MapTask {
                 task,
                 attempt,
-                credits,
                 split,
             } => {
                 put_u32(buf, *task);
                 put_u32(buf, *attempt);
-                put_u32(buf, *credits);
-                put_split(buf, split);
+                put_pairs(buf, &split.records);
             }
             Msg::MapSegment { partition, data } => {
                 put_u32(buf, *partition);
@@ -189,7 +169,6 @@ impl Msg {
                 put_u32(buf, *task);
                 put_u32(buf, *attempt);
             }
-            Msg::FetchStart { credits } => put_u32(buf, *credits),
             Msg::SegChunk {
                 index,
                 last,
@@ -239,16 +218,12 @@ impl Msg {
         let mut r = Reader::new(payload);
         let tag = r.u8()?;
         let msg = match tag {
-            1 => Msg::Hello {
-                worker: r.u32()?,
-                wire_caps: r.u32()?,
-            },
+            1 => Msg::Hello { worker: r.u32()? },
             2 => Msg::TaskRequest,
             3 => Msg::MapTask {
                 task: r.u32()?,
                 attempt: r.u32()?,
-                credits: r.u32()?,
-                split: r.split()?,
+                split: InputSplit::new(r.pairs()?),
             },
             4 => Msg::MapSegment {
                 partition: r.u32()?,
@@ -264,7 +239,7 @@ impl Msg {
                 task: r.u32()?,
                 attempt: r.u32()?,
             },
-            7 => Msg::FetchStart { credits: r.u32()? },
+            7 => Msg::FetchStart,
             8 => Msg::SegChunk {
                 index: r.u32()?,
                 last: r.u8()? != 0,
@@ -273,15 +248,14 @@ impl Msg {
                 data: r.bytes()?,
             },
             9 => Msg::SegmentsDone { count: r.u32()? },
-            10 => Msg::Credit,
-            11 => Msg::ReduceDone {
+            10 => Msg::ReduceDone {
                 task: r.u32()?,
                 attempt: r.u32()?,
                 local: r.counters()?,
                 harness: r.counters()?,
                 outputs: r.pairs()?,
             },
-            12 => Msg::TaskFailed {
+            11 => Msg::TaskFailed {
                 task: r.u32()?,
                 attempt: r.u32()?,
                 reduce: r.u8()? != 0,
@@ -289,7 +263,7 @@ impl Msg {
                 error: String::from_utf8_lossy(&r.bytes()?).into_owned(),
                 harness: r.counters()?,
             },
-            13 => Msg::Shutdown,
+            12 => Msg::Shutdown,
             other => {
                 return Err(MrError::Net(format!("unknown wire message tag {other}")));
             }
@@ -299,15 +273,14 @@ impl Msg {
     }
 }
 
-/// Write one frame under the default cap. The length prefix and payload
-/// go down in a single `write_all` so a frame is one contiguous write
-/// into the socket buffer.
+/// Write one frame. The length prefix and payload go down in a single
+/// `write_all` so a frame is one contiguous write into the socket
+/// buffer.
 pub(crate) fn write_msg(w: &mut impl Write, msg: &Msg) -> Result<(), MrError> {
-    write_msg_capped(w, msg, DEFAULT_MAX_FRAME_BYTES)
+    write_capped(w, msg, MAX_FRAME_BYTES)
 }
 
-/// Write one frame, rejecting payloads over `cap` bytes.
-pub(crate) fn write_msg_capped(w: &mut impl Write, msg: &Msg, cap: usize) -> Result<(), MrError> {
+fn write_capped(w: &mut impl Write, msg: &Msg, cap: usize) -> Result<(), MrError> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(&[0u8; 4]);
     buf.push(msg.tag());
@@ -329,9 +302,8 @@ pub(crate) fn write_msg_capped(w: &mut impl Write, msg: &Msg, cap: usize) -> Res
 /// zero-copy serving path: a spilled segment is `pread` straight into
 /// the wire frame with no intermediate `Vec`. The produced bytes are
 /// identical to `write_msg(&Msg::SegChunk { .. })` for the same data
-/// (pinned by a unit test); the caller owns the `write_all`, so frame
-/// buffers can be reused and double-buffered across chunks.
-#[allow(clippy::too_many_arguments)]
+/// (pinned by a unit test); the caller owns the `write_all`, so one
+/// frame buffer is reused across chunks.
 pub(crate) fn encode_seg_chunk(
     buf: &mut Vec<u8>,
     index: u32,
@@ -339,15 +311,14 @@ pub(crate) fn encode_seg_chunk(
     comp: bool,
     orig_len: u32,
     payload_len: usize,
-    cap: usize,
     fill: impl FnOnce(&mut [u8]) -> Result<(), MrError>,
 ) -> Result<(), MrError> {
     // Frame payload: tag + index + last + comp + orig_len + data length
     // + data.
     let frame_len = 1 + 4 + 1 + 1 + 4 + 4 + payload_len;
-    if frame_len > cap {
+    if frame_len > MAX_FRAME_BYTES {
         return Err(MrError::Net(format!(
-            "outgoing SegChunk frame of {frame_len} bytes exceeds the {cap}-byte cap"
+            "outgoing SegChunk frame of {frame_len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
     buf.clear();
@@ -365,15 +336,13 @@ pub(crate) fn encode_seg_chunk(
     Ok(())
 }
 
-/// Read one frame under the default cap. A clean EOF before the length
-/// prefix reads as a closed connection; anything else short is a
-/// protocol error.
+/// Read one frame. A clean EOF before the length prefix reads as a
+/// closed connection; anything else short is a protocol error.
 pub(crate) fn read_msg(r: &mut impl Read) -> Result<Msg, MrError> {
-    read_msg_capped(r, DEFAULT_MAX_FRAME_BYTES)
+    read_capped(r, MAX_FRAME_BYTES)
 }
 
-/// Read one frame, rejecting length prefixes over `cap` bytes.
-pub(crate) fn read_msg_capped(r: &mut impl Read, cap: usize) -> Result<Msg, MrError> {
+fn read_capped(r: &mut impl Read, cap: usize) -> Result<Msg, MrError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)
         .map_err(|e| MrError::Net(format!("read frame length: {e}")))?;
@@ -383,22 +352,23 @@ pub(crate) fn read_msg_capped(r: &mut impl Read, cap: usize) -> Result<Msg, MrEr
             "frame length {len} outside (0, {cap}]"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| MrError::Net(format!("read frame payload ({len} bytes): {e}")))?;
-    Msg::decode(&payload)
-}
-
-/// Read one frame and require it to be exactly `expected` (by tag
-/// family), mapping anything else to a protocol error.
-pub(crate) fn expect_credit(r: &mut impl Read) -> Result<(), MrError> {
-    match read_msg(r)? {
-        Msg::Credit => Ok(()),
-        other => Err(MrError::Net(format!(
-            "expected Credit, got {}",
-            other.name()
-        ))),
+    // The peer chose `len`; only bytes that arrive grow the buffer. A
+    // frame up to `PAYLOAD_PREALLOC` is one zeroed allocation and one
+    // read; a larger one doubles as it fills — one reallocation's worth
+    // of copying in total, and never more than twice the bytes received
+    // plus the first step.
+    let mut payload = vec![0u8; len.min(PAYLOAD_PREALLOC)];
+    let mut at = 0;
+    loop {
+        r.read_exact(&mut payload[at..])
+            .map_err(|e| MrError::Net(format!("read frame payload ({len} bytes): {e}")))?;
+        at = payload.len();
+        if at == len {
+            break;
+        }
+        payload.resize(at + at.min(len - at), 0);
     }
+    Msg::decode(&payload)
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -412,14 +382,6 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u32(buf, b.len() as u32);
     buf.extend_from_slice(b);
-}
-
-fn put_split(buf: &mut Vec<u8>, split: &InputSplit) {
-    put_u32(buf, split.records.len() as u32);
-    for rec in &split.records {
-        put_bytes(buf, &rec.key);
-        put_bytes(buf, &rec.value);
-    }
 }
 
 fn put_pairs(buf: &mut Vec<u8>, pairs: &[KvPair]) {
@@ -482,19 +444,23 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    fn split(&mut self) -> Result<InputSplit, MrError> {
+    fn pairs(&mut self) -> Result<Vec<KvPair>, MrError> {
         let n = self.u32()? as usize;
-        let mut records = Vec::with_capacity(n.min(1 << 20));
+        // Each record needs two u32 length prefixes: a count the rest of
+        // the frame cannot hold is forged, and must not size the vector.
+        let remaining = self.buf.len() - self.pos;
+        if n > remaining / 8 {
+            return Err(MrError::Net(format!(
+                "frame announces {n} records in {remaining} bytes"
+            )));
+        }
+        let mut records = Vec::with_capacity(n);
         for _ in 0..n {
             let key = self.bytes()?;
             let value = self.bytes()?;
             records.push(KvPair { key, value });
         }
-        Ok(InputSplit { records })
-    }
-
-    fn pairs(&mut self) -> Result<Vec<KvPair>, MrError> {
-        Ok(self.split()?.records)
+        Ok(records)
     }
 
     fn counters(&mut self) -> Result<CounterSnapshot, MrError> {
@@ -550,15 +516,11 @@ mod tests {
 
     #[test]
     fn every_message_roundtrips() {
-        roundtrip(Msg::Hello {
-            worker: 3,
-            wire_caps: CAP_LZ,
-        });
+        roundtrip(Msg::Hello { worker: 3 });
         roundtrip(Msg::TaskRequest);
         roundtrip(Msg::MapTask {
             task: 1,
             attempt: 2,
-            credits: 4,
             split: InputSplit::new(vec![
                 KvPair::new(b"k".to_vec(), b"v".to_vec()),
                 KvPair::new(Vec::new(), b"only-value".to_vec()),
@@ -578,7 +540,7 @@ mod tests {
             task: 0,
             attempt: 1,
         });
-        roundtrip(Msg::FetchStart { credits: 8 });
+        roundtrip(Msg::FetchStart);
         roundtrip(Msg::SegChunk {
             index: 2,
             last: true,
@@ -594,7 +556,6 @@ mod tests {
             data: vec![9; 60],
         });
         roundtrip(Msg::SegmentsDone { count: 5 });
-        roundtrip(Msg::Credit);
         roundtrip(Msg::ReduceDone {
             task: 4,
             attempt: 1,
@@ -617,11 +578,11 @@ mod tests {
     fn several_frames_stream_back_to_back() {
         let mut wire = Vec::new();
         write_msg(&mut wire, &Msg::TaskRequest).unwrap();
-        write_msg(&mut wire, &Msg::Credit).unwrap();
+        write_msg(&mut wire, &Msg::FetchStart).unwrap();
         write_msg(&mut wire, &Msg::Shutdown).unwrap();
         let mut cursor = &wire[..];
         assert_eq!(read_msg(&mut cursor).unwrap(), Msg::TaskRequest);
-        assert_eq!(read_msg(&mut cursor).unwrap(), Msg::Credit);
+        assert_eq!(read_msg(&mut cursor).unwrap(), Msg::FetchStart);
         assert_eq!(read_msg(&mut cursor).unwrap(), Msg::Shutdown);
         assert!(read_msg(&mut cursor).is_err(), "EOF is a closed connection");
     }
@@ -646,7 +607,7 @@ mod tests {
         assert!(matches!(read_msg(&mut &bogus[..]), Err(MrError::Net(_))));
 
         // Oversized length prefix.
-        let huge = (DEFAULT_MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
+        let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
         assert!(matches!(read_msg(&mut &huge[..]), Err(MrError::Net(_))));
 
         // Trailing garbage after a fixed-size body.
@@ -670,16 +631,95 @@ mod tests {
         // Write side: a frame exactly at the cap goes out; one byte
         // more is rejected before anything hits the socket.
         let mut wire = Vec::new();
-        write_msg_capped(&mut wire, &msg(100), cap).unwrap();
+        write_capped(&mut wire, &msg(100), cap).unwrap();
         let at_cap = wire.clone();
-        let err = write_msg_capped(&mut Vec::new(), &msg(101), cap).unwrap_err();
+        let err = write_capped(&mut Vec::new(), &msg(101), cap).unwrap_err();
         assert!(err.to_string().contains("exceeds the"), "{err}");
 
         // Read side: the at-cap frame parses under the same cap; under
         // a cap one byte smaller its length prefix is rejected.
-        assert_eq!(read_msg_capped(&mut &at_cap[..], cap).unwrap(), msg(100));
-        let err = read_msg_capped(&mut &at_cap[..], cap - 1).unwrap_err();
+        assert_eq!(read_capped(&mut &at_cap[..], cap).unwrap(), msg(100));
+        let err = read_capped(&mut &at_cap[..], cap - 1).unwrap_err();
         assert!(err.to_string().contains("frame length"), "{err}");
+    }
+
+    /// Serves `bytes`, checking the decoder's buffer against what has
+    /// arrived: the buffer is at least the delivered bytes plus the tail
+    /// `read` is handed, and must stay within twice the delivered bytes
+    /// plus `PAYLOAD_PREALLOC`.
+    struct Metered<'a> {
+        bytes: &'a [u8],
+        delivered: usize,
+        /// Largest overshoot of that bound seen, in bytes.
+        worst_excess: isize,
+    }
+
+    impl Read for Metered<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let bound = self.delivered + PAYLOAD_PREALLOC;
+            self.worst_excess = self.worst_excess.max(buf.len() as isize - bound as isize);
+            let n = self.bytes.read(buf)?;
+            self.delivered += n;
+            Ok(n)
+        }
+    }
+
+    fn metered(bytes: &[u8]) -> Metered<'_> {
+        Metered {
+            bytes,
+            delivered: 0,
+            worst_excess: isize::MIN,
+        }
+    }
+
+    #[test]
+    fn a_forged_length_prefix_never_sizes_the_payload_buffer() {
+        // The largest legal prefix, then ten bytes, then EOF.
+        let mut wire = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[4u8; 10]);
+        let mut r = metered(&wire);
+        let err = read_msg(&mut r).unwrap_err();
+        assert!(err.to_string().contains("read frame payload"), "{err}");
+        assert!(r.worst_excess <= 0, "handed {} B too many", r.worst_excess);
+
+        // A legitimate frame of several steps arrives whole under the
+        // same bound.
+        let msg = Msg::MapSegment {
+            partition: 1,
+            data: (0..5 * PAYLOAD_PREALLOC + 17).map(|i| i as u8).collect(),
+        };
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &msg).unwrap();
+        let mut r = metered(&wire);
+        assert_eq!(read_msg(&mut r).unwrap(), msg);
+        assert!(r.worst_excess <= 0, "handed {} B too many", r.worst_excess);
+    }
+
+    #[test]
+    fn a_forged_record_count_is_rejected_before_it_sizes_a_vector() {
+        let framed = |body: &[u8]| {
+            let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(body);
+            wire
+        };
+        // MapTask: tag, task, attempt, then a count with nothing behind it.
+        let mut map_task = vec![3u8];
+        for v in [0u32, 0, u32::MAX] {
+            put_u32(&mut map_task, v);
+        }
+        // ReduceDone: tag, task, attempt, two counter banks, a count one
+        // past what the single empty record behind it could back.
+        let mut reduce_done = vec![10u8];
+        put_u32(&mut reduce_done, 0);
+        put_u32(&mut reduce_done, 0);
+        put_counters(&mut reduce_done, &Counters::new().snapshot());
+        put_counters(&mut reduce_done, &Counters::new().snapshot());
+        put_u32(&mut reduce_done, 2);
+        reduce_done.extend_from_slice(&[0u8; 8]);
+        for body in [map_task, reduce_done] {
+            let err = read_msg(&mut &framed(&body)[..]).unwrap_err();
+            assert!(err.to_string().contains("records in"), "{err}");
+        }
     }
 
     #[test]
@@ -704,26 +744,20 @@ mod tests {
             )
             .unwrap();
             let mut via_fill = Vec::new();
-            encode_seg_chunk(
-                &mut via_fill,
-                3,
-                last,
-                comp,
-                orig_len,
-                len,
-                DEFAULT_MAX_FRAME_BYTES,
-                |buf| {
-                    buf.copy_from_slice(&data);
-                    Ok(())
-                },
-            )
+            encode_seg_chunk(&mut via_fill, 3, last, comp, orig_len, len, |buf| {
+                buf.copy_from_slice(&data);
+                Ok(())
+            })
             .unwrap();
             assert_eq!(via_msg, via_fill, "len={len} last={last} comp={comp}");
         }
-        // The cap applies to the whole frame, including headers.
-        let err =
-            encode_seg_chunk(&mut Vec::new(), 0, true, false, 0, 100, 100, |_| Ok(())).unwrap_err();
+        // The cap applies to the whole frame, including headers, and is
+        // checked before the frame is sized.
+        let mut frame = Vec::new();
+        let err = encode_seg_chunk(&mut frame, 0, true, false, 0, MAX_FRAME_BYTES, |_| Ok(()))
+            .unwrap_err();
         assert!(err.to_string().contains("exceeds the"), "{err}");
+        assert_eq!(frame.capacity(), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Worker-process main loop: connect to the coordinator, pull task
 //! assignments, run each as an [`Attempt`] — the discipline in-process
-//! slots use — and stream results back under credit-based flow control.
+//! slots use — and stream results back. See [`crate::dist`] for the
+//! conversation's grammar.
 
 use super::net::{Stream, Transport};
-use super::wire::{expect_credit, read_msg, write_msg, Msg, CAP_LZ};
+use super::wire::{read_msg, write_msg, Msg};
 use crate::counters::{Counter, CounterSnapshot};
 use crate::error::MrError;
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
@@ -49,30 +50,15 @@ pub fn run_worker(
     reducer: &dyn Reducer,
 ) -> Result<(), MrError> {
     let mut stream = Stream::connect_retry(transport, addr, CONNECT_DEADLINE)?;
-    write_msg(
-        &mut stream,
-        &Msg::Hello {
-            worker,
-            wire_caps: CAP_LZ,
-        },
-    )?;
+    write_msg(&mut stream, &Msg::Hello { worker })?;
     loop {
         write_msg(&mut stream, &Msg::TaskRequest)?;
         match read_msg(&mut stream)? {
             Msg::MapTask {
                 task,
                 attempt,
-                credits,
                 split,
-            } => run_map_attempt(
-                &mut stream,
-                config,
-                task as usize,
-                attempt,
-                credits,
-                &split,
-                mapper,
-            )?,
+            } => run_map_attempt(&mut stream, config, task as usize, attempt, &split, mapper)?,
             Msg::ReduceTask { task, attempt } => {
                 if run_reduce_attempt(&mut stream, config, task as usize, attempt, reducer)? {
                     return Ok(()); // shutdown arrived mid-fetch (job aborted)
@@ -90,16 +76,12 @@ pub fn run_worker(
 }
 
 /// One map attempt, then push each partition's segment to the
-/// coordinator. Pushes spend credits granted in the assignment; the
-/// coordinator returns one credit per received segment, and the worker
-/// drains its window back to full before `MapDone` so no credit frame is
-/// left in flight between tasks.
+/// coordinator and commit with `MapDone`.
 fn run_map_attempt(
     stream: &mut Stream,
     config: &JobConfig,
     task: usize,
     attempt: u32,
-    window: u32,
     split: &InputSplit,
     mapper: &dyn Mapper,
 ) -> Result<(), MrError> {
@@ -114,12 +96,7 @@ fn run_map_attempt(
             return write_msg(stream, &msg);
         }
     };
-    let mut credits = window;
     for (partition, seg) in segments {
-        if credits == 0 {
-            expect_credit(stream)?;
-            credits += 1;
-        }
         write_msg(
             stream,
             &Msg::MapSegment {
@@ -127,11 +104,6 @@ fn run_map_attempt(
                 data: seg.data,
             },
         )?;
-        credits -= 1;
-    }
-    while credits < window {
-        expect_credit(stream)?;
-        credits += 1;
     }
     write_msg(
         stream,
@@ -163,20 +135,16 @@ fn run_reduce_attempt(
         Ok(att) => att,
         Err(failed) => return report_reduce(stream, task, attempt, failed),
     };
-    write_msg(
-        stream,
-        &Msg::FetchStart {
-            credits: super::DEFAULT_FETCH_CREDITS,
-        },
-    )?;
+    write_msg(stream, &Msg::FetchStart)?;
     let mut segs: Vec<Vec<u8>> = Vec::new();
     let mut current: Vec<u8> = Vec::new();
     let mut decompress_nanos = 0u64;
     // A wire-compressed segment that fails to inflate is real
     // corruption (the lz frame's CRC over the wire bytes caught it).
-    // The fetch stream is drained to completion first — bailing
-    // mid-stream would desync the credit protocol — then the attempt
-    // fails as a checksum error, retryable like any detected corruption.
+    // The fetch stream is drained to `SegmentsDone` first — the chunks
+    // still in the pipe would otherwise be read as the next assignment —
+    // then the attempt fails as a checksum error, retryable like any
+    // detected corruption.
     let mut fetch_err: Option<MrError> = None;
     loop {
         match read_msg(stream)? {
@@ -222,7 +190,6 @@ fn run_reduce_attempt(
                     };
                     segs.push(seg);
                 }
-                write_msg(stream, &Msg::Credit)?;
             }
             Msg::SegmentsDone { count } => {
                 if count as usize != segs.len() || !current.is_empty() {
@@ -273,4 +240,228 @@ fn report_reduce(
     };
     write_msg(stream, &msg)?;
     Ok(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::counters::Counters;
+    use crate::dist::net::Listener;
+    use crate::record::{Emit, FnMapper, FnReducer};
+    use std::io::Write;
+
+    /// Run a real worker against a scripted coordinator: `script` gets
+    /// the accepted connection after the worker's `Hello` and first
+    /// `TaskRequest` have been read off it. Returns what `run_worker`
+    /// returned once the script is over and its end closed.
+    fn worker_against(script: impl FnOnce(&mut Stream) + Send + 'static) -> Result<(), MrError> {
+        crate::dist::tests::within_deadline(move || {
+            let listener = Listener::bind(Transport::Tcp).unwrap();
+            let addr = listener.addr().unwrap();
+            let worker = std::thread::spawn(move || {
+                let config = JobConfig::default().with_reducers(2);
+                let mapper = FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| out.emit(k, v));
+                let reducer = FnReducer(|k: &[u8], vs: &[&[u8]], out: &mut dyn Emit| {
+                    out.emit(k, vs.len().to_string().as_bytes())
+                });
+                run_worker(Transport::Tcp, &addr, 7, &config, &mapper, &reducer)
+            });
+            let mut stream = listener
+                .accept_deadline(Duration::from_secs(5), &mut || true)
+                .unwrap();
+            assert_eq!(read_msg(&mut stream).unwrap(), Msg::Hello { worker: 7 });
+            assert_eq!(read_msg(&mut stream).unwrap(), Msg::TaskRequest);
+            script(&mut stream);
+            drop(stream);
+            worker.join().unwrap()
+        })
+    }
+
+    fn send(stream: &mut Stream, msg: Msg) {
+        write_msg(stream, &msg).unwrap();
+    }
+
+    /// Open reduce 1 attempt 0 and read the worker's `FetchStart`.
+    fn start_fetch(stream: &mut Stream) {
+        send(
+            stream,
+            Msg::ReduceTask {
+                task: 1,
+                attempt: 0,
+            },
+        );
+        assert_eq!(read_msg(stream).unwrap(), Msg::FetchStart);
+    }
+
+    fn chunk(index: u32, last: bool, data: &[u8]) -> Msg {
+        Msg::SegChunk {
+            index,
+            last,
+            comp: false,
+            orig_len: 0,
+            data: data.to_vec(),
+        }
+    }
+
+    #[test]
+    fn the_worker_refuses_frames_the_grammar_does_not_allow() {
+        type Script = Box<dyn FnOnce(&mut Stream) + Send>;
+        let cases: Vec<(Script, &str)> = vec![
+            (
+                Box::new(|s| send(s, Msg::SegmentsDone { count: 0 })),
+                "unexpected SegmentsDone while awaiting an assignment",
+            ),
+            (
+                Box::new(|s| send(s, Msg::Hello { worker: 7 })),
+                "unexpected Hello while awaiting an assignment",
+            ),
+            (
+                Box::new(|s| {
+                    start_fetch(s);
+                    send(s, chunk(1, true, b"abc"));
+                }),
+                "segment chunk for index 1 but 0 segments assembled",
+            ),
+            (
+                Box::new(|s| {
+                    start_fetch(s);
+                    send(s, Msg::SegmentsDone { count: 2 });
+                }),
+                "coordinator announced 2 segments, assembled 0 (0 stray bytes)",
+            ),
+            (
+                Box::new(|s| {
+                    start_fetch(s);
+                    send(s, chunk(0, false, b"abc"));
+                    send(s, Msg::SegmentsDone { count: 0 });
+                }),
+                "coordinator announced 0 segments, assembled 0 (3 stray bytes)",
+            ),
+            (
+                Box::new(|s| {
+                    start_fetch(s);
+                    send(
+                        s,
+                        Msg::ReduceTask {
+                            task: 0,
+                            attempt: 0,
+                        },
+                    );
+                }),
+                "unexpected ReduceTask during segment fetch",
+            ),
+            (
+                Box::new(|s| {
+                    start_fetch(s);
+                    send(s, chunk(0, false, b"abc"));
+                }),
+                "read frame length",
+            ),
+            (
+                Box::new(|s| {
+                    start_fetch(s);
+                    s.write_all(&[50, 0, 0, 0, 8, 0]).unwrap();
+                }),
+                "read frame payload (50 bytes)",
+            ),
+        ];
+        for (i, (script, names)) in cases.into_iter().enumerate() {
+            match worker_against(script) {
+                Err(MrError::Net(e)) => {
+                    assert!(e.contains(names), "case {i}: {e:?} does not name {names:?}")
+                }
+                other => panic!("case {i}: expected a Net error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_ends_the_conversation_between_tasks_and_mid_fetch() {
+        worker_against(|s| send(s, Msg::Shutdown)).unwrap();
+        worker_against(|s| {
+            start_fetch(s);
+            send(s, chunk(0, false, b"abc"));
+            send(s, Msg::Shutdown);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_wire_segment_is_reported_only_after_the_stream_is_drained() {
+        let frame = lz::compress(&[5u8; 4096]);
+        for (data, orig_len, names) in [
+            (vec![0xAB; 40], 4096, "wire segment 0 corrupt"),
+            (frame, 4095, "inflated to 4096 bytes, header says 4095"),
+        ] {
+            worker_against(move |s| {
+                start_fetch(s);
+                send(
+                    s,
+                    Msg::SegChunk {
+                        index: 0,
+                        last: true,
+                        comp: true,
+                        orig_len,
+                        data,
+                    },
+                );
+                send(s, chunk(1, true, b"not a segment either"));
+                send(s, Msg::SegmentsDone { count: 2 });
+                // Only now does the worker speak, and then asks for more.
+                match read_msg(s).unwrap() {
+                    Msg::TaskFailed {
+                        task: 1,
+                        attempt: 0,
+                        reduce: true,
+                        checksum: true,
+                        error,
+                        ..
+                    } => assert!(error.contains(names), "{error}"),
+                    other => panic!("expected TaskFailed, got {other:?}"),
+                }
+                assert_eq!(read_msg(s).unwrap(), Msg::TaskRequest);
+                send(s, Msg::Shutdown);
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_map_attempt_pushes_its_segments_then_commits() {
+        worker_against(|s| {
+            let split = InputSplit::new(
+                (0..20u8)
+                    .map(|i| KvPair::new(vec![i], vec![i; 3]))
+                    .collect(),
+            );
+            send(
+                s,
+                Msg::MapTask {
+                    task: 3,
+                    attempt: 2,
+                    split,
+                },
+            );
+            let mut partitions = Vec::new();
+            loop {
+                match read_msg(s).unwrap() {
+                    Msg::MapSegment { partition, .. } => partitions.push(partition),
+                    Msg::MapDone {
+                        task: 3,
+                        attempt: 2,
+                        harness,
+                        ..
+                    } => {
+                        assert_eq!(harness, Counters::new().snapshot());
+                        break;
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            assert_eq!(partitions, [0, 1]);
+            assert_eq!(read_msg(s).unwrap(), Msg::TaskRequest);
+            send(s, Msg::Shutdown);
+        })
+        .unwrap();
+    }
 }

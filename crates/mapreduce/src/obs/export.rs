@@ -130,10 +130,8 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 mod tests {
     use super::*;
     use crate::obs::json::parse;
-    #[cfg(feature = "obs")]
     use crate::obs::{Phase, Recorder};
 
-    #[cfg(feature = "obs")]
     fn sample_trace() -> Trace {
         let rec = Recorder::new();
         {
@@ -146,7 +144,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn chrome_trace_has_events_and_metadata() {
         let json = chrome_trace_json(&sample_trace());
         assert!(json.contains("\"traceEvents\""));

@@ -22,9 +22,8 @@
 //!
 //! Everything is scoped to a per-job [`Recorder`]; there is no global
 //! collector, so parallel jobs (and parallel tests) cannot contaminate
-//! each other. Building the crate with `--no-default-features` (i.e.
-//! without the `obs` feature) compiles every recording hook down to a
-//! no-op while keeping the API present.
+//! each other. A thread with no recorder attached is the disabled
+//! state: every recording hook is a thread-local read that misses.
 
 mod drift;
 mod export;

@@ -174,7 +174,6 @@ mod tests {
     use crate::counters::Counters;
     use crate::obs::Recorder;
 
-    #[cfg(feature = "obs")]
     fn record_segment(key: u64, value: u64, framing: u64, saved: u64, materialized: u64) {
         let header = crate::ifile::Framing::IFile.file_overhead() as u64;
         crate::obs::hist_many(&[
@@ -188,7 +187,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn derives_and_reconciles() {
         let rec = Recorder::new();
         let counters = Counters::new();
@@ -219,7 +217,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn reconcile_reports_drift() {
         let rec = Recorder::new();
         {

@@ -3,8 +3,8 @@
 //! A [`SpanGuard`] samples wall time (against the recorder's epoch) and
 //! the thread CPU clock at construction, and writes one [`TraceEvent`]
 //! into the calling thread's sink when dropped. When no recorder is
-//! attached to the thread — or when the crate is built without the
-//! `obs` feature — `begin` is a no-op that returns an empty guard.
+//! attached to the thread, `begin` is a no-op that returns an empty
+//! guard.
 
 use crate::obs::trace;
 
@@ -113,24 +113,16 @@ impl SpanGuard {
     /// thread; otherwise return an inert guard.
     #[inline]
     pub fn begin(phase: Phase, task: u32) -> SpanGuard {
-        #[cfg(feature = "obs")]
-        {
-            let Some(wall_start_ns) = trace::current_epoch_nanos() else {
-                return SpanGuard { inner: None };
-            };
-            SpanGuard {
-                inner: Some(Open {
-                    phase,
-                    task,
-                    wall_start_ns,
-                    cpu_start: crate::clock::thread_cpu_nanos(),
-                }),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (phase, task);
-            SpanGuard { inner: None }
+        let Some(wall_start_ns) = trace::current_epoch_nanos() else {
+            return SpanGuard { inner: None };
+        };
+        SpanGuard {
+            inner: Some(Open {
+                phase,
+                task,
+                wall_start_ns,
+                cpu_start: crate::clock::thread_cpu_nanos(),
+            }),
         }
     }
 

@@ -27,7 +27,6 @@ use std::time::Instant;
 /// counter instead of allocating.
 pub const EVENT_CAPACITY: usize = 1 << 16;
 
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
 struct ThreadSink {
     name: String,
     events: Vec<TraceEvent>,
@@ -35,7 +34,6 @@ struct ThreadSink {
     hists: MetricsBank,
 }
 
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
 impl ThreadSink {
     fn new(name: String) -> Self {
         ThreadSink {
@@ -48,7 +46,6 @@ impl ThreadSink {
 }
 
 struct Shared {
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     epoch: Instant,
     sinks: Mutex<Vec<Arc<Mutex<ThreadSink>>>>,
     warnings: Mutex<Vec<String>>,
@@ -74,7 +71,6 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
 struct LocalCtx {
     epoch: Instant,
     sink: Arc<Mutex<ThreadSink>>,
@@ -110,23 +106,15 @@ impl Recorder {
     /// recorded by the thread flow into the returned sink until the
     /// [`Attachment`] drops. `name` labels the thread in trace exports.
     pub fn attach(&self, name: &str) -> Attachment {
-        #[cfg(feature = "obs")]
-        {
-            let sink = Arc::new(Mutex::new(ThreadSink::new(name.to_string())));
-            self.shared.sinks.lock().push(sink.clone());
-            let prev = CURRENT.with(|c| {
-                c.borrow_mut().replace(LocalCtx {
-                    epoch: self.shared.epoch,
-                    sink,
-                })
-            });
-            Attachment { prev: Some(prev) }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = name;
-            Attachment { prev: None }
-        }
+        let sink = Arc::new(Mutex::new(ThreadSink::new(name.to_string())));
+        self.shared.sinks.lock().push(sink.clone());
+        let prev = CURRENT.with(|c| {
+            c.borrow_mut().replace(LocalCtx {
+                epoch: self.shared.epoch,
+                sink,
+            })
+        });
+        Attachment { prev }
     }
 
     /// Record a job-level warning string into the trace.
@@ -159,16 +147,12 @@ impl Recorder {
 /// RAII attachment of the current thread to a [`Recorder`]; restores
 /// the previous attachment (usually none) on drop.
 pub struct Attachment {
-    /// `Some(prev)` when an attachment was installed; `None` under the
-    /// no-op build.
-    prev: Option<Option<LocalCtx>>,
+    prev: Option<LocalCtx>,
 }
 
 impl Drop for Attachment {
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-        }
+        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
     }
 }
 
@@ -176,24 +160,16 @@ impl Drop for Attachment {
 /// thread is not attached. The fast path for every recording hook.
 #[inline]
 pub(crate) fn current_epoch_nanos() -> Option<u64> {
-    #[cfg(feature = "obs")]
-    {
-        CURRENT.with(|c| {
-            c.borrow()
-                .as_ref()
-                .map(|ctx| ctx.epoch.elapsed().as_nanos() as u64)
-        })
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        None
-    }
+    CURRENT.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map(|ctx| ctx.epoch.elapsed().as_nanos() as u64)
+    })
 }
 
 /// Push a finished span into the attached sink (no-op when detached).
 #[inline]
 pub(crate) fn push_event(event: TraceEvent) {
-    #[cfg(feature = "obs")]
     CURRENT.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
             let mut sink = ctx.sink.lock();
@@ -204,28 +180,22 @@ pub(crate) fn push_event(event: TraceEvent) {
             }
         }
     });
-    #[cfg(not(feature = "obs"))]
-    let _ = event;
 }
 
 /// Record one histogram sample into the attached sink (no-op when
 /// detached).
 #[inline]
 pub fn hist(metric: Metric, value: u64) {
-    #[cfg(feature = "obs")]
     CURRENT.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
             ctx.sink.lock().hists.record(metric, value);
         }
     });
-    #[cfg(not(feature = "obs"))]
-    let _ = (metric, value);
 }
 
 /// Record several histogram samples with one attachment lookup.
 #[inline]
 pub fn hist_many(samples: &[(Metric, u64)]) {
-    #[cfg(feature = "obs")]
     CURRENT.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
             let mut sink = ctx.sink.lock();
@@ -234,21 +204,12 @@ pub fn hist_many(samples: &[(Metric, u64)]) {
             }
         }
     });
-    #[cfg(not(feature = "obs"))]
-    let _ = samples;
 }
 
 /// True when the calling thread is attached to a recorder.
 #[inline]
 pub fn recording() -> bool {
-    #[cfg(feature = "obs")]
-    {
-        CURRENT.with(|c| c.borrow().is_some())
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        false
-    }
+    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// A drained per-job trace: every span from every thread, the merged
@@ -323,7 +284,6 @@ mod tests {
     use crate::obs::Phase;
 
     #[test]
-    #[cfg(feature = "obs")]
     fn spans_flow_into_the_attached_recorder() {
         let rec = Recorder::new();
         {
@@ -345,22 +305,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "obs"))]
-    fn noop_build_attach_is_inert() {
-        let rec = Recorder::new();
-        {
-            let _a = rec.attach("noop");
-            assert!(!recording(), "no-op build must never report recording");
-            drop(crate::span!(Phase::MapEmit, 0));
-            hist(Metric::MergeFanIn, 1);
-        }
-        let trace = rec.finish();
-        assert!(trace.events.is_empty());
-        assert!(trace.threads.is_empty(), "no sink is even registered");
-        assert!(trace.hists.get(Metric::MergeFanIn).is_empty());
-    }
-
-    #[test]
     fn detached_threads_record_nothing() {
         let rec = Recorder::new();
         drop(crate::span!(Phase::Merge, 0));
@@ -371,7 +315,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn multiple_threads_drain_into_one_trace() {
         let rec = Recorder::new();
         std::thread::scope(|s| {
@@ -395,7 +338,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn nested_attachments_restore_the_outer_recorder() {
         let outer = Recorder::new();
         let inner = Recorder::new();
@@ -413,7 +355,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn event_ring_caps_and_counts_drops() {
         let rec = Recorder::new();
         {
@@ -428,7 +369,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn merge_rebases_thread_ids() {
         let a = Recorder::new();
         {

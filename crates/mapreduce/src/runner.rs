@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// A slot that runs attempts on its own thread: the task bodies below,
 /// called directly, with map segments handed to the job's store as
 /// plain `Vec`s and reduce input borrowed from the store's resident
-/// bytes — no copy, no frame, no credit.
+/// bytes — no copy, no frame.
 struct InProcessSlot<'a> {
     takes: Takes,
     index: usize,

@@ -890,7 +890,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn only_merges_with_a_block_run_sample_blocks_skipped() {
         use crate::obs::{Metric, Recorder};

@@ -1,8 +1,7 @@
 //! Corruption property suite: malformed segment bytes must surface as
 //! `Err`, never as a panic — and with the CRC trailer, never as silently
-//! wrong records. Runs in debug CI (overflow checks on) and under
-//! `--no-default-features` (obs hooks compiled out), so the parsing
-//! paths themselves are what is exercised.
+//! wrong records. Runs in debug CI (overflow checks on) and again in
+//! release.
 
 use proptest::prelude::*;
 use scihadoop_compress::{Codec, IdentityCodec};

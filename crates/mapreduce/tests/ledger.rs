@@ -130,8 +130,8 @@ proptest! {
 }
 
 /// The record of a real traced job (run once): a combiner wordcount
-/// with a spill buffer small enough to spill, so (with the `obs` feature
-/// on) the record is rich — rollups for most phases, a dozen histograms.
+/// with a spill buffer small enough to spill, so the record is rich —
+/// rollups for most phases, a dozen histograms.
 fn real_record() -> &'static LedgerRecord {
     static RECORD: std::sync::OnceLock<LedgerRecord> = std::sync::OnceLock::new();
     RECORD.get_or_init(run_real_job)

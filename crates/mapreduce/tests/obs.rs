@@ -2,7 +2,6 @@
 //! every pipeline stage, histograms that reconcile exactly with the job
 //! counters, and counter snapshots that satisfy the accounting
 //! invariants across codecs and key semantics.
-#![cfg(feature = "obs")]
 
 use scihadoop_compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop_mapreduce::obs::{

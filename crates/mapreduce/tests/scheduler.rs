@@ -258,7 +258,6 @@ fn counters_do_not_depend_on_the_slot_kind_or_on_a_fault_storm() {
     assert!(storms[0].counters.get(Counter::ChecksumFailures) > 0);
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn every_slot_records_on_a_track_of_its_own() {
     for (slots, tracks) in [
