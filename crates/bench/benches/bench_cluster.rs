@@ -18,7 +18,8 @@ fn bench_cluster(c: &mut Criterion) {
     let base = JobConfig::default()
         .with_reducers(5)
         .with_slots(10, 5)
-        .with_framing(Framing::SequenceFile);
+        .with_framing(Framing::SequenceFile)
+        .with_ifile_version(scihadoop_bench::PAPER_IFILE);
 
     let mut group = c.benchmark_group("cluster_sliding_median");
     group.throughput(Throughput::Elements((n as u64) * (n as u64)));

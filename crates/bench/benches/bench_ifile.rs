@@ -1,7 +1,8 @@
-//! IFile v3 benchmark: front-coded sorted-block segments against the
-//! flat v2 format — write throughput, merged bytes, merge throughput on
-//! contended (interleaved) vs uncontended (disjoint-range) fan-in, and
-//! the block-skip hit rate the fence-key index buys on presorted runs.
+//! IFile v3 benchmark: grouped, column-ordered block segments against
+//! the flat v2 format — write throughput, merged bytes, merge throughput
+//! on contended (interleaved) vs uncontended (disjoint-range) fan-in,
+//! the block-skip hit rate the fence-key index buys on presorted runs,
+//! and the layout × codec size table on sliding-median records.
 //!
 //! Run with `cargo bench --bench bench_ifile`. Set
 //! `BENCH_IFILE_JSON=<path>` to also write the measurements as JSON —
@@ -9,10 +10,11 @@
 //! this machine.
 
 use criterion::{black_box, Criterion, Throughput};
+use scihadoop_bench::codec_by_name;
 use scihadoop_bench::json::Json;
 use scihadoop_bench::report::{rounded, write_bench_json};
-use scihadoop_bench::workloads::merge_group_pass;
-use scihadoop_compress::IdentityCodec;
+use scihadoop_bench::workloads::{median_sorted_records, merge_group_pass};
+use scihadoop_compress::{crc32c, IdentityCodec};
 use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
     BlockMergeStream, DefaultKeySemantics, Framing, IFileWriter, KeySemantics, KvPair, MergeItem,
@@ -213,6 +215,92 @@ fn v3_merge_items(sealed: &[Vec<u8>]) -> (u64, u64) {
     (n, spliced)
 }
 
+/// The layout ROADMAP item 1 proposed and this format did not take: a
+/// block is `records, key_len, value_len, crc32c(body)` as four `u32`s,
+/// then every key in full, then every value; a 29-byte index entry per
+/// block (offset, fence prefix, fence key) closes the segment. Fixed-size
+/// keys and values only, which is what sliding-median records are.
+fn full_key_column_segment(records: &[KvPair], budget: usize) -> Vec<u8> {
+    let (key_len, value_len) = (records[0].key.len(), records[0].value.len());
+    let (mut out, mut index) = (b"SHIF\x04\x01".to_vec(), Vec::new());
+    for block in records.chunks((budget / (key_len + value_len)).max(1)) {
+        index.extend_from_slice(&(out.len() as u64).to_be_bytes());
+        index.extend_from_slice(&DefaultKeySemantics.sort_prefix(&block[0].key).to_be_bytes());
+        index.push(key_len as u8);
+        index.extend_from_slice(&block[0].key);
+        let mut body = Vec::with_capacity(block.len() * (key_len + value_len));
+        block.iter().for_each(|p| body.extend_from_slice(&p.key));
+        block.iter().for_each(|p| body.extend_from_slice(&p.value));
+        for field in [block.len(), key_len, value_len, crc32c(&body) as usize] {
+            out.extend_from_slice(&(field as u32).to_be_bytes());
+        }
+        out.extend_from_slice(&body);
+    }
+    out.extend_from_slice(&index);
+    let trailer = crc32c(&out);
+    out.extend_from_slice(&trailer.to_be_bytes());
+    out
+}
+
+/// Segment size of each block layout under each codec, on one map
+/// task's sorted sliding-median records: v2's framed rows and v3's
+/// grouped columns through the writer itself, the full-key column
+/// through [`full_key_column_segment`] and the same codecs.
+fn layout_ablation(records: &[KvPair]) -> Vec<Json> {
+    let mut rows = Vec::new();
+    for codec_name in ["identity", "deflate", "transform+deflate", "lz"] {
+        let codec = || codec_by_name(codec_name).expect("a codec of the grammar");
+        let through_writer = |mut w: IFileWriter| {
+            records.iter().for_each(|p| w.append_pair(p));
+            w.close().data
+        };
+        let layouts: [(&str, &dyn Fn() -> Vec<u8>); 3] = [
+            ("v2 framed rows", &|| {
+                through_writer(IFileWriter::new(Framing::IFile, codec()))
+            }),
+            ("v3 grouped columns", &|| {
+                through_writer(IFileWriter::v3(
+                    Framing::IFile,
+                    codec(),
+                    Arc::new(DefaultKeySemantics),
+                ))
+            }),
+            ("full-key column", &|| {
+                codec().compress(&full_key_column_segment(records, 4096))
+            }),
+        ];
+        for (layout, build) in layouts {
+            let t0 = Instant::now();
+            let bytes = build().len();
+            rows.push(Json::obj([
+                ("layout", layout.into()),
+                ("codec", codec_name.into()),
+                ("bytes", (bytes as u64).into()),
+                (
+                    "bytes_per_record",
+                    rounded(bytes as f64 / records.len() as f64, 3),
+                ),
+                ("seconds", rounded(t0.elapsed().as_secs_f64(), 3)),
+            ]));
+        }
+    }
+    rows
+}
+
+/// One budget of the block-budget sweep.
+struct SweepRow {
+    budget: usize,
+    /// The unique-key write workload's segment.
+    segment_bytes: u64,
+    /// Over the eight disjoint presorted runs.
+    blocks: u64,
+    skip_rate: f64,
+    splice_speedup: f64,
+    /// One map task's sliding-median records, raw and deflated.
+    median_segment_bytes: u64,
+    median_deflate_bytes: u64,
+}
+
 fn main() {
     let mut criterion = Criterion::default();
 
@@ -329,10 +417,15 @@ fn main() {
     // front-coding write workload (fence/header overhead amortization) and
     // skip rate + splice speedup on disjoint presorted runs (granularity:
     // a bigger block is likelier to straddle a rival's fence).
+    // The same on one map task's sliding-median records, where a block
+    // holds runs of one key: raw and deflated segment bytes per budget.
+    let median = median_sorted_records(256, 42);
     let budgets: [usize; 5] = [512, 1024, 4096, 16384, 65536];
-    let mut sweep: Vec<(usize, u64, u64, f64, f64)> = Vec::new();
+    let deflate = codec_by_name("deflate").expect("a codec of the grammar");
+    let mut sweep: Vec<SweepRow> = Vec::new();
     for &budget in &budgets {
-        let seg_bytes = write_v3_budget(&pairs, budget).len() as u64;
+        let segment_bytes = write_v3_budget(&pairs, budget).len() as u64;
+        let median_raw = write_v3_budget(&median, budget);
         let runs: Vec<Vec<u8>> = disjoint_runs()
             .iter()
             .map(|r| write_v3_budget(r, budget))
@@ -340,7 +433,6 @@ fn main() {
         let blocks = blocks_per_set(&runs);
         let (n, spliced) = v3_merge_items(&runs);
         assert_eq!(n, total);
-        let skip_rate = spliced as f64 / blocks as f64;
         let splice_speedup = paired_throughput_ratio(
             || {
                 assert_eq!(merge_records(&disjoint_v2), total);
@@ -350,7 +442,15 @@ fn main() {
             },
             20,
         );
-        sweep.push((budget, seg_bytes, blocks, skip_rate, splice_speedup));
+        sweep.push(SweepRow {
+            budget,
+            segment_bytes,
+            blocks,
+            skip_rate: spliced as f64 / blocks as f64,
+            splice_speedup,
+            median_segment_bytes: median_raw.len() as u64,
+            median_deflate_bytes: deflate.compress(&median_raw).len() as u64,
+        });
     }
 
     // ---- summary ---------------------------------------------------------
@@ -379,24 +479,40 @@ fn main() {
         skip_rate_interleaved * 100.0
     );
     println!("\nblock-budget sweep (write workload bytes; disjoint-run skip/splice):");
-    println!("  budget  segment_bytes  blocks  skip_rate  splice_speedup");
-    for &(budget, seg_bytes, blocks, skip_rate, splice_speedup) in &sweep {
+    println!(
+        "  budget  segment_bytes  blocks  skip_rate  splice_speedup  median_bytes  median_deflate"
+    );
+    for r in &sweep {
         println!(
-            "  {budget:>6}  {seg_bytes:>13}  {blocks:>6}  {:>8.1}%  {splice_speedup:>13.2}x",
-            skip_rate * 100.0
+            "  {:>6}  {:>13}  {:>6}  {:>8.1}%  {:>13.2}x  {:>12}  {:>14}",
+            r.budget,
+            r.segment_bytes,
+            r.blocks,
+            r.skip_rate * 100.0,
+            r.splice_speedup,
+            r.median_segment_bytes,
+            r.median_deflate_bytes
         );
+    }
+
+    let ablation = layout_ablation(&median);
+    println!("\nlayout ablation (one map task's sorted sliding-median records, 256² grid):");
+    for row in &ablation {
+        println!("  {}", row.to_compact());
     }
 
     if let Ok(path) = std::env::var("BENCH_IFILE_JSON") {
         let sweep_rows = sweep
             .iter()
-            .map(|&(budget, seg_bytes, blocks, skip_rate, splice_speedup)| {
+            .map(|r| {
                 Json::obj([
-                    ("budget", (budget as u64).into()),
-                    ("segment_bytes", seg_bytes.into()),
-                    ("blocks", blocks.into()),
-                    ("skip_rate", rounded(skip_rate, 3)),
-                    ("splice_speedup", rounded(splice_speedup, 2)),
+                    ("budget", (r.budget as u64).into()),
+                    ("segment_bytes", r.segment_bytes.into()),
+                    ("blocks", r.blocks.into()),
+                    ("skip_rate", rounded(r.skip_rate, 3)),
+                    ("splice_speedup", rounded(r.splice_speedup, 2)),
+                    ("median_segment_bytes", r.median_segment_bytes.into()),
+                    ("median_deflate_bytes", r.median_deflate_bytes.into()),
                 ])
             })
             .collect();
@@ -409,6 +525,7 @@ fn main() {
                 .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
             vec![
                 ("block_budget_sweep", Json::Arr(sweep_rows)),
+                ("layout_ablation", Json::Arr(ablation)),
                 ("v2_segment_bytes", v2_bytes.into()),
                 ("v3_segment_bytes", v3_bytes.into()),
                 ("v3_over_v2_bytes", rounded(bytes_ratio, 3)),

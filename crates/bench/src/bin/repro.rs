@@ -43,8 +43,11 @@
 //!   the stride transform over deflate). --block-kib <n> sets the block
 //!   size in KiB for every block- layer (default 256).
 //! --ifile-version <1|2|3> sets the intermediate segment format for the
-//!   trace and fault_storm experiments: 1 = plain, 2 = CRC-trailed flat
-//!   (default), 3 = front-coded sorted blocks with fence-key indexes.
+//!   trace, drift, fault_storm and dist experiments: 1 = plain, 2 =
+//!   CRC-trailed framed records (the paper's Hadoop layout and this
+//!   tool's default, so its byte rows stay comparable with the paper's),
+//!   3 = blocks of front-coded key groups in column order with
+//!   fence-key indexes (what the engine itself defaults to).
 //! --faults <spec> configures the fault_storm plan, e.g.
 //!   "seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2"
 //!   (keys are optional; rates in [0,1]). --retries <n> sets the
@@ -187,7 +190,7 @@ fn main() {
                 std::process::exit(2);
             })
         })
-        .unwrap_or_default();
+        .unwrap_or(bench::PAPER_IFILE);
     let codec_name = flag_value("--codec");
     let codec = codec_name.as_ref().map(|name| {
         bench::codec_by_name_with_block_size(name, block_kib * 1024).unwrap_or_else(|e| {

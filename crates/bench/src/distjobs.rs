@@ -55,7 +55,7 @@ impl Default for DistJobSpec {
             reducers: 3,
             map_slots: 2,
             reduce_slots: 2,
-            ifile: IFileVersion::default(),
+            ifile: crate::PAPER_IFILE,
             codec: "identity".to_string(),
             block_kib: DEFAULT_BLOCK_SIZE / 1024,
             retries: 0,

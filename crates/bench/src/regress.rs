@@ -41,7 +41,7 @@ pub struct Budget {
 /// Every budget the gate enforces. The obs overheads and the CRC
 /// trailer budget restate the limits DESIGN.md pins (≤3% tracing, ≤6%
 /// CRC); the ifile bounds protect the paper-facing v3 compression
-/// result (0.288× committed, gated at ≤0.35×) and its skip rate; the
+/// result (0.289× committed, gated at ≤0.35×) and its skip rate; the
 /// lz-vs-deflate floor protects the fast-codec throughput claim (≥3×
 /// deflate compress, §"LZ-class codec" in DESIGN.md).
 pub const BUDGETS: &[Budget] = &[

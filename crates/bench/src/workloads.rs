@@ -2,7 +2,7 @@
 
 use scihadoop_compress::IdentityCodec;
 use scihadoop_grid::{GridWalker, RowMajorWalker, Shape, Variable};
-use scihadoop_mapreduce::{BlockMergeStream, KeySemantics, RawSegment};
+use scihadoop_mapreduce::{BlockMergeStream, KeySemantics, KvPair, RawSegment};
 
 /// The Fig. 3 byte stream: "a raw stream of triples of 32-bit integers,
 /// taken by walking a grid" — n³ cells × 12 bytes.
@@ -29,6 +29,29 @@ pub fn median_record_stream(records: usize) -> Vec<u8> {
         data.extend_from_slice(&value.to_be_bytes());
     }
     data
+}
+
+/// One map task's sorted sliding-median output over an n×n grid: every
+/// cell's 4-byte value under the 12-byte key (variable index, x, y) of
+/// each of the up to nine window centres it belongs to, in key order —
+/// so an interior key arrives nine times in a row. What an IFile writer
+/// is handed by the spill sort.
+pub fn median_sorted_records(n: u32, seed: u64) -> Vec<KvPair> {
+    let var = int_square(n, seed);
+    let mut records = Vec::with_capacity(9 * (n * n) as usize);
+    for cell in var.bounds().cells() {
+        let mut value = Vec::with_capacity(4);
+        var.get(&cell).expect("in range").write_be(&mut value);
+        let (x, y) = (cell.components()[0], cell.components()[1]);
+        for (cx, cy) in (-1..=1).flat_map(|dx| (-1..=1).map(move |dy| (x + dx, y + dy))) {
+            if (0..n as i32).contains(&cx) && (0..n as i32).contains(&cy) {
+                let key = [0i32, cx, cy].map(i32::to_be_bytes).concat();
+                records.push(KvPair::new(key, value.clone()));
+            }
+        }
+    }
+    records.sort_by(|a, b| a.key.cmp(&b.key)); // stable: emission order within a key
+    records
 }
 
 /// The §I / Fig. 8 dataset: an n³ grid of integers.

@@ -3,8 +3,9 @@
 //! Hadoop materializes map output as framed `(key, value)` records;
 //! "the file format used by Hadoop adds a non-zero overhead per key/value
 //! pair" (§IV-D) — overhead the paper's Fig. 8 shows aggregation
-//! mitigating. Two framings are supported, matching the two overheads
-//! visible in the paper:
+//! mitigating. The flat layouts (versions 1 and 2) frame every record,
+//! in one of two framings matching the two overheads visible in the
+//! paper:
 //!
 //! * [`Framing::SequenceFile`] — 4-byte record length + key/value vints:
 //!   6 bytes/record for small records. With a 6-byte file header this
@@ -14,13 +15,20 @@
 //! * [`Framing::IFile`] — key/value vints only: 2 bytes/record, the
 //!   1.91 MB "file overhead" bar of Fig. 8 (10⁶ records × 2 B).
 //!
+//! Version 3 — what [`IFileVersion::default`] selects and every job
+//! writes unless told otherwise — has no per-record framing at all:
+//! sorted records are cut into CRC'd blocks whose body is column-ordered
+//! and stores each distinct key once, front-coded against its
+//! predecessor (see [`IFileWriter::v3`] and DESIGN.md §12). Versions 1
+//! and 2 stay as the explicit constructors the paper's byte tables need.
+//!
 //! A writer wraps a [`Codec`]: `close()` compresses everything written
 //! and reports both raw and materialized sizes.
 
 use crate::error::MrError;
 use crate::keysem::KeySemantics;
 use crate::record::KvPair;
-use scihadoop_compress::{crc32c, Codec};
+use scihadoop_compress::{crc32c, Codec, Crc32c};
 use std::sync::Arc;
 
 /// File magic ("SciHadoop InterFile") + version + framing byte = 6-byte
@@ -31,9 +39,9 @@ const MAGIC: &[u8; 4] = b"SHIF";
 const VERSION_PLAIN: u8 = 1;
 /// Format version whose raw stream ends in a CRC-32 trailer.
 const VERSION_CRC: u8 = 2;
-/// Format version 3: records grouped into front-coded sorted blocks,
-/// each with its own CRC-32C, followed by a fence-key index and the v2
-/// segment trailer. See [`IFileWriter::v3`].
+/// Format version 3: sorted records in blocks of key groups with a
+/// column-ordered body, each block with its own CRC-32C, followed by a
+/// fence-key index and the v2 segment trailer. See [`IFileWriter::v3`].
 const VERSION_BLOCK: u8 = 3;
 /// Big-endian CRC-32 of everything before it (header + records).
 const TRAILER_LEN: usize = 4;
@@ -49,15 +57,23 @@ const INDEX_OFFSET_LEN: usize = 8;
 /// block-budget sweep in EXPERIMENTS.md).
 pub const DEFAULT_BLOCK_BUDGET: usize = 4096;
 
+/// Most records one v3 block may hold. A repeated key with an empty
+/// value costs no body bytes, so the byte budget alone would let a block
+/// grow without limit; the cap is what bounds a decoder's work per block
+/// independently of the block's length.
+pub const MAX_BLOCK_RECORDS: u64 = 1 << 16;
+
 /// Which on-disk segment layout an [`IFileWriter`] produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IFileVersion {
     /// Version 1: framed records, no integrity trailer (legacy).
     V1,
-    /// Version 2: framed records + CRC-32C segment trailer (default).
-    #[default]
+    /// Version 2: framed records + CRC-32C segment trailer — the
+    /// paper's Hadoop baseline.
     V2,
-    /// Version 3: front-coded sorted blocks + fence-key index + trailer.
+    /// Version 3: blocks of front-coded key groups + fence-key index +
+    /// trailer (default).
+    #[default]
     V3,
 }
 
@@ -194,59 +210,109 @@ pub struct IFileWriter {
     block: Option<BlockState>,
 }
 
-/// In-flight v3 block-building state. One block's records are staged in
-/// `body` (front-coded against `last_key`) and flushed to the segment
-/// buffer with a block header once `body` reaches the byte budget.
+/// Column order of a v3 block body, and of [`BlockState::columns`]:
+/// `vint shared, vint suffix_len, vint count` per key group; the groups'
+/// key suffixes back to back; one vint per record, absent while every
+/// value of the block has one length; the values.
+const HEADS: usize = 0;
+const SUFFIXES: usize = 1;
+const VALUE_LENS: usize = 2;
+const VALUES: usize = 3;
+
+/// In-flight v3 block-building state. One block's records are staged
+/// column by column and flushed to the segment buffer behind a block
+/// header once the columns reach the byte budget or the block the record
+/// cap. The staging buffers are reused from block to block.
 struct BlockState {
     ks: Arc<dyn KeySemantics>,
     budget: usize,
-    body: Vec<u8>,
+    columns: [Vec<u8>; 4],
     records: u64,
     key_bytes: u64,
-    stored_key_bytes: u64,
-    value_bytes: u64,
+    groups: u64,
+    /// The open group's `(shared, suffix_len, count)`: its head is
+    /// written when the next key (or the seal) closes it.
+    open: [usize; 3],
+    /// The value length every record of the open block has had so far.
+    uniform: Option<usize>,
     /// First key of the open block (the block's fence key).
     fence: Vec<u8>,
-    /// Previous appended key, reconstructed incrementally.
+    /// Key of the open group.
     last_key: Vec<u8>,
     /// `(segment offset, fence sort_prefix, fence key)` per sealed block.
     fences: Vec<(usize, u64, Vec<u8>)>,
 }
 
 impl BlockState {
+    /// Body bytes staged so far (the open group's head excepted).
+    fn staged(&self) -> usize {
+        self.columns.iter().map(Vec::len).sum()
+    }
+
+    fn close_group(&mut self) {
+        for field in self.open {
+            write_vint(&mut self.columns[HEADS], field as i64);
+        }
+        self.groups += 1;
+    }
+
     /// Flush the open block (if any) to `buf` as
-    /// `vints(records, key_bytes, stored_key_bytes, value_bytes),
-    /// vint(fence_len), fence, vint(body_len), crc32c(body), body`
-    /// and record its fence-index entry.
+    /// `vints(records, key_bytes, stored_key_bytes, value_bytes, groups,
+    /// uniform_value_len, fence_len), fence, vint(body_len),
+    /// crc32c(body), body` — the body being the four columns, the value
+    /// lengths absent when `uniform_value_len >= 0` — and record its
+    /// fence-index entry.
     fn seal(&mut self, buf: &mut Vec<u8>) {
         if self.records == 0 {
             return;
         }
+        self.close_group();
         let offset = buf.len();
         let prefix = self.ks.sort_prefix(&self.fence);
-        write_vint(buf, self.records as i64);
-        write_vint(buf, self.key_bytes as i64);
-        write_vint(buf, self.stored_key_bytes as i64);
-        write_vint(buf, self.value_bytes as i64);
-        write_vint(buf, self.fence.len() as i64);
+        for field in [
+            self.records as i64,
+            self.key_bytes as i64,
+            self.columns[SUFFIXES].len() as i64,
+            self.columns[VALUES].len() as i64,
+            self.groups as i64,
+            self.uniform.map_or(-1, |len| len as i64),
+            self.fence.len() as i64,
+        ] {
+            write_vint(buf, field);
+        }
         buf.extend_from_slice(&self.fence);
-        write_vint(buf, self.body.len() as i64);
-        buf.extend_from_slice(&crc32c(&self.body).to_be_bytes());
-        buf.extend_from_slice(&self.body);
+        write_vint(buf, self.staged() as i64);
+        let mut crc = Crc32c::new();
+        self.columns.iter().for_each(|column| crc.update(column));
+        buf.extend_from_slice(&crc.finish().to_be_bytes());
+        for column in &mut self.columns {
+            buf.extend_from_slice(column);
+            column.clear();
+        }
         self.fences
             .push((offset, prefix, std::mem::take(&mut self.fence)));
-        self.body.clear();
         self.last_key.clear();
         self.records = 0;
         self.key_bytes = 0;
-        self.stored_key_bytes = 0;
-        self.value_bytes = 0;
+        self.groups = 0;
     }
 }
 
-/// Length of the longest common prefix of two byte strings.
+/// Length of the longest common prefix of two byte strings, eight bytes
+/// at a step: sorted keys share most of their length, and the writer
+/// asks once per key group.
 fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
+    let mut shared = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff =
+            u64::from_le_bytes(x.try_into().unwrap()) ^ u64::from_le_bytes(y.try_into().unwrap());
+        if diff != 0 {
+            return shared + diff.trailing_zeros() as usize / 8;
+        }
+        shared += 8;
+    }
+    let tail = a[shared..].iter().zip(&b[shared..]);
+    shared + tail.take_while(|(x, y)| x == y).count()
 }
 
 /// A closed intermediate segment plus its size accounting.
@@ -338,13 +404,15 @@ impl IFileWriter {
         }
     }
 
-    /// Open a version-3 writer: records are grouped into fixed-budget
-    /// blocks whose keys are front-coded against their predecessor, each
-    /// block carries its own CRC-32C, and the segment ends with a
-    /// fence-key index (first key + cached [`KeySemantics::sort_prefix`]
-    /// + offset per block) followed by the v2 CRC trailer.
+    /// Open a version-3 writer: records are cut into fixed-budget blocks,
+    /// a run of byte-identical keys is stored once as a group whose key
+    /// is front-coded against the previous group's, each block carries
+    /// its own CRC-32C, and the segment ends with a fence-key index
+    /// (first key + cached [`KeySemantics::sort_prefix`] + offset per
+    /// block) followed by the v2 CRC trailer.
     ///
-    /// Front coding itself is order-agnostic, but the fence index only
+    /// Grouping and front coding are order-agnostic (and compare key
+    /// *bytes*, whatever `ks` calls equal), but the fence index only
     /// supports binary search and merge block skipping when keys are
     /// appended in `ks` sort order — which the spill sort guarantees.
     pub fn v3(framing: Framing, codec: Arc<dyn Codec>, ks: Arc<dyn KeySemantics>) -> Self {
@@ -360,33 +428,22 @@ impl IFileWriter {
         ks: Arc<dyn KeySemantics>,
         budget: usize,
     ) -> Self {
-        let mut buf = Vec::with_capacity(4096);
-        buf.extend_from_slice(MAGIC);
-        buf.push(VERSION_BLOCK);
-        buf.push(framing.tag());
-        debug_assert_eq!(buf.len(), HEADER_LEN);
-        IFileWriter {
-            framing,
-            codec,
-            buf,
+        let mut writer = Self::with_trailer(framing, codec, true);
+        writer.buf[4] = VERSION_BLOCK;
+        writer.block = Some(BlockState {
+            ks,
+            budget: budget.max(1),
+            columns: Default::default(),
             records: 0,
             key_bytes: 0,
-            value_bytes: 0,
-            stored_key_bytes: 0,
-            trailer: true,
-            block: Some(BlockState {
-                ks,
-                budget: budget.max(1),
-                body: Vec::with_capacity(budget.max(1)),
-                records: 0,
-                key_bytes: 0,
-                stored_key_bytes: 0,
-                value_bytes: 0,
-                fence: Vec::new(),
-                last_key: Vec::new(),
-                fences: Vec::new(),
-            }),
-        }
+            groups: 0,
+            open: [0; 3],
+            uniform: None,
+            fence: Vec::new(),
+            last_key: Vec::new(),
+            fences: Vec::new(),
+        });
+        writer
     }
 
     /// Append one record.
@@ -415,41 +472,50 @@ impl IFileWriter {
         self.stored_key_bytes += key.len() as u64;
     }
 
-    /// v3 append: stage `(shared_prefix_len, suffix_len, value_len,
-    /// suffix, value)` into the open block's body, sealing the previous
-    /// block first if it has reached its budget. The keys arrive sorted
-    /// from the spill sort, so the shared-prefix computation against the
-    /// incrementally-maintained `last_key` is a single forward scan.
+    /// v3 append: a key byte-identical to its predecessor's only bumps
+    /// the open group's count; any other key closes that group and opens
+    /// one front-coded against it. The value goes to the value column
+    /// either way, its length to the length column only once the block
+    /// has seen two different lengths. The previous block is sealed first
+    /// if it has reached its byte budget or the record cap.
     fn append_v3(&mut self, key: &[u8], value: &[u8]) {
         let b = self.block.as_mut().expect("v3 writer has block state");
-        if b.records > 0 && b.body.len() >= b.budget {
+        if b.records > 0 && (b.staged() >= b.budget || b.records >= MAX_BLOCK_RECORDS) {
             b.seal(&mut self.buf);
         }
         if b.records == 0 {
             // Block's first record: its key becomes the fence key, and
             // it front-codes against itself (shared = len, empty suffix)
             // so the decoder needs no special case.
-            b.fence.clear();
             b.fence.extend_from_slice(key);
-            b.last_key.clear();
             b.last_key.extend_from_slice(key);
+            b.open = [key.len(), 0, 1];
+            b.uniform = Some(value.len());
+        } else if key == b.last_key.as_slice() {
+            b.open[2] += 1;
+        } else {
+            b.close_group();
+            let shared = common_prefix_len(&b.last_key, key);
+            let suffix = &key[shared..];
+            b.columns[SUFFIXES].extend_from_slice(suffix);
+            b.last_key.truncate(shared);
+            b.last_key.extend_from_slice(suffix);
+            b.open = [shared, suffix.len(), 1];
+            self.stored_key_bytes += suffix.len() as u64;
         }
-        let shared = common_prefix_len(&b.last_key, key);
-        let suffix = &key[shared..];
-        write_vint(&mut b.body, shared as i64);
-        write_vint(&mut b.body, suffix.len() as i64);
-        write_vint(&mut b.body, value.len() as i64);
-        b.body.extend_from_slice(suffix);
-        b.body.extend_from_slice(value);
-        b.last_key.truncate(shared);
-        b.last_key.extend_from_slice(suffix);
+        if let Some(len) = b.uniform.filter(|&len| len != value.len()) {
+            // First odd length: the column starts existing, backfilled.
+            (0..b.records).for_each(|_| write_vint(&mut b.columns[VALUE_LENS], len as i64));
+            b.uniform = None;
+        }
+        if b.uniform.is_none() {
+            write_vint(&mut b.columns[VALUE_LENS], value.len() as i64);
+        }
+        b.columns[VALUES].extend_from_slice(value);
         b.records += 1;
         b.key_bytes += key.len() as u64;
-        b.stored_key_bytes += suffix.len() as u64;
-        b.value_bytes += value.len() as u64;
         self.records += 1;
         self.key_bytes += key.len() as u64;
-        self.stored_key_bytes += suffix.len() as u64;
         self.value_bytes += value.len() as u64;
     }
 
@@ -457,7 +523,7 @@ impl IFileWriter {
     /// [`BlockCursor`] during a merge) into this segment verbatim — no
     /// decode, no re-encode. Any open partial block is sealed first so
     /// record order is preserved; the copied block is self-contained
-    /// (its first record front-codes against its own fence key). The
+    /// (its first group front-codes against its own fence key). The
     /// block's CRC is re-verified before adoption so a copy of corrupt
     /// bytes cannot launder a bad checksum into a fresh trailer.
     ///
@@ -680,8 +746,7 @@ impl RawSegment {
             entered: false,
             live: true,
             meta: BlockMeta::default(),
-            body: &[],
-            body_pos: 0,
+            groups: GroupCursor::default(),
             decoded: 0,
             key: Vec::new(),
             value: &[],
@@ -874,6 +939,9 @@ struct BlockMeta {
     key_bytes: u64,
     stored_key_bytes: u64,
     value_bytes: u64,
+    groups: u64,
+    /// The one length every value has; `None`: a length column is stored.
+    uniform: Option<usize>,
     /// Block start (the header's first byte) in the segment buffer.
     start: usize,
     /// Block end — exclusive; equals the next block's start.
@@ -891,7 +959,7 @@ struct BlockMeta {
 /// fence index, and the header's size accounting.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodedBlock<'a> {
-    /// The full encoded block (header + CRC + front-coded body).
+    /// The full encoded block (header + CRC + grouped body).
     pub bytes: &'a [u8],
     /// The block's first key.
     pub fence_key: &'a [u8],
@@ -906,17 +974,17 @@ pub struct EncodedBlock<'a> {
     /// Value bytes in the block.
     pub value_bytes: u64,
     body: &'a [u8],
-    crc: u32,
+    meta: BlockMeta,
 }
 
 impl<'a> EncodedBlock<'a> {
-    /// Re-verify the block's CRC-32C over its front-coded body.
+    /// Re-verify the block's CRC-32C over its body.
     pub fn verify(&self) -> Result<(), MrError> {
         let actual = crc32c(self.body);
-        if actual != self.crc {
+        if actual != self.meta.crc {
             return Err(MrError::Checksum(format!(
                 "block CRC mismatch: stored {:#010x}, computed {actual:#010x}",
-                self.crc
+                self.meta.crc
             )));
         }
         Ok(())
@@ -927,82 +995,155 @@ impl<'a> EncodedBlock<'a> {
     /// cross-checks and tests; the fast path never calls this.
     pub fn for_each_record(&self, mut f: impl FnMut(&[u8], &[u8])) -> Result<(), MrError> {
         let mut key = self.fence_key.to_vec();
-        let mut pos = 0usize;
+        let mut groups = GroupCursor::open(self.body, &self.meta)?;
         for _ in 0..self.records {
-            let (rest, value) = decode_front_coded(self.body, pos, &mut key)?;
-            pos = rest;
+            let value = groups.next(&mut key)?;
             f(&key, value);
         }
-        if pos != self.body.len() {
-            return Err(MrError::Intermediate("trailing bytes in block body".into()));
+        groups.finish()
+    }
+}
+
+/// Parse one group head `(shared, suffix_len, count)` at `pos` of a
+/// heads column, returning it plus the position of the next head. Fast
+/// path: all three fit single-byte vints (values 0..=127 encode as
+/// themselves).
+#[inline]
+fn read_head(heads: &[u8], pos: usize) -> Result<([usize; 3], usize), MrError> {
+    if let Some(&[b0, b1, b2]) = heads.get(pos..pos + 3) {
+        if (b0 | b1 | b2) < 0x80 {
+            return Ok(([b0 as usize, b1 as usize, b2 as usize], pos + 3));
+        }
+    }
+    let (mut head, mut pos) = ([0usize; 3], pos);
+    for field in &mut head {
+        let (v, used) = read_vint(&heads[pos..])?;
+        pos += used;
+        // Negative or past any body's length: the caller's bounds refuse both.
+        *field = usize::try_from(v).unwrap_or(usize::MAX);
+    }
+    Ok((head, pos))
+}
+
+/// The read side of one grouped block body: a cursor over each column.
+/// [`GroupCursor::open`] derives the column extents from the header and
+/// checks that they tile the body; [`GroupCursor::next`] keeps every
+/// cursor inside its column, and [`GroupCursor::finish`] checks that all
+/// of them and the header's counts were used up exactly — so a header
+/// that disagrees with its body fails at the latest when the block ends,
+/// never by reading outside it.
+#[derive(Default)]
+struct GroupCursor<'a> {
+    body: &'a [u8],
+    /// Read position and end of each column, in body order.
+    pos: [usize; 4],
+    end: [usize; 4],
+    uniform: Option<usize>,
+    /// Groups not yet opened and logical key bytes not yet accounted
+    /// for; both wrap below zero rather than stop the decode.
+    groups_left: u64,
+    key_bytes_left: u64,
+    /// Records of the current group not yet yielded.
+    group_left: u64,
+}
+
+impl<'a> GroupCursor<'a> {
+    /// Lay the columns over `body`, back to front: the values and the
+    /// suffixes are sized by the header; uniform values leave no length
+    /// column, so the heads are the rest. Only a block that stores
+    /// value lengths needs its heads skipped over to find their end.
+    /// `parse_meta` has bounded `groups <= records <= MAX_BLOCK_RECORDS`.
+    fn open(body: &'a [u8], meta: &BlockMeta) -> Result<Self, MrError> {
+        let bad = || MrError::Intermediate("block columns do not tile the body".into());
+        let before = |end: usize, len: u64| {
+            usize::try_from(len)
+                .ok()
+                .and_then(|len| end.checked_sub(len))
+                .ok_or_else(bad)
+        };
+        let values = before(body.len(), meta.value_bytes)?;
+        let heads_end = match meta.uniform {
+            Some(len) if (len as u64).saturating_mul(meta.records) != meta.value_bytes => {
+                return Err(bad())
+            }
+            Some(_) => before(values, meta.stored_key_bytes)?,
+            None => (0..meta.groups).try_fold(0, |pos, _| read_head(body, pos).map(|h| h.1))?,
+        };
+        let lens = usize::try_from(meta.stored_key_bytes)
+            .ok()
+            .and_then(|stored| heads_end.checked_add(stored))
+            .filter(|&lens| lens <= values)
+            .ok_or_else(bad)?;
+        Ok(GroupCursor {
+            body,
+            pos: [0, heads_end, lens, values],
+            end: [heads_end, lens, values, body.len()],
+            uniform: meta.uniform,
+            groups_left: meta.groups,
+            key_bytes_left: meta.key_bytes,
+            group_left: 0,
+        })
+    }
+
+    /// Step to the next record: its value, with `key` rebuilt (truncate
+    /// to shared, extend with the suffix) only when a new group starts.
+    /// The caller stops after the header's record count, whatever the
+    /// heads claim, and then calls [`GroupCursor::finish`].
+    #[inline(always)]
+    fn next(&mut self, key: &mut Vec<u8>) -> Result<&'a [u8], MrError> {
+        let bad = |what: &str| MrError::Intermediate(format!("block {what} outside its column"));
+        if self.group_left == 0 {
+            let ([shared, suffix_len, count], next) =
+                read_head(&self.body[..self.end[HEADS]], self.pos[HEADS])?;
+            let suffix = suffix_len
+                .checked_add(self.pos[SUFFIXES])
+                .filter(|&end| end <= self.end[SUFFIXES] && shared <= key.len() && count > 0)
+                .map(|end| &self.body[self.pos[SUFFIXES]..end])
+                .ok_or_else(|| bad("group head"))?;
+            key.truncate(shared);
+            key.extend_from_slice(suffix);
+            self.pos[HEADS] = next;
+            self.pos[SUFFIXES] += suffix_len;
+            self.group_left = count as u64;
+            self.groups_left = self.groups_left.wrapping_sub(1);
+            let key_bytes = (key.len() as u64).wrapping_mul(self.group_left);
+            self.key_bytes_left = self.key_bytes_left.wrapping_sub(key_bytes);
+        }
+        self.group_left -= 1;
+        let len = match self.uniform {
+            Some(len) => len,
+            None => {
+                let (len, used) =
+                    read_vint(&self.body[self.pos[VALUE_LENS]..self.end[VALUE_LENS]])?;
+                self.pos[VALUE_LENS] += used;
+                usize::try_from(len).unwrap_or(usize::MAX)
+            }
+        };
+        let value = len
+            .checked_add(self.pos[VALUES])
+            .and_then(|end| self.body.get(self.pos[VALUES]..end))
+            .ok_or_else(|| bad("value"))?;
+        self.pos[VALUES] += len;
+        Ok(value)
+    }
+
+    /// After the last record: every column and every header count must
+    /// have been used up exactly.
+    fn finish(&self) -> Result<(), MrError> {
+        if self.pos != self.end
+            || [self.groups_left, self.key_bytes_left, self.group_left] != [0; 3]
+        {
+            return Err(MrError::Intermediate(
+                "block body disagrees with its header".into(),
+            ));
         }
         Ok(())
     }
 }
 
-/// Parse one record's `(shared, suffix, value)` length triple at `pos`,
-/// returning the lengths plus the position of the suffix bytes. Fast
-/// path: all three fit single-byte vints (values 0..=127 encode as
-/// themselves), which covers every record whose lengths are all under
-/// 128 bytes.
-#[inline]
-fn read_record_lens(body: &[u8], pos: usize) -> Result<(usize, usize, usize, usize), MrError> {
-    if let Some(&[b0, b1, b2]) = body.get(pos..pos + 3) {
-        if (b0 | b1 | b2) < 0x80 {
-            return Ok((b0 as usize, b1 as usize, b2 as usize, pos + 3));
-        }
-    }
-    read_record_lens_vint(body, pos)
-}
-
-/// General case: multi-byte vints and the error paths.
-fn read_record_lens_vint(
-    body: &[u8],
-    mut pos: usize,
-) -> Result<(usize, usize, usize, usize), MrError> {
-    let (shared, used) = read_vint(&body[pos..])?;
-    pos += used;
-    let (suffix_len, used) = read_vint(&body[pos..])?;
-    pos += used;
-    let (value_len, used) = read_vint(&body[pos..])?;
-    pos += used;
-    let shared = usize::try_from(shared)
-        .map_err(|_| MrError::Intermediate("negative shared prefix length".into()))?;
-    let suffix_len = usize::try_from(suffix_len)
-        .map_err(|_| MrError::Intermediate("negative suffix length".into()))?;
-    let value_len = usize::try_from(value_len)
-        .map_err(|_| MrError::Intermediate("negative value length".into()))?;
-    Ok((shared, suffix_len, value_len, pos))
-}
-
-/// Decode one front-coded record at `pos` of `body` into `key`
-/// (truncate-to-shared + extend-with-suffix); returns the next record
-/// position and the borrowed value slice.
-#[inline]
-fn decode_front_coded<'a>(
-    body: &'a [u8],
-    pos: usize,
-    key: &mut Vec<u8>,
-) -> Result<(usize, &'a [u8]), MrError> {
-    let (shared, suffix_len, value_len, pos) = read_record_lens(body, pos)?;
-    if shared > key.len() {
-        return Err(MrError::Intermediate(
-            "shared prefix exceeds previous key".into(),
-        ));
-    }
-    let end = suffix_len
-        .checked_add(value_len)
-        .and_then(|b| b.checked_add(pos))
-        .filter(|&e| e <= body.len())
-        .ok_or_else(|| MrError::Intermediate("short block record body".into()))?;
-    key.truncate(shared);
-    key.extend_from_slice(&body[pos..pos + suffix_len]);
-    let value = &body[pos + suffix_len..end];
-    Ok((end, value))
-}
-
 /// Streaming cursor over a v3 segment: walks blocks in file order,
-/// reconstructing each key incrementally in a single reused buffer.
+/// rebuilding the key once per group in a single reused buffer — an
+/// advance inside a group moves only the value slice.
 /// Each block's CRC-32C is verified once on entry; a mismatch surfaces
 /// as [`MrError::Checksum`] exactly like a v2 trailer failure.
 ///
@@ -1019,8 +1160,7 @@ pub struct BlockCursor<'a> {
     entered: bool,
     live: bool,
     meta: BlockMeta,
-    body: &'a [u8],
-    body_pos: usize,
+    groups: GroupCursor<'a>,
     /// Records decoded from the current block (the head is number
     /// `decoded`, 1-based).
     decoded: u64,
@@ -1039,16 +1179,19 @@ impl<'a> BlockCursor<'a> {
         };
         let hdr = &self.raw[..end];
         let mut pos = start;
-        let mut next_size = |what: &str| -> Result<u64, MrError> {
+        let mut fields = [0i64; 7];
+        for field in &mut fields {
             let (v, used) = read_vint(&hdr[pos..])?;
             pos += used;
-            u64::try_from(v).map_err(|_| MrError::Intermediate(format!("negative block {what}")))
-        };
-        let records = next_size("record count")?;
-        let key_bytes = next_size("key bytes")?;
-        let stored_key_bytes = next_size("stored key bytes")?;
-        let value_bytes = next_size("value bytes")?;
-        let fence_len = next_size("fence length")?;
+            *field = v;
+        }
+        // Six sizes, and before the last the one field that may say -1.
+        let uniform_value_len = std::mem::replace(&mut fields[5], 0);
+        if uniform_value_len < -1 || fields.iter().any(|&v| v < 0) {
+            return Err(MrError::Intermediate("negative block header field".into()));
+        }
+        let [records, key_bytes, stored_key_bytes, value_bytes, groups, _, fence_len] =
+            fields.map(|v| v as u64);
         let fence_len = usize::try_from(fence_len)
             .ok()
             .filter(|&l| l <= hdr.len() - pos)
@@ -1063,13 +1206,13 @@ impl<'a> BlockCursor<'a> {
         let crc = u32::from_be_bytes(hdr[pos..pos + BLOCK_CRC_LEN].try_into().unwrap());
         pos += BLOCK_CRC_LEN;
         let body_start = pos;
-        let body_len = usize::try_from(body_len)
+        usize::try_from(body_len)
             .ok()
             .filter(|&l| body_start + l == end)
             .ok_or_else(|| MrError::Intermediate("block body disagrees with block span".into()))?;
-        // Every record costs at least 3 body bytes (three vints), so an
-        // implausible record count is rejected before any allocation.
-        if records == 0 || records.saturating_mul(3) > body_len as u64 {
+        // A record may cost no body bytes at all, so the counts are held
+        // to the writer's cap, not to the body length.
+        if !(1..=MAX_BLOCK_RECORDS).contains(&records) || !(1..=records).contains(&groups) {
             return Err(MrError::Intermediate(
                 "implausible block record count".into(),
             ));
@@ -1079,6 +1222,8 @@ impl<'a> BlockCursor<'a> {
             key_bytes,
             stored_key_bytes,
             value_bytes,
+            groups,
+            uniform: usize::try_from(uniform_value_len).ok(),
             start,
             end,
             fence_start,
@@ -1088,9 +1233,9 @@ impl<'a> BlockCursor<'a> {
         })
     }
 
-    /// Enter block `self.block`: parse + CRC-check it, seed the key
-    /// buffer with its fence key, and decode its first record. Returns
-    /// `false` when past the last block.
+    /// Enter block `self.block`: parse + CRC-check it, lay its columns
+    /// out, seed the key buffer with its fence key, and decode its first
+    /// record. Returns `false` when past the last block.
     fn enter_block(&mut self) -> Result<bool, MrError> {
         if self.block >= self.fences.len() {
             self.live = false;
@@ -1119,18 +1264,15 @@ impl<'a> BlockCursor<'a> {
         self.key.clear();
         self.key
             .extend_from_slice(&self.raw[meta.fence_start..meta.fence_start + meta.fence_len]);
+        self.groups = GroupCursor::open(body, &meta)?;
         self.meta = meta;
-        self.body = body;
-        self.body_pos = 0;
         self.decoded = 0;
         self.decode_next()
     }
 
     #[inline]
     fn decode_next(&mut self) -> Result<bool, MrError> {
-        let (pos, value) = decode_front_coded(self.body, self.body_pos, &mut self.key)?;
-        self.body_pos = pos;
-        self.value = value;
+        self.value = self.groups.next(&mut self.key)?;
         self.decoded += 1;
         Ok(true)
     }
@@ -1148,9 +1290,7 @@ impl<'a> BlockCursor<'a> {
             return Ok(false);
         }
         if self.decoded == self.meta.records {
-            if self.body_pos != self.body.len() {
-                return Err(MrError::Intermediate("trailing bytes in block body".into()));
-            }
+            self.groups.finish()?;
             self.block += 1;
             return self.enter_block();
         }
@@ -1188,6 +1328,13 @@ impl<'a> BlockCursor<'a> {
         self.meta.records - self.decoded + 1
     }
 
+    /// Records remaining in the current key group, including the head:
+    /// the next `group_remaining() - 1` advances keep the key's bytes.
+    #[inline]
+    pub fn group_remaining(&self) -> u64 {
+        self.groups.group_left + 1
+    }
+
     /// Cached fence `sort_prefix` of the *next* block, if any. Every
     /// key in the current block compares `<=` that fence, so it upper-
     /// bounds the current block's keys for the merge's skip rule.
@@ -1211,7 +1358,7 @@ impl<'a> BlockCursor<'a> {
             stored_key_bytes: meta.stored_key_bytes,
             value_bytes: meta.value_bytes,
             body: &self.raw[meta.body_start..meta.end],
-            crc: meta.crc,
+            meta,
         };
         self.block += 1;
         self.enter_block()?;
@@ -1240,13 +1387,15 @@ pub struct IFileReader {
 
 impl IFileReader {
     /// Decompress and parse a segment. A first parse-only pass (block
-    /// headers for v3, a record walk for v1/v2) sizes the vector
-    /// exactly, so the fill pass never reallocates and each record is
-    /// copied straight into its final allocation.
+    /// headers for v3, a record walk for v1/v2) sizes the vector, so the
+    /// fill pass does not reallocate and each record is copied straight
+    /// into its final allocation. A v3 header's count is a claim until
+    /// its block has been walked, so it reserves no more than one record
+    /// per segment byte.
     pub fn open(segment: &[u8], codec: &dyn Codec) -> Result<Self, MrError> {
         let seg = RawSegment::open(segment, codec)?;
-        let count = seg.record_count()?;
-        let mut records = Vec::with_capacity(usize::try_from(count).unwrap_or(0));
+        let count = usize::try_from(seg.record_count()?).unwrap_or(usize::MAX);
+        let mut records = Vec::with_capacity(count.min(seg.raw.len()));
         seg.for_each_record(|key, value| {
             records.push(KvPair::new(key.to_vec(), value.to_vec()));
         })?;
@@ -1504,7 +1653,22 @@ mod tests {
         assert_eq!(seg.framing_bytes(), 4);
     }
 
-    // ---- v3 (front-coded block) tests ----
+    #[test]
+    fn common_prefix_len_matches_the_bytewise_definition() {
+        let stem: Vec<u8> = (0..40u8).collect();
+        for split in 0..=stem.len() {
+            // Equal up to `split`, then different (or one side ends).
+            let (mut a, mut b) = (stem[..split].to_vec(), stem[..split].to_vec());
+            assert_eq!(common_prefix_len(&a, &b), split);
+            a.extend_from_slice(b"x-left");
+            assert_eq!(common_prefix_len(&a, &b), split);
+            b.extend_from_slice(b"y-right-and-longer");
+            assert_eq!(common_prefix_len(&a, &b), split);
+            assert_eq!(common_prefix_len(&b, &a), split);
+        }
+    }
+
+    // ---- v3 (grouped block) tests ----
 
     use crate::keysem::DefaultKeySemantics;
 

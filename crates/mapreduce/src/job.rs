@@ -27,10 +27,12 @@ pub struct JobConfig {
     pub combiner: Option<Arc<dyn Reducer>>,
     /// Map-side sort-buffer spill threshold in bytes.
     pub spill_buffer_bytes: usize,
-    /// Intermediate record framing.
+    /// Intermediate record framing (of the flat v1/v2 layouts; v3
+    /// frames no records).
     pub framing: Framing,
-    /// On-disk IFile format for intermediate segments (v1 plain,
-    /// v2 CRC-trailed flat, v3 front-coded sorted blocks).
+    /// On-disk IFile format for intermediate segments: v3 (default),
+    /// blocks of front-coded key groups in column order; v1 plain and
+    /// v2 CRC-trailed framed records, the paper's Hadoop layouts.
     pub ifile_version: IFileVersion,
     /// Optional tracing/metrics recorder; worker threads attach to it
     /// and record spans + histograms (see [`crate::obs`]).

@@ -787,7 +787,12 @@ mod tests {
     fn v3_jobs_agree_with_v2_and_save_key_bytes() {
         let words: Vec<String> = (0..400).map(|i| format!("station-{:04}", i % 37)).collect();
         let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-        let v2 = count_job(JobConfig::default().with_reducers(3), &refs);
+        let v2 = count_job(
+            JobConfig::default()
+                .with_reducers(3)
+                .with_ifile_version(IFileVersion::V2),
+            &refs,
+        );
         let v3 = count_job(
             JobConfig::default()
                 .with_reducers(3)

@@ -226,6 +226,9 @@ pub fn merge_sorted_runs(runs: Vec<Vec<KvPair>>, ks: &dyn KeySemantics) -> Vec<K
 /// cursor's incremental key buffer. Whether the run is live and what its
 /// head's sort prefix is are kept in the stream's flat arrays, which is
 /// all the loser tree reads on its fast path.
+// A merge holds one of these per run; boxing the block cursor to even
+// out the variants would put a pointer chase in the per-record path.
+#[allow(clippy::large_enum_variant)]
 enum RunCursor<'a> {
     Flat {
         cursor: RecordCursor<'a>,
@@ -267,6 +270,16 @@ impl<'a> RunCursor<'a> {
         }
     }
 
+    /// Whether the next record's key is byte-identical to the current
+    /// one's (the head is not the last of its v3 key group).
+    #[inline(always)]
+    fn next_key_repeats(&self) -> bool {
+        match self {
+            RunCursor::Flat { .. } => false,
+            RunCursor::Blocks(cursor) => cursor.group_remaining() > 1,
+        }
+    }
+
     /// The current record's `(key, value)` slices.
     #[inline(always)]
     fn record(&self) -> ScratchRecord<'_, 'a> {
@@ -303,7 +316,11 @@ pub enum MergeItem<'s, 'a> {
 /// matches) against the stored losers. Ties break toward the lower run
 /// id, matching [`merge_sorted_runs`] exactly.
 ///
-/// Two v3-specific fast paths ride on the fence-key index:
+/// A v3 run also says when its next record repeats the current key
+/// ([`BlockCursor::group_remaining`]); the winner's advance then skips
+/// the prefix and the replay, so a run of duplicates costs the
+/// tournament one replay, not one per record. Two more v3-specific fast
+/// paths ride on the fence-key index:
 ///
 /// * **Block skipping** ([`BlockMergeStream::next_item`]): when the
 ///   winning run's head is the first record of a fully undecoded block
@@ -468,13 +485,18 @@ impl<'a> BlockMergeStream<'a> {
         if self.pending_advance {
             self.pending_advance = false;
             let w = self.tree[0];
-            self.advance_run(w)?;
-            if self.burst > 1 {
-                // Still inside an uncontended block: the winner cannot
-                // change, so skip the replay.
-                self.burst -= 1;
+            // Same key bytes from the same run: the cached prefix stands
+            // and every match would repeat its outcome. Inside an
+            // uncontended block the winner cannot change either, so only
+            // the block's end replays.
+            let repeats = self.runs[w].next_key_repeats();
+            if repeats {
+                self.runs[w].advance()?;
             } else {
-                self.burst = 0;
+                self.advance_run(w)?;
+            }
+            self.burst = self.burst.saturating_sub(1);
+            if self.burst == 0 && !repeats {
                 self.replay(w);
             }
         }

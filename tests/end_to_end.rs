@@ -4,7 +4,7 @@
 use scihadoop::compress::{BzipCodec, DeflateCodec, RleCodec};
 use scihadoop::core::transform::TransformCodec;
 use scihadoop::grid::{Shape, Variable};
-use scihadoop::mapreduce::{Counter, Framing, JobConfig};
+use scihadoop::mapreduce::{Counter, Framing, IFileVersion, JobConfig};
 use scihadoop::queries::average::SlidingAverage;
 use scihadoop::queries::histogram::Histogram;
 use scihadoop::queries::median::{SlidingMedian, SlidingMedianVariant};
@@ -170,7 +170,12 @@ fn framing_affects_bytes_not_answers() {
     let mut totals = Vec::new();
     for framing in [Framing::SequenceFile, Framing::IFile] {
         let mut q = SlidingMedian::new(layout(), SlidingMedianVariant::Plain);
-        q.base_config = JobConfig::default().with_reducers(2).with_framing(framing);
+        // Per-record framing is a property of the flat layouts; the v3
+        // default has none to vary.
+        q.base_config = JobConfig::default()
+            .with_reducers(2)
+            .with_framing(framing)
+            .with_ifile_version(IFileVersion::V2);
         let run = q.run(&var).unwrap();
         assert_eq!(run.medians, expected);
         totals.push(run.result.stats.map_output_bytes);

@@ -17,8 +17,8 @@ use scihadoop::compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
 use scihadoop::mapreduce::{
     for_each_group, merge_sorted_runs, BlockMergeStream, Counter, Emit, FnMapper, FnReducer,
-    Framing, IFileReader, IFileWriter, InputSplit, Job, JobConfig, KeySemantics, KvPair, MergeItem,
-    RawSegment, SpillArena,
+    Framing, IFileReader, IFileVersion, IFileWriter, InputSplit, Job, JobConfig, KeySemantics,
+    KvPair, MergeItem, RawSegment, SpillArena,
 };
 use scihadoop::sfc::CurveRun;
 use std::sync::Arc;
@@ -228,6 +228,8 @@ fn engine_job(cfg: &RefConfig, splits: &[Vec<KvPair>]) -> scihadoop::mapreduce::
         .with_codec(cfg.codec.clone())
         .with_key_semantics(cfg.ks.clone())
         .with_framing(cfg.framing)
+        // The reference does Hadoop's per-record framing arithmetic.
+        .with_ifile_version(IFileVersion::V2)
         .with_spill_buffer(cfg.spill_threshold);
     let mapper = Arc::new(FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| {
         out.emit(k, v);
