@@ -8,19 +8,28 @@
 
 use super::key::{AggregateKey, AggregateRecord};
 use scihadoop_grid::{Coord, GridError};
-use scihadoop_sfc::{collapse_sorted, Curve, CurveIndex};
+use scihadoop_sfc::{Curve, CurveIndex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Buffers `(variable, coordinate, value)` triples, collapses contiguous
 /// curve indices into [`AggregateRecord`]s, and flushes when a byte
 /// threshold is reached.
+///
+/// The threshold is on bytes actually staged: pushing a cell that is
+/// already in the buffer stages a second copy of its value, which counts
+/// until the flush keeps the later one.
 pub struct Aggregator {
     curve: Arc<dyn Curve>,
     threshold_bytes: usize,
-    /// Sorted staging area: (variable, curve index) → value bytes.
-    buf: BTreeMap<(u32, CurveIndex), Vec<u8>>,
-    buffered_bytes: usize,
+    /// Staged pushes in push order: variable, curve index, and where the
+    /// value starts in `slab`.
+    entries: Vec<(u32, CurveIndex, usize)>,
+    /// The staged values, back to back in push order.
+    slab: Vec<u8>,
+    /// Whether `entries` is strictly ascending by `(variable, index)`, in
+    /// which case the flush has nothing to sort and no duplicate to drop.
+    ascending: bool,
     /// Value width per variable, fixed at first push.
     widths: BTreeMap<u32, usize>,
     /// Total simple pairs pushed (statistics for the evaluation).
@@ -30,7 +39,7 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// A buffer over `curve`, flushing automatically once roughly
+    /// A buffer over `curve`, flushing automatically once
     /// `threshold_bytes` of values are staged.
     pub fn new(curve: impl Curve + 'static, threshold_bytes: usize) -> Self {
         Self::with_curve(Arc::new(curve), threshold_bytes)
@@ -42,8 +51,9 @@ impl Aggregator {
         Aggregator {
             curve,
             threshold_bytes,
-            buf: BTreeMap::new(),
-            buffered_bytes: 0,
+            entries: Vec::new(),
+            slab: Vec::new(),
+            ascending: true,
             widths: BTreeMap::new(),
             pairs_in: 0,
             records_out: 0,
@@ -67,6 +77,12 @@ impl Aggregator {
         coord: &Coord,
         value: &[u8],
     ) -> Result<Option<Vec<AggregateRecord>>, GridError> {
+        if value.is_empty() {
+            return Err(GridError::Deserialize("zero-width values".into()));
+        }
+        let index = self.curve.index_of_coord(coord)?;
+        // Nothing past this point rejects a variable's first push, so
+        // only a push that is staged fixes the width.
         let width = *self.widths.entry(variable).or_insert(value.len());
         if value.len() != width {
             return Err(GridError::Deserialize(format!(
@@ -74,16 +90,13 @@ impl Aggregator {
                 value.len()
             )));
         }
-        if width == 0 {
-            return Err(GridError::Deserialize("zero-width values".into()));
+        if let Some(&(last_var, last_index, _)) = self.entries.last() {
+            self.ascending &= (last_var, last_index) < (variable, index);
         }
-        let index = self.curve.index_of_coord(coord)?;
-        let prev = self.buf.insert((variable, index), value.to_vec());
-        if prev.is_none() {
-            self.buffered_bytes += width;
-        }
+        self.entries.push((variable, index, self.slab.len()));
+        self.slab.extend_from_slice(value);
         self.pairs_in += 1;
-        if self.buffered_bytes >= self.threshold_bytes {
+        if self.slab.len() >= self.threshold_bytes {
             Ok(Some(self.flush()))
         } else {
             Ok(None)
@@ -91,46 +104,36 @@ impl Aggregator {
     }
 
     /// Drain the buffer into aggregate records, one per maximal
-    /// contiguous index run per variable.
+    /// contiguous index run per variable. Of several pushes of one cell
+    /// the last wins.
     pub fn flush(&mut self) -> Vec<AggregateRecord> {
-        let mut out = Vec::new();
-        let buf = std::mem::take(&mut self.buf);
-        self.buffered_bytes = 0;
-
-        let mut current_var: Option<u32> = None;
-        let mut indices: Vec<CurveIndex> = Vec::new();
-        let mut values: BTreeMap<CurveIndex, Vec<u8>> = BTreeMap::new();
-        let emit = |var: u32,
-                    indices: &mut Vec<CurveIndex>,
-                    values: &mut BTreeMap<CurveIndex, Vec<u8>>,
-                    out: &mut Vec<AggregateRecord>| {
-            for run in collapse_sorted(indices) {
-                let mut payload = Vec::new();
-                for i in run.start..=run.end {
-                    payload.extend_from_slice(&values[&i]);
-                }
-                out.push(AggregateRecord {
-                    key: AggregateKey::new(var, run),
-                    values: payload,
-                });
-            }
-            indices.clear();
-            values.clear();
-        };
-
-        for ((var, index), value) in buf {
-            if current_var != Some(var) {
-                if let Some(v) = current_var {
-                    emit(v, &mut indices, &mut values, &mut out);
-                }
-                current_var = Some(var);
-            }
-            indices.push(index);
-            values.insert(index, value);
+        if !self.ascending {
+            // Stable, so pushes of one cell stay in push order.
+            self.entries.sort_by_key(|&(var, index, _)| (var, index));
         }
-        if let Some(v) = current_var {
-            emit(v, &mut indices, &mut values, &mut out);
+        let mut out: Vec<AggregateRecord> = Vec::new();
+        for (n, &(var, index, at)) in self.entries.iter().enumerate() {
+            let next = self.entries.get(n + 1);
+            if next.is_some_and(|next| (next.0, next.1) == (var, index)) {
+                continue; // a later push of this cell follows, and wins
+            }
+            let value = &self.slab[at..at + self.widths[&var]];
+            match out.last_mut() {
+                Some(rec)
+                    if rec.key.variable == var && rec.key.run.end.checked_add(1) == Some(index) =>
+                {
+                    rec.key.run.end = index;
+                    rec.values.extend_from_slice(value);
+                }
+                _ => out.push(AggregateRecord {
+                    key: AggregateKey::singleton(var, index),
+                    values: value.to_vec(),
+                }),
+            }
         }
+        self.entries.clear();
+        self.slab.clear();
+        self.ascending = true;
         self.records_out += out.len() as u64;
         out
     }
@@ -253,6 +256,55 @@ mod tests {
         let recs = agg.flush();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].values, vec![9]);
+    }
+
+    #[test]
+    fn duplicates_count_toward_the_threshold_until_flushed() {
+        // 8-byte threshold, 4-byte values: the second copy of cell 3
+        // fills the buffer, and the flush keeps only that copy.
+        let mut agg = Aggregator::new(RowMajorCurve::with_bits(1, 8), 8);
+        assert!(agg.push(&Coord::new(vec![3]), &[1; 4]).unwrap().is_none());
+        let recs = agg
+            .push(&Coord::new(vec![3]), &[9; 4])
+            .unwrap()
+            .expect("two staged copies reach the threshold");
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].key.run, CurveRun::singleton(3));
+        assert_eq!(recs[0].values, vec![9; 4]);
+        // The flush emptied the buffer: cell 3 again is a fresh cell, and
+        // the duplicate that straddles the flush is not merged with it.
+        assert!(agg.push(&Coord::new(vec![3]), &[5; 4]).unwrap().is_none());
+        let recs = agg.flush();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].values, vec![5; 4]);
+        assert_eq!(agg.pairs_in(), 3);
+        assert_eq!(agg.records_out(), 2);
+    }
+
+    #[test]
+    fn out_of_order_duplicates_keep_the_last_push() {
+        let mut agg = Aggregator::new(RowMajorCurve::with_bits(1, 8), 1 << 20);
+        for (x, v) in [(4, 1), (3, 2), (4, 3), (5, 4), (3, 5)] {
+            agg.push(&Coord::new(vec![x]), &[v]).unwrap();
+        }
+        let recs = agg.flush();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].key.run, CurveRun { start: 3, end: 5 });
+        assert_eq!(recs[0].values, vec![5, 3, 4]);
+    }
+
+    #[test]
+    fn rejected_first_push_does_not_fix_the_width() {
+        let mut agg = Aggregator::new(RowMajorCurve::with_bits(1, 8), 1 << 20);
+        // Neither an empty value nor a coordinate off the curve is
+        // staged, so neither decides variable 0's width.
+        assert!(agg.push(&Coord::new(vec![0]), &[]).is_err());
+        assert!(agg.push(&Coord::new(vec![-1]), &[0; 2]).is_err());
+        assert_eq!(agg.value_width(0), None);
+        agg.push(&Coord::new(vec![0]), &[7; 4]).unwrap();
+        assert_eq!(agg.value_width(0), Some(4));
+        assert!(agg.push(&Coord::new(vec![1]), &[]).is_err());
+        assert_eq!(agg.flush()[0].values, vec![7; 4]);
     }
 
     #[test]

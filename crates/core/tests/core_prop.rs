@@ -10,11 +10,12 @@ use scihadoop_core::transform::{
     forward, inverse, StridePredictor, TransformCodec, TransformConfig,
 };
 use scihadoop_grid::Coord;
-use scihadoop_sfc::{CurveRun, HilbertCurve, ZOrderCurve};
+use scihadoop_sfc::{Curve, CurveRun, HilbertCurve, RowMajorCurve, ZOrderCurve};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 mod reference;
-use reference::ReferencePredictor;
+use reference::{ReferenceAggregator, ReferencePredictor};
 
 /// Streams that reach every run mode of the predictor: each segment has
 /// a record period, a linear counter at the head of every record and
@@ -107,8 +108,139 @@ fn fast_predictor_equals_reference_on_fixed_cases() {
     }
 }
 
+/// One 2-D, 4-bit curve of each kind.
+fn curve(kind: usize) -> Arc<dyn Curve> {
+    match kind {
+        0 => Arc::new(ZOrderCurve::with_bits(2, 4)),
+        1 => Arc::new(HilbertCurve::with_bits(2, 4)),
+        _ => Arc::new(RowMajorCurve::with_bits(2, 4)),
+    }
+}
+
+/// A push: variable, cell, and the byte its value repeats. Variable `v`
+/// has `v + 1`-byte values.
+type Push = (u32, (i32, i32), u8);
+
+fn push_value((var, _, byte): Push) -> Vec<u8> {
+    vec![byte; var as usize + 1]
+}
+
+/// Pushes over three variables of a 16×16 grid, duplicates included, in
+/// generated order or — `sorted` — ascending along the curve, the order
+/// that spares the buffer its sort.
+fn pushes() -> impl Strategy<Value = (usize, Vec<Push>)> {
+    let push = (0u32..3, (0i32..16, 0i32..16), any::<u8>());
+    (
+        0usize..3,
+        proptest::collection::vec(push, 0..120),
+        any::<bool>(),
+    )
+        .prop_map(|(kind, mut pushes, sorted)| {
+            if sorted {
+                let curve = curve(kind);
+                pushes.sort_by_key(|&(var, (x, y), _)| {
+                    (var, curve.index_of(&[x as u32, y as u32]).unwrap())
+                });
+            }
+            (kind, pushes)
+        })
+}
+
+/// [`pushes`] with every `(variable, cell)` pushed at most once.
+fn distinct_pushes() -> impl Strategy<Value = (usize, Vec<Push>)> {
+    pushes().prop_map(|(kind, mut pushes)| {
+        let mut seen = std::collections::BTreeSet::new();
+        pushes.retain(|&(var, cell, _)| seen.insert((var, cell)));
+        (kind, pushes)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The slab buffer emits the record sequence the `BTreeMap` buffer
+    /// emitted, duplicates and all, wherever the caller flushes.
+    #[test]
+    fn slab_buffer_equals_reference_on_any_pushes(
+        case in pushes(),
+        flush_every in 1usize..40,
+    ) {
+        let (kind, pushes) = case;
+        let mut fast = Aggregator::with_curve(curve(kind), 1 << 20);
+        let mut slow = ReferenceAggregator::with_curve(curve(kind), 1 << 20);
+        for (n, &push) in pushes.iter().enumerate() {
+            let (var, (x, y), _) = push;
+            let coord = Coord::new(vec![x, y]);
+            let value = push_value(push);
+            prop_assert_eq!(fast.push_var(var, &coord, &value).unwrap(), None);
+            prop_assert_eq!(slow.push_var(var, &coord, &value).unwrap(), None);
+            if n % flush_every == flush_every - 1 {
+                prop_assert_eq!(fast.flush(), slow.flush(), "flush after push {}", n);
+            }
+        }
+        prop_assert_eq!(fast.flush(), slow.flush());
+        prop_assert_eq!(fast.pairs_in(), slow.pairs_in());
+        prop_assert_eq!(fast.records_out(), slow.records_out());
+    }
+
+    /// Without duplicates both buffers stage the same bytes, so they
+    /// cross a threshold on the same push and flush the same records.
+    #[test]
+    fn slab_buffer_equals_reference_across_threshold_flushes(
+        case in distinct_pushes(),
+        threshold in 1usize..80,
+    ) {
+        let (kind, pushes) = case;
+        let mut fast = Aggregator::with_curve(curve(kind), threshold);
+        let mut slow = ReferenceAggregator::with_curve(curve(kind), threshold);
+        for (n, &push) in pushes.iter().enumerate() {
+            let (var, (x, y), _) = push;
+            let coord = Coord::new(vec![x, y]);
+            let value = push_value(push);
+            prop_assert_eq!(
+                fast.push_var(var, &coord, &value).unwrap(),
+                slow.push_var(var, &coord, &value).unwrap(),
+                "push {}", n
+            );
+        }
+        prop_assert_eq!(fast.flush(), slow.flush());
+        prop_assert_eq!(fast.records_out(), slow.records_out());
+    }
+
+    /// With duplicates a threshold counts every staged copy, so flushes
+    /// may come earlier than the reference's; replayed in order, the
+    /// records still say what the pushes said, last push winning.
+    #[test]
+    fn threshold_flushes_with_duplicates_keep_the_last_push(
+        case in pushes(),
+        threshold in 1usize..80,
+    ) {
+        let (kind, pushes) = case;
+        let curve = curve(kind);
+        let mut agg = Aggregator::with_curve(curve.clone(), threshold);
+        let mut pushed = BTreeMap::new();
+        let mut replayed = BTreeMap::new();
+        let mut replay = |records: Vec<AggregateRecord>| {
+            for rec in records {
+                let var = rec.key.variable;
+                let width = var as usize + 1;
+                for index in rec.key.run.start..=rec.key.run.end {
+                    let value = rec.value_at(index, width).expect("inside the run");
+                    replayed.insert((var, index), value.to_vec());
+                }
+            }
+        };
+        for &push in &pushes {
+            let (var, (x, y), _) = push;
+            let coord = Coord::new(vec![x, y]);
+            let value = push_value(push);
+            pushed.insert((var, curve.index_of_coord(&coord).unwrap()), value.clone());
+            replay(agg.push_var(var, &coord, &value).unwrap().unwrap_or_default());
+        }
+        replay(agg.flush());
+        prop_assert_eq!(replayed, pushed);
+        prop_assert_eq!(agg.pairs_in(), pushes.len() as u64);
+    }
 
     /// The transform is a bijection for every detector configuration.
     #[test]

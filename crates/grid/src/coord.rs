@@ -12,7 +12,7 @@ use std::ops::{Add, Index, IndexMut, Sub};
 
 /// Dimensions a [`Coord`] holds without touching the allocator. The
 /// paper's grids are 2-D to 4-D; anything wider spills to the heap.
-const INLINE_DIMS: usize = 4;
+pub const INLINE_DIMS: usize = 4;
 
 /// Component storage. Coordinates of up to [`INLINE_DIMS`] dimensions
 /// are always `Inline`, so building, cloning, adding and dropping one
@@ -137,15 +137,22 @@ impl Coord {
 
     /// Convert to unsigned components, failing if any is negative.
     pub fn to_unsigned(&self) -> Result<Vec<u32>, GridError> {
-        self.components()
-            .iter()
-            .map(|&c| {
-                u32::try_from(c).map_err(|_| GridError::OutOfBounds {
-                    coord: self.components().to_vec(),
-                    context: "to_unsigned".into(),
-                })
-            })
-            .collect()
+        let mut out = vec![0; self.ndims()];
+        self.to_unsigned_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`Coord::to_unsigned`] into a caller-provided buffer of one slot
+    /// per dimension.
+    pub fn to_unsigned_into(&self, out: &mut [u32]) -> Result<(), GridError> {
+        assert_eq!(out.len(), self.ndims(), "one slot per dimension");
+        for (slot, &c) in out.iter_mut().zip(self.components()) {
+            *slot = u32::try_from(c).map_err(|_| GridError::OutOfBounds {
+                coord: self.components().to_vec(),
+                context: "to_unsigned".into(),
+            })?;
+        }
+        Ok(())
     }
 }
 

@@ -23,7 +23,7 @@ pub mod walker;
 pub mod writable;
 
 pub use bbox::BoundingBox;
-pub use coord::Coord;
+pub use coord::{Coord, INLINE_DIMS};
 pub use dataset::{Dataset, Variable};
 pub use error::GridError;
 pub use io::{load_dataset, read_dataset, save_dataset, write_dataset};

@@ -9,7 +9,7 @@
 
 use crate::layout::{BiasedCurve, KeyLayout};
 use scihadoop_core::aggregate::{AggregateKey, AggregateKeyOps, Aggregator, RangePartitioner};
-use scihadoop_grid::{Coord, Variable};
+use scihadoop_grid::{BoundingBox, Coord, Variable};
 use scihadoop_mapreduce::{Emit, InputSplit, Job, JobConfig, JobResult, Mapper, MrError, Reducer};
 use scihadoop_sfc::{Curve, HilbertCurve, RowMajorCurve, ZOrderCurve};
 use std::cell::RefCell;
@@ -212,6 +212,10 @@ impl SlidingMedian {
             .unwrap_or(1);
         let bits = (64 - (max_extent as u64).leading_zeros()).max(1);
         let curve = BiasedCurve::new(self.curve.build(ndims, bits), h);
+        assert!(
+            self.slots() <= u8::MAX as usize,
+            "a packed cell counts its values in one byte"
+        );
         let width = 1 + 4 * self.slots();
         let partitioner = RangePartitioner::uniform(self.base_config.num_reducers, curve.span());
         let keyops = AggregateKeyOps::new(partitioner, width);
@@ -222,6 +226,7 @@ impl SlidingMedian {
 
         let mapper = AggMedianMapper {
             layout: self.layout.clone(),
+            half: h,
             offsets: self.offsets(),
             curve: curve.clone(),
             slots: self.slots(),
@@ -301,98 +306,115 @@ impl Reducer for PlainMedianReducer {
 // Aggregated variant (§IV)
 // ---------------------------------------------------------------------------
 
-/// Per-cell packed multiset: `[count: u8][values: i32 BE × slots]`,
-/// unused slots zero. Fixed width keeps aggregate records sliceable.
-fn pack_cell(values: &[i32], slots: usize) -> Vec<u8> {
-    debug_assert!(values.len() <= slots && slots <= u8::MAX as usize);
-    let mut out = Vec::with_capacity(1 + 4 * slots);
-    out.push(values.len() as u8);
-    for v in values {
-        out.extend_from_slice(&v.to_be_bytes());
-    }
-    out.resize(1 + 4 * slots, 0);
-    out
+/// The values of one packed cell. A window centre's multiset travels as
+/// `[count: u8][values: i32 BE × slots]`, unused slots zero: fixed width
+/// keeps aggregate records sliceable.
+fn cell_values(cell: &[u8]) -> impl Iterator<Item = i32> + '_ {
+    cell[1..1 + 4 * cell[0] as usize]
+        .chunks_exact(4)
+        .map(|slot| i32::from_be_bytes(slot.try_into().expect("4-byte slot")))
 }
-
-fn unpack_cell(bytes: &[u8]) -> Vec<i32> {
-    let count = bytes[0] as usize;
-    (0..count)
-        .map(|i| {
-            let o = 1 + 4 * i;
-            i32::from_be_bytes(bytes[o..o + 4].try_into().expect("slot"))
-        })
-        .collect()
-}
-
-/// FNV-1a hasher for the per-task window map. The map-side hot path
-/// hashes a small `Coord` once per (record × window offset); SipHash's
-/// per-hash setup cost dominates at that grain.
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-}
-
-type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
-
-/// Window centre → the values that fell into its window so far.
-type Windows = HashMap<Coord, Vec<i32>, FnvBuildHasher>;
 
 thread_local! {
-    /// Windows of the map task running on this thread. The engine runs
-    /// each map task to completion on one thread, so a thread-local gives
+    /// Input cells of the map task running on this thread, `ndims`
+    /// coordinates then the value per record. The engine runs each map
+    /// task to completion on one thread, so a thread-local gives
     /// task-local state without engine changes and without the map slots
     /// meeting on a lock once per record (Hadoop gets the same effect by
     /// constructing one Mapper object per task). `start` clears it, so
     /// what a failed attempt left behind never reaches the next task on
     /// this thread; `finish` takes it.
-    static TASK_WINDOWS: RefCell<Windows> = RefCell::new(Windows::default());
+    static TASK_INPUTS: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
 }
 
 struct AggMedianMapper {
     layout: KeyLayout,
+    half: i32,
     offsets: Vec<Coord>,
     curve: BiasedCurve,
     slots: usize,
     buffer_bytes: usize,
 }
 
+impl AggMedianMapper {
+    /// Every window of a task's (non-empty) `inputs` accumulated in one
+    /// slab of packed cells, laid out row-major over the inputs' bounding
+    /// box dilated by the window's half-width.
+    fn window_slab(&self, inputs: &[i32]) -> (BoundingBox, Vec<u8>) {
+        let ndims = self.layout.ndims();
+        let (mut lo, mut hi) = (inputs[..ndims].to_vec(), inputs[..ndims].to_vec());
+        for record in inputs.chunks_exact(ndims + 1) {
+            for d in 0..ndims {
+                lo[d] = lo[d].min(record[d]);
+                hi[d] = hi[d].max(record[d]);
+            }
+        }
+        let bounds = BoundingBox::from_corners(&Coord::new(lo), &Coord::new(hi))
+            .expect("corners of one layout")
+            .dilate(self.half);
+        // A split is a box, and a box of `n` cells dilates to at most
+        // `n × slots` centres, so the slab is bounded by the task's own
+        // input whatever the split's shape.
+        let max_cells = (inputs.len() / (ndims + 1)).saturating_mul(self.slots);
+        let cells = bounds
+            .shape()
+            .extents()
+            .iter()
+            .try_fold(1usize, |n, &e| n.checked_mul(e as usize))
+            .filter(|&cells| cells <= max_cells)
+            .expect("a map task's input cells fill a box");
+        let width = 1 + 4 * self.slots;
+        // Row-major position in the slab is linear in the coordinates, so
+        // a window offset is one constant step from its centre.
+        let strides = bounds.shape().strides();
+        let linear = |components: &[i32]| -> i64 {
+            let steps = components.iter().zip(&strides);
+            steps.map(|(&c, &stride)| c as i64 * stride as i64).sum()
+        };
+        let origin = linear(bounds.corner().components());
+        let window: Vec<i64> = self
+            .offsets
+            .iter()
+            .map(|off| linear(off.components()))
+            .collect();
+
+        let mut slab = vec![0u8; cells * width];
+        for record in inputs.chunks_exact(ndims + 1) {
+            let centre = linear(&record[..ndims]) - origin;
+            let value = record[ndims].to_be_bytes();
+            for delta in &window {
+                let cell = &mut slab[(centre + delta) as usize * width..][..width];
+                let filled = cell[0] as usize;
+                cell[1 + 4 * filled..][..4].copy_from_slice(&value);
+                cell[0] += 1;
+            }
+        }
+        (bounds, slab)
+    }
+}
+
 impl Mapper for AggMedianMapper {
     fn start(&self) {
-        TASK_WINDOWS.with_borrow_mut(Windows::clear);
+        TASK_INPUTS.with_borrow_mut(Vec::clear);
     }
 
     fn map(&self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
         let coord = self.layout.decode(key).expect("input key");
         let v = i32::from_be_bytes(value.try_into().expect("4-byte value"));
-        TASK_WINDOWS.with_borrow_mut(|windows| {
-            for off in &self.offsets {
-                windows
-                    .entry(&coord + off)
-                    .or_insert_with(|| Vec::with_capacity(self.slots))
-                    .push(v);
-            }
+        TASK_INPUTS.with_borrow_mut(|inputs| {
+            inputs.extend_from_slice(coord.components());
+            inputs.push(v);
         });
     }
 
+    /// Push the task's window cells, in grid order, through the §IV
+    /// aggregation library and emit the aggregate records it produces.
     fn finish(&self, out: &mut dyn Emit) {
-        // Push the accumulated windows through the §IV aggregation
-        // library and emit the aggregate records it produces.
+        let inputs = TASK_INPUTS.take();
+        if inputs.is_empty() {
+            return;
+        }
+        let (bounds, slab) = self.window_slab(&inputs);
         let mut agg = Aggregator::with_curve(self.curve.curve().clone(), self.buffer_bytes);
         let emit_records = |records: Vec<scihadoop_core::aggregate::AggregateRecord>,
                             out: &mut dyn Emit| {
@@ -400,10 +422,12 @@ impl Mapper for AggMedianMapper {
                 out.emit(&rec.key.to_bytes(), &rec.values);
             }
         };
-        for (coord, values) in TASK_WINDOWS.take() {
-            let packed = pack_cell(&values, self.slots);
+        for (coord, cell) in bounds.cells().zip(slab.chunks_exact(1 + 4 * self.slots)) {
+            if cell[0] == 0 {
+                continue;
+            }
             let biased = coord.offset_all(self.curve.bias());
-            if let Some(records) = agg.push(&biased, &packed).expect("aggregation push") {
+            if let Some(records) = agg.push(&biased, cell).expect("aggregation push") {
                 emit_records(records, out);
             }
         }
@@ -421,15 +445,22 @@ impl Reducer for AggMedianReducer {
     fn reduce(&self, key: &[u8], values: &[&[u8]], out: &mut dyn Emit) {
         let agg_key = AggregateKey::from_bytes(key).expect("aggregate key");
         let width = 1 + 4 * self.slots;
+        let mut vals = Vec::with_capacity(values.len() * self.slots);
+        let mut centre_key = Vec::with_capacity(self.layout.key_len());
+        self.layout.write_header(&mut centre_key);
+        let header_len = centre_key.len();
         for (cell_no, index) in (agg_key.run.start..=agg_key.run.end).enumerate() {
-            let mut vals = Vec::new();
+            vals.clear();
             for chunk in values {
-                let off = cell_no * width;
-                vals.extend(unpack_cell(&chunk[off..off + width]));
+                vals.extend(cell_values(&chunk[cell_no * width..][..width]));
             }
             let m = median_of(&mut vals);
             let coord = self.curve.coord_of(index).expect("curve index");
-            out.emit(&self.layout.encode(&coord), &m.to_be_bytes());
+            centre_key.truncate(header_len);
+            for c in coord.components() {
+                centre_key.extend_from_slice(&c.to_be_bytes());
+            }
+            out.emit(&centre_key, &m.to_be_bytes());
         }
     }
 }
@@ -468,12 +499,15 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
-        for vals in [vec![], vec![5], vec![1, -2, 3, 4, 5, 6, 7, 8, 9]] {
-            let packed = pack_cell(&vals, 9);
-            assert_eq!(packed.len(), 37);
-            assert_eq!(unpack_cell(&packed), vals);
-        }
+    fn cell_values_reads_the_counted_slots() {
+        let mut cell = vec![0u8; 37];
+        assert_eq!(cell_values(&cell).count(), 0);
+        cell[0] = 2;
+        cell[1..5].copy_from_slice(&5i32.to_be_bytes());
+        cell[5..9].copy_from_slice(&(-2i32).to_be_bytes());
+        // Bytes past the count are padding, whatever they hold.
+        cell[9] = 0xff;
+        assert_eq!(cell_values(&cell).collect::<Vec<_>>(), vec![5, -2]);
     }
 
     #[test]

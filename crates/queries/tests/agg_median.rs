@@ -1,0 +1,88 @@
+//! The aggregated sliding median's dense window slab against the
+//! sequential oracle, over every shape of job the slab's index
+//! arithmetic has a case for: dimensionality, window width, splits that
+//! are the whole grid, uneven, one row thick, and more than there are
+//! rows; every curve; buffers that flush mid-task. CI runs this suite in
+//! release with overflow checks on.
+
+use scihadoop_grid::{Shape, Variable};
+use scihadoop_mapreduce::{Counter, JobConfig};
+use scihadoop_queries::median::{CurveKind, SlidingMedian, SlidingMedianVariant};
+use scihadoop_queries::{oracle, KeyLayout};
+
+const CURVES: [CurveKind; 3] = [CurveKind::ZOrder, CurveKind::Hilbert, CurveKind::RowMajor];
+
+fn aggregated(ndims: usize, buffer_bytes: usize) -> SlidingMedian {
+    SlidingMedian::new(
+        KeyLayout::Indexed { index: 0, ndims },
+        SlidingMedianVariant::Aggregated { buffer_bytes },
+    )
+}
+
+#[test]
+fn dense_slab_matches_the_oracle_on_every_job_shape() {
+    for extents in [vec![23], vec![16, 9], vec![5, 7, 6]] {
+        let rows = *extents.iter().max().expect("a shape has dimensions") as usize;
+        let var = Variable::random_i32("g", Shape::new(extents.clone()), 1000, 11).unwrap();
+        for window in [3, 5] {
+            let expected = oracle::sliding_median(&var, window).unwrap();
+            for splits in [1, 3, 16, rows + 9] {
+                for curve in CURVES {
+                    let mut q = aggregated(extents.len(), 1 << 20);
+                    q.window = window;
+                    q.num_splits = splits;
+                    q.curve = curve;
+                    let run = q.run(&var).unwrap();
+                    assert_eq!(
+                        run.medians, expected,
+                        "{extents:?}, window {window}, {splits} splits, {curve:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn mid_task_flushes_change_records_not_answers() {
+    let var = Variable::random_i32("g", Shape::new(vec![20, 13]), 1000, 5).unwrap();
+    let expected = oracle::sliding_median(&var, 3).unwrap();
+    let records = |buffer_bytes, curve| {
+        let mut q = aggregated(2, buffer_bytes);
+        q.curve = curve;
+        let run = q.run(&var).unwrap();
+        assert_eq!(run.medians, expected, "{buffer_bytes} B, {curve:?}");
+        run.result.counters.get(Counter::MapOutputRecords)
+    };
+    for curve in CURVES {
+        let unflushed = records(1 << 20, curve);
+        // One packed cell (37 B) per flush: nothing aggregates.
+        assert!(records(1, curve) > unflushed, "{curve:?}");
+        assert!(records(200, curve) >= unflushed, "{curve:?}");
+    }
+}
+
+/// What the aggregated job shipped before the slab replaced the hashed
+/// window map (the same numbers at the parent commit): the slab changes
+/// where windows accumulate, not one byte of what leaves the mapper.
+#[test]
+fn aggregated_job_ships_what_the_hashed_mapper_shipped() {
+    let var = Variable::random_i32("g", Shape::new(vec![96, 96]), 1_000_000, 7).unwrap();
+    for (curve, materialized, records, route_split) in [
+        (CurveKind::ZOrder, 421_829, 515, 4),
+        (CurveKind::Hilbert, 415_868, 211, 1),
+        (CurveKind::RowMajor, 425_805, 786, 2),
+    ] {
+        let mut q = aggregated(2, 64 << 20);
+        q.num_splits = 8;
+        q.curve = curve;
+        q.base_config = JobConfig::default().with_reducers(5);
+        let counters = q.run(&var).unwrap().result.counters;
+        let got = (
+            counters.get(Counter::MapOutputMaterializedBytes),
+            counters.get(Counter::MapOutputRecords),
+            counters.get(Counter::RouteSplitRecords),
+        );
+        assert_eq!(got, (materialized, records, route_split), "{curve:?}");
+    }
+}

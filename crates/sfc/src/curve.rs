@@ -1,6 +1,6 @@
 //! The curve abstraction shared by all space-filling curves.
 
-use scihadoop_grid::{Coord, GridError};
+use scihadoop_grid::{Coord, GridError, INLINE_DIMS};
 
 /// A position on a space-filling curve.
 ///
@@ -26,8 +26,16 @@ pub trait Curve: Send + Sync {
     /// Every coordinate must fit in [`Curve::bits_per_dim`] bits.
     fn index_of(&self, coords: &[u32]) -> Result<CurveIndex, GridError>;
 
+    /// Inverse of [`Curve::index_of`], written into `out`, which has one
+    /// slot per dimension.
+    fn coords_into(&self, index: CurveIndex, out: &mut [u32]) -> Result<(), GridError>;
+
     /// Inverse of [`Curve::index_of`].
-    fn coords_of(&self, index: CurveIndex) -> Result<Vec<u32>, GridError>;
+    fn coords_of(&self, index: CurveIndex) -> Result<Vec<u32>, GridError> {
+        let mut coords = vec![0; self.ndims()];
+        self.coords_into(index, &mut coords)?;
+        Ok(coords)
+    }
 
     /// Map a signed grid coordinate (must be non-negative) to an index.
     fn index_of_coord(&self, coord: &Coord) -> Result<CurveIndex, GridError> {
@@ -37,14 +45,33 @@ pub trait Curve: Send + Sync {
                 actual: coord.ndims(),
             });
         }
-        let unsigned = coord.to_unsigned()?;
-        self.index_of(&unsigned)
+        with_scratch(self.ndims(), |unsigned| {
+            coord.to_unsigned_into(unsigned)?;
+            self.index_of(unsigned)
+        })
     }
 
     /// Inverse of [`Curve::index_of_coord`].
     fn coord_of_index(&self, index: CurveIndex) -> Result<Coord, GridError> {
-        let coords = self.coords_of(index)?;
-        Ok(Coord::new(coords.into_iter().map(|c| c as i32).collect()))
+        with_scratch(self.ndims(), |coords| {
+            self.coords_into(index, coords)?;
+            let mut coord = Coord::origin(coords.len());
+            for (d, &c) in coords.iter().enumerate() {
+                coord[d] = c as i32;
+            }
+            Ok(coord)
+        })
+    }
+}
+
+/// Run `f` over `ndims` zeroed components: on the stack for as many
+/// dimensions as a [`Coord`] holds inline, on the heap beyond, so the
+/// per-cell curve calls of the paper's 2-D to 4-D grids never allocate.
+pub(crate) fn with_scratch<R>(ndims: usize, f: impl FnOnce(&mut [u32]) -> R) -> R {
+    if ndims <= INLINE_DIMS {
+        f(&mut [0; INLINE_DIMS][..ndims])
+    } else {
+        f(&mut vec![0; ndims])
     }
 }
 

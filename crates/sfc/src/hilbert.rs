@@ -10,7 +10,7 @@
 //! a "transpose" form in place, and the Hilbert index is the bit
 //! interleave of the transpose.
 
-use crate::curve::{check_coords, check_index, Curve, CurveIndex};
+use crate::curve::{check_coords, check_index, with_scratch, Curve, CurveIndex};
 use crate::zorder::ZOrderCurve;
 use scihadoop_grid::GridError;
 
@@ -112,8 +112,8 @@ impl HilbertCurve {
     }
 
     /// Inverse of [`HilbertCurve::pack`].
-    fn unpack(index: CurveIndex, ndims: usize, bits: u32) -> Vec<u32> {
-        ZOrderCurve::deinterleave(index, ndims, bits)
+    fn unpack(index: CurveIndex, transpose: &mut [u32], bits: u32) {
+        ZOrderCurve::deinterleave(index, transpose, bits)
     }
 }
 
@@ -135,19 +135,23 @@ impl Curve for HilbertCurve {
         if self.ndims == 1 {
             return Ok(coords[0] as CurveIndex);
         }
-        let mut x = coords.to_vec();
-        Self::axes_to_transpose(&mut x, self.bits);
-        Ok(Self::pack(&x, self.bits))
+        Ok(with_scratch(self.ndims, |x| {
+            x.copy_from_slice(coords);
+            Self::axes_to_transpose(x, self.bits);
+            Self::pack(x, self.bits)
+        }))
     }
 
-    fn coords_of(&self, index: CurveIndex) -> Result<Vec<u32>, GridError> {
+    fn coords_into(&self, index: CurveIndex, out: &mut [u32]) -> Result<(), GridError> {
         check_index(index, self.ndims, self.bits)?;
+        assert_eq!(out.len(), self.ndims, "one slot per dimension");
         if self.ndims == 1 {
-            return Ok(vec![index as u32]);
+            out[0] = index as u32;
+            return Ok(());
         }
-        let mut x = Self::unpack(index, self.ndims, self.bits);
-        Self::transpose_to_axes(&mut x, self.bits);
-        Ok(x)
+        Self::unpack(index, out, self.bits);
+        Self::transpose_to_axes(out, self.bits);
+        Ok(())
     }
 }
 

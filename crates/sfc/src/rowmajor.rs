@@ -58,20 +58,20 @@ impl Curve for RowMajorCurve {
         Ok(index)
     }
 
-    fn coords_of(&self, index: CurveIndex) -> Result<Vec<u32>, GridError> {
+    fn coords_into(&self, index: CurveIndex, out: &mut [u32]) -> Result<(), GridError> {
         check_index(index, self.ndims, self.bits)?;
+        assert_eq!(out.len(), self.ndims, "one slot per dimension");
         let mask: CurveIndex = if self.bits >= 32 {
             u32::MAX as CurveIndex
         } else {
             (1 << self.bits) - 1
         };
-        let mut coords = vec![0u32; self.ndims];
         let mut idx = index;
-        for d in (0..self.ndims).rev() {
-            coords[d] = (idx & mask) as u32;
+        for c in out.iter_mut().rev() {
+            *c = (idx & mask) as u32;
             idx >>= self.bits;
         }
-        Ok(coords)
+        Ok(())
     }
 }
 

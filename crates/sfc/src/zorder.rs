@@ -46,17 +46,17 @@ impl ZOrderCurve {
         index
     }
 
-    /// Inverse of [`ZOrderCurve::interleave`].
-    pub(crate) fn deinterleave(index: CurveIndex, ndims: usize, bits: u32) -> Vec<u32> {
-        let mut coords = vec![0u32; ndims];
+    /// Inverse of [`ZOrderCurve::interleave`], one slot of `coords` per
+    /// dimension.
+    pub(crate) fn deinterleave(index: CurveIndex, coords: &mut [u32], bits: u32) {
+        coords.fill(0);
         let mut idx = index;
         for bit in 0..bits {
-            for d in (0..ndims).rev() {
-                coords[d] |= ((idx & 1) as u32) << bit;
+            for c in coords.iter_mut().rev() {
+                *c |= ((idx & 1) as u32) << bit;
                 idx >>= 1;
             }
         }
-        coords
     }
 }
 
@@ -78,9 +78,11 @@ impl Curve for ZOrderCurve {
         Ok(Self::interleave(coords, self.bits))
     }
 
-    fn coords_of(&self, index: CurveIndex) -> Result<Vec<u32>, GridError> {
+    fn coords_into(&self, index: CurveIndex, out: &mut [u32]) -> Result<(), GridError> {
         check_index(index, self.ndims, self.bits)?;
-        Ok(Self::deinterleave(index, self.ndims, self.bits))
+        assert_eq!(out.len(), self.ndims, "one slot per dimension");
+        Self::deinterleave(index, out, self.bits);
+        Ok(())
     }
 }
 

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use scihadoop_grid::{BoundingBox, Coord, Shape};
 use scihadoop_sfc::{
-    box_runs, collapse_sorted, zorder_box_runs, Curve, CurveRun, HilbertCurve, ZOrderCurve,
+    box_runs, collapse_sorted, zorder_box_runs, Curve, CurveRun, HilbertCurve, RowMajorCurve,
+    ZOrderCurve,
 };
 
 proptest! {
@@ -38,6 +39,41 @@ proptest! {
             zorder_box_runs(&bbox, bits).unwrap(),
             box_runs(&curve, &bbox).unwrap()
         );
+    }
+
+    /// The `Coord` paths — on a stack buffer up to `INLINE_DIMS`
+    /// dimensions, on the heap beyond — agree with the slice paths they
+    /// wrap, errors included: a negative or too-large component, a
+    /// coordinate of the wrong dimensionality, an index off the curve.
+    #[test]
+    fn coord_paths_agree_with_slice_paths(
+        components in proptest::collection::vec(-2i32..20, 1..7),
+        index_bits in 0u32..20,
+        index_seed in any::<u64>(),
+    ) {
+        let ndims = components.len();
+        let coord = Coord::new(components);
+        let curves: [Box<dyn Curve>; 3] = [
+            Box::new(ZOrderCurve::with_bits(ndims, 4)),
+            Box::new(HilbertCurve::with_bits(ndims, 4)),
+            Box::new(RowMajorCurve::with_bits(ndims, 4)),
+        ];
+        for curve in &curves {
+            let via_slice = coord.to_unsigned().and_then(|u| curve.index_of(&u));
+            let via_coord = curve.index_of_coord(&coord);
+            prop_assert_eq!(format!("{via_coord:?}"), format!("{via_slice:?}"), "{}", curve.name());
+            if let Ok(index) = via_coord {
+                prop_assert_eq!(curve.coord_of_index(index).unwrap(), coord.clone());
+            }
+            let index = (index_seed as u128) << index_bits;
+            let via_slice = curve
+                .coords_of(index)
+                .map(|u| Coord::new(u.into_iter().map(|c| c as i32).collect()));
+            let via_coord = curve.coord_of_index(index);
+            prop_assert_eq!(format!("{via_coord:?}"), format!("{via_slice:?}"), "{}", curve.name());
+            let wider = Coord::origin(ndims + 1);
+            prop_assert!(curve.index_of_coord(&wider).is_err());
+        }
     }
 
     /// Hilbert adjacency holds along arbitrary index segments, not just
