@@ -1,7 +1,9 @@
 //! Shuffle hot-path benchmark: the arena-backed radix spill sort
-//! against the comparator reference sort on shuffled emission, and the
-//! streaming loser-tree merge against the materializing reference
-//! (eager segment reads + `merge_sorted_runs` + whole-run re-sort).
+//! against the comparator reference sort — on shuffled 8-byte keys and
+//! on one map task of `benchmark/`'s sliding-median job, whose 12-byte
+//! keys outgrow an 8-byte prefix — and the streaming loser-tree merge
+//! against the materializing reference (eager segment reads +
+//! `merge_sorted_runs` + whole-run re-sort).
 //!
 //! Run with `cargo bench --bench bench_shuffle_hotpath`. Set
 //! `BENCH_SHUFFLE_JSON=<path>` to also write the measurements (and the
@@ -13,12 +15,14 @@ use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads::merge_group_pass;
 use scihadoop_compress::checksum::Crc32c;
 use scihadoop_compress::IdentityCodec;
+use scihadoop_grid::Coord;
 use scihadoop_mapreduce::dist::{SegmentRepr, ShuffleStore};
 use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
     for_each_group, merge_sorted_runs, DefaultKeySemantics, Framing, IFileReader, IFileWriter,
     KeySemantics, KvPair, SpillArena,
 };
+use scihadoop_queries::KeyLayout;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,6 +57,32 @@ fn shuffled(pairs: &[KvPair]) -> Vec<KvPair> {
     }
     out
 }
+
+/// One map task of `benchmark/`'s `median-plain-local`: a 512-row,
+/// 32-column strip of the grid (`split_longest` cuts 512×512 into 16
+/// of them), every cell emitting its value under the nine 12-byte
+/// `Indexed` keys of the 3×3 windows it belongs to. 147,456 records in
+/// input row-major order: each key arrives nine times spread over
+/// three input rows, rows and columns run from one cell outside the
+/// strip (−1 = `FF FF FF FF` on the first strip), and the first 8 key
+/// bytes — variable and row — are shared by a whole window row.
+fn window_strip_pairs() -> Vec<KvPair> {
+    let layout = KeyLayout::Indexed { index: 0, ndims: 2 };
+    let mut pairs = Vec::new();
+    for r in 0..512i32 {
+        for c in 0..32i32 {
+            let value = (r ^ c).to_be_bytes().to_vec();
+            for (dr, dc) in (-1..=1).flat_map(|dr| (-1..=1).map(move |dc| (dr, dc))) {
+                let key = layout.encode(&Coord::new(vec![r + dr, c + dc]));
+                pairs.push(KvPair::new(key, value.clone()));
+            }
+        }
+    }
+    pairs
+}
+
+/// Reducers of that job (the paper's cluster ran 5).
+const WINDOW_PARTS: usize = 5;
 
 /// The map side: stage emitted slices, sort, serialize one spill.
 fn bench_map_sort_spill(c: &mut Criterion) {
@@ -113,6 +143,34 @@ fn bench_map_sort_spill(c: &mut Criterion) {
             }
             black_box(w.close().raw_bytes)
         })
+    });
+
+    // The layer `arena.sort_s` times on the benchmark's plain-key
+    // workloads: one strip task routed to 5 partitions, every partition
+    // sorted and written — wide-key radix sort vs its comparator oracle.
+    let window = window_strip_pairs();
+    group.throughput(Throughput::Elements(window.len() as u64));
+    let spill_window = |sort: fn(&mut SpillArena, usize, &dyn KeySemantics)| {
+        let mut arena = SpillArena::new(WINDOW_PARTS);
+        for p in &window {
+            arena.append(ks.partition(&p.key, WINDOW_PARTS), &p.key, &p.value);
+        }
+        let mut raw_bytes = 0;
+        for part in 0..WINDOW_PARTS {
+            sort(&mut arena, part, &ks);
+            let mut w = IFileWriter::new(Framing::IFile, codec.clone());
+            for (k, v) in arena.pairs(part) {
+                w.append(k, v);
+            }
+            raw_bytes += w.close().raw_bytes;
+        }
+        raw_bytes
+    };
+    group.bench_function("arena_window_keys", |b| {
+        b.iter(|| black_box(spill_window(SpillArena::sort_partition)))
+    });
+    group.bench_function("arena_window_keys_compare", |b| {
+        b.iter(|| black_box(spill_window(SpillArena::sort_partition_by_compare)))
     });
     group.finish();
 }
@@ -290,7 +348,10 @@ fn main() {
     let radix_speedup_shuffled =
         rate("map_sort_spill/arena_radix_shuffled") / rate("map_sort_spill/arena_shuffled");
     println!("\nmerge-reduce speedup (streaming vs materializing): {merge_speedup:.2}x");
+    let radix_speedup_window =
+        rate("map_sort_spill/arena_window_keys") / rate("map_sort_spill/arena_window_keys_compare");
     println!("radix spill sort speedup (shuffled emission):      {radix_speedup_shuffled:.2}x");
+    println!("radix spill sort speedup (window-key strip task):  {radix_speedup_window:.2}x");
     println!("CRC-32C trailer overhead on streaming merge: {crc_overhead:+.2}% (budget <= 6%)");
 
     if let Ok(path) = std::env::var("BENCH_SHUFFLE_JSON") {
@@ -306,6 +367,10 @@ fn main() {
                 (
                     "radix_sort_speedup_shuffled",
                     rounded(radix_speedup_shuffled, 2),
+                ),
+                (
+                    "radix_sort_speedup_window_keys",
+                    rounded(radix_speedup_window, 2),
                 ),
                 ("crc_trailer_overhead_pct", rounded(crc_overhead, 2)),
                 ("host_cpus", host_cpus().into()),

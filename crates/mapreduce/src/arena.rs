@@ -12,6 +12,8 @@
 //! allocated capacity for the next spill.
 
 use crate::keysem::KeySemantics;
+use crate::sort::RadixScratch;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// One staged record: value bytes immediately follow the key bytes at
@@ -34,12 +36,25 @@ impl IndexEntry {
     }
 }
 
+thread_local! {
+    /// The sort buffers the last arena dropped on this thread left
+    /// behind. A slot runs its map tasks one after another, each with an
+    /// arena of its own; first touch of ~2 MB of fresh buffers cost a
+    /// 147,456-record task a fifth of its sort (one page fault per
+    /// 4 KiB), so a task sorts in the buffers its predecessor grew.
+    static SPARE_SCRATCH: RefCell<RadixScratch<IndexEntry>> = RefCell::default();
+}
+
 /// Contiguous staging buffer for one map task's output, indexed per
 /// partition.
 pub struct SpillArena {
     data: Vec<u8>,
     parts: Vec<Vec<IndexEntry>>,
     payload_bytes: usize,
+    /// The spill sort's item buffers, sized by the largest partition
+    /// sorted so far — by this arena or by those before it on this
+    /// thread ([`SPARE_SCRATCH`]).
+    scratch: RadixScratch<IndexEntry>,
 }
 
 impl SpillArena {
@@ -49,6 +64,7 @@ impl SpillArena {
             data: Vec::new(),
             parts: (0..partitions).map(|_| Vec::new()).collect(),
             payload_bytes: 0,
+            scratch: SPARE_SCRATCH.take(),
         }
     }
 
@@ -89,52 +105,27 @@ impl SpillArena {
     /// Stable-sort one partition's index by key; record bytes stay put.
     ///
     /// This is the spill sort's comparison-free fast path: each entry is
-    /// tagged with its key's [`KeySemantics::sort_prefix`] and the
-    /// `(prefix, entry)` pairs go through an LSD radix sort; only prefix
-    /// tie runs ever call the virtual comparator. Byte-identical to the
-    /// retained [`SpillArena::sort_partition_by_compare`] reference
-    /// (radix + tie-run stable sort ⇔ whole stable comparator sort).
-    /// Records `sort_prefix_ties` / `sort_compare_calls` histograms per
-    /// sorted partition.
+    /// tagged once with its key's [`KeySemantics::sort_prefix_wide`] and
+    /// the `(wide key, entry)` pairs go through an LSD radix sort in
+    /// buffers the arena keeps across partitions and spills; only tie
+    /// runs of differing keys ever call the virtual comparator, and a
+    /// partition whose wide keys already ascend strictly is left as it
+    /// is. Byte-identical to the retained
+    /// [`SpillArena::sort_partition_by_compare`] reference (radix +
+    /// tie-run stable sort ⇔ whole stable comparator sort). Records
+    /// `sort_prefix_ties` / `sort_compare_calls` histograms per sorted
+    /// partition.
     pub fn sort_partition(&mut self, partition: usize, ks: &dyn KeySemantics) {
-        let mut index = std::mem::take(&mut self.parts[partition]);
+        let data = &self.data;
+        let index = &mut self.parts[partition];
         if index.len() > 1 {
-            let data = &self.data;
-            // Allocation-free presorted probe first: strictly ascending
-            // prefixes prove the partition is already sorted (prefix <
-            // implies compare Less), so emission-ordered spills skip the
-            // sort — and the keyed-vec build and index rebuild —
-            // entirely, comparison-free. Disordered input bails at the
-            // first inversion, so the wasted rescan is bounded by where
-            // order first breaks.
-            let mut prev = 0u64;
-            let mut presorted = true;
-            for (i, &e) in index.iter().enumerate() {
-                let prefix = ks.sort_prefix(e.key(data));
-                if i > 0 && prev >= prefix {
-                    presorted = false;
-                    break;
-                }
-                prev = prefix;
-            }
-            let stats = if presorted {
-                crate::sort::PrefixSortStats::default()
-            } else {
-                let mut keyed: Vec<(u64, IndexEntry)> = index
-                    .iter()
-                    .map(|&e| (ks.sort_prefix(e.key(data)), e))
-                    .collect();
-                let stats = crate::sort::prefix_sort_with(&mut keyed, ks, |e| e.key(data));
-                index.clear();
-                index.extend(keyed.iter().map(|&(_, e)| e));
-                stats
-            };
+            let stats =
+                crate::sort::prefix_sort_with(index, &mut self.scratch, ks, |e| e.key(data));
             crate::obs::hist_many(&[
                 (crate::obs::Metric::SortPrefixTies, stats.tie_records),
                 (crate::obs::Metric::SortCompareCalls, stats.compare_calls),
             ]);
         }
-        self.parts[partition] = index;
         debug_assert!(is_partition_sorted(self, partition, ks));
     }
 
@@ -188,6 +179,14 @@ impl SpillArena {
     }
 }
 
+impl Drop for SpillArena {
+    fn drop(&mut self) {
+        // Unreachable once the thread's locals are being destroyed; the
+        // buffers are then simply freed.
+        let _ = SPARE_SCRATCH.try_with(|spare| spare.replace(std::mem::take(&mut self.scratch)));
+    }
+}
+
 /// Assert a partition's index is sorted (debug builds of callers).
 pub fn is_partition_sorted(arena: &SpillArena, partition: usize, ks: &dyn KeySemantics) -> bool {
     let keys: Vec<&[u8]> = arena.pairs(partition).map(|(k, _)| k).collect();
@@ -199,12 +198,27 @@ pub fn is_partition_sorted(arena: &SpillArena, partition: usize, ks: &dyn KeySem
 mod tests {
     use super::*;
     use crate::keysem::DefaultKeySemantics;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     fn collect(arena: &SpillArena, partition: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         arena
             .pairs(partition)
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect()
+    }
+
+    /// `keys` staged twice into one partition, values tagging emission
+    /// order: `sort_partition` on one copy against
+    /// `sort_partition_by_compare` on the other shows any difference in
+    /// order or stability.
+    fn staged_twice(keys: &[Vec<u8>]) -> (SpillArena, SpillArena) {
+        let mut fast = SpillArena::new(1);
+        let mut reference = SpillArena::new(1);
+        for (i, k) in keys.iter().enumerate() {
+            fast.append(0, k, &(i as u32).to_be_bytes());
+            reference.append(0, k, &(i as u32).to_be_bytes());
+        }
+        (fast, reference)
     }
 
     #[test]
@@ -247,23 +261,18 @@ mod tests {
     #[test]
     fn radix_sort_matches_comparator_reference() {
         let ks = DefaultKeySemantics;
-        // Mixed lengths, shared 8-byte prefixes, duplicates, empty keys —
+        // Mixed lengths, shared 16-byte prefixes, duplicates, empty keys —
         // everything that stresses the tie-run fallback and stability.
         let keys: Vec<Vec<u8>> = (0..200u32)
             .map(|i| match i % 5 {
                 0 => format!("{:03}", (i * 37) % 100).into_bytes(),
-                1 => format!("sharedprefix-{:03}", (i * 13) % 50).into_bytes(),
+                1 => format!("a-shared-prefix--{:03}", (i * 13) % 50).into_bytes(),
                 2 => Vec::new(),
                 3 => vec![0u8; (i % 7) as usize],
                 _ => i.wrapping_mul(2654435761).to_be_bytes().to_vec(),
             })
             .collect();
-        let mut fast = SpillArena::new(1);
-        let mut reference = SpillArena::new(1);
-        for (i, k) in keys.iter().enumerate() {
-            fast.append(0, k, &(i as u32).to_be_bytes());
-            reference.append(0, k, &(i as u32).to_be_bytes());
-        }
+        let (mut fast, mut reference) = staged_twice(&keys);
         fast.sort_partition(0, &ks);
         reference.sort_partition_by_compare(0, &ks);
         assert_eq!(
@@ -271,6 +280,134 @@ mod tests {
             collect(&reference, 0),
             "radix path must be byte-identical to the comparator sort"
         );
+    }
+
+    /// Default semantics that count what the sort asks of them.
+    #[derive(Default)]
+    struct Counting {
+        wide: AtomicU64,
+        narrow: AtomicU64,
+        compares: AtomicU64,
+    }
+
+    impl KeySemantics for Counting {
+        fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
+            self.compares.fetch_add(1, Relaxed);
+            a.cmp(b)
+        }
+        fn sort_prefix(&self, key: &[u8]) -> u64 {
+            self.narrow.fetch_add(1, Relaxed);
+            DefaultKeySemantics.sort_prefix(key)
+        }
+        fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
+            self.wide.fetch_add(1, Relaxed);
+            DefaultKeySemantics.sort_prefix_wide(key)
+        }
+        fn partition(&self, key: &[u8], parts: usize) -> usize {
+            DefaultKeySemantics.partition(key, parts)
+        }
+    }
+
+    impl Counting {
+        /// `(wide, narrow, compare)` calls since the last take. Debug
+        /// builds re-check the sorted partition with `n - 1` compares.
+        fn take(&self, n: u64) -> (u64, u64, u64) {
+            let checked = if cfg!(debug_assertions) { n - 1 } else { 0 };
+            (
+                self.wide.swap(0, Relaxed),
+                self.narrow.swap(0, Relaxed),
+                self.compares.swap(0, Relaxed) - checked,
+            )
+        }
+    }
+
+    /// One map task's emission over an `rows x cols` block at column
+    /// `c0`: every cell writes the nine window centres around it, so each
+    /// `[variable][row][col]` key arrives nine times (fewer on the halo)
+    /// and rows and columns start at -1. `pad` extends every key with
+    /// that many bytes after the coordinates, the last one the window row
+    /// the emission came from — which arrives in descending order.
+    fn window_keys(rows: i32, c0: i32, cols: i32, pad: usize) -> Vec<Vec<u8>> {
+        let mut keys = Vec::new();
+        for r in 0..rows {
+            for c in c0..c0 + cols {
+                for (dr, dc) in (-1..=1).flat_map(|dr| (-1..=1).map(move |dc| (dr, dc))) {
+                    let mut key = vec![0u8; 12 + pad];
+                    key[4..8].copy_from_slice(&(r + dr).to_be_bytes());
+                    key[8..12].copy_from_slice(&(c + dc).to_be_bytes());
+                    if pad > 0 {
+                        key[11 + pad] = (dr + 1) as u8;
+                    }
+                    keys.push(key);
+                }
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn window_keys_sort_on_one_prefix_call_each_and_no_compare() {
+        let ks = Counting::default();
+        let keys = window_keys(40, 250, 12, 0);
+        let n = keys.len() as u64;
+        let (mut fast, mut reference) = staged_twice(&keys);
+        fast.sort_partition(0, &ks);
+        assert_eq!(ks.take(n), (n, 0, 0), "(wide, narrow, compare) calls");
+        reference.sort_partition_by_compare(0, &DefaultKeySemantics);
+        assert_eq!(collect(&fast, 0), collect(&reference, 0));
+        // Sorted with ties: still one call each, still no compare.
+        fast.sort_partition(0, &ks);
+        assert_eq!(ks.take(n), (n, 0, 0), "re-sort of a sorted partition");
+        assert_eq!(collect(&fast, 0), collect(&reference, 0));
+    }
+
+    #[test]
+    fn sort_buffers_outlive_partitions_spills_and_the_arena() {
+        let ks = DefaultKeySemantics;
+        let keys = window_keys(20, 0, 10, 0);
+        let stage = |a: &mut SpillArena| {
+            for (i, k) in keys.iter().enumerate() {
+                a.append(i % 2, k, b"v");
+            }
+            a.sort_partition(0, &ks);
+            a.sort_partition(1, &ks);
+        };
+        let mut a = SpillArena::new(2);
+        assert_eq!(
+            a.scratch.item_capacity(),
+            0,
+            "nothing sorted on this thread yet"
+        );
+        stage(&mut a);
+        let grown = a.scratch.item_capacity();
+        assert!(grown >= keys.len() / 2);
+        a.clear();
+        stage(&mut a);
+        assert_eq!(a.scratch.item_capacity(), grown, "second spill reallocated");
+        drop(a);
+        let mut next = SpillArena::new(2);
+        assert_eq!(next.scratch.item_capacity(), grown, "next task starts cold");
+        stage(&mut next);
+        assert_eq!(next.scratch.item_capacity(), grown);
+    }
+
+    #[test]
+    fn keys_that_differ_past_sixteen_bytes_reach_the_comparator() {
+        let ks = Counting::default();
+        // 20-byte keys: the wide key covers the coordinates and four zero
+        // bytes, the byte after them is the comparator's to order.
+        let keys = window_keys(12, -1, 9, 8);
+        let n = keys.len() as u64;
+        let (mut fast, mut reference) = staged_twice(&keys);
+        fast.sort_partition(0, &ks);
+        let (wide, narrow, compares) = ks.take(n);
+        assert_eq!((wide, narrow), (n, 0));
+        assert!(
+            compares > 0,
+            "tie runs of differing keys need the comparator"
+        );
+        reference.sort_partition_by_compare(0, &DefaultKeySemantics);
+        assert_eq!(collect(&fast, 0), collect(&reference, 0));
     }
 
     #[test]

@@ -50,7 +50,9 @@ pub use ifile::{
     RecordCursor, RecordSlices, DEFAULT_BLOCK_BUDGET,
 };
 pub use job::{Job, JobConfig, JobResult};
-pub use keysem::{bytewise_sort_prefix, DefaultKeySemantics, KeySemantics, RouteSink};
+pub use keysem::{
+    bytewise_sort_prefix, bytewise_sort_prefix_wide, DefaultKeySemantics, KeySemantics, RouteSink,
+};
 pub use obs::{Phase, Recorder, Trace};
 pub use record::{Emit, FnMapper, FnReducer, InputSplit, KvPair, Mapper, Reducer};
 pub use sort::{for_each_group, merge_sorted_runs, sort_pairs, BlockMergeStream, MergeItem};

@@ -199,13 +199,14 @@ pub enum Metric {
     SortSplitWindowRecords,
     /// Backoff wait per task retry, in nanoseconds.
     RetryBackoffNanos,
-    /// Records landing in sort-prefix tie runs (comparator fallback
-    /// volume) per radix-sorted spill partition.
+    /// Records landing in wide-key tie runs of differing keys
+    /// (comparator fallback volume) per radix-sorted spill partition;
+    /// runs of byte-identical keys need no comparator and do not count.
     SortPrefixTies,
     /// Full-comparator invocations per radix-sorted spill partition
-    /// (zero when every record is decided by its prefix alone).
+    /// (zero when every record is decided by its wide key alone).
     SortCompareCalls,
-    /// Full-comparator invocations per streaming k-way merge (prefix
+    /// Full-comparator invocations per streaming k-way merge (wide-key
     /// ties at the loser tree).
     MergeCompareCalls,
     /// Key bytes removed by v3 front coding per final segment.

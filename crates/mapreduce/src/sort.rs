@@ -2,13 +2,14 @@
 //! the map-side spill merge and the reducer run (Fig. 1 steps 3 and 5).
 //!
 //! Both stages run *comparison-free* on their fast path: keys are
-//! reduced to order-preserving fixed-width prefixes
-//! ([`KeySemantics::sort_prefix`]), the map-side spill sort is an LSD
-//! radix sort over `(prefix, index)` pairs ([`prefix_sort_with`],
+//! reduced to order-preserving 16-byte normalized keys
+//! ([`KeySemantics::sort_prefix_wide`]), the map-side spill sort is an
+//! LSD radix sort over `(wide key, index)` pairs ([`prefix_sort_with`],
 //! [`sort_pairs`]), and the merge is a cache-resident loser tree over
-//! segment cursors keyed by cached prefixes ([`BlockMergeStream`]). The
-//! full virtual comparator runs only inside prefix tie runs, so both
-//! stages stay byte-identical to a stable whole-comparator sort.
+//! segment cursors keyed by cached wide keys ([`BlockMergeStream`]). The
+//! full virtual comparator runs only where wide keys tie on keys that
+//! differ, so both stages stay byte-identical to a stable
+//! whole-comparator sort.
 //!
 //! [`merge_sorted_runs`] is the materializing reference the merge is
 //! tested against; the engine never calls it.
@@ -26,133 +27,262 @@ use std::collections::BinaryHeap;
 // Prefix radix sort
 // ---------------------------------------------------------------------------
 
-/// Outcome of one prefix-radix sort: how many records landed in prefix
-/// tie runs, and how many full-comparator calls resolving them cost.
+/// Outcome of one prefix-radix sort: how much of it the comparator had
+/// to finish.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PrefixSortStats {
-    /// Records inside tie runs (prefix shared with a neighbour).
+    /// Records inside tie runs (wide key shared with a neighbour) whose
+    /// keys are not all byte-identical — the comparator's input.
     pub tie_records: u64,
-    /// `KeySemantics::compare` invocations spent on tie runs.
+    /// `KeySemantics::compare` invocations spent on those runs.
     pub compare_calls: u64,
 }
 
 /// Below this many items the per-pass setup of a radix scatter costs
-/// more than a stable binary-insertion/merge sort of the `u64` prefixes,
-/// so small inputs (and small prefix tie runs recursing through
-/// combiner re-sorts) take `sort_by_key` instead. Both paths are stable,
-/// so the choice never changes the output.
+/// more than a stable binary-insertion/merge sort of the wide keys, so
+/// small inputs (combiner re-sorts, sort-split windows) take
+/// `sort_by_key` instead. Both paths are stable, so the choice never
+/// changes the output.
 const RADIX_MIN: usize = 64;
 
-/// Stable LSD radix sort of `(prefix, payload)` pairs by prefix,
-/// least-significant byte first. A cheap OR/AND scan finds the byte
-/// lanes that actually differ across the input; only those lanes get a
-/// histogram + scatter pass — for short keys the high bytes of the
-/// big-endian prefix carry all the entropy, so most inputs take one or
-/// two passes instead of eight.
-fn radix_sort_by_prefix<T: Copy>(items: &mut Vec<(u64, T)>) {
-    if items.len() < RADIX_MIN {
-        items.sort_by_key(|&(p, _)| p);
+/// Most buckets one folded radix digit may have. A grid coordinate with
+/// a −1 halo spreads over all four of its byte lanes with 2, 2, ≤ 4 and
+/// 256 distinct values; folded, they are one 4096-bucket pass, not four
+/// scatters.
+const MAX_BUCKETS: usize = 4096;
+
+/// The radix sort's working memory — `(wide key, payload)` items, the
+/// scatter target, and a folded digit's per-item buckets and counters —
+/// kept by the caller so one allocation serves every partition of every
+/// spill.
+pub(crate) struct RadixScratch<T> {
+    keyed: Vec<(u128, T)>,
+    scatter: Vec<(u128, T)>,
+    buckets: Vec<u16>,
+    counts: Vec<usize>,
+}
+
+impl<T> Default for RadixScratch<T> {
+    fn default() -> Self {
+        RadixScratch {
+            keyed: Vec::new(),
+            scatter: Vec::new(),
+            buckets: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl<T> RadixScratch<T> {
+    /// Items both item buffers can hold without growing.
+    pub(crate) fn item_capacity(&self) -> usize {
+        self.keyed.capacity().min(self.scatter.capacity())
+    }
+}
+
+/// One stable counting-sort pass: `counts[b]` items of `src` fall in
+/// bucket `b`, and `buckets` yields each item's bucket in order.
+fn scatter<T: Copy>(
+    src: &[(u128, T)],
+    dst: &mut [(u128, T)],
+    counts: &mut [usize],
+    buckets: impl Iterator<Item = usize>,
+) {
+    // Counts become each bucket's first output slot.
+    let mut next = 0usize;
+    for slot in counts.iter_mut() {
+        next += std::mem::replace(slot, next);
+    }
+    for (&item, bucket) in src.iter().zip(buckets) {
+        let slot = &mut counts[bucket];
+        dst[*slot] = item;
+        *slot += 1;
+    }
+}
+
+/// Group `n` items' active lanes, given low to high by their byte
+/// histograms, into radix digits `(first lane, lanes, buckets)`: a lane
+/// joins the digit below it while the product of their cardinalities
+/// stays under [`MAX_BUCKETS`] and under `n` (more buckets than items is
+/// all set-up).
+fn fold_lanes(histograms: &[[usize; 256]], n: usize) -> Vec<(usize, usize, usize)> {
+    let mut digits: Vec<(usize, usize, usize)> = Vec::new();
+    for (i, histogram) in histograms.iter().enumerate() {
+        let cardinality = histogram.iter().filter(|&&count| count != 0).count();
+        match digits.last_mut() {
+            Some((_, len, buckets)) if *buckets * cardinality <= MAX_BUCKETS.min(n) => {
+                *len += 1;
+                *buckets *= cardinality;
+            }
+            _ => digits.push((i, 1, cardinality)),
+        }
+    }
+    digits
+}
+
+/// Stable LSD radix sort of `scratch.keyed` by wide key, least
+/// significant byte lane first, over the lanes on which some pair of
+/// keys disagrees (`diff` has a bit set iff one does) — a uniform lane
+/// costs nothing, and for short keys the high lanes of the big-endian
+/// key carry all the entropy. One read pass takes every active lane's
+/// byte histogram. Adjacent lanes with few distinct bytes then *fold*
+/// into one digit ([`fold_lanes`]): each lane maps its bytes through a
+/// table of *rank among the bytes that occur × the cardinalities of the
+/// lanes below*, and the sum over the lanes is a mixed-radix bucket
+/// that orders exactly as the bytes do. A folded digit costs a counting
+/// pass and a scatter; a lane left alone scatters by its byte, on the
+/// histogram it already has.
+fn radix_sort_by_prefix<T: Copy>(scratch: &mut RadixScratch<T>, diff: u128) {
+    let n = scratch.keyed.len();
+    if n < RADIX_MIN {
+        scratch.keyed.sort_by_key(|&(wide, _)| wide);
         return;
     }
-    let (mut all_or, mut all_and) = (0u64, u64::MAX);
-    for &(p, _) in items.iter() {
-        all_or |= p;
-        all_and &= p;
+    let lanes: Vec<usize> = (0..16)
+        .filter(|lane| (diff >> (8 * lane)) as u8 != 0)
+        .collect();
+    let mut histograms = vec![[0usize; 256]; lanes.len()];
+    for (wide, _) in &scratch.keyed {
+        let bytes = wide.to_le_bytes();
+        for (histogram, &lane) in histograms.iter_mut().zip(&lanes) {
+            histogram[bytes[lane] as usize] += 1;
+        }
     }
-    // A bit is set in `diff` iff some pair of items disagrees on it; a
-    // byte lane with no such bit is uniform and its pass is a no-op.
-    let diff = all_or ^ all_and;
-    if diff == 0 {
-        return; // all prefixes equal — stability says leave them be
+    let digits = fold_lanes(&histograms, n);
+    if scratch.scatter.len() < n {
+        scratch.scatter.resize(n, scratch.keyed[0]);
     }
-    let mut src = std::mem::take(items);
-    let mut dst = src.clone();
-    for d in 0..8 {
-        let shift = 8 * d;
-        if (diff >> shift) & 0xFF == 0 {
-            continue;
-        }
-        let mut counts = [0usize; 256];
-        for &(p, _) in &src {
-            counts[((p >> shift) & 0xFF) as usize] += 1;
-        }
-        let mut offsets = [0usize; 256];
-        let mut acc = 0usize;
-        for (off, &c) in offsets.iter_mut().zip(counts.iter()) {
-            *off = acc;
-            acc += c;
-        }
-        for &item in &src {
-            let digit = ((item.0 >> shift) & 0xFF) as usize;
-            dst[offsets[digit]] = item;
-            offsets[digit] += 1;
+    let (mut src, mut dst) = (&mut scratch.keyed[..], &mut scratch.scatter[..n]);
+    for &(first, len, buckets) in &digits {
+        if len == 1 {
+            let lane = lanes[first];
+            let bytes = src
+                .iter()
+                .map(|(wide, _)| wide.to_le_bytes()[lane] as usize);
+            scatter(src, dst, &mut histograms[first], bytes);
+        } else {
+            let mut stride = 1;
+            let ranks: Vec<(usize, [u16; 256])> = (first..first + len)
+                .map(|i| {
+                    let mut table = [0u16; 256];
+                    let occurring = table
+                        .iter_mut()
+                        .zip(&histograms[i])
+                        .filter(|(_, &c)| c != 0);
+                    let mut cardinality = 0;
+                    for (rank, (slot, _)) in occurring.enumerate() {
+                        *slot = (rank * stride) as u16; // < buckets <= MAX_BUCKETS
+                        cardinality = rank + 1;
+                    }
+                    stride *= cardinality;
+                    (lanes[i], table)
+                })
+                .collect();
+            scratch.counts.clear();
+            scratch.counts.resize(buckets, 0);
+            scratch.buckets.clear();
+            for (wide, _) in src.iter() {
+                let bytes = wide.to_le_bytes();
+                let bucket: u16 = ranks
+                    .iter()
+                    .map(|(lane, table)| table[bytes[*lane] as usize])
+                    .sum();
+                scratch.counts[bucket as usize] += 1;
+                scratch.buckets.push(bucket);
+            }
+            let noted = scratch.buckets.iter().map(|&bucket| bucket as usize);
+            scatter(src, dst, &mut scratch.counts, noted);
         }
         std::mem::swap(&mut src, &mut dst);
     }
-    *items = src;
+    if digits.len() % 2 == 1 {
+        std::mem::swap(&mut scratch.keyed, &mut scratch.scatter);
+        scratch.keyed.truncate(n);
+    }
 }
 
-/// Sort `(prefix, payload)` pairs into full key order: radix-sort by
-/// prefix, then stable-sort each prefix tie run with the real
-/// comparator (`key_of` maps a payload back to its key bytes). LSD
-/// radix is stable and [`KeySemantics::sort_prefix`] is order-
-/// preserving, so the result is byte-identical to a stable
-/// whole-comparator sort; the comparator simply never runs outside tie
-/// runs.
+/// Sort `items` into full key order (`key_of` maps an item to its key
+/// bytes): tag each with its [`KeySemantics::sort_prefix_wide`] — one
+/// call per item — radix-sort the tagged pairs, then settle wide-key
+/// tie runs. A run of byte-identical keys is already in its final,
+/// stable order whatever the comparator (`compare(k, k)` is `Equal`);
+/// any other run is stable-sorted with the real comparator. LSD radix
+/// is stable and the wide key is order-preserving, so the result is
+/// byte-identical to a stable whole-comparator sort.
 pub(crate) fn prefix_sort_with<'k, T: Copy>(
-    items: &mut Vec<(u64, T)>,
+    items: &mut [T],
+    scratch: &mut RadixScratch<T>,
     ks: &dyn KeySemantics,
     key_of: impl Fn(T) -> &'k [u8],
 ) -> PrefixSortStats {
-    // Comparison-free presorted detection: strictly increasing prefixes
-    // prove the keys are already in strictly ascending order (prefix <
-    // implies compare Less), so there is nothing to do. Map output is
-    // often emitted in near-key order (e.g. grid walks), making this the
-    // common case; ties disqualify the shortcut since their relative
-    // order is unproven.
-    if items.windows(2).all(|w| w[0].0 < w[1].0) {
-        return PrefixSortStats::default();
-    }
-    radix_sort_by_prefix(items);
     let mut stats = PrefixSortStats::default();
+    let keyed = &mut scratch.keyed;
+    keyed.clear();
+    keyed.reserve(items.len());
+    // Strictly ascending wide keys prove the items are already in
+    // strictly ascending order (wide < implies compare Less). Map output
+    // is often emitted in key order (grid walks), so this is a common
+    // case; a tie disqualifies it, its order being unproven.
+    let mut ascending = true;
+    let (mut all_or, mut all_and) = (0u128, u128::MAX);
+    for &item in items.iter() {
+        let wide = ks.sort_prefix_wide(key_of(item));
+        ascending &= keyed.last().is_none_or(|&(prev, _)| prev < wide);
+        all_or |= wide;
+        all_and &= wide;
+        keyed.push((wide, item));
+    }
+    if ascending {
+        return stats;
+    }
+    radix_sort_by_prefix(scratch, all_or ^ all_and);
+    let keyed = &mut scratch.keyed;
     let mut i = 0;
-    while i < items.len() {
-        let prefix = items[i].0;
+    while i < keyed.len() {
+        let (wide, first) = keyed[i];
         let mut j = i + 1;
-        while j < items.len() && items[j].0 == prefix {
+        while j < keyed.len() && keyed[j].0 == wide {
             j += 1;
         }
         if j - i > 1 {
-            stats.tie_records += (j - i) as u64;
-            items[i..j].sort_by(|a, b| {
-                stats.compare_calls += 1;
-                ks.compare(key_of(a.1), key_of(b.1))
-            });
+            let first = key_of(first);
+            if keyed[i + 1..j]
+                .iter()
+                .any(|&(_, item)| key_of(item) != first)
+            {
+                stats.tie_records += (j - i) as u64;
+                keyed[i..j].sort_by(|a, b| {
+                    stats.compare_calls += 1;
+                    ks.compare(key_of(a.1), key_of(b.1))
+                });
+            }
         }
         i = j;
+    }
+    for (item, &(_, sorted)) in items.iter_mut().zip(keyed.iter()) {
+        *item = sorted;
     }
     stats
 }
 
 /// Stable sort of owned pairs by key through the prefix radix path —
 /// byte-identical to `pairs.sort_by(|a, b| ks.compare(&a.key, &b.key))`
-/// but comparison-free outside prefix tie runs. Used for the combiner
+/// but comparison-free outside wide-key tie runs. Used for the combiner
 /// output re-sort and the reducer's windowed sort-split re-sort.
 pub fn sort_pairs(pairs: &mut Vec<KvPair>, ks: &dyn KeySemantics) {
     if pairs.len() < 2 {
         return;
     }
-    let mut keyed: Vec<(u64, usize)> = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (ks.sort_prefix(&p.key), i))
-        .collect();
-    prefix_sort_with(&mut keyed, ks, |i| pairs[i].key.as_slice());
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    prefix_sort_with(&mut order, &mut RadixScratch::default(), ks, |i| {
+        pairs[i].key.as_slice()
+    });
     let mut slots: Vec<Option<KvPair>> = pairs.drain(..).map(Some).collect();
     pairs.extend(
-        keyed
+        order
             .iter()
-            .map(|&(_, i)| slots[i].take().expect("permutation visits each slot once")),
+            .map(|&i| slots[i].take().expect("permutation visits each slot once")),
     );
     debug_assert!(pairs
         .windows(2)
@@ -224,8 +354,8 @@ pub fn merge_sorted_runs(runs: Vec<Vec<KvPair>>, ks: &dyn KeySemantics) -> Vec<K
 /// One run of a [`BlockMergeStream`]: a flat (v1/v2) record cursor with
 /// its parsed head, or a v3 [`BlockCursor`] whose head lives in the
 /// cursor's incremental key buffer. Whether the run is live and what its
-/// head's sort prefix is are kept in the stream's flat arrays, which is
-/// all the loser tree reads on its fast path.
+/// head's wide sort key is are kept in the stream's flat arrays, which
+/// is all the loser tree reads on its fast path.
 // A merge holds one of these per run; boxing the block cursor to even
 // out the variants would put a pointer chase in the per-record path.
 #[allow(clippy::large_enum_variant)]
@@ -309,9 +439,10 @@ pub enum MergeItem<'s, 'a> {
 /// yields one record at a time, borrowed from the decompressed segment
 /// buffers.
 ///
-/// Every live run's head [`KeySemantics::sort_prefix`] is cached
-/// (computed once per record); tree matches compare two cached `u64`s
-/// and fall back to the virtual comparator only on prefix ties.
+/// Every live run's head [`KeySemantics::sort_prefix_wide`] is cached
+/// (computed once per record); tree matches compare two cached `u128`s
+/// and fall back to the virtual comparator only where those tie — for
+/// keys of up to 16 bytes, only where two runs hold the same key.
 /// Advancing the winner replays exactly one leaf-to-root path (⌈log₂ k⌉
 /// matches) against the stored losers. Ties break toward the lower run
 /// id, matching [`merge_sorted_runs`] exactly.
@@ -325,7 +456,8 @@ pub enum MergeItem<'s, 'a> {
 /// * **Block skipping** ([`BlockMergeStream::next_item`]): when the
 ///   winning run's head is the first record of a fully undecoded block
 ///   whose *next* fence prefix is strictly below every other live
-///   run's head prefix, the whole block sorts before all of them (the
+///   run's head prefix — the high word of its cached wide key — the
+///   whole block sorts before all of them (the
 ///   [`KeySemantics::sort_prefix`] contract: `prefix(a) < prefix(b)`
 ///   implies `a < b`, and monotonicity along the sorted run bounds
 ///   every key in the block by the next fence). The block is emitted
@@ -347,12 +479,13 @@ pub struct BlockMergeStream<'a> {
     /// `tree[1..k]` hold the losers of internal matches, and run `i`'s
     /// leaf sits implicitly at index `k + i`.
     tree: Vec<usize>,
-    /// Sort prefix of each live run's head (stale once a run exhausts).
-    prefixes: Vec<u64>,
+    /// Wide sort key of each live run's head (stale once a run
+    /// exhausts).
+    prefixes: Vec<u128>,
     /// Whether each run still has a head.
     lives: Vec<bool>,
     ks: &'a dyn KeySemantics,
-    /// Comparator fallbacks on prefix ties, exported as
+    /// Comparator fallbacks on wide-key ties, exported as
     /// `merge_compare_calls` when the stream drops.
     compare_calls: u64,
     /// Blocks emitted still-encoded (skip hits).
@@ -407,7 +540,7 @@ impl<'a> BlockMergeStream<'a> {
     fn set_head(&mut self, w: usize, live: bool) {
         self.lives[w] = live;
         if live {
-            self.prefixes[w] = self.ks.sort_prefix(self.runs[w].record().0);
+            self.prefixes[w] = self.ks.sort_prefix_wide(self.runs[w].record().0);
         }
     }
 
@@ -485,7 +618,7 @@ impl<'a> BlockMergeStream<'a> {
         if self.pending_advance {
             self.pending_advance = false;
             let w = self.tree[0];
-            // Same key bytes from the same run: the cached prefix stands
+            // Same key bytes from the same run: the cached wide key stands
             // and every match would repeat its outcome. Inside an
             // uncontended block the winner cannot change either, so only
             // the block's end replays.
@@ -522,8 +655,10 @@ impl<'a> BlockMergeStream<'a> {
             return None;
         }
         let bound = cursor.next_fence_prefix();
-        let clear = (0..lives.len())
-            .all(|r| r == w || !lives[r] || bound.is_some_and(|ub| ub < prefixes[r]));
+        // A fence prefix is the high word of a wide key.
+        let clear = (0..lives.len()).all(|r| {
+            r == w || !lives[r] || bound.is_some_and(|ub| ub < (prefixes[r] >> 64) as u64)
+        });
         clear.then_some(cursor)
     }
 
@@ -570,7 +705,7 @@ impl<'a> BlockMergeStream<'a> {
         Ok(Some(MergeItem::Record(key, value)))
     }
 
-    /// Comparator fallbacks taken on prefix ties so far.
+    /// Comparator fallbacks taken on wide-key ties so far.
     pub fn compare_calls(&self) -> u64 {
         self.compare_calls
     }
@@ -721,14 +856,14 @@ mod tests {
     fn sort_pairs_matches_stable_comparator_sort() {
         let ks = DefaultKeySemantics;
         // Duplicate keys with distinct values pin stability; keys longer
-        // than 8 bytes force prefix tie runs.
+        // than 16 bytes force wide-key tie runs.
         let mut pairs = vec![
-            pair("abcdefgh-late", "1"),
+            pair("abcdefghijklmnop-late", "1"),
             pair("zz", "2"),
-            pair("abcdefgh-early", "3"),
+            pair("abcdefghijklmnop-early", "3"),
             pair("zz", "4"),
             pair("", "5"),
-            pair("abcdefgh-late", "6"),
+            pair("abcdefghijklmnop-late", "6"),
             pair("\u{0}", "7"),
         ];
         let mut expected = pairs.clone();
@@ -737,99 +872,167 @@ mod tests {
         assert_eq!(pairs, expected);
     }
 
+    /// Sort `keys`' positions through the kernel: the sorted order and
+    /// what the comparator was asked to do.
+    fn prefix_sort(keys: &[&[u8]]) -> (Vec<usize>, PrefixSortStats) {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        let stats = prefix_sort_with(
+            &mut order,
+            &mut RadixScratch::default(),
+            &DefaultKeySemantics,
+            |i| keys[i],
+        );
+        (order, stats)
+    }
+
     #[test]
     fn prefix_sort_stats_count_ties_and_calls() {
-        let ks = DefaultKeySemantics;
-        // Three keys share the 8-byte prefix "aaaaaaaa"; two are unique.
-        let keys: Vec<&[u8]> = vec![b"aaaaaaaa-z", b"b", b"aaaaaaaa-a", b"c", b"aaaaaaaa-m"];
-        let mut keyed: Vec<(u64, usize)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (ks.sort_prefix(k), i))
-            .collect();
-        let stats = prefix_sort_with(&mut keyed, &ks, |i| keys[i]);
+        // Three keys share their first 16 bytes; two are unique.
+        let (order, stats) = prefix_sort(&[
+            b"aaaaaaaaaaaaaaaa-z",
+            b"b",
+            b"aaaaaaaaaaaaaaaa-a",
+            b"c",
+            b"aaaaaaaaaaaaaaaa-m",
+        ]);
         assert_eq!(stats.tie_records, 3);
         assert!(stats.compare_calls >= 2, "tie run of 3 needs >= 2 compares");
-        let order: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
         assert_eq!(order, vec![2, 4, 0, 1, 3]);
+    }
+
+    #[test]
+    fn byte_identical_tie_runs_never_reach_the_comparator() {
+        // Unsorted, every key three times: the runs tie on the wide key
+        // and are left in emission order without one compare call.
+        let (order, stats) = prefix_sort(&[b"m", b"a", b"m", b"z", b"a", b"z", b"a", b"m", b"z"]);
+        assert_eq!(order, vec![1, 4, 6, 0, 2, 7, 3, 5, 8]);
+        assert_eq!((stats.tie_records, stats.compare_calls), (0, 0));
+        // "ab" and "ab\0" tie on the zero-extended wide key but differ.
+        let (order, stats) = prefix_sort(&[b"ab\0", b"ab", b"ab\0"]);
+        assert_eq!(order, vec![1, 0, 2]);
+        assert_eq!(stats.tie_records, 3);
+        assert!(stats.compare_calls >= 2);
+    }
+
+    /// Radix-sort `(wide key, tag)` items through a fresh scratch.
+    fn radix(items: &[(u128, usize)]) -> Vec<(u128, usize)> {
+        let (all_or, all_and) = items
+            .iter()
+            .fold((0, u128::MAX), |(or, and), &(p, _)| (or | p, and & p));
+        let mut scratch = RadixScratch {
+            keyed: items.to_vec(),
+            ..RadixScratch::default()
+        };
+        radix_sort_by_prefix(&mut scratch, all_or ^ all_and);
+        scratch.keyed
     }
 
     #[test]
     fn radix_sort_is_stable_across_equal_prefixes() {
         // Small input: the sort_by_key fallback, itself stable.
-        let mut items: Vec<(u64, usize)> = vec![(5, 0), (1, 1), (5, 2), (0, 3), (5, 4), (1, 5)];
-        radix_sort_by_prefix(&mut items);
+        let items = [(5, 0), (1, 1), (5, 2), (0, 3), (5, 4), (1, 5)];
         assert_eq!(
-            items,
+            radix(&items),
             vec![(0, 3), (1, 1), (1, 5), (5, 0), (5, 2), (5, 4)],
             "equal prefixes must keep insertion order"
         );
         // Large input: the real scatter passes, pinned against std's
         // stable sort. Heavy duplication means stability is load-bearing.
-        let mut items: Vec<(u64, usize)> = (0..300)
-            .map(|i| ((i as u64).wrapping_mul(2654435761) % 5, i))
+        let items: Vec<(u128, usize)> = (0..300)
+            .map(|i| ((i as u128).wrapping_mul(2654435761) % 5, i))
             .collect();
         let mut expected = items.clone();
         expected.sort_by_key(|&(p, _)| p);
-        radix_sort_by_prefix(&mut items);
-        assert_eq!(items, expected, "scatter passes must keep insertion order");
+        assert_eq!(
+            radix(&items),
+            expected,
+            "scatter passes must keep insertion order"
+        );
     }
 
     #[test]
     fn radix_sort_covers_all_digit_positions() {
-        // Prefixes differing only in high bytes, only in low bytes, and
-        // across the full range — exercises lane skipping and the
-        // scatter on every byte lane. Repeated past RADIX_MIN so the
-        // radix path (not the small-input fallback) runs.
+        // Keys differing only in high bytes, only in low bytes, and
+        // across the full range — exercises lane skipping, folding and
+        // the scatter on all 16 byte lanes. Repeated past RADIX_MIN so
+        // the radix path (not the small-input fallback) runs.
         let patterns = [
-            u64::MAX,
+            u128::MAX,
             0,
             1,
-            0xFF00_0000_0000_0000,
-            0x0000_0000_0000_FF00,
-            0x8000_0000_0000_0001,
+            0xFF << 120,
+            0xFF00,
+            1 << 127 | 1,
             42,
-            0x0123_4567_89AB_CDEF,
+            0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210,
         ];
-        let mut items: Vec<(u64, usize)> = (0..16)
-            .flat_map(|r| patterns.iter().map(move |&p| p.rotate_left(r)))
+        let items: Vec<(u128, usize)> = (0..32)
+            .flat_map(|r| patterns.iter().map(move |&p| p.rotate_left(4 * r)))
             .enumerate()
             .map(|(i, p)| (p, i))
             .collect();
         assert!(items.len() >= RADIX_MIN);
         let mut expected = items.clone();
         expected.sort_by_key(|&(p, _)| p);
-        radix_sort_by_prefix(&mut items);
-        assert_eq!(items, expected);
+        assert_eq!(radix(&items), expected);
+    }
+
+    #[test]
+    fn low_cardinality_lanes_fold_into_one_digit() {
+        // One grid coordinate with a -1 halo, as the wide key's top four
+        // lanes: -1..=513 takes 256, 4, 2 and 2 byte values, low lane
+        // first — one 4096-bucket digit. The full-range lane below them
+        // cannot join it.
+        let wide = |c: i32, low: u8| (c as u32 as u128) << 96 | low as u128;
+        let items: Vec<(u128, usize)> = (-1..=513)
+            .rev()
+            .flat_map(|c| (0..8).map(move |i| wide(c, (37 * c + i) as u8)))
+            .enumerate()
+            .map(|(i, p)| (p, i))
+            .collect();
+        let histograms = |items: &[(u128, usize)]| -> Vec<[usize; 256]> {
+            [0, 12, 13, 14, 15]
+                .map(|lane| {
+                    let mut histogram = [0; 256];
+                    for (wide, _) in items {
+                        histogram[wide.to_le_bytes()[lane] as usize] += 1;
+                    }
+                    histogram
+                })
+                .to_vec()
+        };
+        assert_eq!(
+            fold_lanes(&histograms(&items), items.len()),
+            vec![(0, 1, 256), (1, 4, 4096)]
+        );
+        let mut expected = items.clone();
+        expected.sort_by_key(|&(p, _)| p);
+        assert_eq!(radix(&items), expected);
+        // A fold never has more buckets than there are items.
+        let few: Vec<(u128, usize)> = items.iter().copied().step_by(5).collect();
+        assert_eq!(
+            fold_lanes(&histograms(&few), few.len()),
+            vec![(0, 1, 256), (1, 1, 256), (2, 3, 16)],
+            "{} items",
+            few.len()
+        );
+        expected.retain(|item| few.contains(item));
+        assert_eq!(radix(&few), expected);
     }
 
     #[test]
     fn prefix_sort_skips_presorted_input_without_comparisons() {
-        let ks = DefaultKeySemantics;
-        // Strictly increasing prefixes: the presorted fast path must
+        // Strictly increasing wide keys: the presorted fast path must
         // detect it and spend zero comparator calls.
         let keys: Vec<Vec<u8>> = (0u32..200).map(|i| i.to_be_bytes().to_vec()).collect();
-        let mut keyed: Vec<(u64, usize)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (ks.sort_prefix(k), i))
-            .collect();
-        let stats = prefix_sort_with(&mut keyed, &ks, |i| keys[i].as_slice());
-        assert_eq!(stats.compare_calls, 0);
-        assert_eq!(stats.tie_records, 0);
-        let order: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
+        let keys: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let (order, stats) = prefix_sort(&keys);
+        assert_eq!((stats.tie_records, stats.compare_calls), (0, 0));
         assert_eq!(order, (0..200).collect::<Vec<_>>());
         // Non-decreasing with a tie must NOT take the shortcut: the tie
         // run still needs its comparator fallback to prove order.
-        let tied: Vec<&[u8]> = vec![b"aaaaaaaa-b", b"aaaaaaaa-a"];
-        let mut keyed: Vec<(u64, usize)> = tied
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (ks.sort_prefix(k), i))
-            .collect();
-        let stats = prefix_sort_with(&mut keyed, &ks, |i| tied[i]);
+        let (order, stats) = prefix_sort(&[b"aaaaaaaaaaaaaaaa-b", b"aaaaaaaaaaaaaaaa-a"]);
         assert!(stats.compare_calls > 0, "ties disqualify the shortcut");
-        let order: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
         assert_eq!(order, vec![1, 0]);
     }
 
@@ -900,8 +1103,8 @@ mod tests {
         assert_eq!(stream.compare_calls(), 0, "distinct prefixes: no fallback");
 
         let tied = [
-            seal(&[pair("aaaaaaaa-x", "1")], None, true),
-            seal(&[pair("aaaaaaaa-y", "2")], None, true),
+            seal(&[pair("aaaaaaaaaaaaaaaa-x", "1")], None, true),
+            seal(&[pair("aaaaaaaaaaaaaaaa-y", "2")], None, true),
         ];
         let segments = open_all(&tied);
         let mut stream = BlockMergeStream::new(&segments, &ks).unwrap();

@@ -16,11 +16,13 @@ use proptest::prelude::*;
 use scihadoop::compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
 use scihadoop::mapreduce::{
-    for_each_group, merge_sorted_runs, BlockMergeStream, Counter, Emit, FnMapper, FnReducer,
-    Framing, IFileReader, IFileVersion, IFileWriter, InputSplit, Job, JobConfig, KeySemantics,
-    KvPair, MergeItem, RawSegment, SpillArena,
+    for_each_group, merge_sorted_runs, sort_pairs, BlockMergeStream, Counter, DefaultKeySemantics,
+    Emit, FnMapper, FnReducer, Framing, IFileReader, IFileVersion, IFileWriter, InputSplit, Job,
+    JobConfig, KeySemantics, KvPair, MergeItem, RawSegment, SpillArena,
 };
 use scihadoop::sfc::CurveRun;
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -319,6 +321,65 @@ fn aggregate_splits(runs: &[(u8, u8, u8)], width: usize, num_splits: usize) -> V
     records.chunks(chunk).map(|c| c.to_vec()).collect()
 }
 
+/// The keys one map task of the sliding-window query emits over the
+/// `rows x cols` block at `(r0, c0)`, in emission order: every cell
+/// writes the nine window centres around it, so a `[variable][row][col]`
+/// key arrives up to nine times, scattered over three input rows, and
+/// both coordinates reach one cell outside the block (−1 from an origin
+/// at 0 — `FF FF FF FF`, which bytewise order puts last). A tall block
+/// is one of the benchmark's column strips, a wide one a row strip.
+/// Keys wider than 12 bytes end in the emitting window slot: inside the
+/// 16-byte wide key at `width == 16`, past it at 20 — and arriving in
+/// descending order, so some sort has to move it.
+fn window_keys(rows: i32, cols: i32, r0: i32, c0: i32, width: usize) -> Vec<Vec<u8>> {
+    let mut keys = Vec::new();
+    for r in r0..r0 + rows {
+        for c in c0..c0 + cols {
+            for (slot, (dr, dc)) in (-1..=1)
+                .flat_map(|dr| (-1..=1).map(move |dc| (dr, dc)))
+                .enumerate()
+            {
+                let mut key = vec![0u8; width];
+                key[4..8].copy_from_slice(&(r + dr).to_be_bytes());
+                key[8..12].copy_from_slice(&(c + dc).to_be_bytes());
+                if width > 12 {
+                    key[width - 1] = 8 - slot as u8;
+                }
+                keys.push(key);
+            }
+        }
+    }
+    keys
+}
+
+/// Default semantics that count comparator calls, and those on two keys
+/// whose first 16 bytes differ — calls a 16-byte wide key should have
+/// decided alone.
+#[derive(Default)]
+struct CountingCompares {
+    calls: AtomicU64,
+    undecided: AtomicU64,
+}
+
+impl KeySemantics for CountingCompares {
+    fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
+        self.calls.fetch_add(1, Relaxed);
+        if a[..a.len().min(16)] != b[..b.len().min(16)] {
+            self.undecided.fetch_add(1, Relaxed);
+        }
+        a.cmp(b)
+    }
+    fn sort_prefix(&self, key: &[u8]) -> u64 {
+        DefaultKeySemantics.sort_prefix(key)
+    }
+    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
+        DefaultKeySemantics.sort_prefix_wide(key)
+    }
+    fn partition(&self, key: &[u8], parts: usize) -> usize {
+        DefaultKeySemantics.partition(key, parts)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
@@ -335,7 +396,7 @@ proptest! {
         values in vec(vec(any::<u8>(), 0..10), 1..20),
         parts in 1usize..5,
     ) {
-        let ks = scihadoop::mapreduce::DefaultKeySemantics;
+        let ks = DefaultKeySemantics;
         let codec: Arc<dyn Codec> = Arc::new(IdentityCodec);
         let mut arena = SpillArena::new(parts);
         let mut staged: Vec<Vec<KvPair>> = (0..parts).map(|_| Vec::new()).collect();
@@ -385,7 +446,7 @@ proptest! {
             } else {
                 Arc::new(IdentityCodec)
             },
-            ks: Arc::new(scihadoop::mapreduce::DefaultKeySemantics),
+            ks: Arc::new(DefaultKeySemantics),
         };
         let splits = plain_splits(&keys, &values, num_splits);
         assert_engine_matches_reference(&cfg, &splits);
@@ -404,7 +465,7 @@ proptest! {
         let ks: Arc<dyn KeySemantics> = if aggregate {
             Arc::new(AggregateKeyOps::new(RangePartitioner::uniform(2, 256), 1))
         } else {
-            Arc::new(scihadoop::mapreduce::DefaultKeySemantics)
+            Arc::new(DefaultKeySemantics)
         };
         let records: Vec<KvPair> = if aggregate {
             aggregate_splits(&runs, 1, 1).remove(0)
@@ -428,6 +489,152 @@ proptest! {
         prop_assert_eq!(fast_pairs, ref_pairs);
     }
 
+    /// Both users of the wide-key kernel against their comparator
+    /// references — the arena sort vs `sort_partition_by_compare`,
+    /// `sort_pairs` vs a stable `sort_by` — on what the 16-byte window
+    /// makes interesting: grid keys of 12, 16 and 20 bytes in
+    /// sliding-window emission order (nine-fold duplicates, halos across
+    /// −1/0 and 255/256, column and row strips), mixed-length keys over a
+    /// tiny alphabet (`"ab"` vs `"ab\0"`), and partitions cut just
+    /// under and over the radix threshold of 64 items.
+    #[test]
+    fn wide_key_sorts_match_comparator_sorts(
+        shape in 0usize..4,
+        geometry in (5i32..14, 1i32..4, any::<bool>(), 0usize..6),
+        mixed in vec(vec(0u8..2, 0..22), 1..200),
+        cut in prop_oneof![Just(63usize), Just(64), Just(65), Just(usize::MAX)],
+        parts in 1usize..4,
+    ) {
+        let ks = DefaultKeySemantics;
+        let (long, short, column_strip, origin) = geometry;
+        let (rows, cols) = if column_strip { (long, short) } else { (short, long) };
+        let (r0, c0) = ([0, 250, -3][origin % 3], [0, 254][origin / 3]);
+        let mut keys = match shape {
+            0 => window_keys(rows, cols, r0, c0, 12),
+            1 => window_keys(rows, cols, r0, c0, 16),
+            2 => window_keys(rows, cols, r0, c0, 20),
+            _ => mixed,
+        };
+        keys.truncate(cut);
+        let mut fast = SpillArena::new(parts);
+        let mut reference = SpillArena::new(parts);
+        let mut pairs = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            // Distinct values expose any stability difference.
+            let tag = (i as u32).to_be_bytes();
+            let p = ks.partition(key, parts);
+            fast.append(p, key, &tag);
+            reference.append(p, key, &tag);
+            pairs.push(KvPair::new(key.clone(), tag.to_vec()));
+        }
+        for p in 0..parts {
+            fast.sort_partition(p, &ks);
+            reference.sort_partition_by_compare(p, &ks);
+            let fast_pairs: Vec<(&[u8], &[u8])> = fast.pairs(p).collect();
+            let ref_pairs: Vec<(&[u8], &[u8])> = reference.pairs(p).collect();
+            prop_assert_eq!(fast_pairs, ref_pairs, "partition {}", p);
+        }
+        let mut expected = pairs.clone();
+        expected.sort_by(|a, b| ks.compare(&a.key, &b.key));
+        sort_pairs(&mut pairs, &ks);
+        prop_assert_eq!(pairs, expected);
+    }
+
+    /// The reducer's merge on the benchmark's shape: 16 column strips'
+    /// sorted runs interleave row by row, so every run's head changes
+    /// rows together and an 8-byte prefix of a 12-byte key ties on each
+    /// of them. The sequence must be `merge_sorted_runs`', through
+    /// `next()` and `next_item()`, flat and block runs alike — and the
+    /// comparator may only be asked about keys whose first 16 bytes are
+    /// equal: here, a 12-byte key on a halo column that two
+    /// neighbouring strips both wrote. Without halos, or when a window
+    /// slot in bytes 12..16 tells the strips' copies apart, it is never
+    /// asked.
+    #[test]
+    fn row_interleaved_merge_compares_only_real_collisions(
+        rows in 2i32..7,
+        strip in 1i32..4,
+        halo in any::<bool>(),
+        width in prop_oneof![Just(12usize), Just(16)],
+        formats in vec(0usize..3, 16),
+    ) {
+        let plain = DefaultKeySemantics;
+        let codec: Arc<dyn Codec> = Arc::new(IdentityCodec);
+        let mut sorted_runs: Vec<Vec<KvPair>> = Vec::new();
+        for s in 0..16 {
+            let keys = if halo {
+                window_keys(rows, strip, 0, s * strip, width)
+            } else {
+                // The same block without its halo emissions.
+                window_keys(rows, strip, 0, s * strip, width)
+                    .into_iter()
+                    .skip(4)
+                    .step_by(9)
+                    .collect()
+            };
+            let mut run: Vec<KvPair> = keys
+                .into_iter()
+                .enumerate()
+                .map(|(i, key)| KvPair::new(key, vec![s as u8, i as u8]))
+                .collect();
+            run.sort_by(|a, b| plain.compare(&a.key, &b.key));
+            sorted_runs.push(run);
+        }
+        let counting = Arc::new(CountingCompares::default());
+        let ks: Arc<dyn KeySemantics> = counting.clone();
+        let sealed: Vec<Vec<u8>> = sorted_runs
+            .iter()
+            .zip(&formats)
+            .map(|(run, &format)| {
+                let mut w = match format {
+                    0 => IFileWriter::new(Framing::IFile, codec.clone()),
+                    1 => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 64),
+                    _ => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 4096),
+                };
+                for p in run {
+                    w.append_pair(p);
+                }
+                w.close().data
+            })
+            .collect();
+        let segments: Vec<RawSegment> = sealed
+            .iter()
+            .map(|s| RawSegment::open(s, codec.as_ref()).expect("segment reads back"))
+            .collect();
+        let materialized = merge_sorted_runs(sorted_runs, &plain);
+
+        for by_item in [false, true] {
+            counting.calls.store(0, Relaxed);
+            counting.undecided.store(0, Relaxed);
+            let mut merged = Vec::new();
+            let mut stream = BlockMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
+            if by_item {
+                while let Some(item) = stream.next_item().expect("merge streams") {
+                    match item {
+                        MergeItem::Record(k, v) => merged.push(KvPair::new(k.to_vec(), v.to_vec())),
+                        MergeItem::Block(blk) => blk
+                            .for_each_record(|k, v| merged.push(KvPair::new(k.to_vec(), v.to_vec())))
+                            .expect("spliced block decodes"),
+                    }
+                }
+            } else {
+                while let Some((k, v)) = stream.next().expect("merge streams") {
+                    merged.push(KvPair::new(k.to_vec(), v.to_vec()));
+                }
+            }
+            prop_assert_eq!(&merged, &materialized, "by_item {}", by_item);
+            // Debug builds re-check every yielded record with the
+            // comparator, which is what the release run of this suite is
+            // for (CI `sort-smoke`).
+            if !cfg!(debug_assertions) {
+                prop_assert_eq!(counting.undecided.load(Relaxed), 0);
+                prop_assert_eq!(counting.calls.load(Relaxed), stream.compare_calls());
+                let collide = halo && width == 12;
+                prop_assert_eq!(stream.compare_calls() > 0, collide, "{} calls", stream.compare_calls());
+            }
+        }
+    }
+
     /// The engine's one merge vs the materializing reference, over
     /// flat-only, block-only and mixed fan-ins: `BlockMergeStream` must
     /// yield exactly `merge_sorted_runs`' sequence — including the
@@ -445,7 +652,7 @@ proptest! {
         let ks: Arc<dyn KeySemantics> = if aggregate {
             Arc::new(AggregateKeyOps::new(RangePartitioner::uniform(2, 256), 1))
         } else {
-            Arc::new(scihadoop::mapreduce::DefaultKeySemantics)
+            Arc::new(DefaultKeySemantics)
         };
         let records: Vec<KvPair> = if aggregate {
             aggregate_splits(&runs, 1, 1).remove(0)

@@ -1,49 +1,135 @@
-//! Property suite for the `KeySemantics::sort_prefix` contract:
+//! Property suite for the `KeySemantics` sort-prefix contract, narrow and
+//! wide:
 //!
 //! > `sort_prefix(a) < sort_prefix(b)` ⇒ `compare(a, b) == Less`
+//! > `sort_prefix_wide(a) < sort_prefix_wide(b)` ⇒ `compare(a, b) == Less`
+//! > `(sort_prefix_wide(k) >> 64) as u64 == sort_prefix(k)`
 //!
 //! checked for every shipped implementation — the default bytewise
-//! semantics over arbitrary byte strings, and the aggregate-key
-//! semantics over valid keys (with curve indices from real Z-order
-//! mappings, including boundary coordinates), junk byte strings, and
-//! starts straddling the 48-bit prefix clamp. The engine's radix spill
-//! sort and loser-tree merge are only correct because of this
-//! implication, so a violation here is a corruption bug, not a perf
-//! regression.
+//! semantics over arbitrary byte strings, the aggregate-key semantics
+//! over valid keys (with curve indices from real Z-order mappings,
+//! including boundary coordinates), junk byte strings, and starts
+//! straddling the 48-bit prefix clamp — and for the two shapes of
+//! implementor that inherit the trait's wide default: a reversed order
+//! that overrides the narrow prefix, and one that overrides nothing but
+//! `partition`. The engine's radix spill sort and loser-tree merge are
+//! only correct because of these implications, and the v3 fence index
+//! because of the third line, so a violation here is a corruption bug,
+//! not a perf regression.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
-use scihadoop::mapreduce::{bytewise_sort_prefix, DefaultKeySemantics, KeySemantics};
+use scihadoop::mapreduce::{
+    bytewise_sort_prefix, bytewise_sort_prefix_wide, DefaultKeySemantics, KeySemantics,
+};
 use scihadoop::sfc::{index_prefix48, Curve, CurveRun, ZOrderCurve};
 use std::cmp::Ordering;
 
-/// Assert the contract over every ordered pair of `keys`, plus the
-/// monotonicity restatement (`compare Less` ⇒ `prefix <=`).
+/// Assert the contract over every ordered pair of `keys` (a), along the
+/// run `compare` sorts them into (b), and between the two widths (c).
 fn check_contract(ks: &dyn KeySemantics, keys: &[Vec<u8>]) -> Result<(), TestCaseError> {
     for a in keys {
+        prop_assert_eq!(
+            (ks.sort_prefix_wide(a) >> 64) as u64,
+            ks.sort_prefix(a),
+            "the wide key's high word must be the narrow prefix: {:?}",
+            a
+        );
         for b in keys {
-            let (pa, pb) = (ks.sort_prefix(a), ks.sort_prefix(b));
-            if pa < pb {
+            let narrow = ks.sort_prefix(a) < ks.sort_prefix(b);
+            let wide = ks.sort_prefix_wide(a) < ks.sort_prefix_wide(b);
+            if narrow || wide {
                 prop_assert_eq!(
                     ks.compare(a, b),
                     Ordering::Less,
-                    "prefix order must imply key order: {:?} vs {:?}",
-                    a,
-                    b
-                );
-            }
-            if ks.compare(a, b) == Ordering::Less {
-                prop_assert!(
-                    pa <= pb,
-                    "prefix must be monotone over key order: {:?} vs {:?}",
+                    "prefix order (narrow {}, wide {}) must imply key order: {:?} vs {:?}",
+                    narrow,
+                    wide,
                     a,
                     b
                 );
             }
         }
     }
+    let mut run: Vec<&Vec<u8>> = keys.iter().collect();
+    run.sort_by(|a, b| ks.compare(a, b));
+    for w in run.windows(2) {
+        prop_assert!(
+            ks.sort_prefix(w[0]) <= ks.sort_prefix(w[1])
+                && ks.sort_prefix_wide(w[0]) <= ks.sort_prefix_wide(w[1]),
+            "prefix regressed along a sorted run: {:?} then {:?}",
+            w[0],
+            w[1]
+        );
+    }
     Ok(())
+}
+
+/// Reversed bytewise order; the complemented narrow prefix preserves it
+/// and the wide key is the trait's default over that.
+struct ReverseOrder;
+
+impl KeySemantics for ReverseOrder {
+    fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
+        b.cmp(a)
+    }
+    fn sort_prefix(&self, key: &[u8]) -> u64 {
+        !bytewise_sort_prefix(key)
+    }
+    fn partition(&self, _key: &[u8], _parts: usize) -> usize {
+        0
+    }
+}
+
+/// Bytewise order with every sort hook left at the trait's default.
+struct OnlyPartition;
+
+impl KeySemantics for OnlyPartition {
+    fn partition(&self, _key: &[u8], _parts: usize) -> usize {
+        0
+    }
+}
+
+/// Byte strings where the 16-byte window's edge cases are the common
+/// case: keys that differ only in trailing zero bytes and length
+/// (`"ab"` vs `"ab\0"`), keys of exactly 15, 16 and 17 bytes over one
+/// stem, and 12-byte grid keys whose `i32` coordinates sit either side
+/// of −1/0 and 255/256.
+fn edge_keys() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let coordinate = || {
+        prop_oneof![
+            Just(-2i32),
+            Just(-1),
+            Just(0),
+            Just(1),
+            Just(254),
+            Just(255),
+            Just(256),
+            Just(257),
+            Just(513),
+            any::<i32>(),
+        ]
+    };
+    (
+        vec(vec(any::<u8>(), 0..20), 2..16),
+        vec((vec(0u8..3, 0..18), 0usize..3), 0..12),
+        vec(any::<u8>(), 17),
+        vec((0u32..2, coordinate(), coordinate()), 0..16),
+    )
+        .prop_map(|(random, stems, long, coordinates)| {
+            let mut keys = random;
+            for (stem, zeros) in stems {
+                let mut padded = stem.clone();
+                padded.extend(std::iter::repeat_n(0u8, zeros));
+                keys.extend([stem, padded]);
+            }
+            keys.extend([15, 16, 17].map(|len| long[..len].to_vec()));
+            for (variable, c0, c1) in coordinates {
+                keys.push([variable.to_be_bytes(), c0.to_be_bytes(), c1.to_be_bytes()].concat());
+            }
+            keys
+        })
 }
 
 fn aggregate_ops() -> AggregateKeyOps {
@@ -65,6 +151,15 @@ proptest! {
         let mut keys = random;
         keys.extend(stems);
         check_contract(&DefaultKeySemantics, &keys)?;
+    }
+
+    /// Bytewise order under all three implementors that use it or its
+    /// mirror image, over the edges of the 16-byte window.
+    #[test]
+    fn bytewise_prefix_contracts_over_edge_keys(keys in edge_keys()) {
+        check_contract(&DefaultKeySemantics, &keys)?;
+        check_contract(&ReverseOrder, &keys)?;
+        check_contract(&OnlyPartition, &keys)?;
     }
 
     /// Aggregate semantics over valid keys whose starts are genuine
@@ -116,24 +211,26 @@ proptest! {
         check_contract(&ops, &keys)?;
     }
 
-    /// The default prefix ties exactly when the first 8 bytes tie, and
-    /// `index_prefix48` is monotone — spot restatements of the pieces
+    /// The default prefixes are the first 8 and 16 bytes, zero-extended,
+    /// and `index_prefix48` is monotone — spot restatements of the pieces
     /// the two implementations are built from.
     #[test]
     fn prefix_building_blocks_are_monotone(
         a in any::<u128>(),
         b in any::<u128>(),
-        key in vec(any::<u8>(), 0..20),
+        key in vec(any::<u8>(), 0..24),
     ) {
         if a <= b {
             prop_assert!(index_prefix48(a) <= index_prefix48(b));
         } else {
             prop_assert!(index_prefix48(a) >= index_prefix48(b));
         }
-        let mut first8 = [0u8; 8];
-        let n = key.len().min(8);
-        first8[..n].copy_from_slice(&key[..n]);
-        prop_assert_eq!(bytewise_sort_prefix(&key), u64::from_be_bytes(first8));
+        let mut first16 = [0u8; 16];
+        let n = key.len().min(16);
+        first16[..n].copy_from_slice(&key[..n]);
+        let wide = u128::from_be_bytes(first16);
+        prop_assert_eq!(bytewise_sort_prefix_wide(&key), wide);
+        prop_assert_eq!(bytewise_sort_prefix(&key), (wide >> 64) as u64);
     }
 }
 
