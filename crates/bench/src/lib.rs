@@ -12,7 +12,7 @@ pub mod regress;
 pub mod report;
 pub mod workloads;
 
-pub use codecs::{codec_by_name, codec_by_name_with_block_size};
+pub use codecs::codec_by_name;
 pub use distjobs::{dist_worker, DistJobSpec};
 pub use experiments::*;
 pub use report::Table;

@@ -71,12 +71,6 @@ pub const BUDGETS: &[Budget] = &[
     },
     Budget {
         file: "BENCH_codec.json",
-        field: "size_regression_percent",
-        max: Some(1.0),
-        min: None,
-    },
-    Budget {
-        file: "BENCH_codec.json",
         field: "lz_vs_deflate_compress_speedup",
         max: None,
         min: Some(3.0),
@@ -532,16 +526,12 @@ mod tests {
 
     #[test]
     fn lz_throughput_floor_gates_slow_compressors() {
-        let fast =
-            parse(r#"{"size_regression_percent": 0.5, "lz_vs_deflate_compress_speedup": 12.4}"#)
-                .unwrap();
+        let fast = parse(r#"{"lz_vs_deflate_compress_speedup": 12.4}"#).unwrap();
         let checks = check_budgets(&fast, "BENCH_codec.json");
         assert!(checks.iter().all(|c| c.ok), "{checks:?}");
         // A speedup below the 3x floor fails: the fast codec's whole
         // reason to exist is being cheap enough to always leave on.
-        let slow =
-            parse(r#"{"size_regression_percent": 0.5, "lz_vs_deflate_compress_speedup": 1.2}"#)
-                .unwrap();
+        let slow = parse(r#"{"lz_vs_deflate_compress_speedup": 1.2}"#).unwrap();
         let checks = check_budgets(&slow, "BENCH_codec.json");
         let bad: Vec<_> = checks.iter().filter(|c| !c.ok).collect();
         assert_eq!(bad.len(), 1);

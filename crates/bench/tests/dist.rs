@@ -215,8 +215,7 @@ fn wire_lz_tiny_budget_storm_is_byte_identical_over_uds() {
 #[test]
 fn a_compressed_codec_survives_the_wire_byte_identically() {
     let spec = DistJobSpec {
-        codec: "block-transform+deflate".into(),
-        block_kib: 16,
+        codec: "transform+deflate".into(),
         ..clean_spec()
     };
     dist_equivalence(

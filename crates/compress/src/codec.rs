@@ -14,7 +14,7 @@ use std::sync::Arc;
 pub trait Codec: Send + Sync {
     /// Short name used in reports ("gzip-equivalent" codecs report
     /// "deflate", etc.). Wrapper codecs compose names dynamically
-    /// ("transform+deflate", "block-transform+deflate"), so the name
+    /// ("transform+deflate", "transform+lz"), so the name
     /// borrows from the codec rather than from static storage.
     fn name(&self) -> &str;
 

@@ -16,11 +16,9 @@
 //! Both formats carry a CRC-32 so corruption is detected, not propagated
 //! (the failure-injection tests rely on this). [`Codec`] is the pluggable
 //! interface the MapReduce engine and the paper's transform codec build
-//! on, and [`BlockCodec`] wraps any of them with pbzip2/pigz-style
-//! fixed-size blocks compressed in parallel on a shared [`CodecPool`].
+//! on: one whole-buffer pass per segment, on the calling task's thread.
 
 pub mod bitio;
-pub mod block;
 pub mod bwt;
 pub mod bzip;
 pub mod checksum;
@@ -33,7 +31,6 @@ pub mod lz77;
 pub mod mtf;
 pub mod rle;
 
-pub use block::{BlockCodec, CodecPool, DEFAULT_BLOCK_SIZE};
 pub use bzip::BzipCodec;
 pub use checksum::{crc32, crc32c, Crc32, Crc32c};
 pub use codec::{Codec, CodecHandle, IdentityCodec, RleCodec};

@@ -381,8 +381,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
 }
 
 /// The lz format as a pluggable [`Codec`]: `lz` in the factory grammar,
-/// composable as `block-lz` (parallel block frame) and `transform+lz`
-/// (stride transform over residuals).
+/// composable as `transform+lz` (stride transform over residuals).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LzCodec;
 

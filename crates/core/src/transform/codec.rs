@@ -197,19 +197,5 @@ mod tests {
             TransformCodec::with_defaults(Arc::new(scihadoop_compress::LzCodec)).name(),
             "transform+lz"
         );
-        assert_eq!(
-            TransformCodec::with_defaults(Arc::new(scihadoop_compress::BlockCodec::new(Arc::new(
-                scihadoop_compress::LzCodec
-            ))))
-            .name(),
-            "transform+block-lz"
-        );
-        assert_eq!(
-            TransformCodec::with_defaults(Arc::new(scihadoop_compress::BlockCodec::new(Arc::new(
-                DeflateCodec::new()
-            ))))
-            .name(),
-            "transform+block-deflate"
-        );
     }
 }

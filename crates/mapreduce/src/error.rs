@@ -48,8 +48,8 @@ impl MrError {
     /// data-integrity failure — the signal the runner counts as caught
     /// corruption rather than a logic bug. Both the segment's own
     /// CRC-32C trailer ([`MrError::Checksum`]) and a CRC mismatch
-    /// reported from inside a codec frame (the block codec checks each
-    /// block before handing it to the inner codec) qualify.
+    /// reported from inside a codec frame (the lz, deflate and bzip
+    /// frames each verify their own CRC while decoding) qualify.
     pub fn is_checksum(&self) -> bool {
         self.task_errors().iter().any(|e| {
             matches!(
@@ -132,14 +132,14 @@ mod tests {
         ]);
         assert!(nested.is_checksum());
         assert!(!MrError::Config("nope".into()).is_checksum());
-        // A CRC mismatch caught inside a codec frame (block codec) is
-        // detected corruption too; other codec errors are not.
-        let block_crc: MrError = CompressError::ChecksumMismatch {
+        // A CRC mismatch caught inside a codec frame (lz, deflate,
+        // bzip) is detected corruption too; other codec errors are not.
+        let frame_crc: MrError = CompressError::ChecksumMismatch {
             stored: 1,
             computed: 2,
         }
         .into();
-        assert!(block_crc.is_checksum());
+        assert!(frame_crc.is_checksum());
         let structural: MrError = CompressError::Corrupt("table".into()).into();
         assert!(!structural.is_checksum());
     }

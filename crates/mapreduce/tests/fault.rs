@@ -3,6 +3,7 @@
 //! to a clean run; faults above the budget must fail the job with the
 //! retry-exhausted errors.
 
+use scihadoop_compress::{Codec, IdentityCodec, LzCodec};
 use scihadoop_mapreduce::record::{Emit, FnMapper, FnReducer, InputSplit, KvPair};
 use scihadoop_mapreduce::{
     Counter, FaultConfig, FaultPlan, Job, JobConfig, JobResult, MrError, ALL_COUNTERS,
@@ -129,29 +130,43 @@ fn faulted_runs_are_deterministic_per_seed() {
 
 #[test]
 fn corruption_is_detected_and_retried() {
-    // Corruption-only storm: every retry is caused by a trailer (or
-    // codec) detection, so checksum failures are nonzero and the
-    // ChecksumFailures <= TaskRetries invariant is meaningfully active.
-    let config = JobConfig::default()
-        .with_reducers(2)
-        .with_retries(2)
-        .with_retry_backoff(Duration::from_micros(1))
-        .with_faults(FaultPlan::new(FaultConfig {
-            seed: 1,
-            corrupt_rate: 0.8,
-            attempt_cap: 1,
-            ..FaultConfig::default()
-        }));
-    let result = sum_job(config, 200, 19).expect("corruption below retry budget");
-    assert!(
-        result.counters.get(Counter::ChecksumFailures) > 0,
-        "corruption storm produced no checksum failures"
-    );
-    assert!(
-        result.counters.get(Counter::ChecksumFailures) <= result.counters.get(Counter::TaskRetries)
-    );
-    let clean = sum_job(JobConfig::default().with_reducers(2), 200, 19).unwrap();
-    assert_eq!(clean.outputs.concat(), result.outputs.concat());
+    // Corruption-only storm: every retry is caused by a detection, so
+    // checksum failures are nonzero and the ChecksumFailures <=
+    // TaskRetries invariant is meaningfully active. Under the identity
+    // codec the segment's CRC-32C trailer detects the flip; under lz
+    // the frame's own CRC raises `CompressError::ChecksumMismatch`
+    // before the trailer is ever reached, so the codec arm of
+    // `MrError::is_checksum` is what counts it.
+    let codecs: [Arc<dyn Codec>; 2] = [Arc::new(IdentityCodec), Arc::new(LzCodec)];
+    for codec in codecs {
+        let name = codec.name();
+        let base = || {
+            JobConfig::default()
+                .with_reducers(2)
+                .with_codec(codec.clone())
+        };
+        let config = base()
+            .with_retries(2)
+            .with_retry_backoff(Duration::from_micros(1))
+            .with_faults(FaultPlan::new(FaultConfig {
+                seed: 1,
+                corrupt_rate: 0.8,
+                attempt_cap: 1,
+                ..FaultConfig::default()
+            }));
+        let result = sum_job(config, 200, 19).expect("corruption below retry budget");
+        assert!(
+            result.counters.get(Counter::ChecksumFailures) > 0,
+            "{name}: corruption storm produced no checksum failures"
+        );
+        assert!(
+            result.counters.get(Counter::ChecksumFailures)
+                <= result.counters.get(Counter::TaskRetries),
+            "{name}"
+        );
+        let clean = sum_job(base(), 200, 19).unwrap();
+        assert_eq!(clean.outputs.concat(), result.outputs.concat(), "{name}");
+    }
 }
 
 #[test]
