@@ -292,7 +292,6 @@ fn bench_shuffle_serve(c: &mut Criterion) {
     assert_eq!(spill_store.spilled_bytes(), (MAPS * SEG_LEN) as u64);
 
     let serve = |store: &ShuffleStore| -> u64 {
-        let _fetch = store.fetch_guard(0);
         let mut chunk = vec![0u8; 64 << 10];
         let mut acc = 0u64;
         for m in 0..MAPS {

@@ -1342,7 +1342,7 @@ pub fn scaling_check(sides: &[u32]) -> Result<Table, GridError> {
     Ok(table)
 }
 
-/// Distributed-runtime equivalence: run one [`DistJobSpec`] through the
+/// Distributed-runtime equivalence: run one [`DistJobSpec`](crate::DistJobSpec) through the
 /// local thread pool and through [`run_distributed`] (real worker
 /// processes over sockets), then assert the two runs are byte-identical
 /// — same outputs, same record counts, same shuffle bytes, same fault

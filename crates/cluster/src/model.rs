@@ -47,13 +47,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Builder-style override for both CPU scales at once.
-    pub fn with_cpu_scale(mut self, s: f64) -> Self {
-        self.engine_cpu_scale = s;
-        self.codec_cpu_scale = s;
-        self
-    }
-
     /// A spec describing the machine a ledger record was measured on,
     /// for model-vs-measured reconciliation: the run's own slot counts,
     /// unit CPU scales (the record's nanos *are* this machine's CPU),
@@ -460,9 +453,13 @@ mod tests {
     #[test]
     fn cpu_scale_amplifies_codec_cost_only() {
         let st = stats(10_000_000_000, 100_000_000_000);
-        let base = CostModel::new(ClusterSpec::paper_cluster().with_cpu_scale(1.0)).simulate(&st);
-        let scaled =
-            CostModel::new(ClusterSpec::paper_cluster().with_cpu_scale(10.0)).simulate(&st);
+        let with_cpu_scale = |s: f64| {
+            let mut spec = ClusterSpec::paper_cluster();
+            spec.engine_cpu_scale = s;
+            spec.codec_cpu_scale = s;
+            CostModel::new(spec).simulate(&st)
+        };
+        let (base, scaled) = (with_cpu_scale(1.0), with_cpu_scale(10.0));
         assert!((scaled.phases.map_codec_s / base.phases.map_codec_s - 10.0).abs() < 1e-9);
         assert!((scaled.phases.shuffle_s - base.phases.shuffle_s).abs() < 1e-9);
     }

@@ -50,11 +50,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of complete bytes written so far.
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
-    }
-
     /// Finish (byte-aligning) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_byte();
@@ -142,11 +137,6 @@ impl<'a> BitReader<'a> {
         self.acc >>= drop;
         self.nbits -= drop;
     }
-
-    /// Bits still available (buffered plus unread bytes).
-    pub fn bits_remaining(&self) -> u64 {
-        self.nbits as u64 + 8 * (self.data.len() - self.pos) as u64
-    }
 }
 
 #[cfg(test)]
@@ -192,13 +182,5 @@ mod tests {
         r.read_bits(3).unwrap();
         r.align_byte();
         assert_eq!(r.read_bits(8).unwrap(), 0x01);
-    }
-
-    #[test]
-    fn bits_remaining_tracks_consumption() {
-        let mut r = BitReader::new(&[0, 0, 0, 0]);
-        assert_eq!(r.bits_remaining(), 32);
-        r.read_bits(5).unwrap();
-        assert_eq!(r.bits_remaining(), 27);
     }
 }

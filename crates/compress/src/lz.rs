@@ -19,7 +19,7 @@
 //! back-reference offset (1..=65535), then any match-length extension
 //! bytes. The final sequence is literals only — the stream ends after
 //! them, with no offset. Matches never extend into the last
-//! [`LAST_LITERALS`] bytes and the scan stops [`MFLIMIT`] bytes before
+//! `LAST_LITERALS` bytes and the scan stops `MFLIMIT` bytes before
 //! the end, so every stream terminates in a literal run.
 //!
 //! # Frame

@@ -129,12 +129,6 @@ impl Coord {
         self.zip_with(other, i32::max)
     }
 
-    /// True if every component is non-negative (i.e. the coordinate can be
-    /// cast to unsigned curve space without bias).
-    pub fn is_non_negative(&self) -> bool {
-        self.components().iter().all(|&c| c >= 0)
-    }
-
     /// Convert to unsigned components, failing if any is negative.
     pub fn to_unsigned(&self) -> Result<Vec<u32>, GridError> {
         let mut out = vec![0; self.ndims()];

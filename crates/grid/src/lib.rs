@@ -16,7 +16,6 @@ pub mod bbox;
 pub mod coord;
 pub mod dataset;
 pub mod error;
-pub mod io;
 pub mod shape;
 pub mod value;
 pub mod walker;
@@ -26,8 +25,7 @@ pub use bbox::BoundingBox;
 pub use coord::{Coord, INLINE_DIMS};
 pub use dataset::{Dataset, Variable};
 pub use error::GridError;
-pub use io::{load_dataset, read_dataset, save_dataset, write_dataset};
 pub use shape::Shape;
 pub use value::{DataType, Value};
 pub use walker::{BlockWalker, GridWalker, RowMajorWalker};
-pub use writable::{GridKey, VariableId, WritableSink, WritableSource};
+pub use writable::{GridKey, VariableId};

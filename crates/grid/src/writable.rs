@@ -210,18 +210,6 @@ pub fn read_vint(buf: &[u8]) -> Result<(i64, usize), GridError> {
     Ok((v, 1 + data_bytes))
 }
 
-/// Convenience trait for things that serialize into a growing byte buffer.
-pub trait WritableSink {
-    /// Append the serialized form of `self` to `out`.
-    fn write_to(&self, out: &mut Vec<u8>);
-}
-
-/// Convenience trait for things that deserialize from a byte slice.
-pub trait WritableSource: Sized {
-    /// Parse from the front of `buf`; return the value and bytes consumed.
-    fn read_from(buf: &[u8]) -> Result<(Self, usize), GridError>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use scihadoop_grid::writable::{read_vint, write_vint};
-use scihadoop_grid::{
-    read_dataset, write_dataset, BoundingBox, Coord, Dataset, GridKey, Shape, Variable, VariableId,
-};
+use scihadoop_grid::{BoundingBox, Coord, GridKey, Shape, VariableId};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -147,19 +145,5 @@ proptest! {
             let n = pieces.iter().filter(|p| p.contains(&cell)).count();
             prop_assert_eq!(n, 1);
         }
-    }
-
-    #[test]
-    fn dataset_io_roundtrips(
-        w in 1u32..8, h in 1u32..8, seed in any::<u64>(),
-        name in "[a-z][a-z0-9_]{0,12}",
-    ) {
-        let mut ds = Dataset::new();
-        ds.add(Variable::random_i32(&name, Shape::new(vec![w, h]), 1000, seed).unwrap());
-        let bytes = write_dataset(&ds);
-        let back = read_dataset(&bytes).unwrap();
-        prop_assert_eq!(back.variables().len(), 1);
-        prop_assert_eq!(back.variables()[0].raw_data(), ds.variables()[0].raw_data());
-        prop_assert_eq!(back.variables()[0].name(), name.as_str());
     }
 }

@@ -388,86 +388,80 @@ impl Slot for RemoteSlot {
         let mut wait_nanos = 0u64;
         let mut transfer_nanos = 0u64;
         let mut wire_saved = 0u64;
-        {
-            // Mark this partition actively fetched for the duration of the
-            // segment stream: the store's eviction policy keeps its
-            // resident segments in memory while we are about to need them.
-            let _fetch = job.store.fetch_guard(task);
-            // One reusable frame: each chunk is assembled in it — for
-            // spilled segments, `pread` straight into the frame's payload
-            // region — and written out whole.
-            let mut frame = Vec::new();
-            for map_task in 0..job.num_maps {
-                let wait_t0 = Instant::now();
-                let fetched = match job.fetch(task, map_task, attempt, index) {
-                    Ok(fetched) => fetched,
-                    Err(_) if job.is_aborted() => {
-                        // Release the worker cleanly; the abort's cause
-                        // is already collected elsewhere.
-                        self.send(&Msg::Shutdown)?;
-                        return Ok(None);
-                    }
-                    Err(e) => return Err(e),
-                };
-                wait_nanos += wait_t0.elapsed().as_nanos() as u64;
-                let Some(fetched) = fetched else { continue };
-                let (src, comp, orig_len) = match &fetched {
-                    Fetched::Copy(data) => (ChunkSource::Slice(data), false, 0),
-                    Fetched::Stored(h) => {
-                        let src = match &h.repr {
-                            SegmentRepr::Mem(data) => ChunkSource::Slice(data),
-                            SegmentRepr::Spilled(s) => ChunkSource::Spilled(s),
-                        };
-                        let orig_len = if h.is_comp() { h.logical_len() } else { 0 };
-                        (src, h.is_comp(), orig_len)
-                    }
-                };
-                let total = src.len();
-                if comp {
-                    wire_saved += (orig_len - total) as u64;
+        // One reusable frame: each chunk is assembled in it — for
+        // spilled segments, `pread` straight into the frame's payload
+        // region — and written out whole.
+        let mut frame = Vec::new();
+        for map_task in 0..job.num_maps {
+            let wait_t0 = Instant::now();
+            let fetched = match job.fetch(task, map_task, attempt, index) {
+                Ok(fetched) => fetched,
+                Err(_) if job.is_aborted() => {
+                    // Release the worker cleanly; the abort's cause
+                    // is already collected elsewhere.
+                    self.send(&Msg::Shutdown)?;
+                    return Ok(None);
                 }
-                let mut crc = Crc32c::new();
-                let mut off = 0usize;
-                let mut sent_any = false;
-                while off < total || !sent_any {
-                    let end = (off + CHUNK_BYTES).min(total);
-                    let last = end == total;
-                    encode_seg_chunk(
-                        &mut frame,
-                        index as u32,
-                        last,
-                        comp,
-                        orig_len as u32,
-                        end - off,
-                        |buf| match &src {
-                            ChunkSource::Slice(data) => {
-                                buf.copy_from_slice(&data[off..end]);
-                                Ok(())
-                            }
-                            // Re-verify the spill-time CRC incrementally;
-                            // the final chunk is checked *before* it is
-                            // sent, so disk corruption never reaches a
-                            // worker.
-                            ChunkSource::Spilled(h) => {
-                                h.read_range(off, buf)?;
-                                crc.update(buf);
-                                if last && crc.finish() != h.crc() {
-                                    return Err(h.crc_error(crc.finish()));
-                                }
-                                Ok(())
-                            }
-                        },
-                    )?;
-                    let send_t0 = Instant::now();
-                    self.stream
-                        .write_all(&frame)
-                        .map_err(|e| MrError::Net(format!("write SegChunk: {e}")))?;
-                    transfer_nanos += send_t0.elapsed().as_nanos() as u64;
-                    sent_any = true;
-                    off = end;
+                Err(e) => return Err(e),
+            };
+            wait_nanos += wait_t0.elapsed().as_nanos() as u64;
+            let Some(fetched) = fetched else { continue };
+            let (src, comp, orig_len) = match &fetched {
+                Fetched::Copy(data) => (ChunkSource::Slice(data), false, 0),
+                Fetched::Stored(h) => {
+                    let src = match &h.repr {
+                        SegmentRepr::Mem(data) => ChunkSource::Slice(data),
+                        SegmentRepr::Spilled(s) => ChunkSource::Spilled(s),
+                    };
+                    let orig_len = if h.is_comp() { h.logical_len() } else { 0 };
+                    (src, h.is_comp(), orig_len)
                 }
-                index += 1;
+            };
+            let total = src.len();
+            if comp {
+                wire_saved += (orig_len - total) as u64;
             }
+            let mut crc = Crc32c::new();
+            let mut off = 0usize;
+            let mut sent_any = false;
+            while off < total || !sent_any {
+                let end = (off + CHUNK_BYTES).min(total);
+                let last = end == total;
+                encode_seg_chunk(
+                    &mut frame,
+                    index as u32,
+                    last,
+                    comp,
+                    orig_len as u32,
+                    end - off,
+                    |buf| match &src {
+                        ChunkSource::Slice(data) => {
+                            buf.copy_from_slice(&data[off..end]);
+                            Ok(())
+                        }
+                        // Re-verify the spill-time CRC incrementally;
+                        // the final chunk is checked *before* it is
+                        // sent, so disk corruption never reaches a
+                        // worker.
+                        ChunkSource::Spilled(h) => {
+                            h.read_range(off, buf)?;
+                            crc.update(buf);
+                            if last && crc.finish() != h.crc() {
+                                return Err(h.crc_error(crc.finish()));
+                            }
+                            Ok(())
+                        }
+                    },
+                )?;
+                let send_t0 = Instant::now();
+                self.stream
+                    .write_all(&frame)
+                    .map_err(|e| MrError::Net(format!("write SegChunk: {e}")))?;
+                transfer_nanos += send_t0.elapsed().as_nanos() as u64;
+                sent_any = true;
+                off = end;
+            }
+            index += 1;
         }
         self.send(&Msg::SegmentsDone {
             count: index as u32,

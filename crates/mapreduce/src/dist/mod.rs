@@ -9,7 +9,7 @@
 //!
 //! # Protocol
 //!
-//! One connection per worker, framed by [`wire`] (u32 length prefix +
+//! One connection per worker, framed by `wire` (u32 length prefix +
 //! tag byte), carrying one conversation. The worker speaks first, and
 //! the frames a connection carries, both directions interleaved in the
 //! order they are sent, are a sentence of this grammar:
@@ -135,13 +135,14 @@ pub struct DistConfig {
     /// config/mapper/reducer the coordinator uses. Unused in thread
     /// mode. Must be non-empty for [`run_distributed`].
     pub job_payload: String,
-    /// In-memory budget for the job's shuffle store, in bytes.
-    /// Segments beyond it spill to per-partition disk files and are
-    /// served back by positioned reads. `None` sizes the budget from
-    /// available machine memory
-    /// ([`auto_shuffle_mem_bytes`](crate::dist::auto_shuffle_mem_bytes));
-    /// `Some(0)` spills everything, `Some(usize::MAX)` never spills.
-    /// Placement only — the served bytes are identical either way.
+    /// In-memory budget for the job's shuffle store, in bytes. A
+    /// published segment that fits what is left of it stays resident
+    /// until its partition's reduce commits; one that does not goes to
+    /// its partition's spill file and is served back by positioned
+    /// reads. `None` sizes the budget from available machine memory
+    /// ([`auto_shuffle_mem_bytes`]); `Some(0)` spills everything,
+    /// `Some(usize::MAX)` never spills. Placement only — the served
+    /// bytes are identical either way.
     pub shuffle_mem_bytes: Option<usize>,
     /// Shuffle wire/spill compression.
     pub wire_codec: WireCodec,

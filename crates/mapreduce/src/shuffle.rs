@@ -14,40 +14,36 @@
 //!
 //! # Memory budget and spill format
 //!
-//! `publish` admits each segment to memory while the resident total
-//! stays within the budget; crossing the watermark evicts resident
-//! segments — least-recently-touched first, preferring partitions **no
-//! reducer is actively fetching** (an active fetcher is about to need
-//! its partition's segments, so they stay hot) — to an append-only
-//! spill file per partition. A segment larger than the whole budget
-//! spills directly. The spill file is raw segment bytes back to back;
-//! the in-memory slot keeps the `(offset, len, crc)` index entry, and
-//! every spill-file read re-verifies the CRC-32C recorded at spill
-//! time, so silent disk corruption fails loudly instead of reducing
-//! over garbage. Replaced slots (a republished map attempt) leave dead
-//! bytes behind in the file — the files are job-scoped temporaries,
-//! removed when the store drops, so reclaiming holes is not worth a
-//! compaction pass.
+//! Placement is decided once, at `publish`, and never revisited: a
+//! segment that fits what is left of the budget stays resident until
+//! its partition's reduce commits, one that does not is appended to
+//! its partition's spill file — Hadoop's own reduce-side rule. The
+//! spill file is raw segment bytes back to back; the slot keeps the
+//! `(offset, len, crc)` index entry, and every spill-file read
+//! re-verifies the CRC-32C recorded at spill time, so silent disk
+//! corruption fails loudly instead of reducing over garbage. Replaced
+//! slots (a republished map attempt) leave dead bytes behind in the
+//! file — the files are job-scoped temporaries, removed when the store
+//! drops, so reclaiming holes is not worth a compaction pass.
 //!
 //! Fetch paths never re-buffer a spilled segment through an
 //! intermediate `Vec`: [`SpilledHandle::read_range`] `pread`s straight
 //! into whatever buffer the caller is assembling (the coordinator
 //! points it at the payload region of a wire frame). Spilled segments
 //! are *not* promoted back to memory on read — a fetch is the last
-//! time the coordinator touches those bytes, so promoting them would
-//! evict segments that still have a first fetch ahead of them.
+//! time the coordinator touches those bytes.
 //!
 //! A partition's segments are retained until its reduce *commits*
 //! ([`ShuffleStore::release`]), not freed after a first fetch, so a
 //! retried reduce attempt re-fetches the same bytes; for spilled
-//! segments the handle stays valid across eviction and republish
-//! because spill files are append-only.
+//! segments the handle stays valid across republish because spill
+//! files are append-only.
 //!
 //! # Wire/spill compression
 //!
 //! With [`WireCodec::Lz`] each segment is compressed **once, at
 //! publish**, outside the store lock; what the store admits, budgets,
-//! evicts, spills, and serves afterwards is the compressed frame —
+//! spills, and serves afterwards is the compressed frame —
 //! spill disk, resident memory, and the wire all see the small bytes,
 //! and the zero-copy `pread`-into-frame serving path is untouched. A
 //! segment the codec cannot shrink is stored raw (`comp == false`), so
@@ -162,56 +158,17 @@ impl Drop for SpillFile {
     }
 }
 
-/// Where one (partition, map task) segment currently lives. `comp`
-/// marks stored bytes as an lz frame; `logical_len` is the segment's
-/// uncompressed length (equal to the stored length when raw). Budgets
-/// and spill accounting run on stored bytes, job-level `ShuffleBytes`
-/// on logical bytes.
-enum Slot {
-    /// No data: not yet published, or the map task emitted nothing for
-    /// this partition.
-    Empty,
-    /// Resident. `touch` is the LRU clock value of the last access.
-    Mem {
-        data: Arc<Vec<u8>>,
-        touch: u64,
-        comp: bool,
-        logical_len: usize,
-    },
-    /// Spilled to the partition's file at `offset`.
-    Spilled {
-        offset: u64,
-        len: usize,
-        crc: u32,
-        comp: bool,
-        logical_len: usize,
-    },
-}
-
-impl Slot {
-    fn logical_len(&self) -> Option<usize> {
-        match self {
-            Slot::Empty => None,
-            Slot::Mem { logical_len, .. } | Slot::Spilled { logical_len, .. } => Some(*logical_len),
-        }
-    }
-}
-
 struct StoreState {
-    /// `slots[partition][map_task]`.
-    slots: Vec<Vec<Slot>>,
+    /// `slots[partition][map_task]`; `None` is no data — not yet
+    /// published, or the map task emitted nothing for this partition.
+    slots: Vec<Vec<Option<SegmentHandle>>>,
     /// Whether each map task's outputs have been committed.
     done: Vec<bool>,
     aborted: bool,
     /// Per-partition spill files, created on first spill.
     spill: Vec<Option<SpillFile>>,
-    /// Per-partition count of reduce serves currently fetching; their
-    /// segments are evicted last.
-    active_fetchers: Vec<usize>,
     /// Resident segment bytes right now. Never exceeds `mem_budget`.
     mem_used: usize,
-    /// LRU clock, bumped on every admit/touch.
-    clock: u64,
     mem_high_water: u64,
     spilled_bytes: u64,
     spill_reads: u64,
@@ -227,85 +184,29 @@ struct StoreState {
 }
 
 impl StoreState {
-    fn touch_next(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Evict resident segments until `extra` more bytes fit in the
-    /// budget. Victims are least-recently-touched first among
-    /// partitions with no active fetcher, then (only if that is not
-    /// enough) among actively fetched partitions too.
-    fn make_room(&mut self, extra: usize, budget: usize) -> Result<(), MrError> {
-        while self.mem_used + extra > budget {
-            let mut victim: Option<(usize, usize, bool, u64)> = None;
-            for (p, row) in self.slots.iter().enumerate() {
-                let active = self.active_fetchers[p] > 0;
-                for (m, slot) in row.iter().enumerate() {
-                    if let Slot::Mem { touch, .. } = slot {
-                        let better = match &victim {
-                            None => true,
-                            Some((_, _, v_active, v_touch)) => {
-                                (active, *touch) < (*v_active, *v_touch)
-                            }
-                        };
-                        if better {
-                            victim = Some((p, m, active, *touch));
-                        }
-                    }
-                }
-            }
-            let Some((p, m, _, _)) = victim else {
-                // Nothing resident left to evict; the caller only asks
-                // for room a full eviction can provide.
-                return Ok(());
-            };
-            self.spill_slot(p, m)?;
-        }
-        Ok(())
-    }
-
     /// Append `data` to `partition`'s spill file (created on first
     /// use) and return the index entry for it, CRC included — bytes
     /// that stay resident are never checksummed.
     fn spill_bytes(
         &mut self,
         partition: usize,
+        map_task: usize,
         data: &[u8],
-        comp: bool,
-        logical_len: usize,
-    ) -> Result<Slot, MrError> {
+    ) -> Result<SpilledHandle, MrError> {
         if self.spill[partition].is_none() {
             self.spill[partition] = Some(SpillFile::create(partition)?);
         }
         let file = self.spill[partition].as_mut().expect("just created");
         let offset = file.append(data)?;
         self.spilled_bytes += data.len() as u64;
-        Ok(Slot::Spilled {
+        Ok(SpilledHandle {
+            file: Arc::clone(&file.file),
             offset,
             len: data.len(),
             crc: crc32c(data),
-            comp,
-            logical_len,
+            partition,
+            map_task,
         })
-    }
-
-    /// Move one resident slot to its partition's spill file.
-    fn spill_slot(&mut self, partition: usize, map_task: usize) -> Result<(), MrError> {
-        let Slot::Mem {
-            data,
-            comp,
-            logical_len,
-            ..
-        } = &self.slots[partition][map_task]
-        else {
-            return Ok(());
-        };
-        let (data, comp, logical_len) = (Arc::clone(data), *comp, *logical_len);
-        let slot = self.spill_bytes(partition, &data, comp, logical_len)?;
-        self.mem_used -= data.len();
-        self.slots[partition][map_task] = slot;
-        Ok(())
     }
 }
 
@@ -339,15 +240,11 @@ impl ShuffleStore {
     ) -> ShuffleStore {
         ShuffleStore {
             state: Mutex::new(StoreState {
-                slots: (0..num_partitions)
-                    .map(|_| (0..num_maps).map(|_| Slot::Empty).collect())
-                    .collect(),
+                slots: vec![vec![None; num_maps]; num_partitions],
                 done: vec![false; num_maps],
                 aborted: false,
                 spill: (0..num_partitions).map(|_| None).collect(),
-                active_fetchers: vec![0; num_partitions],
                 mem_used: 0,
-                clock: 0,
                 mem_high_water: 0,
                 spilled_bytes: 0,
                 spill_reads: 0,
@@ -372,8 +269,8 @@ impl ShuffleStore {
     /// all of them are stored, so a fetcher never observes a partial
     /// set. Republishing (a retried map attempt whose predecessor was
     /// counted failed) replaces the previous attempt's segments.
-    /// Segments that do not fit the memory budget go straight to the
-    /// partition's spill file.
+    /// A segment that fits what is left of the memory budget is admitted;
+    /// any other goes straight to its partition's spill file.
     pub fn publish(&self, map_task: usize, outputs: Vec<(usize, Vec<u8>)>) -> Result<(), MrError> {
         // Compress outside the lock: publishers are concurrent map
         // connections, and codec CPU time must not serialize them.
@@ -398,32 +295,28 @@ impl ShuffleStore {
         let mut guard = self.lock_state();
         let state = &mut *guard;
         state.compress_nanos += compress_nanos;
-        for partition in 0..state.slots.len() {
-            match &state.slots[partition][map_task] {
-                Slot::Mem { data, .. } => state.mem_used -= data.len(),
+        for row in &mut state.slots {
+            match row[map_task].take().map(|old| old.repr) {
+                Some(SegmentRepr::Mem(data)) => state.mem_used -= data.len(),
                 // The predecessor's spilled bytes stay behind in the
                 // append-only file; account them as dead.
-                Slot::Spilled { len, .. } => state.spill_dead_bytes += *len as u64,
-                Slot::Empty => {}
+                Some(SegmentRepr::Spilled(old)) => state.spill_dead_bytes += old.len as u64,
+                None => {}
             }
-            state.slots[partition][map_task] = Slot::Empty;
         }
         for (partition, data, comp, logical_len) in prepared {
-            if data.len() <= self.mem_budget {
-                state.make_room(data.len(), self.mem_budget)?;
+            let repr = if data.len() <= self.mem_budget - state.mem_used {
                 state.mem_used += data.len();
                 state.mem_high_water = state.mem_high_water.max(state.mem_used as u64);
-                let touch = state.touch_next();
-                state.slots[partition][map_task] = Slot::Mem {
-                    data: Arc::new(data),
-                    touch,
-                    comp,
-                    logical_len,
-                };
+                SegmentRepr::Mem(Arc::new(data))
             } else {
-                state.slots[partition][map_task] =
-                    state.spill_bytes(partition, &data, comp, logical_len)?;
-            }
+                SegmentRepr::Spilled(state.spill_bytes(partition, map_task, &data)?)
+            };
+            state.slots[partition][map_task] = Some(SegmentHandle {
+                comp,
+                logical_len,
+                repr,
+            });
         }
         state.done[map_task] = true;
         self.ready.notify_all();
@@ -434,79 +327,28 @@ impl ShuffleStore {
     /// handle to its segment for `partition` (`None` if the task
     /// emitted nothing for that partition). Errors out if the job
     /// aborts while waiting. A returned handle stays valid across
-    /// later evictions and republishes.
+    /// later republishes and releases.
     pub fn segment_when_ready(
         &self,
         partition: usize,
         map_task: usize,
     ) -> Result<Option<SegmentHandle>, MrError> {
-        let mut guard = self.lock_state();
+        let mut state = self.lock_state();
         loop {
-            let state = &mut *guard;
             if state.aborted {
                 return Err(MrError::Net("job aborted while awaiting map output".into()));
             }
             if state.done[map_task] {
-                let touch = state.touch_next();
-                return Ok(match &mut state.slots[partition][map_task] {
-                    Slot::Empty => None,
-                    Slot::Mem {
-                        data,
-                        touch: t,
-                        comp,
-                        logical_len,
-                        ..
-                    } => {
-                        *t = touch;
-                        Some(SegmentHandle {
-                            comp: *comp,
-                            logical_len: *logical_len,
-                            repr: SegmentRepr::Mem(Arc::clone(data)),
-                        })
-                    }
-                    &mut Slot::Spilled {
-                        offset,
-                        len,
-                        crc,
-                        comp,
-                        logical_len,
-                    } => {
-                        state.spill_reads += 1;
-                        let file = Arc::clone(
-                            &state.spill[partition]
-                                .as_ref()
-                                .expect("spilled slot has a spill file")
-                                .file,
-                        );
-                        Some(SegmentHandle {
-                            comp,
-                            logical_len,
-                            repr: SegmentRepr::Spilled(SpilledHandle {
-                                file,
-                                offset,
-                                len,
-                                crc,
-                                partition,
-                                map_task,
-                            }),
-                        })
-                    }
-                });
+                let handle = state.slots[partition][map_task].clone();
+                if let Some(SegmentRepr::Spilled(_)) = handle.as_ref().map(|h| &h.repr) {
+                    state.spill_reads += 1;
+                }
+                return Ok(handle);
             }
-            guard = self
+            state = self
                 .ready
-                .wait(guard)
+                .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Mark `partition` as actively fetched for the guard's lifetime;
-    /// the eviction policy keeps its resident segments longest.
-    pub fn fetch_guard(&self, partition: usize) -> FetchGuard<'_> {
-        self.lock_state().active_fetchers[partition] += 1;
-        FetchGuard {
-            store: self,
-            partition,
         }
     }
 
@@ -516,13 +358,15 @@ impl ShuffleStore {
     pub fn release(&self, partition: usize) {
         let mut guard = self.lock_state();
         let state = &mut *guard;
-        let slots = std::mem::take(&mut state.slots[partition]);
-        state.slots[partition] = slots.iter().map(|_| Slot::Empty).collect();
+        let slots: Vec<SegmentHandle> = state.slots[partition]
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect();
         for slot in &slots {
-            if let Slot::Mem { data, .. } = slot {
+            if let SegmentRepr::Mem(data) = &slot.repr {
                 state.mem_used -= data.len();
             }
-            state.released_bytes += slot.logical_len().unwrap_or(0) as u64;
+            state.released_bytes += slot.logical_len as u64;
         }
         let file = state.spill[partition].take();
         // Freeing megabytes and unlinking a file is not work to do under
@@ -547,9 +391,8 @@ impl ShuffleStore {
         let live: u64 = state
             .slots
             .iter()
-            .flat_map(|row| row.iter())
-            .filter_map(|slot| slot.logical_len())
-            .map(|len| len as u64)
+            .flat_map(|row| row.iter().flatten())
+            .map(|slot| slot.logical_len as u64)
             .sum();
         live + state.released_bytes
     }
@@ -580,22 +423,14 @@ impl ShuffleStore {
     }
 }
 
-/// RAII marker for an in-progress reduce fetch of one partition.
-pub struct FetchGuard<'a> {
-    store: &'a ShuffleStore,
-    partition: usize,
-}
-
-impl Drop for FetchGuard<'_> {
-    fn drop(&mut self) {
-        self.store.lock_state().active_fetchers[self.partition] -= 1;
-    }
-}
-
-/// One fetched segment: its stored representation plus the codec
-/// metadata a server needs to frame it on the wire. The handle outlives
-/// any store mutation — `Mem` pins the bytes via `Arc`, `Spilled` reads
-/// an append-only region of a file the handle keeps open.
+/// One (partition, map task) segment — what a slot of the store holds
+/// and, cloned, what a fetch returns: its stored representation plus
+/// the codec metadata a server needs to frame it on the wire. Budgets
+/// and spill accounting run on stored bytes, job-level `ShuffleBytes`
+/// on logical bytes. A handle outlives any store mutation — `Mem` pins
+/// the bytes via `Arc`, `Spilled` reads an append-only region of a
+/// file the handle keeps open.
+#[derive(Clone)]
 pub struct SegmentHandle {
     /// Stored bytes are an lz frame the fetching worker must inflate.
     comp: bool,
@@ -604,7 +439,8 @@ pub struct SegmentHandle {
     pub repr: SegmentRepr,
 }
 
-/// Where a fetched segment's *stored* bytes live.
+/// Where a segment's *stored* bytes live, fixed when it is published.
+#[derive(Clone)]
 pub enum SegmentRepr {
     Mem(Arc<Vec<u8>>),
     Spilled(SpilledHandle),
@@ -683,6 +519,7 @@ impl SegmentHandle {
 }
 
 /// Index entry plus file handle for one spilled segment.
+#[derive(Clone)]
 pub struct SpilledHandle {
     file: Arc<File>,
     offset: u64,
@@ -711,17 +548,21 @@ impl SpilledHandle {
 
     /// `pread` `buf.len()` bytes starting `seg_off` bytes into the
     /// segment, directly into the caller's buffer — the zero-copy hop
-    /// from spill file to wire frame.
+    /// from spill file to wire frame. A range reaching past the segment
+    /// is an error, not a read: the bytes behind it in the shared file
+    /// belong to another segment.
     pub fn read_range(&self, seg_off: usize, buf: &mut [u8]) -> Result<(), MrError> {
-        debug_assert!(seg_off + buf.len() <= self.len);
-        pread_exact(&self.file, buf, self.offset + seg_off as u64).map_err(|e| {
+        let want = buf.len();
+        let fail = |why: String| {
             MrError::Net(format!(
-                "shuffle spill read (partition {}, map task {}, {} bytes at +{seg_off}): {e}",
-                self.partition,
-                self.map_task,
-                buf.len()
+                "shuffle spill read (partition {}, map task {}, {want} bytes at +{seg_off}): {why}",
+                self.partition, self.map_task
             ))
-        })
+        };
+        if seg_off.checked_add(want).is_none_or(|end| end > self.len) {
+            return Err(fail(format!("range exceeds the {}-byte segment", self.len)));
+        }
+        pread_exact(&self.file, buf, self.offset + seg_off as u64).map_err(|e| fail(e.to_string()))
     }
 
     /// The error for a spill-file CRC mismatch observed on the way out.
@@ -847,13 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn tight_budget_evicts_lru_but_keeps_active_partitions_resident() {
-        // Budget fits two 10-byte segments. Partition 0 is being
-        // actively fetched, so the eviction forced by publishing into
-        // partition 1 must spill partition 1's own older segment, not
-        // partition 0's.
+    fn tight_budget_spills_the_newcomer_and_never_moves_a_resident_segment() {
+        // Budget fits two 10-byte segments: the third finds no room and
+        // spills; the first two stay where publish put them.
         let store = ShuffleStore::new(2, 3, 20);
-        let _guard = store.fetch_guard(0);
         store.publish(0, vec![(0, vec![b'a'; 10])]).unwrap();
         store.publish(1, vec![(1, vec![b'b'; 10])]).unwrap();
         store.publish(2, vec![(1, vec![b'c'; 10])]).unwrap();
@@ -864,13 +702,20 @@ mod tests {
                 Some(SegmentRepr::Mem(_))
             )
         };
-        assert!(in_mem(0, 0), "actively fetched partition stays resident");
-        assert!(!in_mem(1, 1), "idle partition's oldest segment spilled");
-        assert!(in_mem(1, 2));
+        assert!(in_mem(0, 0));
+        assert!(in_mem(1, 1));
+        assert!(!in_mem(1, 2), "the newcomer spilled");
         assert_eq!(store.mem_high_water(), 20);
         // The spilled segment still round-trips bit-exactly.
-        let seg = store.segment_when_ready(1, 1).unwrap().unwrap();
-        assert_eq!(seg.to_vec().unwrap(), vec![b'b'; 10]);
+        let seg = store.segment_when_ready(1, 2).unwrap().unwrap();
+        assert_eq!(seg.to_vec().unwrap(), vec![b'c'; 10]);
+        // A commit frees its partition's bytes for later publishes
+        // (here a retried map), but moves nothing already placed.
+        store.release(0);
+        store.publish(2, vec![(1, vec![b'd'; 10])]).unwrap();
+        assert!(in_mem(1, 2), "the republished segment fits the freed room");
+        assert_eq!(store.spilled_bytes(), 10);
+        assert_eq!(store.spill_dead_bytes(), 10);
     }
 
     #[test]
@@ -997,5 +842,30 @@ mod tests {
         }
         assert_eq!(assembled, data);
         assert_eq!(crc.finish(), h.crc());
+    }
+
+    #[test]
+    fn read_range_rejects_ranges_outside_the_segment() {
+        // Two segments back to back in one spill file: a read past the
+        // first one's end would otherwise return the second one's bytes.
+        let store = ShuffleStore::new(1, 2, 0);
+        store.publish(0, vec![(0, vec![1u8; 100])]).unwrap();
+        store.publish(1, vec![(0, vec![2u8; 100])]).unwrap();
+        let Some(SegmentRepr::Spilled(h)) = store.segment_when_ready(0, 0).unwrap().map(|s| s.repr)
+        else {
+            panic!("budget 0 must spill");
+        };
+        let mut buf = [0u8; 10];
+        h.read_range(90, &mut buf).unwrap();
+        assert_eq!(buf, [1u8; 10]);
+        for seg_off in [91, 100, usize::MAX, usize::MAX - 9] {
+            let err = h.read_range(seg_off, &mut buf).unwrap_err();
+            assert!(
+                matches!(&err, MrError::Net(msg) if msg.contains("exceeds the 100-byte segment")),
+                "{seg_off}: {err}"
+            );
+        }
+        assert_eq!(buf, [1u8; 10], "a rejected read writes nothing");
+        h.read_range(100, &mut []).unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //! Both stages run *comparison-free* on their fast path: keys are
 //! reduced to order-preserving 16-byte normalized keys
 //! ([`KeySemantics::sort_prefix_wide`]), the map-side spill sort is an
-//! LSD radix sort over `(wide key, index)` pairs ([`prefix_sort_with`],
+//! LSD radix sort over `(wide key, index)` pairs (`prefix_sort_with`,
 //! [`sort_pairs`]), and the merge is a cache-resident loser tree over
 //! segment cursors keyed by cached wide keys ([`BlockMergeStream`]). The
 //! full virtual comparator runs only where wide keys tie on keys that

@@ -8,10 +8,15 @@
 //! spill reads, high water) reflecting full spill. A second property
 //! replays a mid-job map-task death: segments already spilled are
 //! republished by the retried attempt, and both handles taken before
-//! the death and fetches after it stay correct.
+//! the death and fetches after it stay correct. A third drives a store
+//! under an arbitrary budget between the two extremes through an
+//! arbitrary interleaving of publishes, retried maps, fetches and
+//! commits, against a model of the placement rule: a segment is placed
+//! once, at publish, and never moves.
 
 use proptest::prelude::*;
-use scihadoop_mapreduce::dist::ShuffleStore;
+use scihadoop_mapreduce::dist::{SegmentRepr, ShuffleStore};
+use std::sync::Mutex;
 
 const PARTITIONS: usize = 3;
 
@@ -40,7 +45,6 @@ fn outputs(seed: u64, map: usize, lens: &[usize]) -> Vec<(usize, Vec<u8>)> {
 fn drain(store: &ShuffleStore, num_maps: usize) -> Vec<Vec<Vec<u8>>> {
     (0..PARTITIONS)
         .map(|partition| {
-            let _fetch = store.fetch_guard(partition);
             (0..num_maps)
                 .filter_map(|map| {
                     store
@@ -51,6 +55,69 @@ fn drain(store: &ShuffleStore, num_maps: usize) -> Vec<Vec<Vec<u8>>> {
                 .collect()
         })
         .collect()
+}
+
+/// Spill files are named by process id, so the check that a fully
+/// released store leaves none behind needs the properties of this
+/// binary to hold stores one at a time.
+static ONE_STORE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_store_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_STORE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Spill files of this process still linked in the temp dir.
+fn live_spill_files() -> usize {
+    let prefix = format!("scihadoop-spill-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("temp dir lists")
+        .filter_map(Result::ok)
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with(&prefix))
+        .count()
+}
+
+/// The placement rule, restated: what each slot holds as
+/// `(stored length, resident)`, and the counters that follow from it.
+struct Model {
+    budget: usize,
+    slots: Vec<Vec<Option<(usize, bool)>>>,
+    used: usize,
+    high_water: u64,
+    spilled: u64,
+    dead: u64,
+    reads: u64,
+}
+
+impl Model {
+    fn publish(&mut self, map: usize, lens: &[usize]) {
+        for row in &mut self.slots {
+            match row[map].take() {
+                Some((len, true)) => self.used -= len,
+                Some((len, false)) => self.dead += len as u64,
+                None => {}
+            }
+        }
+        for (partition, &len) in lens.iter().enumerate().filter(|(_, &len)| len > 0) {
+            let resident = len <= self.budget - self.used;
+            if resident {
+                self.used += len;
+                self.high_water = self.high_water.max(self.used as u64);
+            } else {
+                self.spilled += len as u64;
+            }
+            self.slots[partition][map] = Some((len, resident));
+        }
+    }
+
+    fn release(&mut self, partition: usize) {
+        for slot in &mut self.slots[partition] {
+            if let Some((len, true)) = slot.take() {
+                self.used -= len;
+            }
+        }
+    }
 }
 
 proptest! {
@@ -66,6 +133,7 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
+        let _serial = one_store_at_a_time();
         let num_maps = layout.len();
         let unbounded = ShuffleStore::new(PARTITIONS, num_maps, usize::MAX);
         let spilling = ShuffleStore::new(PARTITIONS, num_maps, 0);
@@ -99,6 +167,7 @@ proptest! {
         victim_pick in any::<u64>(),
         seed in any::<u64>(),
     ) {
+        let _serial = one_store_at_a_time();
         let num_maps = layout.len();
         let victim = (victim_pick % num_maps as u64) as usize;
         let store = ShuffleStore::new(PARTITIONS, num_maps, 0);
@@ -121,6 +190,120 @@ proptest! {
             // ...and a fresh fetch serves the republished copy.
             let fresh = store.segment_when_ready(partition, victim).unwrap().unwrap();
             prop_assert_eq!(fresh.to_vec().unwrap(), expect);
+        }
+    }
+
+    #[test]
+    fn any_budget_places_each_segment_once_and_serves_identical_streams(
+        layout in proptest::collection::vec(
+            proptest::collection::vec(0usize..700, PARTITIONS..PARTITIONS + 1),
+            1..6,
+        ),
+        budget in 0usize..2500,
+        // (kind, a, b): 0|1 publish map a — a retried attempt if it was
+        // published before; 2 fetch (partition a, map b) if published;
+        // 3 commit partition a's reduce.
+        ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 0..40),
+        seed in any::<u64>(),
+    ) {
+        let _serial = one_store_at_a_time();
+        let num_maps = layout.len();
+        let unbounded = ShuffleStore::new(PARTITIONS, num_maps, usize::MAX);
+        let bounded = ShuffleStore::new(PARTITIONS, num_maps, budget);
+        let mut model = Model {
+            budget,
+            slots: vec![vec![None; num_maps]; PARTITIONS],
+            used: 0,
+            high_water: 0,
+            spilled: 0,
+            dead: 0,
+            reads: 0,
+        };
+        let mut attempts = vec![0usize; num_maps];
+        // Stored bytes handed to `publish`, and those of them a fetch
+        // right after the publish found resident.
+        let (mut published, mut admitted) = (0u64, 0u64);
+
+        // Fetch one slot from both stores: same bytes, and the bounded
+        // store's segment is where the model placed it at publish.
+        let fetch = |model: &mut Model, partition: usize, map: usize| -> Result<bool, TestCaseError> {
+            let want = unbounded.segment_when_ready(partition, map).unwrap();
+            let got = bounded.segment_when_ready(partition, map).unwrap();
+            let Some(got) = got else {
+                prop_assert!(want.is_none());
+                prop_assert!(model.slots[partition][map].is_none());
+                return Ok(false);
+            };
+            prop_assert_eq!(got.to_vec().unwrap(), want.expect("same slots").to_vec().unwrap());
+            let resident = matches!(got.repr, SegmentRepr::Mem(_));
+            prop_assert_eq!(Some((got.len(), resident)), model.slots[partition][map]);
+            model.reads += u64::from(!resident);
+            Ok(resident)
+        };
+
+        let everything = (0..num_maps).map(|map| (0, map as u8, 0));
+        for (kind, a, b) in ops.into_iter().chain(everything) {
+            match kind {
+                0 | 1 => {
+                    let map = a as usize % num_maps;
+                    // A retried attempt carries other bytes in other
+                    // sizes, so a stale segment cannot pass for it.
+                    let mut lens = layout[map].clone();
+                    lens.rotate_left(attempts[map] % PARTITIONS);
+                    let attempt_seed = seed.wrapping_add(attempts[map] as u64);
+                    attempts[map] += 1;
+                    unbounded.publish(map, outputs(attempt_seed, map, &lens)).unwrap();
+                    bounded.publish(map, outputs(attempt_seed, map, &lens)).unwrap();
+                    model.publish(map, &lens);
+                    for (partition, &len) in lens.iter().enumerate() {
+                        published += len as u64;
+                        if fetch(&mut model, partition, map)? {
+                            admitted += len as u64;
+                        }
+                    }
+                }
+                2 => {
+                    let (partition, map) = (a as usize % PARTITIONS, b as usize % num_maps);
+                    if attempts[map] > 0 {
+                        fetch(&mut model, partition, map)?;
+                    }
+                }
+                _ => {
+                    let partition = a as usize % PARTITIONS;
+                    unbounded.release(partition);
+                    bounded.release(partition);
+                    model.release(partition);
+                }
+            }
+            prop_assert!(bounded.mem_high_water() <= budget as u64);
+        }
+        // Every map has landed. Whatever was placed in memory along the
+        // way is still there, whatever spilled is still on disk.
+        for partition in 0..PARTITIONS {
+            for map in 0..num_maps {
+                fetch(&mut model, partition, map)?;
+            }
+        }
+
+        // A segment is written to disk at most once, and never after it
+        // was admitted: every stored byte went to exactly one place.
+        prop_assert_eq!(bounded.spilled_bytes() + admitted, published);
+        prop_assert_eq!(bounded.spilled_bytes(), model.spilled);
+        prop_assert_eq!(bounded.spill_dead_bytes(), model.dead);
+        prop_assert_eq!(bounded.spill_reads(), model.reads);
+        prop_assert_eq!(bounded.mem_high_water(), model.high_water);
+        prop_assert_eq!(bounded.total_bytes(), unbounded.total_bytes());
+
+        for partition in 0..PARTITIONS {
+            bounded.release(partition);
+        }
+        prop_assert_eq!(live_spill_files(), 0);
+        // Nothing is resident: a segment as large as the whole budget
+        // is admitted.
+        if budget > 0 {
+            bounded.publish(0, vec![(0, segment(seed, 0, 0, budget))]).unwrap();
+            let probe = bounded.segment_when_ready(0, 0).unwrap().unwrap();
+            prop_assert!(matches!(probe.repr, SegmentRepr::Mem(_)));
         }
     }
 }

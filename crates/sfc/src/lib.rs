@@ -14,11 +14,9 @@ pub mod hilbert;
 pub mod ranges;
 pub mod rowmajor;
 pub mod zorder;
-pub mod zranges;
 
 pub use curve::{index_prefix48, Curve, CurveIndex};
 pub use hilbert::HilbertCurve;
 pub use ranges::{box_runs, clustering_run_count, collapse_sorted, CurveRun};
 pub use rowmajor::RowMajorCurve;
 pub use zorder::ZOrderCurve;
-pub use zranges::zorder_box_runs;

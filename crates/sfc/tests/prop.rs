@@ -1,45 +1,11 @@
 //! Property tests for the space-filling-curve crate.
 
 use proptest::prelude::*;
-use scihadoop_grid::{BoundingBox, Coord, Shape};
-use scihadoop_sfc::{
-    box_runs, collapse_sorted, zorder_box_runs, Curve, CurveRun, HilbertCurve, RowMajorCurve,
-    ZOrderCurve,
-};
+use scihadoop_grid::Coord;
+use scihadoop_sfc::{collapse_sorted, Curve, CurveRun, HilbertCurve, RowMajorCurve, ZOrderCurve};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The fast quadrant-descent decomposition must agree exactly with
-    /// exhaustive cell enumeration on arbitrary boxes.
-    #[test]
-    fn zorder_fast_ranges_equal_exhaustive(
-        cx in 0i32..24, cy in 0i32..24,
-        w in 1u32..9, h in 1u32..9,
-    ) {
-        let bits = 5;
-        let bbox = BoundingBox::new(Coord::new(vec![cx, cy]), Shape::new(vec![w, h])).unwrap();
-        let curve = ZOrderCurve::with_bits(2, bits);
-        prop_assert_eq!(
-            zorder_box_runs(&bbox, bits).unwrap(),
-            box_runs(&curve, &bbox).unwrap()
-        );
-    }
-
-    /// Same property in three dimensions.
-    #[test]
-    fn zorder_fast_ranges_equal_exhaustive_3d(
-        corner in proptest::collection::vec(0i32..6, 3),
-        shape in proptest::collection::vec(1u32..4, 3),
-    ) {
-        let bits = 3;
-        let bbox = BoundingBox::new(Coord::new(corner), Shape::new(shape)).unwrap();
-        let curve = ZOrderCurve::with_bits(3, bits);
-        prop_assert_eq!(
-            zorder_box_runs(&bbox, bits).unwrap(),
-            box_runs(&curve, &bbox).unwrap()
-        );
-    }
 
     /// The `Coord` paths — on a stack buffer up to `INLINE_DIMS`
     /// dimensions, on the heap beyond — agree with the slice paths they
