@@ -37,7 +37,7 @@ fn keyed_pair(i: usize) -> KvPair {
 }
 
 /// Grid-coordinate-shaped records: 8-byte big-endian keys whose leading
-/// bytes carry the entropy, so fence-key `sort_prefix` comparisons can
+/// bytes carry the entropy, so fence-key prefix comparisons can
 /// separate block ranges. Used for the merge benchmarks — keys whose
 /// first 8 bytes all collide (like a shared path prefix) can never
 /// satisfy the strict-prefix skip rule.
@@ -225,7 +225,8 @@ fn full_key_column_segment(records: &[KvPair], budget: usize) -> Vec<u8> {
     let (mut out, mut index) = (b"SHIF\x04\x01".to_vec(), Vec::new());
     for block in records.chunks((budget / (key_len + value_len)).max(1)) {
         index.extend_from_slice(&(out.len() as u64).to_be_bytes());
-        index.extend_from_slice(&DefaultKeySemantics.sort_prefix(&block[0].key).to_be_bytes());
+        let wide = DefaultKeySemantics.sort_prefix_wide(&block[0].key);
+        index.extend_from_slice(&wide.to_be_bytes()[..8]);
         index.push(key_len as u8);
         index.extend_from_slice(&block[0].key);
         let mut body = Vec::with_capacity(block.len() * (key_len + value_len));

@@ -95,7 +95,7 @@ fn bench_map_sort_spill(c: &mut Criterion) {
     group.sample_size(20);
 
     // The engine's spill sort: bytes into one arena buffer, LSD radix
-    // over (sort_prefix, index) pairs, comparator only on ties, borrowed
+    // over (sort prefix, index) pairs, comparator only on ties, borrowed
     // slices into the writer. On this presorted emission the
     // strictly-increasing-prefix scan short-circuits the whole sort.
     group.bench_function("arena_radix", |b| {

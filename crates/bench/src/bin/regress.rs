@@ -7,10 +7,10 @@
 //! Compares freshly generated `BENCH_*.json` reports (in `--fresh`,
 //! default `.`) against the committed baselines (in `--baseline`,
 //! default `.`) and, when `--ledger` names a JSON-lines run ledger,
-//! gates the run history too (byte determinism per config group,
-//! latest-vs-median wall clock). Prints every check and exits nonzero
-//! if any fails. See `regress.rs` in the library for the threshold
-//! rationale — raw timings are never compared across machines.
+//! gates the run history too (byte determinism per config group).
+//! Prints every check and exits nonzero if any fails. See `regress.rs`
+//! in the library for the threshold rationale — raw timings are never
+//! compared across machines.
 
 use scihadoop_bench as bench;
 use std::path::{Path, PathBuf};

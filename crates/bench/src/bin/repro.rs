@@ -2,7 +2,14 @@
 //!
 //! ```text
 //! repro [EXPERIMENT] [--small] [--trace <path>] [--ledger <path>]
-//!       [--reconcile <path>]
+//!       [--reconcile <path>] [--faults <spec>] [--retries <n>]
+//!       [--codec <name>] [--ifile-version <1|2|3>] [--workers <n>]
+//!       [--transport <tcp|uds>] [--shuffle-mem-kib <n>]
+//!       [--wire-codec <identity|lz>]
+//!
+//! Anything else — an unknown `--flag`, a flag whose value is missing or
+//! starts with `--`, a second experiment name, a KiB count that does not
+//! fit — exits 2 with that usage line.
 //!
 //! EXPERIMENT:
 //!   intro      §I intermediate-file overhead numbers
@@ -38,7 +45,7 @@
 //!   byte-identical; default identity). Any of these flags implies the
 //!   dist experiment when none is named.
 //! --codec <name> sets the intermediate-data codec for fault_storm,
-//!   composed from: [transform+](identity|rle|lz|deflate|bzip), e.g.
+//!   composed from: [transform+](identity|lz|deflate|bzip), e.g.
 //!   "transform+deflate" (the stride transform over deflate).
 //! --ifile-version <1|2|3> sets the intermediate segment format for the
 //!   trace, drift, fault_storm and dist experiments: 1 = plain, 2 =
@@ -125,6 +132,35 @@ impl Sizes {
     }
 }
 
+/// Every flag that takes a value, with the value's name in the usage
+/// line; `--small` is the one switch. The parser and the usage line
+/// both read this table.
+const VALUE_FLAGS: [(&str, &str); 11] = [
+    ("--trace", "path"),
+    ("--ledger", "path"),
+    ("--reconcile", "path"),
+    ("--faults", "spec"),
+    ("--retries", "n"),
+    ("--codec", "name"),
+    ("--ifile-version", "1|2|3"),
+    ("--workers", "n"),
+    ("--transport", "tcp|uds"),
+    ("--shuffle-mem-kib", "n"),
+    ("--wire-codec", "identity|lz"),
+];
+
+/// The command line is a trust boundary: refuse what the grammar does
+/// not generate instead of measuring something other than what was
+/// asked for.
+fn reject(why: &str) -> ! {
+    let flags: String = VALUE_FLAGS
+        .iter()
+        .map(|(flag, value)| format!(" [{flag} <{value}>]"))
+        .collect();
+    eprintln!("{why}\nusage: repro [EXPERIMENT] [--small]{flags}");
+    std::process::exit(2);
+}
+
 fn main() {
     // Spawned worker processes re-execute this binary with the
     // SCIHADOOP_DIST_* environment set; divert before any argument
@@ -138,17 +174,26 @@ fn main() {
         }
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
+    let (mut small, mut named, mut values) = (false, None, Vec::new());
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--small" {
+            small = true;
+        } else if VALUE_FLAGS.iter().any(|(flag, _)| flag == arg) {
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => values.push((arg, value)),
+                _ => reject(&format!("{arg} requires a value")),
+            }
+        } else if arg.starts_with("--") {
+            reject(&format!("unknown flag {arg}"));
+        } else if named.replace(arg.clone()).is_some() {
+            reject(&format!("more than one experiment named (second: {arg})"));
+        }
+    }
     let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| {
-                args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("{name} requires a path argument");
-                    std::process::exit(2);
-                })
-            })
-            .cloned()
+        debug_assert!(VALUE_FLAGS.iter().any(|(flag, _)| *flag == name));
+        let found = values.iter().find(|(flag, _)| *flag == name);
+        found.map(|(_, value)| value.to_string())
     };
     let trace_path = flag_value("--trace");
     let ledger_path = flag_value("--ledger");
@@ -156,104 +201,57 @@ fn main() {
     let fault_spec = flag_value("--faults").unwrap_or_else(|| {
         "seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2".into()
     });
-    let fault_config = scihadoop_mapreduce::FaultConfig::parse(&fault_spec).unwrap_or_else(|e| {
-        eprintln!("bad --faults spec: {e}");
-        std::process::exit(2);
+    let fault_config = scihadoop_mapreduce::FaultConfig::parse(&fault_spec)
+        .unwrap_or_else(|e| reject(&format!("bad --faults spec: {e}")));
+    let retries: u32 = flag_value("--retries").map_or(3, |v| {
+        v.parse()
+            .unwrap_or_else(|_| reject(&format!("--retries {v:?} is not an unsigned integer")))
     });
-    let retries: u32 = flag_value("--retries")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--retries requires an unsigned integer, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(3);
-    let ifile_version = flag_value("--ifile-version")
-        .map(|v| {
-            scihadoop_mapreduce::IFileVersion::parse(&v).unwrap_or_else(|e| {
-                eprintln!("bad --ifile-version: {e}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(bench::PAPER_IFILE);
+    let ifile_version = flag_value("--ifile-version").map_or(bench::PAPER_IFILE, |v| {
+        scihadoop_mapreduce::IFileVersion::parse(&v)
+            .unwrap_or_else(|e| reject(&format!("bad --ifile-version: {e}")))
+    });
     let codec_name = flag_value("--codec");
     let codec = codec_name.as_ref().map(|name| {
-        bench::codec_by_name(name).unwrap_or_else(|e| {
-            eprintln!("bad --codec: {e}");
-            std::process::exit(2);
-        })
+        bench::codec_by_name(name).unwrap_or_else(|e| reject(&format!("bad --codec: {e}")))
     });
-    let workers: Option<usize> = flag_value("--workers").map(|v| {
-        let n: usize = v.parse().unwrap_or_else(|_| {
-            eprintln!("--workers requires an unsigned integer, got {v:?}");
-            std::process::exit(2);
-        });
-        if n == 0 {
-            eprintln!("--workers must be non-zero");
-            std::process::exit(2);
-        }
-        n
+    let workers: Option<usize> = flag_value("--workers").map(|v| match v.parse() {
+        Ok(n) if n > 0 => n,
+        _ => reject(&format!("--workers {v:?} is not a positive integer")),
     });
     let transport = flag_value("--transport").map(|v| {
-        scihadoop_mapreduce::Transport::parse(&v).unwrap_or_else(|e| {
-            eprintln!("bad --transport: {e}");
-            std::process::exit(2);
-        })
+        scihadoop_mapreduce::Transport::parse(&v)
+            .unwrap_or_else(|e| reject(&format!("bad --transport: {e}")))
     });
     let shuffle_mem: Option<usize> = flag_value("--shuffle-mem-kib").map(|v| {
-        let kib: usize = v.parse().unwrap_or_else(|_| {
-            eprintln!("--shuffle-mem-kib requires an unsigned integer, got {v:?}");
-            std::process::exit(2);
-        });
-        kib << 10
+        let kib = v.parse::<usize>().ok();
+        kib.and_then(|kib| kib.checked_mul(1 << 10))
+            .unwrap_or_else(|| reject(&format!("--shuffle-mem-kib {v:?} is not a KiB count")))
     });
     let wire_codec = flag_value("--wire-codec").map(|v| {
-        scihadoop_mapreduce::WireCodec::parse(&v).unwrap_or_else(|e| {
-            eprintln!("bad --wire-codec: {e}");
-            std::process::exit(2);
-        })
+        scihadoop_mapreduce::WireCodec::parse(&v)
+            .unwrap_or_else(|e| reject(&format!("bad --wire-codec: {e}")))
     });
-    // Positional experiment name: skip flags and their path values. With
-    // only --trace/--ledger given, default to the trace
-    // experiment rather than the full suite; with only --reconcile, run
-    // no experiment at all (reconcile is a standalone action).
-    let mut which = if workers.is_some()
-        || transport.is_some()
-        || shuffle_mem.is_some()
-        || wire_codec.is_some()
-    {
-        "dist".to_string()
-    } else if trace_path.is_some() || ledger_path.is_some() {
-        "trace".to_string()
-    } else if reconcile_path.is_some() {
-        "none".to_string()
-    } else {
-        "all".to_string()
-    };
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--trace"
-            || a == "--ledger"
-            || a == "--reconcile"
-            || a == "--faults"
-            || a == "--retries"
-            || a == "--codec"
-            || a == "--ifile-version"
-            || a == "--workers"
-            || a == "--transport"
-            || a == "--shuffle-mem-kib"
-            || a == "--wire-codec"
-        {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            which = a.clone();
-            break;
-        }
-    }
+    // With no experiment named, a dist flag implies dist, --trace or
+    // --ledger the trace experiment rather than the full suite, and
+    // --reconcile alone runs no experiment at all (it is a standalone
+    // action).
+    let which = named.unwrap_or_else(|| {
+        let dist = workers.is_some()
+            || transport.is_some()
+            || shuffle_mem.is_some()
+            || wire_codec.is_some();
+        let implied = if dist {
+            "dist"
+        } else if trace_path.is_some() || ledger_path.is_some() {
+            "trace"
+        } else if reconcile_path.is_some() {
+            "none"
+        } else {
+            "all"
+        };
+        implied.to_string()
+    });
     let s = if small { Sizes::small() } else { Sizes::full() };
 
     let run = |name: &str| which == "all" || which == name;
@@ -408,7 +406,6 @@ fn main() {
         };
         let faulted = bench::DistJobSpec {
             retries,
-            backoff_us: 50,
             faults: Some(fault_spec.clone()),
             ..clean.clone()
         };

@@ -8,7 +8,7 @@
 //! ```text
 //! name      := "transform+" name        stride transform ∘ inner
 //!            | "transform"              stride transform alone
-//!            | "identity" | "rle" | "lz" | "deflate" | "bzip"
+//!            | "identity" | "lz" | "deflate" | "bzip"
 //! ```
 //!
 //! so `--codec transform+deflate` builds `TransformCodec(DeflateCodec)`,
@@ -16,7 +16,7 @@
 //! [`Codec::name`](scihadoop_compress::Codec::name) round-trips to the
 //! requested string.
 
-use scihadoop_compress::{BzipCodec, CodecHandle, DeflateCodec, IdentityCodec, LzCodec, RleCodec};
+use scihadoop_compress::{BzipCodec, CodecHandle, DeflateCodec, IdentityCodec, LzCodec};
 use scihadoop_core::transform::TransformCodec;
 use std::sync::Arc;
 
@@ -31,12 +31,11 @@ pub fn codec_by_name(name: &str) -> Result<CodecHandle, String> {
             IdentityCodec,
         )))),
         "identity" => Ok(Arc::new(IdentityCodec)),
-        "rle" => Ok(Arc::new(RleCodec)),
         "lz" => Ok(Arc::new(LzCodec)),
         "deflate" => Ok(Arc::new(DeflateCodec::new())),
         "bzip" => Ok(Arc::new(BzipCodec::new())),
         other => Err(format!(
-            "unknown codec {other:?}; grammar: [transform+](identity|rle|lz|deflate|bzip)"
+            "unknown codec {other:?}; grammar: [transform+](identity|lz|deflate|bzip)"
         )),
     }
 }
@@ -53,7 +52,7 @@ mod tests {
     #[test]
     fn the_full_grammar_round_trips_names_and_data() {
         let data: Vec<u8> = (0..10_000u32).flat_map(|i| i.to_be_bytes()).collect();
-        for base in ["identity", "rle", "lz", "deflate", "bzip"] {
+        for base in ["identity", "lz", "deflate", "bzip"] {
             for prefix in ["", "transform+"] {
                 let name = format!("{prefix}{base}");
                 let codec = codec_by_name(&name).expect(&name);
@@ -76,9 +75,12 @@ mod tests {
     fn unknown_names_are_rejected() {
         assert!(codec_by_name("gzip").is_err());
         assert!(codec_by_name("transform+lzma").is_err());
-        // The parallel block frame is gone; its spellings get the
-        // factory's ordinary error, which names the grammar.
+        // The parallel block frame and the run-length base are gone;
+        // their spellings get the factory's ordinary error, which names
+        // the grammar.
         for name in [
+            "rle",
+            "transform+rle",
             "block-",
             "block-lz",
             "block-transform+deflate",
@@ -86,7 +88,7 @@ mod tests {
         ] {
             let err = codec_by_name(name).err().expect(name);
             assert!(
-                err.contains("grammar: [transform+](identity|rle|lz|deflate|bzip)"),
+                err.contains("grammar: [transform+](identity|lz|deflate|bzip)"),
                 "{name}: {err}"
             );
         }

@@ -37,8 +37,6 @@ pub struct DistJobSpec {
     pub codec: String,
     /// Per-task retry budget.
     pub retries: u32,
-    /// Retry backoff base, in microseconds.
-    pub backoff_us: u64,
     /// Optional fault-plan spec (`FaultConfig::parse` grammar). The
     /// value may itself contain commas, which is why the spec string is
     /// `;`-separated.
@@ -55,7 +53,6 @@ impl Default for DistJobSpec {
             ifile: crate::PAPER_IFILE,
             codec: "identity".to_string(),
             retries: 0,
-            backoff_us: 50,
             faults: None,
         }
     }
@@ -66,7 +63,7 @@ impl DistJobSpec {
     /// [`DistJobSpec::parse`].
     pub fn to_spec_string(&self) -> String {
         let mut s = format!(
-            "records={};reducers={};map_slots={};reduce_slots={};ifile={};codec={};retries={};backoff_us={}",
+            "records={};reducers={};map_slots={};reduce_slots={};ifile={};codec={};retries={}",
             self.records,
             self.reducers,
             self.map_slots,
@@ -74,7 +71,6 @@ impl DistJobSpec {
             self.ifile.number(),
             self.codec,
             self.retries,
-            self.backoff_us,
         );
         if let Some(faults) = &self.faults {
             s.push_str(";faults=");
@@ -105,7 +101,6 @@ impl DistJobSpec {
                 "ifile" => out.ifile = IFileVersion::parse(value).map_err(MrError::Config)?,
                 "codec" => out.codec = value.to_string(),
                 "retries" => out.retries = int("retries")? as u32,
-                "backoff_us" => out.backoff_us = int("backoff_us")?,
                 "faults" => out.faults = Some(value.to_string()),
                 other => {
                     return Err(MrError::Config(format!(
@@ -128,8 +123,7 @@ impl DistJobSpec {
             .with_framing(Framing::IFile)
             .with_ifile_version(self.ifile)
             .with_codec(codec)
-            .with_retries(self.retries)
-            .with_retry_backoff(std::time::Duration::from_micros(self.backoff_us));
+            .with_retries(self.retries);
         if let Some(faults) = &self.faults {
             config = config.with_faults(FaultPlan::new(FaultConfig::parse(faults)?));
         }
@@ -216,10 +210,11 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_keys_and_bad_fields() {
         assert!(DistJobSpec::parse("frobnicate=1").is_err());
-        // A payload written before the block frame's size key was
-        // deleted (spelled in two pieces so a grep for the old knob
-        // finds nothing in the tree).
+        // Payloads written before the block frame's size key and the
+        // backoff key were deleted (spelled in two pieces so a grep for
+        // the old knobs finds nothing in the tree).
         assert!(DistJobSpec::parse(concat!("codec=lz;block", "_kib=16")).is_err());
+        assert!(DistJobSpec::parse(concat!("retries=2;backoff", "_us=50")).is_err());
         assert!(DistJobSpec::parse("records").is_err());
         assert!(DistJobSpec::parse("records=many").is_err());
     }
@@ -229,7 +224,7 @@ mod tests {
         let spec = DistJobSpec {
             reducers: 5,
             ifile: IFileVersion::V3,
-            codec: "rle".to_string(),
+            codec: "lz".to_string(),
             faults: Some("seed=7,map=0.5".to_string()),
             retries: 2,
             ..DistJobSpec::default()

@@ -33,7 +33,7 @@ pub mod rle;
 
 pub use bzip::BzipCodec;
 pub use checksum::{crc32, crc32c, Crc32, Crc32c};
-pub use codec::{Codec, CodecHandle, IdentityCodec, RleCodec};
+pub use codec::{Codec, CodecHandle, IdentityCodec};
 pub use deflate::DeflateCodec;
 pub use error::CompressError;
 pub use lz::LzCodec;

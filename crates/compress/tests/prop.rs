@@ -1,12 +1,11 @@
 //! Property tests for the compression substrate.
 
 use proptest::prelude::*;
-use scihadoop_compress::{lz, BzipCodec, Codec, DeflateCodec, IdentityCodec, LzCodec, RleCodec};
+use scihadoop_compress::{lz, BzipCodec, Codec, DeflateCodec, IdentityCodec, LzCodec};
 
 fn all_codecs() -> Vec<Box<dyn Codec>> {
     vec![
         Box::new(IdentityCodec),
-        Box::new(RleCodec),
         Box::new(DeflateCodec::new()),
         Box::new(DeflateCodec::with_chain(4)),
         Box::new(BzipCodec::with_level(1)),

@@ -39,17 +39,6 @@ pub fn coalesce_adjacent(mut records: Vec<AggregateRecord>) -> Vec<AggregateReco
     out
 }
 
-/// Fraction of split inflation recovered by coalescing: given the
-/// original record count before splitting, the count after splitting, and
-/// the count after coalescing, returns 1.0 for full recovery and 0.0 for
-/// none.
-pub fn split_recovery(original: usize, split: usize, coalesced: usize) -> f64 {
-    if split <= original {
-        return 1.0;
-    }
-    (split - coalesced) as f64 / (split - original) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,13 +106,5 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(coalesce_adjacent(vec![]).is_empty());
-    }
-
-    #[test]
-    fn recovery_metric() {
-        assert_eq!(split_recovery(10, 40, 10), 1.0);
-        assert_eq!(split_recovery(10, 40, 40), 0.0);
-        assert_eq!(split_recovery(10, 40, 25), 0.5);
-        assert_eq!(split_recovery(10, 10, 10), 1.0);
     }
 }

@@ -7,7 +7,7 @@
 //! hook instead of a Hadoop patch.
 
 use super::key::{AggregateKey, AggregateRecord, AGGREGATE_KEY_LEN};
-use super::split::{overlap_split, route_split, RangePartitioner};
+use super::split::{overlap_split, RangePartitioner};
 use scihadoop_mapreduce::{KeySemantics, KvPair, RouteSink};
 use std::cmp::Ordering;
 
@@ -15,8 +15,8 @@ use std::cmp::Ordering;
 ///
 /// * `compare` — bytewise, which equals (variable, start, length) order
 ///   thanks to the big-endian layout;
-/// * `route` — splits a record at partition boundaries and routes each
-///   piece to the reducer owning its curve range (§IV-B case 1);
+/// * `route_slices` — splits a record at partition boundaries and routes
+///   each piece to the reducer owning its curve range (§IV-B case 1);
 /// * `sort_split` — splits overlapping keys along overlap boundaries
 ///   (§IV-B case 2, Fig. 7);
 /// * `group_eq` — exact key equality (after `sort_split`, equal-or-
@@ -56,7 +56,8 @@ impl KeySemantics for AggregateKeyOps {
     }
 
     /// Sort prefix packing the 16 low variable bits over the 48 high
-    /// curve-index bits: `variable:16 | index_prefix48(start):48`.
+    /// curve-index bits into the high word, the low word zero:
+    /// `(variable:16 | index_prefix48(start):48) << 64`.
     ///
     /// The packing is purely positional — bytes 0..4 (variable) and
     /// 4..20 (start), zero-padded — so it is monotone over *arbitrary*
@@ -66,17 +67,18 @@ impl KeySemantics for AggregateKeyOps {
     /// saturates at 2⁴⁸ − 1) is monotone in the padded value. Ties fall
     /// back to the comparator, which resolves length and the clamped
     /// tails.
-    fn sort_prefix(&self, key: &[u8]) -> u64 {
+    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
         let mut buf = [0u8; 20];
         let n = key.len().min(20);
         buf[..n].copy_from_slice(&key[..n]);
         let variable = u32::from_be_bytes(buf[0..4].try_into().expect("4 bytes")) as u64;
         let start = u128::from_be_bytes(buf[4..20].try_into().expect("16 bytes"));
-        if variable >= 0xFFFF {
+        let high = if variable >= 0xFFFF {
             u64::MAX
         } else {
             (variable << 48) | scihadoop_sfc::index_prefix48(start)
-        }
+        };
+        (high as u128) << 64
     }
 
     fn partition(&self, key: &[u8], parts: usize) -> usize {
@@ -86,53 +88,27 @@ impl KeySemantics for AggregateKeyOps {
         }
     }
 
-    fn route(&self, pair: KvPair, parts: usize) -> Vec<(usize, KvPair)> {
-        match self.parse(&pair) {
-            Some(record) => route_split(&record, &self.partitioner, self.value_width)
-                .into_iter()
-                .map(|(p, rec)| {
-                    (
-                        p.min(parts - 1),
-                        KvPair::new(rec.key.to_bytes(), rec.values),
-                    )
-                })
-                .collect(),
-            // Unparseable keys fall back to partition 0 rather than being
-            // dropped; the engine's counters will still account them.
-            None => vec![(0, pair)],
-        }
-    }
-
     fn route_slices(&self, key: &[u8], value: &[u8], parts: usize, emit: &mut RouteSink<'_>) {
-        // Same split as `route`, but each piece's key is serialized into a
-        // stack buffer and its values borrowed straight from `value` — no
-        // owned `AggregateRecord` is ever built.
+        // Each piece's key is serialized into a stack buffer and its
+        // values borrowed straight from `value` — no owned
+        // `AggregateRecord` is ever built.
         let parsed = AggregateKey::from_bytes(key)
             .ok()
             .filter(|k| k.cell_count() * self.value_width as u128 == value.len() as u128);
         let run = match parsed {
             Some(k) => k.run,
-            // Unparseable keys fall back to partition 0, as in `route`.
+            // Unparseable keys fall back to partition 0 rather than being
+            // dropped; the engine's counters will still account them.
             None => return emit(0, key, value),
         };
         let mut key_buf = [0u8; AGGREGATE_KEY_LEN];
         key_buf[0..4].copy_from_slice(&key[0..4]);
-        let mut start = run.start;
-        while start <= run.end {
-            let p = self.partitioner.partition_of(start);
-            let piece_end = match self.partitioner.lower_bound(p + 1) {
-                Some(next) if next <= run.end => next - 1,
-                _ => run.end,
-            };
+        for (p, start, end) in self.partitioner.pieces(run) {
             key_buf[4..20].copy_from_slice(&start.to_be_bytes());
-            key_buf[20..28].copy_from_slice(&((piece_end - start + 1) as u64).to_be_bytes());
+            key_buf[20..28].copy_from_slice(&((end - start + 1) as u64).to_be_bytes());
             let from = (start - run.start) as usize * self.value_width;
-            let to = (piece_end - run.start + 1) as usize * self.value_width;
+            let to = (end - run.start + 1) as usize * self.value_width;
             emit(p.min(parts - 1), &key_buf, &value[from..to]);
-            if piece_end == run.end {
-                break;
-            }
-            start = piece_end + 1;
         }
     }
 
@@ -199,25 +175,38 @@ mod tests {
         AggregateKeyOps::new(RangePartitioner::uniform(parts, span), width)
     }
 
+    fn route_all(ops: &AggregateKeyOps, pair: &KvPair, parts: usize) -> Vec<(usize, KvPair)> {
+        let mut routed = Vec::new();
+        ops.route_slices(&pair.key, &pair.value, parts, &mut |p, k, v| {
+            routed.push((p, KvPair::new(k.to_vec(), v.to_vec())));
+        });
+        routed
+    }
+
     #[test]
     fn route_splits_across_partition_boundaries() {
         let ops = ops(4, 100, 1);
-        let routed = ops.route(pair(20, 60, 1), 4);
+        let routed = route_all(&ops, &pair(20, 60, 1), 4);
         assert_eq!(routed.len(), 3);
         let parts: Vec<usize> = routed.iter().map(|(p, _)| *p).collect();
         assert_eq!(parts, vec![0, 1, 2]);
         // Piece payloads cover all 41 cells.
         let total: usize = routed.iter().map(|(_, p)| p.value.len()).sum();
         assert_eq!(total, 41);
+        // Each piece is a well-formed record over its own sub-range.
+        let runs: Vec<(u128, u128)> = routed
+            .iter()
+            .map(|(_, p)| ops.parse(p).expect("piece parses").key.run)
+            .map(|run| (run.start, run.end))
+            .collect();
+        assert_eq!(runs, vec![(20, 24), (25, 49), (50, 60)]);
     }
 
     #[test]
     fn route_within_one_partition_is_unsplit() {
         let ops = ops(4, 100, 2);
         let p = pair(30, 40, 2);
-        let routed = ops.route(p.clone(), 4);
-        assert_eq!(routed.len(), 1);
-        assert_eq!(routed[0], (1, p));
+        assert_eq!(route_all(&ops, &p, 4), vec![(1, p)]);
     }
 
     #[test]
@@ -245,29 +234,9 @@ mod tests {
     fn unparseable_pairs_pass_through() {
         let ops = ops(2, 100, 1);
         let junk = KvPair::new(b"junk".to_vec(), b"v".to_vec());
-        let routed = ops.route(junk.clone(), 2);
-        assert_eq!(routed, vec![(0, junk.clone())]);
+        assert_eq!(route_all(&ops, &junk, 2), vec![(0, junk.clone())]);
         let out = ops.sort_split(vec![junk.clone()]);
         assert_eq!(out, vec![junk]);
-    }
-
-    #[test]
-    fn route_slices_emits_the_same_pieces_as_route() {
-        let ops = ops(4, 100, 1);
-        for p in [pair(20, 60, 1), pair(30, 40, 1)] {
-            let mut sliced = Vec::new();
-            ops.route_slices(&p.key, &p.value, 4, &mut |part, k, v| {
-                sliced.push((part, KvPair::new(k.to_vec(), v.to_vec())));
-            });
-            assert_eq!(sliced, ops.route(p, 4));
-        }
-        // Unparseable keys pass through to partition 0 on both paths.
-        let junk = KvPair::new(b"junk".to_vec(), b"v".to_vec());
-        let mut sliced = Vec::new();
-        ops.route_slices(&junk.key, &junk.value, 4, &mut |part, k, v| {
-            sliced.push((part, KvPair::new(k.to_vec(), v.to_vec())));
-        });
-        assert_eq!(sliced, ops.route(junk, 4));
     }
 
     #[test]
@@ -315,7 +284,7 @@ mod tests {
         keys.push(keys[0][..10].to_vec());
         for a in &keys {
             for b in &keys {
-                if ops.sort_prefix(a) < ops.sort_prefix(b) {
+                if ops.sort_prefix_wide(a) < ops.sort_prefix_wide(b) {
                     assert_eq!(
                         ops.compare(a, b),
                         Ordering::Less,
@@ -329,8 +298,13 @@ mod tests {
         let k1 = AggregateKey::new(3, CurveRun { start: 5, end: 9 }).to_bytes();
         let k2 = AggregateKey::new(3, CurveRun { start: 6, end: 9 }).to_bytes();
         let k3 = AggregateKey::new(4, CurveRun { start: 0, end: 9 }).to_bytes();
-        assert!(ops.sort_prefix(&k1) < ops.sort_prefix(&k2));
-        assert!(ops.sort_prefix(&k2) < ops.sort_prefix(&k3));
+        assert!(ops.sort_prefix_wide(&k1) < ops.sort_prefix_wide(&k2));
+        assert!(ops.sort_prefix_wide(&k2) < ops.sort_prefix_wide(&k3));
+        assert_eq!(
+            ops.sort_prefix_wide(&k3),
+            ((4u128 << 48) | scihadoop_sfc::index_prefix48(0) as u128) << 64,
+            "variable:16 | index_prefix48 in the high word, low word zero"
+        );
     }
 
     #[test]

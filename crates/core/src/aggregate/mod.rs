@@ -24,7 +24,7 @@ pub mod split;
 
 pub use align::{align_run, expand_record, overlapping_pairs, padding_overhead};
 pub use buffer::Aggregator;
-pub use coalesce::{coalesce_adjacent, split_recovery};
+pub use coalesce::coalesce_adjacent;
 pub use key::{AggregateKey, AggregateRecord};
 pub use keyops::AggregateKeyOps;
 pub use split::{group_equal, overlap_split, route_split, RangePartitioner};

@@ -62,40 +62,39 @@ impl RangePartitioner {
         }
     }
 
-    /// First index of partition `p`, or `None` past the end.
-    pub fn lower_bound(&self, p: usize) -> Option<CurveIndex> {
-        self.boundaries.get(p).copied()
+    /// `run` cut at partition boundaries (§IV-B case 1): the
+    /// `(partition, start, end)` pieces, `end` inclusive, in curve order.
+    /// Pieces stay contiguous, so there are at most
+    /// `1 + boundaries crossed` of them.
+    pub(crate) fn pieces(
+        &self,
+        run: CurveRun,
+    ) -> impl Iterator<Item = (usize, CurveIndex, CurveIndex)> + '_ {
+        let mut next = (run.start <= run.end).then_some(run.start);
+        std::iter::from_fn(move || {
+            let start = next?;
+            let p = self.partition_of(start);
+            let end = match self.boundaries.get(p + 1) {
+                Some(&bound) if bound <= run.end => bound - 1,
+                _ => run.end,
+            };
+            next = (end < run.end).then(|| end + 1);
+            Some((p, start, end))
+        })
     }
 }
 
 /// Split an aggregate record at partition boundaries and route each piece
-/// (§IV-B case 1). Pieces stay contiguous, so the output is at most
-/// `1 + number of boundaries crossed` records.
+/// (§IV-B case 1), as owned records.
 pub fn route_split(
     record: &AggregateRecord,
     partitioner: &RangePartitioner,
     value_width: usize,
 ) -> Vec<(usize, AggregateRecord)> {
-    let mut out = Vec::new();
-    let mut start = record.key.run.start;
-    let end = record.key.run.end;
-    while start <= end {
-        let p = partitioner.partition_of(start);
-        let piece_end = match partitioner.lower_bound(p + 1) {
-            Some(next) if next <= end => next - 1,
-            _ => end,
-        };
-        let run = CurveRun {
-            start,
-            end: piece_end,
-        };
-        out.push((p, record.slice(run, value_width)));
-        if piece_end == end {
-            break;
-        }
-        start = piece_end + 1;
-    }
-    out
+    partitioner
+        .pieces(record.key.run)
+        .map(|(p, start, end)| (p, record.slice(CurveRun { start, end }, value_width)))
+        .collect()
 }
 
 /// Split overlapping aggregate records along overlap boundaries

@@ -190,10 +190,6 @@ mod tests {
         // Non-builtin inner codecs keep their identity instead of
         // collapsing to a "transform+inner" fallback.
         assert_eq!(
-            TransformCodec::with_defaults(Arc::new(scihadoop_compress::RleCodec)).name(),
-            "transform+rle"
-        );
-        assert_eq!(
             TransformCodec::with_defaults(Arc::new(scihadoop_compress::LzCodec)).name(),
             "transform+lz"
         );

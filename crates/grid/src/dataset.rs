@@ -1,10 +1,10 @@
 //! In-memory scientific datasets: the NetCDF-shaped inputs the paper's
 //! queries read.
 //!
-//! The paper runs against NetCDF files holding regular grids of one or
-//! more named variables. We keep the same logical model — a set of named
-//! variables, each an n-D array of a fixed element type — in memory,
-//! with deterministic synthetic generators for the evaluation workloads.
+//! The paper runs against NetCDF files holding regular grids of named
+//! variables. We keep the same logical model — a named variable is an
+//! n-D array of a fixed element type — in memory, with deterministic
+//! synthetic generators for the evaluation workloads.
 
 use crate::bbox::BoundingBox;
 use crate::coord::Coord;
@@ -143,52 +143,6 @@ impl Variable {
     }
 }
 
-/// A collection of named variables — the in-memory analogue of one NetCDF
-/// file.
-#[derive(Debug, Clone, Default)]
-pub struct Dataset {
-    variables: Vec<Variable>,
-}
-
-impl Dataset {
-    /// An empty dataset.
-    pub fn new() -> Self {
-        Dataset::default()
-    }
-
-    /// Add a variable; returns its index (the `VariableId::Index` the
-    /// compact key layout uses).
-    pub fn add(&mut self, var: Variable) -> i32 {
-        self.variables.push(var);
-        (self.variables.len() - 1) as i32
-    }
-
-    /// All variables.
-    pub fn variables(&self) -> &[Variable] {
-        &self.variables
-    }
-
-    /// Look up a variable by name.
-    pub fn by_name(&self, name: &str) -> Result<&Variable, GridError> {
-        self.variables
-            .iter()
-            .find(|v| v.name == name)
-            .ok_or_else(|| GridError::UnknownVariable(name.to_string()))
-    }
-
-    /// Look up a variable by index.
-    pub fn by_index(&self, idx: i32) -> Result<&Variable, GridError> {
-        self.variables
-            .get(idx as usize)
-            .ok_or_else(|| GridError::UnknownVariable(format!("#{idx}")))
-    }
-
-    /// Sum of payload bytes over all variables.
-    pub fn data_bytes(&self) -> u64 {
-        self.variables.iter().map(|v| v.data_bytes()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,17 +198,6 @@ mod tests {
         assert_eq!(crc32(ints.raw_data()), 0x7d62_956d);
         let floats = Variable::smooth_f32("s", shape, 42).unwrap();
         assert_eq!(crc32(floats.raw_data()), 0x87c1_f75e);
-    }
-
-    #[test]
-    fn dataset_lookup_by_name_and_index() {
-        let mut ds = Dataset::new();
-        let i = ds.add(Variable::zeros("windspeed1", DataType::F32, Shape::cube(4, 3)).unwrap());
-        assert_eq!(i, 0);
-        assert_eq!(ds.by_name("windspeed1").unwrap().name(), "windspeed1");
-        assert_eq!(ds.by_index(0).unwrap().name(), "windspeed1");
-        assert!(ds.by_name("nope").is_err());
-        assert!(ds.by_index(3).is_err());
     }
 
     #[test]

@@ -11,8 +11,6 @@ pub enum GridError {
     OutOfBounds { coord: Vec<i32>, context: String },
     /// A serialized byte stream ended prematurely or contained bad data.
     Deserialize(String),
-    /// A variable name was not found in a dataset.
-    UnknownVariable(String),
     /// A shape with zero extent in some dimension where that is not allowed.
     EmptyShape,
     /// A variable was to be carved into zero input splits.
@@ -29,7 +27,6 @@ impl fmt::Display for GridError {
                 write!(f, "coordinate {coord:?} out of bounds in {context}")
             }
             GridError::Deserialize(msg) => write!(f, "deserialization error: {msg}"),
-            GridError::UnknownVariable(name) => write!(f, "unknown variable: {name}"),
             GridError::EmptyShape => write!(f, "shape has zero extent"),
             GridError::NoSplits => write!(f, "cannot carve a variable into zero splits"),
         }
@@ -49,8 +46,6 @@ mod tests {
             actual: 2,
         };
         assert_eq!(e.to_string(), "dimension mismatch: expected 3, got 2");
-        let e = GridError::UnknownVariable("windspeed1".into());
-        assert!(e.to_string().contains("windspeed1"));
         let e = GridError::OutOfBounds {
             coord: vec![1, 2],
             context: "test".into(),

@@ -23,9 +23,9 @@ pub mod writable;
 
 pub use bbox::BoundingBox;
 pub use coord::{Coord, INLINE_DIMS};
-pub use dataset::{Dataset, Variable};
+pub use dataset::Variable;
 pub use error::GridError;
 pub use shape::Shape;
 pub use value::{DataType, Value};
-pub use walker::{BlockWalker, GridWalker, RowMajorWalker};
+pub use walker::{GridWalker, RowMajorWalker};
 pub use writable::{GridKey, VariableId};

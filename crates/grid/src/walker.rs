@@ -76,72 +76,9 @@ impl GridWalker for RowMajorWalker {
     }
 }
 
-/// Block-wise traversal: the box is carved into `block` sized tiles and
-/// each tile is walked row-major before moving on. Models the key order
-/// produced by mappers that each own a tile (and defeats single-stride
-/// prediction at tile edges, which is exactly the hard case §III-A
-/// discusses).
-#[derive(Debug, Clone)]
-pub struct BlockWalker {
-    bounds: BoundingBox,
-    block: Shape,
-}
-
-impl BlockWalker {
-    /// Walk `bounds` in tiles of shape `block`.
-    pub fn new(bounds: BoundingBox, block: Shape) -> Self {
-        assert_eq!(bounds.ndims(), block.ndims(), "block dims must match");
-        assert!(!block.is_empty(), "block must be non-empty");
-        BlockWalker { bounds, block }
-    }
-}
-
-impl GridWalker for BlockWalker {
-    fn bounds(&self) -> &BoundingBox {
-        &self.bounds
-    }
-
-    fn walk(&self) -> Box<dyn Iterator<Item = Coord> + '_> {
-        let ndims = self.bounds.ndims();
-        // Number of tiles along each dimension (ceil division).
-        let tiles = Shape::new(
-            (0..ndims)
-                .map(|d| {
-                    let e = self.bounds.shape().extents()[d];
-                    let b = self.block.extents()[d];
-                    e.div_ceil(b)
-                })
-                .collect(),
-        );
-        let bounds = self.bounds.clone();
-        let block = self.block.clone();
-        let iter = (0..tiles.num_cells()).flat_map(move |t| {
-            let tile = tiles.delinearize(t).expect("in range");
-            let corner = Coord::new(
-                (0..ndims)
-                    .map(|d| bounds.corner()[d] + tile[d] * block.extents()[d] as i32)
-                    .collect(),
-            );
-            let shape = Shape::new(
-                (0..ndims)
-                    .map(|d| {
-                        let remaining =
-                            bounds.shape().extents()[d] as i32 - (corner[d] - bounds.corner()[d]);
-                        (block.extents()[d] as i32).min(remaining) as u32
-                    })
-                    .collect(),
-            );
-            let tile_box = BoundingBox::new(corner, shape).expect("dims match");
-            tile_box.cells().collect::<Vec<_>>()
-        });
-        Box::new(iter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn row_major_walk_is_complete_and_ordered() {
@@ -168,33 +105,5 @@ mod tests {
         // Coordinates 0 then 1.
         assert_eq!(w.key_stream_be(), vec![0, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(w.key_stream_le(), vec![0, 0, 0, 0, 1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn block_walker_covers_every_cell_exactly_once() {
-        let bounds = BoundingBox::at_origin(Shape::new(vec![5, 7]));
-        let w = BlockWalker::new(bounds.clone(), Shape::new(vec![2, 3]));
-        let cells: Vec<_> = w.walk().collect();
-        assert_eq!(cells.len() as u64, bounds.num_cells());
-        let set: HashSet<_> = cells.iter().cloned().collect();
-        assert_eq!(set.len() as u64, bounds.num_cells());
-    }
-
-    #[test]
-    fn block_walker_visits_tiles_contiguously() {
-        let bounds = BoundingBox::at_origin(Shape::new(vec![4, 4]));
-        let w = BlockWalker::new(bounds, Shape::new(vec![2, 2]));
-        let cells: Vec<_> = w.walk().collect();
-        // First four cells are the (0,0) tile.
-        let first_tile: HashSet<_> = cells[..4].iter().cloned().collect();
-        let expected: HashSet<_> = [
-            Coord::new(vec![0, 0]),
-            Coord::new(vec![0, 1]),
-            Coord::new(vec![1, 0]),
-            Coord::new(vec![1, 1]),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(first_tile, expected);
     }
 }

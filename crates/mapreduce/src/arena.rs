@@ -286,7 +286,6 @@ mod tests {
     #[derive(Default)]
     struct Counting {
         wide: AtomicU64,
-        narrow: AtomicU64,
         compares: AtomicU64,
     }
 
@@ -294,10 +293,6 @@ mod tests {
         fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
             self.compares.fetch_add(1, Relaxed);
             a.cmp(b)
-        }
-        fn sort_prefix(&self, key: &[u8]) -> u64 {
-            self.narrow.fetch_add(1, Relaxed);
-            DefaultKeySemantics.sort_prefix(key)
         }
         fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
             self.wide.fetch_add(1, Relaxed);
@@ -309,13 +304,12 @@ mod tests {
     }
 
     impl Counting {
-        /// `(wide, narrow, compare)` calls since the last take. Debug
-        /// builds re-check the sorted partition with `n - 1` compares.
-        fn take(&self, n: u64) -> (u64, u64, u64) {
+        /// `(prefix, compare)` calls since the last take. Debug builds
+        /// re-check the sorted partition with `n - 1` compares.
+        fn take(&self, n: u64) -> (u64, u64) {
             let checked = if cfg!(debug_assertions) { n - 1 } else { 0 };
             (
                 self.wide.swap(0, Relaxed),
-                self.narrow.swap(0, Relaxed),
                 self.compares.swap(0, Relaxed) - checked,
             )
         }
@@ -352,12 +346,12 @@ mod tests {
         let n = keys.len() as u64;
         let (mut fast, mut reference) = staged_twice(&keys);
         fast.sort_partition(0, &ks);
-        assert_eq!(ks.take(n), (n, 0, 0), "(wide, narrow, compare) calls");
+        assert_eq!(ks.take(n), (n, 0), "(prefix, compare) calls");
         reference.sort_partition_by_compare(0, &DefaultKeySemantics);
         assert_eq!(collect(&fast, 0), collect(&reference, 0));
         // Sorted with ties: still one call each, still no compare.
         fast.sort_partition(0, &ks);
-        assert_eq!(ks.take(n), (n, 0, 0), "re-sort of a sorted partition");
+        assert_eq!(ks.take(n), (n, 0), "re-sort of a sorted partition");
         assert_eq!(collect(&fast, 0), collect(&reference, 0));
     }
 
@@ -400,8 +394,8 @@ mod tests {
         let n = keys.len() as u64;
         let (mut fast, mut reference) = staged_twice(&keys);
         fast.sort_partition(0, &ks);
-        let (wide, narrow, compares) = ks.take(n);
-        assert_eq!((wide, narrow), (n, 0));
+        let (wide, compares) = ks.take(n);
+        assert_eq!(wide, n);
         assert!(
             compares > 0,
             "tie runs of differing keys need the comparator"

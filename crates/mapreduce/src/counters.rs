@@ -6,115 +6,173 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// All counters the engine maintains.
+/// What kind of reading a [`Counter`] is — which decides whether two
+/// runs of the same job must agree on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+pub enum CounterKind {
+    /// Records and bytes into and out of each phase: a function of the
+    /// job's input and configuration alone. Identical between any two
+    /// runs of the same job — on any slot kind, under any fault storm
+    /// (failed attempts are never absorbed) — and the set the ledger's
+    /// determinism gate pins.
+    Semantic,
+    /// A stopwatch reading (`*Nanos`): never equal twice.
+    Clock,
+    /// The fault path's own tallies: zero on a clean run, a function of
+    /// the fault plan's seed on a faulted one.
+    FaultTally,
+    /// Which internal path handled the data — where the shuffle store
+    /// placed and served segments, what the wire codec saved, how often
+    /// keys were split or blocks spliced. Repeatable for one engine and
+    /// one configuration (the shuffle budget and wire codec included),
+    /// but not part of a job's answer: a local run and a budgeted
+    /// distributed run of one job differ here and nowhere in
+    /// [`CounterKind::Semantic`].
+    Path,
+}
+
+/// The one table of counters: each row is a variant, its stable
+/// snake-case name and its [`CounterKind`]; row order is slot order and
+/// the order of [`ALL_COUNTERS`].
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $kind:ident;)*) => {
+        /// All counters the engine maintains.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Number of counter slots.
+        pub const NUM_COUNTERS: usize = [$(Counter::$variant),*].len();
+
+        /// Every counter, in declaration order — for reports and exporters.
+        pub const ALL_COUNTERS: [Counter; NUM_COUNTERS] = [$(Counter::$variant),*];
+
+        impl Counter {
+            /// Stable snake-case name, used as the JSON key in metrics reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+
+            /// Whether two runs of the same job must agree on this counter.
+            pub fn kind(self) -> CounterKind {
+                match self {
+                    $(Counter::$variant => CounterKind::$kind,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Records read by mappers.
-    MapInputRecords,
+    MapInputRecords = "map_input_records", Semantic;
     /// Key/value pairs emitted by mappers (after any user-level
     /// aggregation — what actually enters the pipeline).
-    MapOutputRecords,
+    MapOutputRecords = "map_output_records", Semantic;
     /// Raw serialized bytes of map output (keys + values + record
     /// framing), before compression.
-    MapOutputBytes,
+    MapOutputBytes = "map_output_bytes", Semantic;
     /// Bytes of map output actually materialized to "disk" after the
     /// codec ran — the paper's "Map output materialized bytes".
-    MapOutputMaterializedBytes,
+    MapOutputMaterializedBytes = "map_output_materialized_bytes", Semantic;
     /// Key bytes within map output (diagnostic split of MapOutputBytes).
-    MapOutputKeyBytes,
+    MapOutputKeyBytes = "map_output_key_bytes", Semantic;
     /// Value bytes within map output.
-    MapOutputValueBytes,
+    MapOutputValueBytes = "map_output_value_bytes", Semantic;
     /// Record-framing overhead bytes within map output.
-    MapOutputFramingBytes,
+    MapOutputFramingBytes = "map_output_framing_bytes", Semantic;
     /// Records entering combiners.
-    CombineInputRecords,
+    CombineInputRecords = "combine_input_records", Semantic;
     /// Records leaving combiners.
-    CombineOutputRecords,
+    CombineOutputRecords = "combine_output_records", Semantic;
     /// Spill events.
-    Spills,
+    Spills = "spills", Semantic;
     /// Bytes fetched across the (simulated) network by reducers.
-    ShuffleBytes,
+    ShuffleBytes = "shuffle_bytes", Semantic;
     /// Records entering reducers after merge/group.
-    ReduceInputRecords,
+    ReduceInputRecords = "reduce_input_records", Semantic;
     /// Distinct keys reduced.
-    ReduceInputGroups,
+    ReduceInputGroups = "reduce_input_groups", Semantic;
     /// Records emitted by reducers.
-    ReduceOutputRecords,
+    ReduceOutputRecords = "reduce_output_records", Semantic;
     /// Bytes emitted by reducers.
-    ReduceOutputBytes,
+    ReduceOutputBytes = "reduce_output_bytes", Semantic;
     /// Keys split by the routing path (§IV-B case 1): extra records
     /// created.
-    RouteSplitRecords,
+    RouteSplitRecords = "route_split_records", Path;
     /// Keys split by the sort path (§IV-B case 2): extra records created.
-    SortSplitRecords,
+    SortSplitRecords = "sort_split_records", Path;
     /// Nanoseconds spent inside `Codec::compress`.
-    CompressNanos,
+    CompressNanos = "compress_nanos", Clock;
     /// Nanoseconds spent inside `Codec::decompress`.
-    DecompressNanos,
+    DecompressNanos = "decompress_nanos", Clock;
     /// Nanoseconds spent in user map functions.
-    MapFnNanos,
+    MapFnNanos = "map_fn_nanos", Clock;
     /// Nanoseconds spent in user reduce functions.
-    ReduceFnNanos,
+    ReduceFnNanos = "reduce_fn_nanos", Clock;
     /// Nanoseconds spent sorting, combining and serializing spills
     /// (map-side per-record pipeline cost).
-    SpillNanos,
+    SpillNanos = "spill_nanos", Clock;
     /// Nanoseconds spent merging, splitting and grouping at reducers
     /// (reduce-side per-record pipeline cost).
-    MergeNanos,
+    MergeNanos = "merge_nanos", Clock;
     /// Final map-output segments produced (one per reducer partition per
     /// map task, after spill merging). Each carries a fixed file header,
     /// which is why `MapOutputBytes` exceeds keys + values + framing by
     /// exactly `header * MapOutputSegments`.
-    MapOutputSegments,
+    MapOutputSegments = "map_output_segments", Semantic;
     /// Task attempts that failed and were re-queued for another attempt
     /// (fault-tolerance path; a clean run has zero).
-    TaskRetries,
+    TaskRetries = "task_retries", FaultTally;
     /// Segment CRC-32 trailer mismatches detected at open time. Every
     /// detected failure triggers a retry, so on a completed job
     /// `ChecksumFailures <= TaskRetries`.
-    ChecksumFailures,
+    ChecksumFailures = "checksum_failures", FaultTally;
     /// Faults injected by a configured [`crate::fault::FaultPlan`]
     /// (task errors, corruptions, slow-downs).
-    FaultsInjected,
+    FaultsInjected = "faults_injected", FaultTally;
     /// Key bytes removed from final map-output segments by v3 front
     /// coding. The byte-split identity becomes
     /// `key + value + framing + headers ==
     /// MapOutputBytes + MapOutputKeySavedBytes` (key bytes stay
     /// logical; the saving shows up as raw bytes never written).
-    MapOutputKeySavedBytes,
+    MapOutputKeySavedBytes = "map_output_key_saved_bytes", Semantic;
     /// Front-coded blocks in final map-output segments (0 for v1/v2).
-    BlocksWritten,
+    BlocksWritten = "blocks_written", Semantic;
     /// Blocks the spill merge spliced through still-encoded via the
     /// fence-prefix skip rule. Skips only happen while producing final
     /// segments, so `BlocksSkipped <= BlocksWritten`.
-    BlocksSkipped,
+    BlocksSkipped = "blocks_skipped", Path;
     /// Nanoseconds reduce-side fetches spent blocked waiting for map
     /// output that had not been produced yet (distributed runtime only;
     /// the in-process shuffle hands segments over after a full barrier,
     /// so local runs report 0).
-    ShuffleFetchWaitNanos,
+    ShuffleFetchWaitNanos = "shuffle_fetch_wait_nanos", Clock;
     /// Nanoseconds the shuffle service spent writing segment bytes into
     /// worker sockets (distributed runtime only). Dividing
     /// `ShuffleBytes` by this yields the run's measured shuffle
     /// bandwidth, which the cluster model consumes.
-    ShuffleTransferNanos,
+    ShuffleTransferNanos = "shuffle_transfer_nanos", Clock;
     /// Segment bytes the memory-bounded shuffle store wrote to its
     /// per-partition spill files because the in-memory budget was
     /// exhausted (distributed runtime only; 0 for unbounded budgets).
     /// Feeds the cluster model's disk term.
-    ShuffleSpilledBytes,
+    ShuffleSpilledBytes = "shuffle_spilled_bytes", Path;
     /// Segment reads served from a spill file instead of memory
     /// (distributed runtime only). A retried reduce re-fetching a
     /// spilled segment counts again — this is disk traffic, not
     /// distinct segments.
-    ShuffleSpillReads,
+    ShuffleSpillReads = "shuffle_spill_reads", Path;
     /// High-water mark of shuffle bytes resident in memory at once.
     /// Max-semantics recorded once at job end, so it stays additive in
     /// the counter bank. Local runs report their full shuffle volume
     /// (everything is resident); bounded distributed runs report at
     /// most the configured budget.
-    ShuffleMemHighWater,
+    ShuffleMemHighWater = "shuffle_mem_high_water", Path;
     /// Wire bytes the shuffle service did *not* send because segments
     /// crossed compressed (distributed runtime with `--wire-codec lz`):
     /// per served segment, logical length minus transmitted length.
@@ -123,112 +181,19 @@ pub enum Counter {
     /// retried reduces count again, mirroring `ShuffleSpillReads`;
     /// segments served raw (corrupted copies, incompressible segments)
     /// contribute zero.
-    ShuffleWireBytesSaved,
+    ShuffleWireBytesSaved = "shuffle_wire_bytes_saved", Path;
     /// Spill-file bytes orphaned by republish-after-death: a retried
     /// map attempt repoints its slots, and the predecessor's spilled
     /// bytes stay dead in the append-only file until the job ends.
     /// Always `<= ShuffleSpilledBytes`; the gap between them and live
     /// spill bytes is this counter.
-    ShuffleSpillDeadBytes,
+    ShuffleSpillDeadBytes = "shuffle_spill_dead_bytes", Path;
     /// Nanoseconds the shuffle store spent in wire-codec compression at
     /// publish time (distributed runtime only; 0 under `identity`).
-    LzCompressNanos,
+    LzCompressNanos = "lz_compress_nanos", Clock;
     /// Nanoseconds reduce workers spent decompressing wire-compressed
     /// segments at fetch time (distributed runtime only).
-    LzDecompressNanos,
-}
-
-/// Number of counter slots.
-pub const NUM_COUNTERS: usize = Counter::LzDecompressNanos as usize + 1;
-
-/// Every counter, in declaration order — for reports and exporters.
-pub const ALL_COUNTERS: [Counter; NUM_COUNTERS] = [
-    Counter::MapInputRecords,
-    Counter::MapOutputRecords,
-    Counter::MapOutputBytes,
-    Counter::MapOutputMaterializedBytes,
-    Counter::MapOutputKeyBytes,
-    Counter::MapOutputValueBytes,
-    Counter::MapOutputFramingBytes,
-    Counter::CombineInputRecords,
-    Counter::CombineOutputRecords,
-    Counter::Spills,
-    Counter::ShuffleBytes,
-    Counter::ReduceInputRecords,
-    Counter::ReduceInputGroups,
-    Counter::ReduceOutputRecords,
-    Counter::ReduceOutputBytes,
-    Counter::RouteSplitRecords,
-    Counter::SortSplitRecords,
-    Counter::CompressNanos,
-    Counter::DecompressNanos,
-    Counter::MapFnNanos,
-    Counter::ReduceFnNanos,
-    Counter::SpillNanos,
-    Counter::MergeNanos,
-    Counter::MapOutputSegments,
-    Counter::TaskRetries,
-    Counter::ChecksumFailures,
-    Counter::FaultsInjected,
-    Counter::MapOutputKeySavedBytes,
-    Counter::BlocksWritten,
-    Counter::BlocksSkipped,
-    Counter::ShuffleFetchWaitNanos,
-    Counter::ShuffleTransferNanos,
-    Counter::ShuffleSpilledBytes,
-    Counter::ShuffleSpillReads,
-    Counter::ShuffleMemHighWater,
-    Counter::ShuffleWireBytesSaved,
-    Counter::ShuffleSpillDeadBytes,
-    Counter::LzCompressNanos,
-    Counter::LzDecompressNanos,
-];
-
-impl Counter {
-    /// Stable snake-case name, used as the JSON key in metrics reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::MapInputRecords => "map_input_records",
-            Counter::MapOutputRecords => "map_output_records",
-            Counter::MapOutputBytes => "map_output_bytes",
-            Counter::MapOutputMaterializedBytes => "map_output_materialized_bytes",
-            Counter::MapOutputKeyBytes => "map_output_key_bytes",
-            Counter::MapOutputValueBytes => "map_output_value_bytes",
-            Counter::MapOutputFramingBytes => "map_output_framing_bytes",
-            Counter::CombineInputRecords => "combine_input_records",
-            Counter::CombineOutputRecords => "combine_output_records",
-            Counter::Spills => "spills",
-            Counter::ShuffleBytes => "shuffle_bytes",
-            Counter::ReduceInputRecords => "reduce_input_records",
-            Counter::ReduceInputGroups => "reduce_input_groups",
-            Counter::ReduceOutputRecords => "reduce_output_records",
-            Counter::ReduceOutputBytes => "reduce_output_bytes",
-            Counter::RouteSplitRecords => "route_split_records",
-            Counter::SortSplitRecords => "sort_split_records",
-            Counter::CompressNanos => "compress_nanos",
-            Counter::DecompressNanos => "decompress_nanos",
-            Counter::MapFnNanos => "map_fn_nanos",
-            Counter::ReduceFnNanos => "reduce_fn_nanos",
-            Counter::SpillNanos => "spill_nanos",
-            Counter::MergeNanos => "merge_nanos",
-            Counter::MapOutputSegments => "map_output_segments",
-            Counter::TaskRetries => "task_retries",
-            Counter::ChecksumFailures => "checksum_failures",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::MapOutputKeySavedBytes => "map_output_key_saved_bytes",
-            Counter::BlocksWritten => "blocks_written",
-            Counter::BlocksSkipped => "blocks_skipped",
-            Counter::ShuffleFetchWaitNanos => "shuffle_fetch_wait_nanos",
-            Counter::ShuffleTransferNanos => "shuffle_transfer_nanos",
-            Counter::ShuffleSpilledBytes => "shuffle_spilled_bytes",
-            Counter::ShuffleSpillReads => "shuffle_spill_reads",
-            Counter::ShuffleMemHighWater => "shuffle_mem_high_water",
-            Counter::ShuffleWireBytesSaved => "shuffle_wire_bytes_saved",
-            Counter::ShuffleSpillDeadBytes => "shuffle_spill_dead_bytes",
-            Counter::LzCompressNanos => "lz_compress_nanos",
-            Counter::LzDecompressNanos => "lz_decompress_nanos",
-        }
-    }
+    LzDecompressNanos = "lz_decompress_nanos", Clock;
 }
 
 /// Lock-free counter bank, shared across tasks.
@@ -444,8 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn all_counters_covers_every_slot_with_unique_names() {
-        assert_eq!(ALL_COUNTERS.len(), NUM_COUNTERS);
+    fn the_table_gives_every_slot_a_unique_name_and_a_kind() {
         for (i, c) in ALL_COUNTERS.iter().enumerate() {
             assert_eq!(*c as usize, i, "ALL_COUNTERS must be in declaration order");
         }
@@ -453,6 +417,20 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), NUM_COUNTERS);
+        // Every clock is named as one; the determinism gate's set is
+        // pinned by size so a new counter is classified on purpose.
+        let of = |kind| ALL_COUNTERS.iter().filter(|c| c.kind() == kind).count();
+        for c in ALL_COUNTERS {
+            assert_eq!(
+                c.kind() == CounterKind::Clock,
+                c.name().ends_with("_nanos"),
+                "{}",
+                c.name()
+            );
+        }
+        assert_eq!(of(CounterKind::Semantic), 18);
+        assert_eq!(of(CounterKind::FaultTally), 3);
+        assert_eq!(of(CounterKind::Path), 8);
     }
 
     #[test]

@@ -872,7 +872,6 @@ mod tests {
             .with_reducers(3)
             .with_slots(4, 2)
             .with_retries(4)
-            .with_retry_backoff(Duration::from_micros(10))
             .with_faults(FaultPlan::new(faults));
         let splits = word_splits(5, 32);
         let local = Job::new(config.clone())
@@ -911,7 +910,6 @@ mod tests {
             .with_reducers(3)
             .with_slots(4, 2)
             .with_retries(4)
-            .with_retry_backoff(Duration::from_micros(10))
             .with_faults(FaultPlan::new(faults));
         let splits = word_splits(5, 32);
         let local = Job::new(config.clone())
@@ -966,7 +964,6 @@ mod tests {
             .with_reducers(3)
             .with_slots(4, 2)
             .with_retries(4)
-            .with_retry_backoff(Duration::from_micros(10))
             .with_faults(FaultPlan::new(faults));
         let splits = word_splits(5, 32);
         let identity = run_distributed_with_threads(

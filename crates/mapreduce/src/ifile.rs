@@ -219,6 +219,16 @@ const SUFFIXES: usize = 1;
 const VALUE_LENS: usize = 2;
 const VALUES: usize = 3;
 
+/// What the v3 fence index keeps of a key's
+/// [`KeySemantics::sort_prefix_wide`]: its high word. The writer's seal
+/// and the merge's block-skip proof both take it here, so a fence read
+/// off disk and the head of a rival run compare like with like whatever
+/// an implementor returns.
+#[inline]
+pub(crate) fn fence_prefix(wide: u128) -> u64 {
+    (wide >> 64) as u64
+}
+
 /// In-flight v3 block-building state. One block's records are staged
 /// column by column and flushed to the segment buffer behind a block
 /// header once the columns reach the byte budget or the block the record
@@ -239,7 +249,7 @@ struct BlockState {
     fence: Vec<u8>,
     /// Key of the open group.
     last_key: Vec<u8>,
-    /// `(segment offset, fence sort_prefix, fence key)` per sealed block.
+    /// `(segment offset, fence prefix, fence key)` per sealed block.
     fences: Vec<(usize, u64, Vec<u8>)>,
 }
 
@@ -268,7 +278,7 @@ impl BlockState {
         }
         self.close_group();
         let offset = buf.len();
-        let prefix = self.ks.sort_prefix(&self.fence);
+        let prefix = fence_prefix(self.ks.sort_prefix_wide(&self.fence));
         for field in [
             self.records as i64,
             self.key_bytes as i64,
@@ -408,8 +418,9 @@ impl IFileWriter {
     /// a run of byte-identical keys is stored once as a group whose key
     /// is front-coded against the previous group's, each block carries
     /// its own CRC-32C, and the segment ends with a fence-key index
-    /// (first key + cached [`KeySemantics::sort_prefix`] + offset per
-    /// block) followed by the v2 CRC trailer.
+    /// (first key + the high word of its
+    /// [`KeySemantics::sort_prefix_wide`] + offset per block) followed by
+    /// the v2 CRC trailer.
     ///
     /// Grouping and front coding are order-agnostic (and compare key
     /// *bytes*, whatever `ks` calls equal), but the fence index only
@@ -567,7 +578,7 @@ impl IFileWriter {
         if let Some(mut b) = self.block.take() {
             b.seal(&mut self.buf);
             blocks = b.fences.len() as u64;
-            // Fence-key index: count, then (offset, sort_prefix, fence)
+            // Fence-key index: count, then (offset, fence prefix, fence)
             // per block, then the fixed-width index offset so a reader
             // can find the index without scanning blocks.
             let index_offset = self.buf.len() as u64;
@@ -620,14 +631,14 @@ impl IFileWriter {
 pub(crate) struct Fence {
     /// Absolute offset of the block header in the segment buffer.
     pub(crate) offset: usize,
-    /// `sort_prefix` of the block's first key, cached at write time.
+    /// [`fence_prefix`] of the block's first key, cached at write time.
     pub(crate) prefix: u64,
     key_start: usize,
     key_len: usize,
 }
 
-/// A decompressed segment whose records are parsed lazily through
-/// [`RecordCursor`]s — the reducer's streaming merge reads records
+/// A decompressed segment whose records are parsed lazily by cursors —
+/// the streaming merge ([`crate::sort::BlockMergeStream`]) reads records
 /// straight out of this buffer without materializing owned pairs.
 pub struct RawSegment {
     raw: Vec<u8>,
@@ -700,9 +711,9 @@ impl RawSegment {
     }
 
     /// Whether this segment uses the version-3 block layout (front-coded
-    /// blocks + fence index). Such segments must be read through
-    /// [`RawSegment::block_cursor`]; the flat [`RecordCursor`] cannot
-    /// parse them.
+    /// blocks + fence index). Such segments are read through
+    /// [`RawSegment::block_cursor`]; [`RawSegment::for_each_record`] and
+    /// the merge stream take either layout.
     pub fn is_block_format(&self) -> bool {
         self.version == VERSION_BLOCK
     }
@@ -715,7 +726,7 @@ impl RawSegment {
     /// A cursor over the records, borrowing this segment's buffer.
     /// Only valid for flat (v1/v2) segments; on a v3 segment it yields
     /// no records (use [`RawSegment::block_cursor`]).
-    pub fn cursor(&self) -> RecordCursor<'_> {
+    pub(crate) fn cursor(&self) -> RecordCursor<'_> {
         debug_assert!(
             !self.is_block_format(),
             "flat cursor over a block-format segment (use block_cursor)"
@@ -858,7 +869,7 @@ fn parse_fence_index(raw: &[u8], body_end: usize) -> Result<(usize, Vec<Fence>),
 }
 
 /// A `(key, value)` record borrowed from a decompressed segment buffer.
-pub type RecordSlices<'a> = (&'a [u8], &'a [u8]);
+pub(crate) type RecordSlices<'a> = (&'a [u8], &'a [u8]);
 
 /// A `(key, value)` record whose key borrows a cursor/stream scratch
 /// buffer (`'s`, valid until the next advance) while the value still
@@ -868,7 +879,7 @@ pub type ScratchRecord<'s, 'a> = (&'s [u8], &'a [u8]);
 
 /// Lazy record parser over a [`RawSegment`]'s buffer; yields borrowed
 /// `(key, value)` slices in file order.
-pub struct RecordCursor<'a> {
+pub(crate) struct RecordCursor<'a> {
     raw: &'a [u8],
     framing: Framing,
     pos: usize,
@@ -882,7 +893,7 @@ impl<'a> RecordCursor<'a> {
     // time when it was profiled.
     #[inline(always)]
     #[allow(clippy::should_implement_trait)] // fallible, unlike Iterator
-    pub fn next(&mut self) -> Result<Option<RecordSlices<'a>>, MrError> {
+    pub(crate) fn next(&mut self) -> Result<Option<RecordSlices<'a>>, MrError> {
         if self.pos >= self.raw.len() {
             return Ok(None);
         }
@@ -963,7 +974,8 @@ pub struct EncodedBlock<'a> {
     pub bytes: &'a [u8],
     /// The block's first key.
     pub fence_key: &'a [u8],
-    /// Cached `sort_prefix` of the fence key.
+    /// Cached sort prefix of the fence key: the high word of its
+    /// [`KeySemantics::sort_prefix_wide`].
     pub fence_prefix: u64,
     /// Records in the block.
     pub records: u64,
@@ -1335,7 +1347,7 @@ impl<'a> BlockCursor<'a> {
         self.groups.group_left + 1
     }
 
-    /// Cached fence `sort_prefix` of the *next* block, if any. Every
+    /// Cached fence prefix of the *next* block, if any. Every
     /// key in the current block compares `<=` that fence, so it upper-
     /// bounds the current block's keys for the merge's skip rule.
     #[inline]

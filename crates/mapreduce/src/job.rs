@@ -41,10 +41,6 @@ pub struct JobConfig {
     /// failed `task_retries + 1` times. Zero (default) preserves the old
     /// fail-fast behavior.
     pub task_retries: u32,
-    /// Base backoff between a task failure and its re-queue; attempt `n`
-    /// waits `retry_backoff * 2^(n-1)`, deterministic in the attempt
-    /// number.
-    pub retry_backoff: std::time::Duration,
     /// Optional fault-injection plan (testing/experiments only).
     pub faults: Option<Arc<crate::fault::FaultPlan>>,
 }
@@ -62,7 +58,6 @@ impl std::fmt::Debug for JobConfig {
             .field("ifile_version", &self.ifile_version)
             .field("recorder", &self.recorder.is_some())
             .field("task_retries", &self.task_retries)
-            .field("retry_backoff", &self.retry_backoff)
             .field("faults", &self.faults.as_ref().map(|p| p.config()))
             .finish()
     }
@@ -82,7 +77,6 @@ impl Default for JobConfig {
             ifile_version: IFileVersion::default(),
             recorder: None,
             task_retries: 0,
-            retry_backoff: std::time::Duration::from_micros(100),
             faults: None,
         }
     }
@@ -161,12 +155,6 @@ impl JobConfig {
     /// Builder-style setter for the per-task retry budget.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.task_retries = retries;
-        self
-    }
-
-    /// Builder-style setter for the retry backoff base.
-    pub fn with_retry_backoff(mut self, backoff: std::time::Duration) -> Self {
-        self.retry_backoff = backoff;
         self
     }
 

@@ -3,11 +3,14 @@
 //! Stock Hadoop assumes keys are atomic and independent (§II-B). The
 //! paper's "one set of changes inside Hadoop ... allows aggregate keys to
 //! be split during the routing and sorting phases". This trait is that
-//! change, made pluggable: the engine calls [`KeySemantics::route`] when
-//! partitioning map output and [`KeySemantics::sort_split`] before
-//! grouping at the reducer. The default implementation reproduces stock
-//! Hadoop (hash partitioning, no splitting); `scihadoop-core` provides
-//! the aggregate-key implementation.
+//! change, made pluggable, and each decision is one hook: the engine
+//! calls [`KeySemantics::route_slices`] when partitioning map output,
+//! sorts and merges on [`KeySemantics::sort_prefix_wide`] with
+//! [`KeySemantics::compare`] behind it, and calls
+//! [`KeySemantics::sort_split`] before grouping at the reducer. The
+//! defaults reproduce stock Hadoop (whole pairs, bytewise order, no
+//! splitting); `scihadoop-core` provides the aggregate-key
+//! implementation.
 
 use crate::record::KvPair;
 use std::cmp::Ordering;
@@ -23,79 +26,45 @@ pub trait KeySemantics: Send + Sync {
         a.cmp(b)
     }
 
-    /// Order-preserving 8-byte *sort prefix* of a key: the high word of
-    /// [`KeySemantics::sort_prefix_wide`], and the form the v3 fence
-    /// index stores on disk. Contract:
-    ///
-    /// > `sort_prefix(a) < sort_prefix(b)` implies
-    /// > `compare(a, b) == Ordering::Less`.
-    ///
-    /// Equal prefixes promise nothing, so a low-entropy prefix costs
-    /// speed, never correctness; returning a constant (e.g. `0`) is
-    /// always valid.
-    ///
-    /// The v3 block-skipping merge additionally relies on the *other*
-    /// direction of the same contract: along a sorted run the prefixes
-    /// are non-decreasing (a strictly smaller prefix after a larger one
-    /// would contradict the implication above), and a run whose next
-    /// fence prefix is strictly below every rival head's prefix is
-    /// provably uncontended. Only the implication is required — no new
-    /// obligation is placed on implementors.
-    ///
-    /// The default takes the first 8 key bytes,
-    /// big-endian, zero-extended — order-preserving for the default
-    /// bytewise `compare` (zero-extension only ever coarsens bytewise
-    /// order into ties). Implementations that override `compare` with a
-    /// non-bytewise order MUST also override this method.
-    fn sort_prefix(&self, key: &[u8]) -> u64 {
-        bytewise_sort_prefix(key)
-    }
-
     /// The 16-byte *normalized key* both shuffle sort stages run on —
     /// database sort kernels' "normalized keys", Hadoop's
     /// `RawComparator` taken one step further: the spill sort radix-
-    /// sorts these and the merge's loser tree compares its run heads'
-    /// cached copies. Same contract as [`KeySemantics::sort_prefix`],
+    /// sorts these, the merge's loser tree compares its run heads'
+    /// cached copies, and the v3 fence index stores the high word of
+    /// each block's first key's (the engine takes that word itself, so
+    /// a fence read off disk and a cached head always agree). Contract:
     ///
     /// > `sort_prefix_wide(a) < sort_prefix_wide(b)` implies
-    /// > `compare(a, b) == Ordering::Less`,
+    /// > `compare(a, b) == Ordering::Less`.
     ///
-    /// plus one tie to it: **the top 64 bits are `sort_prefix(key)`**,
-    /// so fence prefixes read off disk compare against the high word of
-    /// a cached head. Equal wide keys promise nothing: the sort leaves
-    /// a tie run of byte-identical keys alone (any comparator is
-    /// reflexive) and hands every other tie to
-    /// [`KeySemantics::compare`].
+    /// Equal wide keys promise nothing — the sort leaves a tie run of
+    /// byte-identical keys alone (any comparator is reflexive) and hands
+    /// every other tie to [`KeySemantics::compare`] — so a low-entropy
+    /// prefix costs speed, never correctness, and a constant is always
+    /// valid. The block-skipping merge leans on the same implication
+    /// read the other way: along a sorted run the wide keys, and so
+    /// their high words, never decrease, which makes a block whose next
+    /// fence is strictly below every rival head provably uncontended.
     ///
-    /// The default widens `sort_prefix` with zeros, which is valid for
-    /// every implementation of that method. [`DefaultKeySemantics`]
-    /// takes the first 16 key bytes, so a 12-byte grid key
-    /// (`[variable][c0][c1]`) is decided without the comparator; an
-    /// override must keep both halves of the contract.
+    /// The default takes the first 16 key bytes, big-endian, zero-
+    /// extended ([`bytewise_sort_prefix_wide`]) — order-preserving for
+    /// the default bytewise `compare`, and wide enough to decide a
+    /// 12-byte grid key (`[variable][c0][c1]`) without the comparator.
+    /// An implementation that overrides `compare` with a non-bytewise
+    /// order MUST override this method too.
     fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
-        (self.sort_prefix(key) as u128) << 64
+        bytewise_sort_prefix_wide(key)
     }
 
     /// Which reducer a key routes to (Hadoop's `Partitioner`).
     fn partition(&self, key: &[u8], parts: usize) -> usize;
 
-    /// Route a pair, possibly splitting it across reducers (§IV-B case
-    /// 1). The default routes whole pairs, like stock Hadoop.
-    fn route(&self, pair: KvPair, parts: usize) -> Vec<(usize, KvPair)> {
-        let p = self.partition(&pair.key, parts);
-        vec![(p, pair)]
-    }
-
-    /// Slice-based routing for the arena spill path: emit each routed
-    /// `(partition, key, value)` piece without materializing owned pairs.
-    /// The default delegates to [`KeySemantics::route`], so existing
-    /// implementations that only override `route` stay correct;
-    /// implementations on the hot path should override this to avoid the
-    /// per-record allocations.
+    /// Route a pair: emit each `(partition, key, value)` piece it
+    /// becomes, possibly splitting it across reducers (§IV-B case 1).
+    /// The default emits the whole pair to
+    /// [`KeySemantics::partition`], like stock Hadoop.
     fn route_slices(&self, key: &[u8], value: &[u8], parts: usize, emit: &mut RouteSink<'_>) {
-        for (p, piece) in self.route(KvPair::new(key.to_vec(), value.to_vec()), parts) {
-            emit(p, &piece.key, &piece.value);
-        }
+        emit(self.partition(key, parts), key, value);
     }
 
     /// Rewrite a reducer's sorted run before grouping, e.g. splitting
@@ -141,16 +110,8 @@ pub trait KeySemantics: Send + Sync {
 pub struct DefaultKeySemantics;
 
 impl KeySemantics for DefaultKeySemantics {
-    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
-        bytewise_sort_prefix_wide(key)
-    }
-
     fn partition(&self, key: &[u8], parts: usize) -> usize {
         (fnv1a(key) % parts as u64) as usize
-    }
-
-    fn route_slices(&self, key: &[u8], value: &[u8], parts: usize, emit: &mut RouteSink<'_>) {
-        emit(self.partition(key, parts), key, value);
     }
 
     fn sort_splits(&self) -> bool {
@@ -162,13 +123,10 @@ impl KeySemantics for DefaultKeySemantics {
     }
 }
 
-/// The default [`KeySemantics::sort_prefix`]: first 8 key bytes,
-/// big-endian, zero-extended. For any bytewise comparator this is
-/// order-preserving — where the zero padding collides with real `0x00`
-/// key bytes the prefixes tie, and ties always fall back to the full
-/// comparator.
+/// First 8 key bytes, big-endian, zero-extended: the high word of
+/// [`bytewise_sort_prefix_wide`].
 #[inline]
-pub fn bytewise_sort_prefix(key: &[u8]) -> u64 {
+fn bytewise_sort_prefix(key: &[u8]) -> u64 {
     match key.first_chunk::<8>() {
         Some(head) => u64::from_be_bytes(*head),
         None => {
@@ -179,10 +137,11 @@ pub fn bytewise_sort_prefix(key: &[u8]) -> u64 {
     }
 }
 
-/// [`DefaultKeySemantics`]' [`KeySemantics::sort_prefix_wide`]: first 16
-/// key bytes, big-endian, zero-extended; its top 64 bits are
-/// [`bytewise_sort_prefix`]. Order-preserving for a bytewise comparator
-/// for the same reason.
+/// The default [`KeySemantics::sort_prefix_wide`]: first 16 key bytes,
+/// big-endian, zero-extended. For any bytewise comparator this is
+/// order-preserving — where the zero padding collides with real `0x00`
+/// key bytes the prefixes tie, and ties always fall back to the full
+/// comparator.
 #[inline]
 pub fn bytewise_sort_prefix_wide(key: &[u8]) -> u128 {
     let low = match key.len() {
@@ -226,16 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn default_route_is_whole_pair() {
-        let ks = DefaultKeySemantics;
-        let pair = KvPair::new(b"k".to_vec(), b"v".to_vec());
-        let routed = ks.route(pair.clone(), 3);
-        assert_eq!(routed.len(), 1);
-        assert_eq!(routed[0].1, pair);
-        assert_eq!(routed[0].0, ks.partition(b"k", 3));
-    }
-
-    #[test]
     fn default_compare_is_bytewise() {
         let ks = DefaultKeySemantics;
         assert_eq!(ks.compare(b"a", b"b"), Ordering::Less);
@@ -252,42 +201,23 @@ mod tests {
     }
 
     #[test]
-    fn route_slices_default_delegates_to_route() {
-        /// Splits every pair across two fixed partitions via `route` only.
-        struct Splitter;
-        impl KeySemantics for Splitter {
-            fn partition(&self, _key: &[u8], _parts: usize) -> usize {
-                0
-            }
-            fn route(&self, pair: KvPair, _parts: usize) -> Vec<(usize, KvPair)> {
-                vec![(0, pair.clone()), (1, pair)]
+    fn default_route_slices_emits_the_whole_pair_to_its_partition() {
+        /// Overrides nothing but the one required method.
+        struct OnlyPartition;
+        impl KeySemantics for OnlyPartition {
+            fn partition(&self, key: &[u8], _parts: usize) -> usize {
+                key.len()
             }
         }
         let mut emitted = Vec::new();
-        Splitter.route_slices(b"k", b"v", 2, &mut |p, k, v| {
+        OnlyPartition.route_slices(b"key", b"val", 7, &mut |p, k, v| {
             emitted.push((p, k.to_vec(), v.to_vec()));
         });
-        assert_eq!(
-            emitted,
-            vec![
-                (0, b"k".to_vec(), b"v".to_vec()),
-                (1, b"k".to_vec(), b"v".to_vec()),
-            ]
-        );
+        assert_eq!(emitted, vec![(3, b"key".to_vec(), b"val".to_vec())]);
         // Unknown semantics keep the conservative streaming defaults.
-        assert!(Splitter.sort_splits());
-        assert!(Splitter.sort_interacts(b"a", b"b"));
-    }
-
-    #[test]
-    fn default_route_slices_matches_route() {
+        assert!(OnlyPartition.sort_splits());
+        assert!(OnlyPartition.sort_interacts(b"a", b"b"));
         let ks = DefaultKeySemantics;
-        let mut emitted = Vec::new();
-        ks.route_slices(b"key", b"val", 7, &mut |p, k, v| {
-            emitted.push((p, k.to_vec(), v.to_vec()));
-        });
-        assert_eq!(emitted.len(), 1);
-        assert_eq!(emitted[0].0, ks.partition(b"key", 7));
         assert!(!ks.sort_splits(), "atomic keys never split at sort time");
         assert!(!ks.sort_interacts(b"a", b"a"));
     }
@@ -307,12 +237,15 @@ mod tests {
             b"abcdefgh",
             b"abcdefghi",
             b"abcdefgi",
+            b"abcdefghijklmnop",
+            b"abcdefghijklmnopq",
+            b"abcdefghijklmnoq",
             b"b",
-            &[0xFF; 12],
+            &[0xFF; 20],
         ];
         for a in keys {
             for b in keys {
-                if ks.sort_prefix(a) < ks.sort_prefix(b) {
+                if ks.sort_prefix_wide(a) < ks.sort_prefix_wide(b) {
                     assert_eq!(
                         ks.compare(a, b),
                         Ordering::Less,
@@ -321,55 +254,40 @@ mod tests {
                 }
             }
         }
-        // Beyond-8-byte differences tie (and must, per the contract).
-        assert_eq!(ks.sort_prefix(b"abcdefghX"), ks.sort_prefix(b"abcdefghY"));
-        assert_eq!(bytewise_sort_prefix(b"abcdefgh"), 0x6162636465666768);
         // Prefixes are non-decreasing along any sorted sequence — the
         // monotonicity the v3 fence-index skip rule leans on.
         let mut sorted: Vec<&[u8]> = keys.to_vec();
         sorted.sort_by(|a, b| ks.compare(a, b));
         for w in sorted.windows(2) {
             assert!(
-                ks.sort_prefix(w[0]) <= ks.sort_prefix(w[1]),
+                ks.sort_prefix_wide(w[0]) <= ks.sort_prefix_wide(w[1]),
                 "prefix regressed along a sorted run: {:?} then {:?}",
                 w[0],
                 w[1]
             );
         }
-        assert_eq!(bytewise_sort_prefix(b"a"), 0x61 << 56);
-        assert_eq!(bytewise_sort_prefix(b""), 0);
     }
 
     #[test]
-    fn wide_prefix_extends_the_narrow_one() {
+    fn default_sort_prefix_is_the_first_16_bytes_zero_extended() {
         let ks = DefaultKeySemantics;
         let long: Vec<u8> = (1..=20).collect();
         for len in 0..=long.len() {
             let key = &long[..len];
             let mut padded = [0u8; 16];
             padded[..len.min(16)].copy_from_slice(&key[..len.min(16)]);
-            let wide = ks.sort_prefix_wide(key);
-            assert_eq!(wide, u128::from_be_bytes(padded), "{len} bytes");
-            assert_eq!((wide >> 64) as u64, ks.sort_prefix(key), "{len} bytes");
+            assert_eq!(
+                ks.sort_prefix_wide(key),
+                u128::from_be_bytes(padded),
+                "{len} bytes"
+            );
         }
-        // Trailing zero bytes and length are the comparator's to tell apart.
+        // Trailing zero bytes, length and anything past 16 bytes are the
+        // comparator's to tell apart.
         assert_eq!(ks.sort_prefix_wide(b"ab"), ks.sort_prefix_wide(b"ab\0"));
         assert_eq!(
             ks.sort_prefix_wide(&long[..16]),
             ks.sort_prefix_wide(&long[..17])
-        );
-
-        /// Overrides nothing the sort reads: the trait's wide default
-        /// widens the bytewise narrow prefix with zeros.
-        struct OnlyPartition;
-        impl KeySemantics for OnlyPartition {
-            fn partition(&self, _key: &[u8], _parts: usize) -> usize {
-                0
-            }
-        }
-        assert_eq!(
-            OnlyPartition.sort_prefix_wide(&long),
-            (bytewise_sort_prefix(&long) as u128) << 64
         );
     }
 

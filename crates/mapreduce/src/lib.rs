@@ -38,7 +38,7 @@ pub mod sort;
 pub mod stats;
 
 pub use arena::SpillArena;
-pub use counters::{Counter, CounterSnapshot, Counters, ALL_COUNTERS, NUM_COUNTERS};
+pub use counters::{Counter, CounterKind, CounterSnapshot, Counters, ALL_COUNTERS, NUM_COUNTERS};
 pub use dist::{
     run_distributed, run_distributed_with_threads, run_worker, DistConfig, Transport, WireCodec,
     WorkerEnv,
@@ -47,12 +47,10 @@ pub use error::MrError;
 pub use fault::{Corruption, FaultConfig, FaultPlan};
 pub use ifile::{
     BlockCursor, EncodedBlock, Framing, IFileReader, IFileVersion, IFileWriter, RawSegment,
-    RecordCursor, RecordSlices, DEFAULT_BLOCK_BUDGET,
+    DEFAULT_BLOCK_BUDGET,
 };
 pub use job::{Job, JobConfig, JobResult};
-pub use keysem::{
-    bytewise_sort_prefix, bytewise_sort_prefix_wide, DefaultKeySemantics, KeySemantics, RouteSink,
-};
+pub use keysem::{bytewise_sort_prefix_wide, DefaultKeySemantics, KeySemantics, RouteSink};
 pub use obs::{Phase, Recorder, Trace};
 pub use record::{Emit, FnMapper, FnReducer, InputSplit, KvPair, Mapper, Reducer};
 pub use sort::{for_each_group, merge_sorted_runs, sort_pairs, BlockMergeStream, MergeItem};

@@ -54,16 +54,6 @@ impl DriftReport {
     pub fn row(&self, name: &str) -> Option<&DriftRow> {
         self.rows.iter().find(|r| r.name == name)
     }
-
-    /// Largest absolute error (percent) among rows with the given unit.
-    /// Zero when there are no such rows.
-    pub fn max_abs_error_pct(&self, unit: &str) -> f64 {
-        self.rows
-            .iter()
-            .filter(|r| r.unit == unit)
-            .map(|r| r.error_pct().abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn report_lookup_and_max_error() {
+    fn report_lookup() {
         let report = DriftReport {
             label: "r".into(),
             rows: vec![
@@ -127,8 +117,5 @@ mod tests {
         };
         assert!(report.row("a").is_some());
         assert!(report.row("missing").is_none());
-        assert!((report.max_abs_error_pct("s") - 50.0).abs() < 1e-9);
-        assert_eq!(report.max_abs_error_pct("B"), 0.0);
-        assert_eq!(report.max_abs_error_pct("ns"), 0.0);
     }
 }

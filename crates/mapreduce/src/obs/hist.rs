@@ -38,23 +38,6 @@ pub fn bucket_index(value: u64) -> usize {
     }
 }
 
-/// Inclusive lower bound of a bucket.
-pub fn bucket_lo(index: usize) -> u64 {
-    match index {
-        0 => 0,
-        k => 1u64 << (k - 1),
-    }
-}
-
-/// Inclusive upper bound of a bucket.
-pub fn bucket_hi(index: usize) -> u64 {
-    match index {
-        0 => 0,
-        64 => u64::MAX,
-        k => (1u64 << k) - 1,
-    }
-}
-
 impl Histogram {
     /// An empty histogram.
     pub const fn new() -> Self {
@@ -128,15 +111,6 @@ impl Histogram {
     /// True when no sample has been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Occupied buckets as `(lo, hi, count)` triples.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_lo(i), bucket_hi(i), n))
     }
 
     /// Raw bucket counts (index 0 = value 0, index k = `[2^(k-1), 2^k)`).
@@ -342,13 +316,9 @@ mod tests {
             let hi = (1u64 << k) - 1;
             assert_eq!(bucket_index(lo), k, "lo of bucket {k}");
             assert_eq!(bucket_index(hi), k, "hi of bucket {k}");
-            assert_eq!(bucket_lo(k), lo);
-            assert_eq!(bucket_hi(k), hi);
         }
         assert_eq!(bucket_index(u64::MAX), 64);
         assert_eq!(bucket_index(1u64 << 63), 64);
-        assert_eq!(bucket_hi(64), u64::MAX);
-        assert_eq!(bucket_lo(64), 1u64 << 63);
     }
 
     #[test]
@@ -416,19 +386,6 @@ mod tests {
         let mut empty = Histogram::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn nonzero_buckets_cover_all_samples() {
-        let mut h = Histogram::new();
-        for v in [0u64, 3, 3, 900] {
-            h.record(v);
-        }
-        let total: u64 = h.nonzero_buckets().map(|(_, _, n)| n).sum();
-        assert_eq!(total, 4);
-        for (lo, hi, _) in h.nonzero_buckets() {
-            assert!(lo <= hi);
-        }
     }
 
     #[test]

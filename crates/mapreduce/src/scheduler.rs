@@ -29,7 +29,7 @@ use crate::stats::JobStats;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One schedulable task. A map task carries its split, which is dropped
 /// when the task commits.
@@ -522,7 +522,7 @@ impl<'a> JobState<'a> {
     }
 
     /// The job's retry policy: count detected corruption, then either
-    /// charge a retry and back off deterministically (`retry_backoff *
+    /// charge a retry and back off deterministically (`RETRY_BACKOFF *
     /// 2^attempt`, metered as a [`Phase::Retry`] span) or, with the
     /// budget exhausted, collect the error. Returns whether the task
     /// should run again.
@@ -535,15 +535,14 @@ impl<'a> JobState<'a> {
             return false;
         }
         self.counters.add(Counter::TaskRetries, 1);
-        let backoff = self
-            .config
-            .retry_backoff
-            .saturating_mul(1u32 << attempt.min(20));
+        // Long enough that a transient fault is not retried into, short
+        // enough to vanish beside any task; no caller ever wanted more
+        // than "negligible" of it.
+        const RETRY_BACKOFF: Duration = Duration::from_micros(100);
+        let backoff = RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(20));
         let _retry_span = crate::span!(Phase::Retry, task);
         obs::hist(Metric::RetryBackoffNanos, backoff.as_nanos() as u64);
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
+        std::thread::sleep(backoff);
         true
     }
 

@@ -16,7 +16,7 @@
 
 use crate::error::MrError;
 use crate::ifile::{
-    BlockCursor, EncodedBlock, RawSegment, RecordCursor, RecordSlices, ScratchRecord,
+    fence_prefix, BlockCursor, EncodedBlock, RawSegment, RecordCursor, RecordSlices, ScratchRecord,
 };
 use crate::keysem::KeySemantics;
 use crate::record::KvPair;
@@ -458,9 +458,9 @@ pub enum MergeItem<'s, 'a> {
 ///   whose *next* fence prefix is strictly below every other live
 ///   run's head prefix — the high word of its cached wide key — the
 ///   whole block sorts before all of them (the
-///   [`KeySemantics::sort_prefix`] contract: `prefix(a) < prefix(b)`
-///   implies `a < b`, and monotonicity along the sorted run bounds
-///   every key in the block by the next fence). The block is emitted
+///   [`KeySemantics::sort_prefix_wide`] contract: `prefix(a) <
+///   prefix(b)` implies `a < b`, and monotonicity along the sorted run
+///   bounds every key in the block by the next fence). The block is emitted
 ///   still-encoded — no decode, no re-encode, no per-record tree work.
 ///   Strict inequality sidesteps the tie-break, so the record stream
 ///   is byte-identical to the record-at-a-time merge.
@@ -655,10 +655,8 @@ impl<'a> BlockMergeStream<'a> {
             return None;
         }
         let bound = cursor.next_fence_prefix();
-        // A fence prefix is the high word of a wide key.
-        let clear = (0..lives.len()).all(|r| {
-            r == w || !lives[r] || bound.is_some_and(|ub| ub < (prefixes[r] >> 64) as u64)
-        });
+        let clear = (0..lives.len())
+            .all(|r| r == w || !lives[r] || bound.is_some_and(|ub| ub < fence_prefix(prefixes[r])));
         clear.then_some(cursor)
     }
 

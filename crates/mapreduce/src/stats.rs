@@ -84,26 +84,6 @@ impl JobStats {
             reduce_wall_nanos,
         }
     }
-
-    /// Codec CPU seconds per materialized megabyte — the "runtime cost of
-    /// the transform, roughly 2.9× the cost of gzip alone" comparison of
-    /// §III-E is made on exactly this quantity.
-    pub fn compress_secs_per_raw_mb(&self) -> f64 {
-        if self.map_output_bytes == 0 {
-            return 0.0;
-        }
-        (self.compress_nanos as f64 / 1e9) / (self.map_output_bytes as f64 / 1e6)
-    }
-
-    /// Fractional reduction of intermediate data (the paper's headline
-    /// percentages: 77.8 % for the transform, 60.7 % for aggregation).
-    pub fn intermediate_reduction(&self, baseline: &JobStats) -> f64 {
-        if baseline.map_output_materialized_bytes == 0 {
-            return 0.0;
-        }
-        1.0 - self.map_output_materialized_bytes as f64
-            / baseline.map_output_materialized_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -111,36 +91,17 @@ mod tests {
     use super::*;
     use crate::counters::Counters;
 
-    fn stats(materialized: u64) -> JobStats {
+    #[test]
+    fn from_counters_copies_the_counters_it_names() {
         let counters = Counters::new();
         counters.add(Counter::MapOutputBytes, 1000);
-        counters.add(Counter::MapOutputMaterializedBytes, materialized);
+        counters.add(Counter::MapOutputMaterializedBytes, 123);
         counters.add(Counter::CompressNanos, 2_000_000_000);
-        JobStats::from_counters(&counters.snapshot(), 4, 2, 5000, 0, 0)
-    }
-
-    #[test]
-    fn reduction_matches_paper_arithmetic() {
-        // 55.5 GB → 12.3 GB is 77.8 %.
-        let baseline = stats(55_500);
-        let transformed = stats(12_300);
-        let r = transformed.intermediate_reduction(&baseline);
-        assert!((r - 0.778).abs() < 0.001, "got {r}");
-    }
-
-    #[test]
-    fn compress_cost_normalization() {
-        let s = stats(100);
-        // 2 s over 1000 B = 2 s / 0.001 MB = 2000 s/MB.
-        assert!((s.compress_secs_per_raw_mb() - 2000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_baselines_do_not_divide_by_zero() {
-        let z = stats(0);
-        assert_eq!(z.intermediate_reduction(&z), 0.0);
-        let mut empty = z;
-        empty.map_output_bytes = 0;
-        assert_eq!(empty.compress_secs_per_raw_mb(), 0.0);
+        let s = JobStats::from_counters(&counters.snapshot(), 4, 2, 5000, 7, 9);
+        assert_eq!((s.num_maps, s.num_reducers, s.input_bytes), (4, 2, 5000));
+        assert_eq!(s.map_output_bytes, 1000);
+        assert_eq!(s.map_output_materialized_bytes, 123);
+        assert_eq!(s.compress_nanos, 2_000_000_000);
+        assert_eq!((s.map_wall_nanos, s.reduce_wall_nanos), (7, 9));
     }
 }

@@ -101,8 +101,8 @@ impl KeySemantics for ReverseOrder {
     // A non-bytewise comparator must ship a matching sort prefix: the
     // bitwise complement of the bytewise prefix is order-preserving for
     // reverse bytewise order.
-    fn sort_prefix(&self, key: &[u8]) -> u64 {
-        !scihadoop_mapreduce::bytewise_sort_prefix(key)
+    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
+        !scihadoop_mapreduce::bytewise_sort_prefix_wide(key)
     }
     fn partition(&self, _key: &[u8], _parts: usize) -> usize {
         0
@@ -231,10 +231,7 @@ fn mapper_start_precedes_every_attempt() {
         starts: AtomicU32::new(0),
         maps: AtomicU32::new(0),
     });
-    let config = JobConfig::default()
-        .with_slots(1, 1)
-        .with_retries(1)
-        .with_retry_backoff(std::time::Duration::from_micros(1));
+    let config = JobConfig::default().with_slots(1, 1).with_retries(1);
     let result = Job::new(config)
         .run(word_splits(60, 20), mapper.clone(), count_reducer())
         .unwrap();
@@ -498,8 +495,7 @@ fn panicking_attempts_charge_nothing() {
             JobConfig::default()
                 .with_reducers(1)
                 .with_slots(1, 1)
-                .with_retries(1)
-                .with_retry_backoff(std::time::Duration::from_micros(1)),
+                .with_retries(1),
         )
         .run(distinct_splits(300), mapper, reducer)
         .unwrap()

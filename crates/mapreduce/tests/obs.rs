@@ -109,7 +109,6 @@ fn traced_job_covers_all_phases() {
         JobConfig::default()
             .with_recorder(recorder.clone())
             .with_retries(1)
-            .with_retry_backoff(std::time::Duration::from_micros(1))
             .with_faults(scihadoop_mapreduce::FaultPlan::new(
                 scihadoop_mapreduce::FaultConfig {
                     seed: 1,

@@ -5,12 +5,11 @@
 
 use scihadoop_mapreduce::dist::{run_distributed_with_threads, DistConfig};
 use scihadoop_mapreduce::{
-    runner, Counter, Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, InputSplit, Job, JobConfig,
-    JobResult, KvPair, Mapper, MrError, Reducer, ALL_COUNTERS,
+    runner, Counter, CounterKind, Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, InputSplit,
+    Job, JobConfig, JobResult, KvPair, Mapper, MrError, Reducer, ALL_COUNTERS,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 #[derive(Debug, Clone, Copy)]
 enum Slots {
@@ -156,7 +155,6 @@ fn exhausted_retries_fail_the_job() {
     for slots in BOTH {
         let config = JobConfig::default()
             .with_reducers(2)
-            .with_retry_backoff(Duration::from_micros(1))
             .with_faults(FaultPlan::new(
                 FaultConfig::parse("seed=7,reduce=1.0").unwrap(),
             ));
@@ -177,18 +175,16 @@ fn exhausted_retries_fail_the_job() {
     }
 }
 
-/// Counters a fault storm is allowed to move: the storm's own tallies.
-const BOOKKEEPING: [Counter; 3] = [
-    Counter::TaskRetries,
-    Counter::ChecksumFailures,
-    Counter::FaultsInjected,
-];
-
-/// Every counter that is not a clock reading, by name and value.
-fn deterministic(result: &JobResult, skip: &[Counter]) -> Vec<(&'static str, u64)> {
+/// Every counter that is not a clock reading nor — unless `tallies` —
+/// one of a fault storm's own tallies, by name and value.
+fn deterministic(result: &JobResult, tallies: bool) -> Vec<(&'static str, u64)> {
     ALL_COUNTERS
         .iter()
-        .filter(|c| !c.name().ends_with("_nanos") && !skip.contains(c))
+        .filter(|c| match c.kind() {
+            CounterKind::Clock => false,
+            CounterKind::FaultTally => tallies,
+            CounterKind::Semantic | CounterKind::Path => true,
+        })
         .map(|&c| (c.name(), result.counters.get(c)))
         .collect()
 }
@@ -196,14 +192,10 @@ fn deterministic(result: &JobResult, skip: &[Counter]) -> Vec<(&'static str, u64
 #[test]
 fn counters_do_not_depend_on_the_slot_kind_or_on_a_fault_storm() {
     let clean = JobConfig::default().with_reducers(3).with_slots(4, 2);
-    let storm = clean
-        .clone()
-        .with_retries(4)
-        .with_retry_backoff(Duration::from_micros(10))
-        .with_faults(FaultPlan::new(
-            FaultConfig::parse("seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2")
-                .unwrap(),
-        ));
+    let storm = clean.clone().with_retries(4).with_faults(FaultPlan::new(
+        FaultConfig::parse("seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2")
+            .unwrap(),
+    ));
     let job = |slots, config: &JobConfig| {
         run(
             slots,
@@ -228,14 +220,13 @@ fn counters_do_not_depend_on_the_slot_kind_or_on_a_fault_storm() {
             let result = job(slots, config);
             assert_eq!(reference.outputs, result.outputs, "{slots:?}");
             assert_eq!(
-                deterministic(&reference, &BOOKKEEPING),
-                deterministic(&result, &BOOKKEEPING),
+                deterministic(&reference, false),
+                deterministic(&result, false),
                 "{slots:?}, faults: {}",
                 config.faults.is_some()
             );
             // A reduce-only slot never starts before the maps drain and
-            // nothing crosses a socket: the perf gate's fetch-wait check
-            // keys on local runs charging neither clock.
+            // nothing crosses a socket: a local run charges neither clock.
             let (wait, transfer) = (
                 result.counters.get(Counter::ShuffleFetchWaitNanos),
                 result.counters.get(Counter::ShuffleTransferNanos),
@@ -251,8 +242,8 @@ fn counters_do_not_depend_on_the_slot_kind_or_on_a_fault_storm() {
     }
     // The storm itself is the same storm on either kind of slot.
     assert_eq!(
-        deterministic(&storms[0], &[]),
-        deterministic(&storms[1], &[])
+        deterministic(&storms[0], true),
+        deterministic(&storms[1], true)
     );
     assert!(storms[0].counters.get(Counter::TaskRetries) > 0);
     assert!(storms[0].counters.get(Counter::ChecksumFailures) > 0);

@@ -178,7 +178,9 @@ fn segment(blocks: &[Block]) -> Vec<u8> {
     vint(&mut index, blocks.len() as i64);
     for block in blocks {
         vint(&mut index, out.len() as i64);
-        index.extend_from_slice(&DefaultKeySemantics.sort_prefix(&block.fence).to_be_bytes());
+        // The fence prefix is the high word of the fence key's wide prefix.
+        let wide = DefaultKeySemantics.sort_prefix_wide(&block.fence);
+        index.extend_from_slice(&wide.to_be_bytes()[..8]);
         vint(&mut index, block.fence.len() as i64);
         index.extend_from_slice(&block.fence);
         block.fields.iter().for_each(|&field| vint(&mut out, field));

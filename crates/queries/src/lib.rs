@@ -11,12 +11,9 @@
 //! * **aggregated** — the §IV aggregation library in the mapper plus
 //!   aggregate-key splitting in the engine.
 //!
-//! [`average`] (windowed mean) and [`histogram`] exercise the same
-//! machinery on other access patterns. [`oracle`] holds direct
-//! sequential implementations the MapReduce answers are tested against.
+//! [`oracle`] holds the direct sequential implementation the MapReduce
+//! answers are tested against.
 
-pub mod average;
-pub mod histogram;
 pub mod input;
 pub mod layout;
 pub mod median;

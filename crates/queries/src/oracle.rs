@@ -1,5 +1,5 @@
-//! Direct sequential implementations the MapReduce answers are checked
-//! against.
+//! The direct sequential implementation the MapReduce answers are
+//! checked against.
 
 use scihadoop_grid::{Coord, GridError, Variable};
 use std::collections::HashMap;
@@ -8,25 +8,6 @@ use std::collections::HashMap;
 /// dilated grid (centres receive contributions from grid cells within
 /// the window), the lower median of the contributing values.
 pub fn sliding_median(var: &Variable, window: u32) -> Result<HashMap<Coord, i32>, GridError> {
-    windowed(var, window, |vals| {
-        vals.sort_unstable();
-        vals[(vals.len() - 1) / 2]
-    })
-}
-
-/// Sliding mean (truncated toward zero), same windowing as
-/// [`sliding_median`].
-pub fn sliding_mean(var: &Variable, window: u32) -> Result<HashMap<Coord, i32>, GridError> {
-    windowed(var, window, |vals| {
-        (vals.iter().map(|&v| v as i64).sum::<i64>() / vals.len() as i64) as i32
-    })
-}
-
-fn windowed(
-    var: &Variable,
-    window: u32,
-    mut f: impl FnMut(&mut Vec<i32>) -> i32,
-) -> Result<HashMap<Coord, i32>, GridError> {
     assert!(window % 2 == 1, "window must be odd");
     let h = (window as i32 - 1) / 2;
     let mut acc: HashMap<Coord, Vec<i32>> = HashMap::new();
@@ -71,22 +52,11 @@ fn windowed(
     }
     Ok(acc
         .into_iter()
-        .map(|(c, mut vals)| (c, f(&mut vals)))
+        .map(|(c, mut vals)| {
+            vals.sort_unstable();
+            (c, vals[(vals.len() - 1) / 2])
+        })
         .collect())
-}
-
-/// Value histogram with `bins` equal-width buckets over `[min, max)`.
-pub fn histogram(var: &Variable, bins: usize, min: i32, max: i32) -> Result<Vec<u64>, GridError> {
-    assert!(bins > 0 && max > min);
-    let width = ((max - min) as f64 / bins as f64).max(f64::MIN_POSITIVE);
-    let mut out = vec![0u64; bins];
-    for cell in var.bounds().cells() {
-        if let scihadoop_grid::Value::I32(v) = var.get(&cell)? {
-            let bin = (((v - min) as f64 / width) as usize).min(bins - 1);
-            out[bin] += 1;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -119,27 +89,5 @@ mod tests {
         assert_eq!(m[&Coord::new(vec![-1, -1])], 1);
         // Dilated 3x3 → 5x5 centres.
         assert_eq!(m.len(), 25);
-    }
-
-    #[test]
-    fn mean_truncates_toward_zero() {
-        let m = sliding_mean(&tiny(), 3).unwrap();
-        assert_eq!(m[&Coord::new(vec![1, 1])], 5); // 45/9
-        assert_eq!(m[&Coord::new(vec![-1, -1])], 1);
-    }
-
-    #[test]
-    fn histogram_counts_cells() {
-        let h = histogram(&tiny(), 3, 1, 10).unwrap();
-        assert_eq!(h, vec![3, 3, 3]);
-        assert_eq!(h.iter().sum::<u64>(), 9);
-    }
-
-    #[test]
-    fn histogram_clamps_overflow_bin() {
-        let h = histogram(&tiny(), 2, 1, 2).unwrap();
-        assert_eq!(h.iter().sum::<u64>(), 9);
-        assert_eq!(h[0], 1); // value 1
-        assert_eq!(h[1], 8); // everything ≥ 2 clamps into the last bin
     }
 }

@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use scihadoop_grid::{Shape, Variable};
 use scihadoop_mapreduce::JobConfig;
-use scihadoop_queries::histogram::Histogram;
 use scihadoop_queries::median::{SlidingMedian, SlidingMedianVariant};
 use scihadoop_queries::{oracle, KeyLayout};
 
@@ -43,14 +42,5 @@ proptest! {
         q.base_config = JobConfig::default().with_reducers(reducers);
         let run = q.run(&var).unwrap();
         prop_assert_eq!(run.medians, oracle::sliding_median(&var, 3).unwrap());
-    }
-
-    #[test]
-    fn histogram_equals_oracle(var in arb_grid(), bins in 1usize..12) {
-        let run = Histogram::new(bins, 0, 10_000).run(&var).unwrap();
-        prop_assert_eq!(
-            run.counts,
-            oracle::histogram(&var, bins, 0, 10_000).unwrap()
-        );
     }
 }

@@ -78,8 +78,8 @@ pub(crate) fn with_scratch<R>(ndims: usize, f: impl FnOnce(&mut [u32]) -> R) -> 
 /// Order-preserving 48-bit compression of a curve index: indices below
 /// 2⁴⁸ map to themselves, larger ones clamp to 2⁴⁸ − 1. Monotone
 /// non-decreasing over the whole `u128` range, so it can seed a sort
-/// prefix (`KeySemantics::sort_prefix` in the engine) whose low 48 bits
-/// order aggregate keys by curve position — 48 bits cover a full 2-D
+/// prefix (the high word of `KeySemantics::sort_prefix_wide` in the
+/// engine) whose low 48 bits order aggregate keys by curve position — 48 bits cover a full 2-D
 /// 32-bit-per-dim curve plus 16 spare, and clamped indices simply fall
 /// back to the full comparator on ties.
 pub fn index_prefix48(index: CurveIndex) -> u64 {

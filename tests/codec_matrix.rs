@@ -1,7 +1,7 @@
 //! Every codec × every framing through the full engine, plus corruption
 //! behaviour at the engine boundary.
 
-use scihadoop::compress::{BzipCodec, Codec, CompressError, DeflateCodec, IdentityCodec, RleCodec};
+use scihadoop::compress::{BzipCodec, Codec, CompressError, DeflateCodec, IdentityCodec};
 use scihadoop::core::transform::{TransformCodec, TransformConfig};
 use scihadoop::mapreduce::{
     Counter, Emit, FnMapper, FnReducer, Framing, InputSplit, Job, JobConfig, KvPair,
@@ -12,7 +12,6 @@ use std::sync::Arc;
 fn codecs() -> Vec<Arc<dyn Codec>> {
     vec![
         Arc::new(IdentityCodec),
-        Arc::new(RleCodec),
         Arc::new(DeflateCodec::new()),
         Arc::new(BzipCodec::with_level(1)),
         Arc::new(TransformCodec::with_defaults(Arc::new(DeflateCodec::new()))),

@@ -1,12 +1,10 @@
 //! Cross-crate integration: full queries through the engine, checked
 //! against sequential oracles, under every pipeline configuration.
 
-use scihadoop::compress::{BzipCodec, DeflateCodec, RleCodec};
+use scihadoop::compress::{BzipCodec, DeflateCodec};
 use scihadoop::core::transform::TransformCodec;
 use scihadoop::grid::{Shape, Variable};
 use scihadoop::mapreduce::{Counter, Framing, IFileVersion, JobConfig};
-use scihadoop::queries::average::SlidingAverage;
-use scihadoop::queries::histogram::Histogram;
 use scihadoop::queries::median::{SlidingMedian, SlidingMedianVariant};
 use scihadoop::queries::{oracle, KeyLayout};
 use std::sync::Arc;
@@ -130,15 +128,6 @@ fn named_keys_cost_more_than_indexed_keys() {
 }
 
 #[test]
-fn average_and_histogram_agree_with_oracles() {
-    let var = grid(20, 6);
-    let avg = SlidingAverage::new(layout(), true).run(&var).unwrap();
-    assert_eq!(avg.means, oracle::sliding_mean(&var, 3).unwrap());
-    let h = Histogram::new(16, 0, 100_000).run(&var).unwrap();
-    assert_eq!(h.counts, oracle::histogram(&var, 16, 0, 100_000).unwrap());
-}
-
-#[test]
 fn reducer_and_slot_counts_do_not_change_answers() {
     let var = grid(18, 7);
     let expected = oracle::sliding_median(&var, 3).unwrap();
@@ -182,18 +171,6 @@ fn framing_affects_bytes_not_answers() {
     }
     // SequenceFile framing (6 B/record) costs more than IFile (2 B).
     assert!(totals[0] > totals[1]);
-}
-
-#[test]
-fn rle_codec_runs_through_the_engine() {
-    let var = grid(12, 9);
-    let run = SlidingMedian::new(
-        layout(),
-        SlidingMedianVariant::PlainWithCodec(Arc::new(RleCodec)),
-    )
-    .run(&var)
-    .unwrap();
-    assert_eq!(run.medians, oracle::sliding_median(&var, 3).unwrap());
 }
 
 #[test]

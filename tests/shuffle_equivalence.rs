@@ -98,7 +98,11 @@ fn ref_map_task(cfg: &RefConfig, split: &[KvPair], c: &mut RefCounters) -> Vec<(
         };
 
     for record in split {
-        let routed = cfg.ks.route(record.clone(), cfg.parts);
+        let mut routed = Vec::new();
+        cfg.ks
+            .route_slices(&record.key, &record.value, cfg.parts, &mut |p, k, v| {
+                routed.push((p, KvPair::new(k.to_vec(), v.to_vec())));
+            });
         if routed.len() > 1 {
             c.route_split_records += routed.len() as u64 - 1;
         }
@@ -368,12 +372,6 @@ impl KeySemantics for CountingCompares {
             self.undecided.fetch_add(1, Relaxed);
         }
         a.cmp(b)
-    }
-    fn sort_prefix(&self, key: &[u8]) -> u64 {
-        DefaultKeySemantics.sort_prefix(key)
-    }
-    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
-        DefaultKeySemantics.sort_prefix_wide(key)
     }
     fn partition(&self, key: &[u8], parts: usize) -> usize {
         DefaultKeySemantics.partition(key, parts)

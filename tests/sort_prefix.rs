@@ -1,51 +1,43 @@
-//! Property suite for the `KeySemantics` sort-prefix contract, narrow and
-//! wide:
+//! Property suite for the `KeySemantics` sort-prefix contract:
 //!
-//! > `sort_prefix(a) < sort_prefix(b)` ⇒ `compare(a, b) == Less`
 //! > `sort_prefix_wide(a) < sort_prefix_wide(b)` ⇒ `compare(a, b) == Less`
-//! > `(sort_prefix_wide(k) >> 64) as u64 == sort_prefix(k)`
 //!
 //! checked for every shipped implementation — the default bytewise
 //! semantics over arbitrary byte strings, the aggregate-key semantics
 //! over valid keys (with curve indices from real Z-order mappings,
 //! including boundary coordinates), junk byte strings, and starts
 //! straddling the 48-bit prefix clamp — and for the two shapes of
-//! implementor that inherit the trait's wide default: a reversed order
-//! that overrides the narrow prefix, and one that overrides nothing but
-//! `partition`. The engine's radix spill sort and loser-tree merge are
-//! only correct because of these implications, and the v3 fence index
-//! because of the third line, so a violation here is a corruption bug,
-//! not a perf regression.
+//! implementor a user writes: a reversed order that overrides `compare`
+//! and the prefix, and one that overrides nothing but `partition`. The
+//! engine's radix spill sort, loser-tree merge and v3 fence index are
+//! only correct because of this implication, so a violation here is a
+//! corruption bug, not a perf regression — which is why the reversed
+//! order is also driven through all three (`check_engine`): a prefix
+//! that is right by this contract must be all the engine needs.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use scihadoop::compress::IdentityCodec;
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
 use scihadoop::mapreduce::{
-    bytewise_sort_prefix, bytewise_sort_prefix_wide, DefaultKeySemantics, KeySemantics,
+    bytewise_sort_prefix_wide, merge_sorted_runs, BlockMergeStream, Counter, DefaultKeySemantics,
+    Emit, FnMapper, FnReducer, Framing, IFileWriter, InputSplit, Job, JobConfig, KeySemantics,
+    KvPair, MergeItem, RawSegment,
 };
 use scihadoop::sfc::{index_prefix48, Curve, CurveRun, ZOrderCurve};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-/// Assert the contract over every ordered pair of `keys` (a), along the
-/// run `compare` sorts them into (b), and between the two widths (c).
+/// Assert the contract over every ordered pair of `keys` (a) and along
+/// the run `compare` sorts them into (b).
 fn check_contract(ks: &dyn KeySemantics, keys: &[Vec<u8>]) -> Result<(), TestCaseError> {
     for a in keys {
-        prop_assert_eq!(
-            (ks.sort_prefix_wide(a) >> 64) as u64,
-            ks.sort_prefix(a),
-            "the wide key's high word must be the narrow prefix: {:?}",
-            a
-        );
         for b in keys {
-            let narrow = ks.sort_prefix(a) < ks.sort_prefix(b);
-            let wide = ks.sort_prefix_wide(a) < ks.sort_prefix_wide(b);
-            if narrow || wide {
+            if ks.sort_prefix_wide(a) < ks.sort_prefix_wide(b) {
                 prop_assert_eq!(
                     ks.compare(a, b),
                     Ordering::Less,
-                    "prefix order (narrow {}, wide {}) must imply key order: {:?} vs {:?}",
-                    narrow,
-                    wide,
+                    "prefix order must imply key order: {:?} vs {:?}",
                     a,
                     b
                 );
@@ -56,8 +48,7 @@ fn check_contract(ks: &dyn KeySemantics, keys: &[Vec<u8>]) -> Result<(), TestCas
     run.sort_by(|a, b| ks.compare(a, b));
     for w in run.windows(2) {
         prop_assert!(
-            ks.sort_prefix(w[0]) <= ks.sort_prefix(w[1])
-                && ks.sort_prefix_wide(w[0]) <= ks.sort_prefix_wide(w[1]),
+            ks.sort_prefix_wide(w[0]) <= ks.sort_prefix_wide(w[1]),
             "prefix regressed along a sorted run: {:?} then {:?}",
             w[0],
             w[1]
@@ -66,19 +57,28 @@ fn check_contract(ks: &dyn KeySemantics, keys: &[Vec<u8>]) -> Result<(), TestCas
     Ok(())
 }
 
-/// Reversed bytewise order; the complemented narrow prefix preserves it
-/// and the wide key is the trait's default over that.
+/// Reversed bytewise order over atomic keys, written the way the trait
+/// asks: `compare`, the one prefix that preserves it (the complement of
+/// the bytewise one), and `partition`. Declaring the keys atomic lets
+/// the reducer group straight off the merge, with no re-sort behind it
+/// to repair a misordered stream.
 struct ReverseOrder;
 
 impl KeySemantics for ReverseOrder {
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
         b.cmp(a)
     }
-    fn sort_prefix(&self, key: &[u8]) -> u64 {
-        !bytewise_sort_prefix(key)
+    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
+        !bytewise_sort_prefix_wide(key)
     }
     fn partition(&self, _key: &[u8], _parts: usize) -> usize {
         0
+    }
+    fn sort_splits(&self) -> bool {
+        false
+    }
+    fn sort_interacts(&self, _a: &[u8], _b: &[u8]) -> bool {
+        false
     }
 }
 
@@ -89,6 +89,130 @@ impl KeySemantics for OnlyPartition {
     fn partition(&self, _key: &[u8], _parts: usize) -> usize {
         0
     }
+}
+
+/// Drive `ks` through everything the engine builds on its prefix.
+///
+/// *Job*: four map tasks each emit their rows of a 60 × 45 grid of
+/// 12-byte keys — row `r` belongs to split `r % 4`, which also writes
+/// the row below it, so the reducer's runs interleave and every row
+/// arrives from two of them — plus every one of `keys`; a 4 KiB spill
+/// buffer makes each task spill several v3 segments and merge them on
+/// the map side into one of several blocks. The one reducer must see
+/// each distinct key as exactly one group, in `compare` order.
+///
+/// *Merge*: `keys` sorted, written as v3 runs of 48-byte blocks —
+/// contiguous chunks (disjoint runs, where whole blocks are skipped)
+/// and round-robin (interleaved runs) — must merge to the comparator's
+/// order through both `next` and `next_item`, and every fence prefix on
+/// disk must be the high word of its fence key's wide prefix.
+fn check_engine(ks: Arc<dyn KeySemantics>, keys: &[Vec<u8>]) -> Result<(), TestCaseError> {
+    let mut distinct: Vec<Vec<u8>> = keys.to_vec();
+    let splits: Vec<InputSplit> = (0..4i32)
+        .map(|s| {
+            let rows = (0..60i32).filter(|r| r % 4 == s).flat_map(|r| [r, r + 1]);
+            let grid = rows.flat_map(|r| {
+                (0..45i32).map(move |c| [[0u8; 4], r.to_be_bytes(), c.to_be_bytes()].concat())
+            });
+            let pairs: Vec<KvPair> = grid
+                .chain(keys.iter().cloned())
+                .map(|key| KvPair::new(key, vec![s as u8; 4]))
+                .collect();
+            distinct.extend(pairs.iter().map(|p| p.key.clone()));
+            InputSplit::new(pairs)
+        })
+        .collect();
+    distinct.sort_by(|a, b| ks.compare(a, b));
+    distinct.dedup();
+    let result = Job::new(
+        JobConfig::default()
+            .with_reducers(1)
+            .with_spill_buffer(4 << 10)
+            .with_key_semantics(ks.clone()),
+    )
+    .run(
+        splits,
+        Arc::new(FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| {
+            out.emit(k, v)
+        })),
+        Arc::new(FnReducer(|k: &[u8], _: &[&[u8]], out: &mut dyn Emit| {
+            out.emit(k, b"")
+        })),
+    )
+    .expect("job runs");
+    prop_assert!(
+        result.counters.get(Counter::Spills) > 8,
+        "multi-spill tasks"
+    );
+    prop_assert_eq!(
+        result.counters.get(Counter::ReduceInputGroups),
+        distinct.len() as u64,
+        "one reduce group per distinct key"
+    );
+    let reduced: Vec<&Vec<u8>> = result.outputs[0].iter().map(|p| &p.key).collect();
+    prop_assert_eq!(reduced, distinct.iter().collect::<Vec<_>>());
+
+    let mut sorted: Vec<KvPair> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| KvPair::new(k.clone(), vec![i as u8]))
+        .collect();
+    sorted.sort_by(|a, b| ks.compare(&a.key, &b.key));
+    let chunk = sorted.len().div_ceil(3);
+    let disjoint: Vec<Vec<KvPair>> = sorted.chunks(chunk).map(<[_]>::to_vec).collect();
+    let interleaved: Vec<Vec<KvPair>> = (0..3)
+        .map(|r| sorted.iter().skip(r).step_by(3).cloned().collect())
+        .collect();
+    for runs in [disjoint, interleaved] {
+        let sealed: Vec<Vec<u8>> = runs
+            .iter()
+            .map(|run| {
+                let mut w = IFileWriter::v3_with_budget(
+                    Framing::IFile,
+                    Arc::new(IdentityCodec),
+                    ks.clone(),
+                    48,
+                );
+                run.iter().for_each(|p| w.append_pair(p));
+                w.close().data
+            })
+            .collect();
+        let segments: Vec<RawSegment> = sealed
+            .iter()
+            .map(|s| RawSegment::open(s, &IdentityCodec).expect("segment opens"))
+            .collect();
+        for segment in &segments {
+            let mut cursor = segment.block_cursor();
+            prop_assert!(cursor.advance().expect("first record"));
+            while cursor.at_block_start() {
+                let block = cursor.take_block().expect("whole block");
+                prop_assert_eq!(
+                    block.fence_prefix,
+                    (ks.sort_prefix_wide(block.fence_key) >> 64) as u64,
+                    "fence prefix of {:?}",
+                    block.fence_key
+                );
+            }
+        }
+        let expected = merge_sorted_runs(runs, ks.as_ref());
+        let mut by_record = Vec::new();
+        let mut stream = BlockMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
+        while let Some((key, value)) = stream.next().expect("merge") {
+            by_record.push(KvPair::new(key.to_vec(), value.to_vec()));
+        }
+        prop_assert_eq!(&by_record, &expected, "next()");
+        let mut by_item = Vec::new();
+        let mut stream = BlockMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
+        while let Some(item) = stream.next_item().expect("merge") {
+            let mut push = |k: &[u8], v: &[u8]| by_item.push(KvPair::new(k.to_vec(), v.to_vec()));
+            match item {
+                MergeItem::Record(key, value) => push(key, value),
+                MergeItem::Block(block) => block.for_each_record(push).expect("block decodes"),
+            }
+        }
+        prop_assert_eq!(&by_item, &expected, "next_item()");
+    }
+    Ok(())
 }
 
 /// Byte strings where the 16-byte window's edge cases are the common
@@ -154,12 +278,14 @@ proptest! {
     }
 
     /// Bytewise order under all three implementors that use it or its
-    /// mirror image, over the edges of the 16-byte window.
+    /// mirror image, over the edges of the 16-byte window — and the
+    /// mirror image through a job, the merge and the fence index.
     #[test]
     fn bytewise_prefix_contracts_over_edge_keys(keys in edge_keys()) {
         check_contract(&DefaultKeySemantics, &keys)?;
         check_contract(&ReverseOrder, &keys)?;
         check_contract(&OnlyPartition, &keys)?;
+        check_engine(Arc::new(ReverseOrder), &keys)?;
     }
 
     /// Aggregate semantics over valid keys whose starts are genuine
@@ -211,8 +337,8 @@ proptest! {
         check_contract(&ops, &keys)?;
     }
 
-    /// The default prefixes are the first 8 and 16 bytes, zero-extended,
-    /// and `index_prefix48` is monotone — spot restatements of the pieces
+    /// The default prefix is the first 16 bytes, zero-extended, and
+    /// `index_prefix48` is monotone — spot restatements of the pieces
     /// the two implementations are built from.
     #[test]
     fn prefix_building_blocks_are_monotone(
@@ -230,7 +356,6 @@ proptest! {
         first16[..n].copy_from_slice(&key[..n]);
         let wide = u128::from_be_bytes(first16);
         prop_assert_eq!(bytewise_sort_prefix_wide(&key), wide);
-        prop_assert_eq!(bytewise_sort_prefix(&key), (wide >> 64) as u64);
     }
 }
 
@@ -260,7 +385,7 @@ fn aggregate_prefix_boundary_coordinates() {
     }
     for a in &keys {
         for b in &keys {
-            if ops.sort_prefix(a) < ops.sort_prefix(b) {
+            if ops.sort_prefix_wide(a) < ops.sort_prefix_wide(b) {
                 assert_eq!(ops.compare(a, b), Ordering::Less, "{a:?} vs {b:?}");
             }
         }
