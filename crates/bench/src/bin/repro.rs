@@ -8,29 +8,12 @@
 //!       [--wire-codec <identity|lz>]
 //!
 //! Anything else — an unknown `--flag`, a flag whose value is missing or
-//! starts with `--`, a second experiment name, a KiB count that does not
-//! fit — exits 2 with that usage line.
+//! starts with `--`, an unknown or a second experiment name, a KiB count
+//! that does not fit — exits 2 with that usage line.
 //!
-//! EXPERIMENT:
-//!   intro      §I intermediate-file overhead numbers
-//!   fig3       byte-level compression table
-//!   strides    §III-A stride ablation (sizes + brute-force slowdown)
-//!   fig4       transform time vs file size
-//!   fig8       key aggregation data-size breakdown
-//!   cluster    §III-E / §IV-D simulated cluster runs
-//!   trace      traced pipeline: per-stage spans + histogram breakdowns
-//!   model_drift  cost-model predictions vs measured ledger records
-//!   curves     §IV-A curve ablation
-//!   flush      §IV-A flush-threshold ablation
-//!   align      §IV-C alignment ablation
-//!   splits     §IV-B key-splitting inflation
-//!   coalesce   §IV-B future work: reducer-side re-aggregation
-//!   tuning     §III-A detector tuning
-//!   scaling    per-cell byte-scaling sanity check
-//!   fault_storm  fault-injected run vs clean run (byte-identical recovery)
-//!   dist       multi-process shuffle service vs local engine (clean and
-//!              fault-seeded runs, byte-identical outputs asserted)
-//!   all        everything above except dist (default)
+//! EXPERIMENT is a name from the `EXPERIMENTS` table below, or `all`
+//! (everything the table marks as part of it — the default). An unknown
+//! name exits 2 listing the names and what each reproduces.
 //!
 //! --small runs reduced problem sizes (CI-friendly).
 //! --workers <n> sets the worker-process count for dist (default 3);
@@ -65,71 +48,191 @@
 //!   from the trace jobs, thin ones (no rollups or histograms) from
 //!   fault_storm and dist runs. The file accumulates history for the
 //!   `regress` perf gate.
-//! --reconcile <path> parses an existing ledger file and prints the
-//!   cost-model drift report (predicted vs measured per run); a
-//!   standalone action that runs no experiment unless one is named.
+//! --reconcile <path> parses an existing ledger file, prints the
+//!   cost-model drift report (predicted vs measured time per run) and
+//!   holds every record's counters to `check_invariants`, exiting 1 on
+//!   a violation; a standalone action that runs no experiment unless
+//!   one is named.
 //! ```
 
 use scihadoop_bench as bench;
+use scihadoop_mapreduce::obs::LedgerSink;
+use scihadoop_mapreduce::{Framing, IFileVersion, Transport, WireCodec};
 
-struct Sizes {
-    intro_n: u32,
-    fig3_n: u32,
-    stride_n: u32,
-    stride_timing_n: u32,
-    fig4: Vec<u32>,
-    fig8_n: u32,
-    cluster_n: u32,
-    cluster_splits: usize,
-    trace_n: u32,
-    trace_records: usize,
-    flush_n: u32,
-    splits_n: u32,
-    tuning_n: u32,
-    scaling: Vec<u32>,
-    storm_records: usize,
+/// What the command line resolved to, as the experiments read it.
+struct Args {
+    small: bool,
+    trace_path: Option<String>,
+    ledger_path: Option<String>,
+    ifile_version: IFileVersion,
+    /// The storm wordcount: `--codec`, `--ifile-version`, `--faults`
+    /// and `--retries` applied to the default spec.
+    storm: bench::DistJobSpec,
+    workers: usize,
+    transport: Transport,
+    shuffle_mem: Option<usize>,
+    wire_codec: WireCodec,
 }
 
-impl Sizes {
-    fn full() -> Self {
-        Sizes {
-            intro_n: 100,
-            fig3_n: 100,
-            stride_n: 100,
-            stride_timing_n: 50,
-            fig4: vec![20, 40, 60, 80, 100],
-            fig8_n: 100,
-            cluster_n: 192,
-            cluster_splits: 20,
-            trace_n: 64,
-            trace_records: 5_000,
-            flush_n: 64,
-            splits_n: 64,
-            tuning_n: 50,
-            scaling: vec![32, 64, 128],
-            storm_records: 20_000,
+impl Args {
+    /// A problem size: `full` as the paper ran it, `small` under
+    /// `--small` (CI-friendly).
+    fn size<T>(&self, full: T, small: T) -> T {
+        if self.small {
+            small
+        } else {
+            full
         }
     }
 
-    fn small() -> Self {
-        Sizes {
-            intro_n: 20,
-            fig3_n: 24,
-            stride_n: 24,
-            stride_timing_n: 16,
-            fig4: vec![12, 20, 28],
-            fig8_n: 24,
-            cluster_n: 48,
-            cluster_splits: 8,
-            trace_n: 24,
-            trace_records: 600,
-            flush_n: 24,
-            splits_n: 24,
-            tuning_n: 16,
-            scaling: vec![16, 32],
-            storm_records: 2_000,
+    fn ledger_sink(&self) -> Option<LedgerSink> {
+        self.ledger_path.as_ref().map(LedgerSink::with_path)
+    }
+
+    fn report_appended(&self, sink: &Option<LedgerSink>) {
+        if let (Some(sink), Some(path)) = (sink, &self.ledger_path) {
+            println!("appended {} run records to {path}", sink.records().len());
         }
     }
+}
+
+/// One experiment: its name on the command line, what it reproduces,
+/// whether `all` runs it, and how to run it.
+type Experiment = (&'static str, &'static str, bool, fn(&Args));
+
+fn show(table: bench::Table) {
+    println!("{}", table.render());
+}
+
+/// The one table of experiments, in the order `all` runs them. Dispatch,
+/// the listing an unknown name gets, and the `all` rule read it.
+const EXPERIMENTS: [Experiment; 17] = [
+    (
+        "intro",
+        "§I intermediate-file overhead numbers",
+        true,
+        |a| show(bench::intro_overhead(a.size(100, 20))),
+    ),
+    ("fig3", "byte-level compression table", true, |a| {
+        show(bench::fig3(a.size(100, 24), 100).0)
+    }),
+    (
+        "strides",
+        "§III-A stride ablation (sizes + brute-force slowdown)",
+        true,
+        |a| show(bench::stride_ablation(a.size(100, 24), a.size(50, 16))),
+    ),
+    ("fig4", "transform time vs file size", true, |a| {
+        show(bench::fig4(a.size(&[20, 40, 60, 80, 100], &[12, 20, 28])).0)
+    }),
+    ("fig8", "key aggregation data-size breakdown", true, |a| {
+        show(bench::fig8(a.size(100, 24), &[1, 10, 100]).0)
+    }),
+    (
+        "cluster",
+        "§III-E / §IV-D simulated cluster runs",
+        true,
+        |a| show(bench::cluster_experiment(a.size(192, 48), a.size(20, 8)).0),
+    ),
+    (
+        "trace",
+        "traced pipeline: per-stage spans + Table I/II byte views",
+        true,
+        trace,
+    ),
+    (
+        "model_drift",
+        "cost-model predictions vs measured ledger records",
+        true,
+        |a| show(bench::model_drift(a.size(64, 24), a.size(5_000, 600), a.ifile_version).0),
+    ),
+    ("curves", "§IV-A curve ablation", true, |_| {
+        show(bench::curve_ablation(6, 6))
+    }),
+    ("flush", "§IV-A flush-threshold ablation", true, |a| {
+        show(bench::flush_threshold(
+            a.size(64, 24),
+            &[1 << 10, 1 << 14, 1 << 20, 1 << 26],
+        ))
+    }),
+    ("align", "§IV-C alignment ablation", true, |_| {
+        show(bench::alignment_ablation(&[8, 16, 64, 256]))
+    }),
+    (
+        "coalesce",
+        "§IV-B future work: reducer-side re-aggregation",
+        true,
+        |a| show(bench::coalesce_recovery(a.size(64, 24), &[1, 2, 5, 10, 20])),
+    ),
+    ("splits", "§IV-B key-splitting inflation", true, |a| {
+        show(bench::split_counts(a.size(64, 24), &[1, 2, 5, 10, 20]))
+    }),
+    ("tuning", "§III-A detector tuning", true, |a| {
+        show(bench::transform_tuning(a.size(50, 16)))
+    }),
+    ("scaling", "per-cell byte-scaling sanity check", true, |a| {
+        show(bench::scaling_check(a.size(&[32, 64, 128], &[16, 32])).expect("scaling check"))
+    }),
+    (
+        "fault_storm",
+        "fault-injected run vs clean run (byte-identical recovery)",
+        true,
+        fault_storm,
+    ),
+    // dist spawns worker processes, so it only runs when asked for (by
+    // name or via a dist flag), never as part of `all`.
+    (
+        "dist",
+        "multi-process shuffle service vs local engine (clean and fault-seeded \
+              runs, byte-identical outputs asserted)",
+        false,
+        dist,
+    ),
+];
+
+fn trace(a: &Args) {
+    let (table, trace, records) =
+        bench::traced_pipeline(a.size(64, 24), a.size(5_000, 600), a.ifile_version);
+    show(table);
+    if let Some(path) = &a.trace_path {
+        let json = scihadoop_mapreduce::obs::chrome_trace_json(&trace);
+        std::fs::write(path, json).expect("write chrome trace");
+        println!("wrote chrome trace to {path}");
+    }
+    let mut sink = a.ledger_sink();
+    if let Some(sink) = &mut sink {
+        for record in records {
+            sink.append(record).expect("append ledger record");
+        }
+    }
+    a.report_appended(&sink);
+}
+
+fn fault_storm(a: &Args) {
+    let mut sink = a.ledger_sink();
+    show(bench::fault_storm(&a.storm, sink.as_mut()));
+    a.report_appended(&sink);
+}
+
+fn dist(a: &Args) {
+    let mut sink = a.ledger_sink();
+    let clean = bench::DistJobSpec {
+        retries: 0,
+        faults: None,
+        ..a.storm.clone()
+    };
+    for spec in [&clean, &a.storm] {
+        show(bench::dist_equivalence(
+            spec,
+            a.workers,
+            a.transport,
+            a.shuffle_mem,
+            a.wire_codec,
+            &[],
+            sink.as_mut(),
+        ));
+    }
+    a.report_appended(&sink);
 }
 
 /// Every flag that takes a value, with the value's name in the usage
@@ -173,9 +276,9 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     let (mut small, mut named, mut values) = (false, None, Vec::new());
-    let mut rest = args.iter();
+    let mut rest = argv.iter();
     while let Some(arg) = rest.next() {
         if arg == "--small" {
             small = true;
@@ -208,29 +311,25 @@ fn main() {
             .unwrap_or_else(|_| reject(&format!("--retries {v:?} is not an unsigned integer")))
     });
     let ifile_version = flag_value("--ifile-version").map_or(bench::PAPER_IFILE, |v| {
-        scihadoop_mapreduce::IFileVersion::parse(&v)
-            .unwrap_or_else(|e| reject(&format!("bad --ifile-version: {e}")))
+        IFileVersion::parse(&v).unwrap_or_else(|e| reject(&format!("bad --ifile-version: {e}")))
     });
-    let codec_name = flag_value("--codec");
-    let codec = codec_name.as_ref().map(|name| {
-        bench::codec_by_name(name).unwrap_or_else(|e| reject(&format!("bad --codec: {e}")))
-    });
+    let codec = flag_value("--codec").unwrap_or_else(|| "identity".into());
+    if let Err(e) = bench::codec_by_name(&codec) {
+        reject(&format!("bad --codec: {e}"));
+    }
     let workers: Option<usize> = flag_value("--workers").map(|v| match v.parse() {
         Ok(n) if n > 0 => n,
         _ => reject(&format!("--workers {v:?} is not a positive integer")),
     });
-    let transport = flag_value("--transport").map(|v| {
-        scihadoop_mapreduce::Transport::parse(&v)
-            .unwrap_or_else(|e| reject(&format!("bad --transport: {e}")))
-    });
+    let transport = flag_value("--transport")
+        .map(|v| Transport::parse(&v).unwrap_or_else(|e| reject(&format!("bad --transport: {e}"))));
     let shuffle_mem: Option<usize> = flag_value("--shuffle-mem-kib").map(|v| {
         let kib = v.parse::<usize>().ok();
         kib.and_then(|kib| kib.checked_mul(1 << 10))
             .unwrap_or_else(|| reject(&format!("--shuffle-mem-kib {v:?} is not a KiB count")))
     });
     let wire_codec = flag_value("--wire-codec").map(|v| {
-        scihadoop_mapreduce::WireCodec::parse(&v)
-            .unwrap_or_else(|e| reject(&format!("bad --wire-codec: {e}")))
+        WireCodec::parse(&v).unwrap_or_else(|e| reject(&format!("bad --wire-codec: {e}")))
     });
     // With no experiment named, a dist flag implies dist, --trace or
     // --ledger the trace experiment rather than the full suite, and
@@ -252,197 +351,49 @@ fn main() {
         };
         implied.to_string()
     });
-    let s = if small { Sizes::small() } else { Sizes::full() };
-
-    let run = |name: &str| which == "all" || which == name;
-    let mut ran = false;
-
-    if run("intro") {
-        println!("{}", bench::intro_overhead(s.intro_n).render());
-        ran = true;
+    let known = |name: &str| EXPERIMENTS.iter().any(|e| e.0 == name);
+    if !(known(&which) || which == "all" || (which == "none" && reconcile_path.is_some())) {
+        let listing: String = EXPERIMENTS
+            .iter()
+            .map(|(name, what, ..)| format!("  {name:<12} {what}\n"))
+            .collect();
+        reject(&format!(
+            "unknown experiment '{which}'; the experiments are:\n{listing}  \
+             all          every one of them except dist (the default)"
+        ));
     }
-    if run("fig3") {
-        println!("{}", bench::fig3(s.fig3_n, 100).0.render());
-        ran = true;
+    let storms = ["fault_storm", "dist"].contains(&which.as_str());
+    if storms && fault_config.attempt_cap > retries {
+        reject(&format!(
+            "fault plan cap {} exceeds --retries {retries}; completion is not guaranteed",
+            fault_config.attempt_cap
+        ));
     }
-    if run("strides") {
-        println!(
-            "{}",
-            bench::stride_ablation(s.stride_n, s.stride_timing_n).render()
-        );
-        ran = true;
-    }
-    if run("fig4") {
-        println!("{}", bench::fig4(&s.fig4).0.render());
-        ran = true;
-    }
-    if run("fig8") {
-        println!("{}", bench::fig8(s.fig8_n, &[1, 10, 100]).0.render());
-        ran = true;
-    }
-    if run("cluster") {
-        println!(
-            "{}",
-            bench::cluster_experiment(s.cluster_n, s.cluster_splits)
-                .0
-                .render()
-        );
-        ran = true;
-    }
-    if run("trace") || trace_path.is_some() {
-        let (table, trace, records) =
-            bench::traced_pipeline(s.trace_n, s.trace_records, ifile_version);
-        println!("{}", table.render());
-        if let Some(path) = &trace_path {
-            let json = scihadoop_mapreduce::obs::chrome_trace_json(&trace);
-            std::fs::write(path, json).expect("write chrome trace");
-            println!("wrote chrome trace to {path}");
-        }
-        if let Some(path) = &ledger_path {
-            let mut sink = scihadoop_mapreduce::obs::LedgerSink::with_path(path);
-            let appended = records.len();
-            for record in records {
-                sink.append(record).expect("append ledger record");
-            }
-            println!("appended {appended} run records to {path}");
-        }
-        ran = true;
-    }
-    if run("model_drift") {
-        let (table, _) = bench::model_drift(s.trace_n, s.trace_records, ifile_version);
-        println!("{}", table.render());
-        ran = true;
-    }
-    if run("curves") {
-        println!("{}", bench::curve_ablation(6, 6).render());
-        ran = true;
-    }
-    if run("flush") {
-        println!(
-            "{}",
-            bench::flush_threshold(s.flush_n, &[1 << 10, 1 << 14, 1 << 20, 1 << 26]).render()
-        );
-        ran = true;
-    }
-    if run("align") {
-        println!("{}", bench::alignment_ablation(&[8, 16, 64, 256]).render());
-        ran = true;
-    }
-    if run("coalesce") {
-        println!(
-            "{}",
-            bench::coalesce_recovery(s.splits_n, &[1, 2, 5, 10, 20]).render()
-        );
-        ran = true;
-    }
-    if run("splits") {
-        println!(
-            "{}",
-            bench::split_counts(s.splits_n, &[1, 2, 5, 10, 20]).render()
-        );
-        ran = true;
-    }
-    if run("tuning") {
-        println!("{}", bench::transform_tuning(s.tuning_n).render());
-        ran = true;
-    }
-    if run("scaling") {
-        println!(
-            "{}",
-            bench::scaling_check(&s.scaling)
-                .expect("scaling check")
-                .render()
-        );
-        ran = true;
-    }
-    if run("fault_storm") {
-        let mut storm_sink = ledger_path
-            .as_ref()
-            .map(scihadoop_mapreduce::obs::LedgerSink::with_path);
-        println!(
-            "{}",
-            bench::fault_storm_with_codec(
-                s.storm_records,
-                fault_config.clone(),
-                retries,
-                codec.clone(),
-                ifile_version,
-                storm_sink.as_mut(),
-            )
-            .render()
-        );
-        if let Some(sink) = &storm_sink {
-            println!(
-                "appended {} run records to {}",
-                sink.records().len(),
-                ledger_path.as_deref().unwrap_or_default()
-            );
-        }
-        ran = true;
-    }
-
-    // dist spawns worker processes, so it only runs when asked for
-    // explicitly (by name or via --workers/--transport), never as part
-    // of `all`.
-    if which == "dist" {
-        if fault_config.attempt_cap > retries {
-            eprintln!(
-                "fault plan cap {} exceeds --retries {}; completion is not guaranteed",
-                fault_config.attempt_cap, retries
-            );
-            std::process::exit(2);
-        }
-        let mut sink = ledger_path
-            .as_ref()
-            .map(scihadoop_mapreduce::obs::LedgerSink::with_path);
-        let workers = workers.unwrap_or(3);
-        let transport = transport.unwrap_or_default();
-        let wire_codec = wire_codec.unwrap_or_default();
-        let clean = bench::DistJobSpec {
-            records: s.storm_records,
+    let args = Args {
+        small,
+        trace_path,
+        ledger_path,
+        ifile_version,
+        storm: bench::DistJobSpec {
+            records: if small { 2_000 } else { 20_000 },
             ifile: ifile_version,
-            codec: codec_name.clone().unwrap_or_else(|| "identity".into()),
-            ..bench::DistJobSpec::default()
-        };
-        let faulted = bench::DistJobSpec {
+            codec,
             retries,
-            faults: Some(fault_spec.clone()),
-            ..clean.clone()
-        };
-        println!(
-            "{}",
-            bench::dist_equivalence(
-                &clean,
-                workers,
-                transport,
-                shuffle_mem,
-                wire_codec,
-                &[],
-                sink.as_mut()
-            )
-            .render()
-        );
-        println!(
-            "{}",
-            bench::dist_equivalence(
-                &faulted,
-                workers,
-                transport,
-                shuffle_mem,
-                wire_codec,
-                &[],
-                sink.as_mut()
-            )
-            .render()
-        );
-        if let Some(sink) = &sink {
-            println!(
-                "appended {} run records to {}",
-                sink.records().len(),
-                ledger_path.as_deref().unwrap_or_default()
-            );
+            faults: Some(fault_spec),
+            ..bench::DistJobSpec::default()
+        },
+        workers: workers.unwrap_or(3),
+        transport: transport.unwrap_or_default(),
+        shuffle_mem,
+        wire_codec: wire_codec.unwrap_or_default(),
+    };
+
+    // --trace asks for the traced pipeline's timeline whatever else runs.
+    for (name, _, in_all, run) in EXPERIMENTS {
+        let traced = name == "trace" && args.trace_path.is_some();
+        if name == which || (which == "all" && in_all) || traced {
+            run(&args);
         }
-        ran = true;
     }
 
     if let Some(path) = &reconcile_path {
@@ -454,16 +405,25 @@ fn main() {
             eprintln!("bad ledger {path}: {e}");
             std::process::exit(2);
         });
-        let (table, _) = bench::drift_table(
-            &format!("reconcile: {path} ({} runs)", records.len()),
-            &records,
-        );
-        println!("{}", table.render());
-        ran = true;
-    }
-
-    if !ran {
-        eprintln!("unknown experiment '{which}'; see `repro --help` in the source header");
-        std::process::exit(2);
+        let title = format!("reconcile: {path} ({} runs)", records.len());
+        show(bench::drift_table(&title, &records).0);
+        // The accounting identities debug builds assert at job
+        // completion, held against every run the ledger recorded.
+        let header = Framing::IFile.file_overhead() as u64;
+        let mut violations = 0;
+        for (i, record) in records.iter().enumerate() {
+            for e in record
+                .counters
+                .check_invariants(header)
+                .err()
+                .unwrap_or_default()
+            {
+                eprintln!("FAIL {path}: record {} ({}): {e}", i + 1, record.label);
+                violations += 1;
+            }
+        }
+        if violations > 0 {
+            std::process::exit(1);
+        }
     }
 }

@@ -13,17 +13,17 @@
 //!   ("C") tracks;
 //! * every ledger line parses strictly (the parser only accepts a line
 //!   that re-encodes to the exact input bytes);
-//! * in every rich record (one that carries histograms) the derived
-//!   intermediate breakdown equals the record's counters **exactly**
-//!   (the reconciliation the obs layer promises);
+//! * every record's counters satisfy `CounterSnapshot::check_invariants`
+//!   — the cross-site accounting identities debug builds assert at job
+//!   completion, met here by release-build and process-mode runs too;
 //! * the records jointly carry span rollups for every stage, and live
 //!   counters.
 //!
 //! Exits 0 when every check passes, 1 otherwise (printing each failure).
 
 use scihadoop_bench::json::{self, Json};
-use scihadoop_mapreduce::obs::{IntermediateBreakdown, LedgerRecord, ALL_PHASES, NUM_PHASES};
-use scihadoop_mapreduce::Counter;
+use scihadoop_mapreduce::obs::{LedgerRecord, ALL_PHASES, NUM_PHASES};
+use scihadoop_mapreduce::{Counter, Framing};
 
 fn check_trace(doc: &Json, errs: &mut Vec<String>) {
     let events = match doc.get("traceEvents").and_then(|e| e.as_arr()) {
@@ -84,8 +84,8 @@ fn check_trace(doc: &Json, errs: &mut Vec<String>) {
     }
 }
 
-/// Every ledger line must parse strictly, every rich record must
-/// reconcile with its own counters, and jointly the records must cover
+/// Every ledger line must parse strictly, every record's counters must
+/// satisfy the accounting invariants, and jointly the records must cover
 /// every phase and carry live counters.
 fn check_ledger(text: &str, errs: &mut Vec<String>) {
     let mut phase_counts = [0u64; NUM_PHASES];
@@ -99,15 +99,14 @@ fn check_ledger(text: &str, errs: &mut Vec<String>) {
             Err(e) => errs.push(format!("ledger: line {}: {e}", i + 1)),
             Ok(record) => {
                 records += 1;
-                if !record.histograms.is_empty() {
-                    let derived = IntermediateBreakdown::from_record(&record);
-                    for e in derived
-                        .reconcile(&record.counters)
-                        .err()
-                        .unwrap_or_default()
-                    {
-                        errs.push(format!("ledger: line {} ({}): {e}", i + 1, record.label));
-                    }
+                let header = Framing::IFile.file_overhead() as u64;
+                for e in record
+                    .counters
+                    .check_invariants(header)
+                    .err()
+                    .unwrap_or_default()
+                {
+                    errs.push(format!("ledger: line {} ({}): {e}", i + 1, record.label));
                 }
                 for (slot, p) in phase_counts.iter_mut().zip(record.phases.iter()) {
                     *slot += p.count;
@@ -155,7 +154,7 @@ fn main() {
 
     if errs.is_empty() {
         println!(
-            "ok: trace covers all {} stages; ledger roundtrips byte-identically and reconciles",
+            "ok: trace covers all {} stages; ledger roundtrips byte-identically and its counters balance",
             ALL_PHASES.len()
         );
     } else {

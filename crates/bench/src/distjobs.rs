@@ -7,8 +7,9 @@
 //! that payload: a `key=value;…` string naming the workload size and
 //! every config knob that affects bytes on the wire (codec, IFile
 //! version, fault plan, retry budget). The workload itself is fixed —
-//! the same wordcount the fault-storm experiment runs — because the
-//! point of the spec is equivalence testing, not generality.
+//! the wordcount of [`crate::workloads::wordcount_splits`], which the
+//! fault-storm experiment takes from a spec too — because the point of
+//! the spec is equivalence testing, not generality.
 //!
 //! [`dist_worker`] is the bootstrap a binary hands control to when
 //! [`scihadoop_mapreduce::dist::worker_env`] detects the worker
@@ -17,7 +18,7 @@
 use crate::codecs::codec_by_name;
 use scihadoop_mapreduce::{
     Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, Framing, IFileVersion, InputSplit,
-    JobConfig, KvPair, Mapper, MrError, Reducer, WorkerEnv,
+    JobConfig, Mapper, MrError, Reducer, WorkerEnv,
 };
 
 /// Everything a worker process needs to rebuild the benchmark job.
@@ -131,33 +132,30 @@ impl DistJobSpec {
     }
 
     /// The fixed wordcount input: `records` keys cycling through 97
-    /// distinct words, split into 128-record input splits — the same
-    /// shape the fault-storm experiment shuffles.
+    /// distinct words, split into 128-record input splits.
     pub fn make_splits(&self) -> Vec<InputSplit> {
-        (0..self.records)
-            .map(|i| format!("word-{:05}", i % 97))
-            .collect::<Vec<_>>()
-            .chunks(128)
-            .map(|chunk| {
-                InputSplit::new(
-                    chunk
-                        .iter()
-                        .map(|w| KvPair::new(w.as_bytes().to_vec(), vec![1u8]))
-                        .collect(),
-                )
-            })
-            .collect()
+        crate::workloads::wordcount_splits(self.records, 97, 5, 128)
     }
 
-    /// The identity-emit mapper every spec runs.
+    /// The identity-emit mapper every wordcount in this crate runs.
     pub fn mapper() -> impl Mapper {
         FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| out.emit(k, v))
     }
 
-    /// The summing reducer every spec runs (1-byte raw counts or 8-byte
-    /// big-endian partial sums in, 8-byte big-endian totals out).
+    /// The summing reducer (and combiner) every wordcount in this crate
+    /// runs: 1-byte raw counts or 8-byte big-endian partial sums from a
+    /// previous combine pass in, 8-byte big-endian totals out.
     pub fn reducer() -> impl Reducer {
-        FnReducer(crate::experiments::sum_values)
+        FnReducer(|k: &[u8], values: &[&[u8]], out: &mut dyn Emit| {
+            let total: u64 = values
+                .iter()
+                .map(|v| match v.len() {
+                    1 => v[0] as u64,
+                    _ => u64::from_be_bytes((*v).try_into().expect("8-byte partial sum")),
+                })
+                .sum();
+            out.emit(k, &total.to_be_bytes());
+        })
     }
 }
 
@@ -239,17 +237,5 @@ mod tests {
         }
         .build_config()
         .is_err());
-    }
-
-    #[test]
-    fn splits_cover_all_records() {
-        let spec = DistJobSpec {
-            records: 300,
-            ..DistJobSpec::default()
-        };
-        let splits = spec.make_splits();
-        assert_eq!(splits.len(), 3);
-        let total: usize = splits.iter().map(|s| s.records.len()).sum();
-        assert_eq!(total, 300);
     }
 }

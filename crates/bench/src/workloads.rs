@@ -2,7 +2,7 @@
 
 use scihadoop_compress::IdentityCodec;
 use scihadoop_grid::{GridWalker, RowMajorWalker, Shape, Variable};
-use scihadoop_mapreduce::{BlockMergeStream, KeySemantics, KvPair, RawSegment};
+use scihadoop_mapreduce::{BlockMergeStream, InputSplit, KeySemantics, KvPair, RawSegment};
 
 /// The Fig. 3 byte stream: "a raw stream of triples of 32-bit integers,
 /// taken by walking a grid" — n³ cells × 12 bytes.
@@ -71,6 +71,26 @@ pub fn windspeed_cube(n: u32, seed: u64) -> Variable {
     Variable::smooth_f32("windspeed1", Shape::cube(n, 3), seed).expect("valid shape")
 }
 
+/// The verification wordcount's input: `records` one-byte counts under
+/// the keys `word-{i % distinct}` (zero-padded to `digits`), cut into
+/// splits of `per_split` records. The fault storms, the distributed
+/// equivalence runs and the traced pipeline all shuffle this shape.
+pub fn wordcount_splits(
+    records: usize,
+    distinct: usize,
+    digits: usize,
+    per_split: usize,
+) -> Vec<InputSplit> {
+    let pair = |i: usize| {
+        let word = format!("word-{:0digits$}", i % distinct);
+        KvPair::new(word.into_bytes(), vec![1u8])
+    };
+    (0..records)
+        .step_by(per_split)
+        .map(|start| InputSplit::new((start..records.min(start + per_split)).map(pair).collect()))
+        .collect()
+}
+
 /// The merge benches' measured loop: open identity-coded segments (any
 /// IFile version), stream them through the engine's merge and count key
 /// groups' records. A yielded key is only valid until the next `next()`
@@ -109,6 +129,16 @@ mod tests {
         // The paper's full size: 100³ × 12 = 12,000,000 (too big for a
         // unit test to build twice, checked arithmetically).
         assert_eq!(100u64 * 100 * 100 * 12, 12_000_000);
+    }
+
+    #[test]
+    fn wordcount_splits_cover_all_records() {
+        let splits = wordcount_splits(300, 97, 5, 128);
+        let sizes: Vec<usize> = splits.iter().map(|s| s.records.len()).collect();
+        assert_eq!(sizes, [128, 128, 44]);
+        assert_eq!(splits[0].records[0].key, b"word-00000");
+        assert_eq!(splits[2].records[43].key, b"word-00008"); // 299 % 97
+        assert_eq!(splits[2].records[43].value, [1u8]);
     }
 
     #[test]

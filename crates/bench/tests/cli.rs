@@ -2,6 +2,8 @@
 //! generate exits 2 with the usage line instead of running something
 //! other than what was asked for.
 
+use scihadoop_mapreduce::obs::LedgerRecord;
+use scihadoop_mapreduce::{Counter, Counters, ALL_COUNTERS};
 use std::process::Command;
 
 fn repro(args: &[&str]) -> (Option<i32>, String) {
@@ -52,4 +54,77 @@ fn repro_rejects_what_its_grammar_does_not_generate() {
     }
     let (code, stderr) = repro(&["intro", "--small"]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn an_unknown_experiment_is_told_the_names_that_exist() {
+    let (code, stderr) = repro(&["nosuch", "--small"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment 'nosuch'"), "{stderr}");
+    for name in ["intro", "fig3", "fault_storm", "dist", "all"] {
+        assert!(stderr.contains(&format!("\n  {name} ")), "{name}: {stderr}");
+    }
+    assert!(!stderr.contains("--help"), "{stderr}");
+    // `none` is what --reconcile alone resolves to, not a name to type.
+    let (code, stderr) = repro(&["none"]);
+    assert_eq!(code, Some(2), "{stderr}");
+}
+
+/// A ledger is held to the counter invariants by both tools that read
+/// one: a record whose shuffle moved one byte more than the maps
+/// materialized parses, re-encodes and carries no histogram that
+/// disagrees with anything — only `check_invariants` sees it.
+#[test]
+fn both_ledger_readers_reject_counters_that_do_not_balance() {
+    let dir = std::env::temp_dir().join(format!("repro-ledger-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let run = |exe: &str, args: &[&str]| {
+        let out = Command::new(exe)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("tool runs");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let validate = env!("CARGO_BIN_EXE_validate_trace");
+    let written = [
+        "trace", "--small", "--trace", "t.json", "--ledger", "l.jsonl",
+    ];
+    assert_eq!(run(repro, &written).0, Some(0));
+    // A thin record (no histograms) is checked like a rich one.
+    let storm = ["fault_storm", "--small", "--ledger", "l.jsonl"];
+    assert_eq!(run(repro, &storm).0, Some(0));
+    assert_eq!(run(validate, &["t.json", "l.jsonl"]).0, Some(0));
+    assert_eq!(run(repro, &["--reconcile", "l.jsonl"]).0, Some(0));
+
+    let text = std::fs::read_to_string(dir.join("l.jsonl")).expect("ledger written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "three rich records, two thin");
+    for tampered in [0, 4] {
+        let mut record = LedgerRecord::from_json(lines[tampered]).expect("line parses");
+        let bumped = Counters::new();
+        for c in ALL_COUNTERS {
+            bumped.add(c, record.counters.get(c));
+        }
+        bumped.add(Counter::ShuffleBytes, 1);
+        record.counters = bumped.snapshot();
+        let mut forged = lines.clone();
+        let line = record.to_json();
+        forged[tampered] = &line;
+        std::fs::write(dir.join("forged.jsonl"), forged.join("\n") + "\n").expect("write");
+        for (exe, args) in [
+            (validate, &["t.json", "forged.jsonl"][..]),
+            (repro, &["--reconcile", "forged.jsonl"]),
+        ] {
+            let (code, stderr) = run(exe, args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains("shuffle moved"), "{args:?}: {stderr}");
+            assert!(stderr.contains(&record.label), "{args:?}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }

@@ -1,6 +1,6 @@
 //! The analytic cost model of the Fig. 1 pipeline.
 
-use scihadoop_mapreduce::obs::{DriftReport, DriftRow, LedgerRecord, Metric};
+use scihadoop_mapreduce::obs::{DriftReport, DriftRow, LedgerRecord};
 use scihadoop_mapreduce::{Counter, JobStats};
 
 /// Hardware description of the simulated cluster.
@@ -231,78 +231,29 @@ impl CostModel {
 }
 
 impl CostModel {
-    /// Replay a ledger record through the model and compare it, row by
-    /// row, against what the run measured. Byte rows are identities —
-    /// the model's notion of moved bytes against *independently
-    /// counted* measurements (the runner's shuffle accounting, the
-    /// per-segment histograms) — and must agree exactly. Time rows
-    /// compare the simulated makespans against the run's wall clocks
-    /// and the simulated CPU terms against the drained span CPU; those
-    /// are calibration envelopes, not identities (spans nest, so their
-    /// CPU sum over-counts, and wall clocks include scheduling the
-    /// model does not see).
+    /// Replay a ledger record through the model and compare the
+    /// simulated makespans against the run's wall clocks and the
+    /// simulated CPU terms against the drained span CPU. These are
+    /// calibration envelopes, not identities (spans nest, so their CPU
+    /// sum over-counts, and wall clocks include scheduling the model
+    /// does not see). The model's byte terms are the record's own
+    /// counters, so there is no byte row to report.
     pub fn reconcile(&self, record: &LedgerRecord) -> DriftReport {
         let stats = stats_from_ledger(record);
         let sim = self.simulate(&stats);
         let mut rows = Vec::new();
-
-        rows.push(DriftRow {
-            name: "shuffle_bytes",
-            unit: "B",
-            predicted: stats.map_output_materialized_bytes as f64,
-            measured: record.counters.get(Counter::ShuffleBytes) as f64,
-        });
-        // Wire-compressed runs add a socket-byte identity: the model's
-        // logical-minus-saved bytes against the runtime's independent
-        // shuffle-vs-saved accounting. Identity runs (saved = 0) skip
-        // the row rather than restate shuffle_bytes.
-        let wire_saved = record.counters.get(Counter::ShuffleWireBytesSaved);
-        if wire_saved > 0 {
-            rows.push(DriftRow {
-                name: "wire_bytes",
-                unit: "B",
-                predicted: stats
-                    .map_output_materialized_bytes
-                    .saturating_sub(stats.shuffle_wire_saved_bytes)
-                    as f64,
-                measured: record
-                    .counters
-                    .get(Counter::ShuffleBytes)
-                    .saturating_sub(wire_saved) as f64,
-            });
-        }
-        if let Some(h) = record.hist(Metric::SegRawBytes) {
-            rows.push(DriftRow {
-                name: "raw_bytes",
-                unit: "B",
-                predicted: stats.map_output_bytes as f64,
-                measured: h.sum as f64,
-            });
-        }
-        if let Some(h) = record.hist(Metric::SegMaterializedBytes) {
-            rows.push(DriftRow {
-                name: "materialized_bytes",
-                unit: "B",
-                predicted: stats.map_output_materialized_bytes as f64,
-                measured: h.sum as f64,
-            });
-        }
-
         rows.push(DriftRow {
             name: "map_makespan",
-            unit: "s",
             predicted: sim.map_makespan_s,
             measured: record.job.map_wall_nanos as f64 / 1e9,
         });
         rows.push(DriftRow {
             name: "reduce_makespan",
-            unit: "s",
             predicted: sim.reduce_makespan_s,
             measured: record.job.reduce_wall_nanos as f64 / 1e9,
         });
         rows.push(DriftRow {
             name: "total",
-            unit: "s",
             predicted: sim.total_s,
             measured: (record.job.map_wall_nanos + record.job.reduce_wall_nanos) as f64 / 1e9,
         });
@@ -311,7 +262,6 @@ impl CostModel {
         if measured_cpu > 0.0 {
             rows.push(DriftRow {
                 name: "pipeline_cpu",
-                unit: "s",
                 predicted: p.map_cpu_s + p.map_codec_s + p.reduce_codec_s + p.reduce_cpu_s,
                 measured: measured_cpu,
             });
@@ -550,48 +500,18 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_byte_identities_are_exact() {
-        let record = synthetic_record();
-        let model = CostModel::new(ClusterSpec::local_host(&record));
-        let report = model.reconcile(&record);
-        assert_eq!(report.label, "synthetic");
-        let shuffle = report.row("shuffle_bytes").expect("shuffle row");
-        assert_eq!(shuffle.predicted, shuffle.measured);
-        assert_eq!(shuffle.error_pct(), 0.0);
-        // No histograms in the synthetic record → no hist-derived rows;
-        // no wire savings → no wire_bytes row.
-        assert!(report.row("raw_bytes").is_none());
-        assert!(report.row("materialized_bytes").is_none());
-        assert!(report.row("wire_bytes").is_none());
-    }
-
-    #[test]
-    fn reconcile_adds_an_exact_wire_byte_row_for_compressed_runs() {
-        let mut record = synthetic_record();
-        let counters = scihadoop_mapreduce::Counters::new();
-        for c in scihadoop_mapreduce::ALL_COUNTERS {
-            counters.add(c, record.counters.get(c));
-        }
-        counters.add(Counter::ShuffleWireBytesSaved, 400_000);
-        counters.add(Counter::LzCompressNanos, 1_000_000);
-        counters.add(Counter::LzDecompressNanos, 500_000);
-        record.counters = counters.snapshot();
-        let model = CostModel::new(ClusterSpec::local_host(&record));
-        let report = model.reconcile(&record);
-        let wire = report.row("wire_bytes").expect("wire row");
-        assert_eq!(wire.predicted, 600_000.0);
-        assert_eq!(wire.predicted, wire.measured);
-        assert_eq!(wire.error_pct(), 0.0);
-    }
-
-    #[test]
     fn reconcile_reports_time_rows_with_signed_error() {
         let record = synthetic_record();
         let model = CostModel::new(ClusterSpec::local_host(&record));
         let report = model.reconcile(&record);
-        for name in ["map_makespan", "reduce_makespan", "total", "pipeline_cpu"] {
+        assert_eq!(report.label, "synthetic");
+        let names: Vec<&str> = report.rows.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            ["map_makespan", "reduce_makespan", "total", "pipeline_cpu"]
+        );
+        for name in names {
             let row = report.row(name).unwrap_or_else(|| panic!("{name} row"));
-            assert_eq!(row.unit, "s");
             assert!(row.predicted > 0.0, "{name} predicted");
             assert!(row.measured > 0.0, "{name} measured");
         }

@@ -28,4 +28,3 @@ pub use error::GridError;
 pub use shape::Shape;
 pub use value::{DataType, Value};
 pub use walker::{GridWalker, RowMajorWalker};
-pub use writable::{GridKey, VariableId};

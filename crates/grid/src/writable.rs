@@ -1,9 +1,11 @@
-//! Hadoop-"Writable"-style serialization of grid keys.
+//! Hadoop-"Writable"-style serialization primitives for grid keys.
 //!
 //! Hadoop serializes every intermediate key independently, the moment the
 //! mapper emits it (paper §II-B assumption *b*). For scientific grids the
 //! serialized key is a variable identifier plus one 32-bit integer per
-//! dimension, big-endian — which is exactly what this module reproduces:
+//! dimension, big-endian. The key layout itself is written once, in
+//! `scihadoop_queries::KeyLayout`; this module holds the pieces it is
+//! made of:
 //!
 //! * `Text`    — variable-length int (vint) byte count + UTF-8 bytes
 //! * `IntWritable` — 4-byte big-endian two's-complement
@@ -17,91 +19,6 @@
 
 use crate::coord::Coord;
 use crate::error::GridError;
-
-/// Identifies which variable of a dataset a key refers to.
-///
-/// The paper measures both spellings: a compact integer index (450 %
-/// overhead) and the human-readable name `windspeed1` (625 % overhead).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum VariableId {
-    /// 4-byte integer index into the dataset's variable table.
-    Index(i32),
-    /// UTF-8 variable name, serialized like Hadoop `Text`.
-    Name(String),
-}
-
-impl VariableId {
-    /// Serialized size in bytes.
-    pub fn serialized_len(&self) -> usize {
-        match self {
-            VariableId::Index(_) => 4,
-            VariableId::Name(s) => text_len(s),
-        }
-    }
-}
-
-/// A fully-qualified intermediate key: variable identifier + grid
-/// coordinate. This is the "simple key" of the paper; aggregate keys are
-/// built in `scihadoop-core`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GridKey {
-    /// Which variable the value belongs to.
-    pub variable: VariableId,
-    /// Grid coordinate of the value.
-    pub coord: Coord,
-}
-
-impl GridKey {
-    /// Construct a key.
-    pub fn new(variable: VariableId, coord: Coord) -> Self {
-        GridKey { variable, coord }
-    }
-
-    /// Serialized size in bytes.
-    pub fn serialized_len(&self) -> usize {
-        self.variable.serialized_len() + 4 * self.coord.ndims()
-    }
-
-    /// Serialize in the Hadoop layout described in the module docs.
-    pub fn write(&self, out: &mut Vec<u8>) {
-        match &self.variable {
-            VariableId::Index(i) => out.extend_from_slice(&i.to_be_bytes()),
-            VariableId::Name(s) => write_text(out, s),
-        }
-        for &c in self.coord.components() {
-            out.extend_from_slice(&c.to_be_bytes());
-        }
-    }
-
-    /// Serialize into a fresh buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len());
-        self.write(&mut out);
-        out
-    }
-
-    /// Deserialize a key with a *named* variable and `ndims` coordinates.
-    pub fn read_named(buf: &[u8], ndims: usize) -> Result<(GridKey, usize), GridError> {
-        let (name, pos) = read_text(buf)?;
-        let (coord, used) = read_coord(&buf[pos..], ndims)?;
-        Ok((
-            GridKey::new(VariableId::Name(name.to_string()), coord),
-            pos + used,
-        ))
-    }
-
-    /// Deserialize a key with an *indexed* variable and `ndims` coordinates.
-    pub fn read_indexed(buf: &[u8], ndims: usize) -> Result<(GridKey, usize), GridError> {
-        if buf.len() < 4 {
-            return Err(GridError::Deserialize(
-                "short read in variable index".into(),
-            ));
-        }
-        let idx = i32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        let (coord, used) = read_coord(&buf[4..], ndims)?;
-        Ok((GridKey::new(VariableId::Index(idx), coord), 4 + used))
-    }
-}
 
 /// Serialized size of a Hadoop `Text`: vint byte count + UTF-8 bytes.
 pub fn text_len(text: &str) -> usize {
@@ -263,61 +180,5 @@ mod tests {
             buf.extend_from_slice(&[0xFF; 8]);
             assert!(read_vint(&buf).is_err(), "tag {tag:#x}");
         }
-    }
-
-    #[test]
-    fn named_key_layout_matches_paper() {
-        // windspeed1 (10 chars) + 3 coords = 1 + 10 + 12 = 23 bytes.
-        let k = GridKey::new(
-            VariableId::Name("windspeed1".into()),
-            Coord::new(vec![1, 2, 3]),
-        );
-        assert_eq!(k.serialized_len(), 23);
-        let bytes = k.to_bytes();
-        assert_eq!(bytes.len(), 23);
-        assert_eq!(bytes[0], 10); // vint length of the name
-        assert_eq!(&bytes[1..11], b"windspeed1");
-        let (back, used) = GridKey::read_named(&bytes, 3).unwrap();
-        assert_eq!(back, k);
-        assert_eq!(used, 23);
-    }
-
-    #[test]
-    fn indexed_key_layout_matches_paper() {
-        // variable index + 3 coords = 4 + 12 = 16 bytes.
-        let k = GridKey::new(VariableId::Index(7), Coord::new(vec![9, 8, 7]));
-        assert_eq!(k.serialized_len(), 16);
-        let bytes = k.to_bytes();
-        assert_eq!(bytes.len(), 16);
-        let (back, used) = GridKey::read_indexed(&bytes, 3).unwrap();
-        assert_eq!(back, k);
-        assert_eq!(used, 16);
-    }
-
-    #[test]
-    fn negative_coords_roundtrip() {
-        // Sliding-window halos produce coordinates like (-1, -1).
-        let k = GridKey::new(VariableId::Index(0), Coord::new(vec![-1, -1]));
-        let bytes = k.to_bytes();
-        let (back, _) = GridKey::read_indexed(&bytes, 2).unwrap();
-        assert_eq!(back, k);
-    }
-
-    #[test]
-    fn read_named_rejects_garbage() {
-        assert!(GridKey::read_named(&[], 3).is_err());
-        assert!(GridKey::read_named(&[5, b'a', b'b'], 3).is_err()); // short name
-        let mut buf = vec![2, 0xff, 0xfe]; // invalid UTF-8 name
-        buf.extend_from_slice(&[0; 12]);
-        assert!(GridKey::read_named(&buf, 3).is_err());
-    }
-
-    #[test]
-    fn big_endian_key_bytes_sort_like_coords() {
-        // Hadoop sorts serialized keys bytewise; for non-negative
-        // coordinates the BE layout must agree with coordinate order.
-        let a = GridKey::new(VariableId::Index(0), Coord::new(vec![0, 200]));
-        let b = GridKey::new(VariableId::Index(0), Coord::new(vec![1, 0]));
-        assert!(a.to_bytes() < b.to_bytes());
     }
 }

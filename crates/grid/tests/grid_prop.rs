@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use scihadoop_grid::writable::{read_vint, write_vint};
-use scihadoop_grid::{BoundingBox, Coord, GridKey, Shape, VariableId};
+use scihadoop_grid::{BoundingBox, Coord, Shape};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -24,26 +24,6 @@ proptest! {
         let idx = ((cells as f64 - 1.0) * idx_frac) as u64;
         let coord = shape.delinearize(idx).unwrap();
         prop_assert_eq!(shape.linearize(&coord).unwrap(), idx);
-    }
-
-    #[test]
-    fn grid_keys_roundtrip(
-        coords in proptest::collection::vec(any::<i32>(), 1..5),
-        name in "[a-z][a-z0-9_]{0,20}",
-        index in any::<i32>(),
-    ) {
-        let ndims = coords.len();
-        let named = GridKey::new(VariableId::Name(name), Coord::new(coords.clone()));
-        let bytes = named.to_bytes();
-        prop_assert_eq!(bytes.len(), named.serialized_len());
-        let (back, used) = GridKey::read_named(&bytes, ndims).unwrap();
-        prop_assert_eq!(back, named);
-        prop_assert_eq!(used, bytes.len());
-
-        let indexed = GridKey::new(VariableId::Index(index), Coord::new(coords));
-        let bytes = indexed.to_bytes();
-        let (back, _) = GridKey::read_indexed(&bytes, ndims).unwrap();
-        prop_assert_eq!(back, indexed);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! A [`DriftReport`] compares what the analytic cost model *predicted*
 //! for a run against what the run actually *measured* (wall clocks,
-//! span CPU, byte counters), row by row, with a signed error. The rows
+//! span CPU), row by row, in seconds, with a signed error. The model's
+//! byte terms are the run's own counters and have nothing to drift
+//! from, so a report carries time rows only. The rows
 //! are produced by `CostModel::reconcile` in `scihadoop-cluster` from a
 //! [`LedgerRecord`](crate::obs::LedgerRecord); this module only defines
 //! the report shape so the engine crate stays model-free.
@@ -13,13 +15,11 @@
 /// One predicted-vs-measured comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftRow {
-    /// What is being compared (e.g. `"map_makespan"`, `"shuffle_bytes"`).
+    /// What is being compared (e.g. `"map_makespan"`, `"pipeline_cpu"`).
     pub name: &'static str,
-    /// Unit of both columns: `"s"` for seconds, `"B"` for bytes.
-    pub unit: &'static str,
-    /// The model's prediction.
+    /// The model's prediction, in seconds.
     pub predicted: f64,
-    /// The run's measurement.
+    /// The run's measurement, in seconds.
     pub measured: f64,
 }
 
@@ -45,7 +45,7 @@ impl DriftRow {
 pub struct DriftReport {
     /// Label of the run the report reconciles.
     pub label: String,
-    /// Comparison rows, byte identities first, then time rows.
+    /// Comparison rows.
     pub rows: Vec<DriftRow>,
 }
 
@@ -64,14 +64,12 @@ mod tests {
     fn error_is_signed_and_relative_to_measurement() {
         let over = DriftRow {
             name: "t",
-            unit: "s",
             predicted: 2.0,
             measured: 1.0,
         };
         assert!((over.error_pct() - 100.0).abs() < 1e-9);
         let under = DriftRow {
             name: "t",
-            unit: "s",
             predicted: 0.5,
             measured: 1.0,
         };
@@ -82,14 +80,12 @@ mod tests {
     fn zero_measurement_edge_cases() {
         let both_zero = DriftRow {
             name: "t",
-            unit: "B",
             predicted: 0.0,
             measured: 0.0,
         };
         assert_eq!(both_zero.error_pct(), 0.0);
         let missing = DriftRow {
             name: "t",
-            unit: "B",
             predicted: 1.0,
             measured: 0.0,
         };
@@ -103,13 +99,11 @@ mod tests {
             rows: vec![
                 DriftRow {
                     name: "a",
-                    unit: "s",
                     predicted: 1.0,
                     measured: 2.0,
                 },
                 DriftRow {
                     name: "b",
-                    unit: "B",
                     predicted: 10.0,
                     measured: 10.0,
                 },

@@ -119,146 +119,93 @@ impl Histogram {
     }
 }
 
-/// Every histogram metric the pipeline records.
-///
-/// Per-record metrics sample at the map emit hook; per-segment metrics
-/// sample once per *final* materialized segment (exactly where the byte
-/// counters are charged, so histogram sums reconcile with
-/// [`Counter`](crate::Counter) values); codec metrics sample per
-/// compress/decompress call; the remaining metrics sample per spill,
-/// merge, fetch, group or sort-split window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Metric {
-    /// Key+value payload bytes per emitted map-output record.
-    MapEmitRecordBytes,
+/// The one table of metrics: each row is a variant and its stable
+/// snake-case name; row order is slot order and the order of
+/// [`ALL_METRICS`].
+macro_rules! metrics {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal;)*) => {
+        /// Every histogram metric the pipeline records.
+        ///
+        /// Per-record metrics sample at the map emit hook; per-segment
+        /// metrics sample once per *final* materialized segment (the
+        /// site that charges the byte counters, which stay the one
+        /// ledger of a run's bytes — these histograms are the size
+        /// *distribution*); codec metrics sample per compress/decompress
+        /// call; the remaining metrics sample per spill, merge, fetch,
+        /// group or sort-split window.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Metric {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Number of metric slots.
+        pub const NUM_METRICS: usize = [$(Metric::$variant),*].len();
+
+        /// All metrics, in slot order.
+        pub const ALL_METRICS: [Metric; NUM_METRICS] = [$(Metric::$variant),*];
+
+        impl Metric {
+            /// Snake-case metric name used by the JSON exporters.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Metric::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+metrics! {
     /// Key bytes per emitted map-output record.
-    MapEmitKeyBytes,
+    MapEmitKeyBytes = "map_emit_key_bytes";
     /// Value bytes per emitted map-output record.
-    MapEmitValueBytes,
+    MapEmitValueBytes = "map_emit_value_bytes";
     /// Staged payload bytes per spill.
-    SpillPayloadBytes,
+    SpillPayloadBytes = "spill_payload_bytes";
     /// Records entering the combiner, per spilled partition.
-    CombineInput,
+    CombineInput = "combine_input_records";
     /// Records leaving the combiner, per spilled partition.
-    CombineOutput,
-    /// Combiner output/input ratio per spilled partition, in permille
-    /// (1000 = no reduction).
-    CombineReductionPermille,
-    /// Key bytes per final materialized segment.
-    SegKeyBytes,
-    /// Value bytes per final materialized segment.
-    SegValueBytes,
-    /// Per-record framing bytes per final materialized segment.
-    SegFramingBytes,
+    CombineOutput = "combine_output_records";
     /// Raw (pre-codec, framed, incl. header) bytes per final segment.
-    SegRawBytes,
+    SegRawBytes = "segment_raw_bytes";
     /// Materialized (post-codec) bytes per final segment.
-    SegMaterializedBytes,
+    SegMaterializedBytes = "segment_materialized_bytes";
     /// Codec input bytes per compress call.
-    CompressInBytes,
+    CompressInBytes = "compress_in_bytes";
     /// Codec output bytes per compress call.
-    CompressOutBytes,
+    CompressOutBytes = "compress_out_bytes";
     /// Compression cost in nanoseconds per KiB of input.
-    CompressNsPerKib,
+    CompressNsPerKib = "compress_ns_per_kib";
     /// Decompression cost in nanoseconds per KiB of output.
-    DecompressNsPerKib,
+    DecompressNsPerKib = "decompress_ns_per_kib";
     /// Number of runs entering each streaming k-way merge.
-    MergeFanIn,
+    MergeFanIn = "merge_fan_in";
     /// Bytes per segment fetched by a reducer in the shuffle.
-    ShuffleSegmentBytes,
+    ShuffleSegmentBytes = "shuffle_segment_bytes";
     /// Values per reduce group.
-    ReduceGroupValues,
+    ReduceGroupValues = "reduce_group_values";
     /// Records per sort-split window handed to `sort_split`.
-    SortSplitWindowRecords,
+    SortSplitWindowRecords = "sort_split_window_records";
     /// Backoff wait per task retry, in nanoseconds.
-    RetryBackoffNanos,
+    RetryBackoffNanos = "retry_backoff_nanos";
     /// Records landing in wide-key tie runs of differing keys
     /// (comparator fallback volume) per radix-sorted spill partition;
     /// runs of byte-identical keys need no comparator and do not count.
-    SortPrefixTies,
+    SortPrefixTies = "sort_prefix_ties";
     /// Full-comparator invocations per radix-sorted spill partition
     /// (zero when every record is decided by its wide key alone).
-    SortCompareCalls,
+    SortCompareCalls = "sort_compare_calls";
     /// Full-comparator invocations per streaming k-way merge (wide-key
     /// ties at the loser tree).
-    MergeCompareCalls,
+    MergeCompareCalls = "merge_compare_calls";
     /// Key bytes removed by v3 front coding per final segment.
-    SegKeySavedBytes,
+    SegKeySavedBytes = "segment_key_saved_bytes";
     /// Front-coded blocks per final v3 segment.
-    SegBlocks,
+    SegBlocks = "segment_blocks";
     /// Blocks emitted wholesale (fence-prefix skip hits) per block
     /// merge — via still-encoded splice or burst emission.
-    MergeBlocksSkipped,
-}
-
-/// Number of metric slots.
-pub const NUM_METRICS: usize = Metric::MergeBlocksSkipped as usize + 1;
-
-/// All metrics, in slot order.
-pub const ALL_METRICS: [Metric; NUM_METRICS] = [
-    Metric::MapEmitRecordBytes,
-    Metric::MapEmitKeyBytes,
-    Metric::MapEmitValueBytes,
-    Metric::SpillPayloadBytes,
-    Metric::CombineInput,
-    Metric::CombineOutput,
-    Metric::CombineReductionPermille,
-    Metric::SegKeyBytes,
-    Metric::SegValueBytes,
-    Metric::SegFramingBytes,
-    Metric::SegRawBytes,
-    Metric::SegMaterializedBytes,
-    Metric::CompressInBytes,
-    Metric::CompressOutBytes,
-    Metric::CompressNsPerKib,
-    Metric::DecompressNsPerKib,
-    Metric::MergeFanIn,
-    Metric::ShuffleSegmentBytes,
-    Metric::ReduceGroupValues,
-    Metric::SortSplitWindowRecords,
-    Metric::RetryBackoffNanos,
-    Metric::SortPrefixTies,
-    Metric::SortCompareCalls,
-    Metric::MergeCompareCalls,
-    Metric::SegKeySavedBytes,
-    Metric::SegBlocks,
-    Metric::MergeBlocksSkipped,
-];
-
-impl Metric {
-    /// Snake-case metric name used by the JSON exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::MapEmitRecordBytes => "map_emit_record_bytes",
-            Metric::MapEmitKeyBytes => "map_emit_key_bytes",
-            Metric::MapEmitValueBytes => "map_emit_value_bytes",
-            Metric::SpillPayloadBytes => "spill_payload_bytes",
-            Metric::CombineInput => "combine_input_records",
-            Metric::CombineOutput => "combine_output_records",
-            Metric::CombineReductionPermille => "combine_reduction_permille",
-            Metric::SegKeyBytes => "segment_key_bytes",
-            Metric::SegValueBytes => "segment_value_bytes",
-            Metric::SegFramingBytes => "segment_framing_bytes",
-            Metric::SegRawBytes => "segment_raw_bytes",
-            Metric::SegMaterializedBytes => "segment_materialized_bytes",
-            Metric::CompressInBytes => "compress_in_bytes",
-            Metric::CompressOutBytes => "compress_out_bytes",
-            Metric::CompressNsPerKib => "compress_ns_per_kib",
-            Metric::DecompressNsPerKib => "decompress_ns_per_kib",
-            Metric::MergeFanIn => "merge_fan_in",
-            Metric::ShuffleSegmentBytes => "shuffle_segment_bytes",
-            Metric::ReduceGroupValues => "reduce_group_values",
-            Metric::SortSplitWindowRecords => "sort_split_window_records",
-            Metric::RetryBackoffNanos => "retry_backoff_nanos",
-            Metric::SortPrefixTies => "sort_prefix_ties",
-            Metric::SortCompareCalls => "sort_compare_calls",
-            Metric::MergeCompareCalls => "merge_compare_calls",
-            Metric::SegKeySavedBytes => "segment_key_saved_bytes",
-            Metric::SegBlocks => "segment_blocks",
-            Metric::MergeBlocksSkipped => "merge_blocks_skipped",
-        }
-    }
+    MergeBlocksSkipped = "merge_blocks_skipped";
 }
 
 /// One histogram per [`Metric`], fixed-size, allocation-free to update.
@@ -403,10 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn metric_names_are_unique() {
+    fn the_table_gives_every_slot_a_unique_name() {
+        for (i, m) in ALL_METRICS.iter().enumerate() {
+            assert_eq!(*m as usize, i, "ALL_METRICS must be in slot order");
+        }
         let mut names: Vec<&str> = ALL_METRICS.iter().map(|m| m.name()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), NUM_METRICS);
+        assert_eq!(NUM_METRICS, 22);
     }
 }

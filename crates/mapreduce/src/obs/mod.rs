@@ -4,20 +4,22 @@
 //! (nearly) nothing for them:
 //!
 //! * **Spans** ([`span!`](crate::span), [`SpanGuard`], [`Phase`]) —
-//!   RAII guards metering the eight pipeline stages with wall time plus
+//!   RAII guards metering the pipeline stages with wall time plus
 //!   [thread-CPU time](crate::clock). Recording goes through a
 //!   thread-local attachment into a per-thread sink; the sink's mutex
 //!   is only ever contended during the final drain.
 //! * **Histograms** ([`Histogram`], [`Metric`], [`hist`]) — fixed-size
-//!   log2-bucketed distributions of record sizes, segment byte splits,
-//!   codec throughput, merge fan-in and friends. No allocation on
-//!   record.
+//!   log2-bucketed distributions of record sizes, segment sizes, codec
+//!   throughput, merge fan-in and friends. No allocation on record.
+//!   They say how a quantity is *distributed*; how many bytes a run
+//!   moved is said once, by its [`Counter`](crate::Counter)s.
 //! * **The run document** ([`LedgerRecord`], [`LedgerSink`],
 //!   [`parse_ledger`]) — one JSON line per finished job holding its
 //!   configuration, counters, phase rollups and histograms, written and
-//!   read through [`json`], the workspace's only JSON module. The byte
-//!   breakdown derived from a record ([`IntermediateBreakdown`])
-//!   reconciles *exactly* against the record's own counters.
+//!   read through [`json`], the workspace's only JSON module. The
+//!   paper's Table I/II views are read off a record's counters, which
+//!   [`CounterSnapshot::check_invariants`](crate::CounterSnapshot::check_invariants)
+//!   holds to the cross-site accounting identities.
 //!   [`chrome_trace_json`] renders the span timeline for trace viewers.
 //!
 //! Everything is scoped to a per-job [`Recorder`]; there is no global
@@ -30,7 +32,6 @@ mod export;
 mod hist;
 pub mod json;
 mod ledger;
-mod report;
 mod span;
 mod trace;
 
@@ -43,6 +44,5 @@ pub use ledger::{
     clock_name, host_cpus, parse_ledger, LedgerConfig, LedgerHist, LedgerJob, LedgerRecord,
     LedgerSink, PhaseRollup, LEDGER_MAX_EXACT, LEDGER_SCHEMA,
 };
-pub use report::{observe_segment, IntermediateBreakdown};
 pub use span::{Phase, SpanGuard, TraceEvent, ALL_PHASES, NUM_PHASES};
 pub use trace::{hist, hist_many, recording, Attachment, Recorder, Trace, EVENT_CAPACITY};

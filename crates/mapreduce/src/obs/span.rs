@@ -8,75 +8,66 @@
 
 use crate::obs::trace;
 
-/// The eight instrumented stages of the shuffle pipeline (Fig. 1), in
-/// pipeline order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Phase {
+/// The one table of phases: each row is a variant, its stable
+/// snake-case name and its Chrome-trace category; row order is pipeline
+/// order and the order of [`ALL_PHASES`].
+macro_rules! phases {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $category:literal;)*) => {
+        /// The instrumented stages of the shuffle pipeline (Fig. 1), in
+        /// pipeline order, and the retry path beside them.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Phase {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Number of phases.
+        pub const NUM_PHASES: usize = [$(Phase::$variant),*].len();
+
+        /// All phases, in pipeline order.
+        pub const ALL_PHASES: [Phase; NUM_PHASES] = [$(Phase::$variant),*];
+
+        impl Phase {
+            /// Snake-case stage name used by the exporters.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Phase::$variant => $name,)*
+                }
+            }
+
+            /// Chrome-trace category for the stage.
+            pub fn category(self) -> &'static str {
+                match self {
+                    $(Phase::$variant => $category,)*
+                }
+            }
+        }
+    };
+}
+
+phases! {
     /// The user map function emitting records (map task record loop).
-    MapEmit,
+    MapEmit = "map_emit", "map";
     /// Arena index sort + spill of one buffer-full of map output.
-    SortSpill,
+    SortSpill = "sort_spill", "map";
     /// Combiner running over one sorted spill partition.
-    Combine,
+    Combine = "combine", "map";
     /// Serializing records through an `IFileWriter` and sealing the
     /// segment (includes codec time; see the codec histograms for the
     /// split).
-    IFileWrite,
+    IFileWrite = "ifile_write", "map";
     /// A reducer fetching and decompressing its segments.
-    ShuffleFetch,
+    ShuffleFetch = "shuffle_fetch", "reduce";
     /// The streaming k-way merge driving a reduce task (map-side spill
     /// merges record under the same phase).
-    Merge,
+    Merge = "merge", "reduce";
     /// One sort-split window being split, re-sorted and grouped.
-    SortSplit,
+    SortSplit = "sort_split", "reduce";
     /// Grouping merged records and running the user reduce function.
-    ReduceGroup,
+    ReduceGroup = "reduce_group", "reduce";
     /// A failed task attempt being backed off and re-queued (the span
     /// covers the backoff wait; one span per retry).
-    Retry,
-}
-
-/// Number of phases.
-pub const NUM_PHASES: usize = 9;
-
-/// All phases, in pipeline order.
-pub const ALL_PHASES: [Phase; NUM_PHASES] = [
-    Phase::MapEmit,
-    Phase::SortSpill,
-    Phase::Combine,
-    Phase::IFileWrite,
-    Phase::ShuffleFetch,
-    Phase::Merge,
-    Phase::SortSplit,
-    Phase::ReduceGroup,
-    Phase::Retry,
-];
-
-impl Phase {
-    /// Snake-case stage name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::MapEmit => "map_emit",
-            Phase::SortSpill => "sort_spill",
-            Phase::Combine => "combine",
-            Phase::IFileWrite => "ifile_write",
-            Phase::ShuffleFetch => "shuffle_fetch",
-            Phase::Merge => "merge",
-            Phase::SortSplit => "sort_split",
-            Phase::ReduceGroup => "reduce_group",
-            Phase::Retry => "retry",
-        }
-    }
-
-    /// Chrome-trace category for the stage.
-    pub fn category(self) -> &'static str {
-        match self {
-            Phase::MapEmit | Phase::SortSpill | Phase::Combine | Phase::IFileWrite => "map",
-            Phase::Retry => "retry",
-            _ => "reduce",
-        }
-    }
+    Retry = "retry", "retry";
 }
 
 /// One finished span: a stage execution on one thread.
@@ -165,6 +156,9 @@ mod tests {
 
     #[test]
     fn phase_names_are_unique() {
+        for (i, p) in ALL_PHASES.iter().enumerate() {
+            assert_eq!(*p as usize, i, "ALL_PHASES must be in pipeline order");
+        }
         let mut names: Vec<&str> = ALL_PHASES.iter().map(|p| p.name()).collect();
         names.sort();
         names.dedup();

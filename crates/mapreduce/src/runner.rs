@@ -182,10 +182,6 @@ pub(crate) fn run_map_task(
                 obs::hist_many(&[
                     (Metric::CombineInput, input),
                     (Metric::CombineOutput, combined.len() as u64),
-                    (
-                        Metric::CombineReductionPermille,
-                        (combined.len() as u64).saturating_mul(1000) / input.max(1),
-                    ),
                 ]);
                 Some(combined)
             } else {
@@ -255,9 +251,9 @@ pub(crate) fn run_map_task(
     // into one segment (Hadoop's map-output merge, Fig. 1 step 3).
     let segments = merge_spills(config, task, segments, counters)?;
 
-    // Byte accounting happens on the *final* materialized output only.
-    // The segment histograms sample at this exact site so their sums
-    // reconcile with the counters (see obs::IntermediateBreakdown).
+    // Byte accounting happens on the *final* materialized output only:
+    // the counters are the run's byte ledger, the histograms beside them
+    // the per-segment size distribution.
     for (_, seg) in &segments {
         counters.add(Counter::MapOutputBytes, seg.raw_bytes);
         counters.add(Counter::MapOutputKeyBytes, seg.key_bytes);
@@ -270,14 +266,11 @@ pub(crate) fn run_map_task(
             seg.materialized_bytes(),
         );
         counters.add(Counter::MapOutputSegments, 1);
-        obs::observe_segment(
-            seg.key_bytes,
-            seg.value_bytes,
-            seg.framing_bytes(),
-            seg.key_saved_bytes(),
-            seg.raw_bytes,
-            seg.materialized_bytes(),
-        );
+        obs::hist_many(&[
+            (Metric::SegRawBytes, seg.raw_bytes),
+            (Metric::SegMaterializedBytes, seg.materialized_bytes()),
+            (Metric::SegKeySavedBytes, seg.key_saved_bytes()),
+        ]);
         if seg.blocks > 0 {
             obs::hist(Metric::SegBlocks, seg.blocks);
         }
@@ -296,7 +289,6 @@ fn stage(
     value: &[u8],
 ) -> u64 {
     obs::hist_many(&[
-        (Metric::MapEmitRecordBytes, (key.len() + value.len()) as u64),
         (Metric::MapEmitKeyBytes, key.len() as u64),
         (Metric::MapEmitValueBytes, value.len() as u64),
     ]);

@@ -1,14 +1,14 @@
 //! End-to-end observability tests: a traced job must produce spans for
-//! every pipeline stage, histograms that reconcile exactly with the job
-//! counters, and counter snapshots that satisfy the accounting
-//! invariants across codecs and key semantics.
+//! every pipeline stage and one segment-size sample per final segment,
+//! and counter snapshots must satisfy the accounting invariants across
+//! codecs and key semantics.
 
 use scihadoop_compress::{Codec, DeflateCodec, IdentityCodec};
-use scihadoop_mapreduce::obs::{
-    chrome_trace_json, IntermediateBreakdown, LedgerRecord, Recorder, ALL_PHASES,
-};
+use scihadoop_mapreduce::obs::{chrome_trace_json, LedgerRecord, Metric, Recorder, ALL_PHASES};
 use scihadoop_mapreduce::record::{Emit, FnMapper, FnReducer, InputSplit, KvPair};
-use scihadoop_mapreduce::{DefaultKeySemantics, Job, JobConfig, JobResult, KeySemantics, Phase};
+use scihadoop_mapreduce::{
+    Counter, DefaultKeySemantics, Job, JobConfig, JobResult, KeySemantics, Phase,
+};
 use std::sync::Arc;
 
 /// Key semantics that keep the engine's conservative sort-split
@@ -136,19 +136,22 @@ fn traced_job_covers_all_phases() {
 }
 
 #[test]
-fn histogram_breakdown_reconciles_with_counters_exactly() {
+fn segment_histograms_sample_once_per_final_segment() {
+    // The counters are the byte ledger; the segment histograms are the
+    // size distribution, one sample per final map-output segment.
     let recorder = Recorder::new();
     let result = sum_job(
         traced_wordcount_config(&recorder),
         wordcount_splits(500, 30),
     );
     let trace = recorder.finish();
-    let breakdown = IntermediateBreakdown::from_trace(&trace);
-    breakdown
-        .reconcile(&result.counters)
-        .expect("histogram sums must equal counter values");
-    assert!(breakdown.segments > 0);
-    assert!(breakdown.key_fraction() > 0.5, "wordcount keys dominate");
+    let segments = result.counters.get(Counter::MapOutputSegments);
+    assert!(segments > 0);
+    for metric in [Metric::SegRawBytes, Metric::SegMaterializedBytes] {
+        let h = trace.hists.get(metric);
+        assert_eq!(h.count(), segments, "{}", metric.name());
+        assert!(h.max() <= result.counters.get(Counter::MapOutputBytes));
+    }
 }
 
 #[test]
@@ -229,12 +232,15 @@ fn exports_are_valid_and_cover_the_pipeline() {
         assert_eq!(rollup.count, trace.span_count(phase) as u64);
         assert_eq!(rollup.cpu_ns, trace.phase_cpu_nanos(phase));
     }
-    let derived = IntermediateBreakdown::from_record(&record);
-    assert_eq!(derived, IntermediateBreakdown::from_trace(&trace));
-    assert!(derived.key_bytes > 0);
-    derived
-        .reconcile(&record.counters)
-        .expect("a rich record reconciles exactly with its own counters");
+    for h in &record.histograms {
+        let drained = trace.hists.get(h.metric);
+        assert_eq!((h.count, h.sum), (drained.count(), drained.sum()));
+    }
+    assert!(record.hist(Metric::SegRawBytes).is_some());
+    record
+        .counters
+        .check_invariants(config.framing.file_overhead() as u64)
+        .expect("a record's counters balance");
 }
 
 #[test]
@@ -265,7 +271,11 @@ fn two_traced_jobs_merge_counters_and_traces() {
     let mut trace = rec_a.finish();
     trace.merge(&rec_b.finish());
     let merged = a.counters.merge(&b.counters);
-    IntermediateBreakdown::from_trace(&trace)
-        .reconcile(&merged)
-        .expect("merged histograms must reconcile with merged counters");
+    merged
+        .check_invariants(scihadoop_mapreduce::Framing::SequenceFile.file_overhead() as u64)
+        .expect("merged counters still balance");
+    assert_eq!(
+        trace.hists.get(Metric::SegRawBytes).count(),
+        merged.get(Counter::MapOutputSegments)
+    );
 }

@@ -165,39 +165,42 @@ mod tests {
     }
 
     #[test]
-    fn layouts_write_what_grid_keys_write() {
-        use scihadoop_grid::{GridKey, VariableId};
-        let coord = Coord::new(vec![3, -1, 7]);
-        let indexed = KeyLayout::Indexed { index: 2, ndims: 3 };
-        assert_eq!(
-            indexed.encode(&coord),
-            GridKey::new(VariableId::Index(2), coord.clone()).to_bytes()
-        );
+    fn layouts_match_paper() {
+        // variable index + 3 coords = 4 + 12 = 16 bytes; windspeed1
+        // (10 chars) + 3 coords = 1 + 10 + 12 = 23 bytes.
+        let indexed = KeyLayout::Indexed { index: 7, ndims: 3 };
         let named = KeyLayout::Named {
             name: "windspeed1".into(),
             ndims: 3,
         };
-        assert_eq!(
-            named.encode(&coord),
-            GridKey::new(VariableId::Name("windspeed1".into()), coord.clone()).to_bytes()
-        );
-        // Malformed keys error as `GridKey` reads do.
-        assert!(indexed.decode(&[0, 0, 0]).is_err());
-        assert!(indexed.decode(&[0; 15]).is_err());
-        assert!(named.decode(&[2, 0xff, 0xfe, 0, 0, 0, 0]).is_err());
+        assert_eq!(indexed.key_len(), 16);
+        assert_eq!(named.key_len(), 23);
+        let coord = Coord::new(vec![1, 2, -3]);
+        let bytes = indexed.encode(&coord);
+        assert_eq!(bytes[..4], 7i32.to_be_bytes());
+        assert_eq!(bytes[12..], (-3i32).to_be_bytes());
+        let bytes = named.encode(&coord);
+        assert_eq!(bytes[0], 10); // vint length of the name
+        assert_eq!(&bytes[1..11], b"windspeed1");
+        // Hadoop sorts serialized keys bytewise; for non-negative
+        // coordinates the BE layout agrees with coordinate order.
+        assert!(indexed.encode(&Coord::new(vec![0, 200, 0])) < indexed.encode(&coord));
     }
 
     #[test]
-    fn layout_sizes_match_paper() {
-        assert_eq!(KeyLayout::Indexed { index: 0, ndims: 3 }.key_len(), 16);
-        assert_eq!(
-            KeyLayout::Named {
-                name: "windspeed1".into(),
-                ndims: 3
-            }
-            .key_len(),
-            23
-        );
+    fn decode_rejects_malformed_keys() {
+        let indexed = KeyLayout::Indexed { index: 2, ndims: 3 };
+        let named = KeyLayout::Named {
+            name: "windspeed1".into(),
+            ndims: 3,
+        };
+        assert!(indexed.decode(&[0, 0, 0]).is_err());
+        assert!(indexed.decode(&[0; 15]).is_err());
+        assert!(named.decode(&[]).is_err());
+        assert!(named.decode(&[5, b'a', b'b']).is_err()); // short name
+        let mut buf = vec![2, 0xff, 0xfe]; // invalid UTF-8 name
+        buf.extend_from_slice(&[0; 12]);
+        assert!(named.decode(&buf).is_err());
     }
 
     #[test]

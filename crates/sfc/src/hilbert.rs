@@ -3,7 +3,7 @@
 //! Paper §IV-A: "Moon et al. have shown the Hilbert curve to have better
 //! clustering properties than the Z-order curve, but the Hilbert curve
 //! has more overhead." We implement it so the clustering/CPU trade-off is
-//! measurable (`bench_curve_ablation`).
+//! measurable (`repro curves`).
 //!
 //! The implementation follows John Skilling, *"Programming the Hilbert
 //! curve"*, AIP Conf. Proc. 707 (2004): coordinates are converted to/from

@@ -7,7 +7,7 @@
 //! of implementation" and notes the Hilbert curve clusters better (Moon
 //! et al.) at higher cost — both are implemented here, plus row-major as
 //! the trivial baseline, so the trade-off can be measured
-//! (`bench_curve_ablation`).
+//! (`repro curves`).
 
 pub mod curve;
 pub mod hilbert;

@@ -7,7 +7,8 @@
 //! ```
 
 use scihadoop::core::transform::{detect_sequences, StridePredictor, TransformConfig};
-use scihadoop::grid::{Coord, GridKey, VariableId};
+use scihadoop::grid::Coord;
+use scihadoop::queries::KeyLayout;
 
 fn hexdump(data: &[u8], rows: usize, highlight: impl Fn(usize) -> bool) {
     for r in 0..rows {
@@ -38,15 +39,15 @@ fn hexdump(data: &[u8], rows: usize, highlight: impl Fn(usize) -> bool) {
 fn main() {
     // Keys exactly as Hadoop would serialize them: Text("windspeed1") +
     // three big-endian i32 coordinates, walking a grid row-major.
+    let layout = KeyLayout::Named {
+        name: "windspeed1".into(),
+        ndims: 3,
+    };
     let mut stream = Vec::new();
     for x in 0..4i32 {
         for y in 0..4i32 {
             for z in 0..20i32 {
-                GridKey::new(
-                    VariableId::Name("windspeed1".into()),
-                    Coord::new(vec![x, y, z]),
-                )
-                .write(&mut stream);
+                stream.extend(layout.encode(&Coord::new(vec![x, y, z])));
             }
         }
     }
