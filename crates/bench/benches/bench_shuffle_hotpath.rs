@@ -13,10 +13,8 @@
 use criterion::{black_box, Criterion, Throughput};
 use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads::merge_group_pass;
-use scihadoop_compress::checksum::Crc32c;
 use scihadoop_compress::IdentityCodec;
 use scihadoop_grid::Coord;
-use scihadoop_mapreduce::dist::{SegmentRepr, ShuffleStore};
 use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
     for_each_group, merge_sorted_runs, DefaultKeySemantics, Framing, IFileReader, IFileWriter,
@@ -262,77 +260,10 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
     (ratios[ratios.len() / 2] - 1.0) * 100.0
 }
 
-/// The coordinator's segment-serving path against the shuffle store:
-/// an all-resident store vs one forced to spill every segment (budget
-/// 0), both drained in canonical order through the same 64 KiB chunk
-/// loop the wire path uses — spilled chunks `pread` into the chunk
-/// buffer and re-verify the spill-time CRC, exactly as a remote slot's
-/// reduce does. What spilling and wire compression cost a whole job is
-/// timed at seconds scale by the `benchmark/` package
-/// (`median-plain-proc` vs `median-plain-proc-lzspill`), not here.
-fn bench_shuffle_serve(c: &mut Criterion) {
-    const MAPS: usize = 16;
-    const SEG_LEN: usize = 96 << 10;
-    let segments: Vec<Vec<u8>> = (0..MAPS)
-        .map(|m| {
-            (0..SEG_LEN)
-                .map(|i| (i as u64).wrapping_mul(m as u64 + 0x9e37) as u8)
-                .collect()
-        })
-        .collect();
-    let publish = |store: &ShuffleStore| {
-        for (m, seg) in segments.iter().enumerate() {
-            store.publish(m, vec![(0, seg.clone())]).unwrap();
-        }
-    };
-    let mem_store = ShuffleStore::new(1, MAPS, usize::MAX);
-    let spill_store = ShuffleStore::new(1, MAPS, 0);
-    publish(&mem_store);
-    publish(&spill_store);
-    assert_eq!(spill_store.spilled_bytes(), (MAPS * SEG_LEN) as u64);
-
-    let serve = |store: &ShuffleStore| -> u64 {
-        let mut chunk = vec![0u8; 64 << 10];
-        let mut acc = 0u64;
-        for m in 0..MAPS {
-            let handle = store.segment_when_ready(0, m).unwrap().unwrap();
-            match &handle.repr {
-                SegmentRepr::Mem(data) => {
-                    for piece in data.chunks(chunk.len()) {
-                        acc = acc.wrapping_add(piece.iter().map(|&b| b as u64).sum::<u64>());
-                    }
-                }
-                SegmentRepr::Spilled(h) => {
-                    let mut crc = Crc32c::new();
-                    let mut off = 0;
-                    while off < h.len() {
-                        let end = (off + chunk.len()).min(h.len());
-                        let buf = &mut chunk[..end - off];
-                        h.read_range(off, buf).unwrap();
-                        crc.update(buf);
-                        acc = acc.wrapping_add(buf.iter().map(|&b| b as u64).sum::<u64>());
-                        off = end;
-                    }
-                    assert_eq!(crc.finish(), h.crc(), "spill CRC must verify");
-                }
-            }
-        }
-        acc
-    };
-
-    let mut group = c.benchmark_group("shuffle_serve");
-    group.throughput(Throughput::Bytes((MAPS * SEG_LEN) as u64));
-    group.sample_size(20);
-    group.bench_function("mem", |b| b.iter(|| black_box(serve(&mem_store))));
-    group.bench_function("spill", |b| b.iter(|| black_box(serve(&spill_store))));
-    group.finish();
-}
-
 fn main() {
     let mut criterion = Criterion::default();
     bench_map_sort_spill(&mut criterion);
     let crc_overhead = bench_merge_reduce(&mut criterion);
-    bench_shuffle_serve(&mut criterion);
 
     // Speedups + optional JSON baseline.
     let rate = |id: &str| {

@@ -23,15 +23,15 @@
 //!   by positioned reads; 0 spills everything; default auto-sizes from
 //!   available memory); --wire-codec <identity|lz> turns on transparent
 //!   shuffle compression (segments are lz-compressed once at publish,
-//!   spill compressed, ship compressed to capable workers, and are
-//!   inflated before the reduce-side CRC check — outputs stay
-//!   byte-identical; default identity). Any of these flags implies the
+//!   spill and ship compressed, and are inflated by the worker before
+//!   the reduce-side CRC check — outputs stay byte-identical; default
+//!   identity). Any of these flags implies the
 //!   dist experiment when none is named.
 //! --codec <name> sets the intermediate-data codec for fault_storm,
 //!   composed from: [transform+](identity|lz|deflate|bzip), e.g.
 //!   "transform+deflate" (the stride transform over deflate).
 //! --ifile-version <1|2|3> sets the intermediate segment format for the
-//!   trace, drift, fault_storm and dist experiments: 1 = plain, 2 =
+//!   trace, fault_storm and dist experiments: 1 = plain, 2 =
 //!   CRC-trailed framed records (the paper's Hadoop layout and this
 //!   tool's default, so its byte rows stay comparable with the paper's),
 //!   3 = blocks of front-coded key groups in column order with
@@ -52,12 +52,13 @@
 //!   cost-model drift report (predicted vs measured time per run) and
 //!   holds every record's counters to `check_invariants`, exiting 1 on
 //!   a violation; a standalone action that runs no experiment unless
-//!   one is named.
+//!   one is named (`repro trace --small --ledger L --reconcile L` is
+//!   the self-contained drift report).
 //! ```
 
 use scihadoop_bench as bench;
 use scihadoop_mapreduce::obs::LedgerSink;
-use scihadoop_mapreduce::{Framing, IFileVersion, Transport, WireCodec};
+use scihadoop_mapreduce::{IFileVersion, Transport, WireCodec};
 
 /// What the command line resolved to, as the experiments read it.
 struct Args {
@@ -106,7 +107,7 @@ fn show(table: bench::Table) {
 
 /// The one table of experiments, in the order `all` runs them. Dispatch,
 /// the listing an unknown name gets, and the `all` rule read it.
-const EXPERIMENTS: [Experiment; 17] = [
+const EXPERIMENTS: [Experiment; 16] = [
     (
         "intro",
         "§I intermediate-file overhead numbers",
@@ -139,12 +140,6 @@ const EXPERIMENTS: [Experiment; 17] = [
         "traced pipeline: per-stage spans + Table I/II byte views",
         true,
         trace,
-    ),
-    (
-        "model_drift",
-        "cost-model predictions vs measured ledger records",
-        true,
-        |a| show(bench::model_drift(a.size(64, 24), a.size(5_000, 600), a.ifile_version).0),
     ),
     ("curves", "§IV-A curve ablation", true, |_| {
         show(bench::curve_ablation(6, 6))
@@ -407,22 +402,11 @@ fn main() {
         });
         let title = format!("reconcile: {path} ({} runs)", records.len());
         show(bench::drift_table(&title, &records).0);
-        // The accounting identities debug builds assert at job
-        // completion, held against every run the ledger recorded.
-        let header = Framing::IFile.file_overhead() as u64;
-        let mut violations = 0;
-        for (i, record) in records.iter().enumerate() {
-            for e in record
-                .counters
-                .check_invariants(header)
-                .err()
-                .unwrap_or_default()
-            {
-                eprintln!("FAIL {path}: record {} ({}): {e}", i + 1, record.label);
-                violations += 1;
-            }
+        let violations = bench::ledger_violations(&records);
+        for e in &violations {
+            eprintln!("FAIL {path}: {e}");
         }
-        if violations > 0 {
+        if !violations.is_empty() {
             std::process::exit(1);
         }
     }

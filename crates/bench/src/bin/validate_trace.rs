@@ -9,8 +9,7 @@
 //!
 //! * the Chrome trace is well-formed JSON with complete ("X") span
 //!   events for **every** stage in `ALL_PHASES`, non-negative
-//!   timestamps/durations, thread-name metadata, and the v3 counter
-//!   ("C") tracks;
+//!   timestamps/durations, and thread-name metadata;
 //! * every ledger line parses strictly (the parser only accepts a line
 //!   that re-encodes to the exact input bytes);
 //! * every record's counters satisfy `CounterSnapshot::check_invariants`
@@ -22,8 +21,9 @@
 //! Exits 0 when every check passes, 1 otherwise (printing each failure).
 
 use scihadoop_bench::json::{self, Json};
+use scihadoop_bench::ledger_violations;
 use scihadoop_mapreduce::obs::{LedgerRecord, ALL_PHASES, NUM_PHASES};
-use scihadoop_mapreduce::{Counter, Framing};
+use scihadoop_mapreduce::Counter;
 
 fn check_trace(doc: &Json, errs: &mut Vec<String>) {
     let events = match doc.get("traceEvents").and_then(|e| e.as_arr()) {
@@ -34,7 +34,6 @@ fn check_trace(doc: &Json, errs: &mut Vec<String>) {
         }
     };
     let mut span_names: Vec<&str> = Vec::new();
-    let mut counter_names: Vec<&str> = Vec::new();
     let mut thread_names = 0usize;
     for (i, ev) in events.iter().enumerate() {
         let ph = ev.get("ph").and_then(|p| p.as_str()).unwrap_or("");
@@ -51,15 +50,6 @@ fn check_trace(doc: &Json, errs: &mut Vec<String>) {
                     }
                 }
             }
-            "C" => {
-                match ev.get("name").and_then(|n| n.as_str()) {
-                    Some(name) => counter_names.push(name),
-                    None => errs.push(format!("trace: counter event {i} has no name")),
-                }
-                if !matches!(ev.get("args"), Some(Json::Obj(_))) {
-                    errs.push(format!("trace: counter event {i} has no args object"));
-                }
-            }
             "M" => {
                 if ev.get("name").and_then(|n| n.as_str()) == Some("thread_name") {
                     thread_names += 1;
@@ -74,11 +64,6 @@ fn check_trace(doc: &Json, errs: &mut Vec<String>) {
             errs.push(format!("trace: no span events for stage {}", phase.name()));
         }
     }
-    for track in ["v3_blocks", "v3_key_saved"] {
-        if !counter_names.contains(&track) {
-            errs.push(format!("trace: no counter track {track:?}"));
-        }
-    }
     if thread_names == 0 {
         errs.push("trace: no thread_name metadata events".into());
     }
@@ -88,36 +73,28 @@ fn check_trace(doc: &Json, errs: &mut Vec<String>) {
 /// satisfy the accounting invariants, and jointly the records must cover
 /// every phase and carry live counters.
 fn check_ledger(text: &str, errs: &mut Vec<String>) {
-    let mut phase_counts = [0u64; NUM_PHASES];
-    let mut records = 0usize;
-    let mut map_output = 0u64;
+    let mut records = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         match LedgerRecord::from_json(line) {
             Err(e) => errs.push(format!("ledger: line {}: {e}", i + 1)),
-            Ok(record) => {
-                records += 1;
-                let header = Framing::IFile.file_overhead() as u64;
-                for e in record
-                    .counters
-                    .check_invariants(header)
-                    .err()
-                    .unwrap_or_default()
-                {
-                    errs.push(format!("ledger: line {} ({}): {e}", i + 1, record.label));
-                }
-                for (slot, p) in phase_counts.iter_mut().zip(record.phases.iter()) {
-                    *slot += p.count;
-                }
-                map_output += record.counters.get(Counter::MapOutputBytes);
-            }
+            Ok(record) => records.push(record),
         }
     }
-    if records == 0 {
+    if records.is_empty() {
         errs.push("ledger: no records".into());
         return;
+    }
+    for e in ledger_violations(&records) {
+        errs.push(format!("ledger: {e}"));
+    }
+    let mut phase_counts = [0u64; NUM_PHASES];
+    for record in &records {
+        for (slot, p) in phase_counts.iter_mut().zip(record.phases.iter()) {
+            *slot += p.count;
+        }
     }
     for (phase, &count) in ALL_PHASES.iter().zip(phase_counts.iter()) {
         if count == 0 {
@@ -127,7 +104,10 @@ fn check_ledger(text: &str, errs: &mut Vec<String>) {
             ));
         }
     }
-    if map_output == 0 {
+    if records
+        .iter()
+        .all(|r| r.counters.get(Counter::MapOutputBytes) == 0)
+    {
         errs.push("ledger: records carry no map output bytes".into());
     }
 }

@@ -89,19 +89,14 @@ impl DistJobSpec {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| MrError::Config(format!("bad dist job spec field {part:?}")))?;
-            let int = |what: &str| {
-                value
-                    .parse::<u64>()
-                    .map_err(|e| MrError::Config(format!("bad {what} {value:?}: {e}")))
-            };
             match key {
-                "records" => out.records = int("records")? as usize,
-                "reducers" => out.reducers = int("reducers")? as usize,
-                "map_slots" => out.map_slots = int("map_slots")? as usize,
-                "reduce_slots" => out.reduce_slots = int("reduce_slots")? as usize,
+                "records" => out.records = int(key, value)?,
+                "reducers" => out.reducers = int(key, value)?,
+                "map_slots" => out.map_slots = int(key, value)?,
+                "reduce_slots" => out.reduce_slots = int(key, value)?,
                 "ifile" => out.ifile = IFileVersion::parse(value).map_err(MrError::Config)?,
                 "codec" => out.codec = value.to_string(),
-                "retries" => out.retries = int("retries")? as u32,
+                "retries" => out.retries = int(key, value)?,
                 "faults" => out.faults = Some(value.to_string()),
                 other => {
                     return Err(MrError::Config(format!(
@@ -157,6 +152,18 @@ impl DistJobSpec {
             out.emit(k, &total.to_be_bytes());
         })
     }
+}
+
+/// Parse an integer field straight into its type: a value that does not
+/// fit is refused, not narrowed — the payload crosses a process
+/// boundary.
+fn int<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+    key: &str,
+    value: &str,
+) -> Result<T, MrError> {
+    value
+        .parse()
+        .map_err(|e| MrError::Config(format!("bad {key} {value:?}: {e}")))
 }
 
 /// Worker-process bootstrap: rebuild the job from the environment's
@@ -215,6 +222,11 @@ mod tests {
         assert!(DistJobSpec::parse(concat!("retries=2;backoff", "_us=50")).is_err());
         assert!(DistJobSpec::parse("records").is_err());
         assert!(DistJobSpec::parse("records=many").is_err());
+        // 2^32 + 1 used to narrow to a retry budget of 1.
+        assert!(matches!(
+            DistJobSpec::parse("retries=4294967297"),
+            Err(MrError::Config(e)) if e.contains("retries")
+        ));
     }
 
     #[test]

@@ -691,8 +691,8 @@ pub fn traced_pipeline(
 /// Render model-vs-measured drift for a set of ledger records: each
 /// record is replayed through [`CostModel::simulate`] against a
 /// [`ClusterSpec::local_host`] spec and reported as per-row predicted vs
-/// measured values with signed error. Shared by the `model_drift`
-/// experiment and `repro --reconcile <ledger>`.
+/// measured values with signed error: what `repro --reconcile <ledger>`
+/// prints.
 pub fn drift_table(title: &str, records: &[obs::LedgerRecord]) -> (Table, Vec<obs::DriftReport>) {
     let mut table = Table::new(title, &["run / row", "predicted", "measured", "error"]);
     let mut reports = Vec::new();
@@ -722,32 +722,26 @@ pub fn drift_table(title: &str, records: &[obs::LedgerRecord]) -> (Table, Vec<ob
     (table, reports)
 }
 
-/// Model-vs-measured drift: run the traced pipeline, roundtrip each job's
-/// [`obs::LedgerRecord`] through its JSON-line encoding and strict parser
-/// (which only accepts a line that re-encodes byte-identically), rebuild
-/// [`JobStats`] from the parsed record, replay
-/// [`CostModel::simulate`] and report per-phase predicted vs measured
-/// values with signed error — the paper's Table I/II style breakdown, but
-/// predicted-vs-actual instead of before-vs-after.
-pub fn model_drift(
-    n: u32,
-    records: usize,
-    ifile_version: IFileVersion,
-) -> (Table, Vec<(obs::LedgerRecord, obs::DriftReport)>) {
-    let (_, _, ledger) = traced_pipeline(n, records, ifile_version);
-
-    let parsed: Vec<obs::LedgerRecord> = ledger
-        .iter()
-        .map(|record| {
-            obs::LedgerRecord::from_json(&record.to_json())
-                .expect("a written ledger record must parse back")
-        })
-        .collect();
-    let (table, reports) = drift_table(
-        &format!("model drift: cost model vs measured runs ({records} records, {n}²)"),
-        &parsed,
-    );
-    (table, parsed.into_iter().zip(reports).collect())
+/// Hold every record of a ledger to
+/// [`CounterSnapshot::check_invariants`](scihadoop_mapreduce::CounterSnapshot::check_invariants)
+/// — the cross-site accounting identities debug builds assert at job
+/// completion — and return each violation as `record N (label): why`.
+/// `validate_trace` and `repro --reconcile` both read a ledger through
+/// it.
+pub fn ledger_violations(records: &[obs::LedgerRecord]) -> Vec<String> {
+    let header = Framing::IFile.file_overhead() as u64;
+    let mut violations = Vec::new();
+    for (i, record) in records.iter().enumerate() {
+        for e in record
+            .counters
+            .check_invariants(header)
+            .err()
+            .unwrap_or_default()
+        {
+            violations.push(format!("record {} ({}): {e}", i + 1, record.label));
+        }
+    }
+    violations
 }
 
 /// Append the thin (trace-less) record of a finished run to `ledger`,
@@ -1250,7 +1244,7 @@ pub fn scaling_check(sides: &[u32]) -> Result<Table, GridError> {
 ///
 /// `wire_codec` selects transparent shuffle compression
 /// ([`WireCodec::Lz`] compresses segments once at publish and ships
-/// them compressed to capable workers). The byte-identity assertions do
+/// them compressed). The byte-identity assertions do
 /// not weaken under compression either: `ShuffleBytes` counts logical
 /// bytes, and workers inflate before the segment CRC check, so the
 /// reduce inputs — and every semantic counter — match the local engine

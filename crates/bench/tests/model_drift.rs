@@ -1,5 +1,6 @@
-//! Pinned acceptance bounds for the `model_drift` experiment: the
-//! paper's Table I/II-style breakdown recast as predicted-vs-measured.
+//! Pinned acceptance bounds for the cost model's drift report over the
+//! traced pipeline's ledger records: the paper's Table I/II-style
+//! breakdown recast as predicted-vs-measured.
 //!
 //! A drift report is time rows only (the model's byte terms are the
 //! run's own counters), and every row must carry a live prediction whose
@@ -10,16 +11,24 @@
 //! slower (debug, loaded-CI) walls only push the error further negative
 //! — never past −100 %, because predictions are strictly positive.
 
-use scihadoop_bench::model_drift;
+use scihadoop_bench::{drift_table, traced_pipeline};
+use scihadoop_mapreduce::obs::LedgerRecord;
 use scihadoop_mapreduce::IFileVersion;
 
 #[test]
 fn model_drift_pins_time_error_bounds() {
-    let (table, reports) = model_drift(24, 400, IFileVersion::V3);
+    let (_, _, ledger) = traced_pipeline(24, 400, IFileVersion::V3);
+    // Drift is reported from records as `repro --reconcile` reads them:
+    // written as ledger lines and parsed back.
+    let records: Vec<LedgerRecord> = ledger
+        .iter()
+        .map(|r| LedgerRecord::from_json(&r.to_json()).expect("a written record parses back"))
+        .collect();
+    let (table, reports) = drift_table("model drift", &records);
     let rendered = table.render();
     assert_eq!(reports.len(), 3, "one drift report per traced job");
 
-    for (record, report) in &reports {
+    for (record, report) in records.iter().zip(&reports) {
         let names: Vec<&str> = report.rows.iter().map(|r| r.name).collect();
         assert_eq!(
             names,

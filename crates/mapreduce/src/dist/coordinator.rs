@@ -6,29 +6,20 @@
 //! socket is its only flow control.
 
 use super::net::{Listener, Stream};
-use super::wire::{encode_seg_chunk, read_msg, write_msg, Msg, MAX_FRAME_BYTES};
+use super::wire::{encode, read_msg, write_msg, Msg};
 use super::DistConfig;
 use crate::counters::Counter;
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::scheduler::{Fetched, JobState, MapOutput, Outcome, Slot, Takes};
-use crate::shuffle::{SegmentRepr, SpilledHandle};
-use scihadoop_compress::checksum::Crc32c;
+use crate::shuffle::SegmentRepr;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long to wait for all workers to connect before giving up.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Payload bytes per `SegChunk` frame when streaming segments to
-/// reducers.
-const CHUNK_BYTES: usize = 64 << 10;
-
-// A SegChunk frame is the chunk payload plus a fixed header; 64 bytes of
-// slack covers every header in the protocol.
-const _: () = assert!(MAX_FRAME_BYTES >= CHUNK_BYTES + 64);
 
 /// Run a distributed job on freshly spawned worker *processes*: the
 /// current executable is re-executed with `dist.worker_args` and the
@@ -311,7 +302,7 @@ impl Slot for RemoteSlot {
 
     /// Send the task, stage each received segment, and hand the staged
     /// segments over with `MapDone` (those of a failed attempt are
-    /// dropped, never published).
+    /// dropped, never published). A partition is staged at most once.
     fn map(
         &mut self,
         job: &JobState,
@@ -332,6 +323,11 @@ impl Slot for RemoteSlot {
                     if partition >= job.config.num_reducers {
                         return Err(MrError::Net(format!(
                             "map {task}: segment for partition {partition} out of range"
+                        )));
+                    }
+                    if staged.iter().any(|(p, _)| *p == partition) {
+                        return Err(MrError::Net(format!(
+                            "map {task}: second segment for partition {partition}"
                         )));
                     }
                     staged.push((partition, data));
@@ -359,9 +355,11 @@ impl Slot for RemoteSlot {
     /// `ShuffleTransferNanos` is time in the socket write *including*
     /// that backpressure.
     ///
-    /// Compressed segments stream their stored lz frames (`comp` set,
-    /// spilled ones still `pread` zero-copy into the wire frame); the
-    /// difference between logical and transmitted length is charged to
+    /// Each segment is one `FetchSegment` frame of its stored bytes: a
+    /// resident segment's straight from the store, a spilled one's read
+    /// whole (its spill CRC checked before any byte leaves). Compressed
+    /// segments ship their stored lz frames (`comp` set); the difference
+    /// between logical and transmitted length is charged to
     /// `ShuffleWireBytesSaved` at serve time, so re-fetches by retried
     /// attempts count again — true wire semantics. Copies the fault plan
     /// corrupted are logical bytes and ship raw, which is what keeps a
@@ -384,17 +382,13 @@ impl Slot for RemoteSlot {
             other => return task_failed(other, expect).map(Some),
         }
 
-        let mut index: u64 = 0;
+        let mut served = 0u32;
         let mut wait_nanos = 0u64;
         let mut transfer_nanos = 0u64;
         let mut wire_saved = 0u64;
-        // One reusable frame: each chunk is assembled in it — for
-        // spilled segments, `pread` straight into the frame's payload
-        // region — and written out whole.
-        let mut frame = Vec::new();
         for map_task in 0..job.num_maps {
             let wait_t0 = Instant::now();
-            let fetched = match job.fetch(task, map_task, attempt, index) {
+            let fetched = match job.fetch(task, map_task, attempt, u64::from(served)) {
                 Ok(fetched) => fetched,
                 Err(_) if job.is_aborted() => {
                     // Release the worker cleanly; the abort's cause
@@ -406,66 +400,29 @@ impl Slot for RemoteSlot {
             };
             wait_nanos += wait_t0.elapsed().as_nanos() as u64;
             let Some(fetched) = fetched else { continue };
-            let (src, comp, orig_len) = match &fetched {
-                Fetched::Copy(data) => (ChunkSource::Slice(data), false, 0),
+            let (comp, data) = match fetched {
+                Fetched::Copy(data) => (false, Arc::new(data)),
                 Fetched::Stored(h) => {
-                    let src = match &h.repr {
-                        SegmentRepr::Mem(data) => ChunkSource::Slice(data),
-                        SegmentRepr::Spilled(s) => ChunkSource::Spilled(s),
+                    if h.is_comp() {
+                        wire_saved += (h.logical_len() - h.len()) as u64;
+                    }
+                    let data = match &h.repr {
+                        SegmentRepr::Mem(data) => Arc::clone(data),
+                        SegmentRepr::Spilled(_) => Arc::new(h.to_vec()?),
                     };
-                    let orig_len = if h.is_comp() { h.logical_len() } else { 0 };
-                    (src, h.is_comp(), orig_len)
+                    (h.is_comp(), data)
                 }
             };
-            let total = src.len();
-            if comp {
-                wire_saved += (orig_len - total) as u64;
-            }
-            let mut crc = Crc32c::new();
-            let mut off = 0usize;
-            let mut sent_any = false;
-            while off < total || !sent_any {
-                let end = (off + CHUNK_BYTES).min(total);
-                let last = end == total;
-                encode_seg_chunk(
-                    &mut frame,
-                    index as u32,
-                    last,
-                    comp,
-                    orig_len as u32,
-                    end - off,
-                    |buf| match &src {
-                        ChunkSource::Slice(data) => {
-                            buf.copy_from_slice(&data[off..end]);
-                            Ok(())
-                        }
-                        // Re-verify the spill-time CRC incrementally;
-                        // the final chunk is checked *before* it is
-                        // sent, so disk corruption never reaches a
-                        // worker.
-                        ChunkSource::Spilled(h) => {
-                            h.read_range(off, buf)?;
-                            crc.update(buf);
-                            if last && crc.finish() != h.crc() {
-                                return Err(h.crc_error(crc.finish()));
-                            }
-                            Ok(())
-                        }
-                    },
-                )?;
-                let send_t0 = Instant::now();
-                self.stream
-                    .write_all(&frame)
-                    .map_err(|e| MrError::Net(format!("write SegChunk: {e}")))?;
-                transfer_nanos += send_t0.elapsed().as_nanos() as u64;
-                sent_any = true;
-                off = end;
-            }
-            index += 1;
+            // The one copy: into the frame, outside the transfer clock.
+            let frame = encode(&Msg::FetchSegment { comp, data })?;
+            let send_t0 = Instant::now();
+            self.stream
+                .write_all(&frame)
+                .map_err(|e| MrError::Net(format!("write FetchSegment: {e}")))?;
+            transfer_nanos += send_t0.elapsed().as_nanos() as u64;
+            served += 1;
         }
-        self.send(&Msg::SegmentsDone {
-            count: index as u32,
-        })?;
+        self.send(&Msg::SegmentsDone { count: served })?;
         job.counters.add(Counter::ShuffleFetchWaitNanos, wait_nanos);
         job.counters
             .add(Counter::ShuffleTransferNanos, transfer_nanos);
@@ -483,23 +440,6 @@ impl Slot for RemoteSlot {
                 result: Ok((outputs, local)),
             })),
             other => task_failed(other, expect).map(Some),
-        }
-    }
-}
-
-/// Where one segment's chunk payloads come from: a resident byte slice
-/// (in-memory segment, or a corrupted copy) or a spilled segment read
-/// straight from its spill file into the outgoing frame.
-enum ChunkSource<'a> {
-    Slice(&'a [u8]),
-    Spilled(&'a SpilledHandle),
-}
-
-impl ChunkSource<'_> {
-    fn len(&self) -> usize {
-        match self {
-            ChunkSource::Slice(data) => data.len(),
-            ChunkSource::Spilled(h) => h.len(),
         }
     }
 }
@@ -736,6 +676,13 @@ mod tests {
                 b"",
                 "map 0: segment for partition 2 out of range",
             ),
+            // A second segment for a partition already staged.
+            (
+                Map,
+                vec![segment(0), segment(0), map_done(0, 1)],
+                b"",
+                "map 0: second segment for partition 0",
+            ),
             // A worker lost between frames, and inside one.
             (Map, vec![segment(0)], b"", "read frame length"),
             (
@@ -785,9 +732,10 @@ mod tests {
 
     #[test]
     fn segments_far_larger_than_a_socket_buffer_cross_both_ways_unchanged() {
-        // 2 maps x 2 partitions x ~3 MiB: every MapSegment, every fetch
-        // stream and (the reducer passes values through) every ReduceDone
-        // is megabytes, with nothing but the socket pacing either end.
+        // 2 maps x 2 partitions x ~3 MiB: every MapSegment, every
+        // FetchSegment and (the reducer passes values through) every
+        // ReduceDone is megabytes, with nothing but the socket pacing
+        // either end.
         let config = JobConfig::default().with_reducers(2);
         let splits = bulky_splits(2, 12 << 20);
         let passthrough = || -> Arc<dyn Reducer> {

@@ -18,8 +18,8 @@
 //! Conversation = Hello (TaskRequest Task)* TaskRequest Shutdown
 //! Task         = MapTask MapSegment* (MapDone | TaskFailed)
 //!              | ReduceTask (TaskFailed
-//!                           | FetchStart SegChunk* (SegmentsDone (ReduceDone | TaskFailed)
-//!                                                  | Shutdown))
+//!                           | FetchStart FetchSegment* (SegmentsDone (ReduceDone | TaskFailed)
+//!                                                      | Shutdown))
 //! ```
 //!
 //! The worker sends `Hello`, `TaskRequest`, `MapSegment`, `MapDone`,
@@ -29,15 +29,17 @@
 //! connection up.
 //!
 //! - **Map**: `MapTask` carries the split. The worker runs the attempt
-//!   and sends one `MapSegment` per non-empty partition, which the
-//!   coordinator stages and publishes only on `MapDone`.
+//!   and sends one `MapSegment` per non-empty partition — a second one
+//!   for the same partition is a violation — which the coordinator
+//!   stages and publishes only on `MapDone`.
 //! - **Reduce**: the worker's fault gate runs *before* any fetch;
-//!   `FetchStart` says it passed. The coordinator then streams the
-//!   partition's segments as `SegChunk` frames **in canonical map-task
-//!   order**, blocking per segment until that map task has completed —
-//!   the pipelined fetch-while-map overlap — and closes the stream with
-//!   `SegmentsDone`. The inner `Shutdown` releases a worker whose fetch
-//!   was cut short because the job aborted, and ends the conversation.
+//!   `FetchStart` says it passed. The coordinator then sends the
+//!   partition's segments, one whole segment per `FetchSegment` frame,
+//!   **in canonical map-task order**, blocking per segment until that map
+//!   task has completed — the pipelined fetch-while-map overlap — and
+//!   closes the stream with `SegmentsDone`. The inner `Shutdown` releases
+//!   a worker whose fetch was cut short because the job aborted, and ends
+//!   the conversation.
 //!
 //! The blocking socket is the only flow control: a peer that reads
 //! slower than the other writes stalls that `write_all`, nothing else.

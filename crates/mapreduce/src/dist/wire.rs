@@ -2,12 +2,12 @@
 //! service and worker processes.
 //!
 //! Every frame is `u32` little-endian payload length, then the payload:
-//! one tag byte followed by the message body. All integers are
-//! little-endian and all byte strings are `u32`-length-prefixed. The
-//! protocol is strictly structural — no text, no negotiation — because
-//! both ends are the *same binary* (workers are re-executions of the
-//! coordinator's executable), so schema version skew cannot happen
-//! within one job.
+//! one tag byte followed by the message's fields in table order. All
+//! integers are little-endian and all byte strings are
+//! `u32`-length-prefixed. The protocol is strictly structural — no text,
+//! no negotiation — because both ends are the *same binary* (workers are
+//! re-executions of the coordinator's executable), so schema version
+//! skew cannot happen within one job.
 //!
 //! Segment payloads cross the wire verbatim, CRC-32C trailer included;
 //! the receiving worker re-verifies the trailer when it opens the
@@ -19,10 +19,16 @@ use crate::counters::{CounterSnapshot, Counters, ALL_COUNTERS, NUM_COUNTERS};
 use crate::error::MrError;
 use crate::record::{InputSplit, KvPair};
 use std::io::{Read, Write};
+use std::sync::Arc;
 
-/// Upper bound on one frame's payload. Frames carry at most one segment
-/// chunk, one map-output segment, one input split, or one reducer's
-/// output; anything larger is a corrupt length prefix.
+/// Upper bound on one frame's payload; anything larger is a corrupt
+/// length prefix. Frames carry one map-output segment, one fetched
+/// segment, one input split, or one reducer's output. Every fetched
+/// segment fits in one `FetchSegment` frame because it arrived in one
+/// `MapSegment` frame under this same cap: `FetchSegment`'s header
+/// (6 bytes) is smaller than `MapSegment`'s (9), the stored bytes are no
+/// larger than the logical ones, and a corrupted copy is no larger than
+/// its original.
 pub(super) const MAX_FRAME_BYTES: usize = 256 << 20;
 
 /// The payload buffer of an incoming frame starts no larger than this
@@ -30,261 +36,265 @@ pub(super) const MAX_FRAME_BYTES: usize = 256 << 20;
 /// length prefix must not size an allocation.
 const PAYLOAD_PREALLOC: usize = 1 << 20;
 
-/// Every message either side can send. See the module docs of
-/// [`crate::dist`] for who sends what when.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Msg {
+/// The one table of messages: each row is a variant, its tag byte and
+/// its fields in wire order. It generates [`Msg`], `Msg::name`, the
+/// encoder and the bounded decoder; each field type's rule is its
+/// [`Field`] impl.
+macro_rules! messages {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $tag:literal $({ $($field:ident: $ty:ty),* $(,)? })?;
+    )*) => {
+        /// Every message either side can send. See the module docs of
+        /// [`crate::dist`] for who sends what when.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub(crate) enum Msg {
+            $($(#[$doc])* $variant $({ $($field: $ty),* })?,)*
+        }
+
+        impl Msg {
+            /// Short name for protocol-violation errors.
+            pub(crate) fn name(&self) -> &'static str {
+                match self {
+                    $(Msg::$variant { .. } => stringify!($variant),)*
+                }
+            }
+
+            /// Append the tag byte and the fields.
+            fn encode_into(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Msg::$variant $({ $($field),* })? => {
+                        buf.push($tag);
+                        $($(Field::put($field, buf);)*)?
+                    })*
+                }
+            }
+
+            fn decode(payload: &[u8]) -> Result<Msg, MrError> {
+                let mut r = Reader::new(payload);
+                let msg = match r.take(1)?[0] {
+                    $($tag => Msg::$variant $({ $($field: Field::get(&mut r)?),* })?,)*
+                    other => {
+                        return Err(MrError::Net(format!("unknown wire message tag {other}")))
+                    }
+                };
+                r.finish(msg.name())?;
+                Ok(msg)
+            }
+        }
+
+        #[cfg(test)]
+        impl Msg {
+            /// Every tag the table lists, in row order.
+            const TAGS: &[u8] = &[$($tag),*];
+
+            /// One message per row, in row order, its fields drawn from
+            /// `src`.
+            fn one_of_each(src: &mut tests::Source) -> Vec<Msg> {
+                vec![$(Msg::$variant $({ $($field: src.draw()),* })?,)*]
+            }
+        }
+    };
+}
+
+messages! {
     /// Worker → coordinator, once per connection.
-    Hello { worker: u32 },
+    Hello = 1 { worker: u32 };
     /// Worker → coordinator: ready for the next task.
-    TaskRequest,
+    TaskRequest = 2;
     /// Coordinator → worker: run one map attempt over the carried split.
-    MapTask {
-        task: u32,
-        attempt: u32,
-        split: InputSplit,
-    },
+    MapTask = 3 { task: u32, attempt: u32, split: InputSplit };
     /// Worker → coordinator: one finished map-output segment.
-    MapSegment { partition: u32, data: Vec<u8> },
+    MapSegment = 4 { partition: u32, data: Vec<u8> };
     /// Worker → coordinator: the map attempt succeeded. `local` is the
     /// attempt-local counter bank (absorbed only now, preserving the
     /// retry-counter semantics), `harness` the fault-injection charges.
-    MapDone {
+    MapDone = 5 {
         task: u32,
         attempt: u32,
         local: CounterSnapshot,
         harness: CounterSnapshot,
-    },
+    };
     /// Coordinator → worker: run one reduce attempt.
-    ReduceTask { task: u32, attempt: u32 },
+    ReduceTask = 6 { task: u32, attempt: u32 };
     /// Worker → coordinator: the reduce attempt passed its fault gate;
     /// stream this partition's segments.
-    FetchStart,
-    /// Coordinator → worker: one chunk of segment `index` (canonical
-    /// map-task order); `last` closes the segment. `comp` marks the
-    /// *segment* (not the chunk) as an lz frame the worker must
-    /// decompress after reassembly; `orig_len` is the segment's
-    /// uncompressed length (0 when `comp` is false), a pre-allocation
-    /// hint and a cross-check against the lz frame's own header. The lz frame carries a CRC over the wire bytes, so
+    FetchStart = 7;
+    /// Coordinator → worker: the partition's next segment (canonical
+    /// map-task order), whole, as the store holds it. `comp` marks an lz
+    /// frame the worker inflates before the segment CRC check; the frame
+    /// carries its own length and a CRC over the wire bytes, so
     /// corruption of a compressed stream is caught before inflation.
-    SegChunk {
-        index: u32,
-        last: bool,
-        comp: bool,
-        orig_len: u32,
-        data: Vec<u8>,
-    },
+    /// `data` shares a resident segment's bytes with the store, so they
+    /// are copied once, into the outgoing frame.
+    FetchSegment = 8 { comp: bool, data: Arc<Vec<u8>> };
     /// Coordinator → worker: the fetch stream is complete; `count`
     /// segments were sent.
-    SegmentsDone { count: u32 },
+    SegmentsDone = 9 { count: u32 };
     /// Worker → coordinator: the reduce attempt succeeded.
-    ReduceDone {
+    ReduceDone = 10 {
         task: u32,
         attempt: u32,
         local: CounterSnapshot,
         harness: CounterSnapshot,
         outputs: Vec<KvPair>,
-    },
+    };
     /// Worker → coordinator: a task attempt failed. `checksum` carries
     /// [`MrError::is_checksum`] across the process boundary so the
     /// coordinator counts detected corruption exactly like the local
     /// runner; the structured error collapses to its display string.
-    TaskFailed {
+    TaskFailed = 11 {
         task: u32,
         attempt: u32,
         reduce: bool,
         checksum: bool,
         error: String,
         harness: CounterSnapshot,
-    },
+    };
     /// Coordinator → worker: no more work (job complete or aborted).
-    Shutdown,
+    Shutdown = 12;
 }
 
-impl Msg {
-    fn tag(&self) -> u8 {
-        match self {
-            Msg::Hello { .. } => 1,
-            Msg::TaskRequest => 2,
-            Msg::MapTask { .. } => 3,
-            Msg::MapSegment { .. } => 4,
-            Msg::MapDone { .. } => 5,
-            Msg::ReduceTask { .. } => 6,
-            Msg::FetchStart => 7,
-            Msg::SegChunk { .. } => 8,
-            Msg::SegmentsDone { .. } => 9,
-            Msg::ReduceDone { .. } => 10,
-            Msg::TaskFailed { .. } => 11,
-            Msg::Shutdown => 12,
-        }
+/// How one field type is written into a payload and read back out of
+/// one. Reads are bounds-checked: no number the peer chose sizes an
+/// allocation before the bytes behind it are known to be there.
+trait Field: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError>;
+}
+
+impl Field for u32 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_le_bytes());
     }
 
-    /// Short name for protocol-violation errors.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Msg::Hello { .. } => "Hello",
-            Msg::TaskRequest => "TaskRequest",
-            Msg::MapTask { .. } => "MapTask",
-            Msg::MapSegment { .. } => "MapSegment",
-            Msg::MapDone { .. } => "MapDone",
-            Msg::ReduceTask { .. } => "ReduceTask",
-            Msg::FetchStart => "FetchStart",
-            Msg::SegChunk { .. } => "SegChunk",
-            Msg::SegmentsDone { .. } => "SegmentsDone",
-            Msg::ReduceDone { .. } => "ReduceDone",
-            Msg::TaskFailed { .. } => "TaskFailed",
-            Msg::Shutdown => "Shutdown",
-        }
-    }
-
-    fn encode_body(&self, buf: &mut Vec<u8>) {
-        match self {
-            Msg::Hello { worker } => put_u32(buf, *worker),
-            Msg::TaskRequest | Msg::FetchStart | Msg::Shutdown => {}
-            Msg::MapTask {
-                task,
-                attempt,
-                split,
-            } => {
-                put_u32(buf, *task);
-                put_u32(buf, *attempt);
-                put_pairs(buf, &split.records);
-            }
-            Msg::MapSegment { partition, data } => {
-                put_u32(buf, *partition);
-                put_bytes(buf, data);
-            }
-            Msg::MapDone {
-                task,
-                attempt,
-                local,
-                harness,
-            } => {
-                put_u32(buf, *task);
-                put_u32(buf, *attempt);
-                put_counters(buf, local);
-                put_counters(buf, harness);
-            }
-            Msg::ReduceTask { task, attempt } => {
-                put_u32(buf, *task);
-                put_u32(buf, *attempt);
-            }
-            Msg::SegChunk {
-                index,
-                last,
-                comp,
-                orig_len,
-                data,
-            } => {
-                put_u32(buf, *index);
-                buf.push(u8::from(*last));
-                buf.push(u8::from(*comp));
-                put_u32(buf, *orig_len);
-                put_bytes(buf, data);
-            }
-            Msg::SegmentsDone { count } => put_u32(buf, *count),
-            Msg::ReduceDone {
-                task,
-                attempt,
-                local,
-                harness,
-                outputs,
-            } => {
-                put_u32(buf, *task);
-                put_u32(buf, *attempt);
-                put_counters(buf, local);
-                put_counters(buf, harness);
-                put_pairs(buf, outputs);
-            }
-            Msg::TaskFailed {
-                task,
-                attempt,
-                reduce,
-                checksum,
-                error,
-                harness,
-            } => {
-                put_u32(buf, *task);
-                put_u32(buf, *attempt);
-                buf.push(u8::from(*reduce));
-                buf.push(u8::from(*checksum));
-                put_bytes(buf, error.as_bytes());
-                put_counters(buf, harness);
-            }
-        }
-    }
-
-    fn decode(payload: &[u8]) -> Result<Msg, MrError> {
-        let mut r = Reader::new(payload);
-        let tag = r.u8()?;
-        let msg = match tag {
-            1 => Msg::Hello { worker: r.u32()? },
-            2 => Msg::TaskRequest,
-            3 => Msg::MapTask {
-                task: r.u32()?,
-                attempt: r.u32()?,
-                split: InputSplit::new(r.pairs()?),
-            },
-            4 => Msg::MapSegment {
-                partition: r.u32()?,
-                data: r.bytes()?,
-            },
-            5 => Msg::MapDone {
-                task: r.u32()?,
-                attempt: r.u32()?,
-                local: r.counters()?,
-                harness: r.counters()?,
-            },
-            6 => Msg::ReduceTask {
-                task: r.u32()?,
-                attempt: r.u32()?,
-            },
-            7 => Msg::FetchStart,
-            8 => Msg::SegChunk {
-                index: r.u32()?,
-                last: r.u8()? != 0,
-                comp: r.u8()? != 0,
-                orig_len: r.u32()?,
-                data: r.bytes()?,
-            },
-            9 => Msg::SegmentsDone { count: r.u32()? },
-            10 => Msg::ReduceDone {
-                task: r.u32()?,
-                attempt: r.u32()?,
-                local: r.counters()?,
-                harness: r.counters()?,
-                outputs: r.pairs()?,
-            },
-            11 => Msg::TaskFailed {
-                task: r.u32()?,
-                attempt: r.u32()?,
-                reduce: r.u8()? != 0,
-                checksum: r.u8()? != 0,
-                error: String::from_utf8_lossy(&r.bytes()?).into_owned(),
-                harness: r.counters()?,
-            },
-            12 => Msg::Shutdown,
-            other => {
-                return Err(MrError::Net(format!("unknown wire message tag {other}")));
-            }
-        };
-        r.finish(msg.name())?;
-        Ok(msg)
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        Ok(u32::from_le_bytes(r.take(4)?.try_into().expect("4")))
     }
 }
 
-/// Write one frame. The length prefix and payload go down in a single
-/// `write_all` so a frame is one contiguous write into the socket
-/// buffer.
-pub(crate) fn write_msg(w: &mut impl Write, msg: &Msg) -> Result<(), MrError> {
-    write_capped(w, msg, MAX_FRAME_BYTES)
+impl Field for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        Ok(r.take(1)?[0] != 0)
+    }
 }
 
-fn write_capped(w: &mut impl Write, msg: &Msg, cap: usize) -> Result<(), MrError> {
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    (b.len() as u32).put(buf);
+    buf.extend_from_slice(b);
+}
+
+impl Field for Vec<u8> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        let len = u32::get(r)? as usize;
+        Ok(r.take(len)?.to_vec())
+    }
+}
+
+impl Field for Arc<Vec<u8>> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        Vec::get(r).map(Arc::new)
+    }
+}
+
+impl Field for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        Ok(String::from_utf8_lossy(&Vec::get(r)?).into_owned())
+    }
+}
+
+impl Field for Vec<KvPair> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for pair in self {
+            pair.key.put(buf);
+            pair.value.put(buf);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        let n = u32::get(r)? as usize;
+        // Each record needs two u32 length prefixes: a count the rest of
+        // the frame cannot hold is forged, and must not size the vector.
+        let remaining = r.buf.len() - r.pos;
+        if n > remaining / 8 {
+            return Err(MrError::Net(format!(
+                "frame announces {n} records in {remaining} bytes"
+            )));
+        }
+        let mut records = Vec::with_capacity(n);
+        for _ in 0..n {
+            let key = Vec::get(r)?;
+            let value = Vec::get(r)?;
+            records.push(KvPair { key, value });
+        }
+        Ok(records)
+    }
+}
+
+impl Field for InputSplit {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.records.put(buf);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        Vec::get(r).map(InputSplit::new)
+    }
+}
+
+impl Field for CounterSnapshot {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (NUM_COUNTERS as u32).put(buf);
+        for c in ALL_COUNTERS {
+            buf.extend_from_slice(&self.get(c).to_le_bytes());
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        let n = u32::get(r)? as usize;
+        if n != NUM_COUNTERS {
+            return Err(MrError::Net(format!(
+                "counter bank of {n} slots, expected {NUM_COUNTERS} — \
+                 coordinator and worker are different binaries"
+            )));
+        }
+        let bank = Counters::new();
+        for c in ALL_COUNTERS {
+            let v = u64::from_le_bytes(r.take(8)?.try_into().expect("8"));
+            if v > 0 {
+                bank.add(c, v);
+            }
+        }
+        Ok(bank.snapshot())
+    }
+}
+
+/// Encode one frame — length prefix and payload — refusing one whose
+/// payload would exceed the cap before anything reaches a socket.
+pub(crate) fn encode(msg: &Msg) -> Result<Vec<u8>, MrError> {
+    encode_capped(msg, MAX_FRAME_BYTES)
+}
+
+fn encode_capped(msg: &Msg, cap: usize) -> Result<Vec<u8>, MrError> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(&[0u8; 4]);
-    buf.push(msg.tag());
-    msg.encode_body(&mut buf);
+    msg.encode_into(&mut buf);
     let len = buf.len() - 4;
     if len > cap {
         return Err(MrError::Net(format!(
@@ -293,47 +303,15 @@ fn write_capped(w: &mut impl Write, msg: &Msg, cap: usize) -> Result<(), MrError
         )));
     }
     buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    w.write_all(&buf)
-        .map_err(|e| MrError::Net(format!("write {}: {e}", msg.name())))
+    Ok(buf)
 }
 
-/// Encode a `SegChunk` frame into `buf` (cleared first), letting `fill`
-/// write the payload bytes directly into the frame's data region — the
-/// zero-copy serving path: a spilled segment is `pread` straight into
-/// the wire frame with no intermediate `Vec`. The produced bytes are
-/// identical to `write_msg(&Msg::SegChunk { .. })` for the same data
-/// (pinned by a unit test); the caller owns the `write_all`, so one
-/// frame buffer is reused across chunks.
-pub(crate) fn encode_seg_chunk(
-    buf: &mut Vec<u8>,
-    index: u32,
-    last: bool,
-    comp: bool,
-    orig_len: u32,
-    payload_len: usize,
-    fill: impl FnOnce(&mut [u8]) -> Result<(), MrError>,
-) -> Result<(), MrError> {
-    // Frame payload: tag + index + last + comp + orig_len + data length
-    // + data.
-    let frame_len = 1 + 4 + 1 + 1 + 4 + 4 + payload_len;
-    if frame_len > MAX_FRAME_BYTES {
-        return Err(MrError::Net(format!(
-            "outgoing SegChunk frame of {frame_len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    buf.clear();
-    buf.extend_from_slice(&[0u8; 4]);
-    buf.push(8); // SegChunk tag
-    put_u32(buf, index);
-    buf.push(u8::from(last));
-    buf.push(u8::from(comp));
-    put_u32(buf, orig_len);
-    put_u32(buf, payload_len as u32);
-    let data_at = buf.len();
-    buf.resize(data_at + payload_len, 0);
-    fill(&mut buf[data_at..])?;
-    buf[..4].copy_from_slice(&(frame_len as u32).to_le_bytes());
-    Ok(())
+/// Write one frame. The length prefix and payload go down in a single
+/// `write_all` so a frame is one contiguous write into the socket
+/// buffer.
+pub(crate) fn write_msg(w: &mut impl Write, msg: &Msg) -> Result<(), MrError> {
+    w.write_all(&encode(msg)?)
+        .map_err(|e| MrError::Net(format!("write {}: {e}", msg.name())))
 }
 
 /// Read one frame. A clean EOF before the length prefix reads as a
@@ -371,34 +349,6 @@ fn read_capped(r: &mut impl Read, cap: usize) -> Result<Msg, MrError> {
     Msg::decode(&payload)
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-fn put_pairs(buf: &mut Vec<u8>, pairs: &[KvPair]) {
-    put_u32(buf, pairs.len() as u32);
-    for pair in pairs {
-        put_bytes(buf, &pair.key);
-        put_bytes(buf, &pair.value);
-    }
-}
-
-fn put_counters(buf: &mut Vec<u8>, snap: &CounterSnapshot) {
-    put_u32(buf, NUM_COUNTERS as u32);
-    for c in ALL_COUNTERS {
-        put_u64(buf, snap.get(c));
-    }
-}
-
 /// Bounds-checked cursor over one frame payload.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -427,60 +377,6 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, MrError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, MrError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, MrError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, MrError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn pairs(&mut self) -> Result<Vec<KvPair>, MrError> {
-        let n = self.u32()? as usize;
-        // Each record needs two u32 length prefixes: a count the rest of
-        // the frame cannot hold is forged, and must not size the vector.
-        let remaining = self.buf.len() - self.pos;
-        if n > remaining / 8 {
-            return Err(MrError::Net(format!(
-                "frame announces {n} records in {remaining} bytes"
-            )));
-        }
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = self.bytes()?;
-            let value = self.bytes()?;
-            records.push(KvPair { key, value });
-        }
-        Ok(records)
-    }
-
-    fn counters(&mut self) -> Result<CounterSnapshot, MrError> {
-        let n = self.u32()? as usize;
-        if n != NUM_COUNTERS {
-            return Err(MrError::Net(format!(
-                "counter bank of {n} slots, expected {NUM_COUNTERS} — \
-                 coordinator and worker are different binaries"
-            )));
-        }
-        let bank = Counters::new();
-        for c in ALL_COUNTERS {
-            let v = self.u64()?;
-            if v > 0 {
-                bank.add(c, v);
-            }
-        }
-        Ok(bank.snapshot())
-    }
-
     fn finish(self, name: &str) -> Result<(), MrError> {
         if self.pos != self.buf.len() {
             return Err(MrError::Net(format!(
@@ -497,81 +393,146 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use crate::counters::Counter;
+    use proptest::prelude::*;
 
-    fn roundtrip(msg: Msg) {
-        let mut wire = Vec::new();
-        write_msg(&mut wire, &msg).unwrap();
-        let mut cursor = &wire[..];
-        let back = read_msg(&mut cursor).unwrap();
-        assert_eq!(back, msg);
-        assert!(cursor.is_empty(), "frame fully consumed");
+    /// Field values for the table's generated messages, drawn from a
+    /// proptest-chosen byte string (zeros once it runs out), so shrinking
+    /// the string shrinks every field.
+    pub(super) struct Source {
+        bytes: Vec<u8>,
+        at: usize,
     }
 
-    fn sample_counters() -> CounterSnapshot {
-        let c = Counters::new();
-        c.add(Counter::MapInputRecords, 7);
-        c.add(Counter::ShuffleBytes, u64::MAX);
-        c.snapshot()
+    impl Source {
+        fn byte(&mut self) -> u8 {
+            let b = self.bytes.get(self.at).copied().unwrap_or(0);
+            self.at += 1;
+            b
+        }
+
+        pub(super) fn draw<T: Draw>(&mut self) -> T {
+            T::draw(self)
+        }
+    }
+
+    pub(super) trait Draw {
+        fn draw(src: &mut Source) -> Self;
+    }
+
+    impl Draw for u32 {
+        fn draw(src: &mut Source) -> Self {
+            u32::from_le_bytes(std::array::from_fn(|_| src.byte()))
+        }
+    }
+
+    impl Draw for bool {
+        fn draw(src: &mut Source) -> Self {
+            src.byte() & 1 == 1
+        }
+    }
+
+    impl Draw for Vec<u8> {
+        fn draw(src: &mut Source) -> Self {
+            let len = src.byte() % 48;
+            (0..len).map(|_| src.byte()).collect()
+        }
+    }
+
+    impl Draw for Arc<Vec<u8>> {
+        fn draw(src: &mut Source) -> Self {
+            Arc::new(src.draw())
+        }
+    }
+
+    impl Draw for String {
+        fn draw(src: &mut Source) -> Self {
+            String::from_utf8_lossy(&src.draw::<Vec<u8>>()).into_owned()
+        }
+    }
+
+    impl Draw for Vec<KvPair> {
+        fn draw(src: &mut Source) -> Self {
+            let n = src.byte() % 4;
+            (0..n)
+                .map(|_| KvPair {
+                    key: src.draw(),
+                    value: src.draw(),
+                })
+                .collect()
+        }
+    }
+
+    impl Draw for InputSplit {
+        fn draw(src: &mut Source) -> Self {
+            InputSplit::new(src.draw())
+        }
+    }
+
+    impl Draw for CounterSnapshot {
+        fn draw(src: &mut Source) -> Self {
+            let bank = Counters::new();
+            for c in ALL_COUNTERS {
+                if src.byte() & 3 == 0 {
+                    let hi = u64::from(src.draw::<u32>());
+                    bank.add(c, (hi << 32) | u64::from(src.draw::<u32>()));
+                }
+            }
+            bank.snapshot()
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(payload);
+        wire
+    }
+
+    proptest! {
+        #[test]
+        fn every_message_in_the_table_roundtrips(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+            let msgs = Msg::one_of_each(&mut Source { bytes, at: 0 });
+            prop_assert_eq!(msgs.len(), Msg::TAGS.len());
+            for (msg, &tag) in msgs.iter().zip(Msg::TAGS) {
+                let mut wire = Vec::new();
+                write_msg(&mut wire, msg).unwrap();
+                prop_assert_eq!(wire[4], tag, "{} is written under its table tag", msg.name());
+                let mut cursor = &wire[..];
+                prop_assert_eq!(&read_msg(&mut cursor).unwrap(), msg);
+                prop_assert!(cursor.is_empty(), "frame fully consumed");
+                // Every strict prefix of the payload is refused.
+                for cut in 0..wire.len() - 4 {
+                    prop_assert!(matches!(Msg::decode(&wire[4..4 + cut]), Err(MrError::Net(_))));
+                }
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_after_each_tag_decode_or_are_refused(
+            row in 0..Msg::TAGS.len(),
+            body in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let mut payload = vec![Msg::TAGS[row]];
+            payload.extend_from_slice(&body);
+            let decoded = read_msg(&mut &framed(&payload)[..]);
+            prop_assert!(matches!(decoded, Ok(_) | Err(MrError::Net(_))), "{:?}", decoded);
+        }
     }
 
     #[test]
-    fn every_message_roundtrips() {
-        roundtrip(Msg::Hello { worker: 3 });
-        roundtrip(Msg::TaskRequest);
-        roundtrip(Msg::MapTask {
-            task: 1,
-            attempt: 2,
-            split: InputSplit::new(vec![
-                KvPair::new(b"k".to_vec(), b"v".to_vec()),
-                KvPair::new(Vec::new(), b"only-value".to_vec()),
-            ]),
-        });
-        roundtrip(Msg::MapSegment {
-            partition: 9,
-            data: vec![0, 1, 2, 255],
-        });
-        roundtrip(Msg::MapDone {
-            task: 1,
-            attempt: 0,
-            local: sample_counters(),
-            harness: Counters::new().snapshot(),
-        });
-        roundtrip(Msg::ReduceTask {
-            task: 0,
-            attempt: 1,
-        });
-        roundtrip(Msg::FetchStart);
-        roundtrip(Msg::SegChunk {
-            index: 2,
-            last: true,
-            comp: false,
-            orig_len: 0,
-            data: vec![42; 100],
-        });
-        roundtrip(Msg::SegChunk {
-            index: 0,
-            last: true,
-            comp: true,
-            orig_len: 4096,
-            data: vec![9; 60],
-        });
-        roundtrip(Msg::SegmentsDone { count: 5 });
-        roundtrip(Msg::ReduceDone {
-            task: 4,
-            attempt: 1,
-            local: sample_counters(),
-            harness: sample_counters(),
-            outputs: vec![KvPair::new(b"a".to_vec(), b"1".to_vec())],
-        });
-        roundtrip(Msg::TaskFailed {
-            task: 2,
-            attempt: 3,
-            reduce: true,
-            checksum: true,
-            error: "segment checksum failure: crc".into(),
-            harness: sample_counters(),
-        });
-        roundtrip(Msg::Shutdown);
+    fn every_tag_the_table_does_not_list_is_refused() {
+        let mut tags = Msg::TAGS.to_vec();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), Msg::TAGS.len(), "tags are unique");
+        for tag in (0..=u8::MAX).filter(|t| !Msg::TAGS.contains(t)) {
+            for payload in [vec![tag], vec![tag, 0, 0, 0, 0]] {
+                let err = read_msg(&mut &framed(&payload)[..]).unwrap_err();
+                assert!(
+                    matches!(&err, MrError::Net(e) if e.contains("unknown wire message tag")),
+                    "{tag}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -602,20 +563,14 @@ mod tests {
         wire.truncate(wire.len() - 10);
         assert!(matches!(read_msg(&mut &wire[..]), Err(MrError::Net(_))));
 
-        // Unknown tag.
-        let bogus = [1u8, 0, 0, 0, 200u8];
-        assert!(matches!(read_msg(&mut &bogus[..]), Err(MrError::Net(_))));
-
         // Oversized length prefix.
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
         assert!(matches!(read_msg(&mut &huge[..]), Err(MrError::Net(_))));
 
-        // Trailing garbage after a fixed-size body.
-        let mut framed = Vec::new();
-        let payload = [2u8, 9, 9]; // TaskRequest tag + 2 stray bytes
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        assert!(matches!(read_msg(&mut &framed[..]), Err(MrError::Net(_))));
+        // Trailing garbage after a fixed-size body: TaskRequest's tag
+        // and two stray bytes.
+        let err = read_msg(&mut &framed(&[2u8, 9, 9])[..]).unwrap_err();
+        assert!(err.to_string().contains("2 trailing bytes"), "{err}");
     }
 
     #[test]
@@ -628,12 +583,10 @@ mod tests {
         };
         let cap = overhead + 100;
 
-        // Write side: a frame exactly at the cap goes out; one byte
-        // more is rejected before anything hits the socket.
-        let mut wire = Vec::new();
-        write_capped(&mut wire, &msg(100), cap).unwrap();
-        let at_cap = wire.clone();
-        let err = write_capped(&mut Vec::new(), &msg(101), cap).unwrap_err();
+        // Write side: a frame exactly at the cap encodes; one byte more
+        // is rejected before anything hits the socket.
+        let at_cap = encode_capped(&msg(100), cap).unwrap();
+        let err = encode_capped(&msg(101), cap).unwrap_err();
         assert!(err.to_string().contains("exceeds the"), "{err}");
 
         // Read side: the at-cap frame parses under the same cap; under
@@ -641,6 +594,17 @@ mod tests {
         assert_eq!(read_capped(&mut &at_cap[..], cap).unwrap(), msg(100));
         let err = read_capped(&mut &at_cap[..], cap - 1).unwrap_err();
         assert!(err.to_string().contains("frame length"), "{err}");
+
+        // A fetched segment's header is smaller than a map segment's,
+        // so whatever arrived as a MapSegment leaves as one FetchSegment.
+        let fetched = Msg::FetchSegment {
+            comp: false,
+            data: Arc::new(vec![7u8; 100]),
+        };
+        assert_eq!(
+            encode_capped(&fetched, cap).unwrap().len(),
+            at_cap.len() - 3
+        );
     }
 
     /// Serves `bytes`, checking the decoder's buffer against what has
@@ -697,24 +661,19 @@ mod tests {
 
     #[test]
     fn a_forged_record_count_is_rejected_before_it_sizes_a_vector() {
-        let framed = |body: &[u8]| {
-            let mut wire = (body.len() as u32).to_le_bytes().to_vec();
-            wire.extend_from_slice(body);
-            wire
-        };
         // MapTask: tag, task, attempt, then a count with nothing behind it.
         let mut map_task = vec![3u8];
         for v in [0u32, 0, u32::MAX] {
-            put_u32(&mut map_task, v);
+            v.put(&mut map_task);
         }
         // ReduceDone: tag, task, attempt, two counter banks, a count one
         // past what the single empty record behind it could back.
         let mut reduce_done = vec![10u8];
-        put_u32(&mut reduce_done, 0);
-        put_u32(&mut reduce_done, 0);
-        put_counters(&mut reduce_done, &Counters::new().snapshot());
-        put_counters(&mut reduce_done, &Counters::new().snapshot());
-        put_u32(&mut reduce_done, 2);
+        0u32.put(&mut reduce_done);
+        0u32.put(&mut reduce_done);
+        Counters::new().snapshot().put(&mut reduce_done);
+        Counters::new().snapshot().put(&mut reduce_done);
+        2u32.put(&mut reduce_done);
         reduce_done.extend_from_slice(&[0u8; 8]);
         for body in [map_task, reduce_done] {
             let err = read_msg(&mut &framed(&body)[..]).unwrap_err();
@@ -723,57 +682,24 @@ mod tests {
     }
 
     #[test]
-    fn encode_seg_chunk_matches_write_msg_byte_for_byte() {
-        for (len, last, comp, orig_len) in [
-            (0usize, true, false, 0u32),
-            (100, false, false, 0),
-            (100, true, false, 0),
-            (100, true, true, 5000),
-        ] {
-            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let mut via_msg = Vec::new();
-            write_msg(
-                &mut via_msg,
-                &Msg::SegChunk {
-                    index: 3,
-                    last,
-                    comp,
-                    orig_len,
-                    data: data.clone(),
-                },
-            )
-            .unwrap();
-            let mut via_fill = Vec::new();
-            encode_seg_chunk(&mut via_fill, 3, last, comp, orig_len, len, |buf| {
-                buf.copy_from_slice(&data);
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(via_msg, via_fill, "len={len} last={last} comp={comp}");
-        }
-        // The cap applies to the whole frame, including headers, and is
-        // checked before the frame is sized.
-        let mut frame = Vec::new();
-        let err = encode_seg_chunk(&mut frame, 0, true, false, 0, MAX_FRAME_BYTES, |_| Ok(()))
-            .unwrap_err();
-        assert!(err.to_string().contains("exceeds the"), "{err}");
-        assert_eq!(frame.capacity(), 0);
-    }
-
-    #[test]
     fn counter_bank_size_mismatch_is_detected() {
-        let mut buf = Vec::new();
-        buf.push(5u8); // MapDone tag
-        put_u32(&mut buf, 0); // task
-        put_u32(&mut buf, 0); // attempt
-        put_u32(&mut buf, 3); // wrong bank size
-        for _ in 0..3 {
-            put_u64(&mut buf, 1);
-        }
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&(buf.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&buf);
-        let err = read_msg(&mut &framed[..]).unwrap_err();
+        let mut buf = vec![5u8]; // MapDone tag
+        0u32.put(&mut buf); // task
+        0u32.put(&mut buf); // attempt
+        3u32.put(&mut buf); // wrong bank size
+        buf.extend_from_slice(&[1u8; 24]);
+        let err = read_msg(&mut &framed(&buf)[..]).unwrap_err();
         assert!(err.to_string().contains("counter bank"), "{err}");
+        // A full bank survives the trip, extreme values included.
+        let c = Counters::new();
+        c.add(Counter::MapInputRecords, 7);
+        c.add(Counter::ShuffleBytes, u64::MAX);
+        let msg = Msg::MapDone {
+            task: 1,
+            attempt: 0,
+            local: c.snapshot(),
+            harness: Counters::new().snapshot(),
+        };
+        assert_eq!(read_msg(&mut &encode(&msg).unwrap()[..]).unwrap(), msg);
     }
 }

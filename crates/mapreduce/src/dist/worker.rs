@@ -10,8 +10,9 @@ use crate::error::MrError;
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::runner;
 use crate::scheduler::{Attempt, Outcome};
+use crate::shuffle::inflate;
 use crate::JobConfig;
-use scihadoop_compress::lz;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a worker keeps retrying its initial connect. The listener
@@ -137,67 +138,33 @@ fn run_reduce_attempt(
     };
     write_msg(stream, &Msg::FetchStart)?;
     let mut segs: Vec<Vec<u8>> = Vec::new();
-    let mut current: Vec<u8> = Vec::new();
     let mut decompress_nanos = 0u64;
     // A wire-compressed segment that fails to inflate is real
     // corruption (the lz frame's CRC over the wire bytes caught it).
-    // The fetch stream is drained to `SegmentsDone` first — the chunks
+    // The fetch stream is drained to `SegmentsDone` first — the frames
     // still in the pipe would otherwise be read as the next assignment —
     // then the attempt fails as a checksum error, retryable like any
     // detected corruption.
     let mut fetch_err: Option<MrError> = None;
     loop {
         match read_msg(stream)? {
-            Msg::SegChunk {
-                index,
-                last,
-                comp,
-                orig_len,
-                data,
-            } => {
-                if index as usize != segs.len() {
-                    return Err(MrError::Net(format!(
-                        "reduce {task}: segment chunk for index {index} but {} segments assembled",
-                        segs.len()
-                    )));
-                }
-                current.extend_from_slice(&data);
-                if last {
-                    let assembled = std::mem::take(&mut current);
-                    let seg = if comp {
-                        let t0 = Instant::now();
-                        let inflated = lz::decompress(&assembled);
-                        decompress_nanos += t0.elapsed().as_nanos() as u64;
-                        match inflated {
-                            Ok(logical) if logical.len() == orig_len as usize => logical,
-                            Ok(logical) => {
-                                fetch_err.get_or_insert(MrError::Checksum(format!(
-                                    "reduce {task}: wire segment {index} inflated to {} bytes, \
-                                     header says {orig_len}",
-                                    logical.len()
-                                )));
-                                logical
-                            }
-                            Err(e) => {
-                                fetch_err.get_or_insert(MrError::Checksum(format!(
-                                    "reduce {task}: wire segment {index} corrupt: {e}"
-                                )));
-                                Vec::new()
-                            }
-                        }
-                    } else {
-                        assembled
-                    };
-                    segs.push(seg);
-                }
+            // The decoded frame owns its bytes, so unwrapping them
+            // copies nothing.
+            Msg::FetchSegment { comp: false, data } => segs.push(Arc::unwrap_or_clone(data)),
+            Msg::FetchSegment { comp: true, data } => {
+                let t0 = Instant::now();
+                let inflated = inflate(&data);
+                decompress_nanos += t0.elapsed().as_nanos() as u64;
+                segs.push(inflated.unwrap_or_else(|e| {
+                    fetch_err.get_or_insert(e);
+                    Vec::new()
+                }));
             }
             Msg::SegmentsDone { count } => {
-                if count as usize != segs.len() || !current.is_empty() {
+                if count as usize != segs.len() {
                     return Err(MrError::Net(format!(
-                        "reduce {task}: coordinator announced {count} segments, assembled {} \
-                         ({} stray bytes)",
-                        segs.len(),
-                        current.len()
+                        "reduce {task}: coordinator announced {count} segments, sent {}",
+                        segs.len()
                     )));
                 }
                 break;
@@ -293,13 +260,10 @@ mod tests {
         assert_eq!(read_msg(stream).unwrap(), Msg::FetchStart);
     }
 
-    fn chunk(index: u32, last: bool, data: &[u8]) -> Msg {
-        Msg::SegChunk {
-            index,
-            last,
-            comp: false,
-            orig_len: 0,
-            data: data.to_vec(),
+    fn segment(comp: bool, data: &[u8]) -> Msg {
+        Msg::FetchSegment {
+            comp,
+            data: Arc::new(data.to_vec()),
         }
     }
 
@@ -318,24 +282,17 @@ mod tests {
             (
                 Box::new(|s| {
                     start_fetch(s);
-                    send(s, chunk(1, true, b"abc"));
-                }),
-                "segment chunk for index 1 but 0 segments assembled",
-            ),
-            (
-                Box::new(|s| {
-                    start_fetch(s);
                     send(s, Msg::SegmentsDone { count: 2 });
                 }),
-                "coordinator announced 2 segments, assembled 0 (0 stray bytes)",
+                "coordinator announced 2 segments, sent 0",
             ),
             (
                 Box::new(|s| {
                     start_fetch(s);
-                    send(s, chunk(0, false, b"abc"));
+                    send(s, segment(false, b"abc"));
                     send(s, Msg::SegmentsDone { count: 0 });
                 }),
-                "coordinator announced 0 segments, assembled 0 (3 stray bytes)",
+                "coordinator announced 0 segments, sent 1",
             ),
             (
                 Box::new(|s| {
@@ -353,7 +310,7 @@ mod tests {
             (
                 Box::new(|s| {
                     start_fetch(s);
-                    send(s, chunk(0, false, b"abc"));
+                    send(s, segment(false, b"abc"));
                 }),
                 "read frame length",
             ),
@@ -380,7 +337,7 @@ mod tests {
         worker_against(|s| send(s, Msg::Shutdown)).unwrap();
         worker_against(|s| {
             start_fetch(s);
-            send(s, chunk(0, false, b"abc"));
+            send(s, segment(false, b"abc"));
             send(s, Msg::Shutdown);
         })
         .unwrap();
@@ -388,24 +345,18 @@ mod tests {
 
     #[test]
     fn a_corrupt_wire_segment_is_reported_only_after_the_stream_is_drained() {
-        let frame = lz::compress(&[5u8; 4096]);
-        for (data, orig_len, names) in [
-            (vec![0xAB; 40], 4096, "wire segment 0 corrupt"),
-            (frame, 4095, "inflated to 4096 bytes, header says 4095"),
+        // Garbage, and a real frame whose header claims one byte fewer
+        // than its tokens produce.
+        let mut short = scihadoop_compress::lz::compress(&[5u8; 4096]);
+        short[5..13].copy_from_slice(&4095u64.to_le_bytes());
+        for (data, names) in [
+            (vec![0xAB; 40], "shuffle lz frame corrupt"),
+            (short, "declared 4095 bytes"),
         ] {
             worker_against(move |s| {
                 start_fetch(s);
-                send(
-                    s,
-                    Msg::SegChunk {
-                        index: 0,
-                        last: true,
-                        comp: true,
-                        orig_len,
-                        data,
-                    },
-                );
-                send(s, chunk(1, true, b"not a segment either"));
+                send(s, segment(true, &data));
+                send(s, segment(false, b"not a segment either"));
                 send(s, Msg::SegmentsDone { count: 2 });
                 // Only now does the worker speak, and then asks for more.
                 match read_msg(s).unwrap() {

@@ -51,60 +51,6 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 &mut first,
             );
         }
-        // IFile v3 block activity as counter tracks, so skip behaviour
-        // shows up in trace viewers next to the span timeline. Values
-        // come from the drained histograms and therefore match the
-        // blocks_written / blocks_skipped / map_output_key_saved_bytes
-        // job counters. A zero sample first keeps the track visible (and
-        // renders as a step) even on runs that wrote no v3 blocks.
-        let end_ts = trace
-            .events
-            .iter()
-            .map(|(_, e)| e.wall_start_ns + e.wall_dur_ns)
-            .max()
-            .unwrap_or(0) as f64
-            / 1e3;
-        let counter_tracks = [
-            (
-                "v3_blocks",
-                vec![
-                    (
-                        "blocks_written",
-                        trace.hists.get(crate::obs::Metric::SegBlocks).sum(),
-                    ),
-                    (
-                        "blocks_skipped",
-                        trace
-                            .hists
-                            .get(crate::obs::Metric::MergeBlocksSkipped)
-                            .sum(),
-                    ),
-                ],
-            ),
-            (
-                "v3_key_saved",
-                vec![(
-                    "map_output_key_saved_bytes",
-                    trace.hists.get(crate::obs::Metric::SegKeySavedBytes).sum(),
-                )],
-            ),
-        ];
-        for (name, series) in counter_tracks {
-            for (ts, scale) in [(0.0, 0u64), (end_ts, 1u64)] {
-                let args = series
-                    .iter()
-                    .map(|(key, value)| format!("\"{key}\": {}", value * scale))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                push(
-                    format!(
-                        "{{\"name\": \"{name}\", \"cat\": \"obs\", \"ph\": \"C\", \"pid\": 1, \
-                         \"ts\": {ts:.3}, \"args\": {{{args}}}}}"
-                    ),
-                    &mut first,
-                );
-            }
-        }
         for (tid, e) in &trace.events {
             push(
                 format!(
@@ -152,10 +98,6 @@ mod tests {
         assert!(json.contains("\"name\": \"merge\""));
         assert!(json.contains("thread_name"));
         assert!(json.contains("tester \\\"quoted\\\""), "names are escaped");
-        assert!(json.contains("\"ph\": \"C\""), "counter tracks present");
-        assert!(json.contains("\"v3_blocks\""));
-        assert!(json.contains("\"blocks_skipped\""));
-        assert!(json.contains("\"map_output_key_saved_bytes\""));
         let doc = parse(&json).expect("the streamed trace is valid JSON");
         assert!(doc.get("traceEvents").and_then(|e| e.as_arr()).is_some());
     }

@@ -199,10 +199,6 @@ metrics! {
     /// Full-comparator invocations per streaming k-way merge (wide-key
     /// ties at the loser tree).
     MergeCompareCalls = "merge_compare_calls";
-    /// Key bytes removed by v3 front coding per final segment.
-    SegKeySavedBytes = "segment_key_saved_bytes";
-    /// Front-coded blocks per final v3 segment.
-    SegBlocks = "segment_blocks";
     /// Blocks emitted wholesale (fence-prefix skip hits) per block
     /// merge — via still-encoded splice or burst emission.
     MergeBlocksSkipped = "merge_blocks_skipped";
@@ -358,6 +354,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), NUM_METRICS);
-        assert_eq!(NUM_METRICS, 22);
+        assert_eq!(NUM_METRICS, 20);
     }
 }

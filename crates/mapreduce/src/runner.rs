@@ -269,11 +269,7 @@ pub(crate) fn run_map_task(
         obs::hist_many(&[
             (Metric::SegRawBytes, seg.raw_bytes),
             (Metric::SegMaterializedBytes, seg.materialized_bytes()),
-            (Metric::SegKeySavedBytes, seg.key_saved_bytes()),
         ]);
-        if seg.blocks > 0 {
-            obs::hist(Metric::SegBlocks, seg.blocks);
-        }
     }
     Ok(segments)
 }

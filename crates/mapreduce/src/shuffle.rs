@@ -26,12 +26,10 @@
 //! file — the files are job-scoped temporaries, removed when the store
 //! drops, so reclaiming holes is not worth a compaction pass.
 //!
-//! Fetch paths never re-buffer a spilled segment through an
-//! intermediate `Vec`: [`SpilledHandle::read_range`] `pread`s straight
-//! into whatever buffer the caller is assembling (the coordinator
-//! points it at the payload region of a wire frame). Spilled segments
-//! are *not* promoted back to memory on read — a fetch is the last
-//! time the coordinator touches those bytes.
+//! A fetch reads a spilled segment whole ([`SegmentHandle::to_vec`], one
+//! `pread`) and checks its CRC before handing out a byte. Spilled
+//! segments are *not* promoted back to memory on read — a fetch is the
+//! last time the coordinator touches those bytes.
 //!
 //! A partition's segments are retained until its reduce *commits*
 //! ([`ShuffleStore::release`]), not freed after a first fetch, so a
@@ -45,7 +43,7 @@
 //! publish**, outside the store lock; what the store admits, budgets,
 //! spills, and serves afterwards is the compressed frame —
 //! spill disk, resident memory, and the wire all see the small bytes,
-//! and the zero-copy `pread`-into-frame serving path is untouched. A
+//! and every reader inflates them with the one `inflate`. A
 //! segment the codec cannot shrink is stored raw (`comp == false`), so
 //! compression never inflates a segment. Logical (uncompressed)
 //! lengths are tracked per slot: [`ShuffleStore::total_bytes`] stays
@@ -265,7 +263,9 @@ impl ShuffleStore {
     }
 
     /// Commit one map task's segments atomically. Outputs arrive as
-    /// `(partition, bytes)` pairs; the task is only marked done once
+    /// `(partition, bytes)` pairs, at most one per partition — a
+    /// repeated or unknown partition is refused before any slot changes;
+    /// the task is only marked done once
     /// all of them are stored, so a fetcher never observes a partial
     /// set. Republishing (a retried map attempt whose predecessor was
     /// counted failed) replaces the previous attempt's segments.
@@ -294,6 +294,15 @@ impl ShuffleStore {
             .collect();
         let mut guard = self.lock_state();
         let state = &mut *guard;
+        let mut seen = vec![false; state.slots.len()];
+        for &(partition, ..) in &prepared {
+            if partition >= seen.len() || seen[partition] {
+                return Err(MrError::Net(format!(
+                    "map task {map_task} published partition {partition} twice or out of range"
+                )));
+            }
+            seen[partition] = true;
+        }
         state.compress_nanos += compress_nanos;
         for row in &mut state.slots {
             match row[map_task].take().map(|old| old.repr) {
@@ -472,18 +481,25 @@ impl SegmentHandle {
     /// Materialize the stored bytes (compressed, if the store codec
     /// shrank this segment). Spilled reads verify the spill-time CRC.
     pub fn to_vec(&self) -> Result<Vec<u8>, MrError> {
-        match &self.repr {
-            SegmentRepr::Mem(data) => Ok(data.as_ref().clone()),
-            SegmentRepr::Spilled(h) => {
-                let mut buf = vec![0u8; h.len];
-                h.read_range(0, &mut buf)?;
-                let got = crc32c(&buf);
-                if got != h.crc {
-                    return Err(h.crc_error(got));
-                }
-                Ok(buf)
-            }
+        let h = match &self.repr {
+            SegmentRepr::Mem(data) => return Ok(data.as_ref().clone()),
+            SegmentRepr::Spilled(h) => h,
+        };
+        let mut buf = vec![0u8; h.len];
+        pread_exact(&h.file, &mut buf, h.offset).map_err(|e| {
+            MrError::Net(format!(
+                "shuffle spill read (partition {}, map task {}, {} bytes): {e}",
+                h.partition, h.map_task, h.len
+            ))
+        })?;
+        let got = crc32c(&buf);
+        if got != h.crc {
+            return Err(MrError::Checksum(format!(
+                "shuffle spill file corrupt: partition {} map task {} crc {got:#010x} != {:#010x}",
+                h.partition, h.map_task, h.crc
+            )));
         }
+        Ok(buf)
     }
 
     /// The *logical* segment bytes: borrowed when they are resident and
@@ -502,20 +518,21 @@ impl SegmentHandle {
     /// published inputs.
     pub fn logical_vec(&self) -> Result<Vec<u8>, MrError> {
         let stored = self.to_vec()?;
-        if !self.comp {
-            return Ok(stored);
+        if self.comp {
+            inflate(&stored)
+        } else {
+            Ok(stored)
         }
-        let data = lz::decompress(&stored)
-            .map_err(|e| MrError::Checksum(format!("shuffle store lz frame corrupt: {e}")))?;
-        if data.len() != self.logical_len {
-            return Err(MrError::Checksum(format!(
-                "shuffle store lz frame inflated to {} bytes, slot says {}",
-                data.len(),
-                self.logical_len
-            )));
-        }
-        Ok(data)
     }
+}
+
+/// Inflate a stored lz frame — the one inflate the store and every
+/// fetching worker use. The frame states its own length and
+/// `lz::decompress` enforces it; a frame that fails its payload CRC or
+/// its structure is detected corruption, retryable like a bad segment
+/// trailer.
+pub(crate) fn inflate(frame: &[u8]) -> Result<Vec<u8>, MrError> {
+    lz::decompress(frame).map_err(|e| MrError::Checksum(format!("shuffle lz frame corrupt: {e}")))
 }
 
 /// Index entry plus file handle for one spilled segment.
@@ -527,51 +544,6 @@ pub struct SpilledHandle {
     crc: u32,
     partition: usize,
     map_task: usize,
-}
-
-impl SpilledHandle {
-    /// Segment length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// CRC-32C of the whole segment, recorded at spill time. Chunked
-    /// readers accumulate their own CRC across `read_range` calls and
-    /// compare against this before releasing the final chunk.
-    pub fn crc(&self) -> u32 {
-        self.crc
-    }
-
-    /// `pread` `buf.len()` bytes starting `seg_off` bytes into the
-    /// segment, directly into the caller's buffer — the zero-copy hop
-    /// from spill file to wire frame. A range reaching past the segment
-    /// is an error, not a read: the bytes behind it in the shared file
-    /// belong to another segment.
-    pub fn read_range(&self, seg_off: usize, buf: &mut [u8]) -> Result<(), MrError> {
-        let want = buf.len();
-        let fail = |why: String| {
-            MrError::Net(format!(
-                "shuffle spill read (partition {}, map task {}, {want} bytes at +{seg_off}): {why}",
-                self.partition, self.map_task
-            ))
-        };
-        if seg_off.checked_add(want).is_none_or(|end| end > self.len) {
-            return Err(fail(format!("range exceeds the {}-byte segment", self.len)));
-        }
-        pread_exact(&self.file, buf, self.offset + seg_off as u64).map_err(|e| fail(e.to_string()))
-    }
-
-    /// The error for a spill-file CRC mismatch observed on the way out.
-    pub fn crc_error(&self, got: u32) -> MrError {
-        MrError::Checksum(format!(
-            "shuffle spill file corrupt: partition {} map task {} crc {got:#010x} != {:#010x}",
-            self.partition, self.map_task, self.crc
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -818,54 +790,24 @@ mod tests {
     }
 
     #[test]
-    fn chunked_spill_reads_match_whole_segment_reads() {
-        let store = ShuffleStore::new(1, 1, 0);
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        store.publish(0, vec![(0, data.clone())]).unwrap();
-        let Some(SegmentHandle {
-            repr: SegmentRepr::Spilled(h),
-            ..
-        }) = store.segment_when_ready(0, 0).unwrap()
-        else {
-            panic!("budget 0 must spill");
-        };
-        let mut assembled = Vec::new();
-        let mut crc = scihadoop_compress::checksum::Crc32c::new();
-        let mut off = 0;
-        while off < data.len() {
-            let take = 64.min(data.len() - off);
-            let mut buf = vec![0u8; take];
-            h.read_range(off, &mut buf).unwrap();
-            crc.update(&buf);
-            assembled.extend_from_slice(&buf);
-            off += take;
-        }
-        assert_eq!(assembled, data);
-        assert_eq!(crc.finish(), h.crc());
-    }
-
-    #[test]
-    fn read_range_rejects_ranges_outside_the_segment() {
-        // Two segments back to back in one spill file: a read past the
-        // first one's end would otherwise return the second one's bytes.
-        let store = ShuffleStore::new(1, 2, 0);
-        store.publish(0, vec![(0, vec![1u8; 100])]).unwrap();
-        store.publish(1, vec![(0, vec![2u8; 100])]).unwrap();
-        let Some(SegmentRepr::Spilled(h)) = store.segment_when_ready(0, 0).unwrap().map(|s| s.repr)
-        else {
-            panic!("budget 0 must spill");
-        };
-        let mut buf = [0u8; 10];
-        h.read_range(90, &mut buf).unwrap();
-        assert_eq!(buf, [1u8; 10]);
-        for seg_off in [91, 100, usize::MAX, usize::MAX - 9] {
-            let err = h.read_range(seg_off, &mut buf).unwrap_err();
+    fn publish_refuses_a_repeated_or_unknown_partition_before_touching_a_slot() {
+        let store = ShuffleStore::new(2, 2, 100);
+        store.publish(0, vec![(1, vec![1u8; 10])]).unwrap();
+        for outputs in [
+            vec![(0, vec![2u8; 10]), (0, vec![3u8; 10])],
+            vec![(0, vec![2u8; 10]), (2, vec![4u8; 10])],
+        ] {
+            // Map task 0 republishing would replace its first attempt's
+            // segment; a refused publish leaves it where it was.
+            let err = store.publish(0, outputs).unwrap_err();
             assert!(
-                matches!(&err, MrError::Net(msg) if msg.contains("exceeds the 100-byte segment")),
-                "{seg_off}: {err}"
+                matches!(&err, MrError::Net(e) if e.contains("partition")),
+                "{err}"
             );
+            assert_eq!(store.lock_state().mem_used, 10);
+            assert_eq!(store.total_bytes(), 10);
         }
-        assert_eq!(buf, [1u8; 10], "a rejected read writes nothing");
-        h.read_range(100, &mut []).unwrap();
+        store.release(1);
+        assert_eq!(store.lock_state().mem_used, 0, "the budget is whole again");
     }
 }
