@@ -2,14 +2,15 @@
 //! worker *processes* (spawned by re-executing this test binary with a
 //! libtest filter, rusty-fork style) over real sockets, pinned
 //! byte-identical to the single-process engine — clean and under a
-//! fault storm with wire corruption. Also the two-process
+//! fault storm with wire corruption — and pinned to leave nothing
+//! behind, whether the job succeeds or fails. Also the two-process
 //! `LedgerSink::append` interleave test: concurrent writers to one
 //! JSON-lines file must never tear a line.
 
 use scihadoop_bench::{dist_equivalence, DistJobSpec};
-use scihadoop_mapreduce::dist::worker_env;
+use scihadoop_mapreduce::dist::{run_distributed, worker_env};
 use scihadoop_mapreduce::obs::{LedgerRecord, LedgerSink};
-use scihadoop_mapreduce::{Job, Transport, WireCodec};
+use scihadoop_mapreduce::{DistConfig, Job, Transport, WireCodec};
 use std::sync::Arc;
 
 /// Arguments that route a re-execution of this test binary straight
@@ -227,6 +228,95 @@ fn a_compressed_codec_survives_the_wire_byte_identically() {
         WORKER_ARGS,
         None,
     );
+}
+
+/// Environment variable naming the teardown case (`ok` or `err`) that
+/// [`teardown_entry`] runs.
+const ENV_TEARDOWN: &str = "SCIHADOOP_TEST_TEARDOWN";
+
+/// This process's children, alive or exited but not yet reaped.
+#[cfg(target_os = "linux")]
+fn children() -> usize {
+    let me = std::process::id().to_string();
+    let parent_of = |entry: std::fs::DirEntry| {
+        let stat = std::fs::read_to_string(entry.path().join("stat")).ok()?;
+        let fields = stat
+            .rsplit_once(')')?
+            .1
+            .split_whitespace()
+            .nth(1)?
+            .to_string();
+        Some(fields)
+    };
+    std::fs::read_dir("/proc")
+        .expect("/proc is readable")
+        .flatten()
+        .filter_map(parent_of)
+        .filter(|ppid| *ppid == me)
+        .count()
+}
+
+/// Third re-exec entry point: run one process-mode job that succeeds
+/// (`ok`) or fails (`err`), over UDS with every segment spilled, then
+/// exit non-zero if any worker, socket file or spill file outlived it.
+/// The parent gives this process an empty `TMPDIR` of its own, so
+/// anything in it was left by the job. No-op pass under a normal
+/// `cargo test`.
+#[cfg(target_os = "linux")]
+#[test]
+fn teardown_entry() {
+    let Ok(case) = std::env::var(ENV_TEARDOWN) else {
+        return;
+    };
+    let spec = DistJobSpec {
+        records: 512,
+        // Every reduce attempt fails and none is retried.
+        faults: (case == "err").then(|| "seed=1,reduce=1".to_string()),
+        ..DistJobSpec::default()
+    };
+    let dist = DistConfig::default()
+        .with_workers(2)
+        .with_transport(Transport::Uds)
+        .with_shuffle_mem_bytes(Some(0))
+        .with_worker_args(WORKER_ARGS)
+        .with_job_payload(&spec.to_spec_string());
+    let config = spec.build_config().expect("spec builds");
+    let result = run_distributed(&config, &dist, spec.make_splits());
+    assert_eq!(result.is_ok(), case == "ok", "{case}: {:?}", result.err());
+    assert_eq!(children(), 0, "{case}: workers left running or unreaped");
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .expect("TMPDIR is readable")
+        .flatten()
+        .map(|entry| entry.file_name())
+        .collect();
+    assert!(left.is_empty(), "{case}: files left behind: {left:?}");
+    std::process::exit(0);
+}
+
+/// After `run_distributed` returns `Ok` and after it returns `Err`, none
+/// of its workers is alive or unreaped, and its socket file and spill
+/// files are gone. Each case runs in a process of its own, so sibling
+/// tests' workers do not count. (The third exit, a coordinator panic,
+/// is pinned by `dist::coordinator`'s unit tests.)
+#[cfg(target_os = "linux")]
+#[test]
+fn a_finished_or_failed_job_leaves_no_worker_socket_or_spill_file_behind() {
+    for case in ["ok", "err"] {
+        let tmp =
+            std::env::temp_dir().join(format!("scihadoop-teardown-{case}-{}", std::process::id()));
+        std::fs::create_dir_all(&tmp).expect("create private TMPDIR");
+        let status = std::process::Command::new(std::env::current_exe().expect("current exe"))
+            .args(["teardown_entry", "--exact", "--nocapture"])
+            .env(ENV_TEARDOWN, case)
+            .env("TMPDIR", &tmp)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("run the teardown case");
+        let left = std::fs::read_dir(&tmp).map(Iterator::count).unwrap_or(0);
+        let _ = std::fs::remove_dir_all(&tmp);
+        assert!(status.success(), "{case}: {status}");
+        assert_eq!(left, 0, "{case}: files left in its TMPDIR");
+    }
 }
 
 /// Environment variable carrying the interleave test's shared ledger

@@ -5,9 +5,12 @@
 //! segments, read back the attempt's [`Outcome`] — and the blocking
 //! socket is its only flow control.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 use super::net::{Listener, Stream};
-use super::wire::{encode, read_msg, write_msg, Msg};
-use super::DistConfig;
+use super::wire::{encode, read_msg, rebuild_error, write_msg, Msg};
+use super::{DistConfig, DEADLINE};
 use crate::counters::Counter;
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
@@ -15,11 +18,10 @@ use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::scheduler::{Fetched, JobState, MapOutput, Outcome, Slot, Takes};
 use crate::shuffle::SegmentRepr;
 use std::io::Write;
+use std::process::Child;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long to wait for all workers to connect before giving up.
-const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Run a distributed job on freshly spawned worker *processes*: the
 /// current executable is re-executed with `dist.worker_args` and the
@@ -36,7 +38,25 @@ pub fn run_distributed(
             "dist.job_payload must describe the job for spawned worker processes".into(),
         ));
     }
-    run_coordinator(config, dist, splits, Launch::Processes)
+    let exe = std::env::current_exe()
+        .map_err(|e| MrError::Config(format!("cannot locate current executable: {e}")))?;
+    run_coordinator(config, dist, splits, |workers, worker, addr| {
+        let child = std::process::Command::new(&exe)
+            .args(&dist.worker_args)
+            .env(super::ENV_ADDR, addr)
+            .env(super::ENV_TRANSPORT, dist.transport.name())
+            .env(super::ENV_WORKER, worker.to_string())
+            .env(super::ENV_JOB, &dist.job_payload)
+            .stdin(std::process::Stdio::null())
+            // Worker stdout is libtest/CLI chatter; stderr stays visible
+            // so a worker panic is diagnosable from the coordinator run.
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::inherit())
+            .spawn()
+            .map_err(|e| MrError::Net(format!("spawn worker {worker}: {e}")))?;
+        workers.children.push(child);
+        Ok(())
+    })
 }
 
 /// Run the same coordinator against in-process worker *threads*
@@ -51,185 +71,97 @@ pub fn run_distributed_with_threads(
     mapper: Arc<dyn Mapper>,
     reducer: Arc<dyn Reducer>,
 ) -> Result<JobResult, MrError> {
-    run_coordinator(config, dist, splits, Launch::Threads { mapper, reducer })
+    run_coordinator(config, dist, splits, |workers, worker, addr| {
+        let (config, addr, transport) = (config.clone(), addr.to_string(), dist.transport);
+        let (mapper, reducer) = (Arc::clone(&mapper), Arc::clone(&reducer));
+        workers.threads.push(std::thread::spawn(move || {
+            super::run_worker(
+                transport,
+                &addr,
+                worker as u32,
+                &config,
+                &*mapper,
+                &*reducer,
+            )
+        }));
+        Ok(())
+    })
 }
 
-enum Launch {
-    Processes,
-    Threads {
-        mapper: Arc<dyn Mapper>,
-        reducer: Arc<dyn Reducer>,
-    },
+/// A job's workers, and their one teardown: dropping the guard kills
+/// every child process still running, reaps them all, and joins the
+/// worker threads, which cannot be killed. It runs however the
+/// coordinator ends — in success (every worker has been sent `Shutdown`
+/// and has nothing left to write, so a kill loses nothing), in failure
+/// or in a panic.
+#[derive(Default)]
+struct Workers {
+    children: Vec<Child>,
+    threads: Vec<JoinHandle<Result<(), MrError>>>,
 }
 
-enum Handles {
-    Processes(Vec<std::process::Child>),
-    Threads(Vec<std::thread::JoinHandle<Result<(), MrError>>>),
-}
-
-impl Handles {
-    /// Whether any worker has already exited — a worker that dies before
-    /// connecting would otherwise stall the accept loop to its deadline.
-    fn any_dead(&mut self) -> bool {
-        match self {
-            Handles::Processes(children) => children
-                .iter_mut()
-                .any(|c| matches!(c.try_wait(), Ok(Some(_)))),
-            Handles::Threads(joins) => joins.iter().any(|j| j.is_finished()),
-        }
+impl Workers {
+    /// Whether every worker is still running: one that exits before it
+    /// connects would otherwise hold `accept` to its deadline.
+    fn running(&mut self) -> bool {
+        self.children
+            .iter_mut()
+            .all(|c| matches!(c.try_wait(), Ok(None)))
+            && self.threads.iter().all(|t| !t.is_finished())
     }
+}
 
-    /// Collect every worker. On a failed job, processes are killed
-    /// outright; on success they received `Shutdown` and get a grace
-    /// period to exit before being killed as stragglers.
-    fn reap(self, failed: bool) {
-        match self {
-            Handles::Processes(mut children) => {
-                if failed {
-                    for c in &mut children {
-                        let _ = c.kill();
-                    }
-                }
-                let deadline = Instant::now() + Duration::from_secs(10);
-                loop {
-                    let pending = children
-                        .iter_mut()
-                        .any(|c| matches!(c.try_wait(), Ok(None)));
-                    if !pending {
-                        break;
-                    }
-                    if Instant::now() >= deadline {
-                        for c in &mut children {
-                            let _ = c.kill();
-                        }
-                        for c in &mut children {
-                            let _ = c.wait();
-                        }
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-            Handles::Threads(joins) => {
-                // Worker errors after an abort are expected (their
-                // sockets died with the job); the job error, if any, is
-                // already collected.
-                for j in joins {
-                    let _ = j.join();
-                }
-            }
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+        }
+        for child in &mut self.children {
+            let _ = child.wait();
+        }
+        // A worker's error after the job has ended is expected (its
+        // socket died with the job); the job's own error, if any, is
+        // already collected.
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
-fn spawn_worker_processes(
-    dist: &DistConfig,
-    addr: &str,
-) -> Result<Vec<std::process::Child>, MrError> {
-    let exe = std::env::current_exe()
-        .map_err(|e| MrError::Config(format!("cannot locate current executable: {e}")))?;
-    let mut children: Vec<std::process::Child> = Vec::with_capacity(dist.workers);
-    for worker in 0..dist.workers {
-        let spawned = std::process::Command::new(&exe)
-            .args(&dist.worker_args)
-            .env(super::ENV_ADDR, addr)
-            .env(super::ENV_TRANSPORT, dist.transport.name())
-            .env(super::ENV_WORKER, worker.to_string())
-            .env(super::ENV_JOB, &dist.job_payload)
-            .stdin(std::process::Stdio::null())
-            // Worker stdout is libtest/CLI chatter; stderr stays visible
-            // so a worker panic is diagnosable from the coordinator run.
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::inherit())
-            .spawn();
-        match spawned {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                for mut c in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(MrError::Net(format!("spawn worker {worker}: {e}")));
-            }
-        }
-    }
-    Ok(children)
-}
-
+/// Run a job on `dist.workers` remote slots; `start` starts worker
+/// `i`, which connects to `addr`, and hands it to the guard.
 fn run_coordinator(
     config: &JobConfig,
     dist: &DistConfig,
     splits: Vec<InputSplit>,
-    launch: Launch,
+    start: impl Fn(&mut Workers, usize, &str) -> Result<(), MrError>,
 ) -> Result<JobResult, MrError> {
     dist.validate()?;
     let job = JobState::new(config, splits, dist.shuffle_mem_budget(), dist.wire_codec)?;
-
+    // Declared before the listener and the slots, so dropped after
+    // them: no worker thread it joins is left waiting on either.
+    let mut workers = Workers::default();
+    // Bound before any worker exists, so each worker's one connect
+    // attempt finds it.
     let listener = Listener::bind(dist.transport)?;
     let addr = listener.addr()?;
-
-    let mut handles = match launch {
-        Launch::Processes => Handles::Processes(spawn_worker_processes(dist, &addr)?),
-        Launch::Threads { mapper, reducer } => {
-            let mut joins = Vec::with_capacity(dist.workers);
-            for worker in 0..dist.workers {
-                let config = config.clone();
-                let addr = addr.clone();
-                let transport = dist.transport;
-                let mapper = Arc::clone(&mapper);
-                let reducer = Arc::clone(&reducer);
-                joins.push(std::thread::spawn(move || {
-                    super::run_worker(
-                        transport,
-                        &addr,
-                        worker as u32,
-                        &config,
-                        mapper.as_ref(),
-                        reducer.as_ref(),
-                    )
-                }));
-            }
-            Handles::Threads(joins)
-        }
-    };
-
+    for worker in 0..dist.workers {
+        start(&mut workers, worker, &addr)?;
+    }
     // All workers connect before the job clock starts.
     let mut slots = Vec::with_capacity(dist.workers);
     for _ in 0..dist.workers {
-        match listener.accept_deadline(ACCEPT_DEADLINE, &mut || !handles.any_dead()) {
-            Ok(stream) => slots.push(RemoteSlot { stream, worker: 0 }),
-            Err(e) => {
-                handles.reap(true);
-                return Err(e);
-            }
-        }
+        slots.push(RemoteSlot(
+            listener.accept(DEADLINE, &mut || workers.running())?,
+        ));
     }
-
-    let result = job.run(slots);
-    handles.reap(result.is_err());
-    result
+    job.run(slots)
 }
 
 /// One worker connection. The worker drives: it announces itself with
 /// `Hello`, then asks for work with `TaskRequest` before every
 /// assignment.
-struct RemoteSlot {
-    stream: Stream,
-    /// From the worker's `Hello`.
-    worker: u32,
-}
-
-/// Rebuild a worker-reported failure as a structured error. Only the
-/// checksum distinction survives the wire (it drives the corruption
-/// counters and nothing else branches on the variant); the display
-/// string carries the rest.
-fn rebuild_error(checksum: bool, error: String) -> MrError {
-    if checksum {
-        MrError::Checksum(error)
-    } else {
-        MrError::TaskFailed(error)
-    }
-}
+struct RemoteSlot(Stream);
 
 /// The fall-through arm of both conversations: `msg` is either the
 /// worker's `TaskFailed` for the attempt this slot is running —
@@ -259,11 +191,11 @@ fn task_failed<T>(msg: Msg, expect: (usize, u32, bool)) -> Result<Outcome<T>, Mr
 
 impl RemoteSlot {
     fn send(&mut self, msg: &Msg) -> Result<(), MrError> {
-        write_msg(&mut self.stream, msg)
+        write_msg(&mut self.0, msg)
     }
 
     fn recv(&mut self) -> Result<Msg, MrError> {
-        read_msg(&mut self.stream)
+        read_msg(&mut self.0)
     }
 }
 
@@ -274,10 +206,7 @@ impl Slot for RemoteSlot {
 
     fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
         match self.recv()? {
-            Msg::Hello { worker } => {
-                self.worker = worker;
-                Ok(format!("dist-conn-{worker}"))
-            }
+            Msg::Hello { worker } => Ok(format!("dist-conn-{worker}")),
             other => Err(MrError::Net(format!(
                 "expected Hello, got {}",
                 other.name()
@@ -289,8 +218,7 @@ impl Slot for RemoteSlot {
         match self.recv()? {
             Msg::TaskRequest => Ok(()),
             other => Err(MrError::Net(format!(
-                "worker {}: expected TaskRequest, got {}",
-                self.worker,
+                "expected TaskRequest, got {}",
                 other.name()
             ))),
         }
@@ -355,15 +283,13 @@ impl Slot for RemoteSlot {
     /// `ShuffleTransferNanos` is time in the socket write *including*
     /// that backpressure.
     ///
-    /// Each segment is one `FetchSegment` frame of its stored bytes: a
-    /// resident segment's straight from the store, a spilled one's read
-    /// whole (its spill CRC checked before any byte leaves). Compressed
-    /// segments ship their stored lz frames (`comp` set); the difference
-    /// between logical and transmitted length is charged to
-    /// `ShuffleWireBytesSaved` at serve time, so re-fetches by retried
-    /// attempts count again — true wire semantics. Copies the fault plan
-    /// corrupted are logical bytes and ship raw, which is what keeps a
-    /// compressed run byte-identical to identity under a fault storm.
+    /// Each segment is one `FetchSegment` frame of its stored bytes (see
+    /// [`wire_form`]); the difference between logical and transmitted
+    /// length is charged to `ShuffleWireBytesSaved` at serve time, so
+    /// re-fetches by retried attempts count again — true wire semantics.
+    /// A segment the store cannot serve ends the stream with
+    /// `FetchFailed`: the worker fails the attempt, which settles like
+    /// any failed attempt, and the slot stays.
     fn reduce(
         &mut self,
         job: &JobState,
@@ -386,47 +312,48 @@ impl Slot for RemoteSlot {
         let mut wait_nanos = 0u64;
         let mut transfer_nanos = 0u64;
         let mut wire_saved = 0u64;
+        let mut failed = None;
         for map_task in 0..job.num_maps {
             let wait_t0 = Instant::now();
-            let fetched = match job.fetch(task, map_task, attempt, u64::from(served)) {
-                Ok(fetched) => fetched,
+            let fetched = job
+                .fetch(task, map_task, attempt, u64::from(served))
+                .and_then(|fetched| fetched.map(wire_form).transpose());
+            wait_nanos += wait_t0.elapsed().as_nanos() as u64;
+            let (comp, data, saved) = match fetched {
+                Ok(Some(segment)) => segment,
+                Ok(None) => continue,
                 Err(_) if job.is_aborted() => {
                     // Release the worker cleanly; the abort's cause
                     // is already collected elsewhere.
                     self.send(&Msg::Shutdown)?;
                     return Ok(None);
                 }
-                Err(e) => return Err(e),
-            };
-            wait_nanos += wait_t0.elapsed().as_nanos() as u64;
-            let Some(fetched) = fetched else { continue };
-            let (comp, data) = match fetched {
-                Fetched::Copy(data) => (false, Arc::new(data)),
-                Fetched::Stored(h) => {
-                    if h.is_comp() {
-                        wire_saved += (h.logical_len() - h.len()) as u64;
-                    }
-                    let data = match &h.repr {
-                        SegmentRepr::Mem(data) => Arc::clone(data),
-                        SegmentRepr::Spilled(_) => Arc::new(h.to_vec()?),
-                    };
-                    (h.is_comp(), data)
+                Err(e) => {
+                    failed = Some(e);
+                    break;
                 }
             };
             // The one copy: into the frame, outside the transfer clock.
             let frame = encode(&Msg::FetchSegment { comp, data })?;
             let send_t0 = Instant::now();
-            self.stream
+            self.0
                 .write_all(&frame)
                 .map_err(|e| MrError::Net(format!("write FetchSegment: {e}")))?;
             transfer_nanos += send_t0.elapsed().as_nanos() as u64;
+            wire_saved += saved;
             served += 1;
         }
-        self.send(&Msg::SegmentsDone { count: served })?;
         job.counters.add(Counter::ShuffleFetchWaitNanos, wait_nanos);
         job.counters
             .add(Counter::ShuffleTransferNanos, transfer_nanos);
         job.counters.add(Counter::ShuffleWireBytesSaved, wire_saved);
+        self.send(&match &failed {
+            None => Msg::SegmentsDone { count: served },
+            Some(e) => Msg::FetchFailed {
+                checksum: e.is_checksum(),
+                error: e.to_string(),
+            },
+        })?;
 
         match self.recv()? {
             Msg::ReduceDone {
@@ -435,13 +362,34 @@ impl Slot for RemoteSlot {
                 local,
                 harness,
                 outputs,
-            } if (t as usize, a) == (task, attempt) => Ok(Some(Outcome {
+            } if failed.is_none() && (t as usize, a) == (task, attempt) => Ok(Some(Outcome {
                 harness,
                 result: Ok((outputs, local)),
             })),
             other => task_failed(other, expect).map(Some),
         }
     }
+}
+
+/// A fetched segment as it crosses the wire: whether it is an lz frame,
+/// its bytes, and what that saves against its logical length. A
+/// resident segment's bytes are the store's own; a spilled one's are
+/// read whole, its spill CRC checked before any byte leaves. Copies the
+/// fault plan corrupted are logical bytes and ship raw, which is what
+/// keeps a compressed run byte-identical to identity under a fault
+/// storm.
+fn wire_form(fetched: Fetched) -> Result<(bool, Arc<Vec<u8>>, u64), MrError> {
+    Ok(match fetched {
+        Fetched::Copy(data) => (false, Arc::new(data), 0),
+        Fetched::Stored(h) => {
+            let data = match &h.repr {
+                SegmentRepr::Mem(data) => Arc::clone(data),
+                SegmentRepr::Spilled(_) => Arc::new(h.to_vec()?),
+            };
+            let saved = (h.logical_len() - h.len()) as u64;
+            (h.is_comp(), data, saved)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -451,7 +399,10 @@ mod tests {
     use crate::dist::Transport;
     use crate::fault::{FaultConfig, FaultPlan};
     use crate::record::{Emit, FnMapper, FnReducer};
+    use crate::runner::InProcessSlot;
+    use crate::shuffle::damage::Damage;
     use crate::Job;
+    use std::time::Duration;
 
     fn word_splits(num_splits: usize, records_per_split: usize) -> Vec<InputSplit> {
         (0..num_splits)
@@ -496,6 +447,7 @@ mod tests {
     /// What the scripted worker's frames are fed to.
     #[derive(Clone, Copy)]
     enum Step {
+        /// `open`, then `ready`: the start of every slot's loop.
         Open,
         Ready,
         /// `map(task 0, attempt 1)` of a two-reducer job.
@@ -505,22 +457,40 @@ mod tests {
         Reduce,
     }
 
+    /// How the scripted worker ends once its script is said.
+    #[derive(Clone, Copy)]
+    enum End {
+        /// It sends these raw bytes, then half-closes.
+        Close(&'static [u8]),
+        /// It goes silent: it neither writes nor closes, and reads
+        /// nothing. The published segment is then 16 MiB, far past what
+        /// the socket buffers hold.
+        Silent,
+    }
+
+    /// The deadline a scripted conversation's slot runs under.
+    const SCRIPT_DEADLINE: Duration = Duration::from_secs(1);
+
     /// Run `step` of a remote slot against a scripted worker that says
-    /// `script`, then `tail` raw bytes, then half-closes; the slot must
-    /// come back lost, and the error is returned.
-    fn lost_slot(step: Step, script: Vec<Msg>, tail: &'static [u8]) -> String {
+    /// `script`, then ends as `end` says; the slot must come back lost,
+    /// and the error is returned.
+    fn lost_slot(step: Step, script: Vec<Msg>, end: End) -> String {
         crate::dist::tests::within_deadline(move || {
             let listener = Listener::bind(Transport::Tcp).unwrap();
             let mut peer = std::net::TcpStream::connect(listener.addr().unwrap()).unwrap();
-            let stream = listener
-                .accept_deadline(Duration::from_secs(5), &mut || true)
-                .unwrap();
-            let mut slot = RemoteSlot { stream, worker: 0 };
+            let stream = listener.accept(SCRIPT_DEADLINE, &mut || true).unwrap();
+            let mut slot = RemoteSlot(stream);
             for msg in &script {
                 write_msg(&mut peer, msg).unwrap();
             }
-            peer.write_all(tail).unwrap();
-            peer.shutdown(std::net::Shutdown::Write).unwrap();
+            let segment_len = match end {
+                End::Close(tail) => {
+                    peer.write_all(tail).unwrap();
+                    peer.shutdown(std::net::Shutdown::Write).unwrap();
+                    100
+                }
+                End::Silent => 16 << 20,
+            };
 
             let config = JobConfig::default().with_reducers(2);
             let split = InputSplit::new(vec![KvPair::new(b"k".to_vec(), b"v".to_vec())]);
@@ -531,9 +501,11 @@ mod tests {
                 crate::dist::WireCodec::Identity,
             )
             .unwrap();
-            job.store.publish(0, vec![(1, vec![7u8; 100])]).unwrap();
+            job.store
+                .publish(0, vec![(1, vec![7u8; segment_len])])
+                .unwrap();
             let lost = match step {
-                Step::Open => slot.open(&job).err(),
+                Step::Open => slot.open(&job).and_then(|_| slot.ready()).err(),
                 Step::Ready => slot.ready().err(),
                 Step::Map => slot.map(&job, 0, 1, &split).err(),
                 Step::Reduce => slot.reduce(&job, 1, 1).err(),
@@ -543,6 +515,29 @@ mod tests {
                 other => panic!("expected a Net error, got {other:?}"),
             }
         })
+    }
+
+    #[test]
+    fn a_silent_worker_is_a_lost_slot_at_the_deadline() {
+        use Step::*;
+        let cases = [
+            // Says `Hello`, then nothing: the wait for its first
+            // `TaskRequest` times out.
+            (Open, vec![Msg::Hello { worker: 3 }], "read frame length"),
+            // Stops reading: the served segment's write times out.
+            (Reduce, vec![Msg::FetchStart], "write FetchSegment"),
+        ];
+        for (step, script, names) in cases {
+            let t0 = Instant::now();
+            let err = lost_slot(step, script, End::Silent);
+            assert!(err.contains(names), "{err:?} does not name {names:?}");
+            let waited = t0.elapsed();
+            assert!(waited >= SCRIPT_DEADLINE, "{names}: lost after {waited:?}");
+            assert!(
+                waited < 10 * SCRIPT_DEADLINE,
+                "{names}: lost after {waited:?}"
+            );
+        }
     }
 
     #[test]
@@ -581,6 +576,12 @@ mod tests {
                 vec![Msg::TaskRequest],
                 b"",
                 "expected Hello, got TaskRequest",
+            ),
+            (
+                Open,
+                vec![hello.clone(), hello.clone()],
+                b"",
+                "expected TaskRequest, got Hello",
             ),
             (
                 Ready,
@@ -694,7 +695,7 @@ mod tests {
             (Reduce, vec![Msg::FetchStart], &[9, 0], "read frame length"),
         ];
         for (i, (step, script, tail, names)) in cases.into_iter().enumerate() {
-            let err = lost_slot(step, script, tail);
+            let err = lost_slot(step, script, End::Close(tail));
             assert!(
                 err.contains(names),
                 "case {i}: {err:?} does not name {names:?}"
@@ -969,5 +970,164 @@ mod tests {
         }
         assert_eq!(identity.counters.get(Counter::ShuffleWireBytesSaved), 0);
         assert_eq!(identity.counters.get(Counter::LzCompressNanos), 0);
+    }
+
+    /// A slot whose first reduce attempt finds map task 0's segment
+    /// damaged in its spill file; the damage is repaired as the attempt
+    /// returns, so the retry succeeds. Records whether each failed
+    /// attempt failed as a checksum error.
+    struct Damaged<S> {
+        inner: S,
+        damage: Damage,
+        failures: Arc<std::sync::Mutex<Vec<bool>>>,
+    }
+
+    impl<S: Slot> Slot for Damaged<S> {
+        fn takes(&self) -> Takes {
+            self.inner.takes()
+        }
+
+        fn open(&mut self, job: &JobState) -> Result<String, MrError> {
+            self.inner.open(job)
+        }
+
+        fn ready(&mut self) -> Result<(), MrError> {
+            self.inner.ready()
+        }
+
+        fn map(
+            &mut self,
+            job: &JobState,
+            task: usize,
+            attempt: u32,
+            split: &InputSplit,
+        ) -> Result<Outcome<MapOutput>, MrError> {
+            self.inner.map(job, task, attempt, split)
+        }
+
+        fn reduce(
+            &mut self,
+            job: &JobState,
+            task: usize,
+            attempt: u32,
+        ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
+            let repair = (attempt == 0).then(|| job.store.damage_spill(task, 0, self.damage));
+            let ran = self.inner.reduce(job, task, attempt);
+            drop(repair);
+            if let Ok(Some(Outcome { result: Err(e), .. })) = &ran {
+                self.failures.lock().unwrap().push(e.is_checksum());
+            }
+            ran
+        }
+
+        fn close(&mut self) -> Result<(), MrError> {
+            self.inner.close()
+        }
+    }
+
+    #[test]
+    fn a_spill_read_that_fails_under_a_remote_reduce_fails_the_attempt_not_the_worker() {
+        // Every segment spilled, one reducer, one retry: the first
+        // reduce attempt meets the damage, the second the repaired file.
+        let config = JobConfig::default().with_reducers(1).with_retries(1);
+        let splits = word_splits(3, 40);
+        let clean = Job::new(config.clone())
+            .run(splits.clone(), count_mapper(), sum_reducer())
+            .unwrap();
+        for (damage, checksum) in [(Damage::FlipByte, true), (Damage::Truncate, false)] {
+            // In-process: a map-only slot, then a reduce-only one.
+            let failures = Arc::default();
+            let (mapper, reducer) = (count_mapper(), sum_reducer());
+            let slot = |takes| Damaged {
+                inner: InProcessSlot {
+                    takes,
+                    index: 0,
+                    mapper: mapper.as_ref(),
+                    reducer: reducer.as_ref(),
+                },
+                damage,
+                failures: Arc::clone(&failures),
+            };
+            let job = JobState::new(&config, splits.clone(), 0, crate::dist::WireCodec::Identity);
+            let local = job
+                .unwrap()
+                .run(vec![slot(Takes::Maps), slot(Takes::Reduces)])
+                .unwrap();
+            let local_failures = failures.lock().unwrap().clone();
+
+            // Remote: the one slot, of one worker thread, takes every
+            // task, so the retry runs on the worker whose attempt failed.
+            let (config, splits) = (config.clone(), splits.clone());
+            let (remote, remote_failures) = crate::dist::tests::within_deadline(move || {
+                let listener = Listener::bind(Transport::Tcp).unwrap();
+                let addr = listener.addr().unwrap();
+                let worker_config = config.clone();
+                let worker = std::thread::spawn(move || {
+                    let (mapper, reducer) = (count_mapper(), sum_reducer());
+                    crate::dist::run_worker(
+                        Transport::Tcp,
+                        &addr,
+                        0,
+                        &worker_config,
+                        mapper.as_ref(),
+                        reducer.as_ref(),
+                    )
+                });
+                let stream = listener.accept(DEADLINE, &mut || true).unwrap();
+                let failures = Arc::default();
+                let slot = Damaged {
+                    inner: RemoteSlot(stream),
+                    damage,
+                    failures: Arc::clone(&failures),
+                };
+                let job = JobState::new(&config, splits, 0, crate::dist::WireCodec::Identity);
+                let remote = job.unwrap().run(vec![slot]);
+                worker.join().unwrap().unwrap();
+                let failures = failures.lock().unwrap().clone();
+                (remote.unwrap(), failures)
+            });
+
+            assert_eq!(local_failures, [checksum], "{damage:?}: in-process");
+            assert_eq!(remote_failures, [checksum], "{damage:?}: remote");
+            for result in [&local, &remote] {
+                assert_same_outputs(&clean, result);
+                assert_eq!(result.counters.get(Counter::TaskRetries), 1, "{damage:?}");
+                assert_eq!(
+                    result.counters.get(Counter::ChecksumFailures),
+                    u64::from(checksum),
+                    "{damage:?}"
+                );
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_panicking_coordinator_still_kills_and_reaps_every_worker() {
+        let mut workers = Workers::default();
+        for _ in 0..3 {
+            let child = std::process::Command::new("sleep")
+                .arg("60")
+                .spawn()
+                .unwrap();
+            workers.children.push(child);
+        }
+        workers.threads.push(std::thread::spawn(|| Ok(())));
+        assert!(workers
+            .children
+            .iter_mut()
+            .all(|c| c.try_wait().unwrap().is_none()));
+        let pids: Vec<u32> = workers.children.iter().map(Child::id).collect();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _workers = workers;
+            panic!("the coordinator panics with its workers running");
+        }));
+        assert!(unwound.is_err());
+        for pid in pids {
+            // A child still running, or exited but not reaped (a zombie),
+            // still has its /proc entry.
+            let entry = std::path::PathBuf::from(format!("/proc/{pid}"));
+            assert!(!entry.exists(), "worker {pid} was left running or unreaped");
+        }
     }
 }

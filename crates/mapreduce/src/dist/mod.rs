@@ -19,6 +19,7 @@
 //! Task         = MapTask MapSegment* (MapDone | TaskFailed)
 //!              | ReduceTask (TaskFailed
 //!                           | FetchStart FetchSegment* (SegmentsDone (ReduceDone | TaskFailed)
+//!                                                      | FetchFailed TaskFailed
 //!                                                      | Shutdown))
 //! ```
 //!
@@ -37,7 +38,10 @@
 //!   partition's segments, one whole segment per `FetchSegment` frame,
 //!   **in canonical map-task order**, blocking per segment until that map
 //!   task has completed — the pipelined fetch-while-map overlap — and
-//!   closes the stream with `SegmentsDone`. The inner `Shutdown` releases
+//!   closes the stream with `SegmentsDone`. A segment the store cannot
+//!   serve (its spill read fails) ends the stream with `FetchFailed`
+//!   instead, and the worker fails the attempt with `TaskFailed`: the
+//!   attempt is retried, the worker kept. The inner `Shutdown` releases
 //!   a worker whose fetch was cut short because the job aborted, and ends
 //!   the conversation.
 //!
@@ -46,7 +50,9 @@
 //! `MapDone`, `ReduceDone` and `TaskFailed` name their `(task, attempt)`
 //! and carry the attempt's counter banks. A worker that dies mid-task
 //! surfaces as a lost slot: its task goes back through the retry budget
-//! as a network failure, not a hung job.
+//! as a network failure, not a hung job. So does a peer that goes
+//! silent: no read or write on a connection, nor the wait for a worker to
+//! connect, lasts longer than one deadline (30 s).
 //!
 //! # Entry points
 //!
@@ -70,6 +76,12 @@ pub use net::Transport;
 pub use worker::run_worker;
 
 use crate::error::MrError;
+use std::time::Duration;
+
+/// The longest any socket wait lasts: an accept, and each read and write.
+/// 70× the longest gap between two frames measured (0.43 s); a task
+/// silent for longer is taken for a hung peer.
+const DEADLINE: Duration = Duration::from_secs(30);
 
 /// Environment variable carrying the coordinator's socket address.
 pub const ENV_ADDR: &str = "SCIHADOOP_DIST_ADDR";
@@ -266,10 +278,15 @@ mod tests {
     /// test, rather than hang it, if it neither returns nor panics in
     /// time.
     pub(super) fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(f()));
-        rx.recv_timeout(std::time::Duration::from_secs(30))
-            .expect("the conversation hung or panicked")
+        let conversation = std::thread::spawn(f);
+        let t0 = std::time::Instant::now();
+        while !conversation.is_finished() {
+            assert!(t0.elapsed() < DEADLINE, "the conversation hung");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        conversation
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Socket transports for the distributed runtime: loopback TCP and
 //! Unix-domain sockets behind one listener/stream pair, so the rest of
 //! the module is transport-agnostic.
+//!
+//! Every wait on a socket has a deadline. `accept` polls a non-blocking
+//! listener; every connected stream, accepted or dialled, waits at most
+//! its deadline in any one read or write.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::error::MrError;
 use std::io::{Read, Write};
@@ -8,9 +14,11 @@ use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// How long `accept` sleeps between two polls of its listener.
+const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// Which socket family the shuffle service speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,12 +64,13 @@ pub(crate) enum Listener {
 }
 
 impl Listener {
+    /// Bind a listener, non-blocking so that `accept` can poll it.
     pub(crate) fn bind(transport: Transport) -> Result<Listener, MrError> {
-        match transport {
+        let listener = match transport {
             Transport::Tcp => {
                 let l = TcpListener::bind(("127.0.0.1", 0))
                     .map_err(|e| MrError::Net(format!("bind tcp listener: {e}")))?;
-                Ok(Listener::Tcp(l))
+                Listener::Tcp(l)
             }
             #[cfg(unix)]
             Transport::Uds => {
@@ -73,13 +82,22 @@ impl Listener {
                 let _ = std::fs::remove_file(&path);
                 let l = UnixListener::bind(&path)
                     .map_err(|e| MrError::Net(format!("bind uds listener {path:?}: {e}")))?;
-                Ok(Listener::Uds(l, path))
+                Listener::Uds(l, path)
             }
             #[cfg(not(unix))]
-            Transport::Uds => Err(MrError::Config(
-                "unix-domain sockets are not available on this platform".into(),
-            )),
+            Transport::Uds => {
+                return Err(MrError::Config(
+                    "unix-domain sockets are not available on this platform".into(),
+                ))
+            }
+        };
+        match &listener {
+            Listener::Tcp(l) => l.set_nonblocking(true),
+            #[cfg(unix)]
+            Listener::Uds(l, _) => l.set_nonblocking(true),
         }
+        .map_err(|e| MrError::Net(format!("listener nonblocking: {e}")))?;
+        Ok(listener)
     }
 
     /// The address workers must connect to (host:port, or a socket
@@ -95,120 +113,39 @@ impl Listener {
         }
     }
 
-    /// Accept one worker connection without burning CPU on an idle
-    /// listener: a scoped helper thread sits in a *blocking* `accept`
-    /// while this thread parks on a channel, waking every 50 ms to
-    /// check worker liveness (`alive`) and the deadline. On failure the
-    /// helper — possibly still blocked in `accept` — is released by a
-    /// self-connection to the listener's own address, which it discards
-    /// once it sees the stop flag.
-    pub(crate) fn accept_deadline(
+    /// Accept one worker connection. The listener is polled every
+    /// `ACCEPT_POLL`; between polls, a worker that has exited (`alive`
+    /// says so) or a `deadline` that has passed ends the wait. The
+    /// accepted stream waits at most `deadline` in any read or write.
+    pub(crate) fn accept(
         &self,
         deadline: Duration,
         alive: &mut dyn FnMut() -> bool,
     ) -> Result<Stream, MrError> {
-        self.set_nonblocking(false)?;
-        let stop_flag = AtomicBool::new(false);
-        let stop = &stop_flag;
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let result = self.accept_blocking();
-                if !stop.load(Ordering::SeqCst) {
-                    let _ = tx.send(result);
-                }
-            });
-            let t0 = Instant::now();
-            loop {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(result) => return result,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(MrError::Net("shuffle accept thread exited".into()))
-                    }
-                }
-                let failure = if !alive() {
-                    Some(MrError::Net(
-                        "a worker process exited before connecting to the shuffle service".into(),
-                    ))
-                } else if t0.elapsed() > deadline {
-                    Some(MrError::Net(format!(
-                        "no worker connected within {deadline:?}"
-                    )))
-                } else {
-                    None
-                };
-                if let Some(err) = failure {
-                    // A worker may have slipped in while we decided.
-                    if let Ok(result) = rx.try_recv() {
-                        return result;
-                    }
-                    stop.store(true, Ordering::SeqCst);
-                    if let Ok(addr) = self.addr() {
-                        let _ = Stream::connect_retry(
-                            self.transport(),
-                            &addr,
-                            Duration::from_millis(200),
-                        );
-                    }
-                    return Err(err);
-                }
-            }
-        })
-    }
-
-    /// Block until one connection arrives. `WouldBlock` from a spurious
-    /// wakeup (possible on Linux even for blocking listeners) retries.
-    fn accept_blocking(&self) -> Result<Stream, MrError> {
+        let t0 = Instant::now();
         loop {
-            match self.try_accept() {
-                Ok(Some(stream)) => return Ok(stream),
-                Ok(None) => continue,
-                Err(e) => return Err(e),
+            let accepted = match self {
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                #[cfg(unix)]
+                Listener::Uds(l, _) => l.accept().map(|(s, _)| Stream::Uds(s)),
+            };
+            match accepted {
+                Ok(stream) => return stream.with_deadline(deadline),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(MrError::Net(format!("accept: {e}"))),
             }
+            if !alive() {
+                return Err(MrError::Net(
+                    "a worker process exited before connecting to the shuffle service".into(),
+                ));
+            }
+            if t0.elapsed() > deadline {
+                return Err(MrError::Net(format!(
+                    "no worker connected within {deadline:?}"
+                )));
+            }
+            std::thread::sleep(ACCEPT_POLL);
         }
-    }
-
-    fn transport(&self) -> Transport {
-        match self {
-            Listener::Tcp(_) => Transport::Tcp,
-            #[cfg(unix)]
-            Listener::Uds(..) => Transport::Uds,
-        }
-    }
-
-    fn try_accept(&self) -> Result<Option<Stream>, MrError> {
-        match self {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    let _ = s.set_nodelay(true);
-                    s.set_nonblocking(false)
-                        .map_err(|e| MrError::Net(format!("accepted stream blocking: {e}")))?;
-                    Ok(Some(Stream::Tcp(s)))
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(MrError::Net(format!("accept: {e}"))),
-            },
-            #[cfg(unix)]
-            Listener::Uds(l, _) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)
-                        .map_err(|e| MrError::Net(format!("accepted stream blocking: {e}")))?;
-                    Ok(Some(Stream::Uds(s)))
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(MrError::Net(format!("accept: {e}"))),
-            },
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> Result<(), MrError> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            Listener::Uds(l, _) => l.set_nonblocking(nb),
-        }
-        .map_err(|e| MrError::Net(format!("listener nonblocking({nb}): {e}")))
     }
 }
 
@@ -230,46 +167,49 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
-    /// Connect to the coordinator, retrying briefly — the worker
-    /// process may win the race against the coordinator's accept loop
-    /// setup, but the listener itself is bound before any worker is
-    /// spawned, so retries only paper over transient `ECONNREFUSED`
-    /// under load.
-    pub(crate) fn connect_retry(
+    /// Connect to the coordinator, once: its listener is bound before
+    /// any worker exists, so a refusal is final. The stream waits at
+    /// most `deadline` in any read or write.
+    pub(crate) fn connect(
         transport: Transport,
         addr: &str,
         deadline: Duration,
     ) -> Result<Stream, MrError> {
-        let t0 = Instant::now();
-        loop {
-            let attempt = match transport {
-                Transport::Tcp => TcpStream::connect(addr).map(|s| {
-                    let _ = s.set_nodelay(true);
-                    Stream::Tcp(s)
-                }),
-                #[cfg(unix)]
-                Transport::Uds => UnixStream::connect(addr).map(Stream::Uds),
-                #[cfg(not(unix))]
-                Transport::Uds => {
-                    return Err(MrError::Config(
-                        "unix-domain sockets are not available on this platform".into(),
-                    ))
-                }
-            };
-            match attempt {
-                Ok(stream) => return Ok(stream),
-                Err(e) if t0.elapsed() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => {
-                    return Err(MrError::Net(format!(
-                        "connect {} {addr}: {e}",
-                        transport.name()
-                    )))
-                }
+        let stream = match transport {
+            Transport::Tcp => TcpStream::connect(addr).map(Stream::Tcp),
+            #[cfg(unix)]
+            Transport::Uds => UnixStream::connect(addr).map(Stream::Uds),
+            #[cfg(not(unix))]
+            Transport::Uds => {
+                return Err(MrError::Config(
+                    "unix-domain sockets are not available on this platform".into(),
+                ))
             }
+        };
+        stream
+            .map_err(|e| MrError::Net(format!("connect {} {addr}: {e}", transport.name())))?
+            .with_deadline(deadline)
+    }
+
+    /// Set a connected stream up: blocking, Nagle off on TCP, and
+    /// `deadline` as the timeout of every read and write, so a peer that
+    /// goes silent ends the conversation in a `Net` error instead of a
+    /// hang. The one place a stream's timeouts are set.
+    fn with_deadline(self, deadline: Duration) -> Result<Stream, MrError> {
+        match &self {
+            Stream::Tcp(s) => s
+                .set_nodelay(true)
+                .and_then(|()| s.set_nonblocking(false))
+                .and_then(|()| s.set_read_timeout(Some(deadline)))
+                .and_then(|()| s.set_write_timeout(Some(deadline))),
+            #[cfg(unix)]
+            Stream::Uds(s) => s
+                .set_nonblocking(false)
+                .and_then(|()| s.set_read_timeout(Some(deadline)))
+                .and_then(|()| s.set_write_timeout(Some(deadline))),
         }
+        .map_err(|e| MrError::Net(format!("set up stream: {e}")))?;
+        Ok(self)
     }
 }
 
@@ -304,6 +244,39 @@ impl Write for Stream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::DEADLINE;
+
+    impl Stream {
+        /// The read and write timeouts the stream carries.
+        fn timeouts(&self) -> (Option<Duration>, Option<Duration>) {
+            match self {
+                Stream::Tcp(s) => (s.read_timeout().unwrap(), s.write_timeout().unwrap()),
+                #[cfg(unix)]
+                Stream::Uds(s) => (s.read_timeout().unwrap(), s.write_timeout().unwrap()),
+            }
+        }
+    }
+
+    /// Every transport this platform has.
+    fn transports() -> impl Iterator<Item = Transport> {
+        [Transport::Tcp, Transport::Uds]
+            .into_iter()
+            .filter(|&t| cfg!(unix) || t == Transport::Tcp)
+    }
+
+    /// Connect to `listener` from a thread of its own, `delay` from now.
+    fn connect_after(
+        transport: Transport,
+        listener: &Listener,
+        delay: Duration,
+        deadline: Duration,
+    ) -> std::thread::JoinHandle<Stream> {
+        let addr = listener.addr().unwrap();
+        std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            Stream::connect(transport, &addr, deadline).unwrap()
+        })
+    }
 
     #[test]
     fn transport_names_roundtrip() {
@@ -318,92 +291,81 @@ mod tests {
     }
 
     #[test]
-    fn tcp_listener_accepts_a_connection() {
-        let listener = Listener::bind(Transport::Tcp).unwrap();
-        let addr = listener.addr().unwrap();
-        let join = std::thread::spawn(move || {
-            Stream::connect_retry(Transport::Tcp, &addr, Duration::from_secs(5)).unwrap()
-        });
-        let mut accepted = listener
-            .accept_deadline(Duration::from_secs(5), &mut || true)
-            .unwrap();
-        let mut client = join.join().unwrap();
-        client.write_all(b"ping").unwrap();
-        client.flush().unwrap();
-        let mut buf = [0u8; 4];
-        accepted.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ping");
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn uds_listener_accepts_and_cleans_up() {
-        let listener = Listener::bind(Transport::Uds).unwrap();
-        let addr = listener.addr().unwrap();
-        assert!(std::path::Path::new(&addr).exists());
-        let addr2 = addr.clone();
-        let join = std::thread::spawn(move || {
-            Stream::connect_retry(Transport::Uds, &addr2, Duration::from_secs(5)).unwrap()
-        });
-        let mut accepted = listener
-            .accept_deadline(Duration::from_secs(5), &mut || true)
-            .unwrap();
-        let mut client = join.join().unwrap();
-        client.write_all(b"pong").unwrap();
-        let mut buf = [0u8; 4];
-        accepted.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"pong");
-        drop(listener);
-        assert!(
-            !std::path::Path::new(&addr).exists(),
-            "socket file removed on drop"
-        );
+    fn accept_takes_a_connection_on_both_transports() {
+        for transport in transports() {
+            let listener = Listener::bind(transport).unwrap();
+            let addr = listener.addr().unwrap();
+            let join = connect_after(transport, &listener, Duration::ZERO, DEADLINE);
+            let mut accepted = listener.accept(DEADLINE, &mut || true).unwrap();
+            let mut client = join.join().unwrap();
+            client.write_all(b"ping").unwrap();
+            let mut buf = [0u8; 4];
+            accepted.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"ping", "{transport:?}");
+            drop(listener);
+            if transport == Transport::Uds {
+                assert!(!std::path::Path::new(&addr).exists(), "socket file removed");
+            }
+        }
     }
 
     #[test]
-    fn accept_deadline_times_out_idle() {
-        let listener = Listener::bind(Transport::Tcp).unwrap();
-        let t0 = Instant::now();
-        let err = listener
-            .accept_deadline(Duration::from_millis(120), &mut || true)
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("no worker connected within"),
-            "{err}"
-        );
-        assert!(t0.elapsed() < Duration::from_secs(5), "must not hang");
+    fn accept_times_out_idle() {
+        for transport in transports() {
+            let listener = Listener::bind(transport).unwrap();
+            let t0 = Instant::now();
+            let err = listener
+                .accept(Duration::from_millis(120), &mut || true)
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("no worker connected within"),
+                "{err}"
+            );
+            assert!(t0.elapsed() >= Duration::from_millis(120), "{transport:?}");
+            assert!(t0.elapsed() < Duration::from_secs(5), "must not hang");
+        }
     }
 
     #[test]
-    fn accept_deadline_accepts_a_late_connection() {
-        // The connection lands well after the wait starts, so the
-        // helper thread is parked in a blocking accept when it arrives.
-        let listener = Listener::bind(Transport::Tcp).unwrap();
-        let addr = listener.addr().unwrap();
-        let join = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(150));
-            Stream::connect_retry(Transport::Tcp, &addr, Duration::from_secs(5)).unwrap()
-        });
-        let mut accepted = listener
-            .accept_deadline(Duration::from_secs(5), &mut || true)
-            .unwrap();
-        let mut client = join.join().unwrap();
-        client.write_all(b"late").unwrap();
-        client.flush().unwrap();
-        let mut buf = [0u8; 4];
-        accepted.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"late");
+    fn accept_takes_a_late_connection() {
+        // The connection lands well after the wait starts, after many
+        // empty polls.
+        for transport in transports() {
+            let listener = Listener::bind(transport).unwrap();
+            let join = connect_after(transport, &listener, Duration::from_millis(150), DEADLINE);
+            let mut accepted = listener.accept(DEADLINE, &mut || true).unwrap();
+            let mut client = join.join().unwrap();
+            client.write_all(b"late").unwrap();
+            let mut buf = [0u8; 4];
+            accepted.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"late", "{transport:?}");
+        }
     }
 
     #[test]
-    fn accept_deadline_notices_dead_workers() {
-        let listener = Listener::bind(Transport::Tcp).unwrap();
-        let err = listener
-            .accept_deadline(Duration::from_secs(5), &mut || false)
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("exited before connecting"),
-            "{err}"
-        );
+    fn accept_notices_dead_workers() {
+        for transport in transports() {
+            let listener = Listener::bind(transport).unwrap();
+            let t0 = Instant::now();
+            let err = listener.accept(DEADLINE, &mut || false).unwrap_err();
+            assert!(
+                err.to_string().contains("exited before connecting"),
+                "{err}"
+            );
+            assert!(t0.elapsed() < Duration::from_secs(1), "{transport:?}");
+        }
+    }
+
+    #[test]
+    fn accept_and_connect_install_the_deadline_on_reads_and_writes() {
+        for transport in transports() {
+            let listener = Listener::bind(transport).unwrap();
+            let join = connect_after(transport, &listener, Duration::ZERO, DEADLINE);
+            let accepted = listener.accept(DEADLINE, &mut || true).unwrap();
+            let connected = join.join().unwrap();
+            for stream in [&accepted, &connected] {
+                assert_eq!(stream.timeouts(), (Some(DEADLINE), Some(DEADLINE)));
+            }
+        }
     }
 }

@@ -14,6 +14,8 @@
 //! segment ([`crate::ifile::RawSegment::open`]), which is what lets the
 //! fault plan's wire-level corruption be *detected* rather than
 //! silently reduced over.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::counters::{CounterSnapshot, Counters, ALL_COUNTERS, NUM_COUNTERS};
 use crate::error::MrError;
@@ -131,6 +133,9 @@ messages! {
     /// Coordinator → worker: the fetch stream is complete; `count`
     /// segments were sent.
     SegmentsDone = 9 { count: u32 };
+    /// Coordinator → worker: in place of a segment the store could not
+    /// serve (its spill read failed); the worker fails the attempt.
+    FetchFailed = 13 { checksum: bool, error: String };
     /// Worker → coordinator: the reduce attempt succeeded.
     ReduceDone = 10 {
         task: u32,
@@ -169,7 +174,7 @@ impl Field for u32 {
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
-        Ok(u32::from_le_bytes(r.take(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(r.array()?))
     }
 }
 
@@ -276,12 +281,24 @@ impl Field for CounterSnapshot {
         }
         let bank = Counters::new();
         for c in ALL_COUNTERS {
-            let v = u64::from_le_bytes(r.take(8)?.try_into().expect("8"));
+            let v = u64::from_le_bytes(r.array()?);
             if v > 0 {
                 bank.add(c, v);
             }
         }
         Ok(bank.snapshot())
+    }
+}
+
+/// Rebuild a failure the peer reported as a structured error. Only the
+/// checksum distinction crosses the wire (it drives the corruption
+/// counters and nothing else branches on the variant); the display
+/// string carries the rest.
+pub(crate) fn rebuild_error(checksum: bool, error: String) -> MrError {
+    if checksum {
+        MrError::Checksum(error)
+    } else {
+        MrError::TaskFailed(error)
     }
 }
 
@@ -375,6 +392,12 @@ impl<'a> Reader<'a> {
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], MrError> {
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
     }
 
     fn finish(self, name: &str) -> Result<(), MrError> {

@@ -2,9 +2,12 @@
 //! assignments, run each as an [`Attempt`] — the discipline in-process
 //! slots use — and stream results back. See [`crate::dist`] for the
 //! conversation's grammar.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use super::net::{Stream, Transport};
-use super::wire::{read_msg, write_msg, Msg};
+use super::wire::{read_msg, rebuild_error, write_msg, Msg};
+use super::DEADLINE;
 use crate::counters::{Counter, CounterSnapshot};
 use crate::error::MrError;
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
@@ -13,12 +16,7 @@ use crate::scheduler::{Attempt, Outcome};
 use crate::shuffle::inflate;
 use crate::JobConfig;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long a worker keeps retrying its initial connect. The listener
-/// is bound before any worker is spawned, so this only absorbs
-/// transient refusals under load.
-const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
+use std::time::Instant;
 
 /// The message that closes a failed attempt.
 fn task_failed_msg(
@@ -39,9 +37,9 @@ fn task_failed_msg(
 }
 
 /// Run one worker against the coordinator at `addr` until it sends
-/// `Shutdown` (or the connection fails). Blocks the calling thread for
-/// the whole job; `main` wrappers should turn the result into an exit
-/// code.
+/// `Shutdown` (or the connection fails, or the coordinator stays silent
+/// past the deadline). Blocks the calling thread for the whole job;
+/// `main` wrappers should turn the result into an exit code.
 pub fn run_worker(
     transport: Transport,
     addr: &str,
@@ -50,7 +48,18 @@ pub fn run_worker(
     mapper: &dyn Mapper,
     reducer: &dyn Reducer,
 ) -> Result<(), MrError> {
-    let mut stream = Stream::connect_retry(transport, addr, CONNECT_DEADLINE)?;
+    let stream = Stream::connect(transport, addr, DEADLINE)?;
+    converse(stream, worker, config, mapper, reducer)
+}
+
+/// The worker's side of the conversation, over a connected stream.
+fn converse(
+    mut stream: Stream,
+    worker: u32,
+    config: &JobConfig,
+    mapper: &dyn Mapper,
+    reducer: &dyn Reducer,
+) -> Result<(), MrError> {
     write_msg(&mut stream, &Msg::Hello { worker })?;
     loop {
         write_msg(&mut stream, &Msg::TaskRequest)?;
@@ -90,31 +99,27 @@ fn run_map_attempt(
         Err(failed) => failed,
         Ok(att) => att.run(|local| runner::run_map_task(config, task, split, mapper, local)),
     };
-    let (segments, local) = match outcome.result {
-        Ok(done) => done,
-        Err(e) => {
-            let msg = task_failed_msg(task, attempt, false, &e, outcome.harness);
-            return write_msg(stream, &msg);
+    let msg = match outcome.result {
+        Ok((segments, local)) => {
+            for (partition, seg) in segments {
+                write_msg(
+                    stream,
+                    &Msg::MapSegment {
+                        partition: partition as u32,
+                        data: seg.data,
+                    },
+                )?;
+            }
+            Msg::MapDone {
+                task: task as u32,
+                attempt,
+                local,
+                harness: outcome.harness,
+            }
         }
+        Err(e) => task_failed_msg(task, attempt, false, &e, outcome.harness),
     };
-    for (partition, seg) in segments {
-        write_msg(
-            stream,
-            &Msg::MapSegment {
-                partition: partition as u32,
-                data: seg.data,
-            },
-        )?;
-    }
-    write_msg(
-        stream,
-        &Msg::MapDone {
-            task: task as u32,
-            attempt,
-            local,
-            harness: outcome.harness,
-        },
-    )
+    write_msg(stream, &msg)
 }
 
 /// One reduce attempt: the fault gate runs before any fetch, so an
@@ -141,10 +146,10 @@ fn run_reduce_attempt(
     let mut decompress_nanos = 0u64;
     // A wire-compressed segment that fails to inflate is real
     // corruption (the lz frame's CRC over the wire bytes caught it).
-    // The fetch stream is drained to `SegmentsDone` first — the frames
-    // still in the pipe would otherwise be read as the next assignment —
-    // then the attempt fails as a checksum error, retryable like any
-    // detected corruption.
+    // The fetch stream is drained to its end first — the frames still
+    // in the pipe would otherwise be read as the next assignment — then
+    // the attempt fails as a checksum error, retryable like any detected
+    // corruption. A `FetchFailed` end fails it the same way.
     let mut fetch_err: Option<MrError> = None;
     loop {
         match read_msg(stream)? {
@@ -167,6 +172,10 @@ fn run_reduce_attempt(
                         segs.len()
                     )));
                 }
+                break;
+            }
+            Msg::FetchFailed { checksum, error } => {
+                fetch_err.get_or_insert(rebuild_error(checksum, error));
                 break;
             }
             Msg::Shutdown => return Ok(true),
@@ -205,8 +214,7 @@ fn report_reduce(
         },
         Err(e) => task_failed_msg(task, attempt, true, &e, outcome.harness),
     };
-    write_msg(stream, &msg)?;
-    Ok(false)
+    write_msg(stream, &msg).map(|()| false)
 }
 
 #[cfg(test)]
@@ -216,11 +224,16 @@ mod tests {
     use crate::dist::net::Listener;
     use crate::record::{Emit, FnMapper, FnReducer};
     use std::io::Write;
+    use std::time::Duration;
+
+    /// The deadline the scripted conversations' worker runs under: far
+    /// above any gap a script leaves, far below `within_deadline`'s.
+    const SCRIPT_DEADLINE: Duration = Duration::from_secs(2);
 
     /// Run a real worker against a scripted coordinator: `script` gets
     /// the accepted connection after the worker's `Hello` and first
-    /// `TaskRequest` have been read off it. Returns what `run_worker`
-    /// returned once the script is over and its end closed.
+    /// `TaskRequest` have been read off it. Returns what the worker's
+    /// conversation returned once the script is over and its end closed.
     fn worker_against(script: impl FnOnce(&mut Stream) + Send + 'static) -> Result<(), MrError> {
         crate::dist::tests::within_deadline(move || {
             let listener = Listener::bind(Transport::Tcp).unwrap();
@@ -231,11 +244,10 @@ mod tests {
                 let reducer = FnReducer(|k: &[u8], vs: &[&[u8]], out: &mut dyn Emit| {
                     out.emit(k, vs.len().to_string().as_bytes())
                 });
-                run_worker(Transport::Tcp, &addr, 7, &config, &mapper, &reducer)
+                let stream = Stream::connect(Transport::Tcp, &addr, SCRIPT_DEADLINE)?;
+                converse(stream, 7, &config, &mapper, &reducer)
             });
-            let mut stream = listener
-                .accept_deadline(Duration::from_secs(5), &mut || true)
-                .unwrap();
+            let mut stream = listener.accept(DEADLINE, &mut || true).unwrap();
             assert_eq!(read_msg(&mut stream).unwrap(), Msg::Hello { worker: 7 });
             assert_eq!(read_msg(&mut stream).unwrap(), Msg::TaskRequest);
             script(&mut stream);
@@ -278,6 +290,18 @@ mod tests {
             (
                 Box::new(|s| send(s, Msg::Hello { worker: 7 })),
                 "unexpected Hello while awaiting an assignment",
+            ),
+            (
+                Box::new(|s| {
+                    send(
+                        s,
+                        Msg::FetchFailed {
+                            checksum: false,
+                            error: "no fetch".into(),
+                        },
+                    )
+                }),
+                "unexpected FetchFailed while awaiting an assignment",
             ),
             (
                 Box::new(|s| {
@@ -368,6 +392,52 @@ mod tests {
                         error,
                         ..
                     } => assert!(error.contains(names), "{error}"),
+                    other => panic!("expected TaskFailed, got {other:?}"),
+                }
+                assert_eq!(read_msg(s).unwrap(), Msg::TaskRequest);
+                send(s, Msg::Shutdown);
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_coordinator_gone_silent_ends_the_worker_at_the_deadline() {
+        // The script says nothing after the worker's `TaskRequest`, and
+        // waits with the connection open until the worker hangs up.
+        let t0 = Instant::now();
+        match worker_against(|s| assert!(read_msg(s).is_err(), "the worker hung up")) {
+            Err(MrError::Net(e)) => assert!(e.contains("read frame length"), "{e}"),
+            other => panic!("expected a Net error, got {other:?}"),
+        }
+        assert!(t0.elapsed() >= SCRIPT_DEADLINE);
+    }
+
+    #[test]
+    fn a_failed_fetch_fails_the_attempt_and_keeps_the_worker() {
+        for checksum in [true, false] {
+            worker_against(move |s| {
+                start_fetch(s);
+                send(s, segment(false, b"served before the failure"));
+                send(
+                    s,
+                    Msg::FetchFailed {
+                        checksum,
+                        error: "spill read failed".into(),
+                    },
+                );
+                match read_msg(s).unwrap() {
+                    Msg::TaskFailed {
+                        task: 1,
+                        attempt: 0,
+                        reduce: true,
+                        checksum: reported,
+                        error,
+                        ..
+                    } => {
+                        assert_eq!(reported, checksum);
+                        assert!(error.contains("spill read failed"), "{error}");
+                    }
                     other => panic!("expected TaskFailed, got {other:?}"),
                 }
                 assert_eq!(read_msg(s).unwrap(), Msg::TaskRequest);

@@ -20,11 +20,11 @@ use std::sync::Arc;
 /// called directly, with map segments handed to the job's store as
 /// plain `Vec`s and reduce input borrowed from the store's resident
 /// bytes — no copy, no frame.
-struct InProcessSlot<'a> {
-    takes: Takes,
-    index: usize,
-    mapper: &'a dyn Mapper,
-    reducer: &'a dyn Reducer,
+pub(crate) struct InProcessSlot<'a> {
+    pub(crate) takes: Takes,
+    pub(crate) index: usize,
+    pub(crate) mapper: &'a dyn Mapper,
+    pub(crate) reducer: &'a dyn Reducer,
 }
 
 impl Slot for InProcessSlot<'_> {

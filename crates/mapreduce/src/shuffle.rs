@@ -50,6 +50,8 @@
 //! the *logical* shuffle volume, preserving the
 //! `ShuffleBytes == MapOutputMaterializedBytes` ledger invariant
 //! regardless of codec.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::dist::WireCodec;
 use crate::error::MrError;
@@ -191,10 +193,10 @@ impl StoreState {
         map_task: usize,
         data: &[u8],
     ) -> Result<SpilledHandle, MrError> {
-        if self.spill[partition].is_none() {
-            self.spill[partition] = Some(SpillFile::create(partition)?);
-        }
-        let file = self.spill[partition].as_mut().expect("just created");
+        let file = match &mut self.spill[partition] {
+            Some(file) => file,
+            none => none.insert(SpillFile::create(partition)?),
+        };
         let offset = file.append(data)?;
         self.spilled_bytes += data.len() as u64;
         Ok(SpilledHandle {
@@ -544,6 +546,68 @@ pub struct SpilledHandle {
     crc: u32,
     partition: usize,
     map_task: usize,
+}
+
+#[cfg(test)]
+pub(crate) mod damage {
+    //! A test hook: damage a spilled segment where it lies in its spill
+    //! file, as a failing disk would.
+
+    use super::{SegmentRepr, ShuffleStore};
+    use std::path::PathBuf;
+
+    /// What is done to the segment.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Damage {
+        /// One bit of the segment's last byte flipped: its spill CRC no
+        /// longer matches.
+        FlipByte,
+        /// The file cut one byte short of the segment's end: its `pread`
+        /// comes up short.
+        Truncate,
+    }
+
+    /// Puts a damaged spill file's bytes back when dropped.
+    pub(crate) struct Repair {
+        path: PathBuf,
+        original: Vec<u8>,
+    }
+
+    impl Drop for Repair {
+        fn drop(&mut self) {
+            // Not a panic in `drop`: a repair that fails shows as the
+            // retried attempt failing too.
+            let _ = std::fs::write(&self.path, &self.original);
+        }
+    }
+
+    impl ShuffleStore {
+        /// Damage `(partition, map_task)`'s segment in its spill file,
+        /// until the returned guard is dropped. The file is rewritten in
+        /// place, so handles already out see the damage too.
+        pub(crate) fn damage_spill(
+            &self,
+            partition: usize,
+            map_task: usize,
+            damage: Damage,
+        ) -> Repair {
+            let state = self.lock_state();
+            let slot = state.slots[partition][map_task].as_ref();
+            let Some(SegmentRepr::Spilled(h)) = slot.map(|s| &s.repr) else {
+                panic!("segment ({partition}, {map_task}) is not spilled");
+            };
+            let path = state.spill[partition].as_ref().unwrap().path.clone();
+            let original = std::fs::read(&path).unwrap();
+            let mut damaged = original.clone();
+            let end = h.offset as usize + h.len;
+            match damage {
+                Damage::FlipByte => damaged[end - 1] ^= 1,
+                Damage::Truncate => damaged.truncate(end - 1),
+            }
+            std::fs::write(&path, damaged).unwrap();
+            Repair { path, original }
+        }
+    }
 }
 
 #[cfg(test)]
