@@ -46,6 +46,7 @@ impl Coord {
     }
 
     /// The origin (all zeros) in `ndims` dimensions.
+    #[inline]
     pub fn origin(ndims: usize) -> Self {
         if ndims <= INLINE_DIMS {
             Coord(Repr::Inline {
@@ -58,6 +59,7 @@ impl Coord {
     }
 
     /// Number of dimensions.
+    #[inline]
     pub fn ndims(&self) -> usize {
         match &self.0 {
             Repr::Inline { len, .. } => *len as usize,
@@ -66,6 +68,7 @@ impl Coord {
     }
 
     /// Component slice.
+    #[inline]
     pub fn components(&self) -> &[i32] {
         match &self.0 {
             Repr::Inline { len, buf } => &buf[..*len as usize],
@@ -74,6 +77,7 @@ impl Coord {
     }
 
     /// Mutable component slice.
+    #[inline]
     pub(crate) fn components_mut(&mut self) -> &mut [i32] {
         match &mut self.0 {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
@@ -93,6 +97,7 @@ impl Coord {
 
     /// A coordinate with `f` applied to every pair of components. The
     /// caller has checked that the dimensions agree.
+    #[inline]
     fn zip_with(&self, other: &Coord, f: impl Fn(i32, i32) -> i32) -> Coord {
         let mut out = self.clone();
         for (a, b) in out.components_mut().iter_mut().zip(other.components()) {
@@ -102,6 +107,7 @@ impl Coord {
     }
 
     /// Checked element-wise addition; errors on dimension mismatch.
+    #[inline]
     pub fn checked_add(&self, other: &Coord) -> Result<Coord, GridError> {
         if self.ndims() != other.ndims() {
             return Err(GridError::DimensionMismatch {
@@ -151,6 +157,7 @@ impl Coord {
 }
 
 impl PartialEq for Coord {
+    #[inline]
     fn eq(&self, other: &Coord) -> bool {
         self.components() == other.components()
     }
@@ -171,6 +178,7 @@ impl Ord for Coord {
 }
 
 impl Hash for Coord {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.components().hash(state);
     }
@@ -184,6 +192,7 @@ impl fmt::Debug for Coord {
 
 impl Index<usize> for Coord {
     type Output = i32;
+    #[inline]
     fn index(&self, i: usize) -> &i32 {
         &self.components()[i]
     }
@@ -197,6 +206,7 @@ impl IndexMut<usize> for Coord {
 
 impl Add for &Coord {
     type Output = Coord;
+    #[inline]
     fn add(self, other: &Coord) -> Coord {
         self.checked_add(other).expect("dimension mismatch in +")
     }

@@ -48,6 +48,7 @@ pub fn read_text(buf: &[u8]) -> Result<(&str, usize), GridError> {
 
 /// Read `ndims` big-endian 32-bit components from the front of `buf`;
 /// returns the coordinate and the bytes consumed.
+#[inline]
 pub fn read_coord(buf: &[u8], ndims: usize) -> Result<(Coord, usize), GridError> {
     let bytes = ndims
         .checked_mul(4)

@@ -37,6 +37,7 @@ impl KeyLayout {
 
     /// Bytes every key of this layout starts with: the variable
     /// identifier, before the coordinates.
+    #[inline]
     pub(crate) fn header_len(&self) -> usize {
         match self {
             KeyLayout::Indexed { .. } => 4,
@@ -46,6 +47,7 @@ impl KeyLayout {
 
     /// Append the variable identifier every key of this layout starts
     /// with.
+    #[inline]
     pub(crate) fn write_header(&self, out: &mut Vec<u8>) {
         match self {
             KeyLayout::Indexed { index, .. } => out.extend_from_slice(&index.to_be_bytes()),
@@ -54,6 +56,7 @@ impl KeyLayout {
     }
 
     /// Serialize a coordinate under this layout.
+    #[inline]
     pub fn encode(&self, coord: &Coord) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.header_len() + 4 * coord.ndims());
         self.write_header(&mut out);
@@ -64,6 +67,7 @@ impl KeyLayout {
     }
 
     /// Parse a coordinate back out of a serialized key.
+    #[inline]
     pub fn decode(&self, bytes: &[u8]) -> Result<Coord, GridError> {
         let header = match self {
             KeyLayout::Indexed { .. } => 4,
@@ -76,6 +80,7 @@ impl KeyLayout {
     }
 
     /// Serialized key size for this layout.
+    #[inline]
     pub fn key_len(&self) -> usize {
         self.header_len() + 4 * self.ndims()
     }

@@ -14,6 +14,7 @@
 //! [`oracle`] holds the direct sequential implementation the MapReduce
 //! answers are tested against.
 
+mod fill;
 pub mod input;
 pub mod layout;
 pub mod median;

@@ -148,7 +148,12 @@ impl SlidingMedian {
 
     /// Run the query over a variable.
     pub fn run(&self, var: &Variable) -> Result<MedianRun, MrError> {
-        assert!(self.window % 2 == 1, "window must be odd");
+        if self.window.is_multiple_of(2) {
+            return Err(MrError::Config(format!(
+                "sliding-median window {} must be odd",
+                self.window
+            )));
+        }
         let splits = crate::input::dataset_splits(var, &self.layout, self.num_splits)
             .map_err(|e| MrError::Config(e.to_string()))?;
         match &self.variant {
@@ -164,7 +169,7 @@ impl SlidingMedian {
 
     fn parse_outputs(&self, result: &JobResult) -> Result<HashMap<Coord, i32>, MrError> {
         let records = result.outputs.iter().map(Vec::len).sum();
-        let mut medians = HashMap::with_capacity(records);
+        let mut medians = Vec::with_capacity(records);
         for pair in result.outputs.iter().flatten() {
             let coord = self
                 .layout
@@ -176,9 +181,9 @@ impl SlidingMedian {
                     .try_into()
                     .map_err(|_| MrError::Intermediate("bad median value".into()))?,
             );
-            medians.insert(coord, v);
+            medians.push((coord, v));
         }
-        Ok(medians)
+        Ok(crate::fill::bucket_ordered(medians))
     }
 
     fn run_plain(&self, splits: Vec<InputSplit>, config: JobConfig) -> Result<MedianRun, MrError> {
@@ -489,6 +494,21 @@ mod tests {
         assert!(offs.contains(&Coord::new(vec![-1, -1])));
         assert!(offs.contains(&Coord::new(vec![0, 0])));
         assert!(offs.contains(&Coord::new(vec![1, 1])));
+    }
+
+    #[test]
+    fn an_even_window_is_a_config_error() {
+        let var = variable();
+        for variant in [
+            SlidingMedianVariant::Plain,
+            SlidingMedianVariant::Aggregated {
+                buffer_bytes: 1 << 20,
+            },
+        ] {
+            let mut q = SlidingMedian::new(layout(), variant);
+            q.window = 4;
+            assert!(matches!(q.run(&var), Err(MrError::Config(_))));
+        }
     }
 
     #[test]
