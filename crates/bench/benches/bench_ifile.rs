@@ -127,7 +127,8 @@ fn pr5_runs() -> Vec<Vec<KvPair>> {
                 })
                 .collect();
             for (i, p) in run.iter_mut().enumerate() {
-                p.key[0] = ((i as u32 * 7 + r) % 13) as u8;
+                let first = ((i as u32 * 7 + r) % 13) as u8;
+                p.key = [&[first][..], &p.key[1..]].concat().into();
             }
             run.sort_by(|a, b| ks.compare(&a.key, &b.key));
             run

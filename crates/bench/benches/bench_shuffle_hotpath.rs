@@ -188,7 +188,8 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
     for r in 0..8u32 {
         let mut run = grid_pairs(50);
         for (i, p) in run.iter_mut().enumerate() {
-            p.key[0] = ((i as u32 * 7 + r) % 13) as u8;
+            let first = ((i as u32 * 7 + r) % 13) as u8;
+            p.key = [&[first][..], &p.key[1..]].concat().into();
         }
         run.sort_by(|a, b| ks.compare(&a.key, &b.key));
         total += run.len() as u64;

@@ -136,9 +136,9 @@ mod tests {
         let splits = wordcount_splits(300, 97, 5, 128);
         let sizes: Vec<usize> = splits.iter().map(|s| s.records.len()).collect();
         assert_eq!(sizes, [128, 128, 44]);
-        assert_eq!(splits[0].records[0].key, b"word-00000");
-        assert_eq!(splits[2].records[43].key, b"word-00008"); // 299 % 97
-        assert_eq!(splits[2].records[43].value, [1u8]);
+        assert_eq!(*splits[0].records[0].key, *b"word-00000");
+        assert_eq!(*splits[2].records[43].key, *b"word-00008"); // 299 % 97
+        assert_eq!(*splits[2].records[43].value, [1u8]);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl AggregateKeyOps {
 
     fn parse(&self, pair: &KvPair) -> Option<AggregateRecord> {
         let key = AggregateKey::from_bytes(&pair.key).ok()?;
-        AggregateRecord::new(key, pair.value.clone(), self.value_width).ok()
+        AggregateRecord::new(key, pair.value.to_vec(), self.value_width).ok()
     }
 }
 
@@ -178,7 +178,7 @@ mod tests {
     fn route_all(ops: &AggregateKeyOps, pair: &KvPair, parts: usize) -> Vec<(usize, KvPair)> {
         let mut routed = Vec::new();
         ops.route_slices(&pair.key, &pair.value, parts, &mut |p, k, v| {
-            routed.push((p, KvPair::new(k.to_vec(), v.to_vec())));
+            routed.push((p, KvPair::new(k, v)));
         });
         routed
     }
@@ -253,7 +253,7 @@ mod tests {
         );
         assert!(!ops.sort_interacts(&a.key, &c.key), "disjoint ranges");
         // Same ranges on different variables never interact.
-        let mut other_var = a.key.clone();
+        let mut other_var = a.key.to_vec();
         other_var[0..4].copy_from_slice(&7u32.to_be_bytes());
         assert!(!ops.sort_interacts(&a.key, &other_var));
         // Unparseable keys conservatively interact with everything.

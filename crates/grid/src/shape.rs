@@ -50,7 +50,8 @@ impl Shape {
         strides
     }
 
-    /// Row-major linear index of a coordinate within this shape.
+    /// Row-major linear index of a coordinate within this shape. Horner's
+    /// rule over the extents, so no stride vector is allocated.
     pub fn linearize(&self, coord: &Coord) -> Result<u64, GridError> {
         if coord.ndims() != self.ndims() {
             return Err(GridError::DimensionMismatch {
@@ -58,17 +59,15 @@ impl Shape {
                 actual: coord.ndims(),
             });
         }
-        let strides = self.strides();
         let mut idx = 0u64;
-        for d in 0..self.ndims() {
-            let c = coord[d];
-            if c < 0 || c as u32 >= self.0[d] {
+        for (&c, &extent) in coord.components().iter().zip(&self.0) {
+            if c < 0 || c as u32 >= extent {
                 return Err(GridError::OutOfBounds {
                     coord: coord.components().to_vec(),
                     context: format!("shape {:?}", self.0),
                 });
             }
-            idx += c as u64 * strides[d];
+            idx = idx * extent as u64 + c as u64;
         }
         Ok(idx)
     }

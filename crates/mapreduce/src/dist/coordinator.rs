@@ -236,12 +236,12 @@ impl Slot for RemoteSlot {
         job: &JobState,
         task: usize,
         attempt: u32,
-        split: &InputSplit,
+        split: &Arc<InputSplit>,
     ) -> Result<Outcome<MapOutput>, MrError> {
         self.send(&Msg::MapTask {
             task: task as u32,
             attempt,
-            split: split.clone(),
+            split: Arc::clone(split),
         })?;
         let mut staged: MapOutput = Vec::new();
         loop {
@@ -507,7 +507,7 @@ mod tests {
             let lost = match step {
                 Step::Open => slot.open(&job).and_then(|_| slot.ready()).err(),
                 Step::Ready => slot.ready().err(),
-                Step::Map => slot.map(&job, 0, 1, &split).err(),
+                Step::Map => slot.map(&job, 0, 1, &Arc::new(split)).err(),
                 Step::Reduce => slot.reduce(&job, 1, 1).err(),
             };
             match lost.expect("the slot must be lost, not settle an outcome") {
@@ -1000,7 +1000,7 @@ mod tests {
             job: &JobState,
             task: usize,
             attempt: u32,
-            split: &InputSplit,
+            split: &Arc<InputSplit>,
         ) -> Result<Outcome<MapOutput>, MrError> {
             self.inner.map(job, task, attempt, split)
         }

@@ -104,8 +104,10 @@ messages! {
     Hello = 1 { worker: u32 };
     /// Worker → coordinator: ready for the next task.
     TaskRequest = 2;
-    /// Coordinator → worker: run one map attempt over the carried split.
-    MapTask = 3 { task: u32, attempt: u32, split: InputSplit };
+    /// Coordinator → worker: run one map attempt over the carried split,
+    /// which the coordinator shares with its task queue rather than
+    /// copies.
+    MapTask = 3 { task: u32, attempt: u32, split: Arc<InputSplit> };
     /// Worker → coordinator: one finished map-output segment.
     MapSegment = 4 { partition: u32, data: Vec<u8> };
     /// Worker → coordinator: the map attempt succeeded. `local` is the
@@ -199,8 +201,7 @@ impl Field for Vec<u8> {
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
-        let len = u32::get(r)? as usize;
-        Ok(r.take(len)?.to_vec())
+        Ok(r.bytes()?.to_vec())
     }
 }
 
@@ -228,8 +229,8 @@ impl Field for Vec<KvPair> {
     fn put(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).put(buf);
         for pair in self {
-            pair.key.put(buf);
-            pair.value.put(buf);
+            put_bytes(buf, &pair.key);
+            put_bytes(buf, &pair.value);
         }
     }
 
@@ -243,23 +244,25 @@ impl Field for Vec<KvPair> {
                 "frame announces {n} records in {remaining} bytes"
             )));
         }
+        // Each key and value is read straight out of the frame: one that
+        // fits inline costs no allocation.
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
-            let key = Vec::get(r)?;
-            let value = Vec::get(r)?;
-            records.push(KvPair { key, value });
+            let key = r.bytes()?;
+            let value = r.bytes()?;
+            records.push(KvPair::new(key, value));
         }
         Ok(records)
     }
 }
 
-impl Field for InputSplit {
+impl Field for Arc<InputSplit> {
     fn put(&self, buf: &mut Vec<u8>) {
         self.records.put(buf);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
-        Vec::get(r).map(InputSplit::new)
+        Vec::get(r).map(|records| Arc::new(InputSplit::new(records)))
     }
 }
 
@@ -394,6 +397,12 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// A `u32`-length-prefixed byte string, borrowed from the payload.
+    fn bytes(&mut self) -> Result<&'a [u8], MrError> {
+        let len = u32::get(self)? as usize;
+        self.take(len)
+    }
+
     fn array<const N: usize>(&mut self) -> Result<[u8; N], MrError> {
         let mut bytes = [0u8; N];
         bytes.copy_from_slice(self.take(N)?);
@@ -416,6 +425,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use crate::counters::Counter;
+    use crate::record::Bytes;
     use proptest::prelude::*;
 
     /// Field values for the table's generated messages, drawn from a
@@ -473,6 +483,14 @@ mod tests {
         }
     }
 
+    /// A record key or value: 0–47 bytes, so that both sides of the
+    /// 22-byte inline bound are drawn.
+    impl Draw for Bytes {
+        fn draw(src: &mut Source) -> Self {
+            Bytes::from(src.draw::<Vec<u8>>())
+        }
+    }
+
     impl Draw for Vec<KvPair> {
         fn draw(src: &mut Source) -> Self {
             let n = src.byte() % 4;
@@ -485,9 +503,9 @@ mod tests {
         }
     }
 
-    impl Draw for InputSplit {
+    impl Draw for Arc<InputSplit> {
         fn draw(src: &mut Source) -> Self {
-            InputSplit::new(src.draw())
+            Arc::new(InputSplit::new(src.draw()))
         }
     }
 

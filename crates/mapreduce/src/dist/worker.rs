@@ -460,7 +460,7 @@ mod tests {
                 Msg::MapTask {
                     task: 3,
                     attempt: 2,
-                    split,
+                    split: Arc::new(split),
                 },
             );
             let mut partitions = Vec::new();

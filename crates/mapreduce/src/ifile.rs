@@ -1409,7 +1409,7 @@ impl IFileReader {
         let count = usize::try_from(seg.record_count()?).unwrap_or(usize::MAX);
         let mut records = Vec::with_capacity(count.min(seg.raw.len()));
         seg.for_each_record(|key, value| {
-            records.push(KvPair::new(key.to_vec(), value.to_vec()));
+            records.push(KvPair::new(key, value));
         })?;
         Ok(IFileReader {
             records,

@@ -1,19 +1,181 @@
 //! Records, input splits, and the user-function traits.
 
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+
+/// Bytes a [`Bytes`] holds without touching the allocator: a 2-D
+/// indexed grid key (12 B), a 3-D one (16 B) and any 4-byte value fit;
+/// a 3-D `Named` key (23 B), an aggregate key (28 B) and a packed run of
+/// cell values do not.
+pub const INLINE_BYTES: usize = 22;
+
+/// Byte storage. Strings of up to [`INLINE_BYTES`] are always `Inline`,
+/// so building, cloning and dropping one costs no allocation.
+/// `Box<[u8]>` rather than `Vec<u8>` keeps the whole string at 24 bytes,
+/// the size of the `Vec` it replaced.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u8; INLINE_BYTES] },
+    Heap(Box<[u8]>),
+}
+
+/// An immutable byte string: one record key or value.
+///
+/// Equality, ordering, hashing and `Debug` are those of the byte slice,
+/// so a [`KvPair`] sorts, hashes and prints as it did over `Vec<u8>`.
+#[derive(Clone)]
+pub struct Bytes(Repr);
+
+impl Bytes {
+    /// The bytes.
+    #[inline]
+    pub fn as_slice(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(b) => b,
+        }
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::from(&[][..])
+    }
+}
+
+impl Deref for Bytes {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl AsRef<[u8]> for Bytes {
+    fn as_ref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl From<&[u8]> for Bytes {
+    #[inline]
+    fn from(v: &[u8]) -> Self {
+        if v.len() <= INLINE_BYTES {
+            let mut buf = [0; INLINE_BYTES];
+            buf[..v.len()].copy_from_slice(v);
+            Bytes(Repr::Inline {
+                len: v.len() as u8,
+                buf,
+            })
+        } else {
+            Bytes(Repr::Heap(v.into()))
+        }
+    }
+}
+
+impl<const N: usize> From<&[u8; N]> for Bytes {
+    fn from(v: &[u8; N]) -> Self {
+        Bytes::from(&v[..])
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    fn from(v: Vec<u8>) -> Self {
+        if v.len() <= INLINE_BYTES {
+            Bytes::from(v.as_slice())
+        } else {
+            Bytes(Repr::Heap(v.into_boxed_slice()))
+        }
+    }
+}
+
+impl From<Bytes> for Vec<u8> {
+    fn from(b: Bytes) -> Self {
+        match b.0 {
+            Repr::Inline { len, buf } => buf[..len as usize].to_vec(),
+            Repr::Heap(b) => b.into_vec(),
+        }
+    }
+}
+
+impl PartialEq for Bytes {
+    #[inline]
+    fn eq(&self, other: &Bytes) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialEq<[u8]> for Bytes {
+    fn eq(&self, other: &[u8]) -> bool {
+        self.as_slice() == other
+    }
+}
+
+impl PartialEq<Bytes> for [u8] {
+    fn eq(&self, other: &Bytes) -> bool {
+        self == other.as_slice()
+    }
+}
+
+impl PartialEq<Vec<u8>> for Bytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl PartialEq<Bytes> for Vec<u8> {
+    fn eq(&self, other: &Bytes) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    #[inline]
+    fn cmp(&self, other: &Bytes) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for Bytes {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
+}
+
 /// One key/value pair, both raw byte strings (Hadoop serializes keys the
 /// moment they are emitted — §II-B assumption *b* — and this engine keeps
 /// that behaviour so the paper's byte accounting is honest).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KvPair {
     /// Serialized key.
-    pub key: Vec<u8>,
+    pub key: Bytes,
     /// Serialized value.
-    pub value: Vec<u8>,
+    pub value: Bytes,
 }
+
+// Two `Vec`-sized strings: the pair is no bigger than it was over `Vec<u8>`.
+const _: () = assert!(std::mem::size_of::<KvPair>() == 48);
 
 impl KvPair {
     /// Construct a pair.
-    pub fn new(key: impl Into<Vec<u8>>, value: impl Into<Vec<u8>>) -> Self {
+    pub fn new(key: impl Into<Bytes>, value: impl Into<Bytes>) -> Self {
         KvPair {
             key: key.into(),
             value: value.into(),
@@ -106,6 +268,63 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+
+    fn hash_of(v: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Byte strings on both sides of the inline bound, the bound itself
+    /// included, and well past it.
+    fn byte_string() -> impl Strategy<Value = Vec<u8>> {
+        let len = prop_oneof![
+            Just(0usize),
+            Just(1),
+            Just(INLINE_BYTES - 1),
+            Just(INLINE_BYTES),
+            Just(INLINE_BYTES + 1),
+            0usize..300,
+        ];
+        // A small alphabet, so that equal strings and shared prefixes
+        // turn up.
+        (len, proptest::collection::vec(0u8..3, 300)).prop_map(|(n, bytes)| bytes[..n].to_vec())
+    }
+
+    proptest! {
+        #[test]
+        fn bytes_behave_exactly_as_the_vec_they_replace(a in byte_string(), b in byte_string()) {
+            let (x, y) = (Bytes::from(a.as_slice()), Bytes::from(b.clone()));
+            prop_assert_eq!(Vec::from(x.clone()), a.clone());
+            prop_assert_eq!(Vec::from(y.clone()), b.clone());
+            prop_assert_eq!(Bytes::from(a.clone()), x.clone());
+            prop_assert_eq!(x.to_vec(), a.clone());
+            prop_assert_eq!(x.len(), a.len());
+            prop_assert!(x == a);
+            prop_assert!(a == x);
+            prop_assert!(x == *a.as_slice());
+            prop_assert!(*a.as_slice() == x);
+            prop_assert_eq!(x == y, a == b);
+            prop_assert_eq!(x.cmp(&y), a.cmp(&b));
+            prop_assert_eq!(hash_of(&x), hash_of(&a));
+            prop_assert_eq!(format!("{x:?}"), format!("{a:?}"));
+            // A pair orders and hashes as it did over two `Vec<u8>`s.
+            let (p, q) = (KvPair::new(x.clone(), y.clone()), KvPair::new(y, x));
+            prop_assert_eq!(p.cmp(&q), (&a, &b).cmp(&(&b, &a)));
+            prop_assert_eq!(hash_of(&p), hash_of(&(&a, &b)));
+        }
+    }
+
+    #[test]
+    fn short_strings_stay_inline_and_long_ones_take_one_heap_block() {
+        let at_bound = Bytes::from(&[7u8; INLINE_BYTES]);
+        assert!(matches!(at_bound.0, Repr::Inline { .. }));
+        let past = Bytes::from(vec![7u8; INLINE_BYTES + 1]);
+        assert!(matches!(past.0, Repr::Heap(_)));
+        assert!(matches!(Bytes::default().0, Repr::Inline { len: 0, .. }));
+    }
 
     #[test]
     fn kvpair_sizes() {

@@ -46,7 +46,7 @@ impl Slot for InProcessSlot<'_> {
         job: &JobState,
         task: usize,
         attempt: u32,
-        split: &InputSplit,
+        split: &Arc<InputSplit>,
     ) -> Result<Outcome<MapOutput>, MrError> {
         Ok(match Attempt::begin(job.config, task, attempt, false) {
             Err(failed) => failed,
@@ -174,7 +174,7 @@ pub(crate) fn run_map_task(
                 let mut combined: Vec<KvPair> = Vec::with_capacity(arena.partition_len(partition));
                 arena.for_each_group(partition, ks.as_ref(), |key, values| {
                     combiner.reduce(key, values, &mut |k: &[u8], v: &[u8]| {
-                        combined.push(KvPair::new(k.to_vec(), v.to_vec()));
+                        combined.push(KvPair::new(k, v));
                     });
                 });
                 sort_pairs(&mut combined, ks.as_ref());
@@ -461,7 +461,7 @@ pub(crate) fn run_reduce_task(
                 }
             }
             frontier.push(window.len());
-            window.push(KvPair::new(key.to_vec(), value.to_vec()));
+            window.push(KvPair::new(key, value));
         }
         if !window.is_empty() {
             flush(&mut window);
@@ -580,7 +580,7 @@ impl<'r> GroupRunner<'r> {
         let (out, output_bytes) = (&mut self.out, &mut self.output_bytes);
         let mut emit = |k: &[u8], v: &[u8]| {
             *output_bytes += (k.len() + v.len()) as u64;
-            out.push(KvPair::new(k.to_vec(), v.to_vec()));
+            out.push(KvPair::new(k, v));
         };
         for (key, values) in batch.groups() {
             obs::hist(Metric::ReduceGroupValues, values.len() as u64);
@@ -633,8 +633,8 @@ mod tests {
             .into_iter()
             .map(|p| {
                 (
-                    String::from_utf8(p.key).unwrap(),
-                    u64::from_be_bytes(p.value.try_into().unwrap()),
+                    String::from_utf8(p.key.into()).unwrap(),
+                    u64::from_be_bytes(p.value[..].try_into().unwrap()),
                 )
             })
             .collect()

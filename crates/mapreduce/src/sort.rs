@@ -817,7 +817,7 @@ mod tests {
         let b = vec![pair("x", "3")];
         let merged = merge_sorted_runs(vec![a, b], &DefaultKeySemantics);
         assert_eq!(merged.len(), 3);
-        assert!(merged.iter().all(|p| p.key == b"x"));
+        assert!(merged.iter().all(|p| *p.key == *b"x"));
     }
 
     #[test]

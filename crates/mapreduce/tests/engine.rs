@@ -118,7 +118,7 @@ fn custom_comparator_controls_output_order() {
     )
     .run(word_splits(200, 40), identity_mapper(), count_reducer())
     .unwrap();
-    let keys: Vec<Vec<u8>> = result.outputs[0].iter().map(|p| p.key.clone()).collect();
+    let keys: Vec<Vec<u8>> = result.outputs[0].iter().map(|p| p.key.to_vec()).collect();
     let mut sorted = keys.clone();
     sorted.sort_by(|a, b| b.cmp(a));
     assert_eq!(keys, sorted, "outputs must follow the custom comparator");
@@ -263,12 +263,12 @@ impl KeySemantics for MarkerSplit {
         for r in records {
             if r.key.first() == Some(&b'S') {
                 let mid = r.value.len() / 2;
-                let mut a_key = r.key.clone();
+                let mut a_key = r.key.to_vec();
                 a_key[0] = b'A';
-                let mut z_key = r.key;
+                let mut z_key = r.key.to_vec();
                 z_key[0] = b'Z';
-                out.push(KvPair::new(a_key, r.value[..mid].to_vec()));
-                out.push(KvPair::new(z_key, r.value[mid..].to_vec()));
+                out.push(KvPair::new(a_key, &r.value[..mid]));
+                out.push(KvPair::new(z_key, &r.value[mid..]));
             } else {
                 out.push(r);
             }

@@ -71,7 +71,7 @@ fn counts(result: &JobResult) -> Vec<u64> {
     result
         .all_outputs()
         .into_iter()
-        .map(|p| u64::from_be_bytes(p.value.try_into().unwrap()))
+        .map(|p| u64::from_be_bytes(p.value[..].try_into().unwrap()))
         .collect()
 }
 

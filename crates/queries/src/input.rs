@@ -15,8 +15,9 @@ use scihadoop_mapreduce::{InputSplit, KvPair};
 ///
 /// Splits are built a row at a time: the part of the key that is the same
 /// along a row (variable identifier and leading coordinates) is encoded
-/// once per row, and the row's values are one slice of the variable's
-/// data, whatever the element width.
+/// once per row, into one buffer each record's key is copied out of, and
+/// the row's values are one slice of the variable's data, whatever the
+/// element width.
 pub fn dataset_splits(
     var: &Variable,
     layout: &KeyLayout,
@@ -52,13 +53,13 @@ pub fn dataset_splits(
             for c in &start.components()[..last] {
                 row_key.extend_from_slice(&c.to_be_bytes());
             }
+            let row_len = row_key.len();
             let first = var.shape().linearize(&start)? as usize;
             let values = data[first * width..(first + row_cells) * width].chunks_exact(width);
             for (x, value) in (start[last]..).zip(values) {
-                let mut key = Vec::with_capacity(row_key.len() + 4);
-                key.extend_from_slice(&row_key);
-                key.extend_from_slice(&x.to_be_bytes());
-                records.push(KvPair::new(key, value));
+                row_key.truncate(row_len);
+                row_key.extend_from_slice(&x.to_be_bytes());
+                records.push(KvPair::new(row_key.as_slice(), value));
             }
         }
         splits.push(InputSplit::new(records));
@@ -82,7 +83,7 @@ mod tests {
         // All keys distinct.
         let mut keys: Vec<Vec<u8>> = splits
             .iter()
-            .flat_map(|s| s.records.iter().map(|r| r.key.clone()))
+            .flat_map(|s| s.records.iter().map(|r| r.key.to_vec()))
             .collect();
         keys.sort();
         keys.dedup();

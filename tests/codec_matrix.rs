@@ -62,7 +62,12 @@ fn run_count_job(codec: Arc<dyn Codec>, framing: Framing) -> HashMap<Vec<u8>, u6
     result
         .all_outputs()
         .into_iter()
-        .map(|p| (p.key, u64::from_be_bytes(p.value.try_into().unwrap())))
+        .map(|p| {
+            (
+                p.key.to_vec(),
+                u64::from_be_bytes(p.value[..].try_into().unwrap()),
+            )
+        })
         .collect()
 }
 

@@ -38,7 +38,7 @@ fn read_pairs(data: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         .unwrap()
         .into_records()
         .into_iter()
-        .map(|p| (p.key, p.value))
+        .map(|p| (p.key.into(), p.value.into()))
         .collect()
 }
 
@@ -188,7 +188,7 @@ proptest! {
             .unwrap()
             .into_records()
             .into_iter()
-            .map(|p| (p.key, p.value))
+            .map(|p| (p.key.into(), p.value.into()))
             .collect();
         prop_assert_eq!(got, pairs);
     }
@@ -215,7 +215,7 @@ proptest! {
             .map(|r| {
                 let pairs: Vec<(Vec<u8>, Vec<u8>)> = r
                     .iter()
-                    .map(|p| (p.key.clone(), p.value.clone()))
+                    .map(|p| (p.key.to_vec(), p.value.to_vec()))
                     .collect();
                 write_segment(&pairs, 3, budget)
             })
@@ -470,7 +470,7 @@ fn duplicate_heavy_merge_replays_once_per_group() {
             .map(|run| {
                 let pairs: Vec<_> = run
                     .iter()
-                    .map(|p| (p.key.clone(), p.value.clone()))
+                    .map(|p| (p.key.to_vec(), p.value.to_vec()))
                     .collect();
                 write_segment(&pairs, version, 256)
             })

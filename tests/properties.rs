@@ -196,7 +196,7 @@ proptest! {
             .collect();
         let mut expected: HashMap<Vec<u8>, u64> = HashMap::new();
         for p in &pairs {
-            *expected.entry(p.key.clone()).or_default() += 1;
+            *expected.entry(p.key.to_vec()).or_default() += 1;
         }
 
         let splits: Vec<InputSplit> = pairs
@@ -217,7 +217,7 @@ proptest! {
         let got: HashMap<Vec<u8>, u64> = result
             .all_outputs()
             .into_iter()
-            .map(|p| (p.key, u64::from_be_bytes(p.value.try_into().unwrap())))
+            .map(|p| (p.key.to_vec(), u64::from_be_bytes(p.value[..].try_into().unwrap())))
             .collect();
         prop_assert_eq!(got, expected);
     }

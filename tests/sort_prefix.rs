@@ -118,7 +118,7 @@ fn check_engine(ks: Arc<dyn KeySemantics>, keys: &[Vec<u8>]) -> Result<(), TestC
                 .chain(keys.iter().cloned())
                 .map(|key| KvPair::new(key, vec![s as u8; 4]))
                 .collect();
-            distinct.extend(pairs.iter().map(|p| p.key.clone()));
+            distinct.extend(pairs.iter().map(|p| p.key.to_vec()));
             InputSplit::new(pairs)
         })
         .collect();
@@ -149,8 +149,11 @@ fn check_engine(ks: Arc<dyn KeySemantics>, keys: &[Vec<u8>]) -> Result<(), TestC
         distinct.len() as u64,
         "one reduce group per distinct key"
     );
-    let reduced: Vec<&Vec<u8>> = result.outputs[0].iter().map(|p| &p.key).collect();
-    prop_assert_eq!(reduced, distinct.iter().collect::<Vec<_>>());
+    let reduced: Vec<&[u8]> = result.outputs[0].iter().map(|p| &p.key[..]).collect();
+    prop_assert_eq!(
+        reduced,
+        distinct.iter().map(Vec::as_slice).collect::<Vec<_>>()
+    );
 
     let mut sorted: Vec<KvPair> = keys
         .iter()
