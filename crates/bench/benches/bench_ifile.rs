@@ -1,7 +1,7 @@
 //! IFile v3 benchmark: grouped, column-ordered block segments against
 //! the flat v2 format — write throughput, merged bytes, merge throughput
 //! on contended (interleaved) vs uncontended (disjoint-range) fan-in,
-//! the block-skip hit rate the fence-key index buys on presorted runs,
+//! the block-skip hit rate the header fence keys buy on presorted runs,
 //! and the layout × codec size table on sliding-median records.
 //!
 //! Run with `cargo bench --bench bench_ifile`. Set
@@ -15,6 +15,7 @@ use scihadoop_bench::json::Json;
 use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads::{median_sorted_records, merge_group_pass};
 use scihadoop_compress::{crc32c, IdentityCodec};
+use scihadoop_mapreduce::ifile::DEFAULT_BLOCK_BUDGET;
 use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
     BlockMergeStream, DefaultKeySemantics, Framing, IFileWriter, KeySemantics, KvPair, MergeItem,
@@ -57,26 +58,13 @@ fn write_v2(pairs: &[KvPair]) -> Vec<u8> {
 }
 
 fn write_v3(pairs: &[KvPair]) -> Vec<u8> {
-    let mut w = IFileWriter::v3(
-        Framing::IFile,
-        Arc::new(IdentityCodec),
-        Arc::new(DefaultKeySemantics),
-    );
-    for p in pairs {
-        w.append_pair(p);
-    }
-    w.close().data
+    write_v3_budget(pairs, DEFAULT_BLOCK_BUDGET)
 }
 
 /// [`write_v3`] with an explicit per-block body budget, for the
 /// block-budget sweep that backs `DEFAULT_BLOCK_BUDGET`.
 fn write_v3_budget(pairs: &[KvPair], budget: usize) -> Vec<u8> {
-    let mut w = IFileWriter::v3_with_budget(
-        Framing::IFile,
-        Arc::new(IdentityCodec),
-        Arc::new(DefaultKeySemantics),
-        budget,
-    );
+    let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), budget);
     for p in pairs {
         w.append_pair(p);
     }
@@ -191,10 +179,10 @@ fn merge_records(sealed: &[Vec<u8>]) -> u64 {
 fn v3_merge_items(sealed: &[Vec<u8>]) -> (u64, u64) {
     let raws = open_all(sealed);
     let mut stream = BlockMergeStream::new(&raws, &DefaultKeySemantics).unwrap();
-    let mut w = IFileWriter::v3(
+    let mut w = IFileWriter::v3_with_budget(
         Framing::IFile,
         Arc::new(IdentityCodec),
-        Arc::new(DefaultKeySemantics),
+        DEFAULT_BLOCK_BUDGET,
     );
     let mut n = 0u64;
     let mut spliced = 0u64;
@@ -218,18 +206,13 @@ fn v3_merge_items(sealed: &[Vec<u8>]) -> (u64, u64) {
 
 /// The layout ROADMAP item 1 proposed and this format did not take: a
 /// block is `records, key_len, value_len, crc32c(body)` as four `u32`s,
-/// then every key in full, then every value; a 29-byte index entry per
-/// block (offset, fence prefix, fence key) closes the segment. Fixed-size
-/// keys and values only, which is what sliding-median records are.
+/// then every key in full, then every value; the blocks are the segment,
+/// as in v3. Fixed-size keys and values only, which is what
+/// sliding-median records are.
 fn full_key_column_segment(records: &[KvPair], budget: usize) -> Vec<u8> {
     let (key_len, value_len) = (records[0].key.len(), records[0].value.len());
-    let (mut out, mut index) = (b"SHIF\x04\x01".to_vec(), Vec::new());
+    let mut out = b"SHIF\x04\x01".to_vec();
     for block in records.chunks((budget / (key_len + value_len)).max(1)) {
-        index.extend_from_slice(&(out.len() as u64).to_be_bytes());
-        let wide = DefaultKeySemantics.sort_prefix_wide(&block[0].key);
-        index.extend_from_slice(&wide.to_be_bytes()[..8]);
-        index.push(key_len as u8);
-        index.extend_from_slice(&block[0].key);
         let mut body = Vec::with_capacity(block.len() * (key_len + value_len));
         block.iter().for_each(|p| body.extend_from_slice(&p.key));
         block.iter().for_each(|p| body.extend_from_slice(&p.value));
@@ -238,7 +221,6 @@ fn full_key_column_segment(records: &[KvPair], budget: usize) -> Vec<u8> {
         }
         out.extend_from_slice(&body);
     }
-    out.extend_from_slice(&index);
     let trailer = crc32c(&out);
     out.extend_from_slice(&trailer.to_be_bytes());
     out
@@ -261,10 +243,10 @@ fn layout_ablation(records: &[KvPair]) -> Vec<Json> {
                 through_writer(IFileWriter::new(Framing::IFile, codec()))
             }),
             ("v3 grouped columns", &|| {
-                through_writer(IFileWriter::v3(
+                through_writer(IFileWriter::v3_with_budget(
                     Framing::IFile,
                     codec(),
-                    Arc::new(DefaultKeySemantics),
+                    DEFAULT_BLOCK_BUDGET,
                 ))
             }),
             ("full-key column", &|| {
@@ -407,8 +389,12 @@ fn main() {
     );
 
     // ---- block-skip hit rate --------------------------------------------
-    let blocks_per_set =
-        |sealed: &[Vec<u8>]| -> u64 { open_all(sealed).iter().map(|r| r.blocks() as u64).sum() };
+    let blocks_per_set = |sealed: &[Vec<u8>]| -> u64 {
+        open_all(sealed)
+            .iter()
+            .map(|r| r.blocks().unwrap() as u64)
+            .sum()
+    };
     let (_, spliced_disjoint) = v3_merge_items(&disjoint_v3);
     let (_, spliced_interleaved) = v3_merge_items(&interleaved_v3);
     let skip_rate_disjoint = spliced_disjoint as f64 / blocks_per_set(&disjoint_v3) as f64;
@@ -416,7 +402,7 @@ fn main() {
 
     // ---- block-budget sweep ----------------------------------------------
     // Backs DEFAULT_BLOCK_BUDGET (4096): per budget, segment bytes on the
-    // front-coding write workload (fence/header overhead amortization) and
+    // front-coding write workload (block header overhead amortization) and
     // skip rate + splice speedup on disjoint presorted runs (granularity:
     // a bigger block is likelier to straddle a rival's fence).
     // The same on one map task's sliding-median records, where a block

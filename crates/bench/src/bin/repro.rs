@@ -34,8 +34,8 @@
 //!   trace, fault_storm and dist experiments: 1 = plain, 2 =
 //!   CRC-trailed framed records (the paper's Hadoop layout and this
 //!   tool's default, so its byte rows stay comparable with the paper's),
-//!   3 = blocks of front-coded key groups in column order with
-//!   fence-key indexes (what the engine itself defaults to).
+//!   3 = CRC'd blocks of front-coded key groups in column order, each
+//!   headed by its first key (what the engine itself defaults to).
 //! --faults <spec> configures the fault_storm plan, e.g.
 //!   "seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2"
 //!   (keys are optional; rates in [0,1]). --retries <n> sets the

@@ -8,7 +8,7 @@ use scihadoop_compress::{BzipCodec, Codec, DeflateCodec, IdentityCodec};
 use scihadoop_core::aggregate::{expand_record, overlapping_pairs, padding_overhead, Aggregator};
 use scihadoop_core::transform::{self, TransformCodec, TransformConfig};
 use scihadoop_grid::{BoundingBox, Coord, GridError, Shape};
-use scihadoop_mapreduce::ifile::Segment;
+use scihadoop_mapreduce::ifile::{Segment, DEFAULT_BLOCK_BUDGET};
 use scihadoop_mapreduce::obs::{self, Recorder, ALL_PHASES};
 use scihadoop_mapreduce::record::InputSplit;
 use scihadoop_mapreduce::{
@@ -148,11 +148,7 @@ pub fn fig3(n: u32, max_stride: usize) -> (Table, Vec<CompressionPoint>) {
         let t0 = Instant::now();
         let mut w = match version {
             2 => IFileWriter::new(Framing::IFile, codec),
-            _ => IFileWriter::v3(
-                Framing::IFile,
-                codec,
-                Arc::new(scihadoop_mapreduce::DefaultKeySemantics),
-            ),
+            _ => IFileWriter::v3_with_budget(Framing::IFile, codec, DEFAULT_BLOCK_BUDGET),
         };
         for key in stream.chunks_exact(12) {
             w.append(key, &[]);

@@ -19,11 +19,16 @@
 //! writes unless told otherwise — has no per-record framing at all:
 //! sorted records are cut into CRC'd blocks whose body is column-ordered
 //! and stores each distinct key once, front-coded against its
-//! predecessor (see [`IFileWriter::v3`] and DESIGN.md §12). Versions 1
-//! and 2 stay as the explicit constructors the paper's byte tables need.
+//! predecessor (see [`IFileWriter::v3`] and DESIGN.md §12). A v3 segment
+//! is its blocks and nothing else: readers find each block by walking
+//! the headers before it. Versions 1 and 2 stay as the explicit
+//! constructors the paper's byte tables need.
 //!
 //! A writer wraps a [`Codec`]: `close()` compresses everything written
 //! and reports both raw and materialized sizes.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::error::MrError;
 use crate::keysem::KeySemantics;
@@ -40,21 +45,19 @@ const VERSION_PLAIN: u8 = 1;
 /// Format version whose raw stream ends in a CRC-32 trailer.
 const VERSION_CRC: u8 = 2;
 /// Format version 3: sorted records in blocks of key groups with a
-/// column-ordered body, each block with its own CRC-32C, followed by a
-/// fence-key index and the v2 segment trailer. See [`IFileWriter::v3`].
+/// column-ordered body, each block with its own CRC-32C, followed by the
+/// v2 segment trailer. See [`IFileWriter::v3`].
 const VERSION_BLOCK: u8 = 3;
 /// Big-endian CRC-32 of everything before it (header + records).
 const TRAILER_LEN: usize = 4;
 /// Per-block CRC-32C field size in a v3 block header.
 const BLOCK_CRC_LEN: usize = 4;
-/// Fixed-width big-endian fence-index offset at the end of a v3 body.
-const INDEX_OFFSET_LEN: usize = 8;
 
 /// Default raw-body byte budget per v3 block. Small enough that a
 /// contended merge decodes little past what it needs and a corrupt
 /// block invalidates only a few KiB; large enough that the per-block
-/// header + fence-index entry stay well under 1% of the block (see the
-/// block-budget sweep in EXPERIMENTS.md).
+/// header stays well under 1% of the block (see the block-budget sweep
+/// in EXPERIMENTS.md).
 pub const DEFAULT_BLOCK_BUDGET: usize = 4096;
 
 /// Most records one v3 block may hold. A repeated key with an empty
@@ -71,8 +74,7 @@ pub enum IFileVersion {
     /// Version 2: framed records + CRC-32C segment trailer — the
     /// paper's Hadoop baseline.
     V2,
-    /// Version 3: blocks of front-coded key groups + fence-key index +
-    /// trailer (default).
+    /// Version 3: blocks of front-coded key groups + trailer (default).
     #[default]
     V3,
 }
@@ -219,22 +221,11 @@ const SUFFIXES: usize = 1;
 const VALUE_LENS: usize = 2;
 const VALUES: usize = 3;
 
-/// What the v3 fence index keeps of a key's
-/// [`KeySemantics::sort_prefix_wide`]: its high word. The writer's seal
-/// and the merge's block-skip proof both take it here, so a fence read
-/// off disk and the head of a rival run compare like with like whatever
-/// an implementor returns.
-#[inline]
-pub(crate) fn fence_prefix(wide: u128) -> u64 {
-    (wide >> 64) as u64
-}
-
 /// In-flight v3 block-building state. One block's records are staged
 /// column by column and flushed to the segment buffer behind a block
 /// header once the columns reach the byte budget or the block the record
 /// cap. The staging buffers are reused from block to block.
 struct BlockState {
-    ks: Arc<dyn KeySemantics>,
     budget: usize,
     columns: [Vec<u8>; 4],
     records: u64,
@@ -249,8 +240,8 @@ struct BlockState {
     fence: Vec<u8>,
     /// Key of the open group.
     last_key: Vec<u8>,
-    /// `(segment offset, fence prefix, fence key)` per sealed block.
-    fences: Vec<(usize, u64, Vec<u8>)>,
+    /// Blocks sealed or spliced into the segment so far.
+    blocks: u64,
 }
 
 impl BlockState {
@@ -266,19 +257,62 @@ impl BlockState {
         self.groups += 1;
     }
 
+    /// Stage one record: a key byte-identical to its predecessor's only
+    /// bumps the open group's count; any other key closes that group and
+    /// opens one front-coded against it. The value goes to the value
+    /// column either way, its length to the length column only once the
+    /// block has seen two different lengths. The previous block is sealed
+    /// into `buf` first if it has reached its byte budget or the record
+    /// cap. Returns the key bytes stored.
+    fn append(&mut self, buf: &mut Vec<u8>, key: &[u8], value: &[u8]) -> usize {
+        if self.records > 0 && (self.staged() >= self.budget || self.records >= MAX_BLOCK_RECORDS) {
+            self.seal(buf);
+        }
+        let mut stored = 0;
+        if self.records == 0 {
+            // Block's first record: its key becomes the fence key, and
+            // it front-codes against itself (shared = len, empty suffix)
+            // so the decoder needs no special case.
+            self.fence.extend_from_slice(key);
+            self.last_key.extend_from_slice(key);
+            self.open = [key.len(), 0, 1];
+            self.uniform = Some(value.len());
+        } else if key == self.last_key.as_slice() {
+            self.open[2] += 1;
+        } else {
+            self.close_group();
+            let shared = common_prefix_len(&self.last_key, key);
+            let suffix = &key[shared..];
+            self.columns[SUFFIXES].extend_from_slice(suffix);
+            self.last_key.truncate(shared);
+            self.last_key.extend_from_slice(suffix);
+            self.open = [shared, suffix.len(), 1];
+            stored = suffix.len();
+        }
+        if let Some(len) = self.uniform.filter(|&len| len != value.len()) {
+            // First odd length: the column starts existing, backfilled.
+            (0..self.records).for_each(|_| write_vint(&mut self.columns[VALUE_LENS], len as i64));
+            self.uniform = None;
+        }
+        if self.uniform.is_none() {
+            write_vint(&mut self.columns[VALUE_LENS], value.len() as i64);
+        }
+        self.columns[VALUES].extend_from_slice(value);
+        self.records += 1;
+        self.key_bytes += key.len() as u64;
+        stored
+    }
+
     /// Flush the open block (if any) to `buf` as
     /// `vints(records, key_bytes, stored_key_bytes, value_bytes, groups,
     /// uniform_value_len, fence_len), fence, vint(body_len),
     /// crc32c(body), body` — the body being the four columns, the value
-    /// lengths absent when `uniform_value_len >= 0` — and record its
-    /// fence-index entry.
+    /// lengths absent when `uniform_value_len >= 0`.
     fn seal(&mut self, buf: &mut Vec<u8>) {
         if self.records == 0 {
             return;
         }
         self.close_group();
-        let offset = buf.len();
-        let prefix = fence_prefix(self.ks.sort_prefix_wide(&self.fence));
         for field in [
             self.records as i64,
             self.key_bytes as i64,
@@ -299,8 +333,8 @@ impl BlockState {
             buf.extend_from_slice(column);
             column.clear();
         }
-        self.fences
-            .push((offset, prefix, std::mem::take(&mut self.fence)));
+        self.blocks += 1;
+        self.fence.clear();
         self.last_key.clear();
         self.records = 0;
         self.key_bytes = 0;
@@ -311,18 +345,19 @@ impl BlockState {
 /// Length of the longest common prefix of two byte strings, eight bytes
 /// at a step: sorted keys share most of their length, and the writer
 /// asks once per key group.
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+fn common_prefix_len(mut a: &[u8], mut b: &[u8]) -> usize {
     let mut shared = 0;
-    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        let diff =
-            u64::from_le_bytes(x.try_into().unwrap()) ^ u64::from_le_bytes(y.try_into().unwrap());
+    while let (Some((x, a_rest)), Some((y, b_rest))) =
+        (a.split_first_chunk::<8>(), b.split_first_chunk::<8>())
+    {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
         if diff != 0 {
             return shared + diff.trailing_zeros() as usize / 8;
         }
         shared += 8;
+        (a, b) = (a_rest, b_rest);
     }
-    let tail = a[shared..].iter().zip(&b[shared..]);
-    shared + tail.take_while(|(x, y)| x == y).count()
+    shared + a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 /// A closed intermediate segment plus its size accounting.
@@ -356,8 +391,8 @@ impl Segment {
 
     /// Framing overhead bytes: raw size minus stored key/value payload
     /// and the constant file header. For v3 this covers the per-record
-    /// prefix/suffix vints, block headers (fence keys, per-block CRCs),
-    /// and the fence-key index.
+    /// group-head vints, value lengths and block headers (fence keys,
+    /// per-block CRCs).
     pub fn framing_bytes(&self) -> u64 {
         let payload = self.stored_key_bytes + self.value_bytes + HEADER_LEN as u64;
         debug_assert!(
@@ -417,32 +452,25 @@ impl IFileWriter {
     /// Open a version-3 writer: records are cut into fixed-budget blocks,
     /// a run of byte-identical keys is stored once as a group whose key
     /// is front-coded against the previous group's, each block carries
-    /// its own CRC-32C, and the segment ends with a fence-key index
-    /// (first key + the high word of its
-    /// [`KeySemantics::sort_prefix_wide`] + offset per block) followed by
-    /// the v2 CRC trailer.
+    /// its first key and its own CRC-32C in its header, and the v2 CRC
+    /// trailer follows the last block.
     ///
-    /// Grouping and front coding are order-agnostic (and compare key
-    /// *bytes*, whatever `ks` calls equal), but the fence index only
-    /// supports binary search and merge block skipping when keys are
-    /// appended in `ks` sort order — which the spill sort guarantees.
-    pub fn v3(framing: Framing, codec: Arc<dyn Codec>, ks: Arc<dyn KeySemantics>) -> Self {
-        Self::v3_with_budget(framing, codec, ks, DEFAULT_BLOCK_BUDGET)
+    /// Grouping and front coding are order-agnostic: they compare key
+    /// *bytes*, so the writer needs no key semantics, and `_ks` is
+    /// ignored — the parameter stays for callers written against the
+    /// older signature. The merge's block skipping still assumes keys
+    /// appended in sort order, which the spill sort guarantees.
+    pub fn v3(framing: Framing, codec: Arc<dyn Codec>, _ks: Arc<dyn KeySemantics>) -> Self {
+        Self::v3_with_budget(framing, codec, DEFAULT_BLOCK_BUDGET)
     }
 
     /// [`IFileWriter::v3`] with an explicit per-block raw-body byte
-    /// budget (the block-budget sweep and tests pin small budgets to
-    /// force many blocks).
-    pub fn v3_with_budget(
-        framing: Framing,
-        codec: Arc<dyn Codec>,
-        ks: Arc<dyn KeySemantics>,
-        budget: usize,
-    ) -> Self {
+    /// budget ([`DEFAULT_BLOCK_BUDGET`] unless a sweep or a test pins a
+    /// small one to force many blocks).
+    pub fn v3_with_budget(framing: Framing, codec: Arc<dyn Codec>, budget: usize) -> Self {
         let mut writer = Self::with_trailer(framing, codec, true);
         writer.buf[4] = VERSION_BLOCK;
         writer.block = Some(BlockState {
-            ks,
             budget: budget.max(1),
             columns: Default::default(),
             records: 0,
@@ -452,82 +480,34 @@ impl IFileWriter {
             uniform: None,
             fence: Vec::new(),
             last_key: Vec::new(),
-            fences: Vec::new(),
+            blocks: 0,
         });
         writer
     }
 
     /// Append one record.
     pub fn append(&mut self, key: &[u8], value: &[u8]) {
-        if self.block.is_some() {
-            self.append_v3(key, value);
-            return;
-        }
-        match self.framing {
-            Framing::SequenceFile => {
-                let body = vint_len(key.len() as i64)
-                    + vint_len(value.len() as i64)
-                    + key.len()
-                    + value.len();
-                self.buf.extend_from_slice(&(body as u32).to_be_bytes());
+        let stored = match &mut self.block {
+            Some(b) => b.append(&mut self.buf, key, value),
+            None => {
+                if self.framing == Framing::SequenceFile {
+                    let body = vint_len(key.len() as i64)
+                        + vint_len(value.len() as i64)
+                        + key.len()
+                        + value.len();
+                    self.buf.extend_from_slice(&(body as u32).to_be_bytes());
+                }
+                write_vint(&mut self.buf, key.len() as i64);
+                write_vint(&mut self.buf, value.len() as i64);
+                self.buf.extend_from_slice(key);
+                self.buf.extend_from_slice(value);
+                key.len()
             }
-            Framing::IFile => {}
-        }
-        write_vint(&mut self.buf, key.len() as i64);
-        write_vint(&mut self.buf, value.len() as i64);
-        self.buf.extend_from_slice(key);
-        self.buf.extend_from_slice(value);
+        };
         self.records += 1;
         self.key_bytes += key.len() as u64;
         self.value_bytes += value.len() as u64;
-        self.stored_key_bytes += key.len() as u64;
-    }
-
-    /// v3 append: a key byte-identical to its predecessor's only bumps
-    /// the open group's count; any other key closes that group and opens
-    /// one front-coded against it. The value goes to the value column
-    /// either way, its length to the length column only once the block
-    /// has seen two different lengths. The previous block is sealed first
-    /// if it has reached its byte budget or the record cap.
-    fn append_v3(&mut self, key: &[u8], value: &[u8]) {
-        let b = self.block.as_mut().expect("v3 writer has block state");
-        if b.records > 0 && (b.staged() >= b.budget || b.records >= MAX_BLOCK_RECORDS) {
-            b.seal(&mut self.buf);
-        }
-        if b.records == 0 {
-            // Block's first record: its key becomes the fence key, and
-            // it front-codes against itself (shared = len, empty suffix)
-            // so the decoder needs no special case.
-            b.fence.extend_from_slice(key);
-            b.last_key.extend_from_slice(key);
-            b.open = [key.len(), 0, 1];
-            b.uniform = Some(value.len());
-        } else if key == b.last_key.as_slice() {
-            b.open[2] += 1;
-        } else {
-            b.close_group();
-            let shared = common_prefix_len(&b.last_key, key);
-            let suffix = &key[shared..];
-            b.columns[SUFFIXES].extend_from_slice(suffix);
-            b.last_key.truncate(shared);
-            b.last_key.extend_from_slice(suffix);
-            b.open = [shared, suffix.len(), 1];
-            self.stored_key_bytes += suffix.len() as u64;
-        }
-        if let Some(len) = b.uniform.filter(|&len| len != value.len()) {
-            // First odd length: the column starts existing, backfilled.
-            (0..b.records).for_each(|_| write_vint(&mut b.columns[VALUE_LENS], len as i64));
-            b.uniform = None;
-        }
-        if b.uniform.is_none() {
-            write_vint(&mut b.columns[VALUE_LENS], value.len() as i64);
-        }
-        b.columns[VALUES].extend_from_slice(value);
-        b.records += 1;
-        b.key_bytes += key.len() as u64;
-        self.records += 1;
-        self.key_bytes += key.len() as u64;
-        self.value_bytes += value.len() as u64;
+        self.stored_key_bytes += stored as u64;
     }
 
     /// Splice an already-encoded v3 block (obtained from a
@@ -538,18 +518,18 @@ impl IFileWriter {
     /// block's CRC is re-verified before adoption so a copy of corrupt
     /// bytes cannot launder a bad checksum into a fresh trailer.
     ///
-    /// Panics if this writer is not a v3 writer.
+    /// A writer of a flat (v1/v2) layout refuses with
+    /// [`MrError::Config`].
     pub fn append_encoded_block(&mut self, blk: &EncodedBlock<'_>) -> Result<(), MrError> {
-        let b = self
-            .block
-            .as_mut()
-            .expect("append_encoded_block requires a v3 writer");
+        let Some(b) = self.block.as_mut() else {
+            return Err(MrError::Config(
+                "append_encoded_block requires a v3 writer".into(),
+            ));
+        };
         blk.verify()?;
         b.seal(&mut self.buf);
-        let offset = self.buf.len();
         self.buf.extend_from_slice(blk.bytes);
-        b.fences
-            .push((offset, blk.fence_prefix, blk.fence_key.to_vec()));
+        b.blocks += 1;
         self.records += blk.records;
         self.key_bytes += blk.key_bytes;
         self.stored_key_bytes += blk.stored_key_bytes;
@@ -577,22 +557,10 @@ impl IFileWriter {
         let mut blocks = 0u64;
         if let Some(mut b) = self.block.take() {
             b.seal(&mut self.buf);
-            blocks = b.fences.len() as u64;
-            // Fence-key index: count, then (offset, fence prefix, fence)
-            // per block, then the fixed-width index offset so a reader
-            // can find the index without scanning blocks.
-            let index_offset = self.buf.len() as u64;
-            write_vint(&mut self.buf, b.fences.len() as i64);
-            for (offset, prefix, fence) in &b.fences {
-                write_vint(&mut self.buf, *offset as i64);
-                self.buf.extend_from_slice(&prefix.to_be_bytes());
-                write_vint(&mut self.buf, fence.len() as i64);
-                self.buf.extend_from_slice(fence);
-            }
-            self.buf.extend_from_slice(&index_offset.to_be_bytes());
+            blocks = b.blocks;
         }
         // Size accounting excludes the trailer: `raw_bytes` keeps meaning
-        // "header + framed records" (plus block/index framing for v3), so
+        // "header + framed records" (plus block framing for v3), so
         // the paper's byte arithmetic (and every counter invariant built
         // on it) is identical with and without integrity checking.
         let raw_bytes = self.buf.len() as u64;
@@ -624,19 +592,6 @@ impl IFileWriter {
     }
 }
 
-/// One fence-index entry of a v3 segment: where a block starts, its
-/// fence key (stored as a range into the segment buffer), and the fence
-/// key's cached sort prefix.
-#[derive(Debug, Clone)]
-pub(crate) struct Fence {
-    /// Absolute offset of the block header in the segment buffer.
-    pub(crate) offset: usize,
-    /// [`fence_prefix`] of the block's first key, cached at write time.
-    pub(crate) prefix: u64,
-    key_start: usize,
-    key_len: usize,
-}
-
 /// A decompressed segment whose records are parsed lazily by cursors —
 /// the streaming merge ([`crate::sort::BlockMergeStream`]) reads records
 /// straight out of this buffer without materializing owned pairs.
@@ -644,12 +599,9 @@ pub struct RawSegment {
     raw: Vec<u8>,
     framing: Framing,
     version: u8,
-    /// End of the record region (excludes a version-2 CRC trailer).
+    /// End of the record region (excludes a version-2 CRC trailer); for
+    /// v3, the end of the last block.
     body_end: usize,
-    /// v3 only: end of the block region (start of the fence index).
-    blocks_end: usize,
-    /// v3 only: the parsed fence-key index, one entry per block.
-    fences: Vec<Fence>,
     /// Nanoseconds spent decompressing.
     pub decompress_nanos: u64,
 }
@@ -659,9 +611,9 @@ impl RawSegment {
     /// and version-3 segments — verify the CRC-32 trailer over
     /// everything before it. A trailer mismatch is a
     /// [`MrError::Checksum`], distinguishable from structural parse
-    /// errors so the runner can count it. For version 3 the fence-key
-    /// index is parsed and bounds-checked here, so cursors never touch
-    /// unvalidated offsets.
+    /// errors so the runner can count it. A v3 segment's block headers
+    /// are checked by the header walk every reader of its blocks takes,
+    /// not here.
     pub fn open(segment: &[u8], codec: &dyn Codec) -> Result<Self, MrError> {
         let t0 = crate::clock::thread_cpu_nanos();
         let raw = codec.decompress(segment)?;
@@ -677,50 +629,56 @@ impl RawSegment {
         let body_end = match version {
             VERSION_PLAIN => raw.len(),
             VERSION_CRC | VERSION_BLOCK => {
-                let body_end = raw
-                    .len()
-                    .checked_sub(TRAILER_LEN)
-                    .filter(|&e| e >= HEADER_LEN)
+                let (body, stored) = raw
+                    .split_last_chunk::<TRAILER_LEN>()
+                    .filter(|(body, _)| body.len() >= HEADER_LEN)
                     .ok_or_else(|| MrError::Checksum("segment too short for CRC trailer".into()))?;
-                let stored = u32::from_be_bytes(raw[body_end..].try_into().unwrap());
-                let actual = crc32c(&raw[..body_end]);
+                let stored = u32::from_be_bytes(*stored);
+                let actual = crc32c(body);
                 if stored != actual {
                     return Err(MrError::Checksum(format!(
                         "segment CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
                     )));
                 }
-                body_end
+                body.len()
             }
             v => return Err(MrError::Intermediate(format!("bad version {v}"))),
         };
         let framing = Framing::from_tag(raw[5])?;
-        let (blocks_end, fences) = if version == VERSION_BLOCK {
-            parse_fence_index(&raw, body_end)?
-        } else {
-            (body_end, Vec::new())
-        };
         Ok(RawSegment {
             raw,
             framing,
             version,
             body_end,
-            blocks_end,
-            fences,
             decompress_nanos,
         })
     }
 
     /// Whether this segment uses the version-3 block layout (front-coded
-    /// blocks + fence index). Such segments are read through
+    /// blocks). Such segments are read through
     /// [`RawSegment::block_cursor`]; [`RawSegment::for_each_record`] and
     /// the merge stream take either layout.
     pub fn is_block_format(&self) -> bool {
         self.version == VERSION_BLOCK
     }
 
-    /// Number of blocks (0 for v1/v2 segments).
-    pub fn blocks(&self) -> usize {
-        self.fences.len()
+    /// Number of blocks (0 for v1/v2 segments), counted by walking the
+    /// block headers.
+    pub fn blocks(&self) -> Result<usize, MrError> {
+        self.headers().try_fold(0, |n, meta| meta.map(|_| n + 1))
+    }
+
+    /// Every v3 block header in file order, each parsed by
+    /// [`parse_meta`] at the end of the block before it; nothing for a
+    /// flat segment. The walk stops after its first error.
+    fn headers(&self) -> impl Iterator<Item = Result<BlockMeta, MrError>> + '_ {
+        let region = &self.raw[..self.body_end];
+        let mut next = self.is_block_format().then_some(HEADER_LEN);
+        std::iter::from_fn(move || {
+            let meta = parse_meta(region, next?).transpose()?;
+            next = meta.as_ref().ok().map(|meta| meta.end);
+            Some(meta)
+        })
     }
 
     /// A cursor over the records, borrowing this segment's buffer.
@@ -742,21 +700,21 @@ impl RawSegment {
         }
     }
 
-    /// A block-aware cursor over a v3 segment. Panics (debug) on flat
-    /// segments — callers dispatch on [`RawSegment::is_block_format`].
+    /// A block-aware cursor over a v3 segment: it walks the block headers
+    /// as [`RawSegment::blocks`] does, one block ahead. Panics (debug) on
+    /// flat segments — callers dispatch on [`RawSegment::is_block_format`].
     pub fn block_cursor(&self) -> BlockCursor<'_> {
         debug_assert!(
             self.is_block_format(),
             "block cursor over a flat segment (use cursor)"
         );
         BlockCursor {
-            raw: &self.raw,
-            fences: &self.fences,
-            blocks_end: self.blocks_end,
+            region: &self.raw[..self.body_end],
             block: 0,
             entered: false,
             live: true,
             meta: BlockMeta::default(),
+            next: None,
             groups: GroupCursor::default(),
             decoded: 0,
             key: Vec::new(),
@@ -769,12 +727,10 @@ impl RawSegment {
     /// records parse-only. Used to pre-reserve exact capacity.
     pub fn record_count(&self) -> Result<u64, MrError> {
         if self.is_block_format() {
-            let mut total = 0u64;
-            let cursor = self.block_cursor();
-            for i in 0..self.fences.len() {
-                total += cursor.parse_meta(i)?.records;
-            }
-            return Ok(total);
+            return self
+                .headers()
+                .map(|meta| meta.map(|meta| meta.records))
+                .sum();
         }
         let mut cursor = self.cursor();
         let mut n = 0u64;
@@ -800,72 +756,6 @@ impl RawSegment {
         }
         Ok(())
     }
-}
-
-/// Parse and validate a v3 fence-key index. Returns the end of the
-/// block region (= index start) and the per-block entries. Every offset
-/// is checked to be in-bounds and strictly increasing so cursors can
-/// trust them.
-fn parse_fence_index(raw: &[u8], body_end: usize) -> Result<(usize, Vec<Fence>), MrError> {
-    let off_pos = body_end
-        .checked_sub(INDEX_OFFSET_LEN)
-        .filter(|&p| p >= HEADER_LEN)
-        .ok_or_else(|| MrError::Intermediate("segment too short for fence index".into()))?;
-    let index_offset = u64::from_be_bytes(raw[off_pos..body_end].try_into().unwrap());
-    let blocks_end = usize::try_from(index_offset)
-        .ok()
-        .filter(|&o| (HEADER_LEN..=off_pos).contains(&o))
-        .ok_or_else(|| MrError::Intermediate("fence index offset out of bounds".into()))?;
-    let index = &raw[..off_pos];
-    let mut pos = blocks_end;
-    let (count, used) = read_vint(&index[pos..])?;
-    pos += used;
-    let count = usize::try_from(count)
-        .ok()
-        // Each entry needs at least 10 bytes (vint offset + 8-byte
-        // prefix + vint key length), bounding allocations up front.
-        .filter(|&c| c <= (off_pos - pos) / 10)
-        .ok_or_else(|| MrError::Intermediate("implausible fence index count".into()))?;
-    let mut fences = Vec::with_capacity(count);
-    let mut prev_offset = HEADER_LEN;
-    for i in 0..count {
-        let (offset, used) = read_vint(&index[pos..])?;
-        pos += used;
-        let offset = usize::try_from(offset)
-            .ok()
-            .filter(|&o| o < blocks_end && (i == 0 && o == HEADER_LEN || i > 0 && o > prev_offset))
-            .ok_or_else(|| MrError::Intermediate("fence offset out of bounds".into()))?;
-        prev_offset = offset;
-        if index.len() - pos < 8 {
-            return Err(MrError::Intermediate("short fence prefix".into()));
-        }
-        let prefix = u64::from_be_bytes(index[pos..pos + 8].try_into().unwrap());
-        pos += 8;
-        let (key_len, used) = read_vint(&index[pos..])?;
-        pos += used;
-        let key_len = usize::try_from(key_len)
-            .ok()
-            .filter(|&l| l <= index.len() - pos)
-            .ok_or_else(|| MrError::Intermediate("fence key out of bounds".into()))?;
-        fences.push(Fence {
-            offset,
-            prefix,
-            key_start: pos,
-            key_len,
-        });
-        pos += key_len;
-    }
-    if pos != off_pos {
-        return Err(MrError::Intermediate(
-            "trailing bytes after fence index".into(),
-        ));
-    }
-    if fences.is_empty() && blocks_end != HEADER_LEN {
-        return Err(MrError::Intermediate(
-            "blocks present but fence index empty".into(),
-        ));
-    }
-    Ok((blocks_end, fences))
 }
 
 /// A `(key, value)` record borrowed from a decompressed segment buffer.
@@ -899,12 +789,10 @@ impl<'a> RecordCursor<'a> {
         }
         let mut rec_len = None;
         if self.framing == Framing::SequenceFile {
-            if self.raw.len() - self.pos < 4 {
+            let Some(len) = self.raw[self.pos..].first_chunk::<4>() else {
                 return Err(MrError::Intermediate("short record length".into()));
-            }
-            rec_len = Some(u32::from_be_bytes(
-                self.raw[self.pos..self.pos + 4].try_into().unwrap(),
-            ));
+            };
+            rec_len = Some(u32::from_be_bytes(*len));
             self.pos += 4;
         }
         let (klen, kused) = read_vint(&self.raw[self.pos..])?;
@@ -955,7 +843,8 @@ struct BlockMeta {
     uniform: Option<usize>,
     /// Block start (the header's first byte) in the segment buffer.
     start: usize,
-    /// Block end — exclusive; equals the next block's start.
+    /// Block end — exclusive; the next block's start, or the end of the
+    /// block region after the last block.
     end: usize,
     fence_start: usize,
     fence_len: usize,
@@ -963,20 +852,87 @@ struct BlockMeta {
     crc: u32,
 }
 
+impl BlockMeta {
+    /// The block's fence key, inside the buffer its header was parsed from.
+    fn fence<'a>(&self, region: &'a [u8]) -> &'a [u8] {
+        &region[self.fence_start..self.fence_start + self.fence_len]
+    }
+}
+
+/// Parse and bounds-check the header of the v3 block at `start` of the
+/// block region (the segment up to its trailer): `None` when `start` is
+/// the region's end, an error unless the header and the body it declares
+/// lie inside the region. A walk that steps from [`HEADER_LEN`] to each
+/// block's `end` therefore either lands exactly on the region's end or
+/// fails — no bytes can follow the last block.
+fn parse_meta(region: &[u8], start: usize) -> Result<Option<BlockMeta>, MrError> {
+    if start == region.len() {
+        return Ok(None);
+    }
+    let mut pos = start;
+    let mut fields = [0i64; 7];
+    for field in &mut fields {
+        let (v, used) = read_vint(&region[pos..])?;
+        pos += used;
+        *field = v;
+    }
+    // Six sizes, and before the last the one field that may say -1.
+    let uniform_value_len = std::mem::replace(&mut fields[5], 0);
+    if uniform_value_len < -1 || fields.iter().any(|&v| v < 0) {
+        return Err(MrError::Intermediate("negative block header field".into()));
+    }
+    let [records, key_bytes, stored_key_bytes, value_bytes, groups, _, fence_len] =
+        fields.map(|v| v as u64);
+    let fence_len = usize::try_from(fence_len)
+        .ok()
+        .filter(|&l| l <= region.len() - pos)
+        .ok_or_else(|| MrError::Intermediate("fence key runs past the block region".into()))?;
+    let fence_start = pos;
+    pos += fence_len;
+    let (body_len, used) = read_vint(&region[pos..])?;
+    pos += used;
+    let crc = region[pos..]
+        .first_chunk::<BLOCK_CRC_LEN>()
+        .ok_or_else(|| MrError::Intermediate("short block CRC".into()))?;
+    let body_start = pos + BLOCK_CRC_LEN;
+    let end = usize::try_from(body_len)
+        .ok()
+        .filter(|&l| l <= region.len() - body_start)
+        .map(|l| body_start + l)
+        .ok_or_else(|| MrError::Intermediate("block body runs past the block region".into()))?;
+    // A record may cost no body bytes at all, so the counts are held
+    // to the writer's cap, not to the body length.
+    if !(1..=MAX_BLOCK_RECORDS).contains(&records) || !(1..=records).contains(&groups) {
+        return Err(MrError::Intermediate(
+            "implausible block record count".into(),
+        ));
+    }
+    Ok(Some(BlockMeta {
+        records,
+        key_bytes,
+        stored_key_bytes,
+        value_bytes,
+        groups,
+        uniform: usize::try_from(uniform_value_len).ok(),
+        start,
+        end,
+        fence_start,
+        fence_len,
+        body_start,
+        crc: u32::from_be_bytes(*crc),
+    }))
+}
+
 /// A still-encoded v3 block lifted out of a segment by
 /// [`BlockCursor::take_block`], carrying everything a v3
 /// [`IFileWriter`] needs to splice it into a new segment verbatim:
-/// the raw block bytes, the fence key + cached prefix for the new
-/// fence index, and the header's size accounting.
+/// the raw block bytes and the header's size accounting.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodedBlock<'a> {
     /// The full encoded block (header + CRC + grouped body).
     pub bytes: &'a [u8],
     /// The block's first key.
     pub fence_key: &'a [u8],
-    /// Cached sort prefix of the fence key: the high word of its
-    /// [`KeySemantics::sort_prefix_wide`].
-    pub fence_prefix: u64,
     /// Records in the block.
     pub records: u64,
     /// Logical key bytes in the block.
@@ -1163,15 +1119,18 @@ impl<'a> GroupCursor<'a> {
 /// borrowed from the cursor's scratch buffer, valid until the next
 /// advance.
 pub struct BlockCursor<'a> {
-    raw: &'a [u8],
-    fences: &'a [Fence],
-    blocks_end: usize,
+    /// The block region: the segment up to its trailer.
+    region: &'a [u8],
     /// Index of the current block.
     block: usize,
     /// False until the first `advance`.
     entered: bool,
     live: bool,
     meta: BlockMeta,
+    /// Header of the block after the current one, parsed on entering
+    /// the current one (`None` past the last block) and kept for
+    /// entering that block.
+    next: Option<BlockMeta>,
     groups: GroupCursor<'a>,
     /// Records decoded from the current block (the head is number
     /// `decoded`, 1-based).
@@ -1181,80 +1140,17 @@ pub struct BlockCursor<'a> {
 }
 
 impl<'a> BlockCursor<'a> {
-    /// Parse and validate block `i`'s header (no body decode).
-    fn parse_meta(&self, i: usize) -> Result<BlockMeta, MrError> {
-        let start = self.fences[i].offset;
-        let end = if i + 1 < self.fences.len() {
-            self.fences[i + 1].offset
-        } else {
-            self.blocks_end
-        };
-        let hdr = &self.raw[..end];
-        let mut pos = start;
-        let mut fields = [0i64; 7];
-        for field in &mut fields {
-            let (v, used) = read_vint(&hdr[pos..])?;
-            pos += used;
-            *field = v;
-        }
-        // Six sizes, and before the last the one field that may say -1.
-        let uniform_value_len = std::mem::replace(&mut fields[5], 0);
-        if uniform_value_len < -1 || fields.iter().any(|&v| v < 0) {
-            return Err(MrError::Intermediate("negative block header field".into()));
-        }
-        let [records, key_bytes, stored_key_bytes, value_bytes, groups, _, fence_len] =
-            fields.map(|v| v as u64);
-        let fence_len = usize::try_from(fence_len)
-            .ok()
-            .filter(|&l| l <= hdr.len() - pos)
-            .ok_or_else(|| MrError::Intermediate("fence key exceeds block".into()))?;
-        let fence_start = pos;
-        pos += fence_len;
-        let (body_len, used) = read_vint(&hdr[pos..])?;
-        pos += used;
-        if hdr.len() - pos < BLOCK_CRC_LEN {
-            return Err(MrError::Intermediate("short block CRC".into()));
-        }
-        let crc = u32::from_be_bytes(hdr[pos..pos + BLOCK_CRC_LEN].try_into().unwrap());
-        pos += BLOCK_CRC_LEN;
-        let body_start = pos;
-        usize::try_from(body_len)
-            .ok()
-            .filter(|&l| body_start + l == end)
-            .ok_or_else(|| MrError::Intermediate("block body disagrees with block span".into()))?;
-        // A record may cost no body bytes at all, so the counts are held
-        // to the writer's cap, not to the body length.
-        if !(1..=MAX_BLOCK_RECORDS).contains(&records) || !(1..=records).contains(&groups) {
-            return Err(MrError::Intermediate(
-                "implausible block record count".into(),
-            ));
-        }
-        Ok(BlockMeta {
-            records,
-            key_bytes,
-            stored_key_bytes,
-            value_bytes,
-            groups,
-            uniform: usize::try_from(uniform_value_len).ok(),
-            start,
-            end,
-            fence_start,
-            fence_len,
-            body_start,
-            crc,
-        })
-    }
-
-    /// Enter block `self.block`: parse + CRC-check it, lay its columns
-    /// out, seed the key buffer with its fence key, and decode its first
-    /// record. Returns `false` when past the last block.
-    fn enter_block(&mut self) -> Result<bool, MrError> {
-        if self.block >= self.fences.len() {
+    /// Enter the block whose header `next` holds: CRC-check it, parse
+    /// the header after it, lay its columns out, seed the key buffer with
+    /// its fence key, and decode its first record. Returns `false` when
+    /// past the last block.
+    fn enter_next(&mut self) -> Result<bool, MrError> {
+        let Some(meta) = self.next else {
             self.live = false;
             return Ok(false);
-        }
-        let meta = self.parse_meta(self.block)?;
-        let body = &self.raw[meta.body_start..meta.end];
+        };
+        let region = self.region;
+        let body = &region[meta.body_start..meta.end];
         let actual = crc32c(body);
         if actual != meta.crc {
             return Err(MrError::Checksum(format!(
@@ -1262,20 +1158,9 @@ impl<'a> BlockCursor<'a> {
                 self.block, meta.crc
             )));
         }
-        // The index's fence key must agree with the block header's copy —
-        // ties the (unchecksummed-beyond-the-trailer) index to the block.
-        let f = &self.fences[self.block];
-        if self.raw[meta.fence_start..meta.fence_start + meta.fence_len]
-            != self.raw[f.key_start..f.key_start + f.key_len]
-        {
-            return Err(MrError::Intermediate(format!(
-                "block {} fence key disagrees with index",
-                self.block
-            )));
-        }
+        self.next = parse_meta(region, meta.end)?;
         self.key.clear();
-        self.key
-            .extend_from_slice(&self.raw[meta.fence_start..meta.fence_start + meta.fence_len]);
+        self.key.extend_from_slice(meta.fence(region));
         self.groups = GroupCursor::open(body, &meta)?;
         self.meta = meta;
         self.decoded = 0;
@@ -1296,7 +1181,8 @@ impl<'a> BlockCursor<'a> {
     pub fn advance(&mut self) -> Result<bool, MrError> {
         if !self.entered {
             self.entered = true;
-            return self.enter_block();
+            self.next = parse_meta(self.region, HEADER_LEN)?;
+            return self.enter_next();
         }
         if !self.live {
             return Ok(false);
@@ -1304,7 +1190,7 @@ impl<'a> BlockCursor<'a> {
         if self.decoded == self.meta.records {
             self.groups.finish()?;
             self.block += 1;
-            return self.enter_block();
+            return self.enter_next();
         }
         self.decode_next()
     }
@@ -1347,12 +1233,14 @@ impl<'a> BlockCursor<'a> {
         self.groups.group_left + 1
     }
 
-    /// Cached fence prefix of the *next* block, if any. Every
-    /// key in the current block compares `<=` that fence, so it upper-
-    /// bounds the current block's keys for the merge's skip rule.
+    /// The *next* block's fence key, if any, from its header. A sorted
+    /// run's blocks are in key order, so every key in the current block
+    /// compares `<=` that fence: it upper-bounds the current block's keys
+    /// for the merge's skip rule.
     #[inline]
-    pub fn next_fence_prefix(&self) -> Option<u64> {
-        self.fences.get(self.block + 1).map(|f| f.prefix)
+    pub fn next_fence_key(&self) -> Option<&'a [u8]> {
+        let region = self.region;
+        self.next.as_ref().map(|meta| meta.fence(region))
     }
 
     /// Lift the current (fully undecoded) block out as an
@@ -1360,20 +1248,19 @@ impl<'a> BlockCursor<'a> {
     /// block. Callers must check [`BlockCursor::at_block_start`].
     pub fn take_block(&mut self) -> Result<EncodedBlock<'a>, MrError> {
         debug_assert!(self.at_block_start(), "take_block mid-block");
-        let meta = self.meta;
+        let (meta, region) = (self.meta, self.region);
         let blk = EncodedBlock {
-            bytes: &self.raw[meta.start..meta.end],
-            fence_key: &self.raw[meta.fence_start..meta.fence_start + meta.fence_len],
-            fence_prefix: self.fences[self.block].prefix,
+            bytes: &region[meta.start..meta.end],
+            fence_key: meta.fence(region),
             records: meta.records,
             key_bytes: meta.key_bytes,
             stored_key_bytes: meta.stored_key_bytes,
             value_bytes: meta.value_bytes,
-            body: &self.raw[meta.body_start..meta.end],
+            body: &region[meta.body_start..meta.end],
             meta,
         };
         self.block += 1;
-        self.enter_block()?;
+        self.enter_next()?;
         Ok(blk)
     }
 
@@ -1682,12 +1569,6 @@ mod tests {
 
     // ---- v3 (grouped block) tests ----
 
-    use crate::keysem::DefaultKeySemantics;
-
-    fn ks() -> Arc<dyn KeySemantics> {
-        Arc::new(DefaultKeySemantics)
-    }
-
     fn sorted_pairs(n: u32) -> Vec<KvPair> {
         (0..n)
             .map(|i| {
@@ -1700,8 +1581,7 @@ mod tests {
     }
 
     fn v3_segment(pairs: &[KvPair], budget: usize) -> Segment {
-        let mut w =
-            IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), ks(), budget);
+        let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), budget);
         for p in pairs {
             w.append_pair(p);
         }
@@ -1718,7 +1598,7 @@ mod tests {
         assert_eq!(r.into_records(), pairs);
         let raw = RawSegment::open(&seg.data, &IdentityCodec).unwrap();
         assert!(raw.is_block_format());
-        assert_eq!(raw.blocks() as u64, seg.blocks);
+        assert_eq!(raw.blocks().unwrap() as u64, seg.blocks);
         assert_eq!(raw.record_count().unwrap(), 500);
         let mut cursor = raw.block_cursor();
         let mut streamed = Vec::new();
@@ -1802,9 +1682,7 @@ mod tests {
         corrupt[n / 2] ^= 0x01; // somewhere inside the blocks
         let crc = crc32c(&corrupt);
         corrupt.extend_from_slice(&crc.to_be_bytes());
-        let Ok(raw) = RawSegment::open(&corrupt, &IdentityCodec) else {
-            return; // flipped an index byte: caught even earlier
-        };
+        let raw = RawSegment::open(&corrupt, &IdentityCodec).unwrap();
         let mut cursor = raw.block_cursor();
         let mut res = Ok(true);
         while let Ok(true) = res {
@@ -1818,7 +1696,7 @@ mod tests {
         let pairs = sorted_pairs(400);
         let seg = v3_segment(&pairs, 256);
         let raw = RawSegment::open(&seg.data, &IdentityCodec).unwrap();
-        let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), ks(), 256);
+        let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), 256);
         let mut cursor = raw.block_cursor();
         assert!(cursor.advance().unwrap());
         let mut copied_records = 0;
@@ -1835,6 +1713,21 @@ mod tests {
         assert_eq!(out.stored_key_bytes, seg.stored_key_bytes);
         let r = IFileReader::open(&out.data, &IdentityCodec).unwrap();
         assert_eq!(r.into_records(), pairs);
+    }
+
+    #[test]
+    fn a_flat_writer_refuses_an_encoded_block() {
+        let seg = v3_segment(&sorted_pairs(10), DEFAULT_BLOCK_BUDGET);
+        let raw = RawSegment::open(&seg.data, &IdentityCodec).unwrap();
+        let mut cursor = raw.block_cursor();
+        assert!(cursor.advance().unwrap());
+        let blk = cursor.take_block().unwrap();
+        let mut w = IFileWriter::new(Framing::IFile, Arc::new(IdentityCodec));
+        assert!(matches!(
+            w.append_encoded_block(&blk),
+            Err(MrError::Config(_))
+        ));
+        assert_eq!(w.records(), 0);
     }
 
     #[test]

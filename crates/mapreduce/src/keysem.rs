@@ -30,9 +30,8 @@ pub trait KeySemantics: Send + Sync {
     /// database sort kernels' "normalized keys", Hadoop's
     /// `RawComparator` taken one step further: the spill sort radix-
     /// sorts these, the merge's loser tree compares its run heads'
-    /// cached copies, and the v3 fence index stores the high word of
-    /// each block's first key's (the engine takes that word itself, so
-    /// a fence read off disk and a cached head always agree). Contract:
+    /// cached copies, and its v3 block skipping compares high words: the
+    /// next block's fence key's against each head's. Contract:
     ///
     /// > `sort_prefix_wide(a) < sort_prefix_wide(b)` implies
     /// > `compare(a, b) == Ordering::Less`.

@@ -16,7 +16,7 @@
 
 use crate::error::MrError;
 use crate::ifile::{
-    fence_prefix, BlockCursor, EncodedBlock, RawSegment, RecordCursor, RecordSlices, ScratchRecord,
+    BlockCursor, EncodedBlock, RawSegment, RecordCursor, RecordSlices, ScratchRecord,
 };
 use crate::keysem::KeySemantics;
 use crate::record::KvPair;
@@ -420,6 +420,15 @@ impl<'a> RunCursor<'a> {
     }
 }
 
+/// What the merge's block-skip proof compares of a wide sort key
+/// ([`KeySemantics::sort_prefix_wide`]): its high word. The next block's
+/// fence and every rival run's cached head both go through here, so they
+/// compare like with like whatever an implementor returns.
+#[inline]
+fn fence_prefix(wide: u128) -> u64 {
+    (wide >> 64) as u64
+}
+
 /// One item yielded by [`BlockMergeStream::next_item`].
 pub enum MergeItem<'s, 'a> {
     /// One record in merged order. The key borrows the stream's
@@ -451,12 +460,12 @@ pub enum MergeItem<'s, 'a> {
 /// ([`BlockCursor::group_remaining`]); the winner's advance then skips
 /// the prefix and the replay, so a run of duplicates costs the
 /// tournament one replay, not one per record. Two more v3-specific fast
-/// paths ride on the fence-key index:
+/// paths ride on the fence key each block header carries:
 ///
 /// * **Block skipping** ([`BlockMergeStream::next_item`]): when the
 ///   winning run's head is the first record of a fully undecoded block
-///   whose *next* fence prefix is strictly below every other live
-///   run's head prefix — the high word of its cached wide key — the
+///   whose *next* block's fence prefix (the high word of its fence
+///   key's wide key) is strictly below every other live run's, the
 ///   whole block sorts before all of them (the
 ///   [`KeySemantics::sort_prefix_wide`] contract: `prefix(a) <
 ///   prefix(b)` implies `a < b`, and monotonicity along the sorted run
@@ -639,22 +648,24 @@ impl<'a> BlockMergeStream<'a> {
 
     /// If `w`'s head opens a fully undecoded block whose every key sorts
     /// strictly before every other live run's head, that block's cursor:
-    /// the next fence's cached prefix upper-bounds the block, and strict
-    /// `u64` inequality implies strict key order. A last block (no next
-    /// fence) qualifies only when no other run is live.
+    /// the next block's fence key upper-bounds the block, and strict
+    /// inequality of [`fence_prefix`]es implies strict key order. A last
+    /// block (no next fence) qualifies only when no other run is live.
     #[inline(always)]
     fn uncontended_block(&mut self, w: usize) -> Option<&mut BlockCursor<'a>> {
         if !self.any_blocks || self.burst != 0 {
             return None;
         }
-        let (lives, prefixes) = (&self.lives, &self.prefixes);
+        let (lives, prefixes, ks) = (&self.lives, &self.prefixes, self.ks);
         let RunCursor::Blocks(cursor) = &mut self.runs[w] else {
             return None;
         };
         if !cursor.at_block_start() {
             return None;
         }
-        let bound = cursor.next_fence_prefix();
+        let bound = cursor
+            .next_fence_key()
+            .map(|fence| fence_prefix(ks.sort_prefix_wide(fence)));
         let clear = (0..lives.len())
             .all(|r| r == w || !lives[r] || bound.is_some_and(|ub| ub < fence_prefix(prefixes[r])));
         clear.then_some(cursor)
@@ -1047,9 +1058,7 @@ mod tests {
     fn seal(pairs: &[KvPair], budget: Option<usize>, trailer: bool) -> Vec<u8> {
         let codec = Arc::new(IdentityCodec);
         let mut w = match budget {
-            Some(b) => {
-                IFileWriter::v3_with_budget(Framing::IFile, codec, Arc::new(DefaultKeySemantics), b)
-            }
+            Some(b) => IFileWriter::v3_with_budget(Framing::IFile, codec, b),
             None if trailer => IFileWriter::new(Framing::IFile, codec),
             None => IFileWriter::without_trailer(Framing::IFile, codec),
         };
@@ -1157,12 +1166,7 @@ mod tests {
         let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal(r, Some(256), true)).collect();
         let segments = open_all(&sealed);
         let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
-        let mut w = IFileWriter::v3_with_budget(
-            Framing::IFile,
-            Arc::new(IdentityCodec),
-            Arc::new(DefaultKeySemantics),
-            256,
-        );
+        let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), 256);
         let mut spliced = 0u64;
         loop {
             match stream.next_item().unwrap() {

@@ -5,20 +5,18 @@
 
 use proptest::prelude::*;
 use scihadoop_compress::{Codec, IdentityCodec};
-use scihadoop_mapreduce::{
-    DefaultKeySemantics, Framing, IFileReader, IFileWriter, MrError, RawSegment,
-};
+use scihadoop_mapreduce::{Framing, IFileReader, IFileWriter, MrError, RawSegment};
 use std::sync::Arc;
 
 /// Build a segment in any of the three on-disk formats. v3 uses a tiny
 /// block budget so even small record sets span several blocks (block
-/// headers, per-block CRCs, and the fence index all get corrupted bits).
+/// headers and per-block CRCs both get corrupted bits).
 fn build_segment(pairs: &[(Vec<u8>, Vec<u8>)], framing: Framing, version: u8) -> Vec<u8> {
     let codec: Arc<dyn Codec> = Arc::new(IdentityCodec);
     let mut w = match version {
         1 => IFileWriter::without_trailer(framing, codec),
         2 => IFileWriter::new(framing, codec),
-        3 => IFileWriter::v3_with_budget(framing, codec, Arc::new(DefaultKeySemantics), 64),
+        3 => IFileWriter::v3_with_budget(framing, codec, 64),
         _ => unreachable!("version selector out of range"),
     };
     for (k, v) in pairs {
@@ -134,8 +132,8 @@ proptest! {
         let mut framed_seq = vec![b'S', b'H', b'I', b'F', 1, 1];
         framed_seq.extend_from_slice(&data);
         let _ = read_all(&framed_seq);
-        // And behind a v3 header: exercises the trailer check, fence
-        // index parsing, and block decoding on garbage.
+        // And behind a v3 header: exercises the trailer check, the block
+        // header walk, and block decoding on garbage.
         let mut framed_v3 = vec![b'S', b'H', b'I', b'F', 3, 0];
         framed_v3.extend_from_slice(&data);
         let _ = read_all(&framed_v3);

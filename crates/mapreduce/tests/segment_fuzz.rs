@@ -15,9 +15,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use scihadoop_compress::{crc32c, IdentityCodec};
 use scihadoop_mapreduce::ifile::MAX_BLOCK_RECORDS;
-use scihadoop_mapreduce::{
-    DefaultKeySemantics, Framing, IFileWriter, KeySemantics, MrError, RawSegment,
-};
+use scihadoop_mapreduce::{Framing, IFileWriter, MrError, RawSegment};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -65,29 +63,37 @@ unsafe impl GlobalAlloc for Watermark {
 #[global_allocator]
 static ALLOCATOR: Watermark = Watermark;
 
-/// The parser's stated allocation bound: no single request above four
-/// times the segment (its decompressed copy is 1×, a fence index of
-/// 10-byte entries parsed into 32-byte ones is 3.2×, a key buffer that
-/// doubled past the longest key under 2×) plus room for an error string.
+/// The parser's stated allocation bound: no single request above twice
+/// the segment (its decompressed copy is 1×, a key buffer that doubled
+/// past the longest key under 2×) plus room for an error string.
 fn alloc_limit(input: usize) -> usize {
-    4 * input + 256
+    2 * input + 256
 }
 
 /// Open `data` and walk every record. Returns the record count, or the
-/// parser's error — after checking the two bounds that hold either way.
+/// cursor's error — after checking the bounds that hold either way, and
+/// that the cursor refuses whatever the header walk behind
+/// `RawSegment::blocks` refuses.
 fn drain_measured(data: &[u8]) -> Result<u64, MrError> {
     LARGEST.with(|largest| largest.set(Some(0)));
     let mut records = 0u64;
     let result = RawSegment::open(data, &IdentityCodec).and_then(|seg| {
-        let most = MAX_BLOCK_RECORDS * seg.blocks() as u64;
-        seg.for_each_record(|_, _| {
+        let blocks = seg.blocks();
+        let most = blocks
+            .as_ref()
+            .map_or(u64::MAX, |&blocks| MAX_BLOCK_RECORDS * blocks as u64);
+        let drained = seg.for_each_record(|_, _| {
             records += 1;
             assert!(
                 !seg.is_block_format() || records <= most,
-                "more than cap × {} blocks records",
-                seg.blocks()
+                "more than cap × {blocks:?} blocks records"
             );
-        })
+        });
+        assert!(
+            blocks.is_ok() || drained.is_err(),
+            "the cursor read blocks the header walk refused: {blocks:?}"
+        );
+        drained
     });
     let largest = LARGEST.with(|largest| largest.take()).unwrap_or(0);
     assert!(
@@ -166,36 +172,43 @@ impl Block {
             body: [heads, suffixes, lens, values].concat(),
         }
     }
+
+    /// Append the block to `out`: its header claiming `body_len` body
+    /// bytes, the CRC-32C of whatever the body holds by now, the body.
+    fn encode(&self, out: &mut Vec<u8>, body_len: usize) {
+        self.fields.iter().for_each(|&field| vint(out, field));
+        vint(out, self.fence.len() as i64);
+        out.extend_from_slice(&self.fence);
+        vint(out, body_len as i64);
+        out.extend_from_slice(&crc32c(&self.body).to_be_bytes());
+        out.extend_from_slice(&self.body);
+    }
 }
 
-/// A whole segment around `blocks`: file header, each block behind its
-/// header and the CRC-32C of its body, the fence index, the index
-/// offset, the CRC-32C trailer. Both CRCs are computed over whatever the
-/// blocks hold by now.
-fn segment(blocks: &[Block]) -> Vec<u8> {
+/// The file header and `blocks` behind it: everything the trailer covers.
+fn region(blocks: &[Block]) -> Vec<u8> {
     let mut out = b"SHIF\x03\x01".to_vec();
-    let mut index = Vec::new();
-    vint(&mut index, blocks.len() as i64);
-    for block in blocks {
-        vint(&mut index, out.len() as i64);
-        // The fence prefix is the high word of the fence key's wide prefix.
-        let wide = DefaultKeySemantics.sort_prefix_wide(&block.fence);
-        index.extend_from_slice(&wide.to_be_bytes()[..8]);
-        vint(&mut index, block.fence.len() as i64);
-        index.extend_from_slice(&block.fence);
-        block.fields.iter().for_each(|&field| vint(&mut out, field));
-        vint(&mut out, block.fence.len() as i64);
-        out.extend_from_slice(&block.fence);
-        vint(&mut out, block.body.len() as i64);
-        out.extend_from_slice(&crc32c(&block.body).to_be_bytes());
-        out.extend_from_slice(&block.body);
-    }
-    let index_offset = out.len() as u64;
-    out.extend_from_slice(&index);
-    out.extend_from_slice(&index_offset.to_be_bytes());
-    let trailer = crc32c(&out);
-    out.extend_from_slice(&trailer.to_be_bytes());
+    blocks
+        .iter()
+        .for_each(|block| block.encode(&mut out, block.body.len()));
     out
+}
+
+/// `region` closed by the CRC-32C trailer over it.
+fn sealed(mut region: Vec<u8>) -> Vec<u8> {
+    let trailer = crc32c(&region);
+    region.extend_from_slice(&trailer.to_be_bytes());
+    region
+}
+
+/// A whole segment around `blocks`.
+fn segment(blocks: &[Block]) -> Vec<u8> {
+    sealed(region(blocks))
+}
+
+/// Whether `data` is refused as malformed, not as a checksum failure.
+fn refused(data: &[u8]) -> bool {
+    matches!(drain_measured(data), Err(MrError::Intermediate(_)))
 }
 
 /// Sorted records over few keys (so groups form), values short enough
@@ -253,12 +266,7 @@ proptest! {
     #[test]
     fn longhand_encoder_matches_the_writer(case in blocks()) {
         let (blocks, pairs) = case;
-        let mut w = IFileWriter::v3_with_budget(
-            Framing::IFile,
-            Arc::new(IdentityCodec),
-            Arc::new(DefaultKeySemantics),
-            1 << 20,
-        );
+        let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), 1 << 20);
         pairs.iter().for_each(|(k, v)| w.append(k, v));
         prop_assert_eq!(w.close().data, segment(&[Block::of(&pairs)]));
         let data = segment(&blocks);
@@ -271,7 +279,7 @@ proptest! {
         dress in any::<bool>(),
     ) {
         // Bare, or dressed as a v3 segment: magic, version and a trailer
-        // that checks, so the index and block parsers see the bytes.
+        // that checks, so the header walk and block parser see the bytes.
         let data = if dress {
             let mut data = [b"SHIF\x03\x01".as_slice(), &bytes].concat();
             let trailer = crc32c(&data);
@@ -317,6 +325,40 @@ proptest! {
             matches!(result, Err(MrError::Intermediate(_))),
             "field {} forged to {}: {:?}", field, forged, result
         );
+    }
+
+    /// A segment is its blocks: bytes after the last one are read as a
+    /// header, and too few of them ever to make a block are refused.
+    #[test]
+    fn bytes_after_the_last_block_are_refused(
+        case in blocks(),
+        trailing in vec(any::<u8>(), 1..12),
+    ) {
+        let data = sealed([region(&case.0), trailing].concat());
+        prop_assert!(refused(&data));
+    }
+
+    /// A header whose body would end past the trailer is refused before
+    /// any of that body is read.
+    #[test]
+    fn a_body_past_the_region_is_refused(case in blocks(), extra in 1usize..300) {
+        let (last, rest) = case.0.split_last().expect("at least one block");
+        let mut data = region(rest);
+        last.encode(&mut data, last.body.len() + extra);
+        prop_assert!(refused(&sealed(data)));
+    }
+
+    /// A segment that ends inside its last block's header, at any byte
+    /// from the first field to the CRC, is refused.
+    #[test]
+    fn a_header_cut_mid_field_is_refused(case in blocks(), at in any::<usize>()) {
+        let (last, rest) = case.0.split_last().expect("at least one block");
+        let mut block = Vec::new();
+        last.encode(&mut block, last.body.len());
+        let header = block.len() - last.body.len();
+        let mut data = region(rest);
+        data.extend_from_slice(&block[..1 + at % (header - 1)]);
+        prop_assert!(refused(&sealed(data)));
     }
 
     /// Rewritten body and fence bytes may spell another valid block;

@@ -63,15 +63,26 @@ fn mid_task_flushes_change_records_not_answers() {
 }
 
 /// What the aggregated job shipped before the slab replaced the hashed
-/// window map (the same numbers at the parent commit): the slab changes
-/// where windows accumulate, not one byte of what leaves the mapper.
+/// window map: the slab changes where windows accumulate, not one byte of
+/// what leaves the mapper.
+///
+/// The materialized bytes are those of v3 segments without a fence-key
+/// index: each pin is the hashed mapper's less its job's index bytes.
+/// An index cost a segment 9 bytes (its entry count and the 8-byte
+/// index offset) and a block 37 (an 8-byte prefix, a one-byte length and
+/// the 28-byte fence key) plus its offset's vint: 1 byte for a segment's
+/// first block, at offset 6, and 3 for each later one. So Z-order, with
+/// 31 segments and 103 blocks, drops 31 × 10 + 103 × 37 + 72 × 3 = 4,337
+/// bytes (421,829 → 417,492); Hilbert, 27 and 82, drops 27 × 10 +
+/// 82 × 37 + 55 × 3 = 3,469 (415,868 → 412,399); row-major, 32 and 120,
+/// drops 32 × 10 + 120 × 37 + 88 × 3 = 5,024 (425,805 → 420,781).
 #[test]
 fn aggregated_job_ships_what_the_hashed_mapper_shipped() {
     let var = Variable::random_i32("g", Shape::new(vec![96, 96]), 1_000_000, 7).unwrap();
     for (curve, materialized, records, route_split) in [
-        (CurveKind::ZOrder, 421_829, 515, 4),
-        (CurveKind::Hilbert, 415_868, 211, 1),
-        (CurveKind::RowMajor, 425_805, 786, 2),
+        (CurveKind::ZOrder, 417_492, 515, 4),
+        (CurveKind::Hilbert, 412_399, 211, 1),
+        (CurveKind::RowMajor, 420_781, 786, 2),
     ] {
         let mut q = aggregated(2, 64 << 20);
         q.num_splits = 8;

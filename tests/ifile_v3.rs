@@ -19,12 +19,7 @@ fn write_segment(pairs: &[(Vec<u8>, Vec<u8>)], version: u8, budget: usize) -> Ve
     let codec: Arc<dyn Codec> = Arc::new(IdentityCodec);
     let mut w = match version {
         2 => IFileWriter::new(Framing::IFile, codec),
-        3 => IFileWriter::v3_with_budget(
-            Framing::IFile,
-            codec,
-            Arc::new(DefaultKeySemantics),
-            budget,
-        ),
+        3 => IFileWriter::v3_with_budget(Framing::IFile, codec, budget),
         _ => unreachable!(),
     };
     for (k, v) in pairs {
@@ -174,12 +169,7 @@ proptest! {
     #[test]
     fn v3_roundtrips_under_a_real_codec(pairs in prefix_heavy_pairs()) {
         let codec = DeflateCodec::new();
-        let mut w = IFileWriter::v3_with_budget(
-            Framing::IFile,
-            Arc::new(DeflateCodec::new()),
-            Arc::new(DefaultKeySemantics),
-            128,
-        );
+        let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(DeflateCodec::new()), 128);
         for (k, v) in &pairs {
             w.append(k, v);
         }
@@ -322,7 +312,7 @@ fn a_key_is_stored_once_per_group_not_once_per_record() {
         "299 more values, and five vints that grew by two bytes: the header's \
          records, key bytes, value bytes and body length, and the group's count"
     );
-    assert_eq!(v3_raw(&pairs, 1 << 16).blocks(), 1);
+    assert_eq!(v3_raw(&pairs, 1 << 16).blocks().unwrap(), 1);
 }
 
 #[test]
@@ -331,7 +321,7 @@ fn key_runs_cross_block_boundaries_and_the_record_cap() {
     // block re-opens the group against its own fence key.
     let pairs = repeated(b"k", 1000, |i| (i as u32).to_be_bytes().to_vec());
     let raw = v3_raw(&pairs, 16);
-    assert_eq!(raw.blocks(), 250);
+    assert_eq!(raw.blocks().unwrap(), 250);
     assert_eq!(raw.record_count().unwrap(), 1000);
     assert_eq!(read_pairs(&write_segment(&pairs, 3, 16)), pairs);
 
@@ -340,7 +330,7 @@ fn key_runs_cross_block_boundaries_and_the_record_cap() {
     let cap = MAX_BLOCK_RECORDS as usize;
     let pairs = repeated(b"the-one-key", cap + 1, |_| Vec::new());
     let raw = v3_raw(&pairs, 1 << 16);
-    assert_eq!(raw.blocks(), 2);
+    assert_eq!(raw.blocks().unwrap(), 2);
     let mut cursor = raw.block_cursor();
     assert!(cursor.advance().unwrap());
     assert_eq!(cursor.block_remaining(), MAX_BLOCK_RECORDS);
@@ -356,7 +346,7 @@ fn key_runs_cross_block_boundaries_and_the_record_cap() {
     assert_eq!(records, cap + 1);
     // The same with empty keys: a record that is no bytes at all.
     let pairs = repeated(b"", cap + 1, |_| Vec::new());
-    assert_eq!(v3_raw(&pairs, 1 << 16).blocks(), 2);
+    assert_eq!(v3_raw(&pairs, 1 << 16).blocks().unwrap(), 2);
     assert_eq!(
         read_pairs(&write_segment(&pairs, 3, 1 << 16)).len(),
         cap + 1
@@ -408,12 +398,7 @@ fn grouped_blocks_splice_between_writers() {
     };
     let (a, b, c) = (part(1, 4), part(3, 0), part(5, 2));
     let loose = |tag: u8| (vec![b'p', tag], b"loose".to_vec());
-    let mut w = IFileWriter::v3_with_budget(
-        Framing::IFile,
-        Arc::new(IdentityCodec),
-        Arc::new(DefaultKeySemantics),
-        64,
-    );
+    let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), 64);
     let mut expected = Vec::new();
     let mut spliced = 0;
     for (tag, source) in [(0u8, &a), (2, &b), (4, &c)] {
@@ -479,7 +464,7 @@ fn duplicate_heavy_merge_replays_once_per_group() {
             .iter()
             .map(|s| RawSegment::open(s, &IdentityCodec).unwrap())
             .collect();
-        let blocks: usize = segments.iter().map(RawSegment::blocks).sum();
+        let blocks: usize = segments.iter().map(|s| s.blocks().unwrap()).sum();
         let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
         let mut merged = Vec::new();
         while let Some(item) = stream.next_item().unwrap() {

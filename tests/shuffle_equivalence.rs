@@ -586,8 +586,8 @@ proptest! {
             .map(|(run, &format)| {
                 let mut w = match format {
                     0 => IFileWriter::new(Framing::IFile, codec.clone()),
-                    1 => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 64),
-                    _ => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 4096),
+                    1 => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), 64),
+                    _ => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), 4096),
                 };
                 for p in run {
                     w.append_pair(p);
@@ -677,8 +677,8 @@ proptest! {
                 let mut w = match format {
                     0 => IFileWriter::new(Framing::IFile, codec.clone()),
                     1 => IFileWriter::without_trailer(Framing::IFile, codec.clone()),
-                    2 => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 1),
-                    _ => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), ks.clone(), 96),
+                    2 => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), 1),
+                    _ => IFileWriter::v3_with_budget(Framing::IFile, codec.clone(), 96),
                 };
                 for p in run {
                     w.append_pair(p);

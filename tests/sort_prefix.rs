@@ -9,9 +9,9 @@
 //! straddling the 48-bit prefix clamp — and for the two shapes of
 //! implementor a user writes: a reversed order that overrides `compare`
 //! and the prefix, and one that overrides nothing but `partition`. The
-//! engine's radix spill sort, loser-tree merge and v3 fence index are
-//! only correct because of this implication, so a violation here is a
-//! corruption bug, not a perf regression — which is why the reversed
+//! engine's radix spill sort, loser-tree merge and v3 block-skip proof
+//! are only correct because of this implication, so a violation here is
+//! a corruption bug, not a perf regression — which is why the reversed
 //! order is also driven through all three (`check_engine`): a prefix
 //! that is right by this contract must be all the engine needs.
 
@@ -104,8 +104,7 @@ impl KeySemantics for OnlyPartition {
 /// *Merge*: `keys` sorted, written as v3 runs of 48-byte blocks —
 /// contiguous chunks (disjoint runs, where whole blocks are skipped)
 /// and round-robin (interleaved runs) — must merge to the comparator's
-/// order through both `next` and `next_item`, and every fence prefix on
-/// disk must be the high word of its fence key's wide prefix.
+/// order through both `next` and `next_item`.
 fn check_engine(ks: Arc<dyn KeySemantics>, keys: &[Vec<u8>]) -> Result<(), TestCaseError> {
     let mut distinct: Vec<Vec<u8>> = keys.to_vec();
     let splits: Vec<InputSplit> = (0..4i32)
@@ -170,12 +169,8 @@ fn check_engine(ks: Arc<dyn KeySemantics>, keys: &[Vec<u8>]) -> Result<(), TestC
         let sealed: Vec<Vec<u8>> = runs
             .iter()
             .map(|run| {
-                let mut w = IFileWriter::v3_with_budget(
-                    Framing::IFile,
-                    Arc::new(IdentityCodec),
-                    ks.clone(),
-                    48,
-                );
+                let mut w =
+                    IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), 48);
                 run.iter().for_each(|p| w.append_pair(p));
                 w.close().data
             })
@@ -184,19 +179,6 @@ fn check_engine(ks: Arc<dyn KeySemantics>, keys: &[Vec<u8>]) -> Result<(), TestC
             .iter()
             .map(|s| RawSegment::open(s, &IdentityCodec).expect("segment opens"))
             .collect();
-        for segment in &segments {
-            let mut cursor = segment.block_cursor();
-            prop_assert!(cursor.advance().expect("first record"));
-            while cursor.at_block_start() {
-                let block = cursor.take_block().expect("whole block");
-                prop_assert_eq!(
-                    block.fence_prefix,
-                    (ks.sort_prefix_wide(block.fence_key) >> 64) as u64,
-                    "fence prefix of {:?}",
-                    block.fence_key
-                );
-            }
-        }
         let expected = merge_sorted_runs(runs, ks.as_ref());
         let mut by_record = Vec::new();
         let mut stream = BlockMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
@@ -282,7 +264,7 @@ proptest! {
 
     /// Bytewise order under all three implementors that use it or its
     /// mirror image, over the edges of the 16-byte window — and the
-    /// mirror image through a job, the merge and the fence index.
+    /// mirror image through a job, the merge and its block skipping.
     #[test]
     fn bytewise_prefix_contracts_over_edge_keys(keys in edge_keys()) {
         check_contract(&DefaultKeySemantics, &keys)?;
