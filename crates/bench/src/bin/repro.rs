@@ -3,9 +3,8 @@
 //! ```text
 //! repro [EXPERIMENT] [--small] [--trace <path>] [--ledger <path>]
 //!       [--reconcile <path>] [--faults <spec>] [--retries <n>]
-//!       [--codec <name>] [--ifile-version <1|2|3>] [--workers <n>]
-//!       [--transport <tcp|uds>] [--shuffle-mem-kib <n>]
-//!       [--wire-codec <identity|lz>]
+//!       [--codec <name>] [--workers <n>] [--transport <tcp|uds>]
+//!       [--shuffle-mem-kib <n>] [--wire-codec <identity|lz>]
 //!
 //! Anything else — an unknown `--flag`, a flag whose value is missing or
 //! starts with `--`, an unknown or a second experiment name, a KiB count
@@ -30,12 +29,10 @@
 //! --codec <name> sets the intermediate-data codec for fault_storm,
 //!   composed from: [transform+](identity|lz|deflate|bzip), e.g.
 //!   "transform+deflate" (the stride transform over deflate).
-//! --ifile-version <1|2|3> sets the intermediate segment format for the
-//!   trace, fault_storm and dist experiments: 1 = plain, 2 =
-//!   CRC-trailed framed records (the paper's Hadoop layout and this
-//!   tool's default, so its byte rows stay comparable with the paper's),
-//!   3 = CRC'd blocks of front-coded key groups in column order, each
-//!   headed by its first key (what the engine itself defaults to).
+//! The trace, fault_storm and dist experiments run the engine's own
+//! segment format (IFile v3, `JobConfig::default()`); the rows that
+//! rebuild one of the paper's byte numbers pin the paper's framed v2
+//! layout in code (`bench::PAPER_IFILE`).
 //! --faults <spec> configures the fault_storm plan, e.g.
 //!   "seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2"
 //!   (keys are optional; rates in [0,1]). --retries <n> sets the
@@ -58,16 +55,15 @@
 
 use scihadoop_bench as bench;
 use scihadoop_mapreduce::obs::LedgerSink;
-use scihadoop_mapreduce::{IFileVersion, Transport, WireCodec};
+use scihadoop_mapreduce::{Transport, WireCodec};
 
 /// What the command line resolved to, as the experiments read it.
 struct Args {
     small: bool,
     trace_path: Option<String>,
     ledger_path: Option<String>,
-    ifile_version: IFileVersion,
-    /// The storm wordcount: `--codec`, `--ifile-version`, `--faults`
-    /// and `--retries` applied to the default spec.
+    /// The storm wordcount: `--codec`, `--faults` and `--retries`
+    /// applied to the default spec.
     storm: bench::DistJobSpec,
     workers: usize,
     transport: Transport,
@@ -186,8 +182,7 @@ const EXPERIMENTS: [Experiment; 16] = [
 ];
 
 fn trace(a: &Args) {
-    let (table, trace, records) =
-        bench::traced_pipeline(a.size(64, 24), a.size(5_000, 600), a.ifile_version);
+    let (table, trace, records) = bench::traced_pipeline(a.size(64, 24), a.size(5_000, 600));
     show(table);
     if let Some(path) = &a.trace_path {
         let json = scihadoop_mapreduce::obs::chrome_trace_json(&trace);
@@ -233,14 +228,13 @@ fn dist(a: &Args) {
 /// Every flag that takes a value, with the value's name in the usage
 /// line; `--small` is the one switch. The parser and the usage line
 /// both read this table.
-const VALUE_FLAGS: [(&str, &str); 11] = [
+const VALUE_FLAGS: [(&str, &str); 10] = [
     ("--trace", "path"),
     ("--ledger", "path"),
     ("--reconcile", "path"),
     ("--faults", "spec"),
     ("--retries", "n"),
     ("--codec", "name"),
-    ("--ifile-version", "1|2|3"),
     ("--workers", "n"),
     ("--transport", "tcp|uds"),
     ("--shuffle-mem-kib", "n"),
@@ -305,9 +299,6 @@ fn main() {
         v.parse()
             .unwrap_or_else(|_| reject(&format!("--retries {v:?} is not an unsigned integer")))
     });
-    let ifile_version = flag_value("--ifile-version").map_or(bench::PAPER_IFILE, |v| {
-        IFileVersion::parse(&v).unwrap_or_else(|e| reject(&format!("bad --ifile-version: {e}")))
-    });
     let codec = flag_value("--codec").unwrap_or_else(|| "identity".into());
     if let Err(e) = bench::codec_by_name(&codec) {
         reject(&format!("bad --codec: {e}"));
@@ -368,10 +359,8 @@ fn main() {
         small,
         trace_path,
         ledger_path,
-        ifile_version,
         storm: bench::DistJobSpec {
             records: if small { 2_000 } else { 20_000 },
-            ifile: ifile_version,
             codec,
             retries,
             faults: Some(fault_spec),

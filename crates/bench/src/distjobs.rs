@@ -5,9 +5,10 @@
 //! *same* `(JobConfig, Mapper, Reducer)` triple from nothing but the
 //! opaque payload carried in `SCIHADOOP_DIST_JOB`. [`DistJobSpec`] is
 //! that payload: a `key=value;…` string naming the workload size and
-//! every config knob that affects bytes on the wire (codec, IFile
-//! version, fault plan, retry budget). The workload itself is fixed —
-//! the wordcount of [`crate::workloads::wordcount_splits`], which the
+//! every config knob that affects bytes on the wire (codec, fault plan,
+//! retry budget). Segments are written in the engine's default format
+//! (IFile v3), so no spec field names one. The workload itself is fixed
+//! — the wordcount of [`crate::workloads::wordcount_splits`], which the
 //! fault-storm experiment takes from a spec too — because the point of
 //! the spec is equivalence testing, not generality.
 //!
@@ -17,8 +18,8 @@
 
 use crate::codecs::codec_by_name;
 use scihadoop_mapreduce::{
-    Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, Framing, IFileVersion, InputSplit,
-    JobConfig, Mapper, MrError, Reducer, WorkerEnv,
+    Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, Framing, InputSplit, JobConfig, Mapper,
+    MrError, Reducer, WorkerEnv,
 };
 
 /// Everything a worker process needs to rebuild the benchmark job.
@@ -32,8 +33,6 @@ pub struct DistJobSpec {
     pub map_slots: usize,
     /// Reduce slots per worker process.
     pub reduce_slots: usize,
-    /// Intermediate-file format version.
-    pub ifile: IFileVersion,
     /// Composed codec name for `codec_by_name`.
     pub codec: String,
     /// Per-task retry budget.
@@ -51,7 +50,6 @@ impl Default for DistJobSpec {
             reducers: 3,
             map_slots: 2,
             reduce_slots: 2,
-            ifile: crate::PAPER_IFILE,
             codec: "identity".to_string(),
             retries: 0,
             faults: None,
@@ -64,12 +62,11 @@ impl DistJobSpec {
     /// [`DistJobSpec::parse`].
     pub fn to_spec_string(&self) -> String {
         let mut s = format!(
-            "records={};reducers={};map_slots={};reduce_slots={};ifile={};codec={};retries={}",
+            "records={};reducers={};map_slots={};reduce_slots={};codec={};retries={}",
             self.records,
             self.reducers,
             self.map_slots,
             self.reduce_slots,
-            self.ifile.number(),
             self.codec,
             self.retries,
         );
@@ -94,7 +91,6 @@ impl DistJobSpec {
                 "reducers" => out.reducers = int(key, value)?,
                 "map_slots" => out.map_slots = int(key, value)?,
                 "reduce_slots" => out.reduce_slots = int(key, value)?,
-                "ifile" => out.ifile = IFileVersion::parse(value).map_err(MrError::Config)?,
                 "codec" => out.codec = value.to_string(),
                 "retries" => out.retries = int(key, value)?,
                 "faults" => out.faults = Some(value.to_string()),
@@ -117,7 +113,6 @@ impl DistJobSpec {
             .with_reducers(self.reducers)
             .with_slots(self.map_slots, self.reduce_slots)
             .with_framing(Framing::IFile)
-            .with_ifile_version(self.ifile)
             .with_codec(codec)
             .with_retries(self.retries);
         if let Some(faults) = &self.faults {
@@ -215,11 +210,16 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_keys_and_bad_fields() {
         assert!(DistJobSpec::parse("frobnicate=1").is_err());
-        // Payloads written before the block frame's size key and the
-        // backoff key were deleted (spelled in two pieces so a grep for
-        // the old knobs finds nothing in the tree).
+        // Payloads written before the block frame's size key, the
+        // backoff key and the segment-format key were deleted (spelled
+        // in two pieces so a grep for the old knobs finds nothing in the
+        // tree).
         assert!(DistJobSpec::parse(concat!("codec=lz;block", "_kib=16")).is_err());
         assert!(DistJobSpec::parse(concat!("retries=2;backoff", "_us=50")).is_err());
+        assert!(matches!(
+            DistJobSpec::parse(concat!("records=8;ifile", "=3")),
+            Err(MrError::Config(e)) if e.contains("unknown")
+        ));
         assert!(DistJobSpec::parse("records").is_err());
         assert!(DistJobSpec::parse("records=many").is_err());
         // 2^32 + 1 used to narrow to a retry budget of 1.
@@ -233,7 +233,6 @@ mod tests {
     fn build_config_honors_the_spec() {
         let spec = DistJobSpec {
             reducers: 5,
-            ifile: IFileVersion::V3,
             codec: "lz".to_string(),
             faults: Some("seed=7,map=0.5".to_string()),
             retries: 2,

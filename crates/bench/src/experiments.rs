@@ -298,14 +298,14 @@ impl Fig8Bar {
         self.values + self.keys + self.overhead
     }
 
-    /// Read a bar off a closed segment. "File overhead" is everything
+    /// Read a bar off a closed v2 segment. "File overhead" is everything
     /// that is neither key nor value payload: per-record framing plus
-    /// the segment header.
+    /// the segment header (a v2 segment stores every key byte).
     fn from_segment(seg: &Segment) -> Fig8Bar {
         Fig8Bar {
             values: seg.value_bytes,
             keys: seg.key_bytes,
-            overhead: seg.framing_bytes() + Framing::IFile.file_overhead() as u64,
+            overhead: seg.raw_bytes - seg.key_bytes - seg.value_bytes,
         }
     }
 }
@@ -560,13 +560,8 @@ pub fn cluster_experiment(n: u32, splits: usize) -> (Table, Vec<ClusterRow>) {
 /// enabled — it exercises the windowed sort-split stage. Job 3 replays a
 /// small wordcount under guaranteed first-attempt map faults so the
 /// trace carries Retry spans. Between them every pipeline phase records
-/// spans.
-pub fn traced_pipeline(
-    n: u32,
-    records: usize,
-    ifile_version: IFileVersion,
-) -> (Table, Trace, Vec<obs::LedgerRecord>) {
-    let header = Framing::IFile.file_overhead() as u64;
+/// spans. Every job writes the engine's default segment format.
+pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::LedgerRecord>) {
     let mut ledger = Vec::new();
     let mut counters = Counters::new().snapshot();
     let mut trace = Trace::empty();
@@ -575,14 +570,12 @@ pub fn traced_pipeline(
     let mut traced =
         |label: &str, config: JobConfig, run: &dyn Fn(&JobConfig) -> Result<JobResult, MrError>| {
             let recorder = Recorder::new();
-            let config = config
-                .with_ifile_version(ifile_version)
-                .with_recorder(recorder.clone());
+            let config = config.with_recorder(recorder.clone());
             let result = run(&config).unwrap_or_else(|e| panic!("{label} runs: {e}"));
             let job_trace = recorder.finish();
             result
                 .counters
-                .check_invariants(header)
+                .check_invariants()
                 .unwrap_or_else(|e| panic!("{label}: counter invariants violated: {e:#?}"));
             ledger.push(obs::LedgerRecord::from_run(
                 label,
@@ -649,7 +642,10 @@ pub fn traced_pipeline(
 
     let keys = counters.get(Counter::MapOutputKeyBytes);
     let values = counters.get(Counter::MapOutputValueBytes);
-    let segments = counters.get(Counter::MapOutputSegments);
+    let raw = counters.get(Counter::MapOutputBytes);
+    // What is neither key nor value: framing plus segment headers, by the
+    // byte-split identity `check_invariants` just held each job to.
+    let framing = raw + counters.get(Counter::MapOutputKeySavedBytes) - keys - values;
 
     let mut table = Table::new(
         &format!("observability: traced wordcount + aggregated median ({records} records, {n}²)"),
@@ -667,14 +663,14 @@ pub fn traced_pipeline(
         "Table I view: keys {} / values {} / framing+header {} (key fraction {:.1}%)",
         fmt_bytes(keys),
         fmt_bytes(values),
-        fmt_bytes(counters.get(Counter::MapOutputFramingBytes) + header * segments),
+        fmt_bytes(framing),
         100.0 * keys as f64 / (keys + values).max(1) as f64,
     ));
     table.note(&format!(
         "Table II view: materialized {} of {} raw across {} segments ({:.1}%)",
         fmt_bytes(counters.get(Counter::MapOutputMaterializedBytes)),
-        fmt_bytes(counters.get(Counter::MapOutputBytes)),
-        segments,
+        fmt_bytes(raw),
+        counters.get(Counter::MapOutputSegments),
         100.0 * counters.materialized_ratio(),
     ));
     table.note("byte views read off the job counters; check_invariants passed on each job");
@@ -725,15 +721,9 @@ pub fn drift_table(title: &str, records: &[obs::LedgerRecord]) -> (Table, Vec<ob
 /// `validate_trace` and `repro --reconcile` both read a ledger through
 /// it.
 pub fn ledger_violations(records: &[obs::LedgerRecord]) -> Vec<String> {
-    let header = Framing::IFile.file_overhead() as u64;
     let mut violations = Vec::new();
     for (i, record) in records.iter().enumerate() {
-        for e in record
-            .counters
-            .check_invariants(header)
-            .err()
-            .unwrap_or_default()
-        {
+        for e in record.counters.check_invariants().err().unwrap_or_default() {
             violations.push(format!("record {} ({}): {e}", i + 1, record.label));
         }
     }
@@ -793,9 +783,9 @@ fn run_wordcount(splits: Vec<InputSplit>, config: &JobConfig) -> Result<JobResul
 /// may differ; the faulted snapshot must still satisfy
 /// `check_invariants`. Both runs use the spec's codec, so byte-identical
 /// recovery also proves compressed segments shuffle losslessly while
-/// corruption is detected (the segment's CRC-32C trailer, or the codec
-/// frame's own CRC when the flip lands in the compressed bytes) and
-/// retried.
+/// corruption is detected (the segment's CRC-32C trailer, or, when the
+/// flip lands in the compressed bytes, the codec frame's own CRC or a
+/// stream that no longer decodes) and retried.
 ///
 /// Panics if recovery is not exact — this experiment is itself the
 /// assertion, in the spirit of the paper's "results are identical"
@@ -833,7 +823,7 @@ pub fn fault_storm(spec: &DistJobSpec, mut ledger: Option<&mut obs::LedgerSink>)
 
     faulted
         .counters
-        .check_invariants(Framing::IFile.file_overhead() as u64)
+        .check_invariants()
         .expect("faulted counters must satisfy the accounting invariants");
     assert_same_answer(
         &clean,
@@ -1509,8 +1499,9 @@ mod tests {
 
     #[test]
     fn traced_pipeline_covers_all_phases() {
-        // check_invariants() already ran on each job's counters inside.
-        let (table, trace, ledger) = traced_pipeline(24, 400, PAPER_IFILE);
+        // check_invariants() already ran on each job's counters inside,
+        // with the key-saved term of the byte split nonzero.
+        let (table, trace, ledger) = traced_pipeline(24, 400);
         for phase in ALL_PHASES {
             assert!(
                 trace.span_count(phase) > 0,
@@ -1539,20 +1530,16 @@ mod tests {
         assert!(ledger.iter().all(|r| r.phases.iter().any(|p| p.count > 0)));
         assert!(ledger.iter().all(|r| !r.histograms.is_empty()));
         assert_eq!(ledger[2].config.fault_seed, Some(1));
-    }
-
-    #[test]
-    fn traced_pipeline_v3_saves_key_bytes() {
-        // Same pipeline over v3 block segments: check_invariants()
-        // inside balances the byte split with the key-saved term
-        // nonzero.
-        let (_, trace, ledger) = traced_pipeline(24, 400, IFileVersion::V3);
+        // Every job writes v3 blocks, and the wordcount's keys share
+        // prefixes, so front coding saves key bytes.
+        for record in &ledger {
+            assert_eq!(record.config.ifile_version, 3, "{}", record.label);
+            assert!(record.counters.get(Counter::BlocksWritten) > 0);
+        }
         assert!(
             ledger[0].counters.get(Counter::MapOutputKeySavedBytes) > 0,
             "wordcount keys share prefixes; v3 must save key bytes"
         );
-        assert!(ledger[0].counters.get(Counter::BlocksWritten) > 0);
-        assert_eq!(trace.dropped_events, 0);
     }
 
     fn storm_spec() -> DistJobSpec {
@@ -1585,13 +1572,12 @@ mod tests {
     fn fault_storm_recovers_with_a_compressing_codec() {
         // Compressed segments round-trip byte-identically through the
         // full shuffle under fault injection, with corruption detected
-        // and retried. lz's frame CRC covers the compressed payload, so
-        // a flip there counts as a checksum failure; a flipped deflate
-        // stream usually fails structurally first (retried, not counted).
+        // and retried. A flip in the compressed bytes is caught by the
+        // codec, either by its frame CRC or because the stream no longer
+        // decodes, and either way counts as a checksum failure.
         let mut sink = obs::LedgerSink::new();
         let spec = DistJobSpec {
             codec: "transform+lz".into(),
-            ifile: IFileVersion::V3,
             ..storm_spec()
         };
         let t = fault_storm(&spec, Some(&mut sink));

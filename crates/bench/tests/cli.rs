@@ -32,6 +32,11 @@ fn repro_rejects_what_its_grammar_does_not_generate() {
             "unknown flag",
         ),
         (&["intro", "--small", "--wire-codex", "lz"], "unknown flag"),
+        // The segment format is the engine's; no flag picks another.
+        (
+            &["trace", "--small", "--ifile-version", "3"],
+            "unknown flag",
+        ),
         // A flag must not swallow the next flag as its value (this one
         // used to write a ledger file named `--small`).
         (&["--small", "--ledger", "--small"], "requires a value"),

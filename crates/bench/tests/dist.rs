@@ -93,6 +93,7 @@ fn fault_storm_with_wire_corruption_is_byte_identical_over_tcp() {
 #[cfg(unix)]
 #[test]
 fn fault_storm_with_wire_corruption_is_byte_identical_over_uds() {
+    let mut sink = LedgerSink::new();
     let table = dist_equivalence(
         &storm_spec(),
         3,
@@ -100,7 +101,7 @@ fn fault_storm_with_wire_corruption_is_byte_identical_over_uds() {
         None,
         WireCodec::Identity,
         WORKER_ARGS,
-        None,
+        Some(&mut sink),
     );
     // The storm actually stormed: the fault note reports non-zero
     // injections (tallies themselves are asserted inside).
@@ -109,6 +110,12 @@ fn fault_storm_with_wire_corruption_is_byte_identical_over_uds() {
         "fault note missing:\n{}",
         table.render()
     );
+    // Both runs shuffled the engine's own segment format.
+    let labels: Vec<&str> = sink.records().iter().map(|r| r.label.as_str()).collect();
+    assert_eq!(labels, ["dist_local", "dist_uds"]);
+    for record in sink.records() {
+        assert_eq!(record.config.ifile_version, 3, "{}", record.label);
+    }
 }
 
 // A 64 KiB budget against a multi-megabyte shuffle forces nearly every

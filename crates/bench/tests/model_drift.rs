@@ -13,11 +13,10 @@
 
 use scihadoop_bench::{drift_table, traced_pipeline};
 use scihadoop_mapreduce::obs::LedgerRecord;
-use scihadoop_mapreduce::IFileVersion;
 
 #[test]
 fn model_drift_pins_time_error_bounds() {
-    let (_, _, ledger) = traced_pipeline(24, 400, IFileVersion::V3);
+    let (_, _, ledger) = traced_pipeline(24, 400);
     // Drift is reported from records as `repro --reconcile` reads them:
     // written as ledger lines and parsed back.
     let records: Vec<LedgerRecord> = ledger

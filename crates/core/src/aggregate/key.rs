@@ -124,12 +124,6 @@ impl AggregateRecord {
             values: self.values[from..to].to_vec(),
         }
     }
-
-    /// Total serialized size: key + values (per-record framing is the
-    /// engine's concern).
-    pub fn serialized_len(&self) -> usize {
-        AGGREGATE_KEY_LEN + self.values.len()
-    }
 }
 
 #[cfg(test)]

@@ -37,18 +37,6 @@ impl RangePartitioner {
         }
     }
 
-    /// Explicit boundaries; `boundaries[0]` must be 0 and the list strictly
-    /// increasing.
-    pub fn from_boundaries(boundaries: Vec<CurveIndex>) -> Self {
-        assert!(!boundaries.is_empty(), "need at least one partition");
-        assert_eq!(boundaries[0], 0, "partition 0 must start at index 0");
-        assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must increase strictly"
-        );
-        RangePartitioner { boundaries }
-    }
-
     /// Number of partitions.
     pub fn parts(&self) -> usize {
         self.boundaries.len()
@@ -307,12 +295,5 @@ mod tests {
     #[should_panic(expected = "span smaller than parts")]
     fn uniform_rejects_tiny_span() {
         let _ = RangePartitioner::uniform(10, 5);
-    }
-
-    #[test]
-    fn from_boundaries_validation() {
-        let p = RangePartitioner::from_boundaries(vec![0, 10, 20]);
-        assert_eq!(p.partition_of(9), 0);
-        assert_eq!(p.partition_of(10), 1);
     }
 }

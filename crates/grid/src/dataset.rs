@@ -107,11 +107,6 @@ impl Variable {
         &self.data
     }
 
-    /// Mutable raw cell bytes (for bulk deserialization).
-    pub fn raw_data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Total payload bytes (what the paper calls "the data").
     pub fn data_bytes(&self) -> u64 {
         self.data.len() as u64

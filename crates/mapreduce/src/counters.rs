@@ -128,8 +128,10 @@ counters! {
     /// Task attempts that failed and were re-queued for another attempt
     /// (fault-tolerance path; a clean run has zero).
     TaskRetries = "task_retries", FaultTally;
-    /// Segment CRC-32 trailer mismatches detected at open time. Every
-    /// detected failure triggers a retry, so on a completed job
+    /// Corrupt segments detected at open time: a CRC-32C trailer
+    /// mismatch, or a codec that refused to decode the segment (see
+    /// [`crate::MrError::is_checksum`]). Every detected failure
+    /// triggers a retry, so on a completed job
     /// `ChecksumFailures <= TaskRetries`.
     ChecksumFailures = "checksum_failures", FaultTally;
     /// Faults injected by a configured [`crate::fault::FaultPlan`]
@@ -272,16 +274,6 @@ impl CounterSnapshot {
         self.get(Counter::MapOutputMaterializedBytes) as f64 / raw as f64
     }
 
-    /// Per-counter difference `self - earlier` (saturating), e.g. to
-    /// isolate one job's contribution to a shared bank.
-    pub fn diff(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut values = [0u64; NUM_COUNTERS];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = self.values[i].saturating_sub(earlier.values[i]);
-        }
-        CounterSnapshot { values }
-    }
-
     /// Per-counter sum of two snapshots, e.g. to aggregate a multi-job
     /// run into one report.
     pub fn merge(&self, other: &CounterSnapshot) -> CounterSnapshot {
@@ -295,15 +287,14 @@ impl CounterSnapshot {
     /// Check the cross-counter accounting invariants that every
     /// completed job must satisfy. Returns every violated invariant.
     ///
-    /// `segment_header_bytes` is the fixed per-segment file header size
-    /// (`Framing::file_overhead()`), which `MapOutputBytes` includes
-    /// but the key/value/framing split does not.
-    pub fn check_invariants(&self, segment_header_bytes: u64) -> Result<(), Vec<String>> {
+    /// `MapOutputBytes` includes each segment's fixed file header, which
+    /// the key/value/framing split does not.
+    pub fn check_invariants(&self) -> Result<(), Vec<String>> {
         let mut violations = Vec::new();
         let key = self.get(Counter::MapOutputKeyBytes);
         let value = self.get(Counter::MapOutputValueBytes);
         let framing = self.get(Counter::MapOutputFramingBytes);
-        let headers = segment_header_bytes * self.get(Counter::MapOutputSegments);
+        let headers = crate::ifile::HEADER_LEN as u64 * self.get(Counter::MapOutputSegments);
         let total = self.get(Counter::MapOutputBytes);
         // Key bytes are logical; front coding makes raw bytes smaller by
         // exactly the saved key bytes, so the split balances against
@@ -434,20 +425,20 @@ mod tests {
     }
 
     #[test]
-    fn diff_and_merge() {
-        let c = Counters::new();
-        c.add(Counter::Spills, 3);
-        let before = c.snapshot();
-        c.add(Counter::Spills, 4);
-        c.add(Counter::MapInputRecords, 10);
-        let after = c.snapshot();
-        let delta = after.diff(&before);
-        assert_eq!(delta.get(Counter::Spills), 4);
-        assert_eq!(delta.get(Counter::MapInputRecords), 10);
-        // diff saturates instead of wrapping
-        assert_eq!(before.diff(&after).get(Counter::Spills), 0);
-        let merged = before.merge(&delta);
-        assert_eq!(merged, after);
+    fn merge_adds_per_counter() {
+        let a = Counters::new();
+        a.add(Counter::Spills, 3);
+        let b = Counters::new();
+        b.add(Counter::Spills, 4);
+        b.add(Counter::MapInputRecords, 10);
+        let merged = a.snapshot().merge(&b.snapshot());
+        assert_eq!(merged.get(Counter::Spills), 7);
+        assert_eq!(merged.get(Counter::MapInputRecords), 10);
+        // merge saturates instead of wrapping
+        let full = Counters::new();
+        full.add(Counter::Spills, u64::MAX);
+        let saturated = full.snapshot().merge(&b.snapshot());
+        assert_eq!(saturated.get(Counter::Spills), u64::MAX);
     }
 
     #[test]
@@ -464,7 +455,7 @@ mod tests {
         c.add(Counter::CombineOutputRecords, 4);
         c.add(Counter::ReduceInputRecords, 4);
         c.add(Counter::ReduceInputGroups, 3);
-        assert!(c.snapshot().check_invariants(6).is_ok());
+        assert!(c.snapshot().check_invariants().is_ok());
     }
 
     #[test]
@@ -474,7 +465,7 @@ mod tests {
         c.add(Counter::CombineOutputRecords, 5); // combiner out > in (0)
         c.add(Counter::ReduceInputGroups, 2); // groups > records (0)
         c.add(Counter::ShuffleBytes, 7); // != materialized (0)
-        let errs = c.snapshot().check_invariants(6).unwrap_err();
+        let errs = c.snapshot().check_invariants().unwrap_err();
         assert_eq!(errs.len(), 4, "all four invariants flagged: {errs:?}");
     }
 
@@ -496,13 +487,13 @@ mod tests {
         let c = Counters::new();
         c.add(Counter::ChecksumFailures, 3);
         c.add(Counter::TaskRetries, 2);
-        let errs = c.snapshot().check_invariants(6).unwrap_err();
+        let errs = c.snapshot().check_invariants().unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("checksum failures")),
             "{errs:?}"
         );
         c.add(Counter::TaskRetries, 1);
-        assert!(c.snapshot().check_invariants(6).is_ok());
+        assert!(c.snapshot().check_invariants().is_ok());
     }
 
     #[test]
@@ -511,7 +502,7 @@ mod tests {
         c.add(Counter::BlocksSkipped, 5);
         c.add(Counter::BlocksWritten, 3);
         c.add(Counter::MapOutputKeySavedBytes, 10); // > key bytes (0)
-        let errs = c.snapshot().check_invariants(6).unwrap_err();
+        let errs = c.snapshot().check_invariants().unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("blocks skipped")),
             "{errs:?}"
@@ -531,7 +522,7 @@ mod tests {
         c.add(Counter::MapOutputBytes, 40 + 50 + 10 + 6 - 15);
         c.add(Counter::BlocksWritten, 4);
         c.add(Counter::BlocksSkipped, 4);
-        assert!(c.snapshot().check_invariants(6).is_ok());
+        assert!(c.snapshot().check_invariants().is_ok());
     }
 
     #[test]

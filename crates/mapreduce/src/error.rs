@@ -47,16 +47,15 @@ impl MrError {
     /// Whether this error (or any task error inside it) is a detected
     /// data-integrity failure — the signal the runner counts as caught
     /// corruption rather than a logic bug. Both the segment's own
-    /// CRC-32C trailer ([`MrError::Checksum`]) and a CRC mismatch
-    /// reported from inside a codec frame (the lz, deflate and bzip
-    /// frames each verify their own CRC while decoding) qualify.
+    /// CRC-32C trailer ([`MrError::Checksum`]) and any codec error
+    /// qualify: a codec error comes only from decompressing a segment,
+    /// and a flip in compressed bytes surfaces either as the frame's
+    /// own CRC mismatch or, as often, as a stream that no longer
+    /// decodes.
     pub fn is_checksum(&self) -> bool {
-        self.task_errors().iter().any(|e| {
-            matches!(
-                e,
-                MrError::Checksum(_) | MrError::Codec(CompressError::ChecksumMismatch { .. })
-            )
-        })
+        self.task_errors()
+            .iter()
+            .any(|e| matches!(e, MrError::Checksum(_) | MrError::Codec(_)))
     }
 }
 
@@ -133,7 +132,8 @@ mod tests {
         assert!(nested.is_checksum());
         assert!(!MrError::Config("nope".into()).is_checksum());
         // A CRC mismatch caught inside a codec frame (lz, deflate,
-        // bzip) is detected corruption too; other codec errors are not.
+        // bzip) is detected corruption too, and so is a stream the
+        // codec cannot decode.
         let frame_crc: MrError = CompressError::ChecksumMismatch {
             stored: 1,
             computed: 2,
@@ -141,6 +141,8 @@ mod tests {
         .into();
         assert!(frame_crc.is_checksum());
         let structural: MrError = CompressError::Corrupt("table".into()).into();
-        assert!(!structural.is_checksum());
+        assert!(structural.is_checksum());
+        let short: MrError = CompressError::Truncated("stream".into()).into();
+        assert!(short.is_checksum());
     }
 }

@@ -37,8 +37,8 @@ use scihadoop_compress::{crc32c, Codec, Crc32c};
 use std::sync::Arc;
 
 /// File magic ("SciHadoop InterFile") + version + framing byte = 6-byte
-/// header.
-const HEADER_LEN: usize = 6;
+/// header, the same for every version and framing.
+pub(crate) const HEADER_LEN: usize = 6;
 const MAGIC: &[u8; 4] = b"SHIF";
 /// Format version without an integrity trailer (the original layout).
 const VERSION_PLAIN: u8 = 1;
@@ -79,29 +79,6 @@ pub enum IFileVersion {
     V3,
 }
 
-impl IFileVersion {
-    /// The header version byte this layout writes.
-    pub fn number(self) -> u8 {
-        match self {
-            IFileVersion::V1 => VERSION_PLAIN,
-            IFileVersion::V2 => VERSION_CRC,
-            IFileVersion::V3 => VERSION_BLOCK,
-        }
-    }
-
-    /// Parse a `1`/`2`/`3` command-line argument.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "1" => Ok(IFileVersion::V1),
-            "2" => Ok(IFileVersion::V2),
-            "3" => Ok(IFileVersion::V3),
-            other => Err(format!(
-                "unknown IFile version {other:?} (expected 1, 2 or 3)"
-            )),
-        }
-    }
-}
-
 /// Record framing variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Framing {
@@ -134,11 +111,6 @@ impl Framing {
             Framing::SequenceFile => 4 + vints,
             Framing::IFile => vints,
         }
-    }
-
-    /// Constant per-file overhead.
-    pub fn file_overhead(self) -> usize {
-        HEADER_LEN
     }
 }
 

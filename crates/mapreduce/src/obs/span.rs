@@ -116,11 +116,6 @@ impl SpanGuard {
             }),
         }
     }
-
-    /// True when this guard is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
 }
 
 impl Drop for SpanGuard {
@@ -168,7 +163,7 @@ mod tests {
     #[test]
     fn unattached_span_is_inert() {
         let g = SpanGuard::begin(Phase::MapEmit, 3);
-        assert!(!g.is_recording(), "no recorder attached on this thread");
+        assert!(g.inner.is_none(), "no recorder attached on this thread");
         drop(g);
     }
 }

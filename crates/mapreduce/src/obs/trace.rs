@@ -48,7 +48,7 @@ impl ThreadSink {
 struct Shared {
     epoch: Instant,
     sinks: Mutex<Vec<Arc<Mutex<ThreadSink>>>>,
-    warnings: Mutex<Vec<String>>,
+    warnings: Vec<String>,
 }
 
 /// Per-job trace/metrics collector. Cheap to clone (an `Arc`).
@@ -86,19 +86,20 @@ impl Recorder {
     /// CPU attribution falls back to wall time — see
     /// [`crate::clock`]).
     pub fn new() -> Self {
-        let shared = Arc::new(Shared {
-            epoch: Instant::now(),
-            sinks: Mutex::new(Vec::new()),
-            warnings: Mutex::new(Vec::new()),
-        });
+        let mut warnings = Vec::new();
         if crate::clock::clock_kind() == crate::clock::ClockKind::Wall {
-            shared.warnings.lock().push(
+            warnings.push(
                 "thread-CPU clock unavailable on this platform: span cpu_ns and phase \
                  counters fall back to wall-clock attribution and will be skewed under \
                  oversubscription"
                     .to_string(),
             );
         }
+        let shared = Arc::new(Shared {
+            epoch: Instant::now(),
+            sinks: Mutex::new(Vec::new()),
+            warnings,
+        });
         Recorder { shared }
     }
 
@@ -117,11 +118,6 @@ impl Recorder {
         Attachment { prev }
     }
 
-    /// Record a job-level warning string into the trace.
-    pub fn warn(&self, message: impl Into<String>) {
-        self.shared.warnings.lock().push(message.into());
-    }
-
     /// Drain every thread sink into one [`Trace`]. Call after all
     /// attached worker threads have finished (their attachments
     /// dropped); sinks registered by still-attached threads are drained
@@ -138,7 +134,7 @@ impl Recorder {
             trace.dropped_events += sink.dropped;
             trace.hists.merge(&sink.hists);
         }
-        trace.warnings.extend(self.shared.warnings.lock().clone());
+        trace.warnings.extend(self.shared.warnings.iter().cloned());
         trace.events.sort_by_key(|(tid, e)| (e.wall_start_ns, *tid));
         trace
     }
@@ -290,7 +286,6 @@ mod tests {
             let _a = rec.attach("test-thread");
             assert!(recording());
             let g = crate::span!(Phase::MapEmit, 7);
-            assert!(g.is_recording());
             std::hint::black_box(vec![0u8; 4096]);
             drop(g);
             hist(Metric::MergeFanIn, 4);

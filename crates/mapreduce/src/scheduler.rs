@@ -668,7 +668,7 @@ impl<'a> JobState<'a> {
         // violation means an instrumentation site drifted (debug builds
         // only — see CounterSnapshot::check_invariants).
         #[cfg(debug_assertions)]
-        if let Err(violations) = snapshot.check_invariants(config.framing.file_overhead() as u64) {
+        if let Err(violations) = snapshot.check_invariants() {
             panic!("counter invariants violated on job completion: {violations:#?}");
         }
         let stats = JobStats::from_counters(

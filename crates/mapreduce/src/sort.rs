@@ -804,7 +804,7 @@ pub fn for_each_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ifile::{Framing, IFileWriter};
+    use crate::ifile::{Framing, IFileWriter, HEADER_LEN};
     use crate::keysem::DefaultKeySemantics;
     use scihadoop_compress::IdentityCodec;
     use std::sync::Arc;
@@ -1205,14 +1205,14 @@ mod tests {
             true,
         );
         let full = seal(&victim, None, false);
-        let record_len = (full.len() - Framing::IFile.file_overhead()) / victim.len();
+        let record_len = (full.len() - HEADER_LEN) / victim.len();
         let (mut clean, mut failed) = (0, 0);
-        for cut in Framing::IFile.file_overhead()..full.len() {
+        for cut in HEADER_LEN..full.len() {
             let sealed = [healthy.clone(), full[..cut].to_vec()];
             let segments = open_all(&sealed);
             let merged =
                 BlockMergeStream::new(&segments, &ks).and_then(|mut stream| drain(&mut stream));
-            let body = cut - Framing::IFile.file_overhead();
+            let body = cut - HEADER_LEN;
             match merged {
                 Ok(records) => {
                     assert_eq!(body % record_len, 0, "cut {cut} is mid-record yet merged");
@@ -1230,7 +1230,7 @@ mod tests {
 
         // A length vint rewritten to overrun the buffer fails the same way.
         let mut corrupt = full.clone();
-        corrupt[Framing::IFile.file_overhead() + record_len] = 0x7f;
+        corrupt[HEADER_LEN + record_len] = 0x7f;
         let sealed = [healthy, corrupt];
         let segments = open_all(&sealed);
         let mut stream = BlockMergeStream::new(&segments, &ks).unwrap();

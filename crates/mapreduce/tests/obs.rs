@@ -157,10 +157,7 @@ fn segment_histograms_sample_once_per_final_segment() {
 #[test]
 fn untraced_job_records_nothing_but_counters_still_balance() {
     let result = sum_job(JobConfig::default(), wordcount_splits(200, 20));
-    assert!(result
-        .counters
-        .check_invariants(scihadoop_mapreduce::Framing::SequenceFile.file_overhead() as u64)
-        .is_ok());
+    assert!(result.counters.check_invariants().is_ok());
 }
 
 #[test]
@@ -193,11 +190,10 @@ fn invariants_hold_across_codecs_and_key_semantics() {
                         },
                     )));
                 }
-                let header = config.framing.file_overhead() as u64;
                 let result = sum_job(config, wordcount_splits(300, 25));
                 result
                     .counters
-                    .check_invariants(header)
+                    .check_invariants()
                     .unwrap_or_else(|e| panic!("codec={} combine={combine}: {e:?}", codec.name()));
             }
         }
@@ -239,7 +235,7 @@ fn exports_are_valid_and_cover_the_pipeline() {
     assert!(record.hist(Metric::SegRawBytes).is_some());
     record
         .counters
-        .check_invariants(config.framing.file_overhead() as u64)
+        .check_invariants()
         .expect("a record's counters balance");
 }
 
@@ -272,7 +268,7 @@ fn two_traced_jobs_merge_counters_and_traces() {
     trace.merge(&rec_b.finish());
     let merged = a.counters.merge(&b.counters);
     merged
-        .check_invariants(scihadoop_mapreduce::Framing::SequenceFile.file_overhead() as u64)
+        .check_invariants()
         .expect("merged counters still balance");
     assert_eq!(
         trace.hists.get(Metric::SegRawBytes).count(),
