@@ -15,6 +15,9 @@
 //! * every record's counters satisfy `CounterSnapshot::check_invariants`
 //!   — the cross-site accounting identities debug builds assert at job
 //!   completion, met here by release-build and process-mode runs too;
+//! * every traced record's `reduce_task_output_records` histogram holds
+//!   one sample per reducer — a committed reduce task samples it once,
+//!   and a retried attempt not at all;
 //! * the records jointly carry span rollups for every stage, and live
 //!   counters.
 //!
@@ -22,7 +25,7 @@
 
 use scihadoop_bench::json::{self, Json};
 use scihadoop_bench::ledger_violations;
-use scihadoop_mapreduce::obs::{LedgerRecord, ALL_PHASES, NUM_PHASES};
+use scihadoop_mapreduce::obs::{LedgerRecord, Metric, ALL_PHASES, NUM_PHASES};
 use scihadoop_mapreduce::Counter;
 
 fn check_trace(doc: &Json, errs: &mut Vec<String>) {
@@ -70,7 +73,8 @@ fn check_trace(doc: &Json, errs: &mut Vec<String>) {
 }
 
 /// Every ledger line must parse strictly, every record's counters must
-/// satisfy the accounting invariants, and jointly the records must cover
+/// satisfy the accounting invariants, every traced record must carry one
+/// output-record sample per reducer, and jointly the records must cover
 /// every phase and carry live counters.
 fn check_ledger(text: &str, errs: &mut Vec<String>) {
     let mut records = Vec::new();
@@ -89,6 +93,24 @@ fn check_ledger(text: &str, errs: &mut Vec<String>) {
     }
     for e in ledger_violations(&records) {
         errs.push(format!("ledger: {e}"));
+    }
+    // A thin record (a run without a recorder) carries no histograms.
+    let traced = records
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !r.histograms.is_empty());
+    for (i, record) in traced {
+        let metric = Metric::ReduceTaskOutputRecords;
+        let samples = record.hist(metric).map_or(0, |h| h.count);
+        if samples != record.job.num_reducers {
+            errs.push(format!(
+                "ledger: record {} ({}): {samples} {} samples for {} reducers",
+                i + 1,
+                record.label,
+                metric.name(),
+                record.job.num_reducers
+            ));
+        }
     }
     let mut phase_counts = [0u64; NUM_PHASES];
     for record in &records {

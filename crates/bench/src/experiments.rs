@@ -618,9 +618,10 @@ pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::Ledger
     );
 
     // Job 3: a deliberately faulty re-run of a small wordcount — every
-    // map task fails its first attempt and succeeds on retry, so the
-    // trace carries Retry spans (validate_trace demands rollups for
-    // every phase, retries included).
+    // task fails its first attempt and succeeds on retry, so the trace
+    // carries Retry spans (validate_trace demands rollups for every
+    // phase, retries included) and one sample per reducer of reduce
+    // output records, not one per attempt.
     traced(
         "traced_faulty_wordcount",
         JobConfig::default()
@@ -629,6 +630,7 @@ pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::Ledger
             .with_faults(FaultPlan::new(FaultConfig {
                 seed: 1,
                 map_error_rate: 1.0,
+                reduce_error_rate: 1.0,
                 attempt_cap: 1,
                 ..FaultConfig::default()
             })),
@@ -1530,6 +1532,14 @@ mod tests {
         assert!(ledger.iter().all(|r| r.phases.iter().any(|p| p.count > 0)));
         assert!(ledger.iter().all(|r| !r.histograms.is_empty()));
         assert_eq!(ledger[2].config.fault_seed, Some(1));
+        // Every task of the faulty job ran twice, reduces included, so
+        // `validate_trace`'s one-sample-per-reducer rule is held across
+        // retries (`tests/cli.rs` runs it on this ledger).
+        let faulty = &ledger[2];
+        assert_eq!(
+            faulty.counters.get(Counter::TaskRetries),
+            faulty.job.num_maps + faulty.job.num_reducers
+        );
         // Every job writes v3 blocks, and the wordcount's keys share
         // prefixes, so front coding saves key bytes.
         for record in &ledger {

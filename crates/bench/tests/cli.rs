@@ -2,7 +2,7 @@
 //! generate exits 2 with the usage line instead of running something
 //! other than what was asked for.
 
-use scihadoop_mapreduce::obs::LedgerRecord;
+use scihadoop_mapreduce::obs::{LedgerRecord, Metric};
 use scihadoop_mapreduce::{Counter, Counters, ALL_COUNTERS};
 use std::process::Command;
 
@@ -131,5 +131,26 @@ fn both_ledger_readers_reject_counters_that_do_not_balance() {
             assert!(stderr.contains(&record.label), "{args:?}: {stderr}");
         }
     }
+
+    // A traced record must carry one output-record sample per reducer;
+    // the traced median's record without them fails `validate_trace`.
+    let mut record = LedgerRecord::from_json(lines[1]).expect("line parses");
+    let samples = record
+        .hist(Metric::ReduceTaskOutputRecords)
+        .map(|h| h.count);
+    assert_eq!(samples, Some(record.job.num_reducers));
+    record
+        .histograms
+        .retain(|h| h.metric != Metric::ReduceTaskOutputRecords);
+    let mut forged = lines.clone();
+    let line = record.to_json();
+    forged[1] = &line;
+    std::fs::write(dir.join("forged.jsonl"), forged.join("\n") + "\n").expect("write");
+    let (code, stderr) = run(validate, &["t.json", "forged.jsonl"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("(traced_median): 0 reduce_task_output_records samples for 3 reducers"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }

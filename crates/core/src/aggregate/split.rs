@@ -37,6 +37,27 @@ impl RangePartitioner {
         }
     }
 
+    /// Partition at the quantiles of `sample`, indices drawn evenly from
+    /// those the job will route: boundary `p` is the sample's `p / parts`
+    /// quantile, so each partition owns about as many sampled indices as
+    /// the next — Hadoop's TotalOrderPartitioner over an interval sample.
+    /// The first boundary is 0, and a boundary that would not exceed the
+    /// one before it (a sample with fewer distinct indices than `parts`,
+    /// or none at all) is moved one past it, so every partition owns at
+    /// least one index.
+    pub fn from_sample(parts: usize, mut sample: Vec<CurveIndex>) -> Self {
+        assert!(parts >= 1, "need at least one partition");
+        sample.sort_unstable();
+        let mut boundaries: Vec<CurveIndex> = Vec::with_capacity(parts);
+        boundaries.push(0);
+        for p in 1..parts {
+            let quantile = sample.get(p * sample.len() / parts).copied().unwrap_or(0);
+            let floor = boundaries[p - 1] + 1;
+            boundaries.push(quantile.max(floor));
+        }
+        RangePartitioner { boundaries }
+    }
+
     /// Number of partitions.
     pub fn parts(&self) -> usize {
         self.boundaries.len()
@@ -174,6 +195,50 @@ mod tests {
         assert_eq!(p.partition_of(99), 3);
         assert_eq!(p.partition_of(1000), 3); // unbounded last partition
         assert_eq!(p.parts(), 4);
+    }
+
+    fn assert_strictly_increasing_from_zero(p: &RangePartitioner, parts: usize) {
+        assert_eq!(p.parts(), parts);
+        assert_eq!(p.boundaries[0], 0);
+        assert!(
+            p.boundaries.windows(2).all(|w| w[0] < w[1]),
+            "{:?}",
+            p.boundaries
+        );
+    }
+
+    #[test]
+    fn sampled_partitioner_cuts_at_the_sample_quantiles() {
+        // A sample crowded into the low end of the span, as a grid side
+        // just above a power of two crowds a curve's indices: each part
+        // owns a fifth of it, not a fifth of the span.
+        let sample: Vec<CurveIndex> = (0..1000).rev().map(|i| i * 3).collect();
+        let p = RangePartitioner::from_sample(5, sample.clone());
+        assert_eq!(p.boundaries, vec![0, 600, 1200, 1800, 2400]);
+        let mut owned = [0; 5];
+        for &i in &sample {
+            owned[p.partition_of(i)] += 1;
+        }
+        assert_eq!(owned, [200; 5]);
+        assert_eq!(p.partition_of(1 << 40), 4); // unbounded last partition
+    }
+
+    #[test]
+    fn sampled_partitioner_boundaries_strictly_increase() {
+        // No sample at all.
+        let p = RangePartitioner::from_sample(4, Vec::new());
+        assert_strictly_increasing_from_zero(&p, 4);
+        // Fewer distinct indices than parts.
+        let p = RangePartitioner::from_sample(5, vec![9, 9, 9, 2, 2, 9]);
+        assert_strictly_increasing_from_zero(&p, 5);
+        // A one-cell grid under a 3×3 window: nine centres, five parts.
+        let p = RangePartitioner::from_sample(5, (0..9).collect());
+        assert_strictly_increasing_from_zero(&p, 5);
+        // One sampled index, and one part.
+        let p = RangePartitioner::from_sample(3, vec![0]);
+        assert_strictly_increasing_from_zero(&p, 3);
+        let p = RangePartitioner::from_sample(1, vec![5, 7]);
+        assert_strictly_increasing_from_zero(&p, 1);
     }
 
     #[test]

@@ -202,6 +202,9 @@ metrics! {
     /// Blocks emitted wholesale (fence-prefix skip hits) per block
     /// merge — via still-encoded splice or burst emission.
     MergeBlocksSkipped = "merge_blocks_skipped";
+    /// Output records per committed reduce task, one sample per reducer
+    /// however many attempts it took: the spread is the reducers' skew.
+    ReduceTaskOutputRecords = "reduce_task_output_records";
 }
 
 /// One histogram per [`Metric`], fixed-size, allocation-free to update.
@@ -354,6 +357,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), NUM_METRICS);
-        assert_eq!(NUM_METRICS, 20);
+        assert_eq!(NUM_METRICS, 21);
     }
 }

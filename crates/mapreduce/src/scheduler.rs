@@ -419,6 +419,7 @@ impl<'a> JobState<'a> {
                     }
                     match ran {
                         Ok(Some(outcome)) => self.settle(task, attempt, outcome, |outputs| {
+                            obs::hist(Metric::ReduceTaskOutputRecords, outputs.len() as u64);
                             *self.outputs[id].lock() = outputs;
                             self.store.release(id);
                             Ok(())

@@ -4,9 +4,10 @@
 //! store and must behave alike — retries, aborts, counters and all.
 
 use scihadoop_mapreduce::dist::{run_distributed_with_threads, DistConfig};
+use scihadoop_mapreduce::obs::Metric;
 use scihadoop_mapreduce::{
     runner, Counter, CounterKind, Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, InputSplit,
-    Job, JobConfig, JobResult, KvPair, Mapper, MrError, Reducer, ALL_COUNTERS,
+    Job, JobConfig, JobResult, KvPair, Mapper, MrError, Recorder, Reducer, ALL_COUNTERS,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -172,6 +173,36 @@ fn exhausted_retries_fail_the_job() {
             err.to_string().contains("injected reduce fault"),
             "{slots:?}: {err}"
         );
+    }
+}
+
+#[test]
+fn each_reducer_samples_its_output_records_once_however_often_it_ran() {
+    // reduce=1.0 fails attempt 0 of every reduce; the retry commits.
+    for slots in BOTH {
+        let recorder = Recorder::new();
+        let config = JobConfig::default()
+            .with_reducers(3)
+            .with_retries(1)
+            .with_recorder(recorder.clone())
+            .with_faults(FaultPlan::new(
+                FaultConfig::parse("seed=7,reduce=1.0").unwrap(),
+            ));
+        let result = run(
+            slots,
+            &config,
+            word_splits(48, 13, 16),
+            identity_mapper(),
+            count_reducer(),
+        )
+        .unwrap_or_else(|e| panic!("{slots:?}: {e}"));
+        assert_eq!(result.counters.get(Counter::TaskRetries), 3, "{slots:?}");
+        let trace = recorder.finish();
+        let outputs = trace.hists.get(Metric::ReduceTaskOutputRecords);
+        assert_eq!(outputs.count(), 3, "{slots:?}");
+        assert_eq!(outputs.sum(), 13, "{slots:?}");
+        let largest = result.outputs.iter().map(Vec::len).max().unwrap_or(0);
+        assert_eq!(outputs.max(), largest as u64, "{slots:?}");
     }
 }
 

@@ -5,14 +5,15 @@
 //! the `HashMap<Coord, i32>` that holds them is a table of 524,288
 //! 32-byte buckets, about 17 MB. Inserted in output order, every entry
 //! lands in a random bucket: the fill is bound by cache and TLB misses,
-//! not by hashing. [`bucket_ordered`] sorts the entries by the bucket
-//! each will occupy and inserts them in that order, so the table is
-//! written front to back.
+//! not by hashing. [`fill`] decodes and hashes the entries on several
+//! threads, sorts them by the bucket each will occupy and inserts them in
+//! that order, so the table is written front to back.
 //!
 //! The one assumption is std's: its table picks an entry's first bucket
 //! from the low bits of the entry's hash. Should that ever change, the
 //! map built here is still the map the plain insertion loop builds, and
-//! only the speed is lost.
+//! only the speed is lost — and `std_buckets_by_the_low_hash_bits`
+//! fails.
 
 use scihadoop_grid::Coord;
 use std::collections::HashMap;
@@ -24,22 +25,77 @@ use std::hash::BuildHasher;
 /// in one pass 37.0 ms, against 63–70 ms for the insertion loop.
 const DIGIT_BITS: u32 = 11;
 
-/// The map `entries` build when inserted one by one, in order: a key
-/// that appears twice keeps its last value.
-pub(crate) fn bucket_ordered(entries: Vec<(Coord, i32)>) -> HashMap<Coord, i32> {
-    let mut map = HashMap::with_capacity(entries.len());
-    // std's table has a power-of-two bucket count and is filled to at
-    // most 7/8 of it, so the count is the power of two above capacity.
-    let bucket_bits = (map.capacity() + 1).next_power_of_two().trailing_zeros();
-    let mask = (1u64 << bucket_bits) - 1;
-    let mut items: Vec<(u32, Coord, i32)> = entries
-        .into_iter()
-        .map(|(coord, v)| ((map.hasher().hash_one(&coord) & mask) as u32, coord, v))
-        .collect();
+/// An entry tagged with the bucket its insert starts probing at.
+type Tagged = (u32, Coord, i32);
+
+/// The mask that takes a bucket index from a hash in a map of
+/// `capacity`: std's table has a power-of-two bucket count and is filled
+/// to at most 7/8 of it, so the count is the power of two above
+/// capacity.
+fn bucket_mask(capacity: usize) -> u64 {
+    let bucket_bits = (capacity + 1).next_power_of_two().trailing_zeros();
+    (1u64 << bucket_bits) - 1
+}
+
+/// The map that the entries `decode` makes of `parts`' items build when
+/// inserted one by one, in order: a key that appears twice keeps its last
+/// value. The first item that fails to decode, in order, is the error.
+///
+/// Items are decoded and hashed on up to `threads` threads, the caller's
+/// among them. Each takes an equal share of the items, whatever the
+/// parts' sizes, and writes into its own chunk of one vector allocated
+/// here: a thread that allocates nothing grows no allocator arena of its
+/// own.
+pub(crate) fn fill<T: Sync, E: Send>(
+    parts: &[Vec<T>],
+    threads: usize,
+    decode: impl Fn(&T) -> Result<(Coord, i32), E> + Sync,
+) -> Result<HashMap<Coord, i32>, E> {
+    let total = parts.iter().map(Vec::len).sum::<usize>();
+    let map = HashMap::with_capacity(total);
+    let mask = bucket_mask(map.capacity());
+    let mut items: Vec<Tagged> = Vec::with_capacity(total);
+    items.resize_with(total, || (0, Coord::origin(0), 0));
+
+    let hasher = map.hasher();
+    let tag = |start: usize, chunk: &mut [Tagged]| -> Result<(), E> {
+        for (item, slot) in parts.iter().flatten().skip(start).zip(chunk) {
+            let (coord, v) = decode(item)?;
+            *slot = ((hasher.hash_one(&coord) & mask) as u32, coord, v);
+        }
+        Ok(())
+    };
+    let per_thread = total.div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|scope| {
+        let tag = &tag;
+        let mut chunks = items.chunks_mut(per_thread).enumerate();
+        let own = chunks.next();
+        let others: Vec<_> = chunks
+            .map(|(t, chunk)| scope.spawn(move || tag(t * per_thread, chunk)))
+            .collect();
+        let own = own.map_or(Ok(()), |(_, chunk)| tag(0, chunk));
+        others.into_iter().fold(own, |first, thread| {
+            let theirs = thread
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            first.and(theirs)
+        })
+    })?;
+    Ok(bucket_ordered(map, items, mask))
+}
+
+/// Insert `items` into the empty `map` in the order of their bucket tags,
+/// taken with `mask`; entries of one key keep their order, so the last
+/// one still wins.
+fn bucket_ordered(
+    mut map: HashMap<Coord, i32>,
+    mut items: Vec<Tagged>,
+    mask: u64,
+) -> HashMap<Coord, i32> {
     // A least-significant-digit radix sort on the bucket index. Each
-    // pass is a stable counting sort, so entries of one key stay in
-    // input order and the last one inserted still wins.
-    let mut sorted: Vec<(u32, Coord, i32)> = Vec::with_capacity(items.len());
+    // pass is a stable counting sort.
+    let bucket_bits = 64 - mask.leading_zeros();
+    let mut sorted: Vec<Tagged> = Vec::with_capacity(items.len());
     sorted.resize_with(items.len(), || (0, Coord::origin(0), 0));
     let mut shift = 0;
     while shift < bucket_bits {
@@ -60,6 +116,8 @@ pub(crate) fn bucket_ordered(entries: Vec<(Coord, i32)>) -> HashMap<Coord, i32> 
         std::mem::swap(&mut items, &mut sorted);
         shift += DIGIT_BITS;
     }
+    // The sort's spare buffer goes before the inserts fault in the table.
+    drop(sorted);
     for (_, coord, v) in items {
         map.insert(coord, v);
     }
@@ -71,6 +129,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use scihadoop_grid::INLINE_DIMS;
+    use std::convert::Infallible;
 
     /// The loop the fill replaces.
     fn inserted(entries: Vec<(Coord, i32)>) -> HashMap<Coord, i32> {
@@ -79,6 +138,15 @@ mod tests {
             map.insert(coord, v);
         }
         map
+    }
+
+    /// The fill over entries that are already decoded.
+    fn filled(parts: &[Vec<(Coord, i32)>], threads: usize) -> HashMap<Coord, i32> {
+        let same = |(coord, v): &(Coord, i32)| Ok::<_, Infallible>((coord.clone(), *v));
+        match fill(parts, threads, same) {
+            Ok(map) => map,
+            Err(never) => match never {},
+        }
     }
 
     /// Coordinates drawn from a small cube so that keys repeat; each
@@ -93,11 +161,85 @@ mod tests {
             .prop_map(|coords| (0..).zip(coords).map(|(i, c)| (Coord::new(c), i)).collect())
     }
 
+    /// `entries` cut into reducer outputs of uneven sizes, empty ones
+    /// among them, at the cut points `cuts` picks.
+    fn cut(entries: &[(Coord, i32)], cuts: &[usize]) -> Vec<Vec<(Coord, i32)>> {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (entries.len() + 1)).collect();
+        at.sort_unstable();
+        let mut parts = Vec::new();
+        let mut from = 0;
+        for to in at.into_iter().chain([entries.len()]) {
+            parts.push(entries[from..to].to_vec());
+            from = to;
+        }
+        parts
+    }
+
     #[test]
     fn empty_and_single_entries() {
-        assert!(bucket_ordered(Vec::new()).is_empty());
+        assert!(filled(&[], 2).is_empty());
+        assert!(filled(&[Vec::new(), Vec::new()], 3).is_empty());
         let one = vec![(Coord::new(vec![3, -1]), 7)];
-        assert_eq!(bucket_ordered(one.clone()), inserted(one));
+        for threads in 0..=3 {
+            assert_eq!(
+                filled(std::slice::from_ref(&one), threads),
+                inserted(one.clone())
+            );
+        }
+    }
+
+    #[test]
+    fn the_first_failure_in_order_is_the_error() {
+        let parts = vec![vec![1, -2, 3], vec![], vec![4, -5, 6, -7]];
+        for threads in 1..=4 {
+            let got = fill(&parts, threads, |&n: &i32| {
+                if n < 0 {
+                    Err(n)
+                } else {
+                    Ok((Coord::new(vec![n]), n))
+                }
+            });
+            assert_eq!(got, Err(-2), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn std_buckets_by_the_low_hash_bits() {
+        // Iterating std's table walks its buckets in order. If each
+        // entry's bucket is its hash's low bits, as the fill assumes, the
+        // walk meets those bits in non-decreasing order, but for entries
+        // probing displaced a few slots on, and for those displaced past
+        // the table's end, which are met first and step back from the
+        // top. If the table took its buckets from other bits, about half
+        // of all steps would go far back. (Over 300 fills of these keys,
+        // no step went back more than `SLACK` from below the top.)
+        const SLACK: u64 = 1024;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as i32
+        };
+        let entries: Vec<(Coord, i32)> = (0..100_000)
+            .map(|i| (Coord::new(vec![next(), next()]), i))
+            .collect();
+        let map = filled(&[entries], 2);
+        let mask = bucket_mask(map.capacity());
+        let buckets: Vec<u64> = map
+            .keys()
+            .map(|k| map.hasher().hash_one(k) & mask)
+            .collect();
+        let far_back = buckets
+            .windows(2)
+            .filter(|w| w[1] + SLACK < w[0] && w[0] + SLACK <= mask + 1)
+            .count();
+        assert!(
+            far_back <= 2,
+            "{far_back} of {} steps went back more than {SLACK} buckets",
+            buckets.len()
+        );
     }
 
     proptest! {
@@ -108,19 +250,35 @@ mod tests {
             // Up to 5,000 entries: tables past 2¹¹ buckets take two passes.
             entries in arb_entries(2, 60, 5_000),
         ) {
-            prop_assert_eq!(bucket_ordered(entries.clone()), inserted(entries));
+            prop_assert_eq!(filled(std::slice::from_ref(&entries), 1), inserted(entries));
         }
 
         #[test]
-        fn a_duplicated_key_keeps_its_last_value(entries in arb_entries(1, 4, 40)) {
-            prop_assert_eq!(bucket_ordered(entries.clone()), inserted(entries));
+        fn threads_fill_uneven_outputs_as_the_loop_does(
+            entries in arb_entries(2, 20, 2_000),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+            threads in 1usize..5,
+        ) {
+            let parts = cut(&entries, &cuts);
+            prop_assert_eq!(filled(&parts, threads), inserted(entries));
+        }
+
+        #[test]
+        fn a_duplicated_key_keeps_its_last_value(
+            entries in arb_entries(1, 4, 40),
+            cuts in proptest::collection::vec(any::<usize>(), 0..4),
+            threads in 1usize..5,
+        ) {
+            let parts = cut(&entries, &cuts);
+            prop_assert_eq!(filled(&parts, threads), inserted(entries));
         }
 
         #[test]
         fn wide_coordinates_fill_the_same_map(
             entries in arb_entries(INLINE_DIMS + 2, 3, 3_000),
+            threads in 1usize..5,
         ) {
-            prop_assert_eq!(bucket_ordered(entries.clone()), inserted(entries));
+            prop_assert_eq!(filled(std::slice::from_ref(&entries), threads), inserted(entries));
         }
     }
 }

@@ -10,11 +10,19 @@
 use crate::layout::{BiasedCurve, KeyLayout};
 use scihadoop_core::aggregate::{AggregateKey, AggregateKeyOps, Aggregator, RangePartitioner};
 use scihadoop_grid::{BoundingBox, Coord, Variable};
-use scihadoop_mapreduce::{Emit, InputSplit, Job, JobConfig, JobResult, Mapper, MrError, Reducer};
-use scihadoop_sfc::{Curve, HilbertCurve, RowMajorCurve, ZOrderCurve};
+use scihadoop_mapreduce::{
+    Emit, InputSplit, Job, JobConfig, JobResult, KvPair, Mapper, MrError, Reducer,
+};
+use scihadoop_sfc::{Curve, CurveIndex, HilbertCurve, RowMajorCurve, ZOrderCurve};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// About how many window centres the aggregated job samples to place its
+/// reducers' range boundaries. At 4,096, each of five reducers answers
+/// within 1 % of a fifth of the centres of a 192² or 512² grid, on every
+/// curve.
+const SAMPLED_CENTRES: u64 = 4096;
 
 /// Which pipeline configuration to run (the three columns of the paper's
 /// evaluation).
@@ -167,10 +175,9 @@ impl SlidingMedian {
         }
     }
 
+    /// The medians the reducers wrote, decoded on every reduce slot.
     fn parse_outputs(&self, result: &JobResult) -> Result<HashMap<Coord, i32>, MrError> {
-        let records = result.outputs.iter().map(Vec::len).sum();
-        let mut medians = Vec::with_capacity(records);
-        for pair in result.outputs.iter().flatten() {
+        let decode = |pair: &KvPair| {
             let coord = self
                 .layout
                 .decode(&pair.key)
@@ -181,9 +188,9 @@ impl SlidingMedian {
                     .try_into()
                     .map_err(|_| MrError::Intermediate("bad median value".into()))?,
             );
-            medians.push((coord, v));
-        }
-        Ok(crate::fill::bucket_ordered(medians))
+            Ok((coord, v))
+        };
+        crate::fill::fill(&result.outputs, self.base_config.reduce_slots, decode)
     }
 
     fn run_plain(&self, splits: Vec<InputSplit>, config: JobConfig) -> Result<MedianRun, MrError> {
@@ -204,7 +211,17 @@ impl SlidingMedian {
         &self,
         var: &Variable,
         buffer_bytes: usize,
-    ) -> (JobConfig, AggMedianMapper, AggMedianReducer) {
+    ) -> Result<(JobConfig, AggMedianMapper, AggMedianReducer), MrError> {
+        if self.slots() > u8::MAX as usize {
+            return Err(MrError::Config(format!(
+                "a {}-d sliding-median window of {} holds {} values, and a packed cell \
+                 counts at most {} in one byte",
+                self.layout.ndims(),
+                self.window,
+                self.slots(),
+                u8::MAX
+            )));
+        }
         let h = self.half();
         let ndims = self.layout.ndims();
         // Curve resolution: cover the dilated grid.
@@ -217,12 +234,11 @@ impl SlidingMedian {
             .unwrap_or(1);
         let bits = (64 - (max_extent as u64).leading_zeros()).max(1);
         let curve = BiasedCurve::new(self.curve.build(ndims, bits), h);
-        assert!(
-            self.slots() <= u8::MAX as usize,
-            "a packed cell counts its values in one byte"
-        );
         let width = 1 + 4 * self.slots();
-        let partitioner = RangePartitioner::uniform(self.base_config.num_reducers, curve.span());
+        let partitioner = RangePartitioner::from_sample(
+            self.base_config.num_reducers,
+            Self::sample_centres(&var.bounds().dilate(h), &curve)?,
+        );
         let keyops = AggregateKeyOps::new(partitioner, width);
         let config = self
             .base_config
@@ -242,7 +258,29 @@ impl SlidingMedian {
             curve,
             slots: self.slots(),
         };
-        (config, mapper, reducer)
+        Ok((config, mapper, reducer))
+    }
+
+    /// The curve indices of every k-th window centre of `centres` in
+    /// row-major order, k chosen for about [`SAMPLED_CENTRES`] of them:
+    /// the sample the reducers' ranges are cut from. Each centre is
+    /// placed from its position, so the sample costs its own size, not
+    /// the grid's.
+    fn sample_centres(
+        centres: &BoundingBox,
+        curve: &BiasedCurve,
+    ) -> Result<Vec<CurveIndex>, MrError> {
+        let cells = centres.num_cells();
+        let step = (cells / SAMPLED_CENTRES).max(1);
+        let corner = centres.corner();
+        (0..cells)
+            .step_by(step as usize)
+            .map(|at| {
+                let offset = centres.shape().delinearize(at)?;
+                curve.index_of(&(&offset + corner))
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|e| MrError::Config(e.to_string()))
     }
 
     fn run_aggregated(
@@ -251,7 +289,7 @@ impl SlidingMedian {
         splits: Vec<InputSplit>,
         buffer_bytes: usize,
     ) -> Result<MedianRun, MrError> {
-        let (config, mapper, reducer) = self.aggregated_job(var, buffer_bytes);
+        let (config, mapper, reducer) = self.aggregated_job(var, buffer_bytes)?;
         let result = Job::new(config).run(splits, Arc::new(mapper), Arc::new(reducer))?;
         let medians = self.parse_outputs(&result)?;
         Ok(MedianRun { medians, result })
@@ -512,6 +550,33 @@ mod tests {
     }
 
     #[test]
+    fn a_window_past_a_cells_count_byte_is_a_config_error() {
+        // 17² = 289 values per centre; a packed cell counts up to 255.
+        let var = variable();
+        let mut q = SlidingMedian::new(
+            layout(),
+            SlidingMedianVariant::Aggregated {
+                buffer_bytes: 1 << 20,
+            },
+        );
+        q.window = 17;
+        match q.run(&var) {
+            Err(MrError::Config(why)) => assert!(why.contains("289 values"), "{why}"),
+            other => panic!(
+                "expected a config error, got {:?}",
+                other.map(|r| r.medians.len())
+            ),
+        }
+        // The plain variant packs nothing, and 15² = 225 still fits.
+        for (variant, window) in [(SlidingMedianVariant::Plain, 17), (q.variant.clone(), 15)] {
+            q.variant = variant;
+            q.window = window;
+            let run = q.run(&var).unwrap();
+            assert_eq!(run.medians, oracle::sliding_median(&var, window).unwrap());
+        }
+    }
+
+    #[test]
     fn median_of_is_lower_median() {
         assert_eq!(median_of(&mut [3, 1, 2]), 2);
         assert_eq!(median_of(&mut [4, 1, 3, 2]), 2);
@@ -602,7 +667,7 @@ mod tests {
         // ran on.
         q.base_config = q.base_config.with_slots(1, 1).with_retries(1);
         let splits = crate::input::dataset_splits(&var, &q.layout, q.num_splits).unwrap();
-        let (config, inner, reducer) = q.aggregated_job(&var, 1 << 20);
+        let (config, inner, reducer) = q.aggregated_job(&var, 1 << 20).unwrap();
         let mapper = PanicsOnce {
             inner,
             records: AtomicUsize::new(0),

@@ -68,7 +68,8 @@ pub fn sliding_median(var: &Variable, window: u32) -> Result<HashMap<Coord, i32>
         values.sort_unstable();
         medians.push((centre, values[(values.len() - 1) / 2]));
     }
-    Ok(crate::fill::bucket_ordered(medians))
+    let decoded = |(centre, median): &(Coord, i32)| Ok((centre.clone(), *median));
+    crate::fill::fill(&[medians], 1, decoded)
 }
 
 #[cfg(test)]

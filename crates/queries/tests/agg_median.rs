@@ -62,6 +62,49 @@ fn mid_task_flushes_change_records_not_answers() {
     }
 }
 
+/// Each reducer owns a range of the curve holding about a fifth of the
+/// window centres, whichever curve orders them, on a grid side (98
+/// centres) that fills little more than half of the curve's span: a
+/// range cut evenly from the span would leave the last reducers almost
+/// nothing.
+#[test]
+fn aggregated_reducers_share_the_grid() {
+    let var = Variable::random_i32("g", Shape::new(vec![96, 96]), 1_000_000, 7).unwrap();
+    let expected = oracle::sliding_median(&var, 3).unwrap();
+    for curve in CURVES {
+        let mut q = aggregated(2, 64 << 20);
+        q.num_splits = 8;
+        q.curve = curve;
+        q.base_config = JobConfig::default().with_reducers(5);
+        let run = q.run(&var).unwrap();
+        assert_eq!(run.medians, expected, "{curve:?}");
+        let outputs: Vec<usize> = run.result.outputs.iter().map(Vec::len).collect();
+        let mean = expected.len() as f64 / 5.0;
+        assert!(
+            outputs
+                .iter()
+                .all(|&n| (n as f64 - mean).abs() <= 0.1 * mean),
+            "{curve:?}: {outputs:?} against a mean of {mean}"
+        );
+    }
+}
+
+/// A grid of one cell has nine window centres for five reducers: each
+/// reducer still owns a non-empty range, and the answer is whole.
+#[test]
+fn a_one_cell_grid_still_cuts_five_ranges() {
+    let var = Variable::random_i32("g", Shape::new(vec![1, 1]), 1000, 3).unwrap();
+    let expected = oracle::sliding_median(&var, 3).unwrap();
+    for curve in CURVES {
+        let mut q = aggregated(2, 1 << 20);
+        q.curve = curve;
+        q.base_config = JobConfig::default().with_reducers(5);
+        let run = q.run(&var).unwrap();
+        assert_eq!(run.medians, expected, "{curve:?}");
+        assert_eq!(run.result.outputs.len(), 5, "{curve:?}");
+    }
+}
+
 /// What the aggregated job shipped before the slab replaced the hashed
 /// window map: the slab changes where windows accumulate, not one byte of
 /// what leaves the mapper.
@@ -76,13 +119,29 @@ fn mid_task_flushes_change_records_not_answers() {
 /// bytes (421,829 → 417,492); Hilbert, 27 and 82, drops 27 × 10 +
 /// 82 × 37 + 55 × 3 = 3,469 (415,868 → 412,399); row-major, 32 and 120,
 /// drops 32 × 10 + 120 × 37 + 88 × 3 = 5,024 (425,805 → 420,781).
+///
+/// Those jobs cut the curve's 16,384-index span into five equal ranges,
+/// though the 98² window centres fill only 9,604 of its indices; the
+/// pins below cut it at sampled quantiles of the centres. A record that now
+/// crosses a boundary is split in two (one more record, one more stored
+/// key), and a map task whose windows reach one more reducer writes one
+/// more segment: 10 bytes of segment header and trailer, and at least
+/// one block header. Z-order: route splits 4 → 5 (records 515 → 516),
+/// segments 31 → 33, blocks 103 → 103; +2 × 10 segment bytes, +7 stored
+/// key bytes and +7 bytes of block-header and group-head vints make
+/// 417,492 → 417,526. Hilbert: route splits 1 → 4 (211 → 214), segments
+/// 27 → 25, blocks 82 → 77; −2 × 10, +75 key bytes, and −193 header
+/// bytes for five fewer blocks, whose headers each carried a 28-byte
+/// fence key, make 412,399 → 412,261. Row-major: route splits 2 → 4
+/// (786 → 788), segments 32 → 40, blocks 120 → 120; +8 × 10, +21 and +70
+/// make 420,781 → 420,952.
 #[test]
 fn aggregated_job_ships_what_the_hashed_mapper_shipped() {
     let var = Variable::random_i32("g", Shape::new(vec![96, 96]), 1_000_000, 7).unwrap();
     for (curve, materialized, records, route_split) in [
-        (CurveKind::ZOrder, 417_492, 515, 4),
-        (CurveKind::Hilbert, 412_399, 211, 1),
-        (CurveKind::RowMajor, 420_781, 786, 2),
+        (CurveKind::ZOrder, 417_526, 516, 5),
+        (CurveKind::Hilbert, 412_261, 214, 4),
+        (CurveKind::RowMajor, 420_952, 788, 4),
     ] {
         let mut q = aggregated(2, 64 << 20);
         q.num_splits = 8;
