@@ -1329,11 +1329,10 @@ pub fn dist_equivalence(
     }
     if let Some(budget) = shuffle_mem {
         table.note(&format!(
-            "shuffle budget {} KiB: {} spilled ({} spill reads, {} dead on republish), high water {} — outputs still byte-identical",
+            "shuffle budget {} KiB: {} spilled ({} spill reads), high water {} — outputs still byte-identical",
             budget >> 10,
             fmt_bytes(remote.counters.get(Counter::ShuffleSpilledBytes)),
             remote.counters.get(Counter::ShuffleSpillReads),
-            fmt_bytes(remote.counters.get(Counter::ShuffleSpillDeadBytes)),
             fmt_bytes(remote.counters.get(Counter::ShuffleMemHighWater)),
         ));
     }

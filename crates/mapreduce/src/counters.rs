@@ -162,7 +162,8 @@ counters! {
     /// Segment bytes the memory-bounded shuffle store wrote to its
     /// per-partition spill files because the in-memory budget was
     /// exhausted (distributed runtime only; 0 for unbounded budgets).
-    /// Feeds the cluster model's disk term.
+    /// Stored bytes, each published segment at most once, so never
+    /// more than `ShuffleBytes`. Feeds the cluster model's disk term.
     ShuffleSpilledBytes = "shuffle_spilled_bytes", Path;
     /// Segment reads served from a spill file instead of memory
     /// (distributed runtime only). A retried reduce re-fetching a
@@ -184,12 +185,6 @@ counters! {
     /// segments served raw (corrupted copies, incompressible segments)
     /// contribute zero.
     ShuffleWireBytesSaved = "shuffle_wire_bytes_saved", Path;
-    /// Spill-file bytes orphaned by republish-after-death: a retried
-    /// map attempt repoints its slots, and the predecessor's spilled
-    /// bytes stay dead in the append-only file until the job ends.
-    /// Always `<= ShuffleSpilledBytes`; the gap between them and live
-    /// spill bytes is this counter.
-    ShuffleSpillDeadBytes = "shuffle_spill_dead_bytes", Path;
     /// Nanoseconds the shuffle store spent in wire-codec compression at
     /// publish time (distributed runtime only; 0 under `identity`).
     LzCompressNanos = "lz_compress_nanos", Clock;
@@ -344,12 +339,12 @@ impl CounterSnapshot {
                 self.get(Counter::BlocksWritten)
             ));
         }
-        if self.get(Counter::ShuffleSpillDeadBytes) > self.get(Counter::ShuffleSpilledBytes) {
+        if self.get(Counter::ShuffleSpilledBytes) > self.get(Counter::ShuffleBytes) {
             violations.push(format!(
-                "more dead spill bytes than were ever spilled: {} > {} — dead bytes \
-                 are orphaned regions of the append-only spill files",
-                self.get(Counter::ShuffleSpillDeadBytes),
-                self.get(Counter::ShuffleSpilledBytes)
+                "more bytes spilled than shuffled: {} > {} — a map task publishes \
+                 once, and a stored segment is never larger than its logical bytes",
+                self.get(Counter::ShuffleSpilledBytes),
+                self.get(Counter::ShuffleBytes)
             ));
         }
         if self.get(Counter::MapOutputKeySavedBytes) > self.get(Counter::MapOutputKeyBytes) {
@@ -421,7 +416,7 @@ mod tests {
         }
         assert_eq!(of(CounterKind::Semantic), 18);
         assert_eq!(of(CounterKind::FaultTally), 3);
-        assert_eq!(of(CounterKind::Path), 8);
+        assert_eq!(of(CounterKind::Path), 7);
     }
 
     #[test]
@@ -493,6 +488,24 @@ mod tests {
             "{errs:?}"
         );
         c.add(Counter::TaskRetries, 1);
+        assert!(c.snapshot().check_invariants().is_ok());
+    }
+
+    #[test]
+    fn a_job_spills_no_more_than_it_shuffles() {
+        let c = Counters::new();
+        c.add(Counter::ShuffleSpilledBytes, 31);
+        c.add(Counter::ShuffleBytes, 30);
+        c.add(Counter::MapOutputMaterializedBytes, 30);
+        let errs = c.snapshot().check_invariants().unwrap_err();
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("more bytes spilled than shuffled")),
+            "{errs:?}"
+        );
+        // Every shuffled byte spilled once: a budget-0 store.
+        c.add(Counter::ShuffleBytes, 1);
+        c.add(Counter::MapOutputMaterializedBytes, 1);
         assert!(c.snapshot().check_invariants().is_ok());
     }
 

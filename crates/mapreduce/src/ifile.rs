@@ -1193,11 +1193,6 @@ impl<'a> BlockCursor<'a> {
         self.entered && self.live && self.decoded == 1
     }
 
-    /// Records remaining in the current block, including the head.
-    pub fn block_remaining(&self) -> u64 {
-        self.meta.records - self.decoded + 1
-    }
-
     /// Records remaining in the current key group, including the head:
     /// the next `group_remaining() - 1` advances keep the key's bytes.
     #[inline]

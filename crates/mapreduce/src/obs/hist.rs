@@ -199,9 +199,6 @@ metrics! {
     /// Full-comparator invocations per streaming k-way merge (wide-key
     /// ties at the loser tree).
     MergeCompareCalls = "merge_compare_calls";
-    /// Blocks emitted wholesale (fence-prefix skip hits) per block
-    /// merge — via still-encoded splice or burst emission.
-    MergeBlocksSkipped = "merge_blocks_skipped";
     /// Output records per committed reduce task, one sample per reducer
     /// however many attempts it took: the spread is the reducers' skew.
     ReduceTaskOutputRecords = "reduce_task_output_records";
@@ -357,6 +354,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), NUM_METRICS);
-        assert_eq!(NUM_METRICS, 21);
+        assert_eq!(NUM_METRICS, 20);
     }
 }

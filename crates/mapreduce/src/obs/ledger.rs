@@ -37,7 +37,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 /// Schema tag written into every ledger record.
-pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v2";
+pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v3";
 
 /// Largest integer the ledger holds: 2^53, the bound below which every
 /// integer survives an `f64` roundtrip exactly. Counters past this are

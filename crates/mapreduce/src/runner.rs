@@ -321,22 +321,10 @@ fn merge_spills(
     }
     let mut out = Vec::new();
     let mut codec_nanos = 0u64;
-    for (partition, segs) in per_partition.into_iter().enumerate() {
+    for (partition, mut segs) in per_partition.into_iter().enumerate() {
         match segs.len() {
             0 => {}
-            // Structured error instead of a panic: an inconsistent
-            // partition map here (or a gap observed by a distributed
-            // fetch) must fail the task attempt — which is retryable —
-            // not the process.
-            1 => match segs.into_iter().next() {
-                Some(seg) => out.push((partition, seg)),
-                None => {
-                    return Err(MrError::Intermediate(format!(
-                        "partition {partition} of map task {task}: segment list \
-                         empty despite count 1 — partition map inconsistent"
-                    )))
-                }
-            },
+            1 => out.extend(segs.pop().map(|seg| (partition, seg))),
             _ => {
                 let _merge_span = crate::span!(Phase::Merge, task);
                 let mut raws = Vec::with_capacity(segs.len());

@@ -662,7 +662,6 @@ impl<'a> JobState<'a> {
         // Max-semantics charged once at job end, so the additive bank
         // holds the true high-water mark.
         counters.add(Counter::ShuffleMemHighWater, store.mem_high_water());
-        counters.add(Counter::ShuffleSpillDeadBytes, store.spill_dead_bytes());
         counters.add(Counter::LzCompressNanos, store.compress_nanos());
         let snapshot = counters.snapshot();
         // Cross-counter accounting must balance on every completed job; a

@@ -21,10 +21,12 @@
 //! spill file is raw segment bytes back to back; the slot keeps the
 //! `(offset, len, crc)` index entry, and every spill-file read
 //! re-verifies the CRC-32C recorded at spill time, so silent disk
-//! corruption fails loudly instead of reducing over garbage. Replaced
-//! slots (a republished map attempt) leave dead bytes behind in the
-//! file — the files are job-scoped temporaries, removed when the store
-//! drops, so reclaiming holes is not worth a compaction pass.
+//! corruption fails loudly instead of reducing over garbage. A map
+//! task's outputs are published once — by the attempt that succeeded —
+//! so no slot is ever replaced and no spilled byte orphaned, except by
+//! a publish whose spill write failed part-way (its row is emptied for
+//! the retry). The files are job-scoped temporaries, removed when their
+//! partition's reduce commits or the store drops.
 //!
 //! A fetch reads a spilled segment whole ([`SegmentHandle::to_vec`], one
 //! `pread`) and checks its CRC before handing out a byte. Spilled
@@ -33,9 +35,9 @@
 //!
 //! A partition's segments are retained until its reduce *commits*
 //! ([`ShuffleStore::release`]), not freed after a first fetch, so a
-//! retried reduce attempt re-fetches the same bytes; for spilled
-//! segments the handle stays valid across republish because spill
-//! files are append-only.
+//! retried reduce attempt re-fetches the same bytes. A handle already
+//! out stays valid after its partition is released: it pins resident
+//! bytes by `Arc` and keeps a spilled segment's file open.
 //!
 //! # Wire/spill compression
 //!
@@ -145,6 +147,10 @@ impl SpillFile {
     fn append(&mut self, data: &[u8]) -> Result<u64, MrError> {
         let offset = self.len;
         (&*self.file).write_all(data).map_err(|e| {
+            // A write that failed part-way (a full disk) left a tail the
+            // tracked length does not cover; cut it off, or the next
+            // append would land past the offset its slot records.
+            let _ = self.file.set_len(offset);
             MrError::Net(format!("shuffle spill write ({} bytes): {e}", data.len()))
         })?;
         self.len += data.len() as u64;
@@ -172,10 +178,6 @@ struct StoreState {
     mem_high_water: u64,
     spilled_bytes: u64,
     spill_reads: u64,
-    /// Spill-file bytes orphaned by republish-after-death: the retried
-    /// attempt repoints the slot, the predecessor's bytes stay in the
-    /// append-only file (`ShuffleSpillDeadBytes`).
-    spill_dead_bytes: u64,
     /// Time spent in publish-side wire-codec compression
     /// (`LzCompressNanos`; 0 under identity).
     compress_nanos: u64,
@@ -207,6 +209,20 @@ impl StoreState {
             partition,
             map_task,
         })
+    }
+
+    /// Empty `map_task`'s slots after its publish failed part-way,
+    /// returning resident bytes to the budget. Bytes it already spilled
+    /// stay in the append-only files, unreferenced and uncounted, so
+    /// `spilled_bytes` counts each published segment at most once.
+    fn clear_row(&mut self, map_task: usize) {
+        for row in &mut self.slots {
+            match row[map_task].take().map(|slot| slot.repr) {
+                Some(SegmentRepr::Mem(data)) => self.mem_used -= data.len(),
+                Some(SegmentRepr::Spilled(h)) => self.spilled_bytes -= h.len as u64,
+                None => {}
+            }
+        }
     }
 }
 
@@ -248,7 +264,6 @@ impl ShuffleStore {
                 mem_high_water: 0,
                 spilled_bytes: 0,
                 spill_reads: 0,
-                spill_dead_bytes: 0,
                 compress_nanos: 0,
                 released_bytes: 0,
             }),
@@ -264,15 +279,17 @@ impl ShuffleStore {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Commit one map task's segments atomically. Outputs arrive as
-    /// `(partition, bytes)` pairs, at most one per partition — a
-    /// repeated or unknown partition is refused before any slot changes;
-    /// the task is only marked done once
-    /// all of them are stored, so a fetcher never observes a partial
-    /// set. Republishing (a retried map attempt whose predecessor was
-    /// counted failed) replaces the previous attempt's segments.
-    /// A segment that fits what is left of the memory budget is admitted;
-    /// any other goes straight to its partition's spill file.
+    /// Commit one map task's segments atomically, once: only the attempt
+    /// that succeeds publishes, and a committed task never runs again.
+    /// Outputs arrive as `(partition, bytes)` pairs, at most one per
+    /// partition. A second publish of a committed task, or a repeated or
+    /// unknown partition, is refused before any slot changes. The task
+    /// is only marked done once all of its segments are stored, so a
+    /// fetcher never observes a partial set. A segment that fits what is
+    /// left of the memory budget is admitted; any other goes straight to
+    /// its partition's spill file. If a spill write fails, the task's
+    /// slots are emptied and their resident bytes returned to the budget,
+    /// so the retried attempt publishes into a clean row.
     pub fn publish(&self, map_task: usize, outputs: Vec<(usize, Vec<u8>)>) -> Result<(), MrError> {
         // Compress outside the lock: publishers are concurrent map
         // connections, and codec CPU time must not serialize them.
@@ -296,6 +313,9 @@ impl ShuffleStore {
             .collect();
         let mut guard = self.lock_state();
         let state = &mut *guard;
+        if state.done[map_task] {
+            return Err(MrError::Net(format!("map task {map_task} published twice")));
+        }
         let mut seen = vec![false; state.slots.len()];
         for &(partition, ..) in &prepared {
             if partition >= seen.len() || seen[partition] {
@@ -306,22 +326,19 @@ impl ShuffleStore {
             seen[partition] = true;
         }
         state.compress_nanos += compress_nanos;
-        for row in &mut state.slots {
-            match row[map_task].take().map(|old| old.repr) {
-                Some(SegmentRepr::Mem(data)) => state.mem_used -= data.len(),
-                // The predecessor's spilled bytes stay behind in the
-                // append-only file; account them as dead.
-                Some(SegmentRepr::Spilled(old)) => state.spill_dead_bytes += old.len as u64,
-                None => {}
-            }
-        }
         for (partition, data, comp, logical_len) in prepared {
             let repr = if data.len() <= self.mem_budget - state.mem_used {
                 state.mem_used += data.len();
                 state.mem_high_water = state.mem_high_water.max(state.mem_used as u64);
                 SegmentRepr::Mem(Arc::new(data))
             } else {
-                SegmentRepr::Spilled(state.spill_bytes(partition, map_task, &data)?)
+                match state.spill_bytes(partition, map_task, &data) {
+                    Ok(spilled) => SegmentRepr::Spilled(spilled),
+                    Err(e) => {
+                        state.clear_row(map_task);
+                        return Err(e);
+                    }
+                }
             };
             state.slots[partition][map_task] = Some(SegmentHandle {
                 comp,
@@ -337,8 +354,8 @@ impl ShuffleStore {
     /// Block until `map_task`'s outputs are committed, then return a
     /// handle to its segment for `partition` (`None` if the task
     /// emitted nothing for that partition). Errors out if the job
-    /// aborts while waiting. A returned handle stays valid across
-    /// later republishes and releases.
+    /// aborts while waiting. A returned handle stays valid after the
+    /// partition is released.
     pub fn segment_when_ready(
         &self,
         partition: usize,
@@ -408,7 +425,9 @@ impl ShuffleStore {
         live + state.released_bytes
     }
 
-    /// Bytes ever written to spill files (`ShuffleSpilledBytes`).
+    /// Stored bytes of the published segments placed in spill files
+    /// (`ShuffleSpilledBytes`): each at most once, so never more than
+    /// [`ShuffleStore::total_bytes`].
     pub fn spilled_bytes(&self) -> u64 {
         self.lock_state().spilled_bytes
     }
@@ -421,11 +440,6 @@ impl ShuffleStore {
     /// High-water mark of resident bytes (`ShuffleMemHighWater`).
     pub fn mem_high_water(&self) -> u64 {
         self.lock_state().mem_high_water
-    }
-
-    /// Spill-file bytes orphaned by republish (`ShuffleSpillDeadBytes`).
-    pub fn spill_dead_bytes(&self) -> u64 {
-        self.lock_state().spill_dead_bytes
     }
 
     /// Publish-side compression time (`LzCompressNanos`).
@@ -645,13 +659,15 @@ mod tests {
     }
 
     #[test]
-    fn republish_replaces_a_failed_attempts_segments() {
+    fn a_committed_map_task_is_never_published_again() {
         let store = ShuffleStore::new(1, 1, usize::MAX);
-        store.publish(0, vec![(0, b"bad".to_vec())]).unwrap();
-        store.publish(0, vec![(0, b"good".to_vec())]).unwrap();
+        store.publish(0, vec![(0, b"first".to_vec())]).unwrap();
+        let err = store.publish(0, vec![(0, b"second".to_vec())]).unwrap_err();
+        assert!(err.to_string().contains("published twice"), "{err}");
         let seg = store.segment_when_ready(0, 0).unwrap().unwrap();
-        assert_eq!(seg.to_vec().unwrap(), b"good");
-        assert_eq!(store.total_bytes(), 4);
+        assert_eq!(seg.to_vec().unwrap(), b"first");
+        assert_eq!(store.total_bytes(), 5);
+        assert_eq!(store.lock_state().mem_used, 5);
     }
 
     #[test]
@@ -727,7 +743,7 @@ mod tests {
     fn tight_budget_spills_the_newcomer_and_never_moves_a_resident_segment() {
         // Budget fits two 10-byte segments: the third finds no room and
         // spills; the first two stay where publish put them.
-        let store = ShuffleStore::new(2, 3, 20);
+        let store = ShuffleStore::new(2, 4, 20);
         store.publish(0, vec![(0, vec![b'a'; 10])]).unwrap();
         store.publish(1, vec![(1, vec![b'b'; 10])]).unwrap();
         store.publish(2, vec![(1, vec![b'c'; 10])]).unwrap();
@@ -745,13 +761,13 @@ mod tests {
         // The spilled segment still round-trips bit-exactly.
         let seg = store.segment_when_ready(1, 2).unwrap().unwrap();
         assert_eq!(seg.to_vec().unwrap(), vec![b'c'; 10]);
-        // A commit frees its partition's bytes for later publishes
-        // (here a retried map), but moves nothing already placed.
+        // A commit frees its partition's bytes for later publishes, but
+        // moves nothing already placed.
         store.release(0);
-        store.publish(2, vec![(1, vec![b'd'; 10])]).unwrap();
-        assert!(in_mem(1, 2), "the republished segment fits the freed room");
+        store.publish(3, vec![(1, vec![b'd'; 10])]).unwrap();
+        assert!(in_mem(1, 3), "the later segment fits the freed room");
+        assert!(!in_mem(1, 2), "the spilled segment stays spilled");
         assert_eq!(store.spilled_bytes(), 10);
-        assert_eq!(store.spill_dead_bytes(), 10);
     }
 
     #[test]
@@ -770,14 +786,14 @@ mod tests {
     }
 
     #[test]
-    fn spilled_handles_survive_republish() {
+    fn spilled_handles_survive_release() {
         let store = ShuffleStore::new(1, 1, 0);
         store.publish(0, vec![(0, b"first".to_vec())]).unwrap();
-        let old = store.segment_when_ready(0, 0).unwrap().unwrap();
-        store.publish(0, vec![(0, b"second".to_vec())]).unwrap();
-        assert_eq!(old.to_vec().unwrap(), b"first");
-        let new = store.segment_when_ready(0, 0).unwrap().unwrap();
-        assert_eq!(new.to_vec().unwrap(), b"second");
+        let handle = store.segment_when_ready(0, 0).unwrap().unwrap();
+        // The commit unlinks the spill file; the handle keeps it open.
+        store.release(0);
+        assert!(store.lock_state().spill[0].is_none());
+        assert_eq!(handle.to_vec().unwrap(), b"first");
     }
 
     #[test]
@@ -836,21 +852,41 @@ mod tests {
     }
 
     #[test]
-    fn republish_of_a_spilled_slot_counts_dead_bytes() {
-        let store = ShuffleStore::new(1, 1, 0);
-        store.publish(0, vec![(0, vec![7u8; 100])]).unwrap();
-        assert_eq!(store.spill_dead_bytes(), 0);
-        store.publish(0, vec![(0, vec![8u8; 60])]).unwrap();
-        // The first attempt's 100 bytes are stranded in the file.
-        assert_eq!(store.spill_dead_bytes(), 100);
-        assert_eq!(store.spilled_bytes(), 160);
-        // Live logical volume reflects only the committed attempt.
-        assert_eq!(store.total_bytes(), 60);
-        // Replacing a *resident* slot strands nothing on disk.
-        let mem = ShuffleStore::new(1, 1, usize::MAX);
-        mem.publish(0, vec![(0, vec![1u8; 50])]).unwrap();
-        mem.publish(0, vec![(0, vec![2u8; 50])]).unwrap();
-        assert_eq!(mem.spill_dead_bytes(), 0);
+    fn a_publish_whose_spill_write_fails_leaves_a_clean_row_for_the_retry() {
+        // Partition 2's spill file is open read-only, so the first
+        // publish admits its 8-byte segment, spills the first 20-byte
+        // one and then fails to spill the second.
+        let store = ShuffleStore::new(3, 1, 10);
+        let path = std::env::temp_dir().join(format!(
+            "scihadoop-jammed-{}-{}.dat",
+            std::process::id(),
+            STORE_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        File::create(&path).unwrap();
+        store.lock_state().spill[2] = Some(SpillFile {
+            file: Arc::new(File::open(&path).unwrap()),
+            path,
+            len: 0,
+        });
+        let outputs = || vec![(0, vec![1u8; 8]), (1, vec![2u8; 20]), (2, vec![3u8; 20])];
+        let err = store.publish(0, outputs()).unwrap_err();
+        assert!(err.to_string().contains("spill write"), "{err}");
+        {
+            let state = store.lock_state();
+            assert!(state.slots.iter().all(|row| row[0].is_none()));
+            assert_eq!(state.mem_used, 0, "the admitted segment was returned");
+            assert!(!state.done[0]);
+        }
+        assert_eq!(store.spilled_bytes(), 0, "no published segment was spilled");
+        // The disk recovers (a fresh file); the retried attempt lands.
+        store.lock_state().spill[2] = None;
+        store.publish(0, outputs()).unwrap();
+        for (partition, data) in outputs() {
+            assert_eq!(fetch_all(&store, partition, 1), vec![data]);
+        }
+        assert_eq!(store.lock_state().mem_used, 8);
+        assert_eq!(store.spilled_bytes(), 40);
+        assert_eq!(store.total_bytes(), 48);
     }
 
     #[test]
@@ -861,9 +897,7 @@ mod tests {
             vec![(0, vec![2u8; 10]), (0, vec![3u8; 10])],
             vec![(0, vec![2u8; 10]), (2, vec![4u8; 10])],
         ] {
-            // Map task 0 republishing would replace its first attempt's
-            // segment; a refused publish leaves it where it was.
-            let err = store.publish(0, outputs).unwrap_err();
+            let err = store.publish(1, outputs).unwrap_err();
             assert!(
                 matches!(&err, MrError::Net(e) if e.contains("partition")),
                 "{err}"
@@ -871,6 +905,10 @@ mod tests {
             assert_eq!(store.lock_state().mem_used, 10);
             assert_eq!(store.total_bytes(), 10);
         }
+        // A refused publish leaves the task free to publish.
+        store.publish(1, vec![(0, vec![2u8; 10])]).unwrap();
+        assert_eq!(store.lock_state().mem_used, 20);
+        store.release(0);
         store.release(1);
         assert_eq!(store.lock_state().mem_used, 0, "the budget is whole again");
     }

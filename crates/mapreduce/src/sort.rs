@@ -459,29 +459,25 @@ pub enum MergeItem<'s, 'a> {
 /// A v3 run also says when its next record repeats the current key
 /// ([`BlockCursor::group_remaining`]); the winner's advance then skips
 /// the prefix and the replay, so a run of duplicates costs the
-/// tournament one replay, not one per record. Two more v3-specific fast
-/// paths ride on the fence key each block header carries:
+/// tournament one replay, not one per record.
 ///
-/// * **Block skipping** ([`BlockMergeStream::next_item`]): when the
-///   winning run's head is the first record of a fully undecoded block
-///   whose *next* block's fence prefix (the high word of its fence
-///   key's wide key) is strictly below every other live run's, the
-///   whole block sorts before all of them (the
-///   [`KeySemantics::sort_prefix_wide`] contract: `prefix(a) <
-///   prefix(b)` implies `a < b`, and monotonicity along the sorted run
-///   bounds every key in the block by the next fence). The block is emitted
-///   still-encoded — no decode, no re-encode, no per-record tree work.
-///   Strict inequality sidesteps the tie-break, so the record stream
-///   is byte-identical to the record-at-a-time merge.
-/// * **Burst emission** ([`BlockMergeStream::next`]): reducers need
-///   records, not blocks, so the same skip proof instead suspends tree
-///   replays for the length of the block — the winner cannot change
-///   until the block is drained, so one replay at the block boundary
-///   replaces one per record.
+/// **Block skipping** ([`BlockMergeStream::next_item`], the spill
+/// merge's shape) rides on the fence key each block header carries:
+/// when the winning run's head is the first record of a fully undecoded
+/// block whose *next* block's fence prefix (the high word of its fence
+/// key's wide key) is strictly below every other live run's, the whole
+/// block sorts before all of them (the [`KeySemantics::sort_prefix_wide`]
+/// contract: `prefix(a) < prefix(b)` implies `a < b`, and monotonicity
+/// along the sorted run bounds every key in the block by the next
+/// fence). The block is emitted still-encoded — no decode, no re-encode,
+/// no per-record tree work. Strict inequality sidesteps the tie-break,
+/// so the record stream is byte-identical to the record-at-a-time merge.
+/// [`BlockMergeStream::next`], which reducers drain, yields every record
+/// through the tree.
 ///
-/// Inside contended blocks each key is reconstructed incrementally in
-/// the [`BlockCursor`]'s single reused buffer, which is why an emitted
-/// key is only valid until the next call.
+/// Each key is reconstructed incrementally in the [`BlockCursor`]'s
+/// single reused buffer, which is why an emitted key is only valid until
+/// the next call.
 pub struct BlockMergeStream<'a> {
     runs: Vec<RunCursor<'a>>,
     /// Loser tree over `k` runs: `tree[0]` is the overall winner,
@@ -499,14 +495,8 @@ pub struct BlockMergeStream<'a> {
     compare_calls: u64,
     /// Blocks emitted still-encoded (skip hits).
     blocks_copied: u64,
-    /// Whether any run is block-format. An all-flat merge never tests
-    /// the skip precondition and records no `merge_blocks_skipped`
-    /// sample.
-    any_blocks: bool,
     /// The previous item's winner still needs its advance + replay.
     pending_advance: bool,
-    /// Records left to emit from an uncontended block without replays.
-    burst: u64,
     #[cfg(debug_assertions)]
     last_key: Option<Vec<u8>>,
 }
@@ -524,9 +514,7 @@ impl<'a> BlockMergeStream<'a> {
             ks,
             compare_calls: 0,
             blocks_copied: 0,
-            any_blocks: segments.iter().any(|s| s.is_block_format()),
             pending_advance: false,
-            burst: 0,
             #[cfg(debug_assertions)]
             last_key: None,
         };
@@ -628,17 +616,11 @@ impl<'a> BlockMergeStream<'a> {
             self.pending_advance = false;
             let w = self.tree[0];
             // Same key bytes from the same run: the cached wide key stands
-            // and every match would repeat its outcome. Inside an
-            // uncontended block the winner cannot change either, so only
-            // the block's end replays.
-            let repeats = self.runs[w].next_key_repeats();
-            if repeats {
+            // and every match would repeat its outcome.
+            if self.runs[w].next_key_repeats() {
                 self.runs[w].advance()?;
             } else {
                 self.advance_run(w)?;
-            }
-            self.burst = self.burst.saturating_sub(1);
-            if self.burst == 0 && !repeats {
                 self.replay(w);
             }
         }
@@ -653,9 +635,6 @@ impl<'a> BlockMergeStream<'a> {
     /// block (no next fence) qualifies only when no other run is live.
     #[inline(always)]
     fn uncontended_block(&mut self, w: usize) -> Option<&mut BlockCursor<'a>> {
-        if !self.any_blocks || self.burst != 0 {
-            return None;
-        }
         let (lives, prefixes, ks) = (&self.lives, &self.prefixes, self.ks);
         let RunCursor::Blocks(cursor) = &mut self.runs[w] else {
             return None;
@@ -679,10 +658,6 @@ impl<'a> BlockMergeStream<'a> {
         let Some(w) = self.winner()? else {
             return Ok(None);
         };
-        if let Some(cursor) = self.uncontended_block(w) {
-            self.burst = cursor.block_remaining();
-            self.blocks_copied += 1;
-        }
         #[cfg(debug_assertions)]
         self.debug_check_record(w);
         self.pending_advance = true;
@@ -719,8 +694,8 @@ impl<'a> BlockMergeStream<'a> {
         self.compare_calls
     }
 
-    /// Blocks emitted wholesale (skip hits) so far — via
-    /// [`MergeItem::Block`] or burst emission.
+    /// Blocks emitted still-encoded as [`MergeItem::Block`] so far; 0 for
+    /// a stream drained through [`BlockMergeStream::next`].
     pub fn blocks_copied(&self) -> u64 {
         self.blocks_copied
     }
@@ -773,11 +748,7 @@ impl<'a> BlockMergeStream<'a> {
 
 impl Drop for BlockMergeStream<'_> {
     fn drop(&mut self) {
-        let samples = [
-            (crate::obs::Metric::MergeCompareCalls, self.compare_calls),
-            (crate::obs::Metric::MergeBlocksSkipped, self.blocks_copied),
-        ];
-        crate::obs::hist_many(&samples[..1 + usize::from(self.any_blocks)]);
+        crate::obs::hist(crate::obs::Metric::MergeCompareCalls, self.compare_calls);
     }
 }
 
@@ -1123,38 +1094,16 @@ mod tests {
     }
 
     #[test]
-    fn only_merges_with_a_block_run_sample_blocks_skipped() {
-        use crate::obs::{Metric, Recorder};
-        // A flat job's trace must not grow an all-zero histogram just
-        // because its merge could have skipped blocks.
-        let run = [pair("a", "1"), pair("b", "2")];
-        for (budget, samples) in [(None, 0), (Some(64), 1)] {
-            let recorder = Recorder::new();
-            let attached = recorder.attach("merge");
-            let sealed = [seal(&run, None, true), seal(&run, budget, true)];
-            let segments = open_all(&sealed);
-            let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
-            assert_eq!(drain(&mut stream).unwrap().len(), 4);
-            drop(stream);
-            drop(attached);
-            let hists = recorder.finish().hists;
-            assert_eq!(hists.get(Metric::MergeCompareCalls).count(), 1);
-            assert_eq!(hists.get(Metric::MergeBlocksSkipped).count(), samples);
-        }
-    }
-
-    #[test]
-    fn block_merge_skips_blocks_on_disjoint_ranges() {
+    fn next_yields_every_record_through_the_tree() {
+        // Disjoint ranges, where `next_item` would splice: `next` still
+        // hands out records one at a time, and copies no block.
         let runs = disjoint_runs(4, 200);
         let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal(r, Some(256), true)).collect();
         let segments = open_all(&sealed);
         let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
         let streamed = drain(&mut stream).unwrap();
         assert_eq!(streamed, merge_sorted_runs(runs, &DefaultKeySemantics));
-        assert!(
-            stream.blocks_copied() > 0,
-            "disjoint ranges must burst whole blocks out without replays"
-        );
+        assert_eq!(stream.blocks_copied(), 0);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! unbounded store over the same publishes, with the semantic counters
 //! (total bytes) agreeing and the placement counters (spilled bytes,
 //! spill reads, high water) reflecting full spill. A second property
-//! replays a mid-job map-task death: segments already spilled are
-//! republished by the retried attempt, and both handles taken before
-//! the death and fetches after it stay correct. A third drives a store
-//! under an arbitrary budget between the two extremes through an
-//! arbitrary interleaving of publishes, retried maps, fetches and
+//! holds the store to one publish per map task: a second publish of a
+//! committed task is refused, writes nothing, and leaves both the
+//! handles already out and later fetches serving the first bytes. A
+//! third drives a store under an arbitrary budget between the two
+//! extremes through an arbitrary interleaving of publishes, fetches and
 //! commits, against a model of the placement rule: a segment is placed
 //! once, at publish, and never moves.
 
@@ -86,19 +86,11 @@ struct Model {
     used: usize,
     high_water: u64,
     spilled: u64,
-    dead: u64,
     reads: u64,
 }
 
 impl Model {
     fn publish(&mut self, map: usize, lens: &[usize]) {
-        for row in &mut self.slots {
-            match row[map].take() {
-                Some((len, true)) => self.used -= len,
-                Some((len, false)) => self.dead += len as u64,
-                None => {}
-            }
-        }
         for (partition, &len) in lens.iter().enumerate().filter(|(_, &len)| len > 0) {
             let resident = len <= self.budget - self.used;
             if resident {
@@ -159,7 +151,7 @@ proptest! {
     }
 
     #[test]
-    fn republish_after_death_mid_spill_serves_the_retried_bytes(
+    fn a_second_publish_is_refused_and_the_first_stays_served(
         layout in proptest::collection::vec(
             proptest::collection::vec(1usize..500, PARTITIONS..PARTITIONS + 1),
             2..5,
@@ -174,20 +166,22 @@ proptest! {
         for (map, lens) in layout.iter().enumerate() {
             store.publish(map, outputs(seed, map, lens)).unwrap();
         }
-        // Handles taken before the death — already spilled.
+        // Handles taken before the second publish — already spilled.
         let before: Vec<_> = (0..PARTITIONS)
             .map(|p| store.segment_when_ready(p, victim).unwrap().unwrap())
             .collect();
+        let spilled = store.spilled_bytes();
 
-        // The victim's worker dies; the retried attempt republishes
-        // (same data: the engine's map tasks are deterministic).
-        store.publish(victim, outputs(seed, victim, &layout[victim])).unwrap();
+        // Other bytes under the same task id: refused, and not written.
+        let other = outputs(seed.wrapping_add(1), victim, &layout[victim]);
+        prop_assert!(store.publish(victim, other).is_err());
+        prop_assert_eq!(store.spilled_bytes(), spilled);
 
         for (partition, handle) in before.into_iter().enumerate() {
             let expect = segment(seed, victim, partition, layout[victim][partition]);
-            // The pre-death handle still reads its (identical) bytes...
+            // The handle already out still reads the first bytes...
             prop_assert_eq!(handle.to_vec().unwrap(), expect.clone());
-            // ...and a fresh fetch serves the republished copy.
+            // ...and so does a fresh fetch.
             let fresh = store.segment_when_ready(partition, victim).unwrap().unwrap();
             prop_assert_eq!(fresh.to_vec().unwrap(), expect);
         }
@@ -200,26 +194,26 @@ proptest! {
             1..6,
         ),
         budget in 0usize..2500,
-        // (kind, a, b): 0|1 publish map a — a retried attempt if it was
-        // published before; 2 fetch (partition a, map b) if published;
-        // 3 commit partition a's reduce.
+        // (kind, a, b): 0|1 publish map a unless it was published
+        // before; 2 fetch (partition a, map b) if published; 3 commit
+        // partition a's reduce.
         ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 0..40),
         seed in any::<u64>(),
     ) {
         let _serial = one_store_at_a_time();
         let num_maps = layout.len();
         let unbounded = ShuffleStore::new(PARTITIONS, num_maps, usize::MAX);
-        let bounded = ShuffleStore::new(PARTITIONS, num_maps, budget);
+        // One map task more than the layout has: the probe at the end.
+        let bounded = ShuffleStore::new(PARTITIONS, num_maps + 1, budget);
         let mut model = Model {
             budget,
             slots: vec![vec![None; num_maps]; PARTITIONS],
             used: 0,
             high_water: 0,
             spilled: 0,
-            dead: 0,
             reads: 0,
         };
-        let mut attempts = vec![0usize; num_maps];
+        let mut published_maps = vec![false; num_maps];
         // Stored bytes handed to `publish`, and those of them a fetch
         // right after the publish found resident.
         let (mut published, mut admitted) = (0u64, 0u64);
@@ -246,15 +240,13 @@ proptest! {
             match kind {
                 0 | 1 => {
                     let map = a as usize % num_maps;
-                    // A retried attempt carries other bytes in other
-                    // sizes, so a stale segment cannot pass for it.
-                    let mut lens = layout[map].clone();
-                    lens.rotate_left(attempts[map] % PARTITIONS);
-                    let attempt_seed = seed.wrapping_add(attempts[map] as u64);
-                    attempts[map] += 1;
-                    unbounded.publish(map, outputs(attempt_seed, map, &lens)).unwrap();
-                    bounded.publish(map, outputs(attempt_seed, map, &lens)).unwrap();
-                    model.publish(map, &lens);
+                    if std::mem::replace(&mut published_maps[map], true) {
+                        continue;
+                    }
+                    let lens = &layout[map];
+                    unbounded.publish(map, outputs(seed, map, lens)).unwrap();
+                    bounded.publish(map, outputs(seed, map, lens)).unwrap();
+                    model.publish(map, lens);
                     for (partition, &len) in lens.iter().enumerate() {
                         published += len as u64;
                         if fetch(&mut model, partition, map)? {
@@ -264,7 +256,7 @@ proptest! {
                 }
                 2 => {
                     let (partition, map) = (a as usize % PARTITIONS, b as usize % num_maps);
-                    if attempts[map] > 0 {
+                    if published_maps[map] {
                         fetch(&mut model, partition, map)?;
                     }
                 }
@@ -289,7 +281,6 @@ proptest! {
         // was admitted: every stored byte went to exactly one place.
         prop_assert_eq!(bounded.spilled_bytes() + admitted, published);
         prop_assert_eq!(bounded.spilled_bytes(), model.spilled);
-        prop_assert_eq!(bounded.spill_dead_bytes(), model.dead);
         prop_assert_eq!(bounded.spill_reads(), model.reads);
         prop_assert_eq!(bounded.mem_high_water(), model.high_water);
         prop_assert_eq!(bounded.total_bytes(), unbounded.total_bytes());
@@ -301,8 +292,8 @@ proptest! {
         // Nothing is resident: a segment as large as the whole budget
         // is admitted.
         if budget > 0 {
-            bounded.publish(0, vec![(0, segment(seed, 0, 0, budget))]).unwrap();
-            let probe = bounded.segment_when_ready(0, 0).unwrap().unwrap();
+            bounded.publish(num_maps, vec![(0, segment(seed, num_maps, 0, budget))]).unwrap();
+            let probe = bounded.segment_when_ready(0, num_maps).unwrap().unwrap();
             prop_assert!(matches!(probe.repr, SegmentRepr::Mem(_)));
         }
     }
