@@ -3,8 +3,8 @@
 //! ```text
 //! repro [EXPERIMENT] [--small] [--trace <path>] [--ledger <path>]
 //!       [--reconcile <path>] [--faults <spec>] [--retries <n>]
-//!       [--codec <name>] [--workers <n>] [--transport <tcp|uds>]
-//!       [--shuffle-mem-kib <n>] [--wire-codec <identity|lz>]
+//!       [--codec <name>] [--workers <n>] [--shuffle-mem-kib <n>]
+//!       [--wire-codec <identity|lz>]
 //!
 //! Anything else — an unknown `--flag`, a flag whose value is missing or
 //! starts with `--`, an unknown or a second experiment name, a KiB count
@@ -15,17 +15,17 @@
 //! name exits 2 listing the names and what each reproduces.
 //!
 //! --small runs reduced problem sizes (CI-friendly).
-//! --workers <n> sets the worker-process count for dist (default 3);
-//!   --transport <tcp|uds> picks the socket family (default uds);
-//!   --shuffle-mem-kib <n> bounds the coordinator's in-memory shuffle
-//!   store (segments past the budget spill to disk and are served back
-//!   by positioned reads; 0 spills everything; default auto-sizes from
-//!   available memory); --wire-codec <identity|lz> turns on transparent
-//!   shuffle compression (segments are lz-compressed once at publish,
-//!   spill and ship compressed, and are inflated by the worker before
-//!   the reduce-side CRC check — outputs stay byte-identical; default
-//!   identity). Any of these flags implies the
-//!   dist experiment when none is named.
+//! --workers <n> sets the worker-process count for dist (default 3;
+//!   the workers speak the platform's socket: Unix-domain where it has
+//!   them, loopback TCP where it has none); --shuffle-mem-kib <n> bounds
+//!   the coordinator's in-memory shuffle store (segments past the budget
+//!   spill to disk and are served back by positioned reads; 0 spills
+//!   everything; default auto-sizes from available memory);
+//!   --wire-codec <identity|lz> turns on transparent shuffle compression
+//!   (segments are lz-compressed once at publish, spill and ship
+//!   compressed, and are inflated by the worker before the reduce-side
+//!   CRC check — outputs stay byte-identical; default identity). Any of
+//!   these flags implies the dist experiment when none is named.
 //! --codec <name> sets the intermediate-data codec for fault_storm,
 //!   composed from: [transform+](identity|lz|deflate|bzip), e.g.
 //!   "transform+deflate" (the stride transform over deflate).
@@ -55,7 +55,7 @@
 
 use scihadoop_bench as bench;
 use scihadoop_mapreduce::obs::LedgerSink;
-use scihadoop_mapreduce::{Transport, WireCodec};
+use scihadoop_mapreduce::WireCodec;
 
 /// What the command line resolved to, as the experiments read it.
 struct Args {
@@ -66,7 +66,6 @@ struct Args {
     /// applied to the default spec.
     storm: bench::DistJobSpec,
     workers: usize,
-    transport: Transport,
     shuffle_mem: Option<usize>,
     wire_codec: WireCodec,
 }
@@ -215,7 +214,6 @@ fn dist(a: &Args) {
         show(bench::dist_equivalence(
             spec,
             a.workers,
-            a.transport,
             a.shuffle_mem,
             a.wire_codec,
             &[],
@@ -228,7 +226,7 @@ fn dist(a: &Args) {
 /// Every flag that takes a value, with the value's name in the usage
 /// line; `--small` is the one switch. The parser and the usage line
 /// both read this table.
-const VALUE_FLAGS: [(&str, &str); 10] = [
+const VALUE_FLAGS: [(&str, &str); 9] = [
     ("--trace", "path"),
     ("--ledger", "path"),
     ("--reconcile", "path"),
@@ -236,7 +234,6 @@ const VALUE_FLAGS: [(&str, &str); 10] = [
     ("--retries", "n"),
     ("--codec", "name"),
     ("--workers", "n"),
-    ("--transport", "tcp|uds"),
     ("--shuffle-mem-kib", "n"),
     ("--wire-codec", "identity|lz"),
 ];
@@ -307,8 +304,6 @@ fn main() {
         Ok(n) if n > 0 => n,
         _ => reject(&format!("--workers {v:?} is not a positive integer")),
     });
-    let transport = flag_value("--transport")
-        .map(|v| Transport::parse(&v).unwrap_or_else(|e| reject(&format!("bad --transport: {e}"))));
     let shuffle_mem: Option<usize> = flag_value("--shuffle-mem-kib").map(|v| {
         let kib = v.parse::<usize>().ok();
         kib.and_then(|kib| kib.checked_mul(1 << 10))
@@ -322,10 +317,7 @@ fn main() {
     // --reconcile alone runs no experiment at all (it is a standalone
     // action).
     let which = named.unwrap_or_else(|| {
-        let dist = workers.is_some()
-            || transport.is_some()
-            || shuffle_mem.is_some()
-            || wire_codec.is_some();
+        let dist = workers.is_some() || shuffle_mem.is_some() || wire_codec.is_some();
         let implied = if dist {
             "dist"
         } else if trace_path.is_some() || ledger_path.is_some() {
@@ -367,7 +359,6 @@ fn main() {
             ..bench::DistJobSpec::default()
         },
         workers: workers.unwrap_or(3),
-        transport: transport.unwrap_or_default(),
         shuffle_mem,
         wire_codec: wire_codec.unwrap_or_default(),
     };

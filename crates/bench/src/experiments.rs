@@ -14,7 +14,7 @@ use scihadoop_mapreduce::record::InputSplit;
 use scihadoop_mapreduce::{
     clock, run_distributed, Counter, CounterKind, Counters, DistConfig, FaultConfig, FaultPlan,
     Framing, IFileVersion, IFileWriter, Job, JobConfig, JobResult, JobStats, MrError, Trace,
-    Transport, WireCodec, ALL_COUNTERS,
+    WireCodec, ALL_COUNTERS,
 };
 use scihadoop_queries::{
     median::{MedianRun, SlidingMedian, SlidingMedianVariant},
@@ -1221,7 +1221,7 @@ pub fn scaling_check(sides: &[u32]) -> Result<Table, GridError> {
 /// up via `ClusterSpec::local_host`.
 ///
 /// When `ledger` is given, both runs append records (`dist_local` and
-/// `dist_<transport>`), so `repro --reconcile` can compare the cost
+/// `dist_procs`), so `repro --reconcile` can compare the cost
 /// model against a real network+disk run.
 ///
 /// `shuffle_mem` bounds the coordinator's in-memory shuffle store
@@ -1240,7 +1240,6 @@ pub fn scaling_check(sides: &[u32]) -> Result<Table, GridError> {
 pub fn dist_equivalence(
     spec: &DistJobSpec,
     workers: usize,
-    transport: Transport,
     shuffle_mem: Option<usize>,
     wire_codec: WireCodec,
     worker_args: &[&str],
@@ -1253,7 +1252,6 @@ pub fn dist_equivalence(
 
     let dist = DistConfig::default()
         .with_workers(workers)
-        .with_transport(transport)
         .with_shuffle_mem_bytes(shuffle_mem)
         .with_wire_codec(wire_codec)
         .with_worker_args(worker_args)
@@ -1262,12 +1260,7 @@ pub fn dist_equivalence(
     let remote =
         run_distributed(&base, &dist, spec.make_splits()).expect("distributed run succeeds");
     let dist_secs = t0.elapsed().as_secs_f64();
-    append_record(
-        ledger,
-        &format!("dist_{}", transport.name()),
-        &base,
-        &remote,
-    );
+    append_record(ledger, "dist_procs", &base, &remote);
 
     // The store's placement and the wire codec's savings are the
     // distributed run's own; the job's answer and the storm's tallies
@@ -1289,11 +1282,7 @@ pub fn dist_equivalence(
     };
     let ms = |nanos: u64| format!("{:.2} ms", nanos as f64 / 1e6);
     let mut table = Table::new(
-        &format!(
-            "distributed equivalence: {} workers over {}",
-            workers,
-            transport.name()
-        ),
+        &format!("distributed equivalence: {workers} worker processes"),
         &[
             "run",
             "wall",
@@ -1312,7 +1301,7 @@ pub fn dist_equivalence(
         "—".to_string(),
     ]);
     table.row(&[
-        format!("{} procs / {}", workers, transport.name()),
+        format!("{workers} procs"),
         fmt_secs(dist_secs),
         fmt_bytes(bytes),
         ms(wait),

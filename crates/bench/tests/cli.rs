@@ -37,6 +37,8 @@ fn repro_rejects_what_its_grammar_does_not_generate() {
             &["trace", "--small", "--ifile-version", "3"],
             "unknown flag",
         ),
+        // The build picks the shuffle socket; no flag picks another.
+        (&["dist", "--transport", "uds"], "unknown flag"),
         // A flag must not swallow the next flag as its value (this one
         // used to write a ledger file named `--small`).
         (&["--small", "--ledger", "--small"], "requires a value"),

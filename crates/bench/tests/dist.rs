@@ -10,7 +10,7 @@
 use scihadoop_bench::{dist_equivalence, DistJobSpec};
 use scihadoop_mapreduce::dist::{run_distributed, worker_env};
 use scihadoop_mapreduce::obs::{LedgerRecord, LedgerSink};
-use scihadoop_mapreduce::{DistConfig, Job, Transport, WireCodec};
+use scihadoop_mapreduce::{DistConfig, Job, WireCodec};
 use std::sync::Arc;
 
 /// Arguments that route a re-execution of this test binary straight
@@ -48,28 +48,13 @@ fn storm_spec() -> DistJobSpec {
 
 // dist_equivalence asserts outputs and semantic counters are identical
 // between the local engine and the worker processes; these tests only
-// have to drive it under each transport/fault combination.
+// have to drive it under each fault/budget/codec combination.
 
 #[test]
-fn three_tcp_worker_processes_match_the_local_engine() {
+fn three_worker_processes_match_the_local_engine() {
     dist_equivalence(
         &clean_spec(),
         3,
-        Transport::Tcp,
-        None,
-        WireCodec::Identity,
-        WORKER_ARGS,
-        None,
-    );
-}
-
-#[cfg(unix)]
-#[test]
-fn three_uds_worker_processes_match_the_local_engine() {
-    dist_equivalence(
-        &clean_spec(),
-        3,
-        Transport::Uds,
         None,
         WireCodec::Identity,
         WORKER_ARGS,
@@ -78,26 +63,11 @@ fn three_uds_worker_processes_match_the_local_engine() {
 }
 
 #[test]
-fn fault_storm_with_wire_corruption_is_byte_identical_over_tcp() {
-    dist_equivalence(
-        &storm_spec(),
-        3,
-        Transport::Tcp,
-        None,
-        WireCodec::Identity,
-        WORKER_ARGS,
-        None,
-    );
-}
-
-#[cfg(unix)]
-#[test]
-fn fault_storm_with_wire_corruption_is_byte_identical_over_uds() {
+fn fault_storm_with_wire_corruption_is_byte_identical() {
     let mut sink = LedgerSink::new();
     let table = dist_equivalence(
         &storm_spec(),
         3,
-        Transport::Uds,
         None,
         WireCodec::Identity,
         WORKER_ARGS,
@@ -112,7 +82,7 @@ fn fault_storm_with_wire_corruption_is_byte_identical_over_uds() {
     );
     // Both runs shuffled the engine's own segment format.
     let labels: Vec<&str> = sink.records().iter().map(|r| r.label.as_str()).collect();
-    assert_eq!(labels, ["dist_local", "dist_uds"]);
+    assert_eq!(labels, ["dist_local", "dist_procs"]);
     for record in sink.records() {
         assert_eq!(record.config.ifile_version, 3, "{}", record.label);
     }
@@ -124,11 +94,10 @@ fn fault_storm_with_wire_corruption_is_byte_identical_over_uds() {
 // inside dist_equivalence either way.
 
 #[test]
-fn tiny_shuffle_budget_storm_is_byte_identical_over_tcp() {
+fn tiny_shuffle_budget_storm_is_byte_identical() {
     let table = dist_equivalence(
         &storm_spec(),
         3,
-        Transport::Tcp,
         Some(64 << 10),
         WireCodec::Identity,
         WORKER_ARGS,
@@ -141,20 +110,6 @@ fn tiny_shuffle_budget_storm_is_byte_identical_over_tcp() {
     );
 }
 
-#[cfg(unix)]
-#[test]
-fn tiny_shuffle_budget_storm_is_byte_identical_over_uds() {
-    dist_equivalence(
-        &storm_spec(),
-        3,
-        Transport::Uds,
-        Some(64 << 10),
-        WireCodec::Identity,
-        WORKER_ARGS,
-        None,
-    );
-}
-
 // Transparent wire compression: the coordinator ships the store's lz
 // frames to real worker processes, which inflate them before the
 // segment CRC check. dist_equivalence asserts outputs and
@@ -162,16 +117,8 @@ fn tiny_shuffle_budget_storm_is_byte_identical_over_uds() {
 // actually saved.
 
 #[test]
-fn wire_lz_clean_run_is_byte_identical_over_tcp() {
-    let table = dist_equivalence(
-        &clean_spec(),
-        3,
-        Transport::Tcp,
-        None,
-        WireCodec::Lz,
-        WORKER_ARGS,
-        None,
-    );
+fn wire_lz_clean_run_is_byte_identical() {
+    let table = dist_equivalence(&clean_spec(), 3, None, WireCodec::Lz, WORKER_ARGS, None);
     assert!(
         table.render().contains("wire codec lz"),
         "wire-codec note missing:\n{}",
@@ -179,40 +126,16 @@ fn wire_lz_clean_run_is_byte_identical_over_tcp() {
     );
 }
 
-#[cfg(unix)]
 #[test]
-fn wire_lz_clean_run_is_byte_identical_over_uds() {
-    dist_equivalence(
-        &clean_spec(),
-        3,
-        Transport::Uds,
-        None,
-        WireCodec::Lz,
-        WORKER_ARGS,
-        None,
-    );
+fn wire_lz_fault_storm_is_byte_identical() {
+    dist_equivalence(&storm_spec(), 3, None, WireCodec::Lz, WORKER_ARGS, None);
 }
 
 #[test]
-fn wire_lz_fault_storm_is_byte_identical_over_tcp() {
+fn wire_lz_tiny_budget_storm_is_byte_identical() {
     dist_equivalence(
         &storm_spec(),
         3,
-        Transport::Tcp,
-        None,
-        WireCodec::Lz,
-        WORKER_ARGS,
-        None,
-    );
-}
-
-#[cfg(unix)]
-#[test]
-fn wire_lz_tiny_budget_storm_is_byte_identical_over_uds() {
-    dist_equivalence(
-        &storm_spec(),
-        3,
-        Transport::Uds,
         Some(64 << 10),
         WireCodec::Lz,
         WORKER_ARGS,
@@ -226,15 +149,7 @@ fn a_compressed_codec_survives_the_wire_byte_identically() {
         codec: "transform+deflate".into(),
         ..clean_spec()
     };
-    dist_equivalence(
-        &spec,
-        2,
-        Transport::Tcp,
-        None,
-        WireCodec::Identity,
-        WORKER_ARGS,
-        None,
-    );
+    dist_equivalence(&spec, 2, None, WireCodec::Identity, WORKER_ARGS, None);
 }
 
 /// Environment variable naming the teardown case (`ok` or `err`) that
@@ -283,7 +198,6 @@ fn teardown_entry() {
     };
     let dist = DistConfig::default()
         .with_workers(2)
-        .with_transport(Transport::Uds)
         .with_shuffle_mem_bytes(Some(0))
         .with_worker_args(WORKER_ARGS)
         .with_job_payload(&spec.to_spec_string());

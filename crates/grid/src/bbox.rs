@@ -99,24 +99,6 @@ impl BoundingBox {
                 .all(|((c, lo), e)| *c >= *lo && *c < lo + *e as i32)
     }
 
-    /// Intersection of two boxes, or `None` if disjoint.
-    pub fn intersect(&self, other: &BoundingBox) -> Option<BoundingBox> {
-        if self.ndims() != other.ndims() || self.shape.is_empty() || other.shape.is_empty() {
-            return None;
-        }
-        let lo = self.corner.elementwise_max(&other.corner);
-        let hi = self.upper_corner().elementwise_min(&other.upper_corner());
-        if lo
-            .components()
-            .iter()
-            .zip(hi.components())
-            .any(|(a, b)| a > b)
-        {
-            return None;
-        }
-        Some(BoundingBox::from_corners(&lo, &hi).expect("dims match"))
-    }
-
     /// Grow the box by `margin` cells in every direction (the halo a
     /// sliding-window query writes into, §IV-C).
     pub fn dilate(&self, margin: i32) -> BoundingBox {
@@ -237,24 +219,6 @@ mod tests {
         assert!(!b.contains(&Coord::new(vec![6, 7])));
         assert!(!b.contains(&Coord::new(vec![1, 3])));
         assert!(!b.contains(&Coord::new(vec![2, 3, 0])));
-    }
-
-    #[test]
-    fn intersect_overlapping_boxes() {
-        // The paper's §IV-C example: mapper (0,0)-(9,9) dilated by 1
-        // overlaps its neighbour (0,10)-(9,19) dilated by 1 in (-1,9)-(10,10).
-        let a = bb(vec![0, 0], vec![10, 10]).dilate(1);
-        let b = bb(vec![0, 10], vec![10, 10]).dilate(1);
-        let i = a.intersect(&b).unwrap();
-        assert_eq!(i.corner().components(), &[-1, 9]);
-        assert_eq!(i.upper_corner().components(), &[10, 10]);
-    }
-
-    #[test]
-    fn intersect_disjoint_is_none() {
-        let a = bb(vec![0, 0], vec![2, 2]);
-        let b = bb(vec![5, 5], vec![2, 2]);
-        assert!(a.intersect(&b).is_none());
     }
 
     #[test]

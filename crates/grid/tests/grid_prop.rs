@@ -87,32 +87,6 @@ proptest! {
     }
 
     #[test]
-    fn bbox_intersection_is_commutative_and_tight(
-        a_corner in proptest::collection::vec(-10i32..10, 2),
-        a_shape in proptest::collection::vec(1u32..8, 2),
-        b_corner in proptest::collection::vec(-10i32..10, 2),
-        b_shape in proptest::collection::vec(1u32..8, 2),
-    ) {
-        let a = BoundingBox::new(Coord::new(a_corner), Shape::new(a_shape)).unwrap();
-        let b = BoundingBox::new(Coord::new(b_corner), Shape::new(b_shape)).unwrap();
-        let ab = a.intersect(&b);
-        let ba = b.intersect(&a);
-        prop_assert_eq!(&ab, &ba);
-        match ab {
-            Some(i) => {
-                for cell in i.cells() {
-                    prop_assert!(a.contains(&cell) && b.contains(&cell));
-                }
-            }
-            None => {
-                for cell in a.cells() {
-                    prop_assert!(!b.contains(&cell));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn split_longest_partitions_exactly(
         extents in proptest::collection::vec(1u32..12, 1..4),
         parts in 1usize..8,

@@ -44,7 +44,6 @@ pub fn run_distributed(
         let child = std::process::Command::new(&exe)
             .args(&dist.worker_args)
             .env(super::ENV_ADDR, addr)
-            .env(super::ENV_TRANSPORT, dist.transport.name())
             .env(super::ENV_WORKER, worker.to_string())
             .env(super::ENV_JOB, &dist.job_payload)
             .stdin(std::process::Stdio::null())
@@ -72,11 +71,11 @@ pub fn run_distributed_with_threads(
     reducer: Arc<dyn Reducer>,
 ) -> Result<JobResult, MrError> {
     run_coordinator(config, dist, splits, |workers, worker, addr| {
-        let (config, addr, transport) = (config.clone(), addr.to_string(), dist.transport);
+        let (config, addr) = (config.clone(), addr.to_string());
         let (mapper, reducer) = (Arc::clone(&mapper), Arc::clone(&reducer));
         workers.threads.push(std::thread::spawn(move || {
             super::run_worker(
-                transport,
+                super::Transport::Uds,
                 &addr,
                 worker as u32,
                 &config,
@@ -143,10 +142,9 @@ fn run_coordinator(
     let mut workers = Workers::default();
     // Bound before any worker exists, so each worker's one connect
     // attempt finds it.
-    let listener = Listener::bind(dist.transport)?;
-    let addr = listener.addr()?;
+    let listener = Listener::bind()?;
     for worker in 0..dist.workers {
-        start(&mut workers, worker, &addr)?;
+        start(&mut workers, worker, listener.addr())?;
     }
     // All workers connect before the job clock starts.
     let mut slots = Vec::with_capacity(dist.workers);
@@ -396,7 +394,6 @@ fn wire_form(fetched: Fetched) -> Result<(bool, Arc<Vec<u8>>, u64), MrError> {
 mod tests {
     use super::*;
     use crate::counters::Counters;
-    use crate::dist::Transport;
     use crate::fault::{FaultConfig, FaultPlan};
     use crate::record::{Emit, FnMapper, FnReducer};
     use crate::runner::InProcessSlot;
@@ -476,8 +473,8 @@ mod tests {
     /// and the error is returned.
     fn lost_slot(step: Step, script: Vec<Msg>, end: End) -> String {
         crate::dist::tests::within_deadline(move || {
-            let listener = Listener::bind(Transport::Tcp).unwrap();
-            let mut peer = std::net::TcpStream::connect(listener.addr().unwrap()).unwrap();
+            let listener = Listener::bind().unwrap();
+            let mut peer = Stream::connect(listener.addr(), SCRIPT_DEADLINE).unwrap();
             let stream = listener.accept(SCRIPT_DEADLINE, &mut || true).unwrap();
             let mut slot = RemoteSlot(stream);
             for msg in &script {
@@ -486,7 +483,7 @@ mod tests {
             let segment_len = match end {
                 End::Close(tail) => {
                     peer.write_all(tail).unwrap();
-                    peer.shutdown(std::net::Shutdown::Write).unwrap();
+                    peer.shutdown_write();
                     100
                 }
                 End::Silent => 16 << 20,
@@ -751,48 +748,43 @@ mod tests {
             .unwrap();
         let shuffled = local.counters.get(Counter::ShuffleBytes);
         assert!(shuffled > 12 << 20, "{shuffled}");
-        for transport in [Transport::Tcp, Transport::Uds] {
-            for (codec, budget) in [
-                (crate::dist::WireCodec::Identity, None),
-                (crate::dist::WireCodec::Lz, Some(0)),
-            ] {
-                let dist_cfg = DistConfig::default()
-                    .with_workers(2)
-                    .with_transport(transport)
-                    .with_wire_codec(codec)
-                    .with_shuffle_mem_bytes(budget);
-                let dist = run_distributed_with_threads(
-                    &config,
-                    &dist_cfg,
-                    splits.clone(),
-                    count_mapper(),
-                    passthrough(),
-                )
-                .unwrap();
-                assert_same_outputs(&local, &dist);
-                assert_eq!(dist.counters.get(Counter::ShuffleBytes), shuffled);
-                let saved = dist.counters.get(Counter::ShuffleWireBytesSaved);
-                match codec {
-                    crate::dist::WireCodec::Identity => assert_eq!(saved, 0),
-                    // Still megabytes on the wire after lz.
-                    crate::dist::WireCodec::Lz => {
-                        assert!(saved > shuffled / 4 && saved < shuffled * 3 / 4, "{saved}")
-                    }
+        for (codec, budget) in [
+            (crate::dist::WireCodec::Identity, None),
+            (crate::dist::WireCodec::Lz, Some(0)),
+        ] {
+            let dist_cfg = DistConfig::default()
+                .with_workers(2)
+                .with_wire_codec(codec)
+                .with_shuffle_mem_bytes(budget);
+            let dist = run_distributed_with_threads(
+                &config,
+                &dist_cfg,
+                splits.clone(),
+                count_mapper(),
+                passthrough(),
+            )
+            .unwrap();
+            assert_same_outputs(&local, &dist);
+            assert_eq!(dist.counters.get(Counter::ShuffleBytes), shuffled);
+            let saved = dist.counters.get(Counter::ShuffleWireBytesSaved);
+            match codec {
+                crate::dist::WireCodec::Identity => assert_eq!(saved, 0),
+                // Still megabytes on the wire after lz.
+                crate::dist::WireCodec::Lz => {
+                    assert!(saved > shuffled / 4 && saved < shuffled * 3 / 4, "{saved}")
                 }
             }
         }
     }
 
     #[test]
-    fn thread_mode_tcp_matches_the_local_engine() {
+    fn thread_mode_matches_the_local_engine() {
         let config = JobConfig::default().with_reducers(3).with_slots(4, 2);
         let splits = word_splits(6, 40);
         let local = Job::new(config.clone())
             .run(splits.clone(), count_mapper(), sum_reducer())
             .unwrap();
-        let dist_cfg = DistConfig::default()
-            .with_workers(3)
-            .with_transport(Transport::Tcp);
+        let dist_cfg = DistConfig::default().with_workers(3);
         let dist =
             run_distributed_with_threads(&config, &dist_cfg, splits, count_mapper(), sum_reducer())
                 .unwrap();
@@ -811,9 +803,8 @@ mod tests {
         );
     }
 
-    #[cfg(unix)]
     #[test]
-    fn thread_mode_uds_survives_a_fault_storm_byte_identically() {
+    fn thread_mode_survives_a_fault_storm_byte_identically() {
         let faults =
             FaultConfig::parse("seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2")
                 .unwrap();
@@ -868,7 +859,6 @@ mod tests {
             &config,
             &DistConfig::default()
                 .with_workers(3)
-                .with_transport(Transport::Tcp)
                 .with_shuffle_mem_bytes(Some(0)),
             splits,
             count_mapper(),
@@ -902,9 +892,9 @@ mod tests {
     #[test]
     fn wire_lz_fault_storm_is_byte_identical_and_saves_wire_bytes() {
         use crate::dist::WireCodec;
-        // Same storm as the uds test, but with wire compression on and
-        // a tight memory budget so compressed frames also cross the
-        // spill path. Outputs and every job-semantics counter must be
+        // Same storm as the thread-mode storm test, but with wire
+        // compression on and a tight memory budget so compressed frames
+        // also cross the spill path. Outputs and every job-semantics counter must be
         // byte-identical to the identity-codec run; only the new
         // wire/codec telemetry may differ.
         let faults =
@@ -918,9 +908,7 @@ mod tests {
         let splits = word_splits(5, 32);
         let identity = run_distributed_with_threads(
             &config,
-            &DistConfig::default()
-                .with_workers(3)
-                .with_transport(Transport::Tcp),
+            &DistConfig::default().with_workers(3),
             splits.clone(),
             count_mapper(),
             sum_reducer(),
@@ -931,7 +919,6 @@ mod tests {
                 &config,
                 &DistConfig::default()
                     .with_workers(3)
-                    .with_transport(Transport::Tcp)
                     .with_shuffle_mem_bytes(budget)
                     .with_wire_codec(WireCodec::Lz),
                 splits.clone(),
@@ -1060,13 +1047,13 @@ mod tests {
             // task, so the retry runs on the worker whose attempt failed.
             let (config, splits) = (config.clone(), splits.clone());
             let (remote, remote_failures) = crate::dist::tests::within_deadline(move || {
-                let listener = Listener::bind(Transport::Tcp).unwrap();
-                let addr = listener.addr().unwrap();
+                let listener = Listener::bind().unwrap();
+                let addr = listener.addr().to_string();
                 let worker_config = config.clone();
                 let worker = std::thread::spawn(move || {
                     let (mapper, reducer) = (count_mapper(), sum_reducer());
                     crate::dist::run_worker(
-                        Transport::Tcp,
+                        crate::dist::Transport::Uds,
                         &addr,
                         0,
                         &worker_config,

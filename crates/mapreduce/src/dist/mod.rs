@@ -1,11 +1,12 @@
 //! Multi-process distributed runtime: the job's scheduler (`scheduler.rs`)
 //! runs in a coordinator process with one *remote slot* per worker;
-//! worker processes (or threads, for hermetic tests) connect over TCP or
-//! Unix-domain sockets, pull map/reduce assignments, and stream IFile
-//! segments back and forth. Task choice, retries, backoff, abort, the
-//! two counter banks of an attempt and fault-plan corruption of fetched
-//! segments are the scheduler's and identical to a local job's; this
-//! module adds only the transport.
+//! worker processes (or threads, for hermetic tests) connect over the
+//! platform's socket (`net.rs`: Unix-domain where the platform has them,
+//! loopback TCP where it has none), pull map/reduce assignments, and
+//! stream IFile segments back and forth. Task choice, retries, backoff,
+//! abort, the two counter banks of an attempt and fault-plan corruption
+//! of fetched segments are the scheduler's and identical to a local
+//! job's; this module adds only the sockets and the frames on them.
 //!
 //! # Protocol
 //!
@@ -85,8 +86,6 @@ const DEADLINE: Duration = Duration::from_secs(30);
 
 /// Environment variable carrying the coordinator's socket address.
 pub const ENV_ADDR: &str = "SCIHADOOP_DIST_ADDR";
-/// Environment variable carrying the transport name (`tcp` / `uds`).
-pub const ENV_TRANSPORT: &str = "SCIHADOOP_DIST_TRANSPORT";
 /// Environment variable carrying this worker's numeric id.
 pub const ENV_WORKER: &str = "SCIHADOOP_DIST_WORKER";
 /// Environment variable carrying the opaque job payload the worker's
@@ -138,7 +137,10 @@ impl WireCodec {
 pub struct DistConfig {
     /// Number of worker processes (or threads) to run tasks on.
     pub workers: usize,
-    /// Socket family between coordinator and workers.
+    /// Unread: the build picks the socket family. Kept, with
+    /// [`DistConfig::with_transport`], only because the `benchmark/`
+    /// package sets it; both go when that package is next changed
+    /// (ROADMAP item 2).
     pub transport: Transport,
     /// Arguments passed to re-executions of `current_exe()` when
     /// spawning worker processes (e.g. the libtest filter that routes a
@@ -190,7 +192,7 @@ impl DistConfig {
         self
     }
 
-    /// Builder-style setter for the transport.
+    /// Builder-style setter for the unread [`DistConfig::transport`].
     pub fn with_transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
         self
@@ -233,7 +235,9 @@ impl DistConfig {
 pub struct WorkerEnv {
     /// Coordinator address ([`ENV_ADDR`]).
     pub addr: String,
-    /// Socket family ([`ENV_TRANSPORT`]).
+    /// Always [`Transport::Uds`], and unread. Kept only because the
+    /// `benchmark/` package passes it to [`run_worker`]; it goes when that
+    /// package is next changed (ROADMAP item 2).
     pub transport: Transport,
     /// This worker's id ([`ENV_WORKER`]).
     pub worker: u32,
@@ -247,24 +251,28 @@ pub struct WorkerEnv {
 /// bootstrap when it returns `Some`. Malformed values in a set
 /// environment error out rather than silently running the normal path.
 pub fn worker_env() -> Result<Option<WorkerEnv>, MrError> {
-    let Ok(addr) = std::env::var(ENV_ADDR) else {
+    worker_env_from(|key| std::env::var(key).ok())
+}
+
+/// [`worker_env`] over any variable lookup.
+fn worker_env_from(var: impl Fn(&str) -> Option<String>) -> Result<Option<WorkerEnv>, MrError> {
+    let Some(addr) = var(ENV_ADDR) else {
         return Ok(None);
     };
     let get = |key: &str| {
-        std::env::var(key).map_err(|_| {
+        var(key).ok_or_else(|| {
             MrError::Config(format!(
                 "{ENV_ADDR} is set but {key} is missing from the environment"
             ))
         })
     };
-    let transport = Transport::parse(&get(ENV_TRANSPORT)?)?;
     let worker = get(ENV_WORKER)?
         .parse::<u32>()
         .map_err(|e| MrError::Config(format!("bad {ENV_WORKER}: {e}")))?;
     let job_payload = get(ENV_JOB)?;
     Ok(Some(WorkerEnv {
         addr,
-        transport,
+        transport: Transport::Uds,
         worker,
         job_payload,
     }))
@@ -308,5 +316,33 @@ mod tests {
     fn worker_env_absent_means_not_a_worker() {
         // The test runner never sets the dist environment for itself.
         assert!(worker_env().unwrap().is_none());
+    }
+
+    #[test]
+    fn worker_env_needs_the_address_the_id_and_the_job_and_nothing_else() {
+        let vars = [
+            (ENV_ADDR, "shuffle.sock"),
+            (ENV_WORKER, "2"),
+            (ENV_JOB, "records=8"),
+        ];
+        let env = worker_env_from(|key| {
+            let found = vars.iter().find(|(k, _)| *k == key);
+            found.map(|(_, v)| v.to_string())
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(
+            (env.addr.as_str(), env.worker, env.job_payload.as_str()),
+            ("shuffle.sock", 2, "records=8")
+        );
+        // Once the address is set, the id and the job are required.
+        for missing in [ENV_WORKER, ENV_JOB] {
+            let err = worker_env_from(|key| {
+                let found = vars.iter().find(|(k, _)| *k == key && key != missing);
+                found.map(|(_, v)| v.to_string())
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains(missing), "{err}");
+        }
     }
 }

@@ -40,15 +40,19 @@ fn task_failed_msg(
 /// `Shutdown` (or the connection fails, or the coordinator stays silent
 /// past the deadline). Blocks the calling thread for the whole job;
 /// `main` wrappers should turn the result into an exit code.
+///
+/// The first parameter is unread: the build picks the socket family. It
+/// is kept only because the `benchmark/` package passes it, and goes when
+/// that package is next changed (ROADMAP item 2).
 pub fn run_worker(
-    transport: Transport,
+    _transport: Transport,
     addr: &str,
     worker: u32,
     config: &JobConfig,
     mapper: &dyn Mapper,
     reducer: &dyn Reducer,
 ) -> Result<(), MrError> {
-    let stream = Stream::connect(transport, addr, DEADLINE)?;
+    let stream = Stream::connect(addr, DEADLINE)?;
     converse(stream, worker, config, mapper, reducer)
 }
 
@@ -236,15 +240,15 @@ mod tests {
     /// conversation returned once the script is over and its end closed.
     fn worker_against(script: impl FnOnce(&mut Stream) + Send + 'static) -> Result<(), MrError> {
         crate::dist::tests::within_deadline(move || {
-            let listener = Listener::bind(Transport::Tcp).unwrap();
-            let addr = listener.addr().unwrap();
+            let listener = Listener::bind().unwrap();
+            let addr = listener.addr().to_string();
             let worker = std::thread::spawn(move || {
                 let config = JobConfig::default().with_reducers(2);
                 let mapper = FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| out.emit(k, v));
                 let reducer = FnReducer(|k: &[u8], vs: &[&[u8]], out: &mut dyn Emit| {
                     out.emit(k, vs.len().to_string().as_bytes())
                 });
-                let stream = Stream::connect(Transport::Tcp, &addr, SCRIPT_DEADLINE)?;
+                let stream = Stream::connect(&addr, SCRIPT_DEADLINE)?;
                 converse(stream, 7, &config, &mapper, &reducer)
             });
             let mut stream = listener.accept(DEADLINE, &mut || true).unwrap();

@@ -103,15 +103,6 @@ impl Framing {
             t => Err(MrError::Intermediate(format!("unknown framing {t}"))),
         }
     }
-
-    /// Framing bytes for a record with the given key/value sizes.
-    pub fn overhead(self, key_len: usize, value_len: usize) -> usize {
-        let vints = vint_len(key_len as i64) + vint_len(value_len as i64);
-        match self {
-            Framing::SequenceFile => 4 + vints,
-            Framing::IFile => vints,
-        }
-    }
 }
 
 /// Hadoop-compatible vint length (see `scihadoop-grid::writable` for the
@@ -512,11 +503,6 @@ impl IFileWriter {
     /// Append a pair.
     pub fn append_pair(&mut self, pair: &KvPair) {
         self.append(&pair.key, &pair.value);
-    }
-
-    /// Raw bytes buffered so far (including header).
-    pub fn raw_len(&self) -> usize {
-        self.buf.len()
     }
 
     /// Records appended so far.
@@ -1324,25 +1310,6 @@ mod tests {
         let seg = roundtrip(Framing::IFile, &[pair]);
         assert_eq!(seg.raw_bytes, (HEADER_LEN + 18) as u64);
         assert_eq!(seg.framing_bytes(), 2);
-    }
-
-    #[test]
-    fn overhead_fn_matches_writer() {
-        for framing in [Framing::SequenceFile, Framing::IFile] {
-            for (k, v) in [(0usize, 0usize), (16, 4), (200, 1), (23, 4), (1000, 4)] {
-                let pair = KvPair::new(vec![0u8; k], vec![0u8; v]);
-                let codec: Arc<dyn Codec> = Arc::new(IdentityCodec);
-                let mut w = IFileWriter::new(framing, codec);
-                let before = w.raw_len();
-                w.append_pair(&pair);
-                let actual = w.raw_len() - before - k - v;
-                assert_eq!(
-                    actual,
-                    framing.overhead(k, v),
-                    "framing {framing:?} k={k} v={v}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -10,7 +10,10 @@ use scihadoop_queries::{dataset_splits, KeyLayout};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+#[cfg(not(unix))]
+use std::net::{TcpListener as Listener, TcpStream as Stream};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener as Listener, UnixStream as Stream};
 use std::time::Duration;
 
 // ---- allocation counter ---------------------------------------------------
@@ -105,7 +108,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     wire
 }
 
-fn read_frame(conn: &mut TcpStream) -> Vec<u8> {
+fn read_frame(conn: &mut Stream) -> Vec<u8> {
     let mut len = [0u8; 4];
     conn.read_exact(&mut len).unwrap();
     let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
@@ -130,18 +133,38 @@ fn map_task(records: u32) -> Vec<u8> {
     frame(&payload)
 }
 
+/// A listener on the socket family the worker speaks, and the address
+/// it gives `run_worker`.
+#[cfg(unix)]
+fn bind(records: u32) -> (Listener, String) {
+    let path = std::env::temp_dir().join(format!(
+        "scihadoop-record-allocs-{}-{records}.sock",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let addr = path.to_string_lossy().into_owned();
+    (Listener::bind(&path).unwrap(), addr)
+}
+
+#[cfg(not(unix))]
+fn bind(_records: u32) -> (Listener, String) {
+    let listener = Listener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    (listener, addr)
+}
+
 /// The allocations one worker makes over a whole conversation that
 /// carries a single map task of `records` records. The mapper emits
 /// nothing, so what scales with the records is the frame's decoding.
 fn worker_allocations(records: u32) -> u64 {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
+    let (listener, addr) = bind(records);
+    let worker_addr = addr.clone();
     let worker = std::thread::spawn(move || {
         let mapper = FnMapper(|_: &[u8], _: &[u8], _: &mut dyn Emit| {});
         let reducer = FnReducer(|_: &[u8], _: &[&[u8]], _: &mut dyn Emit| {});
         let config = JobConfig::default();
         let (ran, n) =
-            allocations(|| run_worker(Transport::Tcp, &addr, 0, &config, &mapper, &reducer));
+            allocations(|| run_worker(Transport::Uds, &worker_addr, 0, &config, &mapper, &reducer));
         ran.unwrap();
         n
     });
@@ -154,6 +177,9 @@ fn worker_allocations(records: u32) -> u64 {
     assert_eq!(read_frame(&mut conn)[0], MAP_DONE);
     assert_eq!(read_frame(&mut conn), [TASK_REQUEST]);
     conn.write_all(&frame(&[SHUTDOWN])).unwrap();
+    if cfg!(unix) {
+        let _ = std::fs::remove_file(&addr);
+    }
     worker.join().unwrap()
 }
 
