@@ -75,19 +75,6 @@ impl BoundingBox {
         self.shape.num_cells()
     }
 
-    /// Inclusive upper corner. Panics on an empty box.
-    pub fn upper_corner(&self) -> Coord {
-        assert!(!self.shape.is_empty(), "upper_corner of empty box");
-        Coord::new(
-            self.corner
-                .components()
-                .iter()
-                .zip(self.shape.extents())
-                .map(|(c, e)| c + *e as i32 - 1)
-                .collect(),
-        )
-    }
-
     /// True if the coordinate lies within the box.
     pub fn contains(&self, coord: &Coord) -> bool {
         coord.ndims() == self.ndims()
@@ -225,7 +212,6 @@ mod tests {
     fn dilate_grows_symmetrically() {
         let b = bb(vec![0, 0], vec![10, 10]).dilate(1);
         assert_eq!(b.corner().components(), &[-1, -1]);
-        assert_eq!(b.upper_corner().components(), &[10, 10]);
         assert_eq!(b.num_cells(), 144);
     }
 

@@ -173,11 +173,7 @@ fn task_failed<T>(msg: Msg, expect: (usize, u32, bool)) -> Result<Outcome<T>, Mr
             reduce,
             checksum,
             error,
-            harness,
-        } if (task as usize, attempt, reduce) == expect => Ok(Outcome {
-            harness,
-            result: Err(rebuild_error(checksum, error)),
-        }),
+        } if (task as usize, attempt, reduce) == expect => Ok(Err(rebuild_error(checksum, error))),
         other => Err(MrError::Net(format!(
             "{kind} {} attempt {}: unexpected {}",
             expect.0,
@@ -262,24 +258,18 @@ impl Slot for RemoteSlot {
                     task: t,
                     attempt: a,
                     local,
-                    harness,
-                } if (t as usize, a) == (task, attempt) => {
-                    return Ok(Outcome {
-                        harness,
-                        result: Ok((staged, local)),
-                    })
-                }
+                } if (t as usize, a) == (task, attempt) => return Ok(Ok((staged, local))),
                 other => return task_failed(other, (task, attempt, false)),
             }
         }
     }
 
-    /// Stream the partition's segments (in canonical map-task order,
-    /// blocking per segment until its producer commits — the
-    /// fetch-while-map overlap), then collect the result. A worker that
-    /// reads slower than segments are served blocks the `write_all`, so
-    /// `ShuffleTransferNanos` is time in the socket write *including*
-    /// that backpressure.
+    /// Stream the partition's segments right behind the task (in
+    /// canonical map-task order, blocking per segment until its producer
+    /// commits — the fetch-while-map overlap), then collect the result.
+    /// A worker that reads slower than segments are served blocks the
+    /// `write_all`, so `ShuffleTransferNanos` is time in the socket write
+    /// *including* that backpressure.
     ///
     /// Each segment is one `FetchSegment` frame of its stored bytes (see
     /// [`wire_form`]); the difference between logical and transmitted
@@ -294,18 +284,10 @@ impl Slot for RemoteSlot {
         task: usize,
         attempt: u32,
     ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-        let expect = (task, attempt, true);
         self.send(&Msg::ReduceTask {
             task: task as u32,
             attempt,
         })?;
-        // The worker's fault gate runs before any fetch: an attempt it
-        // fails costs no shuffle traffic and meets no corruption.
-        match self.recv()? {
-            Msg::FetchStart => {}
-            other => return task_failed(other, expect).map(Some),
-        }
-
         let mut served = 0u32;
         let mut wait_nanos = 0u64;
         let mut transfer_nanos = 0u64;
@@ -358,13 +340,11 @@ impl Slot for RemoteSlot {
                 task: t,
                 attempt: a,
                 local,
-                harness,
                 outputs,
-            } if failed.is_none() && (t as usize, a) == (task, attempt) => Ok(Some(Outcome {
-                harness,
-                result: Ok((outputs, local)),
-            })),
-            other => task_failed(other, expect).map(Some),
+            } if failed.is_none() && (t as usize, a) == (task, attempt) => {
+                Ok(Some(Ok((outputs, local))))
+            }
+            other => task_failed(other, (task, attempt, true)).map(Some),
         }
     }
 }
@@ -394,6 +374,7 @@ fn wire_form(fetched: Fetched) -> Result<(bool, Arc<Vec<u8>>, u64), MrError> {
 mod tests {
     use super::*;
     use crate::counters::Counters;
+    use crate::dist::wire::tests::Source;
     use crate::fault::{FaultConfig, FaultPlan};
     use crate::record::{Emit, FnMapper, FnReducer};
     use crate::runner::InProcessSlot;
@@ -472,7 +453,7 @@ mod tests {
     /// `script`, then ends as `end` says; the slot must come back lost,
     /// and the error is returned.
     fn lost_slot(step: Step, script: Vec<Msg>, end: End) -> String {
-        crate::dist::tests::within_deadline(move || {
+        crate::dist::tests::within_deadline(DEADLINE, move || {
             let listener = Listener::bind().unwrap();
             let mut peer = Stream::connect(listener.addr(), SCRIPT_DEADLINE).unwrap();
             let stream = listener.accept(SCRIPT_DEADLINE, &mut || true).unwrap();
@@ -522,7 +503,7 @@ mod tests {
             // `TaskRequest` times out.
             (Open, vec![Msg::Hello { worker: 3 }], "read frame length"),
             // Stops reading: the served segment's write times out.
-            (Reduce, vec![Msg::FetchStart], "write FetchSegment"),
+            (Reduce, vec![], "write FetchSegment"),
         ];
         for (step, script, names) in cases {
             let t0 = Instant::now();
@@ -544,13 +525,11 @@ mod tests {
             task,
             attempt,
             local: bank(),
-            harness: bank(),
         };
         let reduce_done = |task, attempt| Msg::ReduceDone {
             task,
             attempt,
             local: bank(),
-            harness: bank(),
             outputs: Vec::new(),
         };
         let failed = |task, attempt, reduce| Msg::TaskFailed {
@@ -559,7 +538,6 @@ mod tests {
             reduce,
             checksum: false,
             error: "scripted".into(),
-            harness: bank(),
         };
         let segment = |partition| Msg::MapSegment {
             partition,
@@ -625,13 +603,13 @@ mod tests {
             ),
             (
                 Reduce,
-                vec![Msg::FetchStart, reduce_done(1, 0)],
+                vec![reduce_done(1, 0)],
                 b"",
                 "reduce 1 attempt 1: unexpected ReduceDone",
             ),
             (
                 Reduce,
-                vec![Msg::FetchStart, failed(1, 1, false)],
+                vec![failed(1, 1, false)],
                 b"",
                 "reduce 1 attempt 1: unexpected TaskFailed",
             ),
@@ -644,9 +622,9 @@ mod tests {
             ),
             (
                 Map,
-                vec![Msg::FetchStart],
+                vec![Msg::TaskRequest],
                 b"",
-                "map 0 attempt 1: unexpected FetchStart",
+                "map 0 attempt 1: unexpected TaskRequest",
             ),
             (Map, vec![hello], b"", "map 0 attempt 1: unexpected Hello"),
             (
@@ -663,9 +641,9 @@ mod tests {
             ),
             (
                 Reduce,
-                vec![Msg::FetchStart, Msg::FetchStart],
+                vec![Msg::TaskRequest],
                 b"",
-                "reduce 1 attempt 1: unexpected FetchStart",
+                "reduce 1 attempt 1: unexpected TaskRequest",
             ),
             // A segment for a partition the job does not have.
             (
@@ -689,7 +667,7 @@ mod tests {
                 &[100, 0, 0, 0, 4, 0, 0],
                 "read frame payload (100 bytes)",
             ),
-            (Reduce, vec![Msg::FetchStart], &[9, 0], "read frame length"),
+            (Reduce, vec![], &[9, 0], "read frame length"),
         ];
         for (i, (step, script, tail, names)) in cases.into_iter().enumerate() {
             let err = lost_slot(step, script, End::Close(tail));
@@ -697,6 +675,36 @@ mod tests {
                 err.contains(names),
                 "case {i}: {err:?} does not name {names:?}"
             );
+        }
+    }
+
+    #[test]
+    fn every_frame_the_grammar_does_not_allow_loses_the_slot() {
+        use Step::*;
+        // Per state, the worker frames the grammar allows there, and the
+        // words the lost slot's error puts before any other frame's name.
+        let states: [(Step, &[&str], &str); 4] = [
+            (Open, &["Hello"], "expected Hello, got "),
+            (Ready, &["TaskRequest"], "expected TaskRequest, got "),
+            (
+                Map,
+                &["MapSegment", "MapDone", "TaskFailed"],
+                "map 0 attempt 1: unexpected ",
+            ),
+            (
+                Reduce,
+                &["ReduceDone", "TaskFailed"],
+                "reduce 1 attempt 1: unexpected ",
+            ),
+        ];
+        let bytes = (0..=u8::MAX).collect();
+        let frames = Msg::one_of_each(&mut Source { bytes, at: 0 });
+        for (step, allowed, says) in states {
+            for msg in frames.iter().filter(|m| !allowed.contains(&m.name())) {
+                let names = format!("{says}{}", msg.name());
+                let err = lost_slot(step, vec![msg.clone()], End::Close(b""));
+                assert!(err.contains(&names), "{err:?} does not name {names:?}");
+            }
         }
     }
 
@@ -960,6 +968,38 @@ mod tests {
         assert_eq!(identity.counters.get(Counter::LzCompressNanos), 0);
     }
 
+    #[test]
+    fn a_slot_whose_attempt_the_gate_failed_is_handed_the_next_at_once() {
+        // Every first attempt fails the fault gate. The worker's
+        // `TaskRequest` was read before the gate ran, so the slot must be
+        // given its next assignment without waiting for another one: a
+        // slot that waited would hang until `DEADLINE`.
+        let faults = FaultConfig {
+            map_error_rate: 1.0,
+            reduce_error_rate: 1.0,
+            attempt_cap: 1,
+            ..FaultConfig::default()
+        };
+        let config = JobConfig::default()
+            .with_reducers(2)
+            .with_retries(1)
+            .with_faults(FaultPlan::new(faults));
+        let splits = word_splits(3, 20);
+        let local = Job::new(config.clone())
+            .run(splits.clone(), count_mapper(), sum_reducer())
+            .unwrap();
+        let dist = crate::dist::tests::within_deadline(Duration::from_secs(5), move || {
+            let dist_cfg = DistConfig::default().with_workers(2);
+            run_distributed_with_threads(&config, &dist_cfg, splits, count_mapper(), sum_reducer())
+                .unwrap()
+        });
+        assert_same_outputs(&local, &dist);
+        for result in [&local, &dist] {
+            assert_eq!(result.counters.get(Counter::FaultsInjected), 3 + 2);
+            assert_eq!(result.counters.get(Counter::TaskRetries), 3 + 2);
+        }
+    }
+
     /// A slot whose first reduce attempt finds map task 0's segment
     /// damaged in its spill file; the damage is repaired as the attempt
     /// returns, so the retry succeeds. Records whether each failed
@@ -1002,7 +1042,7 @@ mod tests {
             let repair = (attempt == 0).then(|| job.store.damage_spill(task, 0, self.damage));
             let ran = self.inner.reduce(job, task, attempt);
             drop(repair);
-            if let Ok(Some(Outcome { result: Err(e), .. })) = &ran {
+            if let Ok(Some(Err(e))) = &ran {
                 self.failures.lock().unwrap().push(e.is_checksum());
             }
             ran
@@ -1046,7 +1086,7 @@ mod tests {
             // Remote: the one slot, of one worker thread, takes every
             // task, so the retry runs on the worker whose attempt failed.
             let (config, splits) = (config.clone(), splits.clone());
-            let (remote, remote_failures) = crate::dist::tests::within_deadline(move || {
+            let remote_leg = move || {
                 let listener = Listener::bind().unwrap();
                 let addr = listener.addr().to_string();
                 let worker_config = config.clone();
@@ -1073,7 +1113,9 @@ mod tests {
                 worker.join().unwrap().unwrap();
                 let failures = failures.lock().unwrap().clone();
                 (remote.unwrap(), failures)
-            });
+            };
+            let (remote, remote_failures) =
+                crate::dist::tests::within_deadline(DEADLINE, remote_leg);
 
             assert_eq!(local_failures, [checksum], "{damage:?}: in-process");
             assert_eq!(remote_failures, [checksum], "{damage:?}: remote");

@@ -4,9 +4,11 @@
 //! platform's socket (`net.rs`: Unix-domain where the platform has them,
 //! loopback TCP where it has none), pull map/reduce assignments, and
 //! stream IFile segments back and forth. Task choice, retries, backoff,
-//! abort, the two counter banks of an attempt and fault-plan corruption
-//! of fetched segments are the scheduler's and identical to a local
-//! job's; this module adds only the sockets and the frames on them.
+//! abort, an attempt's counter bank and every fault-plan decision (a
+//! slow-down or injected error before the attempt is assigned, a
+//! corruption of a fetched segment) are the scheduler's and identical to
+//! a local job's; this module adds only the sockets and the frames on
+//! them.
 //!
 //! # Protocol
 //!
@@ -18,28 +20,27 @@
 //! ```text
 //! Conversation = Hello (TaskRequest Task)* TaskRequest Shutdown
 //! Task         = MapTask MapSegment* (MapDone | TaskFailed)
-//!              | ReduceTask (TaskFailed
-//!                           | FetchStart FetchSegment* (SegmentsDone (ReduceDone | TaskFailed)
-//!                                                      | FetchFailed TaskFailed
-//!                                                      | Shutdown))
+//!              | ReduceTask FetchSegment* (SegmentsDone (ReduceDone | TaskFailed)
+//!                                        | FetchFailed TaskFailed
+//!                                        | Shutdown)
 //! ```
 //!
 //! The worker sends `Hello`, `TaskRequest`, `MapSegment`, `MapDone`,
-//! `FetchStart`, `ReduceDone` and `TaskFailed`; the coordinator sends
-//! the rest. Either end answers a frame the grammar does not allow at
-//! that point with a [`MrError::Net`] that names it, and gives the
-//! connection up.
+//! `ReduceDone` and `TaskFailed`; the coordinator sends the rest. Either
+//! end answers a frame the grammar does not allow at that point with a
+//! [`MrError::Net`] that names it, and gives the connection up.
 //!
 //! - **Map**: `MapTask` carries the split. The worker runs the attempt
 //!   and sends one `MapSegment` per non-empty partition — a second one
 //!   for the same partition is a violation — which the coordinator
 //!   stages and publishes only on `MapDone`.
-//! - **Reduce**: the worker's fault gate runs *before* any fetch;
-//!   `FetchStart` says it passed. The coordinator then sends the
-//!   partition's segments, one whole segment per `FetchSegment` frame,
-//!   **in canonical map-task order**, blocking per segment until that map
-//!   task has completed — the pipelined fetch-while-map overlap — and
-//!   closes the stream with `SegmentsDone`. A segment the store cannot
+//! - **Reduce**: the scheduler's fault gate ran before the attempt was
+//!   assigned, so an injected error costs no fetch. Right behind
+//!   `ReduceTask` the coordinator sends the partition's segments, one
+//!   whole segment per `FetchSegment` frame, **in canonical map-task
+//!   order**, blocking per segment until that map task has completed —
+//!   the pipelined fetch-while-map overlap — and closes the stream with
+//!   `SegmentsDone`. A segment the store cannot
 //!   serve (its spill read fails) ends the stream with `FetchFailed`
 //!   instead, and the worker fails the attempt with `TaskFailed`: the
 //!   attempt is retried, the worker kept. The inner `Shutdown` releases
@@ -48,9 +49,9 @@
 //!
 //! The blocking socket is the only flow control: a peer that reads
 //! slower than the other writes stalls that `write_all`, nothing else.
-//! `MapDone`, `ReduceDone` and `TaskFailed` name their `(task, attempt)`
-//! and carry the attempt's counter banks. A worker that dies mid-task
-//! surfaces as a lost slot: its task goes back through the retry budget
+//! `MapDone`, `ReduceDone` and `TaskFailed` name their `(task, attempt)`;
+//! the first two carry the attempt's one counter bank. A worker that dies
+//! mid-task surfaces as a lost slot: its task goes back through the retry budget
 //! as a network failure, not a hung job. So does a peer that goes
 //! silent: no read or write on a connection, nor the wait for a worker to
 //! connect, lasts longer than one deadline (30 s).
@@ -283,13 +284,16 @@ mod tests {
     use super::*;
 
     /// Run one scripted conversation on a thread of its own and fail the
-    /// test, rather than hang it, if it neither returns nor panics in
-    /// time.
-    pub(super) fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    /// test, rather than hang it, if it neither returns nor panics within
+    /// `limit`.
+    pub(super) fn within_deadline<T: Send + 'static>(
+        limit: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
         let conversation = std::thread::spawn(f);
         let t0 = std::time::Instant::now();
         while !conversation.is_finished() {
-            assert!(t0.elapsed() < DEADLINE, "the conversation hung");
+            assert!(t0.elapsed() < limit, "the conversation hung");
             std::thread::sleep(Duration::from_millis(1));
         }
         conversation

@@ -14,6 +14,10 @@
 //! segment ([`crate::ifile::RawSegment::open`]), which is what lets the
 //! fault plan's wire-level corruption be *detected* rather than
 //! silently reduced over.
+//!
+//! Twelve messages cross. No fault decision does: the scheduler makes
+//! them all in the coordinator, so a finished attempt's frame carries
+//! the attempt's one counter bank and nothing else of the fault plan.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -92,7 +96,7 @@ macro_rules! messages {
 
             /// One message per row, in row order, its fields drawn from
             /// `src`.
-            fn one_of_each(src: &mut tests::Source) -> Vec<Msg> {
+            pub(super) fn one_of_each(src: &mut tests::Source) -> Vec<Msg> {
                 vec![$(Msg::$variant $({ $($field: src.draw()),* })?,)*]
             }
         }
@@ -111,19 +115,12 @@ messages! {
     /// Worker → coordinator: one finished map-output segment.
     MapSegment = 4 { partition: u32, data: Vec<u8> };
     /// Worker → coordinator: the map attempt succeeded. `local` is the
-    /// attempt-local counter bank (absorbed only now, preserving the
-    /// retry-counter semantics), `harness` the fault-injection charges.
-    MapDone = 5 {
-        task: u32,
-        attempt: u32,
-        local: CounterSnapshot,
-        harness: CounterSnapshot,
-    };
-    /// Coordinator → worker: run one reduce attempt.
+    /// attempt-local counter bank, absorbed only now, preserving the
+    /// retry-counter semantics.
+    MapDone = 5 { task: u32, attempt: u32, local: CounterSnapshot };
+    /// Coordinator → worker: run one reduce attempt. The partition's
+    /// segments follow at once.
     ReduceTask = 6 { task: u32, attempt: u32 };
-    /// Worker → coordinator: the reduce attempt passed its fault gate;
-    /// stream this partition's segments.
-    FetchStart = 7;
     /// Coordinator → worker: the partition's next segment (canonical
     /// map-task order), whole, as the store holds it. `comp` marks an lz
     /// frame the worker inflates before the segment CRC check; the frame
@@ -143,7 +140,6 @@ messages! {
         task: u32,
         attempt: u32,
         local: CounterSnapshot,
-        harness: CounterSnapshot,
         outputs: Vec<KvPair>,
     };
     /// Worker → coordinator: a task attempt failed. `checksum` carries
@@ -156,7 +152,6 @@ messages! {
         reduce: bool,
         checksum: bool,
         error: String,
-        harness: CounterSnapshot,
     };
     /// Coordinator → worker: no more work (job complete or aborted).
     Shutdown = 12;
@@ -422,7 +417,7 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::counters::Counter;
     use crate::record::Bytes;
@@ -431,9 +426,9 @@ mod tests {
     /// Field values for the table's generated messages, drawn from a
     /// proptest-chosen byte string (zeros once it runs out), so shrinking
     /// the string shrinks every field.
-    pub(super) struct Source {
-        bytes: Vec<u8>,
-        at: usize,
+    pub(in crate::dist) struct Source {
+        pub(in crate::dist) bytes: Vec<u8>,
+        pub(in crate::dist) at: usize,
     }
 
     impl Source {
@@ -579,12 +574,16 @@ mod tests {
     #[test]
     fn several_frames_stream_back_to_back() {
         let mut wire = Vec::new();
+        let reduce = Msg::ReduceTask {
+            task: 1,
+            attempt: 2,
+        };
         write_msg(&mut wire, &Msg::TaskRequest).unwrap();
-        write_msg(&mut wire, &Msg::FetchStart).unwrap();
+        write_msg(&mut wire, &reduce).unwrap();
         write_msg(&mut wire, &Msg::Shutdown).unwrap();
         let mut cursor = &wire[..];
         assert_eq!(read_msg(&mut cursor).unwrap(), Msg::TaskRequest);
-        assert_eq!(read_msg(&mut cursor).unwrap(), Msg::FetchStart);
+        assert_eq!(read_msg(&mut cursor).unwrap(), reduce);
         assert_eq!(read_msg(&mut cursor).unwrap(), Msg::Shutdown);
         assert!(read_msg(&mut cursor).is_err(), "EOF is a closed connection");
     }
@@ -707,12 +706,11 @@ mod tests {
         for v in [0u32, 0, u32::MAX] {
             v.put(&mut map_task);
         }
-        // ReduceDone: tag, task, attempt, two counter banks, a count one
-        // past what the single empty record behind it could back.
+        // ReduceDone: tag, task, attempt, counter bank, a count one past
+        // what the single empty record behind it could back.
         let mut reduce_done = vec![10u8];
         0u32.put(&mut reduce_done);
         0u32.put(&mut reduce_done);
-        Counters::new().snapshot().put(&mut reduce_done);
         Counters::new().snapshot().put(&mut reduce_done);
         2u32.put(&mut reduce_done);
         reduce_done.extend_from_slice(&[0u8; 8]);
@@ -739,7 +737,6 @@ mod tests {
             task: 1,
             attempt: 0,
             local: c.snapshot(),
-            harness: Counters::new().snapshot(),
         };
         assert_eq!(read_msg(&mut &encode(&msg).unwrap()[..]).unwrap(), msg);
     }

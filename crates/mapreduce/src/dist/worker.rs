@@ -1,38 +1,33 @@
 //! Worker-process main loop: connect to the coordinator, pull task
-//! assignments, run each as an [`Attempt`] — the discipline in-process
-//! slots use — and stream results back. See [`crate::dist`] for the
-//! conversation's grammar.
+//! assignments, run each through [`run_attempt`] — as in-process slots
+//! do — and stream results back. See [`crate::dist`] for the
+//! conversation's grammar. Every fault decision is the coordinator's: an
+//! assignment that arrives here has passed the scheduler's fault gate,
+//! and a fetched segment arrives already corrupted where the plan says.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use super::net::{Stream, Transport};
 use super::wire::{read_msg, rebuild_error, write_msg, Msg};
 use super::DEADLINE;
-use crate::counters::{Counter, CounterSnapshot};
+use crate::counters::Counter;
 use crate::error::MrError;
-use crate::record::{InputSplit, KvPair, Mapper, Reducer};
+use crate::record::{InputSplit, Mapper, Reducer};
 use crate::runner;
-use crate::scheduler::{Attempt, Outcome};
+use crate::scheduler::run_attempt;
 use crate::shuffle::inflate;
 use crate::JobConfig;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The message that closes a failed attempt.
-fn task_failed_msg(
-    task: usize,
-    attempt: u32,
-    reduce: bool,
-    err: &MrError,
-    harness: CounterSnapshot,
-) -> Msg {
+fn task_failed_msg(task: usize, attempt: u32, reduce: bool, err: &MrError) -> Msg {
     Msg::TaskFailed {
         task: task as u32,
         attempt,
         reduce,
         checksum: err.is_checksum(),
         error: err.to_string(),
-        harness,
     }
 }
 
@@ -99,11 +94,10 @@ fn run_map_attempt(
     split: &InputSplit,
     mapper: &dyn Mapper,
 ) -> Result<(), MrError> {
-    let outcome = match Attempt::begin(config, task, attempt, false) {
-        Err(failed) => failed,
-        Ok(att) => att.run(|local| runner::run_map_task(config, task, split, mapper, local)),
-    };
-    let msg = match outcome.result {
+    let outcome = run_attempt(task, attempt, |local| {
+        runner::run_map_task(config, task, split, mapper, local)
+    });
+    let msg = match outcome {
         Ok((segments, local)) => {
             for (partition, seg) in segments {
                 write_msg(
@@ -118,18 +112,16 @@ fn run_map_attempt(
                 task: task as u32,
                 attempt,
                 local,
-                harness: outcome.harness,
             }
         }
-        Err(e) => task_failed_msg(task, attempt, false, &e, outcome.harness),
+        Err(e) => task_failed_msg(task, attempt, false, &e),
     };
     write_msg(stream, &msg)
 }
 
-/// One reduce attempt: the fault gate runs before any fetch, so an
-/// injected reduce error costs no shuffle traffic; then fetch all
-/// segments for the partition, then merge/group/reduce. Returns `true`
-/// if the coordinator shut the job down mid-fetch.
+/// One reduce attempt: fetch all segments for the partition as the
+/// coordinator streams them, then merge/group/reduce. Returns `true` if
+/// the coordinator shut the job down mid-fetch.
 ///
 /// The fetched bytes are taken as they come: where the fault plan
 /// corrupts a segment, the coordinator already did so on its way out of
@@ -141,11 +133,6 @@ fn run_reduce_attempt(
     attempt: u32,
     reducer: &dyn Reducer,
 ) -> Result<bool, MrError> {
-    let att = match Attempt::begin(config, task, attempt, true) {
-        Ok(att) => att,
-        Err(failed) => return report_reduce(stream, task, attempt, failed),
-    };
-    write_msg(stream, &Msg::FetchStart)?;
     let mut segs: Vec<Vec<u8>> = Vec::new();
     let mut decompress_nanos = 0u64;
     // A wire-compressed segment that fails to inflate is real
@@ -191,32 +178,21 @@ fn run_reduce_attempt(
             }
         }
     }
-    if let Some(e) = fetch_err {
-        return report_reduce(stream, task, attempt, att.fail(e));
-    }
-    let outcome = att.run(|local| {
-        local.add(Counter::LzDecompressNanos, decompress_nanos);
-        runner::run_reduce_task(config, task, &segs, reducer, local)
-    });
-    report_reduce(stream, task, attempt, outcome)
-}
-
-/// Close a reduce attempt on the wire.
-fn report_reduce(
-    stream: &mut Stream,
-    task: usize,
-    attempt: u32,
-    outcome: Outcome<Vec<KvPair>>,
-) -> Result<bool, MrError> {
-    let msg = match outcome.result {
+    let outcome = match fetch_err {
+        Some(e) => Err(e),
+        None => run_attempt(task, attempt, |local| {
+            local.add(Counter::LzDecompressNanos, decompress_nanos);
+            runner::run_reduce_task(config, task, &segs, reducer, local)
+        }),
+    };
+    let msg = match outcome {
         Ok((outputs, local)) => Msg::ReduceDone {
             task: task as u32,
             attempt,
             local,
-            harness: outcome.harness,
             outputs,
         },
-        Err(e) => task_failed_msg(task, attempt, true, &e, outcome.harness),
+        Err(e) => task_failed_msg(task, attempt, true, &e),
     };
     write_msg(stream, &msg).map(|()| false)
 }
@@ -224,9 +200,8 @@ fn report_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::Counters;
     use crate::dist::net::Listener;
-    use crate::record::{Emit, FnMapper, FnReducer};
+    use crate::record::{Emit, FnMapper, FnReducer, KvPair};
     use std::io::Write;
     use std::time::Duration;
 
@@ -239,7 +214,7 @@ mod tests {
     /// `TaskRequest` have been read off it. Returns what the worker's
     /// conversation returned once the script is over and its end closed.
     fn worker_against(script: impl FnOnce(&mut Stream) + Send + 'static) -> Result<(), MrError> {
-        crate::dist::tests::within_deadline(move || {
+        crate::dist::tests::within_deadline(DEADLINE, move || {
             let listener = Listener::bind().unwrap();
             let addr = listener.addr().to_string();
             let worker = std::thread::spawn(move || {
@@ -264,7 +239,8 @@ mod tests {
         write_msg(stream, &msg).unwrap();
     }
 
-    /// Open reduce 1 attempt 0 and read the worker's `FetchStart`.
+    /// Open reduce 1 attempt 0; the worker then reads its fetch stream
+    /// and says nothing until the stream ends.
     fn start_fetch(stream: &mut Stream) {
         send(
             stream,
@@ -273,7 +249,6 @@ mod tests {
                 attempt: 0,
             },
         );
-        assert_eq!(read_msg(stream).unwrap(), Msg::FetchStart);
     }
 
     fn segment(comp: bool, data: &[u8]) -> Msg {
@@ -474,10 +449,9 @@ mod tests {
                     Msg::MapDone {
                         task: 3,
                         attempt: 2,
-                        harness,
-                        ..
+                        local,
                     } => {
-                        assert_eq!(harness, Counters::new().snapshot());
+                        assert_eq!(local.get(Counter::MapInputRecords), 20);
                         break;
                     }
                     other => panic!("unexpected {other:?}"),

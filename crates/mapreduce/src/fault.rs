@@ -9,13 +9,13 @@
 //! replays bit-for-bit from its seed, and tests can assert exact
 //! behavior.
 //!
-//! The [`FaultPlan`] is consulted by the runner at three points:
-//! before a map task runs (injected task error), before a reduce task
-//! runs, and as each fetched segment is opened (corruption of the
-//! materialized bytes). `attempt_cap` bounds injection to the first N
-//! attempts of a task, which guarantees a job with `retries >=
-//! attempt_cap` always completes — the property the `fault_storm`
-//! experiment asserts.
+//! The [`FaultPlan`] is consulted by the scheduler alone, at three
+//! points: before a map or reduce attempt is handed to a slot (a
+//! slow-down, then an injected task error), and as each segment is
+//! fetched for a reduce (corruption of its logical bytes).
+//! `attempt_cap` bounds injection to the first N attempts of a task,
+//! which guarantees a job with `retries >= attempt_cap` always completes
+//! — the property the `fault_storm` experiment asserts.
 
 use crate::error::MrError;
 use std::time::Duration;

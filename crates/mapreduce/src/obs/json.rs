@@ -8,6 +8,8 @@
 //! the only string escaper (the streaming Chrome-trace exporter borrows
 //! it). Every integer up to 2^53 prints as the digits it was built from,
 //! so `parse` → write is byte-identical on anything the writer produced.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt::Write as _;
 
@@ -385,7 +387,7 @@ impl<'a> Parser<'a> {
                     }
                     out.push_str(
                         std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("one scalar of a &str"),
+                            .map_err(|_| self.err("invalid UTF-8"))?,
                     );
                 }
             }
@@ -427,7 +429,7 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("sign, digits, '.', 'e' are ASCII");
+            .map_err(|_| self.err("non-ascii number"))?;
         match text.parse::<f64>() {
             // `"1e400".parse()` is `Ok(inf)`, which the writer could not
             // print back.

@@ -26,6 +26,8 @@
 //!   reader demands exactly the table's keys in the table's order, so a
 //!   missing, unknown, duplicated or reordered key is an error rather
 //!   than something a re-encode would silently repair.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::clock::{clock_kind, ClockKind};
 use crate::counters::{CounterSnapshot, Counters, ALL_COUNTERS};
@@ -291,7 +293,9 @@ fn keyed_values<'a, 'k>(
 fn dec_next<'a, T: Field>(
     values: &mut impl Iterator<Item = (&'a str, &'a Json)>,
 ) -> Result<T, String> {
-    let (key, value) = values.next().expect("keyed_values checked the arity");
+    let (key, value) = values
+        .next()
+        .ok_or("the object ends before its schema does")?;
     T::dec(value).map_err(|e| format!("{key:?}: {e}"))
 }
 

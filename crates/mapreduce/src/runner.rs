@@ -11,7 +11,7 @@ use crate::ifile::{IFileVersion, IFileWriter, RawSegment, Segment, DEFAULT_BLOCK
 use crate::job::{JobConfig, JobResult};
 use crate::obs::{self, Metric, Phase};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
-use crate::scheduler::{Attempt, Fetched, JobState, MapOutput, Outcome, Slot, Takes};
+use crate::scheduler::{run_attempt, Fetched, JobState, MapOutput, Outcome, Slot, Takes};
 use crate::sort::{sort_pairs, BlockMergeStream, MergeItem};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -48,13 +48,10 @@ impl Slot for InProcessSlot<'_> {
         attempt: u32,
         split: &Arc<InputSplit>,
     ) -> Result<Outcome<MapOutput>, MrError> {
-        Ok(match Attempt::begin(job.config, task, attempt, false) {
-            Err(failed) => failed,
-            Ok(att) => att.run(|local| {
-                let segments = run_map_task(job.config, task, split, self.mapper, local)?;
-                Ok(segments.into_iter().map(|(p, seg)| (p, seg.data)).collect())
-            }),
-        })
+        Ok(run_attempt(task, attempt, |local| {
+            let segments = run_map_task(job.config, task, split, self.mapper, local)?;
+            Ok(segments.into_iter().map(|(p, seg)| (p, seg.data)).collect())
+        }))
     }
 
     fn reduce(
@@ -63,10 +60,6 @@ impl Slot for InProcessSlot<'_> {
         task: usize,
         attempt: u32,
     ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-        let att = match Attempt::begin(job.config, task, attempt, true) {
-            Ok(att) => att,
-            Err(failed) => return Ok(Some(failed)),
-        };
         // Every segment is fetched before the first is opened, so an
         // attempt meets all of the fault plan's corruption for it, as an
         // attempt streamed to a worker does.
@@ -76,10 +69,10 @@ impl Slot for InProcessSlot<'_> {
                 Ok(Some(segment)) => fetched.push(segment),
                 Ok(None) => {}
                 Err(_) if job.is_aborted() => return Ok(None),
-                Err(e) => return Ok(Some(att.fail(e))),
+                Err(e) => return Ok(Some(Err(e))),
             }
         }
-        Ok(Some(att.run(|local| {
+        Ok(Some(run_attempt(task, attempt, |local| {
             let segments = fetched
                 .iter()
                 .map(|f| match f {

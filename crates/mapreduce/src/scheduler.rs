@@ -4,17 +4,18 @@
 //! A job is its [`JobState`] — the two task queues, the
 //! [`ShuffleStore`], the job-wide counter bank, collected errors,
 //! reducer outputs and phase clocks — plus a set of [`Slot`]s, each
-//! driven by one thread through the same loop: *next assignment → run
-//! the attempt on this slot → on success absorb both counter banks,
-//! commit and retire; on failure route the error through the retry
-//! policy and requeue or abort; on a lost slot requeue as a network
-//! error and drop the slot*. The two kinds of slot differ only in where
-//! an attempt runs: in-process ([`crate::runner`]) calls the task bodies
-//! on the slot's own thread and reduces straight over the store's
-//! bytes; remote ([`crate::dist`]) holds the conversation with a worker
-//! process. Task choice, retry, backoff, abort, the counter-bank
-//! discipline and the point where a fault plan corrupts a fetched
-//! segment live here, once.
+//! driven by one thread through the same loop: *next assignment → the
+//! fault gate → run the attempt on this slot → on success commit,
+//! absorb the attempt's counter bank and retire; on failure route the
+//! error through the retry policy and requeue or abort; on a lost slot
+//! requeue as a network error and drop the slot*. The two kinds of slot
+//! differ only in where an attempt runs: in-process ([`crate::runner`])
+//! calls the task bodies on the slot's own thread and reduces straight
+//! over the store's bytes; remote ([`crate::dist`]) holds the
+//! conversation with a worker process. Task choice, retry, backoff,
+//! abort, the counter-bank discipline and every decision of a fault
+//! plan — a slow-down or an injected error before any slot sees the
+//! attempt, a corruption as a segment is fetched — live here, once.
 //!
 //! Built on `std::sync` (not the project's `parking_lot` shim) where a
 //! condvar is needed.
@@ -113,97 +114,33 @@ struct Sched {
     reduce_t0: Option<Instant>,
 }
 
-/// What one attempt left behind. `harness` holds fault-injection
-/// charges, which describe the harness rather than the attempt and are
-/// absorbed always; `result` carries, on success, the attempt's product
-/// with its attempt-local bank — absorbed only then, so a retried job
+/// What one attempt left behind: on success its product with its
+/// attempt-local counter bank, absorbed only then, so a retried job
 /// reports the same semantic counters as a clean one.
-pub(crate) struct Outcome<T> {
-    pub(crate) harness: CounterSnapshot,
-    pub(crate) result: Result<(T, CounterSnapshot), MrError>,
-}
+pub(crate) type Outcome<T> = Result<(T, CounterSnapshot), MrError>;
 
-/// The attempt discipline — fault gate, then the task body with panics
-/// caught, over two counter banks — used by in-process slots and by
-/// worker processes.
-pub(crate) struct Attempt {
+/// Run one attempt's task body against a fresh attempt-local bank — in
+/// an in-process slot or in a worker process alike. A panic in it (a
+/// user function, or a bug in a task path) becomes a retryable
+/// [`MrError::TaskFailed`] instead of unwinding through the slot's
+/// thread and taking its siblings — or a worker's socket — with it.
+pub(crate) fn run_attempt<T>(
     task: usize,
     attempt: u32,
-    harness: Counters,
-    local: Counters,
-}
-
-impl Attempt {
-    /// Open an attempt by consulting the job's fault plan (if any):
-    /// apply an artificial slow-down, then possibly fail the attempt
-    /// with an injected error before any of its work (or fetching)
-    /// starts.
-    // The `Err` is a whole finished attempt, built and moved once per task.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn begin<T>(
-        config: &JobConfig,
-        task: usize,
-        attempt: u32,
-        reduce: bool,
-    ) -> Result<Attempt, Outcome<T>> {
-        let att = Attempt {
-            task,
-            attempt,
-            harness: Counters::new(),
-            local: Counters::new(),
-        };
-        let Some(plan) = &config.faults else {
-            return Ok(att);
-        };
-        if let Some(delay) = plan.slow(task as u64, attempt) {
-            att.harness.add(Counter::FaultsInjected, 1);
-            std::thread::sleep(delay);
-        }
-        let (hit, kind) = if reduce {
-            (plan.reduce_error(task as u64, attempt), "reduce")
-        } else {
-            (plan.map_error(task as u64, attempt), "map")
-        };
-        if hit {
-            att.harness.add(Counter::FaultsInjected, 1);
-            return Err(att.fail(MrError::TaskFailed(format!(
-                "injected {kind} fault: task {task} attempt {attempt}"
-            ))));
-        }
-        Ok(att)
-    }
-
-    /// Close the attempt as failed.
-    pub(crate) fn fail<T>(self, err: MrError) -> Outcome<T> {
-        Outcome {
-            harness: self.harness.snapshot(),
-            result: Err(err),
-        }
-    }
-
-    /// Run the task body against the attempt-local bank. A panic in it
-    /// (a user function, or a bug in a task path) becomes a retryable
-    /// [`MrError::TaskFailed`] instead of unwinding through the slot's
-    /// thread and taking its siblings — or a worker's socket — with it.
-    pub(crate) fn run<T>(self, body: impl FnOnce(&Counters) -> Result<T, MrError>) -> Outcome<T> {
-        let local = &self.local;
-        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(local))) {
-            Ok(result) => result,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                Err(MrError::TaskFailed(format!(
-                    "task {} attempt {} panicked: {msg}",
-                    self.task, self.attempt
-                )))
-            }
-        };
-        Outcome {
-            harness: self.harness.snapshot(),
-            result: result.map(|value| (value, self.local.snapshot())),
+    body: impl FnOnce(&Counters) -> Result<T, MrError>,
+) -> Outcome<T> {
+    let local = Counters::new();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&local))) {
+        Ok(result) => result.map(|value| (value, local.snapshot())),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(MrError::TaskFailed(format!(
+                "task {task} attempt {attempt} panicked: {msg}"
+            )))
         }
     }
 }
@@ -400,8 +337,20 @@ impl<'a> JobState<'a> {
         let _att = self.config.recorder.as_ref().map(|r| r.attach(&name));
         loop {
             slot.ready()?;
-            let Some((task, attempt, early)) = self.next_assignment(slot.takes()) else {
-                return slot.close();
+            // An attempt the fault gate fails never reaches the slot, so
+            // the slot is still ready: a remote one's `TaskRequest` is
+            // already read.
+            let (task, attempt, early) = loop {
+                let Some((task, attempt, early)) = self.next_assignment(slot.takes()) else {
+                    return slot.close();
+                };
+                match self.gate(&task, attempt) {
+                    Ok(()) => break (task, attempt, early),
+                    Err(e) => {
+                        self.early_done(early);
+                        self.fail(task, attempt, e);
+                    }
+                }
             };
             let id = task.id();
             match &task {
@@ -413,10 +362,7 @@ impl<'a> JobState<'a> {
                 },
                 Task::Reduce(_) => {
                     let ran = slot.reduce(self, id, attempt);
-                    if early {
-                        self.sched().early -= 1;
-                        self.changed.notify_all();
-                    }
+                    self.early_done(early);
                     match ran {
                         Ok(Some(outcome)) => self.settle(task, attempt, outcome, |outputs| {
                             obs::hist(Metric::ReduceTaskOutputRecords, outputs.len() as u64);
@@ -432,6 +378,41 @@ impl<'a> JobState<'a> {
                     }
                 }
             }
+        }
+    }
+
+    /// The fault plan's say on an attempt, before any slot sees it: an
+    /// artificial slow-down, then possibly an injected error, which fails
+    /// the attempt before any of its work — or fetching — starts. Both
+    /// are charged to the job-wide bank, as [`JobState::fetch`] charges
+    /// corruption.
+    fn gate(&self, task: &Task, attempt: u32) -> Result<(), MrError> {
+        let Some(plan) = &self.config.faults else {
+            return Ok(());
+        };
+        let id = task.id() as u64;
+        if let Some(delay) = plan.slow(id, attempt) {
+            self.counters.add(Counter::FaultsInjected, 1);
+            std::thread::sleep(delay);
+        }
+        let (hit, kind) = match task {
+            Task::Map(..) => (plan.map_error(id, attempt), "map"),
+            Task::Reduce(_) => (plan.reduce_error(id, attempt), "reduce"),
+        };
+        if !hit {
+            return Ok(());
+        }
+        self.counters.add(Counter::FaultsInjected, 1);
+        Err(MrError::TaskFailed(format!(
+            "injected {kind} fault: task {id} attempt {attempt}"
+        )))
+    }
+
+    /// An early reduce (see [`JobState::next_assignment`]) has ended.
+    fn early_done(&self, early: bool) {
+        if early {
+            self.sched().early -= 1;
+            self.changed.notify_all();
         }
     }
 
@@ -487,9 +468,9 @@ impl<'a> JobState<'a> {
         }
     }
 
-    /// Close out a finished attempt: absorb its banks, commit its
-    /// product and retire the task — or, if the attempt or its commit
-    /// failed, hand the error to [`JobState::fail`].
+    /// Close out a finished attempt: commit its product, absorb its bank
+    /// and retire the task — or, if the attempt or its commit failed,
+    /// hand the error to [`JobState::fail`].
     fn settle<T>(
         &self,
         task: Task,
@@ -497,8 +478,7 @@ impl<'a> JobState<'a> {
         outcome: Outcome<T>,
         commit: impl FnOnce(T) -> Result<(), MrError>,
     ) {
-        self.counters.absorb(&outcome.harness);
-        let committed = outcome.result.and_then(|(product, local)| {
+        let committed = outcome.and_then(|(product, local)| {
             commit(product)?;
             self.counters.absorb(&local);
             Ok(())
@@ -734,13 +714,15 @@ mod tests {
         assert!(job.sched().maps_drained_at.is_some());
     }
 
-    /// A slot that "runs" attempts by returning empty products. One with
+    /// A slot that "runs" attempts by returning empty products, and
+    /// records each `(task, attempt, reduce)` it is handed. One with
     /// `lost` set dies under its first map, announcing it first; one with
     /// `after` set opens only once that announcement came.
     struct FakeSlot {
         takes: Takes,
         lost: Option<std::sync::mpsc::Sender<()>>,
         after: Option<std::sync::mpsc::Receiver<()>>,
+        ran: Arc<Mutex<Vec<(usize, u32, bool)>>>,
     }
 
     fn fake(takes: Takes) -> FakeSlot {
@@ -748,6 +730,7 @@ mod tests {
             takes,
             lost: None,
             after: None,
+            ran: Arc::default(),
         }
     }
 
@@ -763,7 +746,7 @@ mod tests {
         }
         fn map(
             &mut self,
-            job: &JobState,
+            _job: &JobState,
             task: usize,
             attempt: u32,
             _split: &Arc<InputSplit>,
@@ -772,24 +755,50 @@ mod tests {
                 lost.send(()).expect("the other slot is waiting");
                 return Err(MrError::Net("connection reset".into()));
             }
-            Ok(match Attempt::begin(job.config, task, attempt, false) {
-                Err(failed) => failed,
-                Ok(att) => att.run(|_| Ok(Vec::new())),
-            })
+            self.ran.lock().push((task, attempt, false));
+            Ok(run_attempt(task, attempt, |_| Ok(Vec::new())))
         }
         fn reduce(
             &mut self,
-            job: &JobState,
+            _job: &JobState,
             task: usize,
             attempt: u32,
         ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-            Ok(Some(
-                match Attempt::begin(job.config, task, attempt, true) {
-                    Err(failed) => failed,
-                    Ok(att) => att.run(|_| Ok(Vec::new())),
-                },
-            ))
+            self.ran.lock().push((task, attempt, true));
+            Ok(Some(run_attempt(task, attempt, |_| Ok(Vec::new()))))
         }
+    }
+
+    #[test]
+    fn an_attempt_the_fault_gate_fails_never_reaches_a_slot() {
+        // Every first attempt fails its gate; every second runs clean.
+        let plan = crate::fault::FaultPlan::new(crate::fault::FaultConfig {
+            map_error_rate: 1.0,
+            reduce_error_rate: 1.0,
+            attempt_cap: 1,
+            ..Default::default()
+        });
+        let config = JobConfig::default()
+            .with_reducers(2)
+            .with_retries(1)
+            .with_faults(plan);
+        let slot = fake(Takes::Both);
+        let ran = Arc::clone(&slot.ran);
+        let result = job(&config, 3).run(vec![slot]).expect("one retry suffices");
+        let mut ran = ran.lock().clone();
+        ran.sort_unstable();
+        assert_eq!(
+            ran,
+            [
+                (0, 1, false),
+                (0, 1, true),
+                (1, 1, false),
+                (1, 1, true),
+                (2, 1, false)
+            ]
+        );
+        assert_eq!(result.counters.get(Counter::FaultsInjected), 3 + 2);
+        assert_eq!(result.counters.get(Counter::TaskRetries), 3 + 2);
     }
 
     #[test]
