@@ -1571,8 +1571,8 @@ mod tests {
         // Compressed segments round-trip byte-identically through the
         // full shuffle under fault injection, with corruption detected
         // and retried. A flip in the compressed bytes is caught by the
-        // codec, either by its frame CRC or because the stream no longer
-        // decodes, and either way counts as a checksum failure.
+        // codec frame's CRC-32C before any decoder runs, and counts as a
+        // checksum failure.
         let mut sink = obs::LedgerSink::new();
         let spec = DistJobSpec {
             codec: "transform+lz".into(),

@@ -1,5 +1,8 @@
 //! Bit-granular I/O, LSB-first (the DEFLATE convention).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::error::CompressError;
 
 /// Accumulates bits LSB-first into a byte vector.
@@ -83,8 +86,8 @@ impl<'a> BitReader<'a> {
     /// input ends): one unaligned 8-byte load while 8 bytes remain.
     #[inline]
     fn refill(&mut self) {
-        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+        if let Some(word) = self.data.get(self.pos..).and_then(<[u8]>::first_chunk) {
+            let word = u64::from_le_bytes(*word);
             self.acc |= word << self.nbits;
             let bytes = (63 - self.nbits) / 8;
             self.pos += bytes as usize;

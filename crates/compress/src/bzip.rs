@@ -5,18 +5,21 @@
 //! change the algorithm family: one Huffman table per block instead of
 //! six with selectors, and a plain 4-bit length table instead of the
 //! delta-coded one. Block size is `level × 100 KiB`, like bzip2's `-1`
-//! through `-9`.
+//! through `-9`. The container is the crate's one codec frame
+//! (`codec::seal`, magic "SBZ1").
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::bwt::{bwt_decode, bwt_encode};
-use crate::checksum::crc32;
-use crate::codec::{Codec, PREALLOC_CAP};
+use crate::codec::{open, seal, Codec, PREALLOC_CAP};
 use crate::error::CompressError;
 use crate::huffman::{build_lengths, read_lengths, write_lengths, Decoder, Encoder, MAX_CODE_LEN};
 use crate::mtf::{mtf_decode, mtf_encode};
 use crate::rle::{rle1_decode, rle1_encode, zrle_decode, zrle_encode, SYM_EOB, ZRLE_ALPHABET};
 
-const MAGIC: &[u8; 4] = b"SBZ1";
+const MAGIC: &str = "SBZ1";
 /// The largest block any level writes (level 9), hence the largest a
 /// decoder has to believe.
 const MAX_BLOCK_SIZE: usize = 900_000;
@@ -54,11 +57,6 @@ impl Codec for BzipCodec {
     }
 
     fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 4 + 64);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(input.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(input).to_le_bytes());
-
         let mut w = BitWriter::new();
         // The RLE1 pre-pass runs over the whole input; its output is then
         // carved into BWT blocks.
@@ -85,85 +83,76 @@ impl Codec for BzipCodec {
                 enc.encode(&mut w, s as usize);
             }
         }
-        out.extend_from_slice(&w.finish());
-        out
+        seal(MAGIC, input, &w.finish())
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CompressError> {
-        if input.len() < 16 || &input[..4] != MAGIC {
-            return Err(CompressError::BadMagic { expected: "SBZ1" });
-        }
-        let orig_len = u64::from_le_bytes(input[4..12].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(input[12..16].try_into().unwrap());
-
-        let mut r = BitReader::new(&input[16..]);
-        let nblocks = r.read_bits(32)? as usize;
-        let rled_len = r.read_bits(48)? as usize;
-        if nblocks > rled_len.max(1) {
-            return Err(CompressError::Corrupt(format!(
-                "{nblocks} blocks for {rled_len} rle bytes"
-            )));
-        }
-        let mut rled = Vec::with_capacity(rled_len.min(PREALLOC_CAP));
-        for _ in 0..nblocks {
-            let block_len = r.read_bits(32)? as usize;
-            let primary = r.read_bits(32)? as u32;
-            if block_len == 0 {
-                continue;
-            }
-            if block_len > rled_len.min(MAX_BLOCK_SIZE) {
-                return Err(CompressError::Corrupt("block longer than stream".into()));
-            }
-            let lengths = read_lengths(&mut r)?;
-            if lengths.len() != ZRLE_ALPHABET {
-                return Err(CompressError::Corrupt("bad zrle alphabet size".into()));
-            }
-            let dec = Decoder::from_lengths(&lengths)?;
-            let mut symbols = Vec::with_capacity(block_len.min(PREALLOC_CAP));
-            loop {
-                let s = dec.decode(&mut r)? as u16;
-                let done = s == SYM_EOB;
-                symbols.push(s);
-                if done {
-                    break;
-                }
-                if symbols.len() > 4 * block_len + 64 {
-                    return Err(CompressError::Corrupt("runaway block".into()));
-                }
-            }
-            let mtfed = zrle_decode(&symbols, block_len)?;
-            if mtfed.len() != block_len {
-                return Err(CompressError::Corrupt(format!(
-                    "block decoded to {} of {block_len} bytes",
-                    mtfed.len()
-                )));
-            }
-            let last = mtf_decode(&mtfed);
-            let chunk = bwt_decode(&last, primary)?;
-            rled.extend_from_slice(&chunk);
-        }
-        if rled.len() != rled_len {
-            return Err(CompressError::Corrupt(format!(
-                "rle stream {} of declared {rled_len} bytes",
-                rled.len()
-            )));
-        }
-        let out = rle1_decode(&rled)?;
-        if out.len() != orig_len {
-            return Err(CompressError::Corrupt(format!(
-                "size mismatch: declared {orig_len}, produced {}",
-                out.len()
-            )));
-        }
-        let computed = crc32(&out);
-        if computed != stored_crc {
-            return Err(CompressError::ChecksumMismatch {
-                stored: stored_crc,
-                computed,
-            });
-        }
-        Ok(out)
+        open(MAGIC, input, decode)
     }
+}
+
+/// Decode a coded body that must produce exactly `orig_len` bytes.
+fn decode(body: &[u8], orig_len: usize) -> Result<Vec<u8>, CompressError> {
+    let mut r = BitReader::new(body);
+    let nblocks = r.read_bits(32)? as usize;
+    let rled_len = r.read_bits(48)? as usize;
+    if nblocks > rled_len.max(1) {
+        return Err(CompressError::Corrupt(format!(
+            "{nblocks} blocks for {rled_len} rle bytes"
+        )));
+    }
+    let mut rled = Vec::with_capacity(rled_len.min(PREALLOC_CAP));
+    for _ in 0..nblocks {
+        let block_len = r.read_bits(32)? as usize;
+        let primary = r.read_bits(32)? as u32;
+        if block_len == 0 {
+            continue;
+        }
+        if block_len > rled_len.min(MAX_BLOCK_SIZE) {
+            return Err(CompressError::Corrupt("block longer than stream".into()));
+        }
+        let lengths = read_lengths(&mut r)?;
+        if lengths.len() != ZRLE_ALPHABET {
+            return Err(CompressError::Corrupt("bad zrle alphabet size".into()));
+        }
+        let dec = Decoder::from_lengths(&lengths)?;
+        let mut symbols = Vec::with_capacity(block_len.min(PREALLOC_CAP));
+        loop {
+            let s = dec.decode(&mut r)? as u16;
+            let done = s == SYM_EOB;
+            symbols.push(s);
+            if done {
+                break;
+            }
+            if symbols.len() > 4 * block_len + 64 {
+                return Err(CompressError::Corrupt("runaway block".into()));
+            }
+        }
+        let mtfed = zrle_decode(&symbols, block_len)?;
+        if mtfed.len() != block_len {
+            return Err(CompressError::Corrupt(format!(
+                "block decoded to {} of {block_len} bytes",
+                mtfed.len()
+            )));
+        }
+        let last = mtf_decode(&mtfed);
+        let chunk = bwt_decode(&last, primary)?;
+        rled.extend_from_slice(&chunk);
+    }
+    if rled.len() != rled_len {
+        return Err(CompressError::Corrupt(format!(
+            "rle stream {} of declared {rled_len} bytes",
+            rled.len()
+        )));
+    }
+    let out = rle1_decode(&rled)?;
+    if out.len() != orig_len {
+        return Err(CompressError::Corrupt(format!(
+            "size mismatch: declared {orig_len}, produced {}",
+            out.len()
+        )));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

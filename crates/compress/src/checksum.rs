@@ -1,31 +1,19 @@
-//! CRC-32 checksums, table-driven, slice-by-16 — plus a
-//! hardware-accelerated CRC-32C for the shuffle's segment trailers.
+//! CRC-32C (Castagnoli, reflected polynomial 0x82F63B78): the
+//! workspace's one checksum.
 //!
-//! Both container formats store a CRC of the original data so that a
-//! corrupted intermediate file fails loudly at the reducer instead of
-//! silently producing wrong query answers. Two polynomials live here:
-//!
-//! * [`crc32`] — the IEEE 802.3 polynomial (0xEDB88320), required by
-//!   the gzip/bzip2-compatible stream formats and the grid I/O header.
-//! * [`crc32c`] — the Castagnoli polynomial (0x82F63B78), used for the
-//!   IFile segment trailer. The shuffle verifies a trailer per fetched
-//!   segment on the merge hot path, so throughput matters: on x86-64
-//!   with SSE 4.2 this runs three interleaved streams of the `crc32q`
-//!   instruction and recombines them with compile-time GF(2) shift
-//!   tables (Adler's scheme); elsewhere it falls back to the same
-//!   slice-by-16 kernel the IEEE variant uses, which folds sixteen
-//!   bytes per step through sixteen precomputed tables instead of one
-//!   byte through one table.
+//! Every codec frame, every IFile segment trailer and every shuffle
+//! slot carries one, so that a corrupted intermediate byte fails loudly
+//! at the reducer instead of silently producing wrong query answers.
+//! The shuffle verifies a trailer per fetched segment on the merge hot
+//! path, so throughput matters: on x86-64 with SSE 4.2 this runs three
+//! interleaved streams of the `crc32q` instruction and recombines them
+//! with compile-time GF(2) shift tables (Adler's scheme); elsewhere it
+//! falls back to slice-by-16, which folds sixteen bytes per step
+//! through sixteen precomputed tables instead of one byte through one
+//! table.
 //!
 //! Either way a given input has exactly one CRC-32C value — the
 //! hardware path is an implementation detail, not a format change.
-
-/// IEEE CRC-32 with the standard reflected polynomial 0xEDB88320.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(data);
-    c.finish()
-}
 
 /// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), hardware
 /// accelerated where the CPU provides it.
@@ -35,27 +23,19 @@ pub fn crc32c(data: &[u8]) -> u32 {
     c.finish()
 }
 
-/// Incremental IEEE CRC-32 state.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
 /// Incremental CRC-32C state.
 #[derive(Debug, Clone)]
 pub struct Crc32c {
     state: u32,
 }
 
-const IEEE: u32 = 0xEDB8_8320;
 const CASTAGNOLI: u32 = 0x82F6_3B78;
 
 /// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes;
 /// XORing the sixteen per-lane lookups advances the CRC sixteen bytes.
-static TABLES: [[u32; 256]; 16] = build_tables(IEEE);
-static TABLES_C: [[u32; 256]; 16] = build_tables(CASTAGNOLI);
+static TABLES: [[u32; 256]; 16] = build_tables();
 
-const fn build_tables(poly: u32) -> [[u32; 256]; 16] {
+const fn build_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
@@ -63,7 +43,7 @@ const fn build_tables(poly: u32) -> [[u32; 256]; 16] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ poly
+                (crc >> 1) ^ CASTAGNOLI
             } else {
                 crc >> 1
             };
@@ -85,8 +65,8 @@ const fn build_tables(poly: u32) -> [[u32; 256]; 16] {
     tables
 }
 
-/// Slice-by-16 kernel shared by both polynomials.
-fn update_sliced(tables: &[[u32; 256]; 16], state: u32, data: &[u8]) -> u32 {
+/// Slice-by-16 kernel: the fallback where no CRC instruction exists.
+fn update_sliced(state: u32, data: &[u8]) -> u32 {
     let mut s = state;
     let mut chunks = data.chunks_exact(16);
     for chunk in &mut chunks {
@@ -94,50 +74,27 @@ fn update_sliced(tables: &[[u32; 256]; 16], state: u32, data: &[u8]) -> u32 {
         let b = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
         let c = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
         let d = u32::from_le_bytes(chunk[12..16].try_into().expect("4 bytes"));
-        s = tables[15][(a & 0xFF) as usize]
-            ^ tables[14][((a >> 8) & 0xFF) as usize]
-            ^ tables[13][((a >> 16) & 0xFF) as usize]
-            ^ tables[12][(a >> 24) as usize]
-            ^ tables[11][(b & 0xFF) as usize]
-            ^ tables[10][((b >> 8) & 0xFF) as usize]
-            ^ tables[9][((b >> 16) & 0xFF) as usize]
-            ^ tables[8][(b >> 24) as usize]
-            ^ tables[7][(c & 0xFF) as usize]
-            ^ tables[6][((c >> 8) & 0xFF) as usize]
-            ^ tables[5][((c >> 16) & 0xFF) as usize]
-            ^ tables[4][(c >> 24) as usize]
-            ^ tables[3][(d & 0xFF) as usize]
-            ^ tables[2][((d >> 8) & 0xFF) as usize]
-            ^ tables[1][((d >> 16) & 0xFF) as usize]
-            ^ tables[0][(d >> 24) as usize];
+        s = TABLES[15][(a & 0xFF) as usize]
+            ^ TABLES[14][((a >> 8) & 0xFF) as usize]
+            ^ TABLES[13][((a >> 16) & 0xFF) as usize]
+            ^ TABLES[12][(a >> 24) as usize]
+            ^ TABLES[11][(b & 0xFF) as usize]
+            ^ TABLES[10][((b >> 8) & 0xFF) as usize]
+            ^ TABLES[9][((b >> 16) & 0xFF) as usize]
+            ^ TABLES[8][(b >> 24) as usize]
+            ^ TABLES[7][(c & 0xFF) as usize]
+            ^ TABLES[6][((c >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((c >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(c >> 24) as usize]
+            ^ TABLES[3][(d & 0xFF) as usize]
+            ^ TABLES[2][((d >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((d >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(d >> 24) as usize];
     }
     for &byte in chunks.remainder() {
-        s = tables[0][((s ^ byte as u32) & 0xFF) as usize] ^ (s >> 8);
+        s = TABLES[0][((s ^ byte as u32) & 0xFF) as usize] ^ (s >> 8);
     }
     s
-}
-
-impl Crc32 {
-    /// Fresh state.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feed bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.state = update_sliced(&TABLES, self.state, data);
-    }
-
-    /// Final CRC value.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
 }
 
 impl Crc32c {
@@ -154,7 +111,7 @@ impl Crc32c {
             self.state = unsafe { hw::update(self.state, data) };
             return;
         }
-        self.state = update_sliced(&TABLES_C, self.state, data);
+        self.state = update_sliced(self.state, data);
     }
 
     /// Final CRC value.
@@ -204,10 +161,10 @@ const fn gf2_compose(a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
 }
 
 /// The operator for appending `nbytes` zero bytes to a reflected CRC.
-const fn zeros_op(poly: u32, nbytes: usize) -> [u32; 32] {
+const fn zeros_op(nbytes: usize) -> [u32; 32] {
     // One zero bit: s' = (s >> 1) ^ (poly if s & 1).
     let mut bit_op = [0u32; 32];
-    bit_op[0] = poly;
+    bit_op[0] = CASTAGNOLI;
     let mut i = 1;
     while i < 32 {
         bit_op[i] = 1 << (i - 1);
@@ -240,8 +197,8 @@ const fn zeros_op(poly: u32, nbytes: usize) -> [u32; 32] {
 }
 
 /// 4×256 tables applying a zero-shift operator one state byte at a time.
-const fn shift_tables(poly: u32, nbytes: usize) -> [[u32; 256]; 4] {
-    let op = zeros_op(poly, nbytes);
+const fn shift_tables(nbytes: usize) -> [[u32; 256]; 4] {
+    let op = zeros_op(nbytes);
     let mut t = [[0u32; 256]; 4];
     let mut k = 0;
     while k < 4 {
@@ -257,14 +214,14 @@ const fn shift_tables(poly: u32, nbytes: usize) -> [[u32; 256]; 4] {
 
 #[cfg(target_arch = "x86_64")]
 mod hw {
-    use super::{shift_tables, CASTAGNOLI};
+    use super::shift_tables;
 
     /// Bytes per interleaved stream in the long and short block kernels.
     const LONG: usize = 8192;
     const SHORT: usize = 256;
 
-    static SHIFT_LONG: [[u32; 256]; 4] = shift_tables(CASTAGNOLI, LONG);
-    static SHIFT_SHORT: [[u32; 256]; 4] = shift_tables(CASTAGNOLI, SHORT);
+    static SHIFT_LONG: [[u32; 256]; 4] = shift_tables(LONG);
+    static SHIFT_SHORT: [[u32; 256]; 4] = shift_tables(SHORT);
 
     /// Advance `crc` past one stream's worth of zero bytes.
     fn shift(t: &[[u32; 256]; 4], crc: u32) -> u32 {
@@ -323,34 +280,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn known_vectors() {
-        // Standard test vectors for IEEE CRC-32.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
-    fn incremental_equals_oneshot() {
-        let data = b"hello, scihadoop world";
-        let mut c = Crc32::new();
-        c.update(&data[..7]);
-        c.update(&data[7..]);
-        assert_eq!(c.finish(), crc32(data));
-    }
-
-    #[test]
     fn sliced_kernel_matches_bytewise_reference_at_every_length() {
         // Cross-check the slice-by-16 fast path (and every remainder
         // length around its 16-byte boundary) against the one-table
-        // byte-at-a-time recurrence, for both polynomials.
-        let bytewise = |tables: &[[u32; 256]; 16], data: &[u8]| -> u32 {
+        // byte-at-a-time recurrence.
+        let bytewise = |data: &[u8]| -> u32 {
             let mut s = 0xFFFF_FFFFu32;
             for &b in data {
-                s = tables[0][((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
+                s = TABLES[0][((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
             }
             s ^ 0xFFFF_FFFF
         };
@@ -358,13 +295,8 @@ mod tests {
             .map(|i| (i.wrapping_mul(31) >> 3) as u8)
             .collect();
         for len in 0..data.len() {
-            assert_eq!(
-                crc32(&data[..len]),
-                bytewise(&TABLES, &data[..len]),
-                "len {len}"
-            );
-            let sliced = update_sliced(&TABLES_C, 0xFFFF_FFFF, &data[..len]) ^ 0xFFFF_FFFF;
-            assert_eq!(sliced, bytewise(&TABLES_C, &data[..len]), "c len {len}");
+            let sliced = update_sliced(0xFFFF_FFFF, &data[..len]) ^ 0xFFFF_FFFF;
+            assert_eq!(sliced, bytewise(&data[..len]), "len {len}");
         }
     }
 
@@ -388,7 +320,7 @@ mod tests {
         for len in [
             0, 1, 7, 8, 9, 255, 256, 767, 768, 769, 24_575, 24_576, 40_000,
         ] {
-            let sw = update_sliced(&TABLES_C, 0xFFFF_FFFF, &data[..len]) ^ 0xFFFF_FFFF;
+            let sw = update_sliced(0xFFFF_FFFF, &data[..len]) ^ 0xFFFF_FFFF;
             assert_eq!(crc32c(&data[..len]), sw, "len {len}");
         }
     }
@@ -407,8 +339,6 @@ mod tests {
 
     #[test]
     fn different_inputs_differ() {
-        assert_ne!(crc32(b"a"), crc32(b"b"));
-        assert_ne!(crc32(&[0]), crc32(&[0, 0]));
         assert_ne!(crc32c(b"a"), crc32c(b"b"));
         assert_ne!(crc32c(&[0]), crc32c(&[0, 0]));
     }

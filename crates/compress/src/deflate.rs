@@ -1,23 +1,21 @@
 //! A DEFLATE-style codec: LZ77 + canonical Huffman.
 //!
-//! Stands in for the paper's gzip/zlib codec. The container ("SDZ1") is
-//! our own, but the compression machinery is DEFLATE's: a 32 KiB LZ77
-//! window, the DEFLATE length/distance alphabets with extra bits, and
-//! canonical Huffman tables transmitted as code lengths.
+//! Stands in for the paper's gzip/zlib codec. The container is the
+//! crate's one codec frame (`codec::seal`, magic "SDZ1"), but the
+//! compression machinery is DEFLATE's: a 32 KiB LZ77 window, the
+//! DEFLATE length/distance alphabets with extra bits, and canonical
+//! Huffman tables transmitted as code lengths.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::checksum::crc32;
-use crate::codec::{Codec, PREALLOC_CAP};
+use crate::codec::{open, seal, Codec, PREALLOC_CAP};
 use crate::error::CompressError;
 use crate::huffman::{build_lengths, read_lengths, write_lengths, Decoder, Encoder, MAX_CODE_LEN};
 use crate::lz77::{tokenize, Token, MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
 
-const MAGIC: &[u8; 4] = b"SDZ1";
-/// Block mode: raw bytes follow (the DEFLATE "stored" fallback for
-/// incompressible data).
-const MODE_STORED: u8 = 0;
-/// Block mode: Huffman-coded token stream follows.
-const MODE_HUFFMAN: u8 = 1;
+const MAGIC: &str = "SDZ1";
 /// End-of-block symbol in the literal/length alphabet.
 const EOB: usize = 256;
 /// Size of the literal/length alphabet (DEFLATE's 286).
@@ -238,11 +236,6 @@ impl Codec for DeflateCodec {
         let lit_enc = Encoder::from_lengths(&lit_lengths);
         let dist_enc = Encoder::from_lengths(&dist_lengths);
 
-        let mut out = Vec::with_capacity(input.len() / 3 + 64);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(input.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(input).to_le_bytes());
-
         let mut w = BitWriter::with_capacity(input.len() / 3 + 64);
         write_lengths(&mut w, &lit_lengths);
         write_lengths(&mut w, &dist_lengths);
@@ -265,61 +258,11 @@ impl Codec for DeflateCodec {
             w.write_bits(bits, n);
         }
         lit_enc.encode(&mut w, EOB);
-        let body = w.finish();
-        // DEFLATE's "stored" fallback: never expand incompressible input
-        // past one mode byte.
-        if body.len() >= input.len() {
-            out.push(MODE_STORED);
-            out.extend_from_slice(input);
-        } else {
-            out.push(MODE_HUFFMAN);
-            out.extend_from_slice(&body);
-        }
-        out
+        seal(MAGIC, input, &w.finish())
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CompressError> {
-        if input.len() < 16 || &input[..4] != MAGIC {
-            return Err(CompressError::BadMagic { expected: "SDZ1" });
-        }
-        let declared = u64::from_le_bytes(input[4..12].try_into().unwrap());
-        let stored_crc = u32::from_le_bytes(input[12..16].try_into().unwrap());
-        let mode = *input
-            .get(16)
-            .ok_or_else(|| CompressError::Truncated("mode byte".into()))?;
-        let body = &input[17..];
-        // A match symbol and its distance symbol take at least one bit
-        // each and yield at most MAX_MATCH bytes: a header that declares
-        // more than that is corrupt, and is caught before it sizes any
-        // allocation.
-        let orig_len = usize::try_from(declared)
-            .ok()
-            .filter(|&n| n <= body.len().saturating_mul(4 * MAX_MATCH))
-            .ok_or_else(|| {
-                CompressError::Corrupt(format!(
-                    "declared size {declared} exceeds what {} body bytes can hold",
-                    body.len()
-                ))
-            })?;
-        let out = match mode {
-            MODE_STORED if body.len() == orig_len => body.to_vec(),
-            MODE_STORED => {
-                return Err(CompressError::Corrupt(format!(
-                    "stored block is {} of declared {orig_len} bytes",
-                    body.len()
-                )))
-            }
-            MODE_HUFFMAN => inflate(body, orig_len)?,
-            _ => return Err(CompressError::Corrupt(format!("unknown block mode {mode}"))),
-        };
-        let computed = crc32(&out);
-        if computed != stored_crc {
-            return Err(CompressError::ChecksumMismatch {
-                stored: stored_crc,
-                computed,
-            });
-        }
-        Ok(out)
+        open(MAGIC, input, inflate)
     }
 }
 
@@ -339,8 +282,7 @@ fn copy_match(out: &mut [u8], pos: usize, dist: usize, len: usize) {
         // what it writes past `len` is overwritten or cut off later.
         let (mut from, mut to) = (start, pos);
         while to < pos + len {
-            let word: [u8; 8] = out[from..from + 8].try_into().expect("8-byte slice");
-            out[to..to + 8].copy_from_slice(&word);
+            out.copy_within(from..from + 8, to);
             from += 8;
             to += 8;
         }
@@ -354,8 +296,17 @@ fn copy_match(out: &mut [u8], pos: usize, dist: usize, len: usize) {
     }
 }
 
-/// Decode a Huffman-mode body that must produce exactly `orig_len` bytes.
+/// Decode a Huffman-coded body that must produce exactly `orig_len` bytes.
 fn inflate(body: &[u8], orig_len: usize) -> Result<Vec<u8>, CompressError> {
+    // A match symbol and its distance symbol take at least one bit
+    // each and yield at most MAX_MATCH bytes: a length past that is
+    // corrupt, and is caught before it sizes any allocation.
+    if orig_len > body.len().saturating_mul(4 * MAX_MATCH) {
+        return Err(CompressError::Corrupt(format!(
+            "declared size {orig_len} exceeds what {} body bytes can hold",
+            body.len()
+        )));
+    }
     let mut r = BitReader::new(body);
     let lit_lengths = read_lengths(&mut r)?;
     let dist_lengths = read_lengths(&mut r)?;
@@ -498,7 +449,7 @@ mod tests {
 
     #[test]
     fn stored_fallback_bounds_expansion() {
-        // Random bytes must cost at most header (16) + mode (1) extra.
+        // Random bytes must cost at most the frame header extra.
         let c = DeflateCodec::new();
         let mut state = 11u64;
         let data: Vec<u8> = (0..5000)
@@ -509,7 +460,7 @@ mod tests {
             .collect();
         let z = c.compress(&data);
         assert!(z.len() <= data.len() + 17, "expanded to {}", z.len());
-        assert_eq!(z[16], 0, "random data should take the stored path");
+        assert_eq!(z[4], 0, "random data should take the stored path");
         assert_eq!(c.decompress(&z).unwrap(), data);
         // Stored blocks still verify CRC and length.
         let mut bad = z.clone();
@@ -577,7 +528,7 @@ mod tests {
         let data = b"some reasonably long payload that actually compresses, repeated \
                      some reasonably long payload that actually compresses";
         let mut z = c.compress(data);
-        // Flip a bit in the bitstream body (past the 16-byte header and
+        // Flip a bit in the bitstream body (past the frame header and
         // the Huffman tables which start right after).
         let i = z.len() - 3;
         z[i] ^= 0x10;

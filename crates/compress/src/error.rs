@@ -11,7 +11,8 @@ pub enum CompressError {
     Truncated(String),
     /// A structural invariant of the format was violated.
     Corrupt(String),
-    /// CRC-32 of the decompressed output does not match the stored value.
+    /// A frame's CRC-32C (over its method, declared length and payload)
+    /// does not match the stored value; no decoder has run.
     ChecksumMismatch { stored: u32, computed: u32 },
     /// A Huffman code table could not be reconstructed.
     BadHuffmanTable(String),

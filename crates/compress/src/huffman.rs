@@ -4,6 +4,9 @@
 //! (assigned in (length, symbol) order) so only the code *lengths* need to
 //! be transmitted.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::bitio::{BitReader, BitWriter};
 use crate::error::CompressError;
 
@@ -38,15 +41,16 @@ pub fn build_lengths(freqs: &[u64], max_len: u32) -> Vec<u32> {
         .collect();
     let mut parent = vec![usize::MAX; n + live.len()];
     let mut next = n;
-    while heap.len() > 1 {
-        let std::cmp::Reverse((fa, a)) = heap.pop().expect("len > 1");
-        let std::cmp::Reverse((fb, b)) = heap.pop().expect("len > 1");
+    while let (Some(std::cmp::Reverse((fa, a))), Some(std::cmp::Reverse((fb, b)))) =
+        (heap.pop(), heap.pop())
+    {
         parent[a] = next;
         parent[b] = next;
         heap.push(std::cmp::Reverse((fa + fb, next)));
         next += 1;
     }
-    let root = heap.pop().expect("one root").0 .1;
+    // Two or more leaves: the last node merged is the root.
+    let root = next - 1;
     for &i in &live {
         let mut d = 0u32;
         let mut node = i;
@@ -85,11 +89,14 @@ fn limit_lengths(freqs: &[u64], lengths: &mut [u32], max_len: u32) {
     };
     let mut k = kraft(lengths);
     while k > one {
-        // Demote the least-frequent symbol that still has room to grow.
-        let victim = (0..lengths.len())
+        // Demote the least-frequent symbol that still has room to grow;
+        // one does while k > one and the alphabet is under 2^max_len.
+        let Some(victim) = (0..lengths.len())
             .filter(|&i| lengths[i] > 0 && lengths[i] < max_len)
             .min_by_key(|&i| (freqs[i], std::cmp::Reverse(lengths[i])))
-            .expect("kraft > 1 implies a demotable symbol exists");
+        else {
+            break;
+        };
         k -= 1 << (max_len - lengths[victim] - 1);
         lengths[victim] += 1;
     }

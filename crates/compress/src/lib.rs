@@ -13,10 +13,12 @@
 //!   move-to-front + RUNA/RUNB zero-run coding + canonical Huffman, in
 //!   100 KiB–900 KiB blocks. Stands in for bzip2.
 //!
-//! Both formats carry a CRC-32 so corruption is detected, not propagated
-//! (the failure-injection tests rely on this). [`Codec`] is the pluggable
-//! interface the MapReduce engine and the paper's transform codec build
-//! on: one whole-buffer pass per segment, on the calling task's thread.
+//! Both, and the speed-first [`LzCodec`], write one frame (see
+//! [`codec`]) whose CRC-32C is checked before any decoder runs, so
+//! corruption is detected, not propagated (the failure-injection tests
+//! rely on this). [`Codec`] is the pluggable interface the MapReduce
+//! engine and the paper's transform codec build on: one whole-buffer
+//! pass per segment, on the calling task's thread.
 
 pub mod bitio;
 pub mod bwt;
@@ -32,7 +34,7 @@ pub mod mtf;
 pub mod rle;
 
 pub use bzip::BzipCodec;
-pub use checksum::{crc32, crc32c, Crc32, Crc32c};
+pub use checksum::{crc32c, Crc32c};
 pub use codec::{Codec, CodecHandle, IdentityCodec};
 pub use deflate::DeflateCodec;
 pub use error::CompressError;

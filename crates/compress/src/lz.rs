@@ -24,13 +24,10 @@
 //!
 //! # Frame
 //!
-//! `"SLZ1" | method u8 | orig_len u64 | payload_crc u32 | payload` —
-//! `method` 0 stores the input verbatim (the incompressible-input
-//! escape: a frame never exceeds input + [`HEADER_LEN`] bytes), 1 is
-//! the token stream. `payload_crc` is CRC-32C over the *compressed*
-//! payload bytes, so a frame that crossed a wire or a spill file is
-//! validated before any decoding work happens — corruption of the
-//! transported representation fails loudly without relying on the
+//! The crate's one codec frame (`codec::seal`, magic "SLZ1"): method 0
+//! stores the input verbatim, 1 is the token stream, and the frame's
+//! CRC-32C is checked before the token decoder runs, so a frame that
+//! crossed a wire or a spill file fails loudly without relying on the
 //! decoder stumbling over it structurally.
 //!
 //! The matcher reuses the u64 wide-compare prefix extender from
@@ -42,16 +39,13 @@
 //! acceleration so incompressible regions are scanned at increasing
 //! stride instead of probing every byte.
 
-use crate::checksum::crc32c;
-use crate::codec::Codec;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::codec::{open, seal, Codec, PREALLOC_CAP};
 use crate::error::CompressError;
 
-const MAGIC: &[u8; 4] = b"SLZ1";
-const METHOD_STORED: u8 = 0;
-const METHOD_LZ: u8 = 1;
-
-/// Frame header size: magic + method + orig_len + payload CRC.
-pub const HEADER_LEN: usize = 4 + 1 + 8 + 4;
+const MAGIC: &str = "SLZ1";
 
 /// Minimum back-reference length (LZ4's 4; shorter matches cost more
 /// to encode than the literals they replace).
@@ -87,13 +81,17 @@ fn table_bits(n: usize) -> u32 {
         .clamp(MIN_HASH_BITS, MAX_HASH_BITS)
 }
 
-/// Cap on speculative output preallocation while decoding adversarial
-/// frames (a forged `orig_len` must not allocate unbounded memory).
-const PREALLOC_CAP: usize = 1 << 20;
+/// The `N` bytes of `data` at `at`.
+#[inline]
+fn bytes<const N: usize>(data: &[u8], at: usize) -> [u8; N] {
+    let mut word = [0; N];
+    word.copy_from_slice(&data[at..at + N]);
+    word
+}
 
 #[inline]
 fn hash4(data: &[u8], i: usize, bits: u32) -> usize {
-    let v = u32::from_le_bytes(data[i..i + 4].try_into().unwrap());
+    let v = u32::from_le_bytes(bytes(data, i));
     (v.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize
 }
 
@@ -109,8 +107,8 @@ fn match_len(data: &[u8], cand: usize, i: usize, max_len: usize) -> usize {
     // side inside `data`, and `cand < i` keeps the candidate side
     // strictly before it.
     while l + 8 <= max_len {
-        let a = u64::from_le_bytes(data[cand + l..cand + l + 8].try_into().unwrap());
-        let b = u64::from_le_bytes(data[i + l..i + l + 8].try_into().unwrap());
+        let a = u64::from_le_bytes(bytes(data, cand + l));
+        let b = u64::from_le_bytes(bytes(data, i + l));
         let x = a ^ b;
         if x != 0 {
             return l + (x.trailing_zeros() / 8) as usize;
@@ -284,7 +282,7 @@ fn decompress_tokens(payload: &[u8], orig_len: usize) -> Result<Vec<u8>, Compres
         if p + 2 > payload.len() {
             return Err(CompressError::Truncated("lz match offset".into()));
         }
-        let offset = u16::from_le_bytes(payload[p..p + 2].try_into().unwrap()) as usize;
+        let offset = u16::from_le_bytes(bytes(payload, p)) as usize;
         p += 2;
         if offset == 0 || offset > out.len() {
             return Err(CompressError::Corrupt(format!(
@@ -326,58 +324,15 @@ fn decompress_tokens(payload: &[u8], orig_len: usize) -> Result<Vec<u8>, Compres
 }
 
 /// Compress `input` into one framed lz block. Falls back to stored mode
-/// when the token stream would not shrink the input, so the frame never
-/// exceeds `input.len() + HEADER_LEN` bytes.
+/// when the token stream would not shrink the input.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let tokens = compress_tokens(input);
-    let (method, payload): (u8, &[u8]) = if tokens.len() < input.len() {
-        (METHOD_LZ, &tokens)
-    } else {
-        (METHOD_STORED, input)
-    };
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.push(method);
-    out.extend_from_slice(&(input.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    seal(MAGIC, input, &compress_tokens(input))
 }
 
-/// Decompress one framed lz block. The payload CRC (over the wire
-/// bytes, not the decoded output) is verified before any decoding.
+/// Decompress one framed lz block. The frame CRC is verified before
+/// any decoding.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
-    if input.len() < HEADER_LEN || &input[..4] != MAGIC {
-        return Err(CompressError::BadMagic { expected: "SLZ1" });
-    }
-    let method = input[4];
-    let orig_len = u64::from_le_bytes(input[5..13].try_into().unwrap());
-    let orig_len = usize::try_from(orig_len)
-        .map_err(|_| CompressError::Corrupt(format!("lz frame declares {orig_len} bytes")))?;
-    let stored_crc = u32::from_le_bytes(input[13..17].try_into().unwrap());
-    let payload = &input[HEADER_LEN..];
-    let computed = crc32c(payload);
-    if computed != stored_crc {
-        return Err(CompressError::ChecksumMismatch {
-            stored: stored_crc,
-            computed,
-        });
-    }
-    match method {
-        METHOD_STORED => {
-            if payload.len() != orig_len {
-                return Err(CompressError::Corrupt(format!(
-                    "stored lz payload is {} bytes, frame declared {orig_len}",
-                    payload.len()
-                )));
-            }
-            Ok(payload.to_vec())
-        }
-        METHOD_LZ => decompress_tokens(payload, orig_len),
-        other => Err(CompressError::Corrupt(format!(
-            "unknown lz frame method {other}"
-        ))),
-    }
+    open(MAGIC, input, decompress_tokens)
 }
 
 /// The lz format as a pluggable [`Codec`]: `lz` in the factory grammar,
@@ -461,8 +416,8 @@ mod tests {
     fn incompressible_input_stays_stored_and_bounded() {
         let data = lcg_bytes(50_000, 0x1234_5678);
         let z = compress(&data);
-        assert!(z.len() <= data.len() + HEADER_LEN);
-        assert_eq!(z[4], METHOD_STORED, "random bytes must take the escape");
+        assert!(z.len() <= data.len() + crate::codec::HEADER_LEN);
+        assert_eq!(z[4], 0, "random bytes must take the escape");
         assert_eq!(decompress(&z).unwrap(), data);
     }
 
@@ -483,40 +438,9 @@ mod tests {
     }
 
     #[test]
-    fn frame_corruption_is_detected_not_panicked() {
-        let data = grid_stream(12);
-        let z = compress(&data);
-        // Bad magic.
-        let mut bad = z.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            decompress(&bad),
-            Err(CompressError::BadMagic { .. })
-        ));
-        // Every single-byte flip must error (the payload CRC covers the
-        // wire bytes; header flips hit length/method/CRC validation).
-        for i in 0..z.len() {
-            let mut bad = z.clone();
-            bad[i] ^= 0x01;
-            assert!(decompress(&bad).is_err(), "flip at {i} went undetected");
-        }
-        // Every truncation must error.
-        for keep in 0..z.len() {
-            assert!(decompress(&z[..keep]).is_err(), "truncation to {keep}");
-        }
-    }
-
-    #[test]
     fn adversarial_token_streams_error_cleanly() {
-        let frame = |payload: &[u8], orig_len: u64| {
-            let mut f = Vec::new();
-            f.extend_from_slice(MAGIC);
-            f.push(METHOD_LZ);
-            f.extend_from_slice(&orig_len.to_le_bytes());
-            f.extend_from_slice(&crc32c(payload).to_le_bytes());
-            f.extend_from_slice(payload);
-            f
-        };
+        use crate::codec::CODED;
+        let frame = |payload: &[u8], orig_len| crate::codec::frame(MAGIC, CODED, orig_len, payload);
         // Offset pointing before the start of the output.
         assert!(decompress(&frame(&[0x14, b'z', 9, 0, 0], 100)).is_err());
         // Zero offset.

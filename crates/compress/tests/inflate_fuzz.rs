@@ -1,13 +1,19 @@
 //! Hostile input to the Huffman decoders: forged headers, garbage,
-//! mutated and truncated streams. Every outcome must be an `Err` (or the
-//! original bytes) — never a panic, never an allocation sized by a
-//! header instead of by data. The file has its own global allocator to
+//! mutated and truncated streams. Every outcome must be an `Err`, the
+//! original bytes, or (for a body forged under a CRC that holds) bytes
+//! of the declared length — never a panic, never an allocation sized by
+//! a header instead of by data. The file has its own global allocator to
 //! check the second half.
+//!
+//! The codec frame's CRC-32C is checked before any decoder runs, so a
+//! forged or damaged body reaches a decoder only under a CRC that holds:
+//! each case here stamps one (`restamp`) over what it forged.
 
 use proptest::prelude::*;
 use scihadoop_compress::bitio::{BitReader, BitWriter};
+use scihadoop_compress::codec::HEADER_LEN;
 use scihadoop_compress::huffman::{read_lengths, write_lengths, Encoder};
-use scihadoop_compress::{crc32, BzipCodec, Codec, CompressError, DeflateCodec};
+use scihadoop_compress::{BzipCodec, Codec, CompressError, Crc32c, DeflateCodec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -46,6 +52,27 @@ const ALLOC_LIMIT: usize = (1 << 20) + (1 << 16);
 fn assert_allocations_stayed_clamped() {
     let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
     assert!(largest <= ALLOC_LIMIT, "a {largest}-byte allocation");
+}
+
+/// Give a frame the CRC-32C its method, declared length and payload
+/// now have (bytes 13..17 of the `magic | method | orig_len | crc`
+/// header).
+fn restamp(z: &mut [u8]) {
+    let mut crc = Crc32c::new();
+    crc.update(&z[4..13]);
+    crc.update(&z[HEADER_LEN..]);
+    z[13..17].copy_from_slice(&crc.finish().to_le_bytes());
+}
+
+/// A frame with these fields and a CRC that holds over them.
+fn forge(magic: &[u8], method: u8, declared: u64, body: &[u8]) -> Vec<u8> {
+    let mut z = magic.to_vec();
+    z.push(method);
+    z.extend_from_slice(&declared.to_le_bytes());
+    z.extend_from_slice(&[0; 4]);
+    z.extend_from_slice(body);
+    restamp(&mut z);
+    z
 }
 
 fn lcg(state: &mut u64) -> u64 {
@@ -97,11 +124,7 @@ fn deep_tree_stream() -> (Vec<u8>, Vec<u8>) {
         encoder.encode(&mut w, b as usize);
     }
     encoder.encode(&mut w, 256);
-    let mut z = b"SDZ1".to_vec();
-    z.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    z.extend_from_slice(&crc32(&data).to_le_bytes());
-    z.push(1);
-    z.extend_from_slice(&w.finish());
+    let z = forge(b"SDZ1", 1, data.len() as u64, &w.finish());
     (data, z)
 }
 
@@ -139,8 +162,8 @@ fn corpus() -> Vec<(&'static str, Vec<u8>, Vec<u8>)> {
 /// The Huffman-mode header of a deflate stream: the code lengths of the
 /// literal/length and the distance alphabet.
 fn table_lengths(z: &[u8]) -> (Vec<u32>, Vec<u32>) {
-    assert_eq!(z[16], 1, "not a Huffman-mode stream");
-    let mut r = BitReader::new(&z[17..]);
+    assert_eq!(z[4], 1, "not a Huffman-mode stream");
+    let mut r = BitReader::new(&z[HEADER_LEN..]);
     (read_lengths(&mut r).unwrap(), read_lengths(&mut r).unwrap())
 }
 
@@ -150,7 +173,7 @@ fn corpus_reaches_every_decoder_shape() {
         let (_, _, z) = corpus().into_iter().find(|(n, ..)| *n == name).unwrap();
         z
     };
-    assert_eq!(z("stored")[16], 0, "noise must take the stored path");
+    assert_eq!(z("stored")[4], 0, "noise must take the stored path");
     let (_, dist) = table_lengths(&z("no_matches"));
     assert!(dist.iter().all(|&l| l == 0), "a match was found");
     let (_, dist) = table_lengths(&z("zeros"));
@@ -180,6 +203,17 @@ fn every_truncation_point_errors() {
                 "{name} cut at {cut}/{}",
                 z.len()
             );
+            // The same cut past the header, under a CRC that holds: the
+            // decoder itself must notice the missing bytes.
+            if cut >= HEADER_LEN {
+                let mut short = z[..cut].to_vec();
+                restamp(&mut short);
+                assert!(
+                    codec.decompress(&short).is_err(),
+                    "{name} restamped cut at {cut}/{}",
+                    z.len()
+                );
+            }
         }
     }
     assert_allocations_stayed_clamped();
@@ -189,15 +223,17 @@ fn every_truncation_point_errors() {
 fn deflate_header_claiming_2_pow_63_bytes_is_corrupt() {
     let codec = DeflateCodec::new();
     for (name, _, mut z) in corpus() {
-        z[4..12].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        z[5..13].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        restamp(&mut z);
         assert!(
             matches!(codec.decompress(&z), Err(CompressError::Corrupt(_))),
             "{name}"
         );
         // The largest claim the body could in principle honour is not
         // preallocated either.
-        let claim = (z.len() as u64 - 17) * 1032;
-        z[4..12].copy_from_slice(&claim.to_le_bytes());
+        let claim = (z.len() - HEADER_LEN) as u64 * 1032;
+        z[5..13].copy_from_slice(&claim.to_le_bytes());
+        restamp(&mut z);
         assert!(codec.decompress(&z).is_err(), "{name}");
     }
     assert_allocations_stayed_clamped();
@@ -207,16 +243,19 @@ fn deflate_header_claiming_2_pow_63_bytes_is_corrupt() {
 fn bzip_headers_claiming_huge_sizes_are_corrupt() {
     let codec = BzipCodec::with_level(1);
     let z = codec.compress(&b"abracadabra ".repeat(40));
-    // Bit-packed LSB-first after the 16-byte header: 32 bits of block
+    assert_eq!(z[4], 1, "not a coded frame");
+    // Bit-packed LSB-first after the 17-byte header: 32 bits of block
     // count, 48 of run-length-stage size, then per block 32 of length.
     let mut rled = z.clone();
-    rled[20..26].fill(0xFF);
+    rled[21..27].fill(0xFF);
+    restamp(&mut rled);
     assert!(matches!(
         codec.decompress(&rled),
         Err(CompressError::Corrupt(_))
     ));
     let mut block = rled.clone();
-    block[26..30].fill(0xFF);
+    block[27..31].fill(0xFF);
+    restamp(&mut block);
     assert!(codec.decompress(&block).is_err());
     assert_allocations_stayed_clamped();
 }
@@ -224,33 +263,29 @@ fn bzip_headers_claiming_huge_sizes_are_corrupt() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary bytes, bare and behind a well-formed header that sends
-    /// them down the Huffman path, never panic either decoder.
+    /// Arbitrary bytes, bare and behind a well-formed header whose CRC
+    /// holds and that sends them down the Huffman path, never panic
+    /// either decoder.
     #[test]
     fn decoders_survive_garbage(
         body in proptest::collection::vec(any::<u8>(), 0..600),
         declared in prop_oneof![0u64..4096, any::<u64>()],
     ) {
-        let _ = DeflateCodec::new().decompress(&body);
-        let _ = BzipCodec::with_level(1).decompress(&body);
-        for mode in [0u8, 1, 2] {
-            let mut z = b"SDZ1".to_vec();
-            z.extend_from_slice(&declared.to_le_bytes());
-            z.extend_from_slice(&[0; 4]);
-            z.push(mode);
-            z.extend_from_slice(&body);
-            let _ = DeflateCodec::new().decompress(&z);
+        let bzip = BzipCodec::with_level(1);
+        for (magic, codec) in [(b"SDZ1", &DeflateCodec::new() as &dyn Codec), (b"SBZ1", &bzip)] {
+            let _ = codec.decompress(&body);
+            for method in [0u8, 1, 2] {
+                let _ = codec.decompress(&forge(magic, method, declared, &body));
+            }
         }
-        let mut z = b"SBZ1".to_vec();
-        z.extend_from_slice(&declared.to_le_bytes());
-        z.extend_from_slice(&[0; 4]);
-        z.extend_from_slice(&body);
-        let _ = BzipCodec::with_level(1).decompress(&z);
         assert_allocations_stayed_clamped();
     }
 
     /// One to three mutated bytes anywhere in a valid stream are an
-    /// error (or, if they cancel out, the original bytes).
+    /// error (or, if they cancel out, the original bytes). In a coded
+    /// frame the same mutations are also made inside the body under a
+    /// CRC that holds, so the Huffman decoder meets them: it may decode
+    /// other bytes, but never more or fewer than the frame declares.
     #[test]
     fn mutated_streams_never_panic(
         which in 0usize..6,
@@ -258,15 +293,28 @@ proptest! {
     ) {
         let (name, data, z) = corpus().swap_remove(which);
         let bzip = BzipCodec::with_level(1);
-        for (codec, mut z) in [
+        for (codec, z) in [
             (&DeflateCodec::new() as &dyn Codec, z),
             (&bzip, bzip.compress(&data)),
         ] {
+            let mut anywhere = z.clone();
             for (at, flip) in &mutations {
                 let at = at % z.len();
-                z[at] ^= *flip;
+                anywhere[at] ^= *flip;
             }
-            assert_err_or_original(codec, &z, &data, name);
+            assert_err_or_original(codec, &anywhere, &data, name);
+            if z[4] != 1 {
+                continue;
+            }
+            let mut body = z;
+            for (at, flip) in &mutations {
+                let at = HEADER_LEN + at % (body.len() - HEADER_LEN);
+                body[at] ^= *flip;
+            }
+            restamp(&mut body);
+            if let Ok(out) = codec.decompress(&body) {
+                assert_eq!(out.len(), data.len(), "{name}: declared length not kept");
+            }
         }
         assert_allocations_stayed_clamped();
     }

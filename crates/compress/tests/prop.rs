@@ -1,6 +1,7 @@
 //! Property tests for the compression substrate.
 
 use proptest::prelude::*;
+use scihadoop_compress::codec::HEADER_LEN;
 use scihadoop_compress::{lz, BzipCodec, Codec, DeflateCodec, IdentityCodec, LzCodec};
 
 fn all_codecs() -> Vec<Box<dyn Codec>> {
@@ -11,6 +12,30 @@ fn all_codecs() -> Vec<Box<dyn Codec>> {
         Box::new(BzipCodec::with_level(1)),
         Box::new(LzCodec),
     ]
+}
+
+/// The codecs that write the one codec frame.
+fn framed_codecs() -> [Box<dyn Codec>; 3] {
+    [
+        Box::new(DeflateCodec::new()),
+        Box::new(BzipCodec::with_level(1)),
+        Box::new(LzCodec),
+    ]
+}
+
+/// `(method, input)`: `unit` repeated to 1 KiB, which every
+/// framed codec codes (method 1), and `len` seeded noise bytes, which
+/// every one stores (method 0).
+fn coded_and_stored(unit: &[u8], seed: u64, len: usize) -> [(u8, Vec<u8>); 2] {
+    let coded = unit.iter().cycle().take(1024).copied().collect();
+    let mut state = seed;
+    let noise = (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u8
+        })
+        .collect();
+    [(1, coded), (0, noise)]
 }
 
 proptest! {
@@ -51,25 +76,6 @@ proptest! {
         }
     }
 
-    /// Truncating a compressed stream anywhere must error, never panic or
-    /// return wrong data silently (except trivially-empty prefix cases).
-    #[test]
-    fn truncation_never_panics(
-        data in proptest::collection::vec(any::<u8>(), 32..512),
-        cut_frac in 0.0f64..0.99,
-    ) {
-        for codec in all_codecs() {
-            if codec.name() == "identity" {
-                continue; // identity is documented as integrity-free
-            }
-            let z = codec.compress(&data);
-            let cut = ((z.len() as f64) * cut_frac) as usize;
-            if let Ok(out) = codec.decompress(&z[..cut]) {
-                prop_assert_eq!(out, data.clone(), "codec {}", codec.name());
-            }
-        }
-    }
-
     /// Multi-block bzip inputs (spanning several 100 kB blocks) roundtrip.
     #[test]
     fn bzip_multi_block_roundtrip(seed in any::<u64>()) {
@@ -94,38 +100,53 @@ proptest! {
         }
     }
 
-    /// The lz frame's payload CRC catches every single-bit flip in any
-    /// frame (stored or tokenized) before decoding returns bytes — the
-    /// property the shuffle wire and spill path rely on. A flip that
-    /// slips past would have to leave the CRC, the structural checks,
-    /// *and* the decoded output all consistent; none may.
+    /// The frame CRC catches every single-bit flip in any frame, stored
+    /// or coded, of every framed codec: a flipped frame is an error,
+    /// never the original bytes and never others.
     #[test]
-    fn lz_bit_flips_never_return_wrong_data(
+    fn bit_flips_are_always_detected(
         unit in proptest::collection::vec(any::<u8>(), 1..24),
-        reps in 1usize..96,
+        seed in any::<u64>(),
+        len in 0usize..2048,
         flip_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let data: Vec<u8> = unit.iter().cycle().take(unit.len() * reps).copied().collect();
-        let z = lz::compress(&data);
-        let idx = ((z.len() as f64 - 1.0) * flip_frac) as usize;
-        let mut bad = z.clone();
-        bad[idx] ^= 1 << bit;
-        if let Ok(out) = lz::decompress(&bad) {
-            prop_assert_eq!(out, data, "flip at {}/{} went undetected", idx, z.len());
+        for codec in framed_codecs() {
+            for (method, data) in coded_and_stored(&unit, seed, len) {
+                let z = codec.compress(&data);
+                prop_assert_eq!(z[4], method, "{} method", codec.name());
+                let idx = ((z.len() as f64 - 1.0) * flip_frac) as usize;
+                let mut bad = z.clone();
+                bad[idx] ^= 1 << bit;
+                prop_assert!(
+                    codec.decompress(&bad).is_err(),
+                    "{} method {}: flip at {}/{} went undetected",
+                    codec.name(), method, idx, z.len()
+                );
+            }
         }
     }
 
-    /// Truncating an lz frame anywhere errors (the CRC or a structural
-    /// check fires); no truncation panics or returns bytes.
+    /// Truncating a frame of any framed codec anywhere errors (the
+    /// header or CRC check fires); no truncation panics or returns bytes.
     #[test]
-    fn lz_truncation_always_detected(
-        data in proptest::collection::vec(any::<u8>(), 1..2048),
+    fn truncation_is_always_detected(
+        unit in proptest::collection::vec(any::<u8>(), 1..24),
+        seed in any::<u64>(),
+        len in 1usize..2048,
         cut_frac in 0.0f64..0.999,
     ) {
-        let z = lz::compress(&data);
-        let cut = ((z.len() as f64) * cut_frac) as usize;
-        prop_assert!(lz::decompress(&z[..cut]).is_err(), "cut at {}/{}", cut, z.len());
+        for codec in framed_codecs() {
+            for (method, data) in coded_and_stored(&unit, seed, len) {
+                let z = codec.compress(&data);
+                let cut = ((z.len() as f64) * cut_frac) as usize;
+                prop_assert!(
+                    codec.decompress(&z[..cut]).is_err(),
+                    "{} method {}: cut at {}/{}",
+                    codec.name(), method, cut, z.len()
+                );
+            }
+        }
     }
 
     /// Feeding arbitrary bytes straight into the lz decoder never
@@ -136,11 +157,14 @@ proptest! {
         let _ = lz::decompress(&data);
     }
 
-    /// The stored-mode escape bounds every frame: output never exceeds
-    /// input + HEADER_LEN, even on incompressible input.
+    /// The stored-mode escape bounds every frame of every framed codec:
+    /// output never exceeds input + HEADER_LEN, even on incompressible
+    /// input.
     #[test]
-    fn lz_frames_are_size_bounded(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        let z = lz::compress(&data);
-        prop_assert!(z.len() <= data.len() + lz::HEADER_LEN);
+    fn frames_are_size_bounded(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
+        for codec in framed_codecs() {
+            let z = codec.compress(&data);
+            prop_assert!(z.len() <= data.len() + HEADER_LEN, "{}", codec.name());
+        }
     }
 }

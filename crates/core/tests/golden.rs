@@ -1,39 +1,41 @@
 //! Golden bytes: the exact output of the stride transform and of
 //! transform+deflate, recorded at the commit before the predictor and the
-//! deflate kernels were rewritten for speed. Invertibility needs forward
+//! deflate kernels were rewritten for speed, and re-pinned once when the
+//! hash became CRC-32C and deflate moved into the shared codec frame
+//! (every length, stride count and body byte held). Invertibility needs forward
 //! and inverse to evolve one state; the paper's byte tables need that
 //! state to be the one they were measured with.
 
 #[path = "../../compress/tests/common/mod.rs"]
 mod common;
 
-use scihadoop_compress::{crc32, Codec, DeflateCodec};
+use scihadoop_compress::{crc32c, Codec, DeflateCodec};
 use scihadoop_core::transform::{StridePredictor, TransformCodec, TransformConfig};
 use std::sync::Arc;
 
-/// `what input length crc32` per line; `forward` lines end with the
+/// `what input length crc32c` per line; `forward` lines end with the
 /// number of strides left active and the CRC of the stride reports.
 const GOLDEN: &str = "\
-forward empty 0 00000000 100 2c169b59
-transform+deflate empty 25 27bf2771
-forward one 1 59bc5767 100 2c169b59
-transform+deflate one 26 489d80b8
-forward two 2 8a331fcb 100 b2f66a87
-transform+deflate two 27 e9649b0f
-forward three 3 55bc801d 100 b94eae3f
-transform+deflate three 28 5a0f776a
-forward zeros_64k 65536 d7978eeb 100 62ded080
-transform+deflate zeros_64k 252 65adafcb
-forward random_20k 20000 c5d3aa6e 1 9d14629b
-transform+deflate random_20k 20025 cd61c378
-forward text 25800 11bd6a36 1 f03b72dc
-transform+deflate text 277 56f01f8d
-forward grid_30 324000 f54fc095 8 9407961c
-transform+deflate grid_30 2413 8d008117
-forward median_20k 360000 a85839f7 0 a53c6b46
-transform+deflate median_20k 106909 3d70b8ca
-forward multi_stride 245000 805ae1ff 6 8ff1ac02
-transform+deflate multi_stride 6281 e34bd7a8
+forward empty 0 00000000 100 e4f5e86e
+transform+deflate empty 25 d98495f6
+forward one 1 68baa1ba 100 e4f5e86e
+transform+deflate one 26 899ef079
+forward two 2 b12541ea 100 6e464ffd
+transform+deflate two 27 cdc2da5c
+forward three 3 f130f21e 100 d9b21746
+transform+deflate three 28 922ff904
+forward zeros_64k 65536 72c0c4a4 100 f77a93c8
+transform+deflate zeros_64k 252 a9f74daf
+forward random_20k 20000 dda75bad 1 339f01a9
+transform+deflate random_20k 20025 a33d11b4
+forward text 25800 1adedb76 1 0d3e2574
+transform+deflate text 277 0e9bb93c
+forward grid_30 324000 20f35473 8 79ef178f
+transform+deflate grid_30 2413 30af4cbe
+forward median_20k 360000 a14dcc8b 0 ac6c39c8
+transform+deflate median_20k 106909 e14f8fda
+forward multi_stride 245000 734e0456 6 a608d15a
+transform+deflate multi_stride 6281 20d8c8f7
 ";
 
 #[test]
@@ -48,16 +50,16 @@ fn transform_output_is_pinned() {
         actual.push_str(&format!(
             "forward {name} {} {:08x} {} {:08x}\n",
             t.len(),
-            crc32(&t),
+            crc32c(&t),
             p.active_strides(),
-            crc32(format!("{:?}", p.stride_reports()).as_bytes())
+            crc32c(format!("{:?}", p.stride_reports()).as_bytes())
         ));
         let z = codec.compress(&data);
         assert_eq!(codec.decompress(&z).unwrap(), data, "codec {name}");
         actual.push_str(&format!(
             "transform+deflate {name} {} {:08x}\n",
             z.len(),
-            crc32(&z)
+            crc32c(&z)
         ));
     }
     assert_eq!(actual, GOLDEN, "actual:\n{actual}");

@@ -184,15 +184,15 @@ mod tests {
 
     #[test]
     fn generated_bytes_are_pinned() {
-        // CRC-32 of the 64×64 fields as the per-cell generator (boxed
+        // CRC-32C of the 64×64 fields as the per-cell generator (boxed
         // `Value`, scratch copy) produced them: bulk generation must not
         // change a byte for a given seed.
-        use scihadoop_compress::checksum::crc32;
+        use scihadoop_compress::crc32c;
         let shape = Shape::new(vec![64, 64]);
         let ints = Variable::random_i32("r", shape.clone(), 1_000_000, 42).unwrap();
-        assert_eq!(crc32(ints.raw_data()), 0x7d62_956d);
+        assert_eq!(crc32c(ints.raw_data()), 0x635f_c28b);
         let floats = Variable::smooth_f32("s", shape, 42).unwrap();
-        assert_eq!(crc32(floats.raw_data()), 0x87c1_f75e);
+        assert_eq!(crc32c(floats.raw_data()), 0x78ec_9ae8);
     }
 
     #[test]

@@ -349,9 +349,14 @@ mod tests {
     #[test]
     fn a_corrupt_wire_segment_is_reported_only_after_the_stream_is_drained() {
         // Garbage, and a real frame whose header claims one byte fewer
-        // than its tokens produce.
+        // than its tokens produce, under a frame CRC that holds so the
+        // token decoder is what notices.
         let mut short = scihadoop_compress::lz::compress(&[5u8; 4096]);
         short[5..13].copy_from_slice(&4095u64.to_le_bytes());
+        let mut crc = scihadoop_compress::Crc32c::new();
+        crc.update(&short[4..13]);
+        crc.update(&short[17..]);
+        short[13..17].copy_from_slice(&crc.finish().to_le_bytes());
         for (data, names) in [
             (vec![0xAB; 40], "shuffle lz frame corrupt"),
             (short, "declared 4095 bytes"),

@@ -8,7 +8,7 @@ use std::fmt;
 pub enum MrError {
     /// Intermediate data failed to decompress or parse.
     Intermediate(String),
-    /// A segment's CRC-32 trailer did not match its contents.
+    /// A segment's CRC-32C trailer did not match its contents.
     Checksum(String),
     /// A codec reported corruption.
     Codec(CompressError),
@@ -49,9 +49,8 @@ impl MrError {
     /// corruption rather than a logic bug. Both the segment's own
     /// CRC-32C trailer ([`MrError::Checksum`]) and any codec error
     /// qualify: a codec error comes only from decompressing a segment,
-    /// and a flip in compressed bytes surfaces either as the frame's
-    /// own CRC mismatch or, as often, as a stream that no longer
-    /// decodes.
+    /// and a flip in compressed bytes fails the codec frame's CRC-32C
+    /// before any decoder runs.
     pub fn is_checksum(&self) -> bool {
         self.task_errors()
             .iter()

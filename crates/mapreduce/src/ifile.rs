@@ -42,13 +42,13 @@ pub(crate) const HEADER_LEN: usize = 6;
 const MAGIC: &[u8; 4] = b"SHIF";
 /// Format version without an integrity trailer (the original layout).
 const VERSION_PLAIN: u8 = 1;
-/// Format version whose raw stream ends in a CRC-32 trailer.
+/// Format version whose raw stream ends in a CRC-32C trailer.
 const VERSION_CRC: u8 = 2;
 /// Format version 3: sorted records in blocks of key groups with a
 /// column-ordered body, each block with its own CRC-32C, followed by the
 /// v2 segment trailer. See [`IFileWriter::v3`].
 const VERSION_BLOCK: u8 = 3;
-/// Big-endian CRC-32 of everything before it (header + records).
+/// Big-endian CRC-32C of everything before it (header + records).
 const TRAILER_LEN: usize = 4;
 /// Per-block CRC-32C field size in a v3 block header.
 const BLOCK_CRC_LEN: usize = 4;
@@ -380,7 +380,7 @@ impl Segment {
 
 impl IFileWriter {
     /// Open a writer with the given framing and codec. Segments carry a
-    /// CRC-32 trailer (format version 2) so shuffle-side corruption is
+    /// CRC-32C trailer (format version 2) so shuffle-side corruption is
     /// detected at open time instead of surfacing as garbage records.
     pub fn new(framing: Framing, codec: Arc<dyn Codec>) -> Self {
         Self::with_trailer(framing, codec, true)
@@ -566,7 +566,7 @@ pub struct RawSegment {
 
 impl RawSegment {
     /// Decompress a segment, validate its header, and — for version-2
-    /// and version-3 segments — verify the CRC-32 trailer over
+    /// and version-3 segments — verify the CRC-32C trailer over
     /// everything before it. A trailer mismatch is a
     /// [`MrError::Checksum`], distinguishable from structural parse
     /// errors so the runner can count it. A v3 segment's block headers

@@ -544,8 +544,8 @@ impl SegmentHandle {
 
 /// Inflate a stored lz frame — the one inflate the store and every
 /// fetching worker use. The frame states its own length and
-/// `lz::decompress` enforces it; a frame that fails its payload CRC or
-/// its structure is detected corruption, retryable like a bad segment
+/// `lz::decompress` enforces it; a frame that fails its CRC-32C or its
+/// structure is detected corruption, retryable like a bad segment
 /// trailer.
 pub(crate) fn inflate(frame: &[u8]) -> Result<Vec<u8>, MrError> {
     lz::decompress(frame).map_err(|e| MrError::Checksum(format!("shuffle lz frame corrupt: {e}")))
