@@ -32,6 +32,9 @@ pub struct Aggregator {
     ascending: bool,
     /// Value width per variable, fixed at first push.
     widths: BTreeMap<u32, usize>,
+    /// The variable of the latest push that reached its width and that
+    /// width, so a run of pushes for one variable looks it up once.
+    current: Option<(u32, usize)>,
     /// Total simple pairs pushed (statistics for the evaluation).
     pairs_in: u64,
     /// Total aggregate records flushed.
@@ -55,6 +58,7 @@ impl Aggregator {
             slab: Vec::new(),
             ascending: true,
             widths: BTreeMap::new(),
+            current: None,
             pairs_in: 0,
             records_out: 0,
         }
@@ -83,7 +87,13 @@ impl Aggregator {
         let index = self.curve.index_of_coord(coord)?;
         // Nothing past this point rejects a variable's first push, so
         // only a push that is staged fixes the width.
-        let width = *self.widths.entry(variable).or_insert(value.len());
+        let &mut (_, width) = match &mut self.current {
+            Some(current) if current.0 == variable => current,
+            current => current.insert((
+                variable,
+                *self.widths.entry(variable).or_insert(value.len()),
+            )),
+        };
         if value.len() != width {
             return Err(GridError::Deserialize(format!(
                 "variable {variable} has {width}-byte values, got {}",
@@ -112,12 +122,19 @@ impl Aggregator {
             self.entries.sort_by_key(|&(var, index, _)| (var, index));
         }
         let mut out: Vec<AggregateRecord> = Vec::new();
+        // Entries are grouped by variable, so a width is looked up once
+        // per group.
+        let mut group: Option<(u32, usize)> = None;
         for (n, &(var, index, at)) in self.entries.iter().enumerate() {
             let next = self.entries.get(n + 1);
             if next.is_some_and(|next| (next.0, next.1) == (var, index)) {
                 continue; // a later push of this cell follows, and wins
             }
-            let value = &self.slab[at..at + self.widths[&var]];
+            let &mut (_, width) = match &mut group {
+                Some(group) if group.0 == var => group,
+                group => group.insert((var, self.widths[&var])),
+            };
+            let value = &self.slab[at..at + width];
             match out.last_mut() {
                 Some(rec)
                     if rec.key.variable == var && rec.key.run.end.checked_add(1) == Some(index) =>
@@ -314,6 +331,27 @@ mod tests {
         assert!(agg.push(&Coord::new(vec![1]), &[0; 2]).is_err());
         // Different variables may differ in width.
         assert!(agg.push_var(1, &Coord::new(vec![1]), &[0; 2]).is_ok());
+    }
+
+    #[test]
+    fn interleaved_variables_keep_their_own_widths() {
+        let mut agg = Aggregator::new(RowMajorCurve::with_bits(1, 8), 1 << 20);
+        for (var, x, value) in [
+            (1, 2, &[1, 1][..]),
+            (0, 0, &[7; 4]),
+            (1, 3, &[2, 2]),
+            (0, 1, &[8; 4]),
+        ] {
+            agg.push_var(var, &Coord::new(vec![x]), value).unwrap();
+        }
+        assert!(agg.push_var(1, &Coord::new(vec![4]), &[0; 4]).is_err());
+        assert!(agg.push_var(0, &Coord::new(vec![2]), &[0; 2]).is_err());
+        let recs = agg.flush();
+        assert_eq!(recs.len(), 2);
+        assert_eq!(recs[0].key.variable, 0);
+        assert_eq!(recs[0].values, [[7; 4], [8; 4]].concat());
+        assert_eq!(recs[1].key.variable, 1);
+        assert_eq!(recs[1].values, vec![1, 1, 2, 2]);
     }
 
     #[test]

@@ -105,66 +105,38 @@ impl BoundingBox {
     /// Split the box into roughly equal chunks along its longest dimension.
     /// Used to carve input splits for mappers.
     pub fn split_longest(&self, parts: usize) -> Vec<BoundingBox> {
-        assert!(parts > 0);
-        if parts == 1 || self.shape.is_empty() {
+        let cut = self.shape.longest_cut(parts);
+        if cut.parts == 1 {
             return vec![self.clone()];
         }
-        let (dim, &extent) = self
-            .shape
-            .extents()
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, e)| **e)
-            .expect("non-empty shape");
-        let parts = parts.min(extent as usize).max(1);
-        let mut out = Vec::with_capacity(parts);
-        let base = extent / parts as u32;
-        let rem = extent % parts as u32;
-        let mut start = self.corner[dim];
-        for p in 0..parts {
-            let len = base + if (p as u32) < rem { 1 } else { 0 };
-            let mut corner = self.corner.clone();
-            corner[dim] = start;
-            let mut ext = self.shape.extents().to_vec();
-            ext[dim] = len;
-            out.push(BoundingBox {
-                corner,
-                shape: Shape::new(ext),
-            });
-            start += len as i32;
-        }
-        out
-    }
-
-    /// The first cell of every row — a run of cells along the last
-    /// dimension — in row-major order. Bulk readers take one contiguous
-    /// slice of a variable's data per row instead of looking cells up
-    /// one at a time.
-    pub fn row_starts(&self) -> Odometer<'_> {
-        self.odometer(self.ndims().saturating_sub(1))
+        (0..cut.parts)
+            .map(|p| {
+                let along = cut.part(p);
+                let mut corner = self.corner.clone();
+                corner[cut.dim] += along.start as i32;
+                let mut ext = self.shape.extents().to_vec();
+                ext[cut.dim] = along.len() as u32;
+                BoundingBox {
+                    corner,
+                    shape: Shape::new(ext),
+                }
+            })
+            .collect()
     }
 
     /// Iterate the cells of the box in row-major order.
     pub fn cells(&self) -> Odometer<'_> {
-        self.odometer(self.ndims())
-    }
-
-    fn odometer(&self, dims: usize) -> Odometer<'_> {
         Odometer {
             bounds: self,
-            dims,
             next: (!self.shape.is_empty()).then(|| self.corner.clone()),
         }
     }
 }
 
-/// Row-major walk over the first `dims` dimensions of a box, the
-/// remaining ones held at the corner: [`BoundingBox::cells`] walks all of
-/// them, [`BoundingBox::row_starts`] all but the last.
+/// Row-major walk over the cells of a box ([`BoundingBox::cells`]).
 #[derive(Debug, Clone)]
 pub struct Odometer<'a> {
     bounds: &'a BoundingBox,
-    dims: usize,
     next: Option<Coord>,
 }
 
@@ -178,7 +150,7 @@ impl Iterator for Odometer<'_> {
         // Step the fastest walked dimension; carry leftwards. Falling off
         // the front leaves `next` empty: the walk is over.
         let mut following = current.clone();
-        for d in (0..self.dims).rev() {
+        for d in (0..extents.len()).rev() {
             if following[d] as i64 - corner[d] as i64 + 1 < extents[d] as i64 {
                 following[d] += 1;
                 self.next = Some(following);

@@ -199,6 +199,7 @@ impl Index<usize> for Coord {
 }
 
 impl IndexMut<usize> for Coord {
+    #[inline]
     fn index_mut(&mut self, i: usize) -> &mut i32 {
         &mut self.components_mut()[i]
     }

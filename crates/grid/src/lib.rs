@@ -25,6 +25,6 @@ pub use bbox::BoundingBox;
 pub use coord::{Coord, INLINE_DIMS};
 pub use dataset::Variable;
 pub use error::GridError;
-pub use shape::Shape;
+pub use shape::{LongestCut, Shape};
 pub use value::{DataType, Value};
 pub use walker::{GridWalker, RowMajorWalker};

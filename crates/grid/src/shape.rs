@@ -2,6 +2,7 @@
 
 use crate::coord::Coord;
 use crate::error::GridError;
+use std::ops::Range;
 
 /// The extent of an n-dimensional grid: the number of cells along each
 /// dimension.
@@ -87,6 +88,53 @@ impl Shape {
             idx %= strides[d];
         }
         Ok(Coord::new(comps))
+    }
+}
+
+/// How [`BoundingBox::split_longest`](crate::BoundingBox::split_longest)
+/// cuts a box of some shape: along one dimension, into parts of nearly
+/// equal length, the longer ones first. Taken from the shape alone, so a
+/// builder can walk each part's cells without making its box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LongestCut {
+    /// The dimension cut: the longest, the last of several tied.
+    pub dim: usize,
+    /// Number of parts.
+    pub parts: usize,
+    extent: u32,
+}
+
+impl LongestCut {
+    /// Part `p`'s cells along [`LongestCut::dim`], as offsets from the
+    /// box's corner.
+    pub fn part(&self, p: usize) -> Range<u32> {
+        let parts = self.parts as u32;
+        let (base, rem) = (self.extent / parts, self.extent % parts);
+        let p = p as u32;
+        let start = p * base + p.min(rem);
+        start..start + base + u32::from(p < rem)
+    }
+}
+
+impl Shape {
+    /// Where [`BoundingBox::split_longest`](crate::BoundingBox::split_longest)
+    /// cuts a box of this shape into at most `parts` parts: a part is at
+    /// least one cell thick, and a shape with a zero extent is not cut.
+    pub fn longest_cut(&self, parts: usize) -> LongestCut {
+        assert!(parts > 0);
+        let (dim, extent) = self
+            .0
+            .iter()
+            .copied()
+            .enumerate()
+            .max_by_key(|&(_, e)| e)
+            .unwrap_or((0, 0));
+        let parts = if self.is_empty() {
+            1
+        } else {
+            parts.min(extent as usize).max(1)
+        };
+        LongestCut { dim, parts, extent }
     }
 }
 

@@ -81,9 +81,6 @@ proptest! {
         for (i, cell) in cells.iter().enumerate() {
             prop_assert_eq!(shape.linearize(&(cell - &origin)).unwrap(), i as u64);
         }
-        let row = extent as usize;
-        let starts: Vec<Coord> = b.row_starts().collect();
-        prop_assert_eq!(starts, cells.iter().step_by(row).cloned().collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,25 +5,46 @@
 //! the `HashMap<Coord, i32>` that holds them is a table of 524,288
 //! 32-byte buckets, about 17 MB. Inserted in output order, every entry
 //! lands in a random bucket: the fill is bound by cache and TLB misses,
-//! not by hashing. [`fill`] decodes and hashes the entries on several
-//! threads, sorts them by the bucket each will occupy and inserts them in
-//! that order, so the table is written front to back.
+//! not by hashing. [`fill`] sorts the entries by the bucket each will
+//! occupy and inserts them in about that order, so the table is written
+//! front to back. All but the inserts runs on several threads: each
+//! thread decodes and hashes an equal share of the entries and sorts its
+//! share by bucket, with a least-significant-digit radix sort whose
+//! passes are stable counting sorts. One thread then inserts the shares
+//! a window at a time: the entries of every share whose buckets share
+//! the top digit, share after share. A window of a 512² answer is 2,048
+//! buckets, 64 KB of the table, so the shares' runs through it meet in
+//! cache. Entries of one key have one bucket, so they keep their order
+//! and the last one still wins. The caller allocates every buffer, and
+//! the thread that fills one writes it first, so the threads fault their
+//! pages in at once and allocate nothing: no allocator arena of theirs
+//! grows.
 //!
 //! The one assumption is std's: its table picks an entry's first bucket
 //! from the low bits of the entry's hash. Should that ever change, the
 //! map built here is still the map the plain insertion loop builds, and
 //! only the speed is lost — and `std_buckets_by_the_low_hash_bits`
 //! fails.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use scihadoop_grid::Coord;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
 /// Bits of the bucket index sorted per pass; a 512² answer's 19 bits
-/// take two passes. Timed filling that answer on a 2-core Xeon VM: 8
-/// bits (three passes) 36.7 ms, 10 bits 35.7 ms, 11 bits 34.0 ms, all 19
-/// in one pass 37.0 ms, against 63–70 ms for the insertion loop.
+/// take two passes. Timed filling that answer on one thread of a 2-core
+/// Xeon VM: 8 bits (three passes) 36.7 ms, 10 bits 35.7 ms, 11 bits
+/// 34.0 ms, all 19 in one pass 37.0 ms, against 63–70 ms for the
+/// insertion loop.
 const DIGIT_BITS: u32 = 11;
+
+/// Where the top digit of a `bucket_bits`-bit bucket index starts: the
+/// shift of the radix sort's last pass, and of the windows the inserts
+/// take.
+fn top_shift(bucket_bits: u32) -> u32 {
+    bucket_bits.saturating_sub(1) / DIGIT_BITS * DIGIT_BITS
+}
 
 /// An entry tagged with the bucket its insert starts probing at.
 type Tagged = (u32, Coord, i32);
@@ -41,87 +62,140 @@ fn bucket_mask(capacity: usize) -> u64 {
 /// inserted one by one, in order: a key that appears twice keeps its last
 /// value. The first item that fails to decode, in order, is the error.
 ///
-/// Items are decoded and hashed on up to `threads` threads, the caller's
-/// among them. Each takes an equal share of the items, whatever the
-/// parts' sizes, and writes into its own chunk of one vector allocated
-/// here: a thread that allocates nothing grows no allocator arena of its
-/// own.
+/// Items are decoded, hashed and sorted on up to `threads` threads, the
+/// caller's among them. Each takes an equal share of the items, whatever
+/// the parts' sizes.
 pub(crate) fn fill<T: Sync, E: Send>(
     parts: &[Vec<T>],
     threads: usize,
     decode: impl Fn(&T) -> Result<(Coord, i32), E> + Sync,
 ) -> Result<HashMap<Coord, i32>, E> {
     let total = parts.iter().map(Vec::len).sum::<usize>();
-    let map = HashMap::with_capacity(total);
+    let mut map = HashMap::with_capacity(total);
     let mask = bucket_mask(map.capacity());
-    let mut items: Vec<Tagged> = Vec::with_capacity(total);
-    items.resize_with(total, || (0, Coord::origin(0), 0));
+    let hasher = map.hasher().clone();
+    in_bucket_order(parts, threads, decode, &hasher, mask, |(_, coord, v)| {
+        map.insert(coord, v);
+    })?;
+    Ok(map)
+}
 
-    let hasher = map.hasher();
-    let tag = |start: usize, chunk: &mut [Tagged]| -> Result<(), E> {
-        for (item, slot) in parts.iter().flatten().skip(start).zip(chunk) {
-            let (coord, v) = decode(item)?;
-            *slot = ((hasher.hash_one(&coord) & mask) as u32, coord, v);
-        }
-        Ok(())
+/// Hand `visit` the entries `decode` makes of `parts`' items, each tagged
+/// with the bits of its hash under `hasher` that `mask` keeps: window by
+/// window (the tags' top digits, from [`top_shift`]), and among equal
+/// tags in the items' order.
+fn in_bucket_order<T: Sync, E: Send>(
+    parts: &[Vec<T>],
+    threads: usize,
+    decode: impl Fn(&T) -> Result<(Coord, i32), E> + Sync,
+    hasher: &(impl BuildHasher + Sync),
+    mask: u64,
+    mut visit: impl FnMut(Tagged),
+) -> Result<(), E> {
+    let total = parts.iter().map(Vec::len).sum::<usize>();
+    if total == 0 {
+        return Ok(());
+    }
+    let bucket_bits = 64 - mask.leading_zeros();
+    let per_thread = total.div_ceil(threads.max(1));
+    let shares = total.div_ceil(per_thread);
+    let share_len = |s: usize| per_thread.min(total - s * per_thread);
+    let buffers = || -> Vec<Vec<Tagged>> {
+        (0..shares)
+            .map(|s| Vec::with_capacity(share_len(s)))
+            .collect()
     };
-    let per_thread = total.div_ceil(threads.max(1)).max(1);
+    let (mut sorted, mut spare) = (buffers(), buffers());
+    let mut counts = vec![0usize; shares << DIGIT_BITS];
+
+    let sort_share =
+        |s: usize, share: &mut Vec<Tagged>, spare: &mut Vec<Tagged>, counts: &mut [usize]| {
+            // Placeholders first: filling a buffer in one sweep, then writing
+            // it, beat pushing into it as the entries are made (19–25 against
+            // 31–35 ms for this pass over a 512² answer on a 2-core VM).
+            share.resize_with(share_len(s), placeholder);
+            let items = parts.iter().flatten().skip(s * per_thread);
+            for (item, slot) in items.zip(share.iter_mut()) {
+                let (coord, v) = decode(item)?;
+                *slot = ((hasher.hash_one(&coord) & mask) as u32, coord, v);
+            }
+            spare.resize_with(share.len(), placeholder);
+            radix_sort(share, spare, counts, bucket_bits);
+            Ok(())
+        };
+    on_threads(
+        sorted
+            .iter_mut()
+            .zip(&mut spare)
+            .zip(counts.chunks_mut(1 << DIGIT_BITS))
+            .enumerate(),
+        |(s, ((share, spare), counts))| sort_share(s, share, spare, counts),
+    )?;
+    // The sorts' spare buffers go before the inserts fault in the table.
+    drop(spare);
+
+    // The last pass left, per share, where each top digit's entries end.
+    let windows = 1usize << (bucket_bits - top_shift(bucket_bits));
+    let mut runs: Vec<_> = sorted.into_iter().map(Vec::into_iter).collect();
+    for window in 0..windows {
+        for (run, ends) in runs.iter_mut().zip(counts.chunks(1 << DIGIT_BITS)) {
+            let start = window.checked_sub(1).map_or(0, |w| ends[w]);
+            run.by_ref().take(ends[window] - start).for_each(&mut visit);
+        }
+    }
+    Ok(())
+}
+
+/// Sort `items` stably by their tags' low `bits` bits, through `spare`,
+/// a buffer of as many placeholders, with `counts` (`2^DIGIT_BITS` of
+/// them) for the counting. After the last pass, `counts[d]` is where the
+/// entries whose top digit is `d` end.
+fn radix_sort(items: &mut Vec<Tagged>, spare: &mut Vec<Tagged>, counts: &mut [usize], bits: u32) {
+    let mut shift = 0;
+    while shift < bits {
+        let digit = |tag: u32| (tag >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+        counts.fill(0);
+        for item in items.iter() {
+            counts[digit(item.0)] += 1;
+        }
+        let mut next = 0;
+        for start in counts.iter_mut() {
+            (*start, next) = (next, next + *start);
+        }
+        for item in items.iter_mut() {
+            let slot = &mut counts[digit(item.0)];
+            std::mem::swap(&mut spare[*slot], item);
+            *slot += 1;
+        }
+        std::mem::swap(items, spare);
+        shift += DIGIT_BITS;
+    }
+}
+
+/// What fills a slot of a buffer until an entry is moved into it.
+fn placeholder() -> Tagged {
+    (0, Coord::origin(0), 0)
+}
+
+/// Run `work` on each of `jobs`: the first on this thread, each other on
+/// a scoped thread of its own. The error is the first in job order.
+fn on_threads<J: Send, E: Send>(
+    jobs: impl IntoIterator<Item = J>,
+    work: impl Fn(J) -> Result<(), E> + Sync,
+) -> Result<(), E> {
     std::thread::scope(|scope| {
-        let tag = &tag;
-        let mut chunks = items.chunks_mut(per_thread).enumerate();
-        let own = chunks.next();
-        let others: Vec<_> = chunks
-            .map(|(t, chunk)| scope.spawn(move || tag(t * per_thread, chunk)))
-            .collect();
-        let own = own.map_or(Ok(()), |(_, chunk)| tag(0, chunk));
+        let work = &work;
+        let mut jobs = jobs.into_iter();
+        let own = jobs.next();
+        let others: Vec<_> = jobs.map(|job| scope.spawn(move || work(job))).collect();
+        let own = own.map_or(Ok(()), work);
         others.into_iter().fold(own, |first, thread| {
             let theirs = thread
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             first.and(theirs)
         })
-    })?;
-    Ok(bucket_ordered(map, items, mask))
-}
-
-/// Insert `items` into the empty `map` in the order of their bucket tags,
-/// taken with `mask`; entries of one key keep their order, so the last
-/// one still wins.
-fn bucket_ordered(
-    mut map: HashMap<Coord, i32>,
-    mut items: Vec<Tagged>,
-    mask: u64,
-) -> HashMap<Coord, i32> {
-    // A least-significant-digit radix sort on the bucket index. Each
-    // pass is a stable counting sort.
-    let bucket_bits = 64 - mask.leading_zeros();
-    let mut sorted: Vec<Tagged> = Vec::with_capacity(items.len());
-    sorted.resize_with(items.len(), || (0, Coord::origin(0), 0));
-    let mut shift = 0;
-    while shift < bucket_bits {
-        let digit = |bucket: u32| (bucket >> shift) as usize & ((1 << DIGIT_BITS) - 1);
-        let mut starts = vec![0usize; 1 << DIGIT_BITS];
-        for item in &items {
-            starts[digit(item.0)] += 1;
-        }
-        let mut next = 0;
-        for start in &mut starts {
-            (*start, next) = (next, next + *start);
-        }
-        for item in &mut items {
-            let slot = &mut starts[digit(item.0)];
-            std::mem::swap(&mut sorted[*slot], item);
-            *slot += 1;
-        }
-        std::mem::swap(&mut items, &mut sorted);
-        shift += DIGIT_BITS;
-    }
-    // The sort's spare buffer goes before the inserts fault in the table.
-    drop(sorted);
-    for (_, coord, v) in items {
-        map.insert(coord, v);
-    }
-    map
+    })
 }
 
 #[cfg(test)]
@@ -244,6 +318,37 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn entries_come_out_window_by_window_and_stable(
+            entries in arb_entries(2, 20, 3_000),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+            threads in 1usize..5,
+            bucket_bits in 1u32..24,
+        ) {
+            // Tables of up to 2²³ buckets: up to three passes, though
+            // only a few thousand entries are sorted.
+            let same = |(coord, v): &(Coord, i32)| Ok::<_, Infallible>((coord.clone(), *v));
+            let hasher = std::collections::hash_map::RandomState::new();
+            let mask = (1u64 << bucket_bits) - 1;
+            let parts = cut(&entries, &cuts);
+            let mut sorted = Vec::new();
+            if let Err(never) = in_bucket_order(&parts, threads, same, &hasher, mask, |e| sorted.push(e)) {
+                match never {}
+            }
+            prop_assert_eq!(sorted.len(), entries.len());
+            for (tag, coord, _) in &sorted {
+                prop_assert_eq!(*tag as u64, hasher.hash_one(coord) & mask);
+            }
+            // Windows rise. Each entry's value is its position: stable
+            // means positions rise within a tag.
+            let window = |tag: u32| tag >> top_shift(bucket_bits);
+            for pair in sorted.windows(2) {
+                let ((a, _, at_a), (b, _, at_b)) = (&pair[0], &pair[1]);
+                prop_assert!(window(*a) <= window(*b));
+                prop_assert!(a != b || at_a < at_b);
+            }
+        }
 
         #[test]
         fn fills_the_map_the_insertion_loop_fills(

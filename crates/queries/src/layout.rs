@@ -120,7 +120,11 @@ impl BiasedCurve {
 
     /// Inverse of [`BiasedCurve::index_of`].
     pub fn coord_of(&self, index: CurveIndex) -> Result<Coord, GridError> {
-        Ok(self.curve.coord_of_index(index)?.offset_all(-self.bias))
+        let mut coord = self.curve.coord_of_index(index)?;
+        for d in 0..coord.ndims() {
+            coord[d] = coord[d].wrapping_sub(self.bias);
+        }
+        Ok(coord)
     }
 
     /// Total number of curve indices (the partitioner's span).

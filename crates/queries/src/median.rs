@@ -333,14 +333,24 @@ struct PlainMedianReducer {
     layout: KeyLayout,
 }
 
+thread_local! {
+    /// The values of the window centre this thread is reducing: one
+    /// buffer per reduce thread, reused from centre to centre.
+    static CENTRE_VALUES: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Reducer for PlainMedianReducer {
     fn reduce(&self, key: &[u8], values: &[&[u8]], out: &mut dyn Emit) {
         debug_assert!(self.layout.decode(key).is_ok());
-        let mut vals: Vec<i32> = values
-            .iter()
-            .map(|v| i32::from_be_bytes((*v).try_into().expect("4-byte value")))
-            .collect();
-        let m = median_of(&mut vals);
+        let m = CENTRE_VALUES.with_borrow_mut(|vals| {
+            vals.clear();
+            vals.extend(
+                values
+                    .iter()
+                    .map(|v| i32::from_be_bytes((*v).try_into().expect("4-byte value"))),
+            );
+            median_of(vals)
+        });
         out.emit(key, &m.to_be_bytes());
     }
 }
@@ -458,6 +468,13 @@ impl Mapper for AggMedianMapper {
             return;
         }
         let (bounds, slab) = self.window_slab(&inputs);
+        // The slab's cells, walked in grid order in the curve's biased
+        // space.
+        let biased = BoundingBox::new(
+            bounds.corner().offset_all(self.curve.bias()),
+            bounds.shape().clone(),
+        )
+        .expect("a corner of the box's own dimensions");
         let mut agg = Aggregator::with_curve(self.curve.curve().clone(), self.buffer_bytes);
         let emit_records = |records: Vec<scihadoop_core::aggregate::AggregateRecord>,
                             out: &mut dyn Emit| {
@@ -465,12 +482,11 @@ impl Mapper for AggMedianMapper {
                 out.emit(&rec.key.to_bytes(), &rec.values);
             }
         };
-        for (coord, cell) in bounds.cells().zip(slab.chunks_exact(1 + 4 * self.slots)) {
+        for (coord, cell) in biased.cells().zip(slab.chunks_exact(1 + 4 * self.slots)) {
             if cell[0] == 0 {
                 continue;
             }
-            let biased = coord.offset_all(self.curve.bias());
-            if let Some(records) = agg.push(&biased, cell).expect("aggregation push") {
+            if let Some(records) = agg.push(&coord, cell).expect("aggregation push") {
                 emit_records(records, out);
             }
         }
@@ -492,15 +508,22 @@ impl Reducer for AggMedianReducer {
         let mut centre_key = Vec::with_capacity(self.layout.key_len());
         self.layout.write_header(&mut centre_key);
         let header_len = centre_key.len();
+        let mut centre = vec![0; self.layout.ndims()];
         for (cell_no, index) in (agg_key.run.start..=agg_key.run.end).enumerate() {
             vals.clear();
             for chunk in values {
                 vals.extend(cell_values(&chunk[cell_no * width..][..width]));
             }
             let m = median_of(&mut vals);
-            let coord = self.curve.coord_of(index).expect("curve index");
+            // The centre straight off the curve, then out of its biased
+            // space (what `BiasedCurve::coord_of` does, less the `Coord`).
+            self.curve
+                .curve()
+                .coords_into(index, &mut centre)
+                .expect("curve index");
             centre_key.truncate(header_len);
-            for c in coord.components() {
+            for &c in &centre {
+                let c = (c as i32).wrapping_sub(self.curve.bias());
                 centre_key.extend_from_slice(&c.to_be_bytes());
             }
             out.emit(&centre_key, &m.to_be_bytes());

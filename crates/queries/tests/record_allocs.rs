@@ -1,8 +1,12 @@
 //! A record's key and value live inside the record: building the input
 //! splits of a grid, and a worker taking a map task off the wire,
 //! allocate per split or per frame, never per record. The file has its
-//! own global allocator, which counts the requests a thread makes while
-//! it is armed (the harness of `mapreduce/tests/segment_fuzz.rs`).
+//! own global allocator, which counts the requests of the thread that
+//! arms it and of every thread started while it is armed: the split
+//! builder's worker threads and the worker's own threads count as much
+//! as the caller. So that no other test starts threads meanwhile, each
+//! test runs its body alone, in a re-execution of this binary on
+//! libtest's one test thread.
 
 use scihadoop_grid::{Shape, Variable};
 use scihadoop_mapreduce::{run_worker, Emit, FnMapper, FnReducer, JobConfig, Transport};
@@ -14,26 +18,39 @@ use std::io::{Read, Write};
 use std::net::{TcpListener as Listener, TcpStream as Stream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener as Listener, UnixStream as Stream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 // ---- allocation counter ---------------------------------------------------
 
-/// Counts the current thread's allocations while [`allocations`] has it
-/// armed.
+/// Counts allocations while [`allocations`] has it armed.
 struct Counting;
 
+static ARMED: AtomicBool = AtomicBool::new(false);
+static COUNT: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
-    // Const-initialized and without a destructor: reading it from inside
-    // the allocator neither allocates nor registers anything.
-    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+    // Whether this thread's allocations count: set for the thread that
+    // arms the counter, and otherwise decided at the thread's first
+    // allocation, so a thread started while the counter is armed counts
+    // and the harness's own threads, which allocated long before, do
+    // not. Const-initialized and without a destructor: reading it from
+    // inside the allocator neither allocates nor registers anything.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
 fn note() {
-    let _ = COUNT.try_with(|count| {
-        if let Some(n) = count.get() {
-            count.set(Some(n + 1));
-        }
-    });
+    let armed = ARMED.load(Ordering::SeqCst);
+    let counted = COUNTED
+        .try_with(|counted| {
+            let yes = counted.get().unwrap_or(armed);
+            counted.set(Some(yes));
+            yes
+        })
+        .unwrap_or(armed);
+    if armed && counted {
+        COUNT.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -59,31 +76,58 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Run `f`, returning its result and the allocations (and reallocations)
-/// it made on this thread.
+/// Run `f`, returning its result and the allocations (and
+/// reallocations) it made on this thread and on the threads it started.
 fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    COUNT.with(|count| count.set(Some(0)));
+    COUNTED.with(|counted| counted.set(Some(true)));
+    COUNT.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
     let out = f();
-    let n = COUNT.with(|count| count.take()).unwrap_or(0);
-    (out, n)
+    ARMED.store(false, Ordering::SeqCst);
+    (out, COUNT.load(Ordering::SeqCst))
+}
+
+/// Whether this process runs test `name`'s body: true when libtest was
+/// asked for `name` alone (`--exact name`). Otherwise this re-executes
+/// the binary that way, on one test thread, waits for it to pass, and
+/// returns false.
+fn alone(name: &str) -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == name) {
+        return true;
+    }
+    let status = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([name, "--exact", "--test-threads=1", "--nocapture"])
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success(), "{name}, run alone: {status}");
+    false
 }
 
 // ---- input splits ---------------------------------------------------------
 
 #[test]
 fn building_splits_allocates_per_split_not_per_cell() {
+    if !alone("building_splits_allocates_per_split_not_per_cell") {
+        return;
+    }
     let var = Variable::random_i32("t", Shape::new(vec![64, 64]), 1000, 11).unwrap();
     // 12-byte keys and 4-byte values: both inline.
     let layout = KeyLayout::Indexed { index: 0, ndims: 2 };
+    // The first call in a process also asks the OS for its core count,
+    // once; a call's own cost is measured after it.
+    dataset_splits(&var, &layout, 4).unwrap();
     let (splits, n) = allocations(|| dataset_splits(&var, &layout, 4).unwrap());
     assert_eq!(splits.len(), 4);
     assert_eq!(
         splits.iter().map(|s| s.records.len()).sum::<usize>(),
         64 * 64
     );
-    // A few for the boxes, the key buffer and the split list, then a
-    // record vector and a box shape per split (12 in all today, against
-    // 8,460 when each record held two vectors of its own).
+    // The split list, the key buffers and a thread scope, then a record
+    // vector per split and three allocations per thread spawned, one
+    // thread per split at most (10 in all on two cores, 16 on four or
+    // more, against 8,460 when each record held two vectors of its own).
     assert!(
         n <= 8 + 2 * splits.len() as u64,
         "{n} allocations for {} splits of {} cells",
@@ -153,38 +197,43 @@ fn bind(_records: u32) -> (Listener, String) {
     (listener, addr)
 }
 
-/// The allocations one worker makes over a whole conversation that
-/// carries a single map task of `records` records. The mapper emits
-/// nothing, so what scales with the records is the frame's decoding.
+/// The allocations one conversation carrying a single map task of
+/// `records` records makes, on the worker's threads and on this side of
+/// the socket. The mapper emits nothing, so what scales with the records
+/// is the frame's decoding.
 fn worker_allocations(records: u32) -> u64 {
     let (listener, addr) = bind(records);
-    let worker_addr = addr.clone();
-    let worker = std::thread::spawn(move || {
-        let mapper = FnMapper(|_: &[u8], _: &[u8], _: &mut dyn Emit| {});
-        let reducer = FnReducer(|_: &[u8], _: &[&[u8]], _: &mut dyn Emit| {});
-        let config = JobConfig::default();
-        let (ran, n) =
-            allocations(|| run_worker(Transport::Uds, &worker_addr, 0, &config, &mapper, &reducer));
-        ran.unwrap();
-        n
+    let task = map_task(records);
+    let ((), n) = allocations(|| {
+        let worker_addr = addr.clone();
+        let worker = std::thread::spawn(move || {
+            let mapper = FnMapper(|_: &[u8], _: &[u8], _: &mut dyn Emit| {});
+            let reducer = FnReducer(|_: &[u8], _: &[&[u8]], _: &mut dyn Emit| {});
+            let config = JobConfig::default();
+            run_worker(Transport::Uds, &worker_addr, 0, &config, &mapper, &reducer).unwrap();
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        assert_eq!(read_frame(&mut conn)[0], HELLO);
+        assert_eq!(read_frame(&mut conn), [TASK_REQUEST]);
+        conn.write_all(&task).unwrap();
+        assert_eq!(read_frame(&mut conn)[0], MAP_DONE);
+        assert_eq!(read_frame(&mut conn), [TASK_REQUEST]);
+        conn.write_all(&frame(&[SHUTDOWN])).unwrap();
+        worker.join().unwrap();
     });
-    let (mut conn, _) = listener.accept().unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    assert_eq!(read_frame(&mut conn)[0], HELLO);
-    assert_eq!(read_frame(&mut conn), [TASK_REQUEST]);
-    conn.write_all(&map_task(records)).unwrap();
-    assert_eq!(read_frame(&mut conn)[0], MAP_DONE);
-    assert_eq!(read_frame(&mut conn), [TASK_REQUEST]);
-    conn.write_all(&frame(&[SHUTDOWN])).unwrap();
     if cfg!(unix) {
         let _ = std::fs::remove_file(&addr);
     }
-    worker.join().unwrap()
+    n
 }
 
 #[test]
 fn decoding_a_map_task_allocates_per_frame_not_per_record() {
+    if !alone("decoding_a_map_task_allocates_per_frame_not_per_record") {
+        return;
+    }
     let one = worker_allocations(1);
     let thousand = worker_allocations(1000);
     assert!(

@@ -39,16 +39,7 @@ pub trait Curve: Send + Sync {
 
     /// Map a signed grid coordinate (must be non-negative) to an index.
     fn index_of_coord(&self, coord: &Coord) -> Result<CurveIndex, GridError> {
-        if coord.ndims() != self.ndims() {
-            return Err(GridError::DimensionMismatch {
-                expected: self.ndims(),
-                actual: coord.ndims(),
-            });
-        }
-        with_scratch(self.ndims(), |unsigned| {
-            coord.to_unsigned_into(unsigned)?;
-            self.index_of(unsigned)
-        })
+        index_of_coord_checked(self, coord)
     }
 
     /// Inverse of [`Curve::index_of_coord`].
@@ -62,6 +53,26 @@ pub trait Curve: Send + Sync {
             Ok(coord)
         })
     }
+}
+
+/// [`Curve::index_of_coord`] through [`Curve::index_of`]: the coordinate
+/// is checked for arity and sign, converted, and checked again against
+/// the curve's bits. A curve with a faster path falls back to this one
+/// to name the error.
+pub(crate) fn index_of_coord_checked<C: Curve + ?Sized>(
+    curve: &C,
+    coord: &Coord,
+) -> Result<CurveIndex, GridError> {
+    if coord.ndims() != curve.ndims() {
+        return Err(GridError::DimensionMismatch {
+            expected: curve.ndims(),
+            actual: coord.ndims(),
+        });
+    }
+    with_scratch(curve.ndims(), |unsigned| {
+        coord.to_unsigned_into(unsigned)?;
+        curve.index_of(unsigned)
+    })
 }
 
 /// Run `f` over `ndims` zeroed components: on the stack for as many

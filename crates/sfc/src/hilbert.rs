@@ -19,6 +19,8 @@ use scihadoop_grid::GridError;
 pub struct HilbertCurve {
     ndims: usize,
     bits: u32,
+    /// Packs the transpose form into an index.
+    zorder: ZOrderCurve,
 }
 
 impl HilbertCurve {
@@ -35,7 +37,11 @@ impl HilbertCurve {
             ndims as u32 * bits <= 128,
             "total index width exceeds 128 bits"
         );
-        HilbertCurve { ndims, bits }
+        HilbertCurve {
+            ndims,
+            bits,
+            zorder: ZOrderCurve::with_bits(ndims, bits),
+        }
     }
 
     /// Skilling's `AxestoTranspose`: convert coordinates into the Hilbert
@@ -107,13 +113,13 @@ impl HilbertCurve {
 
     /// Pack the transpose form into a single index: interleave the bits of
     /// the transpose, dimension 0 most significant.
-    fn pack(transpose: &[u32], bits: u32) -> CurveIndex {
-        ZOrderCurve::interleave(transpose, bits)
+    fn pack(&self, transpose: &[u32]) -> CurveIndex {
+        self.zorder.interleave(transpose.iter().copied())
     }
 
     /// Inverse of [`HilbertCurve::pack`].
-    fn unpack(index: CurveIndex, transpose: &mut [u32], bits: u32) {
-        ZOrderCurve::deinterleave(index, transpose, bits)
+    fn unpack(&self, index: CurveIndex, transpose: &mut [u32]) {
+        self.zorder.deinterleave(index, |d, c| transpose[d] = c)
     }
 }
 
@@ -138,7 +144,7 @@ impl Curve for HilbertCurve {
         Ok(with_scratch(self.ndims, |x| {
             x.copy_from_slice(coords);
             Self::axes_to_transpose(x, self.bits);
-            Self::pack(x, self.bits)
+            self.pack(x)
         }))
     }
 
@@ -149,7 +155,7 @@ impl Curve for HilbertCurve {
             out[0] = index as u32;
             return Ok(());
         }
-        Self::unpack(index, out, self.bits);
+        self.unpack(index, out);
         Self::transpose_to_axes(out, self.bits);
         Ok(())
     }

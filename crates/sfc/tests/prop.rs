@@ -2,10 +2,106 @@
 
 use proptest::prelude::*;
 use scihadoop_grid::Coord;
-use scihadoop_sfc::{collapse_sorted, Curve, CurveRun, HilbertCurve, RowMajorCurve, ZOrderCurve};
+use scihadoop_sfc::{
+    collapse_sorted, Curve, CurveIndex, CurveRun, HilbertCurve, RowMajorCurve, ZOrderCurve,
+};
+
+/// The bit loop the Z-order kernel replaced, kept as its oracle: one
+/// index bit per step, most significant coordinate bit first, dimension
+/// 0 first within each group.
+fn interleave_oracle(coords: &[u32], bits: u32) -> CurveIndex {
+    let mut index: CurveIndex = 0;
+    for bit in (0..bits).rev() {
+        for &c in coords {
+            index = (index << 1) | (((c >> bit) & 1) as CurveIndex);
+        }
+    }
+    index
+}
+
+/// Inverse of [`interleave_oracle`].
+fn deinterleave_oracle(index: CurveIndex, ndims: usize, bits: u32) -> Vec<u32> {
+    let mut coords = vec![0u32; ndims];
+    let mut idx = index;
+    for bit in 0..bits {
+        for c in coords.iter_mut().rev() {
+            *c |= ((idx & 1) as u32) << bit;
+            idx >>= 1;
+        }
+    }
+    coords
+}
+
+/// Every Z-order shape the 128-bit index allows, for 1 to 8 dimensions.
+fn zorder_shapes() -> impl Iterator<Item = (usize, u32)> {
+    (1..=8usize).flat_map(|ndims| (1..=(128 / ndims as u32).min(32)).map(move |bits| (ndims, bits)))
+}
+
+/// The Z-order kernel against the bit loop at both ends of every shape's
+/// range: the first and last indices, the indices one bit in from each
+/// end, and alternating bit patterns.
+#[test]
+fn zorder_matches_the_bit_loop_at_the_ends_of_every_shape() {
+    for (ndims, bits) in zorder_shapes() {
+        let z = ZOrderCurve::with_bits(ndims, bits);
+        let width = ndims as u32 * bits;
+        let last = CurveIndex::MAX >> (128 - width);
+        let probes = [
+            0,
+            1,
+            1 << (width - 1),
+            last,
+            last - 1,
+            last >> 1,
+            last & (CurveIndex::MAX / 3),
+            last & !(CurveIndex::MAX / 3),
+        ];
+        let mut out = vec![0; ndims];
+        for index in probes {
+            let coords = deinterleave_oracle(index, ndims, bits);
+            z.coords_into(index, &mut out).unwrap();
+            assert_eq!(out, coords, "{ndims}x{bits}: coordinates of {index:#x}");
+            assert_eq!(
+                z.index_of(&coords).unwrap(),
+                index,
+                "{ndims}x{bits}: index of {coords:?}"
+            );
+            assert_eq!(interleave_oracle(&coords, bits), index);
+        }
+        if width < 128 {
+            assert!(z.coords_into(last + 1, &mut out).is_err(), "{ndims}x{bits}");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The Z-order kernel against the bit loop at random points of a
+    /// random shape (1 to 8 dimensions, every bit width that fits),
+    /// both ways and through the `Coord` paths.
+    #[test]
+    fn zorder_matches_the_bit_loop(
+        shape in 0usize..zorder_shapes().count(),
+        seeds in proptest::collection::vec(any::<u32>(), 8),
+        index_seed in any::<u128>(),
+    ) {
+        let (ndims, bits) = zorder_shapes().nth(shape).unwrap();
+        let z = ZOrderCurve::with_bits(ndims, bits);
+        let max = u32::MAX >> (32 - bits);
+        let coords: Vec<u32> = seeds[..ndims].iter().map(|s| s & max).collect();
+        let index = interleave_oracle(&coords, bits);
+        prop_assert_eq!(z.index_of(&coords).unwrap(), index);
+        prop_assert_eq!(z.coords_of(index).unwrap(), coords.clone());
+        let index = index_seed >> (128 - ndims as u32 * bits);
+        prop_assert_eq!(z.coords_of(index).unwrap(), deinterleave_oracle(index, ndims, bits));
+        if bits < 32 {
+            let coord = Coord::new(coords.iter().map(|&c| c as i32).collect());
+            prop_assert_eq!(z.index_of_coord(&coord).unwrap(), interleave_oracle(&coords, bits));
+            prop_assert_eq!(z.coord_of_index(index).unwrap().components().to_vec(),
+                deinterleave_oracle(index, ndims, bits).iter().map(|&c| c as i32).collect::<Vec<_>>());
+        }
+    }
 
     /// The `Coord` paths — on a stack buffer up to `INLINE_DIMS`
     /// dimensions, on the heap beyond — agree with the slice paths they
