@@ -45,4 +45,6 @@ pub use ledger::{
     LedgerSink, PhaseRollup, LEDGER_MAX_EXACT, LEDGER_SCHEMA,
 };
 pub use span::{Phase, SpanGuard, TraceEvent, ALL_PHASES, NUM_PHASES};
-pub use trace::{hist, hist_many, recording, Attachment, Recorder, Trace, EVENT_CAPACITY};
+pub use trace::{
+    hist, hist_many, hist_merge, recording, Attachment, Recorder, Trace, EVENT_CAPACITY,
+};
