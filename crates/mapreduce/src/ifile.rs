@@ -240,7 +240,7 @@ impl BlockState {
             self.last_key.extend_from_slice(key);
             self.open = [key.len(), 0, 1];
             self.uniform = Some(value.len());
-        } else if key == self.last_key.as_slice() {
+        } else if crate::keysem::bytewise_eq(key, &self.last_key) {
             self.open[2] += 1;
         } else {
             self.close_group();

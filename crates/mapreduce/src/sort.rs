@@ -249,7 +249,7 @@ pub(crate) fn prefix_sort_with<'k, T: Copy>(
             let first = key_of(first);
             if keyed[i + 1..j]
                 .iter()
-                .any(|&(_, item)| key_of(item) != first)
+                .any(|&(_, item)| !crate::keysem::bytewise_eq(key_of(item), first))
             {
                 stats.tie_records += (j - i) as u64;
                 keyed[i..j].sort_by(|a, b| {
