@@ -55,16 +55,18 @@
 
 use scihadoop_bench as bench;
 use scihadoop_mapreduce::obs::LedgerSink;
-use scihadoop_mapreduce::WireCodec;
+use scihadoop_mapreduce::{FaultConfig, FaultPlan, Framing, JobConfig, WireCodec};
 
 /// What the command line resolved to, as the experiments read it.
 struct Args {
     small: bool,
     trace_path: Option<String>,
     ledger_path: Option<String>,
-    /// The storm wordcount: `--codec`, `--faults` and `--retries`
-    /// applied to the default spec.
-    storm: bench::DistJobSpec,
+    /// The storm wordcount's config: `--codec`, `--faults` and
+    /// `--retries` over three reducers.
+    storm: JobConfig,
+    /// The storm wordcount's input record count.
+    storm_records: usize,
     workers: usize,
     shuffle_mem: Option<usize>,
     wire_codec: WireCodec,
@@ -199,20 +201,21 @@ fn trace(a: &Args) {
 
 fn fault_storm(a: &Args) {
     let mut sink = a.ledger_sink();
-    show(bench::fault_storm(&a.storm, sink.as_mut()));
+    show(bench::fault_storm(&a.storm, a.storm_records, sink.as_mut()));
     a.report_appended(&sink);
 }
 
 fn dist(a: &Args) {
     let mut sink = a.ledger_sink();
-    let clean = bench::DistJobSpec {
-        retries: 0,
+    let clean = JobConfig {
         faults: None,
+        task_retries: 0,
         ..a.storm.clone()
     };
-    for spec in [&clean, &a.storm] {
+    for config in [&clean, &a.storm] {
         show(bench::dist_equivalence(
-            spec,
+            config,
+            a.storm_records,
             a.workers,
             a.shuffle_mem,
             a.wire_codec,
@@ -290,16 +293,15 @@ fn main() {
     let fault_spec = flag_value("--faults").unwrap_or_else(|| {
         "seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2".into()
     });
-    let fault_config = scihadoop_mapreduce::FaultConfig::parse(&fault_spec)
+    let fault_config = FaultConfig::parse(&fault_spec)
         .unwrap_or_else(|e| reject(&format!("bad --faults spec: {e}")));
     let retries: u32 = flag_value("--retries").map_or(3, |v| {
         v.parse()
             .unwrap_or_else(|_| reject(&format!("--retries {v:?} is not an unsigned integer")))
     });
     let codec = flag_value("--codec").unwrap_or_else(|| "identity".into());
-    if let Err(e) = bench::codec_by_name(&codec) {
-        reject(&format!("bad --codec: {e}"));
-    }
+    let codec =
+        bench::codec_by_name(&codec).unwrap_or_else(|e| reject(&format!("bad --codec: {e}")));
     let workers: Option<usize> = flag_value("--workers").map(|v| match v.parse() {
         Ok(n) if n > 0 => n,
         _ => reject(&format!("--workers {v:?} is not a positive integer")),
@@ -351,13 +353,13 @@ fn main() {
         small,
         trace_path,
         ledger_path,
-        storm: bench::DistJobSpec {
-            records: if small { 2_000 } else { 20_000 },
-            codec,
-            retries,
-            faults: Some(fault_spec),
-            ..bench::DistJobSpec::default()
-        },
+        storm: JobConfig::default()
+            .with_reducers(3)
+            .with_framing(Framing::IFile)
+            .with_codec(codec)
+            .with_retries(retries)
+            .with_faults(FaultPlan::new(fault_config)),
+        storm_records: if small { 2_000 } else { 20_000 },
         workers: workers.unwrap_or(3),
         shuffle_mem,
         wire_codec: wire_codec.unwrap_or_default(),

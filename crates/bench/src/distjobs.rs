@@ -1,164 +1,98 @@
-//! Self-describing job specs for multi-process runs.
+//! The verification wordcount, and how a described job becomes a
+//! runnable one.
 //!
 //! The distributed runtime re-executes the current binary to get worker
 //! processes, so the coordinator and every worker must reconstruct the
 //! *same* `(JobConfig, Mapper, Reducer)` triple from nothing but the
-//! opaque payload carried in `SCIHADOOP_DIST_JOB`. [`DistJobSpec`] is
-//! that payload: a `key=value;…` string naming the workload size and
-//! every config knob that affects bytes on the wire (codec, fault plan,
-//! retry budget). Segments are written in the engine's default format
-//! (IFile v3), so no spec field names one. The workload itself is fixed
-//! — the wordcount of [`crate::workloads::wordcount_splits`], which the
-//! fault-storm experiment takes from a spec too — because the point of
-//! the spec is equivalence testing, not generality.
+//! opaque payload carried in `SCIHADOOP_DIST_JOB`. That payload is the
+//! job's [`LedgerConfig`] as JSON — the same object its ledger record
+//! carries as `config` — and [`job_config`] is the one way back from a
+//! description to a `JobConfig`. The workload is fixed to the wordcount
+//! below: the worker never needs the input, which the coordinator ships
+//! split by split.
 //!
 //! [`dist_worker`] is the bootstrap a binary hands control to when
 //! [`scihadoop_mapreduce::dist::worker_env`] detects the worker
 //! environment.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::codecs::codec_by_name;
+use scihadoop_mapreduce::obs::LedgerConfig;
 use scihadoop_mapreduce::{
-    Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, Framing, InputSplit, JobConfig, Mapper,
+    Emit, FaultConfig, FaultPlan, FnMapper, FnReducer, Framing, IFileVersion, JobConfig, Mapper,
     MrError, Reducer, WorkerEnv,
 };
+use std::sync::Arc;
 
-/// Everything a worker process needs to rebuild the benchmark job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistJobSpec {
-    /// Number of input records (`word-{i % 97}` wordcount keys).
-    pub records: usize,
-    /// Reducer (partition) count.
-    pub reducers: usize,
-    /// Map slots per worker process.
-    pub map_slots: usize,
-    /// Reduce slots per worker process.
-    pub reduce_slots: usize,
-    /// Composed codec name for `codec_by_name`.
-    pub codec: String,
-    /// Per-task retry budget.
-    pub retries: u32,
-    /// Optional fault-plan spec (`FaultConfig::parse` grammar). The
-    /// value may itself contain commas, which is why the spec string is
-    /// `;`-separated.
-    pub faults: Option<String>,
+/// The identity-emit mapper every wordcount in this crate runs.
+pub fn wordcount_mapper() -> impl Mapper {
+    FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| out.emit(k, v))
 }
 
-impl Default for DistJobSpec {
-    fn default() -> Self {
-        DistJobSpec {
-            records: 4096,
-            reducers: 3,
-            map_slots: 2,
-            reduce_slots: 2,
-            codec: "identity".to_string(),
-            retries: 0,
-            faults: None,
-        }
-    }
+/// The summing reducer (and combiner) every wordcount in this crate
+/// runs: 1-byte raw counts or 8-byte partial sums from a previous
+/// combine pass in, both big-endian integers, and 8-byte big-endian
+/// totals out.
+pub fn wordcount_reducer() -> impl Reducer {
+    FnReducer(|k: &[u8], values: &[&[u8]], out: &mut dyn Emit| {
+        let total: u64 = values
+            .iter()
+            .map(|v| v.iter().fold(0u64, |n, &b| n << 8 | u64::from(b)))
+            .sum();
+        out.emit(k, &total.to_be_bytes());
+    })
 }
 
-impl DistJobSpec {
-    /// Serialize to the `key=value;…` payload form. Round-trips through
-    /// [`DistJobSpec::parse`].
-    pub fn to_spec_string(&self) -> String {
-        let mut s = format!(
-            "records={};reducers={};map_slots={};reduce_slots={};codec={};retries={}",
-            self.records,
-            self.reducers,
-            self.map_slots,
-            self.reduce_slots,
-            self.codec,
-            self.retries,
-        );
-        if let Some(faults) = &self.faults {
-            s.push_str(";faults=");
-            s.push_str(faults);
-        }
-        s
+/// Rebuild the job a description describes: the wordcount's config,
+/// with `combiner: true` meaning [`wordcount_reducer`], the default key
+/// semantics and no recorder. Deterministic in the description, so the
+/// coordinator's config and every worker's are interchangeable. The
+/// description may have crossed a process boundary: a name nothing
+/// builds, a plan that does not parse or a number that does not fit its
+/// field is refused, never narrowed.
+pub fn job_config(desc: &LedgerConfig) -> Result<JobConfig, MrError> {
+    fn narrow<T: TryFrom<u64>>(key: &str, n: u64) -> Result<T, MrError> {
+        T::try_from(n).map_err(|_| MrError::Config(format!("{key} {n} does not fit")))
     }
-
-    /// Parse the payload form. Unknown keys are errors: a worker running
-    /// a spec it only half-understands would silently diverge from the
-    /// coordinator.
-    pub fn parse(spec: &str) -> Result<DistJobSpec, MrError> {
-        let mut out = DistJobSpec::default();
-        for part in spec.split(';').filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| MrError::Config(format!("bad dist job spec field {part:?}")))?;
-            match key {
-                "records" => out.records = int(key, value)?,
-                "reducers" => out.reducers = int(key, value)?,
-                "map_slots" => out.map_slots = int(key, value)?,
-                "reduce_slots" => out.reduce_slots = int(key, value)?,
-                "codec" => out.codec = value.to_string(),
-                "retries" => out.retries = int(key, value)?,
-                "faults" => out.faults = Some(value.to_string()),
-                other => {
-                    return Err(MrError::Config(format!(
-                        "unknown dist job spec key {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(out)
+    let framing = match desc.framing.as_str() {
+        "ifile" => Framing::IFile,
+        "sequence_file" => Framing::SequenceFile,
+        other => return Err(MrError::Config(format!("unknown framing {other:?}"))),
+    };
+    let ifile_version = match desc.ifile_version {
+        1 => IFileVersion::V1,
+        2 => IFileVersion::V2,
+        3 => IFileVersion::V3,
+        n => return Err(MrError::Config(format!("unknown ifile_version {n}"))),
+    };
+    let mut config = JobConfig::default()
+        .with_codec(codec_by_name(&desc.codec).map_err(MrError::Config)?)
+        .with_reducers(narrow("num_reducers", desc.num_reducers)?)
+        .with_slots(
+            narrow("map_slots", desc.map_slots)?,
+            narrow("reduce_slots", desc.reduce_slots)?,
+        )
+        .with_spill_buffer(narrow("spill_buffer_bytes", desc.spill_buffer_bytes)?)
+        .with_framing(framing)
+        .with_ifile_version(ifile_version)
+        .with_retries(narrow("task_retries", desc.task_retries)?);
+    if desc.combiner {
+        config = config.with_combiner(Arc::new(wordcount_reducer()));
     }
-
-    /// Build the `JobConfig` both sides run under. Deterministic in the
-    /// spec: the coordinator's config and every worker's config are
-    /// interchangeable.
-    pub fn build_config(&self) -> Result<JobConfig, MrError> {
-        let codec = codec_by_name(&self.codec).map_err(MrError::Config)?;
-        let mut config = JobConfig::default()
-            .with_reducers(self.reducers)
-            .with_slots(self.map_slots, self.reduce_slots)
-            .with_framing(Framing::IFile)
-            .with_codec(codec)
-            .with_retries(self.retries);
-        if let Some(faults) = &self.faults {
-            config = config.with_faults(FaultPlan::new(FaultConfig::parse(faults)?));
-        }
-        Ok(config)
+    if let Some(faults) = &desc.faults {
+        config = config.with_faults(FaultPlan::new(FaultConfig::parse(faults)?));
     }
-
-    /// The fixed wordcount input: `records` keys cycling through 97
-    /// distinct words, split into 128-record input splits.
-    pub fn make_splits(&self) -> Vec<InputSplit> {
-        crate::workloads::wordcount_splits(self.records, 97, 5, 128)
-    }
-
-    /// The identity-emit mapper every wordcount in this crate runs.
-    pub fn mapper() -> impl Mapper {
-        FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| out.emit(k, v))
-    }
-
-    /// The summing reducer (and combiner) every wordcount in this crate
-    /// runs: 1-byte raw counts or 8-byte big-endian partial sums from a
-    /// previous combine pass in, 8-byte big-endian totals out.
-    pub fn reducer() -> impl Reducer {
-        FnReducer(|k: &[u8], values: &[&[u8]], out: &mut dyn Emit| {
-            let total: u64 = values
-                .iter()
-                .map(|v| match v.len() {
-                    1 => v[0] as u64,
-                    _ => u64::from_be_bytes((*v).try_into().expect("8-byte partial sum")),
-                })
-                .sum();
-            out.emit(k, &total.to_be_bytes());
-        })
-    }
+    config.validate()?;
+    Ok(config)
 }
 
-/// Parse an integer field straight into its type: a value that does not
-/// fit is refused, not narrowed — the payload crosses a process
-/// boundary.
-fn int<T: std::str::FromStr<Err = std::num::ParseIntError>>(
-    key: &str,
-    value: &str,
-) -> Result<T, MrError> {
-    value
-        .parse()
-        .map_err(|e| MrError::Config(format!("bad {key} {value:?}: {e}")))
+/// Read a worker's payload: a [`LedgerConfig`] in its canonical JSON,
+/// rebuilt by [`job_config`].
+fn payload_config(payload: &str) -> Result<JobConfig, MrError> {
+    let desc = LedgerConfig::from_json(payload)
+        .map_err(|e| MrError::Config(format!("job payload: {e}")))?;
+    job_config(&desc)
 }
 
 /// Worker-process bootstrap: rebuild the job from the environment's
@@ -167,15 +101,13 @@ fn int<T: std::str::FromStr<Err = std::num::ParseIntError>>(
 /// entry points) should `std::process::exit` with it.
 pub fn dist_worker(env: &WorkerEnv) -> i32 {
     let run = || -> Result<(), MrError> {
-        let spec = DistJobSpec::parse(&env.job_payload)?;
-        let config = spec.build_config()?;
         scihadoop_mapreduce::run_worker(
             env.transport,
             &env.addr,
             env.worker,
-            &config,
-            &DistJobSpec::mapper(),
-            &DistJobSpec::reducer(),
+            &payload_config(&env.job_payload)?,
+            &wordcount_mapper(),
+            &wordcount_reducer(),
         )
     };
     match run() {
@@ -190,63 +122,134 @@ pub fn dist_worker(env: &WorkerEnv) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scihadoop_mapreduce::Transport;
 
-    #[test]
-    fn spec_string_roundtrips_including_faults() {
-        let spec = DistJobSpec {
-            records: 2048,
-            reducers: 4,
-            codec: "transform+deflate".to_string(),
-            retries: 4,
-            faults: Some("seed=42,map=0.4,corrupt=0.3,cap=2".to_string()),
-            ..DistJobSpec::default()
-        };
-        let s = spec.to_spec_string();
-        assert_eq!(DistJobSpec::parse(&s).unwrap(), spec);
-        // The fault value's commas survive the `;` field separator.
-        assert!(s.contains("faults=seed=42,map=0.4,corrupt=0.3,cap=2"));
+    /// The description of a storm wordcount, as `repro` builds it.
+    fn storm() -> LedgerConfig {
+        let config = JobConfig::default()
+            .with_reducers(3)
+            .with_framing(Framing::IFile)
+            .with_retries(3)
+            .with_faults(FaultPlan::new(
+                FaultConfig::parse("seed=42,map=0.4,corrupt=0.3,cap=2").unwrap(),
+            ));
+        LedgerConfig::of(&config)
     }
 
-    #[test]
-    fn parse_rejects_unknown_keys_and_bad_fields() {
-        assert!(DistJobSpec::parse("frobnicate=1").is_err());
-        // Payloads written before the block frame's size key, the
-        // backoff key and the segment-format key were deleted (spelled
-        // in two pieces so a grep for the old knobs finds nothing in the
-        // tree).
-        assert!(DistJobSpec::parse(concat!("codec=lz;block", "_kib=16")).is_err());
-        assert!(DistJobSpec::parse(concat!("retries=2;backoff", "_us=50")).is_err());
-        assert!(matches!(
-            DistJobSpec::parse(concat!("records=8;ifile", "=3")),
-            Err(MrError::Config(e)) if e.contains("unknown")
-        ));
-        assert!(DistJobSpec::parse("records").is_err());
-        assert!(DistJobSpec::parse("records=many").is_err());
-        // 2^32 + 1 used to narrow to a retry budget of 1.
-        assert!(matches!(
-            DistJobSpec::parse("retries=4294967297"),
-            Err(MrError::Config(e)) if e.contains("retries")
-        ));
+    /// `storm()`'s payload with `from` replaced by `to` (exactly once).
+    fn edited(from: &str, to: &str) -> String {
+        let payload = storm().to_json();
+        assert_eq!(payload.matches(from).count(), 1, "{from} in {payload}");
+        payload.replace(from, to)
     }
 
-    #[test]
-    fn build_config_honors_the_spec() {
-        let spec = DistJobSpec {
-            reducers: 5,
-            codec: "lz".to_string(),
-            faults: Some("seed=7,map=0.5".to_string()),
-            retries: 2,
-            ..DistJobSpec::default()
-        };
-        let config = spec.build_config().unwrap();
-        assert_eq!(config.num_reducers, 5);
-        assert_eq!(config.task_retries, 2);
-        assert!(config.faults.is_some());
-        assert!(DistJobSpec {
-            codec: "no-such-codec".to_string(),
-            ..DistJobSpec::default()
+    fn config_error(payload: &str) -> String {
+        match payload_config(payload) {
+            Err(MrError::Config(e)) => e,
+            other => panic!("{payload}: expected a config error, got {other:?}"),
         }
-        .build_config()
-        .is_err());
+    }
+
+    #[test]
+    fn the_payload_is_the_ledger_config_and_spells_the_plan_in_full() {
+        let payload = storm().to_json();
+        assert!(payload.contains(
+            "\"faults\":\"seed=42,map=0.4,reduce=0,corrupt=0.3,slow=0,slow_ms=1,cap=2\""
+        ));
+        let config = payload_config(&payload).unwrap();
+        assert_eq!(config.num_reducers, 3);
+        assert_eq!(config.task_retries, 3);
+        assert_eq!(config.framing, Framing::IFile);
+        assert_eq!(
+            config.faults.as_ref().map(|p| p.config().clone()),
+            Some(FaultConfig::parse("seed=42,map=0.4,corrupt=0.3,cap=2").unwrap())
+        );
+    }
+
+    #[test]
+    fn every_bad_payload_is_a_config_error() {
+        let retries = "\"task_retries\":3";
+        let cases = [
+            // Not a description at all.
+            String::new(),
+            "task_retries=3".to_string(),
+            // An unknown key (the old spec's segment-format knob, or
+            // any other), a missing key, a reordered key.
+            edited(retries, &format!("{retries},\"ifile\":3")),
+            edited("\"faults\":", "\"frobnicate\":1,\"faults\":"),
+            edited(&format!(",{retries}"), ""),
+            edited(
+                &format!("\"combiner\":false,{retries}"),
+                &format!("{retries},\"combiner\":false"),
+            ),
+            // A value of the wrong type, or not an integer.
+            edited(retries, "\"task_retries\":\"3\""),
+            edited(retries, "\"task_retries\":1.5"),
+            edited(retries, "\"task_retries\":-1"),
+            // Names and numbers nothing builds.
+            edited("\"codec\":\"identity\"", "\"codec\":\"no-such-codec\""),
+            edited("cap=2", "cap=two"),
+            edited("map=0.4", "map=1.5"),
+            edited("\"ifile_version\":3", "\"ifile_version\":4"),
+            edited("\"framing\":\"ifile\"", "\"framing\":\"hadoop\""),
+            edited("\"num_reducers\":3", "\"num_reducers\":0"),
+            // Valid JSON in a spelling no writer of ours produces.
+            edited(retries, "\"task_retries\":3.0"),
+            format!(" {}", storm().to_json()),
+        ];
+        for payload in &cases {
+            config_error(payload);
+        }
+        // 2^32 + 1 once narrowed to a retry budget of 1.
+        let e = config_error(&edited(retries, "\"task_retries\":4294967297"));
+        assert!(e.contains("task_retries 4294967297"), "{e}");
+    }
+
+    #[test]
+    fn a_worker_given_a_bad_payload_exits_1() {
+        let env = WorkerEnv {
+            addr: String::new(),
+            transport: Transport::Uds,
+            worker: 0,
+            job_payload: edited("\"task_retries\":3", "\"task_retries\":4294967297"),
+        };
+        assert_eq!(dist_worker(&env), 1);
+    }
+
+    /// A description rebuilt into a config describes itself again, for
+    /// every codec name the grammar generates (in the spelling the
+    /// codec reports) × plan on/off × combiner on/off × v2/v3.
+    #[test]
+    fn a_description_is_a_fixpoint_of_job_config() {
+        let plan = storm().faults;
+        for base in ["identity", "lz", "deflate", "bzip"] {
+            for prefix in ["", "transform+"] {
+                let codec = codec_by_name(&format!("{prefix}{base}")).unwrap();
+                for faults in [None, plan.clone()] {
+                    for combiner in [false, true] {
+                        for ifile_version in [2, 3] {
+                            let desc = LedgerConfig {
+                                codec: codec.name().to_string(),
+                                faults: faults.clone(),
+                                combiner,
+                                ifile_version,
+                                ..storm()
+                            };
+                            let config = job_config(&desc).unwrap();
+                            assert_eq!(LedgerConfig::of(&config), desc);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_reducer_sums_raw_counts_and_partial_sums_alike() {
+        let mut out = Vec::new();
+        let mut emit = |_: &[u8], v: &[u8]| out.push(v.to_vec());
+        let partial = 300u64.to_be_bytes();
+        wordcount_reducer().reduce(b"k", &[&[1], &partial, &[255]], &mut emit);
+        assert_eq!(out, [556u64.to_be_bytes().to_vec()]);
     }
 }

@@ -1,6 +1,6 @@
 //! One function per paper table/figure (see DESIGN.md §4 for the index).
 
-use crate::distjobs::DistJobSpec;
+use crate::distjobs::{wordcount_mapper, wordcount_reducer};
 use crate::report::{fmt_bytes, fmt_secs, Table};
 use crate::workloads;
 use scihadoop_cluster::{scale_stats, ClusterSpec, CostModel};
@@ -594,7 +594,7 @@ pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::Ledger
         JobConfig::default()
             .with_reducers(3)
             .with_slots(2, 2)
-            .with_combiner(Arc::new(DistJobSpec::reducer()))
+            .with_combiner(Arc::new(wordcount_reducer()))
             .with_spill_buffer(1 << 10)
             .with_framing(Framing::IFile),
         &|config| run_wordcount(workloads::wordcount_splits(records, 60, 4, 128), config),
@@ -770,21 +770,27 @@ fn assert_same_answer(a: &JobResult, b: &JobResult, kinds: &[CounterKind], what:
 fn run_wordcount(splits: Vec<InputSplit>, config: &JobConfig) -> Result<JobResult, MrError> {
     Job::new(config.clone()).run(
         splits,
-        Arc::new(DistJobSpec::mapper()),
-        Arc::new(DistJobSpec::reducer()),
+        Arc::new(wordcount_mapper()),
+        Arc::new(wordcount_reducer()),
     )
 }
 
-/// Fault-tolerance tentpole: run a spec's wordcount twice — once clean
-/// (the spec without its fault plan and retry budget), once under its
-/// seeded fault storm (injected task errors, shuffle-segment corruption,
-/// slow tasks) — and assert the faulted run's output is
-/// **byte-identical** to the clean run with every semantic and path
-/// counter unchanged. Only the fault-tolerance bookkeeping counters
-/// (`TaskRetries`, `ChecksumFailures`, `FaultsInjected`) and the clocks
-/// may differ; the faulted snapshot must still satisfy
-/// `check_invariants`. Both runs use the spec's codec, so byte-identical
-/// recovery also proves compressed segments shuffle losslessly while
+/// The storm wordcount's input: `records` keys cycling through 97
+/// distinct words, cut into 128-record splits.
+fn storm_splits(records: usize) -> Vec<InputSplit> {
+    workloads::wordcount_splits(records, 97, 5, 128)
+}
+
+/// Fault-tolerance tentpole: run a `records`-record wordcount under
+/// `config` twice — once clean (without its fault plan and retry
+/// budget), once under its seeded fault storm (injected task errors,
+/// shuffle-segment corruption, slow tasks) — and assert the faulted
+/// run's output is **byte-identical** to the clean run with every
+/// semantic and path counter unchanged. Only the fault-tolerance
+/// bookkeeping counters (`TaskRetries`, `ChecksumFailures`,
+/// `FaultsInjected`) and the clocks may differ; the faulted snapshot
+/// must still satisfy `check_invariants`. Both runs use the config's
+/// codec, so byte-identical recovery also proves compressed segments shuffle losslessly while
 /// corruption is detected (the segment's CRC-32C trailer, or, when the
 /// flip lands in the compressed bytes, the codec frame's own CRC or a
 /// stream that no longer decodes) and retried.
@@ -795,32 +801,38 @@ fn run_wordcount(splits: Vec<InputSplit>, config: &JobConfig) -> Result<JobResul
 ///
 /// When `ledger` is given, both runs append a record — the clean run as
 /// `fault_storm_clean`, the faulted one as `fault_storm_faulted`.
-pub fn fault_storm(spec: &DistJobSpec, mut ledger: Option<&mut obs::LedgerSink>) -> Table {
-    let fault_spec = spec.faults.as_deref().expect("a storm needs a fault plan");
-    let fault_config = FaultConfig::parse(fault_spec).expect("fault plan parses");
-    let (records, retries) = (spec.records, spec.retries);
+pub fn fault_storm(
+    config: &JobConfig,
+    records: usize,
+    mut ledger: Option<&mut obs::LedgerSink>,
+) -> Table {
+    let fault_config = config
+        .faults
+        .as_ref()
+        .expect("a storm needs a fault plan")
+        .config();
+    let retries = config.task_retries;
     assert!(
         fault_config.attempt_cap <= retries,
         "attempt_cap {} exceeds the retry budget {}: completion is not guaranteed",
         fault_config.attempt_cap,
         retries
     );
-    let mut run = |spec: &DistJobSpec, label: &str| {
-        let config = spec.build_config().expect("spec builds a config");
-        let result = run_wordcount(spec.make_splits(), &config)
+    let mut run = |config: &JobConfig, label: &str| {
+        let result = run_wordcount(storm_splits(records), config)
             .expect("faults below the retry budget must not fail the job");
-        append_record(ledger.as_deref_mut(), label, &config, &result);
-        (config, result)
+        append_record(ledger.as_deref_mut(), label, config, &result);
+        result
     };
-    let clean_spec = DistJobSpec {
+    let clean_config = JobConfig {
         faults: None,
-        retries: 0,
-        ..spec.clone()
+        task_retries: 0,
+        ..config.clone()
     };
-    let (config, clean) = run(&clean_spec, "fault_storm_clean");
+    let clean = run(&clean_config, "fault_storm_clean");
     let codec_label = config.codec.name();
     let t0 = Instant::now();
-    let (_, faulted) = run(spec, "fault_storm_faulted");
+    let faulted = run(config, "fault_storm_faulted");
     let faulted_secs = t0.elapsed().as_secs_f64();
 
     faulted
@@ -851,13 +863,8 @@ pub fn fault_storm(spec: &DistJobSpec, mut ledger: Option<&mut obs::LedgerSink>)
 
     let mut table = Table::new(
         &format!(
-            "fault storm: {records}-record wordcount, codec {codec_label}, seed {}, \
-             map/reduce/corrupt/slow = {:.2}/{:.2}/{:.2}/{:.2}, retries {retries}",
-            fault_config.seed,
-            fault_config.map_error_rate,
-            fault_config.reduce_error_rate,
-            fault_config.corrupt_rate,
-            fault_config.slow_rate,
+            "fault storm: {records}-record wordcount, codec {codec_label}, \
+             plan {fault_config}, retries {retries}"
         ),
         &["counter", "clean run", "faulted run"],
     );
@@ -1207,12 +1214,18 @@ pub fn scaling_check(sides: &[u32]) -> Result<Table, GridError> {
     Ok(table)
 }
 
-/// Distributed-runtime equivalence: run one [`DistJobSpec`] through the
-/// local thread pool and through [`run_distributed`] (real worker
-/// processes over sockets), then assert the two runs are byte-identical
-/// — same outputs, same record counts, same shuffle bytes, same fault
-/// and checksum tallies. Panics on any divergence: this experiment *is*
-/// the acceptance test for the multi-process shuffle service.
+/// Distributed-runtime equivalence: run a `records`-record wordcount
+/// under `config` through the local thread pool and through
+/// [`run_distributed`] (real worker processes over sockets), then assert
+/// the two runs are byte-identical — same outputs, same record counts,
+/// same shuffle bytes, same fault and checksum tallies. Panics on any
+/// divergence: this experiment *is* the acceptance test for the
+/// multi-process shuffle service.
+///
+/// The workers' job payload is `config`'s [`obs::LedgerConfig`] as
+/// JSON, which [`crate::job_config`] turns back into a config, so
+/// `config` must be one that function builds: the wordcount's, with the
+/// default key semantics.
 ///
 /// The table reports what only the distributed run can measure — real
 /// socket transfer time, coordinator fetch-wait (time reduce serving
@@ -1238,29 +1251,28 @@ pub fn scaling_check(sides: &[u32]) -> Result<Table, GridError> {
 /// reduce inputs — and every semantic counter — match the local engine
 /// exactly.
 pub fn dist_equivalence(
-    spec: &DistJobSpec,
+    config: &JobConfig,
+    records: usize,
     workers: usize,
     shuffle_mem: Option<usize>,
     wire_codec: WireCodec,
     worker_args: &[&str],
     mut ledger: Option<&mut obs::LedgerSink>,
 ) -> Table {
-    let base = spec.build_config().expect("spec builds a config");
-
-    let local = run_wordcount(spec.make_splits(), &base).expect("local run succeeds");
-    append_record(ledger.as_deref_mut(), "dist_local", &base, &local);
+    let local = run_wordcount(storm_splits(records), config).expect("local run succeeds");
+    append_record(ledger.as_deref_mut(), "dist_local", config, &local);
 
     let dist = DistConfig::default()
         .with_workers(workers)
         .with_shuffle_mem_bytes(shuffle_mem)
         .with_wire_codec(wire_codec)
         .with_worker_args(worker_args)
-        .with_job_payload(&spec.to_spec_string());
+        .with_job_payload(&obs::LedgerConfig::of(config).to_json());
     let t0 = Instant::now();
     let remote =
-        run_distributed(&base, &dist, spec.make_splits()).expect("distributed run succeeds");
+        run_distributed(config, &dist, storm_splits(records)).expect("distributed run succeeds");
     let dist_secs = t0.elapsed().as_secs_f64();
-    append_record(ledger, "dist_procs", &base, &remote);
+    append_record(ledger, "dist_procs", config, &remote);
 
     // The store's placement and the wire codec's savings are the
     // distributed run's own; the job's answer and the storm's tallies
@@ -1308,9 +1320,10 @@ pub fn dist_equivalence(
         ms(transfer),
         format!("{mbps:.0}"),
     ]);
-    if let Some(faults) = &spec.faults {
+    if let Some(plan) = &config.faults {
         table.note(&format!(
-            "fault plan {faults:?}: {} injected, {} checksum failures, {} retries — identical tallies both runs",
+            "fault plan \"{}\": {} injected, {} checksum failures, {} retries — identical tallies both runs",
+            plan.config(),
             remote.counters.get(Counter::FaultsInjected),
             remote.counters.get(Counter::ChecksumFailures),
             remote.counters.get(Counter::TaskRetries),
@@ -1519,7 +1532,10 @@ mod tests {
         );
         assert!(ledger.iter().all(|r| r.phases.iter().any(|p| p.count > 0)));
         assert!(ledger.iter().all(|r| !r.histograms.is_empty()));
-        assert_eq!(ledger[2].config.fault_seed, Some(1));
+        assert_eq!(
+            ledger[2].config.faults.as_deref(),
+            Some("seed=1,map=1,reduce=1,corrupt=0,slow=0,slow_ms=1,cap=1")
+        );
         // Every task of the faulty job ran twice, reduces included, so
         // `validate_trace`'s one-sample-per-reducer rule is held across
         // retries (`tests/cli.rs` runs it on this ledger).
@@ -1540,13 +1556,13 @@ mod tests {
         );
     }
 
-    fn storm_spec() -> DistJobSpec {
-        DistJobSpec {
-            records: 1200,
-            retries: 3,
-            faults: Some("seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2".into()),
-            ..DistJobSpec::default()
-        }
+    fn storm_config() -> JobConfig {
+        let plan = "seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2";
+        JobConfig::default()
+            .with_reducers(3)
+            .with_framing(Framing::IFile)
+            .with_retries(3)
+            .with_faults(FaultPlan::new(FaultConfig::parse(plan).unwrap()))
     }
 
     fn faulted_row(t: &Table, name: &str) -> u64 {
@@ -1559,7 +1575,7 @@ mod tests {
     fn fault_storm_recovers_exactly() {
         // The experiment asserts byte-identical recovery internally;
         // here we check the rendered bookkeeping rows are live.
-        let t = fault_storm(&storm_spec(), None);
+        let t = fault_storm(&storm_config(), 1200, None);
         assert!(faulted_row(&t, "task_retries") > 0);
         assert!(faulted_row(&t, "checksum_failures") > 0);
         assert!(faulted_row(&t, "checksum_failures") <= faulted_row(&t, "task_retries"));
@@ -1574,21 +1590,22 @@ mod tests {
         // codec frame's CRC-32C before any decoder runs, and counts as a
         // checksum failure.
         let mut sink = obs::LedgerSink::new();
-        let spec = DistJobSpec {
-            codec: "transform+lz".into(),
-            ..storm_spec()
-        };
-        let t = fault_storm(&spec, Some(&mut sink));
+        let config = storm_config().with_codec(crate::codec_by_name("transform+lz").unwrap());
+        let t = fault_storm(&config, 1200, Some(&mut sink));
         assert!(t.title().contains("transform+lz"));
-        // One thin record per run; the clean run has no fault seed and
+        // One thin record per run; the clean run has no fault plan and
         // no retry budget, the faulted one carries both.
         let records = sink.records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].label, "fault_storm_clean");
-        assert_eq!(records[0].config.fault_seed, None);
+        assert_eq!(records[0].config.faults, None);
         assert_eq!(records[0].config.task_retries, 0);
         assert_eq!(records[1].label, "fault_storm_faulted");
-        assert_eq!(records[1].config.fault_seed, Some(42));
+        assert_eq!(
+            records[1].config.faults.as_deref(),
+            Some("seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2")
+        );
+        assert_eq!(records[1].config.task_retries, 3);
         assert_eq!(records[1].config.codec, "transform+lz");
         // No trace was handed over, so the records are thin.
         for record in records {

@@ -13,6 +13,6 @@ pub mod report;
 pub mod workloads;
 
 pub use codecs::codec_by_name;
-pub use distjobs::{dist_worker, DistJobSpec};
+pub use distjobs::{dist_worker, job_config, wordcount_mapper, wordcount_reducer};
 pub use experiments::*;
 pub use report::Table;

@@ -11,7 +11,8 @@
 //! * **Ratio fields** are deterministic byte counts (segment sizes from
 //!   seeded workloads), identical across machines — those get tight
 //!   tolerances against the committed baseline.
-//! * **Ledger history** groups records by full config fingerprint.
+//! * **Ledger history** groups records by label, full config and
+//!   map-task count.
 //!   Deterministic byte counters must be *identical* across a group.
 //!
 //! Raw `median_ns` numbers are deliberately never compared across
@@ -223,45 +224,28 @@ pub fn check_ratios(fresh: &Json, baseline: &Json, file: &str) -> Vec<GateCheck>
     out
 }
 
-/// Full-config fingerprint: records only compare within identical
-/// (label, config, workload-shape) groups.
-fn fingerprint(r: &LedgerRecord) -> String {
-    format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{:?}|{}|{}",
-        r.label,
-        r.config.codec,
-        r.config.num_reducers,
-        r.config.map_slots,
-        r.config.reduce_slots,
-        r.config.spill_buffer_bytes,
-        r.config.framing,
-        r.config.ifile_version,
-        r.config.combiner,
-        r.config.fault_seed,
-        r.config.task_retries,
-        r.job.num_maps,
-    )
-}
-
-/// Gate the ledger history: within each config group, every
+/// Gate the ledger history: within each group of records with equal
+/// label, config and map-task count, every
 /// [`CounterKind::Semantic`] counter must be identical (clean runs only
 /// — fault schedules interleave with thread timing). Wall clocks are
 /// not gated here: the end-to-end benchmark measures them on every PR.
 pub fn check_ledger_history(records: &[LedgerRecord]) -> Vec<GateCheck> {
     let mut out = Vec::new();
-    let mut groups: Vec<(String, Vec<&LedgerRecord>)> = Vec::new();
+    let same_job = |a: &LedgerRecord, b: &LedgerRecord| {
+        (&a.label, &a.config, a.job.num_maps) == (&b.label, &b.config, b.job.num_maps)
+    };
+    let mut groups: Vec<Vec<&LedgerRecord>> = Vec::new();
     for r in records {
-        let fp = fingerprint(r);
-        match groups.iter_mut().find(|(g, _)| *g == fp) {
-            Some((_, members)) => members.push(r),
-            None => groups.push((fp, vec![r])),
+        match groups.iter_mut().find(|members| same_job(members[0], r)) {
+            Some(members) => members.push(r),
+            None => groups.push(vec![r]),
         }
     }
 
-    for (_, members) in &groups {
+    for members in &groups {
         let first = members[0];
         let group = format!("ledger · {} ({} runs)", first.label, members.len());
-        if members.len() < 2 || first.config.fault_seed.is_some() {
+        if members.len() < 2 || first.config.faults.is_some() {
             continue;
         }
         let deterministic = ALL_COUNTERS
@@ -484,7 +468,7 @@ mod tests {
                 ifile_version: 2,
                 combiner: false,
                 task_retries: 0,
-                fault_seed: None,
+                faults: None,
             },
             job: LedgerJob {
                 num_maps: 1,

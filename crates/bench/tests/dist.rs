@@ -3,14 +3,16 @@
 //! libtest filter, rusty-fork style) over real sockets, pinned
 //! byte-identical to the single-process engine — clean and under a
 //! fault storm with wire corruption — and pinned to leave nothing
-//! behind, whether the job succeeds or fails. Also the two-process
+//! behind, whether the job succeeds or fails. The job a worker rebuilds
+//! is the one its ledger line describes. Also the two-process
 //! `LedgerSink::append` interleave test: concurrent writers to one
 //! JSON-lines file must never tear a line.
 
-use scihadoop_bench::{dist_equivalence, DistJobSpec};
+use scihadoop_bench::workloads::wordcount_splits;
+use scihadoop_bench::{codec_by_name, dist_equivalence, wordcount_mapper, wordcount_reducer};
 use scihadoop_mapreduce::dist::{run_distributed, worker_env};
-use scihadoop_mapreduce::obs::{LedgerRecord, LedgerSink};
-use scihadoop_mapreduce::{DistConfig, Job, WireCodec};
+use scihadoop_mapreduce::obs::{json, LedgerConfig, LedgerRecord, LedgerSink};
+use scihadoop_mapreduce::{DistConfig, FaultConfig, FaultPlan, Framing, Job, JobConfig, WireCodec};
 use std::sync::Arc;
 
 /// Arguments that route a re-execution of this test binary straight
@@ -30,20 +32,25 @@ fn dist_worker_entry() {
     }
 }
 
-fn clean_spec() -> DistJobSpec {
-    DistJobSpec {
-        records: 2_000,
-        ..DistJobSpec::default()
-    }
+/// Input records of every equivalence run below.
+const RECORDS: usize = 2_000;
+
+/// The wordcount's config, as `repro` builds it, without a fault plan.
+fn clean_config() -> JobConfig {
+    JobConfig::default()
+        .with_reducers(3)
+        .with_framing(Framing::IFile)
 }
 
-fn storm_spec() -> DistJobSpec {
-    DistJobSpec {
-        records: 2_000,
-        retries: 4,
-        faults: Some("seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2".into()),
-        ..DistJobSpec::default()
-    }
+fn with_plan(config: JobConfig, plan: &str) -> JobConfig {
+    config.with_faults(FaultPlan::new(
+        FaultConfig::parse(plan).expect("plan parses"),
+    ))
+}
+
+fn storm_config() -> JobConfig {
+    let plan = "seed=42,map=0.4,reduce=0.3,corrupt=0.3,slow=0.1,slow_ms=1,cap=2";
+    with_plan(clean_config().with_retries(4), plan)
 }
 
 // dist_equivalence asserts outputs and semantic counters are identical
@@ -53,7 +60,8 @@ fn storm_spec() -> DistJobSpec {
 #[test]
 fn three_worker_processes_match_the_local_engine() {
     dist_equivalence(
-        &clean_spec(),
+        &clean_config(),
+        RECORDS,
         3,
         None,
         WireCodec::Identity,
@@ -65,8 +73,10 @@ fn three_worker_processes_match_the_local_engine() {
 #[test]
 fn fault_storm_with_wire_corruption_is_byte_identical() {
     let mut sink = LedgerSink::new();
+    let config = storm_config();
     let table = dist_equivalence(
-        &storm_spec(),
+        &config,
+        RECORDS,
         3,
         None,
         WireCodec::Identity,
@@ -86,6 +96,11 @@ fn fault_storm_with_wire_corruption_is_byte_identical() {
     for record in sink.records() {
         assert_eq!(record.config.ifile_version, 3, "{}", record.label);
     }
+    // The `config` object of the dist_procs ledger line re-encodes to
+    // the payload its workers read, byte for byte.
+    let line = json::parse(&sink.records()[1].to_json()).expect("the line parses");
+    let recorded = line.get("config").expect("a config object").to_compact();
+    assert_eq!(recorded, LedgerConfig::of(&config).to_json());
 }
 
 // A 64 KiB budget against a multi-megabyte shuffle forces nearly every
@@ -96,7 +111,8 @@ fn fault_storm_with_wire_corruption_is_byte_identical() {
 #[test]
 fn tiny_shuffle_budget_storm_is_byte_identical() {
     let table = dist_equivalence(
-        &storm_spec(),
+        &storm_config(),
+        RECORDS,
         3,
         Some(64 << 10),
         WireCodec::Identity,
@@ -118,7 +134,15 @@ fn tiny_shuffle_budget_storm_is_byte_identical() {
 
 #[test]
 fn wire_lz_clean_run_is_byte_identical() {
-    let table = dist_equivalence(&clean_spec(), 3, None, WireCodec::Lz, WORKER_ARGS, None);
+    let table = dist_equivalence(
+        &clean_config(),
+        RECORDS,
+        3,
+        None,
+        WireCodec::Lz,
+        WORKER_ARGS,
+        None,
+    );
     assert!(
         table.render().contains("wire codec lz"),
         "wire-codec note missing:\n{}",
@@ -128,13 +152,22 @@ fn wire_lz_clean_run_is_byte_identical() {
 
 #[test]
 fn wire_lz_fault_storm_is_byte_identical() {
-    dist_equivalence(&storm_spec(), 3, None, WireCodec::Lz, WORKER_ARGS, None);
+    dist_equivalence(
+        &storm_config(),
+        RECORDS,
+        3,
+        None,
+        WireCodec::Lz,
+        WORKER_ARGS,
+        None,
+    );
 }
 
 #[test]
 fn wire_lz_tiny_budget_storm_is_byte_identical() {
     dist_equivalence(
-        &storm_spec(),
+        &storm_config(),
+        RECORDS,
         3,
         Some(64 << 10),
         WireCodec::Lz,
@@ -145,11 +178,16 @@ fn wire_lz_tiny_budget_storm_is_byte_identical() {
 
 #[test]
 fn a_compressed_codec_survives_the_wire_byte_identically() {
-    let spec = DistJobSpec {
-        codec: "transform+deflate".into(),
-        ..clean_spec()
-    };
-    dist_equivalence(&spec, 2, None, WireCodec::Identity, WORKER_ARGS, None);
+    let config = clean_config().with_codec(codec_by_name("transform+deflate").expect("a codec"));
+    dist_equivalence(
+        &config,
+        RECORDS,
+        2,
+        None,
+        WireCodec::Identity,
+        WORKER_ARGS,
+        None,
+    );
 }
 
 /// Environment variable naming the teardown case (`ok` or `err`) that
@@ -190,19 +228,17 @@ fn teardown_entry() {
     let Ok(case) = std::env::var(ENV_TEARDOWN) else {
         return;
     };
-    let spec = DistJobSpec {
-        records: 512,
+    let config = match case.as_str() {
         // Every reduce attempt fails and none is retried.
-        faults: (case == "err").then(|| "seed=1,reduce=1".to_string()),
-        ..DistJobSpec::default()
+        "err" => with_plan(clean_config(), "seed=1,reduce=1"),
+        _ => clean_config(),
     };
     let dist = DistConfig::default()
         .with_workers(2)
         .with_shuffle_mem_bytes(Some(0))
         .with_worker_args(WORKER_ARGS)
-        .with_job_payload(&spec.to_spec_string());
-    let config = spec.build_config().expect("spec builds");
-    let result = run_distributed(&config, &dist, spec.make_splits());
+        .with_job_payload(&LedgerConfig::of(&config).to_json());
+    let result = run_distributed(&config, &dist, wordcount_splits(512, 97, 5, 128));
     assert_eq!(result.is_ok(), case == "ok", "{case}: {:?}", result.err());
     assert_eq!(children(), 0, "{case}: workers left running or unreaped");
     let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
@@ -254,16 +290,12 @@ fn ledger_writer_entry() {
     let Ok(path) = std::env::var(ENV_LEDGER_PATH) else {
         return;
     };
-    let spec = DistJobSpec {
-        records: 128,
-        ..DistJobSpec::default()
-    };
-    let config = spec.build_config().expect("spec builds");
+    let config = clean_config();
     let result = Job::new(config.clone())
         .run(
-            spec.make_splits(),
-            Arc::new(DistJobSpec::mapper()),
-            Arc::new(DistJobSpec::reducer()),
+            wordcount_splits(128, 97, 5, 128),
+            Arc::new(wordcount_mapper()),
+            Arc::new(wordcount_reducer()),
         )
         .expect("job runs");
     let mut sink = LedgerSink::with_path(&path);

@@ -454,7 +454,7 @@ mod tests {
                 ifile_version: 2,
                 combiner: false,
                 task_retries: 0,
-                fault_seed: None,
+                faults: None,
             },
             job: LedgerJob {
                 num_maps: 4,

@@ -16,8 +16,15 @@
 //! `attempt_cap` bounds injection to the first N attempts of a task,
 //! which guarantees a job with `retries >= attempt_cap` always completes
 //! — the property the `fault_storm` experiment asserts.
+//!
+//! A plan's text form ([`FaultConfig::parse`], and back through
+//! `Display`) is what the command line takes, what a ledger record
+//! keeps and what a worker process reads in its job payload.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::error::MrError;
+use std::fmt;
 use std::time::Duration;
 
 /// Fixed-point scale for fault rates: decisions compare 53 hash bits
@@ -105,6 +112,25 @@ impl FaultConfig {
             }
         }
         Ok(config)
+    }
+}
+
+/// All seven keys in [`FaultConfig::parse`]'s order, which reads the
+/// text back to an equal value: `f64`'s `Display` is the shortest string
+/// that parses to the same rate.
+impl fmt::Display for FaultConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "seed={},map={},reduce={},corrupt={},slow={},slow_ms={},cap={}",
+            self.seed,
+            self.map_error_rate,
+            self.reduce_error_rate,
+            self.corrupt_rate,
+            self.slow_rate,
+            self.slow_millis,
+            self.attempt_cap,
+        )
     }
 }
 
@@ -239,6 +265,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn plan(config: FaultConfig) -> FaultPlan {
         FaultPlan::new(config)
@@ -390,5 +417,40 @@ mod tests {
         assert!(FaultConfig::parse("seed=notanumber").is_err());
         // Empty spec is a valid no-fault plan.
         assert_eq!(FaultConfig::parse("").unwrap(), FaultConfig::default());
+    }
+
+    /// A rate anywhere in [0, 1], its ends and the smallest positive
+    /// `f64`s (whose decimal spelling runs to hundreds of digits)
+    /// included.
+    fn rate() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            Just(f64::MIN_POSITIVE),
+            Just(f64::from_bits(1)),
+            0.0f64..1.0,
+        ]
+    }
+
+    fn fault_config() -> impl Strategy<Value = FaultConfig> {
+        let knobs = (any::<u64>(), any::<u64>(), any::<u32>());
+        (knobs, (rate(), rate(), rate(), rate())).prop_map(
+            |((seed, slow_millis, attempt_cap), (map, reduce, corrupt, slow))| FaultConfig {
+                seed,
+                map_error_rate: map,
+                reduce_error_rate: reduce,
+                corrupt_rate: corrupt,
+                slow_rate: slow,
+                slow_millis,
+                attempt_cap,
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn display_is_read_back_by_parse(config in fault_config()) {
+            prop_assert_eq!(FaultConfig::parse(&config.to_string()), Ok(config));
+        }
     }
 }

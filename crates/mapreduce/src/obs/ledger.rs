@@ -9,7 +9,9 @@
 //! record with [`LedgerRecord::from_run`] and appends it to a JSON-lines
 //! file through a [`LedgerSink`]; [`LedgerRecord::from_json`] /
 //! [`parse_ledger`] read it back for the drift reporter, the
-//! perf-regression gate and `validate_trace`.
+//! perf-regression gate and `validate_trace`. The record's `config`
+//! object on its own ([`LedgerConfig::to_json`] /
+//! [`LedgerConfig::from_json`]) is a distributed worker's job payload.
 //!
 //! The schema — key names, their order and their types — is written
 //! once, in the `json_object!` table below, and both directions walk
@@ -39,7 +41,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 /// Schema tag written into every ledger record.
-pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v3";
+pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v4";
 
 /// Largest integer the ledger holds: 2^53, the bound below which every
 /// integer survives an `f64` roundtrip exactly. Counters past this are
@@ -59,7 +61,10 @@ pub fn clock_name() -> &'static str {
     }
 }
 
-/// The job-configuration half of a ledger record.
+/// The job-configuration half of a ledger record, and the one
+/// description of a job's knobs: its JSON object
+/// ([`to_json`](Self::to_json)) is also the payload a distributed
+/// worker rebuilds its `JobConfig` from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerConfig {
     /// Codec name (`Codec::name()`).
@@ -80,8 +85,11 @@ pub struct LedgerConfig {
     pub combiner: bool,
     /// Per-task retry budget.
     pub task_retries: u64,
-    /// Fault-injection seed, when a fault plan was configured.
-    pub fault_seed: Option<u64>,
+    /// The fault plan in full, in [`FaultConfig::parse`]'s grammar
+    /// (all seven keys), when one was configured.
+    ///
+    /// [`FaultConfig::parse`]: crate::FaultConfig::parse
+    pub faults: Option<String>,
 }
 
 /// Job-shape extras needed to rebuild a
@@ -236,7 +244,7 @@ json_object!(LedgerConfig {
     ifile_version,
     combiner,
     task_retries,
-    fault_seed,
+    faults,
 });
 json_object!(LedgerJob {
     num_maps,
@@ -338,15 +346,15 @@ impl Field for bool {
     }
 }
 
-impl Field for Option<u64> {
+impl<T: Field> Field for Option<T> {
     fn enc(&self) -> Json {
-        self.as_ref().map_or(Json::Null, u64::enc)
+        self.as_ref().map_or(Json::Null, T::enc)
     }
 
-    fn dec(value: &Json) -> Result<Option<u64>, String> {
+    fn dec(value: &Json) -> Result<Option<T>, String> {
         match value {
             Json::Null => Ok(None),
-            other => u64::dec(other).map(Some),
+            other => T::dec(other).map(Some),
         }
     }
 }
@@ -436,6 +444,62 @@ impl Field for [PhaseRollup; NUM_PHASES] {
     }
 }
 
+impl LedgerConfig {
+    /// Describe a job's configuration: every knob but the key semantics,
+    /// which have no name to write down, and the recorder, which
+    /// changes no byte of the job.
+    pub fn of(config: &JobConfig) -> LedgerConfig {
+        LedgerConfig {
+            codec: config.codec.name().to_string(),
+            num_reducers: config.num_reducers as u64,
+            map_slots: config.map_slots as u64,
+            reduce_slots: config.reduce_slots as u64,
+            spill_buffer_bytes: config.spill_buffer_bytes as u64,
+            framing: match config.framing {
+                Framing::SequenceFile => "sequence_file",
+                Framing::IFile => "ifile",
+            }
+            .to_string(),
+            ifile_version: match config.ifile_version {
+                IFileVersion::V1 => 1,
+                IFileVersion::V2 => 2,
+                IFileVersion::V3 => 3,
+            },
+            combiner: config.combiner.is_some(),
+            task_retries: u64::from(config.task_retries),
+            faults: config.faults.as_ref().map(|p| p.config().to_string()),
+        }
+    }
+
+    /// The canonical single-line encoding: the `config` object exactly
+    /// as a ledger record carries it.
+    pub fn to_json(&self) -> String {
+        self.enc().to_compact()
+    }
+
+    /// Parse the encoding [`to_json`](Self::to_json) writes, as strictly
+    /// as [`LedgerRecord::from_json`] reads a whole record.
+    pub fn from_json(text: &str) -> Result<LedgerConfig, String> {
+        canonical(text, LedgerConfig::dec, LedgerConfig::to_json)
+    }
+}
+
+/// Read `text` as JSON with `read`, and refuse it unless `write` gives
+/// back the same bytes: whitespace, `1.0` for `1`, `\u0041` for `A` are
+/// valid JSON that no writer of ours produced, so the text is not what
+/// it claims to be.
+fn canonical<T>(
+    text: &str,
+    read: impl FnOnce(&Json) -> Result<T, String>,
+    write: impl FnOnce(&T) -> String,
+) -> Result<T, String> {
+    let value = read(&json::parse(text)?)?;
+    if write(&value) != text {
+        return Err("text is not in the ledger's canonical encoding".to_string());
+    }
+    Ok(value)
+}
+
 impl LedgerRecord {
     /// Build a record from a finished job. `trace` (a drained
     /// [`Recorder`](crate::Recorder)) contributes the phase rollups and
@@ -469,26 +533,7 @@ impl LedgerRecord {
             clock: clock_name().to_string(),
             host_cpus: host_cpus(),
             dropped_events: trace.map_or(0, |t| t.dropped_events),
-            config: LedgerConfig {
-                codec: config.codec.name().to_string(),
-                num_reducers: config.num_reducers as u64,
-                map_slots: config.map_slots as u64,
-                reduce_slots: config.reduce_slots as u64,
-                spill_buffer_bytes: config.spill_buffer_bytes as u64,
-                framing: match config.framing {
-                    Framing::SequenceFile => "sequence_file",
-                    Framing::IFile => "ifile",
-                }
-                .to_string(),
-                ifile_version: match config.ifile_version {
-                    IFileVersion::V1 => 1,
-                    IFileVersion::V2 => 2,
-                    IFileVersion::V3 => 3,
-                },
-                combiner: config.combiner.is_some(),
-                task_retries: config.task_retries as u64,
-                fault_seed: config.faults.as_ref().map(|p| p.config().seed),
-            },
+            config: LedgerConfig::of(config),
             job: LedgerJob {
                 num_maps: stats.num_maps as u64,
                 num_reducers: stats.num_reducers as u64,
@@ -525,24 +570,18 @@ impl LedgerRecord {
     /// form [`to_json`](Self::to_json) writes — a record that parses
     /// re-encodes to the bytes it was read from.
     pub fn from_json(line: &str) -> Result<LedgerRecord, String> {
-        let doc = json::parse(line)?;
-        let record = match members_of(&doc)?.split_first() {
+        let read = |doc: &Json| match members_of(doc)?.split_first() {
             Some(((key, tag), body)) if key == "schema" => {
                 if tag.as_str() != Some(LEDGER_SCHEMA) {
                     return Err(format!(
                         "unsupported ledger schema {tag:?} (expected {LEDGER_SCHEMA:?})"
                     ));
                 }
-                LedgerRecord::from_members(body)?
+                LedgerRecord::from_members(body)
             }
-            _ => return Err("record does not start with a \"schema\" tag".to_string()),
+            _ => Err("record does not start with a \"schema\" tag".to_string()),
         };
-        // Whitespace, `1.0` for `1`, `\u0041` for `A`: valid JSON that
-        // no writer of ours produced, so the file is not what it claims.
-        if record.to_json() != line {
-            return Err("line is not in the ledger's canonical encoding".to_string());
-        }
-        Ok(record)
+        canonical(line, read, LedgerRecord::to_json)
     }
 }
 
@@ -650,7 +689,7 @@ mod tests {
                 ifile_version: 2,
                 combiner: true,
                 task_retries: 1,
-                fault_seed: Some(42),
+                faults: Some("seed=42,map=0.5,reduce=0,corrupt=0.25,slow=0,slow_ms=1,cap=2".into()),
             },
             job: LedgerJob {
                 num_maps: 4,
@@ -674,7 +713,9 @@ mod tests {
         assert!(line.starts_with(&format!("{{\"schema\":\"{LEDGER_SCHEMA}\"")));
         assert!(line.contains("\"label\":\"unit \\\"test\\\"\\nline two\""));
         assert!(line.contains("\"dropped_events\":3"));
-        assert!(line.contains("\"fault_seed\":42"));
+        assert!(line.contains(
+            "\"faults\":\"seed=42,map=0.5,reduce=0,corrupt=0.25,slow=0,slow_ms=1,cap=2\""
+        ));
         assert!(line.contains("\"metric\":\"segment_raw_bytes\""));
     }
 

@@ -35,25 +35,25 @@ fn palette_string(indexes: &[usize]) -> String {
         .collect()
 }
 
-const NUMBERS: usize = 2 + 7 + 5 + ALL_COUNTERS.len() + 3 * NUM_PHASES;
+const NUMBERS: usize = 2 + 6 + 5 + ALL_COUNTERS.len() + 3 * NUM_PHASES;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn any_record_roundtrips_by_value_and_by_bytes(
-        // label, codec, framing, clock as palette indexes.
+        // label, codec, framing, clock, fault plan as palette indexes.
         strings in proptest::collection::vec(
             proptest::collection::vec(0usize..14, 0..24),
-            4..5,
+            5..6,
         ),
-        // host_cpus, dropped_events, 7 config numbers, 5 job numbers,
+        // host_cpus, dropped_events, 6 config numbers, 5 job numbers,
         // every counter, then a (count, wall, cpu) rollup per phase.
         numbers in proptest::collection::vec(any::<u64>(), NUMBERS..NUMBERS + 1),
         // Whether the numbers keep their full range (and clamp on
         // encode) or are first brought into the exact range.
         oversized in any::<bool>(),
-        // (combiner, fault_seed present)
+        // (combiner, fault plan present)
         flags in (any::<bool>(), any::<bool>()),
         hist_picks in proptest::collection::vec(
             (any::<u16>(), proptest::collection::vec(any::<u64>(), 1..16)),
@@ -75,7 +75,7 @@ proptest! {
             ifile_version: next(),
             combiner: flags.0,
             task_retries: next(),
-            fault_seed: Some(next()).filter(|_| flags.1),
+            faults: Some(palette_string(&strings[4])).filter(|_| flags.1),
         };
         let job = LedgerJob {
             num_maps: next(),
