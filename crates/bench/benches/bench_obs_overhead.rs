@@ -1,11 +1,14 @@
 //! Tracing-overhead benchmark: the shuffle hot paths (arena spill,
 //! streaming merge) with and without an attached [`Recorder`].
 //!
-//! The untraced runs hit the compiled-in hooks with no thread
-//! attachment, so each hook is a thread-local read that misses; the
-//! traced runs attach a recorder and additionally wrap every iteration
-//! in a span. The observability budget is ≤3 % overhead traced and
-//! ~0 untraced.
+//! The layers these loops run sample nothing themselves; a task body
+//! samples the numbers they return into its attempt's [`MetricsBank`],
+//! which the scheduler merges into the slot's sink on commit. So the
+//! untraced runs are the bare loops, and each traced iteration is what
+//! a traced task adds to one: it attaches a recorder, wraps the loop in
+//! a span, samples into a fresh bank what a task body records per spill
+//! or per merge, and merges that bank into a job-wide one. The
+//! observability budget is ≤3 % overhead traced and ~0 untraced.
 //!
 //! Run with `cargo bench --bench bench_obs_overhead`. Set
 //! `BENCH_OBS_JSON=<path>` to also write the measurements and overhead
@@ -16,7 +19,9 @@ use criterion::{black_box, Criterion, Throughput};
 use scihadoop_bench::report::{rounded, write_bench_json};
 use scihadoop_bench::workloads::merge_group_pass;
 use scihadoop_compress::IdentityCodec;
-use scihadoop_mapreduce::obs::{clock_name, host_cpus, LedgerRecord, Recorder};
+use scihadoop_mapreduce::obs::{
+    clock_name, host_cpus, LedgerRecord, Metric, MetricsBank, Recorder,
+};
 use scihadoop_mapreduce::{
     span, Counter, Counters, DefaultKeySemantics, Framing, IFileWriter, JobConfig, JobResult,
     JobStats, KeySemantics, KvPair, Phase, SpillArena,
@@ -35,24 +40,74 @@ fn grid_pairs(n: u32) -> Vec<KvPair> {
         .collect()
 }
 
-/// One arena sort-and-spill pass over `pairs`.
-fn spill_once(pairs: &[KvPair], codec: &Arc<dyn scihadoop_compress::Codec>) -> u64 {
+/// One arena sort-and-spill pass over `pairs`; given a bank, it also
+/// samples what a map task body records for a spill of one segment.
+fn spill_once(
+    pairs: &[KvPair],
+    codec: &Arc<dyn scihadoop_compress::Codec>,
+    metrics: Option<&mut MetricsBank>,
+) -> u64 {
     let ks = DefaultKeySemantics;
     let mut arena = SpillArena::new(1);
     for p in pairs {
         arena.append(0, &p.key, &p.value);
     }
-    arena.sort_partition(0, &ks);
+    let payload = arena.payload_bytes() as u64;
+    let stats = arena.sort_partition(0, &ks);
     let mut w = IFileWriter::new(Framing::IFile, codec.clone());
     for (k, v) in arena.pairs(0) {
         w.append(k, v);
     }
-    w.close().raw_bytes
+    let seg = w.close();
+    if let Some(m) = metrics {
+        m.record(Metric::SpillPayloadBytes, payload);
+        if let Some(stats) = stats {
+            m.record(Metric::SortPrefixTies, stats.tie_records);
+            m.record(Metric::SortCompareCalls, stats.compare_calls);
+        }
+        m.record(Metric::CompressInBytes, seg.raw_bytes);
+        m.record(Metric::CompressOutBytes, seg.materialized_bytes());
+        m.record(
+            Metric::CompressNsPerKib,
+            seg.compress_nanos.saturating_mul(1024) / seg.raw_bytes.max(1),
+        );
+        m.record(Metric::SegRawBytes, seg.raw_bytes);
+        m.record(Metric::SegMaterializedBytes, seg.materialized_bytes());
+    }
+    seg.raw_bytes
 }
 
-/// One streaming k-way merge + grouping pass over sealed segments.
-fn merge_once(segments: &[Vec<u8>]) -> u64 {
-    merge_group_pass(segments, &DefaultKeySemantics)
+/// One streaming k-way merge + grouping pass over sealed segments;
+/// given a bank, it also samples what a reduce task body records per
+/// merge. The pass returns neither the decompression times nor the
+/// comparator count, so those two are sampled as 0: a sample costs the
+/// same whatever its value.
+fn merge_once(segments: &[Vec<u8>], metrics: Option<&mut MetricsBank>) -> u64 {
+    let groups = merge_group_pass(segments, &DefaultKeySemantics);
+    if let Some(m) = metrics {
+        for seg in segments {
+            m.record(Metric::ShuffleSegmentBytes, seg.len() as u64);
+            m.record(Metric::DecompressNsPerKib, 0);
+        }
+        m.record(Metric::MergeFanIn, segments.len() as u64);
+        m.record(Metric::MergeCompareCalls, 0);
+    }
+    groups
+}
+
+/// One traced task: its span, a fresh attempt bank filled by `body`, and
+/// the bank merged into `job` as a commit merges it into the slot's sink.
+fn traced_task<T>(
+    phase: Phase,
+    task: usize,
+    job: &mut MetricsBank,
+    body: impl FnOnce(&mut MetricsBank) -> T,
+) -> T {
+    let _span = span!(phase, task);
+    let mut attempt = MetricsBank::new();
+    let out = body(&mut attempt);
+    job.merge(&attempt);
+    out
 }
 
 fn bench_spill(c: &mut Criterion) {
@@ -64,14 +119,16 @@ fn bench_spill(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("untraced", |b| {
-        b.iter(|| black_box(spill_once(&pairs, &codec)))
+        b.iter(|| black_box(spill_once(&pairs, &codec, None)))
     });
     group.bench_function("traced", |b| {
         let recorder = Recorder::new();
         let _att = recorder.attach("bench-spill");
+        let mut job = MetricsBank::new();
         b.iter(|| {
-            let _span = span!(Phase::SortSpill, 0);
-            black_box(spill_once(&pairs, &codec))
+            black_box(traced_task(Phase::SortSpill, 0, &mut job, |m| {
+                spill_once(&pairs, &codec, Some(m))
+            }))
         })
     });
     group.finish();
@@ -103,13 +160,17 @@ fn bench_merge(c: &mut Criterion) {
     group.throughput(Throughput::Elements(total));
     group.sample_size(20);
 
-    group.bench_function("untraced", |b| b.iter(|| black_box(merge_once(&segments))));
+    group.bench_function("untraced", |b| {
+        b.iter(|| black_box(merge_once(&segments, None)))
+    });
     group.bench_function("traced", |b| {
         let recorder = Recorder::new();
         let _att = recorder.attach("bench-merge");
+        let mut job = MetricsBank::new();
         b.iter(|| {
-            let _span = span!(Phase::Merge, 0);
-            black_box(merge_once(&segments))
+            black_box(traced_task(Phase::Merge, 0, &mut job, |m| {
+                merge_once(&segments, Some(m))
+            }))
         })
     });
     group.finish();
@@ -188,28 +249,31 @@ fn main() {
     }
 
     let recorder = Recorder::new();
+    let mut job = MetricsBank::new();
     let spill_overhead = paired_overhead_percent(
         || {
-            black_box(spill_once(&pairs, &codec));
+            black_box(spill_once(&pairs, &codec, None));
         },
         |batch| {
             let _att = recorder.attach("paired-spill");
             for task in 0..batch {
-                let _span = span!(Phase::SortSpill, task);
-                black_box(spill_once(&pairs, &codec));
+                black_box(traced_task(Phase::SortSpill, task, &mut job, |m| {
+                    spill_once(&pairs, &codec, Some(m))
+                }));
             }
         },
         15,
     );
     let merge_overhead = paired_overhead_percent(
         || {
-            black_box(merge_once(&segments));
+            black_box(merge_once(&segments, None));
         },
         |batch| {
             let _att = recorder.attach("paired-merge");
             for task in 0..batch {
-                let _span = span!(Phase::Merge, task);
-                black_box(merge_once(&segments));
+                black_box(traced_task(Phase::Merge, task, &mut job, |m| {
+                    merge_once(&segments, Some(m))
+                }));
             }
         },
         15,
@@ -245,13 +309,14 @@ fn main() {
     };
     let ledger_overhead = paired_overhead_percent(
         || {
-            black_box(spill_once(&pairs, &codec));
+            black_box(spill_once(&pairs, &codec, None));
         },
         |batch| {
             let _att = recorder.attach("paired-ledger");
             for task in 0..batch {
-                let _span = span!(Phase::SortSpill, task);
-                black_box(spill_once(&pairs, &codec));
+                black_box(traced_task(Phase::SortSpill, task, &mut job, |m| {
+                    spill_once(&pairs, &codec, Some(m))
+                }));
             }
             let record =
                 LedgerRecord::from_run("bench_obs", &ledger_cfg, &ledger_result, Some(&trace));

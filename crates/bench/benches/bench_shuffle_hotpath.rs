@@ -165,7 +165,11 @@ fn bench_map_sort_spill(c: &mut Criterion) {
         raw_bytes
     };
     group.bench_function("arena_window_keys", |b| {
-        b.iter(|| black_box(spill_window(SpillArena::sort_partition)))
+        b.iter(|| {
+            black_box(spill_window(|arena, part, ks| {
+                arena.sort_partition(part, ks);
+            }))
+        })
     });
     group.bench_function("arena_window_keys_compare", |b| {
         b.iter(|| black_box(spill_window(SpillArena::sort_partition_by_compare)))

@@ -47,11 +47,17 @@
 //!   `regress` perf gate.
 //! --reconcile <path> parses an existing ledger file, prints the
 //!   cost-model drift report (predicted vs measured time per run) and
-//!   holds every record's counters to `check_invariants`, exiting 1 on
-//!   a violation; a standalone action that runs no experiment unless
+//!   holds every record to `ledger_violations` (the counters'
+//!   `check_invariants`, a rich record's histograms against its
+//!   counters), exiting 1 on a violation; a standalone action that runs no experiment unless
 //!   one is named (`repro trace --small --ledger L --reconcile L` is
 //!   the self-contained drift report).
 //! ```
+//!
+//! An experiment that cannot finish (a grid it cannot build, a trace or
+//! ledger it cannot write) says why on stderr and exits 1.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use scihadoop_bench as bench;
 use scihadoop_mapreduce::obs::LedgerSink;
@@ -163,7 +169,8 @@ const EXPERIMENTS: [Experiment; 16] = [
         show(bench::transform_tuning(a.size(50, 16)))
     }),
     ("scaling", "per-cell byte-scaling sanity check", true, |a| {
-        show(bench::scaling_check(a.size(&[32, 64, 128], &[16, 32])).expect("scaling check"))
+        let table = bench::scaling_check(a.size(&[32, 64, 128], &[16, 32]));
+        show(table.unwrap_or_else(|e| die("scaling check", e)))
     }),
     (
         "fault_storm",
@@ -187,13 +194,17 @@ fn trace(a: &Args) {
     show(table);
     if let Some(path) = &a.trace_path {
         let json = scihadoop_mapreduce::obs::chrome_trace_json(&trace);
-        std::fs::write(path, json).expect("write chrome trace");
+        if let Err(e) = std::fs::write(path, json) {
+            die(&format!("cannot write chrome trace {path}"), e);
+        }
         println!("wrote chrome trace to {path}");
     }
     let mut sink = a.ledger_sink();
     if let Some(sink) = &mut sink {
         for record in records {
-            sink.append(record).expect("append ledger record");
+            if let Err(e) = sink.append(record) {
+                die("cannot append ledger record", e);
+            }
         }
     }
     a.report_appended(&sink);
@@ -251,6 +262,12 @@ fn reject(why: &str) -> ! {
         .collect();
     eprintln!("{why}\nusage: repro [EXPERIMENT] [--small]{flags}");
     std::process::exit(2);
+}
+
+/// An experiment cannot finish: say why and exit 1.
+fn die(what: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("{what}: {e}");
+    std::process::exit(1);
 }
 
 fn main() {

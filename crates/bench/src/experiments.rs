@@ -9,7 +9,7 @@ use scihadoop_core::aggregate::{expand_record, overlapping_pairs, padding_overhe
 use scihadoop_core::transform::{self, TransformCodec, TransformConfig};
 use scihadoop_grid::{BoundingBox, Coord, GridError, Shape};
 use scihadoop_mapreduce::ifile::{Segment, DEFAULT_BLOCK_BUDGET};
-use scihadoop_mapreduce::obs::{self, Recorder, ALL_PHASES};
+use scihadoop_mapreduce::obs::{self, Metric, Recorder, ALL_PHASES};
 use scihadoop_mapreduce::record::InputSplit;
 use scihadoop_mapreduce::{
     clock, run_distributed, Counter, CounterKind, Counters, DistConfig, FaultConfig, FaultPlan,
@@ -558,8 +558,8 @@ pub fn cluster_experiment(n: u32, splits: usize) -> (Table, Vec<ClusterRow>) {
 /// fetch, reduce merge and grouping. Job 2 is the aggregated
 /// sliding-median query, whose aggregate key semantics keep sort-splits
 /// enabled — it exercises the windowed sort-split stage. Job 3 replays a
-/// small wordcount under guaranteed first-attempt map faults so the
-/// trace carries Retry spans. Between them every pipeline phase records
+/// small wordcount under guaranteed first-attempt map faults and
+/// corrupted first-attempt fetches, so the trace carries Retry spans. Between them every pipeline phase records
 /// spans. Every job writes the engine's default segment format.
 pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::LedgerRecord>) {
     let mut ledger = Vec::new();
@@ -618,10 +618,12 @@ pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::Ledger
     );
 
     // Job 3: a deliberately faulty re-run of a small wordcount — every
-    // task fails its first attempt and succeeds on retry, so the trace
-    // carries Retry spans (validate_trace demands rollups for every
-    // phase, retries included) and one sample per reducer of reduce
-    // output records, not one per attempt.
+    // map fails its first attempt at the fault gate, and every reduce
+    // its first inside the task body, on a corrupted fetched segment
+    // after it has sampled; each retry succeeds. So the trace carries
+    // Retry spans (validate_trace demands rollups for every phase,
+    // retries included), and its record's histograms must still hold
+    // the committed attempts' samples only (`ledger_violations`).
     traced(
         "traced_faulty_wordcount",
         JobConfig::default()
@@ -630,7 +632,7 @@ pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::Ledger
             .with_faults(FaultPlan::new(FaultConfig {
                 seed: 1,
                 map_error_rate: 1.0,
-                reduce_error_rate: 1.0,
+                corrupt_rate: 1.0,
                 attempt_cap: 1,
                 ..FaultConfig::default()
             })),
@@ -719,14 +721,91 @@ pub fn drift_table(title: &str, records: &[obs::LedgerRecord]) -> (Table, Vec<ob
 /// Hold every record of a ledger to
 /// [`CounterSnapshot::check_invariants`](scihadoop_mapreduce::CounterSnapshot::check_invariants)
 /// — the cross-site accounting identities debug builds assert at job
-/// completion — and return each violation as `record N (label): why`.
+/// completion — and every rich record's histograms to its counters,
+/// and return each violation as `record N (label): why`.
 /// `validate_trace` and `repro --reconcile` both read a ledger through
 /// it.
 pub fn ledger_violations(records: &[obs::LedgerRecord]) -> Vec<String> {
     let mut violations = Vec::new();
     for (i, record) in records.iter().enumerate() {
-        for e in record.counters.check_invariants().err().unwrap_or_default() {
+        let mut why = record.counters.check_invariants().err().unwrap_or_default();
+        // A thin record (a run without a recorder) carries no histograms.
+        if !record.histograms.is_empty() {
+            why.extend(sample_violations(record));
+        }
+        for e in why {
             violations.push(format!("record {} ({}): {e}", i + 1, record.label));
+        }
+    }
+    violations
+}
+
+/// A rich record's histograms hold the samples of committed attempts
+/// only, as its counters count them: one per spill, final segment,
+/// fetched segment, emitted pair, reduce group and reducer, and summing
+/// to the bytes and records the counters charged.
+fn sample_violations(record: &obs::LedgerRecord) -> Vec<String> {
+    let c = |counter: Counter| record.counters.get(counter);
+    let segments = c(Counter::MapOutputSegments);
+    let emitted = c(Counter::MapOutputRecords).saturating_sub(c(Counter::RouteSplitRecords));
+    let counts = [
+        (Metric::SegRawBytes, segments, "map_output_segments"),
+        (
+            Metric::SegMaterializedBytes,
+            segments,
+            "map_output_segments",
+        ),
+        (Metric::ShuffleSegmentBytes, segments, "map_output_segments"),
+        (Metric::SpillPayloadBytes, c(Counter::Spills), "spills"),
+        (Metric::MapEmitKeyBytes, emitted, "emitted pairs"),
+        (
+            Metric::ReduceGroupValues,
+            c(Counter::ReduceInputGroups),
+            "reduce input groups",
+        ),
+        (
+            Metric::ReduceTaskOutputRecords,
+            record.job.num_reducers,
+            "reducers",
+        ),
+    ];
+    let sums = [
+        (Metric::SegRawBytes, Counter::MapOutputBytes),
+        (
+            Metric::SegMaterializedBytes,
+            Counter::MapOutputMaterializedBytes,
+        ),
+        (
+            Metric::ShuffleSegmentBytes,
+            Counter::MapOutputMaterializedBytes,
+        ),
+        (Metric::ReduceGroupValues, Counter::ReduceInputRecords),
+        (Metric::CombineInput, Counter::CombineInputRecords),
+        (Metric::CombineOutput, Counter::CombineOutputRecords),
+        (
+            Metric::ReduceTaskOutputRecords,
+            Counter::ReduceOutputRecords,
+        ),
+    ];
+    let hist = |metric| record.hist(metric).map_or((0, 0), |h| (h.count, h.sum));
+    let mut violations = Vec::new();
+    for (metric, expected, what) in counts {
+        let (samples, _) = hist(metric);
+        if samples != expected {
+            violations.push(format!(
+                "{samples} {} samples for {expected} {what}",
+                metric.name()
+            ));
+        }
+    }
+    for (metric, counter) in sums {
+        let (total, expected) = (hist(metric).1, c(counter));
+        if total != expected {
+            violations.push(format!(
+                "{} samples sum to {total}, {} is {expected}",
+                metric.name(),
+                counter.name()
+            ));
         }
     }
     violations
@@ -1534,16 +1613,23 @@ mod tests {
         assert!(ledger.iter().all(|r| !r.histograms.is_empty()));
         assert_eq!(
             ledger[2].config.faults.as_deref(),
-            Some("seed=1,map=1,reduce=1,corrupt=0,slow=0,slow_ms=1,cap=1")
+            Some("seed=1,map=1,reduce=0,corrupt=1,slow=0,slow_ms=1,cap=1")
         );
-        // Every task of the faulty job ran twice, reduces included, so
-        // `validate_trace`'s one-sample-per-reducer rule is held across
-        // retries (`tests/cli.rs` runs it on this ledger).
+        // Every task of the faulty job ran twice, and every reduce's
+        // first attempt failed on a corrupt segment inside its body, so
+        // `ledger_violations` holds the samples to the counters across
+        // failed attempts (`tests/cli.rs` runs both readers on this
+        // ledger).
         let faulty = &ledger[2];
         assert_eq!(
             faulty.counters.get(Counter::TaskRetries),
             faulty.job.num_maps + faulty.job.num_reducers
         );
+        assert_eq!(
+            faulty.counters.get(Counter::ChecksumFailures),
+            faulty.job.num_reducers
+        );
+        assert_eq!(ledger_violations(&ledger), Vec::<String>::new());
         // Every job writes v3 blocks, and the wordcount's keys share
         // prefixes, so front coding saves key bytes.
         for record in &ledger {

@@ -1,13 +1,19 @@
 //! `repro`'s command line is a trust boundary: what the grammar does not
 //! generate exits 2 with the usage line instead of running something
-//! other than what was asked for.
+//! other than what was asked for, and an output it cannot write exits 1
+//! with the reason instead of panicking.
 
 use scihadoop_mapreduce::obs::{LedgerRecord, Metric};
 use scihadoop_mapreduce::{Counter, Counters, ALL_COUNTERS};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Run `repro` in an empty directory of its own (tests run in parallel)
+/// and check it left nothing there.
 fn repro(args: &[&str]) -> (Option<i32>, String) {
-    let dir = std::env::temp_dir().join(format!("repro-cli-{}", std::process::id()));
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("repro-cli-{}-{run}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -77,10 +83,24 @@ fn an_unknown_experiment_is_told_the_names_that_exist() {
     assert_eq!(code, Some(2), "{stderr}");
 }
 
-/// A ledger is held to the counter invariants by both tools that read
-/// one: a record whose shuffle moved one byte more than the maps
-/// materialized parses, re-encodes and carries no histogram that
-/// disagrees with anything — only `check_invariants` sees it.
+#[test]
+fn an_output_it_cannot_write_exits_1_with_the_reason() {
+    for (flag, what) in [
+        ("--trace", "cannot write chrome trace"),
+        ("--ledger", "cannot append ledger record"),
+    ] {
+        let args = ["trace", "--small", flag, "/nonexistent/dir/out"];
+        let (code, stderr) = repro(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(what), "{args:?}: {stderr}");
+        assert!(stderr.contains("No such file"), "{args:?}: {stderr}");
+    }
+}
+
+/// A ledger is held to the counter invariants, and a rich record's
+/// histograms to its counters, by both tools that read one: each forged
+/// record below parses and re-encodes, and only `ledger_violations`
+/// sees what is wrong with it.
 #[test]
 fn both_ledger_readers_reject_counters_that_do_not_balance() {
     let dir = std::env::temp_dir().join(format!("repro-ledger-{}", std::process::id()));
@@ -111,6 +131,23 @@ fn both_ledger_readers_reject_counters_that_do_not_balance() {
     let text = std::fs::read_to_string(dir.join("l.jsonl")).expect("ledger written");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 5, "three rich records, two thin");
+    // Replace line `at` with `record`; both readers must exit 1 naming
+    // the record and saying `why`.
+    let assert_rejected = |at: usize, record: &LedgerRecord, why: &str| {
+        let mut forged = lines.clone();
+        let line = record.to_json();
+        forged[at] = &line;
+        std::fs::write(dir.join("forged.jsonl"), forged.join("\n") + "\n").expect("write");
+        for (exe, args) in [
+            (validate, &["t.json", "forged.jsonl"][..]),
+            (repro, &["--reconcile", "forged.jsonl"]),
+        ] {
+            let (code, stderr) = run(exe, args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(why), "{args:?}: {stderr}");
+            assert!(stderr.contains(&record.label), "{args:?}: {stderr}");
+        }
+    };
     for tampered in [0, 4] {
         let mut record = LedgerRecord::from_json(lines[tampered]).expect("line parses");
         let bumped = Counters::new();
@@ -119,23 +156,11 @@ fn both_ledger_readers_reject_counters_that_do_not_balance() {
         }
         bumped.add(Counter::ShuffleBytes, 1);
         record.counters = bumped.snapshot();
-        let mut forged = lines.clone();
-        let line = record.to_json();
-        forged[tampered] = &line;
-        std::fs::write(dir.join("forged.jsonl"), forged.join("\n") + "\n").expect("write");
-        for (exe, args) in [
-            (validate, &["t.json", "forged.jsonl"][..]),
-            (repro, &["--reconcile", "forged.jsonl"]),
-        ] {
-            let (code, stderr) = run(exe, args);
-            assert_eq!(code, Some(1), "{args:?}: {stderr}");
-            assert!(stderr.contains("shuffle moved"), "{args:?}: {stderr}");
-            assert!(stderr.contains(&record.label), "{args:?}: {stderr}");
-        }
+        assert_rejected(tampered, &record, "shuffle moved");
     }
 
     // A traced record must carry one output-record sample per reducer;
-    // the traced median's record without them fails `validate_trace`.
+    // the traced median's record without them fails.
     let mut record = LedgerRecord::from_json(lines[1]).expect("line parses");
     let samples = record
         .hist(Metric::ReduceTaskOutputRecords)
@@ -144,15 +169,30 @@ fn both_ledger_readers_reject_counters_that_do_not_balance() {
     record
         .histograms
         .retain(|h| h.metric != Metric::ReduceTaskOutputRecords);
-    let mut forged = lines.clone();
-    let line = record.to_json();
-    forged[1] = &line;
-    std::fs::write(dir.join("forged.jsonl"), forged.join("\n") + "\n").expect("write");
-    let (code, stderr) = run(validate, &["t.json", "forged.jsonl"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(
-        stderr.contains("(traced_median): 0 reduce_task_output_records samples for 3 reducers"),
-        "{stderr}"
+    assert_rejected(
+        1,
+        &record,
+        "(traced_median): 0 reduce_task_output_records samples for 3 reducers",
     );
+
+    // One sample per spill: the traced wordcount's record with its
+    // smallest spill sample taken out fails.
+    let mut record = LedgerRecord::from_json(lines[0]).expect("line parses");
+    let spills = record.counters.get(Counter::Spills);
+    let h = record
+        .histograms
+        .iter_mut()
+        .find(|h| h.metric == Metric::SpillPayloadBytes)
+        .expect("the wordcount spills");
+    assert_eq!(h.count, spills);
+    h.count -= 1;
+    h.sum -= h.min;
+    h.buckets[0].1 -= 1;
+    h.buckets.retain(|&(_, n)| n > 0);
+    let why = format!(
+        "{} spill_payload_bytes samples for {spills} spills",
+        spills - 1
+    );
+    assert_rejected(0, &record, &why);
     std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }

@@ -12,7 +12,7 @@
 //! allocated capacity for the next spill.
 
 use crate::keysem::KeySemantics;
-use crate::sort::RadixScratch;
+use crate::sort::{PrefixSortStats, RadixScratch};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
@@ -112,21 +112,20 @@ impl SpillArena {
     /// partition whose wide keys already ascend strictly is left as it
     /// is. Byte-identical to the retained
     /// [`SpillArena::sort_partition_by_compare`] reference (radix +
-    /// tie-run stable sort ⇔ whole stable comparator sort). Records
-    /// `sort_prefix_ties` / `sort_compare_calls` histograms per sorted
-    /// partition.
-    pub fn sort_partition(&mut self, partition: usize, ks: &dyn KeySemantics) {
+    /// tie-run stable sort ⇔ whole stable comparator sort). Returns how
+    /// much of the sort the comparator had to finish, or `None` when the
+    /// partition held fewer than two records and nothing was sorted.
+    pub fn sort_partition(
+        &mut self,
+        partition: usize,
+        ks: &dyn KeySemantics,
+    ) -> Option<PrefixSortStats> {
         let data = &self.data;
         let index = &mut self.parts[partition];
-        if index.len() > 1 {
-            let stats =
-                crate::sort::prefix_sort_with(index, &mut self.scratch, ks, |e| e.key(data));
-            crate::obs::hist_many(&[
-                (crate::obs::Metric::SortPrefixTies, stats.tie_records),
-                (crate::obs::Metric::SortCompareCalls, stats.compare_calls),
-            ]);
-        }
+        let stats = (index.len() > 1)
+            .then(|| crate::sort::prefix_sort_with(index, &mut self.scratch, ks, |e| e.key(data)));
         debug_assert!(is_partition_sorted(self, partition, ks));
+        stats
     }
 
     /// Reference spill sort: stable comparator sort of the index, the

@@ -14,6 +14,7 @@ use super::{DistConfig, DEADLINE};
 use crate::counters::Counter;
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
+use crate::obs::MetricsBank;
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::scheduler::{Fetched, JobState, MapOutput, Outcome, Slot, Takes};
 use crate::shuffle::SegmentRepr;
@@ -225,6 +226,8 @@ impl Slot for RemoteSlot {
     /// Send the task, stage each received segment, and hand the staged
     /// segments over with `MapDone` (those of a failed attempt are
     /// dropped, never published). A partition is staged at most once.
+    /// A remote outcome's histogram bank is empty: the worker keeps its
+    /// samples.
     fn map(
         &mut self,
         job: &JobState,
@@ -258,7 +261,9 @@ impl Slot for RemoteSlot {
                     task: t,
                     attempt: a,
                     local,
-                } if (t as usize, a) == (task, attempt) => return Ok(Ok((staged, local))),
+                } if (t as usize, a) == (task, attempt) => {
+                    return Ok(Ok((staged, local, MetricsBank::new())))
+                }
                 other => return task_failed(other, (task, attempt, false)),
             }
         }
@@ -342,7 +347,7 @@ impl Slot for RemoteSlot {
                 local,
                 outputs,
             } if failed.is_none() && (t as usize, a) == (task, attempt) => {
-                Ok(Some(Ok((outputs, local))))
+                Ok(Some(Ok((outputs, local, MetricsBank::new()))))
             }
             other => task_failed(other, (task, attempt, true)).map(Some),
         }

@@ -4,6 +4,9 @@
 //! conversation's grammar. Every fault decision is the coordinator's: an
 //! assignment that arrives here has passed the scheduler's fault gate,
 //! and a fetched segment arrives already corrupted where the plan says.
+//! An attempt's counter bank travels back with its result; its
+//! histogram bank does not (no message has a field for it) and is
+//! dropped here.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -94,11 +97,11 @@ fn run_map_attempt(
     split: &InputSplit,
     mapper: &dyn Mapper,
 ) -> Result<(), MrError> {
-    let outcome = run_attempt(task, attempt, |local| {
-        runner::run_map_task(config, task, split, mapper, local)
+    let outcome = run_attempt(task, attempt, |local, metrics| {
+        runner::run_map_task(config, task, split, mapper, local, metrics)
     });
     let msg = match outcome {
-        Ok((segments, local)) => {
+        Ok((segments, local, _metrics)) => {
             for (partition, seg) in segments {
                 write_msg(
                     stream,
@@ -180,13 +183,13 @@ fn run_reduce_attempt(
     }
     let outcome = match fetch_err {
         Some(e) => Err(e),
-        None => run_attempt(task, attempt, |local| {
+        None => run_attempt(task, attempt, |local, metrics| {
             local.add(Counter::LzDecompressNanos, decompress_nanos);
-            runner::run_reduce_task(config, task, &segs, reducer, local)
+            runner::run_reduce_task(config, task, &segs, reducer, local, metrics)
         }),
     };
     let msg = match outcome {
-        Ok((outputs, local)) => Msg::ReduceDone {
+        Ok((outputs, local, _metrics)) => Msg::ReduceDone {
             task: task as u32,
             attempt,
             local,

@@ -529,14 +529,6 @@ impl IFileWriter {
         let t0 = crate::clock::thread_cpu_nanos();
         let data = self.codec.compress(&self.buf);
         let compress_nanos = crate::clock::since(t0);
-        crate::obs::hist_many(&[
-            (crate::obs::Metric::CompressInBytes, raw_bytes),
-            (crate::obs::Metric::CompressOutBytes, data.len() as u64),
-            (
-                crate::obs::Metric::CompressNsPerKib,
-                compress_nanos.saturating_mul(1024) / raw_bytes.max(1),
-            ),
-        ]);
         Segment {
             data,
             raw_bytes,
@@ -576,10 +568,6 @@ impl RawSegment {
         let t0 = crate::clock::thread_cpu_nanos();
         let raw = codec.decompress(segment)?;
         let decompress_nanos = crate::clock::since(t0);
-        crate::obs::hist(
-            crate::obs::Metric::DecompressNsPerKib,
-            decompress_nanos.saturating_mul(1024) / (raw.len() as u64).max(1),
-        );
         if raw.len() < HEADER_LEN || &raw[..4] != MAGIC {
             return Err(MrError::Intermediate("bad segment header".into()));
         }
@@ -610,6 +598,11 @@ impl RawSegment {
             body_end,
             decompress_nanos,
         })
+    }
+
+    /// Decompressed length in bytes, trailer included.
+    pub fn decompressed_len(&self) -> usize {
+        self.raw.len()
     }
 
     /// Whether this segment uses the version-3 block layout (front-coded

@@ -5,7 +5,8 @@
 //! `[2^(k-1), 2^k - 1]`. Recording is a `leading_zeros` plus three array
 //! increments — no allocation, no branching on bucket count — so the hot
 //! path can feed histograms per record. Histograms merge bucket-wise,
-//! which is how per-thread banks collapse into the per-job [`Trace`].
+//! which is how an attempt's bank folds into its thread's sink on
+//! commit, and the threads' banks into the per-job [`Trace`].
 //!
 //! [`Trace`]: crate::obs::Trace
 
@@ -126,15 +127,19 @@ macro_rules! metrics {
     ($($(#[$doc:meta])* $variant:ident = $name:literal;)*) => {
         /// Every histogram metric the pipeline records.
         ///
-        /// Per-record metrics (emitted key and value sizes, values per
-        /// reduce group) sample into task-local histograms that merge
-        /// into the thread's sink once, when the task body succeeds;
-        /// per-segment metrics sample once per *final* materialized segment (the
-        /// site that charges the byte counters, which stay the one
-        /// ledger of a run's bytes — these histograms are the size
-        /// *distribution*); codec metrics sample per compress/decompress
-        /// call; the remaining metrics sample per spill, merge, fetch,
-        /// group or sort-split window.
+        /// The task bodies sample into their attempt's [`MetricsBank`],
+        /// which the scheduler merges into the slot thread's sink when
+        /// it commits the attempt, beside its counter bank: a trace
+        /// holds committed attempts only. Per-record metrics (emitted
+        /// key and value sizes, values per reduce group) are sampled
+        /// only while a recorder is attached; per-segment metrics
+        /// sample once per *final* materialized segment (the site that
+        /// charges the byte counters, which stay the one ledger of a
+        /// run's bytes — these histograms are the size
+        /// *distribution*); codec metrics sample per segment written or
+        /// opened; the remaining metrics sample per spill, merge, fetch,
+        /// group or sort-split window, except the two the scheduler
+        /// samples itself, per reduce commit and per retry.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Metric {
@@ -230,11 +235,6 @@ impl MetricsBank {
     #[inline]
     pub fn record(&mut self, metric: Metric, value: u64) {
         self.hists[metric as usize].record(value);
-    }
-
-    /// Merge a histogram into one metric's.
-    pub(crate) fn merge_metric(&mut self, metric: Metric, other: &Histogram) {
-        self.hists[metric as usize].merge(other);
     }
 
     /// The histogram for a metric.

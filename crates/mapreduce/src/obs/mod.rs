@@ -8,9 +8,13 @@
 //!   [thread-CPU time](crate::clock). Recording goes through a
 //!   thread-local attachment into a per-thread sink; the sink's mutex
 //!   is only ever contended during the final drain.
-//! * **Histograms** ([`Histogram`], [`Metric`], [`hist`]) — fixed-size
-//!   log2-bucketed distributions of record sizes, segment sizes, codec
-//!   throughput, merge fan-in and friends. No allocation on record.
+//! * **Histograms** ([`Histogram`], [`Metric`], [`MetricsBank`]) —
+//!   fixed-size log2-bucketed distributions of record sizes, segment
+//!   sizes, codec throughput, merge fan-in and friends. No allocation
+//!   on record. A task body samples into its attempt's bank, and the
+//!   scheduler merges the bank into the thread's sink when it commits
+//!   the attempt, as it absorbs the attempt's counters; [`hist`] is
+//!   left for the scheduler's own per-commit and per-retry samples.
 //!   They say how a quantity is *distributed*; how many bytes a run
 //!   moved is said once, by its [`Counter`](crate::Counter)s.
 //! * **The run document** ([`LedgerRecord`], [`LedgerSink`],
@@ -25,7 +29,8 @@
 //! Everything is scoped to a per-job [`Recorder`]; there is no global
 //! collector, so parallel jobs (and parallel tests) cannot contaminate
 //! each other. A thread with no recorder attached is the disabled
-//! state: every recording hook is a thread-local read that misses.
+//! state: every span and sample that reaches the sink is a thread-local
+//! read that misses, and an attempt's bank is dropped unread.
 
 mod drift;
 mod export;
@@ -45,6 +50,5 @@ pub use ledger::{
     LedgerSink, PhaseRollup, LEDGER_MAX_EXACT, LEDGER_SCHEMA,
 };
 pub use span::{Phase, SpanGuard, TraceEvent, ALL_PHASES, NUM_PHASES};
-pub use trace::{
-    hist, hist_many, hist_merge, recording, Attachment, Recorder, Trace, EVENT_CAPACITY,
-};
+pub(crate) use trace::absorb;
+pub use trace::{hist, recording, Attachment, Recorder, Trace, EVENT_CAPACITY};

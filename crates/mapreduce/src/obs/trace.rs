@@ -3,20 +3,20 @@
 //!
 //! A [`Recorder`] is created per job and handed to every worker thread.
 //! Each thread *attaches* once (a thread-local pointer plus one
-//! registry insertion) and then records spans and histogram samples
-//! into its own sink: a bounded event ring and a [`MetricsBank`],
-//! guarded by a `parking_lot` mutex that only the owning thread ever
-//! touches while the job runs — lock-light by construction, locked by a
-//! second party only during the final drain, after the worker scopes
-//! have ended. Recording with no attachment is a single thread-local
-//! read.
+//! registry insertion) and then records spans, and the histogram banks
+//! of the attempts it commits, into its own sink: a bounded event ring
+//! and a [`MetricsBank`], guarded by a `parking_lot` mutex that only the
+//! owning thread ever touches while the job runs — lock-light by
+//! construction, locked by a second party only during the final drain,
+//! after the worker scopes have ended. Recording with no attachment is
+//! a single thread-local read.
 //!
 //! The sink's event buffer is a bounded ring in the "drop newest"
 //! style: past [`EVENT_CAPACITY`] events the sink counts drops instead
 //! of growing, so a pathological workload cannot turn tracing into an
 //! allocator benchmark. Dropped counts surface in the exported metrics.
 
-use crate::obs::hist::{Histogram, Metric, MetricsBank};
+use crate::obs::hist::{Metric, MetricsBank};
 use crate::obs::span::TraceEvent;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -189,32 +189,14 @@ pub fn hist(metric: Metric, value: u64) {
     });
 }
 
-/// Record several histogram samples with one attachment lookup.
-#[inline]
-pub fn hist_many(samples: &[(Metric, u64)]) {
+/// Merge an attempt's bank into the attached sink (no-op when
+/// detached). The scheduler calls this when it commits the attempt,
+/// beside absorbing its counter bank, so a trace holds samples of
+/// committed attempts only.
+pub(crate) fn absorb(bank: &MetricsBank) {
     CURRENT.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            let mut sink = ctx.sink.lock();
-            for &(metric, value) in samples {
-                sink.hists.record(metric, value);
-            }
-        }
-    });
-}
-
-/// Merge task-local histograms into the attached sink with one
-/// attachment lookup (no-op when detached). A task body that samples
-/// per record keeps its samples in local [`Histogram`]s and hands them
-/// over here once, when it succeeds, so a body that fails takes its
-/// samples with it, as it takes its attempt-local counter bank.
-#[inline]
-pub fn hist_merge(hists: &[(Metric, &Histogram)]) {
-    CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            let mut sink = ctx.sink.lock();
-            for &(metric, h) in hists {
-                sink.hists.merge_metric(metric, h);
-            }
+            ctx.sink.lock().hists.merge(bank);
         }
     });
 }

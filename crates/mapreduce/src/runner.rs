@@ -12,7 +12,7 @@ use crate::dist::WireCodec;
 use crate::error::MrError;
 use crate::ifile::{IFileVersion, IFileWriter, RawSegment, Segment, DEFAULT_BLOCK_BUDGET};
 use crate::job::{JobConfig, JobResult};
-use crate::obs::{self, Histogram, Metric, Phase};
+use crate::obs::{self, Metric, MetricsBank, Phase};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::scheduler::{run_attempt, Fetched, JobState, MapOutput, Outcome, Slot, Takes};
 use crate::sort::{sort_pairs, BlockMergeStream, MergeItem};
@@ -51,8 +51,8 @@ impl Slot for InProcessSlot<'_> {
         attempt: u32,
         split: &Arc<InputSplit>,
     ) -> Result<Outcome<MapOutput>, MrError> {
-        Ok(run_attempt(task, attempt, |local| {
-            let segments = run_map_task(job.config, task, split, self.mapper, local)?;
+        Ok(run_attempt(task, attempt, |local, metrics| {
+            let segments = run_map_task(job.config, task, split, self.mapper, local, metrics)?;
             Ok(segments.into_iter().map(|(p, seg)| (p, seg.data)).collect())
         }))
     }
@@ -75,7 +75,7 @@ impl Slot for InProcessSlot<'_> {
                 Err(e) => return Ok(Some(Err(e))),
             }
         }
-        Ok(Some(run_attempt(task, attempt, |local| {
+        Ok(Some(run_attempt(task, attempt, |local, metrics| {
             let segments = fetched
                 .iter()
                 .map(|f| match f {
@@ -83,7 +83,7 @@ impl Slot for InProcessSlot<'_> {
                     Fetched::Copy(data) => Ok(Cow::Borrowed(data.as_slice())),
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            run_reduce_task(job.config, task, &segments, self.reducer, local)
+            run_reduce_task(job.config, task, &segments, self.reducer, local, metrics)
         })))
     }
 }
@@ -129,13 +129,15 @@ fn make_writer(config: &JobConfig) -> IFileWriter {
 /// One map task: run the user function over a split, routing into the
 /// spill arena, then sorting, combining and materializing spills through
 /// borrowed slices — no owned pair is allocated between the mapper's
-/// `emit` and the `IFileWriter`.
+/// `emit` and the `IFileWriter`. Tallies go to the attempt's `counters`
+/// and samples to its `metrics`, both absorbed only if it commits.
 pub(crate) fn run_map_task(
     config: &JobConfig,
     task: usize,
     split: &InputSplit,
     mapper: &dyn Mapper,
     counters: &Counters,
+    metrics: &mut MetricsBank,
 ) -> Result<Vec<(usize, Segment)>, MrError> {
     let ks = &config.key_semantics;
     let parts = config.num_reducers;
@@ -145,21 +147,25 @@ pub(crate) fn run_map_task(
     let mut segments = Vec::new();
 
     let spill = |arena: &mut SpillArena,
-                 segments: &mut Vec<(usize, Segment)>|
+                 segments: &mut Vec<(usize, Segment)>,
+                 metrics: &mut MetricsBank|
      -> Result<(), MrError> {
         if arena.payload_bytes() == 0 {
             return Ok(());
         }
         counters.add(Counter::Spills, 1);
         let _spill_span = crate::span!(Phase::SortSpill, task);
-        obs::hist(Metric::SpillPayloadBytes, arena.payload_bytes() as u64);
+        metrics.record(Metric::SpillPayloadBytes, arena.payload_bytes() as u64);
         let spill_t0 = clock::thread_cpu_nanos();
         let first_new = segments.len();
         for partition in 0..parts {
             if arena.partition_len(partition) == 0 {
                 continue;
             }
-            arena.sort_partition(partition, ks.as_ref());
+            if let Some(stats) = arena.sort_partition(partition, ks.as_ref()) {
+                metrics.record(Metric::SortPrefixTies, stats.tie_records);
+                metrics.record(Metric::SortCompareCalls, stats.compare_calls);
+            }
             let mut writer = make_writer(config);
             let combined: Option<Vec<KvPair>> = if let Some(combiner) = &config.combiner {
                 let _combine_span = crate::span!(Phase::Combine, task);
@@ -173,10 +179,8 @@ pub(crate) fn run_map_task(
                 });
                 sort_pairs(&mut combined, ks.as_ref());
                 counters.add(Counter::CombineOutputRecords, combined.len() as u64);
-                obs::hist_many(&[
-                    (Metric::CombineInput, input),
-                    (Metric::CombineOutput, combined.len() as u64),
-                ]);
+                metrics.record(Metric::CombineInput, input);
+                metrics.record(Metric::CombineOutput, combined.len() as u64);
                 Some(combined)
             } else {
                 None
@@ -198,6 +202,7 @@ pub(crate) fn run_map_task(
                 writer.close()
             };
             counters.add(Counter::CompressNanos, seg.compress_nanos);
+            sample_compress(metrics, &seg);
             segments.push((partition, seg));
         }
         // Codec time is counted separately; charge the rest of the spill
@@ -214,39 +219,50 @@ pub(crate) fn run_map_task(
 
     // Per-record tallies stay in task-local integers and reach the
     // (atomic) counter bank once, after the last record. Emitted sizes
-    // are sampled only while a recorder is attached, into task-local
-    // histograms that reach its sink once, when the task body succeeds.
+    // are sampled only while a recorder is attached, read once per task.
     let mut output_records = 0u64;
     let mut route_split_records = 0u64;
-    let mut emit_sizes = obs::recording().then(EmitSizes::default);
-    let mut emit_into = |arena: &mut SpillArena, key: &[u8], value: &[u8]| {
-        let pieces = stage(ks.as_ref(), parts, arena, emit_sizes.as_mut(), key, value);
-        output_records += pieces;
-        route_split_records += pieces.saturating_sub(1);
-    };
+    let sample_emits = obs::recording();
+    let mut emit_into =
+        |arena: &mut SpillArena, metrics: &mut MetricsBank, key: &[u8], value: &[u8]| {
+            if sample_emits {
+                metrics.record(Metric::MapEmitKeyBytes, key.len() as u64);
+                metrics.record(Metric::MapEmitValueBytes, value.len() as u64);
+            }
+            // Through the slice-based routing hook: more than one piece
+            // when the routing path split the key.
+            let mut pieces = 0u64;
+            ks.route_slices(key, value, parts, &mut |partition, k, v| {
+                debug_assert!(partition < parts, "partition out of range");
+                pieces += 1;
+                arena.append(partition, k, v);
+            });
+            output_records += pieces;
+            route_split_records += pieces.saturating_sub(1);
+        };
     let fn_t0 = clock::thread_cpu_nanos();
     {
         let _emit_span = crate::span!(Phase::MapEmit, task);
         mapper.start();
         for record in &split.records {
             mapper.map(&record.key, &record.value, &mut |k: &[u8], v: &[u8]| {
-                emit_into(&mut arena, k, v)
+                emit_into(&mut arena, metrics, k, v)
             });
             if arena.payload_bytes() >= config.spill_buffer_bytes {
-                spill(&mut arena, &mut segments)?;
+                spill(&mut arena, &mut segments, metrics)?;
             }
         }
-        mapper.finish(&mut |k: &[u8], v: &[u8]| emit_into(&mut arena, k, v));
+        mapper.finish(&mut |k: &[u8], v: &[u8]| emit_into(&mut arena, metrics, k, v));
     }
     counters.add(Counter::MapFnNanos, clock::since(fn_t0));
     counters.add(Counter::MapInputRecords, split.records.len() as u64);
     counters.add(Counter::MapOutputRecords, output_records);
     counters.add(Counter::RouteSplitRecords, route_split_records);
-    spill(&mut arena, &mut segments)?;
+    spill(&mut arena, &mut segments, metrics)?;
 
     // Final merge: if a partition spilled several times, merge its runs
     // into one segment (Hadoop's map-output merge, Fig. 1 step 3).
-    let segments = merge_spills(config, task, segments, counters)?;
+    let segments = merge_spills(config, task, segments, counters, metrics)?;
 
     // Byte accounting happens on the *final* materialized output only:
     // the counters are the run's byte ledger, the histograms beside them
@@ -263,51 +279,36 @@ pub(crate) fn run_map_task(
             seg.materialized_bytes(),
         );
         counters.add(Counter::MapOutputSegments, 1);
-        obs::hist_many(&[
-            (Metric::SegRawBytes, seg.raw_bytes),
-            (Metric::SegMaterializedBytes, seg.materialized_bytes()),
-        ]);
-    }
-    if let Some(sizes) = &emit_sizes {
-        obs::hist_merge(&[
-            (Metric::MapEmitKeyBytes, &sizes.keys),
-            (Metric::MapEmitValueBytes, &sizes.values),
-        ]);
+        metrics.record(Metric::SegRawBytes, seg.raw_bytes);
+        metrics.record(Metric::SegMaterializedBytes, seg.materialized_bytes());
     }
     Ok(segments)
 }
 
-/// One map task's emitted key and value sizes, one sample per emitted
-/// pair (before any route split).
-#[derive(Default)]
-struct EmitSizes {
-    keys: Histogram,
-    values: Histogram,
+/// Sample one closed segment's codec call: bytes in and out, and the
+/// cost per KiB of input.
+fn sample_compress(metrics: &mut MetricsBank, seg: &Segment) {
+    metrics.record(Metric::CompressInBytes, seg.raw_bytes);
+    metrics.record(Metric::CompressOutBytes, seg.materialized_bytes());
+    metrics.record(
+        Metric::CompressNsPerKib,
+        seg.compress_nanos.saturating_mul(1024) / seg.raw_bytes.max(1),
+    );
 }
 
-/// Route one emitted pair into the arena through the slice-based routing
-/// hook, sampling its sizes into `sizes` when given; returns how many
-/// records it became (more than one when the routing path split the
-/// key).
-fn stage(
-    ks: &dyn crate::keysem::KeySemantics,
-    parts: usize,
-    arena: &mut SpillArena,
-    sizes: Option<&mut EmitSizes>,
-    key: &[u8],
-    value: &[u8],
-) -> u64 {
-    if let Some(sizes) = sizes {
-        sizes.keys.record(key.len() as u64);
-        sizes.values.record(value.len() as u64);
-    }
-    let mut pieces = 0u64;
-    ks.route_slices(key, value, parts, &mut |partition, k, v| {
-        debug_assert!(partition < parts, "partition out of range");
-        pieces += 1;
-        arena.append(partition, k, v);
-    });
-    pieces
+/// Open one segment and sample its decompression cost per KiB of
+/// output.
+fn open_segment(
+    data: &[u8],
+    config: &JobConfig,
+    metrics: &mut MetricsBank,
+) -> Result<RawSegment, MrError> {
+    let raw = RawSegment::open(data, config.codec.as_ref())?;
+    metrics.record(
+        Metric::DecompressNsPerKib,
+        raw.decompress_nanos.saturating_mul(1024) / (raw.decompressed_len() as u64).max(1),
+    );
+    Ok(raw)
 }
 
 /// Merge multi-spill partitions into one sorted segment each. Single-spill
@@ -317,6 +318,7 @@ fn merge_spills(
     task: usize,
     segments: Vec<(usize, Segment)>,
     counters: &Counters,
+    metrics: &mut MetricsBank,
 ) -> Result<Vec<(usize, Segment)>, MrError> {
     let multi = {
         let mut counts = vec![0usize; config.num_reducers];
@@ -344,11 +346,12 @@ fn merge_spills(
                 let _merge_span = crate::span!(Phase::Merge, task);
                 let mut raws = Vec::with_capacity(segs.len());
                 for seg in &segs {
-                    let r = RawSegment::open(&seg.data, config.codec.as_ref())?;
+                    let r = open_segment(&seg.data, config, metrics)?;
                     codec_nanos += r.decompress_nanos;
                     raws.push(r);
                 }
                 let mut writer = make_writer(config);
+                metrics.record(Metric::MergeFanIn, raws.len() as u64);
                 // Still-encoded v3 blocks whose key range is uncontended
                 // splice straight into the output segment.
                 let mut stream = BlockMergeStream::new(&raws, config.key_semantics.as_ref())?;
@@ -362,9 +365,11 @@ fn merge_spills(
                         }
                     }
                 }
+                metrics.record(Metric::MergeCompareCalls, stream.compare_calls());
                 let seg = writer.close();
                 codec_nanos += seg.compress_nanos;
                 counters.add(Counter::CompressNanos, seg.compress_nanos);
+                sample_compress(metrics, &seg);
                 out.push((partition, seg));
             }
         }
@@ -378,13 +383,15 @@ fn merge_spills(
 /// merge, apply the §IV-B sort-split hook lazily per overlap window,
 /// group, and run the user reduce function. Grouping and reduce consume
 /// records as the merge heap yields them; nothing is materialized as a
-/// whole run.
+/// whole run. Tallies and samples go to the attempt's banks, as in
+/// [`run_map_task`].
 pub(crate) fn run_reduce_task(
     config: &JobConfig,
     task: usize,
     segments: &[impl AsRef<[u8]>],
     reducer: &dyn Reducer,
     counters: &Counters,
+    metrics: &mut MetricsBank,
 ) -> Result<Vec<KvPair>, MrError> {
     let ks = &config.key_semantics;
     let mut raws = Vec::with_capacity(segments.len());
@@ -392,14 +399,15 @@ pub(crate) fn run_reduce_task(
         let _fetch_span = crate::span!(Phase::ShuffleFetch, task);
         for seg in segments {
             let seg = seg.as_ref();
-            obs::hist(Metric::ShuffleSegmentBytes, seg.len() as u64);
-            let r = RawSegment::open(seg, config.codec.as_ref())?;
+            metrics.record(Metric::ShuffleSegmentBytes, seg.len() as u64);
+            let r = open_segment(seg, config, metrics)?;
             counters.add(Counter::DecompressNanos, r.decompress_nanos);
             raws.push(r);
         }
     }
     let merge_t0 = clock::thread_cpu_nanos();
     let merge_span = crate::span!(Phase::Merge, task);
+    metrics.record(Metric::MergeFanIn, raws.len() as u64);
     let mut stream = BlockMergeStream::new(&raws, ks.as_ref())?;
     let mut groups = GroupRunner::new(task, reducer);
 
@@ -412,13 +420,13 @@ pub(crate) fn run_reduce_task(
         while let Some((key, value)) = stream.next()? {
             if !batch.continues_group(ks.as_ref(), key) {
                 if batch.len() == REDUCE_BATCH_GROUPS {
-                    groups.run(&mut batch);
+                    groups.run(&mut batch, metrics);
                 }
                 batch.start_group(key);
             }
             batch.push_value(value);
         }
-        groups.run(&mut batch);
+        groups.run(&mut batch, metrics);
     } else {
         // Windowed path: records accumulate only while they can still
         // interact under `sort_split`; each window is split, re-sorted if
@@ -428,7 +436,7 @@ pub(crate) fn run_reduce_task(
         let mut flush = |window: &mut Vec<KvPair>| {
             let _split_span = crate::span!(Phase::SortSplit, task);
             let before = window.len();
-            obs::hist(Metric::SortSplitWindowRecords, before as u64);
+            metrics.record(Metric::SortSplitWindowRecords, before as u64);
             let mut records = ks.sort_split(std::mem::take(window));
             if records.len() > before {
                 counters.add(Counter::SortSplitRecords, (records.len() - before) as u64);
@@ -448,7 +456,7 @@ pub(crate) fn run_reduce_task(
                 }
                 batch.push_value(&record.value);
             }
-            groups.run(&mut batch);
+            groups.run(&mut batch, metrics);
         };
         // Window members that can still interact with future records; a
         // member failing against one record can never interact again (the
@@ -468,6 +476,7 @@ pub(crate) fn run_reduce_task(
             flush(&mut window);
         }
     }
+    metrics.record(Metric::MergeCompareCalls, stream.compare_calls());
     drop(merge_span);
     // The reduce function's share is what the batch runs measured; the
     // rest of the loop's thread CPU is merging, splitting and grouping.
@@ -481,9 +490,6 @@ pub(crate) fn run_reduce_task(
     counters.add(Counter::ReduceInputRecords, groups.input_records);
     counters.add(Counter::ReduceOutputRecords, groups.out.len() as u64);
     counters.add(Counter::ReduceOutputBytes, groups.output_bytes);
-    if let Some(group_values) = &groups.group_values {
-        obs::hist_merge(&[(Metric::ReduceGroupValues, group_values)]);
-    }
     Ok(groups.out)
 }
 
@@ -548,8 +554,7 @@ impl<'v> GroupBatch<'v> {
 
 /// Runs the reduce function over batches of groups for one reduce task,
 /// collecting its output and the task-local tallies that reach the
-/// counter bank (and, while a recorder is attached, its sink) once,
-/// when the task body succeeds.
+/// counter bank once, when the task body succeeds.
 struct GroupRunner<'r> {
     task: usize,
     reducer: &'r dyn Reducer,
@@ -557,8 +562,9 @@ struct GroupRunner<'r> {
     input_groups: u64,
     input_records: u64,
     output_bytes: u64,
-    /// Values per group, sampled only while a recorder is attached.
-    group_values: Option<Histogram>,
+    /// Whether values per group are sampled: only while a recorder is
+    /// attached.
+    sample_groups: bool,
     /// Thread CPU spent inside [`GroupRunner::run`]: the reduce function
     /// and the collection of what it emits.
     reduce_nanos: u64,
@@ -573,13 +579,13 @@ impl<'r> GroupRunner<'r> {
             input_groups: 0,
             input_records: 0,
             output_bytes: 0,
-            group_values: obs::recording().then(Histogram::new),
+            sample_groups: obs::recording(),
             reduce_nanos: 0,
         }
     }
 
     /// Reduce every group of `batch`, in order, and empty it.
-    fn run(&mut self, batch: &mut GroupBatch<'_>) {
+    fn run(&mut self, batch: &mut GroupBatch<'_>, metrics: &mut MetricsBank) {
         if batch.len() == 0 {
             return;
         }
@@ -591,8 +597,8 @@ impl<'r> GroupRunner<'r> {
             out.push(KvPair::new(k, v));
         };
         for (key, values) in batch.groups() {
-            if let Some(group_values) = &mut self.group_values {
-                group_values.record(values.len() as u64);
+            if self.sample_groups {
+                metrics.record(Metric::ReduceGroupValues, values.len() as u64);
             }
             self.reducer.reduce(key, values, &mut emit);
         }

@@ -6,14 +6,15 @@
 //! reducer outputs and phase clocks — plus a set of [`Slot`]s, each
 //! driven by one thread through the same loop: *next assignment → the
 //! fault gate → run the attempt on this slot → on success commit,
-//! absorb the attempt's counter bank and retire; on failure route the
-//! error through the retry policy and requeue or abort; on a lost slot
-//! requeue as a network error and drop the slot*. The two kinds of slot
+//! absorb the attempt's counter and histogram banks and retire; on
+//! failure route the error through the retry policy and requeue or
+//! abort; on a lost slot requeue as a network error and drop the
+//! slot*. The two kinds of slot
 //! differ only in where an attempt runs: in-process ([`crate::runner`])
 //! calls the task bodies on the slot's own thread and reduces straight
 //! over the store's bytes; remote ([`crate::dist`]) holds the
 //! conversation with a worker process. Task choice, retry, backoff,
-//! abort, the counter-bank discipline and every decision of a fault
+//! abort, the bank discipline and every decision of a fault
 //! plan — a slow-down or an injected error before any slot sees the
 //! attempt, a corruption as a segment is fetched — live here, once.
 //!
@@ -23,7 +24,7 @@
 use crate::counters::{Counter, CounterSnapshot, Counters};
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
-use crate::obs::{self, Metric, Phase};
+use crate::obs::{self, Metric, MetricsBank, Phase};
 use crate::record::{InputSplit, KvPair};
 use crate::shuffle::{SegmentHandle, ShuffleStore};
 use crate::stats::JobStats;
@@ -115,11 +116,12 @@ struct Sched {
 }
 
 /// What one attempt left behind: on success its product with its
-/// attempt-local counter bank, absorbed only then, so a retried job
-/// reports the same semantic counters as a clean one.
-pub(crate) type Outcome<T> = Result<(T, CounterSnapshot), MrError>;
+/// attempt-local counter bank and histogram bank, absorbed only then, so
+/// a retried job reports the same semantic counters and the same
+/// distributions as a clean one.
+pub(crate) type Outcome<T> = Result<(T, CounterSnapshot, MetricsBank), MrError>;
 
-/// Run one attempt's task body against a fresh attempt-local bank — in
+/// Run one attempt's task body against fresh attempt-local banks — in
 /// an in-process slot or in a worker process alike. A panic in it (a
 /// user function, or a bug in a task path) becomes a retryable
 /// [`MrError::TaskFailed`] instead of unwinding through the slot's
@@ -127,11 +129,12 @@ pub(crate) type Outcome<T> = Result<(T, CounterSnapshot), MrError>;
 pub(crate) fn run_attempt<T>(
     task: usize,
     attempt: u32,
-    body: impl FnOnce(&Counters) -> Result<T, MrError>,
+    body: impl FnOnce(&Counters, &mut MetricsBank) -> Result<T, MrError>,
 ) -> Outcome<T> {
     let local = Counters::new();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&local))) {
-        Ok(result) => result.map(|value| (value, local.snapshot())),
+    let mut metrics = MetricsBank::new();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&local, &mut metrics))) {
+        Ok(result) => result.map(|value| (value, local.snapshot(), metrics)),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -468,9 +471,11 @@ impl<'a> JobState<'a> {
         }
     }
 
-    /// Close out a finished attempt: commit its product, absorb its bank
-    /// and retire the task — or, if the attempt or its commit failed,
-    /// hand the error to [`JobState::fail`].
+    /// Close out a finished attempt: commit its product, absorb its
+    /// counter bank and its histogram bank (into the slot thread's trace
+    /// sink, when it has one) and retire the task — or, if the attempt or
+    /// its commit failed, hand the error to [`JobState::fail`]. This is
+    /// the one place that decides which samples a trace holds.
     fn settle<T>(
         &self,
         task: Task,
@@ -478,9 +483,10 @@ impl<'a> JobState<'a> {
         outcome: Outcome<T>,
         commit: impl FnOnce(T) -> Result<(), MrError>,
     ) {
-        let committed = outcome.and_then(|(product, local)| {
+        let committed = outcome.and_then(|(product, local, metrics)| {
             commit(product)?;
             self.counters.absorb(&local);
+            obs::absorb(&metrics);
             Ok(())
         });
         match committed {
@@ -756,7 +762,7 @@ mod tests {
                 return Err(MrError::Net("connection reset".into()));
             }
             self.ran.lock().push((task, attempt, false));
-            Ok(run_attempt(task, attempt, |_| Ok(Vec::new())))
+            Ok(run_attempt(task, attempt, |_, _| Ok(Vec::new())))
         }
         fn reduce(
             &mut self,
@@ -765,7 +771,7 @@ mod tests {
             attempt: u32,
         ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
             self.ran.lock().push((task, attempt, true));
-            Ok(Some(run_attempt(task, attempt, |_| Ok(Vec::new()))))
+            Ok(Some(run_attempt(task, attempt, |_, _| Ok(Vec::new()))))
         }
     }
 

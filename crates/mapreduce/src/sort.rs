@@ -490,8 +490,7 @@ pub struct BlockMergeStream<'a> {
     /// Whether each run still has a head.
     lives: Vec<bool>,
     ks: &'a dyn KeySemantics,
-    /// Comparator fallbacks on wide-key ties, exported as
-    /// `merge_compare_calls` when the stream drops.
+    /// Comparator fallbacks on wide-key ties.
     compare_calls: u64,
     /// Blocks emitted still-encoded (skip hits).
     blocks_copied: u64,
@@ -504,7 +503,6 @@ pub struct BlockMergeStream<'a> {
 impl<'a> BlockMergeStream<'a> {
     /// Open a merge over the given segments' records.
     pub fn new(segments: &'a [RawSegment], ks: &'a dyn KeySemantics) -> Result<Self, MrError> {
-        crate::obs::hist(crate::obs::Metric::MergeFanIn, segments.len() as u64);
         let k = segments.len();
         let mut stream = BlockMergeStream {
             runs: segments.iter().map(RunCursor::open).collect(),
@@ -743,12 +741,6 @@ impl<'a> BlockMergeStream<'a> {
             }
         }
         self.last_key = prev;
-    }
-}
-
-impl Drop for BlockMergeStream<'_> {
-    fn drop(&mut self) {
-        crate::obs::hist(crate::obs::Metric::MergeCompareCalls, self.compare_calls);
     }
 }
 

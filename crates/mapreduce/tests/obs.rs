@@ -1,15 +1,20 @@
 //! End-to-end observability tests: a traced job must produce spans for
 //! every pipeline stage, one segment-size sample per final segment and
-//! one per-record sample per emitted pair and per reduce group of its
-//! successful attempts, and counter snapshots must satisfy the
-//! accounting invariants across codecs and key semantics.
+//! one per-record sample per emitted pair and per reduce group, its
+//! histograms must hold the samples of committed attempts only — a
+//! retried job's distributions are a clean run's — and counter
+//! snapshots must satisfy the accounting invariants across codecs and
+//! key semantics.
 
 use scihadoop_compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop_mapreduce::keysem::RouteSink;
-use scihadoop_mapreduce::obs::{chrome_trace_json, LedgerRecord, Metric, Recorder, ALL_PHASES};
+use scihadoop_mapreduce::obs::{
+    chrome_trace_json, LedgerRecord, Metric, Recorder, ALL_METRICS, ALL_PHASES,
+};
 use scihadoop_mapreduce::record::{Emit, FnMapper, FnReducer, InputSplit, KvPair, Mapper};
 use scihadoop_mapreduce::{
-    Counter, DefaultKeySemantics, Job, JobConfig, JobResult, KeySemantics, Phase,
+    Counter, DefaultKeySemantics, FaultConfig, FaultPlan, Job, JobConfig, JobResult, KeySemantics,
+    Phase, Trace,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -180,23 +185,33 @@ fn segment_histograms_sample_once_per_final_segment() {
     }
 }
 
-/// Run a traced, multi-spill, combiner-free job and hold the per-record
-/// histograms to the counters: one emit sample per emitted pair (a route
-/// split's extra pieces are not emits), one group sample per reduce
-/// group, and no sample from an attempt whose task body failed.
+fn identity_mapper() -> Arc<dyn Mapper> {
+    Arc::new(FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| {
+        out.emit(k, v)
+    }))
+}
+
+/// Run a traced, multi-spill, combiner-free job of 400 distinct words
+/// with one retry and hold the per-record histograms to the counters:
+/// one emit sample per emitted pair (a route split's extra pieces are
+/// not emits), one group sample per reduce group, and no sample from an
+/// attempt that failed.
 fn assert_sample_counts_match_counters(
     ks: Arc<dyn KeySemantics>,
     mapper: Arc<dyn Mapper>,
-    retries: u32,
-) -> JobResult {
+    faults: Option<FaultPlan>,
+) -> (JobResult, Trace) {
     let recorder = Recorder::new();
-    let config = JobConfig::default()
+    let mut config = JobConfig::default()
         .with_reducers(3)
         .with_slots(2, 2)
         .with_spill_buffer(512)
-        .with_retries(retries)
+        .with_retries(1)
         .with_key_semantics(ks)
         .with_recorder(recorder.clone());
+    if let Some(plan) = faults {
+        config = config.with_faults(plan);
+    }
     let result = sum_job_with(config, wordcount_splits(400, 400), mapper);
     let trace = recorder.finish();
     let c = &result.counters;
@@ -213,41 +228,80 @@ fn assert_sample_counts_match_counters(
     let groups = trace.hists.get(Metric::ReduceGroupValues);
     assert_eq!(groups.count(), c.get(Counter::ReduceInputGroups));
     assert_eq!(groups.sum(), c.get(Counter::ReduceInputRecords));
-    result
+    (result, trace)
+}
+
+/// A retried job's histograms equal a clean run's, bucket for bucket,
+/// except the three that time something.
+fn assert_clean_distributions(trace: &Trace) {
+    let (_, clean) =
+        assert_sample_counts_match_counters(Arc::new(DefaultKeySemantics), identity_mapper(), None);
+    for metric in ALL_METRICS {
+        if matches!(
+            metric,
+            Metric::CompressNsPerKib | Metric::DecompressNsPerKib | Metric::RetryBackoffNanos
+        ) {
+            continue;
+        }
+        assert_eq!(
+            trace.hists.get(metric),
+            clean.hists.get(metric),
+            "{}",
+            metric.name()
+        );
+    }
 }
 
 #[test]
 fn per_record_samples_match_the_counters_under_default_keys() {
-    let mapper = Arc::new(FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| {
-        out.emit(k, v)
-    }));
-    let result = assert_sample_counts_match_counters(Arc::new(DefaultKeySemantics), mapper, 0);
+    let (result, _) =
+        assert_sample_counts_match_counters(Arc::new(DefaultKeySemantics), identity_mapper(), None);
     assert_eq!(result.counters.get(Counter::RouteSplitRecords), 0);
 }
 
 #[test]
 fn per_record_samples_match_the_counters_under_route_splits() {
-    let mapper = Arc::new(FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| {
-        out.emit(k, v)
-    }));
-    let result = assert_sample_counts_match_counters(Arc::new(SplittingKeys), mapper, 0);
+    let (result, _) =
+        assert_sample_counts_match_counters(Arc::new(SplittingKeys), identity_mapper(), None);
     assert!(result.counters.get(Counter::RouteSplitRecords) > 0);
 }
 
 #[test]
 fn a_failed_attempt_leaves_no_per_record_samples() {
-    // Every word occurs once, so the attempt holding this key fails
-    // half-way through its split, after emitting 50 pairs; its retry
-    // succeeds.
+    // Every word occurs once and a split holds 100, so the attempt holding
+    // this key fails after emitting 90 pairs — past its first spill of
+    // the 512-byte buffer; its retry succeeds.
     let failed = AtomicBool::new(false);
     let mapper = Arc::new(FnMapper(move |k: &[u8], v: &[u8], out: &mut dyn Emit| {
-        if k == b"word-0150" && !failed.swap(true, Ordering::Relaxed) {
-            panic!("injected mapper panic (once, mid-task)");
+        if k == b"word-0190" && !failed.swap(true, Ordering::Relaxed) {
+            panic!("injected mapper panic (once, after a spill)");
         }
         out.emit(k, v)
     }));
-    let result = assert_sample_counts_match_counters(Arc::new(DefaultKeySemantics), mapper, 1);
+    let (result, trace) =
+        assert_sample_counts_match_counters(Arc::new(DefaultKeySemantics), mapper, None);
     assert_eq!(result.counters.get(Counter::TaskRetries), 1);
+    assert_clean_distributions(&trace);
+}
+
+#[test]
+fn a_reduce_failed_by_a_corrupt_segment_leaves_no_samples() {
+    // Every fetched segment of every first reduce attempt is corrupted:
+    // each fails while opening one, after sampling its size; the
+    // retries read clean copies.
+    let plan = FaultPlan::new(FaultConfig::parse("corrupt=1,cap=1").unwrap());
+    let (result, trace) = assert_sample_counts_match_counters(
+        Arc::new(DefaultKeySemantics),
+        identity_mapper(),
+        Some(plan),
+    );
+    let c = &result.counters;
+    assert_eq!(c.get(Counter::ChecksumFailures), 3);
+    assert_eq!(c.get(Counter::TaskRetries), 3);
+    let fetched = trace.hists.get(Metric::ShuffleSegmentBytes);
+    assert_eq!(fetched.count(), c.get(Counter::MapOutputSegments));
+    assert_eq!(fetched.sum(), c.get(Counter::MapOutputMaterializedBytes));
+    assert_clean_distributions(&trace);
 }
 
 #[test]
