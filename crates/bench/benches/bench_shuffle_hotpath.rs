@@ -1,14 +1,18 @@
-//! Shuffle hot-path benchmark: the arena-backed radix spill sort
-//! against the comparator reference sort — on shuffled 8-byte keys and
-//! on one map task of `benchmark/`'s sliding-median job, whose 12-byte
-//! keys outgrow an 8-byte prefix — and the streaming loser-tree merge
-//! against the materializing reference (eager segment reads +
-//! `merge_sorted_runs` + whole-run re-sort).
+//! Shuffle hot-path benchmark: the engine's two shuffle kernels. The
+//! map side stages, radix-sorts and writes one spill: 8-byte grid keys
+//! in presorted and in shuffled emission order, and one map task of
+//! `benchmark/`'s
+//! sliding-median job, whose 12-byte keys outgrow an 8-byte prefix (the
+//! fixture of the `arena.sort_s` layer). The reduce side runs the
+//! streaming loser-tree merge and grouping over eight sealed segments,
+//! and a paired measurement prices the CRC-32C trailer check on that
+//! merge against its ≤ 6 % budget.
 //!
 //! Run with `cargo bench --bench bench_shuffle_hotpath`. Set
-//! `BENCH_SHUFFLE_JSON=<path>` to also write the measurements (and the
-//! reference→engine speedups) as JSON — `BENCH_shuffle.json` at the repo
-//! root is a committed baseline from this machine.
+//! `BENCH_SHUFFLE_JSON=<path>` to also write the measurements and the
+//! trailer overhead as JSON — `BENCH_shuffle.json` at the repo root is a
+//! committed baseline. A change to either kernel is timed against its
+//! parent build, not against a second implementation.
 
 use criterion::{black_box, Criterion, Throughput};
 use scihadoop_bench::report::{rounded, write_bench_json};
@@ -17,8 +21,7 @@ use scihadoop_compress::IdentityCodec;
 use scihadoop_grid::Coord;
 use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
-    for_each_group, merge_sorted_runs, DefaultKeySemantics, Framing, IFileReader, IFileWriter,
-    KeySemantics, KvPair, SpillArena,
+    DefaultKeySemantics, Framing, IFileWriter, KeySemantics, KvPair, SpillArena,
 };
 use scihadoop_queries::KeyLayout;
 use std::sync::Arc;
@@ -38,8 +41,8 @@ fn grid_pairs(n: u32) -> Vec<KvPair> {
         .collect()
 }
 
-/// The same records in a deterministic full-cycle shuffle, so the sort
-/// rows also measure genuinely unsorted emission (the worst case the
+/// The same records in a deterministic full-cycle shuffle, so a sort
+/// row also measures genuinely unsorted emission (the worst case the
 /// spill sort must handle). 7919 is prime and coprime with the 10,000
 /// record count, so stepping by it visits every index exactly once.
 fn shuffled(pairs: &[KvPair]) -> Vec<KvPair> {
@@ -111,23 +114,9 @@ fn bench_map_sort_spill(c: &mut Criterion) {
         })
     });
 
-    // Shuffled emission, where the sort has to do real work: the
-    // comparator reference sort vs the radix scatter passes.
+    // Shuffled emission, where the sort has to do real work: the radix
+    // scatter passes.
     let pairs_shuffled = shuffled(&pairs);
-    group.bench_function("arena_shuffled", |b| {
-        b.iter(|| {
-            let mut arena = SpillArena::new(1);
-            for p in &pairs_shuffled {
-                arena.append(0, &p.key, &p.value);
-            }
-            arena.sort_partition_by_compare(0, &ks);
-            let mut w = IFileWriter::new(Framing::IFile, codec.clone());
-            for (k, v) in arena.pairs(0) {
-                w.append(k, v);
-            }
-            black_box(w.close().raw_bytes)
-        })
-    });
     group.bench_function("arena_radix_shuffled", |b| {
         b.iter(|| {
             let mut arena = SpillArena::new(1);
@@ -145,34 +134,26 @@ fn bench_map_sort_spill(c: &mut Criterion) {
 
     // The layer `arena.sort_s` times on the benchmark's plain-key
     // workloads: one strip task routed to 5 partitions, every partition
-    // sorted and written — wide-key radix sort vs its comparator oracle.
+    // sorted by the wide-key radix sort and written.
     let window = window_strip_pairs();
     group.throughput(Throughput::Elements(window.len() as u64));
-    let spill_window = |sort: fn(&mut SpillArena, usize, &dyn KeySemantics)| {
-        let mut arena = SpillArena::new(WINDOW_PARTS);
-        for p in &window {
-            arena.append(ks.partition(&p.key, WINDOW_PARTS), &p.key, &p.value);
-        }
-        let mut raw_bytes = 0;
-        for part in 0..WINDOW_PARTS {
-            sort(&mut arena, part, &ks);
-            let mut w = IFileWriter::new(Framing::IFile, codec.clone());
-            for (k, v) in arena.pairs(part) {
-                w.append(k, v);
-            }
-            raw_bytes += w.close().raw_bytes;
-        }
-        raw_bytes
-    };
     group.bench_function("arena_window_keys", |b| {
         b.iter(|| {
-            black_box(spill_window(|arena, part, ks| {
-                arena.sort_partition(part, ks);
-            }))
+            let mut arena = SpillArena::new(WINDOW_PARTS);
+            for p in &window {
+                arena.append(ks.partition(&p.key, WINDOW_PARTS), &p.key, &p.value);
+            }
+            let mut raw_bytes = 0;
+            for part in 0..WINDOW_PARTS {
+                arena.sort_partition(part, &ks);
+                let mut w = IFileWriter::new(Framing::IFile, codec.clone());
+                for (k, v) in arena.pairs(part) {
+                    w.append(k, v);
+                }
+                raw_bytes += w.close().raw_bytes;
+            }
+            black_box(raw_bytes)
         })
-    });
-    group.bench_function("arena_window_keys_compare", |b| {
-        b.iter(|| black_box(spill_window(SpillArena::sort_partition_by_compare)))
     });
     group.finish();
 }
@@ -210,26 +191,6 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
     let mut group = c.benchmark_group("merge_reduce");
     group.throughput(Throughput::Elements(total));
     group.sample_size(20);
-
-    // Reference: materialize every run, k-way merge into one Vec,
-    // whole-run sort_split + re-sort, then group.
-    group.bench_function("classic_materialize", |b| {
-        let ks_arc: Arc<dyn KeySemantics> = Arc::new(DefaultKeySemantics);
-        b.iter(|| {
-            let runs: Vec<Vec<KvPair>> = segments
-                .iter()
-                .map(|s| IFileReader::open(s, &IdentityCodec).unwrap().into_records())
-                .collect();
-            let merged = merge_sorted_runs(runs, ks_arc.as_ref());
-            let mut records = ks_arc.sort_split(merged);
-            records.sort_by(|a, b| ks_arc.compare(&a.key, &b.key));
-            let mut acc = 0u64;
-            for_each_group(&records, ks_arc.as_ref(), |_, values| {
-                acc += values.len() as u64;
-            });
-            black_box(acc)
-        })
-    });
 
     // The engine's merge: lazy cursors under a loser tree — cached
     // sort-prefix matches, comparator only on prefix ties, one
@@ -269,25 +230,7 @@ fn main() {
     let mut criterion = Criterion::default();
     bench_map_sort_spill(&mut criterion);
     let crc_overhead = bench_merge_reduce(&mut criterion);
-
-    // Speedups + optional JSON baseline.
-    let rate = |id: &str| {
-        criterion
-            .measurements
-            .iter()
-            .find(|m| m.id.ends_with(id))
-            .and_then(|m| m.per_second())
-            .unwrap_or(0.0)
-    };
-    let merge_speedup = rate("merge_reduce/streaming_loser_tree") / rate("classic_materialize");
-    let radix_speedup_shuffled =
-        rate("map_sort_spill/arena_radix_shuffled") / rate("map_sort_spill/arena_shuffled");
-    println!("\nmerge-reduce speedup (streaming vs materializing): {merge_speedup:.2}x");
-    let radix_speedup_window =
-        rate("map_sort_spill/arena_window_keys") / rate("map_sort_spill/arena_window_keys_compare");
-    println!("radix spill sort speedup (shuffled emission):      {radix_speedup_shuffled:.2}x");
-    println!("radix spill sort speedup (window-key strip task):  {radix_speedup_window:.2}x");
-    println!("CRC-32C trailer overhead on streaming merge: {crc_overhead:+.2}% (budget <= 6%)");
+    println!("\nCRC-32C trailer overhead on streaming merge: {crc_overhead:+.2}% (budget <= 6%)");
 
     if let Ok(path) = std::env::var("BENCH_SHUFFLE_JSON") {
         write_bench_json(
@@ -298,15 +241,6 @@ fn main() {
                 .iter()
                 .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
             vec![
-                ("merge_reduce_speedup", rounded(merge_speedup, 2)),
-                (
-                    "radix_sort_speedup_shuffled",
-                    rounded(radix_speedup_shuffled, 2),
-                ),
-                (
-                    "radix_sort_speedup_window_keys",
-                    rounded(radix_speedup_window, 2),
-                ),
                 ("crc_trailer_overhead_pct", rounded(crc_overhead, 2)),
                 ("host_cpus", host_cpus().into()),
             ],

@@ -68,11 +68,6 @@ impl SpillArena {
         }
     }
 
-    /// Number of partitions staged for.
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Append one record to a partition.
     pub fn append(&mut self, partition: usize, key: &[u8], value: &[u8]) {
         let off = self.data.len();
@@ -110,11 +105,11 @@ impl SpillArena {
     /// buffers the arena keeps across partitions and spills; only tie
     /// runs of differing keys ever call the virtual comparator, and a
     /// partition whose wide keys already ascend strictly is left as it
-    /// is. Byte-identical to the retained
-    /// [`SpillArena::sort_partition_by_compare`] reference (radix +
-    /// tie-run stable sort ⇔ whole stable comparator sort). Returns how
-    /// much of the sort the comparator had to finish, or `None` when the
-    /// partition held fewer than two records and nothing was sorted.
+    /// is. Byte-identical to a whole stable comparator sort of the
+    /// index (radix + tie-run stable sort ⇔ whole stable comparator
+    /// sort). Returns how much of the sort the comparator had to finish,
+    /// or `None` when the partition held fewer than two records and
+    /// nothing was sorted.
     pub fn sort_partition(
         &mut self,
         partition: usize,
@@ -126,16 +121,6 @@ impl SpillArena {
             .then(|| crate::sort::prefix_sort_with(index, &mut self.scratch, ks, |e| e.key(data)));
         debug_assert!(is_partition_sorted(self, partition, ks));
         stats
-    }
-
-    /// Reference spill sort: stable comparator sort of the index, the
-    /// pre-radix implementation. Kept for the equivalence suite and
-    /// `bench_shuffle_hotpath`'s before/after rows.
-    pub fn sort_partition_by_compare(&mut self, partition: usize, ks: &dyn KeySemantics) {
-        let mut index = std::mem::take(&mut self.parts[partition]);
-        let data = &self.data;
-        index.sort_by(|a, b| ks.compare(a.key(data), b.key(data)));
-        self.parts[partition] = index;
     }
 
     /// Iterate one partition's `(key, value)` slices in index order
@@ -186,8 +171,8 @@ impl Drop for SpillArena {
     }
 }
 
-/// Assert a partition's index is sorted (debug builds of callers).
-pub fn is_partition_sorted(arena: &SpillArena, partition: usize, ks: &dyn KeySemantics) -> bool {
+/// Whether a partition's index is sorted (the sort's debug assert).
+fn is_partition_sorted(arena: &SpillArena, partition: usize, ks: &dyn KeySemantics) -> bool {
     let keys: Vec<&[u8]> = arena.pairs(partition).map(|(k, _)| k).collect();
     keys.windows(2)
         .all(|w| ks.compare(w[0], w[1]) != Ordering::Greater)
@@ -199,25 +184,29 @@ mod tests {
     use crate::keysem::DefaultKeySemantics;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-    fn collect(arena: &SpillArena, partition: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    /// A partition's `(key, value)` pairs, owned.
+    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+    fn collect(arena: &SpillArena, partition: usize) -> Pairs {
         arena
             .pairs(partition)
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect()
     }
 
-    /// `keys` staged twice into one partition, values tagging emission
-    /// order: `sort_partition` on one copy against
-    /// `sort_partition_by_compare` on the other shows any difference in
+    /// `keys` staged into one partition, values tagging emission order,
+    /// beside the sort's oracle: the staged pairs, collected before
+    /// sorting and stable-sorted by the default comparator. Comparing
+    /// `sort_partition`'s result against it shows any difference in
     /// order or stability.
-    fn staged_twice(keys: &[Vec<u8>]) -> (SpillArena, SpillArena) {
-        let mut fast = SpillArena::new(1);
-        let mut reference = SpillArena::new(1);
+    fn staged(keys: &[Vec<u8>]) -> (SpillArena, Pairs) {
+        let mut arena = SpillArena::new(1);
         for (i, k) in keys.iter().enumerate() {
-            fast.append(0, k, &(i as u32).to_be_bytes());
-            reference.append(0, k, &(i as u32).to_be_bytes());
+            arena.append(0, k, &(i as u32).to_be_bytes());
         }
-        (fast, reference)
+        let mut expected = collect(&arena, 0);
+        expected.sort_by(|a, b| DefaultKeySemantics.compare(&a.0, &b.0));
+        (arena, expected)
     }
 
     #[test]
@@ -271,12 +260,11 @@ mod tests {
                 _ => i.wrapping_mul(2654435761).to_be_bytes().to_vec(),
             })
             .collect();
-        let (mut fast, mut reference) = staged_twice(&keys);
+        let (mut fast, expected) = staged(&keys);
         fast.sort_partition(0, &ks);
-        reference.sort_partition_by_compare(0, &ks);
         assert_eq!(
             collect(&fast, 0),
-            collect(&reference, 0),
+            expected,
             "radix path must be byte-identical to the comparator sort"
         );
     }
@@ -343,15 +331,14 @@ mod tests {
         let ks = Counting::default();
         let keys = window_keys(40, 250, 12, 0);
         let n = keys.len() as u64;
-        let (mut fast, mut reference) = staged_twice(&keys);
+        let (mut fast, expected) = staged(&keys);
         fast.sort_partition(0, &ks);
         assert_eq!(ks.take(n), (n, 0), "(prefix, compare) calls");
-        reference.sort_partition_by_compare(0, &DefaultKeySemantics);
-        assert_eq!(collect(&fast, 0), collect(&reference, 0));
+        assert_eq!(collect(&fast, 0), expected);
         // Sorted with ties: still one call each, still no compare.
         fast.sort_partition(0, &ks);
         assert_eq!(ks.take(n), (n, 0), "re-sort of a sorted partition");
-        assert_eq!(collect(&fast, 0), collect(&reference, 0));
+        assert_eq!(collect(&fast, 0), expected);
     }
 
     #[test]
@@ -391,7 +378,7 @@ mod tests {
         // bytes, the byte after them is the comparator's to order.
         let keys = window_keys(12, -1, 9, 8);
         let n = keys.len() as u64;
-        let (mut fast, mut reference) = staged_twice(&keys);
+        let (mut fast, expected) = staged(&keys);
         fast.sort_partition(0, &ks);
         let (wide, compares) = ks.take(n);
         assert_eq!(wide, n);
@@ -399,8 +386,7 @@ mod tests {
             compares > 0,
             "tie runs of differing keys need the comparator"
         );
-        reference.sort_partition_by_compare(0, &DefaultKeySemantics);
-        assert_eq!(collect(&fast, 0), collect(&reference, 0));
+        assert_eq!(collect(&fast, 0), expected);
     }
 
     #[test]

@@ -673,24 +673,6 @@ impl RawSegment {
         }
     }
 
-    /// Total records in the segment. For v3 this sums block-header
-    /// record counts (no record decoding); for v1/v2 it walks the
-    /// records parse-only. Used to pre-reserve exact capacity.
-    pub fn record_count(&self) -> Result<u64, MrError> {
-        if self.is_block_format() {
-            return self
-                .headers()
-                .map(|meta| meta.map(|meta| meta.records))
-                .sum();
-        }
-        let mut cursor = self.cursor();
-        let mut n = 0u64;
-        while cursor.next()?.is_some() {
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Walk every record in file order, dispatching on the segment
     /// version, invoking `f(key, value)` per record.
     pub fn for_each_record(&self, mut f: impl FnMut(&[u8], &[u8])) -> Result<(), MrError> {
@@ -1222,44 +1204,19 @@ impl<'a> BlockCursor<'a> {
     }
 }
 
-/// Reads a segment back into owned records (reference path; the engine
-/// itself streams through [`RawSegment`]).
-pub struct IFileReader {
-    records: Vec<KvPair>,
-    /// Nanoseconds spent decompressing.
-    pub decompress_nanos: u64,
-}
-
-impl IFileReader {
-    /// Decompress and parse a segment. A first parse-only pass (block
-    /// headers for v3, a record walk for v1/v2) sizes the vector, so the
-    /// fill pass does not reallocate and each record is copied straight
-    /// into its final allocation. A v3 header's count is a claim until
-    /// its block has been walked, so it reserves no more than one record
-    /// per segment byte.
-    pub fn open(segment: &[u8], codec: &dyn Codec) -> Result<Self, MrError> {
-        let seg = RawSegment::open(segment, codec)?;
-        let count = usize::try_from(seg.record_count()?).unwrap_or(usize::MAX);
-        let mut records = Vec::with_capacity(count.min(seg.raw.len()));
-        seg.for_each_record(|key, value| {
-            records.push(KvPair::new(key, value));
-        })?;
-        Ok(IFileReader {
-            records,
-            decompress_nanos: seg.decompress_nanos,
-        })
-    }
-
-    /// The records, in file order.
-    pub fn into_records(self) -> Vec<KvPair> {
-        self.records
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use scihadoop_compress::{DeflateCodec, IdentityCodec};
+
+    /// Every record of a segment in file order, read back through
+    /// [`RawSegment::for_each_record`].
+    fn records(segment: &[u8], codec: &dyn Codec) -> Result<Vec<KvPair>, MrError> {
+        let raw = RawSegment::open(segment, codec)?;
+        let mut out = Vec::new();
+        raw.for_each_record(|k, v| out.push(KvPair::new(k, v)))?;
+        Ok(out)
+    }
 
     fn roundtrip(framing: Framing, pairs: &[KvPair]) -> Segment {
         let codec: Arc<dyn Codec> = Arc::new(IdentityCodec);
@@ -1268,8 +1225,7 @@ mod tests {
             w.append_pair(p);
         }
         let seg = w.close();
-        let r = IFileReader::open(&seg.data, codec.as_ref()).unwrap();
-        assert_eq!(r.into_records(), pairs);
+        assert_eq!(records(&seg.data, codec.as_ref()).unwrap(), pairs);
         seg
     }
 
@@ -1326,31 +1282,30 @@ mod tests {
         }
         let seg = w.close();
         assert!(seg.materialized_bytes() < seg.raw_bytes / 2);
-        let r = IFileReader::open(&seg.data, codec.as_ref()).unwrap();
-        assert_eq!(r.into_records().len(), 2000);
+        assert_eq!(records(&seg.data, codec.as_ref()).unwrap().len(), 2000);
     }
 
     #[test]
     fn reader_rejects_garbage() {
         let codec = IdentityCodec;
-        assert!(IFileReader::open(b"tiny", &codec).is_err());
+        assert!(records(b"tiny", &codec).is_err());
         let mut w = IFileWriter::new(Framing::IFile, Arc::new(IdentityCodec));
         w.append(b"key", b"value");
         let seg = w.close();
         // Truncated body.
-        assert!(IFileReader::open(&seg.data[..seg.data.len() - 2], &codec).is_err());
+        assert!(records(&seg.data[..seg.data.len() - 2], &codec).is_err());
         // Bad magic.
         let mut bad = seg.data.clone();
         bad[0] = b'X';
-        assert!(IFileReader::open(&bad, &codec).is_err());
+        assert!(records(&bad, &codec).is_err());
         // Bad framing tag.
         let mut bad = seg.data.clone();
         bad[5] = 9;
-        assert!(IFileReader::open(&bad, &codec).is_err());
+        assert!(records(&bad, &codec).is_err());
     }
 
     #[test]
-    fn cursor_streams_the_same_records_as_the_eager_reader() {
+    fn cursor_streams_the_same_records_as_for_each_record() {
         for framing in [Framing::SequenceFile, Framing::IFile] {
             let codec: Arc<dyn Codec> = Arc::new(DeflateCodec::new());
             let mut w = IFileWriter::new(framing, codec.clone());
@@ -1364,10 +1319,7 @@ mod tests {
             while let Some((k, v)) = cursor.next().unwrap() {
                 streamed.push(KvPair::new(k.to_vec(), v.to_vec()));
             }
-            let eager = IFileReader::open(&seg.data, codec.as_ref())
-                .unwrap()
-                .into_records();
-            assert_eq!(streamed, eager);
+            assert_eq!(streamed, records(&seg.data, codec.as_ref()).unwrap());
             assert_eq!(streamed.len(), 500);
         }
     }
@@ -1402,9 +1354,8 @@ mod tests {
         // does not, so framing arithmetic is unchanged.
         assert_eq!(seg.data.len() as u64, seg.raw_bytes + TRAILER_LEN as u64);
         assert_eq!(seg.data[4], VERSION_CRC);
-        let r = IFileReader::open(&seg.data, codec.as_ref()).unwrap();
         assert_eq!(
-            r.into_records(),
+            records(&seg.data, codec.as_ref()).unwrap(),
             vec![KvPair::new(b"key".to_vec(), b"value".to_vec())]
         );
     }
@@ -1435,8 +1386,7 @@ mod tests {
         let seg = w.close();
         assert_eq!(seg.data[4], VERSION_PLAIN);
         assert_eq!(seg.data.len() as u64, seg.raw_bytes);
-        let r = IFileReader::open(&seg.data, codec.as_ref()).unwrap();
-        assert_eq!(r.into_records().len(), 1);
+        assert_eq!(records(&seg.data, codec.as_ref()).unwrap().len(), 1);
     }
 
     #[test]
@@ -1448,7 +1398,7 @@ mod tests {
         // Inflate the 4-byte record length; the parsed vints disagree.
         let mut bad = seg.data.clone();
         bad[HEADER_LEN + 3] ^= 0x01;
-        assert!(IFileReader::open(&bad, &codec).is_err());
+        assert!(records(&bad, &codec).is_err());
     }
 
     #[test]
@@ -1507,6 +1457,12 @@ mod tests {
             .collect()
     }
 
+    /// The records a v3 segment's block headers claim, summed without
+    /// decoding a block.
+    fn header_records(raw: &RawSegment) -> u64 {
+        raw.headers().map(|meta| meta.unwrap().records).sum()
+    }
+
     fn v3_segment(pairs: &[KvPair], budget: usize) -> Segment {
         let mut w = IFileWriter::v3_with_budget(Framing::IFile, Arc::new(IdentityCodec), budget);
         for p in pairs {
@@ -1521,12 +1477,11 @@ mod tests {
         let seg = v3_segment(&pairs, 256);
         assert_eq!(seg.data[4], VERSION_BLOCK);
         assert!(seg.blocks > 1, "tiny budget must produce many blocks");
-        let r = IFileReader::open(&seg.data, &IdentityCodec).unwrap();
-        assert_eq!(r.into_records(), pairs);
+        assert_eq!(records(&seg.data, &IdentityCodec).unwrap(), pairs);
         let raw = RawSegment::open(&seg.data, &IdentityCodec).unwrap();
         assert!(raw.is_block_format());
         assert_eq!(raw.blocks().unwrap() as u64, seg.blocks);
-        assert_eq!(raw.record_count().unwrap(), 500);
+        assert_eq!(header_records(&raw), 500);
         let mut cursor = raw.block_cursor();
         let mut streamed = Vec::new();
         while let Some((k, v)) = cursor.next().unwrap() {
@@ -1543,10 +1498,9 @@ mod tests {
         for p in &pairs {
             v2.append_pair(p);
         }
-        let v2 = IFileReader::open(&v2.close().data, codec.as_ref()).unwrap();
+        let v2 = records(&v2.close().data, codec.as_ref()).unwrap();
         let v3 = v3_segment(&pairs, 512);
-        let v3 = IFileReader::open(&v3.data, codec.as_ref()).unwrap();
-        assert_eq!(v2.into_records(), v3.into_records());
+        assert_eq!(v2, records(&v3.data, codec.as_ref()).unwrap());
     }
 
     #[test]
@@ -1580,7 +1534,7 @@ mod tests {
         assert_eq!(seg.records, 0);
         assert_eq!(seg.blocks, 0);
         let raw = RawSegment::open(&seg.data, &IdentityCodec).unwrap();
-        assert_eq!(raw.record_count().unwrap(), 0);
+        assert_eq!(header_records(&raw), 0);
         let mut cursor = raw.block_cursor();
         assert!(cursor.next().unwrap().is_none());
     }
@@ -1638,8 +1592,7 @@ mod tests {
         assert_eq!(out.records, seg.records);
         assert_eq!(out.key_bytes, seg.key_bytes);
         assert_eq!(out.stored_key_bytes, seg.stored_key_bytes);
-        let r = IFileReader::open(&out.data, &IdentityCodec).unwrap();
-        assert_eq!(r.into_records(), pairs);
+        assert_eq!(records(&out.data, &IdentityCodec).unwrap(), pairs);
     }
 
     #[test]
@@ -1670,8 +1623,7 @@ mod tests {
         let seg = v3_segment(&pairs, 64);
         // 49 non-fence records save ≥ 300 bytes each.
         assert!(seg.key_saved_bytes() >= 300 * 40);
-        let r = IFileReader::open(&seg.data, &IdentityCodec).unwrap();
-        assert_eq!(r.into_records(), pairs);
+        assert_eq!(records(&seg.data, &IdentityCodec).unwrap(), pairs);
     }
 
     #[test]
@@ -1679,7 +1631,7 @@ mod tests {
         let seg = v3_segment(&sorted_pairs(40), 128);
         for keep in 0..seg.data.len() {
             assert!(
-                IFileReader::open(&seg.data[..keep], &IdentityCodec).is_err(),
+                records(&seg.data[..keep], &IdentityCodec).is_err(),
                 "truncation to {keep} bytes went undetected"
             );
         }

@@ -46,12 +46,11 @@ pub use dist::{
 pub use error::MrError;
 pub use fault::{Corruption, FaultConfig, FaultPlan};
 pub use ifile::{
-    BlockCursor, EncodedBlock, Framing, IFileReader, IFileVersion, IFileWriter, RawSegment,
-    DEFAULT_BLOCK_BUDGET,
+    BlockCursor, EncodedBlock, Framing, IFileVersion, IFileWriter, RawSegment, DEFAULT_BLOCK_BUDGET,
 };
 pub use job::{Job, JobConfig, JobResult};
 pub use keysem::{bytewise_sort_prefix_wide, DefaultKeySemantics, KeySemantics, RouteSink};
 pub use obs::{Phase, Recorder, Trace};
 pub use record::{Bytes, Emit, FnMapper, FnReducer, InputSplit, KvPair, Mapper, Reducer};
-pub use sort::{for_each_group, merge_sorted_runs, sort_pairs, BlockMergeStream, MergeItem};
+pub use sort::{for_each_group, sort_pairs, BlockMergeStream, MergeItem};
 pub use stats::JobStats;

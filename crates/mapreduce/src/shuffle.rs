@@ -25,8 +25,11 @@
 //! task's outputs are published once — by the attempt that succeeded —
 //! so no slot is ever replaced and no spilled byte orphaned, except by
 //! a publish whose spill write failed part-way (its row is emptied for
-//! the retry). The files are job-scoped temporaries, removed when their
-//! partition's reduce commits or the store drops.
+//! the retry). A spill file is unlinked the moment it is created and
+//! lives on only as an open descriptor: the store reads it by fd, its
+//! space returns when the last handle to it closes — at its partition's
+//! commit, at the store's drop, or when the process dies — and no exit
+//! path can leave it behind in the temp dir.
 //!
 //! A fetch reads a spilled segment whole ([`SegmentHandle::to_vec`], one
 //! `pread`) and checks its CRC before handing out a byte. Spilled
@@ -62,7 +65,6 @@ use scihadoop_compress::lz;
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -115,12 +117,12 @@ fn pread_exact(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> 
     }
 }
 
-/// One partition's append-only spill file. All writes happen under the
-/// store lock, so the tracked length is the authoritative append
-/// offset; reads are positioned (`pread`) and take no lock at all.
+/// One partition's append-only spill file, unlinked at creation. All
+/// writes happen under the store lock, so the tracked length is the
+/// authoritative append offset; reads are positioned (`pread`) and take
+/// no lock at all.
 struct SpillFile {
     file: Arc<File>,
-    path: PathBuf,
     len: u64,
 }
 
@@ -137,9 +139,10 @@ impl SpillFile {
             .create_new(true)
             .open(&path)
             .map_err(|e| MrError::Net(format!("create shuffle spill file {path:?}: {e}")))?;
+        std::fs::remove_file(&path)
+            .map_err(|e| MrError::Net(format!("unlink shuffle spill file {path:?}: {e}")))?;
         Ok(SpillFile {
             file: Arc::new(file),
-            path,
             len: 0,
         })
     }
@@ -155,12 +158,6 @@ impl SpillFile {
         })?;
         self.len += data.len() as u64;
         Ok(offset)
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -381,8 +378,9 @@ impl ShuffleStore {
     }
 
     /// Drop `partition`'s segments: its reduce committed, and a committed
-    /// reduce is never re-fetched. Frees the resident bytes and removes
-    /// the partition's spill file (handles already out keep theirs open).
+    /// reduce is never re-fetched. Frees the resident bytes and closes
+    /// the store's descriptor of the partition's spill file (handles
+    /// already out keep theirs open).
     pub fn release(&self, partition: usize) {
         let mut guard = self.lock_state();
         let state = &mut *guard;
@@ -397,7 +395,7 @@ impl ShuffleStore {
             state.released_bytes += slot.logical_len as u64;
         }
         let file = state.spill[partition].take();
-        // Freeing megabytes and unlinking a file is not work to do under
+        // Freeing megabytes and closing a file is not work to do under
         // the lock every fetch takes.
         drop(guard);
         drop((slots, file));
@@ -567,8 +565,10 @@ pub(crate) mod damage {
     //! A test hook: damage a spilled segment where it lies in its spill
     //! file, as a failing disk would.
 
-    use super::{SegmentRepr, ShuffleStore};
-    use std::path::PathBuf;
+    use super::{pread_exact, SegmentRepr, ShuffleStore};
+    use std::fs::File;
+    use std::io::Write;
+    use std::sync::Arc;
 
     /// What is done to the segment.
     #[derive(Debug, Clone, Copy)]
@@ -583,7 +583,7 @@ pub(crate) mod damage {
 
     /// Puts a damaged spill file's bytes back when dropped.
     pub(crate) struct Repair {
-        path: PathBuf,
+        file: Arc<File>,
         original: Vec<u8>,
     }
 
@@ -591,8 +591,16 @@ pub(crate) mod damage {
         fn drop(&mut self) {
             // Not a panic in `drop`: a repair that fails shows as the
             // retried attempt failing too.
-            let _ = std::fs::write(&self.path, &self.original);
+            let _ = rewrite(&self.file, &self.original);
         }
+    }
+
+    /// Replace a spill file's contents through its descriptor (the file
+    /// has no name). It is open for appending only, so it is emptied
+    /// first and the bytes land at offset 0.
+    fn rewrite(mut file: &File, bytes: &[u8]) -> std::io::Result<()> {
+        file.set_len(0)?;
+        file.write_all(bytes)
     }
 
     impl ShuffleStore {
@@ -610,16 +618,18 @@ pub(crate) mod damage {
             let Some(SegmentRepr::Spilled(h)) = slot.map(|s| &s.repr) else {
                 panic!("segment ({partition}, {map_task}) is not spilled");
             };
-            let path = state.spill[partition].as_ref().unwrap().path.clone();
-            let original = std::fs::read(&path).unwrap();
+            let spill = state.spill[partition].as_ref().unwrap();
+            let file = Arc::clone(&spill.file);
+            let mut original = vec![0; spill.len as usize];
+            pread_exact(&file, &mut original, 0).unwrap();
             let mut damaged = original.clone();
             let end = h.offset as usize + h.len;
             match damage {
                 Damage::FlipByte => damaged[end - 1] ^= 1,
                 Damage::Truncate => damaged.truncate(end - 1),
             }
-            std::fs::write(&path, damaged).unwrap();
-            Repair { path, original }
+            rewrite(&file, &damaged).unwrap();
+            Repair { file, original }
         }
     }
 }
@@ -785,12 +795,37 @@ mod tests {
         assert_eq!(big.to_vec().unwrap(), vec![2u8; 64]);
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn spill_files_are_unlinked_while_the_store_serves_them() {
+        use std::os::unix::fs::MetadataExt;
+        let store = ShuffleStore::new(2, 2, 0);
+        store.publish(0, vec![(0, b"first".to_vec())]).unwrap();
+        store
+            .publish(1, vec![(0, b"second".to_vec()), (1, b"third".to_vec())])
+            .unwrap();
+        for (partition, task, bytes) in [(0, 0, &b"first"[..]), (0, 1, b"second"), (1, 1, b"third")]
+        {
+            let seg = store.segment_when_ready(partition, task).unwrap().unwrap();
+            let SegmentRepr::Spilled(h) = &seg.repr else {
+                panic!("a budget-0 store spills every segment");
+            };
+            assert_eq!(
+                h.file.metadata().unwrap().nlink(),
+                0,
+                "a name is left behind"
+            );
+            assert_eq!(seg.to_vec().unwrap(), bytes);
+        }
+    }
+
     #[test]
     fn spilled_handles_survive_release() {
         let store = ShuffleStore::new(1, 1, 0);
         store.publish(0, vec![(0, b"first".to_vec())]).unwrap();
         let handle = store.segment_when_ready(0, 0).unwrap().unwrap();
-        // The commit unlinks the spill file; the handle keeps it open.
+        // The commit drops the store's descriptor; the handle keeps the
+        // file open.
         store.release(0);
         assert!(store.lock_state().spill[0].is_none());
         assert_eq!(handle.to_vec().unwrap(), b"first");
@@ -863,9 +898,10 @@ mod tests {
             STORE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         File::create(&path).unwrap();
+        let read_only = File::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         store.lock_state().spill[2] = Some(SpillFile {
-            file: Arc::new(File::open(&path).unwrap()),
-            path,
+            file: Arc::new(read_only),
             len: 0,
         });
         let outputs = || vec![(0, vec![1u8; 8]), (1, vec![2u8; 20]), (2, vec![3u8; 20])];

@@ -10,9 +10,6 @@
 //! full virtual comparator runs only where wide keys tie on keys that
 //! differ, so both stages stay byte-identical to a stable
 //! whole-comparator sort.
-//!
-//! [`merge_sorted_runs`] is the materializing reference the merge is
-//! tested against; the engine never calls it.
 
 use crate::error::MrError;
 use crate::ifile::{
@@ -21,7 +18,6 @@ use crate::ifile::{
 use crate::keysem::KeySemantics;
 use crate::record::KvPair;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 // ---------------------------------------------------------------------------
 // Prefix radix sort
@@ -290,64 +286,6 @@ pub fn sort_pairs(pairs: &mut Vec<KvPair>, ks: &dyn KeySemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// Materializing reference merge
-// ---------------------------------------------------------------------------
-
-struct HeapEntry<'a> {
-    pair: KvPair,
-    source: usize,
-    ks: &'a dyn KeySemantics,
-}
-
-impl PartialEq for HeapEntry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry<'_> {}
-impl PartialOrd for HeapEntry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; tie-break on source for stability.
-        self.ks
-            .compare(&other.pair.key, &self.pair.key)
-            .then(other.source.cmp(&self.source))
-    }
-}
-
-/// Merge already-sorted runs into one sorted stream (the reducer's
-/// "possibly requiring multiple on-disk sort phases", done in one k-way
-/// pass here). Reference implementation; the engine streams through
-/// [`BlockMergeStream`].
-pub fn merge_sorted_runs(runs: Vec<Vec<KvPair>>, ks: &dyn KeySemantics) -> Vec<KvPair> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut iters: Vec<std::vec::IntoIter<KvPair>> =
-        runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heap = BinaryHeap::with_capacity(iters.len());
-    for (source, it) in iters.iter_mut().enumerate() {
-        if let Some(pair) = it.next() {
-            heap.push(HeapEntry { pair, source, ks });
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(HeapEntry { pair, source, .. }) = heap.pop() {
-        out.push(pair);
-        if let Some(next) = iters[source].next() {
-            heap.push(HeapEntry {
-                pair: next,
-                source,
-                ks,
-            });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Streaming merge
 // ---------------------------------------------------------------------------
 
@@ -454,7 +392,8 @@ pub enum MergeItem<'s, 'a> {
 /// keys of up to 16 bytes, only where two runs hold the same key.
 /// Advancing the winner replays exactly one leaf-to-root path (⌈log₂ k⌉
 /// matches) against the stored losers. Ties break toward the lower run
-/// id, matching [`merge_sorted_runs`] exactly.
+/// id: the sequence equals a stable sort of the runs concatenated in
+/// run order.
 ///
 /// A v3 run also says when its next record repeats the current key
 /// ([`BlockCursor::group_remaining`]); the winner's advance then skips
@@ -776,11 +715,28 @@ mod tests {
         KvPair::new(k.as_bytes().to_vec(), v.as_bytes().to_vec())
     }
 
+    /// Merge sorted runs the engine's way: each sealed as a flat
+    /// segment and streamed through one [`BlockMergeStream`].
+    fn merge_runs(runs: &[Vec<KvPair>]) -> Vec<KvPair> {
+        let sealed: Vec<Vec<u8>> = runs.iter().map(|r| seal(r, None, true)).collect();
+        let segments = open_all(&sealed);
+        let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
+        drain(&mut stream).unwrap()
+    }
+
+    /// The merge oracle: sorted runs concatenated in run order and
+    /// stable-sorted, so a key tied across runs keeps the lower run first.
+    fn stable_merged(runs: Vec<Vec<KvPair>>) -> Vec<KvPair> {
+        let mut all: Vec<KvPair> = runs.into_iter().flatten().collect();
+        all.sort_by(|a, b| DefaultKeySemantics.compare(&a.key, &b.key));
+        all
+    }
+
     #[test]
     fn merge_two_runs() {
         let a = vec![pair("a", "1"), pair("c", "3"), pair("e", "5")];
         let b = vec![pair("b", "2"), pair("d", "4")];
-        let merged = merge_sorted_runs(vec![a, b], &DefaultKeySemantics);
+        let merged = merge_runs(&[a, b]);
         let keys: Vec<&[u8]> = merged.iter().map(|p| p.key.as_slice()).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b", b"c", b"d", b"e"]);
     }
@@ -789,20 +745,17 @@ mod tests {
     fn merge_with_duplicates_keeps_all() {
         let a = vec![pair("x", "1"), pair("x", "2")];
         let b = vec![pair("x", "3")];
-        let merged = merge_sorted_runs(vec![a, b], &DefaultKeySemantics);
+        let merged = merge_runs(&[a, b]);
         assert_eq!(merged.len(), 3);
         assert!(merged.iter().all(|p| *p.key == *b"x"));
     }
 
     #[test]
     fn merge_empty_and_single() {
-        assert!(merge_sorted_runs(vec![], &DefaultKeySemantics).is_empty());
-        assert!(merge_sorted_runs(vec![vec![], vec![]], &DefaultKeySemantics).is_empty());
+        assert!(merge_runs(&[]).is_empty());
+        assert!(merge_runs(&[vec![], vec![]]).is_empty());
         let only = vec![pair("q", "v")];
-        assert_eq!(
-            merge_sorted_runs(vec![only.clone()], &DefaultKeySemantics),
-            only
-        );
+        assert_eq!(merge_runs(std::slice::from_ref(&only)), only);
     }
 
     #[test]
@@ -819,7 +772,7 @@ mod tests {
             run.sort();
             runs.push(run);
         }
-        let merged = merge_sorted_runs(runs, &DefaultKeySemantics);
+        let merged = merge_runs(&runs);
         assert_eq!(merged.len(), 400);
         assert!(merged.windows(2).all(|w| w[0].key <= w[1].key));
     }
@@ -1010,7 +963,7 @@ mod tests {
 
     // The merged *sequence* (flat, block and mixed fan-ins, cross-run
     // ties, uneven and empty runs, `next` and `next_item`) is pinned
-    // against `merge_sorted_runs` by the proptest
+    // against a stable sort of the concatenated runs by the proptest
     // `merge_stream_matches_materializing_merge` in
     // tests/shuffle_equivalence.rs. What stays here is what a sequence
     // comparison cannot see: comparator-call counts, skip hits, and
@@ -1094,7 +1047,7 @@ mod tests {
         let segments = open_all(&sealed);
         let mut stream = BlockMergeStream::new(&segments, &DefaultKeySemantics).unwrap();
         let streamed = drain(&mut stream).unwrap();
-        assert_eq!(streamed, merge_sorted_runs(runs, &DefaultKeySemantics));
+        assert_eq!(streamed, stable_merged(runs));
         assert_eq!(stream.blocks_copied(), 0);
     }
 
@@ -1126,7 +1079,7 @@ mod tests {
         let mut out = Vec::new();
         raw.for_each_record(|k, v| out.push(KvPair::new(k.to_vec(), v.to_vec())))
             .unwrap();
-        assert_eq!(out, merge_sorted_runs(runs, &DefaultKeySemantics));
+        assert_eq!(out, stable_merged(runs));
     }
 
     #[test]

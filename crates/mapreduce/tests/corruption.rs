@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use scihadoop_compress::{Codec, IdentityCodec};
-use scihadoop_mapreduce::{Framing, IFileReader, IFileWriter, MrError, RawSegment};
+use scihadoop_mapreduce::{Framing, IFileWriter, MrError, RawSegment};
 use std::sync::Arc;
 
 /// Build a segment in any of the three on-disk formats. v3 uses a tiny
@@ -61,7 +61,7 @@ proptest! {
         let mut corrupt = data.clone();
         corrupt[bit / 8] ^= 1u8 << (bit % 8);
         prop_assert!(
-            IFileReader::open(&corrupt, &IdentityCodec).is_err(),
+            read_all(&corrupt).is_err(),
             "bit flip at {} undetected in {}-byte segment", bit, data.len()
         );
     }
@@ -80,7 +80,7 @@ proptest! {
         let data = build_segment(&pairs, framing_of(seq), version);
         let keep = ((data.len() - 1) as f64 * keep_frac) as usize;
         prop_assert!(
-            IFileReader::open(&data[..keep], &IdentityCodec).is_err(),
+            read_all(&data[..keep]).is_err(),
             "truncation to {}/{} bytes undetected", keep, data.len()
         );
     }
@@ -163,7 +163,7 @@ proptest! {
         let mut data = build_segment(&pairs, framing_of(seq), version);
         corruption.apply(&mut data);
         prop_assert!(
-            IFileReader::open(&data, &IdentityCodec).is_err(),
+            read_all(&data).is_err(),
             "injected {:?} undetected", corruption
         );
     }

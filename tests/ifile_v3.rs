@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use scihadoop::compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop::mapreduce::ifile::MAX_BLOCK_RECORDS;
 use scihadoop::mapreduce::{
-    merge_sorted_runs, BlockMergeStream, DefaultKeySemantics, Framing, IFileReader, IFileWriter,
-    KvPair, MergeItem, RawSegment,
+    BlockMergeStream, DefaultKeySemantics, Framing, IFileWriter, KeySemantics, KvPair, MergeItem,
+    MrError, RawSegment,
 };
 use std::sync::Arc;
 
@@ -28,13 +28,27 @@ fn write_segment(pairs: &[(Vec<u8>, Vec<u8>)], version: u8, budget: usize) -> Ve
     w.close().data
 }
 
-fn read_pairs(data: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    IFileReader::open(data, &IdentityCodec)
-        .unwrap()
-        .into_records()
-        .into_iter()
-        .map(|p| (p.key.into(), p.value.into()))
-        .collect()
+/// Owned `(key, value)` pairs.
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Every record of a segment in file order.
+fn read_with(data: &[u8], codec: &dyn Codec) -> Result<Pairs, MrError> {
+    let raw = RawSegment::open(data, codec)?;
+    let mut out = Vec::new();
+    raw.for_each_record(|k, v| out.push((k.to_vec(), v.to_vec())))?;
+    Ok(out)
+}
+
+fn read_pairs(data: &[u8]) -> Pairs {
+    read_with(data, &IdentityCodec).unwrap()
+}
+
+/// The merge oracle: sorted runs concatenated in run order and
+/// stable-sorted, so a key tied across runs keeps the lower run first.
+fn stable_merged(runs: Vec<Vec<KvPair>>) -> Vec<KvPair> {
+    let mut all: Vec<KvPair> = runs.into_iter().flatten().collect();
+    all.sort_by(|a, b| DefaultKeySemantics.compare(&a.key, &b.key));
+    all
 }
 
 // ---- key distributions ------------------------------------------------
@@ -174,13 +188,7 @@ proptest! {
             w.append(k, v);
         }
         let seg = w.close();
-        let got: Vec<(Vec<u8>, Vec<u8>)> = IFileReader::open(&seg.data, &codec)
-            .unwrap()
-            .into_records()
-            .into_iter()
-            .map(|p| (p.key.into(), p.value.into()))
-            .collect();
-        prop_assert_eq!(got, pairs);
+        prop_assert_eq!(read_with(&seg.data, &codec).unwrap(), pairs);
     }
 
     #[test]
@@ -219,7 +227,7 @@ proptest! {
         while let Some((k, v)) = stream.next().unwrap() {
             streamed.push(KvPair::new(k.to_vec(), v.to_vec()));
         }
-        prop_assert_eq!(streamed, merge_sorted_runs(sorted_runs, &ks));
+        prop_assert_eq!(streamed, stable_merged(sorted_runs));
     }
 
     #[test]
@@ -232,7 +240,7 @@ proptest! {
         let mut corrupt = data.clone();
         corrupt[bit / 8] ^= 1u8 << (bit % 8);
         prop_assert!(
-            IFileReader::open(&corrupt, &IdentityCodec).is_err(),
+            read_with(&corrupt, &IdentityCodec).is_err(),
             "bit flip at {} undetected in {}-byte v3 segment", bit, data.len()
         );
     }
@@ -322,7 +330,9 @@ fn key_runs_cross_block_boundaries_and_the_record_cap() {
     let pairs = repeated(b"k", 1000, |i| (i as u32).to_be_bytes().to_vec());
     let raw = v3_raw(&pairs, 16);
     assert_eq!(raw.blocks().unwrap(), 250);
-    assert_eq!(raw.record_count().unwrap(), 1000);
+    let mut records = 0;
+    raw.for_each_record(|_, _| records += 1).unwrap();
+    assert_eq!(records, 1000);
     assert_eq!(read_pairs(&write_segment(&pairs, 3, 16)), pairs);
 
     // Empty values add nothing to the body, so only the record cap ends
@@ -477,7 +487,7 @@ fn duplicate_heavy_merge_replays_once_per_group() {
         }
         (merged, stream.compare_calls(), blocks)
     };
-    let expected = merge_sorted_runs(runs.clone(), &DefaultKeySemantics);
+    let expected = stable_merged(runs.clone());
     let (merged, compare_calls, blocks) = merge(3);
     assert_eq!(merged, expected);
     // A block boundary cuts a key's run into two groups.

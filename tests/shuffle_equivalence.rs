@@ -1,24 +1,25 @@
 //! Equivalence properties for the shuffle hot path.
 //!
 //! The engine's arena-backed spill and streaming k-way merge replaced a
-//! materialize-everything reference pipeline (owned-pair `sort_by`,
-//! `merge_sorted_runs`, whole-run `sort_split`). These properties pin the
-//! engine to the reference semantics: byte-identical spill segments,
-//! identical job outputs, and identical record/byte/split counters across
-//! random workloads, spill thresholds, and key semantics (stock keys and
-//! Z-order aggregate keys). The comparison-free sort paths (prefix radix
-//! spill sort, loser-tree merge) are additionally pinned byte-identical
-//! to their comparator references (`sort_partition_by_compare`,
-//! `merge_sorted_runs`).
+//! materialize-everything reference pipeline (owned-pair `sort_by`, a
+//! k-way merge of owned runs, whole-run `sort_split`). These properties
+//! pin the engine to the reference semantics: byte-identical spill
+//! segments, identical job outputs, and identical record/byte/split
+//! counters across random workloads, spill thresholds, and key semantics
+//! (stock keys and Z-order aggregate keys). The comparison-free sort
+//! paths (prefix radix spill sort, loser-tree merge) are additionally
+//! pinned byte-identical to the standard library's stable comparator
+//! sort: of a partition's staged pairs, and of sorted runs concatenated
+//! in run order.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scihadoop::compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
 use scihadoop::mapreduce::{
-    for_each_group, merge_sorted_runs, sort_pairs, BlockMergeStream, Counter, DefaultKeySemantics,
-    Emit, FnMapper, FnReducer, Framing, IFileReader, IFileVersion, IFileWriter, InputSplit, Job,
-    JobConfig, KeySemantics, KvPair, MergeItem, RawSegment, SpillArena,
+    for_each_group, sort_pairs, BlockMergeStream, Counter, DefaultKeySemantics, Emit, FnMapper,
+    FnReducer, Framing, IFileVersion, IFileWriter, InputSplit, Job, JobConfig, KeySemantics,
+    KvPair, MergeItem, RawSegment, SpillArena,
 };
 use scihadoop::sfc::CurveRun;
 use std::cmp::Ordering;
@@ -27,8 +28,26 @@ use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Reference pipeline: the engine's pre-arena semantics, reimplemented on
-// the reference primitives the engine keeps for exactly this purpose.
+// owned pairs and the standard library's stable sort.
 // ---------------------------------------------------------------------------
+
+/// Every record of a segment in file order, as owned pairs.
+fn read_records(data: &[u8], codec: &dyn Codec) -> Vec<KvPair> {
+    let raw = RawSegment::open(data, codec).expect("segment reads back");
+    let mut out = Vec::new();
+    raw.for_each_record(|k, v| out.push(KvPair::new(k.to_vec(), v.to_vec())))
+        .expect("segment reads back");
+    out
+}
+
+/// The merge oracle: sorted runs concatenated in run order and
+/// stable-sorted, so a key tied across runs keeps the lower run first —
+/// the engine merge's tie-break.
+fn stable_merged(runs: Vec<Vec<KvPair>>, ks: &dyn KeySemantics) -> Vec<KvPair> {
+    let mut all: Vec<KvPair> = runs.into_iter().flatten().collect();
+    all.sort_by(|a, b| ks.compare(&a.key, &b.key));
+    all
+}
 
 /// One spilled segment: `(partition, data, raw, key, value, framing)` bytes.
 type SpilledSegment = (usize, Vec<u8>, u64, u64, u64, u64);
@@ -129,13 +148,9 @@ fn ref_map_task(cfg: &RefConfig, split: &[KvPair], c: &mut RefCounters) -> Vec<(
                 _ => {
                     let runs: Vec<Vec<KvPair>> = mine
                         .iter()
-                        .map(|(_, data, ..)| {
-                            IFileReader::open(data, cfg.codec.as_ref())
-                                .expect("segment reads back")
-                                .into_records()
-                        })
+                        .map(|(_, data, ..)| read_records(data, cfg.codec.as_ref()))
                         .collect();
-                    let run = merge_sorted_runs(runs, cfg.ks.as_ref());
+                    let run = stable_merged(runs, cfg.ks.as_ref());
                     let mut w = IFileWriter::new(cfg.framing, cfg.codec.clone());
                     for pair in &run {
                         w.append_pair(pair);
@@ -178,13 +193,9 @@ fn ref_reduce_task(
 ) -> Vec<KvPair> {
     let runs: Vec<Vec<KvPair>> = segments
         .iter()
-        .map(|data| {
-            IFileReader::open(data, cfg.codec.as_ref())
-                .expect("segment reads back")
-                .into_records()
-        })
+        .map(|data| read_records(data, cfg.codec.as_ref()))
         .collect();
-    let merged = merge_sorted_runs(runs, cfg.ks.as_ref());
+    let merged = stable_merged(runs, cfg.ks.as_ref());
     let before = merged.len();
     let mut records = cfg.ks.sort_split(merged);
     if records.len() > before {
@@ -450,7 +461,7 @@ proptest! {
         assert_engine_matches_reference(&cfg, &splits);
     }
 
-    /// Map-side radix spill sort vs the retained comparator sort: the
+    /// Map-side radix spill sort vs std's stable comparator sort: the
     /// `(prefix, index)` LSD radix path with tie-run fallback must be
     /// byte-identical (order *and* stability) to the stable comparator
     /// sort, for stock and aggregate key semantics alike.
@@ -471,25 +482,22 @@ proptest! {
             plain_splits(&keys, &[vec![9u8]], 1).remove(0)
         };
         let mut fast = SpillArena::new(1);
-        let mut reference = SpillArena::new(1);
         for (i, r) in records.iter().enumerate() {
             // Distinct values expose any stability difference.
-            let tag = (i as u32).to_be_bytes();
-            fast.append(0, &r.key, &tag);
-            reference.append(0, &r.key, &tag);
+            fast.append(0, &r.key, &(i as u32).to_be_bytes());
         }
+        let mut ref_pairs: Vec<(Vec<u8>, Vec<u8>)> =
+            fast.pairs(0).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        ref_pairs.sort_by(|a, b| ks.compare(&a.0, &b.0));
         fast.sort_partition(0, ks.as_ref());
-        reference.sort_partition_by_compare(0, ks.as_ref());
         let fast_pairs: Vec<(Vec<u8>, Vec<u8>)> =
             fast.pairs(0).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        let ref_pairs: Vec<(Vec<u8>, Vec<u8>)> =
-            reference.pairs(0).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
         prop_assert_eq!(fast_pairs, ref_pairs);
     }
 
-    /// Both users of the wide-key kernel against their comparator
-    /// references — the arena sort vs `sort_partition_by_compare`,
-    /// `sort_pairs` vs a stable `sort_by` — on what the 16-byte window
+    /// Both users of the wide-key kernel against a stable `sort_by` of
+    /// their input — a partition's staged pairs for the arena sort, the
+    /// pairs themselves for `sort_pairs` — on what the 16-byte window
     /// makes interesting: grid keys of 12, 16 and 20 bytes in
     /// sliding-window emission order (nine-fold duplicates, halos across
     /// −1/0 and 255/256, column and row strips), mixed-length keys over a
@@ -515,21 +523,20 @@ proptest! {
         };
         keys.truncate(cut);
         let mut fast = SpillArena::new(parts);
-        let mut reference = SpillArena::new(parts);
         let mut pairs = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             // Distinct values expose any stability difference.
             let tag = (i as u32).to_be_bytes();
-            let p = ks.partition(key, parts);
-            fast.append(p, key, &tag);
-            reference.append(p, key, &tag);
+            fast.append(ks.partition(key, parts), key, &tag);
             pairs.push(KvPair::new(key.clone(), tag.to_vec()));
         }
         for p in 0..parts {
+            let mut ref_pairs: Vec<(Vec<u8>, Vec<u8>)> =
+                fast.pairs(p).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            ref_pairs.sort_by(|a, b| ks.compare(&a.0, &b.0));
             fast.sort_partition(p, &ks);
-            reference.sort_partition_by_compare(p, &ks);
-            let fast_pairs: Vec<(&[u8], &[u8])> = fast.pairs(p).collect();
-            let ref_pairs: Vec<(&[u8], &[u8])> = reference.pairs(p).collect();
+            let fast_pairs: Vec<(Vec<u8>, Vec<u8>)> =
+                fast.pairs(p).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
             prop_assert_eq!(fast_pairs, ref_pairs, "partition {}", p);
         }
         let mut expected = pairs.clone();
@@ -541,8 +548,9 @@ proptest! {
     /// The reducer's merge on the benchmark's shape: 16 column strips'
     /// sorted runs interleave row by row, so every run's head changes
     /// rows together and an 8-byte prefix of a 12-byte key ties on each
-    /// of them. The sequence must be `merge_sorted_runs`', through
-    /// `next()` and `next_item()`, flat and block runs alike — and the
+    /// of them. The sequence must be the runs' stable sort
+    /// (`stable_merged`), through `next()` and `next_item()`, flat and
+    /// block runs alike — and the
     /// comparator may only be asked about keys whose first 16 bytes are
     /// equal: here, a 12-byte key on a halo column that two
     /// neighbouring strips both wrote. Without halos, or when a window
@@ -599,7 +607,7 @@ proptest! {
             .iter()
             .map(|s| RawSegment::open(s, codec.as_ref()).expect("segment reads back"))
             .collect();
-        let materialized = merge_sorted_runs(sorted_runs, &plain);
+        let materialized = stable_merged(sorted_runs, &plain);
 
         for by_item in [false, true] {
             counting.calls.store(0, Relaxed);
@@ -633,12 +641,13 @@ proptest! {
         }
     }
 
-    /// The engine's one merge vs the materializing reference, over
+    /// The engine's one merge vs the materializing oracle, over
     /// flat-only, block-only and mixed fan-ins: `BlockMergeStream` must
-    /// yield exactly `merge_sorted_runs`' sequence — including the
-    /// tie-break toward the lower run id on keys duplicated across runs,
-    /// uneven and empty runs, and v3 block budgets from one record per
-    /// block up — through both `next()` and `next_item()`.
+    /// yield exactly the stable sort of the runs concatenated in run
+    /// order — including the tie-break toward the lower run id on keys
+    /// duplicated across runs, uneven and empty runs, and v3 block
+    /// budgets from one record per block up — through both `next()` and
+    /// `next_item()`.
     #[test]
     fn merge_stream_matches_materializing_merge(
         keys in vec((any::<u8>(), any::<u8>()), 1..200),
@@ -705,7 +714,7 @@ proptest! {
                     .expect("spliced block decodes"),
             }
         }
-        let materialized = merge_sorted_runs(sorted_runs, ks.as_ref());
+        let materialized = stable_merged(sorted_runs, ks.as_ref());
         prop_assert_eq!(&by_record, &materialized, "next() vs materializing merge");
         prop_assert_eq!(&by_item, &materialized, "next_item() vs materializing merge");
     }

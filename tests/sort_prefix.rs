@@ -20,9 +20,9 @@ use proptest::prelude::*;
 use scihadoop::compress::IdentityCodec;
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
 use scihadoop::mapreduce::{
-    bytewise_sort_prefix_wide, merge_sorted_runs, BlockMergeStream, Counter, DefaultKeySemantics,
-    Emit, FnMapper, FnReducer, Framing, IFileWriter, InputSplit, Job, JobConfig, KeySemantics,
-    KvPair, MergeItem, RawSegment,
+    bytewise_sort_prefix_wide, BlockMergeStream, Counter, DefaultKeySemantics, Emit, FnMapper,
+    FnReducer, Framing, IFileWriter, InputSplit, Job, JobConfig, KeySemantics, KvPair, MergeItem,
+    RawSegment,
 };
 use scihadoop::sfc::{index_prefix48, Curve, CurveRun, ZOrderCurve};
 use std::cmp::Ordering;
@@ -179,7 +179,10 @@ fn check_engine(ks: Arc<dyn KeySemantics>, keys: &[Vec<u8>]) -> Result<(), TestC
             .iter()
             .map(|s| RawSegment::open(s, &IdentityCodec).expect("segment opens"))
             .collect();
-        let expected = merge_sorted_runs(runs, ks.as_ref());
+        // The runs concatenated in run order and stable-sorted: a key
+        // tied across runs keeps the lower run first.
+        let mut expected: Vec<KvPair> = runs.into_iter().flatten().collect();
+        expected.sort_by(|a, b| ks.compare(&a.key, &b.key));
         let mut by_record = Vec::new();
         let mut stream = BlockMergeStream::new(&segments, ks.as_ref()).expect("merge opens");
         while let Some((key, value)) = stream.next().expect("merge") {
