@@ -176,6 +176,11 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
+/// Paired rounds behind each gated percent, which is their median. At
+/// 15, the ledger percent of one unchanged tree read −3.7 % to +3.8 %
+/// over ten runs.
+const ROUNDS: usize = 75;
+
 /// Tracing overhead in percent, measured by *interleaving* untraced and
 /// traced batches and taking the median of per-round time ratios — slow
 /// machine-load drift hits both sides of each round equally, so it
@@ -186,7 +191,6 @@ fn bench_merge(c: &mut Criterion) {
 fn paired_overhead_percent(
     mut untraced_once: impl FnMut(),
     mut traced_batch: impl FnMut(usize),
-    rounds: usize,
 ) -> f64 {
     // Warm up and size batches for ~10 ms per side per round.
     untraced_once();
@@ -202,8 +206,8 @@ fn paired_overhead_percent(
         }
         t0.elapsed().as_nanos().max(1)
     };
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
         // Alternate the order within each round so first-runner effects
         // (allocator warmth, cache state) cancel across rounds too.
         let (u, t) = if round % 2 == 0 {
@@ -262,7 +266,6 @@ fn main() {
                 }));
             }
         },
-        15,
     );
     let merge_overhead = paired_overhead_percent(
         || {
@@ -276,7 +279,6 @@ fn main() {
                 }));
             }
         },
-        15,
     );
     // Ledger overhead: the same traced spill batch, but each batch also
     // builds and serializes one run-ledger record (the engine appends
@@ -322,7 +324,6 @@ fn main() {
                 LedgerRecord::from_run("bench_obs", &ledger_cfg, &ledger_result, Some(&trace));
             black_box(record.to_json().len());
         },
-        15,
     );
     println!("\nmap-sort-spill tracing overhead: {spill_overhead:+.2}%");
     println!("merge-reduce tracing overhead:   {merge_overhead:+.2}%");

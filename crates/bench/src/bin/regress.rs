@@ -1,19 +1,18 @@
 //! `regress` — the CI perf-regression gate.
 //!
 //! ```text
-//! regress [--fresh <dir>] [--baseline <dir>] [--ledger <path>]
+//! regress [--fresh <dir>] [--baseline <dir>]
 //! ```
 //!
 //! Compares freshly generated `BENCH_*.json` reports (in `--fresh`,
 //! default `.`) against the committed baselines (in `--baseline`,
-//! default `.`) and, when `--ledger` names a JSON-lines run ledger,
-//! gates the run history too (byte determinism per config group).
-//! Prints every check and exits nonzero if any fails. See `regress.rs`
-//! in the library for the threshold rationale — raw timings are never
-//! compared across machines.
+//! default `.`). Prints every check and exits nonzero if any fails.
+//! See `regress.rs` in the library for the threshold rationale — raw
+//! timings are never compared across machines. A run ledger is checked
+//! by `repro --reconcile`.
 
 use scihadoop_bench as bench;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,26 +28,21 @@ fn main() {
             .cloned()
     };
     for a in &args {
-        if a.starts_with("--") && !["--fresh", "--baseline", "--ledger"].contains(&a.as_str()) {
-            eprintln!("unknown flag {a}; usage: regress [--fresh <dir>] [--baseline <dir>] [--ledger <path>]");
+        if a.starts_with("--") && !["--fresh", "--baseline"].contains(&a.as_str()) {
+            eprintln!("unknown flag {a}; usage: regress [--fresh <dir>] [--baseline <dir>]");
             std::process::exit(2);
         }
     }
     let fresh = PathBuf::from(flag_value("--fresh").unwrap_or_else(|| ".".into()));
     let baseline = PathBuf::from(flag_value("--baseline").unwrap_or_else(|| ".".into()));
-    let ledger = flag_value("--ledger").map(PathBuf::from);
 
-    let checks = bench::regress::run_gate(&fresh, &baseline, ledger.as_deref().map(Path::new));
+    let checks = bench::regress::run_gate(&fresh, &baseline);
 
     let mut table = bench::Table::new(
         &format!(
-            "perf-regression gate: fresh {} vs baseline {}{}",
+            "perf-regression gate: fresh {} vs baseline {}",
             fresh.display(),
-            baseline.display(),
-            ledger
-                .as_ref()
-                .map(|p| format!(", ledger {}", p.display()))
-                .unwrap_or_default()
+            baseline.display()
         ),
         &["check", "value", "limit", "verdict"],
     );

@@ -43,13 +43,13 @@
 //! --ledger <path> appends one self-describing JSON-lines run record per
 //!   job (config, counters, phase rollups, histograms) — rich records
 //!   from the trace jobs, thin ones (no rollups or histograms) from
-//!   fault_storm and dist runs. The file accumulates history for the
-//!   `regress` perf gate.
+//!   fault_storm and dist runs. The file accumulates run history.
 //! --reconcile <path> parses an existing ledger file, prints the
 //!   cost-model drift report (predicted vs measured time per run) and
-//!   holds every record to `ledger_violations` (the counters'
-//!   `check_invariants`, a rich record's histograms against its
-//!   counters), exiting 1 on a violation; a standalone action that runs no experiment unless
+//!   holds the ledger to `ledger_violations` (each record's counters to
+//!   `check_invariants` and a rich record's histograms to its counters;
+//!   the clean runs of one job to equal semantic counters), exiting 1 on
+//!   a violation; a standalone action that runs no experiment unless
 //!   one is named (`repro trace --small --ledger L --reconcile L` is
 //!   the self-contained drift report).
 //! ```

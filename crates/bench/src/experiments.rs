@@ -621,9 +621,9 @@ pub fn traced_pipeline(n: u32, records: usize) -> (Table, Trace, Vec<obs::Ledger
     // map fails its first attempt at the fault gate, and every reduce
     // its first inside the task body, on a corrupted fetched segment
     // after it has sampled; each retry succeeds. So the trace carries
-    // Retry spans (validate_trace demands rollups for every phase,
-    // retries included), and its record's histograms must still hold
-    // the committed attempts' samples only (`ledger_violations`).
+    // Retry spans (the traced-pipeline test demands a span for every
+    // phase, retries included), and its record's histograms must still
+    // hold the committed attempts' samples only (`ledger_violations`).
     traced(
         "traced_faulty_wordcount",
         JobConfig::default()
@@ -722,9 +722,9 @@ pub fn drift_table(title: &str, records: &[obs::LedgerRecord]) -> (Table, Vec<ob
 /// [`CounterSnapshot::check_invariants`](scihadoop_mapreduce::CounterSnapshot::check_invariants)
 /// — the cross-site accounting identities debug builds assert at job
 /// completion — and every rich record's histograms to its counters,
-/// and return each violation as `record N (label): why`.
-/// `validate_trace` and `repro --reconcile` both read a ledger through
-/// it.
+/// and return each violation as `record N (label): why`; then hold the
+/// clean runs of each job to one another (`group label (n runs): counter
+/// drifted`). `repro --reconcile` reads a ledger through it.
 pub fn ledger_violations(records: &[obs::LedgerRecord]) -> Vec<String> {
     let mut violations = Vec::new();
     for (i, record) in records.iter().enumerate() {
@@ -735,6 +735,46 @@ pub fn ledger_violations(records: &[obs::LedgerRecord]) -> Vec<String> {
         }
         for e in why {
             violations.push(format!("record {} ({}): {e}", i + 1, record.label));
+        }
+    }
+    violations.extend(drift_violations(records));
+    violations
+}
+
+/// Runs of one job — equal label, config and map-task count — count the
+/// same: every [`CounterKind::Semantic`] counter is equal across the
+/// group. A run under a fault plan is not held to it (its schedule
+/// interleaves with thread timing), and wall clocks are not compared:
+/// the end-to-end benchmark measures them.
+fn drift_violations(records: &[obs::LedgerRecord]) -> Vec<String> {
+    let same_job = |a: &obs::LedgerRecord, b: &obs::LedgerRecord| {
+        (&a.label, &a.config, a.job.num_maps) == (&b.label, &b.config, b.job.num_maps)
+    };
+    let mut groups: Vec<Vec<&obs::LedgerRecord>> = Vec::new();
+    for record in records.iter().filter(|r| r.config.faults.is_none()) {
+        match groups.iter_mut().find(|g| same_job(g[0], record)) {
+            Some(group) => group.push(record),
+            None => groups.push(vec![record]),
+        }
+    }
+    let mut violations = Vec::new();
+    for group in &groups {
+        let first = group[0];
+        for c in ALL_COUNTERS
+            .into_iter()
+            .filter(|c| c.kind() == CounterKind::Semantic)
+        {
+            if group
+                .iter()
+                .any(|r| r.counters.get(c) != first.counters.get(c))
+            {
+                violations.push(format!(
+                    "group {} ({} runs): {} drifted",
+                    first.label,
+                    group.len(),
+                    c.name()
+                ));
+            }
         }
     }
     violations
@@ -1439,6 +1479,7 @@ pub fn dist_equivalence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn intro_overhead_matches_paper_exactly_at_scale() {
@@ -1584,14 +1625,33 @@ mod tests {
         // check_invariants() already ran on each job's counters inside,
         // with the key-saved term of the byte split nonzero.
         let (table, trace, ledger) = traced_pipeline(24, 400);
+        // The Chrome export is JSON, with a complete span for every
+        // stage, no negative time and a name for each thread.
+        let doc = crate::json::parse(&obs::chrome_trace_json(&trace)).expect("the export parses");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_owned);
+        let spans: Vec<&Json> = events
+            .iter()
+            .filter(|e| field(e, "ph").as_deref() == Some("X"))
+            .collect();
         for phase in ALL_PHASES {
             assert!(
-                trace.span_count(phase) > 0,
+                spans
+                    .iter()
+                    .any(|e| field(e, "name").as_deref() == Some(phase.name())),
                 "no spans for {:?}\n{}",
                 phase,
                 table.render()
             );
         }
+        for e in &spans {
+            for key in ["ts", "dur"] {
+                let at = e.get(key).and_then(Json::as_f64);
+                assert!(at.is_some_and(|t| t >= 0.0), "{key} of {e:?}");
+            }
+        }
+        assert!(events.iter().any(|e| field(e, "ph").as_deref() == Some("M")
+            && field(e, "name").as_deref() == Some("thread_name")));
         assert_eq!(trace.dropped_events, 0);
         // One rich ledger record per job, with phase rollups and
         // histograms filled from that job's own trace.
@@ -1618,8 +1678,8 @@ mod tests {
         // Every task of the faulty job ran twice, and every reduce's
         // first attempt failed on a corrupt segment inside its body, so
         // `ledger_violations` holds the samples to the counters across
-        // failed attempts (`tests/cli.rs` runs both readers on this
-        // ledger).
+        // failed attempts (`tests/cli.rs` runs `repro --reconcile` on
+        // this ledger).
         let faulty = &ledger[2];
         assert_eq!(
             faulty.counters.get(Counter::TaskRetries),
@@ -1640,6 +1700,86 @@ mod tests {
             ledger[0].counters.get(Counter::MapOutputKeySavedBytes) > 0,
             "wordcount keys share prefixes; v3 must save key bytes"
         );
+    }
+
+    /// The thin record of a clean run whose counters balance.
+    fn history_record(label: &str, output_bytes: u64) -> obs::LedgerRecord {
+        let counters = Counters::new();
+        counters.add(Counter::ReduceOutputBytes, output_bytes);
+        obs::LedgerRecord {
+            label: label.into(),
+            clock: "thread_cpu".into(),
+            host_cpus: 1,
+            dropped_events: 0,
+            config: obs::LedgerConfig {
+                codec: "identity".into(),
+                num_reducers: 1,
+                map_slots: 2,
+                reduce_slots: 2,
+                spill_buffer_bytes: 1024,
+                framing: "ifile".into(),
+                ifile_version: 3,
+                combiner: false,
+                task_retries: 0,
+                faults: None,
+            },
+            job: obs::LedgerJob {
+                num_maps: 1,
+                num_reducers: 1,
+                input_bytes: 100,
+                map_wall_nanos: 10,
+                reduce_wall_nanos: 0,
+            },
+            counters: counters.snapshot(),
+            phases: [obs::PhaseRollup::default(); obs::NUM_PHASES],
+            histograms: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn clean_runs_of_one_job_count_the_same() {
+        // Wall clocks, stopwatch counters and path tallies may differ.
+        let mut other = history_record("a", 100);
+        other.job.map_wall_nanos = 1200;
+        let counters = Counters::new();
+        counters.absorb(&other.counters);
+        counters.add(Counter::MergeNanos, 77);
+        counters.add(Counter::SortSplitRecords, 3);
+        other.counters = counters.snapshot();
+        let runs = [history_record("a", 100), other];
+        assert_eq!(ledger_violations(&runs), Vec::<String>::new());
+        // A semantic counter may not.
+        let runs = [
+            history_record("a", 100),
+            history_record("a", 100),
+            history_record("a", 101),
+        ];
+        assert_eq!(
+            ledger_violations(&runs),
+            ["group a (3 runs): reduce_output_bytes drifted"]
+        );
+    }
+
+    #[test]
+    fn only_clean_runs_of_one_job_are_compared() {
+        let mut other_config = history_record("a", 999);
+        other_config.config.ifile_version = 2;
+        let mut other_maps = history_record("a", 998);
+        other_maps.job.num_maps = 2;
+        let mut faulted = history_record("a", 997);
+        faulted.config.faults =
+            Some("seed=1,map=1,reduce=0,corrupt=0,slow=0,slow_ms=1,cap=1".into());
+        let mut refaulted = faulted.clone();
+        refaulted.counters = history_record("a", 996).counters;
+        let runs = [
+            history_record("a", 100),
+            history_record("b", 995),
+            other_config,
+            other_maps,
+            faulted,
+            refaulted,
+        ];
+        assert_eq!(ledger_violations(&runs), Vec::<String>::new());
     }
 
     fn storm_config() -> JobConfig {

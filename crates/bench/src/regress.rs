@@ -1,5 +1,6 @@
 //! The perf-regression gate: compare a fresh bench run against the
-//! committed `BENCH_*.json` baselines and the run-ledger history.
+//! committed `BENCH_*.json` baselines. A run ledger is checked by
+//! `repro --reconcile` instead (`ledger_violations`).
 //!
 //! Thresholds are noise-aware by construction rather than by fudging:
 //!
@@ -11,17 +12,12 @@
 //! * **Ratio fields** are deterministic byte counts (segment sizes from
 //!   seeded workloads), identical across machines — those get tight
 //!   tolerances against the committed baseline.
-//! * **Ledger history** groups records by label, full config and
-//!   map-task count.
-//!   Deterministic byte counters must be *identical* across a group.
 //!
 //! Raw `median_ns` numbers are deliberately never compared across
 //! files: they are machine-dependent and a fresh-vs-committed
 //! comparison would gate on hardware, not code.
 
 use crate::json::Json;
-use scihadoop_mapreduce::obs::{parse_ledger, LedgerRecord};
-use scihadoop_mapreduce::{CounterKind, ALL_COUNTERS};
 use std::path::Path;
 
 /// An absolute ceiling/floor on a paired benchmark field.
@@ -124,7 +120,7 @@ pub const RATIO_CHECKS: &[RatioCheck] = &[
 /// One evaluated check.
 #[derive(Debug, Clone)]
 pub struct GateCheck {
-    /// Human-readable check identity (`file · field` or ledger group).
+    /// Human-readable check identity (`file · field`).
     pub name: String,
     /// The observed value.
     pub value: String,
@@ -224,60 +220,6 @@ pub fn check_ratios(fresh: &Json, baseline: &Json, file: &str) -> Vec<GateCheck>
     out
 }
 
-/// Gate the ledger history: within each group of records with equal
-/// label, config and map-task count, every
-/// [`CounterKind::Semantic`] counter must be identical (clean runs only
-/// — fault schedules interleave with thread timing). Wall clocks are
-/// not gated here: the end-to-end benchmark measures them on every PR.
-pub fn check_ledger_history(records: &[LedgerRecord]) -> Vec<GateCheck> {
-    let mut out = Vec::new();
-    let same_job = |a: &LedgerRecord, b: &LedgerRecord| {
-        (&a.label, &a.config, a.job.num_maps) == (&b.label, &b.config, b.job.num_maps)
-    };
-    let mut groups: Vec<Vec<&LedgerRecord>> = Vec::new();
-    for r in records {
-        match groups.iter_mut().find(|members| same_job(members[0], r)) {
-            Some(members) => members.push(r),
-            None => groups.push(vec![r]),
-        }
-    }
-
-    for members in &groups {
-        let first = members[0];
-        let group = format!("ledger · {} ({} runs)", first.label, members.len());
-        if members.len() < 2 || first.config.faults.is_some() {
-            continue;
-        }
-        let deterministic = ALL_COUNTERS
-            .into_iter()
-            .filter(|c| c.kind() == CounterKind::Semantic);
-        let (mut checked, mut mismatches) = (0, Vec::new());
-        for c in deterministic {
-            checked += 1;
-            if members
-                .iter()
-                .any(|m| m.counters.get(c) != first.counters.get(c))
-            {
-                mismatches.push(c.name());
-            }
-        }
-        out.push(if mismatches.is_empty() {
-            GateCheck::pass(
-                format!("{group} · byte determinism"),
-                format!("{checked} counters identical"),
-                "exact".into(),
-            )
-        } else {
-            GateCheck::fail(
-                format!("{group} · byte determinism"),
-                format!("drifted: {}", mismatches.join(", ")),
-                "exact".into(),
-            )
-        });
-    }
-    out
-}
-
 /// The four committed BENCH baselines.
 pub const BENCH_FILES: &[&str] = &[
     "BENCH_obs.json",
@@ -290,41 +232,26 @@ pub const BENCH_FILES: &[&str] = &[
 /// fresh copy when one exists in `fresh_dir` (that is the regression
 /// check) and otherwise against the committed baseline (that still
 /// catches a bad baseline being committed); ratio checks need both
-/// copies. `ledger`, when given, adds the history checks.
-pub fn run_gate(fresh_dir: &Path, baseline_dir: &Path, ledger: Option<&Path>) -> Vec<GateCheck> {
+/// copies.
+pub fn run_gate(fresh_dir: &Path, baseline_dir: &Path) -> Vec<GateCheck> {
     let mut out = Vec::new();
-    // A missing file is an expected state (not every CI job regenerates
-    // every bench); an unreadable one is a violation.
-    let read = |file: &str, dir: &Path| -> Result<Option<Json>, String> {
-        match std::fs::read_to_string(dir.join(file)) {
-            Err(_) => Ok(None),
-            Ok(text) => crate::json::parse(&text).map(Some),
-        }
-    };
-
     for file in BENCH_FILES {
-        let fresh = match read(file, fresh_dir) {
-            Ok(v) => v,
-            Err(e) => {
-                out.push(GateCheck::fail(
-                    format!("{file} (fresh)"),
-                    format!("unparseable: {e}"),
-                    "valid JSON".into(),
-                ));
-                None
-            }
+        // A missing file is an expected state (not every CI job
+        // regenerates every bench); an unreadable one is a violation.
+        let mut read = |dir: &Path, side: &str| {
+            let text = std::fs::read_to_string(dir.join(file)).ok()?;
+            crate::json::parse(&text)
+                .map_err(|e| {
+                    out.push(GateCheck::fail(
+                        format!("{file} ({side})"),
+                        format!("unparseable: {e}"),
+                        "valid JSON".into(),
+                    ))
+                })
+                .ok()
         };
-        let baseline = match read(file, baseline_dir) {
-            Ok(v) => v,
-            Err(e) => {
-                out.push(GateCheck::fail(
-                    format!("{file} (baseline)"),
-                    format!("unparseable: {e}"),
-                    "valid JSON".into(),
-                ));
-                None
-            }
-        };
+        let fresh = read(fresh_dir, "fresh");
+        let baseline = read(baseline_dir, "baseline");
         match (&fresh, &baseline) {
             (Some(f), Some(b)) => {
                 out.extend(check_budgets(f, file));
@@ -340,23 +267,6 @@ pub fn run_gate(fresh_dir: &Path, baseline_dir: &Path, ledger: Option<&Path>) ->
         }
     }
 
-    if let Some(path) = ledger {
-        match std::fs::read_to_string(path) {
-            Err(e) => out.push(GateCheck::fail(
-                format!("ledger {}", path.display()),
-                format!("unreadable: {e}"),
-                "readable".into(),
-            )),
-            Ok(text) => match parse_ledger(&text) {
-                Err(e) => out.push(GateCheck::fail(
-                    format!("ledger {}", path.display()),
-                    e,
-                    "parseable records".into(),
-                )),
-                Ok(records) => out.extend(check_ledger_history(&records)),
-            },
-        }
-    }
     out
 }
 
@@ -364,7 +274,6 @@ pub fn run_gate(fresh_dir: &Path, baseline_dir: &Path, ledger: Option<&Path>) ->
 mod tests {
     use super::*;
     use crate::json::parse;
-    use scihadoop_mapreduce::{Counter, Counters};
 
     #[test]
     fn committed_baselines_pass_the_gate_in_the_writers_own_form() {
@@ -377,7 +286,7 @@ mod tests {
                 "{file} is not what report::write_bench_json prints"
             );
         }
-        let checks = run_gate(&root, &root, None);
+        let checks = run_gate(&root, &root);
         assert!(checks.iter().all(|c| c.ok), "{checks:#?}");
     }
 
@@ -447,63 +356,5 @@ mod tests {
         .unwrap();
         let checks = check_ratios(&drifted, &baseline, "BENCH_ifile.json");
         assert!(checks.iter().any(|c| !c.ok));
-    }
-
-    fn record(label: &str, shuffle_bytes: u64, wall: u64) -> LedgerRecord {
-        use scihadoop_mapreduce::obs::{LedgerConfig, LedgerJob, PhaseRollup, NUM_PHASES};
-        let counters = Counters::new();
-        counters.add(Counter::ShuffleBytes, shuffle_bytes);
-        LedgerRecord {
-            label: label.into(),
-            clock: "thread_cpu".into(),
-            host_cpus: 1,
-            dropped_events: 0,
-            config: LedgerConfig {
-                codec: "identity".into(),
-                num_reducers: 1,
-                map_slots: 2,
-                reduce_slots: 2,
-                spill_buffer_bytes: 1024,
-                framing: "sequence_file".into(),
-                ifile_version: 2,
-                combiner: false,
-                task_retries: 0,
-                faults: None,
-            },
-            job: LedgerJob {
-                num_maps: 1,
-                num_reducers: 1,
-                input_bytes: 100,
-                map_wall_nanos: wall,
-                reduce_wall_nanos: 0,
-            },
-            counters: counters.snapshot(),
-            phases: [PhaseRollup::default(); NUM_PHASES],
-            histograms: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn ledger_history_demands_byte_determinism() {
-        // Wall clocks, stopwatch counters and path tallies may differ.
-        let mut other = record("a", 100, 1200);
-        let counters = Counters::new();
-        counters.absorb(&other.counters);
-        counters.add(Counter::MergeNanos, 77);
-        counters.add(Counter::BlocksSkipped, 3);
-        other.counters = counters.snapshot();
-        let ok = check_ledger_history(&[record("a", 100, 10), other]);
-        assert!(ok.iter().all(|c| c.ok), "{ok:?}");
-        assert_eq!(ok[0].value, "18 counters identical");
-        let bad = check_ledger_history(&[record("a", 100, 10), record("a", 101, 12)]);
-        assert!(bad.iter().any(|c| !c.ok && c.name.contains("determinism")));
-    }
-
-    #[test]
-    fn different_configs_never_compare() {
-        let mut other = record("a", 999, 10);
-        other.config.ifile_version = 3;
-        let checks = check_ledger_history(&[record("a", 100, 10), other]);
-        assert!(checks.is_empty(), "singleton groups produce no checks");
     }
 }

@@ -97,67 +97,73 @@ fn an_output_it_cannot_write_exits_1_with_the_reason() {
     }
 }
 
-/// A ledger is held to the counter invariants, and a rich record's
-/// histograms to its counters, by both tools that read one: each forged
-/// record below parses and re-encodes, and only `ledger_violations`
-/// sees what is wrong with it.
+/// `repro --reconcile` holds a ledger to the counter invariants, a rich
+/// record's histograms to its counters, and the clean runs of one job to
+/// one another: each forged record below parses and re-encodes, and
+/// only `ledger_violations` sees what is wrong with it.
 #[test]
-fn both_ledger_readers_reject_counters_that_do_not_balance() {
+fn reconcile_rejects_ledgers_that_do_not_balance() {
     let dir = std::env::temp_dir().join(format!("repro-ledger-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let run = |exe: &str, args: &[&str]| {
-        let out = Command::new(exe)
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
             .current_dir(&dir)
             .output()
-            .expect("tool runs");
+            .expect("repro runs");
         (
             out.status.code(),
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    let repro = env!("CARGO_BIN_EXE_repro");
-    let validate = env!("CARGO_BIN_EXE_validate_trace");
-    let written = [
-        "trace", "--small", "--trace", "t.json", "--ledger", "l.jsonl",
-    ];
-    assert_eq!(run(repro, &written).0, Some(0));
-    // A thin record (no histograms) is checked like a rich one.
+    assert_eq!(run(&["trace", "--small", "--ledger", "l.jsonl"]).0, Some(0));
+    // Thin records (no histograms) are checked like rich ones, and the
+    // storm's clean run twice is a history.
     let storm = ["fault_storm", "--small", "--ledger", "l.jsonl"];
-    assert_eq!(run(repro, &storm).0, Some(0));
-    assert_eq!(run(validate, &["t.json", "l.jsonl"]).0, Some(0));
-    assert_eq!(run(repro, &["--reconcile", "l.jsonl"]).0, Some(0));
+    for _ in 0..2 {
+        assert_eq!(run(&storm).0, Some(0));
+    }
+    assert_eq!(run(&["--reconcile", "l.jsonl"]).0, Some(0));
 
     let text = std::fs::read_to_string(dir.join("l.jsonl")).expect("ledger written");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 5, "three rich records, two thin");
-    // Replace line `at` with `record`; both readers must exit 1 naming
-    // the record and saying `why`.
+    assert_eq!(lines.len(), 7, "three rich records, two storms of two");
+    // Replace line `at` with `record`; --reconcile must exit 1 saying
+    // `why` and naming the record's label.
     let assert_rejected = |at: usize, record: &LedgerRecord, why: &str| {
         let mut forged = lines.clone();
         let line = record.to_json();
         forged[at] = &line;
         std::fs::write(dir.join("forged.jsonl"), forged.join("\n") + "\n").expect("write");
-        for (exe, args) in [
-            (validate, &["t.json", "forged.jsonl"][..]),
-            (repro, &["--reconcile", "forged.jsonl"]),
-        ] {
-            let (code, stderr) = run(exe, args);
-            assert_eq!(code, Some(1), "{args:?}: {stderr}");
-            assert!(stderr.contains(why), "{args:?}: {stderr}");
-            assert!(stderr.contains(&record.label), "{args:?}: {stderr}");
+        let (code, stderr) = run(&["--reconcile", "forged.jsonl"]);
+        assert_eq!(code, Some(1), "{why}: {stderr}");
+        assert!(stderr.contains(why), "{why}: {stderr}");
+        assert!(stderr.contains(&record.label), "{why}: {stderr}");
+    };
+    let bumped = |line: &str, counter: Counter| {
+        let mut record = LedgerRecord::from_json(line).expect("line parses");
+        let counters = Counters::new();
+        for c in ALL_COUNTERS {
+            counters.add(c, record.counters.get(c));
         }
+        counters.add(counter, 1);
+        record.counters = counters.snapshot();
+        record
     };
     for tampered in [0, 4] {
-        let mut record = LedgerRecord::from_json(lines[tampered]).expect("line parses");
-        let bumped = Counters::new();
-        for c in ALL_COUNTERS {
-            bumped.add(c, record.counters.get(c));
-        }
-        bumped.add(Counter::ShuffleBytes, 1);
-        record.counters = bumped.snapshot();
+        let record = bumped(lines[tampered], Counter::ShuffleBytes);
         assert_rejected(tampered, &record, "shuffle moved");
     }
+
+    // No invariant or histogram rule reads a reducer's output bytes,
+    // but the storm's two clean runs must agree on them.
+    assert!(lines[5].contains("\"fault_storm_clean\""), "{}", lines[5]);
+    let record = bumped(lines[5], Counter::ReduceOutputBytes);
+    assert_rejected(
+        5,
+        &record,
+        "group fault_storm_clean (2 runs): reduce_output_bytes drifted",
+    );
 
     // A traced record must carry one output-record sample per reducer;
     // the traced median's record without them fails.

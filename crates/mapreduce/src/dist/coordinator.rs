@@ -154,6 +154,9 @@ fn run_coordinator(
             listener.accept(DEADLINE, &mut || workers.running())?,
         ));
     }
+    // Nothing connects again: dropping the listener removes the socket
+    // file before the job runs, so a kill mid-job leaves none behind.
+    drop(listener);
     job.run(slots)
 }
 
@@ -711,6 +714,38 @@ mod tests {
                 assert!(err.contains(&names), "{err:?} does not name {names:?}");
             }
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn the_socket_file_is_gone_once_the_workers_have_connected() {
+        // A scripted worker looks for the socket file once it holds its
+        // first assignment, then hangs up, which fails the job.
+        let (seen, saw) = std::sync::mpsc::channel();
+        let result = crate::dist::tests::within_deadline(DEADLINE, move || {
+            run_coordinator(
+                &JobConfig::default(),
+                &DistConfig::default().with_workers(1),
+                word_splits(1, 4),
+                |workers, _, addr| {
+                    let (addr, seen) = (addr.to_string(), seen.clone());
+                    workers.threads.push(std::thread::spawn(move || {
+                        let mut peer = Stream::connect(&addr, SCRIPT_DEADLINE)?;
+                        write_msg(&mut peer, &Msg::Hello { worker: 0 })?;
+                        write_msg(&mut peer, &Msg::TaskRequest)?;
+                        let assignment = read_msg(&mut peer)?.name();
+                        let _ = seen.send((assignment, std::path::Path::new(&addr).exists()));
+                        Ok(())
+                    }));
+                    Ok(())
+                },
+            )
+            .map(|_| ())
+        });
+        assert!(result.is_err(), "the worker hung up mid-task");
+        let (assignment, exists) = saw.recv().expect("the worker was assigned a task");
+        assert_eq!(assignment, "MapTask");
+        assert!(!exists, "the socket file outlived the connect phase");
     }
 
     /// Semi-compressible records (every other 64-byte run repeats the

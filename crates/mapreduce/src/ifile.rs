@@ -1305,12 +1305,15 @@ mod tests {
     }
 
     #[test]
-    fn cursor_streams_the_same_records_as_for_each_record() {
+    fn cursor_streams_the_records_that_were_written() {
         for framing in [Framing::SequenceFile, Framing::IFile] {
             let codec: Arc<dyn Codec> = Arc::new(DeflateCodec::new());
             let mut w = IFileWriter::new(framing, codec.clone());
-            for i in 0..500u32 {
-                w.append(&i.to_be_bytes(), format!("value-{i}").as_bytes());
+            let written: Vec<KvPair> = (0..500u32)
+                .map(|i| KvPair::new(i.to_be_bytes().to_vec(), format!("value-{i}").into_bytes()))
+                .collect();
+            for kv in &written {
+                w.append(&kv.key, &kv.value);
             }
             let seg = w.close();
             let raw = RawSegment::open(&seg.data, codec.as_ref()).unwrap();
@@ -1319,8 +1322,8 @@ mod tests {
             while let Some((k, v)) = cursor.next().unwrap() {
                 streamed.push(KvPair::new(k.to_vec(), v.to_vec()));
             }
-            assert_eq!(streamed, records(&seg.data, codec.as_ref()).unwrap());
             assert_eq!(streamed.len(), 500);
+            assert_eq!(streamed, written);
         }
     }
 

@@ -8,8 +8,8 @@
 //! the host's CPU count. The code that owns a finished job builds the
 //! record with [`LedgerRecord::from_run`] and appends it to a JSON-lines
 //! file through a [`LedgerSink`]; [`LedgerRecord::from_json`] /
-//! [`parse_ledger`] read it back for the drift reporter, the
-//! perf-regression gate and `validate_trace`. The record's `config`
+//! [`parse_ledger`] read it back for `repro --reconcile`, which prints
+//! the drift report and checks the ledger. The record's `config`
 //! object on its own ([`LedgerConfig::to_json`] /
 //! [`LedgerConfig::from_json`]) is a distributed worker's job payload.
 //!
@@ -515,12 +515,11 @@ impl LedgerRecord {
         let mut phases = [PhaseRollup::default(); NUM_PHASES];
         let mut histograms = Vec::new();
         if let Some(trace) = trace {
-            for (slot, phase) in phases.iter_mut().zip(ALL_PHASES) {
-                *slot = PhaseRollup {
-                    count: trace.span_count(phase) as u64,
-                    wall_ns: trace.phase_wall_nanos(phase),
-                    cpu_ns: trace.phase_cpu_nanos(phase),
-                };
+            for (_, e) in &trace.events {
+                let slot = &mut phases[e.phase as usize];
+                slot.count += 1;
+                slot.wall_ns += e.wall_dur_ns;
+                slot.cpu_ns += e.cpu_ns;
             }
             histograms.extend(
                 ALL_METRICS

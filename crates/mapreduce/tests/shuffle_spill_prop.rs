@@ -16,7 +16,6 @@
 
 use proptest::prelude::*;
 use scihadoop_mapreduce::dist::{SegmentRepr, ShuffleStore};
-use std::sync::Mutex;
 
 const PARTITIONS: usize = 3;
 
@@ -55,27 +54,6 @@ fn drain(store: &ShuffleStore, num_maps: usize) -> Vec<Vec<Vec<u8>>> {
                 .collect()
         })
         .collect()
-}
-
-/// Spill files are named by process id, so the check that a fully
-/// released store leaves none behind needs the properties of this
-/// binary to hold stores one at a time.
-static ONE_STORE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn one_store_at_a_time() -> std::sync::MutexGuard<'static, ()> {
-    ONE_STORE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Spill files of this process still linked in the temp dir.
-fn live_spill_files() -> usize {
-    let prefix = format!("scihadoop-spill-{}-", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
-        .expect("temp dir lists")
-        .filter_map(Result::ok)
-        .filter(|entry| entry.file_name().to_string_lossy().starts_with(&prefix))
-        .count()
 }
 
 /// The placement rule, restated: what each slot holds as
@@ -125,7 +103,6 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        let _serial = one_store_at_a_time();
         let num_maps = layout.len();
         let unbounded = ShuffleStore::new(PARTITIONS, num_maps, usize::MAX);
         let spilling = ShuffleStore::new(PARTITIONS, num_maps, 0);
@@ -159,7 +136,6 @@ proptest! {
         victim_pick in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let _serial = one_store_at_a_time();
         let num_maps = layout.len();
         let victim = (victim_pick % num_maps as u64) as usize;
         let store = ShuffleStore::new(PARTITIONS, num_maps, 0);
@@ -200,7 +176,6 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 0..40),
         seed in any::<u64>(),
     ) {
-        let _serial = one_store_at_a_time();
         let num_maps = layout.len();
         let unbounded = ShuffleStore::new(PARTITIONS, num_maps, usize::MAX);
         // One map task more than the layout has: the probe at the end.
@@ -288,7 +263,6 @@ proptest! {
         for partition in 0..PARTITIONS {
             bounded.release(partition);
         }
-        prop_assert_eq!(live_spill_files(), 0);
         // Nothing is resident: a segment as large as the whole budget
         // is admitted.
         if budget > 0 {
