@@ -1,13 +1,13 @@
 //! Deterministic workload generators shared by the experiments.
 
 use scihadoop_compress::IdentityCodec;
-use scihadoop_grid::{GridWalker, RowMajorWalker, Shape, Variable};
+use scihadoop_grid::{BoundingBox, Shape, Variable};
 use scihadoop_mapreduce::{BlockMergeStream, InputSplit, KeySemantics, KvPair, RawSegment};
 
 /// The Fig. 3 byte stream: "a raw stream of triples of 32-bit integers,
 /// taken by walking a grid" — n³ cells × 12 bytes.
 pub fn grid_key_stream(n: u32) -> Vec<u8> {
-    RowMajorWalker::cube(n, 3).key_stream_be()
+    BoundingBox::at_origin(Shape::cube(n, 3)).key_stream_be()
 }
 
 /// The shape of a sliding-median map-output segment: 18-byte records —

@@ -131,6 +131,17 @@ impl BoundingBox {
             next: (!self.shape.is_empty()).then(|| self.corner.clone()),
         }
     }
+
+    /// The row-major walk of the box as big-endian 32-bit integers — the
+    /// raw key stream of the paper's Fig. 3, "a raw stream of triples of
+    /// 32-bit integers, taken by walking a grid".
+    pub fn key_stream_be(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.num_cells() as usize * 4 * self.ndims());
+        for c in self.cells() {
+            out.extend(c.components().iter().flat_map(|x| x.to_be_bytes()));
+        }
+        out
+    }
 }
 
 /// Row-major walk over the cells of a box ([`BoundingBox::cells`]).
@@ -206,6 +217,23 @@ mod tests {
         let b = bb(vec![0], vec![3]);
         let parts = b.split_longest(10);
         assert_eq!(parts.len(), 3);
+    }
+
+    #[test]
+    fn key_stream_length_matches_fig3_arithmetic() {
+        // 100^3 grid walked as triples of 32-bit ints = 12,000,000 bytes.
+        // Use 20^3 here to keep the test fast: 8000 * 12 = 96,000.
+        let cube = BoundingBox::at_origin(Shape::cube(20, 3));
+        assert_eq!(cube.key_stream_be().len(), 96_000);
+    }
+
+    #[test]
+    fn key_stream_bytes_are_big_endian() {
+        // Coordinates 0 then 1.
+        let line = BoundingBox::at_origin(Shape::cube(2, 1));
+        assert_eq!(line.key_stream_be(), vec![0, 0, 0, 0, 0, 0, 0, 1]);
+        let moved = bb(vec![-1, 258], vec![1, 1]);
+        assert_eq!(moved.key_stream_be(), vec![255, 255, 255, 255, 0, 0, 1, 2]);
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub mod dataset;
 pub mod error;
 pub mod shape;
 pub mod value;
-pub mod walker;
 pub mod writable;
 
 pub use bbox::BoundingBox;
@@ -27,4 +26,3 @@ pub use dataset::Variable;
 pub use error::GridError;
 pub use shape::{LongestCut, Shape};
 pub use value::{DataType, Value};
-pub use walker::{GridWalker, RowMajorWalker};

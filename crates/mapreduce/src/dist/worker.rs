@@ -401,6 +401,41 @@ mod tests {
     }
 
     #[test]
+    fn a_coordinator_that_hangs_up_ends_the_worker_at_once() {
+        type Script = Box<dyn FnOnce(&mut Stream) + Send>;
+        let map_task = |s: &mut Stream| {
+            let split = InputSplit::new(vec![KvPair::new(vec![1], vec![2])]);
+            send(
+                s,
+                Msg::MapTask {
+                    task: 0,
+                    attempt: 0,
+                    split: Arc::new(split),
+                },
+            )
+        };
+        let cases: Vec<(&str, Script)> = vec![
+            ("right after Hello", Box::new(|_| {})),
+            ("right after a MapTask", Box::new(map_task)),
+            (
+                "mid-fetch",
+                Box::new(|s| {
+                    start_fetch(s);
+                    send(s, segment(false, b"abc"));
+                }),
+            ),
+        ];
+        for (when, script) in cases {
+            // The script's end closes the stream. A worker that missed
+            // the hang-up would end only at its read deadline.
+            let t0 = Instant::now();
+            let ended = worker_against(script);
+            assert!(matches!(ended, Err(MrError::Net(_))), "{when}: {ended:?}");
+            assert!(t0.elapsed() < SCRIPT_DEADLINE, "{when}: {:?}", t0.elapsed());
+        }
+    }
+
+    #[test]
     fn a_failed_fetch_fails_the_attempt_and_keeps_the_worker() {
         for checksum in [true, false] {
             worker_against(move |s| {

@@ -1,25 +1,19 @@
 //! The job scheduler: one job state and one slot loop, run by the local
 //! engine and by the distributed coordinator alike.
 //!
-//! A job is its [`JobState`] — the two task queues, the
-//! [`ShuffleStore`], the job-wide counter bank, collected errors,
-//! reducer outputs and phase clocks — plus a set of [`Slot`]s, each
-//! driven by one thread through the same loop: *next assignment → the
-//! fault gate → run the attempt on this slot → on success commit,
-//! absorb the attempt's counter and histogram banks and retire; on
-//! failure route the error through the retry policy and requeue or
-//! abort; on a lost slot requeue as a network error and drop the
-//! slot*. The two kinds of slot
-//! differ only in where an attempt runs: in-process ([`crate::runner`])
-//! calls the task bodies on the slot's own thread and reduces straight
-//! over the store's bytes; remote ([`crate::dist`]) holds the
-//! conversation with a worker process. Task choice, retry, backoff,
-//! abort, the bank discipline and every decision of a fault
-//! plan — a slow-down or an injected error before any slot sees the
-//! attempt, a corruption as a segment is fetched — live here, once.
-//!
-//! Built on `std::sync` (not the project's `parking_lot` shim) where a
-//! condvar is needed.
+//! Every scheduling decision — task choice, retry, abort, a stranded
+//! job — is [`Sched`]'s, a state machine with no lock, clock or sleep
+//! that the tests drive alone through thousands of seeded
+//! interleavings. A job is its [`JobState`] — that machine under one
+//! `std::sync` mutex and condvar, the [`ShuffleStore`], the job-wide
+//! counter bank, collected errors, reducer outputs and phase clocks —
+//! plus a set of [`Slot`]s, each driven by one thread through the same
+//! loop: *next assignment → the fault gate → run the attempt → commit,
+//! absorb its counter and histogram banks and retire; or back off and
+//! requeue, or abort; on a lost slot requeue and drop the slot*. An
+//! in-process slot ([`crate::runner`]) runs the task bodies on its own
+//! thread; a remote one ([`crate::dist`]) converses with a worker
+//! process. Every decision of a fault plan lives here too.
 
 use crate::counters::{Counter, CounterSnapshot, Counters};
 use crate::error::MrError;
@@ -31,7 +25,7 @@ use crate::stats::JobStats;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One schedulable task. A map task carries its split, which is dropped
@@ -73,6 +67,7 @@ pub(crate) enum Takes {
 /// the number claimed but neither retired nor requeued — a slot that
 /// finds the queue empty waits while that is non-zero, because a task in
 /// flight may yet fail and come back.
+#[derive(Default)]
 struct Queue {
     pending: VecDeque<(Task, u32)>,
     in_flight: usize,
@@ -100,7 +95,19 @@ impl Queue {
     }
 }
 
-/// Everything task choice depends on, under one lock.
+/// What [`Sched::next`] hands an idle slot.
+enum Next {
+    /// Run this attempt of this task; the flag marks an early reduce.
+    Run(Task, u32, bool),
+    /// Nothing yet: a task in flight elsewhere may yet fail and come back.
+    Wait,
+    /// Nothing ever: the slot's phases drained, or the job aborted.
+    Done,
+}
+
+/// Every scheduling decision, with no lock, clock or sleep: [`JobState`]
+/// holds it under its mutex and feeds it the slots' events.
+#[derive(Default)]
 struct Sched {
     maps: Queue,
     reduces: Queue,
@@ -111,8 +118,100 @@ struct Sched {
     /// below `mappers`, so at least one slot always remains for maps.
     early: usize,
     aborted: bool,
-    maps_drained_at: Option<Instant>,
-    reduce_t0: Option<Instant>,
+}
+
+impl Sched {
+    fn new(splits: Vec<InputSplit>, reducers: usize) -> Sched {
+        let maps = splits.into_iter().enumerate();
+        Sched {
+            maps: Queue::new(maps.map(|(id, split)| Task::Map(id, Arc::new(split)))),
+            reduces: Queue::new((0..reducers).map(Task::Reduce)),
+            ..Sched::default()
+        }
+    }
+
+    fn join(&mut self, takes: Takes) {
+        self.mappers += usize::from(takes != Takes::Reduces);
+        self.reducers += usize::from(takes != Takes::Maps);
+    }
+
+    /// A slot has gone. Returns whether that strands the job: work remains
+    /// and no map-capable slot outside an early reduce (whose fetch waits
+    /// on those very maps), or no reduce-capable slot, is left to take it.
+    fn exit(&mut self, takes: Takes) -> bool {
+        self.mappers -= usize::from(takes != Takes::Reduces);
+        self.reducers -= usize::from(takes != Takes::Maps);
+        let maps_left = !self.maps.drained();
+        let work_left = maps_left || !self.reduces.drained();
+        (maps_left && self.mappers <= self.early) || (work_left && self.reducers == 0)
+    }
+
+    /// Pick the next task for an idle slot, maps strictly first. A slot
+    /// that takes both gets a reduce before the maps drain only while
+    /// another map-capable slot stays outside early reduces: fetch
+    /// overlaps the map tail without starving it.
+    fn next(&mut self, takes: Takes) -> Next {
+        if self.aborted {
+            return Next::Done;
+        }
+        if takes != Takes::Reduces {
+            if let Some((task, attempt)) = self.maps.claim() {
+                return Next::Run(task, attempt, false);
+            }
+        }
+        let maps_drained = self.maps.drained();
+        if takes == Takes::Maps {
+            return if maps_drained { Next::Done } else { Next::Wait };
+        }
+        if maps_drained || (takes == Takes::Both && self.mappers > self.early + 1) {
+            if let Some((task, attempt)) = self.reduces.claim() {
+                self.early += usize::from(!maps_drained);
+                return Next::Run(task, attempt, !maps_drained);
+            }
+            if maps_drained && self.reduces.drained() {
+                return Next::Done;
+            }
+        }
+        Next::Wait
+    }
+
+    fn queue(&mut self, task: &Task) -> &mut Queue {
+        match task {
+            Task::Map(..) => &mut self.maps,
+            Task::Reduce(_) => &mut self.reduces,
+        }
+    }
+
+    /// An early reduce's attempt has returned. It stops counting as
+    /// early before it commits or backs off: a slot settling or sleeping
+    /// out its attempt is no longer held by the maps.
+    fn early_done(&mut self) {
+        self.early -= 1;
+    }
+
+    /// A claim ends for good.
+    fn retire(&mut self, task: &Task) {
+        self.queue(task).in_flight -= 1;
+    }
+
+    /// Put a failed claim back for its next attempt.
+    fn requeue(&mut self, task: Task, attempt: u32) {
+        self.retire(&task);
+        self.queue(&task).pending.push_back((task, attempt + 1));
+    }
+
+    fn abort(&mut self) {
+        self.aborted = true;
+    }
+
+    /// The retry policy: the backoff after attempt `attempt` fails, or
+    /// `None` once `retries` retries are spent. Long enough that a
+    /// transient fault is not retried into, short enough to vanish beside
+    /// any task; no caller ever wanted more than "negligible" of it.
+    fn backoff(attempt: u32, retries: u32) -> Option<Duration> {
+        const RETRY_BACKOFF: Duration = Duration::from_micros(100);
+        (attempt < retries).then(|| RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(20)))
+    }
 }
 
 /// What one attempt left behind: on success its product with its
@@ -212,8 +311,12 @@ pub(crate) struct JobState<'a> {
     errors: Mutex<Vec<MrError>>,
     outputs: Vec<Mutex<Vec<KvPair>>>,
     sched: std::sync::Mutex<Sched>,
-    /// Signalled on every change to `sched`.
+    /// Signalled on every event fed to `sched`.
     changed: std::sync::Condvar,
+    /// When a slot first found the maps drained, and when the first
+    /// reduce was handed out.
+    maps_drained_at: OnceLock<Instant>,
+    reduce_t0: OnceLock<Instant>,
 }
 
 /// Runs [`JobState::slot_exited`] however the slot's thread ends.
@@ -252,22 +355,10 @@ impl<'a> JobState<'a> {
             outputs: (0..config.num_reducers)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
-            sched: std::sync::Mutex::new(Sched {
-                maps: Queue::new(
-                    splits
-                        .into_iter()
-                        .enumerate()
-                        .map(|(id, split)| Task::Map(id, Arc::new(split))),
-                ),
-                reduces: Queue::new((0..config.num_reducers).map(Task::Reduce)),
-                mappers: 0,
-                reducers: 0,
-                early: 0,
-                aborted: false,
-                maps_drained_at: None,
-                reduce_t0: None,
-            }),
+            sched: std::sync::Mutex::new(Sched::new(splits, config.num_reducers)),
             changed: std::sync::Condvar::new(),
+            maps_drained_at: OnceLock::new(),
+            reduce_t0: OnceLock::new(),
         })
     }
 
@@ -276,9 +367,14 @@ impl<'a> JobState<'a> {
     /// slot thread never leaves it half-updated — propagating the poison
     /// would turn one panic into a cascade through every sibling slot.
     fn sched(&self) -> std::sync::MutexGuard<'_, Sched> {
-        self.sched
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Feed one event to the scheduling state and wake every waiter.
+    fn event<R>(&self, event: impl FnOnce(&mut Sched) -> R) -> R {
+        let out = event(&mut self.sched());
+        self.changed.notify_all();
+        out
     }
 
     pub(crate) fn is_aborted(&self) -> bool {
@@ -288,13 +384,9 @@ impl<'a> JobState<'a> {
     /// Run the job to completion on `slots`, one thread each, and
     /// assemble its result. The job clock starts here.
     pub(crate) fn run<S: Slot>(self, slots: Vec<S>) -> Result<JobResult, MrError> {
-        {
-            let mut s = self.sched();
-            for slot in &slots {
-                s.mappers += usize::from(slot.takes() != Takes::Reduces);
-                s.reducers += usize::from(slot.takes() != Takes::Maps);
-            }
-        }
+        let mut s = self.sched();
+        slots.iter().for_each(|slot| s.join(slot.takes()));
+        drop(s);
         let t0 = Instant::now();
         let job = &self;
         std::thread::scope(|scope| {
@@ -361,7 +453,7 @@ impl<'a> JobState<'a> {
                     Ok(outcome) => self.settle(task, attempt, outcome, |segments| {
                         self.store.publish(id, segments)
                     }),
-                    Err(e) => return self.lost(&name, task, attempt, e),
+                    Err(e) => return Err(self.lost(&name, task, attempt, e)),
                 },
                 Task::Reduce(_) => {
                     let ran = slot.reduce(self, id, attempt);
@@ -377,7 +469,7 @@ impl<'a> JobState<'a> {
                             self.retire(&task);
                             return Ok(());
                         }
-                        Err(e) => return self.lost(&name, task, attempt, e),
+                        Err(e) => return Err(self.lost(&name, task, attempt, e)),
                     }
                 }
             }
@@ -411,63 +503,32 @@ impl<'a> JobState<'a> {
         )))
     }
 
-    /// An early reduce (see [`JobState::next_assignment`]) has ended.
-    fn early_done(&self, early: bool) {
-        if early {
-            self.sched().early -= 1;
-            self.changed.notify_all();
-        }
-    }
-
     /// The slot died under a task: route the task through the retry
     /// budget as a network failure, and give the slot up.
-    fn lost(&self, slot: &str, task: Task, attempt: u32, e: MrError) -> Result<(), MrError> {
+    fn lost(&self, slot: &str, task: Task, attempt: u32, e: MrError) -> MrError {
         let err = MrError::Net(format!("{slot} lost during {task} attempt {attempt}: {e}"));
         self.fail(task, attempt, err);
-        Err(e)
+        e
     }
 
-    /// Pick the next task for an idle slot; `None` once there is nothing
-    /// left for it (its phases drained, or the job aborted). Maps
-    /// strictly first. A slot that takes both is handed a reduce before
-    /// the maps drain only while at least one *other* map-capable slot
-    /// stays free for maps, which overlaps reduce-side fetch with the
-    /// tail of the map phase without starving it. The third field marks
-    /// such an early reduce.
+    /// Wait for [`Sched::next`] to hand `takes` an attempt, stamping the
+    /// phase clocks; `None` once there is nothing left for it. The third
+    /// field marks an early reduce.
     fn next_assignment(&self, takes: Takes) -> Option<(Task, u32, bool)> {
         let mut s = self.sched();
         loop {
-            if s.aborted {
-                return None;
+            let next = s.next(takes);
+            if s.maps.drained() {
+                self.maps_drained_at.get_or_init(Instant::now);
             }
-            if takes != Takes::Reduces {
-                if let Some((task, attempt)) = s.maps.claim() {
-                    return Some((task, attempt, false));
-                }
+            if let Next::Run(Task::Reduce(_), ..) = next {
+                self.reduce_t0.get_or_init(Instant::now);
             }
-            let maps_drained = s.maps.drained();
-            if maps_drained {
-                s.maps_drained_at.get_or_insert_with(Instant::now);
+            match next {
+                Next::Run(task, attempt, early) => return Some((task, attempt, early)),
+                Next::Done => return None,
+                Next::Wait => s = self.changed.wait(s).unwrap_or_else(PoisonError::into_inner),
             }
-            if takes == Takes::Maps {
-                if maps_drained {
-                    return None;
-                }
-            } else if maps_drained || (takes == Takes::Both && s.mappers > s.early + 1) {
-                if let Some((task, attempt)) = s.reduces.claim() {
-                    s.reduce_t0.get_or_insert_with(Instant::now);
-                    s.early += usize::from(!maps_drained);
-                    return Some((task, attempt, !maps_drained));
-                }
-                if maps_drained && s.reduces.drained() {
-                    return None;
-                }
-            }
-            // Tasks in flight elsewhere may yet be requeued.
-            s = self
-                .changed
-                .wait(s)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
@@ -495,82 +556,52 @@ impl<'a> JobState<'a> {
         }
     }
 
-    fn queue_of<'s>(s: &'s mut Sched, task: &Task) -> &'s mut Queue {
-        match task {
-            Task::Map(..) => &mut s.maps,
-            Task::Reduce(_) => &mut s.reduces,
+    fn retire(&self, task: &Task) {
+        self.event(|s| s.retire(task));
+    }
+
+    /// See [`Sched::early_done`].
+    fn early_done(&self, early: bool) {
+        if early {
+            self.event(Sched::early_done);
         }
     }
 
-    /// Retire a claimed task that will not run again.
-    fn retire(&self, task: &Task) {
-        let mut s = self.sched();
-        Self::queue_of(&mut s, task).in_flight -= 1;
-        drop(s);
-        self.changed.notify_all();
-    }
-
-    /// The job's retry policy: count detected corruption, then either
-    /// charge a retry and back off deterministically (`RETRY_BACKOFF *
-    /// 2^attempt`, metered as a [`Phase::Retry`] span) or, with the
-    /// budget exhausted, collect the error. Returns whether the task
-    /// should run again.
-    fn retry_after_failure(&self, task: usize, attempt: u32, err: MrError) -> bool {
+    /// A failed attempt, through the retry policy: count detected
+    /// corruption, then either charge a retry, back off (metered as a
+    /// [`Phase::Retry`] span) and requeue the task, or, with the budget
+    /// spent, collect the error and abort the job.
+    fn fail(&self, task: Task, attempt: u32, err: MrError) {
         if err.is_checksum() {
             self.counters.add(Counter::ChecksumFailures, 1);
         }
-        if attempt >= self.config.task_retries {
+        let Some(backoff) = Sched::backoff(attempt, self.config.task_retries) else {
             self.errors.lock().push(err);
-            return false;
-        }
-        self.counters.add(Counter::TaskRetries, 1);
-        // Long enough that a transient fault is not retried into, short
-        // enough to vanish beside any task; no caller ever wanted more
-        // than "negligible" of it.
-        const RETRY_BACKOFF: Duration = Duration::from_micros(100);
-        let backoff = RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(20));
-        let _retry_span = crate::span!(Phase::Retry, task);
-        obs::hist(Metric::RetryBackoffNanos, backoff.as_nanos() as u64);
-        std::thread::sleep(backoff);
-        true
-    }
-
-    /// Requeue a failed task for its next attempt, or abort the job, as
-    /// the retry policy decides.
-    fn fail(&self, task: Task, attempt: u32, err: MrError) {
-        if !self.retry_after_failure(task.id(), attempt, err) {
             self.abort();
             return self.retire(&task);
+        };
+        self.counters.add(Counter::TaskRetries, 1);
+        {
+            let _retry_span = crate::span!(Phase::Retry, task.id());
+            obs::hist(Metric::RetryBackoffNanos, backoff.as_nanos() as u64);
+            std::thread::sleep(backoff);
         }
-        let mut s = self.sched();
-        let queue = Self::queue_of(&mut s, &task);
-        queue.in_flight -= 1;
-        queue.pending.push_back((task, attempt + 1));
-        drop(s);
-        self.changed.notify_all();
+        self.event(|s| s.requeue(task, attempt));
     }
 
     /// Stop handing out work and wake every waiter, on the scheduling
     /// condvar and inside the store.
     fn abort(&self) {
-        self.sched().aborted = true;
-        self.changed.notify_all();
+        self.event(Sched::abort);
         self.store.abort();
     }
 
-    /// A slot's thread is ending. If work remains that no live slot can
-    /// take — no map-capable slot outside an early reduce (whose fetch
-    /// waits on those very maps), or no reduce-capable slot at all — or
-    /// the thread is unwinding with a claim it will never retire, fail
-    /// the job instead of leaving the others waiting forever.
+    /// A slot's thread is ending. If that strands the job, or the thread
+    /// is unwinding with a claim it will never retire, fail the job
+    /// instead of leaving the others waiting forever.
     fn slot_exited(&self, takes: Takes) {
         let mut s = self.sched();
-        s.mappers -= usize::from(takes != Takes::Reduces);
-        s.reducers -= usize::from(takes != Takes::Maps);
-        let maps_left = !s.maps.drained();
-        let work_left = maps_left || !s.reduces.drained();
-        let stranded = (maps_left && s.mappers <= s.early) || (work_left && s.reducers == 0);
-        let (mappers, reducers) = (s.mappers, s.reducers);
+        let (stranded, mappers, reducers) = (s.exit(takes), s.mappers, s.reducers);
         drop(s);
         if (stranded || std::thread::panicking()) && !self.is_aborted() {
             let mut errors = self.errors.lock();
@@ -626,19 +657,17 @@ impl<'a> JobState<'a> {
     /// or snapshot the counters, check their invariants and derive the
     /// stats.
     fn finish(self, t0: Instant) -> Result<JobResult, MrError> {
-        let sched = self
-            .sched
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let errors = self.errors.into_inner();
         if !errors.is_empty() {
             return Err(MrError::from_task_errors(errors));
         }
-        let map_wall_nanos = sched
+        let map_wall_nanos = self
             .maps_drained_at
+            .get()
             .map_or(0, |at| at.duration_since(t0).as_nanos() as u64);
-        let reduce_wall_nanos = sched
+        let reduce_wall_nanos = self
             .reduce_t0
+            .get()
             .map_or(0, |reduce_t0| reduce_t0.elapsed().as_nanos() as u64);
 
         let (config, store, counters) = (self.config, &self.store, &self.counters);
@@ -677,6 +706,8 @@ impl<'a> JobState<'a> {
 mod tests {
     use super::*;
     use crate::dist::WireCodec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn job(config: &JobConfig, num_maps: usize) -> JobState<'_> {
         let splits = (0..num_maps).map(|_| InputSplit::new(Vec::new())).collect();
@@ -717,7 +748,7 @@ mod tests {
             assert!(matches!(task, Task::Reduce(0)));
             assert_eq!((attempt, early), (0, false));
         });
-        assert!(job.sched().maps_drained_at.is_some());
+        assert!(job.maps_drained_at.get().is_some());
     }
 
     /// A slot that "runs" attempts by returning empty products, and
@@ -840,5 +871,437 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.to_string().contains("cannot finish the job"), "{err}");
+    }
+
+    /// The last reduce attempt [`HandOver`] fails: its backoff is
+    /// 100 µs · 2^11 = 204.8 ms.
+    const LAST_FAILURE: u32 = 11;
+
+    /// One of two slots that take both. The one that draws map 0's first
+    /// attempt holds it until the other has failed reduce attempt
+    /// [`LAST_FAILURE`], then is lost under it 50 ms later, well inside
+    /// that failure's backoff. Every other attempt runs clean.
+    struct HandOver(Arc<std::sync::Barrier>);
+
+    impl Slot for HandOver {
+        fn takes(&self) -> Takes {
+            Takes::Both
+        }
+        fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
+            Ok("hand-over".into())
+        }
+        fn map(
+            &mut self,
+            _job: &JobState,
+            task: usize,
+            attempt: u32,
+            _split: &Arc<InputSplit>,
+        ) -> Result<Outcome<MapOutput>, MrError> {
+            if attempt == 0 {
+                self.0.wait();
+                std::thread::sleep(Duration::from_millis(50));
+                return Err(MrError::Net("connection reset".into()));
+            }
+            Ok(run_attempt(task, attempt, |_, _| Ok(Vec::new())))
+        }
+        fn reduce(
+            &mut self,
+            _job: &JobState,
+            task: usize,
+            attempt: u32,
+        ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
+            if attempt == LAST_FAILURE {
+                self.0.wait();
+            }
+            Ok(Some(run_attempt(task, attempt, |_, _| match attempt {
+                0..=LAST_FAILURE => Err(MrError::TaskFailed("fetch failed".into())),
+                _ => Ok(Vec::new()),
+            })))
+        }
+    }
+
+    #[test]
+    fn a_slot_backing_off_an_early_reduce_is_free_for_the_maps() {
+        // The map's slot is lost while the other slot sleeps out an early
+        // reduce's backoff. That slot will take the requeued map once it
+        // wakes, so the loss must not strand the job.
+        let config = JobConfig::default().with_retries(LAST_FAILURE + 1);
+        let met = Arc::new(std::sync::Barrier::new(2));
+        let slots = vec![HandOver(Arc::clone(&met)), HandOver(met)];
+        let result = job(&config, 1).run(slots).expect("the job finishes");
+        // Reduce attempts 0 to LAST_FAILURE, and the lost map.
+        let retries = u64::from(LAST_FAILURE) + 2;
+        assert_eq!(result.counters.get(Counter::TaskRetries), retries);
+    }
+
+    /// What the explorer knows of one slot.
+    enum Model {
+        /// Between attempts; `true` once told to wait, until the next event.
+        Idle(bool),
+        /// Running a claim.
+        Busy(Task, u32, bool),
+        /// Sleeping out the backoff of a failed attempt before requeueing
+        /// it; `true` if the slot was lost and exits after the requeue.
+        Backoff(Task, u32, bool),
+        Gone,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Event {
+        /// An idle slot asks for work.
+        Ask,
+        /// The attempt commits.
+        Commit,
+        /// The attempt fails — its own error, the fault gate's or a
+        /// refused commit — through the retry policy: into a backoff
+        /// while budget is left, finally (aborting the job) once it is
+        /// spent.
+        Fail,
+        /// The slot is lost, under its attempt (which then fails as
+        /// `Fail` does) or idle.
+        Lose,
+        /// A backoff ends and its task goes back to the queue.
+        Requeue,
+        /// The slot's thread unwinds holding its claim: the slot exits
+        /// without retiring it, and the job aborts a step later.
+        Unwind,
+        /// With the job aborted, a reduce gives its fetch up and exits.
+        Abandon,
+        /// An abort that an exit called for lands.
+        Abort,
+    }
+
+    /// One seeded schedule of [`Sched`] alone — no job state, store or
+    /// thread — fed events composed as [`JobState`] composes them, each a
+    /// random enabled one, and checked at every step.
+    struct Explorer {
+        sched: Sched,
+        rng: StdRng,
+        retries: u32,
+        num_maps: usize,
+        takes: Vec<Takes>,
+        slots: Vec<Model>,
+        /// Per task, maps then reduces: commits so far, and the attempt
+        /// its next claim must carry.
+        commits: Vec<u32>,
+        attempts: Vec<u32>,
+        /// Losses and unwinds the schedule may still inject.
+        losses: u32,
+        unwinds: u32,
+        /// An exit stranded the job or unwound; the abort is yet to land.
+        abort_due: bool,
+    }
+
+    impl Explorer {
+        /// A local (map-only and reduce-only slots), remote (1–4 slots
+        /// that take both) or mixed topology; 0–6 maps, 1–4 reduces and a
+        /// retry budget of 0–3.
+        fn new(seed: u64) -> Explorer {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (num_maps, num_reduces) = (rng.random_range(0..7), rng.random_range(1..5));
+            let mut takes = match rng.random_range(0..3) {
+                0 => vec![Takes::Maps; rng.random_range(1..4)],
+                1 => vec![Takes::Both; rng.random_range(1..5)],
+                _ => vec![Takes::Both],
+            };
+            match takes[0] {
+                Takes::Maps => takes.extend(vec![Takes::Reduces; rng.random_range(1..4)]),
+                _ if takes.len() == 1 => takes.extend((0..rng.random_range(1..4)).map(|_| {
+                    [Takes::Maps, Takes::Reduces, Takes::Both][rng.random_range(0..3usize)]
+                })),
+                _ => {}
+            }
+            let splits = (0..num_maps).map(|_| InputSplit::new(Vec::new())).collect();
+            let mut sched = Sched::new(splits, num_reduces);
+            takes.iter().for_each(|&t| sched.join(t));
+            Explorer {
+                sched,
+                retries: rng.random_range(0..4),
+                num_maps,
+                slots: takes.iter().map(|_| Model::Idle(false)).collect(),
+                takes,
+                commits: vec![0; num_maps + num_reduces],
+                attempts: vec![0; num_maps + num_reduces],
+                losses: rng.random_range(0..3),
+                unwinds: u32::from(rng.random_bool(0.3)),
+                abort_due: false,
+                rng,
+            }
+        }
+
+        fn index(&self, task: &Task) -> usize {
+            match task {
+                Task::Map(id, _) => *id,
+                Task::Reduce(id) => self.num_maps + id,
+            }
+        }
+
+        fn maps_committed(&self) -> bool {
+            self.commits[..self.num_maps].iter().all(|&c| c == 1)
+        }
+
+        /// Run the schedule until every slot is gone and every abort has
+        /// landed; returns whether the job aborted.
+        fn run(mut self) -> bool {
+            for _ in 0..100_000 {
+                if !self.abort_due && self.slots.iter().all(|s| matches!(s, Model::Gone)) {
+                    let aborted = self.sched.aborted;
+                    assert!(
+                        aborted || self.commits.iter().all(|&c| c == 1),
+                        "the job ended unaborted with tasks uncommitted: {:?}",
+                        self.commits
+                    );
+                    return aborted;
+                }
+                let (slot, event) = self.pick();
+                self.apply(slot, event);
+            }
+            panic!("the schedule never ended");
+        }
+
+        /// A random enabled event, weighted. When only asks can make
+        /// progress, only asks are enabled, so that a state no ask gets
+        /// out of is seen as the hang it would be.
+        fn pick(&mut self) -> (usize, Event) {
+            let mut progress = Vec::new();
+            let mut other = Vec::new();
+            if self.abort_due {
+                progress.push((4, 0, Event::Abort));
+            }
+            for (i, slot) in self.slots.iter().enumerate() {
+                match slot {
+                    Model::Gone => continue,
+                    Model::Idle(waited) if !waited => progress.push((4, i, Event::Ask)),
+                    Model::Idle(_) => {}
+                    Model::Backoff(..) => {
+                        progress.push((4, i, Event::Requeue));
+                        continue;
+                    }
+                    Model::Busy(task, ..) => {
+                        let reduce = matches!(task, Task::Reduce(_));
+                        if !reduce || self.maps_committed() {
+                            progress.push((8, i, Event::Commit));
+                        }
+                        if reduce && self.sched.aborted {
+                            progress.push((4, i, Event::Abandon));
+                        }
+                        other.push((2, i, Event::Fail));
+                        if self.unwinds > 0 {
+                            other.push((1, i, Event::Unwind));
+                        }
+                    }
+                }
+                if self.losses > 0 {
+                    other.push((1, i, Event::Lose));
+                }
+            }
+            assert!(
+                !progress.is_empty(),
+                "hang: nothing in flight can finish and every live slot is told to wait"
+            );
+            if progress.iter().any(|&(_, _, e)| !matches!(e, Event::Ask)) {
+                progress.extend(other);
+            }
+            let mut at = self
+                .rng
+                .random_range(0..progress.iter().map(|e| e.0).sum::<u32>());
+            for (weight, slot, event) in progress {
+                if at < weight {
+                    return (slot, event);
+                }
+                at -= weight;
+            }
+            unreachable!("the draw is below the total weight")
+        }
+
+        fn apply(&mut self, i: usize, event: Event) {
+            match event {
+                Event::Ask => return self.ask(i),
+                Event::Abort => {
+                    self.abort_due = false;
+                    self.sched.abort();
+                }
+                _ => match (
+                    event,
+                    std::mem::replace(&mut self.slots[i], Model::Idle(false)),
+                ) {
+                    (Event::Commit, Model::Busy(task, _, early)) => {
+                        self.early_done(early);
+                        let t = self.index(&task);
+                        self.commits[t] += 1;
+                        self.sched.retire(&task);
+                    }
+                    (Event::Fail, Model::Busy(task, attempt, early)) => {
+                        self.early_done(early);
+                        self.fail(i, task, attempt, false);
+                    }
+                    (Event::Lose, Model::Busy(task, attempt, early)) => {
+                        self.losses -= 1;
+                        self.early_done(early);
+                        self.fail(i, task, attempt, true);
+                    }
+                    (Event::Lose, _) => {
+                        self.losses -= 1;
+                        self.exit(i);
+                    }
+                    (Event::Requeue, Model::Backoff(task, attempt, lost)) => {
+                        let t = self.index(&task);
+                        self.attempts[t] = attempt + 1;
+                        self.sched.requeue(task, attempt);
+                        if lost {
+                            self.exit(i);
+                        }
+                    }
+                    (Event::Unwind, Model::Busy(..)) => {
+                        self.unwinds -= 1;
+                        self.slots[i] = Model::Gone;
+                        self.sched.exit(self.takes[i]);
+                        self.abort_due = true;
+                    }
+                    (Event::Abandon, Model::Busy(task, _, early)) => {
+                        self.early_done(early);
+                        self.sched.retire(&task);
+                        self.exit(i);
+                    }
+                    _ => unreachable!("only enabled events are picked"),
+                },
+            }
+            self.changed();
+        }
+
+        /// Slot `i` asks for work. An aborted job answers `Done` only,
+        /// and `Done` before the slot's phases are over only then.
+        fn ask(&mut self, i: usize) {
+            let (takes, aborted) = (self.takes[i], self.sched.aborted);
+            let next = self.sched.next(takes);
+            assert!(
+                !aborted || matches!(next, Next::Done),
+                "an aborted job kept a slot on"
+            );
+            match next {
+                Next::Run(task, attempt, early) => {
+                    self.check_claim(i, &task, attempt, early);
+                    self.slots[i] = Model::Busy(task, attempt, early);
+                    self.changed();
+                }
+                Next::Wait => self.slots[i] = Model::Idle(true),
+                Next::Done => {
+                    let done = match takes {
+                        Takes::Maps => self.maps_committed(),
+                        _ => self.commits.iter().all(|&c| c == 1),
+                    };
+                    assert!(aborted || done, "{takes:?} slot let go early");
+                    self.exit(i);
+                    self.changed();
+                }
+            }
+        }
+
+        /// Every event but a `Wait` may let a waiting slot on.
+        fn changed(&mut self) {
+            for slot in &mut self.slots {
+                if let Model::Idle(waited) = slot {
+                    *waited = false;
+                }
+            }
+        }
+
+        /// An attempt has returned, as [`JobState::drive`] reports it
+        /// before the commit or the retry policy.
+        fn early_done(&mut self, early: bool) {
+            if early {
+                self.sched.early_done();
+            }
+        }
+
+        /// [`JobState::fail`]'s decisions for slot `i`'s attempt; the
+        /// requeue is a later event, so other slots act during the backoff.
+        fn fail(&mut self, i: usize, task: Task, attempt: u32, lost: bool) {
+            if Sched::backoff(attempt, self.retries).is_some() {
+                self.slots[i] = Model::Backoff(task, attempt, lost);
+            } else {
+                self.sched.abort();
+                self.sched.retire(&task);
+                if lost {
+                    self.exit(i);
+                }
+            }
+        }
+
+        /// [`JobState::slot_exited`]'s decisions. A job the exit strands
+        /// must really be stuck: work left and no live map-capable slot
+        /// outside a running early reduce, or no live reduce-capable one.
+        fn exit(&mut self, i: usize) {
+            self.slots[i] = Model::Gone;
+            let stranded = self.sched.exit(self.takes[i]);
+            if stranded && !self.sched.aborted && !self.abort_due {
+                let live =
+                    || (0..self.slots.len()).filter(|&j| !matches!(self.slots[j], Model::Gone));
+                let mapper = live().any(|j| {
+                    self.takes[j] != Takes::Reduces
+                        && !matches!(self.slots[j], Model::Busy(_, _, true))
+                });
+                let reducer = live().any(|j| self.takes[j] != Takes::Maps);
+                let work_left = self.commits.contains(&0);
+                assert!(
+                    (!self.maps_committed() && !mapper) || (work_left && !reducer),
+                    "slot {i}'s exit stranded a job that live slots can finish"
+                );
+            }
+            self.abort_due |= stranded;
+        }
+
+        /// The safety properties, on every claim handed out.
+        fn check_claim(&self, i: usize, task: &Task, attempt: u32, early: bool) {
+            let (t, takes, maps_done) = (self.index(task), self.takes[i], self.maps_committed());
+            assert_eq!(self.commits[t], 0, "committed {task} handed out again");
+            let running = |s: &Model| matches!(s, Model::Busy(o, ..) if self.index(o) == t);
+            assert!(
+                !self.slots.iter().any(running),
+                "{task} on two slots at once"
+            );
+            assert_eq!(
+                attempt, self.attempts[t],
+                "{task} handed out as attempt {attempt}"
+            );
+            match task {
+                Task::Map(..) => assert!(takes != Takes::Reduces && !early, "{takes:?} got {task}"),
+                Task::Reduce(_) => {
+                    assert!(takes != Takes::Maps, "a map-only slot got {task}");
+                    assert!(
+                        takes == Takes::Both || maps_done,
+                        "{task} before the maps drained"
+                    );
+                    assert_eq!(early, !maps_done, "{task}'s early flag");
+                }
+            }
+            let free_mapper = |(j, s): (usize, &Model)| {
+                j != i
+                    && self.takes[j] != Takes::Reduces
+                    && !matches!(s, Model::Gone | Model::Busy(_, _, true))
+            };
+            assert!(
+                !early || self.slots.iter().enumerate().any(free_mapper),
+                "early {task} leaves no map-capable slot outside early reduces"
+            );
+        }
+    }
+
+    #[test]
+    fn fifty_thousand_seeded_schedules_are_safe_live_and_end() {
+        const SCHEDULES: u64 = 50_000;
+        let mut aborted = 0;
+        for seed in 0..SCHEDULES {
+            match std::panic::catch_unwind(|| Explorer::new(seed).run()) {
+                Ok(a) => aborted += u64::from(a),
+                Err(_) => panic!("schedule seed {seed} fails (replay: Explorer::new({seed}))"),
+            }
+        }
+        // Both ends of a job are reached many times over.
+        let range = SCHEDULES / 10..SCHEDULES * 9 / 10;
+        assert!(
+            range.contains(&aborted),
+            "{aborted} of {SCHEDULES} schedules aborted"
+        );
     }
 }

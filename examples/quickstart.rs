@@ -7,14 +7,14 @@
 use scihadoop::compress::{Codec, DeflateCodec};
 use scihadoop::core::aggregate::Aggregator;
 use scihadoop::core::transform::TransformCodec;
-use scihadoop::grid::{Coord, GridWalker, RowMajorWalker};
+use scihadoop::grid::{BoundingBox, Coord, Shape};
 use scihadoop::sfc::ZOrderCurve;
 use std::sync::Arc;
 
 fn main() {
     // -- §III: the stride-predictive transform as a codec ----------------
     // A mapper walking a 40³ grid serializes 768,000 bytes of keys.
-    let keys = RowMajorWalker::cube(40, 3).key_stream_be();
+    let keys = BoundingBox::at_origin(Shape::cube(40, 3)).key_stream_be();
 
     let deflate = DeflateCodec::new();
     let transform = TransformCodec::with_defaults(Arc::new(DeflateCodec::new()));
