@@ -25,8 +25,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Run a distributed job on freshly spawned worker *processes*: the
-/// current executable is re-executed with `dist.worker_args` and the
-/// `SCIHADOOP_DIST_*` environment, and must route itself into a
+/// current executable is re-executed with `dist.worker_args`, the
+/// `SCIHADOOP_DIST_*` environment and the workers' `GLIBC_TUNABLES`
+/// (`dist::WORKER_MALLOC_TUNABLES`), and must route itself into a
 /// bootstrap that parses `dist.job_payload` and calls
 /// [`run_worker`](super::run_worker).
 pub fn run_distributed(
@@ -47,6 +48,10 @@ pub fn run_distributed(
             .env(super::ENV_ADDR, addr)
             .env(super::ENV_WORKER, worker.to_string())
             .env(super::ENV_JOB, &dist.job_payload)
+            .env(
+                "GLIBC_TUNABLES",
+                super::worker_tunables(std::env::var_os("GLIBC_TUNABLES").as_deref()),
+            )
             .stdin(std::process::Stdio::null())
             // Worker stdout is libtest/CLI chatter; stderr stays visible
             // so a worker panic is diagnosable from the coordinator run.

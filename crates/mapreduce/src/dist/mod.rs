@@ -59,11 +59,13 @@
 //! # Entry points
 //!
 //! [`run_distributed`] spawns real worker processes by re-executing
-//! `current_exe()` with the `SCIHADOOP_DIST_*` environment set; the
-//! worker `main` must call [`worker_env`] early and hand off to the
-//! job-specific bootstrap. [`run_distributed_with_threads`] runs the
-//! same coordinator against in-process worker threads over real
-//! sockets — the full wire protocol without process spawning.
+//! `current_exe()` with the `SCIHADOOP_DIST_*` environment set, and
+//! `GLIBC_TUNABLES` set to keep freed buffers in the worker's heap
+//! between tasks (`WORKER_MALLOC_TUNABLES`, ahead of any inherited
+//! value); the worker `main` must call [`worker_env`] early and hand
+//! off to the job-specific bootstrap. [`run_distributed_with_threads`]
+//! runs the same coordinator against in-process worker threads over
+//! real sockets — the full wire protocol without process spawning.
 
 mod coordinator;
 mod net;
@@ -78,6 +80,7 @@ pub use net::Transport;
 pub use worker::run_worker;
 
 use crate::error::MrError;
+use std::ffi::{OsStr, OsString};
 use std::time::Duration;
 
 /// The longest any socket wait lasts: an accept, and each read and write.
@@ -92,6 +95,33 @@ pub const ENV_WORKER: &str = "SCIHADOOP_DIST_WORKER";
 /// Environment variable carrying the opaque job payload the worker's
 /// bootstrap turns back into a `(JobConfig, Mapper, Reducer)` triple.
 pub const ENV_JOB: &str = "SCIHADOOP_DIST_JOB";
+
+/// glibc's malloc settings for a spawned worker, passed as
+/// `GLIBC_TUNABLES`: never `mmap` a buffer under 32 MiB (the largest
+/// threshold glibc allows on 64-bit) and trim the heap only past 64 MiB,
+/// above a worker's peak heap. By default a fresh process maps every
+/// buffer of 128 KiB or more and unmaps it when the task ends, so the
+/// next task faults the same pages back in, at about 2.5 µs a page on a
+/// 2-core VM. The two workers of a 512² `median-plain-proc` job (16 maps,
+/// 5 reduces) took about 31,600 minor faults per job by default and
+/// 6,600 with this setting; a worker's peak RSS (`VmHWM`) rose from
+/// about 12.8 to 15.3 MiB. Only spawned workers get it: thread workers
+/// share a host process whose allocator is not the job's to set.
+const WORKER_MALLOC_TUNABLES: &str =
+    "glibc.malloc.mmap_threshold=33554432:glibc.malloc.trim_threshold=67108864";
+
+/// The `GLIBC_TUNABLES` a spawned worker gets: [`WORKER_MALLOC_TUNABLES`],
+/// then the value the coordinator inherited, if any, after a `:`. glibc
+/// applies the last setting of a tunable it reads, so the inherited
+/// value still wins.
+fn worker_tunables(inherited: Option<&OsStr>) -> OsString {
+    let mut tunables = OsString::from(WORKER_MALLOC_TUNABLES);
+    if let Some(theirs) = inherited {
+        tunables.push(":");
+        tunables.push(theirs);
+    }
+    tunables
+}
 
 /// Transparent compression applied to shuffle bytes in flight and at
 /// rest: segments are compressed once at publish (so spills hit disk
@@ -314,6 +344,16 @@ mod tests {
         }
         assert!(WireCodec::parse("deflate").is_err());
         assert!(WireCodec::parse("").is_err());
+    }
+
+    #[test]
+    fn a_spawned_worker_gets_our_tunables_then_the_inherited_ones() {
+        assert_eq!(worker_tunables(None), WORKER_MALLOC_TUNABLES);
+        let theirs = "glibc.malloc.arena_max=1:glibc.malloc.trim_threshold=0";
+        assert_eq!(
+            worker_tunables(Some(OsStr::new(theirs))),
+            format!("{WORKER_MALLOC_TUNABLES}:{theirs}").as_str()
+        );
     }
 
     #[test]

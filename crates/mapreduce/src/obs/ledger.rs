@@ -39,6 +39,7 @@ use crate::obs::json::{self, Json};
 use crate::obs::{Histogram, Metric, Trace, ALL_METRICS, ALL_PHASES, NUM_BUCKETS, NUM_PHASES};
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Schema tag written into every ledger record.
 pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v4";
@@ -48,9 +49,12 @@ pub const LEDGER_SCHEMA: &str = "scihadoop.ledger.v4";
 /// clamped on write (a job that moved 8 PiB has other problems).
 pub const LEDGER_MAX_EXACT: u64 = 1 << 53;
 
-/// This host's CPU count, as recorded in ledger records and BENCH files.
+/// This host's CPU count, as recorded in ledger records and BENCH files;
+/// asked of the OS once per process (the answer reads cgroup files on
+/// Linux, once for every ledger record before it was cached).
 pub fn host_cpus() -> u64 {
-    std::thread::available_parallelism().map_or(1, |p| p.get()) as u64
+    static CPUS: OnceLock<u64> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()) as u64)
 }
 
 /// The stable name of the active [clock](crate::clock::clock_kind).
