@@ -4,10 +4,14 @@
 //! [`StridePredictor`] forward and inverse on the Fig. 3 stream (about
 //! eight live strides) and on a median-shaped stream (none or one: the
 //! regime the end-to-end sliding-median job is in), deflate over raw
-//! and transformed streams, and lz against deflate on the same stream.
+//! and transformed streams and over one transformed segment of
+//! `benchmark/`'s `median-transform-local` (the row that predicts its
+//! `deflate.compress_s` layer), and lz against deflate on the same
+//! stream.
 //! `regress` holds `lz_vs_deflate_compress_speedup` above 3.0; it falls
-//! whenever deflate gets faster (44.6 before PR 14's kernels), which is
-//! the ratio doing its job, not a regression.
+//! whenever deflate gets faster (44.6 before the codec kernels were
+//! rewritten, 28.5 before deflate's chains were keyed on four bytes),
+//! which is the ratio doing its job, not a regression.
 //!
 //! Run with `cargo bench --bench bench_codec`. Set
 //! `BENCH_CODEC_JSON=<path>` to write the JSON report;
@@ -110,6 +114,24 @@ fn main() {
         (z_lz.len(), z_deflate.len())
     };
 
+    // 2c. The `deflate.compress_s` layer of `median-transform-local`:
+    //     one of the job's 80 segments, as the transform leaves it. Built
+    //     last, so the rows above run in the process state they always
+    //     ran in.
+    let median_segment =
+        StridePredictor::new(config.clone()).forward(&workloads::median_strip_segment(42));
+    let median_segment_deflate_size = {
+        let deflate = DeflateCodec::new();
+        let mut g = criterion.benchmark_group("codec_deflate");
+        g.throughput(Throughput::Bytes(median_segment.len() as u64))
+            .sample_size(samples);
+        g.bench_function("compress/median_segment", |b| {
+            b.iter(|| black_box(deflate.compress(&median_segment)))
+        });
+        g.finish();
+        deflate.compress(&median_segment).len()
+    };
+
     // Sizes on the Fig. 3 stream: deflate alone (the lz rows' `z_deflate`)
     // and behind the stride transform.
     let transform_deflate_size = TransformCodec::new(config, Arc::new(DeflateCodec::new()))
@@ -128,6 +150,10 @@ fn main() {
          ratio {lz_ratio:.3} vs {deflate_ratio:.3})"
     );
     println!("deflate / transform+deflate:    {deflate_size} / {transform_deflate_size} B");
+    println!(
+        "median segment, transformed:    {} B -> deflate {median_segment_deflate_size} B",
+        median_segment.len()
+    );
 
     if let Ok(path) = std::env::var("BENCH_CODEC_JSON") {
         let fields = vec![
@@ -139,6 +165,11 @@ fn main() {
                 (transform_deflate_size as u64).into(),
             ),
             ("lz_bytes", (lz_size as u64).into()),
+            ("median_segment_bytes", (median_segment.len() as u64).into()),
+            (
+                "median_segment_deflate_bytes",
+                (median_segment_deflate_size as u64).into(),
+            ),
             ("lz_ratio", rounded(lz_ratio, 4)),
             ("deflate_ratio", rounded(deflate_ratio, 4)),
             (

@@ -1,8 +1,13 @@
 //! Deterministic workload generators shared by the experiments.
 
 use scihadoop_compress::IdentityCodec;
-use scihadoop_grid::{BoundingBox, Shape, Variable};
-use scihadoop_mapreduce::{BlockMergeStream, InputSplit, KeySemantics, KvPair, RawSegment};
+use scihadoop_grid::{BoundingBox, Coord, Shape, Variable};
+use scihadoop_mapreduce::{
+    BlockMergeStream, DefaultKeySemantics, Framing, IFileWriter, InputSplit, KeySemantics, KvPair,
+    RawSegment, SpillArena,
+};
+use scihadoop_queries::{dataset_splits, KeyLayout};
+use std::sync::Arc;
 
 /// The Fig. 3 byte stream: "a raw stream of triples of 32-bit integers,
 /// taken by walking a grid" — n³ cells × 12 bytes.
@@ -52,6 +57,34 @@ pub fn median_sorted_records(n: u32, seed: u64) -> Vec<KvPair> {
     }
     records.sort_by(|a, b| a.key.cmp(&b.key)); // stable: emission order within a key
     records
+}
+
+/// One map-output segment of `benchmark/`'s plain sliding-median jobs
+/// on the 512×512 grid of `seed`: the first of the 16 strip tasks emits
+/// every cell's value under the 12-byte `Indexed` keys of the nine
+/// windows it belongs to, the records are routed to 5 reducers, and the
+/// first partition is sorted and written as an IFile v3 segment (about
+/// 135 KB). `median-transform-local` hands 80 segments of this shape to
+/// the stride transform and deflate.
+pub fn median_strip_segment(seed: u64) -> Vec<u8> {
+    const REDUCERS: usize = 5;
+    let layout = KeyLayout::Indexed { index: 0, ndims: 2 };
+    let splits = dataset_splits(&int_square(512, seed), &layout, 16).expect("a 2-D layout");
+    let ks: Arc<dyn KeySemantics> = Arc::new(DefaultKeySemantics);
+    let mut arena = SpillArena::new(REDUCERS);
+    for record in &splits[0].records {
+        let cell = layout.decode(&record.key).expect("an input key");
+        for (dx, dy) in (-1..=1).flat_map(|dx| (-1..=1).map(move |dy| (dx, dy))) {
+            let key = layout.encode(&(&cell + &Coord::new(vec![dx, dy])));
+            arena.append(ks.partition(&key, REDUCERS), &key, &record.value);
+        }
+    }
+    arena.sort_partition(0, ks.as_ref());
+    let mut writer = IFileWriter::v3(Framing::IFile, Arc::new(IdentityCodec), ks);
+    for (key, value) in arena.pairs(0) {
+        writer.append(key, value);
+    }
+    writer.close().data
 }
 
 /// The §I / Fig. 8 dataset: an n³ grid of integers.

@@ -171,29 +171,15 @@ fn dist_code(dist: usize) -> (usize, u16, u8) {
     (code, (dist - base as usize) as u16, extra)
 }
 
-/// Deflate-style codec. `max_chain` bounds the LZ77 hash-chain search and
-/// trades compression ratio for speed (zlib's `level` analogue).
-#[derive(Debug, Clone)]
-pub struct DeflateCodec {
-    max_chain: usize,
-}
+/// Deflate-style codec: `lz77::tokenize`'s matches and literals under
+/// two canonical Huffman tables built for the input.
+#[derive(Debug, Clone, Default)]
+pub struct DeflateCodec;
 
 impl DeflateCodec {
-    /// Default effort (comparable to zlib level 6).
+    /// The codec (comparable to zlib level 6).
     pub fn new() -> Self {
-        DeflateCodec { max_chain: 128 }
-    }
-
-    /// Custom match-search effort.
-    pub fn with_chain(max_chain: usize) -> Self {
-        assert!(max_chain >= 1);
-        DeflateCodec { max_chain }
-    }
-}
-
-impl Default for DeflateCodec {
-    fn default() -> Self {
-        DeflateCodec::new()
+        DeflateCodec
     }
 }
 
@@ -210,7 +196,7 @@ impl Codec for DeflateCodec {
         let mut tokens: Vec<u32> = Vec::with_capacity(input.len() / 2 + 16);
         let mut lit_freq = [0u64; NUM_LITLEN];
         let mut dist_freq = [0u64; NUM_DIST];
-        tokenize(input, self.max_chain, |t| match t {
+        tokenize(input, |t| match t {
             Token::Literal(b) => {
                 lit_freq[b as usize] += 1;
                 tokens.push(b as u32);

@@ -6,9 +6,9 @@
 //! are in this project's allowed dependency set, so this crate implements
 //! the same two algorithm families from first principles:
 //!
-//! * [`DeflateCodec`] — LZ77 (hash-chain matching, 32 KiB window) +
-//!   canonical Huffman coding, with the DEFLATE length/distance alphabets.
-//!   Stands in for gzip/zlib.
+//! * [`DeflateCodec`] — LZ77 (hash chains keyed on four bytes, 32 KiB
+//!   window, lazy matching) + canonical Huffman coding, with the DEFLATE
+//!   length/distance alphabets. Stands in for gzip/zlib.
 //! * [`BzipCodec`] — run-length pre-pass + Burrows–Wheeler transform +
 //!   move-to-front + RUNA/RUNB zero-run coding + canonical Huffman, in
 //!   100 KiB–900 KiB blocks. Stands in for bzip2.

@@ -30,20 +30,21 @@
 //! crossed a wire or a spill file fails loudly without relying on the
 //! decoder stumbling over it structurally.
 //!
-//! The matcher reuses the u64 wide-compare prefix extender from
-//! [`crate::lz77`] (eight bytes per probe via XOR trailing zeros) with
-//! a flat hash table instead of hash chains — sized to the input
-//! (2^8..2^14 slots, roughly one per four positions, so compressing a
-//! few-KiB shuffle segment does not pay a fixed 64 KiB table init) —
-//! one candidate per position, greedy emit, plus LZ4-style skip
-//! acceleration so incompressible regions are scanned at increasing
-//! stride instead of probing every byte.
+//! The matcher shares [`crate::lz77`]'s four-byte hash and copies its
+//! u64 wide-compare prefix extender (eight bytes per probe via XOR
+//! trailing zeros), with a flat hash table instead of hash chains —
+//! sized to the input (2^8..2^14 slots, roughly one per four
+//! positions, so compressing a few-KiB shuffle segment does not pay a
+//! fixed 64 KiB table init) — one candidate per position, greedy emit,
+//! plus LZ4-style skip acceleration so incompressible regions are
+//! scanned at increasing stride instead of probing every byte.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::codec::{open, seal, Codec, PREALLOC_CAP};
 use crate::error::CompressError;
+use crate::lz77::hash4;
 
 const MAGIC: &str = "SLZ1";
 
@@ -87,12 +88,6 @@ fn bytes<const N: usize>(data: &[u8], at: usize) -> [u8; N] {
     let mut word = [0; N];
     word.copy_from_slice(&data[at..at + N]);
     word
-}
-
-#[inline]
-fn hash4(data: &[u8], i: usize, bits: u32) -> usize {
-    let v = u32::from_le_bytes(bytes(data, i));
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize
 }
 
 /// Length of the common prefix of `data[cand..]` and `data[i..]`,

@@ -8,7 +8,6 @@ fn all_codecs() -> Vec<Box<dyn Codec>> {
     vec![
         Box::new(IdentityCodec),
         Box::new(DeflateCodec::new()),
-        Box::new(DeflateCodec::with_chain(4)),
         Box::new(BzipCodec::with_level(1)),
         Box::new(LzCodec),
     ]
