@@ -180,10 +180,10 @@ fn main() {
         write_bench_json(
             &path,
             "bytes_per_s",
-            criterion
-                .measurements
-                .iter()
-                .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
+            criterion.measurements.iter().map(|m| {
+                let rate = m.per_second().unwrap_or(0.0);
+                (m.id.as_str(), m.median_ns, rate, None)
+            }),
             fields,
         );
     }

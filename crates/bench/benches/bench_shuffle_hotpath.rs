@@ -226,6 +226,17 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
     (ratios[ratios.len() / 2] - 1.0) * 100.0
 }
 
+/// The `BENCHMARK.json` per-layer metric a row predicts: the spill sort
+/// of one strip task times what `arena.sort_s` times, and the merge what
+/// `sort.merge_s` does.
+fn predicts(id: &str) -> Option<&'static str> {
+    match id {
+        "map_sort_spill/arena_window_keys" => Some("arena.sort_s"),
+        "merge_reduce/streaming_loser_tree" => Some("sort.merge_s"),
+        _ => None,
+    }
+}
+
 fn main() {
     let mut criterion = Criterion::default();
     bench_map_sort_spill(&mut criterion);
@@ -236,10 +247,10 @@ fn main() {
         write_bench_json(
             &path,
             "records_per_s",
-            criterion
-                .measurements
-                .iter()
-                .map(|m| (m.id.as_str(), m.median_ns, m.per_second().unwrap_or(0.0))),
+            criterion.measurements.iter().map(|m| {
+                let rate = m.per_second().unwrap_or(0.0);
+                (m.id.as_str(), m.median_ns, rate, predicts(&m.id))
+            }),
             vec![
                 ("crc_trailer_overhead_pct", rounded(crc_overhead, 2)),
                 ("host_cpus", host_cpus().into()),

@@ -12,6 +12,9 @@
 //! * **Ratio fields** are deterministic byte counts (segment sizes from
 //!   seeded workloads), identical across machines — those get tight
 //!   tolerances against the committed baseline.
+//! * **Predicted layers**: a row's `predicts` names the
+//!   `BENCHMARK.json` per-layer metric it stands for, and must name one
+//!   that file declares — read from it, not copied here.
 //!
 //! Raw `median_ns` numbers are deliberately never compared across
 //! files: they are machine-dependent and a fresh-vs-committed
@@ -220,6 +223,42 @@ pub fn check_ratios(fresh: &Json, baseline: &Json, file: &str) -> Vec<GateCheck>
     out
 }
 
+/// The per-layer metric names `BENCHMARK.json` declares — the layers a
+/// BENCH row may say it predicts. `None` when the document has no such
+/// list.
+pub fn per_layer_names(benchmark: &Json) -> Option<Vec<&str>> {
+    benchmark
+        .get("per_layer")?
+        .as_arr()?
+        .iter()
+        .map(|metric| metric.get("name")?.as_str())
+        .collect()
+}
+
+/// Hold each row of `doc` that carries `predicts` to `layers`, the
+/// `per_layer` names of `BENCHMARK.json` (`None`: they could not be
+/// read, and every such row fails). A row without `predicts` is not
+/// checked.
+pub fn check_predicts(doc: &Json, file: &str, layers: Option<&[&str]>) -> Vec<GateCheck> {
+    let rows = doc.get("benchmarks").and_then(Json::as_arr).unwrap_or(&[]);
+    rows.iter()
+        .filter_map(|row| {
+            let predicts = row.get("predicts")?.as_str().unwrap_or("(not a string)");
+            let id = row.get("id").and_then(Json::as_str).unwrap_or("(no id)");
+            let name = format!("{file} · {id} predicts");
+            let limit = match layers {
+                Some(_) => "a per_layer metric of BENCHMARK.json",
+                None => "BENCHMARK.json's per_layer list (unreadable)",
+            };
+            Some(if layers.is_some_and(|l| l.contains(&predicts)) {
+                GateCheck::pass(name, predicts.into(), limit.into())
+            } else {
+                GateCheck::fail(name, predicts.into(), limit.into())
+            })
+        })
+        .collect()
+}
+
 /// The four committed BENCH baselines.
 pub const BENCH_FILES: &[&str] = &[
     "BENCH_obs.json",
@@ -228,13 +267,18 @@ pub const BENCH_FILES: &[&str] = &[
     "BENCH_ifile.json",
 ];
 
-/// Run the whole gate. For each BENCH file, budgets run against the
-/// fresh copy when one exists in `fresh_dir` (that is the regression
-/// check) and otherwise against the committed baseline (that still
-/// catches a bad baseline being committed); ratio checks need both
+/// Run the whole gate. For each BENCH file, budgets and the rows'
+/// `predicts` (against the `BENCHMARK.json` in `baseline_dir`) run
+/// against the fresh copy when one exists in `fresh_dir` (that is the
+/// regression check) and otherwise against the committed baseline (that
+/// still catches a bad baseline being committed); ratio checks need both
 /// copies.
 pub fn run_gate(fresh_dir: &Path, baseline_dir: &Path) -> Vec<GateCheck> {
     let mut out = Vec::new();
+    let benchmark = std::fs::read_to_string(baseline_dir.join("BENCHMARK.json"))
+        .ok()
+        .and_then(|text| crate::json::parse(&text).ok());
+    let layers = benchmark.as_ref().and_then(per_layer_names);
     for file in BENCH_FILES {
         // A missing file is an expected state (not every CI job
         // regenerates every bench); an unreadable one is a violation.
@@ -252,13 +296,13 @@ pub fn run_gate(fresh_dir: &Path, baseline_dir: &Path) -> Vec<GateCheck> {
         };
         let fresh = read(fresh_dir, "fresh");
         let baseline = read(baseline_dir, "baseline");
+        if let Some(checked) = fresh.as_ref().or(baseline.as_ref()) {
+            out.extend(check_budgets(checked, file));
+            out.extend(check_predicts(checked, file, layers.as_deref()));
+        }
         match (&fresh, &baseline) {
-            (Some(f), Some(b)) => {
-                out.extend(check_budgets(f, file));
-                out.extend(check_ratios(f, b, file));
-            }
-            (Some(f), None) => out.extend(check_budgets(f, file)),
-            (None, Some(b)) => out.extend(check_budgets(b, file)),
+            (Some(f), Some(b)) => out.extend(check_ratios(f, b, file)),
+            (Some(_), None) | (None, Some(_)) => {}
             (None, None) => out.push(GateCheck::fail(
                 (*file).to_string(),
                 "missing in both fresh and baseline dirs".into(),
@@ -338,6 +382,29 @@ mod tests {
         let bad: Vec<_> = checks.iter().filter(|c| !c.ok).collect();
         assert_eq!(bad.len(), 1);
         assert!(bad[0].name.contains("lz_vs_deflate_compress_speedup"));
+    }
+
+    #[test]
+    fn predicts_must_name_a_per_layer_metric() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let text = std::fs::read_to_string(root.join("BENCHMARK.json")).expect("BENCHMARK.json");
+        let benchmark = parse(&text).unwrap();
+        let layers = per_layer_names(&benchmark).expect("a per_layer list");
+        assert!(layers.contains(&"arena.sort_s"));
+        let doc = parse(
+            r#"{"benchmarks": [
+                {"id": "a", "predicts": "arena.sort_s", "median_ns": 1},
+                {"id": "b", "median_ns": 1},
+                {"id": "c", "predicts": "arena.sort_ns", "median_ns": 1}]}"#,
+        )
+        .unwrap();
+        let checks = check_predicts(&doc, "BENCH_shuffle.json", Some(&layers));
+        let verdicts: Vec<(&str, bool)> = checks.iter().map(|c| (c.value.as_str(), c.ok)).collect();
+        assert_eq!(verdicts, [("arena.sort_s", true), ("arena.sort_ns", false)]);
+        assert!(checks[1].name.contains("c predicts"));
+        // Without the list, a row that names a layer cannot pass.
+        let unread = check_predicts(&doc, "BENCH_shuffle.json", None);
+        assert!(unread.iter().all(|c| !c.ok));
     }
 
     #[test]

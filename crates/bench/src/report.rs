@@ -86,22 +86,24 @@ pub fn rounded(x: f64, places: usize) -> Json {
 }
 
 /// Write one `BENCH_*.json` report to `path`: a `"benchmarks"` array with
-/// a row per measurement — `(id, median_ns, per_second)`, the rate going
-/// under `rate_field` — followed by `fields` in the order given.
+/// a row per measurement — `(id, median_ns, per_second, predicts)`, the
+/// rate going under `rate_field` and `predicts`, when given, naming the
+/// `BENCHMARK.json` per-layer metric the row predicts — followed by
+/// `fields` in the order given.
 pub fn write_bench_json<'a>(
     path: &str,
     rate_field: &str,
-    measurements: impl IntoIterator<Item = (&'a str, f64, f64)>,
+    measurements: impl IntoIterator<Item = (&'a str, f64, f64, Option<&'a str>)>,
     fields: Vec<(&str, Json)>,
 ) {
     let rows = measurements
         .into_iter()
-        .map(|(id, median_ns, per_second)| {
-            Json::obj([
-                ("id", id.into()),
+        .map(|(id, median_ns, per_second, predicts)| {
+            let predicts = predicts.map(|layer| ("predicts", layer.into()));
+            Json::obj([("id", id.into())].into_iter().chain(predicts).chain([
                 ("median_ns", rounded(median_ns, 0)),
                 (rate_field, rounded(per_second, 0)),
-            ])
+            ]))
         })
         .collect();
     let report = Json::obj([("benchmarks", Json::Arr(rows))].into_iter().chain(fields));
@@ -162,7 +164,10 @@ mod tests {
         write_bench_json(
             path.to_str().expect("utf-8 temp path"),
             "records_per_s",
-            [("group/a \"quoted\"", 495_541.4, 20_179_975.2)],
+            [
+                ("group/a \"quoted\"", 495_541.4, 20_179_975.2, None),
+                ("group/b", 1_000.0, 3.0, Some("arena.sort_s")),
+            ],
             vec![
                 ("overhead_percent", rounded(2.299_6, 2)),
                 ("host_cpus", 2u64.into()),
@@ -178,6 +183,12 @@ mod tests {
       "id": "group/a \"quoted\"",
       "median_ns": 495541,
       "records_per_s": 20179975
+    },
+    {
+      "id": "group/b",
+      "predicts": "arena.sort_s",
+      "median_ns": 1000,
+      "records_per_s": 3
     }
   ],
   "overhead_percent": 2.3,

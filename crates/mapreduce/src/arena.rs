@@ -5,20 +5,20 @@
 //! the analogue of Hadoop's `MapOutputBuffer` (`io.sort.mb`): every
 //! emitted key/value is appended to one contiguous byte buffer shared by
 //! all partitions, and each partition keeps a compact record index of
-//! `(offset, key_len, val_len)` entries. Sorting a partition permutes
-//! the *index* while comparing key slices in place — record payloads are
-//! written once and never move. Spills drain the arena through borrowed
-//! slices straight into the `IFileWriter`, then `clear()` retains the
-//! allocated capacity for the next spill.
+//! `(wide key, offset, key_len, val_len)` entries, tagged at append.
+//! Sorting a partition permutes its *index* in place — record payloads
+//! are written once and never move. Spills drain the arena through
+//! borrowed slices straight into the `IFileWriter`, then `clear()`
+//! retains the allocated capacity for the next spill.
 
-use crate::keysem::KeySemantics;
-use crate::sort::{PrefixSortStats, RadixScratch};
+use crate::keysem::{bytewise_sort_prefix_wide, KeySemantics};
+use crate::sort::{PrefixSortStats, RadixScratch, Tagged};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// One staged record: value bytes immediately follow the key bytes at
 /// `off` inside the shared data buffer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 struct IndexEntry {
     off: usize,
     key_len: u32,
@@ -37,47 +37,48 @@ impl IndexEntry {
 }
 
 thread_local! {
-    /// The sort buffers the last arena dropped on this thread left
-    /// behind. A slot runs its map tasks one after another, each with an
-    /// arena of its own; first touch of ~2 MB of fresh buffers cost a
-    /// 147,456-record task a fifth of its sort (one page fault per
-    /// 4 KiB), so a task sorts in the buffers its predecessor grew.
-    static SPARE_SCRATCH: RefCell<RadixScratch<IndexEntry>> = RefCell::default();
+    /// The spill sort's scatter buffers, sized by the largest partition
+    /// sorted on this thread, and the index buffers the last arena
+    /// dropped here. A slot runs its map tasks one after another; first
+    /// touch of ~2 MB of fresh buffers cost a 147,456-record task a fifth
+    /// of its sort (one page fault per 4 KiB), so a task reuses its
+    /// predecessor's.
+    static SCRATCH: RefCell<RadixScratch<IndexEntry>> = RefCell::default();
+    static SPARE: RefCell<Vec<Vec<(u128, IndexEntry)>>> = RefCell::default();
 }
 
 /// Contiguous staging buffer for one map task's output, indexed per
 /// partition.
 pub struct SpillArena {
     data: Vec<u8>,
-    parts: Vec<Vec<IndexEntry>>,
+    parts: Vec<Tagged<IndexEntry>>,
     payload_bytes: usize,
-    /// The spill sort's item buffers, sized by the largest partition
-    /// sorted so far — by this arena or by those before it on this
-    /// thread ([`SPARE_SCRATCH`]).
-    scratch: RadixScratch<IndexEntry>,
 }
 
 impl SpillArena {
     /// An empty arena staging for `partitions` reducers.
     pub fn new(partitions: usize) -> Self {
+        let mut spare = SPARE.take();
+        let mut part = || Tagged::reusing(spare.pop().unwrap_or_default());
         SpillArena {
             data: Vec::new(),
-            parts: (0..partitions).map(|_| Vec::new()).collect(),
+            parts: (0..partitions).map(|_| part()).collect(),
             payload_bytes: 0,
-            scratch: SPARE_SCRATCH.take(),
         }
     }
 
-    /// Append one record to a partition.
+    /// Append one record to a partition, tagged with its key's
+    /// [`bytewise_sort_prefix_wide`].
     pub fn append(&mut self, partition: usize, key: &[u8], value: &[u8]) {
         let off = self.data.len();
         self.data.extend_from_slice(key);
         self.data.extend_from_slice(value);
-        self.parts[partition].push(IndexEntry {
+        let entry = IndexEntry {
             off,
             key_len: u32::try_from(key.len()).expect("key larger than 4 GiB"),
             val_len: u32::try_from(value.len()).expect("value larger than 4 GiB"),
-        });
+        };
+        self.parts[partition].push(bytewise_sort_prefix_wide(key), key.len(), entry);
         self.payload_bytes += key.len() + value.len();
     }
 
@@ -89,27 +90,24 @@ impl SpillArena {
 
     /// Records staged for one partition.
     pub fn partition_len(&self, partition: usize) -> usize {
-        self.parts[partition].len()
+        self.parts[partition].items.len()
     }
 
     /// True when nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.parts.iter().all(|p| p.is_empty())
+        self.parts.iter().all(|p| p.items.is_empty())
     }
 
     /// Stable-sort one partition's index by key; record bytes stay put.
     ///
-    /// This is the spill sort's comparison-free fast path: each entry is
-    /// tagged once with its key's [`KeySemantics::sort_prefix_wide`] and
-    /// the `(wide key, entry)` pairs go through an LSD radix sort in
-    /// buffers the arena keeps across partitions and spills; only tie
-    /// runs of differing keys ever call the virtual comparator, and a
-    /// partition whose wide keys already ascend strictly is left as it
-    /// is. Byte-identical to a whole stable comparator sort of the
-    /// index (radix + tie-run stable sort ⇔ whole stable comparator
-    /// sort). Returns how much of the sort the comparator had to finish,
-    /// or `None` when the partition held fewer than two records and
-    /// nothing was sorted.
+    /// The entries, tagged at append (re-tagged with
+    /// [`KeySemantics::sort_prefix_wide`] unless the semantics declare
+    /// [`KeySemantics::bytewise_order`]), are radix-sorted in place; only
+    /// tie runs of differing keys call the comparator, and strictly
+    /// ascending tags are left as they are. Byte-identical to a whole
+    /// stable comparator sort of the index. Returns how much of the sort
+    /// the comparator had to finish, or `None` when the partition held
+    /// fewer than two records and nothing was sorted.
     pub fn sort_partition(
         &mut self,
         partition: usize,
@@ -117,18 +115,24 @@ impl SpillArena {
     ) -> Option<PrefixSortStats> {
         let data = &self.data;
         let index = &mut self.parts[partition];
-        let stats = (index.len() > 1)
-            .then(|| crate::sort::prefix_sort_with(index, &mut self.scratch, ks, |e| e.key(data)));
+        if index.items.len() < 2 {
+            return None;
+        }
+        if !ks.bytewise_order() {
+            index.retag(ks, |e| e.key(data));
+        }
+        let stats = SCRATCH.with_borrow_mut(|scratch| index.sort(scratch, ks, |e| e.key(data)));
         debug_assert!(is_partition_sorted(self, partition, ks));
-        stats
+        Some(stats)
     }
 
     /// Iterate one partition's `(key, value)` slices in index order
     /// (sorted order after [`SpillArena::sort_partition`]).
     pub fn pairs(&self, partition: usize) -> impl Iterator<Item = (&[u8], &[u8])> {
         self.parts[partition]
+            .items
             .iter()
-            .map(|e| (e.key(&self.data), e.value(&self.data)))
+            .map(|(_, e)| (e.key(&self.data), e.value(&self.data)))
     }
 
     /// Group a sorted partition by the grouping predicate; calls `f` once
@@ -139,15 +143,15 @@ impl SpillArena {
         ks: &dyn KeySemantics,
         mut f: impl FnMut(&[u8], &[&[u8]]),
     ) {
-        let entries = &self.parts[partition];
+        let (data, entries) = (&self.data, &self.parts[partition].items);
         let mut i = 0;
         while i < entries.len() {
-            let key = entries[i].key(&self.data);
+            let key = entries[i].1.key(data);
             let mut j = i + 1;
-            while j < entries.len() && ks.group_eq(key, entries[j].key(&self.data)) {
+            while j < entries.len() && ks.group_eq(key, entries[j].1.key(data)) {
                 j += 1;
             }
-            let values: Vec<&[u8]> = entries[i..j].iter().map(|e| e.value(&self.data)).collect();
+            let values: Vec<&[u8]> = entries[i..j].iter().map(|e| e.1.value(data)).collect();
             f(key, &values);
             i = j;
         }
@@ -157,7 +161,7 @@ impl SpillArena {
     pub fn clear(&mut self) {
         self.data.clear();
         for p in &mut self.parts {
-            p.clear();
+            *p = Tagged::reusing(std::mem::take(&mut p.items));
         }
         self.payload_bytes = 0;
     }
@@ -165,17 +169,23 @@ impl SpillArena {
 
 impl Drop for SpillArena {
     fn drop(&mut self) {
+        let index = self.parts.drain(..).map(|p| p.items).collect();
         // Unreachable once the thread's locals are being destroyed; the
         // buffers are then simply freed.
-        let _ = SPARE_SCRATCH.try_with(|spare| spare.replace(std::mem::take(&mut self.scratch)));
+        let _ = SPARE.try_with(|slot| slot.replace(index));
     }
 }
 
-/// Whether a partition's index is sorted (the sort's debug assert).
+/// Whether a partition's index is sorted, each entry tagged with its
+/// key's `sort_prefix_wide` (the sort's debug assert).
 fn is_partition_sorted(arena: &SpillArena, partition: usize, ks: &dyn KeySemantics) -> bool {
     let keys: Vec<&[u8]> = arena.pairs(partition).map(|(k, _)| k).collect();
+    let tags = arena.parts[partition].items.iter().map(|(wide, _)| *wide);
     keys.windows(2)
         .all(|w| ks.compare(w[0], w[1]) != Ordering::Greater)
+        && tags
+            .zip(&keys)
+            .all(|(wide, key)| wide == ks.sort_prefix_wide(key))
 }
 
 #[cfg(test)]
@@ -269,9 +279,11 @@ mod tests {
         );
     }
 
-    /// Default semantics that count what the sort asks of them.
+    /// Default semantics that count what the sort asks of them, and
+    /// declare them bytewise ([`KeySemantics::bytewise_order`]) or not.
     #[derive(Default)]
     struct Counting {
+        bytewise: bool,
         wide: AtomicU64,
         compares: AtomicU64,
     }
@@ -285,19 +297,30 @@ mod tests {
             self.wide.fetch_add(1, Relaxed);
             DefaultKeySemantics.sort_prefix_wide(key)
         }
+        fn bytewise_order(&self) -> bool {
+            self.bytewise
+        }
         fn partition(&self, key: &[u8], parts: usize) -> usize {
             DefaultKeySemantics.partition(key, parts)
         }
     }
 
     impl Counting {
+        fn bytewise() -> Self {
+            Counting {
+                bytewise: true,
+                ..Counting::default()
+            }
+        }
+
         /// `(prefix, compare)` calls since the last take. Debug builds
+        /// check the partition's `n` tags with a prefix call each, and
         /// re-check the sorted partition with `n - 1` compares.
         fn take(&self, n: u64) -> (u64, u64) {
-            let checked = if cfg!(debug_assertions) { n - 1 } else { 0 };
+            let checked = if cfg!(debug_assertions) { n } else { 0 };
             (
-                self.wide.swap(0, Relaxed),
-                self.compares.swap(0, Relaxed) - checked,
+                self.wide.swap(0, Relaxed) - checked,
+                self.compares.swap(0, Relaxed) - checked.saturating_sub(1),
             )
         }
     }
@@ -328,6 +351,7 @@ mod tests {
 
     #[test]
     fn window_keys_sort_on_one_prefix_call_each_and_no_compare() {
+        // Semantics not declared bytewise: the sort re-tags each key.
         let ks = Counting::default();
         let keys = window_keys(40, 250, 12, 0);
         let n = keys.len() as u64;
@@ -342,7 +366,42 @@ mod tests {
     }
 
     #[test]
-    fn sort_buffers_outlive_partitions_spills_and_the_arena() {
+    fn exact_partitions_skip_the_tie_pass() {
+        // Declared bytewise, one key length of at most 16 bytes: the tags
+        // staged at append are the sort's, and equal tags are equal keys.
+        let ks = Counting::bytewise();
+        let keys = window_keys(40, 250, 12, 0);
+        let n = keys.len() as u64;
+        let (mut exact, expected) = staged(&keys);
+        let stats = exact.sort_partition(0, &ks).expect("a partition to sort");
+        assert_eq!((stats.tie_records, stats.compare_calls), (0, 0));
+        assert_eq!(ks.take(n), (0, 0), "(prefix, compare) calls");
+        assert_eq!(collect(&exact, 0), expected);
+        // `[1]` and `[1, 0]` tie on the zero-extended tag but differ: two
+        // lengths make the partition inexact, and the tie pass sorts them.
+        let keys = [vec![1], vec![1, 0], vec![2], vec![1]];
+        let (mut mixed, expected) = staged(&keys);
+        let stats = mixed.sort_partition(0, &ks).expect("a partition to sort");
+        assert_eq!(stats.tie_records, 3);
+        let (wide, compares) = ks.take(keys.len() as u64);
+        assert_eq!(wide, 0);
+        assert!(compares >= 2, "{compares} compares");
+        assert_eq!(stats.compare_calls, compares);
+        assert_eq!(collect(&mixed, 0), expected);
+    }
+
+    /// The capacities of an arena's index and scatter buffers, sorted:
+    /// a sort swaps a partition's index with the scatter buffer after an
+    /// odd number of digits, so which buffer is which can change.
+    fn capacities(a: &SpillArena) -> Vec<usize> {
+        let mut caps: Vec<usize> = a.parts.iter().map(|p| p.items.capacity()).collect();
+        caps.push(SCRATCH.with_borrow(RadixScratch::item_capacity));
+        caps.sort_unstable();
+        caps
+    }
+
+    #[test]
+    fn buffers_outlive_partitions_spills_and_the_arena() {
         let ks = DefaultKeySemantics;
         let keys = window_keys(20, 0, 10, 0);
         let stage = |a: &mut SpillArena| {
@@ -354,21 +413,21 @@ mod tests {
         };
         let mut a = SpillArena::new(2);
         assert_eq!(
-            a.scratch.item_capacity(),
-            0,
-            "nothing sorted on this thread yet"
+            capacities(&a),
+            [0, 0, 0],
+            "nothing staged on this thread yet"
         );
         stage(&mut a);
-        let grown = a.scratch.item_capacity();
-        assert!(grown >= keys.len() / 2);
+        let grown = capacities(&a);
+        assert!(grown[0] >= keys.len() / 2);
         a.clear();
         stage(&mut a);
-        assert_eq!(a.scratch.item_capacity(), grown, "second spill reallocated");
+        assert_eq!(capacities(&a), grown, "second spill reallocated");
         drop(a);
         let mut next = SpillArena::new(2);
-        assert_eq!(next.scratch.item_capacity(), grown, "next task starts cold");
+        assert_eq!(capacities(&next), grown, "next task starts cold");
         stage(&mut next);
-        assert_eq!(next.scratch.item_capacity(), grown);
+        assert_eq!(capacities(&next), grown);
     }
 
     #[test]

@@ -58,6 +58,13 @@ pub trait KeySemantics: Send + Sync {
         bytewise_sort_prefix_wide(key)
     }
 
+    /// Whether `compare` is bytewise and `sort_prefix_wide` is
+    /// [`bytewise_sort_prefix_wide`]. Unless it is, the spill sort re-tags
+    /// the keys the arena tagged bytewise at append (always correct).
+    fn bytewise_order(&self) -> bool {
+        false
+    }
+
     /// Which reducer a key routes to (Hadoop's `Partitioner`).
     fn partition(&self, key: &[u8], parts: usize) -> usize;
 
@@ -112,6 +119,10 @@ pub trait KeySemantics: Send + Sync {
 pub struct DefaultKeySemantics;
 
 impl KeySemantics for DefaultKeySemantics {
+    fn bytewise_order(&self) -> bool {
+        true
+    }
+
     fn partition(&self, key: &[u8], parts: usize) -> usize {
         (fnv1a(key) % parts as u64) as usize
     }
@@ -239,8 +250,10 @@ mod tests {
         // Unknown semantics keep the conservative streaming defaults.
         assert!(OnlyPartition.sort_splits());
         assert!(OnlyPartition.sort_interacts(b"a", b"b"));
+        assert!(!OnlyPartition.bytewise_order(), "the spill sort re-tags");
         let ks = DefaultKeySemantics;
         assert!(!ks.sort_splits(), "atomic keys never split at sort time");
+        assert!(ks.bytewise_order());
         assert!(!ks.sort_interacts(b"a", b"a"));
     }
 

@@ -165,7 +165,7 @@ impl fmt::Debug for Bytes {
 /// One key/value pair, both raw byte strings (Hadoop serializes keys the
 /// moment they are emitted — §II-B assumption *b* — and this engine keeps
 /// that behaviour so the paper's byte accounting is honest).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KvPair {
     /// Serialized key.
     pub key: Bytes,

@@ -4,12 +4,12 @@
 //! Both stages run *comparison-free* on their fast path: keys are
 //! reduced to order-preserving 16-byte normalized keys
 //! ([`KeySemantics::sort_prefix_wide`]), the map-side spill sort is an
-//! LSD radix sort over `(wide key, index)` pairs (`prefix_sort_with`,
-//! [`sort_pairs`]), and the merge is a cache-resident loser tree over
-//! segment cursors keyed by cached wide keys ([`BlockMergeStream`]). The
-//! full virtual comparator runs only where wide keys tie on keys that
-//! differ, so both stages stay byte-identical to a stable
-//! whole-comparator sort.
+//! in-place LSD radix sort of `(wide key, item)` pairs tagged as they
+//! were staged (`Tagged`, [`sort_pairs`]), and the merge is a
+//! cache-resident loser tree over segment cursors keyed by cached wide
+//! keys ([`BlockMergeStream`]). The full virtual comparator runs only
+//! where wide keys tie on keys that differ, so both stages stay
+//! byte-identical to a stable whole-comparator sort.
 
 use crate::error::MrError;
 use crate::ifile::{
@@ -47,33 +47,22 @@ const RADIX_MIN: usize = 64;
 /// scatters.
 const MAX_BUCKETS: usize = 4096;
 
-/// The radix sort's working memory — `(wide key, payload)` items, the
+/// The radix sort's working memory besides the items themselves — the
 /// scatter target, and a folded digit's per-item buckets and counters —
 /// kept by the caller so one allocation serves every partition of every
 /// spill.
+#[derive(Default)]
 pub(crate) struct RadixScratch<T> {
-    keyed: Vec<(u128, T)>,
     scatter: Vec<(u128, T)>,
     buckets: Vec<u16>,
     counts: Vec<usize>,
 }
 
-impl<T> Default for RadixScratch<T> {
-    fn default() -> Self {
-        RadixScratch {
-            keyed: Vec::new(),
-            scatter: Vec::new(),
-            buckets: Vec::new(),
-            counts: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 impl<T> RadixScratch<T> {
-    /// Items both item buffers can hold without growing.
+    /// Items the scatter buffer can hold without growing.
     pub(crate) fn item_capacity(&self) -> usize {
-        self.keyed.capacity().min(self.scatter.capacity())
+        self.scatter.capacity()
     }
 }
 
@@ -117,7 +106,7 @@ fn fold_lanes(histograms: &[[usize; 256]], n: usize) -> Vec<(usize, usize, usize
     digits
 }
 
-/// Stable LSD radix sort of `scratch.keyed` by wide key, least
+/// Stable LSD radix sort of `items` by wide key, in place, least
 /// significant byte lane first, over the lanes on which some pair of
 /// keys disagrees (`diff` has a bit set iff one does) — a uniform lane
 /// costs nothing, and for short keys the high lanes of the big-endian
@@ -128,18 +117,22 @@ fn fold_lanes(histograms: &[[usize; 256]], n: usize) -> Vec<(usize, usize, usize
 /// lanes below*, and the sum over the lanes is a mixed-radix bucket
 /// that orders exactly as the bytes do. A folded digit costs a counting
 /// pass and a scatter; a lane left alone scatters by its byte, on the
-/// histogram it already has.
-fn radix_sort_by_prefix<T: Copy>(scratch: &mut RadixScratch<T>, diff: u128) {
-    let n = scratch.keyed.len();
+/// histogram it already has. An odd number of digits swaps the buffers.
+fn radix_sort_by_prefix<T: Copy>(
+    items: &mut Vec<(u128, T)>,
+    scratch: &mut RadixScratch<T>,
+    diff: u128,
+) {
+    let n = items.len();
     if n < RADIX_MIN {
-        scratch.keyed.sort_by_key(|&(wide, _)| wide);
+        items.sort_by_key(|&(wide, _)| wide);
         return;
     }
     let lanes: Vec<usize> = (0..16)
         .filter(|lane| (diff >> (8 * lane)) as u8 != 0)
         .collect();
     let mut histograms = vec![[0usize; 256]; lanes.len()];
-    for (wide, _) in &scratch.keyed {
+    for (wide, _) in items.iter() {
         let bytes = wide.to_le_bytes();
         for (histogram, &lane) in histograms.iter_mut().zip(&lanes) {
             histogram[bytes[lane] as usize] += 1;
@@ -147,9 +140,9 @@ fn radix_sort_by_prefix<T: Copy>(scratch: &mut RadixScratch<T>, diff: u128) {
     }
     let digits = fold_lanes(&histograms, n);
     if scratch.scatter.len() < n {
-        scratch.scatter.resize(n, scratch.keyed[0]);
+        scratch.scatter.resize(n, items[0]);
     }
-    let (mut src, mut dst) = (&mut scratch.keyed[..], &mut scratch.scatter[..n]);
+    let (mut src, mut dst) = (&mut items[..], &mut scratch.scatter[..n]);
     for &(first, len, buckets) in &digits {
         if len == 1 {
             let lane = lanes[first];
@@ -193,73 +186,97 @@ fn radix_sort_by_prefix<T: Copy>(scratch: &mut RadixScratch<T>, diff: u128) {
         std::mem::swap(&mut src, &mut dst);
     }
     if digits.len() % 2 == 1 {
-        std::mem::swap(&mut scratch.keyed, &mut scratch.scatter);
-        scratch.keyed.truncate(n);
+        std::mem::swap(items, &mut scratch.scatter);
+        items.truncate(n);
     }
 }
 
-/// Sort `items` into full key order (`key_of` maps an item to its key
-/// bytes): tag each with its [`KeySemantics::sort_prefix_wide`] — one
-/// call per item — radix-sort the tagged pairs, then settle wide-key
-/// tie runs. A run of byte-identical keys is already in its final,
-/// stable order whatever the comparator (`compare(k, k)` is `Equal`);
-/// any other run is stable-sorted with the real comparator. LSD radix
-/// is stable and the wide key is order-preserving, so the result is
-/// byte-identical to a stable whole-comparator sort.
-pub(crate) fn prefix_sort_with<'k, T: Copy>(
-    items: &mut [T],
-    scratch: &mut RadixScratch<T>,
-    ks: &dyn KeySemantics,
-    key_of: impl Fn(T) -> &'k [u8],
-) -> PrefixSortStats {
-    let mut stats = PrefixSortStats::default();
-    let keyed = &mut scratch.keyed;
-    keyed.clear();
-    keyed.reserve(items.len());
-    // Strictly ascending wide keys prove the items are already in
-    // strictly ascending order (wide < implies compare Less). Map output
-    // is often emitted in key order (grid walks), so this is a common
-    // case; a tie disqualifies it, its order being unproven.
-    let mut ascending = true;
-    let (mut all_or, mut all_and) = (0u128, u128::MAX);
-    for &item in items.iter() {
-        let wide = ks.sort_prefix_wide(key_of(item));
-        ascending &= keyed.last().is_none_or(|&(prev, _)| prev < wide);
-        all_or |= wide;
-        all_and &= wide;
-        keyed.push((wide, item));
-    }
-    if ascending {
-        return stats;
-    }
-    radix_sort_by_prefix(scratch, all_or ^ all_and);
-    let keyed = &mut scratch.keyed;
-    let mut i = 0;
-    while i < keyed.len() {
-        let (wide, first) = keyed[i];
-        let mut j = i + 1;
-        while j < keyed.len() && keyed[j].0 == wide {
-            j += 1;
+/// Items tagged with their keys' wide keys, and what the tags said as
+/// they were pushed: their OR and AND (the lanes on which two disagree),
+/// whether they ascend strictly (which proves the items sorted: wide <
+/// implies compare Less), and the shortest and longest key.
+pub(crate) struct Tagged<T> {
+    pub(crate) items: Vec<(u128, T)>,
+    bits: (u128, u128),
+    ascending: bool,
+    lens: (usize, usize),
+}
+
+impl<T: Copy> Tagged<T> {
+    /// An empty run that pushes into `buffer`'s allocation.
+    pub(crate) fn reusing(mut buffer: Vec<(u128, T)>) -> Self {
+        buffer.clear();
+        Tagged {
+            items: buffer,
+            bits: (0, u128::MAX),
+            ascending: true,
+            lens: (usize::MAX, 0),
         }
-        if j - i > 1 {
-            let first = key_of(first);
-            if keyed[i + 1..j]
-                .iter()
-                .any(|&(_, item)| !crate::keysem::bytewise_eq(key_of(item), first))
-            {
-                stats.tie_records += (j - i) as u64;
-                keyed[i..j].sort_by(|a, b| {
-                    stats.compare_calls += 1;
-                    ks.compare(key_of(a.1), key_of(b.1))
-                });
+    }
+
+    /// Append `item`, whose key is `key_len` bytes and tags as `wide`.
+    pub(crate) fn push(&mut self, wide: u128, key_len: usize, item: T) {
+        self.ascending &= self.items.last().is_none_or(|&(prev, _)| prev < wide);
+        self.bits = (self.bits.0 | wide, self.bits.1 & wide);
+        self.lens = (self.lens.0.min(key_len), self.lens.1.max(key_len));
+        self.items.push((wide, item));
+    }
+
+    /// Re-tag every item with its key's [`KeySemantics::sort_prefix_wide`]
+    /// (`key_of` maps an item to its key bytes): one call per item.
+    pub(crate) fn retag<'k>(&mut self, ks: &dyn KeySemantics, key_of: impl Fn(T) -> &'k [u8]) {
+        let capacity = Vec::with_capacity(self.items.len());
+        for (_, item) in std::mem::replace(self, Tagged::reusing(capacity)).items {
+            let key = key_of(item);
+            self.push(ks.sort_prefix_wide(key), key.len(), item);
+        }
+    }
+
+    /// Sort the items into full key order in place (the tags must be the
+    /// keys' [`KeySemantics::sort_prefix_wide`]): radix-sort by tag, then
+    /// stable-sort each tie run of differing keys with the comparator —
+    /// byte-identical to a stable whole-comparator sort. Bytewise keys of
+    /// one length of at most 16 bytes skip that pass: equal tags are then
+    /// equal keys, already in stable order.
+    pub(crate) fn sort<'k>(
+        &mut self,
+        scratch: &mut RadixScratch<T>,
+        ks: &dyn KeySemantics,
+        key_of: impl Fn(T) -> &'k [u8],
+    ) -> PrefixSortStats {
+        let mut stats = PrefixSortStats::default();
+        if self.ascending {
+            return stats;
+        }
+        radix_sort_by_prefix(&mut self.items, scratch, self.bits.0 ^ self.bits.1);
+        if ks.bytewise_order() && self.lens.0 == self.lens.1 && self.lens.1 <= 16 {
+            return stats;
+        }
+        let items = &mut self.items;
+        let mut i = 0;
+        while i < items.len() {
+            let (wide, first) = items[i];
+            let mut j = i + 1;
+            while j < items.len() && items[j].0 == wide {
+                j += 1;
             }
+            if j - i > 1 {
+                let first = key_of(first);
+                if items[i + 1..j]
+                    .iter()
+                    .any(|&(_, item)| !crate::keysem::bytewise_eq(key_of(item), first))
+                {
+                    stats.tie_records += (j - i) as u64;
+                    items[i..j].sort_by(|a, b| {
+                        stats.compare_calls += 1;
+                        ks.compare(key_of(a.1), key_of(b.1))
+                    });
+                }
+            }
+            i = j;
         }
-        i = j;
+        stats
     }
-    for (item, &(_, sorted)) in items.iter_mut().zip(keyed.iter()) {
-        *item = sorted;
-    }
-    stats
 }
 
 /// Stable sort of owned pairs by key through the prefix radix path —
@@ -270,16 +287,17 @@ pub fn sort_pairs(pairs: &mut Vec<KvPair>, ks: &dyn KeySemantics) {
     if pairs.len() < 2 {
         return;
     }
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    prefix_sort_with(&mut order, &mut RadixScratch::default(), ks, |i| {
-        pairs[i].key.as_slice()
-    });
-    let mut slots: Vec<Option<KvPair>> = pairs.drain(..).map(Some).collect();
-    pairs.extend(
-        order
-            .iter()
-            .map(|&i| slots[i].take().expect("permutation visits each slot once")),
-    );
+    let mut order = Tagged::reusing(Vec::with_capacity(pairs.len()));
+    for (i, pair) in pairs.iter().enumerate() {
+        order.push(ks.sort_prefix_wide(&pair.key), pair.key.len(), i);
+    }
+    order.sort(&mut RadixScratch::default(), ks, |i| &pairs[i].key[..]);
+    let sorted: Vec<KvPair> = order
+        .items
+        .iter()
+        .map(|&(_, i)| std::mem::take(&mut pairs[i]))
+        .collect();
+    *pairs = sorted;
     debug_assert!(pairs
         .windows(2)
         .all(|w| ks.compare(&w[0].key, &w[1].key) != Ordering::Greater));
@@ -800,14 +818,13 @@ mod tests {
     /// Sort `keys`' positions through the kernel: the sorted order and
     /// what the comparator was asked to do.
     fn prefix_sort(keys: &[&[u8]]) -> (Vec<usize>, PrefixSortStats) {
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        let stats = prefix_sort_with(
-            &mut order,
-            &mut RadixScratch::default(),
-            &DefaultKeySemantics,
-            |i| keys[i],
-        );
-        (order, stats)
+        let ks = DefaultKeySemantics;
+        let mut order = Tagged::reusing(Vec::new());
+        for (i, key) in keys.iter().enumerate() {
+            order.push(ks.sort_prefix_wide(key), key.len(), i);
+        }
+        let stats = order.sort(&mut RadixScratch::default(), &ks, |i| keys[i]);
+        (order.items.iter().map(|&(_, i)| i).collect(), stats)
     }
 
     #[test]
@@ -844,12 +861,9 @@ mod tests {
         let (all_or, all_and) = items
             .iter()
             .fold((0, u128::MAX), |(or, and), &(p, _)| (or | p, and & p));
-        let mut scratch = RadixScratch {
-            keyed: items.to_vec(),
-            ..RadixScratch::default()
-        };
-        radix_sort_by_prefix(&mut scratch, all_or ^ all_and);
-        scratch.keyed
+        let mut sorted = items.to_vec();
+        radix_sort_by_prefix(&mut sorted, &mut RadixScratch::default(), all_or ^ all_and);
+        sorted
     }
 
     #[test]

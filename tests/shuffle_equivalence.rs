@@ -17,9 +17,9 @@ use proptest::prelude::*;
 use scihadoop::compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop::core::aggregate::{AggregateKey, AggregateKeyOps, RangePartitioner};
 use scihadoop::mapreduce::{
-    for_each_group, sort_pairs, BlockMergeStream, Counter, DefaultKeySemantics, Emit, FnMapper,
-    FnReducer, Framing, IFileVersion, IFileWriter, InputSplit, Job, JobConfig, KeySemantics,
-    KvPair, MergeItem, RawSegment, SpillArena,
+    bytewise_sort_prefix_wide, for_each_group, sort_pairs, BlockMergeStream, Counter,
+    DefaultKeySemantics, Emit, FnMapper, FnReducer, Framing, IFileVersion, IFileWriter, InputSplit,
+    Job, JobConfig, KeySemantics, KvPair, MergeItem, RawSegment, SpillArena,
 };
 use scihadoop::sfc::CurveRun;
 use std::cmp::Ordering;
@@ -69,6 +69,8 @@ struct RefCounters {
     shuffle_bytes: u64,
     reduce_input_groups: u64,
     reduce_input_records: u64,
+    combine_input_records: u64,
+    combine_output_records: u64,
 }
 
 struct RefConfig {
@@ -77,11 +79,13 @@ struct RefConfig {
     framing: Framing,
     codec: Arc<dyn Codec>,
     ks: Arc<dyn KeySemantics>,
+    /// Run [`concat_reducer`] as the combiner on every sorted spill.
+    combine: bool,
 }
 
 /// Run one map task the pre-arena way: route into per-partition owned
-/// pair vectors, spill (stable sort + write) past the threshold, merge
-/// multi-spill partitions.
+/// pair vectors, spill (stable sort, combine and stable sort again +
+/// write) past the threshold, merge multi-spill partitions.
 fn ref_map_task(cfg: &RefConfig, split: &[KvPair], c: &mut RefCounters) -> Vec<(usize, Vec<u8>)> {
     let mut staged: Vec<Vec<KvPair>> = (0..cfg.parts).map(|_| Vec::new()).collect();
     let mut payload = 0usize;
@@ -99,6 +103,18 @@ fn ref_map_task(cfg: &RefConfig, split: &[KvPair], c: &mut RefCounters) -> Vec<(
                 }
                 let mut run = std::mem::take(pairs);
                 run.sort_by(|a, b| cfg.ks.compare(&a.key, &b.key));
+                if cfg.combine {
+                    let mut combined = Vec::new();
+                    for_each_group(&run, cfg.ks.as_ref(), |key, values| {
+                        concat_reducer(key, values, &mut |k: &[u8], v: &[u8]| {
+                            combined.push(KvPair::new(k.to_vec(), v.to_vec()));
+                        });
+                    });
+                    c.combine_input_records += run.len() as u64;
+                    c.combine_output_records += combined.len() as u64;
+                    run = combined;
+                    run.sort_by(|a, b| cfg.ks.compare(&a.key, &b.key));
+                }
                 let mut w = IFileWriter::new(cfg.framing, cfg.codec.clone());
                 for p in &run {
                     w.append_pair(p);
@@ -239,7 +255,7 @@ fn ref_job(
 /// Run the engine on the same inputs (serial slots so segment order is
 /// the split order, as in the reference).
 fn engine_job(cfg: &RefConfig, splits: &[Vec<KvPair>]) -> scihadoop::mapreduce::JobResult {
-    let config = JobConfig::default()
+    let mut config = JobConfig::default()
         .with_reducers(cfg.parts)
         .with_slots(1, 1)
         .with_codec(cfg.codec.clone())
@@ -248,6 +264,9 @@ fn engine_job(cfg: &RefConfig, splits: &[Vec<KvPair>]) -> scihadoop::mapreduce::
         // The reference does Hadoop's per-record framing arithmetic.
         .with_ifile_version(IFileVersion::V2)
         .with_spill_buffer(cfg.spill_threshold);
+    if cfg.combine {
+        config = config.with_combiner(Arc::new(FnReducer(concat_reducer)));
+    }
     let mapper = Arc::new(FnMapper(|k: &[u8], v: &[u8], out: &mut dyn Emit| {
         out.emit(k, v);
     }));
@@ -292,6 +311,8 @@ fn assert_engine_matches_reference(cfg: &RefConfig, splits: &[Vec<KvPair>]) {
         shuffle_bytes: get(Counter::ShuffleBytes),
         reduce_input_groups: get(Counter::ReduceInputGroups),
         reduce_input_records: get(Counter::ReduceInputRecords),
+        combine_input_records: get(Counter::CombineInputRecords),
+        combine_output_records: get(Counter::CombineOutputRecords),
     };
     assert_eq!(actual, ref_c, "counters diverged");
 }
@@ -389,6 +410,45 @@ impl KeySemantics for CountingCompares {
     }
 }
 
+/// Bytewise order behind a coarser wide key than the bytewise one — the
+/// first 8 key bytes — which the contract allows. It is not the tag the
+/// arena stages, so the spill sort has to re-tag.
+struct HighWordOnly;
+
+impl KeySemantics for HighWordOnly {
+    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
+        bytewise_sort_prefix_wide(key) >> 64 << 64
+    }
+    fn partition(&self, key: &[u8], parts: usize) -> usize {
+        DefaultKeySemantics.partition(key, parts)
+    }
+}
+
+/// Reversed bytewise order, with the complement of the bytewise wide key
+/// (order-preserving for it).
+struct ReverseOrder;
+
+impl KeySemantics for ReverseOrder {
+    fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
+        b.cmp(a)
+    }
+    fn sort_prefix_wide(&self, key: &[u8]) -> u128 {
+        !bytewise_sort_prefix_wide(key)
+    }
+    fn partition(&self, key: &[u8], parts: usize) -> usize {
+        DefaultKeySemantics.partition(key, parts)
+    }
+}
+
+/// The stock semantics, or one of the two above.
+fn semantics(which: usize) -> Arc<dyn KeySemantics> {
+    match which {
+        0 => Arc::new(DefaultKeySemantics),
+        1 => Arc::new(HighWordOnly),
+        _ => Arc::new(ReverseOrder),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
@@ -456,6 +516,7 @@ proptest! {
                 Arc::new(IdentityCodec)
             },
             ks: Arc::new(DefaultKeySemantics),
+            combine: false,
         };
         let splits = plain_splits(&keys, &values, num_splits);
         assert_engine_matches_reference(&cfg, &splits);
@@ -738,8 +799,91 @@ proptest! {
             framing: Framing::IFile,
             codec: Arc::new(IdentityCodec),
             ks: Arc::new(AggregateKeyOps::new(partitioner, width)),
+            combine: false,
         };
         let splits = aggregate_splits(&runs, width, num_splits);
         assert_engine_matches_reference(&cfg, &splits);
     }
+
+    /// `sort_partition` against std's stable sort by `ks.compare` of the
+    /// partition's staged pairs, for the stock semantics (tags staged at
+    /// append; exact partitions skip the tie pass) and for two that
+    /// re-tag: a coarser wide key and a reversed order. Keys: mixed
+    /// lengths over a tiny alphabet, up to 21 bytes and up to 3 (where
+    /// `[1]`, `[1, 0]` and `[1, 0, 0]` tie on the wide key), keys of 16
+    /// to 22 bytes that share their first 16, strictly ascending keys of
+    /// one length, and keys of one 12-byte length — each partition cut
+    /// under and over the radix threshold of 64 items.
+    #[test]
+    fn spill_sort_matches_stable_sort_by_compare(
+        shape in 0usize..5,
+        mixed in vec(vec(0u8..3, 0..22), 1..300),
+        which in 0usize..3,
+        cut in prop_oneof![Just(2usize), Just(63), Just(64), Just(65), Just(usize::MAX)],
+        parts in 1usize..4,
+    ) {
+        let ks = semantics(which);
+        let mut keys: Vec<Vec<u8>> = match shape {
+            0 => mixed,
+            1 => mixed
+                .into_iter()
+                .map(|tail| [vec![7u8; 16], tail[..tail.len().min(6)].to_vec()].concat())
+                .collect(),
+            2 => {
+                let mut keys: Vec<Vec<u8>> = mixed.into_iter().map(|k| fixed(k, 4)).collect();
+                keys.sort_by(|a, b| ks.compare(a, b));
+                keys.dedup();
+                keys
+            }
+            3 => mixed.into_iter().map(|k| fixed(k, 12)).collect(),
+            _ => mixed.into_iter().map(|k| k[..k.len().min(3)].to_vec()).collect(),
+        };
+        keys.truncate(cut);
+        let mut arena = SpillArena::new(parts);
+        for (i, key) in keys.iter().enumerate() {
+            // Distinct values expose any stability difference.
+            arena.append(ks.partition(key, parts), key, &(i as u32).to_be_bytes());
+        }
+        for p in 0..parts {
+            let mut expected: Vec<(Vec<u8>, Vec<u8>)> =
+                arena.pairs(p).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            expected.sort_by(|a, b| ks.compare(&a.0, &b.0));
+            arena.sort_partition(p, ks.as_ref());
+            let sorted: Vec<(Vec<u8>, Vec<u8>)> =
+                arena.pairs(p).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            prop_assert_eq!(sorted, expected, "partition {}", p);
+        }
+    }
+
+    /// Whole pipeline with a combiner on every spill (`for_each_group`
+    /// over the sorted arena) and thresholds low enough for several
+    /// spills a task (`merge_spills`), under the three semantics of
+    /// `spill_sort_matches_stable_sort_by_compare`: outputs and counters,
+    /// the combiner's included, match the reference.
+    #[test]
+    fn engine_matches_reference_with_a_combiner_and_spills(
+        keys in vec((any::<u8>(), any::<u8>()), 0..200),
+        values in vec(vec(any::<u8>(), 0..12), 1..12),
+        parts in 1usize..4,
+        num_splits in 1usize..4,
+        threshold in 8usize..512,
+        variant in 0usize..6,
+    ) {
+        let cfg = RefConfig {
+            parts,
+            spill_threshold: threshold,
+            framing: Framing::IFile,
+            codec: Arc::new(IdentityCodec),
+            ks: semantics(variant % 3),
+            combine: variant >= 3,
+        };
+        let splits = plain_splits(&keys, &values, num_splits);
+        assert_engine_matches_reference(&cfg, &splits);
+    }
+}
+
+/// `key` cut or zero-extended to `len` bytes.
+fn fixed(mut key: Vec<u8>, len: usize) -> Vec<u8> {
+    key.resize(len, 0);
+    key
 }
