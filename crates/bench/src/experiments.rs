@@ -1482,108 +1482,6 @@ mod tests {
     use crate::json::Json;
 
     #[test]
-    fn intro_overhead_matches_paper_exactly_at_scale() {
-        // Run at n=20 (8000 cells): the per-record arithmetic is scale-
-        // free: 26 B and 33 B per record + 6 B header.
-        let t = intro_overhead(20);
-        let rows = t.rows();
-        let cells = 20u64 * 20 * 20;
-        assert_eq!(rows[0][1], format!("{}", cells * 26 + 6));
-        assert_eq!(rows[1][1], format!("{}", cells * 33 + 6));
-        assert_eq!(rows[1][3], "6.75");
-    }
-
-    #[test]
-    fn fig3_ordering_matches_paper_shape() {
-        let (_, points) = fig3(16, 100);
-        let size = |m: &str| {
-            points
-                .iter()
-                .find(|p| p.method.starts_with(m))
-                .expect("method present")
-                .size
-        };
-        assert!(size("transform+deflate") < size("deflate"));
-        assert!(size("transform+bzip") < size("bzip"));
-        assert!(size("transform+bzip") < size("transform+deflate"));
-        assert!(size("bzip") < size("deflate"));
-        assert!(size("deflate") < size("original"));
-    }
-
-    #[test]
-    fn fig4_time_is_roughly_linear() {
-        let (_, points) = fig4(&[16, 32]);
-        let rate0 = points[0].bytes as f64 / points[0].secs.max(1e-9);
-        let rate1 = points[1].bytes as f64 / points[1].secs.max(1e-9);
-        // 8x the data should take roughly 8x the time (allow 3x slack at
-        // these tiny sizes).
-        assert!(
-            rate1 > rate0 / 3.0 && rate1 < rate0 * 3.0,
-            "rates {rate0:.0} vs {rate1:.0} B/s"
-        );
-    }
-
-    #[test]
-    fn fig8_keys_and_overhead_collapse() {
-        let (_, bars) = fig8(16, &[1, 8]);
-        let original = &bars[0].1;
-        let ideal = &bars[1].1;
-        let partitioned = &bars[2].1;
-        assert_eq!(original.values, ideal.values, "values unchanged");
-        assert!(ideal.keys * 10 < original.keys, "keys must collapse");
-        assert!(ideal.overhead * 10 < original.overhead);
-        // Partitioning aggregates less (more, smaller runs).
-        assert!(partitioned.keys >= ideal.keys);
-    }
-
-    #[test]
-    fn cluster_experiment_reproduces_the_contrast() {
-        // On a busy host a single run's engine CPU now and then reads
-        // 1.3–2× its usual value (thread CPU inflated by VM steal), and
-        // that one row then breaks an inequality by a few percent. The
-        // contrast is asserted on each row's median over five runs.
-        const N: u32 = 96;
-        let runs: Vec<_> = (0..5).map(|_| cluster_experiment(N, 8)).collect();
-        let report: String = runs.iter().map(|(table, _)| table.render()).collect();
-        let median = |row: usize, field: fn(&ClusterRow) -> f64| {
-            let mut values: Vec<f64> = runs
-                .iter()
-                .map(|(_, rows)| {
-                    assert_eq!(rows.len(), 3);
-                    field(&rows[row])
-                })
-                .collect();
-            values.sort_by(f64::total_cmp);
-            values[values.len() / 2]
-        };
-        let intermediate = |row| median(row, |r| r.intermediate as f64);
-        let minutes = |row| median(row, |r| r.minutes);
-        // The model's codec term for a row, as the table's work-minute
-        // lines compute it.
-        let codec_s = |row| {
-            median(row, |r| {
-                let factor = (8000.0 * 8000.0) / (N as f64 * N as f64);
-                let phases = CostModel::new(ClusterSpec::paper_cluster())
-                    .simulate(&scale_stats(&r.stats, factor))
-                    .phases;
-                phases.map_codec_s + phases.reduce_codec_s
-            })
-        };
-        let (baseline, transform, agg) = (0, 1, 2);
-        // Both optimizations shrink intermediate data.
-        assert!(intermediate(transform) < intermediate(baseline), "{report}");
-        assert!(intermediate(agg) < intermediate(baseline), "{report}");
-        // The paper's headline contrast: transform costs runtime,
-        // aggregation saves it. The transform's cost is its codec CPU
-        // (x2 in the model), so that term carries the inequality; the
-        // two rows' totals also hold the x45 engine CPU, whose run-to-run
-        // wobble is +-20 points, so `minutes` is held to that tolerance.
-        assert!(codec_s(transform) > codec_s(baseline), "{report}");
-        assert!(minutes(transform) > 0.8 * minutes(baseline), "{report}");
-        assert!(minutes(agg) < minutes(baseline), "{report}");
-    }
-
-    #[test]
     fn curve_ablation_runs() {
         let t = curve_ablation(5, 5);
         assert_eq!(t.rows().len(), 3);

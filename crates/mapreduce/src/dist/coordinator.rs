@@ -1,20 +1,20 @@
 //! The coordinator side of a distributed job: launch the workers,
 //! accept their connections, and run the job's [`scheduler`](crate::scheduler)
-//! loop with one remote slot per connection. A remote slot is the
-//! conversation with one worker — ship the task, stage or stream the
-//! segments, read back the attempt's [`Outcome`] — and the blocking
-//! socket is its only flow control.
+//! loop with one remote slot per connection. A remote slot carries out
+//! what its conversation's machine ([`super::coordinator_machine`])
+//! asks for — send a frame, resolve a fetch, hand an [`Outcome`] back —
+//! and the blocking socket is its only flow control.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+use super::coordinator_machine::{Action, Coordinator, Event, Segment};
 use super::net::{Listener, Stream};
-use super::wire::{encode, read_msg, rebuild_error, write_msg, Msg};
+use super::wire::{encode, read_msg, write_msg, Msg};
 use super::{DistConfig, DEADLINE};
 use crate::counters::Counter;
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
-use crate::obs::MetricsBank;
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
 use crate::scheduler::{Fetched, JobState, MapOutput, Outcome, Slot, Takes};
 use crate::shuffle::SegmentRepr;
@@ -79,15 +79,9 @@ pub fn run_distributed_with_threads(
     run_coordinator(config, dist, splits, |workers, worker, addr| {
         let (config, addr) = (config.clone(), addr.to_string());
         let (mapper, reducer) = (Arc::clone(&mapper), Arc::clone(&reducer));
+        let (worker, uds) = (worker as u32, super::Transport::Uds);
         workers.threads.push(std::thread::spawn(move || {
-            super::run_worker(
-                super::Transport::Uds,
-                &addr,
-                worker as u32,
-                &config,
-                &*mapper,
-                &*reducer,
-            )
+            super::run_worker(uds, &addr, worker, &config, &*mapper, &*reducer)
         }));
         Ok(())
     })
@@ -155,9 +149,9 @@ fn run_coordinator(
     // All workers connect before the job clock starts.
     let mut slots = Vec::with_capacity(dist.workers);
     for _ in 0..dist.workers {
-        slots.push(RemoteSlot(
-            listener.accept(DEADLINE, &mut || workers.running())?,
-        ));
+        let stream = listener.accept(DEADLINE, &mut || workers.running())?;
+        let machine = Coordinator::new(job.num_maps, config.num_reducers);
+        slots.push(RemoteSlot { stream, machine });
     }
     // Nothing connects again: dropping the listener removes the socket
     // file before the job runs, so a kill mid-job leaves none behind.
@@ -165,40 +159,82 @@ fn run_coordinator(
     job.run(slots)
 }
 
-/// One worker connection. The worker drives: it announces itself with
-/// `Hello`, then asks for work with `TaskRequest` before every
-/// assignment.
-struct RemoteSlot(Stream);
-
-/// The fall-through arm of both conversations: `msg` is either the
-/// worker's `TaskFailed` for the attempt this slot is running —
-/// `expect` is its `(task, attempt, reduce)` — or a protocol violation.
-fn task_failed<T>(msg: Msg, expect: (usize, u32, bool)) -> Result<Outcome<T>, MrError> {
-    let kind = if expect.2 { "reduce" } else { "map" };
-    match msg {
-        Msg::TaskFailed {
-            task,
-            attempt,
-            reduce,
-            checksum,
-            error,
-        } if (task as usize, attempt, reduce) == expect => Ok(Err(rebuild_error(checksum, error))),
-        other => Err(MrError::Net(format!(
-            "{kind} {} attempt {}: unexpected {}",
-            expect.0,
-            expect.1,
-            other.name()
-        ))),
-    }
+/// One worker connection: its stream and its conversation's machine.
+struct RemoteSlot {
+    stream: Stream,
+    machine: Coordinator,
 }
 
 impl RemoteSlot {
-    fn send(&mut self, msg: &Msg) -> Result<(), MrError> {
-        write_msg(&mut self.0, msg)
+    /// Feed `event` (with none, the worker's next frame) to the machine
+    /// and carry out its actions, reading frames while it awaits one,
+    /// until it hands a step back.
+    fn step(&mut self, job: &JobState, event: Option<Event>) -> Result<Action, MrError> {
+        let mut next = event;
+        loop {
+            let event = match next.take() {
+                Some(event) => event,
+                None => Event::Frame(read_msg(&mut self.stream)?),
+            };
+            for action in self.machine.on(event)? {
+                match action {
+                    Action::Send(msg) => write_msg(&mut self.stream, &msg)?,
+                    Action::Serve(segment) => self.serve(job, segment)?,
+                    Action::Fetch((partition, attempt), map_task, index) => {
+                        next = Some(fetch(job, partition, map_task, attempt, index))
+                    }
+                    settled => return Ok(settled),
+                }
+            }
+        }
     }
 
-    fn recv(&mut self) -> Result<Msg, MrError> {
-        read_msg(&mut self.0)
+    /// One step, which must settle on what `pick` takes.
+    fn settle<T>(
+        &mut self,
+        job: &JobState,
+        event: Option<Event>,
+        pick: impl FnOnce(Action) -> Option<T>,
+    ) -> Result<T, MrError> {
+        let out_of_turn = || MrError::Net("the conversation settled out of turn".into());
+        pick(self.step(job, event)?).ok_or_else(out_of_turn)
+    }
+
+    /// Send one segment as a `FetchSegment` frame: the one copy, into the
+    /// frame, outside the transfer clock. A worker that reads slower than
+    /// segments are served blocks the `write_all`, so
+    /// `ShuffleTransferNanos` is time in the socket write *including*
+    /// that backpressure. What the frame saves against the logical length
+    /// is charged as it is served, so re-fetches by retried attempts count
+    /// again: true wire semantics.
+    fn serve(&mut self, job: &JobState, segment: Segment) -> Result<(), MrError> {
+        let (comp, data) = (segment.comp, segment.data);
+        let frame = encode(&Msg::FetchSegment { comp, data })?;
+        let t0 = Instant::now();
+        self.stream
+            .write_all(&frame)
+            .map_err(|e| MrError::Net(format!("write FetchSegment: {e}")))?;
+        let nanos = t0.elapsed().as_nanos() as u64;
+        job.counters.add(Counter::ShuffleTransferNanos, nanos);
+        job.counters
+            .add(Counter::ShuffleWireBytesSaved, segment.saved);
+        Ok(())
+    }
+}
+
+/// Resolve one fetch, timed as `ShuffleFetchWaitNanos`: wait until the
+/// map task has committed, and read a spilled segment whole. A fetch
+/// that fails because the job aborted is the abort.
+fn fetch(job: &JobState, partition: usize, map_task: usize, attempt: u32, index: u64) -> Event {
+    let t0 = Instant::now();
+    let fetched = job
+        .fetch(partition, map_task, attempt, index)
+        .and_then(|fetched| fetched.map(wire_form).transpose());
+    let nanos = t0.elapsed().as_nanos() as u64;
+    job.counters.add(Counter::ShuffleFetchWaitNanos, nanos);
+    match fetched {
+        Err(_) if job.is_aborted() => Event::Aborted,
+        fetched => Event::Fetched(fetched),
     }
 }
 
@@ -207,35 +243,23 @@ impl Slot for RemoteSlot {
         Takes::Both
     }
 
-    fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
-        match self.recv()? {
-            Msg::Hello { worker } => Ok(format!("dist-conn-{worker}")),
-            other => Err(MrError::Net(format!(
-                "expected Hello, got {}",
-                other.name()
-            ))),
-        }
+    fn open(&mut self, job: &JobState) -> Result<String, MrError> {
+        let name = |settled| match settled {
+            Action::Opened(worker) => Some(format!("dist-conn-{worker}")),
+            _ => None,
+        };
+        self.settle(job, None, name)
     }
 
-    fn ready(&mut self) -> Result<(), MrError> {
-        match self.recv()? {
-            Msg::TaskRequest => Ok(()),
-            other => Err(MrError::Net(format!(
-                "expected TaskRequest, got {}",
-                other.name()
-            ))),
-        }
+    fn ready(&mut self, job: &JobState) -> Result<(), MrError> {
+        self.settle(job, None, |a| matches!(a, Action::Ready).then_some(()))
     }
 
-    fn close(&mut self) -> Result<(), MrError> {
-        self.send(&Msg::Shutdown)
+    fn close(&mut self, job: &JobState) -> Result<(), MrError> {
+        let closed = |a| matches!(a, Action::Closed).then_some(());
+        self.settle(job, Some(Event::Close), closed)
     }
 
-    /// Send the task, stage each received segment, and hand the staged
-    /// segments over with `MapDone` (those of a failed attempt are
-    /// dropped, never published). A partition is staged at most once.
-    /// A remote outcome's histogram bank is empty: the worker keeps its
-    /// samples.
     fn map(
         &mut self,
         job: &JobState,
@@ -243,151 +267,53 @@ impl Slot for RemoteSlot {
         attempt: u32,
         split: &Arc<InputSplit>,
     ) -> Result<Outcome<MapOutput>, MrError> {
-        self.send(&Msg::MapTask {
-            task: task as u32,
-            attempt,
-            split: Arc::clone(split),
-        })?;
-        let mut staged: MapOutput = Vec::new();
-        loop {
-            match self.recv()? {
-                Msg::MapSegment { partition, data } => {
-                    let partition = partition as usize;
-                    if partition >= job.config.num_reducers {
-                        return Err(MrError::Net(format!(
-                            "map {task}: segment for partition {partition} out of range"
-                        )));
-                    }
-                    if staged.iter().any(|(p, _)| *p == partition) {
-                        return Err(MrError::Net(format!(
-                            "map {task}: second segment for partition {partition}"
-                        )));
-                    }
-                    staged.push((partition, data));
-                }
-                Msg::MapDone {
-                    task: t,
-                    attempt: a,
-                    local,
-                } if (t as usize, a) == (task, attempt) => {
-                    return Ok(Ok((staged, local, MetricsBank::new())))
-                }
-                other => return task_failed(other, (task, attempt, false)),
-            }
-        }
+        let assign = Event::Map((task, attempt), Arc::clone(split));
+        self.settle(job, Some(assign), |settled| match settled {
+            Action::Mapped(outcome) => Some(outcome),
+            _ => None,
+        })
     }
 
-    /// Stream the partition's segments right behind the task (in
-    /// canonical map-task order, blocking per segment until its producer
-    /// commits — the fetch-while-map overlap), then collect the result.
-    /// A worker that reads slower than segments are served blocks the
-    /// `write_all`, so `ShuffleTransferNanos` is time in the socket write
-    /// *including* that backpressure.
-    ///
-    /// Each segment is one `FetchSegment` frame of its stored bytes (see
-    /// [`wire_form`]); the difference between logical and transmitted
-    /// length is charged to `ShuffleWireBytesSaved` at serve time, so
-    /// re-fetches by retried attempts count again — true wire semantics.
-    /// A segment the store cannot serve ends the stream with
-    /// `FetchFailed`: the worker fails the attempt, which settles like
-    /// any failed attempt, and the slot stays.
     fn reduce(
         &mut self,
         job: &JobState,
         task: usize,
         attempt: u32,
     ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-        self.send(&Msg::ReduceTask {
-            task: task as u32,
-            attempt,
-        })?;
-        let mut served = 0u32;
-        let mut wait_nanos = 0u64;
-        let mut transfer_nanos = 0u64;
-        let mut wire_saved = 0u64;
-        let mut failed = None;
-        for map_task in 0..job.num_maps {
-            let wait_t0 = Instant::now();
-            let fetched = job
-                .fetch(task, map_task, attempt, u64::from(served))
-                .and_then(|fetched| fetched.map(wire_form).transpose());
-            wait_nanos += wait_t0.elapsed().as_nanos() as u64;
-            let (comp, data, saved) = match fetched {
-                Ok(Some(segment)) => segment,
-                Ok(None) => continue,
-                Err(_) if job.is_aborted() => {
-                    // Release the worker cleanly; the abort's cause
-                    // is already collected elsewhere.
-                    self.send(&Msg::Shutdown)?;
-                    return Ok(None);
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            };
-            // The one copy: into the frame, outside the transfer clock.
-            let frame = encode(&Msg::FetchSegment { comp, data })?;
-            let send_t0 = Instant::now();
-            self.0
-                .write_all(&frame)
-                .map_err(|e| MrError::Net(format!("write FetchSegment: {e}")))?;
-            transfer_nanos += send_t0.elapsed().as_nanos() as u64;
-            wire_saved += saved;
-            served += 1;
-        }
-        job.counters.add(Counter::ShuffleFetchWaitNanos, wait_nanos);
-        job.counters
-            .add(Counter::ShuffleTransferNanos, transfer_nanos);
-        job.counters.add(Counter::ShuffleWireBytesSaved, wire_saved);
-        self.send(&match &failed {
-            None => Msg::SegmentsDone { count: served },
-            Some(e) => Msg::FetchFailed {
-                checksum: e.is_checksum(),
-                error: e.to_string(),
-            },
-        })?;
-
-        match self.recv()? {
-            Msg::ReduceDone {
-                task: t,
-                attempt: a,
-                local,
-                outputs,
-            } if failed.is_none() && (t as usize, a) == (task, attempt) => {
-                Ok(Some(Ok((outputs, local, MetricsBank::new()))))
-            }
-            other => task_failed(other, (task, attempt, true)).map(Some),
-        }
+        let assign = Event::Reduce((task, attempt));
+        self.settle(job, Some(assign), |settled| match settled {
+            Action::Reduced(outcome) => Some(outcome),
+            _ => None,
+        })
     }
 }
 
-/// A fetched segment as it crosses the wire: whether it is an lz frame,
-/// its bytes, and what that saves against its logical length. A
-/// resident segment's bytes are the store's own; a spilled one's are
-/// read whole, its spill CRC checked before any byte leaves. Copies the
-/// fault plan corrupted are logical bytes and ship raw, which is what
-/// keeps a compressed run byte-identical to identity under a fault
-/// storm.
-fn wire_form(fetched: Fetched) -> Result<(bool, Arc<Vec<u8>>, u64), MrError> {
+/// A fetched segment as it crosses the wire. A resident segment's bytes
+/// are the store's own; a spilled one's are read whole, its spill CRC
+/// checked before any byte leaves. Copies the fault plan corrupted are
+/// logical bytes and ship raw, which is what keeps a compressed run
+/// byte-identical to identity under a fault storm.
+fn wire_form(fetched: Fetched) -> Result<Segment, MrError> {
     Ok(match fetched {
-        Fetched::Copy(data) => (false, Arc::new(data), 0),
-        Fetched::Stored(h) => {
-            let data = match &h.repr {
+        Fetched::Copy(data) => Segment {
+            comp: false,
+            data: Arc::new(data),
+            saved: 0,
+        },
+        Fetched::Stored(h) => Segment {
+            comp: h.is_comp(),
+            data: match &h.repr {
                 SegmentRepr::Mem(data) => Arc::clone(data),
                 SegmentRepr::Spilled(_) => Arc::new(h.to_vec()?),
-            };
-            let saved = (h.logical_len() - h.len()) as u64;
-            (h.is_comp(), data, saved)
-        }
+            },
+            saved: (h.logical_len() - h.len()) as u64,
+        },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::Counters;
-    use crate::dist::wire::tests::Source;
     use crate::fault::{FaultConfig, FaultPlan};
     use crate::record::{Emit, FnMapper, FnReducer};
     use crate::runner::InProcessSlot;
@@ -440,7 +366,6 @@ mod tests {
     enum Step {
         /// `open`, then `ready`: the start of every slot's loop.
         Open,
-        Ready,
         /// `map(task 0, attempt 1)` of a two-reducer job.
         Map,
         /// `reduce(task 1, attempt 1)` of the same job, one segment
@@ -464,13 +389,16 @@ mod tests {
 
     /// Run `step` of a remote slot against a scripted worker that says
     /// `script`, then ends as `end` says; the slot must come back lost,
-    /// and the error is returned.
+    /// and the error is returned. What the slot takes or refuses in each
+    /// state is `coordinator_machine`'s unit tests' and the explorer's;
+    /// these scripts only show what a real socket does.
     fn lost_slot(step: Step, script: Vec<Msg>, end: End) -> String {
         crate::dist::tests::within_deadline(DEADLINE, move || {
             let listener = Listener::bind().unwrap();
             let mut peer = Stream::connect(listener.addr(), SCRIPT_DEADLINE).unwrap();
             let stream = listener.accept(SCRIPT_DEADLINE, &mut || true).unwrap();
-            let mut slot = RemoteSlot(stream);
+            let machine = Coordinator::new(1, 2);
+            let mut slot = RemoteSlot { stream, machine };
             for msg in &script {
                 write_msg(&mut peer, msg).unwrap();
             }
@@ -496,16 +424,30 @@ mod tests {
                 .publish(0, vec![(1, vec![7u8; segment_len])])
                 .unwrap();
             let lost = match step {
-                Step::Open => slot.open(&job).and_then(|_| slot.ready()).err(),
-                Step::Ready => slot.ready().err(),
-                Step::Map => slot.map(&job, 0, 1, &Arc::new(split)).err(),
-                Step::Reduce => slot.reduce(&job, 1, 1).err(),
+                Step::Open => slot.open(&job).and_then(|_| slot.ready(&job)).err(),
+                Step::Map => {
+                    slot.machine = ready_machine(&job);
+                    slot.map(&job, 0, 1, &Arc::new(split)).err()
+                }
+                Step::Reduce => {
+                    slot.machine = ready_machine(&job);
+                    slot.reduce(&job, 1, 1).err()
+                }
             };
             match lost.expect("the slot must be lost, not settle an outcome") {
                 MrError::Net(e) => e,
                 other => panic!("expected a Net error, got {other:?}"),
             }
         })
+    }
+
+    /// A machine that has been greeted and asked for a task, so that a
+    /// script can start with the attempt's frames.
+    fn ready_machine(job: &JobState) -> Coordinator {
+        let mut machine = Coordinator::new(job.num_maps, job.config.num_reducers);
+        machine.on(Event::Frame(Msg::Hello { worker: 0 })).unwrap();
+        machine.on(Event::Frame(Msg::TaskRequest)).unwrap();
+        machine
     }
 
     #[test]
@@ -532,148 +474,15 @@ mod tests {
     }
 
     #[test]
-    fn the_coordinator_refuses_frames_the_grammar_does_not_allow() {
-        let bank = || Counters::new().snapshot();
-        let map_done = |task, attempt| Msg::MapDone {
-            task,
-            attempt,
-            local: bank(),
-        };
-        let reduce_done = |task, attempt| Msg::ReduceDone {
-            task,
-            attempt,
-            local: bank(),
-            outputs: Vec::new(),
-        };
-        let failed = |task, attempt, reduce| Msg::TaskFailed {
-            task,
-            attempt,
-            reduce,
-            checksum: false,
-            error: "scripted".into(),
-        };
-        let segment = |partition| Msg::MapSegment {
-            partition,
+    fn a_worker_that_hangs_up_between_or_inside_frames_is_a_lost_slot() {
+        use Step::*;
+        let segment = Msg::MapSegment {
+            partition: 0,
             data: vec![1, 2, 3],
         };
-        let hello = Msg::Hello { worker: 5 };
-        use Step::*;
         let cases: Vec<(Step, Vec<Msg>, &'static [u8], &str)> = vec![
-            (
-                Open,
-                vec![Msg::TaskRequest],
-                b"",
-                "expected Hello, got TaskRequest",
-            ),
-            (
-                Open,
-                vec![hello.clone(), hello.clone()],
-                b"",
-                "expected TaskRequest, got Hello",
-            ),
-            (
-                Ready,
-                vec![hello.clone()],
-                b"",
-                "expected TaskRequest, got Hello",
-            ),
-            (
-                Ready,
-                vec![map_done(0, 1)],
-                b"",
-                "expected TaskRequest, got MapDone",
-            ),
-            // Stale or foreign (task, attempt) on every closing frame.
-            (
-                Map,
-                vec![segment(1), map_done(0, 0)],
-                b"",
-                "map 0 attempt 1: unexpected MapDone",
-            ),
-            (
-                Map,
-                vec![map_done(1, 1)],
-                b"",
-                "map 0 attempt 1: unexpected MapDone",
-            ),
-            (
-                Map,
-                vec![failed(0, 0, false)],
-                b"",
-                "map 0 attempt 1: unexpected TaskFailed",
-            ),
-            (
-                Map,
-                vec![failed(0, 1, true)],
-                b"",
-                "map 0 attempt 1: unexpected TaskFailed",
-            ),
-            (
-                Reduce,
-                vec![failed(1, 0, true)],
-                b"",
-                "reduce 1 attempt 1: unexpected TaskFailed",
-            ),
-            (
-                Reduce,
-                vec![reduce_done(1, 0)],
-                b"",
-                "reduce 1 attempt 1: unexpected ReduceDone",
-            ),
-            (
-                Reduce,
-                vec![failed(1, 1, false)],
-                b"",
-                "reduce 1 attempt 1: unexpected TaskFailed",
-            ),
-            // The right frame in the wrong conversation.
-            (
-                Map,
-                vec![reduce_done(0, 1)],
-                b"",
-                "map 0 attempt 1: unexpected ReduceDone",
-            ),
-            (
-                Map,
-                vec![Msg::TaskRequest],
-                b"",
-                "map 0 attempt 1: unexpected TaskRequest",
-            ),
-            (Map, vec![hello], b"", "map 0 attempt 1: unexpected Hello"),
-            (
-                Reduce,
-                vec![map_done(1, 1)],
-                b"",
-                "reduce 1 attempt 1: unexpected MapDone",
-            ),
-            (
-                Reduce,
-                vec![segment(1)],
-                b"",
-                "reduce 1 attempt 1: unexpected MapSegment",
-            ),
-            (
-                Reduce,
-                vec![Msg::TaskRequest],
-                b"",
-                "reduce 1 attempt 1: unexpected TaskRequest",
-            ),
-            // A segment for a partition the job does not have.
-            (
-                Map,
-                vec![segment(2)],
-                b"",
-                "map 0: segment for partition 2 out of range",
-            ),
-            // A second segment for a partition already staged.
-            (
-                Map,
-                vec![segment(0), segment(0), map_done(0, 1)],
-                b"",
-                "map 0: second segment for partition 0",
-            ),
-            // A worker lost between frames, and inside one.
-            (Map, vec![segment(0)], b"", "read frame length"),
+            (Open, vec![], b"", "read frame length"),
+            (Map, vec![segment], b"", "read frame length"),
             (
                 Map,
                 vec![],
@@ -688,36 +497,6 @@ mod tests {
                 err.contains(names),
                 "case {i}: {err:?} does not name {names:?}"
             );
-        }
-    }
-
-    #[test]
-    fn every_frame_the_grammar_does_not_allow_loses_the_slot() {
-        use Step::*;
-        // Per state, the worker frames the grammar allows there, and the
-        // words the lost slot's error puts before any other frame's name.
-        let states: [(Step, &[&str], &str); 4] = [
-            (Open, &["Hello"], "expected Hello, got "),
-            (Ready, &["TaskRequest"], "expected TaskRequest, got "),
-            (
-                Map,
-                &["MapSegment", "MapDone", "TaskFailed"],
-                "map 0 attempt 1: unexpected ",
-            ),
-            (
-                Reduce,
-                &["ReduceDone", "TaskFailed"],
-                "reduce 1 attempt 1: unexpected ",
-            ),
-        ];
-        let bytes = (0..=u8::MAX).collect();
-        let frames = Msg::one_of_each(&mut Source { bytes, at: 0 });
-        for (step, allowed, says) in states {
-            for msg in frames.iter().filter(|m| !allowed.contains(&m.name())) {
-                let names = format!("{says}{}", msg.name());
-                let err = lost_slot(step, vec![msg.clone()], End::Close(b""));
-                assert!(err.contains(&names), "{err:?} does not name {names:?}");
-            }
         }
     }
 
@@ -1064,8 +843,8 @@ mod tests {
             self.inner.open(job)
         }
 
-        fn ready(&mut self) -> Result<(), MrError> {
-            self.inner.ready()
+        fn ready(&mut self, job: &JobState) -> Result<(), MrError> {
+            self.inner.ready(job)
         }
 
         fn map(
@@ -1093,8 +872,8 @@ mod tests {
             ran
         }
 
-        fn close(&mut self) -> Result<(), MrError> {
-            self.inner.close()
+        fn close(&mut self, job: &JobState) -> Result<(), MrError> {
+            self.inner.close(job)
         }
     }
 
@@ -1148,13 +927,15 @@ mod tests {
                 });
                 let stream = listener.accept(DEADLINE, &mut || true).unwrap();
                 let failures = Arc::default();
+                let job = JobState::new(&config, splits, 0, crate::dist::WireCodec::Identity);
+                let job = job.unwrap();
+                let machine = Coordinator::new(job.num_maps, config.num_reducers);
                 let slot = Damaged {
-                    inner: RemoteSlot(stream),
+                    inner: RemoteSlot { stream, machine },
                     damage,
                     failures: Arc::clone(&failures),
                 };
-                let job = JobState::new(&config, splits, 0, crate::dist::WireCodec::Identity);
-                let remote = job.unwrap().run(vec![slot]);
+                let remote = job.run(vec![slot]);
                 worker.join().unwrap().unwrap();
                 let failures = failures.lock().unwrap().clone();
                 (remote.unwrap(), failures)

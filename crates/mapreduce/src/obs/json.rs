@@ -361,6 +361,9 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("high surrogate without a low one"));
+                                    }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     return Err(self.err("lone high surrogate"));
@@ -398,9 +401,13 @@ impl<'a> Parser<'a> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let digits = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("non-ascii \\u escape"))?;
-        let code = u32::from_str_radix(digits, 16).map_err(|_| self.err("bad \\u escape"))?;
+        // Four hex digits and nothing else: `from_str_radix` would also
+        // take a sign.
+        let digits = self.bytes[self.pos..self.pos + 4].iter();
+        let code = digits
+            .map(|&b| char::from(b).to_digit(16))
+            .try_fold(0, |code, digit| Some(code * 16 + digit?))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(code)
     }
@@ -475,6 +482,9 @@ mod tests {
             "{\"a\": 1,}",
             "nul",
             "\"\\uD800\"",
+            // A high surrogate and a non-surrogate, and a signed escape.
+            "\"\\uD800\\u0041\"",
+            "\"\\u+041\"",
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }

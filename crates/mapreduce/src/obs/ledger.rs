@@ -569,9 +569,10 @@ impl LedgerRecord {
     }
 
     /// Parse one ledger line. Strict: the line must carry this schema's
-    /// tag and exactly its keys and types, and must be in the canonical
-    /// form [`to_json`](Self::to_json) writes — a record that parses
-    /// re-encodes to the bytes it was read from.
+    /// tag and exactly its keys and types, no histogram or bucket twice,
+    /// and must be in the canonical form [`to_json`](Self::to_json)
+    /// writes — a record that parses re-encodes to the bytes it was read
+    /// from.
     pub fn from_json(line: &str) -> Result<LedgerRecord, String> {
         let read = |doc: &Json| match members_of(doc)?.split_first() {
             Some(((key, tag), body)) if key == "schema" => {
@@ -580,11 +581,28 @@ impl LedgerRecord {
                         "unsupported ledger schema {tag:?} (expected {LEDGER_SCHEMA:?})"
                     ));
                 }
-                LedgerRecord::from_members(body)
+                LedgerRecord::from_members(body).and_then(LedgerRecord::distinct)
             }
             _ => Err("record does not start with a \"schema\" tag".to_string()),
         };
         canonical(line, read, LedgerRecord::to_json)
+    }
+
+    /// Refuse a record that repeats a metric's histogram or a bucket of
+    /// one: `from_run` writes neither, and a reader that looks one up
+    /// would see only the first copy.
+    fn distinct(self) -> Result<LedgerRecord, String> {
+        let mut seen = [false; ALL_METRICS.len()];
+        for h in &self.histograms {
+            let at = ALL_METRICS.iter().position(|&m| m == h.metric).unwrap_or(0);
+            if std::mem::replace(&mut seen[at], true) {
+                return Err(format!("a second {:?} histogram", h.metric.name()));
+            }
+            if h.buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
+                return Err(format!("{:?} buckets do not ascend", h.metric.name()));
+            }
+        }
+        Ok(self)
     }
 }
 

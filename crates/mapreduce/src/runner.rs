@@ -51,10 +51,7 @@ impl Slot for InProcessSlot<'_> {
         attempt: u32,
         split: &Arc<InputSplit>,
     ) -> Result<Outcome<MapOutput>, MrError> {
-        Ok(run_attempt(task, attempt, |local, metrics| {
-            let segments = run_map_task(job.config, task, split, self.mapper, local, metrics)?;
-            Ok(segments.into_iter().map(|(p, seg)| (p, seg.data)).collect())
-        }))
+        Ok(map_attempt(job.config, task, attempt, split, self.mapper))
     }
 
     fn reduce(
@@ -124,6 +121,21 @@ fn make_writer(config: &JobConfig) -> IFileWriter {
             IFileWriter::v3_with_budget(config.framing, config.codec.clone(), DEFAULT_BLOCK_BUDGET)
         }
     }
+}
+
+/// One map attempt, in a slot or a worker alike: [`run_map_task`] under
+/// [`run_attempt`], its segments as the store takes them.
+pub(crate) fn map_attempt(
+    config: &JobConfig,
+    task: usize,
+    attempt: u32,
+    split: &InputSplit,
+    mapper: &dyn Mapper,
+) -> Outcome<MapOutput> {
+    run_attempt(task, attempt, |local, metrics| {
+        let segments = run_map_task(config, task, split, mapper, local, metrics)?;
+        Ok(segments.into_iter().map(|(p, seg)| (p, seg.data)).collect())
+    })
 }
 
 /// One map task: run the user function over a split, routing into the

@@ -96,7 +96,7 @@ impl Queue {
 }
 
 /// What [`Sched::next`] hands an idle slot.
-enum Next {
+pub(crate) enum Next {
     /// Run this attempt of this task; the flag marks an early reduce.
     Run(Task, u32, bool),
     /// Nothing yet: a task in flight elsewhere may yet fail and come back.
@@ -108,7 +108,7 @@ enum Next {
 /// Every scheduling decision, with no lock, clock or sleep: [`JobState`]
 /// holds it under its mutex and feeds it the slots' events.
 #[derive(Default)]
-struct Sched {
+pub(crate) struct Sched {
     maps: Queue,
     reduces: Queue,
     /// Live slots that take maps / that take reduces.
@@ -117,11 +117,11 @@ struct Sched {
     /// Slots running a reduce handed out before the maps drained. Kept
     /// below `mappers`, so at least one slot always remains for maps.
     early: usize,
-    aborted: bool,
+    pub(crate) aborted: bool,
 }
 
 impl Sched {
-    fn new(splits: Vec<InputSplit>, reducers: usize) -> Sched {
+    pub(crate) fn new(splits: Vec<InputSplit>, reducers: usize) -> Sched {
         let maps = splits.into_iter().enumerate();
         Sched {
             maps: Queue::new(maps.map(|(id, split)| Task::Map(id, Arc::new(split)))),
@@ -130,7 +130,7 @@ impl Sched {
         }
     }
 
-    fn join(&mut self, takes: Takes) {
+    pub(crate) fn join(&mut self, takes: Takes) {
         self.mappers += usize::from(takes != Takes::Reduces);
         self.reducers += usize::from(takes != Takes::Maps);
     }
@@ -138,7 +138,7 @@ impl Sched {
     /// A slot has gone. Returns whether that strands the job: work remains
     /// and no map-capable slot outside an early reduce (whose fetch waits
     /// on those very maps), or no reduce-capable slot, is left to take it.
-    fn exit(&mut self, takes: Takes) -> bool {
+    pub(crate) fn exit(&mut self, takes: Takes) -> bool {
         self.mappers -= usize::from(takes != Takes::Reduces);
         self.reducers -= usize::from(takes != Takes::Maps);
         let maps_left = !self.maps.drained();
@@ -150,7 +150,7 @@ impl Sched {
     /// that takes both gets a reduce before the maps drain only while
     /// another map-capable slot stays outside early reduces: fetch
     /// overlaps the map tail without starving it.
-    fn next(&mut self, takes: Takes) -> Next {
+    pub(crate) fn next(&mut self, takes: Takes) -> Next {
         if self.aborted {
             return Next::Done;
         }
@@ -185,22 +185,22 @@ impl Sched {
     /// An early reduce's attempt has returned. It stops counting as
     /// early before it commits or backs off: a slot settling or sleeping
     /// out its attempt is no longer held by the maps.
-    fn early_done(&mut self) {
+    pub(crate) fn early_done(&mut self) {
         self.early -= 1;
     }
 
     /// A claim ends for good.
-    fn retire(&mut self, task: &Task) {
+    pub(crate) fn retire(&mut self, task: &Task) {
         self.queue(task).in_flight -= 1;
     }
 
     /// Put a failed claim back for its next attempt.
-    fn requeue(&mut self, task: Task, attempt: u32) {
+    pub(crate) fn requeue(&mut self, task: Task, attempt: u32) {
         self.retire(&task);
         self.queue(&task).pending.push_back((task, attempt + 1));
     }
 
-    fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         self.aborted = true;
     }
 
@@ -208,7 +208,7 @@ impl Sched {
     /// `None` once `retries` retries are spent. Long enough that a
     /// transient fault is not retried into, short enough to vanish beside
     /// any task; no caller ever wanted more than "negligible" of it.
-    fn backoff(attempt: u32, retries: u32) -> Option<Duration> {
+    pub(crate) fn backoff(attempt: u32, retries: u32) -> Option<Duration> {
         const RETRY_BACKOFF: Duration = Duration::from_micros(100);
         (attempt < retries).then(|| RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(20)))
     }
@@ -272,7 +272,7 @@ pub(crate) trait Slot: Send {
     fn open(&mut self, job: &JobState) -> Result<String, MrError>;
 
     /// Block until the slot can take an assignment.
-    fn ready(&mut self) -> Result<(), MrError> {
+    fn ready(&mut self, _job: &JobState) -> Result<(), MrError> {
         Ok(())
     }
 
@@ -296,7 +296,7 @@ pub(crate) trait Slot: Send {
     ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError>;
 
     /// No more work for this slot.
-    fn close(&mut self) -> Result<(), MrError> {
+    fn close(&mut self, _job: &JobState) -> Result<(), MrError> {
         Ok(())
     }
 }
@@ -431,13 +431,13 @@ impl<'a> JobState<'a> {
         let name = slot.open(self)?;
         let _att = self.config.recorder.as_ref().map(|r| r.attach(&name));
         loop {
-            slot.ready()?;
+            slot.ready(self)?;
             // An attempt the fault gate fails never reaches the slot, so
             // the slot is still ready: a remote one's `TaskRequest` is
             // already read.
             let (task, attempt, early) = loop {
                 let Some((task, attempt, early)) = self.next_assignment(slot.takes()) else {
-                    return slot.close();
+                    return slot.close(self);
                 };
                 match self.gate(&task, attempt) {
                     Ok(()) => break (task, attempt, early),
