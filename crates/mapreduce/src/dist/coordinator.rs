@@ -1,12 +1,10 @@
 //! The coordinator side of a distributed job: launch the workers,
 //! accept their connections, and run the job's [`scheduler`](crate::scheduler)
-//! loop with one remote slot per connection. A remote slot carries out
-//! what its conversation's machine ([`super::coordinator_machine`])
-//! asks for — send a frame, resolve a fetch, hand an [`Outcome`] back —
-//! and the blocking socket is its only flow control.
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+//! loop with one remote slot per connection. A remote slot feeds each
+//! step of the loop to its conversation's machine
+//! ([`super::coordinator_machine`]) and carries out what that asks for —
+//! send a frame, resolve a fetch, hand the settled step back — and the
+//! blocking socket is its only flow control.
 
 use super::coordinator_machine::{Action, Coordinator, Event, Segment};
 use super::net::{Listener, Stream};
@@ -15,8 +13,8 @@ use super::{DistConfig, DEADLINE};
 use crate::counters::Counter;
 use crate::error::MrError;
 use crate::job::{JobConfig, JobResult};
-use crate::record::{InputSplit, KvPair, Mapper, Reducer};
-use crate::scheduler::{Fetched, JobState, MapOutput, Outcome, Slot, Takes};
+use crate::record::{InputSplit, Mapper, Reducer};
+use crate::scheduler::{Fetched, JobState, Settled, Slot, Step, Takes};
 use crate::shuffle::SegmentRepr;
 use std::io::Write;
 use std::process::Child;
@@ -165,12 +163,15 @@ struct RemoteSlot {
     machine: Coordinator,
 }
 
-impl RemoteSlot {
-    /// Feed `event` (with none, the worker's next frame) to the machine
-    /// and carry out its actions, reading frames while it awaits one,
-    /// until it hands a step back.
-    fn step(&mut self, job: &JobState, event: Option<Event>) -> Result<Action, MrError> {
-        let mut next = event;
+impl Slot for RemoteSlot {
+    fn takes(&self) -> Takes {
+        Takes::Both
+    }
+
+    /// Feed `step` to the machine and carry out its actions, reading the
+    /// worker's frames while it awaits one, until the step settles.
+    fn step(&mut self, job: &JobState, step: Step) -> Result<Settled, MrError> {
+        let mut next = Some(Event::Step(step));
         loop {
             let event = match next.take() {
                 Some(event) => event,
@@ -179,47 +180,36 @@ impl RemoteSlot {
             for action in self.machine.on(event)? {
                 match action {
                     Action::Send(msg) => write_msg(&mut self.stream, &msg)?,
-                    Action::Serve(segment) => self.serve(job, segment)?,
+                    Action::Serve(segment) => serve(&mut self.stream, job, segment)?,
                     Action::Fetch((partition, attempt), map_task, index) => {
                         next = Some(fetch(job, partition, map_task, attempt, index))
                     }
-                    settled => return Ok(settled),
+                    Action::Settled(settled) => return Ok(settled),
                 }
             }
         }
     }
+}
 
-    /// One step, which must settle on what `pick` takes.
-    fn settle<T>(
-        &mut self,
-        job: &JobState,
-        event: Option<Event>,
-        pick: impl FnOnce(Action) -> Option<T>,
-    ) -> Result<T, MrError> {
-        let out_of_turn = || MrError::Net("the conversation settled out of turn".into());
-        pick(self.step(job, event)?).ok_or_else(out_of_turn)
-    }
-
-    /// Send one segment as a `FetchSegment` frame: the one copy, into the
-    /// frame, outside the transfer clock. A worker that reads slower than
-    /// segments are served blocks the `write_all`, so
-    /// `ShuffleTransferNanos` is time in the socket write *including*
-    /// that backpressure. What the frame saves against the logical length
-    /// is charged as it is served, so re-fetches by retried attempts count
-    /// again: true wire semantics.
-    fn serve(&mut self, job: &JobState, segment: Segment) -> Result<(), MrError> {
-        let (comp, data) = (segment.comp, segment.data);
-        let frame = encode(&Msg::FetchSegment { comp, data })?;
-        let t0 = Instant::now();
-        self.stream
-            .write_all(&frame)
-            .map_err(|e| MrError::Net(format!("write FetchSegment: {e}")))?;
-        let nanos = t0.elapsed().as_nanos() as u64;
-        job.counters.add(Counter::ShuffleTransferNanos, nanos);
-        job.counters
-            .add(Counter::ShuffleWireBytesSaved, segment.saved);
-        Ok(())
-    }
+/// Send one segment as a `FetchSegment` frame: the one copy, into the
+/// frame, outside the transfer clock. A worker that reads slower than
+/// segments are served blocks the `write_all`, so
+/// `ShuffleTransferNanos` is time in the socket write *including*
+/// that backpressure. What the frame saves against the logical length
+/// is charged as it is served, so re-fetches by retried attempts count
+/// again: true wire semantics.
+fn serve(stream: &mut Stream, job: &JobState, segment: Segment) -> Result<(), MrError> {
+    let (comp, data) = (segment.comp, segment.data);
+    let frame = encode(&Msg::FetchSegment { comp, data })?;
+    let t0 = Instant::now();
+    stream
+        .write_all(&frame)
+        .map_err(|e| MrError::Net(format!("write FetchSegment: {e}")))?;
+    let nanos = t0.elapsed().as_nanos() as u64;
+    job.counters.add(Counter::ShuffleTransferNanos, nanos);
+    job.counters
+        .add(Counter::ShuffleWireBytesSaved, segment.saved);
+    Ok(())
 }
 
 /// Resolve one fetch, timed as `ShuffleFetchWaitNanos`: wait until the
@@ -235,56 +225,6 @@ fn fetch(job: &JobState, partition: usize, map_task: usize, attempt: u32, index:
     match fetched {
         Err(_) if job.is_aborted() => Event::Aborted,
         fetched => Event::Fetched(fetched),
-    }
-}
-
-impl Slot for RemoteSlot {
-    fn takes(&self) -> Takes {
-        Takes::Both
-    }
-
-    fn open(&mut self, job: &JobState) -> Result<String, MrError> {
-        let name = |settled| match settled {
-            Action::Opened(worker) => Some(format!("dist-conn-{worker}")),
-            _ => None,
-        };
-        self.settle(job, None, name)
-    }
-
-    fn ready(&mut self, job: &JobState) -> Result<(), MrError> {
-        self.settle(job, None, |a| matches!(a, Action::Ready).then_some(()))
-    }
-
-    fn close(&mut self, job: &JobState) -> Result<(), MrError> {
-        let closed = |a| matches!(a, Action::Closed).then_some(());
-        self.settle(job, Some(Event::Close), closed)
-    }
-
-    fn map(
-        &mut self,
-        job: &JobState,
-        task: usize,
-        attempt: u32,
-        split: &Arc<InputSplit>,
-    ) -> Result<Outcome<MapOutput>, MrError> {
-        let assign = Event::Map((task, attempt), Arc::clone(split));
-        self.settle(job, Some(assign), |settled| match settled {
-            Action::Mapped(outcome) => Some(outcome),
-            _ => None,
-        })
-    }
-
-    fn reduce(
-        &mut self,
-        job: &JobState,
-        task: usize,
-        attempt: u32,
-    ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-        let assign = Event::Reduce((task, attempt));
-        self.settle(job, Some(assign), |settled| match settled {
-            Action::Reduced(outcome) => Some(outcome),
-            _ => None,
-        })
     }
 }
 
@@ -315,7 +255,7 @@ fn wire_form(fetched: Fetched) -> Result<Segment, MrError> {
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan};
-    use crate::record::{Emit, FnMapper, FnReducer};
+    use crate::record::{Emit, FnMapper, FnReducer, KvPair};
     use crate::runner::InProcessSlot;
     use crate::shuffle::damage::Damage;
     use crate::Job;
@@ -361,18 +301,6 @@ mod tests {
         }
     }
 
-    /// What the scripted worker's frames are fed to.
-    #[derive(Clone, Copy)]
-    enum Step {
-        /// `open`, then `ready`: the start of every slot's loop.
-        Open,
-        /// `map(task 0, attempt 1)` of a two-reducer job.
-        Map,
-        /// `reduce(task 1, attempt 1)` of the same job, one segment
-        /// published for the partition.
-        Reduce,
-    }
-
     /// How the scripted worker ends once its script is said.
     #[derive(Clone, Copy)]
     enum End {
@@ -387,11 +315,18 @@ mod tests {
     /// The deadline a scripted conversation's slot runs under.
     const SCRIPT_DEADLINE: Duration = Duration::from_secs(1);
 
-    /// Run `step` of a remote slot against a scripted worker that says
-    /// `script`, then ends as `end` says; the slot must come back lost,
-    /// and the error is returned. What the slot takes or refuses in each
-    /// state is `coordinator_machine`'s unit tests' and the explorer's;
-    /// these scripts only show what a real socket does.
+    /// The one-record split of the scripted conversations' job.
+    fn split() -> InputSplit {
+        InputSplit::new(vec![KvPair::new(b"k".to_vec(), b"v".to_vec())])
+    }
+
+    /// Run `step` of a remote slot of a two-reducer job, with one segment
+    /// published for partition 1, against a scripted worker that says
+    /// `script`, then ends as `end` says; `Open` runs `Ready` after it,
+    /// as the slot loop does. The slot must come back lost, and the error
+    /// is returned. What the slot takes or refuses in each state is
+    /// `coordinator_machine`'s unit tests' and the explorer's; these
+    /// scripts only show what a real socket does.
     fn lost_slot(step: Step, script: Vec<Msg>, end: End) -> String {
         crate::dist::tests::within_deadline(DEADLINE, move || {
             let listener = Listener::bind().unwrap();
@@ -412,10 +347,9 @@ mod tests {
             };
 
             let config = JobConfig::default().with_reducers(2);
-            let split = InputSplit::new(vec![KvPair::new(b"k".to_vec(), b"v".to_vec())]);
             let job = JobState::new(
                 &config,
-                vec![split.clone()],
+                vec![split()],
                 usize::MAX,
                 crate::dist::WireCodec::Identity,
             )
@@ -424,14 +358,13 @@ mod tests {
                 .publish(0, vec![(1, vec![7u8; segment_len])])
                 .unwrap();
             let lost = match step {
-                Step::Open => slot.open(&job).and_then(|_| slot.ready(&job)).err(),
-                Step::Map => {
+                Step::Open => slot
+                    .step(&job, Step::Open)
+                    .and_then(|_| slot.step(&job, Step::Ready))
+                    .err(),
+                step => {
                     slot.machine = ready_machine(&job);
-                    slot.map(&job, 0, 1, &Arc::new(split)).err()
-                }
-                Step::Reduce => {
-                    slot.machine = ready_machine(&job);
-                    slot.reduce(&job, 1, 1).err()
+                    slot.step(&job, step).err()
                 }
             };
             match lost.expect("the slot must be lost, not settle an outcome") {
@@ -452,13 +385,16 @@ mod tests {
 
     #[test]
     fn a_silent_worker_is_a_lost_slot_at_the_deadline() {
-        use Step::*;
         let cases = [
             // Says `Hello`, then nothing: the wait for its first
             // `TaskRequest` times out.
-            (Open, vec![Msg::Hello { worker: 3 }], "read frame length"),
+            (
+                Step::Open,
+                vec![Msg::Hello { worker: 3 }],
+                "read frame length",
+            ),
             // Stops reading: the served segment's write times out.
-            (Reduce, vec![], "write FetchSegment"),
+            (Step::Reduce(1, 1), vec![], "write FetchSegment"),
         ];
         for (step, script, names) in cases {
             let t0 = Instant::now();
@@ -475,21 +411,21 @@ mod tests {
 
     #[test]
     fn a_worker_that_hangs_up_between_or_inside_frames_is_a_lost_slot() {
-        use Step::*;
         let segment = Msg::MapSegment {
             partition: 0,
             data: vec![1, 2, 3],
         };
+        let map = || Step::Map(0, 1, Arc::new(split()));
         let cases: Vec<(Step, Vec<Msg>, &'static [u8], &str)> = vec![
-            (Open, vec![], b"", "read frame length"),
-            (Map, vec![segment], b"", "read frame length"),
+            (Step::Open, vec![], b"", "read frame length"),
+            (map(), vec![segment], b"", "read frame length"),
             (
-                Map,
+                map(),
                 vec![],
                 &[100, 0, 0, 0, 4, 0, 0],
                 "read frame payload (100 bytes)",
             ),
-            (Reduce, vec![], &[9, 0], "read frame length"),
+            (Step::Reduce(1, 1), vec![], &[9, 0], "read frame length"),
         ];
         for (i, (step, script, tail, names)) in cases.into_iter().enumerate() {
             let err = lost_slot(step, script, End::Close(tail));
@@ -839,41 +775,17 @@ mod tests {
             self.inner.takes()
         }
 
-        fn open(&mut self, job: &JobState) -> Result<String, MrError> {
-            self.inner.open(job)
-        }
-
-        fn ready(&mut self, job: &JobState) -> Result<(), MrError> {
-            self.inner.ready(job)
-        }
-
-        fn map(
-            &mut self,
-            job: &JobState,
-            task: usize,
-            attempt: u32,
-            split: &Arc<InputSplit>,
-        ) -> Result<Outcome<MapOutput>, MrError> {
-            self.inner.map(job, task, attempt, split)
-        }
-
-        fn reduce(
-            &mut self,
-            job: &JobState,
-            task: usize,
-            attempt: u32,
-        ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-            let repair = (attempt == 0).then(|| job.store.damage_spill(task, 0, self.damage));
-            let ran = self.inner.reduce(job, task, attempt);
+        fn step(&mut self, job: &JobState, step: Step) -> Result<Settled, MrError> {
+            let repair = match step {
+                Step::Reduce(task, 0) => Some(job.store.damage_spill(task, 0, self.damage)),
+                _ => None,
+            };
+            let settled = self.inner.step(job, step);
             drop(repair);
-            if let Ok(Some(Err(e))) = &ran {
+            if let Ok(Settled::Reduced(Some(Err(e)))) = &settled {
                 self.failures.lock().unwrap().push(e.is_checksum());
             }
-            ran
-        }
-
-        fn close(&mut self, job: &JobState) -> Result<(), MrError> {
-            self.inner.close(job)
+            settled
         }
     }
 

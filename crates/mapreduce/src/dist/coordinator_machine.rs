@@ -1,47 +1,44 @@
 //! The coordinator's end of one worker's conversation, as a pure state
 //! machine: [`Coordinator::on`] takes an [`Event`] and returns the
 //! [`Action`]s that answer it, or an `Err` that gives the slot up. It
-//! holds no stream, clock, lock or thread. `RemoteSlot` reads the
-//! frames, carries out the actions, and hands each settled step back to
-//! the scheduler's slot loop.
+//! holds no stream, clock, lock or thread. The events it takes from
+//! the scheduler's slot loop are that loop's own [`Step`]s, and each step
+//! ends in a `Settled` action carrying the loop's own [`Settled`] value:
+//! `RemoteSlot` feeds a step in, reads frames and carries out actions
+//! until one settles, and hands that back unchanged.
 //!
 //! ```text
 //! state    event                           actions                                 next
-//! Hello    Hello                           Opened                                  Request
-//! Request  TaskRequest                     Ready                                   Idle
-//! Idle     Map                             Send(MapTask)                           Map
-//! Idle     Reduce                          Send(ReduceTask), then as Fetched       Fetch
-//! Idle     Close                           Send(Shutdown), Closed                  Closed
+//! Hello    Step(Open)                      -                                       Hello
+//! Hello    Hello                           Settled(Opened("dist-conn-<worker>"))   Request
+//! Request  Step(Ready)                     -                                       Request
+//! Request  TaskRequest                     Settled(Ready)                          Idle
+//! Idle     Step(Map)                       Send(MapTask)                           Map
+//! Idle     Step(Reduce)                    Send(ReduceTask), then as Fetched       Fetch
+//! Idle     Step(Close)                     Send(Shutdown), Settled(Closed)         Closed
 //! Map      MapSegment, partition in range  stage it                                Map
 //!          and not yet staged
-//! Map      MapDone of this attempt         Mapped(staged segments)                 Request
-//! Map      TaskFailed of this attempt      Mapped(error)                           Request
+//! Map      MapDone of this attempt         Settled(Mapped(staged segments))        Request
+//! Map      TaskFailed of this attempt      Settled(Mapped(error))                  Request
 //! Fetch    Fetched(segment or none)        Serve(segment) if any, then Fetch the   Fetch
 //!                                          next map task's, or after the last one  or Result
 //!                                          Send(SegmentsDone(segments served))
 //! Fetch    Fetched(error)                  Send(FetchFailed)                       Result, failed
-//! Fetch    Aborted                         Send(Shutdown), Reduced(none)           Closed
-//! Result   ReduceDone of this attempt,     Reduced(outputs)                        Request
+//! Fetch    Aborted                         Send(Shutdown), Settled(Reduced(none))  Closed
+//! Result   ReduceDone of this attempt,     Settled(Reduced(outputs))               Request
 //!          unless failed
-//! Result   TaskFailed of this attempt      Reduced(error)                          Request
+//! Result   TaskFailed of this attempt      Settled(Reduced(error))                 Request
 //! any      anything else                   Err: the slot is lost
 //! ```
 //!
 //! One fetch at a time, in map-task order: the slot resolves a `Fetch`,
 //! which waits until that map task commits, and writes its segment
 //! before the next is waited on. That is the fetch-while-map overlap.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-#![cfg_attr(
-    test,
-    allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
-)]
 
 use super::wire::{rebuild_error, Msg};
 use crate::counters::CounterSnapshot;
 use crate::error::MrError;
-use crate::obs::MetricsBank;
-use crate::record::{InputSplit, KvPair};
-use crate::scheduler::{MapOutput, Outcome};
+use crate::scheduler::{MapOutput, Outcome, Settled, Step};
 use std::sync::Arc;
 
 /// A task and one attempt of it.
@@ -55,16 +52,11 @@ pub(super) struct Segment {
     pub(super) saved: u64,
 }
 
-// A frame is moved once from the socket into the machine; boxing it
-// would cost an allocation a frame.
-#[allow(clippy::large_enum_variant)]
 pub(super) enum Event {
     /// A decoded frame from the worker.
     Frame(Msg),
-    /// The scheduler's next attempt for the slot, or nothing more.
-    Map(Attempt, Arc<InputSplit>),
-    Reduce(Attempt),
-    Close,
+    /// A step of the scheduler's slot loop.
+    Step(Step),
     /// What the last `Fetch` resolved to: `None` if its map task
     /// emitted nothing for the partition.
     Fetched(Result<Option<Segment>, MrError>),
@@ -81,14 +73,7 @@ pub(super) enum Action {
     /// Resolve `JobState::fetch` for this reduce attempt's partition
     /// from map task `.1`, as the partition's segment number `.2`.
     Fetch(Attempt, usize, u64),
-    /// The worker said `Hello` with this id.
-    Opened(u32),
-    /// The worker asked for a task.
-    Ready,
-    Mapped(Outcome<MapOutput>),
-    /// `None`: the job aborted mid-fetch, and the worker was released.
-    Reduced(Option<Outcome<Vec<KvPair>>>),
-    Closed,
+    Settled(Settled),
 }
 
 enum State {
@@ -114,8 +99,8 @@ pub(super) struct Coordinator {
 
 /// An attempt's product with the counter bank its worker sent. A remote
 /// outcome's histogram bank is empty: the worker keeps its samples.
-fn banked<T>(product: T, local: CounterSnapshot) -> Outcome<T> {
-    Ok((product, local, MetricsBank::new()))
+fn banked<T>(product: T, local: Box<CounterSnapshot>) -> Outcome<T> {
+    Ok((product, local, Box::default()))
 }
 
 /// The attempt a frame names.
@@ -135,13 +120,17 @@ impl Coordinator {
 
     /// One arm per row of the module's table.
     pub(super) fn on(&mut self, event: Event) -> Result<Vec<Action>, MrError> {
-        use {Action::*, Msg::*};
+        use {Action::Send, Msg::*};
+        let settle = |settled| vec![Action::Settled(settled)];
         let (next, actions) = match (std::mem::replace(&mut self.state, State::Closed), event) {
+            (State::Hello, Event::Step(Step::Open)) => (State::Hello, Vec::new()),
             (State::Hello, Event::Frame(Hello { worker })) => {
-                (State::Request, vec![Opened(worker)])
+                let name = format!("dist-conn-{worker}");
+                (State::Request, settle(Settled::Opened(name)))
             }
-            (State::Request, Event::Frame(TaskRequest)) => (State::Idle, vec![Ready]),
-            (State::Idle, Event::Map((task, attempt), split)) => {
+            (State::Request, Event::Step(Step::Ready)) => (State::Request, Vec::new()),
+            (State::Request, Event::Frame(TaskRequest)) => (State::Idle, settle(Settled::Ready)),
+            (State::Idle, Event::Step(Step::Map(task, attempt, split))) => {
                 let assign = MapTask {
                     task: task as u32,
                     attempt,
@@ -149,7 +138,7 @@ impl Coordinator {
                 };
                 (State::Map((task, attempt), Vec::new()), vec![Send(assign)])
             }
-            (State::Idle, Event::Reduce((task, attempt))) => {
+            (State::Idle, Event::Step(Step::Reduce(task, attempt))) => {
                 let (next, fetch) = self.fetch((task, attempt), 0, 0);
                 (
                     next,
@@ -162,7 +151,10 @@ impl Coordinator {
                     ],
                 )
             }
-            (State::Idle, Event::Close) => (State::Closed, vec![Send(Shutdown), Closed]),
+            (State::Idle, Event::Step(Step::Close)) => {
+                let closed = Action::Settled(Settled::Closed);
+                (State::Closed, vec![Send(Shutdown), closed])
+            }
             (State::Map(at, mut staged), Event::Frame(MapSegment { partition, data }))
                 if (partition as usize) < self.reducers
                     && staged.iter().all(|(p, _)| *p != partition as usize) =>
@@ -178,7 +170,8 @@ impl Coordinator {
                     local,
                 }),
             ) if named(task, attempt) == at => {
-                (State::Request, vec![Mapped(banked(staged, local))])
+                let mapped = Settled::Mapped(banked(staged, local));
+                (State::Request, settle(mapped))
             }
             (
                 State::Map(at, _),
@@ -189,17 +182,15 @@ impl Coordinator {
                     checksum,
                     error,
                 }),
-            ) if named(task, attempt) == at => (
-                State::Request,
-                vec![Mapped(Err(rebuild_error(checksum, error)))],
-            ),
+            ) if named(task, attempt) == at => {
+                let mapped = Settled::Mapped(Err(rebuild_error(checksum, error)));
+                (State::Request, settle(mapped))
+            }
             (State::Fetch(at, map_task, served), Event::Fetched(Ok(segment))) => {
                 let served = served + u32::from(segment.is_some());
                 let (next, fetch) = self.fetch(at, map_task + 1, served);
-                (
-                    next,
-                    segment.map(Serve).into_iter().chain([fetch]).collect(),
-                )
+                let serve = segment.map(Action::Serve);
+                (next, serve.into_iter().chain([fetch]).collect())
             }
             (State::Fetch(at, ..), Event::Fetched(Err(e))) => {
                 let failed = FetchFailed {
@@ -209,7 +200,8 @@ impl Coordinator {
                 (State::Result(at, true), vec![Send(failed)])
             }
             (State::Fetch(..), Event::Aborted) => {
-                (State::Closed, vec![Send(Shutdown), Reduced(None)])
+                let released = Action::Settled(Settled::Reduced(None));
+                (State::Closed, vec![Send(Shutdown), released])
             }
             (
                 State::Result(at, false),
@@ -220,7 +212,8 @@ impl Coordinator {
                     outputs,
                 }),
             ) if named(task, attempt) == at => {
-                (State::Request, vec![Reduced(Some(banked(outputs, local)))])
+                let reduced = Settled::Reduced(Some(banked(outputs, local)));
+                (State::Request, settle(reduced))
             }
             (
                 State::Result(at, _),
@@ -231,10 +224,10 @@ impl Coordinator {
                     checksum,
                     error,
                 }),
-            ) if named(task, attempt) == at => (
-                State::Request,
-                vec![Reduced(Some(Err(rebuild_error(checksum, error))))],
-            ),
+            ) if named(task, attempt) == at => {
+                let reduced = Settled::Reduced(Some(Err(rebuild_error(checksum, error))));
+                (State::Request, settle(reduced))
+            }
             (state, event) => return Err(state.refuses(&event)),
         };
         self.state = next;
@@ -280,6 +273,7 @@ mod tests {
     use super::*;
     use crate::counters::Counters;
     use crate::dist::wire::tests::Source;
+    use crate::record::InputSplit;
 
     impl Coordinator {
         /// The frames the current state takes, by name; every other
@@ -296,8 +290,8 @@ mod tests {
         }
     }
 
-    fn bank() -> CounterSnapshot {
-        Counters::new().snapshot()
+    fn bank() -> Box<CounterSnapshot> {
+        Box::new(Counters::new().snapshot())
     }
 
     /// Feed `event`; the actions must be accepted.
@@ -333,11 +327,11 @@ mod tests {
             m
         };
         let split = Arc::new(InputSplit::new(Vec::new()));
-        let mut result = with(Event::Reduce((1, 1)));
+        let mut result = with(Event::Step(Step::Reduce(1, 1)));
         for _ in 0..3 {
             feed(&mut result, Event::Fetched(Ok(None)));
         }
-        let mut failed = with(Event::Reduce((1, 1)));
+        let mut failed = with(Event::Step(Step::Reduce(1, 1)));
         feed(
             &mut failed,
             Event::Fetched(Err(MrError::Net("gone".into()))),
@@ -346,11 +340,11 @@ mod tests {
             ("hello", fresh()),
             ("request", requested()),
             ("idle", idle()),
-            ("map", with(Event::Map((0, 1), split))),
-            ("fetch", with(Event::Reduce((1, 1)))),
+            ("map", with(Event::Step(Step::Map(0, 1, split)))),
+            ("fetch", with(Event::Step(Step::Reduce(1, 1)))),
             ("result", result),
             ("result after a failed fetch", failed),
-            ("closed", with(Event::Close)),
+            ("closed", with(Event::Step(Step::Close))),
         ]
     }
 
@@ -381,9 +375,11 @@ mod tests {
         let split = Arc::new(InputSplit::new(Vec::new()));
         let steps = || {
             vec![
-                ("map", Event::Map((0, 0), Arc::clone(&split))),
-                ("reduce", Event::Reduce((0, 0))),
-                ("close", Event::Close),
+                ("open", Event::Step(Step::Open)),
+                ("ready", Event::Step(Step::Ready)),
+                ("map", Event::Step(Step::Map(0, 0, Arc::clone(&split)))),
+                ("reduce", Event::Step(Step::Reduce(0, 0))),
+                ("close", Event::Step(Step::Close)),
                 ("fetched", Event::Fetched(Ok(None))),
                 ("aborted", Event::Aborted),
             ]
@@ -396,6 +392,8 @@ mod tests {
                     .unwrap()
                     .1;
                 let takes = match state {
+                    "hello" => step == "open",
+                    "request" => step == "ready",
                     "idle" => ["map", "reduce", "close"].contains(&step),
                     "fetch" => ["fetched", "aborted"].contains(&step),
                     _ => false,
@@ -408,14 +406,22 @@ mod tests {
     #[test]
     fn the_slot_opens_on_hello_and_is_ready_on_each_request() {
         let mut m = Coordinator::new(1, 1);
+        assert!(feed(&mut m, Event::Step(Step::Open)).is_empty());
         let opened = feed(&mut m, Event::Frame(Msg::Hello { worker: 9 }));
-        assert!(matches!(opened[..], [Action::Opened(9)]));
+        assert!(matches!(
+            &opened[..],
+            [Action::Settled(Settled::Opened(name))] if name == "dist-conn-9"
+        ));
+        assert!(feed(&mut m, Event::Step(Step::Ready)).is_empty());
         let ready = feed(&mut m, Event::Frame(Msg::TaskRequest));
-        assert!(matches!(ready[..], [Action::Ready]));
-        let closed = feed(&mut m, Event::Close);
+        assert!(matches!(ready[..], [Action::Settled(Settled::Ready)]));
+        let closed = feed(&mut m, Event::Step(Step::Close));
         assert!(matches!(
             closed[..],
-            [Action::Send(Msg::Shutdown), Action::Closed]
+            [
+                Action::Send(Msg::Shutdown),
+                Action::Settled(Settled::Closed)
+            ]
         ));
         assert!(m.on(Event::Frame(Msg::TaskRequest)).is_err());
     }
@@ -426,7 +432,7 @@ mod tests {
         feed(&mut m, Event::Frame(Msg::Hello { worker: 0 }));
         feed(&mut m, Event::Frame(Msg::TaskRequest));
         let split = Arc::new(InputSplit::new(Vec::new()));
-        let sent = feed(&mut m, Event::Map((0, 1), split));
+        let sent = feed(&mut m, Event::Step(Step::Map(0, 1, split)));
         assert!(matches!(
             sent[..],
             [Action::Send(Msg::MapTask {
@@ -459,7 +465,7 @@ mod tests {
         )
         .unwrap();
         match &done[..] {
-            [Action::Mapped(Ok((staged, _, _)))] => {
+            [Action::Settled(Settled::Mapped(Ok((staged, _, _))))] => {
                 assert_eq!(staged, &[(1, vec![1; 3]), (0, vec![0; 3])])
             }
             _ => panic!("the attempt must settle"),
@@ -477,7 +483,7 @@ mod tests {
         };
         let settled = frame(&mut m, failed(false)).unwrap();
         match &settled[..] {
-            [Action::Mapped(Err(e))] => assert!(e.is_checksum(), "{e}"),
+            [Action::Settled(Settled::Mapped(Err(e)))] => assert!(e.is_checksum(), "{e}"),
             _ => panic!("the attempt must settle as failed"),
         }
         assert!(frame(&mut mapping(), failed(true)).is_err(), "a reduce's");
@@ -547,7 +553,7 @@ mod tests {
         let mut m = Coordinator::new(3, 2);
         feed(&mut m, Event::Frame(Msg::Hello { worker: 0 }));
         feed(&mut m, Event::Frame(Msg::TaskRequest));
-        let mut actions = feed(&mut m, Event::Reduce((1, 0)));
+        let mut actions = feed(&mut m, Event::Step(Step::Reduce(1, 0)));
         for f in fetched {
             actions.extend(feed(&mut m, Event::Fetched(f)));
         }
@@ -594,13 +600,13 @@ mod tests {
         };
         assert!(matches!(
             frame(&mut m, done).unwrap()[..],
-            [Action::Reduced(Some(Ok(_)))]
+            [Action::Settled(Settled::Reduced(Some(Ok(_))))]
         ));
         // A job with no maps closes the stream at once.
         let mut m = Coordinator::new(0, 1);
         feed(&mut m, Event::Frame(Msg::Hello { worker: 0 }));
         feed(&mut m, Event::Frame(Msg::TaskRequest));
-        let actions = feed(&mut m, Event::Reduce((0, 0)));
+        let actions = feed(&mut m, Event::Step(Step::Reduce(0, 0)));
         assert!(matches!(
             actions[..],
             [
@@ -638,7 +644,7 @@ mod tests {
         };
         assert!(matches!(
             frame(&mut m, failed).unwrap()[..],
-            [Action::Reduced(Some(Err(_)))]
+            [Action::Settled(Settled::Reduced(Some(Err(_))))]
         ));
     }
 
@@ -648,7 +654,10 @@ mod tests {
         let actions = feed(&mut m, Event::Aborted);
         assert!(matches!(
             actions[..],
-            [Action::Send(Msg::Shutdown), Action::Reduced(None)]
+            [
+                Action::Send(Msg::Shutdown),
+                Action::Settled(Settled::Reduced(None))
+            ]
         ));
         assert!(m.expects().is_empty());
         assert!(m.on(Event::Frame(Msg::TaskRequest)).is_err());

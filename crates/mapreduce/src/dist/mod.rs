@@ -27,6 +27,14 @@
 //! `main` must call [`worker_env`] early and hand off to the job's
 //! bootstrap; [`run_distributed_with_threads`] runs the same coordinator
 //! against worker threads over real sockets.
+//!
+//! Every frame comes from a peer, so outside the tests no module here
+//! unwraps or indexes.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 mod coordinator;
 mod coordinator_machine;
@@ -295,6 +303,24 @@ mod tests {
     }
 
     #[test]
+    fn the_conversations_values_stay_small() {
+        // Every frame, event and action is moved by value, and a settled
+        // attempt's outcome rides in an action or an event: a counter bank
+        // or a histogram bank (11,040 B) inline would size each.
+        use std::mem::size_of;
+        use {coordinator_machine as coord, worker_machine as work};
+        let sizes = [
+            ("Msg", size_of::<wire::Msg>(), 48),
+            ("coordinator Event", size_of::<coord::Event>(), 64),
+            ("coordinator Action", size_of::<coord::Action>(), 64),
+            ("worker Event", size_of::<work::Event>(), 64),
+        ];
+        for (name, size, bound) in sizes {
+            assert!(size <= bound, "{name} is {size} B, over {bound}");
+        }
+    }
+
+    #[test]
     fn dist_config_validates() {
         assert!(DistConfig::default().validate().is_ok());
         assert!(DistConfig::default().with_workers(0).validate().is_err());
@@ -388,7 +414,9 @@ mod explorer {
     use crate::counters::{Counter, CounterKind, CounterSnapshot, Counters, ALL_COUNTERS};
     use crate::error::MrError;
     use crate::record::{Emit, FnMapper, FnReducer, InputSplit, KvPair, Mapper, Reducer};
-    use crate::scheduler::{run_attempt, MapOutput, Next, Outcome, Sched, Takes, Task};
+    use crate::scheduler::{
+        run_attempt, MapOutput, Next, Outcome, Sched, Settled, Step, Takes, Task,
+    };
     use crate::shuffle::inflate;
     use crate::{runner, Job, JobConfig};
     use rand::rngs::StdRng;
@@ -423,7 +451,7 @@ mod explorer {
     }
 
     /// A product and the counter bank that came with it.
-    type Banked<T> = (T, CounterSnapshot);
+    type Banked<T> = (T, Box<CounterSnapshot>);
 
     type Segments = Vec<Vec<u8>>;
 
@@ -487,14 +515,14 @@ mod explorer {
         Ok((outputs, local, Default::default()))
     }
 
-    fn clean_run(maps: usize, reduces: usize) -> (Vec<Vec<KvPair>>, CounterSnapshot) {
+    fn clean_run(maps: usize, reduces: usize) -> Banked<Vec<Vec<KvPair>>> {
         BODIES.with_borrow_mut(|b| {
             let run = || {
                 let splits = (0..maps).map(split).collect();
                 let result = Job::new(config(reduces))
                     .run(splits, mapper(), reducer())
                     .unwrap();
-                (result.outputs, result.counters)
+                (result.outputs, Box::new(result.counters))
             };
             b.clean.entry((maps, reduces)).or_insert_with(run).clone()
         })
@@ -523,9 +551,12 @@ mod explorer {
 
     /// Where a coordinator slot's thread is in `JobState::drive`.
     enum Drive {
-        Open,
-        Ready,
-        /// Told to wait (`true`) until the next event.
+        /// In its `Open` step.
+        Opening,
+        /// In its `Ready` step.
+        Readying,
+        /// Asking for an assignment; told to wait (`true`) until the next
+        /// event.
         Idle(bool),
         /// Running a claim: its attempt, and whether it is an early reduce.
         Busy(Task, u32, bool),
@@ -580,8 +611,10 @@ mod explorer {
         pipe.len() >= 4 && pipe.len() >= 4 + (len(0) | len(1) << 8 | len(2) << 16 | len(3) << 24)
     }
 
+    /// One move of the conversation: a step of one slot's or one
+    /// worker's thread.
     #[derive(Clone, Copy)]
-    enum Step {
+    enum Move {
         Read(usize),
         Timeout(usize),
         Fetch(usize),
@@ -678,7 +711,7 @@ mod explorer {
                 let (machine, opening) = Worker::start(w as u32);
                 c.slots.push(Slot {
                     machine: Coordinator::new(maps, reduces),
-                    drive: Drive::Open,
+                    drive: Drive::Opening,
                     fetch: None,
                     since: None,
                     closed: false,
@@ -699,6 +732,7 @@ mod explorer {
                     worker_open: true,
                 });
                 c.carry_out(w, opening);
+                c.feed_slot(w, coord::Event::Step(Step::Open));
             }
             c
         }
@@ -715,7 +749,7 @@ mod explorer {
         fn slot_reads(&self, i: usize) -> (bool, bool) {
             let waits = matches!(
                 self.slots[i].drive,
-                Drive::Open | Drive::Ready | Drive::Busy(..)
+                Drive::Opening | Drive::Readying | Drive::Busy(..)
             ) && self.slots[i].fetch.is_none();
             let link = &self.links[i];
             (waits, framed(&link.up) || !link.worker_open)
@@ -735,7 +769,7 @@ mod explorer {
 
         /// Start or stop each blocked read's clock; the enabled steps,
         /// weighted.
-        fn enabled(&mut self) -> Vec<(u32, Step)> {
+        fn enabled(&mut self) -> Vec<(u32, Move)> {
             let mut steps = Vec::new();
             for i in 0..self.slots.len() {
                 let (waits, readable) = self.slot_reads(i);
@@ -747,20 +781,20 @@ mod explorer {
                     None
                 };
                 if waits && readable {
-                    steps.push((4, Step::Read(i)));
+                    steps.push((4, Move::Read(i)));
                 }
                 if since.is_some_and(|t| self.now >= t + DEADLINE_MS) {
-                    steps.push((1, Step::Timeout(i)));
+                    steps.push((1, Move::Timeout(i)));
                 }
                 let slot = &self.slots[i];
                 if let Some((_, map_task, ..)) = slot.fetch {
                     if self.sched.aborted || self.published[map_task].is_some() {
-                        steps.push((4, Step::Fetch(i)));
+                        steps.push((4, Move::Fetch(i)));
                     }
                 }
                 match slot.drive {
-                    Drive::Idle(false) => steps.push((4, Step::Ask(i))),
-                    Drive::Backoff(..) => steps.push((4, Step::Requeue(i))),
+                    Drive::Idle(false) => steps.push((4, Move::Ask(i))),
+                    Drive::Backoff(..) => steps.push((4, Move::Requeue(i))),
                     _ => {}
                 }
             }
@@ -774,13 +808,13 @@ mod explorer {
                     None
                 };
                 if waits && readable {
-                    steps.push((4, Step::WorkerRead(w)));
+                    steps.push((4, Move::WorkerRead(w)));
                 }
                 if since.is_some_and(|t| self.now >= t + DEADLINE_MS) {
-                    steps.push((1, Step::WorkerTimeout(w)));
+                    steps.push((1, Move::WorkerTimeout(w)));
                 }
                 if self.peers[w].attempt.is_some() {
-                    steps.push((4, Step::Run(w)));
+                    steps.push((4, Move::Run(w)));
                 }
                 if let (Some(Fault::WrongFrame(to_coordinator)), false) =
                     (self.peers[w].fault, self.peers[w].spent)
@@ -792,7 +826,7 @@ mod explorer {
                         false => (waits, &link.down),
                     };
                     if open && waits && inbox.is_empty() {
-                        steps.push((1, Step::Inject(w)));
+                        steps.push((1, Move::Inject(w)));
                     }
                 }
             }
@@ -837,16 +871,16 @@ mod explorer {
             panic!("the conversation never ended");
         }
 
-        fn apply(&mut self, step: Step) {
+        fn apply(&mut self, step: Move) {
             match step {
-                Step::Read(i) => match read_msg(&mut self.links[i].up) {
+                Move::Read(i) => match read_msg(&mut self.links[i].up) {
                     Ok(msg) => self.feed_slot(i, coord::Event::Frame(msg)),
                     Err(e) => self.lose(i, e),
                 },
-                Step::Timeout(i) => {
+                Move::Timeout(i) => {
                     self.lose(i, MrError::Net("read frame length: timed out".into()))
                 }
-                Step::Fetch(i) => {
+                Move::Fetch(i) => {
                     let Some((partition, map_task, attempt, _)) = self.slots[i].fetch.take() else {
                         unreachable!("a fetch step has a fetch")
                     };
@@ -881,24 +915,25 @@ mod explorer {
                     };
                     self.feed_slot(i, event);
                 }
-                Step::Ask(i) => self.ask(i),
-                Step::Requeue(i) => {
+                Move::Ask(i) => self.ask(i),
+                Move::Requeue(i) => {
                     let Drive::Backoff(task, attempt, lost) =
-                        std::mem::replace(&mut self.slots[i].drive, Drive::Ready)
+                        std::mem::replace(&mut self.slots[i].drive, Drive::Readying)
                     else {
                         unreachable!("a requeue step backs off")
                     };
                     self.sched.requeue(task, attempt);
-                    if lost {
-                        self.exit(i);
+                    match lost {
+                        true => self.exit(i),
+                        false => self.feed_slot(i, coord::Event::Step(Step::Ready)),
                     }
                 }
-                Step::WorkerRead(w) => match read_msg(&mut self.links[w].down) {
+                Move::WorkerRead(w) => match read_msg(&mut self.links[w].down) {
                     Ok(msg) => self.feed_peer(w, work::Event::Frame(msg)),
                     Err(_) => self.end_peer(w, false),
                 },
-                Step::WorkerTimeout(w) => self.end_peer(w, false),
-                Step::Run(w) => {
+                Move::WorkerTimeout(w) => self.end_peer(w, false),
+                Move::Run(w) => {
                     let event = match self.peers[w].attempt.take() {
                         Some(work::Action::Map(task, attempt, _)) => {
                             let failed = self.failures.contains(&(MAP_FAILS, task, attempt));
@@ -921,7 +956,7 @@ mod explorer {
                     };
                     self.feed_peer(w, event);
                 }
-                Step::Inject(w) => {
+                Move::Inject(w) => {
                     let Some(Fault::WrongFrame(to_coordinator)) = self.peers[w].fault else {
                         unreachable!("an inject step has its fault")
                     };
@@ -943,7 +978,7 @@ mod explorer {
                     inbox.extend(encode(msg).unwrap());
                 }
             }
-            if !matches!(step, Step::Ask(_)) {
+            if !matches!(step, Move::Ask(_)) {
                 self.changed();
             }
         }
@@ -964,26 +999,24 @@ mod explorer {
                 Next::Run(task, attempt, early) => {
                     let t = self.index(&task);
                     assert_eq!(self.commits[t], 0, "a committed task was handed out again");
-                    let event = match &task {
-                        Task::Map(id, split) => {
-                            coord::Event::Map((*id, attempt), Arc::clone(split))
-                        }
-                        Task::Reduce(id) => coord::Event::Reduce((*id, attempt)),
+                    let step = match &task {
+                        Task::Map(id, split) => Step::Map(*id, attempt, Arc::clone(split)),
+                        Task::Reduce(id) => Step::Reduce(*id, attempt),
                     };
                     self.slots[i].drive = Drive::Busy(task, attempt, early);
-                    self.feed_slot(i, event);
+                    self.feed_slot(i, coord::Event::Step(step));
                     self.changed();
                 }
                 Next::Wait => self.slots[i].drive = Drive::Idle(true),
                 Next::Done => {
-                    self.feed_slot(i, coord::Event::Close);
+                    self.feed_slot(i, coord::Event::Step(Step::Close));
                     self.changed();
                 }
             }
         }
 
         /// Feed slot `i`'s machine and carry out its actions, as
-        /// `RemoteSlot::step` and `JobState::drive` do.
+        /// `RemoteSlot::step` does.
         fn feed_slot(&mut self, i: usize, event: coord::Event) {
             let actions = match self.slots[i].machine.on(event) {
                 Ok(actions) => actions,
@@ -999,37 +1032,7 @@ mod explorer {
                         self.slots[i].fetch = Some((partition, map_task, attempt, index));
                         continue;
                     }
-                    coord::Action::Opened(_) => {
-                        self.slots[i].drive = Drive::Ready;
-                        continue;
-                    }
-                    coord::Action::Ready => {
-                        self.slots[i].drive = Drive::Idle(false);
-                        continue;
-                    }
-                    coord::Action::Mapped(outcome) => {
-                        let outcome = outcome.map(|(segments, local, _)| (Ok(segments), local));
-                        return self.settle(i, outcome);
-                    }
-                    coord::Action::Reduced(Some(outcome)) => {
-                        let outcome = outcome.map(|(outputs, local, _)| (Err(outputs), local));
-                        return self.settle(i, outcome);
-                    }
-                    coord::Action::Reduced(None) => {
-                        let Drive::Busy(task, _, early) =
-                            std::mem::replace(&mut self.slots[i].drive, Drive::Gone)
-                        else {
-                            unreachable!("a reduce settles a claim")
-                        };
-                        self.early_done(early);
-                        self.sched.retire(&task);
-                        self.slots[i].closed = true;
-                        return self.exit(i);
-                    }
-                    coord::Action::Closed => {
-                        self.slots[i].closed = true;
-                        return self.exit(i);
-                    }
+                    coord::Action::Settled(settled) => return self.settled(i, settled),
                 };
                 if !self.links[i].worker_open {
                     let e = MrError::Net(format!("write {}: broken pipe", msg.name()));
@@ -1045,13 +1048,54 @@ mod explorer {
             }
         }
 
+        /// `JobState::drive` on slot `i`'s settled step: settle the
+        /// attempt or end the slot, then take the loop's next step. A step
+        /// that settles out of turn loses the slot.
+        fn settled(&mut self, i: usize, settled: Settled) {
+            let drive = std::mem::replace(&mut self.slots[i].drive, Drive::Readying);
+            match (drive, settled) {
+                (Drive::Opening, Settled::Opened(_)) => {}
+                (Drive::Readying, Settled::Ready) => self.slots[i].drive = Drive::Idle(false),
+                (Drive::Busy(task @ Task::Map(..), attempt, early), Settled::Mapped(outcome)) => {
+                    let outcome = outcome.map(|(segments, local, _)| (Ok(segments), local));
+                    self.settle(i, task, attempt, early, outcome);
+                }
+                (
+                    Drive::Busy(task @ Task::Reduce(_), attempt, early),
+                    Settled::Reduced(Some(outcome)),
+                ) => {
+                    let outcome = outcome.map(|(outputs, local, _)| (Err(outputs), local));
+                    self.settle(i, task, attempt, early, outcome);
+                }
+                (Drive::Busy(task @ Task::Reduce(_), _, early), Settled::Reduced(None)) => {
+                    self.early_done(early);
+                    self.sched.retire(&task);
+                    self.slots[i].closed = true;
+                    self.exit(i);
+                }
+                (Drive::Idle(_), Settled::Closed) => {
+                    self.slots[i].closed = true;
+                    self.exit(i);
+                }
+                (drive, _) => {
+                    self.slots[i].drive = drive;
+                    return self.lose(i, MrError::Net("settled out of turn".into()));
+                }
+            }
+            if let Drive::Readying = self.slots[i].drive {
+                self.feed_slot(i, coord::Event::Step(Step::Ready));
+            }
+        }
+
         /// `JobState::settle` of slot `i`'s attempt.
-        fn settle(&mut self, i: usize, outcome: Result<Banked<Product>, MrError>) {
-            let Drive::Busy(task, attempt, early) =
-                std::mem::replace(&mut self.slots[i].drive, Drive::Ready)
-            else {
-                unreachable!("an outcome settles a claim")
-            };
+        fn settle(
+            &mut self,
+            i: usize,
+            task: Task,
+            attempt: u32,
+            early: bool,
+            outcome: Result<Banked<Product>, MrError>,
+        ) {
             self.early_done(early);
             match outcome {
                 Ok((product, local)) => {
@@ -1140,7 +1184,7 @@ mod explorer {
                         {
                             self.peers[w].spent = true;
                             let attempt = attempt.checked_sub(1).unwrap_or(attempt + 1);
-                            let local = Counters::new().snapshot();
+                            let local = Box::new(Counters::new().snapshot());
                             self.send_up(
                                 w,
                                 Msg::MapDone {

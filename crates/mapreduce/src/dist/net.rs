@@ -9,8 +9,6 @@
 //! Every wait on a socket has a deadline. `accept` polls a non-blocking
 //! listener; every connected stream, accepted or dialled, waits at most
 //! its deadline in any one read or write.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::error::MrError;
 use std::io::{Read, Write};

@@ -18,9 +18,6 @@
 //! Twelve messages cross. No fault decision does: the scheduler makes
 //! them all in the coordinator, so a finished attempt's frame carries
 //! the attempt's one counter bank and nothing else of the fault plan.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::counters::{CounterSnapshot, Counters, ALL_COUNTERS, NUM_COUNTERS};
 use crate::error::MrError;
 use crate::record::{InputSplit, KvPair};
@@ -78,7 +75,8 @@ macro_rules! messages {
 
             fn decode(payload: &[u8]) -> Result<Msg, MrError> {
                 let mut r = Reader::new(payload);
-                let msg = match r.take(1)?[0] {
+                let [tag] = r.array()?;
+                let msg = match tag {
                     $($tag => Msg::$variant $({ $($field: Field::get(&mut r)?),* })?,)*
                     other => {
                         return Err(MrError::Net(format!("unknown wire message tag {other}")))
@@ -116,8 +114,9 @@ messages! {
     MapSegment = 4 { partition: u32, data: Vec<u8> };
     /// Worker → coordinator: the map attempt succeeded. `local` is the
     /// attempt-local counter bank, absorbed only now, preserving the
-    /// retry-counter semantics.
-    MapDone = 5 { task: u32, attempt: u32, local: CounterSnapshot };
+    /// retry-counter semantics. Boxed, as in `ReduceDone`, so that a bank
+    /// does not size every message.
+    MapDone = 5 { task: u32, attempt: u32, local: Box<CounterSnapshot> };
     /// Coordinator → worker: run one reduce attempt. The partition's
     /// segments follow at once.
     ReduceTask = 6 { task: u32, attempt: u32 };
@@ -139,7 +138,7 @@ messages! {
     ReduceDone = 10 {
         task: u32,
         attempt: u32,
-        local: CounterSnapshot,
+        local: Box<CounterSnapshot>,
         outputs: Vec<KvPair>,
     };
     /// Worker → coordinator: a task attempt failed. `checksum` carries
@@ -181,7 +180,18 @@ impl Field for bool {
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
-        Ok(r.take(1)?[0] != 0)
+        let [byte] = r.array()?;
+        Ok(byte != 0)
+    }
+}
+
+impl<T: Field> Field for Box<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, MrError> {
+        T::get(r).map(Box::new)
     }
 }
 
@@ -317,7 +327,9 @@ fn encode_capped(msg: &Msg, cap: usize) -> Result<Vec<u8>, MrError> {
             msg.name()
         )));
     }
-    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    if let Some(prefix) = buf.first_chunk_mut() {
+        *prefix = (len as u32).to_le_bytes();
+    }
     Ok(buf)
 }
 
@@ -353,7 +365,7 @@ fn read_capped(r: &mut impl Read, cap: usize) -> Result<Msg, MrError> {
     let mut payload = vec![0u8; len.min(PAYLOAD_PREALLOC)];
     let mut at = 0;
     loop {
-        r.read_exact(&mut payload[at..])
+        r.read_exact(payload.get_mut(at..).unwrap_or_default())
             .map_err(|e| MrError::Net(format!("read frame payload ({len} bytes): {e}")))?;
         at = payload.len();
         if at == len {
@@ -376,19 +388,16 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], MrError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                MrError::Net(format!(
-                    "frame underrun: need {n} bytes at offset {} of {}",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
+        let end = self.pos.checked_add(n);
+        let slice = end.and_then(|end| self.buf.get(self.pos..end));
+        let slice = slice.ok_or_else(|| {
+            MrError::Net(format!(
+                "frame underrun: need {n} bytes at offset {} of {}",
+                self.pos,
+                self.buf.len()
+            ))
+        })?;
+        self.pos += n;
         Ok(slice)
     }
 
@@ -495,6 +504,12 @@ pub(super) mod tests {
                     value: src.draw(),
                 })
                 .collect()
+        }
+    }
+
+    impl<T: Draw> Draw for Box<T> {
+        fn draw(src: &mut Source) -> Self {
+            Box::new(src.draw())
         }
     }
 
@@ -736,7 +751,7 @@ pub(super) mod tests {
         let msg = Msg::MapDone {
             task: 1,
             attempt: 0,
-            local: c.snapshot(),
+            local: Box::new(c.snapshot()),
         };
         assert_eq!(read_msg(&mut &encode(&msg).unwrap()[..]).unwrap(), msg);
     }

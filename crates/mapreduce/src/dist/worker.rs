@@ -7,8 +7,6 @@
 //! corrupted where the plan says. An attempt's counter bank travels back
 //! with its result; its histogram bank does not (no message has a field
 //! for it) and is dropped.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use super::net::{Stream, Transport};
 use super::wire::{read_msg, write_msg};

@@ -32,11 +32,6 @@
 //! the stream is still read to its end, so that no frame of it is taken
 //! for the next assignment, and the attempt then fails as a checksum
 //! error, retryable like any other.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
-#![cfg_attr(
-    test,
-    allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
-)]
 
 use super::wire::{rebuild_error, Msg};
 use crate::error::MrError;
@@ -53,9 +48,6 @@ pub(super) enum Event {
     Reduced(Outcome<Vec<KvPair>>),
 }
 
-// A frame is moved once from the machine onto the socket; boxing it
-// would cost an allocation a frame.
-#[allow(clippy::large_enum_variant)]
 pub(super) enum Action {
     Send(Msg),
     /// Run a map attempt and feed back `Mapped`.
@@ -244,7 +236,6 @@ mod tests {
     use super::*;
     use crate::counters::{Counter, Counters};
     use crate::dist::wire::tests::Source;
-    use crate::obs::MetricsBank;
 
     impl Worker {
         /// The frames the current state takes, by name; every other
@@ -333,7 +324,11 @@ mod tests {
     }
 
     fn ok<T>(product: T) -> Outcome<T> {
-        Ok((product, Counters::new().snapshot(), MetricsBank::new()))
+        Ok((
+            product,
+            Box::new(Counters::new().snapshot()),
+            Box::default(),
+        ))
     }
 
     #[test]
@@ -370,7 +365,7 @@ mod tests {
         let bank = Counters::new();
         bank.add(Counter::MapInputRecords, 20);
         let segments = vec![(0, vec![1; 4]), (1, vec![2; 8])];
-        let outcome = Ok((segments, bank.snapshot(), MetricsBank::new()));
+        let outcome = Ok((segments, Box::new(bank.snapshot()), Box::default()));
         let actions = w.on(Event::Mapped(outcome)).unwrap();
         assert_eq!(
             said(&actions),

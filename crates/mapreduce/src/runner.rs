@@ -14,7 +14,9 @@ use crate::ifile::{IFileVersion, IFileWriter, RawSegment, Segment, DEFAULT_BLOCK
 use crate::job::{JobConfig, JobResult};
 use crate::obs::{self, Metric, MetricsBank, Phase};
 use crate::record::{InputSplit, KvPair, Mapper, Reducer};
-use crate::scheduler::{run_attempt, Fetched, JobState, MapOutput, Outcome, Slot, Takes};
+use crate::scheduler::{
+    run_attempt, Fetched, JobState, MapOutput, Outcome, Settled, Slot, Step, Takes,
+};
 use crate::sort::{sort_pairs, BlockMergeStream, MergeItem};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -35,31 +37,30 @@ impl Slot for InProcessSlot<'_> {
         self.takes
     }
 
-    fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
-        let phase = if self.takes == Takes::Maps {
-            "map"
-        } else {
-            "reduce"
-        };
-        Ok(format!("{phase}-slot-{}", self.index))
+    fn step(&mut self, job: &JobState, step: Step) -> Result<Settled, MrError> {
+        Ok(match step {
+            Step::Open => {
+                let phase = if self.takes == Takes::Maps {
+                    "map"
+                } else {
+                    "reduce"
+                };
+                Settled::Opened(format!("{phase}-slot-{}", self.index))
+            }
+            Step::Ready => Settled::Ready,
+            Step::Map(task, attempt, split) => {
+                Settled::Mapped(map_attempt(job.config, task, attempt, &split, self.mapper))
+            }
+            Step::Reduce(task, attempt) => Settled::Reduced(self.reduce(job, task, attempt)),
+            Step::Close => Settled::Closed,
+        })
     }
+}
 
-    fn map(
-        &mut self,
-        job: &JobState,
-        task: usize,
-        attempt: u32,
-        split: &Arc<InputSplit>,
-    ) -> Result<Outcome<MapOutput>, MrError> {
-        Ok(map_attempt(job.config, task, attempt, split, self.mapper))
-    }
-
-    fn reduce(
-        &mut self,
-        job: &JobState,
-        task: usize,
-        attempt: u32,
-    ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
+impl InProcessSlot<'_> {
+    /// One reduce attempt over the store; `None` if the job aborted
+    /// while it was fetching.
+    fn reduce(&self, job: &JobState, task: usize, attempt: u32) -> Option<Outcome<Vec<KvPair>>> {
         // Every segment is fetched before the first is opened, so an
         // attempt meets all of the fault plan's corruption for it, as an
         // attempt streamed to a worker does.
@@ -68,11 +69,11 @@ impl Slot for InProcessSlot<'_> {
             match job.fetch(task, map_task, attempt, fetched.len() as u64) {
                 Ok(Some(segment)) => fetched.push(segment),
                 Ok(None) => {}
-                Err(_) if job.is_aborted() => return Ok(None),
-                Err(e) => return Ok(Some(Err(e))),
+                Err(_) if job.is_aborted() => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
-        Ok(Some(run_attempt(task, attempt, |local, metrics| {
+        Some(run_attempt(task, attempt, |local, metrics| {
             let segments = fetched
                 .iter()
                 .map(|f| match f {
@@ -81,7 +82,7 @@ impl Slot for InProcessSlot<'_> {
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             run_reduce_task(job.config, task, &segments, self.reducer, local, metrics)
-        })))
+        }))
     }
 }
 

@@ -217,8 +217,9 @@ impl Sched {
 /// What one attempt left behind: on success its product with its
 /// attempt-local counter bank and histogram bank, absorbed only then, so
 /// a retried job reports the same semantic counters and the same
-/// distributions as a clean one.
-pub(crate) type Outcome<T> = Result<(T, CounterSnapshot, MetricsBank), MrError>;
+/// distributions as a clean one. Both banks are boxed, so that neither
+/// sizes every value an outcome travels in (the histogram bank is 11 KB).
+pub(crate) type Outcome<T> = Result<(T, Box<CounterSnapshot>, Box<MetricsBank>), MrError>;
 
 /// Run one attempt's task body against fresh attempt-local banks — in
 /// an in-process slot or in a worker process alike. A panic in it (a
@@ -231,9 +232,9 @@ pub(crate) fn run_attempt<T>(
     body: impl FnOnce(&Counters, &mut MetricsBank) -> Result<T, MrError>,
 ) -> Outcome<T> {
     let local = Counters::new();
-    let mut metrics = MetricsBank::new();
+    let mut metrics = Box::<MetricsBank>::default();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&local, &mut metrics))) {
-        Ok(result) => result.map(|value| (value, local.snapshot(), metrics)),
+        Ok(result) => result.map(|value| (value, Box::new(local.snapshot()), metrics)),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -261,44 +262,42 @@ pub(crate) enum Fetched {
     Copy(Vec<u8>),
 }
 
+/// One step of the slot loop: open, then per assignment ready and one
+/// attempt, then close.
+pub(crate) enum Step {
+    /// Set the slot up on its own thread.
+    Open,
+    /// Block until the slot can take an assignment.
+    Ready,
+    /// Run this attempt of this map task over its split.
+    Map(usize, u32, Arc<InputSplit>),
+    /// Run this attempt of this reduce task over the job's store.
+    Reduce(usize, u32),
+    /// No more work for the slot.
+    Close,
+}
+
+/// How a [`Step`] settled, one variant per step.
+pub(crate) enum Settled {
+    /// The slot's trace-track name.
+    Opened(String),
+    Ready,
+    Mapped(Outcome<MapOutput>),
+    /// `None`: the job aborted while the attempt was fetching, and the
+    /// slot has already been closed.
+    Reduced(Option<Outcome<Vec<KvPair>>>),
+    Closed,
+}
+
 /// A place attempts run. Each slot is driven by one thread through
-/// [`JobState::run`]'s loop; an `Err` from any method means the slot
-/// itself is lost (its connection or worker died), not that a task
-/// failed — task failures travel inside the [`Outcome`].
+/// [`JobState::run`]'s loop; an `Err` from a step means the slot itself
+/// is lost (its connection or worker died), not that a task failed —
+/// task failures travel inside the [`Outcome`].
 pub(crate) trait Slot: Send {
     fn takes(&self) -> Takes;
 
-    /// Set the slot up on its own thread; returns its trace-track name.
-    fn open(&mut self, job: &JobState) -> Result<String, MrError>;
-
-    /// Block until the slot can take an assignment.
-    fn ready(&mut self, _job: &JobState) -> Result<(), MrError> {
-        Ok(())
-    }
-
-    /// Run one map attempt.
-    fn map(
-        &mut self,
-        job: &JobState,
-        task: usize,
-        attempt: u32,
-        split: &Arc<InputSplit>,
-    ) -> Result<Outcome<MapOutput>, MrError>;
-
-    /// Run one reduce attempt over `job`'s store. `None` means the job
-    /// aborted while the attempt was fetching and the slot has already
-    /// been closed.
-    fn reduce(
-        &mut self,
-        job: &JobState,
-        task: usize,
-        attempt: u32,
-    ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError>;
-
-    /// No more work for this slot.
-    fn close(&mut self, _job: &JobState) -> Result<(), MrError> {
-        Ok(())
-    }
+    /// Carry out one step and say how it settled.
+    fn step(&mut self, job: &JobState, step: Step) -> Result<Settled, MrError>;
 }
 
 /// One running job.
@@ -426,18 +425,27 @@ impl<'a> JobState<'a> {
         self.finish(t0)
     }
 
-    /// The slot loop.
+    /// The slot loop. A step that settles as another step's kind is the
+    /// slot's fault, and loses it as a dead connection would.
     fn drive<S: Slot>(&self, slot: &mut S) -> Result<(), MrError> {
-        let name = slot.open(self)?;
+        let out_of_turn = |step| MrError::Net(format!("the slot's {step} settled out of turn"));
+        let Settled::Opened(name) = slot.step(self, Step::Open)? else {
+            return Err(out_of_turn("open"));
+        };
         let _att = self.config.recorder.as_ref().map(|r| r.attach(&name));
         loop {
-            slot.ready(self)?;
+            let Settled::Ready = slot.step(self, Step::Ready)? else {
+                return Err(out_of_turn("ready"));
+            };
             // An attempt the fault gate fails never reaches the slot, so
             // the slot is still ready: a remote one's `TaskRequest` is
             // already read.
             let (task, attempt, early) = loop {
                 let Some((task, attempt, early)) = self.next_assignment(slot.takes()) else {
-                    return slot.close(self);
+                    let Settled::Closed = slot.step(self, Step::Close)? else {
+                        return Err(out_of_turn("close"));
+                    };
+                    return Ok(());
                 };
                 match self.gate(&task, attempt) {
                     Ok(()) => break (task, attempt, early),
@@ -447,31 +455,32 @@ impl<'a> JobState<'a> {
                     }
                 }
             };
-            let id = task.id();
-            match &task {
-                Task::Map(_, split) => match slot.map(self, id, attempt, split) {
-                    Ok(outcome) => self.settle(task, attempt, outcome, |segments| {
+            let step = match &task {
+                Task::Map(id, split) => Step::Map(*id, attempt, Arc::clone(split)),
+                Task::Reduce(id) => Step::Reduce(*id, attempt),
+            };
+            let (id, settled) = (task.id(), slot.step(self, step));
+            self.early_done(early);
+            match (&task, settled) {
+                (Task::Map(..), Ok(Settled::Mapped(outcome))) => {
+                    self.settle(task, attempt, outcome, |segments| {
                         self.store.publish(id, segments)
-                    }),
-                    Err(e) => return Err(self.lost(&name, task, attempt, e)),
-                },
-                Task::Reduce(_) => {
-                    let ran = slot.reduce(self, id, attempt);
-                    self.early_done(early);
-                    match ran {
-                        Ok(Some(outcome)) => self.settle(task, attempt, outcome, |outputs| {
-                            obs::hist(Metric::ReduceTaskOutputRecords, outputs.len() as u64);
-                            *self.outputs[id].lock() = outputs;
-                            self.store.release(id);
-                            Ok(())
-                        }),
-                        Ok(None) => {
-                            self.retire(&task);
-                            return Ok(());
-                        }
-                        Err(e) => return Err(self.lost(&name, task, attempt, e)),
-                    }
+                    })
                 }
+                (Task::Reduce(_), Ok(Settled::Reduced(Some(outcome)))) => {
+                    self.settle(task, attempt, outcome, |outputs| {
+                        obs::hist(Metric::ReduceTaskOutputRecords, outputs.len() as u64);
+                        *self.outputs[id].lock() = outputs;
+                        self.store.release(id);
+                        Ok(())
+                    })
+                }
+                (Task::Reduce(_), Ok(Settled::Reduced(None))) => {
+                    self.retire(&task);
+                    return Ok(());
+                }
+                (_, Ok(_)) => return Err(self.lost(&name, task, attempt, out_of_turn("attempt"))),
+                (_, Err(e)) => return Err(self.lost(&name, task, attempt, e)),
             }
         }
     }
@@ -753,11 +762,13 @@ mod tests {
 
     /// A slot that "runs" attempts by returning empty products, and
     /// records each `(task, attempt, reduce)` it is handed. One with
-    /// `lost` set dies under its first map, announcing it first; one with
-    /// `after` set opens only once that announcement came.
+    /// `lost` set dies under its first map, announcing it first, or with
+    /// `out_of_turn` also set settles that map as a step it was not
+    /// given; one with `after` set opens only once that announcement came.
     struct FakeSlot {
         takes: Takes,
         lost: Option<std::sync::mpsc::Sender<()>>,
+        out_of_turn: bool,
         after: Option<std::sync::mpsc::Receiver<()>>,
         ran: Arc<Mutex<Vec<(usize, u32, bool)>>>,
     }
@@ -766,6 +777,7 @@ mod tests {
         FakeSlot {
             takes,
             lost: None,
+            out_of_turn: false,
             after: None,
             ran: Arc::default(),
         }
@@ -775,34 +787,33 @@ mod tests {
         fn takes(&self) -> Takes {
             self.takes
         }
-        fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
-            if let Some(after) = &self.after {
-                after.recv().expect("the lost slot announces itself");
-            }
-            Ok("fake-slot".into())
-        }
-        fn map(
-            &mut self,
-            _job: &JobState,
-            task: usize,
-            attempt: u32,
-            _split: &Arc<InputSplit>,
-        ) -> Result<Outcome<MapOutput>, MrError> {
-            if let Some(lost) = &self.lost {
-                lost.send(()).expect("the other slot is waiting");
-                return Err(MrError::Net("connection reset".into()));
-            }
-            self.ran.lock().push((task, attempt, false));
-            Ok(run_attempt(task, attempt, |_, _| Ok(Vec::new())))
-        }
-        fn reduce(
-            &mut self,
-            _job: &JobState,
-            task: usize,
-            attempt: u32,
-        ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-            self.ran.lock().push((task, attempt, true));
-            Ok(Some(run_attempt(task, attempt, |_, _| Ok(Vec::new()))))
+        fn step(&mut self, _job: &JobState, step: Step) -> Result<Settled, MrError> {
+            Ok(match step {
+                Step::Open => {
+                    if let Some(after) = &self.after {
+                        after.recv().expect("the lost slot announces itself");
+                    }
+                    Settled::Opened("fake-slot".into())
+                }
+                Step::Ready => Settled::Ready,
+                Step::Map(task, attempt, _) => {
+                    if let Some(lost) = self.lost.take() {
+                        lost.send(()).expect("the other slot is waiting");
+                        if self.out_of_turn {
+                            return Ok(Settled::Ready);
+                        }
+                        return Err(MrError::Net("connection reset".into()));
+                    }
+                    self.ran.lock().push((task, attempt, false));
+                    Settled::Mapped(run_attempt(task, attempt, |_, _| Ok(Vec::new())))
+                }
+                Step::Reduce(task, attempt) => {
+                    self.ran.lock().push((task, attempt, true));
+                    let outcome = run_attempt(task, attempt, |_, _| Ok(Vec::new()));
+                    Settled::Reduced(Some(outcome))
+                }
+                Step::Close => Settled::Closed,
+            })
         }
     }
 
@@ -873,6 +884,46 @@ mod tests {
         assert!(err.to_string().contains("cannot finish the job"), "{err}");
     }
 
+    #[test]
+    fn a_step_that_settles_out_of_turn_loses_the_slot_and_requeues_its_task() {
+        // With no retry left, the map's loss is the job's error.
+        let config = JobConfig::default();
+        let (lost, _after) = std::sync::mpsc::channel();
+        let slot = FakeSlot {
+            lost: Some(lost),
+            out_of_turn: true,
+            ..fake(Takes::Both)
+        };
+        match job(&config, 1).run(vec![slot]) {
+            Err(MrError::Net(e)) => assert!(
+                e.contains("lost during map 0 attempt 0") && e.contains("settled out of turn"),
+                "{e}"
+            ),
+            other => panic!("expected the lost slot's Net error, got {:?}", other.err()),
+        }
+        // With one, the map comes back as attempt 1 on the slot that remains.
+        let config = JobConfig::default().with_retries(1);
+        let (lost, after) = std::sync::mpsc::channel();
+        let other = FakeSlot {
+            after: Some(after),
+            ..fake(Takes::Both)
+        };
+        let ran = Arc::clone(&other.ran);
+        let slots = vec![
+            FakeSlot {
+                lost: Some(lost),
+                out_of_turn: true,
+                ..fake(Takes::Both)
+            },
+            other,
+        ];
+        let result = job(&config, 1).run(slots).expect("the other slot finishes");
+        assert_eq!(result.counters.get(Counter::TaskRetries), 1);
+        let mut ran = ran.lock().clone();
+        ran.sort_unstable();
+        assert_eq!(ran, [(0, 0, true), (0, 1, false)]);
+    }
+
     /// The last reduce attempt [`HandOver`] fails: its backoff is
     /// 100 µs · 2^11 = 204.8 ms.
     const LAST_FAILURE: u32 = 11;
@@ -887,36 +938,29 @@ mod tests {
         fn takes(&self) -> Takes {
             Takes::Both
         }
-        fn open(&mut self, _job: &JobState) -> Result<String, MrError> {
-            Ok("hand-over".into())
-        }
-        fn map(
-            &mut self,
-            _job: &JobState,
-            task: usize,
-            attempt: u32,
-            _split: &Arc<InputSplit>,
-        ) -> Result<Outcome<MapOutput>, MrError> {
-            if attempt == 0 {
-                self.0.wait();
-                std::thread::sleep(Duration::from_millis(50));
-                return Err(MrError::Net("connection reset".into()));
-            }
-            Ok(run_attempt(task, attempt, |_, _| Ok(Vec::new())))
-        }
-        fn reduce(
-            &mut self,
-            _job: &JobState,
-            task: usize,
-            attempt: u32,
-        ) -> Result<Option<Outcome<Vec<KvPair>>>, MrError> {
-            if attempt == LAST_FAILURE {
-                self.0.wait();
-            }
-            Ok(Some(run_attempt(task, attempt, |_, _| match attempt {
-                0..=LAST_FAILURE => Err(MrError::TaskFailed("fetch failed".into())),
-                _ => Ok(Vec::new()),
-            })))
+        fn step(&mut self, _job: &JobState, step: Step) -> Result<Settled, MrError> {
+            Ok(match step {
+                Step::Open => Settled::Opened("hand-over".into()),
+                Step::Ready => Settled::Ready,
+                Step::Map(_, 0, _) => {
+                    self.0.wait();
+                    std::thread::sleep(Duration::from_millis(50));
+                    return Err(MrError::Net("connection reset".into()));
+                }
+                Step::Map(task, attempt, _) => {
+                    Settled::Mapped(run_attempt(task, attempt, |_, _| Ok(Vec::new())))
+                }
+                Step::Reduce(task, attempt) => {
+                    if attempt == LAST_FAILURE {
+                        self.0.wait();
+                    }
+                    Settled::Reduced(Some(run_attempt(task, attempt, |_, _| match attempt {
+                        0..=LAST_FAILURE => Err(MrError::TaskFailed("fetch failed".into())),
+                        _ => Ok(Vec::new()),
+                    })))
+                }
+                Step::Close => Settled::Closed,
+            })
         }
     }
 

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Non-test lines under crates/*/src: every line of every .rs file that
-# is outside a `#[cfg(test)]`-gated item, summed per crate and in total.
+# is outside a `#[cfg(test)]`-gated item, summed per crate, per directory
+# under a crate's src (as `mapreduce/dist`, after its crate's line), and
+# in total.
 # A gated item is the attribute line, any further attribute lines, and
 # the item itself: up to the `;` that ends it, or through the `}` that
 # closes its first `{`. Braces are counted outside string literals (plain
@@ -16,7 +18,8 @@ cd "${1:-.}" || exit 1
 find crates/*/src -name '*.rs' | sort | xargs awk -v verbose="$verbose" '
     FNR == 1 {
         if (gated) printf "%s: gated item never closed\n", last > "/dev/stderr"
-        gated = 0; last = FILENAME; split(FILENAME, path, "/"); crate = path[2]
+        gated = 0; last = FILENAME; depth = split(FILENAME, path, "/")
+        crate = path[2]; dir = depth > 4 ? crate "/" path[4] : ""
     }
     !gated && /^[[:space:]]*#\[cfg\(test\)\]/ {
         gated = 1; opened = 0; depth = 0; state = "code"; next
@@ -55,13 +58,13 @@ find crates/*/src -name '*.rs' | sort | xargs awk -v verbose="$verbose" '
         }
         next
     }
-    { lines[crate]++; files[FILENAME]++; total++ }
+    { lines[crate]++; if (dir != "") lines[dir]++; files[FILENAME]++; total++ }
     END {
         if (gated) printf "%s: gated item never closed\n", last > "/dev/stderr"
         if (verbose)
             for (file in files) printf "%-48s %6d\n", file, files[file] | "sort"
         close("sort")
-        for (crate in lines) printf "%-12s %6d\n", crate, lines[crate] | "sort"
-        close("sort")
-        printf "%-12s %6d\n", "total", total
+        for (crate in lines) printf "%-20s %6d\n", crate, lines[crate] | "LC_ALL=C sort"
+        close("LC_ALL=C sort")
+        printf "%-20s %6d\n", "total", total
     }'
