@@ -3,7 +3,7 @@
 use crate::distjobs::{wordcount_mapper, wordcount_reducer};
 use crate::report::{fmt_bytes, fmt_secs, Table};
 use crate::workloads;
-use scihadoop_cluster::{scale_stats, ClusterSpec, CostModel};
+use scihadoop_cluster::{scale_stats, ClusterSpec, CostModel, CostStats};
 use scihadoop_compress::{BzipCodec, Codec, DeflateCodec, IdentityCodec};
 use scihadoop_core::aggregate::{expand_record, overlapping_pairs, padding_overhead, Aggregator};
 use scihadoop_core::transform::{self, TransformCodec, TransformConfig};
@@ -431,6 +431,7 @@ fn split_along(bounds: &BoundingBox, dim: usize, parts: usize) -> Vec<BoundingBo
 }
 
 /// One cluster-experiment row.
+#[derive(Debug, PartialEq)]
 pub struct ClusterRow {
     /// Variant label.
     pub label: String,
@@ -438,18 +439,23 @@ pub struct ClusterRow {
     pub intermediate: u64,
     /// Simulated end-to-end minutes.
     pub minutes: f64,
-    /// The run's raw stats (pre-scaling).
+    /// The run's counted stats at 8000², CPU priced at the fitted
+    /// [`CostStats`]: what the model simulated.
     pub stats: JobStats,
 }
+
+/// The paper's §III-E / §IV-D minutes: baseline, transform, aggregation.
+const PAPER_MINUTES: [f64; 3] = [183.0, 377.0, 131.0];
 
 /// §III-E and §IV-D: the sliding-median query on the simulated 5-node
 /// cluster.
 ///
-/// Runs the real query in-process on an n×n grid, scales the measured
-/// stats to the paper's 8000×8000, and replays them through the cost
-/// model. Paper: baseline 55.5 GB / 183 min; transform+zlib 12.3 GB
-/// (−77.8 %) / 377 min (+106 %); aggregation 21.8 GB (−60.7 %) / 131 min
-/// (−28.5 %).
+/// Runs the real query in-process on an n×n grid, scales its counted
+/// dataflow to the paper's 8000×8000, prices it at the cost statistics
+/// fitted to the paper's baseline and transform rows, and replays it
+/// through the cost model; the aggregation row is the one prediction.
+/// Paper: baseline 55.5 GB / 183 min; transform+zlib 12.3 GB (−77.8 %) /
+/// 377 min (+106 %); aggregation 21.8 GB (−60.7 %) / 131 min (−28.5 %).
 pub fn cluster_experiment(n: u32, splits: usize) -> (Table, Vec<ClusterRow>) {
     let var = workloads::int_square(n, 21);
     let layout = KeyLayout::Indexed { index: 0, ndims: 2 };
@@ -459,45 +465,48 @@ pub fn cluster_experiment(n: u32, splits: usize) -> (Table, Vec<ClusterRow>) {
         .with_framing(Framing::SequenceFile)
         .with_ifile_version(PAPER_IFILE);
 
-    let run = |variant: SlidingMedianVariant| -> MedianRun {
-        let mut q = SlidingMedian::new(layout.clone(), variant);
-        q.num_splits = splits;
-        q.base_config = base.clone();
-        q.run(&var).expect("query runs")
-    };
-
     let factor = (8000.0 * 8000.0) / (n as f64 * n as f64);
-    let model = CostModel::new(ClusterSpec::paper_cluster());
-
-    let mut rows = Vec::new();
-    for (label, variant) in [
+    let counts = [
+        ("baseline (plain keys)", SlidingMedianVariant::Plain),
         (
-            "baseline (plain keys)".to_string(),
-            SlidingMedianVariant::Plain,
-        ),
-        (
-            "transform+deflate codec".to_string(),
+            "transform+deflate codec",
             SlidingMedianVariant::PlainWithCodec(Arc::new(TransformCodec::with_defaults(
                 Arc::new(DeflateCodec::new()),
             ))),
         ),
         (
-            "key aggregation".to_string(),
+            "key aggregation",
             SlidingMedianVariant::Aggregated {
                 buffer_bytes: 64 << 20,
             },
         ),
-    ] {
-        let result = run(variant);
-        let scaled = scale_stats(&result.result.stats, factor);
-        let sim = model.simulate(&scaled);
-        rows.push(ClusterRow {
-            label,
-            intermediate: scaled.map_output_materialized_bytes,
-            minutes: sim.total_minutes(),
-            stats: result.result.stats,
-        });
-    }
+    ]
+    .map(|(label, variant)| {
+        let ran_codec = matches!(variant, SlidingMedianVariant::PlainWithCodec(_));
+        let mut q = SlidingMedian::new(layout.clone(), variant);
+        q.num_splits = splits;
+        q.base_config = base.clone();
+        let run: MedianRun = q.run(&var).expect("query runs");
+        (label, scale_stats(&run.result.stats, factor), ran_codec)
+    });
+    let model = CostModel::new(ClusterSpec::paper_cluster());
+    let costs = CostStats::fit(
+        &model,
+        (&counts[0].1, PAPER_MINUTES[0]),
+        (&counts[1].1, PAPER_MINUTES[1]),
+    );
+    let rows: Vec<ClusterRow> = counts
+        .iter()
+        .map(|(label, counted, ran_codec)| {
+            let stats = costs.price(counted, *ran_codec);
+            ClusterRow {
+                label: label.to_string(),
+                intermediate: stats.map_output_materialized_bytes,
+                minutes: model.simulate(&stats).total_minutes(),
+                stats,
+            }
+        })
+        .collect();
 
     let base_bytes = rows[0].intermediate as f64;
     let base_min = rows[0].minutes;
@@ -525,8 +534,7 @@ pub fn cluster_experiment(n: u32, splits: usize) -> (Table, Vec<ClusterRow>) {
     // dominates the transform variant, byte-driven stages and engine CPU
     // dominate the baseline.
     for r in &rows {
-        let sim = model.simulate(&scale_stats(&r.stats, factor));
-        let ph = sim.phases;
+        let ph = model.simulate(&r.stats).phases;
         let m = |s: f64| format!("{:.1}", s / 60.0);
         table.row(&[
             format!("  {} work-min (pre-sched):", r.label),
@@ -541,7 +549,19 @@ pub fn cluster_experiment(n: u32, splits: usize) -> (Table, Vec<ClusterRow>) {
     }
     table.note("paper: 55.5 GB/183 min → transform 12.3 GB (−77.8%)/377 min (+106%)");
     table.note("paper: → aggregation 21.8 GB (−60.7%)/131 min (−28.5%)");
-    table.note("shape target: transform shrinks data but slows runtime; aggregation shrinks both");
+    let (engine, codec) = (costs.engine_ns_per_byte, costs.codec_ns_per_byte);
+    table.note(&format!(
+        "fitted to the baseline and transform rows: engine {engine:.0} ns per raw byte a side \
+         ({:.2} MB/s a slot), codec {codec:.0} ns per raw byte each way ({:.2} MB/s a slot)",
+        1e3 / engine,
+        1e3 / codec
+    ));
+    table.note(&format!(
+        "predicted: aggregation {:.0} min ({:+.1}%) against the paper's 131 min, error {:+.1}%",
+        rows[2].minutes,
+        100.0 * (rows[2].minutes / base_min - 1.0),
+        100.0 * (rows[2].minutes / PAPER_MINUTES[2] - 1.0)
+    ));
     (table, rows)
 }
 

@@ -1,32 +1,19 @@
 //! A cost-model cluster simulator for the paper's end-to-end experiments.
 //!
-//! The paper's §III-E and §IV-D results come from a 5-node cluster with 5
-//! reducers and 10 map slots running a sliding-median query over an
-//! 8000×8000 grid. We have no such cluster (and 2012-era Hadoop-on-Java
-//! per-byte costs differ wildly from in-process Rust), so the experiments
-//! are replayed through a cost model instead:
-//!
-//! 1. Run the *real* job in-process on a scaled-down grid with the real
-//!    codecs — this yields honest byte counts and codec CPU costs
-//!    ([`JobStats`](scihadoop_mapreduce::JobStats)).
-//! 2. Scale the stats to the paper's problem size (the pipeline is
-//!    streaming, so bytes and codec-CPU scale linearly with cells —
-//!    §IV-D argues exactly this).
-//! 3. Push the scaled stats through [`CostModel::simulate`], which charges
-//!    disk bandwidth, network bandwidth and (scaled) CPU for every stage
-//!    of the paper's Fig. 1 pipeline.
-//!
-//! The paper's contrast is: byte-level transform → big byte reduction
-//! but codec CPU dominates (runtime +106 %); aggregation → comparable
-//! byte reduction at negligible CPU (runtime −28.5 %). The model keeps
-//! both byte reductions and the aggregation's saving, but has lost the
-//! transform's runtime sign (EXPERIMENTS §III-E: −2.9 … +8.4 %): its two
-//! CPU scales were set for a slower engine, and our transform runs at
-//! about 17 MB/s (Fig. 4) where the paper's ran near 0.5. ROADMAP item
-//! 20 replaces the scales with cost statistics fitted to the paper.
+//! The paper's §III-E and §IV-D rows come from a 5-node cluster (10 map
+//! slots, 5 reducers) running a sliding median over an 8000² grid. We
+//! replay them in Herodotou's split of a job into dataflow and cost
+//! statistics. A real in-process job on a small grid counts the dataflow
+//! exactly ([`JobStats`](scihadoop_mapreduce::JobStats)); [`scale_stats`]
+//! scales the counts to 8000² and drops this machine's timings;
+//! [`CostStats`] prices the counted bytes at 2012 Hadoop's engine and codec
+//! costs, which [`CostStats::fit`] takes from the paper's baseline (183 min)
+//! and transform (377 min) rows; and [`CostModel::simulate`] charges disk,
+//! network and that CPU for each stage of Fig. 1. The aggregation row
+//! (131 min) is the one prediction.
 
 pub mod model;
 pub mod scale;
 
-pub use model::{stats_from_ledger, ClusterSpec, CostModel, PhaseTimes, SimReport};
+pub use model::{stats_from_ledger, ClusterSpec, CostModel, CostStats, PhaseTimes, SimReport};
 pub use scale::scale_stats;

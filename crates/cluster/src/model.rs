@@ -16,28 +16,12 @@ pub struct ClusterSpec {
     pub disk_mbps: f64,
     /// Per-node network bandwidth, MB/s.
     pub net_mbps: f64,
-    /// Multiplier applied to measured *engine + user-function* CPU
-    /// (map/reduce functions, spill sort/serialize, reduce merge). Maps
-    /// this process's Rust pipeline onto the 2012 Java Hadoop pipeline,
-    /// whose per-record path is over an order of magnitude heavier.
-    pub engine_cpu_scale: f64,
-    /// Multiplier applied to measured *codec* CPU, meant as a small
-    /// hardware-generation factor. Our codecs are the paper's algorithm
-    /// families but not its per-byte cost: our transform runs at about
-    /// 17 MB/s (Fig. 4), not the ≈0.5 MB/s the paper's rows imply, so
-    /// the modelled codec term is far too small (ROADMAP item 20).
-    pub codec_cpu_scale: f64,
 }
 
 impl ClusterSpec {
     /// The paper's evaluation cluster: 5 nodes, 10 map slots, 5 reducers,
     /// with plausible 2012 commodity hardware (single SATA disk ≈80 MB/s
-    /// streaming, GigE ≈110 MB/s). `engine_cpu_scale` was calibrated so
-    /// the measured *baseline* sliding-median run landed near the paper's
-    /// 183 minutes (full-size runs now read 14–16); `codec_cpu_scale` is
-    /// a hardware-generation factor (2012 Xeon vs a modern core), though
-    /// our transform's 17 MB/s is not the paper's ≈0.5 MB/s. Both scales
-    /// were set for a slower engine (ROADMAP item 20).
+    /// streaming, GigE ≈110 MB/s). Its CPU is priced by [`CostStats`].
     pub fn paper_cluster() -> Self {
         ClusterSpec {
             nodes: 5,
@@ -45,15 +29,13 @@ impl ClusterSpec {
             reducers: 5,
             disk_mbps: 80.0,
             net_mbps: 110.0,
-            engine_cpu_scale: 45.0,
-            codec_cpu_scale: 2.0,
         }
     }
 
     /// A spec describing the machine a ledger record was measured on,
-    /// for model-vs-measured reconciliation: the run's own slot counts,
-    /// unit CPU scales (the record's nanos *are* this machine's CPU),
-    /// and effectively infinite disk bandwidth, because an in-process
+    /// for model-vs-measured reconciliation: the run's own slot counts
+    /// (the record's nanos *are* this machine's CPU, charged as-is) and
+    /// effectively infinite disk bandwidth, because an in-process
     /// run moves intermediate bytes through memory. `nodes` doubles as
     /// the reduce-side parallelism in [`CostModel`], so it carries the
     /// record's reduce slots.
@@ -77,8 +59,6 @@ impl ClusterSpec {
             reducers: (record.job.num_reducers as usize).max(1),
             disk_mbps: 1e9,
             net_mbps,
-            engine_cpu_scale: 1.0,
-            codec_cpu_scale: 1.0,
         }
     }
 }
@@ -162,17 +142,12 @@ impl CostModel {
         CostModel { spec }
     }
 
-    /// The hardware description.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-
-    /// Replay a job's byte/CPU accounting through the pipeline.
+    /// Replay a job's byte/CPU accounting through the pipeline, charging
+    /// each nanosecond field as-is.
     pub fn simulate(&self, stats: &JobStats) -> SimReport {
         let s = &self.spec;
         let mb = |bytes: u64| bytes as f64 / 1e6;
-        let engine_cpu = |nanos: u64| nanos as f64 / 1e9 * s.engine_cpu_scale;
-        let codec_cpu = |nanos: u64| nanos as f64 / 1e9 * s.codec_cpu_scale;
+        let cpu = |nanos: u64| nanos as f64 / 1e9;
 
         // Aggregate bandwidths: map tasks spread across all nodes' disks;
         // reducers across min(reducers, nodes) nodes.
@@ -183,8 +158,8 @@ impl CostModel {
 
         let phases = PhaseTimes {
             map_read_s: mb(stats.input_bytes) / map_disk,
-            map_cpu_s: engine_cpu(stats.map_fn_nanos + stats.spill_nanos),
-            map_codec_s: codec_cpu(stats.compress_nanos),
+            map_cpu_s: cpu(stats.map_fn_nanos + stats.spill_nanos),
+            map_codec_s: cpu(stats.compress_nanos),
             map_write_s: mb(stats.map_output_materialized_bytes) / map_disk,
             // The wire codec takes its savings off the socket term:
             // only the compressed frames cross the network.
@@ -192,25 +167,23 @@ impl CostModel {
                 .map_output_materialized_bytes
                 .saturating_sub(stats.shuffle_wire_saved_bytes))
                 / net,
-            wire_codec_s: codec_cpu(stats.wire_compress_nanos + stats.wire_decompress_nanos),
+            wire_codec_s: cpu(stats.wire_compress_nanos + stats.wire_decompress_nanos),
             // Spilled bytes cross one host's disk twice (append on
             // publish, pread on serve) — the shuffle service runs on a
             // single coordinator, so no node aggregation applies.
             shuffle_spill_disk_s: 2.0 * mb(stats.shuffle_spilled_bytes) / s.disk_mbps,
             // Written once and read back at least once on the reducer.
             reduce_disk_s: 2.0 * mb(stats.map_output_materialized_bytes) / reduce_disk,
-            reduce_codec_s: codec_cpu(stats.decompress_nanos),
-            reduce_cpu_s: engine_cpu(stats.reduce_fn_nanos + stats.merge_nanos),
+            reduce_codec_s: cpu(stats.decompress_nanos),
+            reduce_cpu_s: cpu(stats.reduce_fn_nanos + stats.merge_nanos),
             output_write_s: mb(stats.output_bytes) / reduce_disk,
         };
 
         // Map-side CPU runs as uniform tasks scheduled in waves over the
         // map slots; disk terms already use aggregate bandwidth.
-        let map_cpu_parallel = cpu_makespan(
-            phases.map_cpu_s + phases.map_codec_s,
-            stats.num_maps,
-            s.map_slots,
-        );
+        let per_task = (phases.map_cpu_s + phases.map_codec_s) / stats.num_maps.max(1) as f64;
+        let waves = (stats.num_maps as f64 / s.map_slots.max(1) as f64).ceil();
+        let map_cpu_parallel = per_task * waves;
         let map_makespan_s = phases.map_read_s + phases.map_write_s + map_cpu_parallel;
 
         let reduce_cpu_parallel = (phases.reduce_codec_s + phases.reduce_cpu_s) / reduce_nodes;
@@ -231,9 +204,7 @@ impl CostModel {
             total_s: map_makespan_s + reduce_makespan_s,
         }
     }
-}
 
-impl CostModel {
     /// Replay a ledger record through the model and compare the
     /// simulated makespans against the run's wall clocks and the
     /// simulated CPU terms against the drained span CPU. These are
@@ -276,19 +247,70 @@ impl CostModel {
     }
 }
 
-/// Makespan of `total_s` seconds of CPU split into `tasks` uniform tasks
-/// scheduled in waves over `slots` executors.
-fn cpu_makespan(total_s: f64, tasks: usize, slots: usize) -> f64 {
-    if tasks == 0 {
-        return 0.0;
+/// The paper cluster's cost statistics, in Herodotou's split: what 2012
+/// Hadoop charged per unit of counted work. [`CostStats::fit`] takes them
+/// from the paper's own rows, so no nanosecond measured here reaches the
+/// paper's minutes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostStats {
+    /// Engine CPU per raw intermediate byte, charged on each side: spill
+    /// (serialize, sort) on the map side, merge and reduce on the other.
+    pub engine_ns_per_byte: f64,
+    /// Codec CPU per raw intermediate byte, charged compressing and again
+    /// inflating, only on a job that ran a codec.
+    pub codec_ns_per_byte: f64,
+}
+
+impl CostStats {
+    /// `stats`, counts from [`scale_stats`](crate::scale_stats) with no
+    /// nanosecond field set, with its CPU priced from its raw bytes.
+    pub fn price(&self, stats: &JobStats, ran_codec: bool) -> JobStats {
+        let ns = |per_byte: f64| (per_byte * stats.map_output_bytes as f64).round() as u64;
+        let codec = if ran_codec {
+            ns(self.codec_ns_per_byte)
+        } else {
+            0
+        };
+        JobStats {
+            spill_nanos: ns(self.engine_ns_per_byte),
+            merge_nanos: ns(self.engine_ns_per_byte),
+            compress_nanos: codec,
+            decompress_nanos: codec,
+            ..*stats
+        }
     }
-    let per_task = total_s / tasks as f64;
-    per_task * (tasks as f64 / slots.max(1) as f64).ceil()
+
+    /// The costs under which `model` reads `baseline`'s minutes for a job
+    /// that ran no codec, then `codec`'s for one that ran a codec. A row's
+    /// total is affine in the one cost it is solved for, so two `simulate`
+    /// calls fix each.
+    pub fn fit(model: &CostModel, baseline: (&JobStats, f64), codec: (&JobStats, f64)) -> Self {
+        let minutes = |stats, engine_ns_per_byte, codec_ns_per_byte| {
+            let costs = CostStats {
+                engine_ns_per_byte,
+                codec_ns_per_byte,
+            };
+            // The baseline is solved at a zero codec cost, so pricing it
+            // as a codec job charges it nothing extra.
+            model.simulate(&costs.price(stats, true)).total_minutes()
+        };
+        let solve = |target: f64, at: &dyn Fn(f64) -> f64| {
+            let zero = at(0.0);
+            (target - zero) / (at(1.0) - zero)
+        };
+        let engine = solve(baseline.1, &|c| minutes(baseline.0, c, 0.0));
+        let codec = solve(codec.1, &|c| minutes(codec.0, engine, c));
+        CostStats {
+            engine_ns_per_byte: engine,
+            codec_ns_per_byte: codec,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale_stats;
 
     fn stats(materialized: u64, compress_nanos: u64) -> JobStats {
         JobStats {
@@ -375,7 +397,7 @@ mod tests {
         // large enough that total time worsens.
         let m = CostModel::new(ClusterSpec::paper_cluster());
         let baseline = m.simulate(&stats(55_500_000_000, 0));
-        let compressed = m.simulate(&stats(12_300_000_000, 2_000_000_000_000));
+        let compressed = m.simulate(&stats(12_300_000_000, 4_000_000_000_000));
         assert!(
             compressed.total_s > baseline.total_s,
             "codec CPU should dominate: {} vs {}",
@@ -403,18 +425,56 @@ mod tests {
         assert!(fast.map_makespan_s < slow.map_makespan_s);
     }
 
-    #[test]
-    fn cpu_scale_amplifies_codec_cost_only() {
-        let st = stats(10_000_000_000, 100_000_000_000);
-        let with_cpu_scale = |s: f64| {
-            let mut spec = ClusterSpec::paper_cluster();
-            spec.engine_cpu_scale = s;
-            spec.codec_cpu_scale = s;
-            CostModel::new(spec).simulate(&st)
+    /// The paper column as `cluster_experiment` builds it: scale to
+    /// 8000², fit the costs to the first two rows, price every row.
+    fn paper_column(rows: [JobStats; 3]) -> Vec<f64> {
+        let m = CostModel::new(ClusterSpec::paper_cluster());
+        let [baseline, transform, agg] = rows.map(|r| scale_stats(&r, 100.0));
+        let costs = CostStats::fit(&m, (&baseline, 183.0), (&transform, 377.0));
+        [(baseline, false), (transform, true), (agg, false)]
+            .iter()
+            .map(|(row, ran_codec)| m.simulate(&costs.price(row, *ran_codec)).total_minutes())
+            .collect()
+    }
+
+    fn paper_rows() -> [JobStats; 3] {
+        let baseline = stats(1_000_000_000, 0);
+        let transform = JobStats {
+            map_output_materialized_bytes: 200_000_000,
+            ..stats(1_000_000_000, 300_000_000_000)
         };
-        let (base, scaled) = (with_cpu_scale(1.0), with_cpu_scale(10.0));
-        assert!((scaled.phases.map_codec_s / base.phases.map_codec_s - 10.0).abs() < 1e-9);
-        assert!((scaled.phases.shuffle_s - base.phases.shuffle_s).abs() < 1e-9);
+        [baseline, transform, stats(250_000_000, 0)]
+    }
+
+    #[test]
+    fn the_fit_reproduces_the_paper_rows_it_is_fitted_to() {
+        let minutes = paper_column(paper_rows());
+        assert!((minutes[0] - 183.0).abs() < 1e-6, "{minutes:?}");
+        assert!((minutes[1] - 377.0).abs() < 1e-6, "{minutes:?}");
+        assert!(
+            minutes[2] < minutes[0],
+            "fewer bytes, less work: {minutes:?}"
+        );
+    }
+
+    #[test]
+    fn the_paper_column_reads_no_clock() {
+        let doubled = |s: JobStats| JobStats {
+            wire_compress_nanos: 2 * s.wire_compress_nanos,
+            wire_decompress_nanos: 2 * s.wire_decompress_nanos,
+            compress_nanos: 2 * s.compress_nanos,
+            decompress_nanos: 2 * s.decompress_nanos,
+            map_fn_nanos: 2 * s.map_fn_nanos,
+            reduce_fn_nanos: 2 * s.reduce_fn_nanos,
+            spill_nanos: 2 * s.spill_nanos,
+            merge_nanos: 2 * s.merge_nanos,
+            map_wall_nanos: 2 * s.map_wall_nanos + 1,
+            reduce_wall_nanos: 2 * s.reduce_wall_nanos + 1,
+            ..s
+        };
+        let bits = |minutes: Vec<f64>| minutes.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        let once = bits(paper_column(paper_rows()));
+        assert_eq!(bits(paper_column(paper_rows().map(doubled))), once);
     }
 
     #[test]
@@ -518,8 +578,8 @@ mod tests {
             assert!(row.predicted > 0.0, "{name} predicted");
             assert!(row.measured > 0.0, "{name} measured");
         }
-        // Unit CPU scales and infinite bandwidth: the model can only
-        // charge the recorded CPU, so predictions stay below the walls.
+        // Infinite bandwidth: the model can only charge the recorded
+        // CPU, so predictions stay below the walls.
         let total = report.row("total").expect("total");
         assert!(total.predicted <= total.measured * 1.001);
     }
@@ -531,8 +591,6 @@ mod tests {
         assert_eq!(spec.map_slots, 2);
         assert_eq!(spec.nodes, 2);
         assert_eq!(spec.reducers, 3);
-        assert_eq!(spec.engine_cpu_scale, 1.0);
-        assert_eq!(spec.codec_cpu_scale, 1.0);
     }
 
     #[test]

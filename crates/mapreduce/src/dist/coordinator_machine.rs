@@ -36,9 +36,8 @@
 //! before the next is waited on. That is the fetch-while-map overlap.
 
 use super::wire::{rebuild_error, Msg};
-use crate::counters::CounterSnapshot;
 use crate::error::MrError;
-use crate::scheduler::{MapOutput, Outcome, Settled, Step};
+use crate::scheduler::{MapOutput, Settled, Step};
 use std::sync::Arc;
 
 /// A task and one attempt of it.
@@ -95,12 +94,6 @@ pub(super) struct Coordinator {
     maps: usize,
     reducers: usize,
     state: State,
-}
-
-/// An attempt's product with the counter bank its worker sent. A remote
-/// outcome's histogram bank is empty: the worker keeps its samples.
-fn banked<T>(product: T, local: Box<CounterSnapshot>) -> Outcome<T> {
-    Ok((product, local, Box::default()))
 }
 
 /// The attempt a frame names.
@@ -170,7 +163,7 @@ impl Coordinator {
                     local,
                 }),
             ) if named(task, attempt) == at => {
-                let mapped = Settled::Mapped(banked(staged, local));
+                let mapped = Settled::Mapped(Ok((staged, local, None)));
                 (State::Request, settle(mapped))
             }
             (
@@ -212,7 +205,7 @@ impl Coordinator {
                     outputs,
                 }),
             ) if named(task, attempt) == at => {
-                let reduced = Settled::Reduced(Some(banked(outputs, local)));
+                let reduced = Settled::Reduced(Some(Ok((outputs, local, None))));
                 (State::Request, settle(reduced))
             }
             (
@@ -271,7 +264,7 @@ impl State {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::Counters;
+    use crate::counters::{CounterSnapshot, Counters};
     use crate::dist::wire::tests::Source;
     use crate::record::InputSplit;
 

@@ -324,11 +324,7 @@ mod tests {
     }
 
     fn ok<T>(product: T) -> Outcome<T> {
-        Ok((
-            product,
-            Box::new(Counters::new().snapshot()),
-            Box::default(),
-        ))
+        Ok((product, Box::new(Counters::new().snapshot()), None))
     }
 
     #[test]
@@ -365,7 +361,7 @@ mod tests {
         let bank = Counters::new();
         bank.add(Counter::MapInputRecords, 20);
         let segments = vec![(0, vec![1; 4]), (1, vec![2; 8])];
-        let outcome = Ok((segments, Box::new(bank.snapshot()), Box::default()));
+        let outcome = Ok((segments, Box::new(bank.snapshot()), None));
         let actions = w.on(Event::Mapped(outcome)).unwrap();
         assert_eq!(
             said(&actions),

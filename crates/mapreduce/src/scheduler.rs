@@ -217,9 +217,10 @@ impl Sched {
 /// What one attempt left behind: on success its product with its
 /// attempt-local counter bank and histogram bank, absorbed only then, so
 /// a retried job reports the same semantic counters and the same
-/// distributions as a clean one. Both banks are boxed, so that neither
+/// distributions as a clean one. A remote attempt has no histogram bank
+/// (its worker keeps its samples). Both banks are boxed, so that neither
 /// sizes every value an outcome travels in (the histogram bank is 11 KB).
-pub(crate) type Outcome<T> = Result<(T, Box<CounterSnapshot>, Box<MetricsBank>), MrError>;
+pub(crate) type Outcome<T> = Result<(T, Box<CounterSnapshot>, Option<Box<MetricsBank>>), MrError>;
 
 /// Run one attempt's task body against fresh attempt-local banks — in
 /// an in-process slot or in a worker process alike. A panic in it (a
@@ -234,7 +235,7 @@ pub(crate) fn run_attempt<T>(
     let local = Counters::new();
     let mut metrics = Box::<MetricsBank>::default();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&local, &mut metrics))) {
-        Ok(result) => result.map(|value| (value, Box::new(local.snapshot()), metrics)),
+        Ok(result) => result.map(|value| (value, Box::new(local.snapshot()), Some(metrics))),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -556,7 +557,9 @@ impl<'a> JobState<'a> {
         let committed = outcome.and_then(|(product, local, metrics)| {
             commit(product)?;
             self.counters.absorb(&local);
-            obs::absorb(&metrics);
+            if let Some(metrics) = metrics {
+                obs::absorb(&metrics);
+            }
             Ok(())
         });
         match committed {

@@ -4,7 +4,7 @@ use crate::counters::{Counter, CounterSnapshot};
 
 /// Byte and time accounting for one finished job, independent of how fast
 /// the machine that ran it happened to be.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JobStats {
     /// Number of map tasks that ran.
     pub num_maps: usize,
