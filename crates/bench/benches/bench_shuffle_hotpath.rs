@@ -1,4 +1,5 @@
-//! Shuffle hot-path benchmark: the engine's two shuffle kernels. The
+//! Shuffle hot-path benchmark: the engine's two shuffle kernels, and the
+//! §IV aggregation that feeds the map side of the aggregated job. The
 //! map side stages, radix-sorts and writes one spill: 8-byte grid keys
 //! in presorted and in shuffled emission order, and one map task of
 //! `benchmark/`'s
@@ -16,13 +17,14 @@
 
 use criterion::{black_box, Criterion, Throughput};
 use scihadoop_bench::report::{rounded, write_bench_json};
-use scihadoop_bench::workloads::merge_group_pass;
+use scihadoop_bench::workloads::{median_agg_task, merge_group_pass};
 use scihadoop_compress::IdentityCodec;
 use scihadoop_grid::Coord;
 use scihadoop_mapreduce::obs::host_cpus;
 use scihadoop_mapreduce::{
     DefaultKeySemantics, Framing, IFileWriter, KeySemantics, KvPair, SpillArena,
 };
+use scihadoop_queries::median::aggregate_window_slab;
 use scihadoop_queries::KeyLayout;
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,6 +160,27 @@ fn bench_map_sort_spill(c: &mut Criterion) {
     group.finish();
 }
 
+/// The aggregated mapper's §IV step on split 0 of the 512² seed-42
+/// grid: 17,476 window cells walked in grid order, each pushed by its
+/// Z-order index, one radix-sorted flush at the end (the benchmark's
+/// 64 MiB buffer never fills mid-task).
+fn bench_aggregate(c: &mut Criterion) {
+    let (curve, bounds, slab) = median_agg_task(42);
+    let mut group = c.benchmark_group("aggregate");
+    group.throughput(Throughput::Elements(bounds.num_cells()));
+    group.sample_size(20);
+    group.bench_function("window_slab_push_flush", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            aggregate_window_slab(&curve, 64 << 20, &bounds, &slab, |rec| {
+                bytes += rec.values.len()
+            });
+            black_box(bytes)
+        })
+    });
+    group.finish();
+}
+
 /// The reduce side: merge sorted segments, group, consume values.
 fn bench_merge_reduce(c: &mut Criterion) -> f64 {
     let ks = DefaultKeySemantics;
@@ -227,11 +250,13 @@ fn bench_merge_reduce(c: &mut Criterion) -> f64 {
 }
 
 /// The `BENCHMARK.json` per-layer metric a row predicts: the spill sort
-/// of one strip task times what `arena.sort_s` times, and the merge what
+/// of one strip task times what `arena.sort_s` times, the aggregation of
+/// one task what `aggregate.push_flush_s` does, and the merge what
 /// `sort.merge_s` does.
 fn predicts(id: &str) -> Option<&'static str> {
     match id {
         "map_sort_spill/arena_window_keys" => Some("arena.sort_s"),
+        "aggregate/window_slab_push_flush" => Some("aggregate.push_flush_s"),
         "merge_reduce/streaming_loser_tree" => Some("sort.merge_s"),
         _ => None,
     }
@@ -240,6 +265,7 @@ fn predicts(id: &str) -> Option<&'static str> {
 fn main() {
     let mut criterion = Criterion::default();
     bench_map_sort_spill(&mut criterion);
+    bench_aggregate(&mut criterion);
     let crc_overhead = bench_merge_reduce(&mut criterion);
     println!("\nCRC-32C trailer overhead on streaming merge: {crc_overhead:+.2}% (budget <= 6%)");
 

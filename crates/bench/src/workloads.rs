@@ -6,7 +6,8 @@ use scihadoop_mapreduce::{
     BlockMergeStream, DefaultKeySemantics, Framing, IFileWriter, InputSplit, KeySemantics, KvPair,
     RawSegment, SpillArena,
 };
-use scihadoop_queries::{dataset_splits, KeyLayout};
+use scihadoop_queries::{dataset_splits, BiasedCurve, KeyLayout};
+use scihadoop_sfc::ZOrderCurve;
 use std::sync::Arc;
 
 /// The Fig. 3 byte stream: "a raw stream of triples of 32-bit integers,
@@ -85,6 +86,57 @@ pub fn median_strip_segment(seed: u64) -> Vec<u8> {
         writer.append(key, value);
     }
     writer.close().data
+}
+
+/// One map task of `benchmark/`'s `median-agg-local` on the 512×512
+/// grid of `seed`: the first of the 16 strip tasks (512 rows, 32
+/// columns) as the aggregated mapper holds it before its walk — the
+/// window slab over the strip's box dilated by the 3×3 window's half
+/// width (514 × 34 = 17,476 packed cells of 37 bytes, `[count][9 values]`,
+/// each window's values in input order) — and the job's curve: 10-bit
+/// Z-order biased by one. What
+/// [`aggregate_window_slab`](scihadoop_queries::median::aggregate_window_slab)
+/// pushes and flushes in one task.
+pub fn median_agg_task(seed: u64) -> (BiasedCurve, BoundingBox, Vec<u8>) {
+    const SLOTS: usize = 9;
+    let layout = KeyLayout::Indexed { index: 0, ndims: 2 };
+    let splits = dataset_splits(&int_square(512, seed), &layout, 16).expect("a 2-D layout");
+    let cells: Vec<(Coord, [u8; 4])> = splits[0]
+        .records
+        .iter()
+        .map(|record| {
+            let cell = layout.decode(&record.key).expect("an input key");
+            (
+                cell,
+                record.value.as_slice().try_into().expect("a 4-byte value"),
+            )
+        })
+        .collect();
+    let (mut lo, mut hi) = (cells[0].0.clone(), cells[0].0.clone());
+    for (cell, _) in &cells {
+        for d in 0..2 {
+            lo[d] = lo[d].min(cell[d]);
+            hi[d] = hi[d].max(cell[d]);
+        }
+    }
+    let bounds = BoundingBox::from_corners(&lo, &hi)
+        .expect("2-D corners")
+        .dilate(1);
+    let columns = bounds.shape().extents()[1] as i32;
+    let width = 1 + 4 * SLOTS;
+    let mut slab = vec![0u8; bounds.num_cells() as usize * width];
+    for (cell, value) in &cells {
+        let at = cell - bounds.corner();
+        for (dx, dy) in (-1..=1).flat_map(|dx| (-1..=1).map(move |dy| (dx, dy))) {
+            let packed =
+                &mut slab[((at[0] + dx) * columns + at[1] + dy) as usize * width..][..width];
+            let filled = packed[0] as usize;
+            packed[1 + 4 * filled..][..4].copy_from_slice(value);
+            packed[0] += 1;
+        }
+    }
+    let curve = BiasedCurve::new(Arc::new(ZOrderCurve::with_bits(2, 10)), 1);
+    (curve, bounds, slab)
 }
 
 /// The §I / Fig. 8 dataset: an n³ grid of integers.

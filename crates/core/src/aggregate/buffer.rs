@@ -1,5 +1,6 @@
 //! The aggregation buffer (§IV-A): the user-facing library mappers push
-//! `(coordinate, value)` pairs into.
+//! `(coordinate, value)` pairs into, or `(curve index, value)` pairs when
+//! they already walk the curve.
 //!
 //! "Aggregation is performed on subsets of the intermediate data due to
 //! memory limitations. Whenever the size of the aggregation buffer
@@ -8,11 +9,39 @@
 
 use super::key::{AggregateKey, AggregateRecord};
 use scihadoop_grid::{Coord, GridError};
-use scihadoop_sfc::{Curve, CurveIndex};
+use scihadoop_sfc::{Curve, CurveIndex, CurveRun};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Buffers `(variable, coordinate, value)` triples, collapses contiguous
+/// One staged push: its cell's curve index and variable, and where its
+/// value starts in the slab.
+#[derive(Clone, Copy)]
+struct Staged {
+    index: CurveIndex,
+    variable: u32,
+    at: usize,
+}
+
+impl Staged {
+    fn cell(&self) -> (u32, CurveIndex) {
+        (self.variable, self.index)
+    }
+
+    /// The byte at bit `shift` of word `word` of the sort key
+    /// `(variable, index)`, whose words are the index's low and high
+    /// halves and the variable.
+    #[inline(always)]
+    fn byte(&self, (word, shift): (usize, u32)) -> u8 {
+        let word = match word {
+            0 => self.index as u64,
+            1 => (self.index >> 64) as u64,
+            _ => self.variable as u64,
+        };
+        (word >> shift) as u8
+    }
+}
+
+/// Buffers `(variable, curve index, value)` triples, collapses contiguous
 /// curve indices into [`AggregateRecord`]s, and flushes when a byte
 /// threshold is reached.
 ///
@@ -21,12 +50,19 @@ use std::sync::Arc;
 /// until the flush keeps the later one.
 pub struct Aggregator {
     curve: Arc<dyn Curve>,
+    /// Bits of the curve's indices: a pushed index must fit them.
+    index_bits: u32,
     threshold_bytes: usize,
-    /// Staged pushes in push order: variable, curve index, and where the
-    /// value starts in `slab`.
-    entries: Vec<(u32, CurveIndex, usize)>,
+    /// Staged pushes in push order.
+    entries: Vec<Staged>,
+    /// The radix sort's scatter target, kept across flushes.
+    scatter: Vec<Staged>,
     /// The staged values, back to back in push order.
     slab: Vec<u8>,
+    /// The OR and the AND of every staged `(variable, index)`: the byte
+    /// lanes on which they differ are the only ones the flush sorts on.
+    or: (u32, CurveIndex),
+    and: (u32, CurveIndex),
     /// Whether `entries` is strictly ascending by `(variable, index)`, in
     /// which case the flush has nothing to sort and no duplicate to drop.
     ascending: bool,
@@ -52,10 +88,14 @@ impl Aggregator {
     pub fn with_curve(curve: Arc<dyn Curve>, threshold_bytes: usize) -> Self {
         assert!(threshold_bytes > 0, "threshold must be positive");
         Aggregator {
+            index_bits: curve.ndims() as u32 * curve.bits_per_dim(),
             curve,
             threshold_bytes,
             entries: Vec::new(),
+            scatter: Vec::new(),
             slab: Vec::new(),
+            or: (0, 0),
+            and: (u32::MAX, CurveIndex::MAX),
             ascending: true,
             widths: BTreeMap::new(),
             current: None,
@@ -81,10 +121,28 @@ impl Aggregator {
         coord: &Coord,
         value: &[u8],
     ) -> Result<Option<Vec<AggregateRecord>>, GridError> {
+        let index = self.curve.index_of_coord(coord)?;
+        self.push_index(variable, index, value)
+    }
+
+    /// Push the value of the cell at `index` on this buffer's curve, for
+    /// a mapper that walks its cells in curve space and has no [`Coord`]
+    /// to hand over.
+    pub fn push_index(
+        &mut self,
+        variable: u32,
+        index: CurveIndex,
+        value: &[u8],
+    ) -> Result<Option<Vec<AggregateRecord>>, GridError> {
         if value.is_empty() {
             return Err(GridError::Deserialize("zero-width values".into()));
         }
-        let index = self.curve.index_of_coord(coord)?;
+        if self.index_bits < CurveIndex::BITS && index >> self.index_bits != 0 {
+            return Err(GridError::Deserialize(format!(
+                "curve index {index} exceeds {} bits",
+                self.index_bits
+            )));
+        }
         // Nothing past this point rejects a variable's first push, so
         // only a push that is staged fixes the width.
         let &mut (_, width) = match &mut self.current {
@@ -100,10 +158,16 @@ impl Aggregator {
                 value.len()
             )));
         }
-        if let Some(&(last_var, last_index, _)) = self.entries.last() {
-            self.ascending &= (last_var, last_index) < (variable, index);
+        if let Some(last) = self.entries.last() {
+            self.ascending &= last.cell() < (variable, index);
         }
-        self.entries.push((variable, index, self.slab.len()));
+        self.or = (self.or.0 | variable, self.or.1 | index);
+        self.and = (self.and.0 & variable, self.and.1 & index);
+        self.entries.push(Staged {
+            index,
+            variable,
+            at: self.slab.len(),
+        });
         self.slab.extend_from_slice(value);
         self.pairs_in += 1;
         if self.slab.len() >= self.threshold_bytes {
@@ -113,46 +177,109 @@ impl Aggregator {
         }
     }
 
+    /// Make room for `pushes` more pushes of `bytes` value bytes in all,
+    /// so a caller that knows how much it will stage before the next
+    /// flush stages it without regrowing the buffer.
+    pub fn reserve(&mut self, pushes: usize, bytes: usize) {
+        self.entries.reserve(pushes);
+        self.slab.reserve(bytes);
+    }
+
     /// Drain the buffer into aggregate records, one per maximal
     /// contiguous index run per variable. Of several pushes of one cell
     /// the last wins.
     pub fn flush(&mut self) -> Vec<AggregateRecord> {
         if !self.ascending {
-            // Stable, so pushes of one cell stay in push order.
-            self.entries.sort_by_key(|&(var, index, _)| (var, index));
+            self.radix_sort();
+            // Pushes of one cell are adjacent and in push order: keep the
+            // last of each.
+            let mut kept = 0;
+            for n in 0..self.entries.len() {
+                let entry = self.entries[n];
+                if self
+                    .entries
+                    .get(n + 1)
+                    .is_none_or(|next| next.cell() != entry.cell())
+                {
+                    self.entries[kept] = entry;
+                    kept += 1;
+                }
+            }
+            self.entries.truncate(kept);
         }
         let mut out: Vec<AggregateRecord> = Vec::new();
-        // Entries are grouped by variable, so a width is looked up once
-        // per group.
-        let mut group: Option<(u32, usize)> = None;
-        for (n, &(var, index, at)) in self.entries.iter().enumerate() {
-            let next = self.entries.get(n + 1);
-            if next.is_some_and(|next| (next.0, next.1) == (var, index)) {
-                continue; // a later push of this cell follows, and wins
-            }
-            let &mut (_, width) = match &mut group {
-                Some(group) if group.0 == var => group,
-                group => group.insert((var, self.widths[&var])),
+        let mut rest = &self.entries[..];
+        while let Some(first) = rest.first() {
+            let run = 1 + rest
+                .windows(2)
+                .take_while(|pair| {
+                    pair[1].variable == first.variable
+                        && pair[0].index.checked_add(1) == Some(pair[1].index)
+                })
+                .count();
+            let (cells, after) = rest.split_at(run);
+            let width = match self.current {
+                Some((var, width)) if var == first.variable => width,
+                _ => self.widths[&first.variable],
             };
-            let value = &self.slab[at..at + width];
-            match out.last_mut() {
-                Some(rec)
-                    if rec.key.variable == var && rec.key.run.end.checked_add(1) == Some(index) =>
-                {
-                    rec.key.run.end = index;
-                    rec.values.extend_from_slice(value);
-                }
-                _ => out.push(AggregateRecord {
-                    key: AggregateKey::singleton(var, index),
-                    values: value.to_vec(),
-                }),
+            let mut values = Vec::with_capacity(cells.len() * width);
+            for cell in cells {
+                values.extend_from_slice(&self.slab[cell.at..cell.at + width]);
             }
+            let run = CurveRun {
+                start: first.index,
+                end: cells[cells.len() - 1].index,
+            };
+            out.push(AggregateRecord {
+                key: AggregateKey::new(first.variable, run),
+                values,
+            });
+            rest = after;
         }
         self.entries.clear();
         self.slab.clear();
+        self.or = (0, 0);
+        self.and = (u32::MAX, CurveIndex::MAX);
         self.ascending = true;
         self.records_out += out.len() as u64;
         out
+    }
+
+    /// Stable LSD radix sort of the staged pushes by `(variable, index)`,
+    /// one counting pass per byte lane on which two of them differ, least
+    /// significant first: a lane every push shares costs nothing. One
+    /// read takes every such lane's histogram.
+    fn radix_sort(&mut self) {
+        let diff = Staged {
+            index: self.or.1 ^ self.and.1,
+            variable: self.or.0 ^ self.and.0,
+            at: 0,
+        };
+        let lanes: Vec<(usize, u32)> = (0..3)
+            .flat_map(|word| (0..64).step_by(8).map(move |shift| (word, shift)))
+            .filter(|&lane| diff.byte(lane) != 0)
+            .collect();
+        let mut counts = vec![[0usize; 256]; lanes.len()];
+        for entry in &self.entries {
+            for (histogram, &lane) in counts.iter_mut().zip(&lanes) {
+                histogram[entry.byte(lane) as usize] += 1;
+            }
+        }
+        self.scatter.clear();
+        self.scatter.resize(self.entries.len(), self.entries[0]);
+        for (histogram, &lane) in counts.iter_mut().zip(&lanes) {
+            // Counts become each byte's first output slot.
+            let mut next = 0;
+            for slot in histogram.iter_mut() {
+                next += std::mem::replace(slot, next);
+            }
+            for entry in &self.entries {
+                let slot = &mut histogram[entry.byte(lane) as usize];
+                self.scatter[*slot] = *entry;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.entries, &mut self.scatter);
+        }
     }
 
     /// The curve indices are computed by this curve.
@@ -179,7 +306,7 @@ impl Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scihadoop_sfc::{CurveRun, RowMajorCurve, ZOrderCurve};
+    use scihadoop_sfc::{RowMajorCurve, ZOrderCurve};
 
     #[test]
     fn full_aligned_tile_collapses_to_one_record() {

@@ -155,6 +155,52 @@ fn distinct_pushes() -> impl Strategy<Value = (usize, Vec<Push>)> {
     })
 }
 
+/// The curves of the index-keyed push: the three of [`curve`], and a
+/// 3-D row-major curve of 32 bits a dimension, whose indices reach bit
+/// 95.
+fn index_curve(kind: usize) -> Arc<dyn Curve> {
+    match kind {
+        0..=2 => curve(kind),
+        _ => Arc::new(RowMajorCurve::with_bits(3, 32)),
+    }
+}
+
+/// The cell a generated `(x, y)` stands for on [`index_curve`]`(kind)`.
+/// On the 3-D curve the first coordinate is one of four far apart and
+/// the last one of three, so cells repeat, and two cells that differ
+/// only in the first coordinate have indices that differ only above
+/// bit 64.
+fn index_cell(kind: usize, (x, y): (i32, i32)) -> Coord {
+    match kind {
+        0..=2 => Coord::new(vec![x, y]),
+        _ => Coord::new(vec![[0, 1, 1 << 20, i32::MAX][x as usize % 4], 7, y % 3]),
+    }
+}
+
+/// [`Push`]es for the index-keyed push over three variables, duplicates
+/// included, in generated order, ascending, or descending along the
+/// curve (pushes of one cell keep their generated order).
+fn index_pushes() -> impl Strategy<Value = (usize, Vec<Push>)> {
+    let push = (0u32..3, (0i32..16, 0i32..16), any::<u8>());
+    (
+        0usize..4,
+        proptest::collection::vec(push, 0..120),
+        0usize..3,
+    )
+        .prop_map(|(kind, mut pushes, order)| {
+            let curve = index_curve(kind);
+            let key = |&(var, cell, _): &Push| {
+                (var, curve.index_of_coord(&index_cell(kind, cell)).unwrap())
+            };
+            match order {
+                1 => pushes.sort_by_key(key),
+                2 => pushes.sort_by_key(|push| std::cmp::Reverse(key(push))),
+                _ => {}
+            }
+            (kind, pushes)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -240,6 +286,64 @@ proptest! {
         replay(agg.flush());
         prop_assert_eq!(replayed, pushed);
         prop_assert_eq!(agg.pairs_in(), pushes.len() as u64);
+    }
+
+    /// The index-keyed push flushes the record sequence the reference
+    /// flushes from the same cells' coordinates, in any push order,
+    /// repeated cells included (the last push wins), wherever the caller
+    /// flushes.
+    #[test]
+    fn index_push_equals_reference_in_any_order(
+        case in index_pushes(),
+        flush_every in 1usize..40,
+    ) {
+        let (kind, pushes) = case;
+        let curve = index_curve(kind);
+        let mut fast = Aggregator::with_curve(curve.clone(), 1 << 20);
+        let mut slow = ReferenceAggregator::with_curve(curve.clone(), 1 << 20);
+        for (n, &push) in pushes.iter().enumerate() {
+            let (var, cell, _) = push;
+            let coord = index_cell(kind, cell);
+            let index = curve.index_of_coord(&coord).unwrap();
+            let value = push_value(push);
+            prop_assert_eq!(fast.push_index(var, index, &value).unwrap(), None);
+            prop_assert_eq!(slow.push_var(var, &coord, &value).unwrap(), None);
+            if n % flush_every == flush_every - 1 {
+                prop_assert_eq!(fast.flush(), slow.flush(), "flush after push {}", n);
+            }
+        }
+        prop_assert_eq!(fast.flush(), slow.flush());
+        prop_assert_eq!(fast.pairs_in(), slow.pairs_in());
+        prop_assert_eq!(fast.records_out(), slow.records_out());
+    }
+
+    /// Without repeated cells both buffers cross a threshold on the same
+    /// push, so the index-keyed push flushes mid-stream what the
+    /// reference flushes, push by push, in any push order.
+    #[test]
+    fn index_push_equals_reference_across_threshold_flushes(
+        case in index_pushes(),
+        threshold in 1usize..80,
+    ) {
+        let (kind, mut pushes) = case;
+        let mut seen = std::collections::BTreeSet::new();
+        pushes.retain(|&(var, cell, _)| seen.insert((var, index_cell(kind, cell))));
+        let curve = index_curve(kind);
+        let mut fast = Aggregator::with_curve(curve.clone(), threshold);
+        let mut slow = ReferenceAggregator::with_curve(curve.clone(), threshold);
+        for (n, &push) in pushes.iter().enumerate() {
+            let (var, cell, _) = push;
+            let coord = index_cell(kind, cell);
+            let index = curve.index_of_coord(&coord).unwrap();
+            let value = push_value(push);
+            prop_assert_eq!(
+                fast.push_index(var, index, &value).unwrap(),
+                slow.push_var(var, &coord, &value).unwrap(),
+                "push {}", n
+            );
+        }
+        prop_assert_eq!(fast.flush(), slow.flush());
+        prop_assert_eq!(fast.records_out(), slow.records_out());
     }
 
     /// The transform is a bijection for every detector configuration.

@@ -8,7 +8,9 @@
 //! and forces the §IV-B sort-phase splitting.
 
 use crate::layout::{BiasedCurve, KeyLayout};
-use scihadoop_core::aggregate::{AggregateKey, AggregateKeyOps, Aggregator, RangePartitioner};
+use scihadoop_core::aggregate::{
+    AggregateKey, AggregateKeyOps, AggregateRecord, Aggregator, RangePartitioner,
+};
 use scihadoop_grid::{BoundingBox, Coord, Variable};
 use scihadoop_mapreduce::{
     Emit, InputSplit, Job, JobConfig, JobResult, KvPair, Mapper, MrError, Reducer,
@@ -516,30 +518,64 @@ impl Mapper for AggMedianMapper {
             return;
         }
         let (bounds, slab) = self.window_slab(&inputs);
-        // The slab's cells, walked in grid order in the curve's biased
-        // space.
-        let biased = BoundingBox::new(
-            bounds.corner().offset_all(self.curve.bias()),
-            bounds.shape().clone(),
-        )
-        .expect("a corner of the box's own dimensions");
-        let mut agg = Aggregator::with_curve(self.curve.curve().clone(), self.buffer_bytes);
-        let emit_records = |records: Vec<scihadoop_core::aggregate::AggregateRecord>,
-                            out: &mut dyn Emit| {
-            for rec in records {
-                out.emit(&rec.key.to_bytes(), &rec.values);
-            }
-        };
-        for (coord, cell) in biased.cells().zip(slab.chunks_exact(1 + 4 * self.slots)) {
-            if cell[0] == 0 {
-                continue;
-            }
-            if let Some(records) = agg.push(&coord, cell).expect("aggregation push") {
-                emit_records(records, out);
+        aggregate_window_slab(&self.curve, self.buffer_bytes, &bounds, &slab, |rec| {
+            out.emit(&rec.key.to_bytes(), &rec.values)
+        });
+    }
+}
+
+/// The §IV map side of one aggregated task: push its window slab —
+/// packed cells of one width laid out row-major over `bounds`, last
+/// dimension fastest — through an [`Aggregator`] over `curve` that
+/// flushes at `buffer_bytes`, in that order, and hand `emit` every record
+/// the pushes and the closing flush produce. The walk steps integer
+/// coordinates in the curve's biased space, takes a row's curve indices
+/// at once ([`Curve::row_indices`]) and hands the aggregator each
+/// non-empty cell's index: no [`Coord`] per cell.
+pub fn aggregate_window_slab(
+    curve: &BiasedCurve,
+    buffer_bytes: usize,
+    bounds: &BoundingBox,
+    slab: &[u8],
+    mut emit: impl FnMut(AggregateRecord),
+) {
+    let width = slab.len() / bounds.num_cells() as usize;
+    let mut at: Vec<u32> = bounds
+        .corner()
+        .components()
+        .iter()
+        .map(|&c| u32::try_from(c + curve.bias()).expect("a biased corner"))
+        .collect();
+    let corner = at.clone();
+    let extents = bounds.shape().extents();
+    let last = extents.len() - 1;
+    let mut agg = Aggregator::with_curve(curve.curve().clone(), buffer_bytes);
+    // Room for every cell, or for as many as one flush stages.
+    let staged = (slab.len() / width).min(buffer_bytes.div_ceil(width));
+    agg.reserve(staged, staged * width);
+    let mut indices = Vec::with_capacity(extents[last] as usize);
+    for row in slab.chunks_exact(extents[last] as usize * width) {
+        indices.clear();
+        curve
+            .curve()
+            .row_indices(&at, extents[last], &mut indices)
+            .expect("window centres on the curve");
+        for (cell, &index) in row.chunks_exact(width).zip(&indices) {
+            if cell[0] != 0 {
+                let flushed = agg.push_index(0, index, cell).expect("aggregation push");
+                flushed.into_iter().flatten().for_each(&mut emit);
             }
         }
-        emit_records(agg.flush(), out);
+        // The next row: carry through the slower dimensions.
+        for d in (0..last).rev() {
+            at[d] += 1;
+            if at[d] < corner[d] + extents[d] {
+                break;
+            }
+            at[d] = corner[d];
+        }
     }
+    agg.flush().into_iter().for_each(emit);
 }
 
 struct AggMedianReducer {

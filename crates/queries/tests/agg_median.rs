@@ -156,3 +156,33 @@ fn aggregated_job_ships_what_the_hashed_mapper_shipped() {
         assert_eq!(got, (materialized, records, route_split), "{curve:?}");
     }
 }
+
+/// The same job with buffers smaller than one map task's windows, the
+/// sizes `repro flush` runs below a task: a flush falls mid-task, so the
+/// records depend on the order `finish` pushes cells in (grid order)
+/// and on the flush keeping the last push of a cell. The pins are what
+/// the job shipped when the aggregator still sorted each flush by
+/// comparison and the mapper pushed `Coord`s.
+#[test]
+fn mid_task_flushes_ship_the_pinned_bytes() {
+    let var = Variable::random_i32("g", Shape::new(vec![96, 96]), 1_000_000, 7).unwrap();
+    for (curve, buffer_bytes, materialized, records) in [
+        (CurveKind::ZOrder, 1 << 10, 433_137, 1572),
+        (CurveKind::ZOrder, 16 << 10, 420_638, 731),
+        (CurveKind::Hilbert, 1 << 10, 433_566, 1569),
+        (CurveKind::Hilbert, 16 << 10, 415_198, 418),
+        (CurveKind::RowMajor, 1 << 10, 420_952, 788),
+        (CurveKind::RowMajor, 16 << 10, 421_753, 812),
+    ] {
+        let mut q = aggregated(2, buffer_bytes);
+        q.num_splits = 8;
+        q.curve = curve;
+        q.base_config = JobConfig::default().with_reducers(5);
+        let counters = q.run(&var).unwrap().result.counters;
+        let got = (
+            counters.get(Counter::MapOutputMaterializedBytes),
+            counters.get(Counter::MapOutputRecords),
+        );
+        assert_eq!(got, (materialized, records), "{curve:?}, {buffer_bytes} B");
+    }
+}

@@ -37,6 +37,31 @@ pub trait Curve: Send + Sync {
         Ok(coords)
     }
 
+    /// Append to `out` the indices of a row of `len` cells: the cell at
+    /// `start` and those after it along the last dimension, the inner
+    /// loop of a row-major walk. Every cell must be on the curve. A curve
+    /// that steps an index from one cell to the next overrides this
+    /// default, which encodes each cell.
+    fn row_indices(
+        &self,
+        start: &[u32],
+        len: u32,
+        out: &mut Vec<CurveIndex>,
+    ) -> Result<(), GridError> {
+        let Some((first, _)) = row_ends(self, start, len)? else {
+            return Ok(());
+        };
+        out.push(first);
+        with_scratch(start.len(), |at| {
+            at.copy_from_slice(start);
+            for _ in 1..len {
+                *at.last_mut().expect("a row has a last dimension") += 1;
+                out.push(self.index_of(at)?);
+            }
+            Ok(())
+        })
+    }
+
     /// Map a signed grid coordinate (must be non-negative) to an index.
     fn index_of_coord(&self, coord: &Coord) -> Result<CurveIndex, GridError> {
         index_of_coord_checked(self, coord)
@@ -72,6 +97,34 @@ pub(crate) fn index_of_coord_checked<C: Curve + ?Sized>(
     with_scratch(curve.ndims(), |unsigned| {
         coord.to_unsigned_into(unsigned)?;
         curve.index_of(unsigned)
+    })
+}
+
+/// The indices of the first and last cells of the row
+/// [`Curve::row_indices`] is asked for, `None` for an empty row. Encoding
+/// both ends checks the whole row: its cells differ from the ends only in
+/// the last coordinate, which lies between theirs.
+pub(crate) fn row_ends<C: Curve + ?Sized>(
+    curve: &C,
+    start: &[u32],
+    len: u32,
+) -> Result<Option<(CurveIndex, CurveIndex)>, GridError> {
+    if len == 0 {
+        return Ok(None);
+    }
+    let first = curve.index_of(start)?;
+    with_scratch(start.len(), |end| {
+        end.copy_from_slice(start);
+        let last = end
+            .last_mut()
+            .expect("a coordinate on the curve has a dimension");
+        *last = last
+            .checked_add(len - 1)
+            .ok_or_else(|| GridError::OutOfBounds {
+                coord: start.iter().map(|&c| c as i32).collect(),
+                context: format!("a row of {len} cells"),
+            })?;
+        Ok(Some((first, curve.index_of(end)?)))
     })
 }
 

@@ -5,7 +5,7 @@
 //! a query touches a multi-row region. It is the natural baseline for the
 //! curve ablation bench.
 
-use crate::curve::{check_coords, check_index, Curve, CurveIndex};
+use crate::curve::{check_coords, check_index, row_ends, Curve, CurveIndex};
 use scihadoop_grid::GridError;
 
 /// Row-major linearization over a fixed power-of-two virtual extent.
@@ -56,6 +56,20 @@ impl Curve for RowMajorCurve {
             index = (index << self.bits) | c as CurveIndex;
         }
         Ok(index)
+    }
+
+    /// The last dimension is the index's lowest bits: a row is a run of
+    /// consecutive indices.
+    fn row_indices(
+        &self,
+        start: &[u32],
+        len: u32,
+        out: &mut Vec<CurveIndex>,
+    ) -> Result<(), GridError> {
+        if let Some((first, last)) = row_ends(self, start, len)? {
+            out.extend(first..=last);
+        }
+        Ok(())
     }
 
     fn coords_into(&self, index: CurveIndex, out: &mut [u32]) -> Result<(), GridError> {

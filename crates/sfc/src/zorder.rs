@@ -19,7 +19,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::curve::{check_coords, check_index, index_of_coord_checked, Curve, CurveIndex};
+use crate::curve::{
+    check_coords, check_index, index_of_coord_checked, row_ends, Curve, CurveIndex,
+};
 use scihadoop_grid::{Coord, GridError};
 
 /// Steps for the widest piece, 32 bits: groups of 16, 8, 4, 2, 1.
@@ -161,6 +163,28 @@ impl Curve for ZOrderCurve {
         check_index(index, self.ndims, self.bits)?;
         assert_eq!(out.len(), self.ndims, "one slot per dimension");
         self.deinterleave(index, |d, c| out[d] = c);
+        Ok(())
+    }
+
+    /// The row's ends are encoded (which checks the row), and each cell
+    /// in between is its predecessor's index with the last dimension's
+    /// bits incremented in place: the other bits are set so the carry
+    /// runs through them, then restored.
+    fn row_indices(
+        &self,
+        start: &[u32],
+        len: u32,
+        out: &mut Vec<CurveIndex>,
+    ) -> Result<(), GridError> {
+        let Some((mut index, _)) = row_ends(self, start, len)? else {
+            return Ok(());
+        };
+        let last = self.spread(self.max_coord());
+        out.push(index);
+        for _ in 1..len {
+            index = (((index | !last) + 1) & last) | (index & !last);
+            out.push(index);
+        }
         Ok(())
     }
 

@@ -138,6 +138,52 @@ proptest! {
         }
     }
 
+    /// A row's indices, stepped or encoded, are the indices of its
+    /// cells one by one, on every curve and at every width up to the
+    /// full 128-bit index; a row with a cell off the curve (or past
+    /// `u32::MAX`) is refused, and a refused row appends nothing.
+    #[test]
+    fn row_indices_are_the_cells_indices(
+        ndims in 1usize..5,
+        bits in prop_oneof![1u32..6, Just(31u32), Just(32u32)],
+        start_seed in proptest::collection::vec(any::<u32>(), 4),
+        len in 0u32..40,
+        near_the_end in any::<bool>(),
+    ) {
+        let max = u32::MAX >> (32 - bits);
+        let mut start: Vec<u32> = start_seed[..ndims].iter().map(|&c| c & max).collect();
+        if near_the_end {
+            start[ndims - 1] = max.saturating_sub(len / 2);
+        }
+        let curves: [Box<dyn Curve>; 3] = [
+            Box::new(ZOrderCurve::with_bits(ndims, bits)),
+            Box::new(HilbertCurve::with_bits(ndims, bits)),
+            Box::new(RowMajorCurve::with_bits(ndims, bits)),
+        ];
+        for curve in &curves {
+            let one_by_one: Result<Vec<CurveIndex>, _> = (0..len)
+                .map(|step| {
+                    let mut cell = start.clone();
+                    let last = cell[ndims - 1].checked_add(step).ok_or(())?;
+                    cell[ndims - 1] = last;
+                    curve.index_of(&cell).map_err(drop)
+                })
+                .collect();
+            let mut row = vec![7];
+            let got = curve.row_indices(&start, len, &mut row);
+            match one_by_one {
+                Ok(indices) => {
+                    prop_assert!(got.is_ok(), "{}", curve.name());
+                    prop_assert_eq!(&row[1..], &indices[..], "{}", curve.name());
+                }
+                Err(()) => {
+                    prop_assert!(got.is_err(), "{}", curve.name());
+                    prop_assert_eq!(&row[..], &[7][..], "{}", curve.name());
+                }
+            }
+        }
+    }
+
     /// Hilbert adjacency holds along arbitrary index segments, not just
     /// from zero.
     #[test]

@@ -1,8 +1,12 @@
 //! The paper's contracts, held in tier-1: §I's per-record overhead
-//! exactly, the shape of Figs. 3, 4 and 8, and the cluster table's
-//! byte and runtime contrast (§III-E, §IV-D). Each test runs the
-//! experiment `repro` prints, at a small size.
+//! exactly, the shape of Figs. 3, 4 and 8, Fig. 6's curve ranges
+//! exactly, and the cluster table's byte and runtime contrast (§III-E,
+//! §IV-D). Each test runs the experiment `repro` prints, at a small
+//! size, or the library call the figure draws.
 
+use scihadoop::core::aggregate::Aggregator;
+use scihadoop::grid::Coord;
+use scihadoop::sfc::{CurveRun, ZOrderCurve};
 use scihadoop_bench::{cluster_experiment, fig3, fig4, fig8, intro_overhead};
 use scihadoop_cluster::{ClusterSpec, CostModel};
 
@@ -46,6 +50,27 @@ fn fig4_time_is_roughly_linear() {
         rate1 > rate0 / 3.0 && rate1 < rate0 * 3.0,
         "rates {rate0:.0} vs {rate1:.0} B/s"
     );
+}
+
+/// Fig. 6: the shaded cells of a 4×4 grid numbered by a Z-order curve
+/// aggregate into the curve ranges "6-7, 9-10, 13", one record each,
+/// whatever order they are pushed in.
+#[test]
+fn fig6_shaded_cells_aggregate_to_three_ranges() {
+    let shaded = [[1, 2], [1, 3], [2, 1], [3, 0], [2, 3]];
+    let ranges = [(6, 7), (9, 10), (13, 13)];
+    for order in [shaded, [[2, 3], [3, 0], [1, 2], [2, 1], [1, 3]]] {
+        let mut agg = Aggregator::new(ZOrderCurve::with_bits(2, 2), 1 << 20);
+        for (n, cell) in order.iter().enumerate() {
+            agg.push(&Coord::new(cell.to_vec()), &[n as u8]).unwrap();
+        }
+        let runs: Vec<CurveRun> = agg.flush().iter().map(|rec| rec.key.run).collect();
+        let expected: Vec<CurveRun> = ranges
+            .iter()
+            .map(|&(start, end)| CurveRun { start, end })
+            .collect();
+        assert_eq!(runs, expected, "pushed as {order:?}");
+    }
 }
 
 #[test]
