@@ -9,37 +9,9 @@
 
 use super::key::{AggregateKey, AggregateRecord};
 use scihadoop_grid::{Coord, GridError};
+use scihadoop_mapreduce::sort::{RadixScratch, Tagged};
 use scihadoop_sfc::{Curve, CurveIndex, CurveRun};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// One staged push: its cell's curve index and variable, and where its
-/// value starts in the slab.
-#[derive(Clone, Copy)]
-struct Staged {
-    index: CurveIndex,
-    variable: u32,
-    at: usize,
-}
-
-impl Staged {
-    fn cell(&self) -> (u32, CurveIndex) {
-        (self.variable, self.index)
-    }
-
-    /// The byte at bit `shift` of word `word` of the sort key
-    /// `(variable, index)`, whose words are the index's low and high
-    /// halves and the variable.
-    #[inline(always)]
-    fn byte(&self, (word, shift): (usize, u32)) -> u8 {
-        let word = match word {
-            0 => self.index as u64,
-            1 => (self.index >> 64) as u64,
-            _ => self.variable as u64,
-        };
-        (word >> shift) as u8
-    }
-}
 
 /// Buffers `(variable, curve index, value)` triples, collapses contiguous
 /// curve indices into [`AggregateRecord`]s, and flushes when a byte
@@ -53,24 +25,22 @@ pub struct Aggregator {
     /// Bits of the curve's indices: a pushed index must fit them.
     index_bits: u32,
     threshold_bytes: usize,
-    /// Staged pushes in push order.
-    entries: Vec<Staged>,
-    /// The radix sort's scatter target, kept across flushes.
-    scatter: Vec<Staged>,
+    /// Per variable pushed so far, ascending by id: its value width,
+    /// fixed at first push, and its staged pushes in push order, each
+    /// tagged with its cell's curve index and holding where its value
+    /// starts in the slab. A `(variable, index)` key is up to 160 bits,
+    /// too wide for one tag.
+    vars: Vec<(u32, usize, Tagged<usize>)>,
+    /// The position in `vars` of the latest push's variable, so a run of
+    /// pushes for one variable looks it up once.
+    current: usize,
+    /// Room [`Aggregator::reserve`] made before the first push, which the
+    /// first variable stages into.
+    spare: Vec<(u128, usize)>,
+    /// The flush's radix sort memory, kept across flushes.
+    scratch: RadixScratch<usize>,
     /// The staged values, back to back in push order.
     slab: Vec<u8>,
-    /// The OR and the AND of every staged `(variable, index)`: the byte
-    /// lanes on which they differ are the only ones the flush sorts on.
-    or: (u32, CurveIndex),
-    and: (u32, CurveIndex),
-    /// Whether `entries` is strictly ascending by `(variable, index)`, in
-    /// which case the flush has nothing to sort and no duplicate to drop.
-    ascending: bool,
-    /// Value width per variable, fixed at first push.
-    widths: BTreeMap<u32, usize>,
-    /// The variable of the latest push that reached its width and that
-    /// width, so a run of pushes for one variable looks it up once.
-    current: Option<(u32, usize)>,
     /// Total simple pairs pushed (statistics for the evaluation).
     pairs_in: u64,
     /// Total aggregate records flushed.
@@ -91,14 +61,11 @@ impl Aggregator {
             index_bits: curve.ndims() as u32 * curve.bits_per_dim(),
             curve,
             threshold_bytes,
-            entries: Vec::new(),
-            scatter: Vec::new(),
+            vars: Vec::new(),
+            current: 0,
+            spare: Vec::new(),
+            scratch: RadixScratch::default(),
             slab: Vec::new(),
-            or: (0, 0),
-            and: (u32::MAX, CurveIndex::MAX),
-            ascending: true,
-            widths: BTreeMap::new(),
-            current: None,
             pairs_in: 0,
             records_out: 0,
         }
@@ -145,29 +112,25 @@ impl Aggregator {
         }
         // Nothing past this point rejects a variable's first push, so
         // only a push that is staged fixes the width.
-        let &mut (_, width) = match &mut self.current {
-            Some(current) if current.0 == variable => current,
-            current => current.insert((
-                variable,
-                *self.widths.entry(variable).or_insert(value.len()),
-            )),
-        };
-        if value.len() != width {
+        if self.vars.get(self.current).map(|var| var.0) != Some(variable) {
+            self.current = match self.vars.binary_search_by_key(&variable, |var| var.0) {
+                Ok(at) => at,
+                Err(at) => {
+                    let staged = Tagged::reusing(std::mem::take(&mut self.spare));
+                    self.vars.insert(at, (variable, value.len(), staged));
+                    at
+                }
+            };
+        }
+        let (_, width, staged) = &mut self.vars[self.current];
+        if value.len() != *width {
             return Err(GridError::Deserialize(format!(
                 "variable {variable} has {width}-byte values, got {}",
                 value.len()
             )));
         }
-        if let Some(last) = self.entries.last() {
-            self.ascending &= last.cell() < (variable, index);
-        }
-        self.or = (self.or.0 | variable, self.or.1 | index);
-        self.and = (self.and.0 & variable, self.and.1 & index);
-        self.entries.push(Staged {
-            index,
-            variable,
-            at: self.slab.len(),
-        });
+        // No key length: only `Tagged::sort`'s tie pass reads one.
+        staged.push(index, 0, self.slab.len());
         self.slab.extend_from_slice(value);
         self.pairs_in += 1;
         if self.slab.len() >= self.threshold_bytes {
@@ -179,107 +142,57 @@ impl Aggregator {
 
     /// Make room for `pushes` more pushes of `bytes` value bytes in all,
     /// so a caller that knows how much it will stage before the next
-    /// flush stages it without regrowing the buffer.
+    /// flush stages it without regrowing the buffer. The room for pushes
+    /// goes to the latest push's variable, or the first one to come.
     pub fn reserve(&mut self, pushes: usize, bytes: usize) {
-        self.entries.reserve(pushes);
+        match self.vars.get_mut(self.current) {
+            Some((_, _, staged)) => staged.items.reserve(pushes),
+            None => self.spare.reserve(pushes),
+        }
         self.slab.reserve(bytes);
     }
 
     /// Drain the buffer into aggregate records, one per maximal
-    /// contiguous index run per variable. Of several pushes of one cell
-    /// the last wins.
+    /// contiguous index run per variable, in variable then index order.
+    /// Of several pushes of one cell the last wins.
     pub fn flush(&mut self) -> Vec<AggregateRecord> {
-        if !self.ascending {
-            self.radix_sort();
-            // Pushes of one cell are adjacent and in push order: keep the
-            // last of each.
-            let mut kept = 0;
-            for n in 0..self.entries.len() {
-                let entry = self.entries[n];
-                if self
-                    .entries
-                    .get(n + 1)
-                    .is_none_or(|next| next.cell() != entry.cell())
-                {
-                    self.entries[kept] = entry;
-                    kept += 1;
-                }
-            }
-            self.entries.truncate(kept);
-        }
         let mut out: Vec<AggregateRecord> = Vec::new();
-        let mut rest = &self.entries[..];
-        while let Some(first) = rest.first() {
-            let run = 1 + rest
-                .windows(2)
-                .take_while(|pair| {
-                    pair[1].variable == first.variable
-                        && pair[0].index.checked_add(1) == Some(pair[1].index)
-                })
-                .count();
-            let (cells, after) = rest.split_at(run);
-            let width = match self.current {
-                Some((var, width)) if var == first.variable => width,
-                _ => self.widths[&first.variable],
-            };
-            let mut values = Vec::with_capacity(cells.len() * width);
-            for cell in cells {
-                values.extend_from_slice(&self.slab[cell.at..cell.at + width]);
-            }
-            let run = CurveRun {
-                start: first.index,
-                end: cells[cells.len() - 1].index,
-            };
-            out.push(AggregateRecord {
-                key: AggregateKey::new(first.variable, run),
-                values,
+        for (variable, width, staged) in &mut self.vars {
+            staged.sort_tags(&mut self.scratch);
+            // Pushes of one cell are now adjacent and in push order: keep
+            // the first's place with the last's value.
+            staged.items.dedup_by(|later, kept| {
+                later.0 == kept.0 && {
+                    kept.1 = later.1;
+                    true
+                }
             });
-            rest = after;
+            let mut rest = &staged.items[..];
+            while let Some(&(start, _)) = rest.first() {
+                let run = 1 + rest
+                    .windows(2)
+                    .take_while(|pair| pair[0].0.checked_add(1) == Some(pair[1].0))
+                    .count();
+                let (cells, after) = rest.split_at(run);
+                let mut values = Vec::with_capacity(run * *width);
+                for &(_, at) in cells {
+                    values.extend_from_slice(&self.slab[at..at + *width]);
+                }
+                let run = CurveRun {
+                    start,
+                    end: cells[run - 1].0,
+                };
+                out.push(AggregateRecord {
+                    key: AggregateKey::new(*variable, run),
+                    values,
+                });
+                rest = after;
+            }
+            staged.clear();
         }
-        self.entries.clear();
         self.slab.clear();
-        self.or = (0, 0);
-        self.and = (u32::MAX, CurveIndex::MAX);
-        self.ascending = true;
         self.records_out += out.len() as u64;
         out
-    }
-
-    /// Stable LSD radix sort of the staged pushes by `(variable, index)`,
-    /// one counting pass per byte lane on which two of them differ, least
-    /// significant first: a lane every push shares costs nothing. One
-    /// read takes every such lane's histogram.
-    fn radix_sort(&mut self) {
-        let diff = Staged {
-            index: self.or.1 ^ self.and.1,
-            variable: self.or.0 ^ self.and.0,
-            at: 0,
-        };
-        let lanes: Vec<(usize, u32)> = (0..3)
-            .flat_map(|word| (0..64).step_by(8).map(move |shift| (word, shift)))
-            .filter(|&lane| diff.byte(lane) != 0)
-            .collect();
-        let mut counts = vec![[0usize; 256]; lanes.len()];
-        for entry in &self.entries {
-            for (histogram, &lane) in counts.iter_mut().zip(&lanes) {
-                histogram[entry.byte(lane) as usize] += 1;
-            }
-        }
-        self.scatter.clear();
-        self.scatter.resize(self.entries.len(), self.entries[0]);
-        for (histogram, &lane) in counts.iter_mut().zip(&lanes) {
-            // Counts become each byte's first output slot.
-            let mut next = 0;
-            for slot in histogram.iter_mut() {
-                next += std::mem::replace(slot, next);
-            }
-            for entry in &self.entries {
-                let slot = &mut histogram[entry.byte(lane) as usize];
-                self.scatter[*slot] = *entry;
-                *slot += 1;
-            }
-            std::mem::swap(&mut self.entries, &mut self.scatter);
-        }
     }
 
     /// The curve indices are computed by this curve.
@@ -289,7 +202,8 @@ impl Aggregator {
 
     /// Value width of a variable, if any pair has been pushed for it.
     pub fn value_width(&self, variable: u32) -> Option<usize> {
-        self.widths.get(&variable).copied()
+        let at = self.vars.binary_search_by_key(&variable, |var| var.0);
+        at.ok().map(|at| self.vars[at].1)
     }
 
     /// Simple pairs pushed so far.

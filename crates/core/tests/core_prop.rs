@@ -118,11 +118,11 @@ fn curve(kind: usize) -> Arc<dyn Curve> {
 }
 
 /// A push: variable, cell, and the byte its value repeats. Variable `v`
-/// has `v + 1`-byte values.
+/// has `v % 4 + 1`-byte values.
 type Push = (u32, (i32, i32), u8);
 
 fn push_value((var, _, byte): Push) -> Vec<u8> {
-    vec![byte; var as usize + 1]
+    vec![byte; var as usize % 4 + 1]
 }
 
 /// Pushes over three variables of a 16×16 grid, duplicates included, in
@@ -155,39 +155,49 @@ fn distinct_pushes() -> impl Strategy<Value = (usize, Vec<Push>)> {
     })
 }
 
-/// The curves of the index-keyed push: the three of [`curve`], and a
-/// 3-D row-major curve of 32 bits a dimension, whose indices reach bit
-/// 95.
+/// The curves of the index-keyed push: the three of [`curve`], a 3-D
+/// row-major curve of 32 bits a dimension, whose indices reach bit 95,
+/// and a 4-D one, whose indices fill all 128 bits.
 fn index_curve(kind: usize) -> Arc<dyn Curve> {
     match kind {
         0..=2 => curve(kind),
-        _ => Arc::new(RowMajorCurve::with_bits(3, 32)),
+        3 => Arc::new(RowMajorCurve::with_bits(3, 32)),
+        _ => Arc::new(RowMajorCurve::with_bits(4, 32)),
     }
 }
 
 /// The cell a generated `(x, y)` stands for on [`index_curve`]`(kind)`.
-/// On the 3-D curve the first coordinate is one of four far apart and
-/// the last one of three, so cells repeat, and two cells that differ
-/// only in the first coordinate have indices that differ only above
-/// bit 64.
+/// On the 3-D and 4-D curves the first coordinate is one of four far
+/// apart and the last one of three, so cells repeat, and two cells that
+/// differ only in the first coordinate have indices that differ only
+/// above bit 64 (3-D) or only in the top 32 bits (4-D).
 fn index_cell(kind: usize, (x, y): (i32, i32)) -> Coord {
+    let first = [0, 1, 1 << 20, i32::MAX][x as usize % 4];
     match kind {
         0..=2 => Coord::new(vec![x, y]),
-        _ => Coord::new(vec![[0, 1, 1 << 20, i32::MAX][x as usize % 4], 7, y % 3]),
+        3 => Coord::new(vec![first, 7, y % 3]),
+        _ => Coord::new(vec![first, 7, 7, y % 3]),
     }
 }
 
 /// [`Push`]es for the index-keyed push over three variables, duplicates
 /// included, in generated order, ascending, or descending along the
-/// curve (pushes of one cell keep their generated order).
+/// curve (pushes of one cell keep their generated order). On the 4-D
+/// curve the variables are 0, `1 << 16` and `u32::MAX`, so a buffer that
+/// packs the variable into its index tag sees keys collide.
 fn index_pushes() -> impl Strategy<Value = (usize, Vec<Push>)> {
     let push = (0u32..3, (0i32..16, 0i32..16), any::<u8>());
     (
-        0usize..4,
+        0usize..5,
         proptest::collection::vec(push, 0..120),
         0usize..3,
     )
         .prop_map(|(kind, mut pushes, order)| {
+            if kind == 4 {
+                for push in &mut pushes {
+                    push.0 = [0, 1 << 16, u32::MAX][push.0 as usize];
+                }
+            }
             let curve = index_curve(kind);
             let key = |&(var, cell, _): &Push| {
                 (var, curve.index_of_coord(&index_cell(kind, cell)).unwrap())

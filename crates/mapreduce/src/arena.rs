@@ -160,9 +160,7 @@ impl SpillArena {
     /// Forget all staged records but keep the allocations for reuse.
     pub fn clear(&mut self) {
         self.data.clear();
-        for p in &mut self.parts {
-            *p = Tagged::reusing(std::mem::take(&mut p.items));
-        }
+        self.parts.iter_mut().for_each(Tagged::clear);
         self.payload_bytes = 0;
     }
 }

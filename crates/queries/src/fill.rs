@@ -150,6 +150,12 @@ fn in_bucket_order<T: Sync, E: Send>(
 /// a buffer of as many placeholders, with `counts` (`2^DIGIT_BITS` of
 /// them) for the counting. After the last pass, `counts[d]` is where the
 /// entries whose top digit is `d` end.
+///
+/// This is not `mapreduce::sort`'s radix kernel, which the spill sort
+/// and the aggregation flush share, for two reasons: an entry holds a
+/// `Coord`, which is not `Copy`, so it moves by swap, not by copy; and
+/// the caller reads the last pass's counts as its insert windows, which
+/// the kernel, folding lanes into digits, does not keep.
 fn radix_sort(items: &mut Vec<Tagged>, spare: &mut Vec<Tagged>, counts: &mut [usize], bits: u32) {
     let mut shift = 0;
     while shift < bits {
