@@ -40,15 +40,17 @@ fn grid_pairs(n: u32) -> Vec<KvPair> {
         .collect()
 }
 
-/// One arena sort-and-spill pass over `pairs`; given a bank, it also
+/// One arena sort-and-spill pass over `pairs` in `arena`, cleared first
+/// as a slot clears its own for each attempt; given a bank, it also
 /// samples what a map task body records for a spill of one segment.
 fn spill_once(
+    arena: &mut SpillArena,
     pairs: &[KvPair],
     codec: &Arc<dyn scihadoop_compress::Codec>,
     metrics: Option<&mut MetricsBank>,
 ) -> u64 {
     let ks = DefaultKeySemantics;
-    let mut arena = SpillArena::new(1);
+    arena.clear();
     for p in pairs {
         arena.append(0, &p.key, &p.value);
     }
@@ -119,15 +121,17 @@ fn bench_spill(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("untraced", |b| {
-        b.iter(|| black_box(spill_once(&pairs, &codec, None)))
+        let mut arena = SpillArena::new(1);
+        b.iter(|| black_box(spill_once(&mut arena, &pairs, &codec, None)))
     });
     group.bench_function("traced", |b| {
         let recorder = Recorder::new();
         let _att = recorder.attach("bench-spill");
         let mut job = MetricsBank::new();
+        let mut arena = SpillArena::new(1);
         b.iter(|| {
             black_box(traced_task(Phase::SortSpill, 0, &mut job, |m| {
-                spill_once(&pairs, &codec, Some(m))
+                spill_once(&mut arena, &pairs, &codec, Some(m))
             }))
         })
     });
@@ -254,15 +258,17 @@ fn main() {
 
     let recorder = Recorder::new();
     let mut job = MetricsBank::new();
+    // Each side of a pair stages in an arena of its own, as a slot does.
+    let (mut bare, mut traced) = (SpillArena::new(1), SpillArena::new(1));
     let spill_overhead = paired_overhead_percent(
         || {
-            black_box(spill_once(&pairs, &codec, None));
+            black_box(spill_once(&mut bare, &pairs, &codec, None));
         },
         |batch| {
             let _att = recorder.attach("paired-spill");
             for task in 0..batch {
                 black_box(traced_task(Phase::SortSpill, task, &mut job, |m| {
-                    spill_once(&pairs, &codec, Some(m))
+                    spill_once(&mut traced, &pairs, &codec, Some(m))
                 }));
             }
         },
@@ -311,13 +317,13 @@ fn main() {
     };
     let ledger_overhead = paired_overhead_percent(
         || {
-            black_box(spill_once(&pairs, &codec, None));
+            black_box(spill_once(&mut bare, &pairs, &codec, None));
         },
         |batch| {
             let _att = recorder.attach("paired-ledger");
             for task in 0..batch {
                 black_box(traced_task(Phase::SortSpill, task, &mut job, |m| {
-                    spill_once(&pairs, &codec, Some(m))
+                    spill_once(&mut traced, &pairs, &codec, Some(m))
                 }));
             }
             let record =

@@ -102,8 +102,9 @@ fn bench_map_sort_spill(c: &mut Criterion) {
     // slices into the writer. On this presorted emission the
     // strictly-increasing-prefix scan short-circuits the whole sort.
     group.bench_function("arena_radix", |b| {
+        let mut arena = SpillArena::new(1);
         b.iter(|| {
-            let mut arena = SpillArena::new(1);
+            arena.clear();
             for p in &pairs {
                 arena.append(0, &p.key, &p.value);
             }
@@ -120,8 +121,9 @@ fn bench_map_sort_spill(c: &mut Criterion) {
     // scatter passes.
     let pairs_shuffled = shuffled(&pairs);
     group.bench_function("arena_radix_shuffled", |b| {
+        let mut arena = SpillArena::new(1);
         b.iter(|| {
-            let mut arena = SpillArena::new(1);
+            arena.clear();
             for p in &pairs_shuffled {
                 arena.append(0, &p.key, &p.value);
             }
@@ -140,8 +142,9 @@ fn bench_map_sort_spill(c: &mut Criterion) {
     let window = window_strip_pairs();
     group.throughput(Throughput::Elements(window.len() as u64));
     group.bench_function("arena_window_keys", |b| {
+        let mut arena = SpillArena::new(WINDOW_PARTS);
         b.iter(|| {
-            let mut arena = SpillArena::new(WINDOW_PARTS);
+            arena.clear();
             for p in &window {
                 arena.append(ks.partition(&p.key, WINDOW_PARTS), &p.key, &p.value);
             }

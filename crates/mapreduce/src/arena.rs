@@ -10,10 +10,15 @@
 //! are written once and never move. Spills drain the arena through
 //! borrowed slices straight into the `IFileWriter`, then `clear()`
 //! retains the allocated capacity for the next spill.
+//!
+//! A slot owns one arena for its whole life and clears it when an
+//! attempt starts, so a task reuses its predecessor's buffers: first
+//! touch of ~2 MB of fresh buffers cost a 147,456-record task a fifth of
+//! its sort (one page fault per 4 KiB), and nothing a failed attempt
+//! staged reaches the next.
 
 use crate::keysem::{bytewise_sort_prefix_wide, KeySemantics};
 use crate::sort::{PrefixSortStats, RadixScratch, Tagged};
-use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// One staged record: value bytes immediately follow the key bytes at
@@ -36,34 +41,27 @@ impl IndexEntry {
     }
 }
 
-thread_local! {
-    /// The spill sort's scatter buffers, sized by the largest partition
-    /// sorted on this thread, and the index buffers the last arena
-    /// dropped here. A slot runs its map tasks one after another; first
-    /// touch of ~2 MB of fresh buffers cost a 147,456-record task a fifth
-    /// of its sort (one page fault per 4 KiB), so a task reuses its
-    /// predecessor's.
-    static SCRATCH: RefCell<RadixScratch<IndexEntry>> = RefCell::default();
-    static SPARE: RefCell<Vec<Vec<(u128, IndexEntry)>>> = RefCell::default();
-}
-
-/// Contiguous staging buffer for one map task's output, indexed per
+/// Contiguous staging buffer for a map task's output, indexed per
 /// partition.
 pub struct SpillArena {
     data: Vec<u8>,
     parts: Vec<Tagged<IndexEntry>>,
     payload_bytes: usize,
+    /// The spill sort's scatter buffers, sized by the largest partition
+    /// sorted so far.
+    scratch: RadixScratch<IndexEntry>,
 }
 
 impl SpillArena {
     /// An empty arena staging for `partitions` reducers.
     pub fn new(partitions: usize) -> Self {
-        let mut spare = SPARE.take();
-        let mut part = || Tagged::reusing(spare.pop().unwrap_or_default());
         SpillArena {
             data: Vec::new(),
-            parts: (0..partitions).map(|_| part()).collect(),
+            parts: (0..partitions)
+                .map(|_| Tagged::reusing(Vec::new()))
+                .collect(),
             payload_bytes: 0,
+            scratch: RadixScratch::default(),
         }
     }
 
@@ -113,7 +111,7 @@ impl SpillArena {
         partition: usize,
         ks: &dyn KeySemantics,
     ) -> Option<PrefixSortStats> {
-        let data = &self.data;
+        let (data, scratch) = (&self.data, &mut self.scratch);
         let index = &mut self.parts[partition];
         if index.items.len() < 2 {
             return None;
@@ -121,7 +119,7 @@ impl SpillArena {
         if !ks.bytewise_order() {
             index.retag(ks, |e| e.key(data));
         }
-        let stats = SCRATCH.with_borrow_mut(|scratch| index.sort(scratch, ks, |e| e.key(data)));
+        let stats = index.sort(scratch, ks, |e| e.key(data));
         debug_assert!(is_partition_sorted(self, partition, ks));
         Some(stats)
     }
@@ -162,15 +160,6 @@ impl SpillArena {
         self.data.clear();
         self.parts.iter_mut().for_each(Tagged::clear);
         self.payload_bytes = 0;
-    }
-}
-
-impl Drop for SpillArena {
-    fn drop(&mut self) {
-        let index = self.parts.drain(..).map(|p| p.items).collect();
-        // Unreachable once the thread's locals are being destroyed; the
-        // buffers are then simply freed.
-        let _ = SPARE.try_with(|slot| slot.replace(index));
     }
 }
 
@@ -393,13 +382,13 @@ mod tests {
     /// odd number of digits, so which buffer is which can change.
     fn capacities(a: &SpillArena) -> Vec<usize> {
         let mut caps: Vec<usize> = a.parts.iter().map(|p| p.items.capacity()).collect();
-        caps.push(SCRATCH.with_borrow(RadixScratch::item_capacity));
+        caps.push(a.scratch.item_capacity());
         caps.sort_unstable();
         caps
     }
 
     #[test]
-    fn buffers_outlive_partitions_spills_and_the_arena() {
+    fn buffers_outlive_partitions_and_spills() {
         let ks = DefaultKeySemantics;
         let keys = window_keys(20, 0, 10, 0);
         let stage = |a: &mut SpillArena| {
@@ -410,22 +399,13 @@ mod tests {
             a.sort_partition(1, &ks);
         };
         let mut a = SpillArena::new(2);
-        assert_eq!(
-            capacities(&a),
-            [0, 0, 0],
-            "nothing staged on this thread yet"
-        );
+        assert_eq!(capacities(&a), [0, 0, 0], "nothing staged yet");
         stage(&mut a);
         let grown = capacities(&a);
         assert!(grown[0] >= keys.len() / 2);
         a.clear();
         stage(&mut a);
         assert_eq!(capacities(&a), grown, "second spill reallocated");
-        drop(a);
-        let mut next = SpillArena::new(2);
-        assert_eq!(capacities(&next), grown, "next task starts cold");
-        stage(&mut next);
-        assert_eq!(capacities(&next), grown);
     }
 
     #[test]

@@ -808,6 +808,7 @@ mod tests {
                     index: 0,
                     mapper: mapper.as_ref(),
                     reducer: reducer.as_ref(),
+                    arena: crate::SpillArena::new(1),
                 },
                 damage,
                 failures: Arc::clone(&failures),

@@ -418,7 +418,7 @@ mod explorer {
         run_attempt, MapOutput, Next, Outcome, Sched, Settled, Step, Takes, Task,
     };
     use crate::shuffle::inflate;
-    use crate::{runner, Job, JobConfig};
+    use crate::{runner, Job, JobConfig, SpillArena};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
@@ -479,8 +479,14 @@ mod explorer {
     fn map_body(reduces: usize, task: usize, attempt: u32) -> Outcome<MapOutput> {
         let (segments, local) = BODIES.with_borrow_mut(|b| {
             let run = || {
-                let outcome =
-                    runner::map_attempt(&config(reduces), task, attempt, &split(task), &*mapper());
+                let outcome = runner::map_attempt(
+                    &config(reduces),
+                    task,
+                    attempt,
+                    &split(task),
+                    &*mapper(),
+                    &mut SpillArena::new(reduces),
+                );
                 let (segments, local, _) = outcome.unwrap();
                 (segments, local)
             };

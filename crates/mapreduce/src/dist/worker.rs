@@ -43,7 +43,8 @@ pub fn run_worker(
 
 /// The worker's side of the conversation over a connected stream: carry
 /// out the machine's actions, and feed it what the attempt or inflation
-/// one ran returned or, when none ran, the next frame.
+/// one ran returned or, when none ran, the next frame. The worker is one
+/// slot, and its map attempts stage in one arena.
 fn converse(
     mut stream: Stream,
     worker: u32,
@@ -52,6 +53,7 @@ fn converse(
     reducer: &dyn Reducer,
 ) -> Result<(), MrError> {
     let (mut machine, mut actions) = Worker::start(worker);
+    let mut arena = crate::SpillArena::new(config.num_reducers);
     loop {
         let mut ran = None;
         for action in actions {
@@ -59,7 +61,8 @@ fn converse(
                 Action::Send(msg) => write_msg(&mut stream, &msg)?,
                 Action::End => return Ok(()),
                 Action::Map(task, attempt, split) => {
-                    let outcome = runner::map_attempt(config, task, attempt, &split, mapper);
+                    let outcome =
+                        runner::map_attempt(config, task, attempt, &split, mapper, &mut arena);
                     ran = Some(Event::Mapped(outcome));
                 }
                 Action::Inflate(frame) => {

@@ -51,6 +51,6 @@ pub use ifile::{
 pub use job::{Job, JobConfig, JobResult};
 pub use keysem::{bytewise_sort_prefix_wide, DefaultKeySemantics, KeySemantics, RouteSink};
 pub use obs::{Phase, Recorder, Trace};
-pub use record::{Bytes, Emit, FnMapper, FnReducer, InputSplit, KvPair, Mapper, Reducer};
+pub use record::{Bytes, Emit, FnMapper, FnReducer, InputSplit, KvPair, MapTask, Mapper, Reducer};
 pub use sort::{for_each_group, sort_pairs, BlockMergeStream, MergeItem};
 pub use stats::JobStats;

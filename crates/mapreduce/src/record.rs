@@ -223,19 +223,46 @@ impl<F: FnMut(&[u8], &[u8])> Emit for F {
     }
 }
 
-/// The user map function.
+/// The user map function, shared by every task of a job.
 pub trait Mapper: Send + Sync {
-    /// Called once per map task attempt before its first record, on the
-    /// thread that runs the attempt. An attempt that fails never reaches
-    /// `finish`, so task-local state left by it is dropped here.
-    fn start(&self) {}
+    /// A fresh task for one map attempt, which the engine feeds every
+    /// record of the split and then finishes: Hadoop's one Mapper object
+    /// per task. State the task owns (e.g. the §IV aggregation library's
+    /// buffer) lives exactly as long as the attempt, so what a failed
+    /// attempt held is dropped with it. The default maps through `self`:
+    /// [`Mapper::map`] per record, then [`Mapper::finish`].
+    fn task(&self) -> Box<dyn MapTask + '_> {
+        Box::new(Through(self))
+    }
 
-    /// Called once per input record.
+    /// Called once per input record by the default task.
     fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit);
 
-    /// Called once per map task after the last record, so user-level
-    /// buffering (e.g. the §IV aggregation library) can flush.
+    /// Called once after the last record by the default task.
     fn finish(&self, _out: &mut dyn Emit) {}
+}
+
+/// One map attempt's state, built by [`Mapper::task`].
+pub trait MapTask {
+    /// Called once per input record.
+    fn map(&mut self, key: &[u8], value: &[u8], out: &mut dyn Emit);
+
+    /// Called once after the last record, so user-level buffering can
+    /// flush. An attempt that fails is dropped without it.
+    fn finish(self: Box<Self>, _out: &mut dyn Emit) {}
+}
+
+/// The default [`Mapper::task`]: the mapper's own functions.
+struct Through<'a, M: ?Sized>(&'a M);
+
+impl<M: Mapper + ?Sized> MapTask for Through<'_, M> {
+    fn map(&mut self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
+        self.0.map(key, value, out)
+    }
+
+    fn finish(self: Box<Self>, out: &mut dyn Emit) {
+        self.0.finish(out)
+    }
 }
 
 /// The user reduce function. Also used for combiners.

@@ -24,12 +24,13 @@ use std::sync::Arc;
 /// A slot that runs attempts on its own thread: the task bodies below,
 /// called directly, with map segments handed to the job's store as
 /// plain `Vec`s and reduce input borrowed from the store's resident
-/// bytes — no copy, no frame.
+/// bytes — no copy, no frame. Its map attempts stage in its own arena.
 pub(crate) struct InProcessSlot<'a> {
     pub(crate) takes: Takes,
     pub(crate) index: usize,
     pub(crate) mapper: &'a dyn Mapper,
     pub(crate) reducer: &'a dyn Reducer,
+    pub(crate) arena: SpillArena,
 }
 
 impl Slot for InProcessSlot<'_> {
@@ -49,7 +50,10 @@ impl Slot for InProcessSlot<'_> {
             }
             Step::Ready => Settled::Ready,
             Step::Map(task, attempt, split) => {
-                Settled::Mapped(map_attempt(job.config, task, attempt, &split, self.mapper))
+                let (mapper, arena) = (self.mapper, &mut self.arena);
+                Settled::Mapped(map_attempt(
+                    job.config, task, attempt, &split, mapper, arena,
+                ))
             }
             Step::Reduce(task, attempt) => Settled::Reduced(self.reduce(job, task, attempt)),
             Step::Close => Settled::Closed,
@@ -103,6 +107,7 @@ pub fn run_job(
         index,
         mapper: mapper.as_ref(),
         reducer: reducer.as_ref(),
+        arena: SpillArena::new(config.num_reducers),
     };
     let slots = (0..config.map_slots)
         .map(|i| slot(Takes::Maps, i))
@@ -124,39 +129,42 @@ fn make_writer(config: &JobConfig) -> IFileWriter {
     }
 }
 
-/// One map attempt, in a slot or a worker alike: [`run_map_task`] under
-/// [`run_attempt`], its segments as the store takes them.
+/// One map attempt in a slot's arena, local or remote: [`run_map_task`]
+/// under [`run_attempt`], its segments as the store takes them.
 pub(crate) fn map_attempt(
     config: &JobConfig,
     task: usize,
     attempt: u32,
     split: &InputSplit,
     mapper: &dyn Mapper,
+    arena: &mut SpillArena,
 ) -> Outcome<MapOutput> {
     run_attempt(task, attempt, |local, metrics| {
-        let segments = run_map_task(config, task, split, mapper, local, metrics)?;
+        let segments = run_map_task(config, task, split, mapper, arena, local, metrics)?;
         Ok(segments.into_iter().map(|(p, seg)| (p, seg.data)).collect())
     })
 }
 
-/// One map task: run the user function over a split, routing into the
+/// One map task: run one [`Mapper::task`] over a split, routing into the
 /// spill arena, then sorting, combining and materializing spills through
-/// borrowed slices — no owned pair is allocated between the mapper's
-/// `emit` and the `IFileWriter`. Tallies go to the attempt's `counters`
-/// and samples to its `metrics`, both absorbed only if it commits.
+/// borrowed slices — no owned pair is allocated between the task's `emit`
+/// and the `IFileWriter`. Tallies go to the attempt's `counters` and
+/// samples to its `metrics`, both absorbed only if it commits.
 pub(crate) fn run_map_task(
     config: &JobConfig,
     task: usize,
     split: &InputSplit,
     mapper: &dyn Mapper,
+    arena: &mut SpillArena,
     counters: &Counters,
     metrics: &mut MetricsBank,
 ) -> Result<Vec<(usize, Segment)>, MrError> {
     let ks = &config.key_semantics;
     let parts = config.num_reducers;
     // Contiguous staging; spilled (sorted, combined, compressed) when the
-    // total staged payload crosses the spill threshold.
-    let mut arena = SpillArena::new(parts);
+    // total staged payload crosses the spill threshold. Whatever an
+    // earlier attempt in this slot left staged is dropped here.
+    arena.clear();
     let mut segments = Vec::new();
 
     let spill = |arena: &mut SpillArena,
@@ -256,22 +264,22 @@ pub(crate) fn run_map_task(
     let fn_t0 = clock::thread_cpu_nanos();
     {
         let _emit_span = crate::span!(Phase::MapEmit, task);
-        mapper.start();
+        let mut map_task = mapper.task();
         for record in &split.records {
-            mapper.map(&record.key, &record.value, &mut |k: &[u8], v: &[u8]| {
-                emit_into(&mut arena, metrics, k, v)
+            map_task.map(&record.key, &record.value, &mut |k: &[u8], v: &[u8]| {
+                emit_into(arena, metrics, k, v)
             });
             if arena.payload_bytes() >= config.spill_buffer_bytes {
-                spill(&mut arena, &mut segments, metrics)?;
+                spill(arena, &mut segments, metrics)?;
             }
         }
-        mapper.finish(&mut |k: &[u8], v: &[u8]| emit_into(&mut arena, metrics, k, v));
+        map_task.finish(&mut |k: &[u8], v: &[u8]| emit_into(arena, metrics, k, v));
     }
     counters.add(Counter::MapFnNanos, clock::since(fn_t0));
     counters.add(Counter::MapInputRecords, split.records.len() as u64);
     counters.add(Counter::MapOutputRecords, output_records);
     counters.add(Counter::RouteSplitRecords, route_split_records);
-    spill(&mut arena, &mut segments, metrics)?;
+    spill(arena, &mut segments, metrics)?;
 
     // Final merge: if a partition spilled several times, merge its runs
     // into one segment (Hadoop's map-output merge, Fig. 1 step 3).

@@ -197,38 +197,51 @@ fn mapper_finish_emissions_are_processed() {
 }
 
 #[test]
-fn mapper_start_precedes_every_attempt() {
-    // A buffering mapper whose third record fails its first attempt. The
-    // retry runs on the same (only) map slot: without `start` dropping
-    // the two records the failed attempt buffered, they are emitted twice.
+fn mapper_task_is_built_for_every_attempt() {
+    // A buffering task whose job's third record fails its first attempt.
+    // The retry runs on the same (only) map slot: were the two records the
+    // failed attempt buffered not dropped with its task, they would be
+    // emitted twice.
+    use scihadoop_mapreduce::MapTask;
     use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
     struct BufferingMapper {
-        buffered: parking_lot::Mutex<Vec<KvPair>>,
-        starts: AtomicU32,
+        tasks: AtomicU32,
         maps: AtomicU32,
     }
+    struct BufferingTask<'a> {
+        mapper: &'a BufferingMapper,
+        buffered: Vec<KvPair>,
+    }
     impl scihadoop_mapreduce::Mapper for BufferingMapper {
-        fn start(&self) {
-            self.starts.fetch_add(1, Relaxed);
-            self.buffered.lock().clear();
+        fn task(&self) -> Box<dyn MapTask + '_> {
+            self.tasks.fetch_add(1, Relaxed);
+            Box::new(BufferingTask {
+                mapper: self,
+                buffered: Vec::new(),
+            })
         }
-        fn map(&self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
-            if self.maps.fetch_add(1, Relaxed) == 2 {
+        fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
+            let mut task = self.task();
+            task.map(key, value, out);
+            task.finish(out);
+        }
+    }
+    impl MapTask for BufferingTask<'_> {
+        fn map(&mut self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
+            if self.mapper.maps.fetch_add(1, Relaxed) == 2 {
                 panic!("injected mapper panic");
             }
             self.buffered
-                .lock()
                 .push(KvPair::new(key.to_vec(), value.to_vec()));
         }
-        fn finish(&self, out: &mut dyn Emit) {
-            for p in self.buffered.lock().drain(..) {
+        fn finish(self: Box<Self>, out: &mut dyn Emit) {
+            for p in &self.buffered {
                 out.emit(&p.key, &p.value);
             }
         }
     }
     let mapper = Arc::new(BufferingMapper {
-        buffered: parking_lot::Mutex::new(Vec::new()),
-        starts: AtomicU32::new(0),
+        tasks: AtomicU32::new(0),
         maps: AtomicU32::new(0),
     });
     let config = JobConfig::default().with_slots(1, 1).with_retries(1);
@@ -236,7 +249,7 @@ fn mapper_start_precedes_every_attempt() {
         .run(word_splits(60, 20), mapper.clone(), count_reducer())
         .unwrap();
     // Three splits, one of them attempted twice.
-    assert_eq!(mapper.starts.load(Relaxed), 4);
+    assert_eq!(mapper.tasks.load(Relaxed), 4);
     assert_eq!(result.counters.get(Counter::MapOutputRecords), 60);
 }
 

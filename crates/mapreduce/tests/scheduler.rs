@@ -99,6 +99,63 @@ fn panicking_map_task_retries_instead_of_cascading() {
     }
 }
 
+/// A map task's retry on `slots` with one map slot (one worker), which
+/// stages in the arena that the failed attempt left three records in,
+/// emitted before its panic and before any spill: its outputs and 18
+/// semantic counters must be a clean run's.
+fn retry_in_the_failed_attempts_slot(slots: Slots) {
+    let config = JobConfig::default()
+        .with_reducers(2)
+        .with_slots(1, 1)
+        .with_retries(1);
+    let splits = word_splits(60, 7, 20);
+    let semantic = |result: &JobResult| -> Vec<(&'static str, u64)> {
+        let semantic = ALL_COUNTERS
+            .iter()
+            .filter(|c| c.kind() == CounterKind::Semantic);
+        semantic
+            .map(|&c| (c.name(), result.counters.get(c)))
+            .collect()
+    };
+    let clean = Job::new(config.clone())
+        .run(splits.clone(), identity_mapper(), count_reducer())
+        .unwrap();
+    let calls = AtomicU32::new(0);
+    let mapper = Arc::new(FnMapper(move |k: &[u8], v: &[u8], out: &mut dyn Emit| {
+        out.emit(k, v);
+        if calls.fetch_add(1, Ordering::Relaxed) == 2 {
+            panic!("injected mapper panic after three emits");
+        }
+    }));
+    let result = match slots {
+        Slots::InProcess => Job::new(config.clone()).run(splits, mapper, count_reducer()),
+        Slots::ThreadWorkers => run_distributed_with_threads(
+            &config,
+            &DistConfig::default()
+                .with_workers(1)
+                .with_shuffle_mem_bytes(Some(usize::MAX)),
+            splits,
+            mapper,
+            count_reducer(),
+        ),
+    }
+    .unwrap();
+    assert_eq!(result.counters.get(Counter::TaskRetries), 1);
+    assert_eq!(clean.outputs, result.outputs);
+    assert_eq!(semantic(&clean).len(), 18);
+    assert_eq!(semantic(&clean), semantic(&result));
+}
+
+#[test]
+fn a_retried_map_attempt_stages_nothing_the_failed_one_left() {
+    retry_in_the_failed_attempts_slot(Slots::InProcess);
+}
+
+#[test]
+fn a_retried_map_attempt_on_a_worker_stages_nothing_the_failed_one_left() {
+    retry_in_the_failed_attempts_slot(Slots::ThreadWorkers);
+}
+
 #[test]
 fn panicking_reduce_task_refetches_its_segments_for_the_retry() {
     for slots in BOTH {

@@ -13,10 +13,9 @@ use scihadoop_core::aggregate::{
 };
 use scihadoop_grid::{BoundingBox, Coord, Variable};
 use scihadoop_mapreduce::{
-    Emit, InputSplit, Job, JobConfig, JobResult, KvPair, Mapper, MrError, Reducer,
+    Emit, InputSplit, Job, JobConfig, JobResult, KvPair, MapTask, Mapper, MrError, Reducer,
 };
 use scihadoop_sfc::{Curve, CurveIndex, HilbertCurve, RowMajorCurve, ZOrderCurve};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -348,34 +347,41 @@ fn median_of_nine(v: &mut [i32; 9]) -> i32 {
 // Plain variant
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// The key of the window centre this thread is emitting: one buffer
-    /// per map thread, reused from cell to cell.
-    static CENTRE_KEY: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
 struct PlainMedianMapper {
     layout: KeyLayout,
     offsets: Vec<Coord>,
 }
 
+/// One plain map task: its mapper, and the key of the window centre it
+/// is emitting, reused from cell to cell.
+struct PlainMedianTask<'a>(&'a PlainMedianMapper, Vec<u8>);
+
 impl Mapper for PlainMedianMapper {
+    fn task(&self) -> Box<dyn MapTask + '_> {
+        Box::new(PlainMedianTask(self, Vec::new()))
+    }
+
     fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
-        let coord = self.layout.decode(key).expect("input key");
+        self.task().map(key, value, out);
+    }
+}
+
+impl MapTask for PlainMedianTask<'_> {
+    fn map(&mut self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
+        let PlainMedianTask(mapper, centre_key) = self;
+        let coord = mapper.layout.decode(key).expect("input key");
         // A window centre's key is the input key with other coordinates:
         // copy the key once and overwrite its tail per offset.
-        CENTRE_KEY.with_borrow_mut(|centre_key| {
-            centre_key.clear();
-            centre_key.extend_from_slice(key);
-            let tail = key.len() - 4 * coord.ndims();
-            for off in &self.offsets {
-                let slots = centre_key[tail..].chunks_exact_mut(4);
-                for ((slot, &c), &d) in slots.zip(coord.components()).zip(off.components()) {
-                    slot.copy_from_slice(&c.wrapping_add(d).to_be_bytes());
-                }
-                out.emit(centre_key, value);
+        centre_key.clear();
+        centre_key.extend_from_slice(key);
+        let tail = key.len() - 4 * coord.ndims();
+        for off in &mapper.offsets {
+            let slots = centre_key[tail..].chunks_exact_mut(4);
+            for ((slot, &c), &d) in slots.zip(coord.components()).zip(off.components()) {
+                slot.copy_from_slice(&c.wrapping_add(d).to_be_bytes());
             }
-        });
+            out.emit(centre_key, value);
+        }
     }
 }
 
@@ -383,24 +389,20 @@ struct PlainMedianReducer {
     layout: KeyLayout,
 }
 
-thread_local! {
-    /// The values of the window centre this thread is reducing: one
-    /// buffer per reduce thread, reused from centre to centre.
-    static CENTRE_VALUES: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-}
-
 impl Reducer for PlainMedianReducer {
     fn reduce(&self, key: &[u8], values: &[&[u8]], out: &mut dyn Emit) {
         debug_assert!(self.layout.decode(key).is_ok());
-        let m = CENTRE_VALUES.with_borrow_mut(|vals| {
-            vals.clear();
-            vals.extend(
-                values
-                    .iter()
-                    .map(|v| i32::from_be_bytes((*v).try_into().expect("4-byte value"))),
-            );
-            median_of(vals)
-        });
+        let value = |v: &&[u8]| i32::from_be_bytes((*v).try_into().expect("4-byte value"));
+        // A 3×3 window's centre — the paper's query — fits on the stack.
+        let m = if values.len() <= 9 {
+            let mut vals = [0; 9];
+            vals.iter_mut()
+                .zip(values)
+                .for_each(|(slot, v)| *slot = value(v));
+            median_of(&mut vals[..values.len()])
+        } else {
+            median_of(&mut values.iter().map(value).collect::<Vec<_>>())
+        };
         out.emit(key, &m.to_be_bytes());
     }
 }
@@ -416,18 +418,6 @@ fn cell_values(cell: &[u8]) -> impl Iterator<Item = i32> + '_ {
     cell[1..1 + 4 * cell[0] as usize]
         .chunks_exact(4)
         .map(|slot| i32::from_be_bytes(slot.try_into().expect("4-byte slot")))
-}
-
-thread_local! {
-    /// Input cells of the map task running on this thread, `ndims`
-    /// coordinates then the value per record. The engine runs each map
-    /// task to completion on one thread, so a thread-local gives
-    /// task-local state without engine changes and without the map slots
-    /// meeting on a lock once per record (Hadoop gets the same effect by
-    /// constructing one Mapper object per task). `start` clears it, so
-    /// what a failed attempt left behind never reaches the next task on
-    /// this thread; `finish` takes it.
-    static TASK_INPUTS: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
 }
 
 struct AggMedianMapper {
@@ -496,29 +486,40 @@ impl AggMedianMapper {
     }
 }
 
+/// One aggregated map task: its mapper, and its input cells, `ndims`
+/// coordinates then the value per record, windowed only once the last
+/// has arrived.
+struct AggMedianTask<'a>(&'a AggMedianMapper, Vec<i32>);
+
 impl Mapper for AggMedianMapper {
-    fn start(&self) {
-        TASK_INPUTS.with_borrow_mut(Vec::clear);
+    fn task(&self) -> Box<dyn MapTask + '_> {
+        Box::new(AggMedianTask(self, Vec::new()))
     }
 
-    fn map(&self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
-        let coord = self.layout.decode(key).expect("input key");
-        let v = i32::from_be_bytes(value.try_into().expect("4-byte value"));
-        TASK_INPUTS.with_borrow_mut(|inputs| {
-            inputs.extend_from_slice(coord.components());
-            inputs.push(v);
-        });
+    fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
+        let mut task = self.task();
+        task.map(key, value, out);
+        task.finish(out);
+    }
+}
+
+impl MapTask for AggMedianTask<'_> {
+    fn map(&mut self, key: &[u8], value: &[u8], _out: &mut dyn Emit) {
+        let AggMedianTask(mapper, inputs) = self;
+        let coord = mapper.layout.decode(key).expect("input key");
+        inputs.extend_from_slice(coord.components());
+        inputs.push(i32::from_be_bytes(value.try_into().expect("4-byte value")));
     }
 
     /// Push the task's window cells, in grid order, through the §IV
     /// aggregation library and emit the aggregate records it produces.
-    fn finish(&self, out: &mut dyn Emit) {
-        let inputs = TASK_INPUTS.take();
+    fn finish(self: Box<Self>, out: &mut dyn Emit) {
+        let AggMedianTask(mapper, inputs) = *self;
         if inputs.is_empty() {
             return;
         }
-        let (bounds, slab) = self.window_slab(&inputs);
-        aggregate_window_slab(&self.curve, self.buffer_bytes, &bounds, &slab, |rec| {
+        let (bounds, slab) = mapper.window_slab(&inputs);
+        aggregate_window_slab(&mapper.curve, mapper.buffer_bytes, &bounds, &slab, |rec| {
             out.emit(&rec.key.to_bytes(), &rec.values)
         });
     }
@@ -768,23 +769,37 @@ mod tests {
 
     #[test]
     fn failed_aggregated_attempt_leaves_no_windows_behind() {
-        // Panics once, part-way through a split, after the inner mapper
-        // has accumulated windows for the records before it.
+        // Panics once, part-way through a split, after the inner task has
+        // accumulated windows for the records before it.
         struct PanicsOnce {
             inner: AggMedianMapper,
             records: AtomicUsize,
         }
+        struct PanicsOnceTask<'a> {
+            inner: Box<dyn MapTask + 'a>,
+            records: &'a AtomicUsize,
+        }
         impl Mapper for PanicsOnce {
-            fn start(&self) {
-                self.inner.start();
+            fn task(&self) -> Box<dyn MapTask + '_> {
+                Box::new(PanicsOnceTask {
+                    inner: self.inner.task(),
+                    records: &self.records,
+                })
             }
             fn map(&self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
+                let mut task = self.task();
+                task.map(key, value, out);
+                task.finish(out);
+            }
+        }
+        impl MapTask for PanicsOnceTask<'_> {
+            fn map(&mut self, key: &[u8], value: &[u8], out: &mut dyn Emit) {
                 self.inner.map(key, value, out);
                 if self.records.fetch_add(1, Ordering::Relaxed) == 7 {
                     panic!("injected map failure");
                 }
             }
-            fn finish(&self, out: &mut dyn Emit) {
+            fn finish(self: Box<Self>, out: &mut dyn Emit) {
                 self.inner.finish(out);
             }
         }

@@ -1,16 +1,17 @@
 //! A record's key and value live inside the record: building the input
 //! splits of a grid, and a worker taking a map task off the wire,
-//! allocate per split or per frame, never per record. The file has its
-//! own global allocator, which counts the requests of the thread that
-//! arms it and of every thread started while it is armed: the split
-//! builder's worker threads and the worker's own threads count as much
-//! as the caller. So that no other test starts threads meanwhile, each
-//! test runs its body alone, in a re-execution of this binary on
-//! libtest's one test thread.
+//! allocate per split or per frame, never per record; and a slot's map
+//! tasks share its spill arena, so an extra task does not regrow one.
+//! The file has its own global allocator, which counts the requests of
+//! the thread that arms it and of every thread started while it is
+//! armed: the split builder's worker threads and the worker's own
+//! threads count as much as the caller. So that no other test starts
+//! threads meanwhile, each test runs its body alone, in a re-execution
+//! of this binary on libtest's one test thread.
 
 use scihadoop_grid::{Shape, Variable};
 use scihadoop_mapreduce::{run_worker, Emit, FnMapper, FnReducer, JobConfig, Transport};
-use scihadoop_queries::{dataset_splits, KeyLayout};
+use scihadoop_queries::{dataset_splits, KeyLayout, SlidingMedian, SlidingMedianVariant};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -239,5 +240,49 @@ fn decoding_a_map_task_allocates_per_frame_not_per_record() {
     assert!(
         thousand <= one + 2,
         "a 1,000-record task made {thousand} allocations, a 1-record one {one}"
+    );
+}
+
+// ---- map tasks on one slot ------------------------------------------------
+
+/// The allocations per map task past the second of a sliding median over
+/// a 120² grid on one map slot, less building its splits: one job over 2
+/// equal splits, one over 12, and the difference shared among the 10
+/// extra tasks. It also carries what an extra task costs the reducers,
+/// which open one more segment each, and, in the aggregated job, the ~74
+/// more aggregate records each extra task's halo makes.
+fn per_extra_map_task(variant: SlidingMedianVariant) -> u64 {
+    let var = Variable::random_i32("t", Shape::new(vec![120, 120]), 1000, 7).unwrap();
+    let layout = KeyLayout::Indexed { index: 0, ndims: 2 };
+    let mut q = SlidingMedian::new(layout.clone(), variant);
+    q.base_config = q.base_config.with_slots(1, 1);
+    let mut job = |splits| {
+        q.num_splits = splits;
+        let (_, job) = allocations(|| q.run(&var).unwrap());
+        let (_, building) = allocations(|| dataset_splits(&var, &layout, splits).unwrap());
+        job - building
+    };
+    // The first job in a process also asks the OS for its core count.
+    job(2);
+    let (two, twelve) = (job(2), job(12));
+    (twelve - two) / 10
+}
+
+#[test]
+fn a_slots_map_tasks_reuse_its_arena() {
+    if !alone("a_slots_map_tasks_reuse_its_arena") {
+        return;
+    }
+    // When each task's spill arena regrew its record buffer from empty,
+    // an extra task cost 103 allocations on the plain job and 1,619 on
+    // the aggregated one; the slot's own arena makes them 88 and 1,609.
+    let plain = per_extra_map_task(SlidingMedianVariant::Plain);
+    assert!(plain <= 95, "{plain} allocations per extra plain map task");
+    let aggregated = per_extra_map_task(SlidingMedianVariant::Aggregated {
+        buffer_bytes: 1 << 20,
+    });
+    assert!(
+        aggregated <= 1615,
+        "{aggregated} allocations per extra aggregated map task"
     );
 }
